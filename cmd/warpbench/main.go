@@ -511,7 +511,7 @@ func utilization() error {
 			// Stream the Chrome trace to a scratch buffer so the full
 			// recorder path runs, then report from the profile.
 			var trace bytes.Buffer
-			_, stats, err := prog.RunTraced(j.in, &trace)
+			_, stats, err := prog.RunWith(warp.RunConfig{Trace: &trace}, j.in)
 			if err != nil {
 				errs[i] = err
 				return

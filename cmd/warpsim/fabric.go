@@ -131,7 +131,7 @@ func runFabric(spec *fabricSpec, f fabricFlags) {
 		fail(fmt.Errorf("unknown workload %q (want matmul or conv1d)", spec.Workload))
 	}
 
-	prog, err := compileFor(kernelSrc, warp.Options{Pipeline: f.pipeline}, f.backend, false)
+	prog, err := compileFor(concrete(kernelSrc), warp.Options{Pipeline: f.pipeline}, f.backend, false)
 	if err != nil {
 		fail(err)
 	}

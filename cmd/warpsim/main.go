@@ -158,12 +158,15 @@ func main() {
 		fail(err)
 	}
 	copts := warp.Options{Pipeline: *pipeline, Cells: *cells}
-	var prog *warp.Program
+	compile := concrete(src)
 	if *symFlag {
-		prog, err = compileSymbolicFor(src, copts, *boundsFl, *backend, *crossFlag)
-	} else {
-		prog, err = compileFor(src, copts, *backend, *crossFlag)
+		bounds, err := warp.ParseBounds(*boundsFl)
+		if err != nil {
+			fail(err)
+		}
+		compile = func(o warp.Options) (*warp.Program, error) { return instantiate(src, o, bounds) }
 	}
+	prog, err := compileFor(compile, copts, *backend, *crossFlag)
 	if err != nil {
 		fail(err)
 	}
@@ -194,19 +197,17 @@ func main() {
 			fail(fmt.Errorf("-crosscheck needs both backends plain; drop -trace/-profile/-flame/-pprof"))
 		}
 		out, rstats = runCrossCheck(prog, inputs, *maxCycles)
-	} else if traceFile != nil {
-		out, rstats, err = prog.RunTracedWith(runCfg, inputs, traceFile)
-		if cerr := traceFile.Close(); err == nil && cerr != nil {
-			err = cerr
-		}
-		tick.Stop()
-		if err != nil {
-			failRun(err, *maxCycles)
-		}
-		fmt.Printf("trace: wrote %s (load in https://ui.perfetto.dev)\n", *tracePath)
 	} else {
+		if traceFile != nil {
+			runCfg.Trace = traceFile
+		}
 		out, rstats, err = prog.RunWith(runCfg, inputs)
 		tick.Stop()
+		if err == nil && traceFile != nil {
+			if err = traceFile.Close(); err == nil {
+				fmt.Printf("trace: wrote %s (load in https://ui.perfetto.dev)\n", *tracePath)
+			}
+		}
 		if err != nil {
 			failRun(err, *maxCycles)
 		}
@@ -282,72 +283,54 @@ func main() {
 	}
 }
 
-// compileFor compiles src for the chosen backend.  fast and auto want
-// a verified program; auto degrades gracefully (an unverifiable
-// program compiles plain and runs on the simulator) while fast and
-// -crosscheck surface the verification rejection outright.  A plain
-// sim run without -crosscheck skips verification entirely.
-func compileFor(src string, opts warp.Options, backend string, crosscheck bool) (*warp.Program, error) {
+// compileFor compiles for the chosen backend through compile — a
+// concrete warp.Compile or a -symbolic template instantiation.  fast
+// and auto want a verified program; auto degrades gracefully (an
+// unverifiable program compiles plain and runs on the simulator) while
+// fast and -crosscheck surface the verification rejection outright.  A
+// plain sim run without -crosscheck skips verification entirely.
+func compileFor(compile func(warp.Options) (*warp.Program, error), opts warp.Options, backend string, crosscheck bool) (*warp.Program, error) {
 	switch backend {
 	case "", warp.BackendAuto, warp.BackendFast:
 	case warp.BackendSim:
 		if !crosscheck {
-			return warp.Compile(src, opts)
+			return compile(opts)
 		}
 	default:
 		return nil, fmt.Errorf("bad -backend %q (want auto, sim or fast)", backend)
 	}
 	vopts := opts
 	vopts.Verify = true
-	prog, err := warp.Compile(src, vopts)
+	prog, err := compile(vopts)
 	if err != nil && backend != warp.BackendFast && !crosscheck && isVerifyError(err) {
-		return warp.Compile(src, opts)
+		return compile(opts)
 	}
 	return prog, err
 }
 
-// compileSymbolicFor is compileFor's -symbolic twin: the source is a
-// ${...} template, compiled once and instantiated at the -bounds
-// vector.  Backend handling matches the concrete path — fast and
-// -crosscheck demand a verified template, auto degrades to an
-// unverified one when verification rejects the instantiation.
-func compileSymbolicFor(src string, opts warp.Options, boundsArg, backend string, crosscheck bool) (*warp.Program, error) {
-	bounds, err := warp.ParseBounds(boundsArg)
+// concrete is compileFor's plain closure: warp.Compile of src.
+func concrete(src string) func(warp.Options) (*warp.Program, error) {
+	return func(o warp.Options) (*warp.Program, error) { return warp.Compile(src, o) }
+}
+
+// instantiate is the -symbolic compile: src is a ${...} template,
+// compiled once and instantiated at the -bounds vector; stderr names
+// how the instantiation was served.
+func instantiate(src string, opts warp.Options, bounds map[string]int64) (*warp.Program, error) {
+	tmpl, err := warp.CompileTemplate(src, opts)
 	if err != nil {
 		return nil, err
 	}
-	instantiate := func(o warp.Options) (*warp.Program, error) {
-		tmpl, err := warp.CompileTemplate(src, o)
-		if err != nil {
-			return nil, err
-		}
-		prog, detail, err := tmpl.ProgramDetail(bounds, nil)
-		if err != nil {
-			return nil, err
-		}
-		if detail.Symbolic {
-			fmt.Fprintf(os.Stderr, "template: instantiated symbolically from class [%s]\n", detail.Class)
-		} else {
-			fmt.Fprintf(os.Stderr, "template: concrete fallback (%s)\n", detail.FallbackReason)
-		}
-		return prog, nil
+	prog, detail, err := tmpl.ProgramDetail(bounds, nil)
+	if err != nil {
+		return nil, err
 	}
-	switch backend {
-	case "", warp.BackendAuto, warp.BackendFast:
-	case warp.BackendSim:
-		if !crosscheck {
-			return instantiate(opts)
-		}
-	default:
-		return nil, fmt.Errorf("bad -backend %q (want auto, sim or fast)", backend)
+	if detail.Symbolic {
+		fmt.Fprintf(os.Stderr, "template: instantiated symbolically from class [%s]\n", detail.Class)
+	} else {
+		fmt.Fprintf(os.Stderr, "template: concrete fallback (%s)\n", detail.FallbackReason)
 	}
-	vopts := opts
-	vopts.Verify = true
-	prog, err := instantiate(vopts)
-	if err != nil && backend != warp.BackendFast && !crosscheck && isVerifyError(err) {
-		return instantiate(opts)
-	}
-	return prog, err
+	return prog, nil
 }
 
 func isVerifyError(err error) bool {

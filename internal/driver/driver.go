@@ -38,7 +38,8 @@ import (
 
 // Options control compilation.
 type Options struct {
-	// NoOptimize disables the local optimization passes.
+	// NoOptimize disables the local optimizer (CSE, constant folding,
+	// height reduction, idempotent-operation removal).
 	NoOptimize bool
 	// Pipeline enables software pipelining of innermost loops.
 	Pipeline bool
@@ -60,32 +61,11 @@ type Options struct {
 	// counters — is byte-identical at every setting; only wall-clock
 	// measurements (phase timings, search nanoseconds) vary.
 	CompileWorkers int
-	// Recorder receives one Phase event per compiler phase (and is
-	// forwarded to the simulator by RunObserved's callers).  nil
-	// disables emission; Compiled.Phases is recorded either way.
+	// Recorder receives one Phase event per compiler phase; a
+	// warp.Program compiled with it also forwards it the per-cycle
+	// simulator events of its runs (see internal/obs).  nil disables
+	// emission at zero overhead; Compiled.Phases is recorded either way.
 	Recorder obs.Recorder
-	// Symbolic routes the compile through the symbolic template
-	// subsystem: src is ${...}-parameterized W2, Bounds supplies the
-	// parameter values, and the artifact is instantiated from a cached
-	// template's closed forms when possible (byte-identical to the
-	// concrete compile of the substituted source).  Requires the
-	// symbolic package to be linked in (importing the warp package or
-	// internal/symbolic registers it).
-	Symbolic bool
-	// Bounds are the template parameter values for a Symbolic compile.
-	Bounds map[string]int64
-}
-
-// symbolicCompile is the registered symbolic-compilation hook.  The
-// symbolic subsystem lives above this package (it drives Compile for
-// its probe grid), so the dependency is inverted: internal/symbolic
-// registers itself at init and Compile dispatches through the hook.
-var symbolicCompile func(src string, opts Options) (*Compiled, error)
-
-// RegisterSymbolic installs the symbolic-compilation hook; called from
-// internal/symbolic's init.
-func RegisterSymbolic(fn func(src string, opts Options) (*Compiled, error)) {
-	symbolicCompile = fn
 }
 
 // Compiled is the full result of compiling one W2 module.
@@ -206,12 +186,6 @@ func (c *Compiled) FastPlan() (*fastexec.Plan, error) {
 // the plain schedule; the rollback is recorded in PipelineBackoff,
 // BackoffReason and a "pipeline-backoff" phase entry.
 func Compile(src string, opts Options) (*Compiled, error) {
-	if opts.Symbolic {
-		if symbolicCompile == nil {
-			return nil, errors.New("driver: symbolic compilation not linked in (import warp or warp/internal/symbolic)")
-		}
-		return symbolicCompile(src, opts)
-	}
 	c, err := compile(src, opts)
 	// A verification failure is a verdict on the pipelined schedule
 	// itself, not an IU capacity limit: report it rather than silently
@@ -604,12 +578,6 @@ func chooseBackend(c *Compiled, o RunOptions) (string, *telemetry.Decision, erro
 // Run executes the compiled program on the simulated Warp machine.
 func Run(c *Compiled, inputs map[string][]float64) (map[string][]float64, *sim.Stats, error) {
 	return RunWith(c, inputs, RunOptions{})
-}
-
-// RunObserved executes the compiled program with an instrumentation
-// recorder attached to the simulator.
-func RunObserved(c *Compiled, inputs map[string][]float64, rec obs.Recorder) (map[string][]float64, *sim.Stats, error) {
-	return RunWith(c, inputs, RunOptions{Recorder: rec})
 }
 
 // RunWith executes the compiled program under the given run options.

@@ -8,12 +8,10 @@
 package service
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sync"
 
 	"warp"
 	"warp/internal/obs"
@@ -31,29 +29,16 @@ type CompileFunc func(src string, opts warp.Options) (*warp.Program, error)
 func Key(src string, opts warp.Options) string {
 	h := sha256.New()
 	h.Write([]byte(src))
-	// The option encoding is versioned by its shape: any new
-	// codegen-affecting option must be appended here or identical
-	// sources would alias across differing code generation.
-	// CompileWorkers is deliberately absent — the compiler's output is
-	// byte-identical at any worker count, so compilations differing
-	// only in parallelism must share one cache entry.
+	// This is the tree's only encoding of codegen-affecting options:
+	// a new one must be appended here or identical sources would alias
+	// across differing code generation (TestCacheKeyDistinguishesOptions
+	// walks the Options fields and fails on one that is neither hashed
+	// nor exempted).  CompileWorkers is deliberately absent — the
+	// compiler's output is byte-identical at any worker count, so
+	// compilations differing only in parallelism must share one entry.
 	fmt.Fprintf(h, "\x00noopt=%t\x00pipeline=%t\x00cells=%d\x00verify=%t",
 		opts.NoOptimize, opts.Pipeline, opts.Cells, opts.Verify)
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// flight is one in-progress compilation shared by every concurrent
-// request for the same key.
-type flight struct {
-	done chan struct{} // closed when the compile finishes
-	prog *warp.Program
-	err  error
-}
-
-// entry is one cached compilation in the LRU list.
-type entry struct {
-	key  string
-	prog *warp.Program
 }
 
 // CacheStats is a snapshot of the cache counters.
@@ -67,34 +52,23 @@ type CacheStats struct {
 // Cache is a content-addressed LRU compile cache with singleflight
 // deduplication: concurrent Get calls for the same key wait on a single
 // compilation instead of compiling redundantly.  Compilation errors are
-// never cached — the next request retries.
+// never cached — the next request retries.  It is the program store
+// (store.go) keyed by Key with warp.Compile as the load.
 type Cache struct {
 	compile CompileFunc
-	max     int
-
-	mu      sync.Mutex
-	lru     *list.List // front = most recent; values are *entry
-	byKey   map[string]*list.Element
-	flights map[string]*flight
-	stats   CacheStats
+	n       counters
+	progs   *store[*warp.Program]
 }
 
 // NewCache builds a cache holding at most max compiled programs,
 // compiling misses with the given function (nil means warp.Compile).
 func NewCache(max int, compile CompileFunc) *Cache {
-	if max < 1 {
-		max = 1
-	}
 	if compile == nil {
 		compile = warp.Compile
 	}
-	return &Cache{
-		compile: compile,
-		max:     max,
-		lru:     list.New(),
-		byKey:   map[string]*list.Element{},
-		flights: map[string]*flight{},
-	}
+	c := &Cache{compile: compile}
+	c.progs = newStore[*warp.Program](max, &c.n, nil)
+	return c
 }
 
 // Get returns the compiled program for (src, opts), compiling it at
@@ -115,104 +89,28 @@ func (c *Cache) Get(ctx context.Context, src string, opts warp.Options) (prog *w
 // request-scoped tracing.  rec never influences the content address.
 func (c *Cache) GetObserved(ctx context.Context, src string, opts warp.Options, rec obs.Recorder) (prog *warp.Program, key string, hit bool, err error) {
 	key = Key(src, opts)
-	c.mu.Lock()
-	if el, ok := c.byKey[key]; ok {
-		c.lru.MoveToFront(el)
-		c.stats.Hits++
-		prog = el.Value.(*entry).prog
-		c.mu.Unlock()
-		return prog, key, true, nil
-	}
-	if f, ok := c.flights[key]; ok {
-		// Someone else is compiling this key: wait for it and treat
-		// the shared result as a hit for this caller.
-		c.mu.Unlock()
-		select {
-		case <-f.done:
-		case <-ctx.Done():
-			return nil, key, false, ctx.Err()
+	prog, hit, err = c.progs.get(ctx, key, func() (*warp.Program, error) {
+		if obs.Enabled(rec) {
+			opts.Recorder = obs.Multi(opts.Recorder, rec)
 		}
-		if f.err != nil {
-			return nil, key, false, f.err
-		}
-		c.mu.Lock()
-		c.stats.Hits++
-		c.mu.Unlock()
-		return f.prog, key, true, nil
-	}
-	f := &flight{done: make(chan struct{})}
-	c.flights[key] = f
-	c.stats.Misses++
-	c.mu.Unlock()
-
-	if obs.Enabled(rec) {
-		copts := opts
-		copts.Recorder = obs.Multi(opts.Recorder, rec)
-		f.prog, f.err = c.compile(src, copts)
-	} else {
-		f.prog, f.err = c.compile(src, opts)
-	}
-
-	c.mu.Lock()
-	delete(c.flights, key)
-	if f.err == nil {
-		c.insertLocked(key, f.prog)
-	}
-	c.mu.Unlock()
-	close(f.done)
-	return f.prog, key, false, f.err
+		return c.compile(src, opts)
+	})
+	return prog, key, hit, err
 }
 
 // Lookup returns the cached program for a content address, if present,
 // and refreshes its recency.  An evicted or never-compiled key returns
 // ok=false; the caller must resubmit the source.
 func (c *Cache) Lookup(key string) (*warp.Program, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	c.stats.Hits++
-	return el.Value.(*entry).prog, true
-}
-
-// insertLocked adds a freshly compiled program, evicting from the LRU
-// tail.  Caller holds c.mu.
-func (c *Cache) insertLocked(key string, prog *warp.Program) {
-	if el, ok := c.byKey[key]; ok {
-		// A racing flight for the same key already landed; keep the
-		// incumbent (identical by construction) and refresh it.
-		c.lru.MoveToFront(el)
-		return
-	}
-	c.byKey[key] = c.lru.PushFront(&entry{key: key, prog: prog})
-	for c.lru.Len() > c.max {
-		tail := c.lru.Back()
-		c.lru.Remove(tail)
-		delete(c.byKey, tail.Value.(*entry).key)
-		c.stats.Evictions++
-	}
+	return c.progs.lookup(key)
 }
 
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.stats
-	s.Entries = c.lru.Len()
-	return s
-}
-
-// Keys returns the cached content addresses, most recently used first
-// (diagnostic; order is the eviction order reversed).
-func (c *Cache) Keys() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	keys := make([]string, 0, c.lru.Len())
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		keys = append(keys, el.Value.(*entry).key)
+	return CacheStats{
+		Entries:   c.progs.len(),
+		Hits:      c.n.hits.Load(),
+		Misses:    c.n.misses.Load(),
+		Evictions: c.n.evictions.Load(),
 	}
-	return keys
 }

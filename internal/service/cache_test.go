@@ -2,11 +2,13 @@ package service
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"warp"
+	"warp/internal/driver"
 	"warp/internal/obs"
 	"warp/internal/workloads"
 )
@@ -36,27 +38,48 @@ func (p *phaseCounter) count(name string) int {
 	return p.counts[name]
 }
 
+// TestCacheKeyDistinguishesOptions walks driver.Options (warp.Options is
+// its alias) field by field: setting any one field must change the
+// content address, and to a value no other field produces, unless the
+// field is on the short list of options that cannot affect code
+// generation — those must leave the key alone.  A new option therefore
+// fails here until it is either hashed by Key or exempted on purpose.
 func TestCacheKeyDistinguishesOptions(t *testing.T) {
-	src := workloads.Polynomial(10, 50)
-	plain := Key(src, warp.Options{})
-	piped := Key(src, warp.Options{Pipeline: true})
-	noopt := Key(src, warp.Options{NoOptimize: true})
-	cells := Key(src, warp.Options{Cells: 5})
-	keys := map[string]string{"default": plain, "pipeline": piped, "noopt": noopt, "cells": cells}
-	seen := map[string]string{}
-	for name, k := range keys {
-		if prev, dup := seen[k]; dup {
-			t.Errorf("options %q and %q share cache key %s", name, prev, k)
-		}
-		seen[k] = name
+	notCodegen := map[string]bool{
+		"CompileWorkers": true, // output is byte-identical at any worker count
+		"Recorder":       true, // instrumentation only
 	}
-	if Key(src, warp.Options{}) != plain {
+	src := workloads.Polynomial(10, 50)
+	base := Key(src, driver.Options{})
+	if Key(src, warp.Options{}) != base {
 		t.Error("Key is not deterministic")
 	}
-	// The Recorder must not affect the content address: it changes
-	// instrumentation, not code generation.
-	if Key(src, warp.Options{Recorder: newPhaseCounter()}) != plain {
-		t.Error("Recorder leaked into the cache key")
+	seen := map[string]string{base: "the zero Options"}
+	typ := reflect.TypeOf(driver.Options{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		var opts driver.Options
+		switch f := reflect.ValueOf(&opts).Elem().Field(i); f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int:
+			f.SetInt(5)
+		case reflect.Interface:
+			f.Set(reflect.ValueOf(newPhaseCounter()))
+		default:
+			t.Fatalf("driver.Options.%s has kind %s; teach this test to set it", name, f.Kind())
+		}
+		k := Key(src, opts)
+		if notCodegen[name] {
+			if k != base {
+				t.Errorf("%s leaked into the cache key", name)
+			}
+			continue
+		}
+		if prev, dup := seen[k]; dup {
+			t.Errorf("setting %s gives the same key as %s: hash it in Key, or list it as not affecting codegen", name, prev)
+		}
+		seen[k] = name
 	}
 }
 

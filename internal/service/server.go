@@ -366,6 +366,8 @@ func errStatus(err error) int {
 		// The source compiled but the microcode failed verification:
 		// the entity is well-formed yet unprocessable as a program.
 		return http.StatusUnprocessableEntity
+	case errors.Is(err, errLoadPanic):
+		return http.StatusInternalServerError
 	}
 	return http.StatusBadRequest
 }

@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -417,5 +418,37 @@ func TestServiceGracefulClose(t *testing.T) {
 	defer resp2.Body.Close()
 	if resp2.StatusCode == http.StatusOK {
 		t.Error("run succeeded after Close")
+	}
+}
+
+// TestCompilePanicDoesNotPoisonKey pins panic safety end to end: a
+// compiler panic on the handler goroutine costs that request a
+// 500, and the next /compile of the same source compiles normally
+// instead of waiting forever on a flight nobody will ever land.
+func TestCompilePanicDoesNotPoisonKey(t *testing.T) {
+	var calls atomic.Int32
+	svc := New(Config{Workers: 1, NoVerify: true, Compile: func(src string, opts warp.Options) (*warp.Program, error) {
+		if calls.Add(1) == 1 {
+			panic("compiler bug")
+		}
+		return warp.Compile(src, opts)
+	}})
+	defer svc.Close()
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+	client := ts.Client()
+	client.Timeout = 10 * time.Second // a poisoned key would hang the second request
+
+	req := CompileRequest{Source: workloads.PolynomialPaper()}
+	resp, body := postJSON(t, client, ts.URL+"/compile", req)
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "compiler bug") {
+		t.Fatalf("panicking compile: status %d: %s; want 500 naming the panic", resp.StatusCode, body)
+	}
+	resp, body = postJSON(t, client, ts.URL+"/compile", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("compile after a panic: status %d: %s", resp.StatusCode, body)
+	}
+	if cs := svc.CacheStats(); cs.Entries != 1 || cs.Misses != 2 {
+		t.Errorf("cache stats = %+v, want 1 entry after 2 misses", cs)
 	}
 }

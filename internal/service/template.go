@@ -1,13 +1,11 @@
 package service
 
 import (
-	"container/list"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"sort"
-	"sync"
+	"strings"
+	"sync/atomic"
 
 	"warp"
 	"warp/internal/obs"
@@ -19,32 +17,20 @@ import (
 // warp.CompileTemplate).
 type TemplateCompileFunc func(src string, opts warp.Options) (*warp.Template, error)
 
-// templateFlight is one in-progress instantiation shared by every
-// concurrent request for the same (template, bounds) pair.
-type templateFlight struct {
-	done   chan struct{}
+// instance is one instantiated program and how it was served.
+type instance struct {
 	prog   *warp.Program
 	detail *warp.TemplateDetail
-	err    error
 }
 
-// instEntry is one instantiated program in a template's LRU.
-type instEntry struct {
-	boundsKey string
-	progKey   string // global content address (Lookup key)
-	prog      *warp.Program
-	detail    *warp.TemplateDetail
-}
-
-// tmplEntry is one resident template plus its per-template LRU of
-// instantiated programs.  The template itself is tiny (parsed source
-// and fitted closed forms); the instantiations hold full microcode
-// artifacts, so they are what the caps bound.
+// tmplEntry is one resident template plus the store of programs
+// instantiated from it, keyed by canonical bound vector.  The template
+// itself is tiny (parsed source and fitted closed forms); the
+// instantiations hold full microcode artifacts, so they are what the
+// caps bound.
 type tmplEntry struct {
-	key      string
-	tmpl     *warp.Template
-	insts    *list.List
-	byBounds map[string]*list.Element
+	tmpl  *warp.Template
+	insts *store[instance]
 }
 
 // TemplateCacheStats is a snapshot of the template-cache counters.
@@ -60,48 +46,38 @@ type TemplateCacheStats struct {
 	Fallbacks      int64
 }
 
-// TemplateCache is the service's symbolic-compilation cache: a two-level
-// LRU holding templates keyed by (source, codegen options) content
-// address and, under each template, the programs instantiated from it
-// keyed by bound vector.  A program's public content address covers
-// (template, bounds), so /run can name an instantiated program exactly
-// like a concretely compiled one.  Instantiations are singleflighted;
-// the probe compiles that fit a template's residue classes are
-// additionally deduplicated inside the template itself.
+// TemplateCache is the service's symbolic-compilation cache: the
+// program store (store.go) at two levels — templates keyed by (source,
+// codegen options) content address and, under each template, the
+// programs instantiated from it keyed by bound vector.  A program's
+// public content address is "<template key>@<bounds>", so /run can name
+// an instantiated program exactly like a concretely compiled one.
+// Template builds and instantiations are both singleflighted; the probe
+// compiles that fit a template's residue classes are additionally
+// deduplicated inside the template itself.
 type TemplateCache struct {
-	compile      TemplateCompileFunc
-	maxTemplates int
-	maxPrograms  int // per-template instantiation cap
+	compile     TemplateCompileFunc
+	maxPrograms int // per-template instantiation cap
 
-	mu      sync.Mutex
-	lru     *list.List // *tmplEntry, front = most recent
-	byKey   map[string]*list.Element
-	progs   map[string]*instEntry // global progKey index for Lookup
-	flights map[string]*templateFlight
-	stats   TemplateCacheStats
+	templates *store[*tmplEntry]
+	tn        counters // template-level traffic; not reported
+	n         counters // instantiation traffic of every template, resident or evicted
+
+	instantiations, fallbacks atomic.Int64
 }
 
 // NewTemplateCache builds a cache holding at most maxTemplates
 // templates with at most maxPrograms instantiated programs each.
 func NewTemplateCache(maxTemplates, maxPrograms int, compile TemplateCompileFunc) *TemplateCache {
-	if maxTemplates < 1 {
-		maxTemplates = 1
-	}
-	if maxPrograms < 1 {
-		maxPrograms = 1
-	}
 	if compile == nil {
 		compile = warp.CompileTemplate
 	}
-	return &TemplateCache{
-		compile:      compile,
-		maxTemplates: maxTemplates,
-		maxPrograms:  maxPrograms,
-		lru:          list.New(),
-		byKey:        map[string]*list.Element{},
-		progs:        map[string]*instEntry{},
-		flights:      map[string]*templateFlight{},
-	}
+	tc := &TemplateCache{compile: compile, maxPrograms: maxPrograms}
+	tc.templates = newStore(maxTemplates, &tc.tn, func(te *tmplEntry) {
+		// An evicted template takes its resident programs with it.
+		tc.n.evictions.Add(int64(te.insts.len()))
+	})
+	return tc
 }
 
 // boundsKey canonicalizes a bound vector ("k=5,n=32", sorted by name)
@@ -122,202 +98,82 @@ func boundsKey(bounds map[string]int64) string {
 	return s
 }
 
-// instantiationKey is the public content address of one instantiated
-// program: the template's content address (Key over source and codegen
-// options) plus the canonical bound vector, with a domain marker so a
-// template instantiation can never alias a plain compilation.
-func instantiationKey(tmplKey, bk string) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "symbolic\x00%s\x00bounds=%s", tmplKey, bk)
-	return hex.EncodeToString(h.Sum(nil))
-}
+// instSep joins a template's content address to a canonical bound
+// vector in an instantiated program's public key.  Template keys are
+// hex, so the first instSep splits the two again, and a concrete
+// compilation's key (bare hex) can never alias an instantiation's.
+const instSep = "@"
 
 // GetObserved returns the program for (src, opts) instantiated at
-// bounds, compiling the template and fitting its residue classes at
-// most once per (source, options) and instantiating at most once per
-// bound vector.  The returned key is the instantiated program's content
-// address (usable with Lookup and /run); hit reports whether the
-// program was already resident; detail reports how a miss was served
-// (closed forms or concrete fallback).  rec receives the template's
-// phase events when this caller owns the instantiation flight.
+// bounds, building the template at most once per (source, options) and
+// instantiating at most once per bound vector.  The returned key is the
+// instantiated program's content address (usable with Lookup and /run);
+// hit reports whether the program was already resident; detail reports
+// how a miss was served (closed forms or concrete fallback).  rec
+// receives the template's phase events when this caller owns the
+// instantiation flight.
 func (tc *TemplateCache) GetObserved(ctx context.Context, src string, opts warp.Options, bounds map[string]int64, rec obs.Recorder) (prog *warp.Program, key string, hit bool, detail *warp.TemplateDetail, err error) {
 	tmplKey := Key(src, opts)
 	bk := boundsKey(bounds)
-	key = instantiationKey(tmplKey, bk)
+	key = tmplKey + instSep + bk
 
-	tc.mu.Lock()
-	if ent, ok := tc.progs[key]; ok {
-		tc.touchLocked(tmplKey, bk)
-		tc.stats.Hits++
-		tc.mu.Unlock()
-		return ent.prog, key, true, ent.detail, nil
-	}
-	if f, ok := tc.flights[key]; ok {
-		tc.mu.Unlock()
-		select {
-		case <-f.done:
-		case <-ctx.Done():
-			return nil, key, false, nil, ctx.Err()
+	te, _, err := tc.templates.get(ctx, tmplKey, func() (*tmplEntry, error) {
+		tmpl, err := tc.compile(src, opts)
+		if err != nil {
+			return nil, err
 		}
-		if f.err != nil {
-			return nil, key, false, nil, f.err
-		}
-		tc.mu.Lock()
-		tc.stats.Hits++
-		tc.mu.Unlock()
-		return f.prog, key, true, f.detail, nil
-	}
-	f := &templateFlight{done: make(chan struct{})}
-	tc.flights[key] = f
-	tc.stats.Misses++
-	tc.mu.Unlock()
-
-	tmpl, err := tc.template(src, opts, tmplKey)
-	if err == nil {
-		f.prog, f.detail, f.err = tmpl.ProgramDetail(bounds, rec)
-	} else {
-		f.err = err
-	}
-
-	tc.mu.Lock()
-	delete(tc.flights, key)
-	if f.err == nil {
-		if f.detail != nil && f.detail.Symbolic {
-			tc.stats.Instantiations++
-		} else {
-			tc.stats.Fallbacks++
-		}
-		tc.insertLocked(tmplKey, &instEntry{boundsKey: bk, progKey: key, prog: f.prog, detail: f.detail})
-	}
-	tc.mu.Unlock()
-	close(f.done)
-	return f.prog, key, false, f.detail, f.err
-}
-
-// template returns the resident template for tmplKey, building it on
-// first use.  Building is cheap (source parsing; the probe compiles run
-// lazily inside ProgramDetail), so a build race is settled
-// incumbent-wins: whichever template landed first is the one everybody
-// shares, keeping the class-fitting work deduplicated.
-func (tc *TemplateCache) template(src string, opts warp.Options, tmplKey string) (*warp.Template, error) {
-	tc.mu.Lock()
-	if el, ok := tc.byKey[tmplKey]; ok {
-		tc.lru.MoveToFront(el)
-		tmpl := el.Value.(*tmplEntry).tmpl
-		tc.mu.Unlock()
-		return tmpl, nil
-	}
-	tc.mu.Unlock()
-
-	tmpl, err := tc.compile(src, opts)
+		return &tmplEntry{tmpl: tmpl, insts: newStore[instance](tc.maxPrograms, &tc.n, nil)}, nil
+	})
 	if err != nil {
-		return nil, err
+		// A request that dies building its template is still a miss.
+		tc.n.misses.Add(1)
+		return nil, key, false, nil, err
 	}
-
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	if el, ok := tc.byKey[tmplKey]; ok {
-		tc.lru.MoveToFront(el)
-		return el.Value.(*tmplEntry).tmpl, nil
-	}
-	ent := &tmplEntry{key: tmplKey, tmpl: tmpl, insts: list.New(), byBounds: map[string]*list.Element{}}
-	tc.byKey[tmplKey] = tc.lru.PushFront(ent)
-	for tc.lru.Len() > tc.maxTemplates {
-		tail := tc.lru.Back()
-		tc.lru.Remove(tail)
-		te := tail.Value.(*tmplEntry)
-		delete(tc.byKey, te.key)
-		for el := te.insts.Front(); el != nil; el = el.Next() {
-			delete(tc.progs, el.Value.(*instEntry).progKey)
-			tc.stats.Evictions++
+	// If te is evicted while this instantiation is in flight, the
+	// program lands in a store nothing reaches any more: it is returned
+	// and works, it just is not resident.
+	inst, hit, err := te.insts.get(ctx, bk, func() (instance, error) {
+		prog, detail, err := te.tmpl.ProgramDetail(bounds, rec)
+		if err != nil {
+			return instance{}, err
 		}
-	}
-	return tmpl, nil
-}
-
-// touchLocked refreshes recency for a hit: the template in the outer
-// LRU and the instantiation in the template's own.  Caller holds tc.mu.
-func (tc *TemplateCache) touchLocked(tmplKey, bk string) {
-	el, ok := tc.byKey[tmplKey]
-	if !ok {
-		return
-	}
-	tc.lru.MoveToFront(el)
-	te := el.Value.(*tmplEntry)
-	if iel, ok := te.byBounds[bk]; ok {
-		te.insts.MoveToFront(iel)
-	}
-}
-
-// insertLocked files a freshly instantiated program under its template,
-// evicting from that template's LRU tail.  Caller holds tc.mu.
-func (tc *TemplateCache) insertLocked(tmplKey string, ent *instEntry) {
-	el, ok := tc.byKey[tmplKey]
-	if !ok {
-		// The template was evicted while this instantiation was in
-		// flight; the program still works, it just is not resident.
-		return
-	}
-	tc.lru.MoveToFront(el)
-	te := el.Value.(*tmplEntry)
-	if iel, ok := te.byBounds[ent.boundsKey]; ok {
-		te.insts.MoveToFront(iel)
-		return
-	}
-	te.byBounds[ent.boundsKey] = te.insts.PushFront(ent)
-	tc.progs[ent.progKey] = ent
-	for te.insts.Len() > tc.maxPrograms {
-		tail := te.insts.Back()
-		te.insts.Remove(tail)
-		old := tail.Value.(*instEntry)
-		delete(te.byBounds, old.boundsKey)
-		delete(tc.progs, old.progKey)
-		tc.stats.Evictions++
-	}
+		if detail != nil && detail.Symbolic {
+			tc.instantiations.Add(1)
+		} else {
+			tc.fallbacks.Add(1)
+		}
+		return instance{prog, detail}, nil
+	})
+	return inst.prog, key, hit, inst.detail, err
 }
 
 // Lookup returns the resident instantiated program for a content
-// address, refreshing its recency.
+// address, refreshing its and its template's recency.
 func (tc *TemplateCache) Lookup(key string) (*warp.Program, bool) {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	ent, ok := tc.progs[key]
+	tmplKey, bk, ok := strings.Cut(key, instSep)
 	if !ok {
 		return nil, false
 	}
-	tc.stats.Hits++
-	// Recency: find the owning template by walking the (small) outer
-	// LRU; the instantiation entry knows only its bounds key.
-	for el := tc.lru.Front(); el != nil; el = el.Next() {
-		te := el.Value.(*tmplEntry)
-		if iel, ok := te.byBounds[ent.boundsKey]; ok && iel.Value.(*instEntry) == ent {
-			tc.lru.MoveToFront(el)
-			te.insts.MoveToFront(iel)
-			break
-		}
+	te, ok := tc.templates.lookup(tmplKey)
+	if !ok {
+		return nil, false
 	}
-	return ent.prog, true
+	inst, ok := te.insts.lookup(bk)
+	return inst.prog, ok
 }
 
 // Stats snapshots the cache counters.
 func (tc *TemplateCache) Stats() TemplateCacheStats {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	s := tc.stats
-	s.Templates = tc.lru.Len()
-	s.Programs = len(tc.progs)
-	return s
-}
-
-// TemplateStats exposes each resident template's lifetime counters,
-// keyed by template content address (diagnostic).
-func (tc *TemplateCache) TemplateStats() map[string]warp.TemplateStats {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	out := make(map[string]warp.TemplateStats, tc.lru.Len())
-	for el := tc.lru.Front(); el != nil; el = el.Next() {
-		te := el.Value.(*tmplEntry)
-		out[te.key] = te.tmpl.Stats()
+	s := TemplateCacheStats{
+		Hits:           tc.n.hits.Load(),
+		Misses:         tc.n.misses.Load(),
+		Evictions:      tc.n.evictions.Load(),
+		Instantiations: tc.instantiations.Load(),
+		Fallbacks:      tc.fallbacks.Load(),
 	}
-	return out
+	tc.templates.each(func(te *tmplEntry) {
+		s.Templates++
+		s.Programs += te.insts.len()
+	})
+	return s
 }

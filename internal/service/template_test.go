@@ -1,14 +1,18 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
 	"warp"
+	"warp/internal/obs"
 	"warp/internal/workloads"
 )
 
@@ -299,5 +303,152 @@ func TestFabricTilesShareTemplate(t *testing.T) {
 	}
 	if tcs := svc.TemplateCacheStats(); tcs.Templates != 1 {
 		t.Fatalf("%d templates after partitioned run, want 1", tcs.Templates)
+	}
+}
+
+// tcGet instantiates src at n through tc and returns the program's
+// content address.
+func tcGet(t *testing.T, tc *TemplateCache, src string, opts warp.Options, n int64) string {
+	t.Helper()
+	prog, key, _, _, err := tc.GetObserved(context.Background(), src, opts, map[string]int64{"n": n}, nil)
+	if err != nil || prog == nil {
+		t.Fatalf("instantiate n=%d: prog=%v err=%v", n, prog, err)
+	}
+	return key
+}
+
+// resident reports which of the keys tc.Lookup still finds.
+func resident(tc *TemplateCache, keys ...string) []bool {
+	out := make([]bool, len(keys))
+	for i, k := range keys {
+		_, out[i] = tc.Lookup(k)
+	}
+	return out
+}
+
+// TestTemplateCachePerTemplateCap pins the inner level: a template over
+// its instantiation cap loses its own least-recent program and nothing
+// of any other template's.
+func TestTemplateCachePerTemplateCap(t *testing.T) {
+	tc := NewTemplateCache(4, 2, nil)
+	src := workloads.MatmulSym()
+	a8 := tcGet(t, tc, src, warp.Options{}, 8)
+	a14 := tcGet(t, tc, src, warp.Options{}, 14)
+	b8 := tcGet(t, tc, src, warp.Options{Pipeline: true}, 8)
+	if _, ok := tc.Lookup(a8); !ok { // a8 is now newer than a14
+		t.Fatal("a8 missing before the cap is reached")
+	}
+	a20 := tcGet(t, tc, src, warp.Options{}, 20)
+	if got, want := resident(tc, a8, a14, a20, b8), []bool{true, false, true, true}; !reflect.DeepEqual(got, want) {
+		t.Errorf("resident(a8, a14, a20, b8) = %v, want %v", got, want)
+	}
+	if s := tc.Stats(); s.Templates != 2 || s.Programs != 3 || s.Evictions != 1 || s.Misses != 4 {
+		t.Errorf("stats = %+v, want 2 templates, 3 programs, 1 eviction, 4 misses", s)
+	}
+}
+
+// TestTemplateCacheTemplateEviction pins the outer level: evicting a
+// template drops every program instantiated from it, and each counts as
+// an eviction.
+func TestTemplateCacheTemplateEviction(t *testing.T) {
+	tc := NewTemplateCache(1, 4, nil)
+	src := workloads.MatmulSym()
+	a8 := tcGet(t, tc, src, warp.Options{}, 8)
+	a14 := tcGet(t, tc, src, warp.Options{}, 14)
+	b8 := tcGet(t, tc, src, warp.Options{Pipeline: true}, 8)
+	if got, want := resident(tc, a8, a14, b8), []bool{false, false, true}; !reflect.DeepEqual(got, want) {
+		t.Errorf("resident(a8, a14, b8) = %v, want %v", got, want)
+	}
+	if s := tc.Stats(); s.Templates != 1 || s.Programs != 1 || s.Evictions != 2 {
+		t.Errorf("stats = %+v, want 1 template, 1 program, 2 evictions", s)
+	}
+}
+
+// gateRecorder blocks its first Phase event until released — a handle
+// on "this instantiation is in flight".
+type gateRecorder struct {
+	obs.Recorder
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gateRecorder) Phase(string, float64, int, string) {
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.release
+	})
+}
+
+// TestTemplateCacheOrphanedInstantiation: an instantiation that
+// finishes after its template was evicted is returned to its caller but
+// is not resident and is not an eviction.
+func TestTemplateCacheOrphanedInstantiation(t *testing.T) {
+	tc := NewTemplateCache(1, 4, nil)
+	src := workloads.MatmulSym()
+	gate := &gateRecorder{Recorder: obs.Nop(), entered: make(chan struct{}), release: make(chan struct{})}
+	type result struct {
+		prog *warp.Program
+		key  string
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		prog, key, _, _, err := tc.GetObserved(context.Background(), src, warp.Options{}, map[string]int64{"n": 8}, gate)
+		done <- result{prog, key, err}
+	}()
+	<-gate.entered
+	b8 := tcGet(t, tc, src, warp.Options{Pipeline: true}, 8) // evicts the in-flight template
+	close(gate.release)
+	r := <-done
+	if r.err != nil || r.prog == nil {
+		t.Fatalf("orphaned instantiation: prog=%v err=%v, want a working program", r.prog, r.err)
+	}
+	if got, want := resident(tc, r.key, b8), []bool{false, true}; !reflect.DeepEqual(got, want) {
+		t.Errorf("resident(orphan, b8) = %v, want %v", got, want)
+	}
+	if s := tc.Stats(); s.Templates != 1 || s.Programs != 1 || s.Evictions != 0 || s.Instantiations+s.Fallbacks != 2 {
+		t.Errorf("stats = %+v, want 1 template, 1 program, 0 evictions, 2 served misses", s)
+	}
+}
+
+// TestTemplateCacheBuildsTemplateOnce: concurrent first requests for
+// one template — different bound vectors, so nothing dedups them at the
+// instantiation level — build the template exactly once.
+func TestTemplateCacheBuildsTemplateOnce(t *testing.T) {
+	const waiters = 4
+	var builds atomic.Int64
+	entered, release := make(chan struct{}), make(chan struct{})
+	tc := NewTemplateCache(4, 8, func(src string, opts warp.Options) (*warp.Template, error) {
+		if builds.Add(1) == 1 {
+			close(entered)
+			<-release
+		}
+		return warp.CompileTemplate(src, opts)
+	})
+	src := workloads.MatmulSym()
+	errs := make(chan error, waiters+1)
+	get := func(ctx context.Context, n int64) {
+		_, _, _, _, err := tc.GetObserved(ctx, src, warp.Options{}, map[string]int64{"n": n}, nil)
+		errs <- err
+	}
+	go get(context.Background(), 8)
+	<-entered
+	for i := 0; i < waiters; i++ {
+		ctx := newWaitCtx()
+		go get(ctx, int64(14+6*i))
+		<-ctx.called // parked on the template build
+	}
+	close(release)
+	for i := 0; i < waiters+1; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if got := builds.Load(); got != 1 {
+		t.Errorf("template built %d times for %d concurrent first requests, want 1", got, waiters+1)
+	}
+	if s := tc.Stats(); s.Templates != 1 || s.Programs != waiters+1 || s.Misses != waiters+1 {
+		t.Errorf("stats = %+v, want 1 template, %d programs, %d misses", s, waiters+1, waiters+1)
 	}
 }

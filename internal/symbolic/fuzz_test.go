@@ -2,6 +2,7 @@ package symbolic
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"warp/internal/driver"
@@ -15,13 +16,33 @@ import (
 // like a concrete compile of the substituted source.  Accepted bounds
 // must produce fingerprint-identical artifacts whether they were served
 // from closed forms or by fallback, and rejected bounds must be
-// rejected by both paths.  Templates are shared across executions via
-// the process registry, so class state accumulated by earlier inputs is
-// itself under test.  The seed corpus runs as a regular test; explore
-// with `go test -fuzz=FuzzSymbolicInstantiation ./internal/symbolic`.
+// rejected by both paths.  The six (source, pipeline) templates are
+// shared across executions, so class builds stay amortized and the
+// class state accumulated by earlier inputs is itself under test.  The
+// seed corpus runs as a regular test; explore with
+// `go test -fuzz=FuzzSymbolicInstantiation ./internal/symbolic`.
 func FuzzSymbolicInstantiation(f *testing.F) {
 	for seed := int64(0); seed < 12; seed++ {
 		f.Add(seed)
+	}
+	type tmplKey struct {
+		src      string
+		pipeline bool
+	}
+	var mu sync.Mutex
+	templates := map[tmplKey]*Template{}
+	shared := func(src string, opts driver.Options) (*Template, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		k := tmplKey{src, opts.Pipeline}
+		if tmpl, ok := templates[k]; ok {
+			return tmpl, nil
+		}
+		tmpl, err := CompileTemplate(src, opts)
+		if err == nil {
+			templates[k] = tmpl
+		}
+		return tmpl, err
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
@@ -42,7 +63,7 @@ func FuzzSymbolicInstantiation(f *testing.F) {
 		}
 		opts := driver.Options{Pipeline: rng.Intn(2) == 1, Verify: true}
 
-		tmpl, err := SharedTemplate(src, opts)
+		tmpl, err := shared(src, opts)
 		if err != nil {
 			t.Fatalf("template build: %v\n%s", err, src)
 		}

@@ -128,7 +128,7 @@ func CompileTemplate(src string, opts driver.Options) (*Template, error) {
 		return nil, err
 	}
 	// Probe compiles are internal (not request events) and concrete.
-	opts.Recorder, opts.Symbolic, opts.Bounds = nil, false, nil
+	opts.Recorder = nil
 	return &Template{Source: s, Opts: opts, classes: map[string]*class{}}, nil
 }
 

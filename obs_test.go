@@ -57,7 +57,7 @@ func TestObsNeutral(t *testing.T) {
 			}
 
 			var buf bytes.Buffer
-			tout, tstats, err := prog.RunTraced(j.inputs(), &buf)
+			tout, tstats, err := prog.RunWith(warp.RunConfig{Trace: &buf}, j.inputs())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,7 +131,7 @@ func TestObsProfileConsistent(t *testing.T) {
 	}
 }
 
-// TestRunTracedJSON is the acceptance check on the trace exporter: the
+// The acceptance check on the RunConfig.Trace exporter: the
 // file parses as JSON and every event carries the ph, ts, pid and tid
 // fields the Perfetto/Chrome trace viewers require.
 func TestRunTracedJSON(t *testing.T) {
@@ -140,9 +140,9 @@ func TestRunTracedJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	_, _, err = prog.RunTraced(map[string][]float64{
+	_, _, err = prog.RunWith(warp.RunConfig{Trace: &buf}, map[string][]float64{
 		"a": make([]float64, 100), "bmat": make([]float64, 100),
-	}, &buf)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

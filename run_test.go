@@ -90,9 +90,9 @@ func TestRunContextCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already dead: the first poll (cycle 0) must see it
-	_, _, err = prog.RunContext(ctx, polyInputs(100))
+	_, _, err = prog.RunWith(warp.RunConfig{Context: ctx}, polyInputs(100))
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunContext with cancelled ctx: err = %v, want context.Canceled", err)
+		t.Fatalf("RunWith with cancelled ctx: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -105,9 +105,9 @@ func TestRunContextDeadline(t *testing.T) {
 	}
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, _, err = prog.RunContext(ctx, polyInputs(100))
+	_, _, err = prog.RunWith(warp.RunConfig{Context: ctx}, polyInputs(100))
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("RunContext with expired deadline: err = %v, want DeadlineExceeded", err)
+		t.Fatalf("RunWith with expired deadline: err = %v, want DeadlineExceeded", err)
 	}
 }
 

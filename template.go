@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"warp/internal/driver"
 	"warp/internal/obs"
 	"warp/internal/symbolic"
 )
@@ -38,13 +37,7 @@ type TemplateDetail = symbolic.Detail
 // bound vector's residue class pays the probe compiles, later calls in
 // the class instantiate from the fitted closed forms.
 func CompileTemplate(src string, opts Options) (*Template, error) {
-	t, err := symbolic.CompileTemplate(src, driver.Options{
-		NoOptimize:     opts.NoOptimize,
-		Pipeline:       opts.Pipeline,
-		Cells:          opts.Cells,
-		Verify:         opts.Verify,
-		CompileWorkers: opts.CompileWorkers,
-	})
+	t, err := symbolic.CompileTemplate(src, opts)
 	if err != nil {
 		return nil, err
 	}

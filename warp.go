@@ -64,40 +64,16 @@ const (
 	BackendFast = driver.BackendFast
 )
 
-// Options control compilation.
-type Options struct {
-	// NoOptimize disables the local optimizer (CSE, constant folding,
-	// height reduction, idempotent-operation removal).
-	NoOptimize bool
-	// Pipeline enables software pipelining of innermost loops.
-	Pipeline bool
-	// Cells overrides the array size declared by the cellprogram.
-	Cells int
-	// Verify runs the static microcode verifier as a final compile
-	// phase: queue safety, skew coverage, register hazards and IU
-	// stream consistency are proven from the microcode alone, and a
-	// violation fails Compile with a *verify.Error carrying structured
-	// diagnostics (one per violated invariant).
-	Verify bool
-	// CompileWorkers bounds the compiler's internal parallelism: the
-	// independent back-end phases (skew analysis, IU and host code
-	// generation, verification) and their per-channel/per-stream/
-	// per-invariant work run concurrently on up to this many workers.
-	// 0 defaults to GOMAXPROCS; 1 compiles serially.  The compiled
-	// program is byte-identical at every setting; only compile wall
-	// time varies.
-	CompileWorkers int
-	// Recorder, when set, receives compile-phase events during Compile
-	// and per-cycle simulator events during Run/RunTraced (see
-	// internal/obs).  Leave nil for the zero-overhead default.
-	Recorder obs.Recorder
-}
+// Options control compilation: optimizer and software-pipelining
+// switches, the array-size override, static verification, compiler
+// parallelism and the instrumentation Recorder.
+type Options = driver.Options
 
 // Program is a compiled W2 module.
 //
 // A Program is immutable after Compile: Run and its variants build
 // fresh machine state per call and only read the compiled microcode, so
-// a single Program is safe for concurrent Run/RunContext/RunWith calls
+// a single Program is safe for concurrent Run/RunWith calls
 // from many goroutines.  The one exception is instrumentation — the
 // Recorder passed to Compile (and any passed via RunConfig) receives
 // events from every concurrent run, so it must itself be
@@ -115,14 +91,7 @@ type Program struct {
 // host I/O program generation.
 func Compile(src string, opts Options) (*Program, error) {
 	start := time.Now()
-	c, err := driver.Compile(src, driver.Options{
-		NoOptimize:     opts.NoOptimize,
-		Pipeline:       opts.Pipeline,
-		Cells:          opts.Cells,
-		Verify:         opts.Verify,
-		CompileWorkers: opts.CompileWorkers,
-		Recorder:       opts.Recorder,
-	})
+	c, err := driver.Compile(src, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -235,6 +204,12 @@ type RunConfig struct {
 	// the executor's goroutine at a bounded stride and must not block;
 	// nil disables progress reporting at zero cost.
 	Progress ProgressFunc
+	// Trace, when non-nil, receives a Chrome trace-event JSON document
+	// of the run (one track per cell, functional unit and queue; load
+	// it in Perfetto or chrome://tracing), with the compiler's phase
+	// timings on a separate "compiler" track.  Tracing observes every
+	// cycle, so BackendAuto picks the simulator.
+	Trace io.Writer
 
 	// The remaining fields configure RunPartitioned only; the
 	// single-array Run variants ignore them.
@@ -259,43 +234,22 @@ type RunConfig struct {
 // the given input arrays (keyed by "in" parameter name) and returns the
 // output arrays (keyed by "out" parameter name).
 func (p *Program) Run(inputs map[string][]float64) (map[string][]float64, *RunStats, error) {
-	return p.runWith(inputs, RunConfig{}, p.rec)
+	return p.RunWith(RunConfig{}, inputs)
 }
 
-// RunContext runs like Run but aborts when ctx is cancelled (a deadline
-// or a client disconnect), returning an error that wraps ctx.Err().
-func (p *Program) RunContext(ctx context.Context, inputs map[string][]float64) (map[string][]float64, *RunStats, error) {
-	return p.runWith(inputs, RunConfig{Context: ctx}, p.rec)
-}
-
-// RunWith runs under full run-time configuration: cancellation context
-// and livelock guard.
+// RunWith runs under full run-time configuration: cancellation
+// context, livelock guard, backend choice, profiling, progress and
+// Chrome tracing.
 func (p *Program) RunWith(cfg RunConfig, inputs map[string][]float64) (map[string][]float64, *RunStats, error) {
-	return p.runWith(inputs, cfg, p.rec)
-}
-
-// RunTraced runs like Run but additionally streams a Chrome trace-event
-// JSON document to trace (one track per cell, functional unit and
-// queue; load the file in Perfetto or chrome://tracing).  The compiled
-// program's phase timings appear on a separate "compiler" track.
-func (p *Program) RunTraced(inputs map[string][]float64, trace io.Writer) (map[string][]float64, *RunStats, error) {
-	return p.RunTracedWith(RunConfig{}, inputs, trace)
-}
-
-// RunTracedWith runs like RunTraced under the given run configuration.
-func (p *Program) RunTracedWith(cfg RunConfig, inputs map[string][]float64, trace io.Writer) (map[string][]float64, *RunStats, error) {
-	tracer := obs.NewChromeTracer(trace)
-	for _, ph := range p.c.Phases {
-		tracer.Phase(ph.Name, ph.Seconds, ph.Size, ph.Note)
+	rec := p.rec
+	var tracer *obs.ChromeTracer
+	if cfg.Trace != nil {
+		tracer = obs.NewChromeTracer(cfg.Trace)
+		for _, ph := range p.c.Phases {
+			tracer.Phase(ph.Name, ph.Seconds, ph.Size, ph.Note)
+		}
+		rec = obs.Multi(p.rec, tracer)
 	}
-	out, rs, err := p.runWith(inputs, cfg, obs.Multi(p.rec, tracer))
-	if cerr := tracer.Close(); err == nil && cerr != nil {
-		return nil, nil, cerr
-	}
-	return out, rs, err
-}
-
-func (p *Program) runWith(inputs map[string][]float64, cfg RunConfig, rec obs.Recorder) (map[string][]float64, *RunStats, error) {
 	out, stats, err := driver.RunWith(p.c, inputs, driver.RunOptions{
 		Ctx:       cfg.Context,
 		Recorder:  rec,
@@ -304,6 +258,11 @@ func (p *Program) runWith(inputs map[string][]float64, cfg RunConfig, rec obs.Re
 		Backend:   cfg.Backend,
 		Progress:  cfg.Progress,
 	})
+	if tracer != nil {
+		if cerr := tracer.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err != nil {
 		return nil, nil, err
 	}
