@@ -142,7 +142,6 @@ func (r *countingRec) QueuePush(int64, int, obs.Queue, int) {
 }
 func (r *countingRec) QueuePop(int64, int, obs.Queue, int) {}
 func (r *countingRec) Stall(int64, int, obs.Stall)         {}
-func (r *countingRec) Phase(string, float64, int, string)  {}
 
 // TestCostModelCalibrated checks the per-host self-benchmark produced
 // usable constants (positive, finite, not absurdly large).

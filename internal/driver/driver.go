@@ -61,11 +61,6 @@ type Options struct {
 	// counters — is byte-identical at every setting; only wall-clock
 	// measurements (phase timings, search nanoseconds) vary.
 	CompileWorkers int
-	// Recorder receives one Phase event per compiler phase; a
-	// warp.Program compiled with it also forwards it the per-cycle
-	// simulator events of its runs (see internal/obs).  nil disables
-	// emission at zero overhead; Compiled.Phases is recorded either way.
-	Recorder obs.Recorder
 }
 
 // Compiled is the full result of compiling one W2 module.
@@ -84,7 +79,9 @@ type Compiled struct {
 	BackoffReason string
 
 	// Phases records per-phase wall-clock timing and a size metric for
-	// every phase of this compilation, in execution order.
+	// every phase of this compilation, in execution order.  It is the
+	// only channel for compile timing: request spans, the Chrome compiler
+	// track, /metrics and bench rows are all derived from it.
 	Phases []obs.PhaseStat
 
 	OptStats opt.Stats
@@ -198,28 +195,26 @@ func Compile(src string, opts Options) (*Compiled, error) {
 		if c2, err2 := compile(src, plain); err2 == nil {
 			c2.PipelineBackoff = true
 			c2.BackoffReason = reason
-			c2.phase(opts.Recorder, "pipeline-backoff", time.Now(), 0, reason)
+			c2.phase("pipeline-backoff", time.Now(), 0, reason)
 			return c2, nil
 		}
 	}
 	return c, err
 }
 
-// phase appends one per-phase timing record ending now and forwards it
-// to the recorder, if any.  Serial phases run on worker lane 0.
-func (c *Compiled) phase(rec obs.Recorder, name string, start time.Time, size int, note string) {
+// phase appends one per-phase timing record ending now.  Serial phases
+// run on worker lane 0.
+func (c *Compiled) phase(name string, start time.Time, size int, note string) {
 	d := time.Since(start).Seconds()
 	off := start.Sub(c.t0).Seconds()
 	if off < 0 {
 		off = 0
 	}
 	c.Phases = append(c.Phases, obs.PhaseStat{Name: name, Seconds: d, Size: size, Note: note, Start: off})
-	obs.RecordPhaseAt(rec, name, off, d, 0, size, note)
 }
 
 func compile(src string, opts Options) (*Compiled, error) {
 	c := &Compiled{W2Lines: countLines(src), Src: src, t0: time.Now()}
-	rec := opts.Recorder
 	workers := opts.CompileWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -231,7 +226,7 @@ func compile(src string, opts Options) (*Compiled, error) {
 		return nil, err
 	}
 	c.Module = mod
-	c.phase(rec, "parse", start, c.W2Lines, "")
+	c.phase("parse", start, c.W2Lines, "")
 
 	start = time.Now()
 	info, err := w2.Analyze(mod)
@@ -239,7 +234,7 @@ func compile(src string, opts Options) (*Compiled, error) {
 		return nil, err
 	}
 	c.Info = info
-	c.phase(rec, "sema", start, len(info.HostSyms), "")
+	c.phase("sema", start, len(info.HostSyms), "")
 
 	start = time.Now()
 	prog, err := ir.Build(info)
@@ -247,12 +242,12 @@ func compile(src string, opts Options) (*Compiled, error) {
 		return nil, err
 	}
 	c.IR = prog
-	c.phase(rec, "flowgraph", start, len(prog.Funcs), "")
+	c.phase("flowgraph", start, len(prog.Funcs), "")
 
 	if !opts.NoOptimize {
 		start = time.Now()
 		c.OptStats = opt.Optimize(prog)
-		c.phase(rec, "optimize", start, c.OptStats.Total(), "")
+		c.phase("optimize", start, c.OptStats.Total(), "")
 	}
 	c.Cells = mod.Cells.Last - mod.Cells.First + 1
 	if opts.Cells < 0 {
@@ -270,7 +265,7 @@ func compile(src string, opts Options) (*Compiled, error) {
 	if c.Comm.UsesLeftward {
 		return nil, fmt.Errorf("driver: program sends data leftward; this compiler (like its examples) supports rightward flow only")
 	}
-	c.phase(rec, "commgraph", start, 0, "")
+	c.phase("commgraph", start, 0, "")
 
 	start = time.Now()
 	cg, err := cellgen.Generate(prog, cellgen.Options{Pipeline: opts.Pipeline, Workers: workers})
@@ -290,15 +285,15 @@ func compile(src string, opts Options) (*Compiled, error) {
 		note = fmt.Sprintf("%d loops pipelined; %d II attempts, %d placements, %d evictions",
 			cg.PipelinedLoops, t.Attempts, t.Placements, t.Evictions)
 	}
-	c.phase(rec, "cellgen", start, c.Cell.NumInstrs(), note)
+	c.phase("cellgen", start, c.Cell.NumInstrs(), note)
 
 	// With the cell program frozen, the remaining phases only read it:
 	// the skew analysis, the IU generator and the host generator are
 	// mutually independent, and the verifier needs all three.  They run
 	// as a task DAG on up to `workers` lanes; each task records its
-	// phase into a private slot, and the slots are appended and emitted
-	// in canonical (serial) order below, so Compiled.Phases and the
-	// recorder's event stream keep one order at any worker count.
+	// phase into a private slot, and the slots are appended in canonical
+	// (serial) order below, so Compiled.Phases keeps one order at any
+	// worker count.
 	c.Timing = cellgen.Timing(c.Cell)
 	c.QueueOcc = map[w2.Channel]int64{}
 	chans := make([]w2.Channel, 0, len(c.Timing))
@@ -441,10 +436,7 @@ func compile(src string, opts Options) (*Compiled, error) {
 		return nil, err
 	}
 	for _, ps := range logs {
-		for _, p := range ps {
-			c.Phases = append(c.Phases, p)
-			obs.RecordPhaseAt(rec, p.Name, p.Start, p.Seconds, p.Worker, p.Size, p.Note)
-		}
+		c.Phases = append(c.Phases, ps...)
 	}
 	return c, nil
 }
@@ -536,9 +528,7 @@ func chooseBackend(c *Compiled, o RunOptions) (string, *telemetry.Decision, erro
 		// The fast path models cycles instead of observing them, so any
 		// run that wants per-cycle instrumentation stays on the
 		// simulator; so does an unverified program (no proofs, no
-		// shortcut) or one whose trace cannot be built.  Phase-only
-		// recorders (request-trace span adapters) see nothing at run
-		// time and do not block the fast path.
+		// shortcut) or one whose trace cannot be built.
 		switch {
 		case c.Verified == nil:
 			// No plan build for the prediction either: an unverified
@@ -547,7 +537,7 @@ func chooseBackend(c *Compiled, o RunOptions) (string, *telemetry.Decision, erro
 		case o.Profile:
 			d.Backend, d.Reason = BackendSim, "profile-requested"
 			fillFast()
-		case obs.CycleObserved(o.Recorder):
+		case obs.Enabled(o.Recorder):
 			d.Backend, d.Reason = BackendSim, "cycle-recorder"
 			fillFast()
 		case !fillFast():

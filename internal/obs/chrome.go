@@ -14,9 +14,9 @@ import (
 // Layout: one process (pid 1, "warp array") with one group of threads
 // per cell — the cell's activity/stall track plus one track per
 // functional unit and memory port — one counter track per queue for
-// occupancy, and a second process (pid 2, "compiler") whose single
-// track carries the compile-phase slices.  One machine cycle maps to
-// one microsecond of trace time.
+// occupancy, and a second process (pid 2, "compiler") carrying the
+// compile-phase slices, one track per compile worker lane.  One machine
+// cycle maps to one microsecond of trace time.
 //
 // Consecutive same-kind stall cycles are coalesced into one slice so a
 // long skew lead-in or drain is a single span, not thousands of events.
@@ -29,7 +29,6 @@ type ChromeTracer struct {
 	cells     int
 	cellBegin []int64
 	stalls    []stallSpan
-	phaseTS   float64 // compile-track cursor, microseconds
 }
 
 type stallSpan struct {
@@ -191,30 +190,16 @@ func (t *ChromeTracer) flushStall(cell int) {
 		sp.kind, sp.start, sp.end-sp.start+1, tracePIDArray, cellTID(cell, tidOffActive))
 }
 
-func (t *ChromeTracer) Phase(name string, seconds float64, size int, note string) {
-	dur := seconds * 1e6
-	if dur < 1 {
-		dur = 1
-	}
-	t.emit(`{"name":%s,"cat":"compile","ph":"X","ts":%.0f,"dur":%.0f,"pid":%d,"tid":1,"args":{"size":%d,"note":%s}}`,
-		strconv.Quote(name), t.phaseTS, dur, tracePIDCompiler, size, strconv.Quote(note))
-	t.phaseTS += dur
-}
-
-// PhaseAt renders a parallel-compiler phase at its true timeline
-// position, one track per compile worker lane, so overlapping phases
-// draw as overlapping instead of the abutting layout Phase assumes.
-func (t *ChromeTracer) PhaseAt(name string, start, seconds float64, worker, size int, note string) {
-	ts := start * 1e6
-	dur := seconds * 1e6
+// Phase draws one compile-phase record on the compiler process at its
+// true timeline position, one track per compile worker lane, so the
+// concurrent phases of a parallel compilation draw as overlapping.
+func (t *ChromeTracer) Phase(p PhaseStat) {
+	dur := p.Seconds * 1e6
 	if dur < 1 {
 		dur = 1
 	}
 	t.emit(`{"name":%s,"cat":"compile","ph":"X","ts":%.0f,"dur":%.0f,"pid":%d,"tid":%d,"args":{"size":%d,"note":%s}}`,
-		strconv.Quote(name), ts, dur, tracePIDCompiler, 1+worker, size, strconv.Quote(note))
-	if end := ts + dur; end > t.phaseTS {
-		t.phaseTS = end
-	}
+		strconv.Quote(p.Name), p.Start*1e6, dur, tracePIDCompiler, 1+p.Worker, p.Size, strconv.Quote(p.Note))
 }
 
 // Close finalizes the JSON document and flushes the buffered writer.

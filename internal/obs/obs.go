@@ -78,9 +78,11 @@ var stallNames = [...]string{
 func (s Stall) String() string { return stallNames[s] }
 
 // Recorder receives instrumentation events from the simulator's cycle
-// loop and from the compiler driver's phase boundaries.  All cycle
-// arguments are absolute machine cycles.  Implementations must not
-// retain argument aliasing assumptions: every argument is a scalar.
+// loop.  All cycle arguments are absolute machine cycles.
+// Implementations must not retain argument aliasing assumptions: every
+// argument is a scalar.  Compile timing is not an event stream: it is
+// the []PhaseStat on the compiled artifact, and every view of it (spans,
+// the Chrome compiler track, /metrics) is derived from that record.
 type Recorder interface {
 	// RunStart announces the array geometry before the first cycle.
 	RunStart(cells int, skew, lead int64)
@@ -102,9 +104,6 @@ type Recorder interface {
 	QueuePop(cycle int64, cell int, q Queue, occ int)
 	// Stall attributes one idle cycle of one cell (see Stall).
 	Stall(cycle int64, cell int, s Stall)
-	// Phase reports one compiler phase: wall-clock seconds, a
-	// phase-specific size metric, and an optional note.
-	Phase(name string, seconds float64, size int, note string)
 }
 
 // nopRecorder is the shared allocation-free no-op Recorder.
@@ -119,7 +118,6 @@ func (nopRecorder) MemRef(int64, int, int, int64, bool) {}
 func (nopRecorder) QueuePush(int64, int, Queue, int)    {}
 func (nopRecorder) QueuePop(int64, int, Queue, int)     {}
 func (nopRecorder) Stall(int64, int, Stall)             {}
-func (nopRecorder) Phase(string, float64, int, string)  {}
 
 var nop Recorder = nopRecorder{}
 
@@ -127,106 +125,10 @@ var nop Recorder = nopRecorder{}
 func Nop() Recorder { return nop }
 
 // Enabled reports whether r is a real recorder: non-nil and not the
-// no-op.  Hot paths cache this answer in a bool and branch on it.
+// no-op.  Hot paths cache this answer in a bool and branch on it; the
+// driver uses it to decide when the fast backend would lose
+// observability.
 func Enabled(r Recorder) bool { return r != nil && r != nop }
-
-// phaseOnly marks recorders that consume only compiler Phase events
-// and discard every cycle-level hook; implemented by in-package
-// adapters (e.g. the request-trace span recorder).
-type phaseOnly interface{ phaseOnly() }
-
-// CycleObserved reports whether r consumes cycle-level run events —
-// whether a run must actually be stepped cycle by cycle for r to see
-// anything.  No-ops and phase-only recorders do not; the driver uses
-// this to decide when the fast backend would lose observability.
-func CycleObserved(r Recorder) bool {
-	if m, ok := r.(multi); ok {
-		for _, sub := range m {
-			if CycleObserved(sub) {
-				return true
-			}
-		}
-		return false
-	}
-	if !Enabled(r) {
-		return false
-	}
-	_, po := r.(phaseOnly)
-	return !po
-}
-
-// multi fans events out to several recorders.
-type multi []Recorder
-
-// Multi combines recorders, dropping nil and no-op entries.  It returns
-// Nop() when nothing real remains and the single recorder when only one
-// does.
-func Multi(rs ...Recorder) Recorder {
-	var kept multi
-	for _, r := range rs {
-		if Enabled(r) {
-			kept = append(kept, r)
-		}
-	}
-	switch len(kept) {
-	case 0:
-		return Nop()
-	case 1:
-		return kept[0]
-	}
-	return kept
-}
-
-func (m multi) RunStart(cells int, skew, lead int64) {
-	for _, r := range m {
-		r.RunStart(cells, skew, lead)
-	}
-}
-func (m multi) RunEnd(cycle int64) {
-	for _, r := range m {
-		r.RunEnd(cycle)
-	}
-}
-func (m multi) CellStart(cycle int64, cell int) {
-	for _, r := range m {
-		r.CellStart(cycle, cell)
-	}
-}
-func (m multi) CellFinish(cycle int64, cell int) {
-	for _, r := range m {
-		r.CellFinish(cycle, cell)
-	}
-}
-func (m multi) Issue(cycle int64, cell int, u Unit) {
-	for _, r := range m {
-		r.Issue(cycle, cell, u)
-	}
-}
-func (m multi) MemRef(cycle int64, cell int, port int, addr int64, store bool) {
-	for _, r := range m {
-		r.MemRef(cycle, cell, port, addr, store)
-	}
-}
-func (m multi) QueuePush(cycle int64, cell int, q Queue, occ int) {
-	for _, r := range m {
-		r.QueuePush(cycle, cell, q, occ)
-	}
-}
-func (m multi) QueuePop(cycle int64, cell int, q Queue, occ int) {
-	for _, r := range m {
-		r.QueuePop(cycle, cell, q, occ)
-	}
-}
-func (m multi) Stall(cycle int64, cell int, s Stall) {
-	for _, r := range m {
-		r.Stall(cycle, cell, s)
-	}
-}
-func (m multi) Phase(name string, seconds float64, size int, note string) {
-	for _, r := range m {
-		r.Phase(name, seconds, size, note)
-	}
-}
 
 // PhaseStat is one compiler phase's timing and size record.
 type PhaseStat struct {
@@ -247,30 +149,4 @@ type PhaseStat struct {
 	// per-lane (Σ Seconds on one lane ≤ total compile wall), not
 	// global — concurrent lanes legitimately sum past the wall clock.
 	Worker int
-}
-
-// PhaseAtRecorder is an optional Recorder extension for the parallel
-// compiler: PhaseAt reports a phase with its start offset (seconds from
-// the start of the compilation) and the worker lane that ran it, so
-// adapters can place concurrent phases on a real timeline instead of
-// assuming phases abut.  RecordPhaseAt dispatches to it when present.
-type PhaseAtRecorder interface {
-	PhaseAt(name string, start, seconds float64, worker, size int, note string)
-}
-
-// RecordPhaseAt delivers one phase event to r, using the PhaseAt
-// extension when r implements it and falling back to Phase otherwise.
-// Multi-recorders dispatch per sub-recorder.  A nil r is a no-op.
-func RecordPhaseAt(r Recorder, name string, start, seconds float64, worker, size int, note string) {
-	switch rr := r.(type) {
-	case nil:
-	case multi:
-		for _, sub := range rr {
-			RecordPhaseAt(sub, name, start, seconds, worker, size, note)
-		}
-	case PhaseAtRecorder:
-		rr.PhaseAt(name, start, seconds, worker, size, note)
-	default:
-		r.Phase(name, seconds, size, note)
-	}
 }

@@ -37,44 +37,13 @@ func TestEnabled(t *testing.T) {
 	if Enabled(Nop()) {
 		t.Error("Enabled(Nop()) = true")
 	}
-	if !Enabled(&countingRecorder{}) {
+	if !Enabled(&realRecorder{}) {
 		t.Error("Enabled(real recorder) = false")
 	}
 }
 
-// countingRecorder counts events for Multi fan-out checks.
-type countingRecorder struct {
-	nopRecorder
-	issues int
-	phases int
-}
-
-func (c *countingRecorder) Issue(int64, int, Unit)             { c.issues++ }
-func (c *countingRecorder) Phase(string, float64, int, string) { c.phases++ }
-
-func TestMulti(t *testing.T) {
-	if got := Multi(); got != Nop() {
-		t.Errorf("Multi() = %v, want Nop", got)
-	}
-	if got := Multi(nil, Nop(), nil); got != Nop() {
-		t.Errorf("Multi(nil, Nop, nil) = %v, want Nop", got)
-	}
-	a := &countingRecorder{}
-	if got := Multi(nil, a, Nop()); got != Recorder(a) {
-		t.Errorf("Multi with one real recorder should return it unwrapped, got %T", got)
-	}
-	b := &countingRecorder{}
-	m := Multi(a, nil, b)
-	m.Issue(1, 0, UnitAdd)
-	m.Issue(2, 1, UnitMul)
-	m.Phase("parse", 0.001, 10, "")
-	if a.issues != 2 || b.issues != 2 {
-		t.Errorf("fan-out issues: a=%d b=%d, want 2 each", a.issues, b.issues)
-	}
-	if a.phases != 1 || b.phases != 1 {
-		t.Errorf("fan-out phases: a=%d b=%d, want 1 each", a.phases, b.phases)
-	}
-}
+// realRecorder is a minimal real (non-no-op) recorder.
+type realRecorder struct{ nopRecorder }
 
 func TestEnumStrings(t *testing.T) {
 	cases := []struct{ got, want string }{
@@ -109,8 +78,8 @@ type chromeDoc struct {
 func TestChromeTracerJSON(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewChromeTracer(&buf)
-	tr.Phase("parse", 0.0012, 34, "")
-	tr.Phase("cellgen", 0.0034, 120, "2 loops pipelined")
+	tr.Phase(PhaseStat{Name: "parse", Seconds: 0.0012, Size: 34})
+	tr.Phase(PhaseStat{Name: "cellgen", Seconds: 0.0034, Size: 120, Note: "2 loops pipelined", Start: 0.0012})
 	tr.RunStart(2, 3, 4)
 	tr.Stall(0, 1, StallSkewLead)
 	tr.Stall(1, 1, StallSkewLead)

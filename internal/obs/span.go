@@ -137,53 +137,43 @@ func (s *Span) AttachSummary(sum Summary) {
 	s.t.mu.Unlock()
 }
 
-// addTimed appends an already-closed span covering [end-d, end], used
-// by the Phase adapter below (compiler phases report their duration at
-// the phase boundary, after the fact).
-func (t *Trace) addTimed(name string, parent *Span, d time.Duration, attrs ...SpanAttr) {
-	if t == nil {
-		return
+// Now reads the trace clock: the anchor a caller takes just before a
+// compilation starts and later hands to AddPhases.  0 on a nil span.
+func (s *Span) Now() time.Duration {
+	if s == nil {
+		return 0
 	}
-	t.mu.Lock()
-	end := int64(t.now())
-	start := end - int64(d)
-	if start < 0 {
-		start = 0
-	}
-	pid := -1
-	if parent != nil && parent.t == t {
-		pid = parent.id
-	}
-	t.spans = append(t.spans, SpanRecord{
-		ID: len(t.spans), Parent: pid, Name: name,
-		StartNS: start, EndNS: end, Attrs: attrs,
-	})
-	t.mu.Unlock()
+	s.t.mu.Lock()
+	defer s.t.mu.Unlock()
+	return s.t.now()
 }
 
-// addSpanAt appends an already-closed span covering the explicit
-// [start, end] clock readings, used by the PhaseAt adapter (parallel
-// compiler phases report both endpoints).
-func (t *Trace) addSpanAt(name string, parent *Span, start, end time.Duration, attrs ...SpanAttr) {
-	if t == nil {
+// AddPhases files a finished compilation's phase records as closed
+// child spans of s.  anchor is the trace clock when the compilation
+// began (see Now); each phase lands at anchor+Start for Seconds, so the
+// concurrent lanes of a parallel compile render as the overlapping
+// spans they were.  Attributes: size, worker, and note when non-empty.
+func (s *Span) AddPhases(anchor time.Duration, phases []PhaseStat) {
+	if s == nil {
 		return
 	}
-	if start < 0 {
-		start = 0
+	s.t.mu.Lock()
+	defer s.t.mu.Unlock()
+	for _, p := range phases {
+		attrs := []SpanAttr{
+			{Key: "size", Value: strconv.Itoa(p.Size)},
+			{Key: "worker", Value: strconv.Itoa(p.Worker)},
+		}
+		if p.Note != "" {
+			attrs = append(attrs, SpanAttr{Key: "note", Value: p.Note})
+		}
+		start := anchor + time.Duration(p.Start*float64(time.Second))
+		s.t.spans = append(s.t.spans, SpanRecord{
+			ID: len(s.t.spans), Parent: s.id, Name: p.Name,
+			StartNS: int64(start), EndNS: int64(start + time.Duration(p.Seconds*float64(time.Second))),
+			Attrs: attrs,
+		})
 	}
-	if end < start {
-		end = start
-	}
-	t.mu.Lock()
-	pid := -1
-	if parent != nil && parent.t == t {
-		pid = parent.id
-	}
-	t.spans = append(t.spans, SpanRecord{
-		ID: len(t.spans), Parent: pid, Name: name,
-		StartNS: int64(start), EndNS: int64(end), Attrs: attrs,
-	})
-	t.mu.Unlock()
 }
 
 // Spans snapshots the trace as a copy, safe to serialize while other
@@ -197,61 +187,6 @@ func (t *Trace) Spans() []SpanRecord {
 	copy(out, t.spans)
 	t.mu.Unlock()
 	return out
-}
-
-// spanPhaseRecorder adapts the compiler's Phase hook onto a span tree:
-// each Phase event becomes a closed child span whose duration is the
-// phase's reported wall-clock time.  Every cycle-level event falls
-// through to the embedded no-op recorder — per-request traces are
-// request-grained, not cycle-grained.
-type spanPhaseRecorder struct {
-	nopRecorder
-	t      *Trace
-	parent *Span
-	// anchor is the trace clock at construction — the compile is about
-	// to start, so PhaseAt offsets are laid out relative to it.
-	anchor time.Duration
-}
-
-// phaseOnly marks this recorder as blind to cycle-level events, so the
-// driver's backend choice never forces a cycle-accurate run for it.
-func (r *spanPhaseRecorder) phaseOnly() {}
-
-func (r *spanPhaseRecorder) Phase(name string, seconds float64, size int, note string) {
-	attrs := []SpanAttr{{Key: "size", Value: strconv.Itoa(size)}}
-	if note != "" {
-		attrs = append(attrs, SpanAttr{Key: "note", Value: note})
-	}
-	r.t.addTimed(name, r.parent, time.Duration(seconds*float64(time.Second)), attrs...)
-}
-
-// PhaseAt places the phase at its true offset on the compile timeline,
-// so concurrent phases from a parallel compilation render as the
-// overlapping spans they were instead of a back-dated serial chain.
-func (r *spanPhaseRecorder) PhaseAt(name string, start, seconds float64, worker, size int, note string) {
-	attrs := []SpanAttr{
-		{Key: "size", Value: strconv.Itoa(size)},
-		{Key: "worker", Value: strconv.Itoa(worker)},
-	}
-	if note != "" {
-		attrs = append(attrs, SpanAttr{Key: "note", Value: note})
-	}
-	s := r.anchor + time.Duration(start*float64(time.Second))
-	r.t.addSpanAt(name, r.parent, s, s+time.Duration(seconds*float64(time.Second)), attrs...)
-}
-
-// SpanPhases returns a Recorder that turns compiler Phase events into
-// child spans of parent.  On a nil trace it returns the no-op recorder,
-// so the disabled path stays allocation-free at the compile call site.
-func SpanPhases(t *Trace, parent *Span) Recorder {
-	if t == nil {
-		return Nop()
-	}
-	r := &spanPhaseRecorder{t: t, parent: parent}
-	t.mu.Lock()
-	r.anchor = t.now()
-	t.mu.Unlock()
-	return r
 }
 
 // WriteChromeSpans renders a span snapshot as a Chrome trace-event JSON

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -12,7 +13,8 @@ import (
 
 // TestSpanTreeDeterministic drives a trace on a hand-advanced clock and
 // checks the recorded tree: parent links, exact durations, attributes,
-// the attached run summary, and the Phase-hook adapter.
+// the attached run summary, and compile phases filed under the cache
+// span.
 func TestSpanTreeDeterministic(t *testing.T) {
 	var now time.Duration
 	tr := NewTraceClock(func() time.Duration { return now })
@@ -21,12 +23,13 @@ func TestSpanTreeDeterministic(t *testing.T) {
 	now = 5 * time.Millisecond
 	cache := tr.StartSpan("cache", root)
 	cache.Annotate("result", "miss")
-	// The compiler reports two phases through the hook, 2ms and 3ms.
-	rec := SpanPhases(tr, cache)
-	now = 7 * time.Millisecond
-	rec.Phase("parse", 0.002, 34, "")
+	// The compilation ran two phases, 2ms and 3ms, filed once it is done.
+	anchor := cache.Now()
 	now = 10 * time.Millisecond
-	rec.Phase("cellgen", 0.003, 120, "2 loops pipelined")
+	cache.AddPhases(anchor, []PhaseStat{
+		{Name: "parse", Seconds: 0.002, Size: 34},
+		{Name: "cellgen", Seconds: 0.003, Size: 120, Note: "2 loops pipelined", Start: 0.002},
+	})
 	cache.End()
 	now = 12 * time.Millisecond
 	queue := tr.StartSpan("queue-wait", root)
@@ -68,12 +71,12 @@ func TestSpanTreeDeterministic(t *testing.T) {
 	if d := byName["queue-wait"].DurNS(); d != int64(3*time.Millisecond) {
 		t.Errorf("queue-wait duration = %d (double-End must keep the first), want 3ms", d)
 	}
-	// Phase spans are back-dated by their reported duration.
+	// Phase spans sit at the anchor plus their own offsets.
 	if p := byName["parse"]; p.StartNS != int64(5*time.Millisecond) || p.DurNS() != int64(2*time.Millisecond) {
 		t.Errorf("parse = [%d,%d], want [5ms,7ms]", p.StartNS, p.EndNS)
 	}
-	if p := byName["cellgen"]; p.DurNS() != int64(3*time.Millisecond) {
-		t.Errorf("cellgen duration = %d, want 3ms", p.DurNS())
+	if p := byName["cellgen"]; p.StartNS != int64(7*time.Millisecond) || p.DurNS() != int64(3*time.Millisecond) {
+		t.Errorf("cellgen = [%d,%d], want [7ms,10ms]", p.StartNS, p.EndNS)
 	}
 	if s := byName["run"].Summary; s == nil || s.Cycles != 225 || s.Cells != 10 {
 		t.Errorf("run summary = %+v, want cycles 225, cells 10", byName["run"].Summary)
@@ -97,14 +100,14 @@ func TestSpanTreeDeterministic(t *testing.T) {
 // whole span API free.
 func TestSpanDisabledZeroAlloc(t *testing.T) {
 	var tr *Trace
+	phases := []PhaseStat{{Name: "parse", Seconds: 0.001, Size: 10, Note: "n"}}
 	allocs := testing.AllocsPerRun(100, func() {
 		root := tr.StartSpan("request", nil)
 		child := tr.StartSpan("cache", root)
 		child.Annotate("result", "hit")
 		child.AttachSummary(Summary{})
 		child.End()
-		rec := SpanPhases(tr, root)
-		rec.Phase("parse", 0.001, 10, "")
+		child.AddPhases(child.Now(), phases)
 		root.End()
 		if tr.Spans() != nil {
 			t.Fatal("disabled trace returned spans")
@@ -113,6 +116,81 @@ func TestSpanDisabledZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("disabled trace allocated %.1f times per run, want 0", allocs)
 	}
+}
+
+// TestSpanAddPhases is the table for the one adapter between compile
+// timelines and request spans: every phase lands at anchor+Start for
+// Seconds under the receiving span, lanes may overlap, and the
+// attributes are size, worker, then note when there is one.
+func TestSpanAddPhases(t *testing.T) {
+	ms := func(f float64) int64 { return int64(f * float64(time.Millisecond)) }
+	cases := []struct {
+		name   string
+		anchor time.Duration
+		phases []PhaseStat
+		want   [][2]int64 // [start, end] per phase
+		attrs  [][]SpanAttr
+	}{
+		{name: "no phases", anchor: time.Millisecond},
+		{
+			name:   "serial chain offset by the anchor",
+			anchor: 5 * time.Millisecond,
+			phases: []PhaseStat{
+				{Name: "parse", Seconds: 0.002, Size: 34},
+				{Name: "cellgen", Seconds: 0.003, Size: 120, Note: "2 loops pipelined", Start: 0.002},
+			},
+			want: [][2]int64{{ms(5), ms(7)}, {ms(7), ms(10)}},
+			attrs: [][]SpanAttr{
+				{{"size", "34"}, {"worker", "0"}},
+				{{"size", "120"}, {"worker", "0"}, {"note", "2 loops pipelined"}},
+			},
+		},
+		{
+			name:   "overlapping lanes keep their own offsets",
+			anchor: 0,
+			phases: []PhaseStat{
+				{Name: "skew", Seconds: 0.004, Size: 14, Start: 0.010, Worker: 0},
+				{Name: "iugen", Seconds: 0.001, Size: 40, Start: 0.010, Worker: 1},
+				{Name: "hostgen", Seconds: 0.006, Size: 900, Start: 0.0105, Worker: 2},
+			},
+			want: [][2]int64{{ms(10), ms(14)}, {ms(10), ms(11)}, {ms(10.5), ms(16.5)}},
+			attrs: [][]SpanAttr{
+				{{"size", "14"}, {"worker", "0"}},
+				{{"size", "40"}, {"worker", "1"}},
+				{{"size", "900"}, {"worker", "2"}},
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := NewTraceClock(func() time.Duration { return time.Second })
+			root := tr.StartSpan("request", nil)
+			cache := tr.StartSpan("cache", root)
+			cache.AddPhases(tc.anchor, tc.phases)
+			spans := tr.Spans()[2:]
+			if len(spans) != len(tc.phases) {
+				t.Fatalf("%d phase spans, want %d", len(spans), len(tc.phases))
+			}
+			for i, sp := range spans {
+				if sp.Name != tc.phases[i].Name || sp.Parent != 1 || sp.ID != 2+i {
+					t.Errorf("span %d = %q id %d under %d, want %q id %d under the cache span", i, sp.Name, sp.ID, sp.Parent, tc.phases[i].Name, 2+i)
+				}
+				if got := [2]int64{sp.StartNS, sp.EndNS}; got != tc.want[i] {
+					t.Errorf("%s = %v, want %v", sp.Name, got, tc.want[i])
+				}
+				if !reflect.DeepEqual(sp.Attrs, tc.attrs[i]) {
+					t.Errorf("%s attrs = %v, want %v", sp.Name, sp.Attrs, tc.attrs[i])
+				}
+			}
+		})
+	}
+	t.Run("nil span files nothing and allocates nothing", func(t *testing.T) {
+		var sp *Span
+		phases := cases[1].phases
+		if allocs := testing.AllocsPerRun(100, func() { sp.AddPhases(sp.Now(), phases) }); allocs != 0 {
+			t.Errorf("nil span allocated %.1f times per AddPhases, want 0", allocs)
+		}
+	})
 }
 
 // TestWriteChromeSpans checks the span export parses as a Chrome trace
@@ -307,7 +385,7 @@ func TestChromeTracerWriteError(t *testing.T) {
 func TestChromeTracerCloseError(t *testing.T) {
 	boom := errors.New("pipe closed")
 	tr := NewChromeTracer(&failingWriter{n: 0, err: boom})
-	tr.Phase("parse", 0.001, 10, "")
+	tr.Phase(PhaseStat{Name: "parse", Seconds: 0.001, Size: 10})
 	if err := tr.Close(); !errors.Is(err, boom) {
 		t.Fatalf("Close() = %v, want the writer's error", err)
 	}

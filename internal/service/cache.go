@@ -81,19 +81,20 @@ func (c *Cache) Get(ctx context.Context, src string, opts warp.Options) (prog *w
 	return c.GetObserved(ctx, src, opts, nil)
 }
 
-// GetObserved is Get with a per-request instrumentation recorder: when
-// this caller ends up owning the compilation flight, rec receives the
-// compiler's Phase events (a request-scoped trace turns them into
-// spans).  Singleflight waiters and cache hits see no phases — their
-// request did not compile anything, and saying so is the point of
-// request-scoped tracing.  rec never influences the content address.
-func (c *Cache) GetObserved(ctx context.Context, src string, opts warp.Options, rec obs.Recorder) (prog *warp.Program, key string, hit bool, err error) {
+// GetObserved is Get for a traced request: when this caller ends up
+// owning the compilation flight, the compiled program's phases are
+// filed as child spans of parent (nil files none).  Singleflight
+// waiters and cache hits see no phases — their request did not compile
+// anything, and saying so is the point of request-scoped tracing.
+func (c *Cache) GetObserved(ctx context.Context, src string, opts warp.Options, parent *obs.Span) (prog *warp.Program, key string, hit bool, err error) {
 	key = Key(src, opts)
 	prog, hit, err = c.progs.get(ctx, key, func() (*warp.Program, error) {
-		if obs.Enabled(rec) {
-			opts.Recorder = obs.Multi(opts.Recorder, rec)
+		anchor := parent.Now()
+		prog, err := c.compile(src, opts)
+		if err == nil {
+			parent.AddPhases(anchor, prog.Phases())
 		}
-		return c.compile(src, opts)
+		return prog, err
 	})
 	return prog, key, hit, err
 }

@@ -3,40 +3,13 @@ package service
 import (
 	"context"
 	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
 
 	"warp"
 	"warp/internal/driver"
-	"warp/internal/obs"
 	"warp/internal/workloads"
 )
-
-// phaseCounter is an obs.Recorder that counts compiler Phase events by
-// name — the observable proof of how many driver compilations actually
-// ran.  All other events fall through to the no-op recorder.
-type phaseCounter struct {
-	obs.Recorder
-	mu     sync.Mutex
-	counts map[string]int
-}
-
-func newPhaseCounter() *phaseCounter {
-	return &phaseCounter{Recorder: obs.Nop(), counts: map[string]int{}}
-}
-
-func (p *phaseCounter) Phase(name string, seconds float64, size int, note string) {
-	p.mu.Lock()
-	p.counts[name]++
-	p.mu.Unlock()
-}
-
-func (p *phaseCounter) count(name string) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.counts[name]
-}
 
 // TestCacheKeyDistinguishesOptions walks driver.Options (warp.Options is
 // its alias) field by field: setting any one field must change the
@@ -47,7 +20,6 @@ func (p *phaseCounter) count(name string) int {
 func TestCacheKeyDistinguishesOptions(t *testing.T) {
 	notCodegen := map[string]bool{
 		"CompileWorkers": true, // output is byte-identical at any worker count
-		"Recorder":       true, // instrumentation only
 	}
 	src := workloads.Polynomial(10, 50)
 	base := Key(src, driver.Options{})
@@ -64,8 +36,6 @@ func TestCacheKeyDistinguishesOptions(t *testing.T) {
 			f.SetBool(true)
 		case reflect.Int:
 			f.SetInt(5)
-		case reflect.Interface:
-			f.Set(reflect.ValueOf(newPhaseCounter()))
 		default:
 			t.Fatalf("driver.Options.%s has kind %s; teach this test to set it", name, f.Kind())
 		}
@@ -148,10 +118,8 @@ func TestCacheLRUEviction(t *testing.T) {
 // TestCacheSingleflight proves two concurrent compiles of the same
 // source run the driver exactly once: the second caller waits on the
 // first flight and shares its *Program.  The driver-invocation count is
-// asserted two ways — an atomic counter around the compile function and
-// the obs phase recorder (one "parse" phase means one compilation).
+// an atomic counter around the compile function.
 func TestCacheSingleflight(t *testing.T) {
-	rec := newPhaseCounter()
 	var invocations atomic.Int32
 	entered := make(chan struct{}, 2)
 	release := make(chan struct{})
@@ -159,7 +127,6 @@ func TestCacheSingleflight(t *testing.T) {
 		invocations.Add(1)
 		entered <- struct{}{}
 		<-release
-		opts.Recorder = rec
 		return warp.Compile(src, opts)
 	}
 	c := NewCache(8, compile)
@@ -187,9 +154,6 @@ func TestCacheSingleflight(t *testing.T) {
 	}
 	if n := invocations.Load(); n != 1 {
 		t.Fatalf("driver invoked %d times, want exactly 1", n)
-	}
-	if n := rec.count("parse"); n != 1 {
-		t.Fatalf("phase recorder saw %d parse phases, want exactly 1", n)
 	}
 	if r1.prog != r2.prog {
 		t.Error("concurrent callers got distinct *Program values")

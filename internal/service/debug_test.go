@@ -200,6 +200,57 @@ func TestDebugRequestsEndToEnd(t *testing.T) {
 	if missLine["outcome"] != "ok" {
 		t.Errorf("logged outcome %v, want ok", missLine["outcome"])
 	}
+
+	// The symbolic path files its phases the same way: the first request
+	// of a class shows the class build and the instantiation under its
+	// cache span, the next bounds in the class the instantiation only, a
+	// hit nothing.
+	sym := workloads.MatmulSym()
+	for _, n := range []int64{8, 14, 14} {
+		resp, body := postJSON(t, client, ts.URL+"/compile", CompileRequest{
+			Source: sym, Options: CompileOptions{Bounds: map[string]int64{"n": n}}})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("symbolic compile n=%d: %d: %s", n, resp.StatusCode, body)
+		}
+	}
+	recs = debugSnapshot(t, client, ts.URL) // newest first: hit, n=14, n=8
+	for i, want := range []string{"", "template-instantiate", "template-build template-instantiate"} {
+		cacheID := -2 // not yet seen; -1 is the root's parent
+		var got []string
+		for _, sp := range recs[i].Spans {
+			switch {
+			case sp.Name == "cache":
+				cacheID = sp.ID
+			case sp.Parent == cacheID:
+				got = append(got, sp.Name)
+			}
+		}
+		if strings.Join(got, " ") != want {
+			t.Errorf("symbolic request %s: phase spans under cache = %v, want %q", recs[i].ID, got, want)
+		}
+	}
+	// A failed compilation returns no artifact, so it files no phases;
+	// its cache span says why instead.
+	if resp, _ := postJSON(t, client, ts.URL+"/compile", CompileRequest{Source: "cellprogram nonsense("}); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bad source: status %d, want 400", resp.StatusCode)
+	}
+	failed := debugSnapshot(t, client, ts.URL)[0]
+	if names := spanNames(failed.Spans); len(names) != 2 || names[1] != "cache" {
+		t.Errorf("failed compile spans = %v, want request and cache only", names)
+	} else if a := failed.Spans[1].Attrs; len(a) != 1 || a[0].Key != "error" || a[0].Value != failed.Error {
+		t.Errorf("failed compile cache attrs = %v, want the error %q", a, failed.Error)
+	}
+
+	var sb strings.Builder
+	svc.Metrics().WritePrometheus(&sb, svc.CacheStats(), svc.TemplateCacheStats(), svc.PoolStats())
+	for _, want := range []string{
+		`warpd_compile_phase_total{phase="template-build"} 1`,
+		`warpd_compile_phase_total{phase="template-instantiate"} 2`,
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("metrics lack %q", want)
+		}
+	}
 }
 
 // TestDebugTraceDownload checks the per-request Chrome trace endpoint.

@@ -270,16 +270,13 @@ func (m *Metrics) WritePrometheus(w io.Writer, cs CacheStats, ts TemplateCacheSt
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	fmt.Fprintf(w, "# HELP warpd_compile_requests_total Compile requests by result (hit|miss|error).\n")
-	fmt.Fprintf(w, "# TYPE warpd_compile_requests_total counter\n")
+	family(w, "warpd_compile_requests_total", "counter", "Compile requests by result (hit|miss|error).")
 	writeLabelled(w, "warpd_compile_requests_total", "result", m.compiles)
 
-	fmt.Fprintf(w, "# HELP warpd_run_requests_total Run requests by result (ok|error|timeout|rejected).\n")
-	fmt.Fprintf(w, "# TYPE warpd_run_requests_total counter\n")
+	family(w, "warpd_run_requests_total", "counter", "Run requests by result (ok|error|timeout|rejected).")
 	writeLabelled(w, "warpd_run_requests_total", "result", m.runs)
 
-	fmt.Fprintf(w, "# HELP warpd_backend_runs_total Completed runs by execution backend (sim|fast).\n")
-	fmt.Fprintf(w, "# TYPE warpd_backend_runs_total counter\n")
+	family(w, "warpd_backend_runs_total", "counter", "Completed runs by execution backend (sim|fast).")
 	writeLabelled(w, "warpd_backend_runs_total", "backend", m.backends)
 
 	telemetry.WriteVec(w, "warpd_compile_seconds",
@@ -288,8 +285,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, cs CacheStats, ts TemplateCacheSt
 	m.writeDecisions(w)
 
 	if len(m.phaseCounts) > 0 {
-		fmt.Fprintf(w, "# HELP warpd_compile_phase_seconds_total Accumulated wall-clock time per compiler phase.\n")
-		fmt.Fprintf(w, "# TYPE warpd_compile_phase_seconds_total counter\n")
+		family(w, "warpd_compile_phase_seconds_total", "counter", "Accumulated wall-clock time per compiler phase.")
 		names := make([]string, 0, len(m.phaseCounts))
 		for name := range m.phaseCounts {
 			names = append(names, name)
@@ -298,142 +294,62 @@ func (m *Metrics) WritePrometheus(w io.Writer, cs CacheStats, ts TemplateCacheSt
 		for _, name := range names {
 			fmt.Fprintf(w, "warpd_compile_phase_seconds_total{phase=%q} %s\n", name, formatFloat(m.phaseSeconds[name]))
 		}
-		fmt.Fprintf(w, "# HELP warpd_compile_phase_total Phase executions per compiler phase.\n")
-		fmt.Fprintf(w, "# TYPE warpd_compile_phase_total counter\n")
+		family(w, "warpd_compile_phase_total", "counter", "Phase executions per compiler phase.")
 		for _, name := range names {
 			fmt.Fprintf(w, "warpd_compile_phase_total{phase=%q} %d\n", name, m.phaseCounts[name])
 		}
 	}
-	fmt.Fprintf(w, "# HELP warpd_sched_compiles_total Cache-miss compilations folded into the scheduler counters.\n")
-	fmt.Fprintf(w, "# TYPE warpd_sched_compiles_total counter\n")
-	fmt.Fprintf(w, "warpd_sched_compiles_total %d\n", m.schedComps)
-	fmt.Fprintf(w, "# HELP warpd_sched_loops_total Loops seen by the cell scheduler.\n")
-	fmt.Fprintf(w, "# TYPE warpd_sched_loops_total counter\n")
-	fmt.Fprintf(w, "warpd_sched_loops_total %d\n", m.sched.Loops)
-	fmt.Fprintf(w, "# HELP warpd_sched_pipelined_total Loops that software-pipelined successfully.\n")
-	fmt.Fprintf(w, "# TYPE warpd_sched_pipelined_total counter\n")
-	fmt.Fprintf(w, "warpd_sched_pipelined_total %d\n", m.sched.Pipelined)
-	fmt.Fprintf(w, "# HELP warpd_sched_ii_attempts_total Initiation intervals tried by the modulo scheduler.\n")
-	fmt.Fprintf(w, "# TYPE warpd_sched_ii_attempts_total counter\n")
-	fmt.Fprintf(w, "warpd_sched_ii_attempts_total %d\n", m.sched.Attempts)
-	fmt.Fprintf(w, "# HELP warpd_sched_placements_total Operation placements tried across all scheduling attempts.\n")
-	fmt.Fprintf(w, "# TYPE warpd_sched_placements_total counter\n")
-	fmt.Fprintf(w, "warpd_sched_placements_total %d\n", m.sched.Placements)
-	fmt.Fprintf(w, "# HELP warpd_sched_evictions_total Modulo-table evictions (placement conflicts undone).\n")
-	fmt.Fprintf(w, "# TYPE warpd_sched_evictions_total counter\n")
-	fmt.Fprintf(w, "warpd_sched_evictions_total %d\n", m.sched.Evictions)
-	fmt.Fprintf(w, "# HELP warpd_sched_emit_rejects_total Schedules rejected at microcode emission.\n")
-	fmt.Fprintf(w, "# TYPE warpd_sched_emit_rejects_total counter\n")
-	fmt.Fprintf(w, "warpd_sched_emit_rejects_total %d\n", m.sched.EmitRejects)
-	fmt.Fprintf(w, "# HELP warpd_sched_search_seconds_total Wall-clock time inside the modulo-schedule search.\n")
-	fmt.Fprintf(w, "# TYPE warpd_sched_search_seconds_total counter\n")
-	fmt.Fprintf(w, "warpd_sched_search_seconds_total %s\n", formatFloat(float64(m.sched.SearchNS)/1e9))
-	fmt.Fprintf(w, "# HELP warpd_sched_skew_ops_total Dynamic operations enumerated by exact skew searches.\n")
-	fmt.Fprintf(w, "# TYPE warpd_sched_skew_ops_total counter\n")
-	fmt.Fprintf(w, "warpd_sched_skew_ops_total %d\n", m.sched.SkewOps)
-	fmt.Fprintf(w, "# HELP warpd_sched_skew_pairs_total Statement pairs analyzed by the skew bound.\n")
-	fmt.Fprintf(w, "# TYPE warpd_sched_skew_pairs_total counter\n")
-	fmt.Fprintf(w, "warpd_sched_skew_pairs_total %d\n", m.sched.SkewPairs)
-	fmt.Fprintf(w, "# HELP warpd_sched_skew_pruned_total Statement pairs pruned before analysis.\n")
-	fmt.Fprintf(w, "# TYPE warpd_sched_skew_pruned_total counter\n")
-	fmt.Fprintf(w, "warpd_sched_skew_pruned_total %d\n", m.sched.SkewPruned)
-	fmt.Fprintf(w, "# HELP warpd_sched_skew_seconds_total Wall-clock time inside the skew search.\n")
-	fmt.Fprintf(w, "# TYPE warpd_sched_skew_seconds_total counter\n")
-	fmt.Fprintf(w, "warpd_sched_skew_seconds_total %s\n", formatFloat(float64(m.sched.SkewNS)/1e9))
+	counter(w, "warpd_sched_compiles_total", "Cache-miss compilations folded into the scheduler counters.", m.schedComps)
+	counter(w, "warpd_sched_loops_total", "Loops seen by the cell scheduler.", m.sched.Loops)
+	counter(w, "warpd_sched_pipelined_total", "Loops that software-pipelined successfully.", m.sched.Pipelined)
+	counter(w, "warpd_sched_ii_attempts_total", "Initiation intervals tried by the modulo scheduler.", m.sched.Attempts)
+	counter(w, "warpd_sched_placements_total", "Operation placements tried across all scheduling attempts.", m.sched.Placements)
+	counter(w, "warpd_sched_evictions_total", "Modulo-table evictions (placement conflicts undone).", m.sched.Evictions)
+	counter(w, "warpd_sched_emit_rejects_total", "Schedules rejected at microcode emission.", m.sched.EmitRejects)
+	counter(w, "warpd_sched_search_seconds_total", "Wall-clock time inside the modulo-schedule search.", formatFloat(float64(m.sched.SearchNS)/1e9))
+	counter(w, "warpd_sched_skew_ops_total", "Dynamic operations enumerated by exact skew searches.", m.sched.SkewOps)
+	counter(w, "warpd_sched_skew_pairs_total", "Statement pairs analyzed by the skew bound.", m.sched.SkewPairs)
+	counter(w, "warpd_sched_skew_pruned_total", "Statement pairs pruned before analysis.", m.sched.SkewPruned)
+	counter(w, "warpd_sched_skew_seconds_total", "Wall-clock time inside the skew search.", formatFloat(float64(m.sched.SkewNS)/1e9))
 
 	telemetry.WriteVec(w, "warpd_run_seconds",
 		"Run request service time by execution backend.", "backend", m.runLatency)
 	telemetry.Write(w, "warpd_queue_wait_seconds",
 		"Admission-queue wait of pooled requests.", m.queueWait)
 
-	fmt.Fprintf(w, "# HELP warpd_cache_entries Compiled programs resident in the cache.\n")
-	fmt.Fprintf(w, "# TYPE warpd_cache_entries gauge\n")
-	fmt.Fprintf(w, "warpd_cache_entries %d\n", cs.Entries)
-	fmt.Fprintf(w, "# HELP warpd_cache_hits_total Cache hits (including singleflight waiters).\n")
-	fmt.Fprintf(w, "# TYPE warpd_cache_hits_total counter\n")
-	fmt.Fprintf(w, "warpd_cache_hits_total %d\n", cs.Hits)
-	fmt.Fprintf(w, "# HELP warpd_cache_misses_total Cache misses (driver compilations started).\n")
-	fmt.Fprintf(w, "# TYPE warpd_cache_misses_total counter\n")
-	fmt.Fprintf(w, "warpd_cache_misses_total %d\n", cs.Misses)
-	fmt.Fprintf(w, "# HELP warpd_cache_evictions_total LRU evictions.\n")
-	fmt.Fprintf(w, "# TYPE warpd_cache_evictions_total counter\n")
-	fmt.Fprintf(w, "warpd_cache_evictions_total %d\n", cs.Evictions)
+	gauge(w, "warpd_cache_entries", "Compiled programs resident in the cache.", cs.Entries)
+	counter(w, "warpd_cache_hits_total", "Cache hits (including singleflight waiters).", cs.Hits)
+	counter(w, "warpd_cache_misses_total", "Cache misses (driver compilations started).", cs.Misses)
+	counter(w, "warpd_cache_evictions_total", "LRU evictions.", cs.Evictions)
 
-	fmt.Fprintf(w, "# HELP warpd_template_entries Symbolic templates resident in the template cache.\n")
-	fmt.Fprintf(w, "# TYPE warpd_template_entries gauge\n")
-	fmt.Fprintf(w, "warpd_template_entries %d\n", ts.Templates)
-	fmt.Fprintf(w, "# HELP warpd_template_programs Instantiated programs resident across all templates.\n")
-	fmt.Fprintf(w, "# TYPE warpd_template_programs gauge\n")
-	fmt.Fprintf(w, "warpd_template_programs %d\n", ts.Programs)
-	fmt.Fprintf(w, "# HELP warpd_template_hits_total Template-cache hits (instantiated program already resident).\n")
-	fmt.Fprintf(w, "# TYPE warpd_template_hits_total counter\n")
-	fmt.Fprintf(w, "warpd_template_hits_total %d\n", ts.Hits)
-	fmt.Fprintf(w, "# HELP warpd_template_misses_total Template-cache misses (instantiation or fallback started).\n")
-	fmt.Fprintf(w, "# TYPE warpd_template_misses_total counter\n")
-	fmt.Fprintf(w, "warpd_template_misses_total %d\n", ts.Misses)
-	fmt.Fprintf(w, "# HELP warpd_template_instantiations_total Programs produced from closed-form templates (no concrete compile).\n")
-	fmt.Fprintf(w, "# TYPE warpd_template_instantiations_total counter\n")
-	fmt.Fprintf(w, "warpd_template_instantiations_total %d\n", ts.Instantiations)
-	fmt.Fprintf(w, "# HELP warpd_template_fallbacks_total Symbolic requests served by a concrete fallback compile.\n")
-	fmt.Fprintf(w, "# TYPE warpd_template_fallbacks_total counter\n")
-	fmt.Fprintf(w, "warpd_template_fallbacks_total %d\n", ts.Fallbacks)
-	fmt.Fprintf(w, "# HELP warpd_template_evictions_total Instantiated programs evicted from the template cache.\n")
-	fmt.Fprintf(w, "# TYPE warpd_template_evictions_total counter\n")
-	fmt.Fprintf(w, "warpd_template_evictions_total %d\n", ts.Evictions)
+	gauge(w, "warpd_template_entries", "Symbolic templates resident in the template cache.", ts.Templates)
+	gauge(w, "warpd_template_programs", "Instantiated programs resident across all templates.", ts.Programs)
+	counter(w, "warpd_template_hits_total", "Template-cache hits (instantiated program already resident).", ts.Hits)
+	counter(w, "warpd_template_misses_total", "Template-cache misses (instantiation or fallback started).", ts.Misses)
+	counter(w, "warpd_template_instantiations_total", "Programs produced from closed-form templates (no concrete compile).", ts.Instantiations)
+	counter(w, "warpd_template_fallbacks_total", "Symbolic requests served by a concrete fallback compile.", ts.Fallbacks)
+	counter(w, "warpd_template_evictions_total", "Instantiated programs evicted from the template cache.", ts.Evictions)
 
-	fmt.Fprintf(w, "# HELP warpd_queue_depth Jobs waiting in the admission queue.\n")
-	fmt.Fprintf(w, "# TYPE warpd_queue_depth gauge\n")
-	fmt.Fprintf(w, "warpd_queue_depth %d\n", ps.QueueDepth)
-	fmt.Fprintf(w, "# HELP warpd_queue_high_water Peak admission-queue depth since start.\n")
-	fmt.Fprintf(w, "# TYPE warpd_queue_high_water gauge\n")
-	fmt.Fprintf(w, "warpd_queue_high_water %d\n", ps.HighWater)
-	fmt.Fprintf(w, "# HELP warpd_queue_rejected_total Requests refused with 429 (queue full).\n")
-	fmt.Fprintf(w, "# TYPE warpd_queue_rejected_total counter\n")
-	fmt.Fprintf(w, "warpd_queue_rejected_total %d\n", ps.Rejected)
-	fmt.Fprintf(w, "# HELP warpd_inflight_runs Simulations executing right now.\n")
-	fmt.Fprintf(w, "# TYPE warpd_inflight_runs gauge\n")
-	fmt.Fprintf(w, "warpd_inflight_runs %d\n", ps.InFlight)
-	fmt.Fprintf(w, "# HELP warpd_workers Configured worker count.\n")
-	fmt.Fprintf(w, "# TYPE warpd_workers gauge\n")
-	fmt.Fprintf(w, "warpd_workers %d\n", ps.Workers)
+	gauge(w, "warpd_queue_depth", "Jobs waiting in the admission queue.", ps.QueueDepth)
+	gauge(w, "warpd_queue_high_water", "Peak admission-queue depth since start.", ps.HighWater)
+	counter(w, "warpd_queue_rejected_total", "Requests refused with 429 (queue full).", ps.Rejected)
+	gauge(w, "warpd_inflight_runs", "Simulations executing right now.", ps.InFlight)
+	gauge(w, "warpd_workers", "Configured worker count.", ps.Workers)
 
-	fmt.Fprintf(w, "# HELP warpd_sim_cycles_total Machine cycles simulated across completed runs.\n")
-	fmt.Fprintf(w, "# TYPE warpd_sim_cycles_total counter\n")
-	fmt.Fprintf(w, "warpd_sim_cycles_total %d\n", m.simCycles)
-	fmt.Fprintf(w, "# HELP warpd_fpu_add_utilization_sum Sum over runs of the ADD-FPU issue fraction.\n")
-	fmt.Fprintf(w, "# TYPE warpd_fpu_add_utilization_sum counter\n")
-	fmt.Fprintf(w, "warpd_fpu_add_utilization_sum %s\n", formatFloat(m.addUtilSum))
-	fmt.Fprintf(w, "# HELP warpd_fpu_mul_utilization_sum Sum over runs of the MUL-FPU issue fraction.\n")
-	fmt.Fprintf(w, "# TYPE warpd_fpu_mul_utilization_sum counter\n")
-	fmt.Fprintf(w, "warpd_fpu_mul_utilization_sum %s\n", formatFloat(m.mulUtilSum))
-	fmt.Fprintf(w, "# HELP warpd_busy_fraction_sum Sum over runs of the cell-busy fraction.\n")
-	fmt.Fprintf(w, "# TYPE warpd_busy_fraction_sum counter\n")
-	fmt.Fprintf(w, "warpd_busy_fraction_sum %s\n", formatFloat(m.busySum))
-	fmt.Fprintf(w, "# HELP warpd_run_samples_total Completed runs contributing to the utilization sums.\n")
-	fmt.Fprintf(w, "# TYPE warpd_run_samples_total counter\n")
-	fmt.Fprintf(w, "warpd_run_samples_total %d\n", m.runSamples)
-	fmt.Fprintf(w, "# HELP warpd_peak_queue_occupancy Highest data-queue high-water mark over all runs.\n")
-	fmt.Fprintf(w, "# TYPE warpd_peak_queue_occupancy gauge\n")
-	fmt.Fprintf(w, "warpd_peak_queue_occupancy %d\n", m.peakQueue)
+	counter(w, "warpd_sim_cycles_total", "Machine cycles simulated across completed runs.", m.simCycles)
+	counter(w, "warpd_fpu_add_utilization_sum", "Sum over runs of the ADD-FPU issue fraction.", formatFloat(m.addUtilSum))
+	counter(w, "warpd_fpu_mul_utilization_sum", "Sum over runs of the MUL-FPU issue fraction.", formatFloat(m.mulUtilSum))
+	counter(w, "warpd_busy_fraction_sum", "Sum over runs of the cell-busy fraction.", formatFloat(m.busySum))
+	counter(w, "warpd_run_samples_total", "Completed runs contributing to the utilization sums.", m.runSamples)
+	gauge(w, "warpd_peak_queue_occupancy", "Highest data-queue high-water mark over all runs.", m.peakQueue)
 
-	fmt.Fprintf(w, "# HELP warpd_fabric_jobs_total Partitioned-run jobs by result (ok|error|timeout).\n")
-	fmt.Fprintf(w, "# TYPE warpd_fabric_jobs_total counter\n")
+	family(w, "warpd_fabric_jobs_total", "counter", "Partitioned-run jobs by result (ok|error|timeout).")
 	writeLabelled(w, "warpd_fabric_jobs_total", "result", m.fabricJobs)
-	fmt.Fprintf(w, "# HELP warpd_fabric_tiles_total Tiles planned across partitioned jobs.\n")
-	fmt.Fprintf(w, "# TYPE warpd_fabric_tiles_total counter\n")
-	fmt.Fprintf(w, "warpd_fabric_tiles_total %d\n", m.fabricTiles)
-	fmt.Fprintf(w, "# HELP warpd_fabric_tile_dispatch_total Tile attempts started (retries included).\n")
-	fmt.Fprintf(w, "# TYPE warpd_fabric_tile_dispatch_total counter\n")
-	fmt.Fprintf(w, "warpd_fabric_tile_dispatch_total %d\n", m.fabricDispatched)
-	fmt.Fprintf(w, "# HELP warpd_fabric_tile_retries_total Tile attempts beyond each tile's first.\n")
-	fmt.Fprintf(w, "# TYPE warpd_fabric_tile_retries_total counter\n")
-	fmt.Fprintf(w, "warpd_fabric_tile_retries_total %d\n", m.fabricRetried)
-	fmt.Fprintf(w, "# HELP warpd_fabric_tile_failures_total Tiles that exhausted their attempts.\n")
-	fmt.Fprintf(w, "# TYPE warpd_fabric_tile_failures_total counter\n")
-	fmt.Fprintf(w, "warpd_fabric_tile_failures_total %d\n", m.fabricFailed)
-	fmt.Fprintf(w, "# HELP warpd_fabric_cycles_total Aggregate simulated cycles across all tiles.\n")
-	fmt.Fprintf(w, "# TYPE warpd_fabric_cycles_total counter\n")
-	fmt.Fprintf(w, "warpd_fabric_cycles_total %d\n", m.fabricCycles)
+	counter(w, "warpd_fabric_tiles_total", "Tiles planned across partitioned jobs.", m.fabricTiles)
+	counter(w, "warpd_fabric_tile_dispatch_total", "Tile attempts started (retries included).", m.fabricDispatched)
+	counter(w, "warpd_fabric_tile_retries_total", "Tile attempts beyond each tile's first.", m.fabricRetried)
+	counter(w, "warpd_fabric_tile_failures_total", "Tiles that exhausted their attempts.", m.fabricFailed)
+	counter(w, "warpd_fabric_cycles_total", "Aggregate simulated cycles across all tiles.", m.fabricCycles)
 }
 
 // writeDecisions renders the decision counter (two labels, so it
@@ -441,8 +357,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, cs CacheStats, ts TemplateCacheSt
 // error family is a summary — _sum/_count per backend gives the mean
 // error factor — with the worst single miss as a separate gauge.
 func (m *Metrics) writeDecisions(w io.Writer) {
-	fmt.Fprintf(w, "# HELP warpd_decision_total Backend decisions by chosen backend and reason.\n")
-	fmt.Fprintf(w, "# TYPE warpd_decision_total counter\n")
+	family(w, "warpd_decision_total", "counter", "Backend decisions by chosen backend and reason.")
 	keys := make([]decisionKey, 0, len(m.decisions))
 	for k := range m.decisions {
 		keys = append(keys, k)
@@ -464,17 +379,32 @@ func (m *Metrics) writeDecisions(w io.Writer) {
 		backends = append(backends, b)
 	}
 	sort.Strings(backends)
-	fmt.Fprintf(w, "# HELP warpd_prediction_error_ratio Cost-model wall-time misprediction factor, max(actual/predicted, predicted/actual), over completed runs.\n")
-	fmt.Fprintf(w, "# TYPE warpd_prediction_error_ratio summary\n")
+	family(w, "warpd_prediction_error_ratio", "summary", "Cost-model wall-time misprediction factor, max(actual/predicted, predicted/actual), over completed runs.")
 	for _, b := range backends {
 		fmt.Fprintf(w, "warpd_prediction_error_ratio_sum{backend=%q} %s\n", b, formatFloat(m.predErrSum[b]))
 		fmt.Fprintf(w, "warpd_prediction_error_ratio_count{backend=%q} %d\n", b, m.predErrCount[b])
 	}
-	fmt.Fprintf(w, "# HELP warpd_prediction_error_max Worst single-run misprediction factor per backend.\n")
-	fmt.Fprintf(w, "# TYPE warpd_prediction_error_max gauge\n")
+	family(w, "warpd_prediction_error_max", "gauge", "Worst single-run misprediction factor per backend.")
 	for _, b := range backends {
 		fmt.Fprintf(w, "warpd_prediction_error_max{backend=%q} %s\n", b, formatFloat(m.predErrMax[b]))
 	}
+}
+
+// family writes one metric family's HELP and TYPE header.
+func family(w io.Writer, name, typ, help string) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+}
+
+// counter and gauge write a whole single-sample family; v is an integer
+// or an already formatted float.
+func counter(w io.Writer, name, help string, v any) {
+	family(w, name, "counter", help)
+	fmt.Fprintf(w, "%s %v\n", name, v)
+}
+
+func gauge(w io.Writer, name, help string, v any) {
+	family(w, name, "gauge", help)
+	fmt.Fprintf(w, "%s %v\n", name, v)
 }
 
 func formatFloat(f float64) string { return telemetry.FormatFloat(f) }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -387,6 +388,29 @@ func TestMetricsRoundTripStrict(t *testing.T) {
 	// The queue-wait count covers every pooled request (4 runs).
 	if s := find("warpd_queue_wait_seconds_count", nil); s != nil && s.value < 4 {
 		t.Errorf("queue-wait count %v, want >= 4", s.value)
+	}
+}
+
+// TestMetricsFreshGolden pins, byte for byte, what a server that has
+// served nothing exposes: family names, HELP text, TYPEs and order are a
+// contract with dashboards, so the renderer may change shape only while
+// this file stays identical.
+func TestMetricsFreshGolden(t *testing.T) {
+	svc := New(Config{})
+	defer svc.Close()
+	rec := httptest.NewRecorder()
+	svc.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	want, err := os.ReadFile("testdata/metrics_fresh.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.Body.String(); got != string(want) {
+		g, w := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		i := 0
+		for i < len(g) && i < len(w) && g[i] == w[i] {
+			i++
+		}
+		t.Fatalf("fresh /metrics (%d lines) differs from the golden (%d lines) first at line %d", len(g), len(w), i+1)
 	}
 }
 

@@ -30,7 +30,7 @@ type PoolStats struct {
 	QueueCap     int
 	HighWater    int   // peak queued depth observed
 	Rejected     int64 // Do calls refused with ErrBusy
-	Completed    int64 // jobs whose fn ran to completion
+	Completed    int64 // jobs whose fn finished (returned or panicked)
 	Abandoned    int64 // jobs whose context expired before a worker picked them up
 	InFlight     int   // jobs executing right now
 	InFlightPeak int
@@ -92,13 +92,27 @@ func (p *Pool) worker() {
 			p.stats.InFlightPeak = p.stats.InFlight
 		}
 		p.mu.Unlock()
-		j.err = j.fn(j.ctx)
+		p.run(j)
+	}
+}
+
+// run executes one admitted job.  Landing is deferred, as in store.fly:
+// pool goroutines sit outside net/http's recover, so a panicking fn
+// must become that one job's error (errLoadPanic, a 500) rather than
+// the death of the daemon, and the worker goes on to the next job.
+func (p *Pool) run(j *job) {
+	j.err = errLoadPanic // stands unless fn returns
+	defer func() {
+		if r := recover(); r != nil {
+			j.err = panicError(r)
+		}
 		p.mu.Lock()
 		p.stats.InFlight--
 		p.stats.Completed++
 		p.mu.Unlock()
 		close(j.done)
-	}
+	}()
+	j.err = j.fn(j.ctx)
 }
 
 // Do admits fn and waits for its completion or for ctx.  If the queue

@@ -443,9 +443,9 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	rc := s.beginRequest("/compile")
 	start := time.Now()
 	cacheSpan := rc.tr.StartSpan("cache", rc.root)
-	prog, key, hit, detail, err := s.getProgram(r.Context(), req.Source, req.Options,
-		obs.SpanPhases(rc.tr, cacheSpan))
+	prog, key, hit, detail, err := s.getProgram(r.Context(), req.Source, req.Options, cacheSpan)
 	if err != nil {
+		cacheSpan.Annotate("error", err.Error())
 		cacheSpan.End()
 		if isVerifyError(err) {
 			s.metrics.Compile("rejected", time.Since(start).Seconds())
@@ -461,7 +461,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		annotateTemplate(cacheSpan, detail)
 	}
 	cacheSpan.End()
-	rc.program, rc.cached, rc.template = key, hit, detail
+	rc.Program, rc.Cached, rc.Template = key, hit, detail
 	s.metrics.Compile(cacheResult(hit), time.Since(start).Seconds())
 	if !hit {
 		s.metrics.CompilePhases(prog.Phases())
@@ -485,13 +485,13 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 // getProgram resolves (source, options) through the right cache:
 // symbolic requests go through the template cache (template compiled
 // once, program instantiated per bound vector), everything else
-// through the plain compile cache.  rec receives compile or
-// instantiation Phase events when this request does the work.
-func (s *Server) getProgram(ctx context.Context, src string, o CompileOptions, rec obs.Recorder) (*warp.Program, string, bool, *warp.TemplateDetail, error) {
+// through the plain compile cache.  The phases of a compile or
+// instantiation this request does are filed under parent.
+func (s *Server) getProgram(ctx context.Context, src string, o CompileOptions, parent *obs.Span) (*warp.Program, string, bool, *warp.TemplateDetail, error) {
 	if o.symbolic() {
-		return s.templates.GetObserved(ctx, src, s.options(o), o.Bounds, rec)
+		return s.templates.GetObserved(ctx, src, s.options(o), o.Bounds, parent)
 	}
-	prog, key, hit, err := s.cache.GetObserved(ctx, src, s.options(o), rec)
+	prog, key, hit, err := s.cache.GetObserved(ctx, src, s.options(o), parent)
 	return prog, key, hit, nil, err
 }
 
@@ -508,8 +508,8 @@ func annotateTemplate(sp *obs.Span, d *warp.TemplateDetail) {
 }
 
 // resolve produces the program for a run request, through the cache.
-// rec receives compiler Phase events if this request ends up compiling.
-func (s *Server) resolve(ctx context.Context, req *RunRequest, rec obs.Recorder) (*warp.Program, string, bool, *warp.TemplateDetail, error) {
+// Compile phases are filed under parent if this request ends up compiling.
+func (s *Server) resolve(ctx context.Context, req *RunRequest, parent *obs.Span) (*warp.Program, string, bool, *warp.TemplateDetail, error) {
 	switch {
 	case req.Program != "" && req.Source != "":
 		return nil, "", false, nil, &httpError{http.StatusBadRequest, "give either program or source, not both"}
@@ -526,7 +526,7 @@ func (s *Server) resolve(ctx context.Context, req *RunRequest, rec obs.Recorder)
 		}
 		return prog, req.Program, true, nil, nil
 	case req.Source != "":
-		return s.getProgram(ctx, req.Source, req.Options, rec)
+		return s.getProgram(ctx, req.Source, req.Options, parent)
 	}
 	return nil, "", false, nil, &httpError{http.StatusBadRequest, "missing program or source"}
 }
@@ -543,13 +543,14 @@ func (s *Server) runOne(ctx context.Context, endpoint string, req *RunRequest) (
 	defer cancel()
 
 	rc := s.beginRequest(endpoint)
-	ent := s.progress.register(rc.id)
+	ent := s.progress.register(rc.ID)
 	// Whatever path the request dies on, the progress stream must end
 	// with a terminal event (a no-op when the run delivered its own).
 	defer ent.finish()
 	cacheSpan := rc.tr.StartSpan("cache", rc.root)
-	prog, key, hit, detail, err := s.resolve(ctx, req, obs.SpanPhases(rc.tr, cacheSpan))
+	prog, key, hit, detail, err := s.resolve(ctx, req, cacheSpan)
 	if err != nil {
+		cacheSpan.Annotate("error", err.Error())
 		cacheSpan.End()
 		s.metrics.Run("error", "", 0, obsSummaryZero)
 		s.finishRequest(rc, err)
@@ -560,7 +561,7 @@ func (s *Server) runOne(ctx context.Context, endpoint string, req *RunRequest) (
 		annotateTemplate(cacheSpan, detail)
 	}
 	cacheSpan.End()
-	rc.program, rc.cached, rc.template = key, hit, detail
+	rc.Program, rc.Cached, rc.Template = key, hit, detail
 	if !hit {
 		s.metrics.CompilePhases(prog.Phases())
 		s.metrics.CompileSched(prog.Sched().Totals())
@@ -574,7 +575,11 @@ func (s *Server) runOne(ctx context.Context, endpoint string, req *RunRequest) (
 		return s.runPartitioned(ctx, rc, ent, req, prog, key, hit, maxCycles)
 	}
 
+	// The job leaves its results in locals; the flight record takes them
+	// only once Do has returned the job's own nil, never from a job that
+	// outlived its requester's deadline.
 	var resp *RunResponse
+	var source *warp.SourceProfile
 	start := time.Now()
 	queueSpan := rc.tr.StartSpan("queue-wait", rc.root)
 	err = s.pool.Do(ctx, func(ctx context.Context) error {
@@ -597,14 +602,12 @@ func (s *Server) runOne(ctx context.Context, endpoint string, req *RunRequest) (
 		annotateDecision(runSpan, rs.Decision)
 		sum := rs.Profile.Summarize()
 		runSpan.AttachSummary(sum)
-		rc.cycles = rs.Cycles
-		rc.source = rs.Source
-		rc.decision = rs.Decision
+		source = rs.Source
 		resp = &RunResponse{
 			Program:  key,
 			Cached:   hit,
 			Outputs:  out,
-			Request:  rc.id,
+			Request:  rc.ID,
 			Decision: rs.Decision,
 			Stats: RunStatsJSON{
 				Cycles:         rs.Cycles,
@@ -635,6 +638,7 @@ func (s *Server) runOne(ctx context.Context, endpoint string, req *RunRequest) (
 		s.finishRequest(rc, err)
 		return nil, err
 	}
+	rc.Cycles, rc.Source, rc.Decision = resp.Stats.Cycles, source, resp.Decision
 	s.finishRequest(rc, nil)
 	return resp, nil
 }
@@ -710,6 +714,7 @@ func (s *Server) runPartitioned(ctx context.Context, rc *requestCtx, ent *progre
 	}
 
 	var resp *RunResponse
+	var source *warp.SourceProfile
 	start := time.Now()
 	queueSpan := rc.tr.StartSpan("queue-wait", rc.root)
 	err = s.pool.Do(ctx, func(ctx context.Context) error {
@@ -746,14 +751,12 @@ func (s *Server) runPartitioned(ctx context.Context, rc *requestCtx, ent *progre
 		}
 		runSpan.Annotate("backend", fs.Backend)
 		annotateDecision(runSpan, fs.Decision)
-		rc.cycles = fs.AggregateCycles
-		rc.source = fs.Source
-		rc.decision = fs.Decision
+		source = fs.Source
 		resp = &RunResponse{
 			Program:  key,
 			Cached:   hit,
 			Outputs:  out,
-			Request:  rc.id,
+			Request:  rc.ID,
 			Decision: fs.Decision,
 			Stats: RunStatsJSON{
 				Cycles:         fs.MakespanCycles,
@@ -788,6 +791,7 @@ func (s *Server) runPartitioned(ctx context.Context, rc *requestCtx, ent *progre
 		s.finishRequest(rc, err)
 		return nil, err
 	}
+	rc.Cycles, rc.Source, rc.Decision = resp.Fabric.AggregateCycles, source, resp.Decision
 	s.finishRequest(rc, nil)
 	return resp, nil
 }

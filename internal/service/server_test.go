@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -450,5 +451,25 @@ func TestCompilePanicDoesNotPoisonKey(t *testing.T) {
 	}
 	if cs := svc.CacheStats(); cs.Entries != 1 || cs.Misses != 2 {
 		t.Errorf("cache stats = %+v, want 1 entry after 2 misses", cs)
+	}
+}
+
+// TestPoolPanicFailsAlone: a job that panics on a pool goroutine (an
+// executor bug under /run; net/http's recover does not reach there)
+// fails alone with the 500-mapped panic error, and the pool's only
+// worker survives to serve the next job with its counters consistent.
+func TestPoolPanicFailsAlone(t *testing.T) {
+	p := NewPool(1, 4)
+	defer p.Close()
+	err := p.Do(context.Background(), func(context.Context) error { panic("executor bug") })
+	if !errors.Is(err, errLoadPanic) || !strings.Contains(err.Error(), "executor bug") || errStatus(err) != http.StatusInternalServerError {
+		t.Fatalf("panicking job returned %v (status %d), want a 500 naming the panic", err, errStatus(err))
+	}
+	ran := false
+	if err := p.Do(context.Background(), func(context.Context) error { ran = true; return nil }); err != nil || !ran {
+		t.Fatalf("job after a panic: ran=%v err=%v, want the worker to have survived", ran, err)
+	}
+	if s := p.Stats(); s.InFlight != 0 || s.Completed != 2 {
+		t.Errorf("pool stats = %+v, want nothing in flight and 2 completed", s)
 	}
 }

@@ -10,10 +10,16 @@ import (
 	"sync/atomic"
 )
 
-// errLoadPanic marks a store load that panicked.  The panic is turned
-// into this error for the flight's owner and every waiter, so a
-// compiler bug costs one 500 instead of wedging the key.
+// errLoadPanic marks a store load or a pool job that panicked.  The
+// panic is turned into this error for the flight's owner and every
+// waiter (or the job's submitter), so a compiler or executor bug costs
+// one 500 instead of wedging the key or killing the daemon.
 var errLoadPanic = errors.New("internal error: load panicked")
+
+// panicError wraps a recovered panic value and the stack that raised it.
+func panicError(r any) error {
+	return fmt.Errorf("%w: %v\n%s", errLoadPanic, r, debug.Stack())
+}
 
 // counters are a store's hit/miss/eviction totals.  They sit behind a
 // pointer so the per-template instantiation stores of a TemplateCache
@@ -109,7 +115,7 @@ func (s *store[V]) fly(key string, f *flight[V], load func() (V, error)) {
 	f.err = errLoadPanic // stands unless load returns
 	defer func() {
 		if r := recover(); r != nil {
-			f.err = fmt.Errorf("%w: %v\n%s", errLoadPanic, r, debug.Stack())
+			f.err = panicError(r)
 		}
 		s.mu.Lock()
 		delete(s.flights, key)

@@ -109,10 +109,10 @@ const instSep = "@"
 // instantiating at most once per bound vector.  The returned key is the
 // instantiated program's content address (usable with Lookup and /run);
 // hit reports whether the program was already resident; detail reports
-// how a miss was served (closed forms or concrete fallback).  rec
-// receives the template's phase events when this caller owns the
-// instantiation flight.
-func (tc *TemplateCache) GetObserved(ctx context.Context, src string, opts warp.Options, bounds map[string]int64, rec obs.Recorder) (prog *warp.Program, key string, hit bool, detail *warp.TemplateDetail, err error) {
+// how a miss was served (closed forms or concrete fallback).  When this
+// caller owns the instantiation flight, the phases of that work are
+// filed as child spans of parent (nil files none).
+func (tc *TemplateCache) GetObserved(ctx context.Context, src string, opts warp.Options, bounds map[string]int64, parent *obs.Span) (prog *warp.Program, key string, hit bool, detail *warp.TemplateDetail, err error) {
 	tmplKey := Key(src, opts)
 	bk := boundsKey(bounds)
 	key = tmplKey + instSep + bk
@@ -133,18 +133,23 @@ func (tc *TemplateCache) GetObserved(ctx context.Context, src string, opts warp.
 	// program lands in a store nothing reaches any more: it is returned
 	// and works, it just is not resident.
 	inst, hit, err := te.insts.get(ctx, bk, func() (instance, error) {
-		prog, detail, err := te.tmpl.ProgramDetail(bounds, rec)
-		if err != nil {
-			return instance{}, err
-		}
-		if detail != nil && detail.Symbolic {
-			tc.instantiations.Add(1)
-		} else {
-			tc.fallbacks.Add(1)
-		}
-		return instance{prog, detail}, nil
+		return tc.instantiate(te, bounds, parent)
 	})
 	return inst.prog, key, hit, inst.detail, err
+}
+
+// instantiate is the load of one instantiation flight.
+func (tc *TemplateCache) instantiate(te *tmplEntry, bounds map[string]int64, parent *obs.Span) (instance, error) {
+	prog, detail, err := te.tmpl.ProgramDetail(bounds, parent)
+	if err != nil {
+		return instance{}, err
+	}
+	if detail != nil && detail.Symbolic {
+		tc.instantiations.Add(1)
+	} else {
+		tc.fallbacks.Add(1)
+	}
+	return instance{prog, detail}, nil
 }
 
 // Lookup returns the resident instantiated program for a content

@@ -7,12 +7,10 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
 	"warp"
-	"warp/internal/obs"
 	"warp/internal/workloads"
 )
 
@@ -364,51 +362,48 @@ func TestTemplateCacheTemplateEviction(t *testing.T) {
 	}
 }
 
-// gateRecorder blocks its first Phase event until released — a handle
-// on "this instantiation is in flight".
-type gateRecorder struct {
-	obs.Recorder
-	once    sync.Once
-	entered chan struct{}
-	release chan struct{}
-}
-
-func (g *gateRecorder) Phase(string, float64, int, string) {
-	g.once.Do(func() {
-		close(g.entered)
-		<-g.release
-	})
-}
-
 // TestTemplateCacheOrphanedInstantiation: an instantiation that
 // finishes after its template was evicted is returned to its caller but
-// is not resident and is not an eviction.
+// is not resident and is not an eviction.  The instantiation is held in
+// flight by gating its load on the template's inner store.
 func TestTemplateCacheOrphanedInstantiation(t *testing.T) {
 	tc := NewTemplateCache(1, 4, nil)
 	src := workloads.MatmulSym()
-	gate := &gateRecorder{Recorder: obs.Nop(), entered: make(chan struct{}), release: make(chan struct{})}
+	a14 := tcGet(t, tc, src, warp.Options{}, 14)
+	te, ok := tc.templates.lookup(Key(src, warp.Options{}))
+	if !ok {
+		t.Fatal("template not resident after its first instantiation")
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
 	type result struct {
-		prog *warp.Program
-		key  string
+		inst instance
 		err  error
 	}
 	done := make(chan result, 1)
 	go func() {
-		prog, key, _, _, err := tc.GetObserved(context.Background(), src, warp.Options{}, map[string]int64{"n": 8}, gate)
-		done <- result{prog, key, err}
+		bounds := map[string]int64{"n": 8}
+		inst, _, err := te.insts.get(context.Background(), boundsKey(bounds), func() (instance, error) {
+			close(entered)
+			<-release
+			return tc.instantiate(te, bounds, nil)
+		})
+		done <- result{inst, err}
 	}()
-	<-gate.entered
+	<-entered
 	b8 := tcGet(t, tc, src, warp.Options{Pipeline: true}, 8) // evicts the in-flight template
-	close(gate.release)
+	close(release)
 	r := <-done
-	if r.err != nil || r.prog == nil {
-		t.Fatalf("orphaned instantiation: prog=%v err=%v, want a working program", r.prog, r.err)
+	if r.err != nil || r.inst.prog == nil {
+		t.Fatalf("orphaned instantiation: %+v err=%v, want a working program", r.inst, r.err)
 	}
-	if got, want := resident(tc, r.key, b8), []bool{false, true}; !reflect.DeepEqual(got, want) {
-		t.Errorf("resident(orphan, b8) = %v, want %v", got, want)
+	orphan := Key(src, warp.Options{}) + instSep + "n=8"
+	if got, want := resident(tc, orphan, a14, b8), []bool{false, false, true}; !reflect.DeepEqual(got, want) {
+		t.Errorf("resident(orphan, a14, b8) = %v, want %v", got, want)
 	}
-	if s := tc.Stats(); s.Templates != 1 || s.Programs != 1 || s.Evictions != 0 || s.Instantiations+s.Fallbacks != 2 {
-		t.Errorf("stats = %+v, want 1 template, 1 program, 0 evictions, 2 served misses", s)
+	// The one eviction is a14, which was resident when its template went;
+	// the orphan landed afterwards in a store nothing reaches.
+	if s := tc.Stats(); s.Templates != 1 || s.Programs != 1 || s.Evictions != 1 || s.Instantiations+s.Fallbacks != 3 {
+		t.Errorf("stats = %+v, want 1 template, 1 program, 1 eviction, 3 served misses", s)
 	}
 }
 

@@ -12,32 +12,24 @@ import (
 	"warp/internal/obs"
 )
 
-// requestCtx carries the per-request trace from the handler edge to the
-// finish line: the open root span plus the outcome scalars the flight
-// record and the log line report.
+// requestCtx carries one request from the handler edge to the finish
+// line: the flight record, filled in place as the request resolves its
+// program and runs, plus the open root span of its trace.
 type requestCtx struct {
-	id       string
-	endpoint string
-	start    time.Time
-	tr       *obs.Trace // nil when the flight recorder is disabled
-	root     *obs.Span
-	program  string // content address, once resolved
-	cached   bool
-	cycles   int64
-	source   *warp.SourceProfile  // set when the request ran with profiling
-	decision *warp.Decision       // backend decision audit, once the run completed
-	template *warp.TemplateDetail // set when a symbolic request resolved its program
+	*RequestRecord
+	tr   *obs.Trace // nil when the flight recorder is disabled
+	root *obs.Span
 }
 
 // beginRequest assigns a request ID and opens the root span.  When the
 // flight recorder is disabled the trace stays nil and every span call
 // downstream is a free no-op.
 func (s *Server) beginRequest(endpoint string) *requestCtx {
-	rc := &requestCtx{
-		id:       fmt.Sprintf("r%06d", s.seq.Add(1)),
-		endpoint: endpoint,
-		start:    time.Now(),
-	}
+	rc := &requestCtx{RequestRecord: &RequestRecord{
+		ID:       fmt.Sprintf("r%06d", s.seq.Add(1)),
+		Endpoint: endpoint,
+		Start:    time.Now(),
+	}}
 	if s.flight.enabled() {
 		rc.tr = obs.NewTrace()
 		rc.root = rc.tr.StartSpan("request", nil)
@@ -51,62 +43,41 @@ func (s *Server) beginRequest(endpoint string) *requestCtx {
 // duration, so the child spans always sum consistently against it.
 func (s *Server) finishRequest(rc *requestCtx, err error) {
 	rc.root.End()
-	outcome := outcomeOf(err)
-	status := http.StatusOK
+	rc.Outcome = outcomeOf(err)
+	rc.Status = http.StatusOK
 	if err != nil {
-		status = errStatus(err)
+		rc.Status = errStatus(err)
+		rc.Error = err.Error()
 	}
-
-	spans := rc.tr.Spans()
-	total := int64(time.Since(rc.start))
-	if len(spans) > 0 {
-		total = spans[0].DurNS() // root is always span 0
+	rc.Spans = rc.tr.Spans()
+	rc.TotalNS = int64(time.Since(rc.Start))
+	if len(rc.Spans) > 0 {
+		rc.TotalNS = rc.Spans[0].DurNS() // root is always span 0
 	}
-
-	rec := &RequestRecord{
-		ID:       rc.id,
-		Endpoint: rc.endpoint,
-		Start:    rc.start,
-		Outcome:  outcome,
-		Status:   status,
-		Program:  rc.program,
-		Cached:   rc.cached,
-		Cycles:   rc.cycles,
-		TotalNS:  total,
-		Spans:    spans,
-		Decision: rc.decision,
-		Template: rc.template,
-	}
-	if rc.source != nil {
-		rec.HasProfile = true
-		rec.Source = rc.source
-	}
-	if err != nil {
-		rec.Error = err.Error()
-	}
-	s.flight.add(rec)
+	rc.HasProfile = rc.Source != nil
+	s.flight.add(rc.RequestRecord)
 
 	attrs := make([]slog.Attr, 0, 12)
 	attrs = append(attrs,
-		slog.String("id", rc.id),
-		slog.String("endpoint", rc.endpoint),
-		slog.String("outcome", outcome),
-		slog.Int("status", status),
-		slog.Int64("total_ns", total),
+		slog.String("id", rc.ID),
+		slog.String("endpoint", rc.Endpoint),
+		slog.String("outcome", rc.Outcome),
+		slog.Int("status", rc.Status),
+		slog.Int64("total_ns", rc.TotalNS),
 	)
 	for _, name := range []string{"cache", "queue-wait", "run"} {
-		if d, ok := spanDur(spans, name); ok {
+		if d, ok := spanDur(rc.Spans, name); ok {
 			attrs = append(attrs, slog.Int64(name+"_ns", d))
 		}
 	}
-	if rc.program != "" {
+	if rc.Program != "" {
 		attrs = append(attrs,
-			slog.String("program", shortKey(rc.program)),
-			slog.Bool("cached", rc.cached),
+			slog.String("program", shortKey(rc.Program)),
+			slog.Bool("cached", rc.Cached),
 		)
 	}
-	if rc.cycles > 0 {
-		attrs = append(attrs, slog.Int64("cycles", rc.cycles))
+	if rc.Cycles > 0 {
+		attrs = append(attrs, slog.Int64("cycles", rc.Cycles))
 	}
 	level := slog.LevelInfo
 	if err != nil {

@@ -72,7 +72,7 @@ func FuzzSymbolicInstantiation(f *testing.F) {
 			t.Fatalf("bound substitution: %v", cerr)
 		}
 
-		inst, ierr := tmpl.Instantiate(bounds)
+		inst, _, ierr := tmpl.Instantiate(bounds)
 		ref, rerr := driver.Compile(conc, opts)
 		if (ierr == nil) != (rerr == nil) {
 			t.Fatalf("acceptance diverged at %v (pipeline=%v): template says %v, concrete says %v",

@@ -20,13 +20,13 @@ func BenchmarkInstantiateM32(b *testing.B) {
 		b.Fatal(err)
 	}
 	bounds := map[string]int64{"n": 32}
-	if _, err := tmpl.Instantiate(bounds); err != nil {
+	if _, _, err := tmpl.Instantiate(bounds); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tmpl.Instantiate(bounds); err != nil {
+		if _, _, err := tmpl.Instantiate(bounds); err != nil {
 			b.Fatal(err)
 		}
 	}

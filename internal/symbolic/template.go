@@ -67,7 +67,6 @@ type class struct {
 	forms   [][]int64 // per-leaf mixed difference grids
 	nWalk   int       // leaves consumed by the fixed-shape walker
 	streams []streamDef
-	buildNS int64
 }
 
 // covers reports whether bounds can be served by this fitted class:
@@ -127,8 +126,6 @@ func CompileTemplate(src string, opts driver.Options) (*Template, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Probe compiles are internal (not request events) and concrete.
-	opts.Recorder = nil
 	return &Template{Source: s, Opts: opts, classes: map[string]*class{}}, nil
 }
 
@@ -145,23 +142,12 @@ func (t *Template) Stats() Stats {
 	}
 }
 
-// Instantiate produces the concrete compiled artifact for one bound
-// vector — byte-identical (by driver.Fingerprint) to
-// driver.Compile(t.Source.Concrete(bounds), t.Opts), in microseconds
-// when the bounds hit a fitted class.  Bounds the closed forms cannot
-// cover are compiled concretely, so acceptance and rejection always
-// match the concrete compiler exactly.
-func (t *Template) Instantiate(bounds map[string]int64) (*driver.Compiled, error) {
-	c, _, err := t.InstantiateObserved(bounds, nil)
-	return c, err
-}
-
 // Check instantiates bounds and independently compiles the substituted
 // source concretely, failing unless the two artifacts are byte-identical
 // under driver.Fingerprint.  It is the differential self-test behind
 // `w2c -symbolic -check` and the CI sweep script.
 func (t *Template) Check(bounds map[string]int64) error {
-	inst, detail, err := t.InstantiateObserved(bounds, nil)
+	inst, detail, err := t.Instantiate(bounds)
 	if err != nil {
 		return err
 	}
@@ -189,11 +175,16 @@ func serveKind(d *Detail) string {
 	return "by concrete fallback"
 }
 
-// InstantiateObserved is Instantiate with request observability: the
-// template phases ("template-build" when this request builds its
-// class, "template-instantiate" or the fallback's compile phases) are
-// emitted to rec, and the Detail reports how the request was served.
-func (t *Template) InstantiateObserved(bounds map[string]int64, rec obs.Recorder) (*driver.Compiled, *Detail, error) {
+// Instantiate produces the concrete compiled artifact for one bound
+// vector — byte-identical (by driver.Fingerprint) to
+// driver.Compile(t.Source.Concrete(bounds), t.Opts), in microseconds
+// when the bounds hit a fitted class.  Bounds the closed forms cannot
+// cover are compiled concretely, so acceptance and rejection always
+// match the concrete compiler exactly.  The Detail reports how the
+// request was served, and the artifact's Phases are the timeline of this
+// call: "template-build" when it paid for its class, then
+// "template-instantiate" or the fallback's compile phases.
+func (t *Template) Instantiate(bounds map[string]int64) (*driver.Compiled, *Detail, error) {
 	start := time.Now()
 	conc, err := t.Source.Concrete(bounds)
 	if err != nil {
@@ -201,7 +192,7 @@ func (t *Template) InstantiateObserved(bounds map[string]int64, rec obs.Recorder
 	}
 	period, seed, reason := t.ensurePeriod(conc, bounds)
 	if reason != "" {
-		return t.fallback(conc, bounds, rec, reason)
+		return t.fallback(conc, start, nil, reason)
 	}
 
 	key := classKey(t.Source.Params, bounds, period)
@@ -213,41 +204,44 @@ func (t *Template) InstantiateObserved(bounds map[string]int64, rec obs.Recorder
 	}
 	t.mu.Unlock()
 
-	built := false
+	// phases starts with the class build when this call paid for it;
+	// template-instantiate then times only what followed.
+	var phases []obs.PhaseStat
+	instStart := start
 	cls.once.Do(func() {
-		built = true
+		buildStart := time.Now()
 		t.buildClass(cls, bounds, period, seed)
+		instStart = time.Now()
+		phases = []obs.PhaseStat{{
+			Name: "template-build", Start: buildStart.Sub(start).Seconds(), Seconds: instStart.Sub(buildStart).Seconds(),
+			Size: gridSize(len(cls.free)), Note: cls.desc,
+		}}
 	})
-	if built && rec != nil {
-		obs.RecordPhaseAt(rec, "template-build", 0, float64(cls.buildNS)/1e9, 0,
-			gridSize(len(cls.free)), cls.desc)
-	}
 	if cls.err != nil {
-		return t.fallback(conc, bounds, rec, cls.err.Error())
+		return t.fallback(conc, start, phases, cls.err.Error())
 	}
 	if !cls.covers(bounds, period) {
-		return t.fallback(conc, bounds, rec,
+		return t.fallback(conc, start, phases,
 			fmt.Sprintf("bounds %s outside fitted class %s", boundsString(t.Source.Params, bounds), cls.desc))
 	}
 
 	c, err := t.instantiateClass(cls, period, bounds, conc)
 	if err != nil {
-		return t.fallback(conc, bounds, rec, err.Error())
+		return t.fallback(conc, start, phases, err.Error())
 	}
 	atomic.AddInt64(&t.instantiations, 1)
-	seconds := time.Since(start).Seconds()
-	c.Phases = append(c.Phases, obs.PhaseStat{
-		Name: "template-instantiate", Seconds: seconds, Size: len(cls.forms), Note: cls.desc,
+	c.Phases = append(phases, obs.PhaseStat{
+		Name: "template-instantiate", Start: instStart.Sub(start).Seconds(), Seconds: time.Since(instStart).Seconds(),
+		Size: len(cls.forms), Note: cls.desc,
 	})
-	obs.RecordPhaseAt(rec, "template-instantiate", 0, seconds, 0, len(cls.forms), cls.desc)
-	return c, &Detail{Symbolic: true, ClassBuilt: built, Class: cls.desc}, nil
+	return c, &Detail{Symbolic: true, ClassBuilt: phases != nil, Class: cls.desc}, nil
 }
 
 // ModeledCycles evaluates the template's closed-form cycle prediction
 // for one bound vector: the modeled total the fast-execution backend
 // and progress reporting use, without a concrete compile.
 func (t *Template) ModeledCycles(bounds map[string]int64) (int64, error) {
-	c, _, err := t.InstantiateObserved(bounds, nil)
+	c, _, err := t.Instantiate(bounds)
 	if err != nil {
 		return 0, err
 	}
@@ -256,15 +250,20 @@ func (t *Template) ModeledCycles(bounds map[string]int64) (int64, error) {
 
 // fallback serves a request with a concrete compile.  This is the
 // soundness escape hatch: whatever the closed forms cannot express is
-// handled — and accepted or rejected — exactly as a cold compile.
-func (t *Template) fallback(conc string, bounds map[string]int64, rec obs.Recorder, reason string) (*driver.Compiled, *Detail, error) {
+// handled — and accepted or rejected — exactly as a cold compile.  The
+// compile's phases are shifted onto the timeline of the call that began
+// at start, after whatever it already spent (pre).
+func (t *Template) fallback(conc string, start time.Time, pre []obs.PhaseStat, reason string) (*driver.Compiled, *Detail, error) {
 	atomic.AddInt64(&t.fallbacks, 1)
-	opts := t.Opts
-	opts.Recorder = rec
-	c, err := driver.Compile(conc, opts)
+	off := time.Since(start).Seconds()
+	c, err := driver.Compile(conc, t.Opts)
 	if err != nil {
 		return nil, nil, err
 	}
+	for i := range c.Phases {
+		c.Phases[i].Start += off
+	}
+	c.Phases = append(pre, c.Phases...)
 	return c, &Detail{Symbolic: false, FallbackReason: reason}, nil
 }
 
@@ -428,8 +427,6 @@ type probeData struct {
 // fits, so cls.err is set only when the base bounds themselves fail to
 // compile or extract.
 func (t *Template) buildClass(cls *class, bounds map[string]int64, period int64, seed *seedCompile) {
-	buildStart := time.Now()
-	defer func() { cls.buildNS = time.Since(buildStart).Nanoseconds() }()
 	atomic.AddInt64(&t.classBuilds, 1)
 	params := t.Source.Params
 	cls.b0 = copyBounds(bounds)

@@ -105,7 +105,7 @@ func TestInstantiateMatchesConcrete(t *testing.T) {
 				}
 				symbolicHits := 0
 				for _, bounds := range tc.sweep {
-					inst, detail, err := tmpl.InstantiateObserved(bounds, nil)
+					inst, detail, err := tmpl.Instantiate(bounds)
 					if err != nil {
 						t.Fatalf("instantiate %v: %v", bounds, err)
 					}
@@ -146,10 +146,10 @@ func TestInstantiateRunsIdentically(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 20
-	if _, err := tmpl.Instantiate(map[string]int64{"n": 8}); err != nil {
+	if _, _, err := tmpl.Instantiate(map[string]int64{"n": 8}); err != nil {
 		t.Fatal(err)
 	}
-	inst, detail, err := tmpl.InstantiateObserved(map[string]int64{"n": n}, nil)
+	inst, detail, err := tmpl.Instantiate(map[string]int64{"n": n})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,6 +191,14 @@ func TestInstantiateRunsIdentically(t *testing.T) {
 	}
 }
 
+func phaseNames(c *driver.Compiled) string {
+	names := make([]string, len(c.Phases))
+	for i, p := range c.Phases {
+		names[i] = p.Name
+	}
+	return strings.Join(names, " ")
+}
+
 // TestOffLatticeFallsBack: bounds below a class base fall back to a
 // concrete compile — transparently, and still fingerprint-identical to
 // a cold compile — while bounds in a different residue class get their
@@ -201,16 +209,35 @@ func TestOffLatticeFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := tmpl.InstantiateObserved(map[string]int64{"n": 16}, nil); err != nil {
+	// The artifact's Phases are the timeline of the call that produced
+	// it: the first request of a class pays for the build, then
+	// instantiates; the phases do not overlap.
+	inst, _, err := tmpl.Instantiate(map[string]int64{"n": 16})
+	if err != nil {
 		t.Fatal(err)
 	}
+	if got := phaseNames(inst); got != "template-build template-instantiate" {
+		t.Errorf("n=16 (first of its class) phases = %q", got)
+	} else if b, i := inst.Phases[0], inst.Phases[1]; b.Start <= 0 || b.Seconds <= 0 || i.Start < b.Start+b.Seconds-1e-9 {
+		t.Errorf("template-build [%g +%g] must follow the discovery compile and end before template-instantiate starts at %g", b.Start, b.Seconds, i.Start)
+	}
+	if inst, _, err = tmpl.Instantiate(map[string]int64{"n": 22}); err != nil {
+		t.Fatal(err)
+	} else if got := phaseNames(inst); got != "template-instantiate" {
+		t.Errorf("n=22 (class already fitted) phases = %q", got)
+	}
 	// n=10 ≡ 16 (mod 6): same class, below its base — must fall back.
-	inst, detail, err := tmpl.InstantiateObserved(map[string]int64{"n": 10}, nil)
+	inst, detail, err := tmpl.Instantiate(map[string]int64{"n": 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if detail.Symbolic {
 		t.Fatal("n=10 (below the class base) unexpectedly served symbolically")
+	}
+	// A fallback's phases are the concrete compile's, shifted past what
+	// the call spent before compiling.
+	if got := phaseNames(inst); !strings.HasPrefix(got, "parse sema ") || strings.Contains(got, "template-") || inst.Phases[0].Start <= 0 {
+		t.Errorf("n=10 fallback phases = %q starting at %g, want a concrete compile's at a positive offset", got, inst.Phases[0].Start)
 	}
 	conc, err := driver.Compile(workloads.Matmul(10), driver.Options{Verify: true})
 	if err != nil {
@@ -220,12 +247,12 @@ func TestOffLatticeFallsBack(t *testing.T) {
 		t.Error("n=10: fallback artifact differs from cold compile")
 	}
 	// n=9 ≢ 16 (mod 6): a new residue class, fitted on first request.
-	inst, detail, err = tmpl.InstantiateObserved(map[string]int64{"n": 9}, nil)
+	inst, detail, err = tmpl.Instantiate(map[string]int64{"n": 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !detail.Symbolic || !detail.ClassBuilt {
-		t.Fatalf("n=9 should fit its own residue class (detail %+v)", detail)
+	if !detail.Symbolic || !detail.ClassBuilt || phaseNames(inst) != "template-build template-instantiate" {
+		t.Fatalf("n=9 should fit its own residue class (detail %+v, phases %q)", detail, phaseNames(inst))
 	}
 	conc, err = driver.Compile(workloads.Matmul(9), driver.Options{Verify: true})
 	if err != nil {
@@ -248,10 +275,10 @@ func TestBoundsValidation(t *testing.T) {
 	if got := tmpl.Params(); len(got) != 1 || got[0] != "n" {
 		t.Fatalf("Params() = %v, want [n]", got)
 	}
-	if _, err := tmpl.Instantiate(nil); err == nil || !strings.Contains(err.Error(), "missing bound") {
+	if _, _, err := tmpl.Instantiate(nil); err == nil || !strings.Contains(err.Error(), "missing bound") {
 		t.Errorf("missing bound: err = %v", err)
 	}
-	if _, err := tmpl.Instantiate(map[string]int64{"n": 8, "m": 3}); err == nil || !strings.Contains(err.Error(), "not a template parameter") {
+	if _, _, err := tmpl.Instantiate(map[string]int64{"n": 8, "m": 3}); err == nil || !strings.Contains(err.Error(), "not a template parameter") {
 		t.Errorf("unknown bound: err = %v", err)
 	}
 	if _, err := CompileTemplate("module m (a in)\n", driver.Options{}); err == nil {

@@ -3,6 +3,7 @@ package warp_test
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -135,7 +136,7 @@ func TestObsProfileConsistent(t *testing.T) {
 // file parses as JSON and every event carries the ph, ts, pid and tid
 // fields the Perfetto/Chrome trace viewers require.
 func TestRunTracedJSON(t *testing.T) {
-	prog, err := warp.Compile(workloads.Matmul(10), warp.Options{Pipeline: true})
+	prog, err := warp.Compile(workloads.Matmul(10), warp.Options{Pipeline: true, CompileWorkers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,10 +157,15 @@ func TestRunTracedJSON(t *testing.T) {
 	if len(doc.TraceEvents) < 1000 {
 		t.Fatalf("suspiciously small trace: %d events", len(doc.TraceEvents))
 	}
+	// The compiler track is the program's phase timeline verbatim: one
+	// compile-category slice per phase, at its own start offset, on its
+	// own worker lane — so skew ∥ iugen ∥ hostgen draw as concurrent.
+	want := prog.Phases()
 	phases := 0
 	for i, raw := range doc.TraceEvents {
 		var ev struct {
 			Name *string        `json:"name"`
+			Cat  string         `json:"cat"`
 			Ph   *string        `json:"ph"`
 			TS   *float64       `json:"ts"`
 			PID  *int           `json:"pid"`
@@ -172,12 +178,20 @@ func TestRunTracedJSON(t *testing.T) {
 		if ev.Name == nil || ev.Ph == nil || ev.TS == nil || ev.PID == nil || ev.TID == nil {
 			t.Fatalf("event %d missing a required field (name/ph/ts/pid/tid): %s", i, raw)
 		}
-		if *ev.Ph == "X" && *ev.PID == 2 {
-			phases++
+		if ev.Cat != "compile" {
+			continue
+		}
+		if phases >= len(want) {
+			t.Fatalf("more compile slices than the program's %d phases: %s", len(want), raw)
+		}
+		ph := want[phases]
+		phases++
+		if *ev.Name != ph.Name || *ev.Ph != "X" || *ev.PID != 2 || *ev.TID != 1+ph.Worker || math.Abs(*ev.TS-ph.Start*1e6) > 0.5 {
+			t.Errorf("compile slice %s, want %q at ts %.0f on pid 2 tid %d", raw, ph.Name, ph.Start*1e6, 1+ph.Worker)
 		}
 	}
-	if phases == 0 {
-		t.Error("no compiler-phase slices on pid 2")
+	if phases != len(want) {
+		t.Errorf("%d compile slices for %d phases", phases, len(want))
 	}
 
 	rep := prog.PhaseReport()

@@ -73,7 +73,6 @@ func (p *Program) RunPartitioned(cfg RunConfig, prob Problem) (map[string][]floa
 		// a verified kernel runs the whole farm at dataflow speed.
 		out, stats, err := driver.RunWith(p.c, in, driver.RunOptions{
 			Ctx:       ctx,
-			Recorder:  p.rec,
 			MaxCycles: cfg.MaxCycles,
 			Profile:   cfg.Profile,
 			Backend:   cfg.Backend,

@@ -20,8 +20,7 @@ import (
 //
 // A Template is safe for concurrent use from many goroutines.
 type Template struct {
-	t    *symbolic.Template
-	opts Options
+	t *symbolic.Template
 }
 
 // TemplateStats is a snapshot of a template's lifetime counters:
@@ -41,7 +40,7 @@ func CompileTemplate(src string, opts Options) (*Template, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Template{t: t, opts: opts}, nil
+	return &Template{t: t}, nil
 }
 
 // Params returns the template's bound parameters, sorted.
@@ -61,17 +60,18 @@ func (t *Template) Program(bounds map[string]int64) (*Program, error) {
 }
 
 // ProgramDetail instantiates like Program and additionally reports how
-// the request was served (symbolically or by concrete fallback).  rec,
-// when non-nil, receives the instantiation's phase events alongside
-// the Options.Recorder given at CompileTemplate time — the service
-// layer uses it to put template phases on request-scoped traces.
-func (t *Template) ProgramDetail(bounds map[string]int64, rec obs.Recorder) (*Program, *TemplateDetail, error) {
+// the request was served (symbolically or by concrete fallback).  The
+// phases of the work done for this call (class build, instantiation or
+// fallback compile) are filed as child spans of parent; nil files none.
+func (t *Template) ProgramDetail(bounds map[string]int64, parent *obs.Span) (*Program, *TemplateDetail, error) {
 	start := time.Now()
-	c, detail, err := t.t.InstantiateObserved(bounds, obs.Multi(t.opts.Recorder, rec))
+	anchor := parent.Now()
+	c, detail, err := t.t.Instantiate(bounds)
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Program{c: c, rec: t.opts.Recorder, compileTime: time.Since(start)}, detail, nil
+	parent.AddPhases(anchor, c.Phases)
+	return &Program{c: c, compileTime: time.Since(start)}, detail, nil
 }
 
 // ModeledCycles evaluates the closed-form cycle prediction for one

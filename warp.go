@@ -54,7 +54,7 @@ var ErrUnverified = driver.ErrUnverified
 const (
 	// BackendAuto (also the empty string) picks the fast dataflow
 	// executor when the program is verified and the run requests no
-	// per-cycle observability (no Recorder, no Profile), and the
+	// per-cycle observability (no Trace, no Profile), and the
 	// cycle-accurate simulator otherwise.
 	BackendAuto = driver.BackendAuto
 	// BackendSim forces the cycle-accurate simulator.
@@ -65,8 +65,8 @@ const (
 )
 
 // Options control compilation: optimizer and software-pipelining
-// switches, the array-size override, static verification, compiler
-// parallelism and the instrumentation Recorder.
+// switches, the array-size override, static verification and compiler
+// parallelism.
 type Options = driver.Options
 
 // Program is a compiled W2 module.
@@ -74,13 +74,9 @@ type Options = driver.Options
 // A Program is immutable after Compile: Run and its variants build
 // fresh machine state per call and only read the compiled microcode, so
 // a single Program is safe for concurrent Run/RunWith calls
-// from many goroutines.  The one exception is instrumentation — the
-// Recorder passed to Compile (and any passed via RunConfig) receives
-// events from every concurrent run, so it must itself be
-// concurrency-safe; the default nil Recorder is.
+// from many goroutines.
 type Program struct {
 	c           *driver.Compiled
-	rec         obs.Recorder
 	compileTime time.Duration
 }
 
@@ -95,7 +91,7 @@ func Compile(src string, opts Options) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Program{c: c, rec: opts.Recorder, compileTime: time.Since(start)}, nil
+	return &Program{c: c, compileTime: time.Since(start)}, nil
 }
 
 // RunStats reports a simulation run.
@@ -241,14 +237,14 @@ func (p *Program) Run(inputs map[string][]float64) (map[string][]float64, *RunSt
 // context, livelock guard, backend choice, profiling, progress and
 // Chrome tracing.
 func (p *Program) RunWith(cfg RunConfig, inputs map[string][]float64) (map[string][]float64, *RunStats, error) {
-	rec := p.rec
+	var rec obs.Recorder
 	var tracer *obs.ChromeTracer
 	if cfg.Trace != nil {
 		tracer = obs.NewChromeTracer(cfg.Trace)
 		for _, ph := range p.c.Phases {
-			tracer.Phase(ph.Name, ph.Seconds, ph.Size, ph.Note)
+			tracer.Phase(ph)
 		}
-		rec = obs.Multi(p.rec, tracer)
+		rec = tracer
 	}
 	out, stats, err := driver.RunWith(p.c, inputs, driver.RunOptions{
 		Ctx:       cfg.Context,
