@@ -60,40 +60,13 @@ func loadFabricSpec(arg string) (*fabricSpec, error) {
 	return &spec, nil
 }
 
-type fabricFlags struct {
-	pipeline  bool
-	arrays    int
-	retries   int
-	deadline  time.Duration
-	maxCycles int64
-	seed      int64
-	check     bool
-	backend   string
-	statsJSON string
-	progress  bool
-	stats     bool
-
-	// profile enables per-tile µPC profiling (the farm merges tiles into
-	// one aggregate); printProfile additionally prints the text reports.
-	profile      bool
-	printProfile bool
-	// Pre-opened output files (nil when the flag is unset); main opens
-	// them before anything expensive runs.
-	statsFile *os.File
-	flameFile *os.File
-	flamePath string
-	pprofFile *os.File
-	pprofPath string
-	outFile   *os.File
-}
-
 // runFabric compiles the tile kernel the spec names, partitions the
-// oversized problem, farms the tiles across f.arrays simulated arrays
+// oversized problem, farms the tiles across -arrays simulated arrays
 // and reports the fabric statistics.
-func runFabric(spec *fabricSpec, f fabricFlags) {
+func runFabric(spec *fabricSpec, o *options) {
 	seed := spec.Seed
 	if seed == 0 {
-		seed = f.seed
+		seed = o.seed
 	}
 
 	var (
@@ -131,23 +104,9 @@ func runFabric(spec *fabricSpec, f fabricFlags) {
 		fail(fmt.Errorf("unknown workload %q (want matmul or conv1d)", spec.Workload))
 	}
 
-	prog, err := compileFor(concrete(kernelSrc), warp.Options{Pipeline: f.pipeline}, f.backend, false)
-	if err != nil {
-		fail(err)
-	}
-	var tick *progressTicker
-	runCfg := warp.RunConfig{
-		Arrays:       f.arrays,
-		MaxCycles:    f.maxCycles,
-		TileDeadline: f.deadline,
-		TileRetries:  f.retries,
-		Profile:      f.profile,
-		Backend:      f.backend,
-	}
-	if f.progress {
-		tick = newProgressTicker(os.Stderr)
-		runCfg.Progress = tick.update
-	}
+	prog := o.compile(concrete(kernelSrc), warp.Options{Pipeline: o.pipeline})
+	runCfg, tick := o.runConfig()
+	runCfg.Arrays, runCfg.TileDeadline, runCfg.TileRetries = o.arrays, o.tileDL, o.tileRetry
 	runStart := time.Now()
 	out, fs, err := prog.RunPartitioned(runCfg, prob)
 	tick.Stop()
@@ -157,9 +116,8 @@ func runFabric(spec *fabricSpec, f fabricFlags) {
 			fmt.Fprintf(os.Stderr, "warpsim: tile %d failed after %d attempt(s): %v\n",
 				te.Tile, te.Attempts, te.Err)
 		}
-		failRun(err, f.maxCycles)
+		failRun(err, o.maxCycles)
 	}
-	wallNS := int64(time.Since(runStart))
 	m := prog.Metrics()
 	fmt.Printf("fabric %s: %d tiles on %d arrays (%d-cell kernel, skew %d, %s backend)\n",
 		spec.Workload, fs.Tiles, fs.Arrays, m.Cells, m.Skew, fs.Backend)
@@ -167,41 +125,15 @@ func runFabric(spec *fabricSpec, f fabricFlags) {
 		fs.Dispatched, fs.Retried, fs.Failed, fs.StagedWords)
 	fmt.Printf("aggregate %d cycles, makespan %d cycles, modeled speedup %.2fx, wall %s\n",
 		fs.AggregateCycles, fs.MakespanCycles, fs.Speedup, time.Duration(fs.WallNS).Round(time.Microsecond))
-	if f.stats {
+	if o.stats {
 		fmt.Print(decisionLine(fs.Decision))
 	}
 
-	if f.statsFile != nil {
-		rep := &bench.Report{Schema: bench.Schema, Experiments: []bench.Experiment{
-			bench.FromFabric("warpsim/fabric-"+spec.Workload, m, fs,
-				&bench.Wall{Iters: 1, MedianNS: wallNS, MinNS: wallNS}),
-		}}
-		if err := writeClose(f.statsFile, rep.Write); err != nil {
-			fail(fmt.Errorf("-stats-json: %w", err))
-		}
-		fmt.Printf("stats: wrote %s (%s schema)\n", f.statsJSON, bench.Schema)
-	}
+	o.writeStats(bench.FromFabric("warpsim/fabric-"+spec.Workload, m, fs, nil), runStart)
+	o.writeProfile(fs.Source, prog.SchedReport())
+	o.writeOutputs(out)
 
-	writeProfile(fs.Source, f.printProfile, prog.SchedReport(),
-		f.flameFile, f.flamePath, f.pprofFile, f.pprofPath)
-
-	if f.outFile != nil {
-		data, err := json.MarshalIndent(out, "", " ")
-		if err != nil {
-			fail(err)
-		}
-		if _, werr := f.outFile.Write(data); werr == nil {
-			err = f.outFile.Close()
-		} else {
-			f.outFile.Close()
-			err = werr
-		}
-		if err != nil {
-			fail(fmt.Errorf("-o: %w", err))
-		}
-	}
-
-	if f.check {
+	if o.check {
 		mod, err := w2.Parse(oracleSrc)
 		if err != nil {
 			fail(err)

@@ -89,149 +89,149 @@ import (
 	"warp/internal/workloads"
 )
 
+// options is the parsed command line, plus the output files it names:
+// every output path (-o, -trace, -stats-json, -flame, -pprof) is opened
+// before anything is compiled or simulated.  A single-array run and a
+// fabric job read the same options and share every step below that
+// does not depend on which of the two is running.
+type options struct {
+	pipeline  bool
+	cells     int
+	seed      int64
+	inPath    string
+	check     bool
+	stats     bool
+	maxCycles int64
+	arrays    int
+	tileRetry int
+	tileDL    time.Duration
+	profile   bool // -profile: print the text reports
+	symbolic  bool
+	bounds    string
+	backend   string
+	crossFlag bool
+	progress  bool
+
+	outPath, tracePath, statsJSON, flamePath, pprofPath string
+	outFile, traceFile, statsFile, flameFile, pprofFile *os.File
+}
+
+// profiling reports whether the run collects the source-line profile:
+// -flame and -pprof imply it.
+func (o *options) profiling() bool { return o.profile || o.flamePath != "" || o.pprofPath != "" }
+
 func main() {
-	var (
-		pipeline  = flag.Bool("pipeline", false, "software pipeline innermost loops")
-		cells     = flag.Int("cells", 0, "override the array size declared by the cellprogram")
-		seed      = flag.Int64("seed", 1, "seed for generated inputs")
-		inPath    = flag.String("inputs", "", "JSON file with input arrays")
-		check     = flag.Bool("check", false, "verify against the reference interpreter")
-		outPath   = flag.String("o", "", "write outputs as JSON to this file (default stdout summary)")
-		tracePath = flag.String("trace", "", "write a Chrome trace-event JSON file (Perfetto-loadable)")
-		stats     = flag.Bool("stats", false, "print per-cell utilization/stall table and compile-phase timing")
-		statsJSON = flag.String("stats-json", "", "write the run record as benchmark JSON (warpbench -json schema)")
-		maxCycles = flag.Int64("max-cycles", 0, "abort the simulation after this many cycles (0 = default, 1<<28)")
-		arrays    = flag.Int("arrays", 1, "farm a fabric problem spec across this many simulated arrays")
-		tileRetry = flag.Int("tile-retries", 1, "extra attempts a livelocked tile gets before the job fails")
-		tileDL    = flag.Duration("tile-deadline", 0, "per-tile attempt deadline (0 = none)")
-		profile   = flag.Bool("profile", false, "record the exact source-line cycle profile and print the hot-spot and scheduler reports")
-		flamePath = flag.String("flame", "", "write the profile as folded flame-graph stacks (implies profiling)")
-		pprofPath = flag.String("pprof", "", "write the profile as gzipped pprof protobuf for `go tool pprof` (implies profiling)")
-		symFlag   = flag.Bool("symbolic", false, "treat program.w2 as a ${...} template and instantiate -bounds")
-		boundsFl  = flag.String("bounds", "", "bound vector for -symbolic, e.g. n=32 or k=5,n=128")
-		backend   = flag.String("backend", "auto", "execution backend: auto (fast for verified programs), sim, or fast")
-		crossFlag = flag.Bool("crosscheck", false, "run on both backends and fail unless outputs are bit-identical and cycles exactly equal")
-		progFlag  = flag.Bool("progress", false, "stream live run progress as a single updating stderr line")
-	)
+	var o options
+	flag.BoolVar(&o.pipeline, "pipeline", false, "software pipeline innermost loops")
+	flag.IntVar(&o.cells, "cells", 0, "override the array size declared by the cellprogram")
+	flag.Int64Var(&o.seed, "seed", 1, "seed for generated inputs")
+	flag.StringVar(&o.inPath, "inputs", "", "JSON file with input arrays")
+	flag.BoolVar(&o.check, "check", false, "verify against the reference interpreter")
+	flag.StringVar(&o.outPath, "o", "", "write outputs as JSON to this file (default stdout summary)")
+	flag.StringVar(&o.tracePath, "trace", "", "write a Chrome trace-event JSON file (Perfetto-loadable)")
+	flag.BoolVar(&o.stats, "stats", false, "print per-cell utilization/stall table and compile-phase timing")
+	flag.StringVar(&o.statsJSON, "stats-json", "", "write the run record as benchmark JSON (warpbench -json schema)")
+	flag.Int64Var(&o.maxCycles, "max-cycles", 0, "abort the simulation after this many cycles (0 = default, 1<<28)")
+	flag.IntVar(&o.arrays, "arrays", 1, "farm a fabric problem spec across this many simulated arrays")
+	flag.IntVar(&o.tileRetry, "tile-retries", 1, "extra attempts a livelocked tile gets before the job fails")
+	flag.DurationVar(&o.tileDL, "tile-deadline", 0, "per-tile attempt deadline (0 = none)")
+	flag.BoolVar(&o.profile, "profile", false, "record the exact source-line cycle profile and print the hot-spot and scheduler reports")
+	flag.StringVar(&o.flamePath, "flame", "", "write the profile as folded flame-graph stacks (implies profiling)")
+	flag.StringVar(&o.pprofPath, "pprof", "", "write the profile as gzipped pprof protobuf for `go tool pprof` (implies profiling)")
+	flag.BoolVar(&o.symbolic, "symbolic", false, "treat program.w2 as a ${...} template and instantiate -bounds")
+	flag.StringVar(&o.bounds, "bounds", "", "bound vector for -symbolic, e.g. n=32 or k=5,n=128")
+	flag.StringVar(&o.backend, "backend", "auto", "execution backend: auto (fast for verified programs), sim, or fast")
+	flag.BoolVar(&o.crossFlag, "crosscheck", false, "run on both backends and fail unless outputs are bit-identical and cycles exactly equal")
+	flag.BoolVar(&o.progress, "progress", false, "stream live run progress as a single updating stderr line")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: warpsim [flags] program.w2 | problem.json")
 		flag.Usage()
 		os.Exit(2)
 	}
-	profiling := *profile || *flamePath != "" || *pprofPath != ""
 
 	// Open every output path before compiling or simulating anything:
 	// an unwritable path must fail now, with the flag named, not after
 	// the run has spent its cycles.
-	traceFile := createOut("-trace", *tracePath)
-	statsFile := createOut("-stats-json", *statsJSON)
-	flameFile := createOut("-flame", *flamePath)
-	pprofFile := createOut("-pprof", *pprofPath)
-	outFile := createOut("-o", *outPath)
+	o.traceFile = createOut("-trace", o.tracePath)
+	o.statsFile = createOut("-stats-json", o.statsJSON)
+	o.flameFile = createOut("-flame", o.flamePath)
+	o.pprofFile = createOut("-pprof", o.pprofPath)
+	o.outFile = createOut("-o", o.outPath)
 
 	if spec, err := loadFabricSpec(flag.Arg(0)); err != nil {
 		fail(err)
 	} else if spec != nil {
-		if traceFile != nil {
+		if o.traceFile != nil {
 			fail(fmt.Errorf("-trace applies to single-array runs, not fabric problem specs"))
 		}
-		if *crossFlag {
+		if o.crossFlag {
 			fail(fmt.Errorf("-crosscheck applies to single-array runs, not fabric problem specs"))
 		}
-		if *symFlag {
+		if o.symbolic {
 			fail(fmt.Errorf("-symbolic applies to single-program runs; fabric specs share templates through warpd"))
 		}
-		runFabric(spec, fabricFlags{
-			pipeline: *pipeline, arrays: *arrays, retries: *tileRetry,
-			deadline: *tileDL, maxCycles: *maxCycles, seed: *seed,
-			check: *check, profile: profiling, printProfile: *profile,
-			backend: *backend, progress: *progFlag, stats: *stats,
-			statsJSON: *statsJSON, statsFile: statsFile,
-			flameFile: flameFile, flamePath: *flamePath,
-			pprofFile: pprofFile, pprofPath: *pprofPath, outFile: outFile,
-		})
+		runFabric(spec, &o)
 		return
 	}
 	src, err := loadSource(flag.Arg(0))
 	if err != nil {
 		fail(err)
 	}
-	copts := warp.Options{Pipeline: *pipeline, Cells: *cells}
 	compile := concrete(src)
-	if *symFlag {
-		bounds, err := warp.ParseBounds(*boundsFl)
+	if o.symbolic {
+		bounds, err := warp.ParseBounds(o.bounds)
 		if err != nil {
 			fail(err)
 		}
-		compile = func(o warp.Options) (*warp.Program, error) { return instantiate(src, o, bounds) }
+		compile = func(opts warp.Options) (*warp.Program, error) { return instantiate(src, opts, bounds) }
 	}
-	prog, err := compileFor(compile, copts, *backend, *crossFlag)
-	if err != nil {
-		fail(err)
-	}
+	prog := o.compile(compile, warp.Options{Pipeline: o.pipeline, Cells: o.cells})
 
 	inputs := map[string][]float64{}
-	if *inPath != "" {
-		data, err := os.ReadFile(*inPath)
+	if o.inPath != "" {
+		data, err := os.ReadFile(o.inPath)
 		if err != nil {
 			fail(err)
 		}
 		if err := json.Unmarshal(data, &inputs); err != nil {
-			fail(fmt.Errorf("parsing %s: %w", *inPath, err))
+			fail(fmt.Errorf("parsing %s: %w", o.inPath, err))
 		}
 	}
-	fillRandom(prog, inputs, *seed)
+	fillRandom(prog, inputs, o.seed)
 
-	runCfg := warp.RunConfig{MaxCycles: *maxCycles, Profile: profiling, Backend: *backend}
-	var tick *progressTicker
-	if *progFlag && !*crossFlag {
-		tick = newProgressTicker(os.Stderr)
-		runCfg.Progress = tick.update
-	}
 	var out map[string][]float64
 	var rstats *warp.RunStats
 	runStart := time.Now()
-	if *crossFlag {
-		if traceFile != nil || profiling {
+	if o.crossFlag {
+		if o.traceFile != nil || o.profiling() {
 			fail(fmt.Errorf("-crosscheck needs both backends plain; drop -trace/-profile/-flame/-pprof"))
 		}
-		out, rstats = runCrossCheck(prog, inputs, *maxCycles)
+		out, rstats = runCrossCheck(prog, inputs, o.maxCycles)
 	} else {
-		if traceFile != nil {
-			runCfg.Trace = traceFile
+		runCfg, tick := o.runConfig()
+		if o.traceFile != nil {
+			runCfg.Trace = o.traceFile
 		}
 		out, rstats, err = prog.RunWith(runCfg, inputs)
 		tick.Stop()
-		if err == nil && traceFile != nil {
-			if err = traceFile.Close(); err == nil {
-				fmt.Printf("trace: wrote %s (load in https://ui.perfetto.dev)\n", *tracePath)
+		if err == nil && o.traceFile != nil {
+			if err = o.traceFile.Close(); err == nil {
+				fmt.Printf("trace: wrote %s (load in https://ui.perfetto.dev)\n", o.tracePath)
 			}
 		}
 		if err != nil {
-			failRun(err, *maxCycles)
+			failRun(err, o.maxCycles)
 		}
 	}
 	m := prog.Metrics()
 	fmt.Printf("module %s: %d cells, skew %d, %d cycles, peak queue %d (%s)\n",
 		m.Name, m.Cells, m.Skew, rstats.Cycles, rstats.MaxQueue, rstats.MaxQueueAt)
 
-	if statsFile != nil {
-		wallNS := int64(time.Since(runStart))
-		rep := &bench.Report{Schema: bench.Schema, Experiments: []bench.Experiment{
-			bench.FromRun("warpsim/"+m.Name, m, rstats,
-				&bench.Wall{Iters: 1, MedianNS: wallNS, MinNS: wallNS}),
-		}}
-		if err := writeClose(statsFile, rep.Write); err != nil {
-			fail(fmt.Errorf("-stats-json: %w", err))
-		}
-		fmt.Printf("stats: wrote %s (%s schema)\n", *statsJSON, bench.Schema)
-	}
+	o.writeStats(bench.FromRun("warpsim/"+m.Name, m, rstats, nil), runStart)
+	o.writeProfile(rstats.Source, prog.SchedReport())
 
-	writeProfile(rstats.Source, *profile, prog.SchedReport(),
-		flameFile, *flamePath, pprofFile, *pprofPath)
-
-	if *stats {
+	if o.stats {
 		fmt.Println()
 		fmt.Print(rstats.Profile.UtilizationReport())
 		fmt.Println()
@@ -242,7 +242,7 @@ func main() {
 		fmt.Print(decisionLine(rstats.Decision))
 	}
 
-	if *check {
+	if o.check {
 		want, err := prog.Interpret(inputs)
 		if err != nil {
 			fail(fmt.Errorf("interpreter: %w", err))
@@ -258,20 +258,7 @@ func main() {
 		fmt.Println("check: simulated outputs match the reference interpreter")
 	}
 
-	if outFile != nil {
-		data, err := json.MarshalIndent(out, "", " ")
-		if err != nil {
-			fail(err)
-		}
-		if _, err := outFile.Write(data); err == nil {
-			err = outFile.Close()
-		} else {
-			outFile.Close()
-		}
-		if err != nil {
-			fail(fmt.Errorf("-o: %w", err))
-		}
-	} else if !*stats {
+	if !o.writeOutputs(out) && !o.stats {
 		for name, vals := range out {
 			n := len(vals)
 			if n > 8 {
@@ -281,6 +268,63 @@ func main() {
 			}
 		}
 	}
+}
+
+// compile compiles for the -backend in force (see compileFor) or exits.
+func (o *options) compile(compile func(warp.Options) (*warp.Program, error), opts warp.Options) *warp.Program {
+	prog, err := compileFor(compile, opts, o.backend, o.crossFlag)
+	if err != nil {
+		fail(err)
+	}
+	return prog
+}
+
+// runConfig is the run configuration both kinds of run start from, with
+// the -progress ticker wired in (nil when the flag is off).  The caller
+// Stops the ticker when the run returns.
+func (o *options) runConfig() (warp.RunConfig, *progressTicker) {
+	cfg := warp.RunConfig{MaxCycles: o.maxCycles, Profile: o.profiling(), Backend: o.backend}
+	if !o.progress {
+		return cfg, nil
+	}
+	tick := newProgressTicker(os.Stderr)
+	cfg.Progress = tick.update
+	return cfg, tick
+}
+
+// writeStats writes the -stats-json record of the run that began at
+// runStart, if asked for.
+func (o *options) writeStats(exp bench.Experiment, runStart time.Time) {
+	if o.statsFile == nil {
+		return
+	}
+	wallNS := int64(time.Since(runStart))
+	exp.Wall = &bench.Wall{Iters: 1, MedianNS: wallNS, MinNS: wallNS}
+	rep := &bench.Report{Schema: bench.Schema, Experiments: []bench.Experiment{exp}}
+	if err := writeClose(o.statsFile, rep.Write); err != nil {
+		fail(fmt.Errorf("-stats-json: %w", err))
+	}
+	fmt.Printf("stats: wrote %s (%s schema)\n", o.statsJSON, bench.Schema)
+}
+
+// writeOutputs writes the output arrays as JSON to the -o file and
+// reports whether there is one.
+func (o *options) writeOutputs(out map[string][]float64) bool {
+	if o.outFile == nil {
+		return false
+	}
+	data, err := json.MarshalIndent(out, "", " ")
+	if err != nil {
+		fail(err)
+	}
+	err = writeClose(o.outFile, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+	if err != nil {
+		fail(fmt.Errorf("-o: %w", err))
+	}
+	return true
 }
 
 // compileFor compiles for the chosen backend through compile — a
@@ -458,28 +502,27 @@ func writeClose(f *os.File, write func(w io.Writer) error) error {
 // writeProfile emits the source profile in the requested formats: the
 // text hot-spot and scheduler reports to stdout for -profile, folded
 // stacks for -flame, pprof protobuf for -pprof.
-func writeProfile(sp *warp.SourceProfile, print bool, schedReport string,
-	flameFile *os.File, flamePath string, pprofFile *os.File, pprofPath string) {
+func (o *options) writeProfile(sp *warp.SourceProfile, schedReport string) {
 	if sp == nil {
 		return
 	}
-	if print {
+	if o.profile {
 		fmt.Println()
 		fmt.Print(sp.Report())
 		fmt.Println()
 		fmt.Print(schedReport)
 	}
-	if flameFile != nil {
-		if err := writeClose(flameFile, sp.WriteFolded); err != nil {
+	if o.flameFile != nil {
+		if err := writeClose(o.flameFile, sp.WriteFolded); err != nil {
 			fail(fmt.Errorf("-flame: %w", err))
 		}
-		fmt.Printf("profile: wrote %s (folded stacks; flamegraph.pl or speedscope)\n", flamePath)
+		fmt.Printf("profile: wrote %s (folded stacks; flamegraph.pl or speedscope)\n", o.flamePath)
 	}
-	if pprofFile != nil {
-		if err := writeClose(pprofFile, sp.WritePprof); err != nil {
+	if o.pprofFile != nil {
+		if err := writeClose(o.pprofFile, sp.WritePprof); err != nil {
 			fail(fmt.Errorf("-pprof: %w", err))
 		}
-		fmt.Printf("profile: wrote %s (view with `go tool pprof -top %s`)\n", pprofPath, pprofPath)
+		fmt.Printf("profile: wrote %s (view with `go tool pprof -top %s`)\n", o.pprofPath, o.pprofPath)
 	}
 }
 

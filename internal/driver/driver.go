@@ -205,12 +205,18 @@ func Compile(src string, opts Options) (*Compiled, error) {
 // phase appends one per-phase timing record ending now.  Serial phases
 // run on worker lane 0.
 func (c *Compiled) phase(name string, start time.Time, size int, note string) {
+	c.Phases = append(c.Phases, c.stat(name, start, size, note))
+}
+
+// stat is the timing record, on lane 0, of a phase that started at start
+// and ends now.
+func (c *Compiled) stat(name string, start time.Time, size int, note string) obs.PhaseStat {
 	d := time.Since(start).Seconds()
 	off := start.Sub(c.t0).Seconds()
 	if off < 0 {
 		off = 0
 	}
-	c.Phases = append(c.Phases, obs.PhaseStat{Name: name, Seconds: d, Size: size, Note: note, Start: off})
+	return obs.PhaseStat{Name: name, Seconds: d, Size: size, Note: note, Start: off}
 }
 
 func compile(src string, opts Options) (*Compiled, error) {
@@ -289,11 +295,14 @@ func compile(src string, opts Options) (*Compiled, error) {
 
 	// With the cell program frozen, the remaining phases only read it:
 	// the skew analysis, the IU generator and the host generator are
-	// mutually independent, and the verifier needs all three.  They run
-	// as a task DAG on up to `workers` lanes; each task records its
-	// phase into a private slot, and the slots are appended in canonical
-	// (serial) order below, so Compiled.Phases keeps one order at any
-	// worker count.
+	// mutually independent, and the verifier needs all three — a
+	// fork-join of three tasks on up to `workers` goroutines, then the
+	// verifier.  Each task records its phase and its error into a
+	// private slot; the slots are read in canonical (serial) order
+	// below, so Compiled.Phases keeps one order, and a failing compile
+	// reports the error a serial walk would have hit first, at any
+	// worker count.  A parallel compile records each task's slot as its
+	// phase's lane: one task per lane, so a lane's phases never overlap.
 	c.Timing = cellgen.Timing(c.Cell)
 	c.QueueOcc = map[w2.Channel]int64{}
 	chans := make([]w2.Channel, 0, len(c.Timing))
@@ -302,19 +311,11 @@ func compile(src string, opts Options) (*Compiled, error) {
 	}
 	sort.Slice(chans, func(i, j int) bool { return fmt.Sprint(chans[i]) < fmt.Sprint(chans[j]) })
 
-	logs := make([][]obs.PhaseStat, 4)
-	record := func(slot, lane int, name string, start time.Time, size int, msg string) {
-		logs[slot] = append(logs[slot], obs.PhaseStat{
-			Name: name, Seconds: time.Since(start).Seconds(), Size: size, Note: msg,
-			Start: start.Sub(c.t0).Seconds(), Worker: lane,
-		})
-	}
-
-	tasks := []*task{
+	tasks := []func() (obs.PhaseStat, error){
 		// Inter-cell scheduling: minimum skew and queue occupancy per
 		// channel (§6.2), each channel analyzed independently.  A
 		// single-cell array has no inter-cell boundary to synchronize.
-		{name: "skew", run: func(lane int) error {
+		func() (obs.PhaseStat, error) {
 			start := time.Now()
 			if c.Cells > 1 {
 				type chanSkew struct {
@@ -350,7 +351,7 @@ func compile(src string, opts Options) (*Compiled, error) {
 				var maxSkew int64
 				for i := range res {
 					if res[i].err != nil {
-						return res[i].err
+						return obs.PhaseStat{}, res[i].err
 					}
 					c.Sched.Skews = append(c.Sched.Skews, res[i].rec)
 					if res[i].rec.Skew > maxSkew {
@@ -369,7 +370,7 @@ func compile(src string, opts Options) (*Compiled, error) {
 				for i, ch := range chans {
 					occ, err := res[i].an.CheckQueue(c.Skew, mcode.QueueDepth)
 					if err != nil {
-						return fmt.Errorf("driver: channel %s: %w", ch, err)
+						return obs.PhaseStat{}, fmt.Errorf("driver: channel %s: %w", ch, err)
 					}
 					c.QueueOcc[ch] = occ
 				}
@@ -381,25 +382,23 @@ func compile(src string, opts Options) (*Compiled, error) {
 				t := c.Sched.Totals()
 				skewNote = fmt.Sprintf("%d ops enumerated, %d pairs analyzed, %d pruned", t.SkewOps, t.SkewPairs, t.SkewPruned)
 			}
-			record(0, lane, "skew", start, int(c.Skew), skewNote)
-			return nil
-		}},
-		{name: "iugen", run: func(lane int) error {
+			return c.stat("skew", start, int(c.Skew), skewNote), nil
+		},
+		func() (obs.PhaseStat, error) {
 			start := time.Now()
 			iu, err := iugen.Generate(c.Cell)
 			if err != nil {
-				return err
+				return obs.PhaseStat{}, err
 			}
 			c.IUGen = iu
 			c.IU = iu.IU
-			record(1, lane, "iugen", start, c.IU.NumInstrs(), "")
-			return nil
-		}},
-		{name: "hostgen", run: func(lane int) error {
+			return c.stat("iugen", start, c.IU.NumInstrs(), ""), nil
+		},
+		func() (obs.PhaseStat, error) {
 			start := time.Now()
 			host, err := hostgen.GenerateParallel(c.Cell, workers)
 			if err != nil {
-				return err
+				return obs.PhaseStat{}, err
 			}
 			c.Host = host
 			hostWords := 0
@@ -409,34 +408,38 @@ func compile(src string, opts Options) (*Compiled, error) {
 			for _, seq := range host.Out {
 				hostWords += len(seq)
 			}
-			record(2, lane, "hostgen", start, hostWords, "")
-			return nil
-		}},
+			return c.stat("hostgen", start, hostWords, ""), nil
+		},
 	}
+	phases := make([]obs.PhaseStat, len(tasks))
+	errs := make([]error, len(tasks))
+	conc.Do(workers, len(tasks), func(i int) {
+		phases[i], errs[i] = tasks[i]()
+		if workers > 1 {
+			phases[i].Worker = i
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	c.Phases = append(c.Phases, phases...)
 	if opts.Verify {
-		tasks = append(tasks, &task{name: "verify", deps: []int{0, 1, 2}, run: func(lane int) error {
-			start := time.Now()
-			rep, err := verify.VerifyParallel(verify.Program{
-				Cells: c.Cells,
-				Cell:  c.Cell,
-				IU:    c.IU,
-				Host:  c.Host,
-				Skew:  c.Skew,
-				Lead:  c.IUGen.Prologue + 1,
-			}, workers)
-			if err != nil {
-				return err
-			}
-			c.Verified = rep
-			record(3, lane, "verify", start, rep.Checked, fmt.Sprintf("%d propositions proven", rep.Checked))
-			return nil
-		}})
-	}
-	if err := runTasks(tasks, workers); err != nil {
-		return nil, err
-	}
-	for _, ps := range logs {
-		c.Phases = append(c.Phases, ps...)
+		start := time.Now()
+		rep, err := verify.VerifyParallel(verify.Program{
+			Cells: c.Cells,
+			Cell:  c.Cell,
+			IU:    c.IU,
+			Host:  c.Host,
+			Skew:  c.Skew,
+			Lead:  c.IUGen.Prologue + 1,
+		}, workers)
+		if err != nil {
+			return nil, err
+		}
+		c.Verified = rep
+		c.phase("verify", start, rep.Checked, fmt.Sprintf("%d propositions proven", rep.Checked))
 	}
 	return c, nil
 }
@@ -666,14 +669,4 @@ func runFast(c *Compiled, hostMem []float64, o RunOptions) (*sim.Stats, error) {
 		stats.MaxQueue, stats.MaxQueueAt = stats.Obs.MaxQueue()
 	}
 	return stats, nil
-}
-
-// Run2Interp runs the reference interpreter on a compiled program's
-// analyzed module (convenience for tests and tools).
-func Run2Interp(c *Compiled, inputs map[string][]float64) (map[string][]float64, error) {
-	info, err := c.FullInfo()
-	if err != nil {
-		return nil, err
-	}
-	return interp.Run(info, inputs)
 }

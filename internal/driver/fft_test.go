@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"warp/internal/interp"
 	"warp/internal/workloads"
 )
 
@@ -37,7 +38,11 @@ func TestFFTEndToEnd(t *testing.T) {
 				}
 			}
 			// And against the interpreter exactly.
-			ref, err := Run2Interp(c, inputs)
+			info, err := c.FullInfo()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := interp.Run(info, inputs)
 			if err != nil {
 				t.Fatal(err)
 			}

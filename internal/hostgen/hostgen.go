@@ -20,6 +20,7 @@ package hostgen
 import (
 	"fmt"
 
+	"warp/internal/conc"
 	"warp/internal/mcode"
 	"warp/internal/w2"
 )
@@ -140,24 +141,15 @@ func GenerateParallel(cell *mcode.CellProgram, workers int) (*Program, error) {
 	// per stream.  The streams are disjoint map keys, so the merge is
 	// order-independent — the output is byte-identical to the serial
 	// walk's at any worker count.
-	sem := make(chan struct{}, workers)
 	emitters := make([]*emitter, len(streams))
-	done := make(chan struct{}, len(streams))
-	for i, s := range streams {
-		i, s := i, s
-		sem <- struct{}{}
-		go func() {
-			defer func() { <-sem; done <- struct{}{} }()
-			sub := full.filter(s)
-			e := newEmitter(sub)
-			e.reserve(s, full.words[s])
-			e.run(sub.nodes)
-			emitters[i] = e
-		}()
-	}
-	for range streams {
-		<-done
-	}
+	conc.Do(workers, len(streams), func(i int) {
+		s := streams[i]
+		sub := full.filter(s)
+		e := newEmitter(sub)
+		e.reserve(s, full.words[s])
+		e.run(sub.nodes)
+		emitters[i] = e
+	})
 	for _, e := range emitters {
 		e.install(prog)
 	}

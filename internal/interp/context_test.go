@@ -34,9 +34,9 @@ func TestRunContextCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunContext(ctx, info, inputs)
+	_, err := runContext(ctx, info, inputs)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunContext on a cancelled context = %v, want context.Canceled", err)
+		t.Fatalf("runContext on a cancelled context = %v, want context.Canceled", err)
 	}
 }
 
@@ -53,7 +53,7 @@ func TestRunContextNilAndBackground(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ctx := range []context.Context{nil, context.Background()} {
-		got, err := RunContext(ctx, info, inputs)
+		got, err := runContext(ctx, info, inputs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,15 +18,15 @@ import (
 // parameter name) and returns the output arrays (keyed by "out"
 // parameter name).
 func Run(info *w2.Info, inputs map[string][]float64) (map[string][]float64, error) {
-	return RunContext(context.Background(), info, inputs)
+	return runContext(context.Background(), info, inputs)
 }
 
-// RunContext interprets like Run but aborts once ctx is cancelled: the
+// runContext interprets like Run but aborts once ctx is cancelled: the
 // statement loop polls the context every few thousand statements, so an
 // oracle run on a large problem respects the same deadlines as the
 // simulator (sim.Config.Ctx).  The returned error wraps ctx.Err().  A
 // nil ctx behaves like Run.
-func RunContext(ctx context.Context, info *w2.Info, inputs map[string][]float64) (map[string][]float64, error) {
+func runContext(ctx context.Context, info *w2.Info, inputs map[string][]float64) (map[string][]float64, error) {
 	host, err := BuildHostMem(info, inputs)
 	if err != nil {
 		return nil, err

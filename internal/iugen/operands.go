@@ -50,23 +50,9 @@ func (v SymVec) Sub(w SymVec) SymVec {
 	return v
 }
 
-// IsZero reports whether all coordinates vanish.
-func (v SymVec) IsZero() bool {
-	for _, c := range v {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // InnerVariant reports whether the value changes with the inner loop
 // index j.
 func (v SymVec) InnerVariant() bool { return v[DimJ] != 0 || v[DimJN] != 0 }
-
-// OuterVariant reports whether the value changes with the outer loop
-// index i.
-func (v SymVec) OuterVariant() bool { return v[DimI] != 0 || v[DimIN] != 0 }
 
 // immediate reports whether the value can be a single immediate
 // operand: a pure integer constant, a pure multiple of N, or a single

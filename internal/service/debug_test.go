@@ -241,6 +241,58 @@ func TestDebugRequestsEndToEnd(t *testing.T) {
 		t.Errorf("failed compile cache attrs = %v, want the error %q", a, failed.Error)
 	}
 
+	// One partitioned request is one record like any other: its ID
+	// resolves on every per-request view, and an unknown ID is refused
+	// by all of them with the same answer.
+	const d = 16
+	a, b := workloads.LargeMatmulData(d, d, d, 13)
+	resp, body = postJSON(t, client, ts.URL+"/run", RunRequest{
+		Source:    workloads.Matmul(8),
+		Inputs:    map[string][]float64{"a": a, "bmat": b},
+		Partition: &PartitionJSON{Workload: "matmul", M: d, K: d, N: d},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("partitioned run: %d: %s", resp.StatusCode, body)
+	}
+	var rr RunResponse
+	decodeBody(t, body, &rr)
+	views := []string{"", "/trace", "/profile", "/progress?format=json"}
+	for i, check := range []func(status int, body []byte){
+		func(status int, body []byte) {
+			var rec RequestRecord
+			decodeBody(t, body, &rec)
+			if status != http.StatusOK || rec.ID != rr.Request || rec.Decision == nil || rec.Cycles != rr.Fabric.AggregateCycles || !contains(spanNames(rec.Spans), "fabric") {
+				t.Errorf("record: status %d, %+v; want the partitioned run with its decision and a fabric span", status, rec)
+			}
+		},
+		func(status int, body []byte) {
+			if status != http.StatusOK || !strings.Contains(string(body), `"fabric"`) {
+				t.Errorf("trace: status %d, no fabric slice in %s", status, body)
+			}
+		},
+		func(status int, body []byte) {
+			if status != http.StatusNotFound || !strings.Contains(string(body), "was not profiled") {
+				t.Errorf("profile of an unprofiled run: status %d: %s; want 404 with the rerun hint", status, body)
+			}
+		},
+		func(status int, body []byte) {
+			var ev ProgressEvent
+			decodeBody(t, body, &ev)
+			if status != http.StatusOK || ev.ID != rr.Request || !ev.Done || ev.Tiles != rr.Fabric.Tiles || ev.TilesDone != ev.Tiles {
+				t.Errorf("progress: status %d, %+v; want the finished job's last position", status, ev)
+			}
+		},
+	} {
+		status, body, _ := getBody(t, client, ts.URL+"/debug/requests/"+rr.Request+views[i])
+		check(status, body)
+	}
+	_, unknown, _ := getBody(t, client, ts.URL+"/debug/requests/r999999")
+	for _, view := range views {
+		if status, body, _ := getBody(t, client, ts.URL+"/debug/requests/r999999"+view); status != http.StatusNotFound || !bytes.Equal(body, unknown) {
+			t.Errorf("unknown ID on %q: status %d: %s; want 404 %s", view, status, body, unknown)
+		}
+	}
+
 	var sb strings.Builder
 	svc.Metrics().WritePrometheus(&sb, svc.CacheStats(), svc.TemplateCacheStats(), svc.PoolStats())
 	for _, want := range []string{
@@ -302,46 +354,6 @@ func TestDebugTraceDownload(t *testing.T) {
 	missResp.Body.Close()
 	if missResp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown trace ID: %d, want 404", missResp.StatusCode)
-	}
-}
-
-// TestFlightRecorderEviction checks the ring keeps only the newest N
-// and that a negative FlightSize disables recording.
-func TestFlightRecorderEviction(t *testing.T) {
-	svc := New(Config{Workers: 1, QueueCap: 4, FlightSize: 3})
-	defer svc.Close()
-	ts := httptest.NewServer(svc)
-	defer ts.Close()
-	client := ts.Client()
-
-	for i := 0; i < 5; i++ {
-		src := workloads.Polynomial(2, 8+i) // distinct sources
-		resp, body := postJSON(t, client, ts.URL+"/compile", CompileRequest{Source: src})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("compile %d: %d: %s", i, resp.StatusCode, body)
-		}
-	}
-	recs := debugSnapshot(t, client, ts.URL)
-	if len(recs) != 3 {
-		t.Fatalf("ring holds %d records, want 3", len(recs))
-	}
-	// Newest first and strictly descending IDs.
-	for i := 1; i < len(recs); i++ {
-		if recs[i-1].ID <= recs[i].ID {
-			t.Errorf("records out of order: %s before %s", recs[i-1].ID, recs[i].ID)
-		}
-	}
-
-	off := New(Config{Workers: 1, QueueCap: 4, FlightSize: -1})
-	defer off.Close()
-	ts2 := httptest.NewServer(off)
-	defer ts2.Close()
-	resp, body := postJSON(t, ts2.Client(), ts2.URL+"/compile", CompileRequest{Source: workloads.Polynomial(2, 8)})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("compile: %d: %s", resp.StatusCode, body)
-	}
-	if recs := debugSnapshot(t, ts2.Client(), ts2.URL); len(recs) != 0 {
-		t.Errorf("disabled recorder returned %d records", len(recs))
 	}
 }
 

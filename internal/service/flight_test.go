@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// TestFlightRingEvictionConcurrent hammers the flight recorder from
-// many writers at once and checks the ring invariants hold throughout:
+// TestFlightRingEvictionConcurrent hammers the request registry from
+// many finishing requests at once and checks the ring invariants hold
+// throughout:
 // never more than size records, no nil slots in a snapshot, and after
 // the dust settles exactly the newest size records remain, newest
 // first.
@@ -17,7 +18,12 @@ func TestFlightRingEvictionConcurrent(t *testing.T) {
 		writers = 16
 		perW    = 50
 	)
-	f := newFlightRecorder(size)
+	f := newRegistry(size)
+	add := func(id string) {
+		e := &request{RequestRecord: RequestRecord{ID: id, Outcome: "ok"}}
+		f.add(e)
+		f.finish(e)
+	}
 
 	// A reader snapshots continuously while the writers race, so
 	// eviction and iteration interleave.
@@ -31,7 +37,7 @@ func TestFlightRingEvictionConcurrent(t *testing.T) {
 				return
 			default:
 			}
-			snap := f.snapshot()
+			snap := f.records()
 			if len(snap) > size {
 				t.Errorf("snapshot has %d records, ring size is %d", len(snap), size)
 				return
@@ -50,7 +56,7 @@ func TestFlightRingEvictionConcurrent(t *testing.T) {
 		go func(w int) {
 			defer writersWG.Done()
 			for i := 0; i < perW; i++ {
-				f.add(&RequestRecord{ID: fmt.Sprintf("w%d-%d", w, i), Outcome: "ok"})
+				add(fmt.Sprintf("w%d-%d", w, i))
 			}
 		}(w)
 	}
@@ -58,7 +64,7 @@ func TestFlightRingEvictionConcurrent(t *testing.T) {
 	close(stop)
 	<-readerDone
 
-	snap := f.snapshot()
+	snap := f.records()
 	if len(snap) != size {
 		t.Fatalf("after %d adds the ring holds %d records, want %d", writers*perW, len(snap), size)
 	}
@@ -76,34 +82,39 @@ func TestFlightRingEvictionConcurrent(t *testing.T) {
 	// Sequential tail: the last size writes are exactly what remains,
 	// newest first, and get() finds each by ID.
 	for i := 0; i < size*2; i++ {
-		f.add(&RequestRecord{ID: fmt.Sprintf("tail-%d", i)})
+		add(fmt.Sprintf("tail-%d", i))
 	}
-	snap = f.snapshot()
+	snap = f.records()
 	for i, r := range snap {
 		want := fmt.Sprintf("tail-%d", size*2-1-i)
 		if r.ID != want {
 			t.Errorf("snapshot[%d] = %s, want %s (newest first)", i, r.ID, want)
 		}
-		if got := f.get(r.ID); got != r {
+		if got, finished := f.get(r.ID); got == nil || &got.RequestRecord != r || !finished {
 			t.Errorf("get(%s) returned a different record", r.ID)
 		}
 	}
-	if f.get("tail-0") != nil {
+	if got, _ := f.get("tail-0"); got != nil {
 		t.Errorf("evicted record tail-0 still reachable via get")
 	}
-	if f.get("no-such-id") != nil {
+	if got, _ := f.get("no-such-id"); got != nil {
 		t.Errorf("get of an unknown ID returned a record")
 	}
 }
 
 // TestFlightRecorderDisabled pins the size<1 no-op contract.
 func TestFlightRecorderDisabled(t *testing.T) {
-	f := newFlightRecorder(0)
-	f.add(&RequestRecord{ID: "x"})
-	if snap := f.snapshot(); len(snap) != 0 {
+	f := newRegistry(0)
+	e := &request{RequestRecord: RequestRecord{ID: "x"}}
+	f.add(e)
+	if got, finished := f.get("x"); got != e || finished {
+		t.Errorf("live request not tracked: get = %v, finished %t", got, finished)
+	}
+	f.finish(e)
+	if snap := f.records(); len(snap) != 0 {
 		t.Errorf("disabled recorder returned %d records", len(snap))
 	}
-	if f.get("x") != nil {
+	if got, _ := f.get("x"); got != nil {
 		t.Errorf("disabled recorder stored a record")
 	}
 }

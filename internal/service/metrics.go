@@ -58,26 +58,21 @@ type Metrics struct {
 	schedComps int64 // compilations folded into sched
 
 	// Aggregates over completed runs, from obs.Profile.Summarize.
-	simCycles   int64
-	addUtilSum  float64
-	mulUtilSum  float64
-	busySum     float64
-	runSamples  int64
-	peakQueue   int
-	peakQueueAt string
+	simCycles  int64
+	addUtilSum float64
+	mulUtilSum float64
+	busySum    float64
+	runSamples int64
+	peakQueue  int
 
 	// Partitioned (fabric) jobs: outcomes plus tile-level counters.
-	fabricJobs       map[string]int64 // result label -> count (ok|error|timeout)
+	fabricJobs       map[string]int64 // result label -> count (ok|error|timeout|rejected)
 	fabricTiles      int64            // tiles planned across completed jobs
 	fabricDispatched int64            // tile attempts started (retries included)
 	fabricRetried    int64            // attempts beyond each tile's first
 	fabricFailed     int64            // tiles that exhausted their attempts
 	fabricCycles     int64            // aggregate simulated cycles across tiles
 }
-
-// obsSummaryZero is the empty summary passed for requests that never
-// produced a run profile.
-var obsSummaryZero obs.Summary
 
 // NewMetrics builds an empty registry.
 func NewMetrics() *Metrics {
@@ -107,28 +102,6 @@ func hist(m map[string]*telemetry.Histogram, key string) *telemetry.Histogram {
 		m[key] = h
 	}
 	return h
-}
-
-// Fabric records one partitioned-run job: the outcome label, the
-// backend the tiles ran on, plus the job's tile counters (planned,
-// attempts started, retries, failures) and aggregate simulated cycles.
-// Failed or timed-out jobs still contribute the tile attempts they made
-// before the job died.
-func (m *Metrics) Fabric(result, backend string, seconds float64, tiles, dispatched, retried, failed int, aggCycles int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.fabricJobs[result]++
-	m.fabricTiles += int64(tiles)
-	m.fabricDispatched += int64(dispatched)
-	m.fabricRetried += int64(retried)
-	m.fabricFailed += int64(failed)
-	m.fabricCycles += aggCycles
-	if result == "ok" {
-		if backend == "" {
-			backend = "unknown"
-		}
-		hist(m.runLatency, backend).Observe(seconds)
-	}
 }
 
 // Compile records one compile request: result is "hit", "miss",
@@ -176,20 +149,50 @@ func (m *Metrics) CompileSched(t prof.SchedTotals) {
 	m.schedComps++
 }
 
-// Run records one run request outcome ("ok", "error", "timeout",
-// "rejected") and, for completed runs, the backend-labelled latency and
-// run summary.
-func (m *Metrics) Run(result, backend string, seconds float64, sum obs.Summary) {
+// observe records one finished run request or partitioned (fabric) job.
+// Every outcome counts under its result label — a fabric job with the
+// tile attempts it made before it finished or died; a completed one adds
+// its backend-labelled latency, the executor that ran it (a partitioned
+// job counts once, not per tile), its decision audit — the (backend,
+// reason) counter and, when it carries both a prediction and a measured
+// wall, the prediction error factor — and, single-array, its summary.
+func (m *Metrics) observe(o *runOutcome) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.runs[result]++
-	if result != "ok" {
+	if f := o.fabric; f != nil {
+		m.fabricJobs[o.result]++
+		m.fabricTiles += int64(f.Tiles)
+		m.fabricDispatched += int64(f.Dispatched)
+		m.fabricRetried += int64(f.Retried)
+		m.fabricFailed += int64(f.Failed)
+		m.fabricCycles += f.AggregateCycles
+	} else {
+		m.runs[o.result]++
+	}
+	if o.result != "ok" {
 		return
 	}
-	if backend == "" {
+	backend := o.stats.Backend
+	if backend != "" {
+		m.backends[backend]++
+	} else {
 		backend = "unknown"
 	}
-	hist(m.runLatency, backend).Observe(seconds)
+	hist(m.runLatency, backend).Observe(o.seconds)
+	if d := o.decision; d != nil {
+		m.decisions[decisionKey{d.Backend, d.Reason}]++
+		if f := d.ErrorFactor(); f > 0 {
+			m.predErrSum[d.Backend] += f
+			m.predErrCount[d.Backend]++
+			if f > m.predErrMax[d.Backend] {
+				m.predErrMax[d.Backend] = f
+			}
+		}
+	}
+	if o.fabric != nil {
+		return
+	}
+	sum := o.summary
 	m.simCycles += sum.Cycles
 	m.addUtilSum += sum.AddUtil
 	m.mulUtilSum += sum.MulUtil
@@ -197,7 +200,6 @@ func (m *Metrics) Run(result, backend string, seconds float64, sum obs.Summary) 
 	m.runSamples++
 	if sum.PeakQueue > m.peakQueue {
 		m.peakQueue = sum.PeakQueue
-		m.peakQueueAt = sum.PeakQueueAt
 	}
 }
 
@@ -209,47 +211,10 @@ func (m *Metrics) QueueWait(seconds float64) {
 	m.queueWait.Observe(seconds)
 }
 
-// Backend records which executor completed a run ("sim" or "fast");
-// partitioned jobs count once per job, not per tile.
-func (m *Metrics) Backend(backend string) {
-	if backend == "" {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.backends[backend]++
-}
-
-// Decision folds one completed run's backend decision audit into the
-// registry: the (backend, reason) choice counter plus, when the run
-// carries both a prediction and a measured wall, the prediction error
-// factor.
-func (m *Metrics) Decision(d *telemetry.Decision) {
-	if d == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.decisions[decisionKey{d.Backend, d.Reason}]++
-	if f := d.ErrorFactor(); f > 0 {
-		m.predErrSum[d.Backend] += f
-		m.predErrCount[d.Backend]++
-		if f > m.predErrMax[d.Backend] {
-			m.predErrMax[d.Backend] = f
-		}
-	}
-}
-
 // MedianRunSeconds estimates the median completed-run service time from
 // the merged per-backend latency histograms — the observed-load signal
 // behind the 429 Retry-After hint.  0 means no run has completed yet.
 func (m *Metrics) MedianRunSeconds() float64 {
-	return m.RunQuantileSeconds(0.5)
-}
-
-// RunQuantileSeconds estimates the q-quantile of completed-run service
-// time across all backends.
-func (m *Metrics) RunQuantileSeconds(q float64) float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	hs := make([]*telemetry.Histogram, 0, len(m.runLatency))
@@ -260,7 +225,7 @@ func (m *Metrics) RunQuantileSeconds(q float64) float64 {
 	if merged == nil {
 		return 0
 	}
-	return merged.Quantile(q)
+	return merged.Quantile(0.5)
 }
 
 // WritePrometheus renders the registry, plus the given cache, template

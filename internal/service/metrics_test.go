@@ -428,7 +428,7 @@ func TestRetryAfterFromQuantiles(t *testing.T) {
 
 	// Fast runs keep the estimate at the floor.
 	for i := 0; i < 8; i++ {
-		svc.metrics.Run("ok", "sim", 0.01, obsSummaryZero)
+		svc.metrics.observe(&runOutcome{result: "ok", stats: RunStatsJSON{Backend: "sim"}, seconds: 0.01})
 	}
 	if got := svc.retryAfterSeconds(); got != 1 {
 		t.Errorf("fast-run Retry-After = %d, want 1", got)
@@ -436,7 +436,7 @@ func TestRetryAfterFromQuantiles(t *testing.T) {
 
 	// Pathologically slow runs hit the cap regardless of queue depth.
 	for i := 0; i < 100; i++ {
-		svc.metrics.Run("ok", "sim", 3000, obsSummaryZero)
+		svc.metrics.observe(&runOutcome{result: "ok", stats: RunStatsJSON{Backend: "sim"}, seconds: 3000})
 	}
 	if got := svc.retryAfterSeconds(); got != 60 {
 		t.Errorf("slow-run Retry-After = %d, want cap 60", got)
@@ -445,9 +445,9 @@ func TestRetryAfterFromQuantiles(t *testing.T) {
 	// The median merges backends: samples spread across sim and fast
 	// count as one population.
 	m := NewMetrics()
-	m.Run("ok", "sim", 2, obsSummaryZero)
-	m.Run("ok", "fast", 2, obsSummaryZero)
-	m.Run("ok", "sim", 2, obsSummaryZero)
+	m.observe(&runOutcome{result: "ok", stats: RunStatsJSON{Backend: "sim"}, seconds: 2})
+	m.observe(&runOutcome{result: "ok", stats: RunStatsJSON{Backend: "fast"}, seconds: 2})
+	m.observe(&runOutcome{result: "ok", stats: RunStatsJSON{Backend: "sim"}, seconds: 2})
 	med := m.MedianRunSeconds()
 	if med < 1 || med > 4 {
 		t.Errorf("merged median = %v, want about 2 (log-bucket tolerance)", med)
@@ -463,7 +463,7 @@ func TestQuantileInterpolation(t *testing.T) {
 		t.Errorf("empty registry median = %v, want 0", m.MedianRunSeconds())
 	}
 	// All samples beyond the last bound pin to the last finite bound.
-	m.Run("ok", "sim", 1e9, obsSummaryZero)
+	m.observe(&runOutcome{result: "ok", stats: RunStatsJSON{Backend: "sim"}, seconds: 1e9})
 	bounds := telemetry.LatencyBounds()
 	if got, want := m.MedianRunSeconds(), bounds[len(bounds)-1]; got != want {
 		t.Errorf("overflow median = %v, want last bound %v", got, want)

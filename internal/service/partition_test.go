@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -160,6 +161,67 @@ func TestRunPartitionedRejects(t *testing.T) {
 		resp, body := postJSON(t, client, ts.URL+"/run", tc.req)
 		if resp.StatusCode != tc.status {
 			t.Errorf("%s: status %d, want %d (%s)", tc.name, resp.StatusCode, tc.status, body)
+		}
+	}
+}
+
+// TestRunPartitionedQueuedTimeoutCounted: a partitioned request whose
+// deadline passes while it still sits in the admission queue — its job
+// never starts — is answered 504 and counted once, as a fabric job.
+func TestRunPartitionedQueuedTimeoutCounted(t *testing.T) {
+	svc := New(Config{Workers: 1})
+	defer svc.Close()
+	ts := httptest.NewServer(svc)
+	defer ts.Close()
+	client := ts.Client()
+
+	kernel := workloads.Matmul(8)
+	if resp, body := postJSON(t, client, ts.URL+"/compile", CompileRequest{Source: kernel}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("compile: %d: %s", resp.StatusCode, body)
+	}
+	// Hold the only worker until the request has been answered.
+	held, release, idle := make(chan struct{}), make(chan struct{}), make(chan error, 1)
+	go func() {
+		idle <- svc.pool.Do(context.Background(), func(context.Context) error {
+			close(held)
+			<-release
+			return nil
+		})
+	}()
+	<-held
+
+	const d = 24
+	a, b := workloads.LargeMatmulData(d, d, d, 13)
+	resp, body := postJSON(t, client, ts.URL+"/run", RunRequest{
+		Source:    kernel,
+		Inputs:    map[string][]float64{"a": a, "bmat": b},
+		Partition: &PartitionJSON{Workload: "matmul", M: d, K: d, N: d},
+		TimeoutMS: 1,
+	})
+	close(release)
+	if err := <-idle; err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504: %s", resp.StatusCode, body)
+	}
+
+	mresp, err := client.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb, err := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics := string(mb)
+	if want := `warpd_fabric_jobs_total{result="timeout"} 1`; !strings.Contains(metrics, want) {
+		t.Errorf("/metrics missing %q", want)
+	}
+	for _, not := range []string{`warpd_run_requests_total{result=`, `warpd_fabric_jobs_total{result="error"}`, `warpd_fabric_jobs_total{result="ok"}`} {
+		if strings.Contains(metrics, not) {
+			t.Errorf("/metrics counts the request a second time under %q", not)
 		}
 	}
 }

@@ -98,13 +98,13 @@ func (p *Pool) worker() {
 
 // run executes one admitted job.  Landing is deferred, as in store.fly:
 // pool goroutines sit outside net/http's recover, so a panicking fn
-// must become that one job's error (errLoadPanic, a 500) rather than
+// must become that one job's error (errPanic, a 500) rather than
 // the death of the daemon, and the worker goes on to the next job.
 func (p *Pool) run(j *job) {
-	j.err = errLoadPanic // stands unless fn returns
+	j.err = errPanic // stands unless fn returns
 	defer func() {
 		if r := recover(); r != nil {
-			j.err = panicError(r)
+			j.err = recovered(r)
 		}
 		p.mu.Lock()
 		p.stats.InFlight--

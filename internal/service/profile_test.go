@@ -158,7 +158,7 @@ func TestProfilePartitioned(t *testing.T) {
 	if rr.Fabric == nil || rr.Request == "" {
 		t.Fatalf("partitioned response lacks fabric stats or request ID: %s", body)
 	}
-	rec := svc.flight.get(rr.Request)
+	rec, _ := svc.requests.get(rr.Request)
 	if rec == nil || rec.Source == nil {
 		t.Fatal("no profiled flight record for the partitioned run")
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sync"
 
 	"warp/internal/obs"
 )
@@ -21,32 +20,39 @@ type ProgressEvent struct {
 	Done        bool   `json:"done"`
 }
 
-// progressEntry tracks one run request's live progress: the latest
-// update plus the SSE subscribers waiting for the next one.  The
-// publish path is the simulator's poll stride, so it takes one mutex,
-// does non-blocking channel sends, and returns — a slow subscriber
-// loses intermediate updates (each channel keeps the newest), never
-// stalls the run.
-type progressEntry struct {
-	id string
-
-	mu      sync.Mutex
-	last    obs.ProgressUpdate
-	done    bool
-	subs    map[int]chan obs.ProgressUpdate
-	nextSub int
-}
+// The progress half of a request.  The publish path is the simulator's
+// poll stride, so it takes one mutex, does non-blocking channel sends,
+// and returns — a slow subscriber loses intermediate updates (each
+// channel keeps the newest), never stalls the run.
 
 // publish is the obs.ProgressFunc wired into the run: it records the
-// update and wakes the subscribers.  Delivery into a full subscriber
-// channel drops that channel's oldest pending update, so the terminal
-// update (published last) always lands.
-func (e *progressEntry) publish(u obs.ProgressUpdate) {
+// update and wakes the subscribers.  The stream ends with its first
+// terminal update; a run that outlives that has nobody left to tell.
+func (e *request) publish(u obs.ProgressUpdate) {
 	e.mu.Lock()
-	e.last = u
-	if u.Done {
-		e.done = true
+	if !e.last.Done {
+		e.last = u
+		e.broadcast(u)
 	}
+	e.mu.Unlock()
+}
+
+// endProgress ends the stream from the last observed position if the
+// run never delivered a terminal update itself (error, timeout,
+// rejection), so subscribers always see it end.  Idempotent.
+func (e *request) endProgress() {
+	e.mu.Lock()
+	u := e.last
+	e.mu.Unlock()
+	u.Done = true
+	e.publish(u)
+}
+
+// broadcast hands u to every subscriber without blocking.  Delivery
+// into a full subscriber channel drops that channel's oldest pending
+// update, so the terminal update (published last) always lands.  The
+// caller holds e.mu.
+func (e *request) broadcast(u obs.ProgressUpdate) {
 	for _, ch := range e.subs {
 		select {
 		case ch <- u:
@@ -61,53 +67,25 @@ func (e *progressEntry) publish(u obs.ProgressUpdate) {
 			}
 		}
 	}
-	e.mu.Unlock()
 }
 
-// finish marks the entry done if the run never delivered a terminal
-// update itself (error, timeout, rejection), so subscribers always see
-// the stream end.  Idempotent.
-func (e *progressEntry) finish() {
-	e.mu.Lock()
-	if !e.done {
-		e.done = true
-		u := e.last
-		u.Done = true
-		e.last = u
-		for _, ch := range e.subs {
-			select {
-			case ch <- u:
-			default:
-				select {
-				case <-ch:
-				default:
-				}
-				select {
-				case ch <- u:
-				default:
-				}
-			}
-		}
+// progressEvent renders one update of request id in its wire form.
+func progressEvent(id string, u obs.ProgressUpdate) ProgressEvent {
+	return ProgressEvent{
+		ID:          id,
+		Cycles:      u.Cycles,
+		TotalCycles: u.TotalCycles,
+		TilesDone:   u.TilesDone,
+		Tiles:       u.Tiles,
+		Done:        u.Done,
 	}
-	e.mu.Unlock()
 }
 
-// snapshot returns the entry's current state as a wire event.
-func (e *progressEntry) snapshot() ProgressEvent {
+// snapshot returns the request's current progress as a wire event.
+func (e *request) snapshot() ProgressEvent {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.eventLocked()
-}
-
-func (e *progressEntry) eventLocked() ProgressEvent {
-	return ProgressEvent{
-		ID:          e.id,
-		Cycles:      e.last.Cycles,
-		TotalCycles: e.last.TotalCycles,
-		TilesDone:   e.last.TilesDone,
-		Tiles:       e.last.Tiles,
-		Done:        e.done,
-	}
+	return progressEvent(e.ID, e.last)
 }
 
 // subscribe registers a watcher: it returns the current snapshot (so
@@ -115,7 +93,7 @@ func (e *progressEntry) eventLocked() ProgressEvent {
 // unsubscribe func.  After unsubscribe returns no more sends happen on
 // the channel (publish holds the same lock), so the caller may simply
 // abandon it.
-func (e *progressEntry) subscribe() (ProgressEvent, <-chan obs.ProgressUpdate, func()) {
+func (e *request) subscribe() (ProgressEvent, <-chan obs.ProgressUpdate, func()) {
 	ch := make(chan obs.ProgressUpdate, 16)
 	e.mu.Lock()
 	if e.subs == nil {
@@ -124,7 +102,7 @@ func (e *progressEntry) subscribe() (ProgressEvent, <-chan obs.ProgressUpdate, f
 	id := e.nextSub
 	e.nextSub++
 	e.subs[id] = ch
-	snap := e.eventLocked()
+	snap := progressEvent(e.ID, e.last)
 	e.mu.Unlock()
 	return snap, ch, func() {
 		e.mu.Lock()
@@ -133,88 +111,11 @@ func (e *progressEntry) subscribe() (ProgressEvent, <-chan obs.ProgressUpdate, f
 	}
 }
 
-// progressHub indexes the live-progress entries by request ID.  It is
-// bounded: once over capacity, registering a new entry evicts the
-// oldest finished one (a live entry is never evicted, so a burst of
-// concurrent runs can briefly exceed the cap rather than losing a
-// stream mid-run).
-type progressHub struct {
-	mu      sync.Mutex
-	entries map[string]*progressEntry
-	order   []string // registration order, for eviction
-	cap     int
-}
-
-func newProgressHub(cap int) *progressHub {
-	if cap < 1 {
-		cap = 64
-	}
-	return &progressHub{entries: map[string]*progressEntry{}, cap: cap}
-}
-
-// register creates (or returns) the entry for a request ID.
-func (h *progressHub) register(id string) *progressEntry {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if e, ok := h.entries[id]; ok {
-		return e
-	}
-	for len(h.entries) >= h.cap {
-		evicted := false
-		for i, old := range h.order {
-			e := h.entries[old]
-			if e == nil {
-				h.order = append(h.order[:i], h.order[i+1:]...)
-				evicted = true
-				break
-			}
-			e.mu.Lock()
-			done := e.done
-			e.mu.Unlock()
-			if done {
-				delete(h.entries, old)
-				h.order = append(h.order[:i], h.order[i+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			break // everything is live; let the map grow for now
-		}
-	}
-	e := &progressEntry{id: id}
-	h.entries[id] = e
-	h.order = append(h.order, id)
-	return e
-}
-
-// get returns the entry for a request ID, or nil.
-func (h *progressHub) get(id string) *progressEntry {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.entries[id]
-}
-
-// list snapshots every tracked entry in registration order (oldest
-// first) — the discovery surface for watchers that do not yet know a
-// request ID.
-func (h *progressHub) list() []ProgressEvent {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]ProgressEvent, 0, len(h.entries))
-	for _, id := range h.order {
-		if e := h.entries[id]; e != nil {
-			out = append(out, e.snapshot())
-		}
-	}
-	return out
-}
-
 // handleDebugProgress lists every tracked request's latest progress.
 func (s *Server) handleDebugProgress(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
 		Progress []ProgressEvent `json:"progress"`
-	}{s.progress.list()})
+	}{s.requests.progress()})
 }
 
 // handleRequestProgress streams one request's live progress.  The
@@ -223,10 +124,8 @@ func (s *Server) handleDebugProgress(w http.ResponseWriter, r *http.Request) {
 // stream closes after a terminal "done" event.  ?format=json returns
 // the current snapshot once instead.
 func (s *Server) handleRequestProgress(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	ent := s.progress.get(id)
+	ent := s.lookup(w, r, true)
 	if ent == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("no tracked request %q", id)})
 		return
 	}
 	if r.URL.Query().Get("format") == "json" {
@@ -255,15 +154,7 @@ func (s *Server) handleRequestProgress(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			return
 		case u := <-ch:
-			ev := ProgressEvent{
-				ID:          id,
-				Cycles:      u.Cycles,
-				TotalCycles: u.TotalCycles,
-				TilesDone:   u.TilesDone,
-				Tiles:       u.Tiles,
-				Done:        u.Done,
-			}
-			writeSSE(w, ev)
+			writeSSE(w, progressEvent(ent.ID, u))
 			flusher.Flush()
 			if u.Done {
 				return

@@ -14,69 +14,12 @@ import (
 	"warp/internal/workloads"
 )
 
-// TestProgressHubEviction pins the bounded-memory policy: a full hub
-// evicts the oldest finished entry on registration, and a live entry is
-// never evicted even when that lets the map exceed the cap.
-func TestProgressHubEviction(t *testing.T) {
-	h := newProgressHub(3)
-	a := h.register("a")
-	h.register("b")
-	h.register("c")
-	a.finish()
-
-	// Over capacity with one finished entry: "a" goes, the live "b" and
-	// "c" stay.
-	h.register("d")
-	if h.get("a") != nil {
-		t.Errorf("finished entry a not evicted")
-	}
-	for _, id := range []string{"b", "c", "d"} {
-		if h.get(id) == nil {
-			t.Errorf("live entry %s evicted", id)
-		}
-	}
-
-	// All live: registration must not kill any stream; the hub grows
-	// past its cap instead.
-	h.register("e")
-	for _, id := range []string{"b", "c", "d", "e"} {
-		if h.get(id) == nil {
-			t.Errorf("live entry %s evicted while everything was live", id)
-		}
-	}
-	if got := len(h.list()); got != 4 {
-		t.Errorf("hub tracks %d entries, want 4 (grown past cap of 3)", got)
-	}
-
-	// Once entries finish, the next registration drains the finished
-	// backlog until the hub is back under its cap.
-	for _, id := range []string{"b", "c"} {
-		h.get(id).finish()
-	}
-	h.register("f")
-	for _, id := range []string{"b", "c"} {
-		if h.get(id) != nil {
-			t.Errorf("finished backlog entry %s survived eviction", id)
-		}
-	}
-	for _, id := range []string{"d", "e", "f"} {
-		if h.get(id) == nil {
-			t.Errorf("live entry %s evicted during backlog drain", id)
-		}
-	}
-
-	// register is idempotent per ID: the same entry comes back.
-	if h.register("d") != h.get("d") {
-		t.Errorf("re-registering a live ID created a new entry")
-	}
-}
-
 // TestProgressEntryDelivery pins the publish contract: a slow
 // subscriber loses intermediate updates but the terminal update always
 // lands, and finish is an idempotent fallback that never overwrites a
 // real terminal update.
 func TestProgressEntryDelivery(t *testing.T) {
-	e := &progressEntry{id: "r1"}
+	e := &request{RequestRecord: RequestRecord{ID: "r1"}}
 	snap, ch, cancel := e.subscribe()
 	defer cancel()
 	if snap.Done || snap.Cycles != 0 {
@@ -109,7 +52,7 @@ func TestProgressEntryDelivery(t *testing.T) {
 	}
 
 	// finish after a real terminal update must not re-deliver.
-	e.finish()
+	e.endProgress()
 	select {
 	case u := <-ch:
 		t.Errorf("finish re-delivered after terminal update: %+v", u)
@@ -118,11 +61,11 @@ func TestProgressEntryDelivery(t *testing.T) {
 
 	// On an entry that never completed, finish synthesizes the terminal
 	// event from the last observed position.
-	e2 := &progressEntry{id: "r2"}
+	e2 := &request{RequestRecord: RequestRecord{ID: "r2"}}
 	_, ch2, cancel2 := e2.subscribe()
 	defer cancel2()
 	e2.publish(obs.ProgressUpdate{Cycles: 42})
-	e2.finish()
+	e2.endProgress()
 	deadline := time.After(time.Second)
 	for {
 		select {

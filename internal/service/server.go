@@ -66,9 +66,9 @@ type Config struct {
 	// Logger receives one structured record per served request (ID,
 	// outcome, span durations).  nil discards.
 	Logger *slog.Logger
-	// FlightSize is how many recent requests the flight recorder keeps
-	// for GET /debug/requests (default 64; negative disables per-request
-	// tracing entirely).
+	// FlightSize is how many finished requests the flight recorder keeps
+	// for GET /debug/requests (default 64; negative keeps none: no
+	// per-request tracing, and only live requests are tracked).
 	FlightSize int
 }
 
@@ -82,8 +82,7 @@ type Server struct {
 	cfg       Config
 	mux       *http.ServeMux
 	log       *slog.Logger
-	flight    *flightRecorder
-	progress  *progressHub
+	requests  *registry
 	seq       atomic.Int64 // request-ID counter
 }
 
@@ -135,8 +134,7 @@ func New(cfg Config) *Server {
 		cfg:       cfg,
 		mux:       http.NewServeMux(),
 		log:       logger,
-		flight:    newFlightRecorder(cfg.FlightSize),
-		progress:  newProgressHub(cfg.FlightSize),
+		requests:  newRegistry(cfg.FlightSize),
 	}
 	s.mux.HandleFunc("POST /compile", s.handleCompile)
 	s.mux.HandleFunc("POST /run", s.handleRun)
@@ -340,36 +338,38 @@ type httpError struct {
 
 func (e *httpError) Error() string { return e.msg }
 
-func errStatus(err error) int {
+// classify is the service's one reading of an error: the HTTP status it
+// is answered with, its outcome in the flight record and the log line,
+// and its (coarser) metrics result label.
+func classify(err error) (status int, outcome, result string) {
 	var he *httpError
 	switch {
+	case err == nil:
+		return http.StatusOK, "ok", "ok"
 	case errors.As(err, &he):
-		return he.status
+		return he.status, "error", "error"
 	case errors.Is(err, ErrBusy):
-		return http.StatusTooManyRequests
+		return http.StatusTooManyRequests, "rejected", "rejected"
 	case errors.Is(err, ErrClosed):
-		return http.StatusServiceUnavailable
+		return http.StatusServiceUnavailable, "rejected", "error"
 	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
+		return http.StatusGatewayTimeout, "timeout", "timeout"
 	case errors.Is(err, context.Canceled):
 		// The client went away; the status is moot but 499-style
 		// accounting keeps logs honest (no stdlib constant exists).
-		return 499
+		return 499, "canceled", "error"
 	case errors.Is(err, warp.ErrLivelock):
-		return http.StatusUnprocessableEntity
-	case errors.Is(err, warp.ErrUnverified):
-		// The request demanded the fast backend for a program the
-		// server cannot prove safe; refusing beats silently running the
-		// simulator instead.
-		return http.StatusUnprocessableEntity
-	case isVerifyError(err):
-		// The source compiled but the microcode failed verification:
-		// the entity is well-formed yet unprocessable as a program.
-		return http.StatusUnprocessableEntity
-	case errors.Is(err, errLoadPanic):
-		return http.StatusInternalServerError
+		return http.StatusUnprocessableEntity, "livelock", "error"
+	case errors.Is(err, warp.ErrUnverified), isVerifyError(err):
+		// Well-formed yet unprocessable: the microcode failed
+		// verification, or the request demanded the fast backend for a
+		// program the server cannot prove safe — refusing beats silently
+		// running the simulator instead.
+		return http.StatusUnprocessableEntity, "error", "error"
+	case errors.Is(err, errPanic):
+		return http.StatusInternalServerError, "error", "error"
 	}
-	return http.StatusBadRequest
+	return http.StatusBadRequest, "error", "error"
 }
 
 // isVerifyError reports whether err is a static-verification rejection.
@@ -385,7 +385,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func (s *Server) writeError(w http.ResponseWriter, err error) {
-	status := errStatus(err)
+	status, _, _ := classify(err)
 	if status == http.StatusTooManyRequests {
 		// Backpressure contract: tell well-behaved clients when to come
 		// back instead of letting them hammer the admission queue.
@@ -440,41 +440,28 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, &httpError{http.StatusBadRequest, "missing source"})
 		return
 	}
-	rc := s.beginRequest("/compile")
+	rq := s.beginRequest("/compile")
 	start := time.Now()
-	cacheSpan := rc.tr.StartSpan("cache", rc.root)
-	prog, key, hit, detail, err := s.getProgram(r.Context(), req.Source, req.Options, cacheSpan)
-	if err != nil {
-		cacheSpan.Annotate("error", err.Error())
-		cacheSpan.End()
-		if isVerifyError(err) {
-			s.metrics.Compile("rejected", time.Since(start).Seconds())
-		} else {
-			s.metrics.Compile("error", 0)
-		}
-		s.finishRequest(rc, err)
+	prog, err := s.resolve(r.Context(), rq, "", req.Source, req.Options)
+	switch {
+	case err == nil:
+		s.metrics.Compile(cacheResult(rq.Cached), time.Since(start).Seconds())
+	case isVerifyError(err):
+		s.metrics.Compile("rejected", time.Since(start).Seconds())
+	default:
+		s.metrics.Compile("error", 0)
+	}
+	if err = s.finishRequest(rq, err); err != nil {
 		s.writeError(w, err)
 		return
 	}
-	cacheSpan.Annotate("result", cacheResult(hit))
-	if detail != nil {
-		annotateTemplate(cacheSpan, detail)
-	}
-	cacheSpan.End()
-	rc.Program, rc.Cached, rc.Template = key, hit, detail
-	s.metrics.Compile(cacheResult(hit), time.Since(start).Seconds())
-	if !hit {
-		s.metrics.CompilePhases(prog.Phases())
-		s.metrics.CompileSched(prog.Sched().Totals())
-	}
-	s.finishRequest(rc, nil)
 	resp := CompileResponse{
-		Program:  key,
-		Cached:   hit,
+		Program:  rq.Program,
+		Cached:   rq.Cached,
 		Module:   prog.Metrics().Name,
 		Cells:    prog.Cells(),
 		Skew:     prog.Skew(),
-		Template: detail,
+		Template: rq.Template,
 	}
 	for _, p := range prog.Params() {
 		resp.Params = append(resp.Params, ParamJSON{Name: p.Name, Out: p.Out, Size: p.Size})
@@ -482,59 +469,72 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// getProgram resolves (source, options) through the right cache:
-// symbolic requests go through the template cache (template compiled
-// once, program instantiated per bound vector), everything else
-// through the plain compile cache.  The phases of a compile or
-// instantiation this request does are filed under parent.
-func (s *Server) getProgram(ctx context.Context, src string, o CompileOptions, parent *obs.Span) (*warp.Program, string, bool, *warp.TemplateDetail, error) {
-	if o.symbolic() {
-		return s.templates.GetObserved(ctx, src, s.options(o), o.Bounds, parent)
+// resolve produces a request's program under its "cache" span — the one
+// place /compile, /run and /batch look a program up or compile it.  The
+// span says how the cache answered; the phases of a compile or
+// instantiation this request ends up doing are filed under it and feed
+// the compile-phase and scheduler metrics; the record takes the content
+// address, whether it was resident, and the template detail.
+func (s *Server) resolve(ctx context.Context, rq *request, program, source string, o CompileOptions) (*warp.Program, error) {
+	span := rq.tr.StartSpan("cache", rq.root)
+	defer span.End()
+	prog, key, hit, detail, err := s.program(ctx, program, source, o, span)
+	if err != nil {
+		span.Annotate("error", err.Error())
+		return nil, err
 	}
-	prog, key, hit, err := s.cache.GetObserved(ctx, src, s.options(o), parent)
-	return prog, key, hit, nil, err
+	span.Annotate("result", cacheResult(hit))
+	if d := detail; d != nil { // traces tell instantiations from fallbacks
+		span.Annotate("symbolic", fmt.Sprint(d.Symbolic))
+		if d.Class != "" {
+			span.Annotate("class", d.Class)
+		}
+		if d.FallbackReason != "" {
+			span.Annotate("fallback_reason", d.FallbackReason)
+		}
+	}
+	rq.Program, rq.Cached, rq.Template = key, hit, detail
+	if !hit {
+		s.metrics.CompilePhases(prog.Phases())
+		s.metrics.CompileSched(prog.Sched().Totals())
+	}
+	return prog, nil
 }
 
-// annotateTemplate stamps how a symbolic request was served onto its
-// cache span, so request traces tell instantiations from fallbacks.
-func annotateTemplate(sp *obs.Span, d *warp.TemplateDetail) {
-	sp.Annotate("symbolic", fmt.Sprint(d.Symbolic))
-	if d.Class != "" {
-		sp.Annotate("class", d.Class)
-	}
-	if d.FallbackReason != "" {
-		sp.Annotate("fallback_reason", d.FallbackReason)
-	}
-}
-
-// resolve produces the program for a run request, through the cache.
-// Compile phases are filed under parent if this request ends up compiling.
-func (s *Server) resolve(ctx context.Context, req *RunRequest, parent *obs.Span) (*warp.Program, string, bool, *warp.TemplateDetail, error) {
+// program finds the program a request names: a content address in
+// either cache, source through the right one — symbolic requests
+// through the template cache (template compiled once, program
+// instantiated per bound vector), the rest through the compile cache.
+func (s *Server) program(ctx context.Context, program, source string, o CompileOptions, parent *obs.Span) (*warp.Program, string, bool, *warp.TemplateDetail, error) {
 	switch {
-	case req.Program != "" && req.Source != "":
+	case program != "" && source != "":
 		return nil, "", false, nil, &httpError{http.StatusBadRequest, "give either program or source, not both"}
-	case req.Program != "":
-		prog, ok := s.cache.Lookup(req.Program)
+	case program != "":
+		prog, ok := s.cache.Lookup(program)
 		if !ok {
 			// Instantiated programs live in the template cache under
 			// their own (template, bounds) content addresses.
-			prog, ok = s.templates.Lookup(req.Program)
+			prog, ok = s.templates.Lookup(program)
 		}
 		if !ok {
 			return nil, "", false, nil, &httpError{http.StatusNotFound,
-				fmt.Sprintf("unknown or evicted program %q; POST /compile again", req.Program)}
+				fmt.Sprintf("unknown or evicted program %q; POST /compile again", program)}
 		}
-		return prog, req.Program, true, nil, nil
-	case req.Source != "":
-		return s.getProgram(ctx, req.Source, req.Options, parent)
+		return prog, program, true, nil, nil
+	case source == "":
+		return nil, "", false, nil, &httpError{http.StatusBadRequest, "missing program or source"}
+	case o.symbolic():
+		return s.templates.GetObserved(ctx, source, s.options(o), o.Bounds, parent)
 	}
-	return nil, "", false, nil, &httpError{http.StatusBadRequest, "missing program or source"}
+	prog, key, hit, err := s.cache.GetObserved(ctx, source, s.options(o), parent)
+	return prog, key, hit, nil, err
 }
 
 // runOne serves one run request end to end: resolve (cache), admit
-// (pool), simulate (with deadline), aggregate (metrics) — with each
-// stage recorded as a span on the request's trace.
-func (s *Server) runOne(ctx context.Context, endpoint string, req *RunRequest) (*RunResponse, error) {
+// (pool), execute on one array or a fabric of them (with deadline),
+// aggregate (metrics) — with each stage recorded as a span on the
+// request's trace.
+func (s *Server) runOne(ctx context.Context, endpoint string, req *RunRequest) (resp *RunResponse, err error) {
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
 		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
@@ -542,119 +542,100 @@ func (s *Server) runOne(ctx context.Context, endpoint string, req *RunRequest) (
 	ctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 
-	rc := s.beginRequest(endpoint)
-	ent := s.progress.register(rc.ID)
-	// Whatever path the request dies on, the progress stream must end
-	// with a terminal event (a no-op when the run delivered its own).
-	defer ent.finish()
-	cacheSpan := rc.tr.StartSpan("cache", rc.root)
-	prog, key, hit, detail, err := s.resolve(ctx, req, cacheSpan)
+	rq := s.beginRequest(endpoint)
+	defer func() { err = s.finishRequest(rq, err) }()
+	// died is the outcome of a request whose job never reports one.
+	died := &runOutcome{result: "error"}
+	if req.Partition != nil {
+		died.fabric = &warp.FabricStats{}
+	}
+	prog, err := s.resolve(ctx, rq, req.Program, req.Source, req.Options)
 	if err != nil {
-		cacheSpan.Annotate("error", err.Error())
-		cacheSpan.End()
-		s.metrics.Run("error", "", 0, obsSummaryZero)
-		s.finishRequest(rc, err)
+		s.metrics.observe(died)
 		return nil, err
 	}
-	cacheSpan.Annotate("result", cacheResult(hit))
-	if detail != nil {
-		annotateTemplate(cacheSpan, detail)
-	}
-	cacheSpan.End()
-	rc.Program, rc.Cached, rc.Template = key, hit, detail
-	if !hit {
-		s.metrics.CompilePhases(prog.Phases())
-		s.metrics.CompileSched(prog.Sched().Totals())
-	}
 
-	maxCycles := s.cfg.MaxCycles
+	cfg := warp.RunConfig{
+		MaxCycles: s.cfg.MaxCycles,
+		Profile:   req.Profile,
+		Backend:   req.Backend,
+		Progress:  rq.publish,
+	}
 	if req.MaxCycles > 0 {
-		maxCycles = req.MaxCycles
+		cfg.MaxCycles = req.MaxCycles
 	}
-	if req.Partition != nil {
-		return s.runPartitioned(ctx, rc, ent, req, prog, key, hit, maxCycles)
+	stage, run := "run", func(cfg warp.RunConfig) (*runOutcome, error) {
+		out, rs, err := prog.RunWith(cfg, req.Inputs)
+		return arrayOutcome(out, rs), err
+	}
+	if p := req.Partition; p != nil {
+		// The program is the tile kernel; the farm runs inside one pool
+		// slot (its own concurrency is the fabric's array count).
+		prob, err := buildProblem(prog, req)
+		if err != nil {
+			s.metrics.observe(died)
+			return nil, err
+		}
+		cfg.Arrays, cfg.TileRetries = p.Arrays, p.TileRetries
+		if cfg.Arrays <= 0 {
+			cfg.Arrays = s.cfg.Arrays
+		}
+		if cfg.TileRetries == 0 {
+			cfg.TileRetries = 1
+		}
+		cfg.TileDeadline = time.Duration(p.TileDeadlineMS) * time.Millisecond
+		stage, run = "fabric", func(cfg warp.RunConfig) (*runOutcome, error) {
+			out, fs, err := prog.RunPartitioned(cfg, prob)
+			return fabricOutcome(out, fs), err
+		}
 	}
 
-	// The job leaves its results in locals; the flight record takes them
+	// The job leaves its outcome in a local; the flight record takes it
 	// only once Do has returned the job's own nil, never from a job that
 	// outlived its requester's deadline.
-	var resp *RunResponse
-	var source *warp.SourceProfile
+	var done *runOutcome
+	var started atomic.Bool
 	start := time.Now()
-	queueSpan := rc.tr.StartSpan("queue-wait", rc.root)
+	queueSpan := rq.tr.StartSpan("queue-wait", rq.root)
 	err = s.pool.Do(ctx, func(ctx context.Context) error {
+		started.Store(true)
 		s.metrics.QueueWait(time.Since(start).Seconds())
 		queueSpan.End() // admitted: the wait is over
-		runSpan := rc.tr.StartSpan("run", rc.root)
-		defer runSpan.End()
-		out, rs, err := prog.RunWith(warp.RunConfig{
-			Context:   ctx,
-			MaxCycles: maxCycles,
-			Profile:   req.Profile,
-			Backend:   req.Backend,
-			Progress:  ent.publish,
-		}, req.Inputs)
+		span := rq.tr.StartSpan(stage, rq.root)
+		defer span.End()
+		if req.Partition != nil {
+			span.Annotate("arrays", fmt.Sprint(cfg.Arrays))
+		}
+		cfg.Context = ctx
+		o, err := run(cfg)
+		_, _, o.result = classify(err)
+		o.seconds = time.Since(start).Seconds()
+		o.annotate(span, err)
+		// A fabric job counts itself however it ended, with the tile
+		// attempts it made; a failed single-array run is counted below.
+		if err == nil || o.fabric != nil {
+			s.metrics.observe(o)
+		}
 		if err != nil {
-			runSpan.Annotate("error", err.Error())
 			return err
 		}
-		runSpan.Annotate("backend", rs.Backend)
-		annotateDecision(runSpan, rs.Decision)
-		sum := rs.Profile.Summarize()
-		runSpan.AttachSummary(sum)
-		source = rs.Source
-		resp = &RunResponse{
-			Program:  key,
-			Cached:   hit,
-			Outputs:  out,
-			Request:  rc.ID,
-			Decision: rs.Decision,
-			Stats: RunStatsJSON{
-				Cycles:         rs.Cycles,
-				Backend:        rs.Backend,
-				MaxQueue:       rs.MaxQueue,
-				MaxQueueAt:     rs.MaxQueueAt,
-				AddUtilization: rs.AddUtilization,
-				MulUtilization: rs.MulUtilization,
-			},
-		}
-		s.metrics.Run("ok", rs.Backend, time.Since(start).Seconds(), sum)
-		s.metrics.Backend(rs.Backend)
-		s.metrics.Decision(rs.Decision)
+		done = o
 		return nil
 	})
 	// End is idempotent: on the rejected/deadline paths the span is
 	// still open and this closes it; on the admitted path it is a no-op.
 	queueSpan.End()
 	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			s.metrics.Run("timeout", "", 0, obsSummaryZero)
-		case errors.Is(err, ErrBusy):
-			s.metrics.Run("rejected", "", 0, obsSummaryZero)
-		default:
-			s.metrics.Run("error", "", 0, obsSummaryZero)
+		// Counted here, unless a fabric job started (it counts itself)
+		// and lived to do so.
+		if req.Partition == nil || !started.Load() || errors.Is(err, errPanic) {
+			_, _, died.result = classify(err)
+			s.metrics.observe(died)
 		}
-		s.finishRequest(rc, err)
 		return nil, err
 	}
-	rc.Cycles, rc.Source, rc.Decision = resp.Stats.Cycles, source, resp.Decision
-	s.finishRequest(rc, nil)
-	return resp, nil
-}
-
-// annotateDecision stamps the backend decision audit onto the run span
-// so the flight recorder's trace carries the predicted-vs-actual story.
-func annotateDecision(sp *obs.Span, d *warp.Decision) {
-	if d == nil {
-		return
-	}
-	sp.Annotate("decision", d.Reason)
-	sp.Annotate("predicted_wall_ns", fmt.Sprint(d.PredictedWallNS()))
-	sp.Annotate("actual_wall_ns", fmt.Sprint(d.ActualWallNS))
-	if f := d.ErrorFactor(); f > 0 {
-		sp.Annotate("prediction_error", fmt.Sprintf("%.2f", f))
-	}
+	rq.Cycles, rq.Source, rq.Decision = done.cycles, done.source, done.decision
+	return done.response(rq), nil
 }
 
 // buildProblem maps a partitioned request's full-size inputs onto the
@@ -692,108 +673,6 @@ func buildProblem(prog *warp.Program, req *RunRequest) (warp.Problem, error) {
 	}
 	return warp.Problem{}, &httpError{http.StatusBadRequest,
 		fmt.Sprintf("unknown partition workload %q (want matmul or conv1d)", p.Workload)}
-}
-
-// runPartitioned is runOne's tail for partition requests: the resolved
-// program becomes the tile kernel and the farm runs inside one pool
-// slot (its internal concurrency is the fabric's own array count).
-func (s *Server) runPartitioned(ctx context.Context, rc *requestCtx, ent *progressEntry, req *RunRequest, prog *warp.Program, key string, hit bool, maxCycles int64) (*RunResponse, error) {
-	arrays := req.Partition.Arrays
-	if arrays <= 0 {
-		arrays = s.cfg.Arrays
-	}
-	retries := req.Partition.TileRetries
-	if retries == 0 {
-		retries = 1
-	}
-	prob, err := buildProblem(prog, req)
-	if err != nil {
-		s.metrics.Fabric("error", "", 0, 0, 0, 0, 0, 0)
-		s.finishRequest(rc, err)
-		return nil, err
-	}
-
-	var resp *RunResponse
-	var source *warp.SourceProfile
-	start := time.Now()
-	queueSpan := rc.tr.StartSpan("queue-wait", rc.root)
-	err = s.pool.Do(ctx, func(ctx context.Context) error {
-		s.metrics.QueueWait(time.Since(start).Seconds())
-		queueSpan.End()
-		runSpan := rc.tr.StartSpan("fabric", rc.root)
-		defer runSpan.End()
-		runSpan.Annotate("arrays", fmt.Sprint(arrays))
-		out, fs, err := prog.RunPartitioned(warp.RunConfig{
-			Context:      ctx,
-			MaxCycles:    maxCycles,
-			Arrays:       arrays,
-			TileRetries:  retries,
-			TileDeadline: time.Duration(req.Partition.TileDeadlineMS) * time.Millisecond,
-			Profile:      req.Profile,
-			Backend:      req.Backend,
-			Progress:     ent.publish,
-		}, prob)
-		if fs != nil {
-			runSpan.Annotate("tiles", fmt.Sprint(fs.Tiles))
-		}
-		if err != nil {
-			runSpan.Annotate("error", err.Error())
-			result := "error"
-			if errors.Is(err, context.DeadlineExceeded) {
-				result = "timeout"
-			}
-			if fs != nil {
-				s.metrics.Fabric(result, fs.Backend, 0, fs.Tiles, fs.Dispatched, fs.Retried, fs.Failed, fs.AggregateCycles)
-			} else {
-				s.metrics.Fabric(result, "", 0, 0, 0, 0, 0, 0)
-			}
-			return err
-		}
-		runSpan.Annotate("backend", fs.Backend)
-		annotateDecision(runSpan, fs.Decision)
-		source = fs.Source
-		resp = &RunResponse{
-			Program:  key,
-			Cached:   hit,
-			Outputs:  out,
-			Request:  rc.ID,
-			Decision: fs.Decision,
-			Stats: RunStatsJSON{
-				Cycles:         fs.MakespanCycles,
-				Backend:        fs.Backend,
-				MaxQueue:       fs.PeakQueue,
-				MaxQueueAt:     fs.PeakQueueAt,
-				AddUtilization: fs.AddUtil,
-				MulUtilization: fs.MulUtil,
-			},
-			Fabric: &FabricJSON{
-				Tiles:           fs.Tiles,
-				Arrays:          fs.Arrays,
-				Dispatched:      fs.Dispatched,
-				Retried:         fs.Retried,
-				Failed:          fs.Failed,
-				AggregateCycles: fs.AggregateCycles,
-				MakespanCycles:  fs.MakespanCycles,
-				Speedup:         fs.Speedup,
-				StagedWords:     fs.StagedWords,
-			},
-		}
-		s.metrics.Fabric("ok", fs.Backend, time.Since(start).Seconds(), fs.Tiles, fs.Dispatched, fs.Retried, fs.Failed, fs.AggregateCycles)
-		s.metrics.Backend(fs.Backend)
-		s.metrics.Decision(fs.Decision)
-		return nil
-	})
-	queueSpan.End()
-	if err != nil {
-		if errors.Is(err, ErrBusy) {
-			s.metrics.Fabric("rejected", "", 0, 0, 0, 0, 0, 0)
-		}
-		s.finishRequest(rc, err)
-		return nil, err
-	}
-	rc.Cycles, rc.Source, rc.Decision = resp.Fabric.AggregateCycles, source, resp.Decision
-	s.finishRequest(rc, nil)
-	return resp, nil
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {

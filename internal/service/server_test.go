@@ -445,6 +445,25 @@ func TestCompilePanicDoesNotPoisonKey(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "compiler bug") {
 		t.Fatalf("panicking compile: status %d: %s; want 500 naming the panic", resp.StatusCode, body)
 	}
+	// The client learns the panic value and which request to look up;
+	// the goroutine dump stays on the server, in that request's record.
+	if strings.Contains(string(body), "goroutine ") {
+		t.Errorf("500 body leaks a stack trace: %s", body)
+	}
+	id := regexp.MustCompile(`\(request (r\d+)\)`).FindStringSubmatch(string(body))
+	if id == nil {
+		t.Fatalf("500 body does not name its request: %s", body)
+	}
+	rresp, err := client.Get(ts.URL + "/debug/requests/" + id[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec RequestRecord
+	err = json.NewDecoder(rresp.Body).Decode(&rec)
+	rresp.Body.Close()
+	if err != nil || rec.Status != http.StatusInternalServerError || !strings.Contains(rec.Error, "compiler bug") || !strings.Contains(rec.Error, "goroutine ") {
+		t.Errorf("flight record of the panicked request = %+v (decode error %v), want the panic value and its stack", rec, err)
+	}
 	resp, body = postJSON(t, client, ts.URL+"/compile", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("compile after a panic: status %d: %s", resp.StatusCode, body)
@@ -462,8 +481,8 @@ func TestPoolPanicFailsAlone(t *testing.T) {
 	p := NewPool(1, 4)
 	defer p.Close()
 	err := p.Do(context.Background(), func(context.Context) error { panic("executor bug") })
-	if !errors.Is(err, errLoadPanic) || !strings.Contains(err.Error(), "executor bug") || errStatus(err) != http.StatusInternalServerError {
-		t.Fatalf("panicking job returned %v (status %d), want a 500 naming the panic", err, errStatus(err))
+	if status, _, _ := classify(err); !errors.Is(err, errPanic) || !strings.Contains(err.Error(), "executor bug") || status != http.StatusInternalServerError {
+		t.Fatalf("panicking job returned %v (status %d), want a 500 naming the panic", err, status)
 	}
 	ran := false
 	if err := p.Do(context.Background(), func(context.Context) error { ran = true; return nil }); err != nil || !ran {

@@ -10,16 +10,24 @@ import (
 	"sync/atomic"
 )
 
-// errLoadPanic marks a store load or a pool job that panicked.  The
-// panic is turned into this error for the flight's owner and every
-// waiter (or the job's submitter), so a compiler or executor bug costs
-// one 500 instead of wedging the key or killing the daemon.
-var errLoadPanic = errors.New("internal error: load panicked")
+// errPanic marks a store load or a pool job that panicked.  The panic
+// is turned into this error for the flight's owner and every waiter (or
+// the job's submitter), so a compiler or executor bug costs one 500
+// instead of wedging the key or killing the daemon.
+var errPanic = errors.New("internal error: panic")
 
-// panicError wraps a recovered panic value and the stack that raised it.
-func panicError(r any) error {
-	return fmt.Errorf("%w: %v\n%s", errLoadPanic, r, debug.Stack())
+// panicError is a recovered panic.  Its text names the value and may go
+// to a client; the stack is the operator's (see finishRequest).
+type panicError struct {
+	value any
+	stack []byte
 }
+
+// recovered wraps the value recover returned, on the panicking stack.
+func recovered(r any) error { return &panicError{value: r, stack: debug.Stack()} }
+
+func (e *panicError) Error() string { return fmt.Sprintf("%v: %v", errPanic, e.value) }
+func (e *panicError) Unwrap() error { return errPanic }
 
 // counters are a store's hit/miss/eviction totals.  They sit behind a
 // pointer so the per-template instantiation stores of a TemplateCache
@@ -110,12 +118,12 @@ func (s *store[V]) get(ctx context.Context, key string, load func() (V, error)) 
 // fly runs load as the owner of key's flight.  Landing is deferred so
 // that a load which panics (or exits its goroutine) still clears the
 // flight and releases its waiters with an error; a panic's value and
-// stack are appended to it.
+// stack travel in it.
 func (s *store[V]) fly(key string, f *flight[V], load func() (V, error)) {
-	f.err = errLoadPanic // stands unless load returns
+	f.err = errPanic // stands unless load returns
 	defer func() {
 		if r := recover(); r != nil {
-			f.err = panicError(r)
+			f.err = recovered(r)
 		}
 		s.mu.Lock()
 		delete(s.flights, key)

@@ -190,12 +190,12 @@ func TestStore(t *testing.T) {
 				panic("kaboom")
 			})
 			close(release)
-			if r := <-owner; !errors.Is(r.err, errLoadPanic) || !strings.Contains(r.err.Error(), "kaboom") {
-				t.Errorf("owner got %+v, want errLoadPanic naming the panic value", r)
+			if r := <-owner; !errors.Is(r.err, errPanic) || !strings.Contains(r.err.Error(), "kaboom") {
+				t.Errorf("owner got %+v, want errPanic naming the panic value", r)
 			}
 			for i := 0; i < waiters; i++ {
-				if r := <-waited; !errors.Is(r.err, errLoadPanic) || r.hit {
-					t.Errorf("waiter got %+v, want errLoadPanic", r)
+				if r := <-waited; !errors.Is(r.err, errPanic) || r.hit {
+					t.Errorf("waiter got %+v, want errPanic", r)
 				}
 			}
 			s.mu.Lock()

@@ -8,101 +8,83 @@ import (
 	"net/http"
 	"time"
 
-	"warp"
 	"warp/internal/obs"
 )
 
-// requestCtx carries one request from the handler edge to the finish
-// line: the flight record, filled in place as the request resolves its
-// program and runs, plus the open root span of its trace.
-type requestCtx struct {
-	*RequestRecord
-	tr   *obs.Trace // nil when the flight recorder is disabled
-	root *obs.Span
-}
-
-// beginRequest assigns a request ID and opens the root span.  When the
-// flight recorder is disabled the trace stays nil and every span call
-// downstream is a free no-op.
-func (s *Server) beginRequest(endpoint string) *requestCtx {
-	rc := &requestCtx{RequestRecord: &RequestRecord{
-		ID:       fmt.Sprintf("r%06d", s.seq.Add(1)),
+// beginRequest assigns a request ID, opens the root span and registers
+// the request as live.  When no finished records are kept the trace
+// stays nil and every span call downstream is a free no-op.
+func (s *Server) beginRequest(endpoint string) *request {
+	seq := s.seq.Add(1)
+	rq := &request{seq: seq, RequestRecord: RequestRecord{
+		ID:       fmt.Sprintf("r%06d", seq),
 		Endpoint: endpoint,
 		Start:    time.Now(),
 	}}
-	if s.flight.enabled() {
-		rc.tr = obs.NewTrace()
-		rc.root = rc.tr.StartSpan("request", nil)
-		rc.root.Annotate("endpoint", endpoint)
+	if s.requests.keep > 0 {
+		rq.tr = obs.NewTrace()
+		rq.root = rq.tr.StartSpan("request", nil)
+		rq.root.Annotate("endpoint", endpoint)
 	}
-	return rc
+	s.requests.add(rq)
+	return rq
 }
 
-// finishRequest closes the root span, files the flight record, and
-// emits the structured log line.  The logged total is the root span's
-// duration, so the child spans always sum consistently against it.
-func (s *Server) finishRequest(rc *requestCtx, err error) {
-	rc.root.End()
-	rc.Outcome = outcomeOf(err)
-	rc.Status = http.StatusOK
+// finishRequest closes the root span and the progress stream, completes
+// the flight record, files it among the finished, and emits the
+// structured log line.  The logged total is the root span's duration,
+// so the child spans always sum consistently against it.  It returns
+// the error the client is to see: a panic's stack goes to the record
+// and the log only; the client gets the request ID to find it under.
+func (s *Server) finishRequest(rq *request, err error) error {
+	rq.root.End()
+	rq.endProgress()
+	rq.Status, rq.Outcome, _ = classify(err)
 	if err != nil {
-		rc.Status = errStatus(err)
-		rc.Error = err.Error()
+		rq.Error = err.Error()
+		var pe *panicError
+		if errors.As(err, &pe) {
+			rq.Error += "\n" + string(pe.stack)
+			err = fmt.Errorf("%w (request %s)", err, rq.ID)
+		}
 	}
-	rc.Spans = rc.tr.Spans()
-	rc.TotalNS = int64(time.Since(rc.Start))
-	if len(rc.Spans) > 0 {
-		rc.TotalNS = rc.Spans[0].DurNS() // root is always span 0
+	rq.Spans = rq.tr.Spans()
+	rq.TotalNS = int64(time.Since(rq.Start))
+	if len(rq.Spans) > 0 {
+		rq.TotalNS = rq.Spans[0].DurNS() // root is always span 0
 	}
-	rc.HasProfile = rc.Source != nil
-	s.flight.add(rc.RequestRecord)
+	rq.HasProfile = rq.Source != nil
+	s.requests.finish(rq)
 
 	attrs := make([]slog.Attr, 0, 12)
 	attrs = append(attrs,
-		slog.String("id", rc.ID),
-		slog.String("endpoint", rc.Endpoint),
-		slog.String("outcome", rc.Outcome),
-		slog.Int("status", rc.Status),
-		slog.Int64("total_ns", rc.TotalNS),
+		slog.String("id", rq.ID),
+		slog.String("endpoint", rq.Endpoint),
+		slog.String("outcome", rq.Outcome),
+		slog.Int("status", rq.Status),
+		slog.Int64("total_ns", rq.TotalNS),
 	)
 	for _, name := range []string{"cache", "queue-wait", "run"} {
-		if d, ok := spanDur(rc.Spans, name); ok {
+		if d, ok := spanDur(rq.Spans, name); ok {
 			attrs = append(attrs, slog.Int64(name+"_ns", d))
 		}
 	}
-	if rc.Program != "" {
+	if rq.Program != "" {
 		attrs = append(attrs,
-			slog.String("program", shortKey(rc.Program)),
-			slog.Bool("cached", rc.Cached),
+			slog.String("program", shortKey(rq.Program)),
+			slog.Bool("cached", rq.Cached),
 		)
 	}
-	if rc.Cycles > 0 {
-		attrs = append(attrs, slog.Int64("cycles", rc.Cycles))
+	if rq.Cycles > 0 {
+		attrs = append(attrs, slog.Int64("cycles", rq.Cycles))
 	}
 	level := slog.LevelInfo
 	if err != nil {
 		level = slog.LevelWarn
-		attrs = append(attrs, slog.String("error", err.Error()))
+		attrs = append(attrs, slog.String("error", rq.Error))
 	}
 	s.log.LogAttrs(context.Background(), level, "request", attrs...)
-}
-
-// outcomeOf classifies an error for the flight record and log line.
-// Finer-grained than the metrics result labels, which stay unchanged.
-func outcomeOf(err error) string {
-	switch {
-	case err == nil:
-		return "ok"
-	case errors.Is(err, context.DeadlineExceeded):
-		return "timeout"
-	case errors.Is(err, ErrBusy), errors.Is(err, ErrClosed):
-		return "rejected"
-	case errors.Is(err, context.Canceled):
-		return "canceled"
-	case errors.Is(err, warp.ErrLivelock):
-		return "livelock"
-	}
-	return "error"
+	return err
 }
 
 func cacheResult(hit bool) string {
@@ -132,38 +114,45 @@ func spanDur(spans []obs.SpanRecord, name string) (int64, bool) {
 	return 0, false
 }
 
+// lookup resolves a handler's {id} to its tracked request, or answers
+// 404 and returns nil.  A live request's record is still being written
+// by its own goroutine, so only the progress views (live) may see one.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request, live bool) *request {
+	id := r.PathValue("id")
+	rq, finished := s.requests.get(id)
+	if rq != nil && (live && rq.streams() || !live && finished) {
+		return rq
+	}
+	writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("no tracked request %q", id)})
+	return nil
+}
+
 // handleDebugRequests serves the flight recorder: the last N requests,
 // newest first, each with its full span tree.
 func (s *Server) handleDebugRequests(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
 		Requests []*RequestRecord `json:"requests"`
-	}{s.flight.snapshot()})
+	}{s.requests.records()})
 }
 
 // handleDebugRequest serves one recorded request's full flight record —
 // outcome, span tree, and backend decision audit.
 func (s *Server) handleDebugRequest(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	rec := s.flight.get(id)
-	if rec == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("no recorded request %q", id)})
-		return
+	if rq := s.lookup(w, r, false); rq != nil {
+		writeJSON(w, http.StatusOK, &rq.RequestRecord)
 	}
-	writeJSON(w, http.StatusOK, rec)
 }
 
 // handleDebugTrace serves one recorded request as a Chrome trace-event
 // JSON download, loadable in Perfetto / chrome://tracing.
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	rec := s.flight.get(id)
-	if rec == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("no recorded request %q", id)})
+	rq := s.lookup(w, r, false)
+	if rq == nil {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", id+".trace.json"))
-	_ = obs.WriteChromeSpans(w, rec.Spans)
+	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", rq.ID+".trace.json"))
+	_ = obs.WriteChromeSpans(w, rq.Spans)
 }
 
 // handleDebugProfile serves one profiled request's source-line cycle
@@ -171,13 +160,12 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 // straight to `go tool pprof`); ?format=text returns the hot-spot
 // report and ?format=folded the flame-graph stack lines.
 func (s *Server) handleDebugProfile(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	rec := s.flight.get(id)
-	if rec == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: fmt.Sprintf("no recorded request %q", id)})
+	rq := s.lookup(w, r, false)
+	if rq == nil {
 		return
 	}
-	if rec.Source == nil {
+	id, src := rq.ID, rq.Source
+	if src == nil {
 		writeJSON(w, http.StatusNotFound, errorResponse{
 			Error: fmt.Sprintf("request %q was not profiled; rerun with \"profile\": true", id)})
 		return
@@ -186,14 +174,14 @@ func (s *Server) handleDebugProfile(w http.ResponseWriter, r *http.Request) {
 	case "", "pprof":
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", id+".pprof.pb.gz"))
-		_ = rec.Source.WritePprof(w)
+		_ = src.WritePprof(w)
 	case "text":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, rec.Source.Report())
+		fmt.Fprint(w, src.Report())
 	case "folded":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", id+".folded"))
-		_ = rec.Source.WriteFolded(w)
+		_ = src.WriteFolded(w)
 	default:
 		writeJSON(w, http.StatusBadRequest, errorResponse{
 			Error: fmt.Sprintf("unknown profile format %q (want pprof, text or folded)", format)})

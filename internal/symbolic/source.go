@@ -40,10 +40,6 @@ type Source struct {
 	exprs    []*boundExpr
 }
 
-// IsSymbolic reports whether text contains at least one ${...}
-// placeholder (cheap; does not validate the expressions).
-func IsSymbolic(text string) bool { return strings.Contains(text, "${") }
-
 // ParseSource splits template text into literal chunks and placeholder
 // expressions.  Placeholder syntax is ${expr} where expr is an integer
 // expression over parameter names, integer literals, + - * / and

@@ -691,23 +691,3 @@ func validateInstance(c *driver.Compiled) error {
 	walkIU(c.IU.Items)
 	return err
 }
-
-func sameBounds(a, b map[string]int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
-}
-
-// Classes returns the number of residue classes currently fitted or
-// pending (for cache observability).
-func (t *Template) Classes() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.classes)
-}

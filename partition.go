@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"warp/internal/driver"
 	"warp/internal/fabric"
-	"warp/internal/prof"
 )
 
 // Problem is an oversized workload for RunPartitioned — one whose
@@ -68,24 +66,17 @@ func (p *Program) RunPartitioned(cfg RunConfig, prob Problem) (map[string][]floa
 	if err != nil {
 		return nil, nil, err
 	}
+	// A tile runs like any single-array run, under its own attempt's
+	// context.  Every tile worker shares the kernel's one cached fast
+	// plan, so a verified kernel runs the whole farm at dataflow speed.
 	run := func(ctx context.Context, t fabric.Tile, in map[string][]float64) ([]float64, fabric.TileStats, error) {
-		// Every tile worker shares the kernel's one cached fast plan, so
-		// a verified kernel runs the whole farm at dataflow speed.
-		out, stats, err := driver.RunWith(p.c, in, driver.RunOptions{
-			Ctx:       ctx,
-			MaxCycles: cfg.MaxCycles,
-			Profile:   cfg.Profile,
-			Backend:   cfg.Backend,
-		})
+		out, rs, err := p.RunWith(RunConfig{Context: ctx, MaxCycles: cfg.MaxCycles, Profile: cfg.Profile, Backend: cfg.Backend}, in)
 		if err != nil {
 			return nil, fabric.TileStats{}, err
 		}
-		ts := fabric.TileStats{Cycles: stats.Cycles, Backend: stats.Backend, Decision: stats.Decision}
-		if stats.Obs != nil {
-			ts.Summary = stats.Obs.Summarize()
-			if cfg.Profile {
-				ts.Source = prof.BuildSource(p.c.Debug, stats.Obs.PC, stats.Cycles)
-			}
+		ts := fabric.TileStats{Cycles: rs.Cycles, Backend: rs.Backend, Decision: rs.Decision, Source: rs.Source}
+		if rs.Profile != nil {
+			ts.Summary = rs.Profile.Summarize()
 		}
 		return out[pl.OutName()], ts, nil
 	}

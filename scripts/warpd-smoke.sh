@@ -100,6 +100,20 @@ echo "$SSE" | tail -n 2 | grep -q '"done":true' ||
   { echo "FAIL: terminal SSE payload is not marked done" >&2; exit 1; }
 echo "progress: SSE streamed $NDATA event(s), terminal done frame ok"
 
+# One request, one record: the ID the progress listing handed out is
+# the partitioned run's flight record too, and a made-up ID is refused
+# alike by every per-request view.
+curl -sf "$BASE/debug/requests/$PROGID" |
+  jq -e '.decision.reason != null and ([.spans[].name] | contains(["fabric"]))' >/dev/null ||
+  { echo "FAIL: /debug/requests/$PROGID lacks the decision audit or a fabric span" >&2; exit 1; }
+curl -sf "$BASE/debug/requests/$PROGID/progress?format=json" | jq -e '.done == true' >/dev/null ||
+  { echo "FAIL: finished run's progress snapshot is not done" >&2; exit 1; }
+for SUB in "" /trace /profile /progress "/progress?format=json"; do
+  CODE=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/debug/requests/r999999$SUB")
+  [ "$CODE" = "404" ] || { echo "FAIL: unknown request ID got $CODE on /debug/requests/r999999$SUB, want 404" >&2; exit 1; }
+done
+echo "request record: $PROGID resolves on record + progress; unknown ID 404s on every view"
+
 METRICS=$(curl -sf "$BASE/metrics")
 echo "$METRICS" | grep -q 'warpd_compile_requests_total{result="hit"} 1' ||
   { echo "FAIL: /metrics does not report the compile cache hit" >&2; exit 1; }

@@ -49,10 +49,6 @@ func (t *Template) Params() []string { return t.t.Params() }
 // Stats returns a snapshot of the template's counters.
 func (t *Template) Stats() TemplateStats { return t.t.Stats() }
 
-// Classes returns the number of residue classes currently fitted or
-// pending.
-func (t *Template) Classes() int { return t.t.Classes() }
-
 // Program instantiates the template at one bound vector.
 func (t *Template) Program(bounds map[string]int64) (*Program, error) {
 	p, _, err := t.ProgramDetail(bounds, nil)

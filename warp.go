@@ -312,17 +312,6 @@ func (p *Program) Interpret(inputs map[string][]float64) (map[string][]float64, 
 	return interp.Run(info, inputs)
 }
 
-// InterpretContext interprets like Interpret but aborts once ctx is
-// cancelled, so oracle runs on large problems respect the same
-// deadlines as the simulator.
-func (p *Program) InterpretContext(ctx context.Context, inputs map[string][]float64) (map[string][]float64, error) {
-	info, err := p.c.FullInfo()
-	if err != nil {
-		return nil, err
-	}
-	return interp.RunContext(ctx, info, inputs)
-}
-
 // Metrics are the per-program compiler metrics of the paper's
 // Table 7-1, plus the skew analysis results.
 type Metrics struct {
