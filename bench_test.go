@@ -149,6 +149,8 @@ func benchSim(b *testing.B, src string, inputs map[string][]float64, results int
 		b.Fatal(err)
 	}
 	var cycles int64
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, stats, err := prog.Run(inputs)
 		if err != nil {
@@ -286,6 +288,8 @@ func BenchmarkSimulatorSpeed(b *testing.B) {
 		"b": make([]float64, 64*64),
 	}
 	var cycles int64
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, stats, err := prog.Run(inputs)
 		if err != nil {
@@ -313,6 +317,8 @@ func BenchmarkFFT1024_Simulate(b *testing.B) {
 		"x":    make([]float64, 2*n),
 	}
 	var cycles int64
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, stats, err := prog.Run(inputs)
 		if err != nil {

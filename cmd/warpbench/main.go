@@ -614,7 +614,8 @@ func fabricScaling() error {
 // proven schedule over host slices and reports the same closed-form
 // cycle count.  The experiment hard-fails unless outputs are
 // bit-identical and modeled cycles agree exactly; the wall speedup is
-// the number the BENCH_10.json gate holds above 5× on the 32×32 case.
+// the number benchgate holds above bench.FastexecSpeedupFloor on the
+// 32×32 case.
 func fastexec() error {
 	const iters = 3
 	fmt.Println("verified matmul on both backends (outputs bit-checked, cycles must agree):")
@@ -670,8 +671,8 @@ func fastexec() error {
 			simRS.Cycles, simWall.Round(time.Microsecond), fastWall.Round(time.Microsecond),
 			float64(simWall)/float64(fastWall))
 	}
-	fmt.Printf("\n(gate: bench.FastexecSpeedupFloor holds the 32x32 speedup above %.0fx in BENCH_10.json)\n",
-		bench.FastexecSpeedupFloor)
+	fmt.Printf("\n(gate: bench.FastexecSpeedupFloor holds the 32x32 speedup above %.1fx in %s)\n",
+		bench.FastexecSpeedupFloor, bench.BaselineFile)
 	return nil
 }
 
@@ -737,8 +738,8 @@ func symbolicSweep() error {
 	st := tmpl.Stats()
 	fmt.Printf("\nclass fit: %d probe compiles amortized over the sweep (first instantiation %s)\n",
 		st.ProbeCompiles, warm.Round(time.Millisecond))
-	fmt.Printf("(gate: bench.SymbolicSpeedupFloor holds the 32x32 min-over-min speedup above %.0fx in BENCH_10.json)\n",
-		bench.SymbolicSpeedupFloor)
+	fmt.Printf("(gate: bench.SymbolicSpeedupFloor holds the 32x32 min-over-min speedup above %.0fx in %s)\n",
+		bench.SymbolicSpeedupFloor, bench.BaselineFile)
 	return nil
 }
 

@@ -641,13 +641,22 @@ const CompilePhaseFloorNS = 1_000_000 // 1ms
 // never hard-fail against a baseline recorded elsewhere.
 const PredictionErrorWarnFactor = 3.0
 
+// BaselineFile is the committed baseline report the gate compares
+// against, relative to the repository root.
+const BaselineFile = "BENCH_15.json"
+
 // FastexecSpeedupFloor is the minimum wall speedup the fast dataflow
 // executor must hold over the cycle-accurate simulator on the fastexec
 // experiment.  Unlike other wall metrics this one IS gated hard: both
 // backends run the same program on the same host in the same process,
 // so the ratio cancels host speed and a collapse below the floor means
-// the fast path itself degraded (measured margin is ~2× above it).
-const FastexecSpeedupFloor = 5.0
+// the fast path itself degraded.  The numerator is the pre-decoded
+// simulator of PR 15, which runs this workload about 2.4× faster than
+// the tree-walking one the old 5× floor was set against; the measured
+// min-over-min ratio is now ~3.8× (median of 13 suite runs on the
+// 2-vCPU development host, range 2.5–5.5) and the floor is half of it,
+// the same ~2× margin as before.
+const FastexecSpeedupFloor = 1.9
 
 // SymbolicSpeedupFloor is the minimum median speedup template
 // instantiation must hold over a cold concrete compile of the same
@@ -696,7 +705,7 @@ func Compare(base, fresh *Report, cycleThreshold, wallThreshold, compileThreshol
 		freshNames[f.Name] = true
 		if f.Kind == "fastexec" && f.Speedup < FastexecSpeedupFloor {
 			v.Regressions = append(v.Regressions,
-				fmt.Sprintf("%s: fast-backend speedup %.1fx fell below the %.0fx floor",
+				fmt.Sprintf("%s: fast-backend speedup %.1fx fell below the %.1fx floor",
 					f.Name, f.Speedup, FastexecSpeedupFloor))
 		}
 		if f.Kind == "symbolic" && f.Speedup < SymbolicSpeedupFloor {
@@ -768,7 +777,7 @@ func Compare(base, fresh *Report, cycleThreshold, wallThreshold, compileThreshol
 		// advisory (the FastexecSpeedupFloor above is the hard gate).
 		if f.Kind == "fastexec" && b.Speedup > 0 && f.Speedup < b.Speedup*(1-wallThreshold) {
 			v.Warnings = append(v.Warnings,
-				fmt.Sprintf("%s: fast-backend speedup drifted %.1fx -> %.1fx — informational while above the %.0fx floor",
+				fmt.Sprintf("%s: fast-backend speedup drifted %.1fx -> %.1fx — informational while above the %.1fx floor",
 					f.Name, b.Speedup, f.Speedup, FastexecSpeedupFloor))
 		}
 		if f.Kind == "symbolic" && b.Speedup > 0 && f.Speedup < b.Speedup*(1-wallThreshold) {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -335,26 +336,27 @@ func TestCompileThresholdPromotes(t *testing.T) {
 // experiment whose speedup fell below FastexecSpeedupFloor fails
 // regardless of thresholds, while above-floor drift only warns.
 func TestFastexecSpeedupGate(t *testing.T) {
-	base := rpt(Experiment{Name: "fastexec/matmul32", Kind: "fastexec", Cycles: 100, Speedup: 15.0})
-	below := rpt(Experiment{Name: "fastexec/matmul32", Kind: "fastexec", Cycles: 100, Speedup: 4.2})
-	v := Compare(base, below, 0.10, 0.50, 0)
-	if v.OK() {
-		t.Fatal("speedup 4.2x must fail the 5x floor")
+	const floor = FastexecSpeedupFloor
+	exp := func(speedup float64) *Report {
+		return rpt(Experiment{Name: "fastexec/matmul32", Kind: "fastexec", Cycles: 100, Speedup: speedup})
 	}
-	if !strings.Contains(strings.Join(v.Regressions, "\n"), "below the 5x floor") {
+	base := exp(3 * floor)
+	v := Compare(base, exp(0.84*floor), 0.10, 0.50, 0)
+	if v.OK() {
+		t.Fatalf("a speedup of 0.84 of the floor must fail the %.1fx floor", floor)
+	}
+	if !strings.Contains(strings.Join(v.Regressions, "\n"), fmt.Sprintf("below the %.1fx floor", floor)) {
 		t.Errorf("regression does not name the floor: %v", v.Regressions)
 	}
-	drifted := rpt(Experiment{Name: "fastexec/matmul32", Kind: "fastexec", Cycles: 100, Speedup: 4.9})
-	if v := Compare(base, drifted, 0.10, 0.50, 0); v.OK() {
-		t.Error("speedup 4.9x must fail the 5x floor even with a worse baseline margin")
+	if v := Compare(base, exp(0.98*floor), 0.10, 0.50, 0); v.OK() {
+		t.Error("a speedup just under the floor must fail even with a worse baseline margin")
 	}
-	ok := rpt(Experiment{Name: "fastexec/matmul32", Kind: "fastexec", Cycles: 100, Speedup: 5.5})
-	v = Compare(base, ok, 0.10, 0.50, 0)
+	v = Compare(base, exp(1.1*floor), 0.10, 0.50, 0)
 	if !v.OK() {
-		t.Fatalf("5.5x is above the floor, drift must be warn-only: %v", v.Regressions)
+		t.Fatalf("1.1 of the floor is above it, drift must be warn-only: %v", v.Regressions)
 	}
 	if !strings.Contains(strings.Join(v.Warnings, "\n"), "speedup drifted") {
-		t.Errorf("15x -> 5.5x drift should warn: %v", v.Warnings)
+		t.Errorf("a drift from 3 to 1.1 times the floor should warn: %v", v.Warnings)
 	}
 }
 

@@ -7,7 +7,8 @@ import (
 )
 
 // TestAluAllCodes drives every FPU operation through a cell and checks
-// value and latency.
+// value and latency: the result must sit alone in the latency-wheel slot
+// of its landing cycle.
 func TestAluAllCodes(t *testing.T) {
 	cases := []struct {
 		code mcode.AluCode
@@ -44,15 +45,20 @@ func TestAluAllCodes(t *testing.T) {
 		if err := c.alu(op, 100); err != nil {
 			t.Fatalf("%s: %v", tc.code, err)
 		}
-		if len(c.pending) != 1 {
-			t.Fatalf("%s: %d pending writes", tc.code, len(c.pending))
+		pending := 0
+		for _, slot := range c.wheel {
+			pending += len(slot)
 		}
-		w := c.pending[0]
-		if w.val != tc.want {
-			t.Errorf("%s(%v,%v,%v) = %v, want %v", tc.code, tc.a, tc.b, tc.c, w.val, tc.want)
+		if pending != 1 {
+			t.Fatalf("%s: %d pending writes", tc.code, pending)
 		}
-		if w.land != 100+tc.code.Latency() {
-			t.Errorf("%s lands at %d, want %d", tc.code, w.land, 100+tc.code.Latency())
+		land := 100 + tc.code.Latency()
+		slot := c.wheel[land%wheelSlots]
+		if len(slot) != 1 {
+			t.Fatalf("%s does not land at %d", tc.code, land)
+		}
+		if w := slot[0]; w.reg != 5 || w.val != tc.want {
+			t.Errorf("%s(%v,%v,%v) = %v -> %s, want %v -> r5", tc.code, tc.a, tc.b, tc.c, w.val, w.reg, tc.want)
 		}
 	}
 }

@@ -8,70 +8,49 @@ import (
 	"warp/internal/w2"
 )
 
-// stepCell executes one cycle of one cell.
-func (m *machine) stepCell(c *cell, stats *Stats) error {
-	if c.done || m.now < c.start {
-		// The cell is idle: still waiting out its skew delay, or done
-		// and waiting for the rest of the array to drain.
-		if m.trace {
-			if c.done {
-				m.rec.Stall(m.now, c.idx, obs.StallDrain)
-			} else {
-				m.rec.Stall(m.now, c.idx, obs.StallSkewLead)
-			}
-		}
-		return nil
-	}
+// stepCell executes one cycle of one live cell.
+func (m *machine) stepCell(c *cell) error {
 	if m.trace && m.now == c.start {
 		m.rec.CellStart(m.now, c.idx)
+	}
+	if c.pc >= len(m.prog) {
+		// Only reachable for an empty program.
+		m.finish(c)
+		return nil
 	}
 
 	// Register writes and memory stores landing this cycle become
 	// visible before any read.
-	keptR := c.pending[:0]
-	for _, w := range c.pending {
-		if w.land <= m.now {
-			c.regs[w.reg] = w.val
-		} else {
-			keptR = append(keptR, w)
-		}
+	slot := &c.wheel[uint64(m.now)%wheelSlots]
+	for _, w := range *slot {
+		c.regs[w.reg] = w.val
 	}
-	c.pending = keptR
-	keptM := c.stores[:0]
-	for _, w := range c.stores {
-		if w.land <= m.now {
-			c.mem[w.addr] = w.val
-		} else {
-			keptM = append(keptM, w)
-		}
+	*slot = (*slot)[:0]
+	for _, w := range c.stores[:c.pending] {
+		c.mem[w.addr] = w.val
 	}
-	c.stores = keptM
+	c.pending = 0
 
-	in, depth, ends, done := c.seq.step()
-	if done {
-		c.done = true
-		stats.CellFinish[c.idx] = m.now
-		if m.trace {
-			m.rec.CellFinish(m.now, c.idx)
-		}
-		return nil
-	}
+	pc := c.pc
+	in := &m.prog[pc]
+	crossed, again := c.advance(in.depth, in.ends)
 
-	c.account(m, in, depth)
-	if err := m.execCellInstr(c, in); err != nil {
+	c.account(m, in, pc)
+	if err := m.execCellInstr(c, in.Instr); err != nil {
 		return fmt.Errorf("cell %d: %w", c.idx, err)
 	}
 
 	// Loop boundaries: pop one IU control signal per boundary,
 	// innermost first, and forward it down the array.
-	for _, end := range ends {
+	for i := range in.ends[:crossed] {
+		id, more := in.ends[i].id, again && i == crossed-1
 		s, err := c.sig.pop()
 		if err != nil {
-			return fmt.Errorf("cell %d, loop L%d: %w", c.idx, end.id, err)
+			return fmt.Errorf("cell %d, loop L%d: %w", c.idx, id, err)
 		}
-		if s.id != end.id || s.more != end.more {
+		if s.id != id || s.more != more {
 			return fmt.Errorf("cell %d: loop signal mismatch: sequencer at L%d(more=%v), IU sent L%d(more=%v)",
-				c.idx, end.id, end.more, s.id, s.more)
+				c.idx, id, more, s.id, s.more)
 		}
 		if c.idx+1 < len(m.cells) {
 			if err := m.cells[c.idx+1].sig.push(s); err != nil {
@@ -80,14 +59,18 @@ func (m *machine) stepCell(c *cell, stats *Stats) error {
 		}
 	}
 
-	if c.seq.done() {
-		c.done = true
-		stats.CellFinish[c.idx] = m.now
-		if m.trace {
-			m.rec.CellFinish(m.now, c.idx)
-		}
+	if c.pc >= len(m.prog) {
+		m.finish(c)
 	}
 	return nil
+}
+
+// finish retires a cell on the cycle of its last instruction.
+func (m *machine) finish(c *cell) {
+	c.finish = m.now
+	if m.trace {
+		m.rec.CellFinish(m.now, c.idx)
+	}
 }
 
 // account attributes the cycle: a busy cycle issues at least one field;
@@ -95,12 +78,29 @@ func (m *machine) stepCell(c *cell, stats *Stats) error {
 // upstream producer has not delivered) and a schedule bubble otherwise.
 // FPU issues are also attributed to the instruction's loop depth, which
 // is what lets the utilization report isolate the innermost loop (§7).
-func (c *cell) account(m *machine, in *mcode.Instr, depth int) {
-	for depth >= len(c.depth) {
-		c.depth = append(c.depth, obs.DepthProfile{})
-	}
-	dp := &c.depth[depth]
+func (c *cell) account(m *machine, in *cellInstr, pc int) {
+	dp := &c.depth[in.depth]
 	dp.Cycles++
+	if in.nop {
+		if c.in[w2.ChanX].n == 0 && c.in[w2.ChanY].n == 0 {
+			c.starved++
+			if c.pcs != nil {
+				c.pcs.Starved[pc]++
+			}
+			if m.trace {
+				m.rec.Stall(m.now, c.idx, obs.StallQueueEmpty)
+			}
+		} else {
+			c.bubble++
+			if c.pcs != nil {
+				c.pcs.Bubble[pc]++
+			}
+			if m.trace {
+				m.rec.Stall(m.now, c.idx, obs.StallBubble)
+			}
+		}
+		return
+	}
 	if in.Add != nil {
 		c.addOps++
 		dp.AddOps++
@@ -112,29 +112,9 @@ func (c *cell) account(m *machine, in *mcode.Instr, depth int) {
 	if in.Mov != nil {
 		c.movOps++
 	}
-	if in.Empty() {
-		if c.inX.len() == 0 && c.inY.len() == 0 {
-			c.starved++
-			if c.pc != nil {
-				c.pc.Starved[in.PC]++
-			}
-			if m.trace {
-				m.rec.Stall(m.now, c.idx, obs.StallQueueEmpty)
-			}
-		} else {
-			c.bubble++
-			if c.pc != nil {
-				c.pc.Bubble[in.PC]++
-			}
-			if m.trace {
-				m.rec.Stall(m.now, c.idx, obs.StallBubble)
-			}
-		}
-		return
-	}
 	c.busy++
-	if c.pc != nil {
-		c.pc.Busy[in.PC]++
+	if c.pcs != nil {
+		c.pcs.Busy[pc]++
 	}
 	if m.trace {
 		if in.Add != nil {
@@ -149,39 +129,47 @@ func (c *cell) account(m *machine, in *mcode.Instr, depth int) {
 	}
 }
 
+// land schedules a register write for lat cycles from now.
+func (c *cell) land(now, lat int64, reg mcode.Reg, val float64) {
+	slot := &c.wheel[uint64(now+lat)%wheelSlots]
+	*slot = append(*slot, regWrite{reg: reg, val: val})
+}
+
 func (m *machine) execCellInstr(c *cell, in *mcode.Instr) error {
+	var next *cell // downstream neighbour; nil for the last cell
+	if c.idx+1 < len(m.cells) {
+		next = &m.cells[c.idx+1]
+	}
+
 	// Queue operations.
 	for _, io := range in.IO {
+		ch := w2.ChanX
+		if io.Chan == w2.ChanY {
+			ch = w2.ChanY
+		}
 		if io.Recv {
 			if io.Dir != w2.DirL {
 				return fmt.Errorf("sim: receive from the right is not supported (rightward flow only)")
 			}
-			q := c.inX
-			if io.Chan == w2.ChanY {
-				q = c.inY
-			}
+			q := &c.in[ch]
 			v, err := q.pop()
 			if err != nil {
 				return err
 			}
 			recPop(m, q)
-			c.pending = append(c.pending, regWrite{reg: io.Reg, val: v, land: m.now + 1})
+			c.land(m.now, 1, io.Reg, v)
 		} else {
 			if io.Dir != w2.DirR {
 				return fmt.Errorf("sim: send to the left is not supported (rightward flow only)")
 			}
 			v := c.regs[io.Reg]
-			if c.idx+1 < len(m.cells) {
-				next := m.cells[c.idx+1]
-				q := next.inX
-				if io.Chan == w2.ChanY {
-					q = next.inY
-				}
+			if next != nil {
+				q := &next.in[ch]
 				if err := q.push(v); err != nil {
 					return err
 				}
 				recPush(m, q)
-			} else if err := m.hostCollect(io.Chan, v); err != nil {
+			} else if err := m.hostCollect(ch, v); err != nil {
 				return err
 			}
 		}
@@ -197,13 +185,12 @@ func (m *machine) execCellInstr(c *cell, in *mcode.Instr) error {
 		if err != nil {
 			return err
 		}
-		recPop(m, c.adr)
-		if c.idx+1 < len(m.cells) {
-			next := m.cells[c.idx+1]
+		recPop(m, &c.adr)
+		if next != nil {
 			if err := next.adr.push(addr); err != nil {
 				return err
 			}
-			recPush(m, next.adr)
+			recPush(m, &next.adr)
 		}
 		if addr < 0 || addr >= int64(len(c.mem)) {
 			return fmt.Errorf("sim: address %d outside the %d-word cell memory (IU generated a bad address for %s)",
@@ -211,10 +198,11 @@ func (m *machine) execCellInstr(c *cell, in *mcode.Instr) error {
 		}
 		if mo.Store {
 			c.nStores++
-			c.stores = append(c.stores, memWrite{addr: addr, val: c.regs[mo.Reg], land: m.now + 1})
+			c.stores[c.pending] = memWrite{addr: addr, val: c.regs[mo.Reg]}
+			c.pending++
 		} else {
 			c.nLoads++
-			c.pending = append(c.pending, regWrite{reg: mo.Reg, val: c.mem[addr], land: m.now + 1})
+			c.land(m.now, 1, mo.Reg, c.mem[addr])
 		}
 		if m.trace {
 			m.rec.MemRef(m.now, c.idx, port, addr, mo.Store)
@@ -239,7 +227,7 @@ func (m *machine) execCellInstr(c *cell, in *mcode.Instr) error {
 	}
 
 	if in.Lit != nil {
-		c.pending = append(c.pending, regWrite{reg: in.Lit.Dst, val: in.Lit.Value, land: m.now + 1})
+		c.land(m.now, 1, in.Lit.Dst, in.Lit.Value)
 	}
 	return nil
 }
@@ -300,6 +288,6 @@ func (c *cell) alu(op *mcode.AluOp, now int64) error {
 	default:
 		return fmt.Errorf("sim: unknown ALU code %v", op.Code)
 	}
-	c.pending = append(c.pending, regWrite{reg: op.Dst, val: v, land: now + op.Code.Latency()})
+	c.land(now, op.Code.Latency(), op.Dst, v)
 	return nil
 }

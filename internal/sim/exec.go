@@ -1,208 +1,120 @@
 package sim
 
-import "warp/internal/mcode"
+import (
+	"fmt"
 
-// exec.go implements structured-program sequencers: the control state
-// of a cell or the IU, stepping one microinstruction per cycle through
-// nested counted loops.
+	"warp/internal/mcode"
+)
 
-// loopEnd is a loop-body boundary crossed after an instruction: the
-// cell's sequencer pops one IU control signal per boundary and checks
-// it against the statically expected decision.
+// exec.go decodes the structured microprograms into flat instruction
+// arrays and sequences them.  Cells are homogeneous, never stall and
+// have static trip counts, so the control state of a cell (or the IU)
+// is a program counter plus one iteration counter per loop-nesting
+// depth over one decoded program shared by every cell.
+
+// loopEnd is a loop-body boundary closed by the last instruction of the
+// body: the sequencer either takes the back edge to head or falls
+// through, and a cell pops one IU control signal per boundary crossed
+// and checks it against that decision.
 type loopEnd struct {
-	id   int  // loop ID
-	more bool // another iteration follows
+	id    int   // loop ID shared between the cell and IU programs
+	trips int64 // static trip count
+	head  int   // index of the body's first instruction
 }
 
-// cellSeq sequences a cell microprogram.
-type cellSeq struct {
-	stack []cellFrame
+// cellInstr is one decoded cell microinstruction.
+type cellInstr struct {
+	*mcode.Instr
+	depth int       // static loop-nesting depth (0 outside every loop)
+	nop   bool      // no field issues
+	ends  []loopEnd // boundaries closed after this instruction, innermost first
 }
 
-type cellFrame struct {
-	items []mcode.CodeItem
-	idx   int
-	instr int
-	loop  *mcode.LoopItem // nil for the top-level frame
-	iter  int64
+// iuInstr is one decoded IU microinstruction.
+type iuInstr struct {
+	*mcode.IUInstr
+	depth int
+	ends  []loopEnd
 }
 
-func newCellSeq(p *mcode.CellProgram) *cellSeq {
-	return &cellSeq{stack: []cellFrame{{items: p.Items}}}
-}
-
-// step returns the next instruction to execute together with its loop
-// nesting depth (0 for straight-line code outside every loop) and the
-// loop boundaries crossed immediately after it; done reports program
-// end.
-func (s *cellSeq) step() (in *mcode.Instr, depth int, ends []loopEnd, done bool) {
-	in = s.fetch()
-	if in == nil {
-		return nil, 0, nil, true
-	}
-	for i := range s.stack {
-		if s.stack[i].loop != nil {
-			depth++
-		}
-	}
-	ends = s.advance()
-	return in, depth, ends, false
-}
-
-// fetch descends to the current instruction without advancing.
-func (s *cellSeq) fetch() *mcode.Instr {
-	for len(s.stack) > 0 {
-		f := &s.stack[len(s.stack)-1]
-		if f.idx >= len(f.items) {
-			// Only reachable for an empty top-level program.
-			s.stack = s.stack[:len(s.stack)-1]
-			continue
-		}
-		switch it := f.items[f.idx].(type) {
-		case *mcode.Straight:
-			if len(it.Instrs) == 0 {
-				f.idx++
-				continue
+// decodeCell flattens a cell program in canonical walk order (the order
+// mcode.AssignPCs numbers), so an instruction's index is its µPC.
+func decodeCell(p *mcode.CellProgram) ([]cellInstr, error) {
+	prog := make([]cellInstr, 0, p.NumInstrs())
+	var walk func(items []mcode.CodeItem, depth int) error
+	walk = func(items []mcode.CodeItem, depth int) error {
+		for _, it := range items {
+			switch it := it.(type) {
+			case *mcode.Straight:
+				for _, in := range it.Instrs {
+					prog = append(prog, cellInstr{Instr: in, depth: depth, nop: in.Empty()})
+				}
+			case *mcode.LoopItem:
+				head := len(prog)
+				if err := walk(it.Body, depth+1); err != nil {
+					return err
+				}
+				if len(prog) == head {
+					return fmt.Errorf("sim: cell loop L%d has an empty body", it.ID)
+				}
+				last := &prog[len(prog)-1]
+				last.ends = append(last.ends, loopEnd{id: it.ID, trips: it.Trips, head: head})
 			}
-			return it.Instrs[f.instr]
-		case *mcode.LoopItem:
-			s.stack = append(s.stack, cellFrame{items: it.Body, loop: it})
 		}
-	}
-	return nil
-}
-
-// advance moves past the instruction just executed, unwinding loop
-// boundaries and recording them innermost first.
-func (s *cellSeq) advance() []loopEnd {
-	var ends []loopEnd
-	f := &s.stack[len(s.stack)-1]
-	st := f.items[f.idx].(*mcode.Straight)
-	f.instr++
-	if f.instr < len(st.Instrs) {
 		return nil
 	}
-	f.instr = 0
-	f.idx++
-	for len(s.stack) > 0 {
-		f := &s.stack[len(s.stack)-1]
-		if f.idx < len(f.items) {
-			// Skip empty straights that would stall the walk.
-			if st, ok := f.items[f.idx].(*mcode.Straight); ok && len(st.Instrs) == 0 {
-				f.idx++
-				continue
+	return prog, walk(p.Items, 0)
+}
+
+// decodeIU flattens the IU program the same way.  IU loops carry no
+// signals of their own; they simply repeat their static trip count.
+func decodeIU(p *mcode.IUProgram) ([]iuInstr, error) {
+	prog := make([]iuInstr, 0, p.NumInstrs())
+	var walk func(items []mcode.IUItem, depth int) error
+	walk = func(items []mcode.IUItem, depth int) error {
+		for _, it := range items {
+			switch it := it.(type) {
+			case *mcode.IUStraight:
+				for _, in := range it.Instrs {
+					prog = append(prog, iuInstr{IUInstr: in, depth: depth})
+				}
+			case *mcode.IULoop:
+				head := len(prog)
+				if err := walk(it.Body, depth+1); err != nil {
+					return err
+				}
+				if len(prog) == head {
+					return fmt.Errorf("sim: IU loop L%d has an empty body", it.ID)
+				}
+				last := &prog[len(prog)-1]
+				last.ends = append(last.ends, loopEnd{id: it.ID, trips: it.Trips, head: head})
 			}
-			break
 		}
-		if f.loop != nil {
-			more := f.iter+1 < f.loop.Trips
-			ends = append(ends, loopEnd{id: f.loop.ID, more: more})
-			if more {
-				f.iter++
-				f.idx = 0
-				f.instr = 0
-				break
-			}
-		}
-		s.stack = s.stack[:len(s.stack)-1]
-		if len(s.stack) > 0 {
-			parent := &s.stack[len(s.stack)-1]
-			parent.idx++
-		}
+		return nil
 	}
-	return ends
+	return prog, walk(p.Items, 0)
 }
 
-// done reports whether the program has finished.
-func (s *cellSeq) done() bool {
-	return s.fetch() == nil
+// seq is the control state of one agent over a decoded program.
+type seq struct {
+	pc   int
+	iter []int64 // iter[d] is the current iteration of the enclosing loop at depth d+1
 }
 
-// iuSeq sequences the IU microprogram.  IU loops carry no signals of
-// their own; they simply repeat their static trip count.
-type iuSeq struct {
-	stack []iuFrame
-}
-
-type iuFrame struct {
-	items []mcode.IUItem
-	idx   int
-	instr int
-	loop  *mcode.IULoop
-	iter  int64
-}
-
-func newIUSeq(p *mcode.IUProgram) *iuSeq {
-	return &iuSeq{stack: []iuFrame{{items: p.Items}}}
-}
-
-// step returns the next IU instruction together with the current
-// iteration of the innermost enclosing IU loop (0 outside loops), or
-// done when finished.
-func (s *iuSeq) step() (in *mcode.IUInstr, iter int64, done bool) {
-	in = s.fetch()
-	if in == nil {
-		return nil, 0, true
+// advance moves past an instruction at the given depth.  It returns how
+// many of its loop boundaries were crossed (ends[:crossed], innermost
+// first): all but the last are loop exits, and more reports whether the
+// last one took the back edge for another iteration.
+func (s *seq) advance(depth int, ends []loopEnd) (crossed int, more bool) {
+	for i := range ends {
+		d := depth - 1 - i
+		if s.iter[d]+1 < ends[i].trips {
+			s.iter[d]++
+			s.pc = ends[i].head
+			return i + 1, true
+		}
+		s.iter[d] = 0
 	}
-	for i := len(s.stack) - 1; i >= 0; i-- {
-		if s.stack[i].loop != nil {
-			iter = s.stack[i].iter
-			break
-		}
-	}
-	s.advance()
-	return in, iter, false
-}
-
-func (s *iuSeq) fetch() *mcode.IUInstr {
-	for len(s.stack) > 0 {
-		f := &s.stack[len(s.stack)-1]
-		if f.idx >= len(f.items) {
-			s.stack = s.stack[:len(s.stack)-1]
-			continue
-		}
-		switch it := f.items[f.idx].(type) {
-		case *mcode.IUStraight:
-			if len(it.Instrs) == 0 {
-				f.idx++
-				continue
-			}
-			return it.Instrs[f.instr]
-		case *mcode.IULoop:
-			s.stack = append(s.stack, iuFrame{items: it.Body, loop: it})
-		}
-	}
-	return nil
-}
-
-func (s *iuSeq) advance() {
-	f := &s.stack[len(s.stack)-1]
-	st := f.items[f.idx].(*mcode.IUStraight)
-	f.instr++
-	if f.instr < len(st.Instrs) {
-		return
-	}
-	f.instr = 0
-	f.idx++
-	for len(s.stack) > 0 {
-		f := &s.stack[len(s.stack)-1]
-		if f.idx < len(f.items) {
-			if st, ok := f.items[f.idx].(*mcode.IUStraight); ok && len(st.Instrs) == 0 {
-				f.idx++
-				continue
-			}
-			break
-		}
-		if f.loop != nil && f.iter+1 < f.loop.Trips {
-			f.iter++
-			f.idx = 0
-			f.instr = 0
-			break
-		}
-		s.stack = s.stack[:len(s.stack)-1]
-		if len(s.stack) > 0 {
-			parent := &s.stack[len(s.stack)-1]
-			parent.idx++
-		}
-	}
+	s.pc++
+	return len(ends), false
 }

@@ -15,21 +15,47 @@ func straight(n int) *mcode.Straight {
 	return s
 }
 
+// boundary is one loop-body boundary crossed after an instruction, with
+// the sequencer's decision.
+type boundary struct {
+	id   int
+	more bool
+}
+
+// walkCell runs a cell program through the flat decoder and sequencer,
+// returning the depth of every instruction executed and the boundaries
+// crossed after each.
+func walkCell(t *testing.T, p *mcode.CellProgram) (depths []int, crossed [][]boundary) {
+	t.Helper()
+	prog, err := decodeCell(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := seq{iter: make([]int64, 8)}
+	for s.pc < len(prog) {
+		in := &prog[s.pc]
+		n, more := s.advance(in.depth, in.ends)
+		var bs []boundary
+		for i, e := range in.ends[:n] {
+			bs = append(bs, boundary{e.id, more && i == n-1})
+		}
+		depths = append(depths, in.depth)
+		crossed = append(crossed, bs)
+	}
+	return depths, crossed
+}
+
 // TestCellSeqStraight walks a straight-line program.
 func TestCellSeqStraight(t *testing.T) {
 	p := &mcode.CellProgram{Items: []mcode.CodeItem{straight(3)}}
-	s := newCellSeq(p)
-	for i := 0; i < 3; i++ {
-		in, _, ends, done := s.step()
-		if done || in == nil {
-			t.Fatalf("step %d: done early", i)
-		}
-		if len(ends) != 0 {
-			t.Fatalf("step %d: unexpected loop ends", i)
-		}
+	depths, crossed := walkCell(t, p)
+	if len(depths) != 3 {
+		t.Fatalf("executed %d instructions, want 3", len(depths))
 	}
-	if _, _, _, done := s.step(); !done {
-		t.Fatal("program should be finished")
+	for i := range depths {
+		if depths[i] != 0 || len(crossed[i]) != 0 {
+			t.Fatalf("step %d: depth %d, loop ends %v; want straight-line code", i, depths[i], crossed[i])
+		}
 	}
 }
 
@@ -39,19 +65,13 @@ func TestCellSeqLoop(t *testing.T) {
 	p := &mcode.CellProgram{Items: []mcode.CodeItem{
 		&mcode.LoopItem{ID: 7, Trips: 3, Body: []mcode.CodeItem{straight(2)}},
 	}}
-	s := newCellSeq(p)
-	var events []loopEnd
-	steps := 0
-	for {
-		_, _, ends, done := s.step()
-		if done {
-			break
-		}
-		steps++
-		events = append(events, ends...)
+	depths, crossed := walkCell(t, p)
+	if len(depths) != 6 {
+		t.Errorf("executed %d instructions, want 6", len(depths))
 	}
-	if steps != 6 {
-		t.Errorf("executed %d instructions, want 6", steps)
+	var events []boundary
+	for _, bs := range crossed {
+		events = append(events, bs...)
 	}
 	if len(events) != 3 {
 		t.Fatalf("got %d loop events, want 3", len(events))
@@ -65,34 +85,29 @@ func TestCellSeqLoop(t *testing.T) {
 }
 
 // TestCellSeqNestedLoops checks that inner and outer boundaries are
-// reported innermost first when they coincide.
+// reported innermost first when they coincide.  Empty straight blocks
+// around the loops must not disturb the walk.
 func TestCellSeqNestedLoops(t *testing.T) {
-	inner := &mcode.LoopItem{ID: 1, Trips: 2, Body: []mcode.CodeItem{straight(1)}}
-	outer := &mcode.LoopItem{ID: 0, Trips: 2, Body: []mcode.CodeItem{inner}}
-	p := &mcode.CellProgram{Items: []mcode.CodeItem{outer}}
-	s := newCellSeq(p)
-	var events []loopEnd
-	steps := 0
-	for {
-		_, depth, ends, done := s.step()
-		if done {
-			break
-		}
-		if depth != 2 {
-			t.Errorf("step %d: depth = %d, want 2 (inner loop body)", steps, depth)
-		}
-		steps++
-		events = append(events, ends...)
+	inner := &mcode.LoopItem{ID: 1, Trips: 2, Body: []mcode.CodeItem{straight(0), straight(1)}}
+	outer := &mcode.LoopItem{ID: 0, Trips: 2, Body: []mcode.CodeItem{inner, straight(0)}}
+	p := &mcode.CellProgram{Items: []mcode.CodeItem{straight(0), outer, straight(0)}}
+	depths, crossed := walkCell(t, p)
+	if len(depths) != 4 {
+		t.Errorf("executed %d instructions, want 4", len(depths))
 	}
-	if steps != 4 {
-		t.Errorf("executed %d instructions, want 4", steps)
+	var events []boundary
+	for i, bs := range crossed {
+		if depths[i] != 2 {
+			t.Errorf("step %d: depth = %d, want 2 (inner loop body)", i, depths[i])
+		}
+		events = append(events, bs...)
 	}
 	// Expected events per step:
 	// step 1: inner more=true
 	// step 2: inner more=false, outer more=true
 	// step 3: inner more=true
 	// step 4: inner more=false, outer more=false
-	want := []loopEnd{
+	want := []boundary{
 		{1, true},
 		{1, false}, {0, true},
 		{1, true},
@@ -108,47 +123,72 @@ func TestCellSeqNestedLoops(t *testing.T) {
 	}
 }
 
-// TestIUSeqNestedLoops checks the IU sequencer's repetition counts.
+// TestIUSeqNestedLoops checks the IU sequencer's repetition counts and
+// the innermost iteration number dynamic loop signals are computed from.
 func TestIUSeqNestedLoops(t *testing.T) {
 	body := &mcode.IUStraight{Instrs: []*mcode.IUInstr{{}, {}}}
 	inner := &mcode.IULoop{ID: 1, Trips: 3, Body: []mcode.IUItem{body}}
 	outer := &mcode.IULoop{ID: 0, Trips: 2, Body: []mcode.IUItem{inner, &mcode.IUStraight{Instrs: []*mcode.IUInstr{{}}}}}
 	p := &mcode.IUProgram{Items: []mcode.IUItem{outer}}
-	s := newIUSeq(p)
-	steps := 0
-	for {
-		_, _, done := s.step()
-		if done {
-			break
-		}
-		steps++
+	prog, err := decodeIU(p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := 2 * (3*2 + 1)
-	if steps != want {
-		t.Errorf("executed %d IU instructions, want %d", steps, want)
+	s := seq{iter: make([]int64, 2)}
+	var iters []int64
+	for s.pc < len(prog) {
+		in := &prog[s.pc]
+		iters = append(iters, s.iter[in.depth-1])
+		s.advance(in.depth, in.ends)
+	}
+	// Two passes of: the inner body at inner iterations 0,0,1,1,2,2,
+	// then the trailing instruction at the outer iteration.
+	want := []int64{0, 0, 1, 1, 2, 2, 0, 0, 0, 1, 1, 2, 2, 1}
+	if len(iters) != len(want) {
+		t.Fatalf("executed %d IU instructions, want %d", len(iters), len(want))
+	}
+	for i := range want {
+		if iters[i] != want[i] {
+			t.Errorf("instruction %d runs at iteration %d, want %d", i, iters[i], want[i])
+		}
+	}
+}
+
+// TestDecodeRejectsEmptyLoop: a loop without instructions has no
+// boundary to sequence.
+func TestDecodeRejectsEmptyLoop(t *testing.T) {
+	cp := &mcode.CellProgram{Items: []mcode.CodeItem{
+		&mcode.LoopItem{ID: 3, Trips: 2, Body: []mcode.CodeItem{straight(0)}},
+	}}
+	if _, err := decodeCell(cp); err == nil {
+		t.Error("cell loop with an empty body must be rejected")
+	}
+	ip := &mcode.IUProgram{Items: []mcode.IUItem{&mcode.IULoop{ID: 3, Trips: 2}}}
+	if _, err := decodeIU(ip); err == nil {
+		t.Error("IU loop with an empty body must be rejected")
 	}
 }
 
 // TestQueueLimits exercises the bounded FIFO directly.
 func TestQueueLimits(t *testing.T) {
-	q := newQueue[int]("t", 0, obs.NumQueues, 2)
+	var q queue[int]
+	q.init(0, obs.NumQueues, nil)
 	if _, err := q.pop(); err == nil {
 		t.Error("pop of empty queue must underflow")
 	}
-	if err := q.push(1); err != nil {
-		t.Fatal(err)
+	for v := 1; v <= mcode.QueueDepth; v++ {
+		if err := q.push(v); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := q.push(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.push(3); err == nil {
-		t.Error("third push must overflow")
+	if err := q.push(0); err == nil {
+		t.Error("a push past the hardware depth must overflow")
 	}
 	v, err := q.pop()
 	if err != nil || v != 1 {
 		t.Errorf("pop = %d, %v; want 1", v, err)
 	}
-	if q.len() != 1 {
-		t.Errorf("len = %d, want 1", q.len())
+	if q.n != mcode.QueueDepth-1 {
+		t.Errorf("occupancy = %d, want %d", q.n, mcode.QueueDepth-1)
 	}
 }

@@ -53,8 +53,8 @@ type Config struct {
 	Recorder obs.Recorder
 	// PCStats enables exact per-µPC cycle attribution: every executed
 	// instruction increments one busy/starved/bubble counter at its
-	// static µprogram address (mcode.AssignPCs must have run on Cell,
-	// which the compiler driver guarantees).  The counters land in
+	// static µprogram address (its index in the canonical walk order,
+	// the number mcode.AssignPCs gives it).  The counters land in
 	// Stats.Obs.PC.  Off by default — the hot-path cost when off is one
 	// nil check per cycle per cell.
 	PCStats bool
@@ -112,22 +112,26 @@ type sigItem struct {
 	more bool
 }
 
-// cell is the runtime state of one Warp cell.
+// wheelSlots is the size of a cell's register-write latency wheel: a
+// power of two above the longest result latency, so a write issued at
+// cycle t for t+latency lands in a slot that was drained since.
+const wheelSlots = 8
+
+var _ [wheelSlots - 1 - mcode.FPULatency]struct{}
+
+// wheelCap is the preallocated room per wheel slot: the eight register
+// writes a well-formed instruction can issue (two receives, two loads,
+// three ALU fields, one literal) plus the FPU results of an earlier one.
+// A malformed instruction only makes the slot grow.
+const wheelCap = 12
+
+// cell is the runtime state of one Warp cell.  The small, hot fields
+// come first; the register file, queues and memory follow.
 type cell struct {
-	idx   int
-	seq   *cellSeq
-	start int64
-	done  bool
-
-	regs    [mcode.NumRegs]float64
-	pending []regWrite
-	mem     []float64
-	// delayed stores become visible the cycle after issue
-	stores []memWrite
-
-	inX, inY *queue[float64]
-	adr      *queue[int64]
-	sig      *queue[sigItem]
+	idx    int
+	seq    // program counter and loop iteration counters
+	start  int64
+	finish int64 // the cycle the last instruction retired on
 
 	// Always-on per-cell accounting (integer increments only); the
 	// totals land in Stats.Obs at the end of the run.
@@ -135,118 +139,100 @@ type cell struct {
 	nLoads, nStores        int64
 	busy, starved, bubble  int64
 	depth                  []obs.DepthProfile
-
-	// pc holds the exact per-µPC counters when Config.PCStats is set;
+	// sampled counts the cycles sampleQueues ran on this cell.
+	sampled int64
+	// pcs holds the exact per-µPC counters when Config.PCStats is set;
 	// nil otherwise (the account hot path tests the pointer once).
-	pc *obs.PCProfile
+	pcs *obs.PCProfile
+
+	// wheel[t%wheelSlots] holds the register writes landing at cycle t,
+	// in issue order.
+	wheel [wheelSlots][]regWrite
+	// Stores issued last cycle; they become visible this cycle.
+	stores  [mcode.MemPorts]memWrite
+	pending int // live entries of stores
+
+	regs [mcode.NumRegs]float64
+	in   [2]queue[float64] // data queues, indexed by w2.Channel
+	adr  queue[int64]
+	sig  queue[sigItem]
+	mem  [mcode.MemWords]float64
 }
 
 type regWrite struct {
-	reg  mcode.Reg
-	val  float64
-	land int64
+	reg mcode.Reg
+	val float64
 }
 
 type memWrite struct {
 	addr int64
 	val  float64
-	land int64
+}
+
+type iuRegWrite struct {
+	reg mcode.IUReg
+	val int64
 }
 
 // machine is the full simulated Warp system.
 type machine struct {
-	cfg       Config
-	cells     []*cell
-	iu        *iuSeq
-	iuReg     [mcode.IUNumRegs]int64
-	iuPending []iuRegWrite
-	table     []int64
-	tblPos    int
+	cfg   Config
+	prog  []cellInstr // the decoded cell program every cell executes
+	cells []cell
 
-	hostInPos  map[w2.Channel]int
-	hostOutPos map[w2.Channel]int
+	iuProg []iuInstr
+	iu     seq
+	iuReg  [mcode.IUNumRegs]int64
+	// Register writes of the last IU instruction (immediate, adder);
+	// they land the next cycle.
+	iuPending  [2]iuRegWrite
+	iuNPending int
+	table      []int64
+	tblPos     int
 
-	now  int64
-	sent map[w2.Channel]int
+	// The host streams and their cursors, indexed by w2.Channel.
+	hostIn     [2][]hostgen.Word
+	hostOut    [2][]int
+	hostInPos  [2]int
+	hostOutPos [2]int
+	// hostStall counts the cycles a full queue into cell 0 blocked the
+	// host's input stream.
+	hostStall [2]int64
+
+	now int64
 
 	// rec receives instrumentation events; trace caches
 	// obs.Enabled(rec) so every hook on the cycle loop is one branch
 	// when tracing is off.
 	rec   obs.Recorder
 	trace bool
-
-	hostStallX, hostStallY int64
-}
-
-type iuRegWrite struct {
-	reg  mcode.IUReg
-	val  int64
-	land int64
 }
 
 // Run executes the configuration to completion and returns statistics.
 // Any violation of the machine's static contracts — queue underflow or
 // overflow, a loop signal that contradicts the sequencer, a host stream
-// exhausted early — is an error.
+// overrun or left unfinished, words left in a queue — is an error.
 func Run(cfg Config) (*Stats, error) {
 	if cfg.Cells < 1 {
 		return nil, fmt.Errorf("sim: need at least one cell")
 	}
+	if cfg.Skew < 0 {
+		return nil, fmt.Errorf("sim: negative skew %d", cfg.Skew)
+	}
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = 1 << 28
 	}
-	rec := cfg.Recorder
-	if rec == nil {
-		rec = obs.Nop()
-	}
-	m := &machine{
-		cfg:        cfg,
-		iu:         newIUSeq(cfg.IU),
-		table:      cfg.IU.Table,
-		hostInPos:  map[w2.Channel]int{},
-		hostOutPos: map[w2.Channel]int{},
-		sent:       map[w2.Channel]int{},
-		rec:        rec,
-		trace:      obs.Enabled(rec),
-	}
-	for i := 0; i < cfg.Cells; i++ {
-		c := &cell{
-			idx:   i,
-			seq:   newCellSeq(cfg.Cell),
-			start: cfg.Lead + int64(i)*cfg.Skew,
-			mem:   make([]float64, mcode.MemWords),
-			inX:   newQueue[float64](fmt.Sprintf("cell%d.X", i), i, obs.QueueX, mcode.QueueDepth),
-			inY:   newQueue[float64](fmt.Sprintf("cell%d.Y", i), i, obs.QueueY, mcode.QueueDepth),
-			adr:   newQueue[int64](fmt.Sprintf("cell%d.Adr", i), i, obs.QueueAdr, mcode.QueueDepth),
-			sig:   newQueue[sigItem](fmt.Sprintf("cell%d.Sig", i), i, obs.NumQueues, mcode.QueueDepth),
-			depth: make([]obs.DepthProfile, 4),
-		}
-		if cfg.PCStats {
-			n := cfg.Cell.NumInstrs()
-			c.pc = &obs.PCProfile{
-				Busy:    make([]int64, n),
-				Starved: make([]int64, n),
-				Bubble:  make([]int64, n),
-			}
-		}
-		m.cells = append(m.cells, c)
+	m, err := newMachine(cfg)
+	if err != nil {
+		return nil, err
 	}
 	if m.trace {
 		m.rec.RunStart(cfg.Cells, cfg.Skew, cfg.Lead)
 	}
 
-	stats := &Stats{CellFinish: make([]int64, cfg.Cells), Sent: m.sent}
-	for {
-		allDone := true
-		for _, c := range m.cells {
-			if !c.done {
-				allDone = false
-				break
-			}
-		}
-		if allDone {
-			break
-		}
+	// Cells start and (running one program without ever stalling)
+	// finish in index order, so the live ones are the window [lo, hi).
+	for lo, hi := 0, 0; lo < cfg.Cells; m.now++ {
 		if m.now > cfg.MaxCycles {
 			return nil, fmt.Errorf("sim: exceeded %d cycles; the machine is %w", cfg.MaxCycles, ErrLivelock)
 		}
@@ -260,121 +246,279 @@ func Run(cfg Config) (*Stats, error) {
 				cfg.Progress(obs.ProgressUpdate{Cycles: m.now})
 			}
 		}
-		if err := m.cycle(stats); err != nil {
+		for hi < cfg.Cells && m.cells[hi].start <= m.now {
+			hi++
+		}
+		if err := m.cycle(lo, hi); err != nil {
 			return nil, fmt.Errorf("cycle %d: %w", m.now, err)
 		}
-		m.now++
+		for lo < hi && m.cells[lo].pc >= len(m.prog) {
+			lo++
+		}
 	}
-	stats.Cycles = m.now
+	if err := m.checkBalance(); err != nil {
+		return nil, err
+	}
 	if cfg.Progress != nil {
 		cfg.Progress(obs.ProgressUpdate{Cycles: m.now, Done: true})
 	}
 	if m.trace {
 		m.rec.RunEnd(m.now)
 	}
-	m.fillStats(stats)
-	return stats, nil
+	return m.stats(), nil
 }
 
-// fillStats aggregates the per-cell and per-queue accounting into the
-// run profile and the compatibility counters.
-func (m *machine) fillStats(stats *Stats) {
+// newMachine decodes the microprograms and allocates all run state: a
+// handful of allocations sized by the cell count, none afterwards.
+func newMachine(cfg Config) (*machine, error) {
+	prog, err := decodeCell(cfg.Cell)
+	if err != nil {
+		return nil, err
+	}
+	iuProg, err := decodeIU(cfg.IU)
+	if err != nil {
+		return nil, err
+	}
+	rec := cfg.Recorder
+	if rec == nil {
+		rec = obs.Nop()
+	}
+	m := &machine{
+		cfg:    cfg,
+		prog:   prog,
+		cells:  make([]cell, cfg.Cells),
+		iuProg: iuProg,
+		table:  cfg.IU.Table,
+		rec:    rec,
+		trace:  obs.Enabled(rec),
+	}
+	for ch := range m.hostIn {
+		m.hostIn[ch] = cfg.Host.In[w2.Channel(ch)]
+		m.hostOut[ch] = cfg.Host.Out[w2.Channel(ch)]
+	}
+	depth, iuDepth := 0, 0
+	for i := range prog {
+		depth = max(depth, prog[i].depth)
+	}
+	for i := range iuProg {
+		iuDepth = max(iuDepth, iuProg[i].depth)
+	}
+	m.iu.iter = make([]int64, iuDepth)
+
+	// One arena holds every int64 counter of the cells: loop iterations,
+	// three occupancy histograms, three per-µPC rows when profiling.
+	const histLen = mcode.QueueDepth + 1
+	perCell := depth + int(obs.NumQueues)*histLen
+	if cfg.PCStats {
+		perCell += 3 * len(prog)
+	}
+	arena := make([]int64, cfg.Cells*perCell)
+	take := func(n int) []int64 {
+		out := arena[:n:n]
+		arena = arena[n:]
+		return out
+	}
+	rows := max(4, depth+1) // the depth profile has always had at least four
+	depths := make([]obs.DepthProfile, cfg.Cells*rows)
+	wheels := make([]regWrite, cfg.Cells*wheelSlots*wheelCap)
+	for i := range m.cells {
+		c := &m.cells[i]
+		c.idx = i
+		c.start = cfg.Lead + int64(i)*cfg.Skew
+		c.iter = take(depth)
+		c.depth, depths = depths[:rows:rows], depths[rows:]
+		for s := range c.wheel {
+			c.wheel[s], wheels = wheels[:0:wheelCap], wheels[wheelCap:]
+		}
+		c.in[w2.ChanX].init(i, obs.QueueX, take(histLen))
+		c.in[w2.ChanY].init(i, obs.QueueY, take(histLen))
+		c.adr.init(i, obs.QueueAdr, take(histLen))
+		c.sig.init(i, obs.NumQueues, nil)
+		if cfg.PCStats {
+			n := len(prog)
+			c.pcs = &obs.PCProfile{Busy: take(n), Starved: take(n), Bubble: take(n)}
+		}
+	}
+	return m, nil
+}
+
+// checkBalance runs once the last cell has finished: every stream the
+// host program describes must have been delivered in full and nothing
+// may be left in flight.  A program that sends too few words, leaves
+// host input undelivered or strands words in a queue would otherwise
+// return stale output as success.
+func (m *machine) checkBalance() error {
+	for ch := range m.hostOut {
+		if got, want := m.hostOutPos[ch], len(m.hostOut[ch]); got != want {
+			return fmt.Errorf("sim: the array finished after sending %d of the %d words the host program expects on %s",
+				got, want, w2.Channel(ch))
+		}
+		if got, want := m.hostInPos[ch], len(m.hostIn[ch]); got != want {
+			return fmt.Errorf("sim: the array finished with %d of the host's %d input words on %s undelivered",
+				want-got, want, w2.Channel(ch))
+		}
+	}
+	residue := func(name string, n int) error {
+		return fmt.Errorf("sim: the array finished with %d words left in queue %s", n, name)
+	}
+	for i := range m.cells {
+		c := &m.cells[i]
+		switch {
+		case c.in[w2.ChanX].n > 0:
+			return residue(c.in[w2.ChanX].name(), c.in[w2.ChanX].n)
+		case c.in[w2.ChanY].n > 0:
+			return residue(c.in[w2.ChanY].name(), c.in[w2.ChanY].n)
+		case c.adr.n > 0:
+			return residue(c.adr.name(), c.adr.n)
+		case c.sig.n > 0:
+			return residue(c.sig.name(), c.sig.n)
+		}
+	}
+	return nil
+}
+
+// stats aggregates the per-cell and per-queue accounting of a finished
+// run into the run profile and the compatibility counters.
+func (m *machine) stats() *Stats {
+	stats := &Stats{
+		Cycles:     m.now,
+		CellFinish: make([]int64, m.cfg.Cells),
+		Sent:       map[w2.Channel]int{},
+	}
+	for ch, n := range m.hostOutPos {
+		if n > 0 {
+			stats.Sent[w2.Channel(ch)] = n
+		}
+	}
 	prof := &obs.Profile{
 		Cells:      m.cfg.Cells,
 		Cycles:     stats.Cycles,
 		Skew:       m.cfg.Skew,
 		Lead:       m.cfg.Lead,
 		Cell:       make([]obs.CellProfile, m.cfg.Cells),
-		HostStallX: m.hostStallX,
-		HostStallY: m.hostStallY,
+		Queues:     make([]obs.QueueProfile, 0, m.cfg.Cells*int(obs.NumQueues)),
+		HostStallX: m.hostStall[w2.ChanX],
+		HostStallY: m.hostStall[w2.ChanY],
 	}
 	last := stats.Cycles - 1 // cycle the last cell retired on
-	for _, c := range m.cells {
-		finish := stats.CellFinish[c.idx]
-		stats.CellActive += finish - c.start
+	for i := range m.cells {
+		c := &m.cells[i]
+		stats.CellFinish[i] = c.finish
+		stats.CellActive += c.finish - c.start
 		stats.AddOps += c.addOps
 		stats.MulOps += c.mulOps
-		prof.Cell[c.idx] = obs.CellProfile{
+		prof.Cell[i] = obs.CellProfile{
 			Start:  c.start,
-			Finish: finish,
+			Finish: c.finish,
 			AddOps: c.addOps, MulOps: c.mulOps, MovOps: c.movOps,
 			Loads: c.nLoads, Stores: c.nStores,
 			Busy: c.busy, Starved: c.starved, Bubble: c.bubble,
 			SkewLead: c.start - m.cells[0].start,
-			Drain:    last - finish,
+			Drain:    last - c.finish,
 			Depth:    c.depth,
 		}
-		prof.Queues = append(prof.Queues, c.inX.profile(), c.inY.profile(), c.adr.profile())
-		if c.pc != nil {
-			prof.PC = append(prof.PC, *c.pc)
+		// The cycles this cell's queues went unsampled lie before its
+		// upstream neighbour started or after it finished itself;
+		// either way they were empty (checkBalance passed).
+		idle := stats.Cycles - c.sampled
+		c.in[w2.ChanX].hist[0] += idle
+		c.in[w2.ChanY].hist[0] += idle
+		c.adr.hist[0] += idle
+		prof.Queues = append(prof.Queues, c.in[w2.ChanX].profile(), c.in[w2.ChanY].profile(), c.adr.profile())
+		if c.pcs != nil {
+			prof.PC = append(prof.PC, *c.pcs)
 		}
 	}
 	stats.Obs = prof
 	stats.MaxQueue, stats.MaxQueueAt = prof.MaxQueue()
+	return stats
 }
 
 // cycle executes one global clock tick: the IU, the host, then every
-// cell left to right, so that a word pushed upstream is poppable
-// downstream within the same cycle.
-func (m *machine) cycle(stats *Stats) error {
+// live cell left to right, so that a word pushed upstream is poppable
+// downstream within the same cycle.  Cells below lo have finished and
+// cells from hi up have not started; they only report their idle cycle
+// to an attached recorder.
+func (m *machine) cycle(lo, hi int) error {
 	if err := m.stepIU(); err != nil {
 		return err
 	}
 	if err := m.stepHostIn(); err != nil {
 		return err
 	}
-	for _, c := range m.cells {
-		if err := m.stepCell(c, stats); err != nil {
-			return err
+	if m.trace {
+		for i := 0; i < lo; i++ {
+			m.rec.Stall(m.now, i, obs.StallDrain)
 		}
 	}
-	m.trackQueues()
+	for i := lo; i < hi; i++ {
+		c := &m.cells[i]
+		if err := m.stepCell(c); err != nil {
+			return err
+		}
+		// Nothing upstream or in the cell itself touches its input
+		// queues again this cycle.
+		c.sampleQueues()
+	}
+	if hi < len(m.cells) {
+		// The next cell to start: its upstream neighbour (the IU and the
+		// host, for cell 0) is already filling its queues.  No queue
+		// further down can have changed yet.
+		m.cells[hi].sampleQueues()
+	}
+	if m.trace {
+		for i := hi; i < len(m.cells); i++ {
+			m.rec.Stall(m.now, i, obs.StallSkewLead)
+		}
+	}
 	return nil
 }
 
-// trackQueues samples end-of-cycle occupancy into each tracked queue's
-// histogram (X, Y and Adr; the Sig queue is control plumbing).  The
-// high-water marks are maintained exactly at push time in queue.push.
-func (m *machine) trackQueues() {
-	for _, c := range m.cells {
-		c.inX.hist[len(c.inX.items)]++
-		c.inY.hist[len(c.inY.items)]++
-		c.adr.hist[len(c.adr.items)]++
-	}
+// sampleQueues adds the end-of-cycle occupancy of the cell's tracked
+// queues to their histograms (X, Y and Adr; the Sig queue is control
+// plumbing).  The high-water marks are maintained exactly at push time
+// in queue.push.
+func (c *cell) sampleQueues() {
+	c.sampled++
+	c.in[w2.ChanX].hist[c.in[w2.ChanX].n]++
+	c.in[w2.ChanY].hist[c.in[w2.ChanY].n]++
+	c.adr.hist[c.adr.n]++
 }
 
 // recPush and recPop emit queue events when tracing is enabled; they
 // are the only place the occupancy leaves the queue on the hot path.
 func recPush[T any](m *machine, q *queue[T]) {
 	if m.trace && q.kind < obs.NumQueues {
-		m.rec.QueuePush(m.now, q.cell, q.kind, len(q.items))
+		m.rec.QueuePush(m.now, q.cell, q.kind, q.n)
 	}
 }
 
 func recPop[T any](m *machine, q *queue[T]) {
 	if m.trace && q.kind < obs.NumQueues {
-		m.rec.QueuePop(m.now, q.cell, q.kind, len(q.items))
+		m.rec.QueuePop(m.now, q.cell, q.kind, q.n)
 	}
 }
 
 // stepIU executes one IU microinstruction.
 func (m *machine) stepIU() error {
-	// Apply pending register writes landing this cycle.
-	kept := m.iuPending[:0]
-	for _, w := range m.iuPending {
-		if w.land <= m.now {
-			m.iuReg[w.reg] = w.val
-		} else {
-			kept = append(kept, w)
-		}
+	// Register writes of the previous instruction land before any read.
+	for _, w := range m.iuPending[:m.iuNPending] {
+		m.iuReg[w.reg] = w.val
 	}
-	m.iuPending = kept
+	m.iuNPending = 0
 
-	in, iter, done := m.iu.step()
-	if done {
+	if m.iu.pc >= len(m.iuProg) {
 		return nil
 	}
-	cell0 := m.cells[0]
+	in := &m.iuProg[m.iu.pc]
+	// The current iteration of the innermost enclosing IU loop.
+	var iter int64
+	if in.depth > 0 {
+		iter = m.iu.iter[in.depth-1]
+	}
+	m.iu.advance(in.depth, in.ends)
+
+	cell0 := &m.cells[0]
 	for _, out := range in.Out {
 		if out == nil {
 			continue
@@ -392,7 +536,7 @@ func (m *machine) stepIU() error {
 		if err := cell0.adr.push(v); err != nil {
 			return err
 		}
-		recPush(m, cell0.adr)
+		recPush(m, &cell0.adr)
 	}
 	if in.Sig != nil {
 		more := in.Sig.Continue
@@ -406,7 +550,8 @@ func (m *machine) stepIU() error {
 		}
 	}
 	if in.Imm != nil {
-		m.iuPending = append(m.iuPending, iuRegWrite{reg: in.Imm.Dst, val: in.Imm.Value, land: m.now + 1})
+		m.iuPending[m.iuNPending] = iuRegWrite{reg: in.Imm.Dst, val: in.Imm.Value}
+		m.iuNPending++
 	}
 	if in.Alu != nil {
 		a := m.iuReg[in.Alu.A]
@@ -418,32 +563,25 @@ func (m *machine) stepIU() error {
 		if in.Alu.Sub {
 			v = a - b
 		}
-		m.iuPending = append(m.iuPending, iuRegWrite{reg: in.Alu.Dst, val: v, land: m.now + 1})
+		m.iuPending[m.iuNPending] = iuRegWrite{reg: in.Alu.Dst, val: v}
+		m.iuNPending++
 	}
 	return nil
 }
 
 // stepHostIn feeds at most one word per channel per cycle into cell 0.
 func (m *machine) stepHostIn() error {
-	c0 := m.cells[0]
-	for _, ch := range []w2.Channel{w2.ChanX, w2.ChanY} {
-		seq := m.cfg.Host.In[ch]
+	for ch := range m.hostIn {
+		seq := m.hostIn[ch]
 		pos := m.hostInPos[ch]
 		if pos >= len(seq) {
 			continue
 		}
-		q := c0.inX
-		if ch == w2.ChanY {
-			q = c0.inY
-		}
-		if q.len() >= mcode.QueueDepth {
+		q := &m.cells[0].in[ch]
+		if q.n >= mcode.QueueDepth {
 			// Backpressure: the host waits.  Attribute the queue-full
 			// stall to the consuming cell 0.
-			if ch == w2.ChanX {
-				m.hostStallX++
-			} else {
-				m.hostStallY++
-			}
+			m.hostStall[ch]++
 			if m.trace {
 				m.rec.Stall(m.now, 0, obs.StallQueueFull)
 			}
@@ -468,7 +606,7 @@ func (m *machine) stepHostIn() error {
 
 // hostCollect receives one word from the last cell on a channel.
 func (m *machine) hostCollect(ch w2.Channel, v float64) error {
-	seq := m.cfg.Host.Out[ch]
+	seq := m.hostOut[ch]
 	pos := m.hostOutPos[ch]
 	if pos >= len(seq) {
 		return fmt.Errorf("sim: the last cell sent more words on %s than the host program expects (%d)", ch, len(seq))
@@ -479,7 +617,6 @@ func (m *machine) hostCollect(ch w2.Channel, v float64) error {
 		}
 		m.cfg.HostMem[idx] = v
 	}
-	m.hostOutPos[ch] = pos + 1
-	m.sent[ch]++
+	m.hostOutPos[ch]++
 	return nil
 }

@@ -206,3 +206,68 @@ func emptyHost() *hostgen.Program {
 func dummySym() *w2.Symbol {
 	return &w2.Symbol{Name: "buf", Kind: w2.SymCellArray}
 }
+
+// TestRunDetectsUnbalancedEnd: a run whose streams do not come out even
+// when the last cell retires must fail instead of returning stale
+// output as success.  Nothing in these programs trips a per-cycle
+// check; only the end-of-run balance does.
+func TestRunDetectsUnbalancedEnd(t *testing.T) {
+	recvOnly := &mcode.CellProgram{Items: []mcode.CodeItem{
+		&mcode.Straight{Instrs: []*mcode.Instr{
+			{IO: []*mcode.IOOp{{Recv: true, Dir: w2.DirL, Chan: w2.ChanX, Reg: 1}}},
+		}},
+	}}
+	adrOut := &mcode.IUProgram{Items: []mcode.IUItem{
+		&mcode.IUStraight{Instrs: []*mcode.IUInstr{
+			{Out: [mcode.MemPorts]*mcode.IUOut{{Src: 0}}},
+		}},
+	}}
+	hostIn := func(n int) *hostgen.Program {
+		h := emptyHost()
+		h.In[w2.ChanX] = make([]hostgen.Word, n)
+		return h
+	}
+	underDelivery := hostFor(1)
+	underDelivery.Out[w2.ChanX] = []int{1, 1}
+
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{
+			// The host expects two words back; the array sends one.
+			name: "under-delivery",
+			cfg:  Config{Cells: 2, Cell: passProgram(), IU: &mcode.IUProgram{}, Host: underDelivery, Skew: 1},
+			want: "sending 1 of the 2 words the host program expects on X",
+		},
+		{
+			// The cell retires after one receive, two cycles in; the host
+			// is still in the middle of its stream.
+			name: "unconsumed-host-input",
+			cfg:  Config{Cells: 1, Cell: recvOnly, IU: &mcode.IUProgram{}, Host: hostIn(300)},
+			want: "298 of the host's 300 input words on X undelivered",
+		},
+		{
+			// Two words delivered, one received: the other is stranded.
+			name: "residue-in-data-queue",
+			cfg:  Config{Cells: 1, Cell: recvOnly, IU: &mcode.IUProgram{}, Host: hostIn(2)},
+			want: "1 words left in queue cell0.X",
+		},
+		{
+			// The IU emits an address no memory reference pops.
+			name: "residue-in-address-queue",
+			cfg:  Config{Cells: 1, Cell: recvOnly, IU: adrOut, Host: hostIn(1)},
+			want: "1 words left in queue cell0.Adr",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Lead = 1
+			tc.cfg.HostMem = []float64{42, 0}
+			_, err := Run(tc.cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("err = %v, want %q", err, tc.want)
+			}
+		})
+	}
+}

@@ -19,67 +19,103 @@
 //   - register writes land at issue+latency (1 for moves, literals,
 //     loads and receives; FPULatency for FPU results);
 //   - memory stores become visible the cycle after issue.
+//
+// Execution model.  None of the above is interpreted from the compiler's
+// data structures on the cycle loop.  Run decodes the cell and IU
+// microprograms once into flat instruction arrays (exec.go): every entry
+// carries its static loop depth, its nop flag and the loop boundaries it
+// closes, so sequencing is index arithmetic on a program counter and one
+// iteration counter per nesting depth, shared by all (homogeneous)
+// cells.  Queues are fixed 128-word rings inside the cell; register
+// writes land through a small latency wheel; the host cursors are
+// arrays.  All of it is allocated once per run, in proportion to the
+// number of cells and never to the number of cycles.  Because cells
+// start and finish in index order, the cycle loop steps only the window
+// of live cells: a cell waiting out its skew or already drained costs
+// nothing per cycle (its idle-stall events are emitted only to an
+// attached recorder, and its queues' untouched cycles are added to the
+// occupancy histograms in bulk at the end).
 package sim
 
 import (
 	"fmt"
+	"strconv"
 
+	"warp/internal/mcode"
 	"warp/internal/obs"
 )
 
-// queue is a bounded FIFO with underflow/overflow detection and
-// always-on occupancy accounting: an exact push-time high-water mark,
-// push/pop counts, and a per-cycle occupancy histogram sampled by the
-// machine at the end of each cycle (see machine.trackQueues).
+// queue is a bounded FIFO — a ring of the hardware's 128 words — with
+// underflow/overflow detection and always-on occupancy accounting: an
+// exact push-time high-water mark, push/pop counts, and a per-cycle
+// occupancy histogram sampled by the machine at the end of each cycle
+// (see cell.sampleQueues).
 type queue[T any] struct {
-	name  string
-	cell  int       // consuming cell index
-	kind  obs.Queue // obs.NumQueues for untracked queues (Sig)
-	cap   int
-	items []T
+	cell int       // consuming cell index
+	kind obs.Queue // obs.NumQueues for the untracked Sig queue
+
+	head int // index of the oldest word in buf
+	n    int // occupancy
 
 	high   int // exact peak occupancy, observed at push time
 	pushes int64
 	pops   int64
 	hist   []int64 // hist[d] = cycles ending with occupancy d
+
+	buf [mcode.QueueDepth]T
 }
 
-func newQueue[T any](name string, cell int, kind obs.Queue, capacity int) *queue[T] {
-	return &queue[T]{
-		name: name, cell: cell, kind: kind, cap: capacity,
-		hist: make([]int64, capacity+1),
+// ringMask wraps a ring index; the hardware depth is a power of two
+// (the array below has negative length otherwise).
+const ringMask = mcode.QueueDepth - 1
+
+var _ [-(mcode.QueueDepth & ringMask)]struct{}
+
+// name identifies the queue by channel and cell boundary: "cell1.X" is
+// the X queue into cell 1, fed by cell 0.
+func (q *queue[T]) name() string {
+	kind := "Sig"
+	if q.kind < obs.NumQueues {
+		kind = q.kind.String()
 	}
+	return "cell" + strconv.Itoa(q.cell) + "." + kind
+}
+
+// init identifies an (embedded, zero) queue and hands it its histogram;
+// nil for a queue that is never sampled.
+func (q *queue[T]) init(cell int, kind obs.Queue, hist []int64) {
+	q.cell, q.kind, q.hist = cell, kind, hist
 }
 
 func (q *queue[T]) push(v T) error {
-	if len(q.items) >= q.cap {
-		return fmt.Errorf("sim: queue %s overflows its %d words", q.name, q.cap)
+	if q.n >= len(q.buf) {
+		return fmt.Errorf("sim: queue %s overflows its %d words", q.name(), len(q.buf))
 	}
-	q.items = append(q.items, v)
+	q.buf[(q.head+q.n)&ringMask] = v
+	q.n++
 	q.pushes++
-	if len(q.items) > q.high {
-		q.high = len(q.items)
+	if q.n > q.high {
+		q.high = q.n
 	}
 	return nil
 }
 
 func (q *queue[T]) pop() (T, error) {
-	var zero T
-	if len(q.items) == 0 {
-		return zero, fmt.Errorf("sim: queue %s underflows (receive before the matching send)", q.name)
+	if q.n == 0 {
+		var zero T
+		return zero, fmt.Errorf("sim: queue %s underflows (receive before the matching send)", q.name())
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
+	v := q.buf[q.head]
+	q.head = (q.head + 1) & ringMask
+	q.n--
 	q.pops++
 	return v, nil
 }
 
-func (q *queue[T]) len() int { return len(q.items) }
-
 // profile snapshots the queue's accounting for the run profile.
 func (q *queue[T]) profile() obs.QueueProfile {
 	return obs.QueueProfile{
-		Name: q.name, Cell: q.cell, Queue: q.kind,
+		Name: q.name(), Cell: q.cell, Queue: q.kind,
 		HighWater: q.high, Pushes: q.pushes, Pops: q.pops, Hist: q.hist,
 	}
 }

@@ -10,9 +10,9 @@ import (
 	"warp/internal/w2"
 )
 
-// Table-driven tests for the bounded FIFO at the heart of the machine:
-// ordering under interleaved traffic, the exact overflow and underflow
-// boundaries, same-cycle push+pop at full and at empty (the machine
+// Table-driven tests for the 128-word ring at the heart of the machine:
+// ordering under interleaved traffic that wraps the ring, the exact
+// overflow and underflow boundaries, same-cycle push+pop at full and at empty (the machine
 // steps agents upstream-first, so within a cycle the push always lands
 // before the downstream pop), and the push-time high-water accounting
 // that feeds Stats.MaxQueue/MaxQueueAt.
@@ -48,32 +48,28 @@ func TestQueueOps(t *testing.T) {
 	const depth = mcode.QueueDepth
 	tests := []struct {
 		name     string
-		cap      int
 		ops      []op
 		wantHigh int
 		wantLen  int
 	}{
 		{
 			name:     "fifo-order",
-			cap:      4,
 			ops:      seq(pushN(0, 3), popN(0, 3)),
 			wantHigh: 3,
 		},
 		{
-			// The backing store recycles: fill, half-drain, refill, and
-			// the words still come out in push order.
+			// The ring recycles: fill, half-drain, refill across the
+			// wrap point, and the words still come out in push order.
 			name: "interleaved-wraparound",
-			cap:  4,
 			ops: seq(
-				pushN(0, 4), popN(0, 2),
-				pushN(4, 6), popN(2, 6),
-				pushN(6, 9), popN(6, 9),
+				pushN(0, depth), popN(0, depth/2),
+				pushN(depth, depth+depth/2), popN(depth/2, depth+depth/2),
+				pushN(depth+depth/2, 2*depth+depth/4), popN(depth+depth/2, 2*depth+depth/4),
 			),
-			wantHigh: 4,
+			wantHigh: depth,
 		},
 		{
 			name:     "pop-empty-underflows",
-			cap:      4,
 			ops:      []op{{wantErr: "underflow"}},
 			wantHigh: 0,
 		},
@@ -81,16 +77,14 @@ func TestQueueOps(t *testing.T) {
 			// Same cycle, upstream first: the push hits the full queue
 			// before the downstream pop can make room.
 			name:     "same-cycle-push-pop-at-full",
-			cap:      4,
-			ops:      seq(pushN(0, 4), []op{{push: true, v: 4, wantErr: "overflow"}, {v: 0}}),
-			wantHigh: 4,
-			wantLen:  3,
+			ops:      seq(pushN(0, depth), []op{{push: true, v: depth, wantErr: "overflow"}, {v: 0}}),
+			wantHigh: depth,
+			wantLen:  depth - 1,
 		},
 		{
 			// Same cycle at empty: upstream-first order is what makes a
 			// push poppable downstream within the cycle.
 			name:     "same-cycle-push-pop-at-empty",
-			cap:      4,
 			ops:      seq(pushN(0, 1), popN(0, 1)),
 			wantHigh: 1,
 		},
@@ -98,13 +92,11 @@ func TestQueueOps(t *testing.T) {
 			// Exactly the hardware depth fits; the high-water mark
 			// records the boundary exactly, not one off.
 			name:     "high-water-at-hardware-depth",
-			cap:      depth,
 			ops:      seq(pushN(0, depth), popN(0, depth)),
 			wantHigh: depth,
 		},
 		{
 			name:     "overflow-just-past-hardware-depth",
-			cap:      depth,
 			ops:      seq(pushN(0, depth), []op{{push: true, v: depth, wantErr: "overflow"}}),
 			wantHigh: depth,
 			wantLen:  depth,
@@ -113,7 +105,8 @@ func TestQueueOps(t *testing.T) {
 
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			q := newQueue[int]("cell1.X", 1, obs.QueueX, tc.cap)
+			var q queue[int]
+			q.init(1, obs.QueueX, nil)
 			var pushes, pops int64
 			for i, o := range tc.ops {
 				if o.push {
@@ -144,8 +137,8 @@ func TestQueueOps(t *testing.T) {
 			if q.high != tc.wantHigh {
 				t.Errorf("high water = %d, want %d", q.high, tc.wantHigh)
 			}
-			if q.len() != tc.wantLen {
-				t.Errorf("final length = %d, want %d", q.len(), tc.wantLen)
+			if q.n != tc.wantLen {
+				t.Errorf("final length = %d, want %d", q.n, tc.wantLen)
 			}
 			p := q.profile()
 			if p.HighWater != tc.wantHigh || p.Pushes != pushes || p.Pops != pops {

@@ -10,11 +10,11 @@
 // failure (CI uses it so compile-time blowups cannot merge silently).
 // The fastexec experiment is the one wall metric gated hard: its
 // sim-over-fast speedup ratio cancels host speed, so falling below
-// bench.FastexecSpeedupFloor (5×) fails regardless of thresholds.
+// bench.FastexecSpeedupFloor (1.9×) fails regardless of thresholds.
 //
 // Usage:
 //
-//	go run ./scripts/benchgate.go                      # run suite, gate vs BENCH_10.json
+//	go run ./scripts/benchgate.go                      # run suite, gate vs BENCH_15.json
 //	go run ./scripts/benchgate.go -fresh bench.json    # gate a pre-built report
 //	go run ./scripts/benchgate.go -cycle-threshold 0   # any cycle increase fails (CI)
 //	go run ./scripts/benchgate.go -compile-threshold 2 # 2x compile-phase growth fails
@@ -33,7 +33,7 @@ import (
 
 func main() {
 	var (
-		baseline = flag.String("baseline", "BENCH_10.json", "committed baseline report")
+		baseline = flag.String("baseline", bench.BaselineFile, "committed baseline report")
 		fresh    = flag.String("fresh", "", "pre-built fresh report (empty = run the suite now)")
 		out      = flag.String("out", "", "also write the fresh report here")
 		iters    = flag.Int("iters", 3, "wall-clock iterations when running the suite")
