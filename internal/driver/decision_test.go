@@ -3,6 +3,7 @@ package driver
 import (
 	"testing"
 
+	"warp/internal/mcode"
 	"warp/internal/obs"
 	"warp/internal/workloads"
 )
@@ -20,21 +21,22 @@ func zeroIn(c *Compiled) map[string][]float64 {
 	return in
 }
 
+var decisionCases = []struct {
+	name string
+	src  string
+	opts Options
+}{
+	{"polynomial", workloads.Polynomial(10, 100), Options{Verify: true}},
+	{"conv1d", workloads.Conv1D(9, 64), Options{Verify: true}},
+	{"matmul-pipelined", workloads.Matmul(8), Options{Verify: true, Pipeline: true}},
+	{"binop-unverified", workloads.Binop(16, 12), Options{}},
+}
+
 // TestDecisionPredictedCyclesExact pins the decision audit's core
 // promise: on deterministic workloads the predicted cycle input equals
 // the executed cycle count exactly, for both backends.
 func TestDecisionPredictedCyclesExact(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		opts Options
-	}{
-		{"polynomial", workloads.Polynomial(10, 100), Options{Verify: true}},
-		{"conv1d", workloads.Conv1D(9, 64), Options{Verify: true}},
-		{"matmul-pipelined", workloads.Matmul(8), Options{Verify: true, Pipeline: true}},
-		{"binop-unverified", workloads.Binop(16, 12), Options{}},
-	}
-	for _, tc := range cases {
+	for _, tc := range decisionCases {
 		t.Run(tc.name, func(t *testing.T) {
 			c, err := Compile(tc.src, tc.opts)
 			if err != nil {
@@ -68,6 +70,55 @@ func TestDecisionPredictedCyclesExact(t *testing.T) {
 				if d.Cells != c.Cells {
 					t.Errorf("decision cells = %d, want %d", d.Cells, c.Cells)
 				}
+			}
+		})
+	}
+}
+
+// TestDecisionPredictedOpsClosedForm: the audit record's trace length is
+// a closed form over the trip counts (mcode.CountCell), equal to the
+// length of the plan the trace compiler would build, so recording what
+// the fast backend would have cost never builds one.  A simulator-side
+// run — explicit, profiled or traced — leaves the plan cache empty.
+func TestDecisionPredictedOpsClosedForm(t *testing.T) {
+	for _, tc := range decisionCases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := Compile(tc.src, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, o := range []RunOptions{
+				{Backend: BackendSim},
+				{Profile: true},
+				{Recorder: &countingRec{}},
+			} {
+				_, stats, err := RunWith(c, zeroIn(c), o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c.fastPlan != nil || c.fastErr != nil {
+					t.Fatalf("a %q run built a fast plan", stats.Decision.Reason)
+				}
+				if verified, predicted := c.Verified != nil, stats.Decision.PredictedOps != 0; verified != predicted {
+					t.Errorf("%q run: verified=%v but PredictedOps=%d", stats.Decision.Reason, verified, stats.Decision.PredictedOps)
+				}
+			}
+			plan, err := c.FastPlan()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := mcode.CountCell(c.Cell).Ops, int64(plan.Ops()); got != want {
+				t.Errorf("closed-form trace length %d, plan has %d ops", got, want)
+			}
+			if c.Verified == nil {
+				return
+			}
+			_, d, err := chooseBackend(c, RunOptions{Backend: BackendSim})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := int64(plan.Ops()) * int64(c.Cells); d.PredictedOps != want {
+				t.Errorf("PredictedOps = %d, want %d (plan ops x cells)", d.PredictedOps, want)
 			}
 		})
 	}

@@ -515,16 +515,13 @@ func chooseBackend(c *Compiled, o RunOptions) (string, *telemetry.Decision, erro
 		Model:           model,
 	}
 	d.PredictedSimWallNS = model.PredictSimNS(d.PredictedCycles, c.Cells)
-	// fillFast completes the fast-executor side of the prediction; it
-	// needs the trace length, so it builds (and caches) the fast plan.
-	fillFast := func() bool {
-		plan, err := c.FastPlan()
-		if err != nil {
-			return false
-		}
-		d.PredictedOps = int64(plan.Ops()) * int64(c.Cells)
+	// predictFast completes the fast-executor side of the prediction.
+	// The trace length is a closed form over the trip counts, so the
+	// audit record never builds a plan: only a run that may execute on
+	// the fast backend pays for (and caches) one.
+	predictFast := func() {
+		d.PredictedOps = mcode.CountCell(c.Cell).Ops * int64(c.Cells)
 		d.PredictedFastWallNS = model.PredictFastNS(d.PredictedOps)
-		return true
 	}
 	switch b := o.Backend; b {
 	case "", BackendAuto:
@@ -534,33 +531,36 @@ func chooseBackend(c *Compiled, o RunOptions) (string, *telemetry.Decision, erro
 		// shortcut) or one whose trace cannot be built.
 		switch {
 		case c.Verified == nil:
-			// No plan build for the prediction either: an unverified
-			// program earns no trace-compilation work.
+			// No prediction either: an unverified program has no fast
+			// side to compare against.
 			d.Backend, d.Reason = BackendSim, "unverified"
 		case o.Profile:
 			d.Backend, d.Reason = BackendSim, "profile-requested"
-			fillFast()
+			predictFast()
 		case obs.Enabled(o.Recorder):
 			d.Backend, d.Reason = BackendSim, "cycle-recorder"
-			fillFast()
-		case !fillFast():
-			d.Backend, d.Reason = BackendSim, "no-fast-plan"
+			predictFast()
 		default:
-			d.Backend, d.Reason = BackendFast, "auto-verified"
+			predictFast()
+			if _, err := c.FastPlan(); err != nil {
+				d.Backend, d.Reason = BackendSim, "no-fast-plan"
+			} else {
+				d.Backend, d.Reason = BackendFast, "auto-verified"
+			}
 		}
 	case BackendSim:
 		d.Backend, d.Reason = BackendSim, "explicit-sim"
 		if c.Verified != nil {
-			fillFast() // record what fast would have cost
+			predictFast() // record what fast would have cost
 		}
 	case BackendFast:
 		if c.Verified == nil {
 			return "", nil, fmt.Errorf("backend %q: %w", b, ErrUnverified)
 		}
-		if !fillFast() {
-			_, err := c.FastPlan()
+		if _, err := c.FastPlan(); err != nil {
 			return "", nil, fmt.Errorf("backend %q: %w", b, err)
 		}
+		predictFast()
 		d.Backend, d.Reason = BackendFast, "explicit-fast"
 	default:
 		return "", nil, fmt.Errorf("unknown backend %q (want %q, %q or %q)", b, BackendAuto, BackendSim, BackendFast)

@@ -70,12 +70,12 @@ func checkGolden(t *testing.T, path string, got []byte) {
 		t.Fatalf("%v (run with -update to create)", err)
 	}
 	if !bytes.Equal(want, got) {
-		t.Errorf("%s: simulator behaviour changed at byte %s", path, diffAt(want, got))
+		t.Errorf("%s: recorded behaviour changed at byte %s", path, diffAt(want, got))
 	}
 }
 
-// diffAt shows the first divergent byte of two one-line goldens with
-// some context on either side.
+// diffAt shows the first divergent byte of two goldens with some context
+// on either side.
 func diffAt(want, got []byte) string {
 	i := 0
 	for i < len(want) && i < len(got) && want[i] == got[i] {

@@ -10,8 +10,12 @@
 // never stalls.  This package exploits those proofs: it compiles the
 // representative cell's microcode into a flat trace of the non-nop
 // microinstructions with every memory address and loop-control signal
-// resolved ahead of time (the IU microprogram is emulated exactly
-// once), then replays the trace per cell directly over host slices.
+// resolved ahead of time, then replays the trace per cell directly over
+// host slices.  The machine model is not re-implemented here: the IU
+// microprogram is elaborated exactly once by mcode.IUCode.Elaborate, the
+// cell program is decoded and stepped by mcode's sequencer, and FPU
+// fields evaluate through mcode.AluOp.Eval — the definitions the
+// simulator and the verifier use.
 //
 // The replay is bit-exact with the simulator:
 //
@@ -54,7 +58,7 @@ import (
 	"warp/internal/w2"
 )
 
-// maxTraceCycles caps the unrolled trace (and the IU emulation) so a
+// maxTraceCycles caps the unrolled trace (and the IU elaboration) so a
 // pathological trip-count product cannot exhaust memory building a
 // plan; oversized programs are compile errors and run on the simulator.
 const maxTraceCycles = 1 << 22
@@ -123,7 +127,6 @@ type Plan struct {
 	// Static per-cell dynamic-operation counts over one full trace.
 	addOps, mulOps, movOps int64
 	loads, stores          int64
-	recvX, recvY           int
 	sendX, sendY           int
 }
 
@@ -135,7 +138,7 @@ func (p *Plan) Cycles() int64 { return p.cycles }
 // cell.
 func (p *Plan) Ops() int { return len(p.ops) }
 
-// Compile builds an execution plan: it emulates the IU microprogram
+// Compile builds an execution plan: it elaborates the IU microprogram
 // once to materialize the address and loop-signal streams, then unrolls
 // the cell microprogram into a flat trace with every address resolved
 // and every loop signal checked against the sequencer.  Programs the
@@ -156,12 +159,8 @@ func Compile(p Program) (*Plan, error) {
 	if iuCycles := p.IU.Cycles(); iuCycles > maxTraceCycles {
 		return nil, fmt.Errorf("fastexec: IU program unrolls to %d cycles, over the %d-cycle trace cap", iuCycles, maxTraceCycles)
 	}
-	adr, sigs, err := emulateIU(p.IU)
+	b, err := buildTrace(p)
 	if err != nil {
-		return nil, err
-	}
-	b := &builder{adr: adr, sigs: sigs}
-	if err := b.walk(p.Cell.Items); err != nil {
 		return nil, err
 	}
 
@@ -174,8 +173,7 @@ func Compile(p Program) (*Plan, error) {
 		host:       p.Host,
 		addOps:     b.addOps, mulOps: b.mulOps, movOps: b.movOps,
 		loads: b.loads, stores: b.stores,
-		recvX: b.recvX, recvY: b.recvY,
-		sendX: b.sendX, sendY: b.sendY,
+		sendX: int(b.counts.Send[w2.ChanX]), sendY: int(b.counts.Send[w2.ChanY]),
 	}
 	// The last cell finishes at Lead + (Cells-1)·Skew + CellCycles - 1;
 	// the simulator's reported count is one past that.  An empty cell
@@ -189,200 +187,118 @@ func Compile(p Program) (*Plan, error) {
 	// dry, and the last cell's sends must fit the output sequences.
 	// (Verified programs satisfy both; the checks keep an unverified
 	// explicit fast run honest.)
-	for ch, want := range map[w2.Channel]int{w2.ChanX: b.recvX, w2.ChanY: b.recvY} {
-		if have := len(p.Host.In[ch]); have < want {
+	for _, ch := range []w2.Channel{w2.ChanX, w2.ChanY} {
+		if have, want := len(p.Host.In[ch]), b.counts.Recv[ch]; int64(have) < want {
 			return nil, fmt.Errorf("fastexec: cell 0 receives %d words on %s but the host program supplies %d", want, ch, have)
 		}
 	}
-	for ch, want := range map[w2.Channel]int{w2.ChanX: b.sendX, w2.ChanY: b.sendY} {
-		if have := len(p.Host.Out[ch]); want > have {
+	for _, ch := range []w2.Channel{w2.ChanX, w2.ChanY} {
+		if have, want := len(p.Host.Out[ch]), b.counts.Send[ch]; want > int64(have) {
 			return nil, fmt.Errorf("fastexec: the last cell sends %d words on %s but the host program expects %d", want, ch, have)
 		}
 	}
 	return plan, nil
 }
 
-// sigRec is one loop-control signal the IU emits.
-type sigRec struct {
-	id   int
-	more bool
-}
-
-// emulateIU runs the IU microprogram to completion, sequentially,
-// producing the full address stream and loop-signal stream.  The IU
-// issues one instruction per cycle and its register writes land the
-// next cycle, so applying each instruction's writes after its reads is
-// exactly the simulator's pending-write semantics; a same-register
-// immediate+ALU pair resolves to the ALU, which the simulator applies
-// last.
-func emulateIU(p *mcode.IUProgram) (adr []int64, sigs []sigRec, err error) {
-	var regs [mcode.IUNumRegs]int64
-	tblPos := 0
-	step := func(in *mcode.IUInstr, iter int64) error {
-		for _, out := range in.Out {
-			if out == nil {
-				continue
-			}
-			var v int64
-			if out.FromTable {
-				if tblPos >= len(p.Table) {
-					return fmt.Errorf("fastexec: IU table read past its %d entries", len(p.Table))
-				}
-				v = p.Table[tblPos]
-				tblPos++
-			} else {
-				v = regs[out.Src]
-			}
-			adr = append(adr, v)
-		}
-		if in.Sig != nil {
-			more := in.Sig.Continue
-			if !in.Sig.Static {
-				more = iter*in.Sig.M+in.Sig.Copy < in.Sig.CellTrips-1
-			}
-			sigs = append(sigs, sigRec{id: in.Sig.LoopID, more: more})
-		}
-		var aluV int64
-		if in.Alu != nil { // reads before any of this cycle's writes
-			a := regs[in.Alu.A]
-			b := in.Alu.ImmVal
-			if !in.Alu.BIsImm {
-				b = regs[in.Alu.B]
-			}
-			if in.Alu.Sub {
-				aluV = a - b
-			} else {
-				aluV = a + b
-			}
-		}
-		if in.Imm != nil {
-			regs[in.Imm.Dst] = in.Imm.Value
-		}
-		if in.Alu != nil {
-			regs[in.Alu.Dst] = aluV
-		}
-		return nil
-	}
-	var walk func(items []mcode.IUItem, iter int64) error
-	walk = func(items []mcode.IUItem, iter int64) error {
-		for _, it := range items {
-			switch it := it.(type) {
-			case *mcode.IUStraight:
-				for _, in := range it.Instrs {
-					if err := step(in, iter); err != nil {
-						return err
-					}
-				}
-			case *mcode.IULoop:
-				// The sequencer's loops are do-while: a non-positive trip
-				// count still executes once there, which this unrolled walk
-				// does not model.
-				if it.Trips < 1 {
-					return fmt.Errorf("fastexec: IU loop L%d has trip count %d", it.ID, it.Trips)
-				}
-				for k := int64(0); k < it.Trips; k++ {
-					if err := walk(it.Body, k); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		return nil
-	}
-	if err := walk(p.Items, 0); err != nil {
-		return nil, nil, err
-	}
-	return adr, sigs, nil
-}
-
 // builder unrolls the cell microprogram into the trace, consuming the
 // IU streams in the exact order the hardware would pop them.
 type builder struct {
-	adr    []int64
+	iu     *mcode.IUTrace
 	adrPos int
-	sigs   []sigRec
 	sigPos int
 
-	ops []op
-	t   int64 // cell-local cycle of the next instruction
+	ops    []op
+	counts mcode.CellCounts // closed-form totals: trace length, words per channel
 
 	addOps, mulOps, movOps int64
 	loads, stores          int64
-	recvX, recvY           int
-	sendX, sendY           int
 }
 
-func (b *builder) walk(items []mcode.CodeItem) error {
-	for _, it := range items {
-		switch it := it.(type) {
-		case *mcode.Straight:
-			for _, in := range it.Instrs {
-				if err := b.instr(in); err != nil {
-					return err
-				}
-			}
-		case *mcode.LoopItem:
-			if it.Trips < 1 {
-				return fmt.Errorf("fastexec: loop L%d has trip count %d", it.ID, it.Trips)
-			}
-			if it.Cycles() == 0 {
-				return fmt.Errorf("fastexec: loop L%d has an empty body", it.ID)
-			}
-			for k := int64(0); k < it.Trips; k++ {
-				if err := b.walk(it.Body); err != nil {
-					return err
-				}
-				// One IU control signal is consumed per loop boundary,
-				// innermost first — the recursion returns from inner loops
-				// before reaching this point, matching the sequencer.
-				if err := b.loopEnd(it.ID, k+1 < it.Trips); err != nil {
-					return err
-				}
-			}
+// positiveTrips rejects a non-positive trip count.  The sequencer's
+// loops are do-while — such a loop still executes once there — which
+// the closed-form cycle model does not describe.
+func positiveTrips(what string, ends []mcode.LoopEnd) error {
+	for _, e := range ends {
+		if e.Trips < 1 {
+			return fmt.Errorf("fastexec: %s L%d has trip count %d", what, e.ID, e.Trips)
 		}
 	}
 	return nil
 }
 
+// buildTrace elaborates the IU once (mcode.IUCode.Elaborate, the shared
+// definition of its register machine) and steps the shared sequencer
+// over the decoded cell program, binding one address per memory
+// reference and checking one loop signal per boundary crossed.
+func buildTrace(p Program) (*builder, error) {
+	// An IU loop with an empty body emits nothing and takes no time;
+	// the decoder leaves it out.
+	iuCode, _ := mcode.DecodeIU(p.IU)
+	for i := range iuCode.Words {
+		if err := positiveTrips("IU loop", iuCode.Words[i].Ends); err != nil {
+			return nil, err
+		}
+	}
+	// Compile capped the IU's cycle count, so the elaboration completes.
+	iu, _ := iuCode.Elaborate(p.IU.Table, maxTraceCycles)
+	if iu.OverRead >= 0 {
+		return nil, fmt.Errorf("fastexec: IU table read past its %d entries", len(p.IU.Table))
+	}
+
+	code, err := mcode.DecodeCell(p.Cell)
+	if err != nil {
+		return nil, fmt.Errorf("fastexec: %w", err)
+	}
+	for i := range code.Words {
+		if err := positiveTrips("loop", code.Words[i].Ends); err != nil {
+			return nil, err
+		}
+	}
+	b := &builder{iu: iu, counts: mcode.CountCell(p.Cell)}
+	b.ops = make([]op, 0, b.counts.Ops)
+	s := mcode.Seq{Iter: make([]int64, code.Depth)}
+	for t := int64(0); s.PC < len(code.Words); t++ {
+		w := &code.Words[s.PC]
+		crossed, again := s.Advance(w.Depth, w.Ends)
+		if !w.Nop {
+			if err := b.instr(w.Instr, t); err != nil {
+				return nil, err
+			}
+		}
+		// One IU control signal is consumed per loop boundary, innermost
+		// first.
+		for i, e := range w.Ends[:crossed] {
+			if err := b.loopEnd(e.ID, again && i == crossed-1); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return b, nil
+}
+
 func (b *builder) loopEnd(id int, more bool) error {
-	if b.sigPos >= len(b.sigs) {
+	if b.sigPos >= len(b.iu.Sigs) {
 		return fmt.Errorf("fastexec: the IU signal stream ran dry at loop L%d", id)
 	}
-	s := b.sigs[b.sigPos]
+	s := &b.iu.Sigs[b.sigPos]
 	b.sigPos++
-	if s.id != id || s.more != more {
+	if s.ID != id || s.More != more {
 		return fmt.Errorf("fastexec: loop signal mismatch: sequencer at L%d(more=%v), IU sent L%d(more=%v)",
-			id, more, s.id, s.more)
+			id, more, s.ID, s.More)
 	}
 	return nil
 }
 
-func (b *builder) instr(in *mcode.Instr) error {
-	t := b.t
-	b.t++
-	if in.Empty() {
-		return nil
-	}
+// instr appends one non-empty instruction issued at cell cycle t.
+func (b *builder) instr(in *mcode.Instr, t int64) error {
 	o := op{cycle: t, add: in.Add, mul: in.Mul, mov: in.Mov, lit: in.Lit}
 	for _, io := range in.IO {
 		if io.Recv {
 			if io.Dir != w2.DirL {
 				return fmt.Errorf("fastexec: receive from the right is not supported (rightward flow only)")
 			}
-			if io.Chan == w2.ChanY {
-				b.recvY++
-			} else {
-				b.recvX++
-			}
-		} else {
-			if io.Dir != w2.DirR {
-				return fmt.Errorf("fastexec: send to the left is not supported (rightward flow only)")
-			}
-			if io.Chan == w2.ChanY {
-				b.sendY++
-			} else {
-				b.sendX++
-			}
+		} else if io.Dir != w2.DirR {
+			return fmt.Errorf("fastexec: send to the left is not supported (rightward flow only)")
 		}
 		o.io = append(o.io, ioStep{recv: io.Recv, chanY: io.Chan == w2.ChanY, reg: io.Reg})
 	}
@@ -390,10 +306,10 @@ func (b *builder) instr(in *mcode.Instr) error {
 		if mo == nil {
 			continue
 		}
-		if b.adrPos >= len(b.adr) {
+		if b.adrPos >= len(b.iu.Adr) {
 			return fmt.Errorf("fastexec: the IU address stream ran dry at cycle %d, memory port %d", t, port)
 		}
-		addr := b.adr[b.adrPos]
+		addr := b.iu.Adr[b.adrPos].Val
 		b.adrPos++
 		if addr < 0 || addr >= mcode.MemWords {
 			return fmt.Errorf("fastexec: address %d outside the %d-word cell memory (IU generated a bad address for %s)",
@@ -508,67 +424,6 @@ func (c *cellRun) write(reg mcode.Reg, v float64, land int64) {
 	s := &c.ring[land%ringSlots]
 	s.land = land
 	s.w = append(s.w, pendWrite{reg: reg, val: v})
-}
-
-func boolToF(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// alu mirrors the simulator's FPU evaluation exactly, including the
-// divide-by-zero contract error, scheduling the result at the unit's
-// latency.
-func (c *cellRun) alu(o *mcode.AluOp, t int64) error {
-	a := c.regs[o.Src[0]]
-	b := c.regs[o.Src[1]]
-	var v float64
-	switch o.Code {
-	case mcode.Fadd:
-		v = a + b
-	case mcode.Fsub:
-		v = a - b
-	case mcode.Fneg:
-		v = -a
-	case mcode.Fmul:
-		v = a * b
-	case mcode.Fdiv:
-		if b == 0 {
-			return fmt.Errorf("fastexec: floating divide by zero")
-		}
-		v = a / b
-	case mcode.CmpEQ:
-		v = boolToF(a == b)
-	case mcode.CmpNE:
-		v = boolToF(a != b)
-	case mcode.CmpLT:
-		v = boolToF(a < b)
-	case mcode.CmpLE:
-		v = boolToF(a <= b)
-	case mcode.CmpGT:
-		v = boolToF(a > b)
-	case mcode.CmpGE:
-		v = boolToF(a >= b)
-	case mcode.BoolAnd:
-		v = boolToF(a != 0 && b != 0)
-	case mcode.BoolOr:
-		v = boolToF(a != 0 || b != 0)
-	case mcode.BoolNot:
-		v = boolToF(a == 0)
-	case mcode.Sel:
-		if a != 0 {
-			v = b
-		} else {
-			v = c.regs[o.Src[2]]
-		}
-	case mcode.Mov:
-		v = a
-	default:
-		return fmt.Errorf("fastexec: unknown ALU code %v", o.Code)
-	}
-	c.write(o.Dst, v, t+o.Code.Latency())
-	return nil
 }
 
 // execState is the whole-array execution state shared across cells.
@@ -780,20 +635,30 @@ func (p *Plan) runCell(st *execState, idx int) error {
 				c.write(ms.reg, st.mem[ms.addr], t+1)
 			}
 		}
-		if o.add != nil {
-			if err := c.alu(o.add, t); err != nil {
-				return err
+		// FPU fields, evaluated by the one ALU table both executors share
+		// (divide-by-zero fault included) and landed at the unit's
+		// latency.  One block per field on purpose: ranging over an array
+		// of the three costs 10% of the whole replay.
+		if f := o.add; f != nil {
+			v, err := f.Eval(&c.regs)
+			if err != nil {
+				return fmt.Errorf("fastexec: %w", err)
 			}
+			c.write(f.Dst, v, t+f.Code.Latency())
 		}
-		if o.mul != nil {
-			if err := c.alu(o.mul, t); err != nil {
-				return err
+		if f := o.mul; f != nil {
+			v, err := f.Eval(&c.regs)
+			if err != nil {
+				return fmt.Errorf("fastexec: %w", err)
 			}
+			c.write(f.Dst, v, t+f.Code.Latency())
 		}
-		if o.mov != nil {
-			if err := c.alu(o.mov, t); err != nil {
-				return err
+		if f := o.mov; f != nil {
+			v, err := f.Eval(&c.regs)
+			if err != nil {
+				return fmt.Errorf("fastexec: %w", err)
 			}
+			c.write(f.Dst, v, t+f.Code.Latency())
 		}
 		if o.lit != nil {
 			c.write(o.lit.Dst, o.lit.Value, t+1)

@@ -1,6 +1,10 @@
 // Package mcode defines the microinstruction words executed by the Warp
 // cells and the interface unit, shared between the code generators and
-// the simulator.
+// everything that runs or checks their output.  It also holds the one
+// executable model of the machine those consumers step (flat.go: the
+// decoded programs, the sequencer, the static IU elaboration; AluOp.Eval
+// below: the cell's arithmetic), so the simulator, the fast executor and
+// the verifier cannot drift apart on what an instruction means.
 //
 // A Warp cell (Figure 2-2 of the paper) is a horizontal microengine:
 // every functional unit is controlled by its own field of a wide
@@ -112,6 +116,64 @@ type AluOp struct {
 	Code AluCode
 	Dst  Reg
 	Src  [3]Reg // Src[0..NumOperands-1] are meaningful
+}
+
+// Eval computes the field's result over the cell register file: the one
+// definition of the cell's arithmetic, shared by both executors.
+// Booleans are 0 and 1, and any non-zero operand counts as true.  A
+// floating divide by zero is a machine fault, returned as an error.
+func (o *AluOp) Eval(regs *[NumRegs]float64) (float64, error) {
+	a := regs[o.Src[0]]
+	b := regs[o.Src[1]]
+	switch o.Code {
+	case Fadd:
+		return a + b, nil
+	case Fsub:
+		return a - b, nil
+	case Fneg:
+		return -a, nil
+	case Fmul:
+		return a * b, nil
+	case Fdiv:
+		if b == 0 {
+			return 0, fmt.Errorf("floating divide by zero")
+		}
+		return a / b, nil
+	case CmpEQ:
+		return boolToF(a == b), nil
+	case CmpNE:
+		return boolToF(a != b), nil
+	case CmpLT:
+		return boolToF(a < b), nil
+	case CmpLE:
+		return boolToF(a <= b), nil
+	case CmpGT:
+		return boolToF(a > b), nil
+	case CmpGE:
+		return boolToF(a >= b), nil
+	case BoolAnd:
+		return boolToF(a != 0 && b != 0), nil
+	case BoolOr:
+		return boolToF(a != 0 || b != 0), nil
+	case BoolNot:
+		return boolToF(a == 0), nil
+	case Sel:
+		if a != 0 {
+			return b, nil
+		}
+		return regs[o.Src[2]], nil
+	case Mov:
+		return a, nil
+	default:
+		return 0, fmt.Errorf("unknown ALU code %v", o.Code)
+	}
+}
+
+func boolToF(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func (o *AluOp) String() string {

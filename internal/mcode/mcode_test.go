@@ -162,11 +162,15 @@ func TestCountCell(t *testing.T) {
 			&LoopItem{ID: 1, Trips: 2, Body: []CodeItem{
 				&Straight{Instrs: []*Instr{
 					{Mem: [MemPorts]*MemOp{{Store: false, Reg: 1}}},
+					{}, // a scheduled nop: a cycle, not an operation
 				}},
 			}},
 		}},
 	}}
 	c := CountCell(p)
+	if c.Ops != 4*3+8 {
+		t.Errorf("Ops = %d, want 20 non-empty instructions", c.Ops)
+	}
 	if c.Recv[w2.ChanX] != 4 || c.Send[w2.ChanY] != 4 {
 		t.Errorf("I/O counts wrong: %+v", c)
 	}
@@ -175,5 +179,99 @@ func TestCountCell(t *testing.T) {
 	}
 	if c.Signals != 4+8 {
 		t.Errorf("Signals = %d, want 12", c.Signals)
+	}
+}
+
+// TestElaborateIU pins the IU register machine's one definition: writes
+// land next cycle, the adder wins a same-register tie, table over-reads
+// yield 0 and are located, dynamic signals follow the enclosing loop's
+// iteration, and the cycle limit cuts the trace short.
+func TestElaborateIU(t *testing.T) {
+	out := func(o *IUOut) *IUInstr { return &IUInstr{Out: [MemPorts]*IUOut{o}} }
+	tie := out(&IUOut{Src: 1}) // reads a1 before either write lands
+	tie.Imm = &IUImm{Dst: 1, Value: 9}
+	tie.Alu = &IUAlu{Dst: 1, A: 0, BIsImm: true, ImmVal: 40}
+	p := &IUProgram{
+		Items: []IUItem{
+			&IUStraight{Instrs: []*IUInstr{tie, out(&IUOut{Src: 1})}},
+			&IULoop{ID: 5, Trips: 2, Body: []IUItem{&IUStraight{Instrs: []*IUInstr{
+				{Alu: &IUAlu{Dst: 1, A: 1, B: 1, Sub: true}, Out: [MemPorts]*IUOut{{FromTable: true}, {FromTable: true}}},
+				{Sig: &IUSig{LoopID: 5, M: 1, CellTrips: 2}, Out: [MemPorts]*IUOut{{Src: 1}}},
+			}}}},
+		},
+		Table: []int64{7, 8, 9},
+	}
+	code, err := DecodeIU(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, done := code.Elaborate(p.Table, 100)
+	if !done || tr.Cycles != p.Cycles() {
+		t.Fatalf("done=%v after %d cycles, want all %d", done, tr.Cycles, p.Cycles())
+	}
+	wantAdr := []AdrEvent{
+		{Val: 0, At: 0, PC: 0}, {Val: 40, At: 1, PC: 1},
+		{Val: 7, At: 2, PC: 2}, {Val: 8, At: 2, PC: 2}, {Val: 0, At: 3, PC: 3},
+		{Val: 9, At: 4, PC: 2}, {Val: 0, At: 4, PC: 2}, {Val: 0, At: 5, PC: 3},
+	}
+	if len(tr.Adr) != len(wantAdr) {
+		t.Fatalf("%d addresses, want %d: %+v", len(tr.Adr), len(wantAdr), tr.Adr)
+	}
+	for i, w := range wantAdr {
+		if tr.Adr[i] != w {
+			t.Errorf("address %d = %+v, want %+v", i, tr.Adr[i], w)
+		}
+	}
+	if tr.TableReads != 4 || tr.OverRead != 6 {
+		t.Errorf("table: %d reads, first over-read at address %d; want 4 and 6", tr.TableReads, tr.OverRead)
+	}
+	wantSigs := []SigEvent{{ID: 5, More: true, At: 3, PC: 3}, {ID: 5, More: false, At: 5, PC: 3}}
+	if len(tr.Sigs) != 2 || tr.Sigs[0] != wantSigs[0] || tr.Sigs[1] != wantSigs[1] {
+		t.Errorf("signals %+v, want %+v", tr.Sigs, wantSigs)
+	}
+	if c := CountIU(p); c.AdrOuts != int64(len(tr.Adr)) || c.TableOuts != int64(tr.TableReads) || c.Signals != int64(len(tr.Sigs)) {
+		t.Errorf("closed-form counts %+v disagree with the trace", c)
+	}
+
+	if short, done := code.Elaborate(p.Table, 3); done || short.Cycles != 3 || len(short.Adr) != 4 {
+		t.Errorf("limit 3: done=%v after %d cycles with %d addresses; want a 3-cycle partial trace", done, short.Cycles, len(short.Adr))
+	}
+}
+
+// TestDecodeIndexIsPC: a decoded word's index is the µPC AssignPCs gives
+// its instruction, through nested loops and empty blocks, and NumInstrs
+// is the decoded length.
+func TestDecodeIndexIsPC(t *testing.T) {
+	block := func(n int) *Straight {
+		s := &Straight{}
+		for i := 0; i < n; i++ {
+			s.Instrs = append(s.Instrs, &Instr{})
+		}
+		return s
+	}
+	inner := &LoopItem{ID: 1, Trips: 3, Body: []CodeItem{block(2)}}
+	p := &CellProgram{Items: []CodeItem{
+		block(1), block(0),
+		&LoopItem{ID: 0, Trips: 2, Body: []CodeItem{block(1), inner, block(0)}},
+		block(2),
+	}}
+	n := p.AssignPCs()
+	code, err := DecodeCell(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(code.Words) != n || p.NumInstrs() != n {
+		t.Fatalf("decoded %d words, AssignPCs numbered %d, NumInstrs %d", len(code.Words), n, p.NumInstrs())
+	}
+	for i, w := range code.Words {
+		if w.Instr.PC != i {
+			t.Errorf("word %d holds the instruction numbered %d", i, w.Instr.PC)
+		}
+	}
+	// The inner loop's last word closes both loops, innermost first.
+	last := code.Words[3]
+	if code.Depth != 2 || last.Depth != 2 || len(last.Ends) != 2 ||
+		last.Ends[0] != (LoopEnd{ID: 1, Trips: 3, Head: 2}) || last.Ends[1] != (LoopEnd{ID: 0, Trips: 2, Head: 1}) {
+		t.Errorf("depth %d, word 3 = depth %d ends %+v", code.Depth, last.Depth, last.Ends)
 	}
 }

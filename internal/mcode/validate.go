@@ -118,6 +118,7 @@ func validateInstr(in *Instr) error {
 
 // CellCounts are the dynamic operation counts of a cell program.
 type CellCounts struct {
+	Ops     int64 // non-empty instructions executed = the fast executor's trace length
 	AdrPops int64 // memory references = addresses consumed
 	Signals int64 // loop boundaries = control signals consumed
 	Recv    map[w2.Channel]int64
@@ -136,6 +137,9 @@ func countCellItems(items []CodeItem, mult int64, c *CellCounts) {
 		switch it := it.(type) {
 		case *Straight:
 			for _, in := range it.Instrs {
+				if !in.Empty() {
+					c.Ops += mult
+				}
 				for _, m := range in.Mem {
 					if m != nil {
 						c.AdrPops += mult

@@ -6,6 +6,19 @@ import (
 	"warp/internal/mcode"
 )
 
+// issueAlu issues one FPU field on a lone cell at cycle now: the field
+// sits in the slot of its unit, as the code generators place it.
+func issueAlu(c *cell, op *mcode.AluOp, now int64) error {
+	in := &mcode.Instr{Add: op}
+	switch {
+	case op.Code.OnMulUnit():
+		in = &mcode.Instr{Mul: op}
+	case op.Code == mcode.Mov:
+		in = &mcode.Instr{Mov: op}
+	}
+	return (&machine{now: now}).execCellInstr(c, in)
+}
+
 // TestAluAllCodes drives every FPU operation through a cell and checks
 // value and latency: the result must sit alone in the latency-wheel slot
 // of its landing cycle.
@@ -41,8 +54,7 @@ func TestAluAllCodes(t *testing.T) {
 	for _, tc := range cases {
 		c := &cell{}
 		c.regs[1], c.regs[2], c.regs[3] = tc.a, tc.b, tc.c
-		op := &mcode.AluOp{Code: tc.code, Dst: 5, Src: [3]mcode.Reg{1, 2, 3}}
-		if err := c.alu(op, 100); err != nil {
+		if err := issueAlu(c, &mcode.AluOp{Code: tc.code, Dst: 5, Src: [3]mcode.Reg{1, 2, 3}}, 100); err != nil {
 			t.Fatalf("%s: %v", tc.code, err)
 		}
 		pending := 0
@@ -65,10 +77,9 @@ func TestAluAllCodes(t *testing.T) {
 
 // TestAluDivByZero is a machine fault.
 func TestAluDivByZero(t *testing.T) {
-	c := &cell{}
 	op := &mcode.AluOp{Code: mcode.Fdiv, Dst: 5, Src: [3]mcode.Reg{1, 2}}
-	if err := c.alu(op, 0); err == nil {
-		t.Error("divide by zero must fault")
+	if err := issueAlu(&cell{}, op, 0); err == nil || err.Error() != "sim: floating divide by zero" {
+		t.Errorf("divide by zero must fault, got %v", err)
 	}
 }
 

@@ -27,19 +27,20 @@ type boundary struct {
 // crossed after each.
 func walkCell(t *testing.T, p *mcode.CellProgram) (depths []int, crossed [][]boundary) {
 	t.Helper()
-	prog, err := decodeCell(p)
+	code, err := mcode.DecodeCell(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := seq{iter: make([]int64, 8)}
-	for s.pc < len(prog) {
-		in := &prog[s.pc]
-		n, more := s.advance(in.depth, in.ends)
+	prog := code.Words
+	s := mcode.Seq{Iter: make([]int64, code.Depth)}
+	for s.PC < len(prog) {
+		in := &prog[s.PC]
+		n, more := s.Advance(in.Depth, in.Ends)
 		var bs []boundary
-		for i, e := range in.ends[:n] {
-			bs = append(bs, boundary{e.id, more && i == n-1})
+		for i, e := range in.Ends[:n] {
+			bs = append(bs, boundary{e.ID, more && i == n-1})
 		}
-		depths = append(depths, in.depth)
+		depths = append(depths, in.Depth)
 		crossed = append(crossed, bs)
 	}
 	return depths, crossed
@@ -130,16 +131,20 @@ func TestIUSeqNestedLoops(t *testing.T) {
 	inner := &mcode.IULoop{ID: 1, Trips: 3, Body: []mcode.IUItem{body}}
 	outer := &mcode.IULoop{ID: 0, Trips: 2, Body: []mcode.IUItem{inner, &mcode.IUStraight{Instrs: []*mcode.IUInstr{{}}}}}
 	p := &mcode.IUProgram{Items: []mcode.IUItem{outer}}
-	prog, err := decodeIU(p)
+	code, err := mcode.DecodeIU(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := seq{iter: make([]int64, 2)}
+	if code.Depth != 2 {
+		t.Fatalf("decoded nesting depth %d, want 2", code.Depth)
+	}
+	prog := code.Words
+	s := mcode.Seq{Iter: make([]int64, code.Depth)}
 	var iters []int64
-	for s.pc < len(prog) {
-		in := &prog[s.pc]
-		iters = append(iters, s.iter[in.depth-1])
-		s.advance(in.depth, in.ends)
+	for s.PC < len(prog) {
+		in := &prog[s.PC]
+		iters = append(iters, s.Iter[in.Depth-1])
+		s.Advance(in.Depth, in.Ends)
 	}
 	// Two passes of: the inner body at inner iterations 0,0,1,1,2,2,
 	// then the trailing instruction at the outer iteration.
@@ -155,17 +160,32 @@ func TestIUSeqNestedLoops(t *testing.T) {
 }
 
 // TestDecodeRejectsEmptyLoop: a loop without instructions has no
-// boundary to sequence.
+// boundary to sequence.  The decoder reports it and leaves it out of the
+// code; the simulator refuses to run the program.
 func TestDecodeRejectsEmptyLoop(t *testing.T) {
 	cp := &mcode.CellProgram{Items: []mcode.CodeItem{
 		&mcode.LoopItem{ID: 3, Trips: 2, Body: []mcode.CodeItem{straight(0)}},
+		straight(1),
 	}}
-	if _, err := decodeCell(cp); err == nil {
+	if code, err := mcode.DecodeCell(cp); err == nil {
 		t.Error("cell loop with an empty body must be rejected")
+	} else if len(code.Words) != 1 || len(code.Words[0].Ends) != 0 {
+		t.Errorf("the empty loop left a trace in the code: %+v", code.Words)
 	}
 	ip := &mcode.IUProgram{Items: []mcode.IUItem{&mcode.IULoop{ID: 3, Trips: 2}}}
-	if _, err := decodeIU(ip); err == nil {
+	if _, err := mcode.DecodeIU(ip); err == nil {
 		t.Error("IU loop with an empty body must be rejected")
+	}
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Cells: 1, Cell: cp, IU: &mcode.IUProgram{}, Host: emptyHost()}, "sim: cell loop L3 has an empty body"},
+		{Config{Cells: 1, Cell: &mcode.CellProgram{}, IU: ip, Host: emptyHost()}, "sim: IU loop L3 has an empty body"},
+	} {
+		if _, err := Run(tc.cfg); err == nil || err.Error() != tc.want {
+			t.Errorf("Run = %v, want %q", err, tc.want)
+		}
 	}
 }
 

@@ -128,10 +128,10 @@ const wheelCap = 12
 // cell is the runtime state of one Warp cell.  The small, hot fields
 // come first; the register file, queues and memory follow.
 type cell struct {
-	idx    int
-	seq    // program counter and loop iteration counters
-	start  int64
-	finish int64 // the cycle the last instruction retired on
+	idx       int
+	mcode.Seq // program counter and loop iteration counters
+	start     int64
+	finish    int64 // the cycle the last instruction retired on
 
 	// Always-on per-cell accounting (integer increments only); the
 	// totals land in Stats.Obs at the end of the run.
@@ -177,11 +177,11 @@ type iuRegWrite struct {
 // machine is the full simulated Warp system.
 type machine struct {
 	cfg   Config
-	prog  []cellInstr // the decoded cell program every cell executes
+	prog  []mcode.CellWord // the decoded cell program every cell executes
 	cells []cell
 
-	iuProg []iuInstr
-	iu     seq
+	iuProg []mcode.IUWord
+	iu     mcode.Seq
 	iuReg  [mcode.IUNumRegs]int64
 	// Register writes of the last IU instruction (immediate, adder);
 	// they land the next cycle.
@@ -252,7 +252,7 @@ func Run(cfg Config) (*Stats, error) {
 		if err := m.cycle(lo, hi); err != nil {
 			return nil, fmt.Errorf("cycle %d: %w", m.now, err)
 		}
-		for lo < hi && m.cells[lo].pc >= len(m.prog) {
+		for lo < hi && m.cells[lo].PC >= len(m.prog) {
 			lo++
 		}
 	}
@@ -271,14 +271,15 @@ func Run(cfg Config) (*Stats, error) {
 // newMachine decodes the microprograms and allocates all run state: a
 // handful of allocations sized by the cell count, none afterwards.
 func newMachine(cfg Config) (*machine, error) {
-	prog, err := decodeCell(cfg.Cell)
+	code, err := mcode.DecodeCell(cfg.Cell)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sim: cell %w", err)
 	}
-	iuProg, err := decodeIU(cfg.IU)
+	iuCode, err := mcode.DecodeIU(cfg.IU)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("sim: IU %w", err)
 	}
+	prog, depth := code.Words, code.Depth
 	rec := cfg.Recorder
 	if rec == nil {
 		rec = obs.Nop()
@@ -287,7 +288,7 @@ func newMachine(cfg Config) (*machine, error) {
 		cfg:    cfg,
 		prog:   prog,
 		cells:  make([]cell, cfg.Cells),
-		iuProg: iuProg,
+		iuProg: iuCode.Words,
 		table:  cfg.IU.Table,
 		rec:    rec,
 		trace:  obs.Enabled(rec),
@@ -296,14 +297,7 @@ func newMachine(cfg Config) (*machine, error) {
 		m.hostIn[ch] = cfg.Host.In[w2.Channel(ch)]
 		m.hostOut[ch] = cfg.Host.Out[w2.Channel(ch)]
 	}
-	depth, iuDepth := 0, 0
-	for i := range prog {
-		depth = max(depth, prog[i].depth)
-	}
-	for i := range iuProg {
-		iuDepth = max(iuDepth, iuProg[i].depth)
-	}
-	m.iu.iter = make([]int64, iuDepth)
+	m.iu.Iter = make([]int64, iuCode.Depth)
 
 	// One arena holds every int64 counter of the cells: loop iterations,
 	// three occupancy histograms, three per-µPC rows when profiling.
@@ -325,7 +319,7 @@ func newMachine(cfg Config) (*machine, error) {
 		c := &m.cells[i]
 		c.idx = i
 		c.start = cfg.Lead + int64(i)*cfg.Skew
-		c.iter = take(depth)
+		c.Iter = take(depth)
 		c.depth, depths = depths[:rows:rows], depths[rows:]
 		for s := range c.wheel {
 			c.wheel[s], wheels = wheels[:0:wheelCap], wheels[wheelCap:]
@@ -507,16 +501,16 @@ func (m *machine) stepIU() error {
 	}
 	m.iuNPending = 0
 
-	if m.iu.pc >= len(m.iuProg) {
+	if m.iu.PC >= len(m.iuProg) {
 		return nil
 	}
-	in := &m.iuProg[m.iu.pc]
+	in := &m.iuProg[m.iu.PC]
 	// The current iteration of the innermost enclosing IU loop.
 	var iter int64
-	if in.depth > 0 {
-		iter = m.iu.iter[in.depth-1]
+	if in.Depth > 0 {
+		iter = m.iu.Iter[in.Depth-1]
 	}
-	m.iu.advance(in.depth, in.ends)
+	m.iu.Advance(in.Depth, in.Ends)
 
 	cell0 := &m.cells[0]
 	for _, out := range in.Out {

@@ -1,0 +1,137 @@
+package verify
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"warp/internal/mcode"
+)
+
+// TestIUStreamDiagnostics pins the full diagnostic list (invariant,
+// location, text) of every IU-side rejection on hand-built programs.
+// The expectations were recorded from the verifier that emulated the IU
+// itself; the shared elaboration in internal/mcode must lead to the same
+// words at the same µPCs and cycles.
+func TestIUStreamDiagnostics(t *testing.T) {
+	load := func() *mcode.Instr {
+		in := &mcode.Instr{}
+		in.Mem[0] = &mcode.MemOp{Reg: 1}
+		return in
+	}
+	out := func(o *mcode.IUOut) *mcode.IUInstr {
+		in := &mcode.IUInstr{}
+		in.Out[0] = o
+		return in
+	}
+	iuCode := func(instrs ...*mcode.IUInstr) mcode.IUItem { return &mcode.IUStraight{Instrs: instrs} }
+	sig := func(id int, more bool) *mcode.IUInstr {
+		return &mcode.IUInstr{Sig: &mcode.IUSig{LoopID: id, Static: true, Continue: more}}
+	}
+	nops := func(n int) []*mcode.Instr {
+		s := make([]*mcode.Instr, n)
+		for i := range s {
+			s[i] = &mcode.Instr{}
+		}
+		return s
+	}
+
+	cases := []struct {
+		name  string
+		build func() Program
+		want  []string // nil: accepted
+	}{
+		{"table-over-read", func() Program {
+			// Three table reads against a two-entry table; the first
+			// over-read is the third, on IU instruction 2 at cycle 2.
+			p := program(0, 0, straight(append(nops(3), load(), load(), load())...))
+			p.IU.Table = []int64{4, 5}
+			tbl := &mcode.IUOut{FromTable: true}
+			p.IU.Items = []mcode.IUItem{iuCode(out(tbl), out(tbl), out(tbl))}
+			return p
+		}, []string{
+			`addr-stream cell=-1 instr=2 loop=-1 "IU reads past the end of its 2-entry address table at cycle 2"`,
+		}},
+		{"late-address", func() Program {
+			// The load pops at cell cycle 0 = IU cycle 1 (lead 1); the
+			// address leaves the IU at cycle 2.
+			p := program(0, 0, straight(load()))
+			p.IU.Items = []mcode.IUItem{iuCode(&mcode.IUInstr{}, &mcode.IUInstr{}, out(&mcode.IUOut{Src: 0}))}
+			return p
+		}, []string{
+			`addr-stream cell=0 instr=0 loop=-1 "memory reference 0 pops the Adr queue at cycle 1 but the IU emits the address only at cycle 2"`,
+		}},
+		{"late-signal", func() Program {
+			p := program(0, 0, &mcode.LoopItem{ID: 3, Trips: 1, Body: []mcode.CodeItem{straight(&mcode.Instr{})}})
+			p.IU.Items = []mcode.IUItem{iuCode(&mcode.IUInstr{}, &mcode.IUInstr{}, sig(3, false))}
+			return p
+		}, []string{
+			`sig-stream cell=0 instr=2 loop=3 "signal 0 arrives at IU cycle 2, after cell 0 needs it at cycle 1"`,
+		}},
+		{"same-register-tie", func() Program {
+			// a1 <- #9 and a1 <- a0 + #5000 issue together: the adder's
+			// result lands last, so the address emitted next cycle is 5000.
+			p := program(0, 0, straight(append(nops(2), load())...))
+			p.IU.Items = []mcode.IUItem{iuCode(
+				&mcode.IUInstr{Imm: &mcode.IUImm{Dst: 1, Value: 9}, Alu: &mcode.IUAlu{Dst: 1, A: 0, BIsImm: true, ImmVal: 5000}},
+				out(&mcode.IUOut{Src: 1}))}
+			return p
+		}, []string{
+			`addr-stream cell=-1 instr=1 loop=-1 "IU emits address 5000 at cycle 1, outside the 4096-word cell memory"`,
+		}},
+		{"write-lands-next-cycle", func() Program {
+			// The output in the same instruction as the write still reads
+			// the old register (0); one cycle later it reads 5000.
+			p := program(0, 0, straight(append(nops(2), load(), load())...))
+			first := out(&mcode.IUOut{Src: 1})
+			first.Imm = &mcode.IUImm{Dst: 1, Value: 5000}
+			p.IU.Items = []mcode.IUItem{iuCode(first, out(&mcode.IUOut{Src: 1}))}
+			return p
+		}, []string{
+			`addr-stream cell=-1 instr=1 loop=-1 "IU emits address 5000 at cycle 1, outside the 4096-word cell memory"`,
+		}},
+		{"dynamic-signals", func() Program {
+			// A 6-trip cell loop driven by a 3-trip IU loop unrolled twice:
+			// copies 0 and 1 of cell iteration iter·2+copy.
+			p := program(0, 0, &mcode.LoopItem{ID: 3, Trips: 6, Body: []mcode.CodeItem{straight(&mcode.Instr{})}})
+			dyn := func(copy int64) *mcode.IUInstr {
+				return &mcode.IUInstr{Sig: &mcode.IUSig{LoopID: 3, Copy: copy, M: 2, CellTrips: 6}}
+			}
+			p.IU.Items = []mcode.IUItem{&mcode.IULoop{ID: 3, Trips: 3, Body: []mcode.IUItem{iuCode(dyn(0), dyn(1))}}}
+			return p
+		}, nil},
+		{"iu-over-cycle-limit", func() Program {
+			// The IU outruns the emulation cap after over-reading its
+			// table: both findings are reported, in that order.
+			p := program(0, 0, straight(&mcode.Instr{}))
+			p.IU.Items = []mcode.IUItem{
+				iuCode(out(&mcode.IUOut{FromTable: true})),
+				&mcode.IULoop{ID: 3, Trips: emuCycleLimit, Body: []mcode.IUItem{iuCode(&mcode.IUInstr{})}},
+			}
+			return p
+		}, []string{
+			`addr-stream cell=-1 instr=0 loop=-1 "IU reads past the end of its 0-entry address table at cycle 0"`,
+			`unproven cell=-1 instr=-1 loop=-1 "IU program exceeds 16777216 cycles; address and signal streams cannot be verified"`,
+		}},
+		{"cell-over-cycle-limit", func() Program {
+			p := program(0, 0, &mcode.LoopItem{ID: 3, Trips: emuCycleLimit + 1, Body: []mcode.CodeItem{straight(&mcode.Instr{})}})
+			p.Cells = 1
+			return p
+		}, []string{
+			`unproven cell=-1 instr=-1 loop=-1 "cell program too large to enumerate loop boundaries; signal stream unproven"`,
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var got []string
+			if _, err := Verify(tc.build()); err != nil {
+				for _, d := range err.(*Error).Diags {
+					got = append(got, fmt.Sprintf("%s cell=%d instr=%d loop=%d %q", d.Invariant, d.Cell, d.Instr, d.Loop, d.Detail))
+				}
+			}
+			if strings.Join(got, "\n") != strings.Join(tc.want, "\n") {
+				t.Errorf("diagnostics changed:\n  got:\n\t%s\n  want:\n\t%s", strings.Join(got, "\n\t"), strings.Join(tc.want, "\n\t"))
+			}
+		})
+	}
+}

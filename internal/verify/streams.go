@@ -16,6 +16,12 @@ import (
 //   - flat enumerations (every dynamic event with its exact cycle),
 //     used when the program is small enough for the exact sweeps.
 //
+// The machine model itself — µPC numbering, the sequencer, the IU
+// register machine — is not re-implemented here: the cell program is
+// decoded by mcode.DecodeCell, loop boundaries are enumerated by
+// stepping mcode.Seq, and the IU's streams come from
+// mcode.IUCode.Elaborate (see checkIUStreams).
+//
 // Cell time is the instruction's ordinal in the dynamic execution:
 // every cell executes exactly one microinstruction per cycle, so the
 // nth instruction of cell k runs at machine cycle start_k + n with
@@ -46,11 +52,19 @@ type event struct {
 
 // cellStreams is everything the verifier derives from one cell program.
 type cellStreams struct {
-	data    map[w2.Channel][]snode // send/recv deltas per data channel
-	mem     []snode                // memory references (Adr-queue pops), send=count
-	cycles  int64                  // total program length in cycles
-	maxNest int                    // deepest loop nesting (signal rate bound)
-	index   map[*mcode.Instr]int   // static instruction numbering, listing order
+	code   mcode.CellCode         // the decoded program (mcode's shared machine model)
+	index  map[*mcode.Instr]int   // an instruction's µPC: its index in code.Words
+	data   map[w2.Channel][]snode // send/recv deltas per data channel
+	mem    []snode                // memory references (Adr-queue pops), send=count
+	cycles int64                  // total program length in cycles
+
+	// The exact cell-side elaboration (elaborate), shared by every
+	// invariant group that sweeps it.  A stream over its analysis cap is
+	// not enumerated and its flag stays false.
+	memRefs    []event    // every memory reference, in time order
+	memEnum    bool       // memRefs is complete
+	bounds     []boundary // every loop boundary crossed, in sequencer order
+	boundsEnum bool       // bounds is complete
 }
 
 // buildCellStreams walks the cell program once, structurally.
@@ -59,12 +73,14 @@ func buildCellStreams(p *mcode.CellProgram) *cellStreams {
 		data:  map[w2.Channel][]snode{w2.ChanX: nil, w2.ChanY: nil},
 		index: map[*mcode.Instr]int{},
 	}
-	idx := 0
-	var walk func(items []mcode.CodeItem, depth int) (length int64, data map[w2.Channel][]snode, mem []snode)
-	walk = func(items []mcode.CodeItem, depth int) (int64, map[w2.Channel][]snode, []snode) {
-		if depth > cs.maxNest {
-			cs.maxNest = depth
-		}
+	// A loop with an empty body is left out of the code and reported by
+	// checkStructure (mcode.ValidateCell), before anything sequences it.
+	cs.code, _ = mcode.DecodeCell(p)
+	for pc := range cs.code.Words {
+		cs.index[cs.code.Words[pc].Instr] = pc
+	}
+	var walk func(items []mcode.CodeItem) (length int64, data map[w2.Channel][]snode, mem []snode)
+	walk = func(items []mcode.CodeItem) (int64, map[w2.Channel][]snode, []snode) {
 		var at int64
 		data := map[w2.Channel][]snode{}
 		var mem []snode
@@ -72,8 +88,6 @@ func buildCellStreams(p *mcode.CellProgram) *cellStreams {
 			switch it := it.(type) {
 			case *mcode.Straight:
 				for i, in := range it.Instrs {
-					cs.index[in] = idx
-					idx++
 					t := at + int64(i)
 					nMem := 0
 					for _, m := range in.Mem {
@@ -110,7 +124,7 @@ func buildCellStreams(p *mcode.CellProgram) *cellStreams {
 				}
 				at += int64(len(it.Instrs))
 			case *mcode.LoopItem:
-				n, innerData, innerMem := walk(it.Body, depth+1)
+				n, innerData, innerMem := walk(it.Body)
 				for ch, body := range innerData {
 					if len(body) == 0 {
 						continue
@@ -129,7 +143,7 @@ func buildCellStreams(p *mcode.CellProgram) *cellStreams {
 		}
 		return at, data, mem
 	}
-	length, data, mem := walk(p.Items, 0)
+	length, data, mem := walk(p.Items)
 	cs.cycles = length
 	for ch, body := range data {
 		cs.data[ch] = body
@@ -221,34 +235,26 @@ type boundary struct {
 	more bool
 }
 
-// cellBoundaries enumerates the boundary-crossing sequence by full
-// expansion of the cell program, mirroring the simulator's sequencer.
-// Returns false if the walk exceeds limit cycles.
-func cellBoundaries(p *mcode.CellProgram, limit int64) ([]boundary, bool) {
-	var out []boundary
-	var t int64
-	var walk func(items []mcode.CodeItem) bool
-	walk = func(items []mcode.CodeItem) bool {
-		for _, it := range items {
-			switch it := it.(type) {
-			case *mcode.Straight:
-				t += int64(len(it.Instrs))
-				if t > limit {
-					return false
-				}
-			case *mcode.LoopItem:
-				for k := int64(0); k < it.Trips; k++ {
-					if !walk(it.Body) {
-						return false
-					}
-					out = append(out, boundary{at: t - 1, id: it.ID, more: k+1 < it.Trips})
-				}
+// elaborate enumerates the cell side exactly, once: the time of every
+// memory reference (when the program makes at most enumEventLimit of
+// them) and the boundary-crossing sequence, by stepping mcode's
+// sequencer over the decoded program (when the program runs at most
+// emuCycleLimit cycles).  The program is structurally valid by now, so
+// cs.cycles is the sequencer's cycle count.
+func (cs *cellStreams) elaborate(memRefs, signals int64) {
+	if cs.memEnum = memRefs <= enumEventLimit; cs.memEnum {
+		cs.memRefs = make([]event, 0, memRefs)
+		flatten(cs.mem, 0, pickSend, &cs.memRefs, enumEventLimit)
+	}
+	if cs.boundsEnum = cs.cycles <= emuCycleLimit; cs.boundsEnum {
+		cs.bounds = make([]boundary, 0, signals)
+		s := mcode.Seq{Iter: make([]int64, cs.code.Depth)}
+		for t := int64(0); s.PC < len(cs.code.Words); t++ {
+			w := &cs.code.Words[s.PC]
+			crossed, again := s.Advance(w.Depth, w.Ends)
+			for i, e := range w.Ends[:crossed] {
+				cs.bounds = append(cs.bounds, boundary{at: t, id: e.ID, more: again && i == crossed-1})
 			}
 		}
-		return true
 	}
-	if !walk(p.Items) {
-		return nil, false
-	}
-	return out, true
 }

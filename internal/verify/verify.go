@@ -15,7 +15,7 @@
 //     skew relative to the matching send of cell k−1;
 //   - FPU result latency: no register read before its producer's
 //     5-cycle latency elapses, and no use before definition;
-//   - IU streams: the emulated IU address stream matches the cells'
+//   - IU streams: the elaborated IU address stream matches the cells'
 //     memory-reference consumption in count, timing and range, and the
 //     loop-control signal stream matches the cell sequencer's boundary
 //     crossings; the host I/O programs cover the boundary cells' queue
@@ -42,7 +42,7 @@ import (
 const (
 	// enumEventLimit caps the dynamic events enumerated per stream.
 	enumEventLimit = 1 << 22
-	// emuCycleLimit caps full-expansion walks (IU emulation, boundary
+	// emuCycleLimit caps full-expansion walks (IU elaboration, boundary
 	// sequence) in cycles.
 	emuCycleLimit = 1 << 24
 	// maxDiags caps the diagnostics collected before suppression.
@@ -115,7 +115,7 @@ func Verify(p Program) (*Report, error) {
 
 // VerifyParallel is Verify with its independent invariant groups —
 // register hazards, host stream coverage, data queue safety, forwarded
-// Adr/Sig queue safety, and the IU stream emulation — proven on up to
+// Adr/Sig queue safety, and the IU stream elaboration — proven on up to
 // workers concurrent goroutines.  Each group collects diagnostics and
 // report fragments privately; the fragments are merged in the serial
 // checking order, so the report, every diagnostic, the suppression
@@ -148,7 +148,9 @@ func VerifyParallel(p Program, workers int) (*Report, error) {
 		rep.Sends[ch], rep.Recvs[ch] = s, r
 	}
 	rep.MemRefs, _ = treeCount(cs.mem)
-	rep.Signals = countSignals(p.Cell.Items, 1)
+	rep.Signals = mcode.CountCell(p.Cell).Signals
+	// So is the exact cell-side elaboration two of the groups sweep.
+	cs.elaborate(rep.MemRefs, rep.Signals)
 
 	// Independent invariant groups.  Each runs against a shadow report
 	// seeded with the shared totals and a private collector; shadows
@@ -262,43 +264,19 @@ func checkStructure(p Program, cs *cellStreams, col *collector) {
 	} else {
 		col.ok()
 	}
-	var walk func(items []mcode.CodeItem)
-	walk = func(items []mcode.CodeItem) {
-		for _, it := range items {
-			switch it := it.(type) {
-			case *mcode.Straight:
-				for _, in := range it.Instrs {
-					for _, io := range in.IO {
-						if io.Recv && io.Dir != w2.DirL {
-							col.add(Diagnostic{Invariant: InvStructure, Cell: -1, Instr: cs.index[in], Loop: -1,
-								Detail: "receive from the right: rightward flow only"})
-						}
-						if !io.Recv && io.Dir != w2.DirR {
-							col.add(Diagnostic{Invariant: InvStructure, Cell: -1, Instr: cs.index[in], Loop: -1,
-								Detail: "send to the left: rightward flow only"})
-						}
-					}
-				}
-			case *mcode.LoopItem:
-				walk(it.Body)
+	for pc, w := range cs.code.Words {
+		for _, io := range w.IO {
+			if io.Recv && io.Dir != w2.DirL {
+				col.add(Diagnostic{Invariant: InvStructure, Cell: -1, Instr: pc, Loop: -1,
+					Detail: "receive from the right: rightward flow only"})
+			}
+			if !io.Recv && io.Dir != w2.DirR {
+				col.add(Diagnostic{Invariant: InvStructure, Cell: -1, Instr: pc, Loop: -1,
+					Detail: "send to the left: rightward flow only"})
 			}
 		}
 	}
-	walk(p.Cell.Items)
 	col.ok()
-}
-
-// countSignals totals the loop boundaries the cell sequencer crosses
-// (one control signal popped per boundary).
-func countSignals(items []mcode.CodeItem, mult int64) int64 {
-	var n int64
-	for _, it := range items {
-		if l, ok := it.(*mcode.LoopItem); ok {
-			n += mult * l.Trips
-			n += countSignals(l.Body, mult*l.Trips)
-		}
-	}
-	return n
 }
 
 // checkHostStreams verifies the host I/O programs cover the boundary
@@ -428,38 +406,39 @@ func checkForwardedStreams(p Program, cs *cellStreams, rep *Report, col *collect
 		return Occ{Max: bound, Method: "symbolic"}
 	}
 
-	var memTimes []int64
-	memEnum := rep.MemRefs <= enumEventLimit
-	if memEnum {
-		var evs []event
-		flatten(cs.mem, 0, pickSend, &evs, enumEventLimit)
-		memTimes = make([]int64, len(evs))
-		for i, e := range evs {
-			memTimes[i] = e.at
-		}
+	memTimes := make([]int64, len(cs.memRefs))
+	for i, e := range cs.memRefs {
+		memTimes[i] = e.at
 	}
-	rep.Adr = check("Adr", memTimes, memEnum, rep.MemRefs, mcode.MemPorts, InvAddrStream)
+	rep.Adr = check("Adr", memTimes, cs.memEnum, rep.MemRefs, mcode.MemPorts, InvAddrStream)
 
-	bounds, bEnum := cellBoundaries(p.Cell, emuCycleLimit)
-	var bTimes []int64
-	if bEnum {
-		bTimes = make([]int64, len(bounds))
-		for i, b := range bounds {
-			bTimes[i] = b.at
-		}
+	bTimes := make([]int64, len(cs.bounds))
+	for i, b := range cs.bounds {
+		bTimes[i] = b.at
 	}
-	// A cycle can cross at most maxNest boundaries (one per enclosing
-	// loop level), which bounds the signal rate.
-	rep.Sig = check("Sig", bTimes, bEnum, rep.Signals, int64(cs.maxNest), InvSigStream)
+	// A cycle can cross at most one boundary per enclosing loop level,
+	// which bounds the signal rate.
+	rep.Sig = check("Sig", bTimes, cs.boundsEnum, rep.Signals, int64(cs.code.Depth), InvSigStream)
 }
 
-// checkIUStreams emulates the IU and verifies its two output streams
-// against the cells' consumption: the address stream (count, range,
+// checkIUStreams elaborates the IU (mcode.IUCode.Elaborate, the shared
+// definition of its register machine) and verifies its two output
+// streams against the cells' consumption: the address stream (count, range,
 // arrival-before-use, queue occupancy into cell 0) and the loop-control
 // signal stream (exact sequence equality with the sequencer's boundary
 // crossings, arrival, occupancy).
 func checkIUStreams(p Program, cs *cellStreams, rep *Report, col *collector) {
-	trace, ok := emulateIU(p.IU, emuCycleLimit, col)
+	// An IU loop with an empty body emits nothing and takes no time; the
+	// decoder leaves it out.
+	iuCode, _ := mcode.DecodeIU(p.IU)
+	trace, ok := iuCode.Elaborate(p.IU.Table, emuCycleLimit)
+	if k := trace.OverRead; k >= 0 {
+		// Over-reads yield address 0, so the checks below still run and
+		// surface further violations.
+		a := trace.Adr[k]
+		col.add(Diagnostic{Invariant: InvAddrStream, Cell: -1, Instr: a.PC, Loop: -1,
+			Detail: fmt.Sprintf("IU reads past the end of its %d-entry address table at cycle %d", len(p.IU.Table), a.At)})
+	}
 	if !ok {
 		col.add(Diagnostic{Invariant: InvUnproven, Cell: -1, Instr: -1, Loop: -1,
 			Detail: fmt.Sprintf("IU program exceeds %d cycles; address and signal streams cannot be verified", int64(emuCycleLimit))})
@@ -467,19 +446,19 @@ func checkIUStreams(p Program, cs *cellStreams, rep *Report, col *collector) {
 	}
 
 	// Address table must be consumed exactly.
-	if trace.tableRead < len(p.IU.Table) {
+	if trace.TableReads < len(p.IU.Table) {
 		col.add(Diagnostic{Invariant: InvAddrStream, Cell: -1, Instr: -1, Loop: -1,
-			Detail: fmt.Sprintf("IU address table has %d entries but the program reads only %d", len(p.IU.Table), trace.tableRead)})
-	} else if trace.tableRead == len(p.IU.Table) {
+			Detail: fmt.Sprintf("IU address table has %d entries but the program reads only %d", len(p.IU.Table), trace.TableReads)})
+	} else if trace.TableReads == len(p.IU.Table) {
 		col.ok()
 	}
 
 	// Every emitted address must lie in the cell data memory.
 	rangeOK := true
-	for _, a := range trace.adr {
-		if a.val < 0 || a.val >= mcode.MemWords {
-			col.add(Diagnostic{Invariant: InvAddrStream, Cell: -1, Instr: a.instr, Loop: -1,
-				Detail: fmt.Sprintf("IU emits address %d at cycle %d, outside the %d-word cell memory", a.val, a.at, mcode.MemWords)})
+	for _, a := range trace.Adr {
+		if a.Val < 0 || a.Val >= mcode.MemWords {
+			col.add(Diagnostic{Invariant: InvAddrStream, Cell: -1, Instr: a.PC, Loop: -1,
+				Detail: fmt.Sprintf("IU emits address %d at cycle %d, outside the %d-word cell memory", a.Val, a.At, mcode.MemWords)})
 			rangeOK = false
 		}
 	}
@@ -488,18 +467,16 @@ func checkIUStreams(p Program, cs *cellStreams, rep *Report, col *collector) {
 	}
 
 	// Address stream vs cell consumption.
-	if n := int64(len(trace.adr)); n != rep.MemRefs {
+	if n := int64(len(trace.Adr)); n != rep.MemRefs {
 		col.add(Diagnostic{Invariant: InvAddrStream, Cell: -1, Instr: -1, Loop: -1,
 			Detail: fmt.Sprintf("IU emits %d addresses but each cell makes %d memory references", n, rep.MemRefs)})
-	} else if rep.MemRefs <= enumEventLimit {
+	} else if cs.memEnum {
 		col.ok()
-		var pops []event
-		flatten(cs.mem, 0, pickSend, &pops, enumEventLimit)
-		pushes := make([]event, len(trace.adr))
-		for i, a := range trace.adr {
-			pushes[i] = event{at: a.at, instr: a.instr}
+		pushes := make([]event, len(trace.Adr))
+		for i, a := range trace.Adr {
+			pushes[i] = event{at: a.At, instr: a.PC}
 		}
-		res := sweep(pushes, pops, 0, p.Lead, mcode.QueueDepth)
+		res := sweep(pushes, cs.memRefs, 0, p.Lead, mcode.QueueDepth)
 		if res.underAt >= 0 {
 			col.add(Diagnostic{Invariant: InvAddrStream, Cell: 0, Instr: res.underInstr, Loop: -1,
 				Detail: fmt.Sprintf("memory reference %d pops the Adr queue at cycle %d but the IU emits the address only at cycle %d",
@@ -522,39 +499,39 @@ func checkIUStreams(p Program, cs *cellStreams, rep *Report, col *collector) {
 	}
 
 	// Signal stream vs the sequencer's boundary crossings.
-	bounds, bEnum := cellBoundaries(p.Cell, emuCycleLimit)
-	if !bEnum {
+	bounds := cs.bounds
+	if !cs.boundsEnum {
 		col.add(Diagnostic{Invariant: InvUnproven, Cell: -1, Instr: -1, Loop: -1,
 			Detail: "cell program too large to enumerate loop boundaries; signal stream unproven"})
 		return
 	}
-	if len(trace.sigs) != len(bounds) {
+	if len(trace.Sigs) != len(bounds) {
 		col.add(Diagnostic{Invariant: InvSigStream, Cell: -1, Instr: -1, Loop: -1,
-			Detail: fmt.Sprintf("IU emits %d loop signals but each cell crosses %d loop boundaries", len(trace.sigs), len(bounds))})
+			Detail: fmt.Sprintf("IU emits %d loop signals but each cell crosses %d loop boundaries", len(trace.Sigs), len(bounds))})
 		return
 	}
 	col.ok()
 	seqOK := true
-	for i, s := range trace.sigs {
+	for i, s := range trace.Sigs {
 		b := bounds[i]
-		if s.id != b.id || s.more != b.more {
-			col.add(Diagnostic{Invariant: InvSigStream, Cell: -1, Instr: s.instr, Loop: b.id,
-				Detail: fmt.Sprintf("signal %d: IU sends L%d(more=%v) but the sequencer crosses L%d(more=%v)", i, s.id, s.more, b.id, b.more)})
+		if s.ID != b.id || s.More != b.more {
+			col.add(Diagnostic{Invariant: InvSigStream, Cell: -1, Instr: s.PC, Loop: b.id,
+				Detail: fmt.Sprintf("signal %d: IU sends L%d(more=%v) but the sequencer crosses L%d(more=%v)", i, s.ID, s.More, b.id, b.more)})
 			seqOK = false
 		}
-		if s.at > b.at+p.Lead {
-			col.add(Diagnostic{Invariant: InvSigStream, Cell: 0, Instr: s.instr, Loop: b.id,
-				Detail: fmt.Sprintf("signal %d arrives at IU cycle %d, after cell 0 needs it at cycle %d", i, s.at, b.at+p.Lead)})
+		if s.At > b.at+p.Lead {
+			col.add(Diagnostic{Invariant: InvSigStream, Cell: 0, Instr: s.PC, Loop: b.id,
+				Detail: fmt.Sprintf("signal %d arrives at IU cycle %d, after cell 0 needs it at cycle %d", i, s.At, b.at+p.Lead)})
 			seqOK = false
 		}
 	}
 	if seqOK {
 		col.ok()
 	}
-	if len(trace.sigs) > 0 {
-		pushes := make([]event, len(trace.sigs))
-		for i, s := range trace.sigs {
-			pushes[i] = event{at: s.at, instr: s.instr}
+	if len(trace.Sigs) > 0 {
+		pushes := make([]event, len(trace.Sigs))
+		for i, s := range trace.Sigs {
+			pushes[i] = event{at: s.At, instr: s.PC}
 		}
 		pops := make([]event, len(bounds))
 		for i, b := range bounds {

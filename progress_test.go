@@ -98,6 +98,9 @@ func TestProgressNilZeroAlloc(t *testing.T) {
 	}
 	allocsNil := testing.AllocsPerRun(10, func() { run(nil) })
 	allocsOn := testing.AllocsPerRun(10, func() { run(progressSink) })
+	if raceEnabled {
+		t.Skipf("allocation counts are not stable under the race detector (%v with hook, %v without)", allocsOn, allocsNil)
+	}
 	if allocsOn != allocsNil {
 		t.Errorf("progress hook allocates: %v allocs with hook, %v without", allocsOn, allocsNil)
 	}
