@@ -738,7 +738,7 @@ func symbolicSweep() error {
 	st := tmpl.Stats()
 	fmt.Printf("\nclass fit: %d probe compiles amortized over the sweep (first instantiation %s)\n",
 		st.ProbeCompiles, warm.Round(time.Millisecond))
-	fmt.Printf("(gate: bench.SymbolicSpeedupFloor holds the 32x32 min-over-min speedup above %.0fx in %s)\n",
+	fmt.Printf("(gate: bench.SymbolicSpeedupFloor holds the 32x32 min-over-min speedup above %.1fx in %s)\n",
 		bench.SymbolicSpeedupFloor, bench.BaselineFile)
 	return nil
 }

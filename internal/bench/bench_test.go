@@ -366,21 +366,21 @@ func TestFastexecSpeedupGate(t *testing.T) {
 // above-floor drift only warns.
 func TestSymbolicSpeedupGate(t *testing.T) {
 	base := rpt(Experiment{Name: "symbolic/instantiate-sweep", Kind: "symbolic", Cycles: 100, Sizes: 7, Speedup: 900.0})
-	below := rpt(Experiment{Name: "symbolic/instantiate-sweep", Kind: "symbolic", Cycles: 100, Sizes: 7, Speedup: 12.0})
+	below := rpt(Experiment{Name: "symbolic/instantiate-sweep", Kind: "symbolic", Cycles: 100, Sizes: 7, Speedup: 0.6 * SymbolicSpeedupFloor})
 	v := Compare(base, below, 0.10, 0.50, 0)
 	if v.OK() {
-		t.Fatal("speedup 12x must fail the 20x floor")
+		t.Fatal("a speedup of 0.6 of the floor must fail it")
 	}
-	if !strings.Contains(strings.Join(v.Regressions, "\n"), "below the 20x floor") {
+	if !strings.Contains(strings.Join(v.Regressions, "\n"), fmt.Sprintf("below the %.1fx floor", SymbolicSpeedupFloor)) {
 		t.Errorf("regression does not name the floor: %v", v.Regressions)
 	}
-	ok := rpt(Experiment{Name: "symbolic/instantiate-sweep", Kind: "symbolic", Cycles: 100, Sizes: 7, Speedup: 80.0})
+	ok := rpt(Experiment{Name: "symbolic/instantiate-sweep", Kind: "symbolic", Cycles: 100, Sizes: 7, Speedup: 1.1 * SymbolicSpeedupFloor})
 	v = Compare(base, ok, 0.10, 0.50, 0)
 	if !v.OK() {
-		t.Fatalf("80x is above the floor, drift must be warn-only: %v", v.Regressions)
+		t.Fatalf("1.1 of the floor is above it, drift must be warn-only: %v", v.Regressions)
 	}
 	if !strings.Contains(strings.Join(v.Warnings, "\n"), "speedup drifted") {
-		t.Errorf("900x -> 80x drift should warn: %v", v.Warnings)
+		t.Errorf("a drift from 900x to 1.1 times the floor should warn: %v", v.Warnings)
 	}
 	// A shrunken sweep is a deterministic-counter regression: sizes
 	// silently dropping means coverage loss, not noise.

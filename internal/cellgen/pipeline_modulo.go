@@ -208,6 +208,45 @@ func resMII(b *ir.Block) int64 {
 	return mii
 }
 
+// recurrenceBound is the recurrence-constrained lower bound on II: the
+// smallest II ≥ from at which the dependences among the scheduled
+// operations admit any schedule at all, i.e. no cycle has positive total
+// weight lat − II·dist (Bellman-Ford longest paths; the weights only
+// fall as II grows, so the first feasible II is the bound).  Below it
+// tryModulo can only exhaust its budget evicting.
+func recurrenceBound(b *ir.Block, edges []mEdge, from, limit int64) int64 {
+	var live []mEdge
+	for _, e := range edges {
+		if needsInstr(e.from) && needsInstr(e.to) {
+			live = append(live, e)
+		}
+	}
+	start := map[*ir.Node]int64{}
+	positiveCycle := func(ii int64) bool {
+		clear(start)
+		for round := 0; ; round++ {
+			changed := false
+			for _, e := range live {
+				if t := start[e.from] + e.lat - ii*e.dist; t > start[e.to] {
+					start[e.to] = t
+					changed = true
+				}
+			}
+			if !changed {
+				return false
+			}
+			if round > len(b.Nodes) {
+				return true
+			}
+		}
+	}
+	ii := from
+	for ii < limit && positiveCycle(ii) {
+		ii++
+	}
+	return ii
+}
+
 // moduloResult is a successful kernel schedule.
 type moduloResult struct {
 	ii    int64
@@ -410,7 +449,8 @@ func min64(a, b int64) int64 {
 }
 
 // moduloSchedule orchestrates: qualify, search for the smallest
-// feasible II, check register demand, and emit
+// feasible II from the larger of the resource and recurrence bounds
+// up, check register demand, and emit
 // prologue/kernel/epilogue.  ok=false means "fall back to a plain
 // counted loop".
 func (g *gen) moduloSchedule(r *ir.LoopRegion, b *ir.Block, ls *prof.LoopSched) ([]mcode.CodeItem, bool, error) {
@@ -426,7 +466,8 @@ func (g *gen) moduloSchedule(r *ir.LoopRegion, b *ir.Block, ls *prof.LoopSched) 
 	}
 
 	trips := r.Trips()
-	ls.MII = int(resMII(b))
+	mii := recurrenceBound(b, edges, resMII(b), base.len)
+	ls.MII = int(mii)
 
 	// Speculative search: try up to Workers candidate IIs concurrently
 	// per batch, each against a private scratch counter, then walk the
@@ -444,7 +485,7 @@ func (g *gen) moduloSchedule(r *ir.LoopRegion, b *ir.Block, ls *prof.LoopSched) 
 		ok      bool
 		scratch prof.LoopSched
 	}
-	for lo := resMII(b); lo < base.len; lo += int64(batch) {
+	for lo := mii; lo < base.len; lo += int64(batch) {
 		hi := lo + int64(batch)
 		if hi > base.len {
 			hi = base.len

@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"reflect"
 	"testing"
 
 	"warp/internal/mcode"
@@ -112,6 +113,61 @@ func TestIUElaborationMatchesSimulator(t *testing.T) {
 					t.Errorf("closed-form counts %d signals / %d addresses, elaborated %d / %d", counts.Signals, counts.AdrPops, n, len(tr.Adr))
 				}
 			})
+		}
+	}
+}
+
+// TestIUElaborationIdleRuns: crossing a run of idle words in one step
+// (IUWord.Run) is the same machine as stepping it word by word.  The
+// reference is Elaborate itself over the same code with the run lengths
+// cleared; the traces — events, Cycles, TableReads, OverRead, done —
+// must be identical at every cycle limit, where the limit may fall in
+// the middle of a run.
+func TestIUElaborationIdleRuns(t *testing.T) {
+	for _, tc := range []struct{ name, src string }{
+		{"polynomial", workloads.Polynomial(10, 40)},
+		{"conv1d", workloads.Conv1D(9, 48)},
+		{"matmul", workloads.Matmul(8)},
+		{"matmul-rect", workloads.MatmulRect(16, 10, 16)},
+		{"binop", workloads.Binop(16, 8)},
+		{"colorseg", workloads.ColorSeg(16, 8, 4)},
+		{"mandelbrot", workloads.Mandelbrot(64, 4)},
+		{"fft", workloads.FFT(64)},
+	} {
+		for _, pipeline := range []bool{false, true} {
+			c, err := Compile(tc.src, Options{Pipeline: pipeline})
+			if err != nil {
+				t.Fatal(err)
+			}
+			code, err := mcode.DecodeIU(c.IU)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stepped := code
+			stepped.Words = append([]mcode.IUWord(nil), code.Words...)
+			runs := 0
+			for i := range stepped.Words {
+				runs += stepped.Words[i].Run
+				stepped.Words[i].Run = 0
+			}
+			if runs == 0 {
+				t.Errorf("%s pipeline=%v: no idle run in the IU program; the test exercises nothing", tc.name, pipeline)
+			}
+			// Every limit on programs of a few thousand cycles, a stride
+			// coprime to the loop lengths beyond.
+			total := c.IU.Cycles()
+			step := int64(1)
+			if total > 4000 {
+				step = total/4000 | 1
+			}
+			for limit := int64(0); limit <= total+1; limit += step {
+				got, gotDone := code.Elaborate(c.IU.Table, limit)
+				want, wantDone := stepped.Elaborate(c.IU.Table, limit)
+				if gotDone != wantDone || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s pipeline=%v limit %d: done %v cycles %d, %d adr, %d sigs with runs; done %v cycles %d, %d adr, %d sigs stepped",
+						tc.name, pipeline, limit, gotDone, got.Cycles, len(got.Adr), len(got.Sigs), wantDone, want.Cycles, len(want.Adr), len(want.Sigs))
+				}
+			}
 		}
 	}
 }

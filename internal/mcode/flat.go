@@ -34,6 +34,12 @@ type IUWord struct {
 	*IUInstr
 	Depth int
 	Ends  []LoopEnd
+	// Run counts the idle words starting here: this word and the Run−1
+	// after it emit nothing, write no register and close no loop (counter
+	// work has no effect on the register machine), so the IU's state
+	// after them is its state before, Run cycles later.  Zero on a word
+	// that does anything.
+	Run int
 }
 
 // CellCode is a decoded cell program.  A word's index is its µPC: the
@@ -47,7 +53,14 @@ type CellCode struct {
 type IUCode struct {
 	Words []IUWord
 	Depth int
+	// Adrs and Sigs are how many addresses and signals one run emits
+	// (closed form over trip counts, products saturating at emitHint):
+	// what Elaborate sizes its trace by.
+	Adrs, Sigs int64
 }
+
+// emitHint is where DecodeIU stops multiplying trip counts out.
+const emitHint = 1 << 31
 
 // DecodeCell flattens a cell program in canonical walk order.  A loop
 // whose body holds no instruction has no boundary to sequence: it is
@@ -89,17 +102,29 @@ func DecodeCell(p *CellProgram) (CellCode, error) {
 func DecodeIU(p *IUProgram) (IUCode, error) {
 	code := IUCode{Words: make([]IUWord, 0, p.NumInstrs())}
 	var empty error
-	var walk func(items []IUItem, depth int)
-	walk = func(items []IUItem, depth int) {
+	var walk func(items []IUItem, depth int, runs int64)
+	walk = func(items []IUItem, depth int, runs int64) {
 		for _, it := range items {
 			switch it := it.(type) {
 			case *IUStraight:
 				for _, in := range it.Instrs {
 					code.Words = append(code.Words, IUWord{IUInstr: in, Depth: depth})
+					for _, o := range in.Out {
+						if o != nil {
+							code.Adrs += runs
+						}
+					}
+					if in.Sig != nil {
+						code.Sigs += runs
+					}
 				}
 			case *IULoop:
 				head := len(code.Words)
-				walk(it.Body, depth+1)
+				inner := int64(emitHint)
+				if trips := max(it.Trips, 1); trips < emitHint/runs {
+					inner = runs * trips
+				}
+				walk(it.Body, depth+1, inner)
 				if len(code.Words) == head {
 					if empty == nil {
 						empty = fmt.Errorf("loop L%d has an empty body", it.ID)
@@ -112,7 +137,17 @@ func DecodeIU(p *IUProgram) (IUCode, error) {
 			}
 		}
 	}
-	walk(p.Items, 0)
+	walk(p.Items, 0, 1)
+	for pc := len(code.Words) - 1; pc >= 0; pc-- {
+		w := &code.Words[pc]
+		if w.Alu != nil || w.Imm != nil || w.Sig != nil || w.Out != [MemPorts]*IUOut{} || len(w.Ends) > 0 {
+			continue
+		}
+		w.Run = 1
+		if pc+1 < len(code.Words) {
+			w.Run += code.Words[pc+1].Run
+		}
+	}
 	return code, empty
 }
 
@@ -174,10 +209,15 @@ type IUTrace struct {
 // machine's exact behaviour, not an approximation.  Register writes land
 // the next cycle, before that cycle's reads; when the immediate and the
 // adder field of one instruction write the same register, the adder's
-// result is the one that stays.  done is false when the program runs
-// past limit cycles; the trace then holds only what was emitted so far.
+// result is the one that stays.  A run of idle words is crossed in one
+// step.  done is false when the program runs past limit cycles; the trace
+// then holds only what was emitted so far.
 func (c IUCode) Elaborate(table []int64, limit int64) (tr *IUTrace, done bool) {
-	tr = &IUTrace{OverRead: -1}
+	tr = &IUTrace{
+		Adr:      make([]AdrEvent, 0, min(c.Adrs, MemPorts*limit)),
+		Sigs:     make([]SigEvent, 0, min(c.Sigs, limit)),
+		OverRead: -1,
+	}
 	var regs [IUNumRegs]int64
 	s := Seq{Iter: make([]int64, c.Depth)}
 	for s.PC < len(c.Words) {
@@ -186,6 +226,12 @@ func (c IUCode) Elaborate(table []int64, limit int64) (tr *IUTrace, done bool) {
 		}
 		t, pc := tr.Cycles, s.PC
 		in := &c.Words[pc]
+		if in.Run > 0 {
+			n := min(int64(in.Run), limit-t)
+			s.PC += int(n)
+			tr.Cycles += n
+			continue
+		}
 		// The current iteration of the innermost enclosing IU loop.
 		var iter int64
 		if in.Depth > 0 {

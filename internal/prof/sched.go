@@ -35,7 +35,7 @@ type LoopSched struct {
 	Pipelined bool   `json:"pipelined"`
 	Reason    string `json:"reason,omitempty"` // why not pipelined
 
-	MII         int   `json:"mii,omitempty"`          // resource-constrained lower bound on II
+	MII         int   `json:"mii,omitempty"`          // lower bound on II: the larger of the resource and recurrence bounds
 	II          int   `json:"ii,omitempty"`           // achieved initiation interval (0 = none)
 	Attempts    int   `json:"attempts,omitempty"`     // II values tried (tryModulo invocations)
 	Placements  int64 `json:"placements,omitempty"`   // candidate op placements evaluated

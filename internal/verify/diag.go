@@ -42,9 +42,10 @@ const (
 	// InvHostStream: the host I/O programs do not cover the boundary
 	// cells' queue traffic word for word.
 	InvHostStream Invariant = "host-stream"
-	// InvUnproven: the program is too large for the exact analysis and
-	// the symbolic bounds could not discharge the obligation; the
-	// program is rejected as unprovable, not as wrong.
+	// InvUnproven: a proof would exceed its work budget (a queue whose
+	// pushes and pops share no loop period over millions of events, an
+	// IU or cell program past the elaboration cycle cap); the program is
+	// rejected as unprovable, not as wrong.
 	InvUnproven Invariant = "unproven"
 )
 

@@ -62,8 +62,8 @@ func (h *hazardChecker) walkItems(items []mcode.CodeItem, t int64) int64 {
 				t++
 			}
 		case *mcode.LoopItem:
-			bodyLen := it.Cycles() / max64(it.Trips, 1)
-			iters := min64(it.Trips, 2)
+			bodyLen := it.Cycles() / max(it.Trips, 1)
+			iters := min(it.Trips, 2)
 			for k := int64(0); k < iters; k++ {
 				t = h.walkItems(it.Body, t)
 			}

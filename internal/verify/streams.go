@@ -2,24 +2,22 @@ package verify
 
 import (
 	"warp/internal/mcode"
-	"warp/internal/skew"
 	"warp/internal/w2"
 )
 
 // streams.go reduces the microcode to timed event streams — the
 // verifier's own reading of the programs, independent of the code
-// generators' bookkeeping.  Two forms are produced:
-//
-//   - a structured tree per stream (loops kept symbolic), which the
-//     counting and occupancy bounds of counts.go consume without ever
-//     expanding a trip count; and
-//   - flat enumerations (every dynamic event with its exact cycle),
-//     used when the program is small enough for the exact sweeps.
+// generators' bookkeeping.  A stream is a tree: leaves carry event
+// counts at one cycle, loops keep their trip count.  The queue proofs of
+// queue.go evaluate these trees in place and never expand a trip count;
+// only each (and flatten on top of it) enumerates dynamic events, for
+// the one comparison that is per event by nature (the IU's signal
+// sequence against the sequencer's boundaries) and to name the offending
+// event once a proof has failed.
 //
 // The machine model itself — µPC numbering, the sequencer, the IU
 // register machine — is not re-implemented here: the cell program is
-// decoded by mcode.DecodeCell, loop boundaries are enumerated by
-// stepping mcode.Seq, and the IU's streams come from
+// decoded by mcode.DecodeCell and the IU's values come from
 // mcode.IUCode.Elaborate (see checkIUStreams).
 //
 // Cell time is the instruction's ordinal in the dynamic execution:
@@ -28,20 +26,23 @@ import (
 // start_k = Lead + k·Skew.
 
 // snode is one element of a structured timed stream: either a leaf
-// carrying event deltas at one cycle, or a loop.
+// carrying event counts at one cycle, or a loop.
 type snode struct {
 	at    int64 // cycle relative to the enclosing body's start
-	instr int   // static instruction index (leaf only)
+	instr int   // leaf: static instruction index; boundary leaf: the loop's ID
 	send  int   // events pushed at this cycle
 	recv  int   // events popped at this cycle
 	loop  *sloop
+	// Events of the enclosing body's earlier nodes (set by treeCount).
+	sends, recvs int64
 }
 
 type sloop struct {
-	at      int64
 	trips   int64
 	iterLen int64
 	body    []snode
+	// Events of one iteration (set by treeCount).
+	sends, recvs int64
 }
 
 // event is one dynamic stream event at an absolute cycle.
@@ -54,143 +55,148 @@ type event struct {
 type cellStreams struct {
 	code   mcode.CellCode         // the decoded program (mcode's shared machine model)
 	index  map[*mcode.Instr]int   // an instruction's µPC: its index in code.Words
-	data   map[w2.Channel][]snode // send/recv deltas per data channel
-	mem    []snode                // memory references (Adr-queue pops), send=count
+	data   map[w2.Channel][]snode // send/recv counts per data channel
 	cycles int64                  // total program length in cycles
-
-	// The exact cell-side elaboration (elaborate), shared by every
-	// invariant group that sweeps it.  A stream over its analysis cap is
-	// not enumerated and its flag stays false.
-	memRefs    []event    // every memory reference, in time order
-	memEnum    bool       // memRefs is complete
-	bounds     []boundary // every loop boundary crossed, in sequencer order
-	boundsEnum bool       // bounds is complete
+	// The streams every cell consumes from its left neighbour the cycle it
+	// forwards them to its right one, so a leaf's send and recv are equal:
+	// memory references (Adr queue), and loop boundaries (Sig queue) — one
+	// leaf per loop, at the iteration's last cycle, innermost first.
+	mem, bnd []snode
 }
+
+// Stream slots of buildCellStreams' walk.
+const (
+	slotX = iota
+	slotY
+	slotMem
+	slotBnd
+	numSlots
+)
 
 // buildCellStreams walks the cell program once, structurally.
 func buildCellStreams(p *mcode.CellProgram) *cellStreams {
-	cs := &cellStreams{
-		data:  map[w2.Channel][]snode{w2.ChanX: nil, w2.ChanY: nil},
-		index: map[*mcode.Instr]int{},
-	}
+	cs := &cellStreams{index: map[*mcode.Instr]int{}}
 	// A loop with an empty body is left out of the code and reported by
 	// checkStructure (mcode.ValidateCell), before anything sequences it.
 	cs.code, _ = mcode.DecodeCell(p)
 	for pc := range cs.code.Words {
 		cs.index[cs.code.Words[pc].Instr] = pc
 	}
-	var walk func(items []mcode.CodeItem) (length int64, data map[w2.Channel][]snode, mem []snode)
-	walk = func(items []mcode.CodeItem) (int64, map[w2.Channel][]snode, []snode) {
-		var at int64
-		data := map[w2.Channel][]snode{}
-		var mem []snode
+	var walk func(items []mcode.CodeItem) (length int64, out [numSlots][]snode)
+	walk = func(items []mcode.CodeItem) (at int64, out [numSlots][]snode) {
 		for _, it := range items {
 			switch it := it.(type) {
 			case *mcode.Straight:
-				for i, in := range it.Instrs {
-					t := at + int64(i)
-					nMem := 0
-					for _, m := range in.Mem {
-						if m != nil {
-							nMem++
-						}
-					}
-					// One leaf per (instruction, channel), so a cycle
-					// carrying both a send and a receive keeps them
-					// together: the occupancy extremes then evaluate both
-					// within-cycle orderings conservatively.
-					var perChan [2]snode
+				for _, in := range it.Instrs {
+					// One leaf per (instruction, stream), so a cycle carrying
+					// both a send and a receive keeps them together.
+					var leaf [numSlots]snode
 					for _, io := range in.IO {
-						slot := 0
+						n := &leaf[slotX]
 						if io.Chan == w2.ChanY {
-							slot = 1
+							n = &leaf[slotY]
 						}
-						n := &perChan[slot]
-						n.at, n.instr = t, cs.index[in]
 						if io.Recv {
 							n.recv++
 						} else {
 							n.send++
 						}
 					}
-					for slot, ch := range []w2.Channel{w2.ChanX, w2.ChanY} {
-						if n := perChan[slot]; n.send > 0 || n.recv > 0 {
-							data[ch] = append(data[ch], n)
+					for _, m := range in.Mem {
+						if m != nil {
+							leaf[slotMem].send++
+							leaf[slotMem].recv++
 						}
 					}
-					if nMem > 0 {
-						mem = append(mem, snode{at: t, instr: cs.index[in], send: nMem})
+					for s, n := range leaf {
+						if n.send > 0 || n.recv > 0 {
+							n.at, n.instr = at, cs.index[in]
+							out[s] = append(out[s], n)
+						}
 					}
+					at++
 				}
-				at += int64(len(it.Instrs))
 			case *mcode.LoopItem:
-				n, innerData, innerMem := walk(it.Body)
-				for ch, body := range innerData {
-					if len(body) == 0 {
-						continue
-					}
-					data[ch] = append(data[ch], snode{
-						loop: &sloop{at: at, trips: it.Trips, iterLen: n, body: body},
-					})
+				n, inner := walk(it.Body)
+				if n > 0 {
+					inner[slotBnd] = append(inner[slotBnd], snode{at: n - 1, instr: it.ID, send: 1, recv: 1})
 				}
-				if len(innerMem) > 0 {
-					mem = append(mem, snode{
-						loop: &sloop{at: at, trips: it.Trips, iterLen: n, body: innerMem},
-					})
+				for s, body := range inner {
+					if len(body) > 0 {
+						out[s] = append(out[s], snode{at: at, loop: &sloop{trips: it.Trips, iterLen: n, body: body}})
+					}
 				}
 				at += n * it.Trips
 			}
 		}
-		return at, data, mem
+		return at, out
 	}
-	length, data, mem := walk(p.Items)
+	length, out := walk(p.Items)
 	cs.cycles = length
-	for ch, body := range data {
-		cs.data[ch] = body
-	}
-	cs.mem = mem
+	cs.data = map[w2.Channel][]snode{w2.ChanX: out[slotX], w2.ChanY: out[slotY]}
+	cs.mem, cs.bnd = out[slotMem], out[slotBnd]
 	return cs
 }
 
-// skewProg converts a structured stream to the skew package's timed I/O
-// program form, so the paper's pairwise symbolic machinery (closed-form
-// timing functions over characteristic vectors) can bound it without
-// enumeration.  Statement IDs are assigned in textual order per kind.
-func skewProg(body []snode, length int64) *skew.Prog {
-	ids := [2]int{}
-	var conv func(body []snode) []skew.Elem
-	conv = func(body []snode) []skew.Elem {
-		var out []skew.Elem
-		for _, n := range body {
-			if n.loop != nil {
-				out = append(out, &skew.Loop{
-					At: n.loop.at, Trips: n.loop.trips, IterLen: n.loop.iterLen,
-					Body: conv(n.loop.body),
-				})
-				continue
-			}
-			if n.send > 0 {
-				out = append(out, &skew.Op{Kind: skew.Output, ID: ids[1], At: n.at})
-				ids[1]++
-			}
-			if n.recv > 0 {
-				out = append(out, &skew.Op{Kind: skew.Input, ID: ids[0], At: n.at})
-				ids[0]++
+// buildIUStreams reads the IU's two emission streams off its program:
+// an Out or Sig field fires every time its word executes, so the
+// positions are as static as the cell's.  Leaves carry the IU µPC
+// (listing order, mcode.DecodeIU's numbering).
+func buildIUStreams(p *mcode.IUProgram) (adr, sig []snode) {
+	pc := 0
+	var walk func(items []mcode.IUItem) (length int64, out [2][]snode)
+	walk = func(items []mcode.IUItem) (at int64, out [2][]snode) {
+		for _, it := range items {
+			switch it := it.(type) {
+			case *mcode.IUStraight:
+				for _, in := range it.Instrs {
+					var emits [2]int // addresses, signals
+					for _, o := range in.Out {
+						if o != nil {
+							emits[0]++
+						}
+					}
+					if in.Sig != nil {
+						emits[1]++
+					}
+					for s, n := range emits {
+						if n > 0 {
+							out[s] = append(out[s], snode{at: at, instr: pc, send: n})
+						}
+					}
+					at++
+					pc++
+				}
+			case *mcode.IULoop:
+				n, inner := walk(it.Body)
+				for s, body := range inner {
+					if len(body) > 0 {
+						out[s] = append(out[s], snode{at: at, loop: &sloop{trips: it.Trips, iterLen: n, body: body}})
+					}
+				}
+				at += n * it.Trips
 			}
 		}
-		return out
+		return at, out
 	}
-	return &skew.Prog{Body: conv(body), Len: length}
+	_, out := walk(p.Items)
+	treeCount(out[0])
+	treeCount(out[1])
+	return out[0], out[1]
 }
 
 // treeCount returns the dynamic send/recv event totals of a stream
-// without enumerating it: closed-form products over trip counts.
+// without enumerating it — closed-form products over trip counts — and
+// records on every node the totals of what precedes it, which is what
+// lets count answer a prefix query in O(depth · log body).
 func treeCount(body []snode) (sends, recvs int64) {
-	for _, n := range body {
-		if n.loop != nil {
-			s, r := treeCount(n.loop.body)
-			sends += s * n.loop.trips
-			recvs += r * n.loop.trips
+	for i := range body {
+		n := &body[i]
+		n.sends, n.recvs = sends, recvs
+		if l := n.loop; l != nil {
+			l.sends, l.recvs = treeCount(l.body)
+			sends += l.sends * l.trips
+			recvs += l.recvs * l.trips
 			continue
 		}
 		sends += int64(n.send)
@@ -199,62 +205,40 @@ func treeCount(body []snode) (sends, recvs int64) {
 	return sends, recvs
 }
 
+// each visits every dynamic leaf of the stream in time order with its
+// absolute cycle; last reports whether the leaf's enclosing loop is in
+// its final iteration (for a boundary leaf: the sequencer falls through).
+func each(body []snode, base int64, last bool, f func(n *snode, at int64, last bool)) {
+	for i := range body {
+		n := &body[i]
+		if l := n.loop; l != nil {
+			for k := int64(0); k < l.trips; k++ {
+				each(l.body, base+n.at+k*l.iterLen, k == l.trips-1, f)
+			}
+		} else {
+			f(n, base+n.at, last)
+		}
+	}
+}
+
 // flatten enumerates every dynamic event of the selected kind in time
-// order, shifted by base.  pick selects how many events a leaf yields
-// (sends or recvs).  It returns false once the limit would be exceeded;
-// the caller falls back to the symbolic path.
-func flatten(body []snode, base int64, pick func(snode) int, out *[]event, limit int) bool {
-	for _, n := range body {
-		if n.loop != nil {
-			for i := int64(0); i < n.loop.trips; i++ {
-				if !flatten(n.loop.body, base+n.loop.at+i*n.loop.iterLen, pick, out, limit) {
-					return false
-				}
-			}
-			continue
-		}
-		for k := 0; k < pick(n); k++ {
-			if len(*out) >= limit {
-				return false
-			}
-			*out = append(*out, event{at: base + n.at, instr: n.instr})
-		}
+// order.  pick selects how many events a leaf yields (sends or recvs).
+// ok is false when the stream (sealed by treeCount) holds more than
+// enumEventLimit events of either kind; every leaf carries one, so that
+// bounds the walk as well as the result.
+func flatten(body []snode, pick func(*snode) int) (out []event, ok bool) {
+	sends, recvs := count(body, forever)
+	if max(sends, recvs) > enumEventLimit {
+		return nil, false
 	}
-	return true
+	out = make([]event, 0, max(sends, recvs))
+	each(body, 0, true, func(n *snode, at int64, _ bool) {
+		for k := pick(n); k > 0; k-- {
+			out = append(out, event{at: at, instr: n.instr})
+		}
+	})
+	return out, true
 }
 
-func pickSend(n snode) int { return n.send }
-func pickRecv(n snode) int { return n.recv }
-
-// boundary is one loop-body end crossed by the cell sequencer: the cell
-// pops one IU control signal per boundary, at the cycle of the
-// iteration's last instruction, innermost first.
-type boundary struct {
-	at   int64
-	id   int
-	more bool
-}
-
-// elaborate enumerates the cell side exactly, once: the time of every
-// memory reference (when the program makes at most enumEventLimit of
-// them) and the boundary-crossing sequence, by stepping mcode's
-// sequencer over the decoded program (when the program runs at most
-// emuCycleLimit cycles).  The program is structurally valid by now, so
-// cs.cycles is the sequencer's cycle count.
-func (cs *cellStreams) elaborate(memRefs, signals int64) {
-	if cs.memEnum = memRefs <= enumEventLimit; cs.memEnum {
-		cs.memRefs = make([]event, 0, memRefs)
-		flatten(cs.mem, 0, pickSend, &cs.memRefs, enumEventLimit)
-	}
-	if cs.boundsEnum = cs.cycles <= emuCycleLimit; cs.boundsEnum {
-		cs.bounds = make([]boundary, 0, signals)
-		s := mcode.Seq{Iter: make([]int64, cs.code.Depth)}
-		for t := int64(0); s.PC < len(cs.code.Words); t++ {
-			w := &cs.code.Words[s.PC]
-			crossed, again := s.Advance(w.Depth, w.Ends)
-			for i, e := range w.Ends[:crossed] {
-				cs.bounds = append(cs.bounds, boundary{at: t, id: e.ID, more: again && i == crossed-1})
-			}
-		}
-	}
-}
+func pickSend(n *snode) int { return n.send }
+func pickRecv(n *snode) int { return n.recv }

@@ -1,0 +1,129 @@
+package verify_test
+
+import (
+	"math/rand"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"warp/internal/driver"
+	"warp/internal/verify"
+	"warp/internal/workloads"
+)
+
+// The structural queue proofs against the enumeration they replaced, on
+// compiled programs.  (The hand-built tree quick-check is in
+// tree_test.go; this file needs the compiler, hence the external
+// package.)
+
+func verifyProgram(c *driver.Compiled) verify.Program {
+	return verify.Program{Cells: c.Cells, Cell: c.Cell, IU: c.IU, Host: c.Host, Skew: c.Skew, Lead: c.IUGen.Prologue + 1}
+}
+
+func testdata(t *testing.T, name string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("..", "..", "testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// differentialAtSkews compares both provers at the compiled skew and at
+// skews around and far from it (the queue between cells), and at the
+// same spread of leads (the queues out of the IU).
+func differentialAtSkews(t *testing.T, name string, c *driver.Compiled) {
+	t.Helper()
+	p := verifyProgram(c)
+	for _, skew := range []int64{c.Skew, c.Skew - 1, c.Skew / 2, c.Skew * 3, 0, 1, 1000} {
+		if skew < 0 {
+			continue
+		}
+		q := p
+		q.Skew = skew
+		q.Lead = max(1, p.Lead+skew-c.Skew)
+		if err := verify.Differential(q); err != nil {
+			t.Fatalf("%s at skew %d, lead %d: %v", name, q.Skew, q.Lead, err)
+		}
+	}
+}
+
+// TestStructuralSweepMatchesEnumeration: for every benchmark and
+// testdata program and the 540 (random program, option set) pairs of
+// driver.TestVerifierSoundnessSweep, the structural peak, low-water mark
+// and verdict of every queue equal the enumerated ones.
+func TestStructuralSweepMatchesEnumeration(t *testing.T) {
+	for _, tc := range []struct {
+		name, src string
+		pipeline  bool
+	}{
+		{"testdata/polynomial", testdata(t, "polynomial.w2"), true},
+		{"testdata/matmul8", testdata(t, "matmul8.w2"), false},
+		{"polynomial", workloads.Polynomial(10, 100), true},
+		{"conv1d", workloads.Conv1D(9, 2048), true},
+		{"binop", workloads.Binop(64, 64), true},
+		{"colorseg", workloads.ColorSeg(64, 64, 10), true},
+		{"mandelbrot", workloads.Mandelbrot(32*32, 4), true},
+		{"fft1024", workloads.FFT(1024), true},
+		{"matmul32", workloads.Matmul(32), true},
+		{"matmul32-plain", workloads.Matmul(32), false},
+	} {
+		c, err := driver.Compile(tc.src, driver.Options{Pipeline: tc.pipeline})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		differentialAtSkews(t, tc.name, c)
+	}
+
+	rng := rand.New(rand.NewSource(99)) // TestVerifierSoundnessSweep's programs
+	for i := 0; i < 180; i++ {
+		src, _ := workloads.RandomProgram(rng)
+		for _, opts := range []driver.Options{{}, {NoOptimize: true}, {Pipeline: true}} {
+			c, err := driver.Compile(src, opts)
+			if err != nil {
+				t.Fatalf("program %d: compile (%+v): %v", i, opts, err)
+			}
+			differentialAtSkews(t, src, c)
+		}
+	}
+}
+
+// TestVerifyCostIndependentOfTrips: a larger image or a longer signal is
+// the same loop tree with larger trip counts, so its queue proofs look at
+// the same number of pushes, and the verifier's allocation count moves
+// by no more than a constant (what is still per event — the IU's value
+// trace — is sized in one piece).
+func TestVerifyCostIndependentOfTrips(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		small, large string
+	}{
+		{"colorseg", workloads.ColorSeg(64, 64, 10), workloads.ColorSeg(512, 512, 10)},
+		// The pipelined kernel is unrolled seven times; 65 538 leaves the
+		// remainder 256 does, hence the same tree.
+		{"conv1d", workloads.Conv1D(9, 256), workloads.Conv1D(9, 256+7*9326)},
+	} {
+		var evals [2]int64
+		var allocs [2]float64
+		for i, src := range []string{tc.small, tc.large} {
+			c, err := driver.Compile(src, driver.Options{Pipeline: true})
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			p := verifyProgram(c)
+			rep, err := verify.Verify(p)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			evals[i] = rep.Evals
+			allocs[i] = testing.AllocsPerRun(3, func() { verify.Verify(p) })
+		}
+		t.Logf("%s: %d/%d point evaluations, %.0f/%.0f allocations", tc.name, evals[0], evals[1], allocs[0], allocs[1])
+		if evals[0] != evals[1] || evals[0] == 0 {
+			t.Errorf("%s: %d point evaluations at the small size, %d at the large", tc.name, evals[0], evals[1])
+		}
+		if d := allocs[1] - allocs[0]; d > 16 || d < -16 {
+			t.Errorf("%s: %.0f allocations at the small size, %.0f at the large", tc.name, allocs[0], allocs[1])
+		}
+	}
+}

@@ -7,10 +7,12 @@
 // compile-time guarantees (§6.2 of the paper).  The propositions
 // checked here, each mapped to its diagnostic Invariant:
 //
-//   - queue safety: every inter-cell queue's occupancy stays within
-//     [0, QueueDepth] for the program's full run, proven by symbolic
-//     per-loop send/receive counting (any trip count) and, when the
-//     stream is small enough, an exact event sweep;
+//   - queue safety: every queue's occupancy stays within [0, QueueDepth]
+//     for the program's full run, proven exactly from the loop tree: per
+//     loop, occupancy is linear in the iteration number wherever pushes
+//     and pops repeat together, so only the first and last iterations of
+//     such a stretch are looked at and no trip count is ever expanded
+//     (queue.go);
 //   - skew coverage: every receive of cell k is covered by the compiled
 //     skew relative to the matching send of cell k−1;
 //   - FPU result latency: no register read before its producer's
@@ -21,9 +23,13 @@
 //     crossings; the host I/O programs cover the boundary cells' queue
 //     traffic word for word.
 //
-// Verification is conservative: a program too large for the exact
-// analyses whose symbolic bounds cannot discharge an obligation is
-// rejected as unprovable (InvUnproven), never accepted unchecked.
+// What is still elaborated event by event is value-dependent: the IU's
+// addresses and loop decisions (mcode.IUCode.Elaborate) and their
+// comparison, signal by signal, with the sequencer's boundaries.
+//
+// Verification is conservative: a proof that would exceed its work
+// budget is abandoned and the program rejected as unprovable
+// (InvUnproven), never accepted unchecked.
 package verify
 
 import (
@@ -32,18 +38,19 @@ import (
 	"warp/internal/conc"
 	"warp/internal/hostgen"
 	"warp/internal/mcode"
-	"warp/internal/skew"
 	"warp/internal/w2"
 )
 
 // Analysis effort caps.  Every practical program fits well inside them;
-// beyond, the verifier falls back to symbolic bounds or rejects with
-// InvUnproven rather than silently accepting.
+// beyond, the verifier rejects with InvUnproven rather than silently
+// accepting.
 const (
-	// enumEventLimit caps the dynamic events enumerated per stream.
+	// enumEventLimit is the work budget of one queue proof: the pushes a
+	// structural evaluation may look at (a handful per loop level, whatever
+	// the trip counts), and the events enumerated to render a violation.
 	enumEventLimit = 1 << 22
-	// emuCycleLimit caps full-expansion walks (IU elaboration, boundary
-	// sequence) in cycles.
+	// emuCycleLimit caps what is elaborated per event (the IU's value
+	// streams, the boundary sequence they are compared with) in cycles.
 	emuCycleLimit = 1 << 24
 	// maxDiags caps the diagnostics collected before suppression.
 	maxDiags = 64
@@ -65,7 +72,7 @@ type Program struct {
 // Occ is one queue's proven peak occupancy and how it was proven.
 type Occ struct {
 	Max    int64  `json:"max"`
-	Method string `json:"method"` // "exact" or "symbolic"
+	Method string `json:"method"` // "exact": the peak itself, not a bound
 }
 
 // Report summarizes a successful verification.
@@ -86,6 +93,10 @@ type Report struct {
 	Data map[w2.Channel]Occ `json:"data"`
 	Adr  Occ                `json:"adr"`
 	Sig  Occ                `json:"sig"`
+	// Evals is the work the queue proofs did: pushes looked at, summed
+	// over every queue.  It depends on the loop structure and the skew,
+	// not on trip counts.
+	Evals int64 `json:"-"`
 }
 
 // collector accumulates diagnostics with a suppression cap.
@@ -141,16 +152,14 @@ func VerifyParallel(p Program, workers int) (*Report, error) {
 		return nil, &Error{Diags: col.diags}
 	}
 
-	// The symbolic operation totals are cheap and every group reads
-	// them, so they are derived once before the fan-out.
+	// The operation totals are closed-form over trip counts and every
+	// group reads them, so they are derived once before the fan-out (which
+	// also seals the trees for the groups' prefix queries).
 	for _, ch := range []w2.Channel{w2.ChanX, w2.ChanY} {
-		s, r := treeCount(cs.data[ch])
-		rep.Sends[ch], rep.Recvs[ch] = s, r
+		rep.Sends[ch], rep.Recvs[ch] = treeCount(cs.data[ch])
 	}
 	rep.MemRefs, _ = treeCount(cs.mem)
-	rep.Signals = mcode.CountCell(p.Cell).Signals
-	// So is the exact cell-side elaboration two of the groups sweep.
-	cs.elaborate(rep.MemRefs, rep.Signals)
+	rep.Signals, _ = treeCount(cs.bnd)
 
 	// Independent invariant groups.  Each runs against a shadow report
 	// seeded with the shared totals and a private collector; shadows
@@ -191,6 +200,7 @@ func VerifyParallel(p Program, workers int) (*Report, error) {
 		}
 		col.dropped += shadowCol[i].dropped
 		col.checked += shadowCol[i].checked
+		rep.Evals += shadowRep[i].Evals
 	}
 	// Report fragments: each field has exactly one writing group, except
 	// the Adr/Sig occupancies, where the IU-stream group sharpens the
@@ -301,6 +311,12 @@ func checkHostStreams(p Program, rep *Report, col *collector) {
 	}
 }
 
+// unproven records a queue proof abandoned at its work budget.
+func unproven(col *collector, cell int, queue string) {
+	col.add(Diagnostic{Invariant: InvUnproven, Cell: cell, Instr: -1, Loop: -1,
+		Detail: fmt.Sprintf("%s: occupancy not established within the analysis budget of %d events", queue, int64(enumEventLimit))})
+}
+
 // checkDataQueues proves the X and Y inter-cell queues safe.  Every
 // cell runs the same program, so one boundary proof covers the array:
 // the upstream cell's sends at its cycle s_n feed the queue the
@@ -322,54 +338,30 @@ func checkDataQueues(p Program, cs *cellStreams, rep *Report, col *collector) {
 		}
 		col.ok()
 
-		if sends <= enumEventLimit {
-			var pushes, pops []event
-			flatten(body, 0, pickSend, &pushes, enumEventLimit)
-			flatten(body, 0, pickRecv, &pops, enumEventLimit)
-			res := sweep(pushes, pops, 0, p.Skew, mcode.QueueDepth)
-			if res.underAt >= 0 {
-				col.add(Diagnostic{Invariant: InvSkew, Cell: -1, Instr: res.underInstr, Loop: -1,
-					Detail: fmt.Sprintf("channel %s: receive %d executes at upstream cycle %d but the matching send only at cycle %d; skew %d does not cover it",
-						ch, res.underAt, res.underPop, res.underPush, p.Skew)})
-			} else {
-				col.ok()
-			}
-			if res.overAt >= 0 {
-				col.add(Diagnostic{Invariant: InvQueueOverflow, Cell: -1, Instr: res.overInstr, Loop: -1,
-					Detail: fmt.Sprintf("channel %s: occupancy reaches %d (> %d) at send %d, cycle %d",
-						ch, res.maxOcc, mcode.QueueDepth, res.overAt, res.overPush)})
-			} else {
-				col.ok()
-			}
-			rep.Data[ch] = Occ{Max: res.maxOcc, Method: "exact"}
+		res, ok := proveQueue(body, body, p.Skew, &rep.Evals)
+		if !ok {
+			unproven(col, -1, fmt.Sprintf("channel %s", ch))
 			continue
 		}
-
-		// Symbolic path: occupancy bound from per-loop counting, and
-		// skew coverage from the paper's pairwise timing-function bound
-		// (both independent of trip counts).
-		bound := symbolicOccBound(body, p.Skew, 1)
-		if bound > mcode.QueueDepth {
-			col.add(Diagnostic{Invariant: InvUnproven, Cell: -1, Instr: -1, Loop: -1,
-				Detail: fmt.Sprintf("channel %s: symbolic occupancy bound %d exceeds %d and the %d-event stream is too large to enumerate",
-					ch, bound, mcode.QueueDepth, sends)})
+		if res.underAt >= 0 {
+			send := fmt.Sprintf("the matching send only at cycle %d", res.underPush)
+			if res.underNoPush {
+				send = "has no matching send"
+			}
+			col.add(Diagnostic{Invariant: InvSkew, Cell: -1, Instr: res.underInstr, Loop: -1,
+				Detail: fmt.Sprintf("channel %s: receive %d executes at upstream cycle %d but %s; skew %d does not cover it",
+					ch, res.underAt, res.underPop, send, p.Skew)})
 		} else {
 			col.ok()
 		}
-		sp := skewProg(body, cs.cycles)
-		b, _, err := skew.MinSkewBound(sp, sp, skew.BoundTight)
-		switch {
-		case err != nil:
-			col.add(Diagnostic{Invariant: InvUnproven, Cell: -1, Instr: -1, Loop: -1,
-				Detail: fmt.Sprintf("channel %s: skew bound failed: %v", ch, err)})
-		case b.Cmp(skew.RI(p.Skew)) > 0:
-			col.add(Diagnostic{Invariant: InvUnproven, Cell: -1, Instr: -1, Loop: -1,
-				Detail: fmt.Sprintf("channel %s: cannot prove skew %d covers every receive (symbolic minimum-skew bound %s) and the stream is too large to enumerate",
-					ch, p.Skew, b)})
-		default:
+		if res.overAt >= 0 {
+			col.add(Diagnostic{Invariant: InvQueueOverflow, Cell: -1, Instr: res.overInstr, Loop: -1,
+				Detail: fmt.Sprintf("channel %s: occupancy reaches %d (> %d) at send %d, cycle %d",
+					ch, res.maxOcc, mcode.QueueDepth, res.overAt, res.overPush)})
+		} else {
 			col.ok()
 		}
-		rep.Data[ch] = Occ{Max: bound, Method: "symbolic"}
+		rep.Data[ch] = Occ{Max: res.maxOcc, Method: "exact"}
 	}
 }
 
@@ -377,56 +369,41 @@ func checkDataQueues(p Program, cs *cellStreams, rep *Report, col *collector) {
 // Each cell forwards every address and signal the cycle it consumes it,
 // so the downstream queue's pops replay its pushes exactly skew cycles
 // later: underflow is impossible (skew ≥ 1 and upstream steps first),
-// and peak occupancy is the largest event count in a skew-cycle window.
+// and peak occupancy is the largest event count in a skew-cycle window
+// (t−skew, t] — the structural evaluation of a stream against itself.
 func checkForwardedStreams(p Program, cs *cellStreams, rep *Report, col *collector) {
 	if p.Cells < 2 {
 		return
 	}
-	check := func(name string, times []int64, enumerated bool, total, rate int64, inv Invariant) Occ {
-		if total == 0 {
+	check := func(name string, body []snode) Occ {
+		if len(body) == 0 {
 			return Occ{}
 		}
-		if enumerated {
-			occ := maxWindow(times, p.Skew)
-			if occ > mcode.QueueDepth {
-				col.add(Diagnostic{Invariant: InvQueueOverflow, Cell: -1, Instr: -1, Loop: -1,
-					Detail: fmt.Sprintf("%s queue: %d words in one %d-cycle window (> %d)", name, occ, p.Skew, mcode.QueueDepth)})
-			} else {
-				col.ok()
-			}
-			return Occ{Max: occ, Method: "exact"}
-		}
-		bound := symbolicWindowBound(total, p.Skew, rate)
-		if bound > mcode.QueueDepth {
-			col.add(Diagnostic{Invariant: InvUnproven, Cell: -1, Instr: -1, Loop: -1,
-				Detail: fmt.Sprintf("%s queue: symbolic bound %d exceeds %d and the stream is too large to enumerate", name, bound, mcode.QueueDepth)})
-		} else {
+		peak, _, ok := evaluate(body, body, p.Skew, &rep.Evals)
+		switch {
+		case !ok:
+			unproven(col, -1, name+" queue")
+			return Occ{}
+		case peak > mcode.QueueDepth:
+			col.add(Diagnostic{Invariant: InvQueueOverflow, Cell: -1, Instr: -1, Loop: -1,
+				Detail: fmt.Sprintf("%s queue: %d words in one %d-cycle window (> %d)", name, peak, p.Skew, mcode.QueueDepth)})
+		default:
 			col.ok()
 		}
-		return Occ{Max: bound, Method: "symbolic"}
+		return Occ{Max: peak, Method: "exact"}
 	}
-
-	memTimes := make([]int64, len(cs.memRefs))
-	for i, e := range cs.memRefs {
-		memTimes[i] = e.at
-	}
-	rep.Adr = check("Adr", memTimes, cs.memEnum, rep.MemRefs, mcode.MemPorts, InvAddrStream)
-
-	bTimes := make([]int64, len(cs.bounds))
-	for i, b := range cs.bounds {
-		bTimes[i] = b.at
-	}
-	// A cycle can cross at most one boundary per enclosing loop level,
-	// which bounds the signal rate.
-	rep.Sig = check("Sig", bTimes, cs.boundsEnum, rep.Signals, int64(cs.code.Depth), InvSigStream)
+	rep.Adr = check("Adr", cs.mem)
+	rep.Sig = check("Sig", cs.bnd)
 }
 
-// checkIUStreams elaborates the IU (mcode.IUCode.Elaborate, the shared
-// definition of its register machine) and verifies its two output
-// streams against the cells' consumption: the address stream (count, range,
-// arrival-before-use, queue occupancy into cell 0) and the loop-control
-// signal stream (exact sequence equality with the sequencer's boundary
-// crossings, arrival, occupancy).
+// checkIUStreams verifies the IU's two output streams against the
+// cells' consumption.  Their values — addresses, table reads, loop
+// decisions — come from elaborating the IU (mcode.IUCode.Elaborate, the
+// shared definition of its register machine) and are checked event by
+// event: address range, and exact sequence equality of the signals with
+// the sequencer's boundary crossings.  Their timing does not depend on
+// values: the Adr and Sig queues into cell 0 are proven from the IU's
+// emission trees against the cell's, like every other queue.
 func checkIUStreams(p Program, cs *cellStreams, rep *Report, col *collector) {
 	// An IU loop with an empty body emits nothing and takes no time; the
 	// decoder leaves it out.
@@ -444,6 +421,7 @@ func checkIUStreams(p Program, cs *cellStreams, rep *Report, col *collector) {
 			Detail: fmt.Sprintf("IU program exceeds %d cycles; address and signal streams cannot be verified", int64(emuCycleLimit))})
 		return
 	}
+	adr, sig := buildIUStreams(p.IU)
 
 	// Address table must be consumed exactly.
 	if trace.TableReads < len(p.IU.Table) {
@@ -466,21 +444,21 @@ func checkIUStreams(p Program, cs *cellStreams, rep *Report, col *collector) {
 		col.ok()
 	}
 
-	// Address stream vs cell consumption.
+	// Address stream vs cell consumption: cell 0 pops at its cycle + lead.
 	if n := int64(len(trace.Adr)); n != rep.MemRefs {
 		col.add(Diagnostic{Invariant: InvAddrStream, Cell: -1, Instr: -1, Loop: -1,
 			Detail: fmt.Sprintf("IU emits %d addresses but each cell makes %d memory references", n, rep.MemRefs)})
-	} else if cs.memEnum {
+	} else if res, ok := proveQueue(adr, cs.mem, p.Lead, &rep.Evals); !ok {
+		unproven(col, 0, "Adr queue into cell 0")
+	} else {
 		col.ok()
-		pushes := make([]event, len(trace.Adr))
-		for i, a := range trace.Adr {
-			pushes[i] = event{at: a.At, instr: a.PC}
-		}
-		res := sweep(pushes, cs.memRefs, 0, p.Lead, mcode.QueueDepth)
 		if res.underAt >= 0 {
+			emits := fmt.Sprintf("the IU emits the address only at cycle %d", res.underPush)
+			if res.underNoPush {
+				emits = "the IU emits no address for it"
+			}
 			col.add(Diagnostic{Invariant: InvAddrStream, Cell: 0, Instr: res.underInstr, Loop: -1,
-				Detail: fmt.Sprintf("memory reference %d pops the Adr queue at cycle %d but the IU emits the address only at cycle %d",
-					res.underAt, res.underPop, res.underPush)})
+				Detail: fmt.Sprintf("memory reference %d pops the Adr queue at cycle %d but %s", res.underAt, res.underPop, emits)})
 		} else {
 			col.ok()
 		}
@@ -493,51 +471,46 @@ func checkIUStreams(p Program, cs *cellStreams, rep *Report, col *collector) {
 		if rep.Adr.Method == "" || res.maxOcc > rep.Adr.Max {
 			rep.Adr = Occ{Max: res.maxOcc, Method: "exact"}
 		}
-	} else {
-		col.add(Diagnostic{Invariant: InvUnproven, Cell: -1, Instr: -1, Loop: -1,
-			Detail: fmt.Sprintf("%d memory references are too many to enumerate; Adr timing into cell 0 unproven", rep.MemRefs)})
 	}
 
-	// Signal stream vs the sequencer's boundary crossings.
-	bounds := cs.bounds
-	if !cs.boundsEnum {
+	// Signal stream vs the sequencer's boundary crossings, signal by
+	// signal: the one walk over the boundary tree that is per event.
+	if cs.cycles > emuCycleLimit {
 		col.add(Diagnostic{Invariant: InvUnproven, Cell: -1, Instr: -1, Loop: -1,
 			Detail: "cell program too large to enumerate loop boundaries; signal stream unproven"})
 		return
 	}
-	if len(trace.Sigs) != len(bounds) {
+	if n := int64(len(trace.Sigs)); n != rep.Signals {
 		col.add(Diagnostic{Invariant: InvSigStream, Cell: -1, Instr: -1, Loop: -1,
-			Detail: fmt.Sprintf("IU emits %d loop signals but each cell crosses %d loop boundaries", len(trace.Sigs), len(bounds))})
+			Detail: fmt.Sprintf("IU emits %d loop signals but each cell crosses %d loop boundaries", n, rep.Signals)})
 		return
 	}
 	col.ok()
 	seqOK := true
-	for i, s := range trace.Sigs {
-		b := bounds[i]
-		if s.ID != b.id || s.More != b.more {
-			col.add(Diagnostic{Invariant: InvSigStream, Cell: -1, Instr: s.PC, Loop: b.id,
-				Detail: fmt.Sprintf("signal %d: IU sends L%d(more=%v) but the sequencer crosses L%d(more=%v)", i, s.ID, s.More, b.id, b.more)})
+	i := 0
+	each(cs.bnd, 0, true, func(b *snode, at int64, last bool) {
+		s, id, more := trace.Sigs[i], b.instr, !last
+		if s.ID != id || s.More != more {
+			col.add(Diagnostic{Invariant: InvSigStream, Cell: -1, Instr: s.PC, Loop: id,
+				Detail: fmt.Sprintf("signal %d: IU sends L%d(more=%v) but the sequencer crosses L%d(more=%v)", i, s.ID, s.More, id, more)})
 			seqOK = false
 		}
-		if s.At > b.at+p.Lead {
-			col.add(Diagnostic{Invariant: InvSigStream, Cell: 0, Instr: s.PC, Loop: b.id,
-				Detail: fmt.Sprintf("signal %d arrives at IU cycle %d, after cell 0 needs it at cycle %d", i, s.At, b.at+p.Lead)})
+		if s.At > at+p.Lead {
+			col.add(Diagnostic{Invariant: InvSigStream, Cell: 0, Instr: s.PC, Loop: id,
+				Detail: fmt.Sprintf("signal %d arrives at IU cycle %d, after cell 0 needs it at cycle %d", i, s.At, at+p.Lead)})
 			seqOK = false
 		}
-	}
+		i++
+	})
 	if seqOK {
 		col.ok()
 	}
 	if len(trace.Sigs) > 0 {
-		pushes := make([]event, len(trace.Sigs))
-		for i, s := range trace.Sigs {
-			pushes[i] = event{at: s.At, instr: s.PC}
+		res, ok := proveQueue(sig, cs.bnd, p.Lead, &rep.Evals)
+		if !ok {
+			unproven(col, 0, "Sig queue into cell 0")
+			return
 		}
-		pops := make([]event, len(bounds))
-		for i, b := range bounds {
-			pops[i] = event{at: b.at, instr: -1}
-		}
-		res := sweep(pushes, pops, 0, p.Lead, mcode.QueueDepth)
 		if res.overAt >= 0 {
 			col.add(Diagnostic{Invariant: InvQueueOverflow, Cell: 0, Instr: res.overInstr, Loop: -1,
 				Detail: fmt.Sprintf("Sig queue into cell 0 reaches occupancy %d (> %d) at IU cycle %d", res.maxOcc, mcode.QueueDepth, res.overPush)})

@@ -2,7 +2,10 @@
 # Run the static microcode verifier (w2c -verify) over every W2
 # program in testdata/ and every example workload program, in both the
 # plain and the software-pipelined configuration.  Any invariant
-# violation makes w2c exit 3, which fails this script.
+# violation makes w2c exit 3, which fails this script — an obligation
+# left unproven (InvUnproven) included — and so does a queue occupancy
+# reported by anything but the exact proof: "no new unproven", made
+# mechanical.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -16,7 +19,13 @@ status=0
 for f in testdata/*.w2 "$dump"/programs/*.w2; do
     for flags in "" "-pipeline"; do
         if out=$("$dump/w2c" -verify $flags "$f" 2>&1); then
-            echo "ok   $f $flags: $(echo "$out" | grep -o 'verified:.*')"
+            line=$(echo "$out" | grep -o 'verified:.*')
+            if [[ "$line" == *"; proofs exact" ]]; then
+                echo "ok   $f $flags: $line"
+            else
+                echo "FAIL $f $flags: not every queue proven exactly: $line" >&2
+                status=1
+            fi
         else
             echo "FAIL $f $flags:" >&2
             echo "$out" >&2
