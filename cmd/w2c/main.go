@@ -3,18 +3,15 @@
 //
 // Usage:
 //
-//	w2c [-cell] [-iu] [-noopt] [-pipeline] [-verify] [-cells n] [-compile-workers n] program.w2
-//	w2c -symbolic -bounds n=32[,k=5...] [-check] [flags] template.w2
+//	w2c [-cell] [-iu] [-noopt] [-pipeline] [-verify] [-cells n] [-compile-workers n]
+//	    [-bounds n=32[,k=5...]] program.w2
 //
 // Without listing flags it prints the compile report: microcode sizes,
 // minimum skew, proven queue occupancy and IU resource usage.
 //
-// With -symbolic the source is a ${...}-parameterized template:
-// w2c compiles it once into closed-form microcode templates and
-// instantiates the -bounds vector, reporting whether the program came
-// from the closed forms or a concrete fallback.  -check additionally
-// compiles the substituted source from scratch and fails (status 4)
-// unless the two artifacts are byte-identical.
+// With -bounds the source is a ${...}-parameterized template: each
+// placeholder is replaced by its value at the bound vector and the
+// resulting W2 text is compiled.
 //
 // With -verify the static microcode verifier runs as a final compile
 // phase.  A verification failure prints one structured diagnostic per
@@ -28,7 +25,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"warp"
 	"warp/internal/verify"
@@ -43,10 +39,8 @@ func main() {
 		pipeline = flag.Bool("pipeline", false, "software pipeline innermost loops")
 		doVerify = flag.Bool("verify", false, "statically verify the generated microcode")
 		cells    = flag.Int("cells", 0, "override the array size")
-		cworkers = flag.Int("compile-workers", 0, "compiler parallelism (0 = GOMAXPROCS, 1 = serial; output is identical at any setting)")
-		symbolic = flag.Bool("symbolic", false, "compile a ${...} template and instantiate -bounds")
-		boundsFl = flag.String("bounds", "", "bound vector for -symbolic, e.g. n=32 or k=5,n=128")
-		check    = flag.Bool("check", false, "with -symbolic: verify the instantiation against a from-scratch concrete compile")
+		cworkers = warp.CompileWorkersFlag()
+		bounds   = warp.BoundsFlag()
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
@@ -67,8 +61,11 @@ func main() {
 		CompileWorkers: *cworkers,
 	}
 	var prog *warp.Program
-	if *symbolic {
-		prog = compileSymbolic(string(src), opts, *boundsFl, *check)
+	if len(bounds) > 0 {
+		var tmpl *warp.Template
+		if tmpl, err = warp.CompileTemplate(string(src), opts); err == nil {
+			prog, err = tmpl.Program(bounds)
+		}
 	} else {
 		prog, err = warp.Compile(string(src), opts)
 	}
@@ -116,43 +113,4 @@ func main() {
 		fmt.Println("\nIU microcode:")
 		fmt.Print(prog.IUListing())
 	}
-}
-
-// compileSymbolic serves the -symbolic path: compile the template,
-// instantiate the -bounds vector, report how the program was served,
-// and optionally differential-check against a concrete compile.  Exits
-// on failure; returns the instantiated program otherwise.
-func compileSymbolic(src string, opts warp.Options, boundsArg string, check bool) *warp.Program {
-	bounds, err := warp.ParseBounds(boundsArg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	tmpl, err := warp.CompileTemplate(src, opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	start := time.Now()
-	prog, detail, err := tmpl.ProgramDetail(bounds, nil)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	elapsed := time.Since(start)
-	st := tmpl.Stats()
-	if detail.Symbolic {
-		fmt.Printf("template: instantiated symbolically from class [%s] in %v (%d probe compiles amortized)\n",
-			detail.Class, elapsed, st.ProbeCompiles)
-	} else {
-		fmt.Printf("template: concrete fallback (%s) in %v\n", detail.FallbackReason, elapsed)
-	}
-	if check {
-		if err := tmpl.Check(bounds); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(4)
-		}
-		fmt.Printf("template: -check passed: instantiation is byte-identical to a from-scratch compile\n")
-	}
-	return prog
 }

@@ -44,7 +44,7 @@ func main() {
 	exp := flag.String("exp", "all", "experiment to regenerate")
 	jsonOut := flag.String("json", "", "write the machine-readable benchmark suite to this file and exit")
 	iters := flag.Int("iters", 5, "wall-clock iterations per experiment with -json")
-	cworkers := flag.Int("compile-workers", 0, "compiler parallelism with -json (0 = GOMAXPROCS, 1 = serial; counters are identical at any setting)")
+	cworkers := warp.CompileWorkersFlag() // applies to -json
 	flag.Parse()
 
 	if *jsonOut != "" {
@@ -78,11 +78,10 @@ func main() {
 		"varskew":     varskew,
 		"fabric":      fabricScaling,
 		"fastexec":    fastexec,
-		"symbolic":    symbolicSweep,
 	}
 	names := []string{"fig3-1", "fig4-2", "fig5-1", "table6-1", "table6-2",
 		"table6-3", "table6-4", "table6-5", "table7-1", "throughput",
-		"utilization", "hotspot", "varskew", "fabric", "fastexec", "symbolic"}
+		"utilization", "hotspot", "varskew", "fabric", "fastexec"}
 
 	run := func(name string) {
 		fmt.Printf("==================== %s ====================\n", name)
@@ -673,73 +672,6 @@ func fastexec() error {
 	}
 	fmt.Printf("\n(gate: bench.FastexecSpeedupFloor holds the 32x32 speedup above %.1fx in %s)\n",
 		bench.FastexecSpeedupFloor, bench.BaselineFile)
-	return nil
-}
-
-// symbolicSweep demonstrates the symbolic compile path: the matmul
-// template is compiled once, its single residue class pays the probe
-// compiles, and every further size on the lattice instantiates from
-// closed forms in microseconds.  Each row differential-checks the
-// instantiation against a from-scratch compile before timing, so the
-// printed speedups describe byte-identical artifacts.
-func symbolicSweep() error {
-	const iters = 3
-	// Verified template: the cold column pays the verifier on every
-	// compile, while instantiation inherits the class base's proof —
-	// the verification-once contract that widens the gap below.
-	opts := warp.Options{Verify: true}
-	tmpl, err := warp.CompileTemplate(workloads.MatmulSym(), opts)
-	if err != nil {
-		return err
-	}
-	// Warm the class once so the table shows the steady state; the
-	// probe-compile cost is reported separately below.
-	warmStart := time.Now()
-	if _, err := tmpl.Program(map[string]int64{"n": 8}); err != nil {
-		return err
-	}
-	warm := time.Since(warmStart)
-	fmt.Println("matmul template, one compile, instantiated per size (byte-identity checked per row):")
-	fmt.Printf("%-8s %10s %14s %14s %10s\n", "size", "cycles", "instantiate", "cold compile", "speedup")
-	for _, n := range []int64{8, 14, 20, 26, 32, 38, 44} {
-		bounds := map[string]int64{"n": n}
-		if err := tmpl.Check(bounds); err != nil {
-			return err
-		}
-		inst := time.Duration(1<<62 - 1)
-		for i := 0; i < iters; i++ {
-			start := time.Now()
-			if _, err := tmpl.Program(bounds); err != nil {
-				return err
-			}
-			if el := time.Since(start); el < inst {
-				inst = el
-			}
-		}
-		cold := time.Duration(1<<62 - 1)
-		src := workloads.Matmul(int(n))
-		for i := 0; i < iters; i++ {
-			start := time.Now()
-			if _, err := warp.Compile(src, opts); err != nil {
-				return err
-			}
-			if el := time.Since(start); el < cold {
-				cold = el
-			}
-		}
-		cycles, err := tmpl.ModeledCycles(bounds)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%-8s %10d %14s %14s %9.0fx\n", fmt.Sprintf("%dx%d", n, n),
-			cycles, inst.Round(time.Microsecond), cold.Round(time.Microsecond),
-			float64(cold)/float64(inst))
-	}
-	st := tmpl.Stats()
-	fmt.Printf("\nclass fit: %d probe compiles amortized over the sweep (first instantiation %s)\n",
-		st.ProbeCompiles, warm.Round(time.Millisecond))
-	fmt.Printf("(gate: bench.SymbolicSpeedupFloor holds the 32x32 min-over-min speedup above %.1fx in %s)\n",
-		bench.SymbolicSpeedupFloor, bench.BaselineFile)
 	return nil
 }
 

@@ -61,6 +61,7 @@ import (
 	"syscall"
 	"time"
 
+	"warp"
 	"warp/internal/service"
 )
 
@@ -74,7 +75,7 @@ func main() {
 		maxCycles = flag.Int64("max-cycles", 0, "per-run livelock guard (0 = simulator default, 1<<28)")
 		arrays    = flag.Int("arrays", 2, "default fabric width for partitioned run requests")
 		noVerify  = flag.Bool("no-verify", false, "skip static microcode verification (verified by default; violations return 422)")
-		cworkers  = flag.Int("compile-workers", 0, "per-compilation parallelism (0 = GOMAXPROCS capped at -workers, negative = serial; output is identical at any setting)")
+		cworkers  = warp.CompileWorkersFlag()
 		drain     = flag.Duration("drain", 30*time.Second, "shutdown grace period for in-flight runs")
 		logFormat = flag.String("log", "text", "log format: text or json")
 		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn or error")

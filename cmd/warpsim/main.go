@@ -4,7 +4,7 @@
 // Usage:
 //
 //	warpsim [-pipeline] [-cells n] [-seed n] [-inputs data.json]
-//	        [-backend auto|sim|fast] [-crosscheck] [-progress]
+//	        [-bounds n=32[,k=5...]] [-backend auto|sim|fast] [-crosscheck] [-progress]
 //	        [-check] [-trace out.json] [-stats] [-stats-json out.json]
 //	        [-max-cycles n] program.w2
 //	warpsim -arrays n [-backend auto|sim|fast] [-check] [-progress]
@@ -13,7 +13,8 @@
 //
 // The program argument is a W2 source file, or the name of a built-in
 // workload (matmul, polynomial, conv1d, binop, fft, colorseg,
-// mandelbrot) for quick experiments.
+// mandelbrot) for quick experiments.  With -bounds it is a ${...}
+// template, compiled at that bound vector.
 //
 // A .json program argument is instead a fabric problem spec — an
 // oversized workload partitioned into array-sized tiles and farmed
@@ -106,8 +107,7 @@ type options struct {
 	tileRetry int
 	tileDL    time.Duration
 	profile   bool // -profile: print the text reports
-	symbolic  bool
-	bounds    string
+	bounds    map[string]int64
 	backend   string
 	crossFlag bool
 	progress  bool
@@ -138,8 +138,7 @@ func main() {
 	flag.BoolVar(&o.profile, "profile", false, "record the exact source-line cycle profile and print the hot-spot and scheduler reports")
 	flag.StringVar(&o.flamePath, "flame", "", "write the profile as folded flame-graph stacks (implies profiling)")
 	flag.StringVar(&o.pprofPath, "pprof", "", "write the profile as gzipped pprof protobuf for `go tool pprof` (implies profiling)")
-	flag.BoolVar(&o.symbolic, "symbolic", false, "treat program.w2 as a ${...} template and instantiate -bounds")
-	flag.StringVar(&o.bounds, "bounds", "", "bound vector for -symbolic, e.g. n=32 or k=5,n=128")
+	o.bounds = warp.BoundsFlag()
 	flag.StringVar(&o.backend, "backend", "auto", "execution backend: auto (fast for verified programs), sim, or fast")
 	flag.BoolVar(&o.crossFlag, "crosscheck", false, "run on both backends and fail unless outputs are bit-identical and cycles exactly equal")
 	flag.BoolVar(&o.progress, "progress", false, "stream live run progress as a single updating stderr line")
@@ -168,8 +167,8 @@ func main() {
 		if o.crossFlag {
 			fail(fmt.Errorf("-crosscheck applies to single-array runs, not fabric problem specs"))
 		}
-		if o.symbolic {
-			fail(fmt.Errorf("-symbolic applies to single-program runs; fabric specs share templates through warpd"))
+		if len(o.bounds) > 0 {
+			fail(fmt.Errorf("-bounds applies to single-program runs, not fabric problem specs"))
 		}
 		runFabric(spec, &o)
 		return
@@ -179,12 +178,14 @@ func main() {
 		fail(err)
 	}
 	compile := concrete(src)
-	if o.symbolic {
-		bounds, err := warp.ParseBounds(o.bounds)
-		if err != nil {
-			fail(err)
+	if len(o.bounds) > 0 {
+		compile = func(opts warp.Options) (*warp.Program, error) {
+			tmpl, err := warp.CompileTemplate(src, opts)
+			if err != nil {
+				return nil, err
+			}
+			return tmpl.Program(o.bounds)
 		}
-		compile = func(opts warp.Options) (*warp.Program, error) { return instantiate(src, opts, bounds) }
 	}
 	prog := o.compile(compile, warp.Options{Pipeline: o.pipeline, Cells: o.cells})
 
@@ -327,8 +328,8 @@ func (o *options) writeOutputs(out map[string][]float64) bool {
 	return true
 }
 
-// compileFor compiles for the chosen backend through compile — a
-// concrete warp.Compile or a -symbolic template instantiation.  fast
+// compileFor compiles for the chosen backend through compile —
+// warp.Compile of the source, or of a template at its -bounds.  fast
 // and auto want a verified program; auto degrades gracefully (an
 // unverifiable program compiles plain and runs on the simulator) while
 // fast and -crosscheck surface the verification rejection outright.  A
@@ -355,26 +356,6 @@ func compileFor(compile func(warp.Options) (*warp.Program, error), opts warp.Opt
 // concrete is compileFor's plain closure: warp.Compile of src.
 func concrete(src string) func(warp.Options) (*warp.Program, error) {
 	return func(o warp.Options) (*warp.Program, error) { return warp.Compile(src, o) }
-}
-
-// instantiate is the -symbolic compile: src is a ${...} template,
-// compiled once and instantiated at the -bounds vector; stderr names
-// how the instantiation was served.
-func instantiate(src string, opts warp.Options, bounds map[string]int64) (*warp.Program, error) {
-	tmpl, err := warp.CompileTemplate(src, opts)
-	if err != nil {
-		return nil, err
-	}
-	prog, detail, err := tmpl.ProgramDetail(bounds, nil)
-	if err != nil {
-		return nil, err
-	}
-	if detail.Symbolic {
-		fmt.Fprintf(os.Stderr, "template: instantiated symbolically from class [%s]\n", detail.Class)
-	} else {
-		fmt.Fprintf(os.Stderr, "template: concrete fallback (%s)\n", detail.FallbackReason)
-	}
-	return prog, nil
 }
 
 func isVerifyError(err error) bool {

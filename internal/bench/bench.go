@@ -53,7 +53,7 @@ type PhaseWall struct {
 // utilization fractions and Wall are informational.
 type Experiment struct {
 	Name string `json:"name"`
-	Kind string `json:"kind"` // "compile", "run", "fabric", "fastexec" or "symbolic"
+	Kind string `json:"kind"` // "compile", "run", "fabric" or "fastexec"
 
 	Cells     int   `json:"cells,omitempty"`
 	Skew      int64 `json:"skew,omitempty"`
@@ -88,18 +88,6 @@ type Experiment struct {
 	// out before emitting the record if they disagree on cycles or any
 	// output bit.
 	SimWall *Wall `json:"sim_wall,omitempty"`
-
-	// Symbolic (template-instantiation) records.  Sizes is the sweep
-	// breadth (every size differentially checked against a from-scratch
-	// compile before timing); Wall is the steady-state instantiation
-	// wall at the reference size, CompileWall a cold concrete compile of
-	// the same bound vector, and Speedup = CompileWall.Min / Wall.Min
-	// (minima approximate the noise floors, like the fastexec ratio) —
-	// gated hard on SymbolicSpeedupFloor, since both operands run on the
-	// same host in the same process.  Cycles is the template's
-	// closed-form prediction, deterministic like µcode sizes.
-	Sizes       int   `json:"sizes,omitempty"`
-	CompileWall *Wall `json:"compile_wall,omitempty"`
 
 	// Compile-kind extras (additive, schema version unchanged).
 	// CompilePhases records per-phase wall times so compile-time
@@ -456,11 +444,6 @@ func RunWorkers(iters, compileWorkers int) (*Report, error) {
 		rep.Experiments = append(rep.Experiments, ex)
 	}
 
-	if ex, err := runSymbolic(iters, compileWorkers); err != nil {
-		return nil, err
-	} else {
-		rep.Experiments = append(rep.Experiments, ex)
-	}
 	return rep, nil
 }
 
@@ -531,96 +514,6 @@ func runFastexec(iters int) (Experiment, error) {
 	return ex, nil
 }
 
-// runSymbolic benchmarks the symbolic compile path's whole pitch:
-// compile the matmul template once, then instantiate a sweep of sizes
-// on its residue lattice for microseconds each instead of a cold
-// compile's milliseconds.  Every sweep size is differentially checked
-// (instantiation byte-identical to a from-scratch compile) before any
-// timing is published, mirroring runFastexec's agree-or-fail contract.
-// The gated ratio compares the two sides' minima at the reference size
-// n=32: both operands run in the same process, so host speed cancels
-// and a collapse below SymbolicSpeedupFloor means instantiation itself
-// regressed toward recompilation.
-func runSymbolic(iters, compileWorkers int) (Experiment, error) {
-	const name = "symbolic/instantiate-sweep"
-	const refSize = int64(32)
-	// Verify on: this is the subsystem's verification-once contract in
-	// benchmark form.  The concrete path re-proves the microcode on
-	// every compile; instantiation inherits the class base's proof.
-	opts := warp.Options{Verify: true, CompileWorkers: compileWorkers}
-	tmpl, err := warp.CompileTemplate(workloads.MatmulSym(), opts)
-	if err != nil {
-		return Experiment{}, fmt.Errorf("%s: template: %w", name, err)
-	}
-	// One residue class covers the whole sweep (period 6, base offset
-	// 2); the first instantiation pays the probe compiles, so warm it
-	// before timing — the sweep measures the steady state the service
-	// cache lives in.
-	sizes := []int64{8, 14, 20, 26, 32, 38, 44}
-	if _, err := tmpl.Program(map[string]int64{"n": sizes[0]}); err != nil {
-		return Experiment{}, fmt.Errorf("%s: warm n=%d: %w", name, sizes[0], err)
-	}
-	// Instantiations are microseconds, so a handful of samples sits at
-	// the mercy of GC pacing; sample densely (still millisecond-scale
-	// in total) so the minimum is a faithful noise floor.
-	instIters := iters * 5
-	if instIters < 25 {
-		instIters = 25
-	}
-	var prog *warp.Program
-	var instWall *Wall
-	for _, n := range sizes {
-		bounds := map[string]int64{"n": n}
-		if err := tmpl.Check(bounds); err != nil {
-			return Experiment{}, fmt.Errorf("%s: %w", name, err)
-		}
-		durs := make([]time.Duration, instIters)
-		var p *warp.Program
-		for i := 0; i < instIters; i++ {
-			start := time.Now()
-			p, err = tmpl.Program(bounds)
-			durs[i] = time.Since(start)
-			if err != nil {
-				return Experiment{}, fmt.Errorf("%s: n=%d: %w", name, n, err)
-			}
-		}
-		if n == refSize {
-			prog, instWall = p, wallStats(durs)
-		}
-	}
-	conc := workloads.Matmul(int(refSize))
-	durs := make([]time.Duration, iters)
-	for i := 0; i < iters; i++ {
-		start := time.Now()
-		_, err = warp.Compile(conc, opts)
-		durs[i] = time.Since(start)
-		if err != nil {
-			return Experiment{}, fmt.Errorf("%s: concrete n=%d: %w", name, refSize, err)
-		}
-	}
-	coldWall := wallStats(durs)
-	modeled, err := tmpl.ModeledCycles(map[string]int64{"n": refSize})
-	if err != nil {
-		return Experiment{}, fmt.Errorf("%s: modeled cycles: %w", name, err)
-	}
-	m := prog.Metrics()
-	ex := Experiment{
-		Name: name, Kind: "symbolic",
-		Cells: m.Cells, Skew: m.Skew, W2Lines: m.W2Lines,
-		CellUcode: m.CellInstrs, IUUcode: m.IUInstrs,
-		Cycles: modeled, Sizes: len(sizes),
-		Wall: instWall, CompileWall: coldWall,
-	}
-	// Like runFastexec, the gated ratio uses the per-side minima: both
-	// operands' minima approximate their noise floors, so GC pacing or
-	// a load spike during one sample cannot push the ratio through the
-	// floor spuriously.
-	if instWall.MinNS > 0 {
-		ex.Speedup = float64(coldWall.MinNS) / float64(instWall.MinNS)
-	}
-	return ex, nil
-}
-
 // CompileDriftFactor is the growth factor past which a compile phase's
 // median wall time draws a warning naming the phase.  Wall times vary
 // with the host, so 2× keeps the signal above cross-machine noise.
@@ -657,22 +550,6 @@ const BaselineFile = "BENCH_15.json"
 // 2-vCPU development host, range 2.5–5.5) and the floor is half of it,
 // the same ~2× margin as before.
 const FastexecSpeedupFloor = 1.9
-
-// SymbolicSpeedupFloor is the minimum median speedup template
-// instantiation must hold over a cold concrete compile of the same
-// bound vector on the symbolic experiment.  Gated hard for the same
-// reason as FastexecSpeedupFloor: both operands run in-process on the
-// same host, so the ratio cancels machine speed and a collapse means
-// the instantiation path itself started recompiling.  The numerator is
-// a cold *verified* compile of the 32×32 matmul, and since PR 17 the
-// verifier proves its queues from the loop tree instead of unrolling
-// them: that compile fell from ~1.3 ms to ~0.73 ms against an unchanged
-// ~55 µs instantiation, so the min-over-min ratio is now ~13.8× (median
-// of 13 suite runs on the 2-vCPU development host, range 10.3–19.8;
-// the same host measured 25× on the tree before) and the floor is half
-// of it, the margin FastexecSpeedupFloor keeps.  The old floor of 20×
-// was set against the unrolling verifier's cost.
-const SymbolicSpeedupFloor = 6.9
 
 // Verdict is the outcome of comparing a fresh report to a baseline.
 // Regressions fail the gate; warnings are advisory (wall-clock drift,
@@ -714,11 +591,6 @@ func Compare(base, fresh *Report, cycleThreshold, wallThreshold, compileThreshol
 				fmt.Sprintf("%s: fast-backend speedup %.1fx fell below the %.1fx floor",
 					f.Name, f.Speedup, FastexecSpeedupFloor))
 		}
-		if f.Kind == "symbolic" && f.Speedup < SymbolicSpeedupFloor {
-			v.Regressions = append(v.Regressions,
-				fmt.Sprintf("%s: instantiation speedup %.1fx over a cold compile fell below the %.1fx floor",
-					f.Name, f.Speedup, SymbolicSpeedupFloor))
-		}
 		if d := f.Decision; d != nil {
 			if ef := d.ErrorFactor(); ef > PredictionErrorWarnFactor {
 				v.Warnings = append(v.Warnings,
@@ -745,7 +617,6 @@ func Compare(base, fresh *Report, cycleThreshold, wallThreshold, compileThreshol
 			{"arrays", int64(b.Arrays), int64(f.Arrays)},
 			{"aggregate cycles", b.AggCycles, f.AggCycles},
 			{"makespan cycles", b.Makespan, f.Makespan},
-			{"sweep sizes", int64(b.Sizes), int64(f.Sizes)},
 		} {
 			if cnt.old == cnt.new {
 				continue
@@ -785,11 +656,6 @@ func Compare(base, fresh *Report, cycleThreshold, wallThreshold, compileThreshol
 			v.Warnings = append(v.Warnings,
 				fmt.Sprintf("%s: fast-backend speedup drifted %.1fx -> %.1fx — informational while above the %.1fx floor",
 					f.Name, b.Speedup, f.Speedup, FastexecSpeedupFloor))
-		}
-		if f.Kind == "symbolic" && b.Speedup > 0 && f.Speedup < b.Speedup*(1-wallThreshold) {
-			v.Warnings = append(v.Warnings,
-				fmt.Sprintf("%s: instantiation speedup drifted %.1fx -> %.1fx — informational while above the %.1fx floor",
-					f.Name, b.Speedup, f.Speedup, SymbolicSpeedupFloor))
 		}
 		// Per-phase compile-time drift: a phase whose median wall time
 		// grew past CompileDriftFactor× the baseline names itself, so a

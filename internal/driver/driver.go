@@ -128,35 +128,6 @@ type Compiled struct {
 	fastOnce sync.Once
 	fastPlan *fastexec.Plan
 	fastErr  error
-
-	// Symbolically instantiated artifacts carry only the minimal Info
-	// the run path reads (host symbol layout, module identity); the full
-	// analyzed AST the reference interpreter wants is rebuilt lazily
-	// from Src on first use.
-	fullOnce sync.Once
-	fullInfo *w2.Info
-	fullErr  error
-}
-
-// FullInfo returns the fully analyzed module (the AST view the
-// reference interpreter executes).  Concretely compiled programs
-// already carry it; symbolically instantiated ones re-parse their
-// source on first call and cache the result.
-func (c *Compiled) FullInfo() (*w2.Info, error) {
-	if c.IR != nil {
-		// A concrete compile always built the full Info on the way to
-		// its flowgraph.
-		return c.Info, nil
-	}
-	c.fullOnce.Do(func() {
-		mod, err := w2.Parse(c.Src)
-		if err != nil {
-			c.fullErr = err
-			return
-		}
-		c.fullInfo, c.fullErr = w2.Analyze(mod)
-	})
-	return c.fullInfo, c.fullErr
 }
 
 // FastPlan returns the compiled program's fast-execution plan, building

@@ -10,8 +10,7 @@ import (
 )
 
 // compileFingerprint is the determinism contract's byte string; since
-// PR 10 the canonical definition is driver.Fingerprint (the symbolic
-// template subsystem pins instantiation against it too).
+// PR 10 the canonical definition is driver.Fingerprint.
 func compileFingerprint(t *testing.T, c *Compiled) string {
 	t.Helper()
 	return Fingerprint(c)

@@ -38,11 +38,7 @@ func TestFFTEndToEnd(t *testing.T) {
 				}
 			}
 			// And against the interpreter exactly.
-			info, err := c.FullInfo()
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := interp.Run(info, inputs)
+			ref, err := interp.Run(c.Info, inputs)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -17,8 +17,8 @@ import (
 // Two compilations with equal fingerprints are interchangeable: they
 // simulate to the same cycle counts and outputs.  The PR 9 parallel
 // compile equivalence harness pins worker-count independence against
-// it, and the symbolic template subsystem (internal/symbolic) pins
-// template instantiation against a concrete compile with it.
+// it, and the service pins a bounds request's program against a compile
+// of the generator's concrete source with it.
 func Fingerprint(c *Compiled) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "cells=%d skew=%d backoff=%v %q\n", c.Cells, c.Skew, c.PipelineBackoff, c.BackoffReason)

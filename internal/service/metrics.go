@@ -291,8 +291,6 @@ func (m *Metrics) WritePrometheus(w io.Writer, cs CacheStats, ts TemplateCacheSt
 	gauge(w, "warpd_template_programs", "Instantiated programs resident across all templates.", ts.Programs)
 	counter(w, "warpd_template_hits_total", "Template-cache hits (instantiated program already resident).", ts.Hits)
 	counter(w, "warpd_template_misses_total", "Template-cache misses (instantiation or fallback started).", ts.Misses)
-	counter(w, "warpd_template_instantiations_total", "Programs produced from closed-form templates (no concrete compile).", ts.Instantiations)
-	counter(w, "warpd_template_fallbacks_total", "Symbolic requests served by a concrete fallback compile.", ts.Fallbacks)
 	counter(w, "warpd_template_evictions_total", "Instantiated programs evicted from the template cache.", ts.Evictions)
 
 	gauge(w, "warpd_queue_depth", "Jobs waiting in the admission queue.", ps.QueueDepth)

@@ -36,9 +36,7 @@ type RequestRecord struct {
 	// the reason, and the cost model's predicted wall times beside the
 	// measured one.
 	Decision *warp.Decision `json:"decision,omitempty"`
-	// Template reports how a symbolic request's program was produced:
-	// closed-form instantiation (and from which residue class) or a
-	// concrete fallback compile and why.
+	// Template is set on a bounds request (see warp.TemplateDetail).
 	Template *warp.TemplateDetail `json:"template,omitempty"`
 }
 

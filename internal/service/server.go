@@ -55,13 +55,9 @@ type Config struct {
 	// Compile substitutes the compiler entry point (nil = warp.Compile);
 	// tests use it to instrument driver invocations.
 	Compile CompileFunc
-	// CompileTemplate substitutes the symbolic template entry point
-	// (nil = warp.CompileTemplate); tests use it to count template
-	// builds behind the template cache.
-	CompileTemplate TemplateCompileFunc
-	// TemplatePrograms caps how many instantiated programs each
-	// resident template keeps (default 64); the template count itself
-	// is bounded by CacheSize.
+	// TemplatePrograms caps how many compiled programs each resident
+	// ${...} template keeps (default 64); the template count itself is
+	// bounded by CacheSize.
 	TemplatePrograms int
 	// Logger receives one structured record per served request (ID,
 	// outcome, span durations).  nil discards.
@@ -128,7 +124,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cache:     NewCache(cfg.CacheSize, cfg.Compile),
-		templates: NewTemplateCache(cfg.CacheSize, cfg.TemplatePrograms, cfg.CompileTemplate),
+		templates: NewTemplateCache(cfg.CacheSize, cfg.TemplatePrograms, nil),
 		pool:      NewPool(cfg.Workers, cfg.QueueCap),
 		metrics:   NewMetrics(),
 		cfg:       cfg,
@@ -162,11 +158,11 @@ type CompileOptions struct {
 	NoOptimize bool `json:"no_optimize,omitempty"`
 	Pipeline   bool `json:"pipeline,omitempty"`
 	Cells      int  `json:"cells,omitempty"`
-	// Symbolic compiles the source as a ${...} template through the
-	// template cache: the first request per (source, options) pays the
-	// probe compiles, later bound vectors instantiate in microseconds.
-	// Bounds gives the template parameter values (e.g. {"n": 32});
-	// non-empty Bounds implies Symbolic.
+	// Bounds makes the source a ${...} template: each placeholder is
+	// replaced by its value under these parameter values (e.g. {"n":
+	// 32}) and the resulting text is compiled.  Symbolic says the same
+	// of a source whose bounds are empty (which then fails unless it
+	// names no parameter); non-empty Bounds implies it.
 	Symbolic bool             `json:"symbolic,omitempty"`
 	Bounds   map[string]int64 `json:"bounds,omitempty"`
 }
@@ -202,9 +198,8 @@ type ParamJSON struct {
 }
 
 // CompileResponse carries the program's content address for later /run
-// calls, plus the compiler metrics.  Template reports how a symbolic
-// request was served (closed-form instantiation or concrete fallback,
-// and which residue class).
+// calls, plus the compiler metrics.  Template is present on a bounds
+// request (always {"symbolic": false}: see warp.TemplateDetail).
 type CompileResponse struct {
 	Program  string               `json:"program"` // content address (cache key)
 	Cached   bool                 `json:"cached"`
@@ -471,10 +466,10 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 
 // resolve produces a request's program under its "cache" span — the one
 // place /compile, /run and /batch look a program up or compile it.  The
-// span says how the cache answered; the phases of a compile or
-// instantiation this request ends up doing are filed under it and feed
-// the compile-phase and scheduler metrics; the record takes the content
-// address, whether it was resident, and the template detail.
+// span says how the cache answered; the phases of a compile this
+// request ends up doing are filed under it and feed the compile-phase
+// and scheduler metrics; the record takes the content address, whether
+// it was resident, and the template detail.
 func (s *Server) resolve(ctx context.Context, rq *request, program, source string, o CompileOptions) (*warp.Program, error) {
 	span := rq.tr.StartSpan("cache", rq.root)
 	defer span.End()
@@ -484,15 +479,6 @@ func (s *Server) resolve(ctx context.Context, rq *request, program, source strin
 		return nil, err
 	}
 	span.Annotate("result", cacheResult(hit))
-	if d := detail; d != nil { // traces tell instantiations from fallbacks
-		span.Annotate("symbolic", fmt.Sprint(d.Symbolic))
-		if d.Class != "" {
-			span.Annotate("class", d.Class)
-		}
-		if d.FallbackReason != "" {
-			span.Annotate("fallback_reason", d.FallbackReason)
-		}
-	}
 	rq.Program, rq.Cached, rq.Template = key, hit, detail
 	if !hit {
 		s.metrics.CompilePhases(prog.Phases())
@@ -502,9 +488,9 @@ func (s *Server) resolve(ctx context.Context, rq *request, program, source strin
 }
 
 // program finds the program a request names: a content address in
-// either cache, source through the right one — symbolic requests
-// through the template cache (template compiled once, program
-// instantiated per bound vector), the rest through the compile cache.
+// either cache, source through the right one — bounds requests through
+// the template cache (template parsed once, program compiled per bound
+// vector), the rest through the compile cache.
 func (s *Server) program(ctx context.Context, program, source string, o CompileOptions, parent *obs.Span) (*warp.Program, string, bool, *warp.TemplateDetail, error) {
 	switch {
 	case program != "" && source != "":
@@ -512,8 +498,8 @@ func (s *Server) program(ctx context.Context, program, source string, o CompileO
 	case program != "":
 		prog, ok := s.cache.Lookup(program)
 		if !ok {
-			// Instantiated programs live in the template cache under
-			// their own (template, bounds) content addresses.
+			// Programs compiled from templates live in the template cache
+			// under their own (template, bounds) content addresses.
 			prog, ok = s.templates.Lookup(program)
 		}
 		if !ok {
@@ -736,7 +722,7 @@ func (s *Server) Metrics() *Metrics { return s.metrics }
 // CacheStats snapshots the compile cache.
 func (s *Server) CacheStats() CacheStats { return s.cache.Stats() }
 
-// TemplateCacheStats snapshots the symbolic template cache.
+// TemplateCacheStats snapshots the template cache.
 func (s *Server) TemplateCacheStats() TemplateCacheStats { return s.templates.Stats() }
 
 // PoolStats snapshots the worker pool.

@@ -30,7 +30,7 @@ func (e *panicError) Error() string { return fmt.Sprintf("%v: %v", errPanic, e.v
 func (e *panicError) Unwrap() error { return errPanic }
 
 // counters are a store's hit/miss/eviction totals.  They sit behind a
-// pointer so the per-template instantiation stores of a TemplateCache
+// pointer so the per-template program stores of a TemplateCache
 // can count into one set that outlives any evicted template.
 type counters struct {
 	hits, misses, evictions atomic.Int64

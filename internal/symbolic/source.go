@@ -1,4 +1,4 @@
-// Package symbolic is the compile-once, instantiate-per-size subsystem.
+// Package symbolic is the ${...} placeholder preprocessor.
 //
 // A symbolic source is W2 text in which integer positions may be
 // written as ${expr} placeholders over named bound parameters — loop
@@ -7,22 +7,17 @@
 //	float a[${n}][${n}];
 //	for i := 0 to ${n-1} do begin ... end;
 //
-// Substituting a concrete bound vector yields ordinary W2 source.  The
-// point of the package is that the substituted programs share one
-// schedule structure: following "Symbolic Loop Compilation for Tightly
-// Coupled Processor Arrays", the W2 schedule is invariant under the
-// loop bounds, and everything that does change with the bounds —
-// trip counts, affine address coefficients, host-stream words, the
-// proven skew/occupancy/cycle numbers — changes as a closed-form
-// function of the bound vector.  A Template captures the structure
-// once (a handful of probe compiles through the ordinary driver) and
-// then Instantiate evaluates the closed forms in microseconds,
-// producing a *driver.Compiled byte-identical (by driver.Fingerprint)
-// to a cold compile of the substituted source.
+// Substituting a concrete bound vector yields ordinary W2 source, which
+// the ordinary verified compiler compiles (warp.Template).  Nothing
+// here knows about schedules or microcode: a size-parameterized program
+// is text substitution in front of warp.Compile.  (PRs 10–17 carried an
+// engine here that fitted closed forms to probe compiles and cloned
+// artifacts from them; DESIGN §14 records why it was removed.)
 package symbolic
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -43,7 +38,9 @@ type Source struct {
 // ParseSource splits template text into literal chunks and placeholder
 // expressions.  Placeholder syntax is ${expr} where expr is an integer
 // expression over parameter names, integer literals, + - * / and
-// parentheses (/ is exact integer division at substitution time).
+// parentheses, at most maxExprTerms terms long (/ is exact integer
+// division at substitution time: Concrete rejects a remainder, as it
+// rejects int64 overflow).
 func ParseSource(text string) (*Source, error) {
 	s := &Source{Text: text}
 	params := map[string]bool{}
@@ -61,7 +58,10 @@ func ParseSource(text string) (*Source, error) {
 		exprText := rest[i+2 : i+j]
 		e, err := parseBoundExpr(exprText)
 		if err != nil {
-			return nil, fmt.Errorf("symbolic: placeholder ${%s}: %w", exprText, err)
+			if len(exprText) > 40 {
+				exprText = exprText[:40] + "…"
+			}
+			return nil, fmt.Errorf("symbolic: placeholder ${%s} at offset %d: %w", exprText, len(text)-len(rest)+i, err)
 		}
 		s.literals = append(s.literals, rest[:i])
 		s.exprs = append(s.exprs, e)
@@ -159,20 +159,37 @@ func (e *boundExpr) eval(bounds map[string]int64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	// The substituted text must be the integer the expression denotes:
+	// a wrapped or truncated value would compile a different program
+	// than the one asked for, silently.
+	var v int64
+	ok := true
 	switch e.op {
 	case '+':
-		return l + r, nil
+		v = l + r
+		ok = (v >= l) == (r >= 0)
 	case '-':
-		return l - r, nil
+		v = l - r
+		ok = (v <= l) == (r >= 0)
 	case '*':
-		return l * r, nil
+		v = l * r
+		ok = l == 0 || v/l == r && !(l == -1 && r == math.MinInt64)
 	case '/':
 		if r == 0 {
 			return 0, fmt.Errorf("symbolic: division by zero in placeholder")
 		}
-		return l / r, nil
+		if l%r != 0 {
+			return 0, fmt.Errorf("symbolic: %d / %d in placeholder is not an integer", l, r)
+		}
+		v = l / r
+		ok = !(l == math.MinInt64 && r == -1)
+	default:
+		return 0, fmt.Errorf("symbolic: bad operator %q", e.op)
 	}
-	return 0, fmt.Errorf("symbolic: bad operator %q", e.op)
+	if !ok {
+		return 0, fmt.Errorf("symbolic: %d %c %d in placeholder overflows int64", l, e.op, r)
+	}
+	return v, nil
 }
 
 // parseBoundExpr is a tiny precedence-climbing parser for placeholder
@@ -191,9 +208,18 @@ func parseBoundExpr(text string) (*boundExpr, error) {
 }
 
 type exprParser struct {
-	src string
-	pos int
+	src   string
+	pos   int
+	terms int
 }
+
+// maxExprTerms bounds one placeholder expression.  Every operand,
+// parenthesis and unary minus is a term, so the bound holds for the
+// parser's recursion (one level per "(" or "-") and for the depth of
+// the tree eval walks (one level per operator) alike: a request body of
+// "((((…" or "1+1+1+…" is a parse error, not a stack the size of the
+// body.  Real placeholders have a handful of terms.
+const maxExprTerms = 256
 
 func (p *exprParser) skipSpace() {
 	for p.pos < len(p.src) && (p.src[p.pos] == ' ' || p.src[p.pos] == '\t') {
@@ -250,6 +276,9 @@ func (p *exprParser) parseProduct() (*boundExpr, error) {
 }
 
 func (p *exprParser) parseAtom() (*boundExpr, error) {
+	if p.terms++; p.terms > maxExprTerms {
+		return nil, fmt.Errorf("expression has more than %d terms (at offset %d)", maxExprTerms, p.pos)
+	}
 	switch c := p.peek(); {
 	case c == '(':
 		p.pos++

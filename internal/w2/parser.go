@@ -38,9 +38,27 @@ import (
 //
 // Semantic analysis (sema.go) layers the §5.1 restrictions on top.
 type Parser struct {
-	toks []Token
-	pos  int
+	toks  []Token
+	pos   int
+	depth int // open statements plus open unary/parenthesized/subscript expressions
 }
+
+// maxNesting bounds how deep statements and expressions may nest.  The
+// parser (and every pass over the tree after it) recurses once per
+// level, and a goroutine stack that outgrows its limit kills the
+// process, past any recover: nesting must be refused here, as a syntax
+// error.  No real W2 program comes near it (the paper's nest four deep).
+const maxNesting = 200
+
+// enter opens one nesting level; the caller defers p.leave().
+func (p *Parser) enter() error {
+	if p.depth++; p.depth > maxNesting {
+		return p.errf("nesting deeper than %d levels", maxNesting)
+	}
+	return nil
+}
+
+func (p *Parser) leave() { p.depth-- }
 
 // ParseError describes a syntax error with its position.
 type ParseError struct {
@@ -314,6 +332,10 @@ func (p *Parser) parseStmtList(terminators ...TokenKind) ([]Stmt, error) {
 }
 
 func (p *Parser) parseStmt() (Stmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	switch p.cur().Kind {
 	case IDENT:
 		return p.parseAssign()
@@ -670,7 +692,13 @@ func (p *Parser) parseMul() (Expr, error) {
 	}
 }
 
+// parseUnary is on every cycle of the expression grammar (a nested
+// unary, a parenthesis, a subscript), so it is where nesting is counted.
 func (p *Parser) parseUnary() (Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	switch p.cur().Kind {
 	case MINUS:
 		pos := p.next().Pos

@@ -1,6 +1,7 @@
 package w2
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -213,5 +214,37 @@ func TestParseNegativeLiteralBound(t *testing.T) {
 	asg := m.Cells.Funcs[0].Body[0].(*AssignStmt)
 	if _, ok := asg.RHS.(*BinExpr); !ok {
 		t.Fatal("expected binary expression")
+	}
+}
+
+// TestParseNestingBound: nesting is refused at maxNesting with a
+// positioned syntax error, however it is spelled — the 2 MiB of "("
+// that used to overflow the parser's stack (fatal, past any recover)
+// included — and accepted just below it.
+func TestParseNestingBound(t *testing.T) {
+	nest := func(open, close string, n int) string {
+		return "v := " + strings.Repeat(open, n) + "w" + strings.Repeat(close, n) + ";"
+	}
+	deepFor := func(n int) string {
+		return strings.Repeat("for i := 0 to 1 do ", n) + "v := w;"
+	}
+	for _, c := range []struct{ name, body string }{
+		{"parentheses", nest("(", ")", maxNesting)},
+		{"unary minus", nest("- ", "", maxNesting)},
+		{"subscripts", nest("buf[", "]", maxNesting)},
+		{"for statements", deepFor(maxNesting)},
+		{"2 MiB of (", "v := " + strings.Repeat("(", 2<<20)},
+	} {
+		_, err := Parse(minimal(c.body))
+		var perr *ParseError
+		if !errors.As(err, &perr) || !strings.Contains(perr.Msg, "nesting deeper than") || perr.Pos.Line == 0 {
+			t.Errorf("%s: err = %v, want a positioned nesting error", c.name, err)
+		}
+	}
+	// The innermost statement and its operand are levels too.
+	for _, body := range []string{nest("(", ")", maxNesting-2), deepFor(maxNesting - 2)} {
+		if _, err := Parse(minimal(body)); err != nil {
+			t.Errorf("nesting just under the bound rejected: %v", err)
+		}
 	}
 }

@@ -4,9 +4,7 @@ package workloads
 // in the ${expr} placeholder syntax of internal/symbolic.  Each is the
 // exact text its concrete generator produces, with the size positions
 // left symbolic: substituting the bound vector reproduces the concrete
-// generator's output byte for byte (pinned by a test), so a template
-// compiled from the symbolic form and a cold compile of the generated
-// form are directly comparable.
+// generator's output byte for byte (pinned by a test).
 
 // MatmulSym is Matmul with the size n left symbolic.
 func MatmulSym() string {

@@ -1,8 +1,10 @@
 // Command dumpw2 writes the W2 source of each example workload to a
-// directory, one <name>.w2 per program.  The examples under examples/
-// embed their sources as Go strings (they are parametric generators),
-// so CI uses this dump to run `w2c -verify` over every example program
-// as a plain file — see scripts/verify-programs.sh.
+// directory, one <name>.w2 per program, and each ${...} template
+// workload as <name>-sym.w2 (compile those with `w2c -bounds`).  The
+// examples under examples/ embed their sources as Go strings (they are
+// parametric generators), so CI uses this dump to run `w2c -verify`
+// over every example program as a plain file — see
+// scripts/verify-programs.sh.
 //
 // Usage: go run ./scripts/dumpw2 [-dir w2out]
 package main
@@ -18,7 +20,6 @@ import (
 
 func main() {
 	dir := flag.String("dir", "w2out", "output directory")
-	symbolic := flag.Bool("symbolic", false, "dump the ${...} symbolic template workloads instead")
 	flag.Parse()
 
 	// Sizes match what the examples and tests exercise: big enough to
@@ -32,15 +33,10 @@ func main() {
 		"mandelbrot": workloads.Mandelbrot(64, 4),
 		"matmul":     workloads.Matmul(8),
 		"fft":        workloads.FFT(64),
-	}
-	if *symbolic {
-		// The ${...} templates behind `w2c -symbolic`; see
-		// scripts/symbolic-sweep.sh.
-		programs = map[string]string{
-			"matmul-sym":     workloads.MatmulSym(),
-			"conv1d-sym":     workloads.Conv1DSym(),
-			"polynomial-sym": workloads.PolynomialSym(),
-		}
+
+		"matmul-sym":     workloads.MatmulSym(),
+		"conv1d-sym":     workloads.Conv1DSym(),
+		"polynomial-sym": workloads.PolynomialSym(),
 	}
 
 	if err := os.MkdirAll(*dir, 0o755); err != nil {

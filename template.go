@@ -1,106 +1,85 @@
 package warp
 
 import (
-	"fmt"
-	"strconv"
-	"strings"
-	"time"
-
 	"warp/internal/obs"
 	"warp/internal/symbolic"
 )
 
-// Template is a symbolically compiled program: W2 source with ${...}
-// size parameters, compiled once into closed-form microcode templates
-// and instantiated per problem size in microseconds.  The instantiated
-// Program is byte-identical to what Compile would produce on the
-// substituted source — bounds the closed forms cannot cover fall back
-// to a concrete compile transparently, so acceptance, rejection and
-// artifacts always match the concrete compiler.
+// Template is a size-parameterized program: W2 source whose integer
+// positions may be ${expr} placeholders over named bounds, plus the
+// options to compile it under.  Program substitutes one bound vector
+// and compiles the resulting text with Compile — there is no other
+// path, so acceptance, rejection and artifacts are the concrete
+// compiler's by construction.
 //
-// A Template is safe for concurrent use from many goroutines.
+// A Template is immutable and safe for concurrent use.
 type Template struct {
-	t *symbolic.Template
+	src  *symbolic.Source
+	opts Options
 }
 
-// TemplateStats is a snapshot of a template's lifetime counters:
-// symbolic instantiations, concrete fallbacks, residue classes fitted
-// and probe compiles spent fitting them.
-type TemplateStats = symbolic.Stats
+// TemplateDetail reports how one Program request was served.  It is
+// wire format (the "template" field of warpd's responses and flight
+// records) from when a template could serve a request from fitted
+// closed forms; substitution always compiles, so Symbolic and
+// ClassBuilt are always false.
+type TemplateDetail struct {
+	Symbolic   bool `json:"symbolic"`
+	ClassBuilt bool `json:"class_built,omitempty"`
+}
 
-// TemplateDetail reports how one instantiation request was served.
-type TemplateDetail = symbolic.Detail
+// TemplateStats is the zero value: the counters of the removed
+// instantiation engine, kept so that the frozen benchmark/ module, which
+// reads them, still builds.
+type TemplateStats struct {
+	Instantiations int64 `json:"instantiations"`
+	Fallbacks      int64 `json:"fallbacks"`
+	ClassBuilds    int64 `json:"class_builds"`
+	ProbeCompiles  int64 `json:"probe_compiles"`
+}
 
 // CompileTemplate parses ${...}-parameterized W2 source into a
-// Template.  No compilation happens yet: the first Program call for a
-// bound vector's residue class pays the probe compiles, later calls in
-// the class instantiate from the fitted closed forms.
+// Template.  Nothing is compiled until Program names a bound vector.
 func CompileTemplate(src string, opts Options) (*Template, error) {
-	t, err := symbolic.CompileTemplate(src, opts)
+	s, err := symbolic.ParseSource(src)
 	if err != nil {
 		return nil, err
 	}
-	return &Template{t: t}, nil
+	return &Template{src: s, opts: opts}, nil
 }
 
 // Params returns the template's bound parameters, sorted.
-func (t *Template) Params() []string { return t.t.Params() }
+func (t *Template) Params() []string { return t.src.Params }
 
-// Stats returns a snapshot of the template's counters.
-func (t *Template) Stats() TemplateStats { return t.t.Stats() }
+// Stats returns the zero TemplateStats (see the type).
+func (t *Template) Stats() TemplateStats { return TemplateStats{} }
 
-// Program instantiates the template at one bound vector.
+// Program compiles the template at one bound vector.
 func (t *Template) Program(bounds map[string]int64) (*Program, error) {
 	p, _, err := t.ProgramDetail(bounds, nil)
 	return p, err
 }
 
-// ProgramDetail instantiates like Program and additionally reports how
-// the request was served (symbolically or by concrete fallback).  The
-// phases of the work done for this call (class build, instantiation or
-// fallback compile) are filed as child spans of parent; nil files none.
+// ProgramDetail is Program for a traced request: the compile's phases
+// are filed as child spans of parent (nil files none).
 func (t *Template) ProgramDetail(bounds map[string]int64, parent *obs.Span) (*Program, *TemplateDetail, error) {
-	start := time.Now()
-	anchor := parent.Now()
-	c, detail, err := t.t.Instantiate(bounds)
+	conc, err := t.src.Concrete(bounds)
 	if err != nil {
 		return nil, nil, err
 	}
-	parent.AddPhases(anchor, c.Phases)
-	return &Program{c: c, compileTime: time.Since(start)}, detail, nil
+	anchor := parent.Now()
+	p, err := Compile(conc, t.opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	parent.AddPhases(anchor, p.Phases())
+	return p, &TemplateDetail{}, nil
 }
 
-// ModeledCycles evaluates the closed-form cycle prediction for one
-// bound vector — the modeled total the fast-execution backend and
-// progress reporting use — without a concrete compile.
-func (t *Template) ModeledCycles(bounds map[string]int64) (int64, error) {
-	return t.t.ModeledCycles(bounds)
-}
-
-// Check instantiates the template at bounds and independently compiles
-// the substituted source from scratch, failing unless the two
-// artifacts are byte-identical.  It backs `w2c -symbolic -check`.
+// Check reports whether bounds compile.  It used to compare an
+// instantiated artifact with a from-scratch compile; the two are now
+// the same compile, and the method remains for benchmark/.
 func (t *Template) Check(bounds map[string]int64) error {
-	return t.t.Check(bounds)
-}
-
-// ParseBounds parses a command-line bound vector of the form
-// "n=32,k=5" into a bounds map (whitespace around entries is allowed).
-func ParseBounds(s string) (map[string]int64, error) {
-	bounds := map[string]int64{}
-	if strings.TrimSpace(s) == "" {
-		return bounds, nil
-	}
-	for _, part := range strings.Split(s, ",") {
-		name, val, ok := strings.Cut(strings.TrimSpace(part), "=")
-		if !ok {
-			return nil, fmt.Errorf("bad bound %q (want name=value)", part)
-		}
-		n, err := strconv.ParseInt(strings.TrimSpace(val), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad bound %q: %v", part, err)
-		}
-		bounds[strings.TrimSpace(name)] = n
-	}
-	return bounds, nil
+	_, err := t.Program(bounds)
+	return err
 }

@@ -305,11 +305,7 @@ func (p *Program) SchedReport() string { return p.c.Sched.Report() }
 // programmer's model semantics, no compilation), for validating
 // simulated results.
 func (p *Program) Interpret(inputs map[string][]float64) (map[string][]float64, error) {
-	info, err := p.c.FullInfo()
-	if err != nil {
-		return nil, err
-	}
-	return interp.Run(info, inputs)
+	return interp.Run(p.c.Info, inputs)
 }
 
 // Metrics are the per-program compiler metrics of the paper's
@@ -393,6 +389,11 @@ func (p *Program) IUListing() string { return p.c.IU.Listing() }
 // queue occupancies and the number of propositions discharged — or nil
 // when Options.Verify was not set.
 func (p *Program) Verified() *verify.Report { return p.c.Verified }
+
+// Fingerprint renders every compile output a consumer can observe in a
+// canonical order (driver.Fingerprint, the determinism contract's byte
+// string): programs with equal fingerprints are interchangeable.
+func (p *Program) Fingerprint() string { return driver.Fingerprint(p.c) }
 
 // Skew returns the applied inter-cell skew in cycles.
 func (p *Program) Skew() int64 { return p.c.Skew }
