@@ -87,8 +87,8 @@ func main() {
 	fmt.Printf("  cell ucode: %4d instructions (%d cycles per cell)\n", m.CellInstrs, m.CellCycles)
 	fmt.Printf("  IU ucode:   %4d instructions, %d address registers, %d table words\n",
 		m.IUInstrs, m.IUAddrRegs, m.IUTable)
-	fmt.Printf("  skew: %d cycles between cells; queue occupancy X=%d Y=%d (of 128)\n",
-		m.Skew, m.QueueOccX, m.QueueOccY)
+	fmt.Printf("  skew: %d cycles between cells (structural search, %d points evaluated); queue occupancy X=%d Y=%d (of 128)\n",
+		m.Skew, prog.Sched().Totals().SkewOps, m.QueueOccX, m.QueueOccY)
 	fmt.Printf("  optimizer: %d transformations; %d loops software pipelined\n",
 		m.OptCount, m.Pipelined)
 	fmt.Printf("  compile time: %v\n", m.CompileTime)

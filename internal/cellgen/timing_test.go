@@ -112,14 +112,18 @@ func TestTimingSelfSkew(t *testing.T) {
 	if err := x.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	s, err := skew.MinSkew(x, x)
+	a, err := skew.NewAnalysis(x, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _, err := a.MinSkewStats()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s < 1 {
 		t.Errorf("forwarding program needs positive skew, got %d", s)
 	}
-	if _, err := skew.CheckQueue(x, x, s, mcode.QueueDepth); err != nil {
+	if _, err := a.CheckQueue(s, mcode.QueueDepth); err != nil {
 		t.Errorf("computed skew fails its own queue check: %v", err)
 	}
 }

@@ -152,9 +152,14 @@ func (c *Compiled) FastPlan() (*fastexec.Plan, error) {
 // pipelining was requested and the IU cannot feed the overlapped
 // schedule (its sequential table overflows), compilation backs off to
 // the plain schedule; the rollback is recorded in PipelineBackoff,
-// BackoffReason and a "pipeline-backoff" phase entry.
+// BackoffReason and a "pipeline-backoff" phase entry.  Only the back end
+// runs again: nothing before cell code generation reads Options.Pipeline.
 func Compile(src string, opts Options) (*Compiled, error) {
-	c, err := compile(src, opts)
+	fe, err := analyze(src, opts)
+	if err != nil {
+		return nil, err
+	}
+	c, err := generate(fe, opts)
 	// A verification failure is a verdict on the pipelined schedule
 	// itself, not an IU capacity limit: report it rather than silently
 	// retrying the plain schedule, which would mask the defect.
@@ -163,7 +168,7 @@ func Compile(src string, opts Options) (*Compiled, error) {
 		reason := err.Error()
 		plain := opts
 		plain.Pipeline = false
-		if c2, err2 := compile(src, plain); err2 == nil {
+		if c2, err2 := generate(fe, plain); err2 == nil {
 			c2.PipelineBackoff = true
 			c2.BackoffReason = reason
 			c2.phase("pipeline-backoff", time.Now(), 0, reason)
@@ -190,12 +195,12 @@ func (c *Compiled) stat(name string, start time.Time, size int, note string) obs
 	return obs.PhaseStat{Name: name, Seconds: d, Size: size, Note: note, Start: off}
 }
 
-func compile(src string, opts Options) (*Compiled, error) {
+// analyze runs the front end — parse, semantic analysis, flowgraph,
+// optimization and the communication check — and returns a compilation
+// up to the decomposed flowgraph: everything the code generators start
+// from, the same for any schedule.
+func analyze(src string, opts Options) (*Compiled, error) {
 	c := &Compiled{W2Lines: countLines(src), Src: src, t0: time.Now()}
-	workers := opts.CompileWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 
 	start := c.t0
 	mod, err := w2.Parse(src)
@@ -243,8 +248,24 @@ func compile(src string, opts Options) (*Compiled, error) {
 		return nil, fmt.Errorf("driver: program sends data leftward; this compiler (like its examples) supports rightward flow only")
 	}
 	c.phase("commgraph", start, 0, "")
+	return c, nil
+}
 
-	start = time.Now()
+// generate runs the back end — the three code generators, the skew
+// analysis and the verifier — on a copy of the analyzed program fe.
+func generate(fe *Compiled, opts Options) (*Compiled, error) {
+	c := &Compiled{
+		Module: fe.Module, Info: fe.Info, IR: fe.IR, OptStats: fe.OptStats, Comm: fe.Comm,
+		Cells: fe.Cells, W2Lines: fe.W2Lines, Src: fe.Src, t0: fe.t0,
+		Phases: append([]obs.PhaseStat(nil), fe.Phases...),
+	}
+	mod, src, prog := c.Module, c.Src, c.IR
+	workers := opts.CompileWorkers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+
+	start := time.Now()
 	cg, err := cellgen.Generate(prog, cellgen.Options{Pipeline: opts.Pipeline, Workers: workers})
 	if err != nil {
 		return nil, err
@@ -336,8 +357,6 @@ func compile(src string, opts Options) (*Compiled, error) {
 					maxSkew = 1
 				}
 				c.Skew = maxSkew
-				// The occupancy check reuses each channel's cached
-				// enumeration, so this sweep is cheap.
 				for i, ch := range chans {
 					occ, err := res[i].an.CheckQueue(c.Skew, mcode.QueueDepth)
 					if err != nil {
@@ -351,7 +370,7 @@ func compile(src string, opts Options) (*Compiled, error) {
 			skewNote := ""
 			if len(c.Sched.Skews) > 0 {
 				t := c.Sched.Totals()
-				skewNote = fmt.Sprintf("%d ops enumerated, %d pairs analyzed, %d pruned", t.SkewOps, t.SkewPairs, t.SkewPruned)
+				skewNote = fmt.Sprintf("structural search, %d points evaluated", t.SkewOps)
 			}
 			return c.stat("skew", start, int(c.Skew), skewNote), nil
 		},
@@ -367,19 +386,19 @@ func compile(src string, opts Options) (*Compiled, error) {
 		},
 		func() (obs.PhaseStat, error) {
 			start := time.Now()
-			host, err := hostgen.GenerateParallel(c.Cell, workers)
+			host, err := hostgen.Generate(c.Cell)
 			if err != nil {
 				return obs.PhaseStat{}, err
 			}
 			c.Host = host
-			hostWords := 0
-			for _, seq := range host.In {
-				hostWords += len(seq)
+			var hostWords int64
+			for _, s := range host.In {
+				hostWords += s.Words()
 			}
-			for _, seq := range host.Out {
-				hostWords += len(seq)
+			for _, s := range host.Out {
+				hostWords += s.Words()
 			}
-			return c.stat("hostgen", start, hostWords, ""), nil
+			return c.stat("hostgen", start, int(hostWords), ""), nil
 		},
 	}
 	phases := make([]obs.PhaseStat, len(tasks))

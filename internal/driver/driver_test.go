@@ -5,10 +5,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"warp/internal/interp"
 	"warp/internal/mcode"
+	"warp/internal/workloads"
 )
 
 func readTestdata(t *testing.T, name string) string {
@@ -110,5 +112,32 @@ func TestPolynomialEndToEnd(t *testing.T) {
 	}
 	if c.Skew < 1 {
 		t.Errorf("skew = %d, want >= 1", c.Skew)
+	}
+}
+
+// TestCompileAllocBudget: nothing in a compile is sized by the dynamic
+// I/O volume any more, so the paper-size colorseg (2.6 M host words)
+// compiles, verified, within a few megabytes of allocation — a gate that
+// does not depend on the host's speed.
+func TestCompileAllocBudget(t *testing.T) {
+	src := workloads.ColorSegPaper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c, err := Compile(src, Options{Pipeline: true, Verify: true, CompileWorkers: 1})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var words int64
+	for _, s := range c.Host.In {
+		words += s.Words()
+	}
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	t.Logf("colorseg 512²: %.2f MB allocated for %d input words, fingerprint %d bytes", mb, words, len(Fingerprint(c)))
+	if mb >= 4 {
+		t.Errorf("compile allocated %.2f MB, want under 4", mb)
+	}
+	if len(Fingerprint(c)) > 64<<10 {
+		t.Errorf("fingerprint is %d bytes", len(Fingerprint(c)))
 	}
 }

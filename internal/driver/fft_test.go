@@ -3,6 +3,7 @@ package driver
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"warp/internal/interp"
@@ -94,5 +95,59 @@ func TestFFTPipelineBackoff(t *testing.T) {
 	if c.PipelineBackoff || c.CellGen.PipelinedLoops == 0 {
 		t.Errorf("64-point FFT should pipeline cleanly (backoff=%v, loops=%d)",
 			c.PipelineBackoff, c.CellGen.PipelinedLoops)
+	}
+}
+
+// TestBackoffReusesFrontEnd: the plain retry after a failed pipelined
+// attempt runs the back end only, on the flowgraph the pipelined code
+// generator has already been through — and must produce, back-off
+// fields aside, exactly what a plain compile from source produces.
+func TestBackoffReusesFrontEnd(t *testing.T) {
+	opts := Options{Pipeline: true, Verify: true}
+	plain := Options{Verify: true}
+	retried, err := Compile(workloads.FFTPaper(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch, err := Compile(workloads.FFTPaper(), plain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !retried.PipelineBackoff || !strings.Contains(retried.BackoffReason, "pre-stored addresses exceed") {
+		t.Fatalf("backoff=%v reason %q", retried.PipelineBackoff, retried.BackoffReason)
+	}
+	scratch.PipelineBackoff, scratch.BackoffReason = true, retried.BackoffReason
+	if Fingerprint(retried) != Fingerprint(scratch) {
+		t.Error("fft1024: the retried artifact differs from a plain compile from source")
+	}
+	var names []string
+	for _, p := range retried.Phases {
+		names = append(names, p.Name)
+	}
+	if got, want := strings.Join(names, " "), "parse sema flowgraph optimize commgraph cellgen skew iugen hostgen verify pipeline-backoff"; got != want {
+		t.Errorf("phases %q, want %q", got, want)
+	}
+
+	// The same on programs whose pipelined attempt succeeds: the back end
+	// twice over one front end.
+	for name, src := range map[string]string{"matmul32": workloads.Matmul(32), "colorseg": workloads.ColorSeg(64, 64, 10)} {
+		fe, err := analyze(src, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := generate(fe, opts); err != nil {
+			t.Fatal(err)
+		}
+		second, err := generate(fe, plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scratch, err := Compile(src, plain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if Fingerprint(second) != Fingerprint(scratch) {
+			t.Errorf("%s: plain code generated after a pipelined attempt differs from a plain compile from source", name)
+		}
 	}
 }

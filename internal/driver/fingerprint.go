@@ -4,11 +4,14 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"warp/internal/w2"
 )
 
 // Fingerprint reduces one compilation to the byte string the
 // determinism contract pins: every output a consumer can observe —
-// microcode listings, the host I/O program, skew and proven queue
+// microcode listings, the host I/O program (its streams' loop nests and
+// word counts, as hostgen.Stream renders them), skew and proven queue
 // occupancy, the scheduler's deterministic counters, and the verifier
 // report — rendered in a canonical order.  Wall-clock measurements
 // (phase Seconds, SearchNS, SkewNS) are deliberately excluded: they
@@ -25,16 +28,8 @@ func Fingerprint(c *Compiled) string {
 	sb.WriteString(c.Cell.Listing())
 	sb.WriteString(c.IU.Listing())
 
-	var chans []string
-	byName := map[string]string{}
-	for ch, words := range c.Host.In {
-		name := fmt.Sprint(ch)
-		chans = append(chans, name)
-		byName[name] = fmt.Sprintf("in %s: %v\nout %s: %v\n", name, words, name, c.Host.Out[ch])
-	}
-	sort.Strings(chans)
-	for _, name := range chans {
-		sb.WriteString(byName[name])
+	for _, ch := range []w2.Channel{w2.ChanX, w2.ChanY} {
+		fmt.Fprintf(&sb, "in %s: %s\nout %s: %s\n", ch, c.Host.In[ch], ch, c.Host.Out[ch])
 	}
 
 	var occ []string

@@ -70,10 +70,10 @@ func TestGeneratedCodeStructure(t *testing.T) {
 			// Host program covers the boundary traffic.
 			var hostIn, hostOut int64
 			for _, seq := range c.Host.In {
-				hostIn += int64(len(seq))
+				hostIn += seq.Words()
 			}
 			for _, seq := range c.Host.Out {
-				hostOut += int64(len(seq))
+				hostOut += seq.Words()
 			}
 			var recvs, sends int64
 			for _, n := range cc.Recv {

@@ -188,12 +188,12 @@ func Compile(p Program) (*Plan, error) {
 	// (Verified programs satisfy both; the checks keep an unverified
 	// explicit fast run honest.)
 	for _, ch := range []w2.Channel{w2.ChanX, w2.ChanY} {
-		if have, want := len(p.Host.In[ch]), b.counts.Recv[ch]; int64(have) < want {
+		if have, want := p.Host.In[ch].Words(), b.counts.Recv[ch]; have < want {
 			return nil, fmt.Errorf("fastexec: cell 0 receives %d words on %s but the host program supplies %d", want, ch, have)
 		}
 	}
 	for _, ch := range []w2.Channel{w2.ChanX, w2.ChanY} {
-		if have, want := len(p.Host.Out[ch]), b.counts.Send[ch]; want > int64(have) {
+		if have, want := p.Host.Out[ch].Words(), b.counts.Send[ch]; want > have {
 			return nil, fmt.Errorf("fastexec: the last cell sends %d words on %s but the host program expects %d", want, ch, have)
 		}
 	}
@@ -442,9 +442,8 @@ type execState struct {
 	curX, curY   []float64
 	xPos, yPos   int
 
-	hostInPos  [2]int // X, Y positions into the host input sequences
-	hostOutPos [2]int
-	sent       map[w2.Channel]int
+	hostIn, hostOut [2]hostgen.Reader // the host streams on X, Y
+	sent            map[w2.Channel]int
 
 	opCount int64
 }
@@ -462,17 +461,14 @@ func chanOf(chanY bool) (w2.Channel, int) {
 // input region is never overwritten during a run.
 func (st *execState) hostWord(chanY bool) (float64, error) {
 	ch, ci := chanOf(chanY)
-	seq := st.plan.host.In[ch]
-	pos := st.hostInPos[ci]
-	if pos >= len(seq) {
-		return 0, fmt.Errorf("fastexec: host input stream on %s ran dry after %d words", ch, len(seq))
+	w := st.hostIn[ci].Next()
+	if w == nil {
+		return 0, fmt.Errorf("fastexec: host input stream on %s ran dry after %d words", ch, st.plan.host.In[ch].Words())
 	}
-	st.hostInPos[ci] = pos + 1
-	w := seq[pos]
 	if w.Literal {
 		return w.Value, nil
 	}
-	if w.Index < 0 || w.Index >= len(st.hostMem) {
+	if w.Index < 0 || int(w.Index) >= len(st.hostMem) {
 		return 0, fmt.Errorf("fastexec: host input index %d outside host memory of %d words", w.Index, len(st.hostMem))
 	}
 	return st.hostMem[w.Index], nil
@@ -483,18 +479,16 @@ func (st *execState) hostWord(chanY bool) (float64, error) {
 // dummy sends with no destination).
 func (st *execState) hostCollect(chanY bool, v float64) error {
 	ch, ci := chanOf(chanY)
-	seq := st.plan.host.Out[ch]
-	pos := st.hostOutPos[ci]
-	if pos >= len(seq) {
-		return fmt.Errorf("fastexec: the last cell sent more words on %s than the host program expects (%d)", ch, len(seq))
+	w := st.hostOut[ci].Next()
+	if w == nil {
+		return fmt.Errorf("fastexec: the last cell sent more words on %s than the host program expects (%d)", ch, st.sent[ch])
 	}
-	if idx := seq[pos]; idx != hostgen.Discard {
+	if idx := int(w.Index); idx != hostgen.Discard {
 		if idx < 0 || idx >= len(st.hostMem) {
 			return fmt.Errorf("fastexec: host output index %d outside host memory of %d words", idx, len(st.hostMem))
 		}
 		st.hostMem[idx] = v
 	}
-	st.hostOutPos[ci] = pos + 1
 	st.sent[ch]++
 	return nil
 }
@@ -530,6 +524,10 @@ func (p *Plan) Execute(hostMem []float64, cfg ExecConfig) (*Result, error) {
 		curX:     make([]float64, 0, p.sendX),
 		curY:     make([]float64, 0, p.sendY),
 		sent:     map[w2.Channel]int{},
+	}
+	for ci, ch := range []w2.Channel{w2.ChanX, w2.ChanY} {
+		st.hostIn[ci] = hostgen.NewReader(p.host.In[ch])
+		st.hostOut[ci] = hostgen.NewReader(p.host.Out[ch])
 	}
 	for i := 0; i < p.cells; i++ {
 		if err := p.runCell(st, i); err != nil {

@@ -36,8 +36,8 @@ func TestCompileRejections(t *testing.T) {
 	}
 	host := func(in, out int) *hostgen.Program {
 		return &hostgen.Program{
-			In:  map[w2.Channel][]hostgen.Word{w2.ChanX: make([]hostgen.Word, in)},
-			Out: map[w2.Channel][]int{w2.ChanY: make([]int, out)},
+			In:  map[w2.Channel]hostgen.Stream{w2.ChanX: hostgen.Of(make([]hostgen.Word, in)...)},
+			Out: map[w2.Channel]hostgen.Stream{w2.ChanY: hostgen.Of(make([]hostgen.Word, out)...)},
 		}
 	}
 	huge := int64(1) << 23 // over the 1<<22-cycle trace cap

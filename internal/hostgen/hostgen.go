@@ -5,403 +5,420 @@
 //
 // "The I/O processors in the Warp host must be programmed to supply
 // input in the exact sequence as the data is used in the Warp cells" —
-// the sequence is obtained by walking the scheduled cell program in
-// execution order and resolving each receive's external binding.
+// the sequence is that of the scheduled cell program's I/O operations in
+// execution order, each receive resolved to its external binding.
 //
-// The walk is driven by a precompiled plan rather than by interpreting
-// the code items directly: each I/O operation's affine host address is
-// resolved once against its (static) enclosing loop nest, so emitting a
-// word costs a few integer multiply-adds instead of map lookups and an
-// affine-shift allocation.  The streams for a 512×512 image workload
-// run to millions of words, which made the per-word constant the
-// dominant phase of whole compilations before this plan existed.
+// The sequences are not written out.  A host program keeps, per channel
+// and direction, the loop nest that generates the stream: every I/O
+// operation's host address resolved once to an affine function of the
+// enclosing loops' iteration numbers, with the loops it closes.  Its size
+// and the cost of generating it depend on the microcode, not on trip
+// counts (a 512×512 image streams millions of words out of a few dozen
+// operations); consumers read the words through a Reader, a block at a
+// time.
 package hostgen
 
 import (
 	"fmt"
+	"math"
+	"strings"
 
-	"warp/internal/conc"
 	"warp/internal/mcode"
 	"warp/internal/w2"
 )
 
-// Word is one input word the host sends: either a literal or a host
-// memory location.
+// Word is one word of a host stream.  On an input stream it is what the
+// host sends: a literal, or the content of a host memory location.  On
+// an output stream it is where the host stores the arriving word: Index,
+// or nowhere when Index is Discard.
 type Word struct {
-	Literal bool
 	Value   float64 // literal value
-	Index   int     // host memory index (when !Literal)
+	Index   int32   // host memory index (when !Literal)
+	Literal bool
 }
 
 // Discard marks an output word with no host destination (a dummy send
 // inserted to conserve the stream, as in the paper's Figure 4-1).
 const Discard = -1
 
-// Program is the host I/O program: per channel, the input word sequence
-// for the first cell and the output destination sequence from the last
-// cell (host memory index or Discard).
+// Program is the host I/O program: per channel, the input stream for
+// the first cell and the output stream from the last cell.  A channel
+// without traffic has no entry.
 type Program struct {
-	In  map[w2.Channel][]Word
-	Out map[w2.Channel][]int
+	In  map[w2.Channel]Stream
+	Out map[w2.Channel]Stream
 }
 
-// stream identifies one host I/O stream: a (channel, direction) pair.
-type stream struct {
-	ch   w2.Channel
-	recv bool
+// Stream is one host stream as the loop nest that generates it: the I/O
+// operations of one (channel, direction) in program order, loops that
+// never run or hold none of them pruned.  Its length is the number of
+// static operations; Words is the number of words.
+type Stream []op
+
+// op is one I/O operation of a stream.  Executed with the enclosing
+// loops at iterations iter, it yields word with Index advanced by
+// Σ coef·iter[depth] over terms; then it closes ends, innermost first.
+type op struct {
+	word  Word
+	terms []term
+	ends  []loopEnd
+	count int64 // dynamic executions: the product of the enclosing trip counts
+	// body, on the first operation of an innermost loop, is the number of
+	// operations in the loop (the last of them closes it before any
+	// other); 0 elsewhere.
+	body int
 }
 
-// opKind classifies what a planned I/O operation emits.
-type opKind uint8
-
-const (
-	opInLiteral  opKind = iota // In word, literal value
-	opInExt                    // In word, resolved host index
-	opOutExt                   // Out index, resolved
-	opOutDiscard               // Out index, Discard
-)
-
-// opTerm is one affine term of a resolved host address: coefficient
-// times the current value of the loop bound to slot.
-type opTerm struct {
-	coef int64
-	slot int
+// term is one affine term of a host address: coef per iteration of the
+// enclosing loop at nesting depth depth (0 = outermost).
+type term struct {
+	coef  int64
+	depth int
 }
 
-// opPlan is one I/O operation with its host binding resolved against
-// the static loop nest: emitting a word evaluates base + Σ coef·val.
-type opPlan struct {
-	kind  opKind
-	strm  stream
-	value float64 // literal value (opInLiteral)
-	base  int64   // Base + Shifted().Const (opInExt, opOutExt)
-	terms []opTerm
-	// err is a lazily-reported resolution failure: the dynamic walk
-	// only faults when the operation actually executes, so a plan op
-	// inside a zero-trip loop must not fail the generation.
-	err error
+// loopEnd closes one loop: after its last operation the stream resumes
+// at operation head until the loop has run trips times.
+type loopEnd struct {
+	depth int
+	trips int64
+	head  int
 }
 
-// planNode is one node of the precompiled walk: either a run of
-// operations (from straight-line code) or a counted loop.
-type planNode struct {
-	ops []opPlan // non-loop node: operations in execution order
-
-	// loop node (ops == nil):
-	trips, first, step int64
-	slot               int
-	body               []planNode
-}
-
-// plan is the precompiled host-generation walk for one stream subset.
-type plan struct {
-	nodes []planNode
-	slots int
-	// words counts the dynamic emissions per stream (for exact
-	// preallocation); firstErr is the document-first resolution error
-	// that a walk would actually reach (nil when none executes).
-	words    map[stream]int64
-	firstErr error
-}
-
-// Generate walks the cell program and produces the host program.  Every
-// receive on the array's input side must carry an external binding (the
-// first cell receives it from the host); sends without externals are
-// discarded on output.
-func Generate(cell *mcode.CellProgram) (*Program, error) {
-	return GenerateParallel(cell, 1)
-}
-
-// GenerateParallel generates like Generate, emitting the independent
-// per-(channel, direction) streams on up to workers goroutines.  The
-// streams are disjoint slices built in the same walk order at any
-// worker count, so the resulting Program is identical to Generate's.
-func GenerateParallel(cell *mcode.CellProgram, workers int) (*Program, error) {
-	full := compilePlan(cell.Items)
-	if full.firstErr != nil {
-		return nil, full.firstErr
+// Words returns the number of words the stream holds.
+func (s Stream) Words() int64 {
+	var n int64
+	for i := range s {
+		n += s[i].count
 	}
-	prog := &Program{
-		In:  map[w2.Channel][]Word{},
-		Out: map[w2.Channel][]int{},
-	}
-	streams := full.activeStreams()
-	if workers < 2 || len(streams) < 2 {
-		e := newEmitter(full)
-		for _, s := range streams {
-			e.reserve(s, full.words[s])
+	return n
+}
+
+// String renders the nest — what driver.Fingerprint pins of a host
+// program.
+func (s Stream) String() string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "%d words:", s.Words())
+	for i := range s {
+		o := &s[i]
+		switch {
+		case o.word.Literal:
+			fmt.Fprintf(&sb, " %d:lit(%g)", i, o.word.Value)
+		case o.word.Index == Discard && len(o.terms) == 0:
+			fmt.Fprintf(&sb, " %d:discard", i)
+		default:
+			fmt.Fprintf(&sb, " %d:@%d", i, o.word.Index)
+			for _, t := range o.terms {
+				fmt.Fprintf(&sb, "%+d*i%d", t.coef, t.depth)
+			}
 		}
-		e.run(full.nodes)
-		e.install(prog)
-		return prog, nil
+		for _, e := range o.ends {
+			fmt.Fprintf(&sb, " loop(i%d<%d from %d)", e.depth, e.trips, e.head)
+		}
 	}
-	// Fan out one pruned plan per stream.  Each walk visits only the
-	// loops that contain its stream's operations, so the total work is
-	// close to the serial walk even though the tree is traversed once
-	// per stream.  The streams are disjoint map keys, so the merge is
-	// order-independent — the output is byte-identical to the serial
-	// walk's at any worker count.
-	emitters := make([]*emitter, len(streams))
-	conc.Do(workers, len(streams), func(i int) {
-		s := streams[i]
-		sub := full.filter(s)
-		e := newEmitter(sub)
-		e.reserve(s, full.words[s])
-		e.run(sub.nodes)
-		emitters[i] = e
-	})
-	for _, e := range emitters {
-		e.install(prog)
+	return sb.String()
+}
+
+// Of returns the stream of the given words, in order — a host program
+// written out by hand.
+func Of(words ...Word) Stream {
+	s := make(Stream, len(words))
+	for i, w := range words {
+		s[i] = op{word: w, count: 1}
+	}
+	return s
+}
+
+// blockWords is the size of the block a Reader's Next reads ahead: large
+// enough to amortise a block's set-up, small enough that a run's readers
+// stay in the first-level cache beside the executor's own state.
+const blockWords = 128
+
+// Reader hands out the words of a stream in order, through Read a block
+// at a time or through Next one by one (not both: Next reads ahead).
+// Neither allocates.
+type Reader struct {
+	s      Stream
+	pc     int     // next operation
+	iter   []int64 // per nesting depth: iterations the open loop has completed
+	pos, n int     // Next's position in its block, and how much of the block is filled
+	buf    [blockWords]Word
+}
+
+// NewReader returns a reader at the start of s.  It is a value, block
+// included, so that an executor holds its readers in its own state and a
+// run pays no allocation for them beyond the loop counters; it must not
+// be copied once in use.
+func NewReader(s Stream) Reader {
+	depth := 0
+	for i := range s {
+		for _, e := range s[i].ends {
+			depth = max(depth, e.depth+1)
+		}
+	}
+	return Reader{s: s, iter: make([]int64, depth)}
+}
+
+// Read fills buf with the next words of the stream and returns how many
+// it wrote: len(buf) until the stream runs out.
+func (r *Reader) Read(buf []Word) int {
+	n := 0
+	for n < len(buf) && r.pc < len(r.s) {
+		o := &r.s[r.pc]
+		if k := r.run(o, buf[n:]); k > 0 {
+			n += k
+			continue
+		}
+		buf[n] = r.word(o)
+		n++
+		r.pc++
+		r.close(o.ends)
+	}
+	return n
+}
+
+// word returns o's word at the current iteration of the loops around it.
+func (r *Reader) word(o *op) Word {
+	w := o.word
+	for _, t := range o.terms {
+		w.Index += int32(t.coef * r.iter[t.depth])
+	}
+	return w
+}
+
+// close steps the loops that end after an operation, innermost first:
+// the first with iterations left resumes at its head.
+func (r *Reader) close(ends []loopEnd) {
+	for _, e := range ends {
+		if r.iter[e.depth]++; r.iter[e.depth] < e.trips {
+			r.pc = e.head
+			return
+		}
+		r.iter[e.depth] = 0
+	}
+}
+
+// run is the fast path that keeps a word's cost near a store: at the
+// first operation o of an innermost loop it writes as many whole
+// iterations as fit in buf, operation by operation with a constant
+// stride each, and returns the number of words written.
+func (r *Reader) run(o *op, buf []Word) int {
+	if o.body == 0 || len(buf) < o.body {
+		return 0
+	}
+	body := r.s[r.pc : r.pc+o.body]
+	ends := body[len(body)-1].ends
+	loop := ends[0]
+	words := len(body) * int(min(loop.trips-r.iter[loop.depth], int64(len(buf)/len(body))))
+	for j := range body {
+		w, stride := r.word(&body[j]), int32(0)
+		for _, t := range body[j].terms {
+			if t.depth == loop.depth {
+				stride += int32(t.coef)
+			}
+		}
+		fill(buf[j:words], len(body), w, stride)
+	}
+	r.iter[loop.depth] += int64(words/len(body) - 1)
+	r.pc += len(body)
+	r.close(ends)
+	return words
+}
+
+// fill writes w to every step-th word of out, its index advancing by
+// stride from one to the next.  A function of its own so that the loop,
+// which is where a reader's time goes, has the registers to itself.
+//
+//go:noinline
+func fill(out []Word, step int, w Word, stride int32) {
+	for p := 0; p < len(out); p += step {
+		out[p] = w
+		w.Index += stride
+	}
+}
+
+// Next returns the next word, valid until the next call, or nil once the
+// stream has run out.
+func (r *Reader) Next() *Word {
+	if r.pos < r.n {
+		r.pos++
+		return &r.buf[r.pos-1]
+	}
+	return r.refill()
+}
+
+// refill is Next at the end of its block.  It stays out of line so that
+// Next itself is small enough to inline into the executors' loops.
+//
+//go:noinline
+func (r *Reader) refill() *Word {
+	if r.n = r.Read(r.buf[:]); r.n == 0 {
+		r.pos = 0
+		return nil
+	}
+	r.pos = 1
+	return &r.buf[0]
+}
+
+// Generate walks the cell program once and produces the host program.
+// Every receive on the array's input side must carry an external binding
+// (the first cell receives it from the host); sends without externals
+// are discarded on output.  An operation that never executes (a loop
+// around it has no trips) contributes nothing, not even its resolution
+// error.  Word counts are exact: a stream whose count overflows, or an
+// address that leaves the range of Word.Index, fails the generation.
+func Generate(cell *mcode.CellProgram) (*Program, error) {
+	var b builder
+	if err := b.build(cell.Items, 1); err != nil {
+		return nil, err
+	}
+	prog := &Program{In: map[w2.Channel]Stream{}, Out: map[w2.Channel]Stream{}}
+	for ch, s := range b.streams {
+		if len(s[1]) > 0 {
+			prog.In[w2.Channel(ch)] = s[1]
+		}
+		if len(s[0]) > 0 {
+			prog.Out[w2.Channel(ch)] = s[0]
+		}
 	}
 	return prog, nil
 }
 
-// activeStreams lists the streams with at least one dynamic word, in
-// canonical (channel, direction) order.
-func (p *plan) activeStreams() []stream {
-	var out []stream
-	for _, ch := range []w2.Channel{w2.ChanX, w2.ChanY} {
-		for _, recv := range []bool{true, false} {
-			if p.words[stream{ch, recv}] > 0 {
-				out = append(out, stream{ch, recv})
-			}
-		}
-	}
-	return out
-}
-
-// filter returns the plan reduced to one stream's operations, with
-// loops whose bodies became empty pruned (their iterations emit
-// nothing, so skipping them preserves the output exactly).
-func (p *plan) filter(s stream) *plan {
-	var prune func(nodes []planNode) []planNode
-	prune = func(nodes []planNode) []planNode {
-		var out []planNode
-		for _, n := range nodes {
-			if n.ops != nil {
-				var ops []opPlan
-				for _, op := range n.ops {
-					if op.strm == s {
-						ops = append(ops, op)
-					}
-				}
-				if len(ops) > 0 {
-					out = append(out, planNode{ops: ops})
-				}
-				continue
-			}
-			body := prune(n.body)
-			if len(body) > 0 {
-				out = append(out, planNode{trips: n.trips, first: n.first, step: n.step, slot: n.slot, body: body})
-			}
-		}
-		return out
-	}
-	return &plan{nodes: prune(p.nodes), slots: p.slots, words: p.words}
-}
-
-// compilePlan builds the precompiled walk for the item tree.  It also
-// performs the symbolic word count and locates the first resolution
-// error an actual walk would reach.
-func compilePlan(items []mcode.CodeItem) *plan {
-	p := &plan{words: map[stream]int64{}}
-	b := &planBuilder{plan: p}
-	p.nodes = b.build(items, 1)
-	p.slots = b.nextSlot
-	return p
-}
-
-// loopBind pairs a loop item with its slot during plan construction.
-type loopBind struct {
-	li   *mcode.LoopItem
-	slot int
-}
-
-type planBuilder struct {
-	plan     *plan
-	stack    []*loopBind
-	nextSlot int
-}
-
-// build compiles one item list; mult is the product of the enclosing
-// trip counts (saturating), used for word counting and reachability.
-func (b *planBuilder) build(items []mcode.CodeItem, mult int64) []planNode {
-	var nodes []planNode
-	var ops []opPlan
-	flush := func() {
-		if len(ops) > 0 {
-			nodes = append(nodes, planNode{ops: ops})
-			ops = nil
-		}
-	}
-	for _, it := range items {
-		switch it := it.(type) {
-		case *mcode.Straight:
-			for _, in := range it.Instrs {
-				for _, io := range in.IO {
-					op := b.compileOp(io)
-					if op.err != nil && mult > 0 && b.plan.firstErr == nil {
-						b.plan.firstErr = op.err
-					}
-					b.plan.words[op.strm] += mult
-					ops = append(ops, op)
-				}
-			}
-		case *mcode.LoopItem:
-			flush()
-			slot := b.nextSlot
-			b.nextSlot++
-			b.stack = append(b.stack, &loopBind{li: it, slot: slot})
-			body := b.build(it.Body, satMul(mult, it.Trips))
-			b.stack = b.stack[:len(b.stack)-1]
-			nodes = append(nodes, planNode{
-				trips: it.Trips, first: it.First, step: it.Step,
-				slot: slot, body: body,
-			})
-		}
-	}
-	flush()
-	return nodes
-}
-
-// satMul multiplies saturating at 1<<40 — counts feed preallocation
-// and reachability only, so overflow must clamp, not wrap.
-func satMul(a, c int64) int64 {
-	const lim = 1 << 40
-	if a <= 0 || c <= 0 {
-		return 0
-	}
-	if a > lim/c {
-		return lim
-	}
-	return a * c
-}
-
-// compileOp resolves one I/O operation against the current loop stack.
-func (b *planBuilder) compileOp(io *mcode.IOOp) opPlan {
-	s := stream{io.Chan, io.Recv}
-	if io.Recv {
-		switch {
-		case io.ExtLiteral != nil:
-			return opPlan{kind: opInLiteral, strm: s, value: *io.ExtLiteral}
-		case io.Ext != nil:
-			return b.resolve(opInExt, s, io.Ext)
-		default:
-			return opPlan{strm: s, err: fmt.Errorf("hostgen: a receive on channel %s has no external binding; the first cell would starve (every receive from the host side needs an external, §4.3)", io.Chan)}
-		}
-	}
-	if io.Ext != nil {
-		return b.resolve(opOutExt, s, io.Ext)
-	}
-	return opPlan{kind: opOutDiscard, strm: s}
-}
-
-// resolve folds the binding's pipelining delta into the constant term
-// (AddrInfo.Shifted) and binds each remaining affine term to the
-// innermost enclosing loop with the matching source statement — the
-// binding the dynamic walk re-derived per emitted word.
-func (b *planBuilder) resolve(kind opKind, s stream, a *mcode.AddrInfo) opPlan {
-	aff := a.Shifted()
-	op := opPlan{kind: kind, strm: s, base: int64(a.Base) + aff.Const}
-	for _, t := range aff.Terms {
-		bind := b.findLoop(t.Var)
-		if bind == nil {
-			return opPlan{strm: s, err: fmt.Errorf("hostgen: external %s references loop %s outside its scope", a, t.Var.Var)}
-		}
-		op.terms = append(op.terms, opTerm{coef: t.Coef, slot: bind.slot})
-	}
-	return op
-}
-
-func (b *planBuilder) findLoop(f *w2.ForStmt) *loopBind {
-	for i := len(b.stack) - 1; i >= 0; i-- {
-		if b.stack[i].li.Src == f {
-			return b.stack[i]
-		}
-	}
-	return nil
+// GenerateParallel is Generate; generation is a single pass over the
+// microcode, with nothing left for workers to share.
+func GenerateParallel(cell *mcode.CellProgram, workers int) (*Program, error) {
+	return Generate(cell)
 }
 
 // numChans bounds the channel index space (ChanX, ChanY).
 const numChans = 2
 
-// emitter executes a plan: loop slots hold current index values, and
-// each operation appends to its stream's slice (arrays indexed by
-// channel — no map traffic on the per-word path).
-type emitter struct {
-	vals []int64
-	in   [numChans][]Word
-	outs [numChans][]int
+// maxIndex bounds a resolved host address: Word.Index is 32 bits wide,
+// which keeps a word at 16 bytes.
+const maxIndex = math.MaxInt32
+
+// overflowed stands for a trip-count product past int64.
+const overflowed = -1
+
+type builder struct {
+	streams [numChans][2]Stream // by channel, then 0 = sends, 1 = receives
+	words   [numChans][2]int64
+	loops   []*mcode.LoopItem // enclosing loops, outermost first
 }
 
-func newEmitter(p *plan) *emitter {
-	return &emitter{vals: make([]int64, p.slots)}
-}
-
-// reserve preallocates one stream's backing store with the exact
-// symbolic word count (capped defensively: a pathological trip-count
-// product should grow by append, not one giant allocation).
-func (e *emitter) reserve(s stream, n int64) {
-	const capLimit = 1 << 24
-	if n > capLimit {
-		n = capLimit
-	}
-	if s.recv {
-		e.in[s.ch] = make([]Word, 0, n)
-	} else {
-		e.outs[s.ch] = make([]int, 0, n)
-	}
-}
-
-func (e *emitter) run(nodes []planNode) {
-	for i := range nodes {
-		n := &nodes[i]
-		if n.ops != nil {
-			for j := range n.ops {
-				e.emit(&n.ops[j])
+// build compiles one item list; mult is the product of the enclosing
+// trip counts: how often the list executes (0: never; overflowed).
+func (b *builder) build(items []mcode.CodeItem, mult int64) error {
+	for _, it := range items {
+		switch it := it.(type) {
+		case *mcode.Straight:
+			for _, in := range it.Instrs {
+				for _, io := range in.IO {
+					if mult == 0 {
+						continue
+					}
+					if err := b.add(io, mult); err != nil {
+						return fmt.Errorf("hostgen: %s: %w", in.Pos, err)
+					}
+				}
 			}
-			continue
-		}
-		v := n.first
-		for k := int64(0); k < n.trips; k++ {
-			e.vals[n.slot] = v
-			e.run(n.body)
-			v += n.step
+		case *mcode.LoopItem:
+			inner := int64(0) // a loop without trips never runs its body
+			if it.Trips > 0 {
+				inner = overflowed
+				if mult != overflowed && mult <= math.MaxInt64/it.Trips {
+					inner = mult * it.Trips
+				}
+			}
+			var heads [numChans][2]int
+			for ch := range b.streams {
+				heads[ch] = [2]int{len(b.streams[ch][0]), len(b.streams[ch][1])}
+			}
+			depth := len(b.loops)
+			b.loops = append(b.loops, it)
+			if err := b.build(it.Body, inner); err != nil {
+				return err
+			}
+			b.loops = b.loops[:depth]
+			for ch := range b.streams {
+				for dir, s := range b.streams[ch] {
+					head := heads[ch][dir]
+					if len(s) == head {
+						continue
+					}
+					innermost := true
+					for j := head; j < len(s); j++ {
+						innermost = innermost && len(s[j].ends) == 0
+					}
+					if innermost {
+						s[head].body = len(s) - head
+					}
+					s[len(s)-1].ends = append(s[len(s)-1].ends, loopEnd{depth: depth, trips: it.Trips, head: head})
+				}
+			}
 		}
 	}
+	return nil
 }
 
-func (e *emitter) emit(op *opPlan) {
-	switch op.kind {
-	case opInLiteral:
-		e.in[op.strm.ch] = append(e.in[op.strm.ch], Word{Literal: true, Value: op.value})
-	case opInExt:
-		e.in[op.strm.ch] = append(e.in[op.strm.ch], Word{Index: int(e.index(op))})
-	case opOutExt:
-		e.outs[op.strm.ch] = append(e.outs[op.strm.ch], int(e.index(op)))
-	case opOutDiscard:
-		e.outs[op.strm.ch] = append(e.outs[op.strm.ch], Discard)
+// add resolves one I/O operation that executes mult times against the
+// enclosing loops and appends it to its stream.
+func (b *builder) add(io *mcode.IOOp, mult int64) error {
+	dir := 0
+	if io.Recv {
+		dir = 1
 	}
+	total := &b.words[io.Chan][dir]
+	if mult == overflowed || *total > math.MaxInt64-mult {
+		return fmt.Errorf("host stream on %s longer than %d words", io.Chan, int64(math.MaxInt64))
+	}
+	*total += mult
+	o := op{word: Word{Index: Discard}}
+	switch {
+	case io.Recv && io.ExtLiteral != nil:
+		o.word = Word{Literal: true, Value: *io.ExtLiteral}
+	case io.Ext != nil:
+		var err error
+		if o, err = b.resolve(io.Ext); err != nil {
+			return err
+		}
+	case io.Recv:
+		return fmt.Errorf("a receive on channel %s has no external binding; the first cell would starve (every receive from the host side needs an external, §4.3)", io.Chan)
+	}
+	o.count = mult
+	b.streams[io.Chan][dir] = append(b.streams[io.Chan][dir], o)
+	return nil
 }
 
-func (e *emitter) index(op *opPlan) int64 {
-	idx := op.base
-	for _, t := range op.terms {
-		idx += t.coef * e.vals[t.slot]
-	}
-	return idx
-}
-
-// install moves the emitter's streams into the program maps, creating
-// map entries only for streams that emitted at least one word (the
-// shape the dynamic walk produced).
-func (e *emitter) install(prog *Program) {
-	for ch := 0; ch < numChans; ch++ {
-		if ws := e.in[ch]; len(ws) > 0 {
-			prog.In[w2.Channel(ch)] = ws
+// resolve folds the binding's pipelining delta into the constant term
+// (AddrInfo.Shifted) and binds each remaining affine term to the
+// innermost enclosing loop with the matching source statement, turning
+// coef·(First + Step·iteration) into a constant and a per-iteration
+// coefficient.  lo and hi track the address range over all iterations.
+func (b *builder) resolve(a *mcode.AddrInfo) (op, error) {
+	aff := a.Shifted()
+	base := int64(a.Base) + aff.Const
+	lo, hi := float64(base), float64(base)
+	var o op
+	for _, t := range aff.Terms {
+		depth := len(b.loops) - 1
+		for depth >= 0 && b.loops[depth].Src != t.Var {
+			depth--
 		}
-		if is := e.outs[ch]; len(is) > 0 {
-			prog.Out[w2.Channel(ch)] = is
+		if depth < 0 {
+			return op{}, fmt.Errorf("external %s references loop %s outside its scope", a, t.Var.Var)
 		}
+		l := b.loops[depth]
+		base += t.Coef * l.First
+		o.terms = append(o.terms, term{coef: t.Coef * l.Step, depth: depth})
+		// In floating point the range cannot wrap, and at the magnitudes
+		// that matter (±2³¹) it is exact.
+		first := float64(t.Coef) * float64(l.First)
+		last := first + float64(t.Coef)*float64(l.Step)*float64(l.Trips-1)
+		lo, hi = lo+min(first, last), hi+max(first, last)
 	}
+	if lo < -maxIndex || hi > maxIndex {
+		return op{}, fmt.Errorf("external %s resolves to host addresses %.0f..%.0f, outside ±%d", a, lo, hi, int64(maxIndex))
+	}
+	o.word.Index = int32(base)
+	return o, nil
 }

@@ -9,6 +9,14 @@ import (
 	"warp/internal/w2"
 )
 
+// words reads a whole stream.
+func words(s Stream) []Word {
+	out := make([]Word, s.Words())
+	r := NewReader(s)
+	r.Read(out)
+	return out
+}
+
 func gen(t *testing.T, src string) *Program {
 	t.Helper()
 	m, err := w2.Parse(src)
@@ -56,25 +64,25 @@ begin
 end
 `)
 	// X inputs: xs[1], xs[3], xs[5] in that order.
-	wantX := []int{1, 3, 5}
-	if len(h.In[w2.ChanX]) != 3 {
-		t.Fatalf("X inputs: %d, want 3", len(h.In[w2.ChanX]))
+	wantX := []int32{1, 3, 5}
+	if n := h.In[w2.ChanX].Words(); n != 3 {
+		t.Fatalf("X inputs: %d, want 3", n)
 	}
-	for i, w := range h.In[w2.ChanX] {
+	for i, w := range words(h.In[w2.ChanX]) {
 		if w.Literal || w.Index != wantX[i] {
 			t.Errorf("X input %d = %+v, want index %d", i, w, wantX[i])
 		}
 	}
 	// Y inputs: the literal 0.5 three times.
-	for i, w := range h.In[w2.ChanY] {
+	for i, w := range words(h.In[w2.ChanY]) {
 		if !w.Literal || w.Value != 0.5 {
 			t.Errorf("Y input %d = %+v, want literal 0.5", i, w)
 		}
 	}
 	// Outputs: ys base is 6 (after xs) + i.
-	for i, idx := range h.Out[w2.ChanX] {
-		if idx != 6+i {
-			t.Errorf("X output %d stored at %d, want %d", i, idx, 6+i)
+	for i, w := range words(h.Out[w2.ChanX]) {
+		if w.Index != int32(6+i) {
+			t.Errorf("X output %d stored at %d, want %d", i, w.Index, 6+i)
 		}
 	}
 }
@@ -97,15 +105,15 @@ begin
     call f;
 end
 `)
-	out := h.Out[w2.ChanX]
+	out := words(h.Out[w2.ChanX])
 	if len(out) != 2 {
 		t.Fatalf("outputs: %d, want 2", len(out))
 	}
-	if out[0] != 2 {
-		t.Errorf("first output at %d, want 2 (ys base)", out[0])
+	if out[0].Index != 2 {
+		t.Errorf("first output at %d, want 2 (ys base)", out[0].Index)
 	}
-	if out[1] != Discard {
-		t.Errorf("dummy send not discarded: %d", out[1])
+	if out[1].Index != Discard {
+		t.Errorf("dummy send not discarded: %d", out[1].Index)
 	}
 }
 

@@ -451,116 +451,72 @@ func (pl *planner) placeIn(e *expr, b *iuBody, from, to int64, delta int64, pre 
 
 // buildTable enumerates, in execution order, the values of every
 // spilled site; the result is the pre-stored sequential table (§6.3.2).
+// Its length is known in closed form — each spilled site reads once per
+// iteration of the loops around it — so a table that would overflow is
+// refused before anything is walked.
 func (g *genState) buildTable(exprs []*expr) ([]int64, error) {
-	spilledAt := make(map[*segment]map[int64][]*site)
-	any := false
+	sitesOf := make(map[*mcode.IUStraight][]*site) // a block's spilled sites
+	bodyOf := make(map[*mcode.IULoop]*iuBody)      // the loops around them
+	var words int64
 	for _, e := range exprs {
 		if !e.spilled {
 			continue
 		}
-		any = true
 		for _, s := range e.sites {
-			m := spilledAt[s.seg]
-			if m == nil {
-				m = make(map[int64][]*site)
-				spilledAt[s.seg] = m
+			sitesOf[s.seg.block] = append(sitesOf[s.seg.block], s)
+			reads := int64(1)
+			for b := s.seg.owner; b.loop != nil; b = b.parent {
+				bodyOf[b.loop] = b
+				// Saturating just past the table is all the check needs, and
+				// keeps the product far from overflow.
+				trips := min(max(b.loop.Trips, 0), mcode.TableWords+1)
+				reads = min(reads*trips, mcode.TableWords+1)
 			}
-			m[s.cycle] = append(m[s.cycle], s)
+			words = min(words+reads, mcode.TableWords+1)
 		}
 	}
-	if !any {
+	if words > mcode.TableWords {
+		return nil, fmt.Errorf("iugen: pre-stored addresses exceed the %d-word table (queue overflow of the escape mechanism); fewer addresses must be spilled", mcode.TableWords)
+	}
+	if words == 0 {
 		return nil, nil
 	}
-	for _, m := range spilledAt {
-		for _, ss := range m {
-			sort.Slice(ss, func(i, j int) bool { return ss[i].slot < ss[j].slot })
-		}
+	for _, ss := range sitesOf {
+		sort.Slice(ss, func(i, j int) bool {
+			if ss[i].cycle != ss[j].cycle {
+				return ss[i].cycle < ss[j].cycle
+			}
+			return ss[i].slot < ss[j].slot
+		})
 	}
 
-	var table []int64
+	table := make([]int64, 0, words)
 	iters := make(map[*iuBody]int64)
-	var walk func(items []mcode.IUItem, owner *iuBody) error
-	// Map each IUStraight back to its segment.
-	segOf := make(map[*mcode.IUStraight]*segment)
-	var collect func(b *iuBody)
-	collect = func(b *iuBody) {
-		for _, s := range b.segs {
-			segOf[s.block] = s
-		}
-	}
-	var collectAll func(b *iuBody)
-	seen := make(map[*iuBody]bool)
-	collectAll = func(b *iuBody) {
-		if seen[b] {
-			return
-		}
-		seen[b] = true
-		collect(b)
-	}
-	for _, s := range g.sites {
-		for b := s.seg.owner; b != nil; b = b.parent {
-			collectAll(b)
-		}
-	}
-	collectAll(g.top)
-
-	bodyOf := make(map[*mcode.IULoop]*iuBody)
-	var findBodies func(b *iuBody)
-	findBodies = func(b *iuBody) {
-		if b.loop != nil {
-			bodyOf[b.loop] = b
-		}
-	}
-	for b := range seen {
-		findBodies(b)
-	}
-
-	walk = func(items []mcode.IUItem, owner *iuBody) error {
+	var walk func(items []mcode.IUItem)
+	walk = func(items []mcode.IUItem) {
 		for _, it := range items {
 			switch it := it.(type) {
 			case *mcode.IUStraight:
-				seg := segOf[it]
-				if seg == nil {
-					continue
-				}
-				m := spilledAt[seg]
-				if m == nil {
-					continue
-				}
-				var cycles []int64
-				for c := range m {
-					cycles = append(cycles, c)
-				}
-				sort.Slice(cycles, func(i, j int) bool { return cycles[i] < cycles[j] })
-				for _, c := range cycles {
-					for _, s := range m[c] {
-						v := s.constV
-						for _, t := range s.terms {
-							v += t.stride * (t.body.m*iters[t.body] + t.copyIdx)
-						}
-						table = append(table, v)
-						if len(table) > mcode.TableWords {
-							return fmt.Errorf("iugen: pre-stored addresses exceed the %d-word table (queue overflow of the escape mechanism); fewer addresses must be spilled", mcode.TableWords)
-						}
+				for _, s := range sitesOf[it] {
+					v := s.constV
+					for _, t := range s.terms {
+						v += t.stride * (t.body.m*iters[t.body] + t.copyIdx)
 					}
+					table = append(table, v)
 				}
 			case *mcode.IULoop:
 				b := bodyOf[it]
+				if b == nil {
+					continue // no spilled site inside
+				}
 				for i := int64(0); i < it.Trips; i++ {
-					if b != nil {
-						iters[b] = i
-					}
-					if err := walk(it.Body, b); err != nil {
-						return err
-					}
+					iters[b] = i
+					walk(it.Body)
 				}
 			}
 		}
-		return nil
 	}
-	if err := walk(g.top.items, g.top); err != nil {
-		return nil, err
-	}
+	walk(g.top.items)
 	return table, nil
 }
 

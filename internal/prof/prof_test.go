@@ -192,12 +192,12 @@ func TestSchedProfile(t *testing.T) {
 			{Loop: "j", Line: 9, Trips: 10, Reason: "non-parallel array subscripts"},
 		},
 		Skews: []SkewSearch{
-			{Channel: "0", Method: "exact", Ops: 200, Skew: 3, NS: 5e5},
-			{Channel: "1", Method: "bound", Pairs: 12, Pruned: 30, Skew: 1},
+			{Channel: "0", Method: "structural", Ops: 200, Skew: 3, NS: 5e5},
+			{Channel: "1", Method: "structural", Ops: 36, Pairs: 12, Pruned: 30, Skew: 1},
 		},
 	}
 	tot := s.Totals()
-	if tot.Loops != 2 || tot.Pipelined != 1 || tot.Placements != 40 || tot.SkewOps != 200 || tot.SkewPairs != 12 || tot.SkewPruned != 30 {
+	if tot.Loops != 2 || tot.Pipelined != 1 || tot.Placements != 40 || tot.SkewOps != 236 || tot.SkewPairs != 12 || tot.SkewPruned != 30 {
 		t.Errorf("Totals = %+v", tot)
 	}
 	rep := s.Report()
@@ -205,8 +205,8 @@ func TestSchedProfile(t *testing.T) {
 		"scheduler: 2 loops, 1 pipelined",
 		"loop i (line 4, 100 trips): II 3 (MII 2)",
 		"non-parallel array subscripts",
-		"skew 3 via exact enumeration of 200 dynamic ops",
-		"statement-pair bound (12 analyzed, 30 pruned)",
+		"skew search: 236 points evaluated",
+		"0: skew 3 via structural search, 200 points evaluated",
 	} {
 		if !strings.Contains(rep, want) {
 			t.Errorf("sched report missing %q:\n%s", want, rep)

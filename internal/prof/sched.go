@@ -45,13 +45,13 @@ type LoopSched struct {
 }
 
 // SkewSearch records one channel's skew computation: which method ran
-// and how large the search space was.
+// and how much work it did.
 type SkewSearch struct {
 	Channel string `json:"channel"`          // e.g. "cell0->cell1"
-	Method  string `json:"method"`           // "exact" (dynamic-op enumeration) or "bound" (statement pairs)
-	Ops     int64  `json:"ops,omitempty"`    // dynamic I/O ops enumerated (exact)
-	Pairs   int64  `json:"pairs,omitempty"`  // statement pairs analyzed (bound)
-	Pruned  int64  `json:"pruned,omitempty"` // pairs skipped by the coarse interval prefilter
+	Method  string `json:"method"`           // "structural": gallop and bisect over loop-tree evaluations (skew.Analysis)
+	Ops     int64  `json:"ops,omitempty"`    // points evaluated: sends looked at, over all probes — set by the loop structure, not the trip counts
+	Pairs   int64  `json:"pairs,omitempty"`  // statement pairs analyzed (the paper's pairwise bound; zero on the compile path)
+	Pruned  int64  `json:"pruned,omitempty"` // pairs skipped by its coarse interval prefilter
 	Skew    int64  `json:"skew"`
 	NS      int64  `json:"ns,omitempty"`
 }
@@ -128,15 +128,9 @@ func (s *SchedProfile) Report() string {
 		}
 	}
 	if len(s.Skews) > 0 {
-		fmt.Fprintf(&sb, "skew search: %d ops enumerated, %d pairs analyzed, %d pairs pruned, %.3fms\n",
-			t.SkewOps, t.SkewPairs, t.SkewPruned, float64(t.SkewNS)/1e6)
+		fmt.Fprintf(&sb, "skew search: %d points evaluated, %.3fms\n", t.SkewOps, float64(t.SkewNS)/1e6)
 		for _, k := range s.Skews {
-			switch k.Method {
-			case "exact":
-				fmt.Fprintf(&sb, "  %s: skew %d via exact enumeration of %d dynamic ops\n", k.Channel, k.Skew, k.Ops)
-			default:
-				fmt.Fprintf(&sb, "  %s: skew %d via statement-pair bound (%d analyzed, %d pruned)\n", k.Channel, k.Skew, k.Pairs, k.Pruned)
-			}
+			fmt.Fprintf(&sb, "  %s: skew %d via %s search, %d points evaluated\n", k.Channel, k.Skew, k.Method, k.Ops)
 		}
 	}
 	return sb.String()

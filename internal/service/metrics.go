@@ -272,7 +272,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, cs CacheStats, ts TemplateCacheSt
 	counter(w, "warpd_sched_evictions_total", "Modulo-table evictions (placement conflicts undone).", m.sched.Evictions)
 	counter(w, "warpd_sched_emit_rejects_total", "Schedules rejected at microcode emission.", m.sched.EmitRejects)
 	counter(w, "warpd_sched_search_seconds_total", "Wall-clock time inside the modulo-schedule search.", formatFloat(float64(m.sched.SearchNS)/1e9))
-	counter(w, "warpd_sched_skew_ops_total", "Dynamic operations enumerated by exact skew searches.", m.sched.SkewOps)
+	counter(w, "warpd_sched_skew_ops_total", "Points evaluated on the loop tree by skew searches.", m.sched.SkewOps)
 	counter(w, "warpd_sched_skew_pairs_total", "Statement pairs analyzed by the skew bound.", m.sched.SkewPairs)
 	counter(w, "warpd_sched_skew_pruned_total", "Statement pairs pruned before analysis.", m.sched.SkewPruned)
 	counter(w, "warpd_sched_skew_seconds_total", "Wall-clock time inside the skew search.", formatFloat(float64(m.sched.SkewNS)/1e9))

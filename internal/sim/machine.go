@@ -190,11 +190,11 @@ type machine struct {
 	table      []int64
 	tblPos     int
 
-	// The host streams and their cursors, indexed by w2.Channel.
-	hostIn     [2][]hostgen.Word
-	hostOut    [2][]int
-	hostInPos  [2]int
-	hostOutPos [2]int
+	// The host streams, indexed by w2.Channel: the input words not yet
+	// fed and the output words collected so far (the readers are at the
+	// end of the struct).
+	hostInLeft [2]int64
+	hostSent   [2]int
 	// hostStall counts the cycles a full queue into cell 0 blocked the
 	// host's input stream.
 	hostStall [2]int64
@@ -206,6 +206,10 @@ type machine struct {
 	// when tracing is off.
 	rec   obs.Recorder
 	trace bool
+
+	// The host streams' readers.  Each holds a block of words in place,
+	// kilobytes of it: last, so that the fields above stay together.
+	hostIn, hostOut [2]hostgen.Reader
 }
 
 // Run executes the configuration to completion and returns statistics.
@@ -294,8 +298,9 @@ func newMachine(cfg Config) (*machine, error) {
 		trace:  obs.Enabled(rec),
 	}
 	for ch := range m.hostIn {
-		m.hostIn[ch] = cfg.Host.In[w2.Channel(ch)]
-		m.hostOut[ch] = cfg.Host.Out[w2.Channel(ch)]
+		in := cfg.Host.In[w2.Channel(ch)]
+		m.hostIn[ch], m.hostInLeft[ch] = hostgen.NewReader(in), in.Words()
+		m.hostOut[ch] = hostgen.NewReader(cfg.Host.Out[w2.Channel(ch)])
 	}
 	m.iu.Iter = make([]int64, iuCode.Depth)
 
@@ -343,13 +348,13 @@ func newMachine(cfg Config) (*machine, error) {
 // return stale output as success.
 func (m *machine) checkBalance() error {
 	for ch := range m.hostOut {
-		if got, want := m.hostOutPos[ch], len(m.hostOut[ch]); got != want {
+		if got, want := int64(m.hostSent[ch]), m.cfg.Host.Out[w2.Channel(ch)].Words(); got != want {
 			return fmt.Errorf("sim: the array finished after sending %d of the %d words the host program expects on %s",
 				got, want, w2.Channel(ch))
 		}
-		if got, want := m.hostInPos[ch], len(m.hostIn[ch]); got != want {
+		if left := m.hostInLeft[ch]; left != 0 {
 			return fmt.Errorf("sim: the array finished with %d of the host's %d input words on %s undelivered",
-				want-got, want, w2.Channel(ch))
+				left, m.cfg.Host.In[w2.Channel(ch)].Words(), w2.Channel(ch))
 		}
 	}
 	residue := func(name string, n int) error {
@@ -379,7 +384,7 @@ func (m *machine) stats() *Stats {
 		CellFinish: make([]int64, m.cfg.Cells),
 		Sent:       map[w2.Channel]int{},
 	}
-	for ch, n := range m.hostOutPos {
+	for ch, n := range m.hostSent {
 		if n > 0 {
 			stats.Sent[w2.Channel(ch)] = n
 		}
@@ -566,9 +571,7 @@ func (m *machine) stepIU() error {
 // stepHostIn feeds at most one word per channel per cycle into cell 0.
 func (m *machine) stepHostIn() error {
 	for ch := range m.hostIn {
-		seq := m.hostIn[ch]
-		pos := m.hostInPos[ch]
-		if pos >= len(seq) {
+		if m.hostInLeft[ch] == 0 {
 			continue
 		}
 		q := &m.cells[0].in[ch]
@@ -581,10 +584,10 @@ func (m *machine) stepHostIn() error {
 			}
 			continue
 		}
-		w := seq[pos]
+		w := m.hostIn[ch].Next()
 		v := w.Value
 		if !w.Literal {
-			if w.Index < 0 || w.Index >= len(m.cfg.HostMem) {
+			if w.Index < 0 || int(w.Index) >= len(m.cfg.HostMem) {
 				return fmt.Errorf("sim: host input index %d outside host memory of %d words", w.Index, len(m.cfg.HostMem))
 			}
 			v = m.cfg.HostMem[w.Index]
@@ -593,24 +596,23 @@ func (m *machine) stepHostIn() error {
 			return err
 		}
 		recPush(m, q)
-		m.hostInPos[ch] = pos + 1
+		m.hostInLeft[ch]--
 	}
 	return nil
 }
 
 // hostCollect receives one word from the last cell on a channel.
 func (m *machine) hostCollect(ch w2.Channel, v float64) error {
-	seq := m.hostOut[ch]
-	pos := m.hostOutPos[ch]
-	if pos >= len(seq) {
-		return fmt.Errorf("sim: the last cell sent more words on %s than the host program expects (%d)", ch, len(seq))
+	w := m.hostOut[ch].Next()
+	if w == nil {
+		return fmt.Errorf("sim: the last cell sent more words on %s than the host program expects (%d)", ch, m.hostSent[ch])
 	}
-	if idx := seq[pos]; idx != hostgen.Discard {
+	if idx := int(w.Index); idx != hostgen.Discard {
 		if idx < 0 || idx >= len(m.cfg.HostMem) {
 			return fmt.Errorf("sim: host output index %d outside host memory of %d words", idx, len(m.cfg.HostMem))
 		}
 		m.cfg.HostMem[idx] = v
 	}
-	m.hostOutPos[ch]++
+	m.hostSent[ch]++
 	return nil
 }

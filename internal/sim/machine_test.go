@@ -21,13 +21,10 @@ func passProgram() *mcode.CellProgram {
 }
 
 func hostFor(n int) *hostgen.Program {
-	h := &hostgen.Program{
-		In:  map[w2.Channel][]hostgen.Word{},
-		Out: map[w2.Channel][]int{},
-	}
+	h := emptyHost()
 	for i := 0; i < n; i++ {
-		h.In[w2.ChanX] = append(h.In[w2.ChanX], hostgen.Word{Index: i})
-		h.Out[w2.ChanX] = append(h.Out[w2.ChanX], n+i)
+		h.In[w2.ChanX] = append(h.In[w2.ChanX], hostgen.Of(hostgen.Word{Index: int32(i)})...)
+		h.Out[w2.ChanX] = append(h.Out[w2.ChanX], hostgen.Of(hostgen.Word{Index: int32(n + i)})...)
 	}
 	return h
 }
@@ -70,7 +67,7 @@ func TestRunDetectsUnderflow(t *testing.T) {
 		Cells: 1,
 		Cell:  prog,
 		IU:    &mcode.IUProgram{},
-		Host:  &hostgen.Program{In: map[w2.Channel][]hostgen.Word{}, Out: map[w2.Channel][]int{}},
+		Host:  emptyHost(),
 		Lead:  1,
 	})
 	if err == nil || !strings.Contains(err.Error(), "underflow") {
@@ -96,7 +93,7 @@ func TestRunDetectsSignalMismatch(t *testing.T) {
 		Cells: 1,
 		Cell:  cellProg,
 		IU:    iu,
-		Host:  &hostgen.Program{In: map[w2.Channel][]hostgen.Word{}, Out: map[w2.Channel][]int{}},
+		Host:  emptyHost(),
 		Lead:  1,
 	})
 	if err == nil || !strings.Contains(err.Error(), "signal mismatch") {
@@ -116,7 +113,7 @@ func TestRunDetectsMissingSignal(t *testing.T) {
 		Cells: 1,
 		Cell:  cellProg,
 		IU:    &mcode.IUProgram{},
-		Host:  &hostgen.Program{In: map[w2.Channel][]hostgen.Word{}, Out: map[w2.Channel][]int{}},
+		Host:  emptyHost(),
 		Lead:  1,
 	})
 	if err == nil || !strings.Contains(err.Error(), "underflow") {
@@ -143,7 +140,7 @@ func TestRunDetectsBadAddress(t *testing.T) {
 		Cells: 1,
 		Cell:  cellProg,
 		IU:    iu,
-		Host:  &hostgen.Program{In: map[w2.Channel][]hostgen.Word{}, Out: map[w2.Channel][]int{}},
+		Host:  emptyHost(),
 		Lead:  3,
 	})
 	if err == nil || !strings.Contains(err.Error(), "outside") {
@@ -163,10 +160,10 @@ func TestRunHostBackpressure(t *testing.T) {
 			{}, {}, {},
 		}},
 	}})
-	host := &hostgen.Program{In: map[w2.Channel][]hostgen.Word{}, Out: map[w2.Channel][]int{}}
+	host := emptyHost()
 	mem := make([]float64, 200)
 	for i := range mem {
-		host.In[w2.ChanX] = append(host.In[w2.ChanX], hostgen.Word{Index: i})
+		host.In[w2.ChanX] = append(host.In[w2.ChanX], hostgen.Of(hostgen.Word{Index: int32(i)})...)
 	}
 	iu := &mcode.IUProgram{Items: []mcode.IUItem{
 		&mcode.IUStraight{Instrs: signalInstrs(200, 4)},
@@ -199,7 +196,7 @@ func signalInstrs(trips, bodyLen int) []*mcode.IUInstr {
 
 // emptyHost returns a host program with no traffic.
 func emptyHost() *hostgen.Program {
-	return &hostgen.Program{In: map[w2.Channel][]hostgen.Word{}, Out: map[w2.Channel][]int{}}
+	return &hostgen.Program{In: map[w2.Channel]hostgen.Stream{}, Out: map[w2.Channel]hostgen.Stream{}}
 }
 
 // dummySym returns a throwaway cell-array symbol.
@@ -224,11 +221,11 @@ func TestRunDetectsUnbalancedEnd(t *testing.T) {
 	}}
 	hostIn := func(n int) *hostgen.Program {
 		h := emptyHost()
-		h.In[w2.ChanX] = make([]hostgen.Word, n)
+		h.In[w2.ChanX] = hostgen.Of(make([]hostgen.Word, n)...)
 		return h
 	}
 	underDelivery := hostFor(1)
-	underDelivery.Out[w2.ChanX] = []int{1, 1}
+	underDelivery.Out[w2.ChanX] = hostgen.Of(hostgen.Word{Index: 1}, hostgen.Word{Index: 1})
 
 	for _, tc := range []struct {
 		name string

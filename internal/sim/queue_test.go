@@ -178,8 +178,8 @@ func TestStatsNamesHighWaterQueue(t *testing.T) {
 		}},
 	}}
 	host := &hostgen.Program{
-		In:  map[w2.Channel][]hostgen.Word{w2.ChanX: {{Index: 0}, {Index: 1}, {Index: 2}}},
-		Out: map[w2.Channel][]int{w2.ChanX: {3, 4, 5}},
+		In:  map[w2.Channel]hostgen.Stream{w2.ChanX: hostgen.Of(hostgen.Word{Index: 0}, hostgen.Word{Index: 1}, hostgen.Word{Index: 2})},
+		Out: map[w2.Channel]hostgen.Stream{w2.ChanX: hostgen.Of(hostgen.Word{Index: 3}, hostgen.Word{Index: 4}, hostgen.Word{Index: 5})},
 	}
 	stats, err := Run(Config{
 		Cells: 2, Cell: prog, IU: &mcode.IUProgram{}, Host: host,

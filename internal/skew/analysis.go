@@ -2,130 +2,153 @@ package skew
 
 import "fmt"
 
-// This file provides the cached two-step interface the compiler driver
-// uses per channel: the minimum-skew search and the queue-occupancy
-// check both need the enumerated dynamic I/O times, and before this
-// type existed each step re-enumerated both sides from scratch — four
-// multi-megaword walks per channel on image-sized workloads.  An
-// Analysis enumerates each side at most once and shares the slices.
+// This file is the compiler's skew analysis for one channel: the
+// minimum skew, and the queue occupancy at the skew the driver then
+// picks, both read off the loop trees by the structural evaluator of
+// tree.go.  Nothing here expands a trip count, so the cost depends on
+// the loop structure alone; MinSkewExact and MaxOccupancy are the
+// enumerating oracle the tests hold it to.
 
-// enumLimit is the dynamic I/O volume up to which the exact enumeration
-// runs; past it the pairwise closed-form bound takes over.
-const enumLimit = 1 << 20
+// evalBudget is the work one Analysis may do, in pushes looked at over
+// all its evaluations.  Streams the evaluator cannot skip through (pops
+// with no period in common with the pushes) run into it, and the
+// analysis fails rather than hang or guess.
+const evalBudget = 1 << 22
 
 // Analysis carries one channel's skew computation: built once per
 // channel, queried for the minimum skew, then — after the driver picks
 // the global maximum across channels — for the queue occupancy at that
 // chosen skew.
 type Analysis struct {
-	out, in *Prog
-	exact   bool
-	to, ti  []int64 // enumerated times (exact method only)
-	countO  int64
-	countI  int64
+	pushes, pops []Node // the upstream sends and the downstream receives, sealed
+	evals        int64  // pushes looked at so far
 }
 
-// NewAnalysis prepares the skew analysis for one channel pair.  When
-// the dynamic I/O volume fits the exact method, both sides' times are
-// enumerated here, once.
+// SearchStats describes how Analysis.MinSkewStats arrived at its answer.
+// The profiler exports it so the skew phase's cost can be identified
+// from data.
+type SearchStats struct {
+	Method string // "structural": evaluated on the loop tree
+	Ops    int64  // point evaluations: pushes the evaluator looked at, over all probes
+	Pairs  int64  // statement pairs analyzed (the paper's pairwise bound; not on the compile path)
+	Pruned int64  // pairs skipped by its coarse prefilter
+}
+
+// NewAnalysis prepares the skew analysis for one channel pair: the
+// outputs of out feed the queue the inputs of in drain.
 func NewAnalysis(out, in *Prog) (*Analysis, error) {
-	a := &Analysis{out: out, in: in, countO: out.Count(Output), countI: in.Count(Input)}
-	if a.countO != a.countI {
-		return nil, fmt.Errorf("skew: %d outputs vs %d inputs; send/receive counts must match", a.countO, a.countI)
+	if o, i := out.Count(Output), in.Count(Input); o != i {
+		return nil, fmt.Errorf("skew: %d outputs vs %d inputs; send/receive counts must match", o, i)
 	}
-	if a.countO <= enumLimit {
-		a.exact = true
-		a.to = out.Times(Output)
-		a.ti = in.Times(Input)
-	}
-	return a, nil
-}
-
-// MinSkewStats returns the minimum skew (clamped to ≥ 0) and the
-// search statistics, equivalent to the package-level MinSkewStats.
-func (a *Analysis) MinSkewStats() (int64, SearchStats, error) {
-	if a.exact {
-		st := SearchStats{Method: "exact", Ops: a.countO + a.countI}
-		s := minSkewTimes(a.to, a.ti)
-		if s < 0 {
-			s = 0
-		}
-		return s, st, nil
-	}
-	b, pairs, err := MinSkewBound(a.out, a.in, BoundPaper)
+	pushes, err := tree(out.Body)
 	if err != nil {
-		return 0, SearchStats{Method: "bound"}, err
+		return nil, err
 	}
-	total := int64(len(Statements(a.out, Output))) * int64(len(Statements(a.in, Input)))
-	st := SearchStats{Method: "bound", Pairs: int64(len(pairs)), Pruned: total - int64(len(pairs))}
-	s := b.Ceil()
-	if s < 0 {
-		s = 0
+	pops := pushes
+	if in != out {
+		if pops, err = tree(in.Body); err != nil {
+			return nil, err
+		}
+		Seal(pops)
 	}
-	return s, st, nil
+	Seal(pushes)
+	return &Analysis{pushes: pushes, pops: pops}, nil
 }
 
-// CheckQueue verifies the queue at the given skew over the cached
-// enumeration, equivalent to the package-level CheckQueue.
-func (a *Analysis) CheckQueue(skew, capacity int64) (int64, error) {
-	to, ti := a.to, a.ti
-	if !a.exact {
-		// The bound method never enumerated; the occupancy sweep needs
-		// the times, so enumerate them now (the pre-existing behaviour
-		// of CheckQueue on oversized programs).
-		to = a.out.Times(Output)
-		ti = a.in.Times(Input)
+// tree converts a body to the evaluator's form: operations of one cycle
+// share a leaf, outputs are its sends and inputs its receives.
+func tree(body []Elem) ([]Node, error) {
+	var out []Node
+	end := int64(0) // first cycle free after the nodes so far
+	for _, e := range body {
+		switch e := e.(type) {
+		case *Op:
+			if len(out) == 0 || out[len(out)-1].Loop != nil || out[len(out)-1].At != e.At {
+				if e.At < end {
+					return nil, fmt.Errorf("skew: %s(%d) at cycle %d is out of cycle order", e.Kind, e.ID, e.At)
+				}
+				out = append(out, Node{At: e.At, Instr: e.ID})
+				end = e.At + 1
+			}
+			if n := &out[len(out)-1]; e.Kind == Output {
+				n.Send++
+			} else {
+				n.Recv++
+			}
+		case *Loop:
+			if e.Trips < 1 || e.IterLen < 1 || e.At < end {
+				return nil, fmt.Errorf("skew: loop at cycle %d (%d trips of %d cycles) is empty or out of cycle order", e.At, e.Trips, e.IterLen)
+			}
+			inner, err := tree(e.Body)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, Node{At: e.At, Loop: &Nest{Trips: e.Trips, IterLen: e.IterLen, Body: inner}})
+			end = e.At + e.Trips*e.IterLen
+		}
 	}
-	occ, err := maxOccupancyTimes(to, ti, skew)
+	return out, nil
+}
+
+// evaluate is one structural evaluation of the queue at the given skew,
+// charged to the analysis budget.
+func (a *Analysis) evaluate(skew int64) (peak, low int64, err error) {
+	peak, low, ok := Evaluate(a.pushes, a.pops, skew+1, evalBudget-a.evals, &a.evals)
+	if !ok {
+		return 0, 0, fmt.Errorf("skew: queue not analyzed within the budget of %d evaluations (the sends and receives share no loop period)", int64(evalBudget))
+	}
+	return peak, low, nil
+}
+
+// MinSkewStats returns the minimum skew (clamped to ≥ 0) — the smallest
+// at which no receive executes before its matching send, §6.2.1's
+// max over n of τ_O(n) − τ_I(n) — and the search statistics.  The
+// queue's low-water mark only rises with the skew, so the search gallops
+// up from zero and bisects.
+func (a *Analysis) MinSkewStats() (int64, SearchStats, error) {
+	lo, hi := int64(-1), int64(0) // lo underflows (−1: no skew at all), hi is safe once the gallop ends
+	for {
+		_, low, err := a.evaluate(hi)
+		if err != nil {
+			return 0, a.stats(), err
+		}
+		if low >= 0 {
+			break
+		}
+		lo, hi = hi, 2*hi+1
+	}
+	for hi-lo > 1 {
+		mid := lo + (hi-lo)/2
+		_, low, err := a.evaluate(mid)
+		if err != nil {
+			return 0, a.stats(), err
+		}
+		if low >= 0 {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi, a.stats(), nil
+}
+
+func (a *Analysis) stats() SearchStats {
+	return SearchStats{Method: "structural", Ops: a.evals}
+}
+
+// CheckQueue verifies that with the given skew the queue never
+// underflows and its occupancy never exceeds capacity.  It returns the
+// maximum occupancy.
+func (a *Analysis) CheckQueue(skew, capacity int64) (int64, error) {
+	occ, low, err := a.evaluate(skew)
 	if err != nil {
 		return 0, err
+	}
+	if low < 0 {
+		return 0, fmt.Errorf("skew: a receive executes before its matching send (queue underflow; skew %d too small)", skew)
 	}
 	if occ > capacity {
 		return occ, fmt.Errorf("skew: queue needs %d words but the hardware provides %d (queue overflow)", occ, capacity)
 	}
 	return occ, nil
-}
-
-// minSkewTimes is MinSkewExact's core over pre-enumerated, matched
-// sequences.
-func minSkewTimes(to, ti []int64) int64 {
-	if len(to) == 0 {
-		return 0
-	}
-	best := to[0] - ti[0]
-	for n := 1; n < len(to); n++ {
-		if d := to[n] - ti[n]; d > best {
-			best = d
-		}
-	}
-	return best
-}
-
-// maxOccupancyTimes is MaxOccupancy's merge sweep over pre-enumerated
-// sequences.
-func maxOccupancyTimes(to, ti []int64, skew int64) (int64, error) {
-	if len(to) != len(ti) {
-		return 0, fmt.Errorf("skew: %d outputs vs %d inputs; send/receive counts must match", len(to), len(ti))
-	}
-	var cur, maxOcc int64
-	i, j := 0, 0
-	for i < len(to) || j < len(ti) {
-		// At equal times the arriving word is latched while another
-		// leaves, so count the send first (conservative peak).
-		if i < len(to) && (j >= len(ti) || to[i] <= ti[j]+skew) {
-			cur++
-			if cur > maxOcc {
-				maxOcc = cur
-			}
-			i++
-		} else {
-			cur--
-			if cur < 0 {
-				return 0, fmt.Errorf("skew: receive %d executes at cycle %d before its matching send at cycle %d (queue underflow; skew %d too small)",
-					j, ti[j]+skew, to[j], skew)
-			}
-			j++
-		}
-	}
-	return maxOcc, nil
 }

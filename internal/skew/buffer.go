@@ -14,26 +14,31 @@ import "fmt"
 // queue between an upstream cell executing the output program (starting
 // at cycle 0) and a downstream cell executing the input program
 // (starting at cycle skew).  A word occupies the queue from the cycle it
-// is sent until the cycle it is received.
+// is sent until the cycle it is received.  It enumerates every dynamic
+// operation: the oracle Analysis.CheckQueue is tested against.
 func MaxOccupancy(out, in *Prog, skew int64) (int64, error) {
 	to := out.Times(Output)
 	ti := in.Times(Input)
 	if len(to) != len(ti) {
 		return 0, fmt.Errorf("skew: %d outputs vs %d inputs; send/receive counts must match", len(to), len(ti))
 	}
-	return maxOccupancyTimes(to, ti, skew)
-}
-
-// CheckQueue verifies that with the given skew the queue never
-// underflows and its occupancy never exceeds capacity.  It returns the
-// maximum occupancy observed.
-func CheckQueue(out, in *Prog, skew, capacity int64) (int64, error) {
-	occ, err := MaxOccupancy(out, in, skew)
-	if err != nil {
-		return 0, err
+	var cur, maxOcc int64
+	i, j := 0, 0
+	for i < len(to) || j < len(ti) {
+		// At equal times the arriving word is latched while another
+		// leaves, so count the send first (conservative peak).
+		if i < len(to) && (j >= len(ti) || to[i] <= ti[j]+skew) {
+			cur++
+			maxOcc = max(maxOcc, cur)
+			i++
+		} else {
+			cur--
+			if cur < 0 {
+				return 0, fmt.Errorf("skew: receive %d executes at cycle %d before its matching send at cycle %d (queue underflow; skew %d too small)",
+					j, ti[j]+skew, to[j], skew)
+			}
+			j++
+		}
 	}
-	if occ > capacity {
-		return occ, fmt.Errorf("skew: queue needs %d words but the hardware provides %d (queue overflow)", occ, capacity)
-	}
-	return occ, nil
+	return maxOcc, nil
 }

@@ -12,10 +12,13 @@ import (
 //
 // where τ_O times the nth output of the upstream cell's program and τ_I
 // the nth input of the downstream cell's program.  Two methods are
-// provided: exact enumeration (ground truth; cost proportional to the
-// number of dynamic I/O operations) and the paper's cheap pairwise
+// provided here: exact enumeration (ground truth; cost proportional to
+// the number of dynamic I/O operations) and the paper's cheap pairwise
 // bound over the closed-form timing functions (cost proportional to the
 // number of static I/O statement pairs, independent of trip counts).
+// They are the paper's reproduction and the tests' oracle; the compiler
+// itself runs Analysis (analysis.go), which is exact and independent of
+// trip counts.
 
 // Overlap classifies how the domains of an output statement and an
 // input statement relate (§6.2.1).
@@ -200,7 +203,14 @@ func MinSkewExact(out, in *Prog) (int64, error) {
 	if len(to) != len(ti) {
 		return 0, fmt.Errorf("skew: %d outputs vs %d inputs; send/receive counts must match", len(to), len(ti))
 	}
-	return minSkewTimes(to, ti), nil
+	if len(to) == 0 {
+		return 0, nil
+	}
+	best := to[0] - ti[0]
+	for n := 1; n < len(to); n++ {
+		best = max(best, to[n]-ti[n])
+	}
+	return best, nil
 }
 
 // MinSkewBound computes the paper's cheap upper bound on the minimum
@@ -253,31 +263,4 @@ func MinSkewBound(out, in *Prog, mode BoundMode) (Rat, []PairBound, error) {
 		return RI(0), pairs, nil
 	}
 	return best, pairs, nil
-}
-
-// SearchStats describes how MinSkew arrived at its answer — which
-// method ran and how large the search space was.  The profiler exports
-// it so the skew phase's cost can be identified from data.
-type SearchStats struct {
-	Method string // "exact" or "bound"
-	Ops    int64  // dynamic I/O operations enumerated (exact method)
-	Pairs  int64  // statement pairs analyzed in detail (bound method)
-	Pruned int64  // pairs skipped by the coarse branch-and-bound prefilter
-}
-
-// MinSkew returns the skew the compiler applies between adjacent cells:
-// the exact minimum when the I/O volume is small enough to enumerate,
-// otherwise the ceiling of the pairwise bound, clamped to ≥ 0.
-func MinSkew(out, in *Prog) (int64, error) {
-	s, _, err := MinSkewStats(out, in)
-	return s, err
-}
-
-// MinSkewStats is MinSkew plus search-space statistics.
-func MinSkewStats(out, in *Prog) (int64, SearchStats, error) {
-	a, err := NewAnalysis(out, in)
-	if err != nil {
-		return 0, SearchStats{}, err
-	}
-	return a.MinSkewStats()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"warp/internal/mcode"
+	"warp/internal/skew"
 	"warp/internal/w2"
 )
 
@@ -51,14 +52,14 @@ func enumerate(pushes, pops []event, shift int64) (peak, low int64) {
 // compareQueue checks one queue three ways: the evaluator against the
 // unstopped enumeration (exact peak and low), and proveQueue's verdict
 // against the production sweep over the same events.
-func compareQueue(name string, pushes, pops []snode, shift int64) error {
+func compareQueue(name string, pushes, pops []skew.Node, shift int64) error {
 	pu, ok1 := flatten(pushes, pickSend)
 	po, ok2 := flatten(pops, pickRecv)
 	if !ok1 || !ok2 {
 		return fmt.Errorf("%s: too large to enumerate", name)
 	}
 	var evals int64
-	peak, low, ok := evaluate(pushes, pops, shift+1, &evals)
+	peak, low, ok := skew.Evaluate(pushes, pops, shift+1, enumEventLimit, &evals)
 	if !ok {
 		return fmt.Errorf("%s: evaluator out of budget", name)
 	}
@@ -82,14 +83,14 @@ func compareQueue(name string, pushes, pops []snode, shift int64) error {
 func Differential(p Program) error {
 	cs := buildCellStreams(p.Cell)
 	for _, ch := range []w2.Channel{w2.ChanX, w2.ChanY} {
-		treeCount(cs.data[ch])
+		skew.Seal(cs.data[ch])
 		if err := compareQueue("channel "+ch.String(), cs.data[ch], cs.data[ch], p.Skew); err != nil {
 			return err
 		}
 	}
-	treeCount(cs.mem)
-	treeCount(cs.bnd)
-	for name, body := range map[string][]snode{"Adr": cs.mem, "Sig": cs.bnd} {
+	skew.Seal(cs.mem)
+	skew.Seal(cs.bnd)
+	for name, body := range map[string][]skew.Node{"Adr": cs.mem, "Sig": cs.bnd} {
 		if p.Skew < 1 {
 			break
 		}
@@ -99,7 +100,7 @@ func Differential(p Program) error {
 			times[i] = e.at
 		}
 		var evals int64
-		if peak, _, _ := evaluate(body, body, p.Skew, &evals); peak != maxWindow(times, p.Skew) {
+		if peak, _, _ := skew.Evaluate(body, body, p.Skew, enumEventLimit, &evals); peak != maxWindow(times, p.Skew) {
 			return fmt.Errorf("%s window at skew %d: structural %d, maxWindow %d", name, p.Skew, peak, maxWindow(times, p.Skew))
 		}
 	}

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"warp/internal/mcode"
+	"warp/internal/skew"
 	"warp/internal/w2"
 )
 
@@ -25,26 +26,6 @@ import (
 // nth instruction of cell k runs at machine cycle start_k + n with
 // start_k = Lead + k·Skew.
 
-// snode is one element of a structured timed stream: either a leaf
-// carrying event counts at one cycle, or a loop.
-type snode struct {
-	at    int64 // cycle relative to the enclosing body's start
-	instr int   // leaf: static instruction index; boundary leaf: the loop's ID
-	send  int   // events pushed at this cycle
-	recv  int   // events popped at this cycle
-	loop  *sloop
-	// Events of the enclosing body's earlier nodes (set by treeCount).
-	sends, recvs int64
-}
-
-type sloop struct {
-	trips   int64
-	iterLen int64
-	body    []snode
-	// Events of one iteration (set by treeCount).
-	sends, recvs int64
-}
-
 // event is one dynamic stream event at an absolute cycle.
 type event struct {
 	at    int64
@@ -53,15 +34,15 @@ type event struct {
 
 // cellStreams is everything the verifier derives from one cell program.
 type cellStreams struct {
-	code   mcode.CellCode         // the decoded program (mcode's shared machine model)
-	index  map[*mcode.Instr]int   // an instruction's µPC: its index in code.Words
-	data   map[w2.Channel][]snode // send/recv counts per data channel
-	cycles int64                  // total program length in cycles
+	code   mcode.CellCode             // the decoded program (mcode's shared machine model)
+	index  map[*mcode.Instr]int       // an instruction's µPC: its index in code.Words
+	data   map[w2.Channel][]skew.Node // send/recv counts per data channel
+	cycles int64                      // total program length in cycles
 	// The streams every cell consumes from its left neighbour the cycle it
 	// forwards them to its right one, so a leaf's send and recv are equal:
 	// memory references (Adr queue), and loop boundaries (Sig queue) — one
 	// leaf per loop, at the iteration's last cycle, innermost first.
-	mem, bnd []snode
+	mem, bnd []skew.Node
 }
 
 // Stream slots of buildCellStreams' walk.
@@ -82,35 +63,35 @@ func buildCellStreams(p *mcode.CellProgram) *cellStreams {
 	for pc := range cs.code.Words {
 		cs.index[cs.code.Words[pc].Instr] = pc
 	}
-	var walk func(items []mcode.CodeItem) (length int64, out [numSlots][]snode)
-	walk = func(items []mcode.CodeItem) (at int64, out [numSlots][]snode) {
+	var walk func(items []mcode.CodeItem) (length int64, out [numSlots][]skew.Node)
+	walk = func(items []mcode.CodeItem) (at int64, out [numSlots][]skew.Node) {
 		for _, it := range items {
 			switch it := it.(type) {
 			case *mcode.Straight:
 				for _, in := range it.Instrs {
 					// One leaf per (instruction, stream), so a cycle carrying
 					// both a send and a receive keeps them together.
-					var leaf [numSlots]snode
+					var leaf [numSlots]skew.Node
 					for _, io := range in.IO {
 						n := &leaf[slotX]
 						if io.Chan == w2.ChanY {
 							n = &leaf[slotY]
 						}
 						if io.Recv {
-							n.recv++
+							n.Recv++
 						} else {
-							n.send++
+							n.Send++
 						}
 					}
 					for _, m := range in.Mem {
 						if m != nil {
-							leaf[slotMem].send++
-							leaf[slotMem].recv++
+							leaf[slotMem].Send++
+							leaf[slotMem].Recv++
 						}
 					}
 					for s, n := range leaf {
-						if n.send > 0 || n.recv > 0 {
-							n.at, n.instr = at, cs.index[in]
+						if n.Send > 0 || n.Recv > 0 {
+							n.At, n.Instr = at, cs.index[in]
 							out[s] = append(out[s], n)
 						}
 					}
@@ -119,11 +100,11 @@ func buildCellStreams(p *mcode.CellProgram) *cellStreams {
 			case *mcode.LoopItem:
 				n, inner := walk(it.Body)
 				if n > 0 {
-					inner[slotBnd] = append(inner[slotBnd], snode{at: n - 1, instr: it.ID, send: 1, recv: 1})
+					inner[slotBnd] = append(inner[slotBnd], skew.Node{At: n - 1, Instr: it.ID, Send: 1, Recv: 1})
 				}
 				for s, body := range inner {
 					if len(body) > 0 {
-						out[s] = append(out[s], snode{at: at, loop: &sloop{trips: it.Trips, iterLen: n, body: body}})
+						out[s] = append(out[s], skew.Node{At: at, Loop: &skew.Nest{Trips: it.Trips, IterLen: n, Body: body}})
 					}
 				}
 				at += n * it.Trips
@@ -133,7 +114,7 @@ func buildCellStreams(p *mcode.CellProgram) *cellStreams {
 	}
 	length, out := walk(p.Items)
 	cs.cycles = length
-	cs.data = map[w2.Channel][]snode{w2.ChanX: out[slotX], w2.ChanY: out[slotY]}
+	cs.data = map[w2.Channel][]skew.Node{w2.ChanX: out[slotX], w2.ChanY: out[slotY]}
 	cs.mem, cs.bnd = out[slotMem], out[slotBnd]
 	return cs
 }
@@ -142,10 +123,10 @@ func buildCellStreams(p *mcode.CellProgram) *cellStreams {
 // an Out or Sig field fires every time its word executes, so the
 // positions are as static as the cell's.  Leaves carry the IU µPC
 // (listing order, mcode.DecodeIU's numbering).
-func buildIUStreams(p *mcode.IUProgram) (adr, sig []snode) {
+func buildIUStreams(p *mcode.IUProgram) (adr, sig []skew.Node) {
 	pc := 0
-	var walk func(items []mcode.IUItem) (length int64, out [2][]snode)
-	walk = func(items []mcode.IUItem) (at int64, out [2][]snode) {
+	var walk func(items []mcode.IUItem) (length int64, out [2][]skew.Node)
+	walk = func(items []mcode.IUItem) (at int64, out [2][]skew.Node) {
 		for _, it := range items {
 			switch it := it.(type) {
 			case *mcode.IUStraight:
@@ -161,7 +142,7 @@ func buildIUStreams(p *mcode.IUProgram) (adr, sig []snode) {
 					}
 					for s, n := range emits {
 						if n > 0 {
-							out[s] = append(out[s], snode{at: at, instr: pc, send: n})
+							out[s] = append(out[s], skew.Node{At: at, Instr: pc, Send: n})
 						}
 					}
 					at++
@@ -171,7 +152,7 @@ func buildIUStreams(p *mcode.IUProgram) (adr, sig []snode) {
 				n, inner := walk(it.Body)
 				for s, body := range inner {
 					if len(body) > 0 {
-						out[s] = append(out[s], snode{at: at, loop: &sloop{trips: it.Trips, iterLen: n, body: body}})
+						out[s] = append(out[s], skew.Node{At: at, Loop: &skew.Nest{Trips: it.Trips, IterLen: n, Body: body}})
 					}
 				}
 				at += n * it.Trips
@@ -180,65 +161,45 @@ func buildIUStreams(p *mcode.IUProgram) (adr, sig []snode) {
 		return at, out
 	}
 	_, out := walk(p.Items)
-	treeCount(out[0])
-	treeCount(out[1])
+	skew.Seal(out[0])
+	skew.Seal(out[1])
 	return out[0], out[1]
-}
-
-// treeCount returns the dynamic send/recv event totals of a stream
-// without enumerating it — closed-form products over trip counts — and
-// records on every node the totals of what precedes it, which is what
-// lets count answer a prefix query in O(depth · log body).
-func treeCount(body []snode) (sends, recvs int64) {
-	for i := range body {
-		n := &body[i]
-		n.sends, n.recvs = sends, recvs
-		if l := n.loop; l != nil {
-			l.sends, l.recvs = treeCount(l.body)
-			sends += l.sends * l.trips
-			recvs += l.recvs * l.trips
-			continue
-		}
-		sends += int64(n.send)
-		recvs += int64(n.recv)
-	}
-	return sends, recvs
 }
 
 // each visits every dynamic leaf of the stream in time order with its
 // absolute cycle; last reports whether the leaf's enclosing loop is in
 // its final iteration (for a boundary leaf: the sequencer falls through).
-func each(body []snode, base int64, last bool, f func(n *snode, at int64, last bool)) {
+func each(body []skew.Node, base int64, last bool, f func(n *skew.Node, at int64, last bool)) {
 	for i := range body {
 		n := &body[i]
-		if l := n.loop; l != nil {
-			for k := int64(0); k < l.trips; k++ {
-				each(l.body, base+n.at+k*l.iterLen, k == l.trips-1, f)
+		if l := n.Loop; l != nil {
+			for k := int64(0); k < l.Trips; k++ {
+				each(l.Body, base+n.At+k*l.IterLen, k == l.Trips-1, f)
 			}
 		} else {
-			f(n, base+n.at, last)
+			f(n, base+n.At, last)
 		}
 	}
 }
 
 // flatten enumerates every dynamic event of the selected kind in time
 // order.  pick selects how many events a leaf yields (sends or recvs).
-// ok is false when the stream (sealed by treeCount) holds more than
+// ok is false when the stream (sealed by skew.Seal) holds more than
 // enumEventLimit events of either kind; every leaf carries one, so that
 // bounds the walk as well as the result.
-func flatten(body []snode, pick func(*snode) int) (out []event, ok bool) {
-	sends, recvs := count(body, forever)
+func flatten(body []skew.Node, pick func(*skew.Node) int) (out []event, ok bool) {
+	sends, recvs := skew.Count(body, skew.Forever)
 	if max(sends, recvs) > enumEventLimit {
 		return nil, false
 	}
 	out = make([]event, 0, max(sends, recvs))
-	each(body, 0, true, func(n *snode, at int64, _ bool) {
+	each(body, 0, true, func(n *skew.Node, at int64, _ bool) {
 		for k := pick(n); k > 0; k-- {
-			out = append(out, event{at: at, instr: n.instr})
+			out = append(out, event{at: at, instr: n.Instr})
 		}
 	})
 	return out, true
 }
 
-func pickSend(n *snode) int { return n.send }
-func pickRecv(n *snode) int { return n.recv }
+func pickSend(n *skew.Node) int { return n.Send }
+func pickRecv(n *skew.Node) int { return n.Recv }

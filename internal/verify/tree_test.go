@@ -3,6 +3,8 @@ package verify
 import (
 	"math/rand"
 	"testing"
+
+	"warp/internal/skew"
 )
 
 // Quick-check of the structural evaluation on hand-built random stream
@@ -11,8 +13,8 @@ import (
 
 // randBody builds a random body and returns it with its length in
 // cycles.  trips bounds the product of trip counts still to hand out.
-func randBody(rng *rand.Rand, depth int, trips int64) ([]snode, int64) {
-	var body []snode
+func randBody(rng *rand.Rand, depth int, trips int64) ([]skew.Node, int64) {
+	var body []skew.Node
 	var at int64
 	for n := 1 + rng.Intn(4); n > 0; n-- {
 		at += int64(rng.Intn(4))
@@ -21,13 +23,13 @@ func randBody(rng *rand.Rand, depth int, trips int64) ([]snode, int64) {
 			t = max(1, min(t, trips))
 			inner, length := randBody(rng, depth-1, trips/t)
 			length += int64(rng.Intn(3))
-			body = append(body, snode{at: at, loop: &sloop{trips: t, iterLen: length, body: inner}})
+			body = append(body, skew.Node{At: at, Loop: &skew.Nest{Trips: t, IterLen: length, Body: inner}})
 			at += t * length
 			continue
 		}
-		leaf := snode{at: at, instr: rng.Intn(100), send: rng.Intn(3), recv: rng.Intn(3)}
-		if leaf.send+leaf.recv == 0 {
-			leaf.send = 1
+		leaf := skew.Node{At: at, Instr: rng.Intn(100), Send: rng.Intn(3), Recv: rng.Intn(3)}
+		if leaf.Send+leaf.Recv == 0 {
+			leaf.Send = 1
 		}
 		body = append(body, leaf)
 		at++
@@ -39,18 +41,18 @@ func randBody(rng *rand.Rand, depth int, trips int64) ([]snode, int64) {
 // other events in them — the popping side of a queue between two
 // programs in lock step.  Some loops come back m times finer (the IU
 // loop that spans m cell iterations, seen from the cell).
-func reshape(rng *rand.Rand, body []snode) []snode {
-	out := make([]snode, 0, len(body))
+func reshape(rng *rand.Rand, body []skew.Node) []skew.Node {
+	out := make([]skew.Node, 0, len(body))
 	for _, n := range body {
-		l := n.loop
+		l := n.Loop
 		switch {
 		case l == nil:
-			n.send, n.recv = rng.Intn(2), 1+rng.Intn(2)
-		case rng.Intn(3) == 0 && l.iterLen%2 == 0:
-			p := l.iterLen / 2
-			n.loop = &sloop{trips: l.trips * 2, iterLen: p, body: []snode{{at: int64(rng.Intn(int(p))), recv: 1 + rng.Intn(2)}}}
+			n.Send, n.Recv = rng.Intn(2), 1+rng.Intn(2)
+		case rng.Intn(3) == 0 && l.IterLen%2 == 0:
+			p := l.IterLen / 2
+			n.Loop = &skew.Nest{Trips: l.Trips * 2, IterLen: p, Body: []skew.Node{{At: int64(rng.Intn(int(p))), Recv: 1 + rng.Intn(2)}}}
 		default:
-			n.loop = &sloop{trips: l.trips, iterLen: l.iterLen, body: reshape(rng, l.body)}
+			n.Loop = &skew.Nest{Trips: l.Trips, IterLen: l.IterLen, Body: reshape(rng, l.Body)}
 		}
 		out = append(out, n)
 	}
@@ -58,10 +60,10 @@ func reshape(rng *rand.Rand, body []snode) []snode {
 }
 
 // shifted copies a body, moved by delta cycles.
-func shifted(body []snode, delta int64) []snode {
-	out := append([]snode(nil), body...)
+func shifted(body []skew.Node, delta int64) []skew.Node {
+	out := append([]skew.Node(nil), body...)
 	for i := range out {
-		out[i].at += delta
+		out[i].At += delta
 	}
 	return out
 }
@@ -70,30 +72,30 @@ func shifted(body []snode, delta int64) []snode {
 // at random split in two, unrolled twice or peeled, recursively, so that
 // the periods and trip counts the evaluator reasons over change and the
 // answer may not.
-func reroll(rng *rand.Rand, body []snode) []snode {
-	var out []snode
+func reroll(rng *rand.Rand, body []skew.Node) []skew.Node {
+	var out []skew.Node
 	for _, n := range body {
-		l := n.loop
+		l := n.Loop
 		if l == nil {
 			out = append(out, n)
 			continue
 		}
-		inner := reroll(rng, l.body)
-		loop := func(at, trips, iterLen int64, body []snode) snode {
-			return snode{at: at, loop: &sloop{trips: trips, iterLen: iterLen, body: body}}
+		inner := reroll(rng, l.Body)
+		loop := func(at, trips, iterLen int64, body []skew.Node) skew.Node {
+			return skew.Node{At: at, Loop: &skew.Nest{Trips: trips, IterLen: iterLen, Body: body}}
 		}
 		switch mode := rng.Intn(4); {
-		case mode == 0 && l.trips >= 2: // split
-			t1 := 1 + rng.Int63n(l.trips-1)
-			out = append(out, loop(n.at, t1, l.iterLen, inner), loop(n.at+t1*l.iterLen, l.trips-t1, l.iterLen, inner))
-		case mode == 1 && l.trips%2 == 0: // unroll
-			twice := append(shifted(inner, 0), shifted(inner, l.iterLen)...)
-			out = append(out, loop(n.at, l.trips/2, 2*l.iterLen, twice))
-		case mode == 2 && l.trips >= 2: // peel
-			out = append(out, shifted(inner, n.at)...)
-			out = append(out, loop(n.at+l.iterLen, l.trips-1, l.iterLen, inner))
+		case mode == 0 && l.Trips >= 2: // split
+			t1 := 1 + rng.Int63n(l.Trips-1)
+			out = append(out, loop(n.At, t1, l.IterLen, inner), loop(n.At+t1*l.IterLen, l.Trips-t1, l.IterLen, inner))
+		case mode == 1 && l.Trips%2 == 0: // unroll
+			twice := append(shifted(inner, 0), shifted(inner, l.IterLen)...)
+			out = append(out, loop(n.At, l.Trips/2, 2*l.IterLen, twice))
+		case mode == 2 && l.Trips >= 2: // peel
+			out = append(out, shifted(inner, n.At)...)
+			out = append(out, loop(n.At+l.IterLen, l.Trips-1, l.IterLen, inner))
 		default:
-			out = append(out, loop(n.at, l.trips, l.iterLen, inner))
+			out = append(out, loop(n.At, l.Trips, l.IterLen, inner))
 		}
 	}
 	return out
@@ -101,13 +103,13 @@ func reroll(rng *rand.Rand, body []snode) []snode {
 
 // clone deep-copies a tree, so that sealing one use of a body does not
 // disturb another (reroll shares bodies between the loops it makes).
-func clone(body []snode) []snode {
-	out := append([]snode(nil), body...)
+func clone(body []skew.Node) []skew.Node {
+	out := append([]skew.Node(nil), body...)
 	for i := range out {
-		if l := out[i].loop; l != nil {
+		if l := out[i].Loop; l != nil {
 			cp := *l
-			cp.body = clone(l.body)
-			out[i].loop = &cp
+			cp.Body = clone(l.Body)
+			out[i].Loop = &cp
 		}
 	}
 	return out
@@ -128,8 +130,8 @@ func TestStructuralQuickCheck(t *testing.T) {
 			pops = reshape(rng, pushes)
 		}
 		pushes, pops = clone(pushes), clone(pops)
-		sends, r := treeCount(pushes)
-		s, recvs := treeCount(pops)
+		sends, r := skew.Seal(pushes)
+		s, recvs := skew.Seal(pops)
 		if sends == 0 {
 			continue
 		}
@@ -144,14 +146,14 @@ func TestStructuralQuickCheck(t *testing.T) {
 		// theirs, which is the only direction the verifier meets (and the
 		// evaluator skips in): the IU's loops span whole cell iterations.
 		again := clone(reroll(rng, pushes))
-		treeCount(again)
+		skew.Seal(again)
 		againPops := pops
 		if iter%2 == 0 {
 			againPops = again
 		}
 		for _, shift := range quickShifts {
 			var evals, evalsAgain int64
-			peak, low, ok := evaluate(pushes, pops, shift+1, &evals)
+			peak, low, ok := skew.Evaluate(pushes, pops, shift+1, enumEventLimit, &evals)
 			if !ok {
 				t.Fatalf("tree %d shift %d: out of budget after %d evaluations", iter, shift, evals)
 			}
@@ -162,7 +164,7 @@ func TestStructuralQuickCheck(t *testing.T) {
 				enumerated++
 			}
 			// The same streams under another loop structure.
-			if p2, l2, ok := evaluate(again, againPops, shift+1, &evalsAgain); !ok || p2 != peak || l2 != low {
+			if p2, l2, ok := skew.Evaluate(again, againPops, shift+1, enumEventLimit, &evalsAgain); !ok || p2 != peak || l2 != low {
 				t.Fatalf("tree %d shift %d: peak %d low %d, rerolled peak %d low %d (ok=%v)", iter, shift, peak, low, p2, l2, ok)
 			}
 			metamorphic++
@@ -186,10 +188,10 @@ func TestStructuralQuickCheck(t *testing.T) {
 // sweep, runs into the work budget, and the queue is left unproven — not
 // accepted.
 func TestQueueProofBudget(t *testing.T) {
-	pushes := []snode{{loop: &sloop{trips: 2 * enumEventLimit, iterLen: 1, body: []snode{{send: 1}}}}}
-	pops := []snode{{loop: &sloop{trips: enumEventLimit, iterLen: 2, body: []snode{{at: 1, recv: 2}}}}}
-	treeCount(pushes)
-	treeCount(pops)
+	pushes := []skew.Node{{Loop: &skew.Nest{Trips: 2 * enumEventLimit, IterLen: 1, Body: []skew.Node{{Send: 1}}}}}
+	pops := []skew.Node{{Loop: &skew.Nest{Trips: enumEventLimit, IterLen: 2, Body: []skew.Node{{At: 1, Recv: 2}}}}}
+	skew.Seal(pushes)
+	skew.Seal(pops)
 	var evals int64
 	if _, ok := proveQueue(pushes, pops, 1, &evals); ok || evals <= enumEventLimit {
 		t.Errorf("proveQueue ok=%v after %d evaluations, want unproven at the budget of %d", ok, evals, int64(enumEventLimit))
@@ -202,14 +204,14 @@ func TestQueueProofBudget(t *testing.T) {
 }
 
 // pushesAsPops turns every send of a stream into a receive.
-func pushesAsPops(body []snode) []snode {
+func pushesAsPops(body []skew.Node) []skew.Node {
 	out := clone(body)
 	for i := range out {
-		out[i].send, out[i].recv = 0, out[i].send
-		if l := out[i].loop; l != nil {
-			l.body = pushesAsPops(l.body)
+		out[i].Send, out[i].Recv = 0, out[i].Send
+		if l := out[i].Loop; l != nil {
+			l.Body = pushesAsPops(l.Body)
 		}
 	}
-	treeCount(out)
+	skew.Seal(out)
 	return out
 }

@@ -12,7 +12,7 @@
 //     loop, occupancy is linear in the iteration number wherever pushes
 //     and pops repeat together, so only the first and last iterations of
 //     such a stretch are looked at and no trip count is ever expanded
-//     (queue.go);
+//     (skew.Evaluate, called from queue.go);
 //   - skew coverage: every receive of cell k is covered by the compiled
 //     skew relative to the matching send of cell k−1;
 //   - FPU result latency: no register read before its producer's
@@ -38,6 +38,7 @@ import (
 	"warp/internal/conc"
 	"warp/internal/hostgen"
 	"warp/internal/mcode"
+	"warp/internal/skew"
 	"warp/internal/w2"
 )
 
@@ -156,10 +157,10 @@ func VerifyParallel(p Program, workers int) (*Report, error) {
 	// group reads them, so they are derived once before the fan-out (which
 	// also seals the trees for the groups' prefix queries).
 	for _, ch := range []w2.Channel{w2.ChanX, w2.ChanY} {
-		rep.Sends[ch], rep.Recvs[ch] = treeCount(cs.data[ch])
+		rep.Sends[ch], rep.Recvs[ch] = skew.Seal(cs.data[ch])
 	}
-	rep.MemRefs, _ = treeCount(cs.mem)
-	rep.Signals, _ = treeCount(cs.bnd)
+	rep.MemRefs, _ = skew.Seal(cs.mem)
+	rep.Signals, _ = skew.Seal(cs.bnd)
 
 	// Independent invariant groups.  Each runs against a shadow report
 	// seeded with the shared totals and a private collector; shadows
@@ -296,13 +297,13 @@ func checkStructure(p Program, cs *cellStreams, col *collector) {
 // waits on a full queue), so count equality is the whole obligation.
 func checkHostStreams(p Program, rep *Report, col *collector) {
 	for _, ch := range []w2.Channel{w2.ChanX, w2.ChanY} {
-		if in := int64(len(p.Host.In[ch])); in != rep.Recvs[ch] {
+		if in := p.Host.In[ch].Words(); in != rep.Recvs[ch] {
 			col.add(Diagnostic{Invariant: InvHostStream, Cell: 0, Instr: -1, Loop: -1,
 				Detail: fmt.Sprintf("host feeds %d words on %s but the first cell receives %d", in, ch, rep.Recvs[ch])})
 		} else {
 			col.ok()
 		}
-		if out := int64(len(p.Host.Out[ch])); out != rep.Sends[ch] {
+		if out := p.Host.Out[ch].Words(); out != rep.Sends[ch] {
 			col.add(Diagnostic{Invariant: InvHostStream, Cell: p.Cells - 1, Instr: -1, Loop: -1,
 				Detail: fmt.Sprintf("host expects %d words on %s but the last cell sends %d", out, ch, rep.Sends[ch])})
 		} else {
@@ -375,11 +376,11 @@ func checkForwardedStreams(p Program, cs *cellStreams, rep *Report, col *collect
 	if p.Cells < 2 {
 		return
 	}
-	check := func(name string, body []snode) Occ {
+	check := func(name string, body []skew.Node) Occ {
 		if len(body) == 0 {
 			return Occ{}
 		}
-		peak, _, ok := evaluate(body, body, p.Skew, &rep.Evals)
+		peak, _, ok := skew.Evaluate(body, body, p.Skew, enumEventLimit, &rep.Evals)
 		switch {
 		case !ok:
 			unproven(col, -1, name+" queue")
@@ -488,8 +489,8 @@ func checkIUStreams(p Program, cs *cellStreams, rep *Report, col *collector) {
 	col.ok()
 	seqOK := true
 	i := 0
-	each(cs.bnd, 0, true, func(b *snode, at int64, last bool) {
-		s, id, more := trace.Sigs[i], b.instr, !last
+	each(cs.bnd, 0, true, func(b *skew.Node, at int64, last bool) {
+		s, id, more := trace.Sigs[i], b.Instr, !last
 		if s.ID != id || s.More != more {
 			col.add(Diagnostic{Invariant: InvSigStream, Cell: -1, Instr: s.PC, Loop: id,
 				Detail: fmt.Sprintf("signal %d: IU sends L%d(more=%v) but the sequencer crosses L%d(more=%v)", i, s.ID, s.More, id, more)})

@@ -33,8 +33,8 @@ func program(nIn, nOut int, items ...mcode.CodeItem) Program {
 		Cell:  &mcode.CellProgram{Items: items},
 		IU:    &mcode.IUProgram{},
 		Host: &hostgen.Program{
-			In:  map[w2.Channel][]hostgen.Word{w2.ChanX: make([]hostgen.Word, nIn)},
-			Out: map[w2.Channel][]int{w2.ChanX: make([]int, nOut)},
+			In:  map[w2.Channel]hostgen.Stream{w2.ChanX: hostgen.Of(make([]hostgen.Word, nIn)...)},
+			Out: map[w2.Channel]hostgen.Stream{w2.ChanX: hostgen.Of(make([]hostgen.Word, nOut)...)},
 		},
 		Skew: 1,
 		Lead: 1,
