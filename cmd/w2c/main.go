@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	w2c [-cell] [-iu] [-noopt] [-pipeline] [-verify] [-cells n] [-compile-workers n]
+//	w2c [-cell] [-iu] [-noopt] [-pipeline] [-verify] [-cells n]
 //	    [-bounds n=32[,k=5...]] program.w2
 //
 // Without listing flags it prints the compile report: microcode sizes,
@@ -39,7 +39,6 @@ func main() {
 		pipeline = flag.Bool("pipeline", false, "software pipeline innermost loops")
 		doVerify = flag.Bool("verify", false, "statically verify the generated microcode")
 		cells    = flag.Int("cells", 0, "override the array size")
-		cworkers = warp.CompileWorkersFlag()
 		bounds   = warp.BoundsFlag()
 	)
 	flag.Parse()
@@ -54,11 +53,10 @@ func main() {
 		os.Exit(1)
 	}
 	opts := warp.Options{
-		NoOptimize:     *noopt,
-		Pipeline:       *pipeline,
-		Cells:          *cells,
-		Verify:         *doVerify,
-		CompileWorkers: *cworkers,
+		NoOptimize: *noopt,
+		Pipeline:   *pipeline,
+		Cells:      *cells,
+		Verify:     *doVerify,
 	}
 	var prog *warp.Program
 	if len(bounds) > 0 {

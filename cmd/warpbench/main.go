@@ -4,7 +4,7 @@
 // Usage:
 //
 //	warpbench [-exp name] [-pipeline]
-//	warpbench -json out.json [-iters n] [-compile-workers n]
+//	warpbench -json out.json [-iters n]
 //
 // Experiments: fig3-1, fig4-2, fig5-1, table6-1, table6-2, table6-3,
 // table6-4, table6-5, table7-1, throughput, utilization, hotspot,
@@ -44,11 +44,10 @@ func main() {
 	exp := flag.String("exp", "all", "experiment to regenerate")
 	jsonOut := flag.String("json", "", "write the machine-readable benchmark suite to this file and exit")
 	iters := flag.Int("iters", 5, "wall-clock iterations per experiment with -json")
-	cworkers := warp.CompileWorkersFlag() // applies to -json
 	flag.Parse()
 
 	if *jsonOut != "" {
-		report, err := bench.RunWorkers(*iters, *cworkers)
+		report, err := bench.Run(*iters)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "warpbench: %v\n", err)
 			os.Exit(1)

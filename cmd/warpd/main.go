@@ -61,7 +61,6 @@ import (
 	"syscall"
 	"time"
 
-	"warp"
 	"warp/internal/service"
 )
 
@@ -75,7 +74,6 @@ func main() {
 		maxCycles = flag.Int64("max-cycles", 0, "per-run livelock guard (0 = simulator default, 1<<28)")
 		arrays    = flag.Int("arrays", 2, "default fabric width for partitioned run requests")
 		noVerify  = flag.Bool("no-verify", false, "skip static microcode verification (verified by default; violations return 422)")
-		cworkers  = warp.CompileWorkersFlag()
 		drain     = flag.Duration("drain", 30*time.Second, "shutdown grace period for in-flight runs")
 		logFormat = flag.String("log", "text", "log format: text or json")
 		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn or error")
@@ -103,7 +101,6 @@ func main() {
 		MaxCycles:      *maxCycles,
 		Arrays:         *arrays,
 		NoVerify:       *noVerify,
-		CompileWorkers: *cworkers,
 		Logger:         logger,
 		FlightSize:     *flight,
 	})

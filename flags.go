@@ -7,10 +7,10 @@ import (
 	"strings"
 )
 
-// The flags more than one command takes are declared here, once, so
-// that their names, defaults and help texts cannot drift apart: w2c and
-// warpsim take -bounds; w2c, warpd and warpbench take -compile-workers.
-// Like the commands' own flags they register on flag.CommandLine.
+// The flag more than one command takes is declared here, once, so that
+// its name and help text cannot drift apart: w2c and warpsim take
+// -bounds.  Like the commands' own flags it registers on
+// flag.CommandLine.
 
 // BoundsFlag declares -bounds and returns the bound vector it fills:
 // empty unless the flag is given, which makes the program argument a
@@ -33,10 +33,4 @@ func BoundsFlag() map[string]int64 {
 			return nil
 		})
 	return bounds
-}
-
-// CompileWorkersFlag declares -compile-workers (Options.CompileWorkers).
-func CompileWorkersFlag() *int {
-	return flag.Int("compile-workers", 0,
-		"parallelism inside one compilation (0 = GOMAXPROCS, in warpd capped at -workers; 1 = serial; output is identical at any setting)")
 }

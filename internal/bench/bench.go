@@ -308,15 +308,6 @@ func wallStats(durs []time.Duration) *Wall {
 	}
 }
 
-// Run executes the benchmark suite: the five Table 7-1 compilations
-// (software pipelining on, wall-clock measured per compile) and the
-// pinned simulation workloads (compile once, run iters times).  iters
-// < 1 is treated as 1.  Compilations use the compiler's default
-// parallelism; RunWorkers pins it.
-func Run(iters int) (*Report, error) {
-	return RunWorkers(iters, 0)
-}
-
 // compileExperiment measures one compilation iters times and reduces
 // it to a compile-kind record: total and per-phase wall statistics,
 // deterministic µcode counters, and the scheduler roll-up.
@@ -362,36 +353,18 @@ func compileExperiment(name, src string, iters int, opts warp.Options) (Experime
 	return ex, nil
 }
 
-// RunWorkers is Run with the per-compilation parallelism pinned
-// (warp.Options.CompileWorkers; 0 = the compiler's default).  The
-// setting changes wall times only — the compiler's output is
-// byte-identical at any worker count, so every deterministic counter
-// in the report is unaffected.
-//
-// Beyond the standard suite it emits the compile-scaling experiments:
-// the heaviest Table 7-1 compilation (colorseg) at 1, 2 and 4 workers,
-// named compile-scaling/colorseg-w<n>.  Their wall statistics are the
-// parallel-speedup curve; the gate treats them like any other compile
-// experiment (deterministic counters hard-gated, wall advisory).
-func RunWorkers(iters, compileWorkers int) (*Report, error) {
+// Run executes the benchmark suite: the five Table 7-1 compilations
+// (software pipelining on, wall-clock measured per compile) and the
+// pinned simulation workloads (compile once, run iters times).  iters
+// < 1 is treated as 1.
+func Run(iters int) (*Report, error) {
 	if iters < 1 {
 		iters = 1
 	}
 	rep := &Report{Schema: Schema}
 
 	for _, cc := range compileCases() {
-		ex, err := compileExperiment("compile/"+cc.name, cc.src(), iters,
-			warp.Options{Pipeline: true, CompileWorkers: compileWorkers})
-		if err != nil {
-			return nil, err
-		}
-		rep.Experiments = append(rep.Experiments, ex)
-	}
-
-	for _, w := range []int{1, 2, 4} {
-		ex, err := compileExperiment(fmt.Sprintf("compile-scaling/colorseg-w%d", w),
-			workloads.ColorSegPaper(), iters,
-			warp.Options{Pipeline: true, CompileWorkers: w})
+		ex, err := compileExperiment("compile/"+cc.name, cc.src(), iters, warp.Options{Pipeline: true})
 		if err != nil {
 			return nil, err
 		}
@@ -399,7 +372,7 @@ func RunWorkers(iters, compileWorkers int) (*Report, error) {
 	}
 
 	for _, rc := range runCases() {
-		prog, err := warp.Compile(rc.src(), warp.Options{Pipeline: rc.pipe, CompileWorkers: compileWorkers})
+		prog, err := warp.Compile(rc.src(), warp.Options{Pipeline: rc.pipe})
 		if err != nil {
 			return nil, fmt.Errorf("run/%s: compile: %w", rc.name, err)
 		}
@@ -419,7 +392,7 @@ func RunWorkers(iters, compileWorkers int) (*Report, error) {
 	}
 
 	for _, fc := range fabricCases() {
-		prog, err := warp.Compile(fc.tile(), warp.Options{Pipeline: true, CompileWorkers: compileWorkers})
+		prog, err := warp.Compile(fc.tile(), warp.Options{Pipeline: true})
 		if err != nil {
 			return nil, fmt.Errorf("fabric/%s: compile: %w", fc.name, err)
 		}

@@ -203,9 +203,9 @@ func TestRunPinsBaselines(t *testing.T) {
 			t.Errorf("%s = %d cycles, want the pinned baseline %d", name, got[name], cycles)
 		}
 	}
-	// +3 for the compile-scaling/colorseg-w{1,2,4} curve, +1 fastexec.
-	if want := len(compileCases()) + 3 + len(runCases()) + len(fabricCases()) + 1; len(rep.Experiments) != want {
-		t.Errorf("suite ran %d experiments, want %d (incl. scaling curve and fastexec)", len(rep.Experiments), want)
+	// +1 fastexec.
+	if want := len(compileCases()) + len(runCases()) + len(fabricCases()) + 1; len(rep.Experiments) != want {
+		t.Errorf("suite ran %d experiments, want %d (incl. fastexec)", len(rep.Experiments), want)
 	}
 	// The fastexec backend comparison: Run itself verifies the two
 	// backends agree bit-for-bit before emitting the record, so here we

@@ -28,11 +28,7 @@ type Options struct {
 	// (modulo scheduling with modulo variable expansion), the technique
 	// family the paper cites from Patel/Davidson and Rau/Glaeser.
 	Pipeline bool
-	// Workers bounds the modulo scheduler's speculative II search: up
-	// to Workers candidate initiation intervals are scheduled
-	// concurrently per batch, then accepted in ascending-II order, so
-	// the chosen schedule and every introspection counter except wall
-	// time match the serial search exactly.  ≤ 1 searches serially.
+	// Workers is ignored; kept for benchmark/, see ROADMAP 1(c).
 	Workers int
 }
 

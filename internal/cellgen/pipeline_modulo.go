@@ -3,7 +3,6 @@ package cellgen
 import (
 	"sort"
 
-	"warp/internal/conc"
 	"warp/internal/ir"
 	"warp/internal/mcode"
 	"warp/internal/prof"
@@ -469,50 +468,23 @@ func (g *gen) moduloSchedule(r *ir.LoopRegion, b *ir.Block, ls *prof.LoopSched) 
 	mii := recurrenceBound(b, edges, resMII(b), base.len)
 	ls.MII = int(mii)
 
-	// Speculative search: try up to Workers candidate IIs concurrently
-	// per batch, each against a private scratch counter, then walk the
-	// batch in ascending II merging only the candidates a serial search
-	// would have reached.  tryModulo is a pure function of (b, edges,
-	// ii), so the accepted schedule — and every counter except wall
-	// time — is identical at any worker count.  Emission stays serial:
-	// it allocates loop IDs from the generator's sequential state.
-	batch := g.opts.Workers
-	if batch < 1 {
-		batch = 1
-	}
-	type candidate struct {
-		ms      *moduloResult
-		ok      bool
-		scratch prof.LoopSched
-	}
-	for lo := mii; lo < base.len; lo += int64(batch) {
-		hi := lo + int64(batch)
-		if hi > base.len {
-			hi = base.len
+	for ii := mii; ii < base.len; ii++ {
+		ls.Attempts++
+		ms, ok := tryModulo(b, edges, ii, ls)
+		if !ok {
+			continue
 		}
-		cands := make([]candidate, hi-lo)
-		conc.Do(batch, len(cands), func(i int) {
-			cands[i].ms, cands[i].ok = tryModulo(b, edges, lo+int64(i), &cands[i].scratch)
-		})
-		for i := range cands {
-			ls.Attempts++
-			ls.Placements += cands[i].scratch.Placements
-			ls.Evictions += cands[i].scratch.Evictions
-			if !cands[i].ok {
-				continue
-			}
-			items, ok, err := g.emitModulo(r, b, cands[i].ms, trips)
-			if err != nil {
-				return nil, false, err
-			}
-			if ok {
-				ls.II = int(lo + int64(i))
-				return items, true, nil
-			}
-			// Register pressure or trip count rejected this II; a larger II
-			// lowers the overlap, so keep searching.
-			ls.EmitRejects++
+		items, ok, err := g.emitModulo(r, b, ms, trips)
+		if err != nil {
+			return nil, false, err
 		}
+		if ok {
+			ls.II = int(ii)
+			return items, true, nil
+		}
+		// Register pressure or trip count rejected this II; a larger II
+		// lowers the overlap, so keep searching.
+		ls.EmitRejects++
 	}
 	ls.Reason = "no feasible II below the list schedule"
 	return nil, false, nil

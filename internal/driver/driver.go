@@ -11,7 +11,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -19,7 +18,6 @@ import (
 
 	"warp/internal/cellgen"
 	"warp/internal/commgraph"
-	"warp/internal/conc"
 	"warp/internal/fastexec"
 	"warp/internal/hostgen"
 	"warp/internal/interp"
@@ -51,15 +49,7 @@ type Options struct {
 	// is handed out, and a violation fails the compilation with a
 	// *verify.Error carrying structured diagnostics.
 	Verify bool
-	// CompileWorkers bounds the compiler's own parallelism: once the
-	// cell program is frozen, the skew analysis (per channel), the IU
-	// generator, the host generator (per stream) and the verifier (per
-	// invariant group) run concurrently on up to this many workers, and
-	// the modulo scheduler searches candidate IIs speculatively.  0
-	// defaults to GOMAXPROCS; 1 compiles serially.  The compiled
-	// artifact — microcode, skew, queue bounds, cycle counts, scheduler
-	// counters — is byte-identical at every setting; only wall-clock
-	// measurements (phase timings, search nanoseconds) vary.
+	// CompileWorkers is ignored; kept for benchmark/, see ROADMAP 1(c).
 	CompileWorkers int
 }
 
@@ -178,21 +168,16 @@ func Compile(src string, opts Options) (*Compiled, error) {
 	return c, err
 }
 
-// phase appends one per-phase timing record ending now.  Serial phases
-// run on worker lane 0.
+// phase appends the timing record of a phase that started at start and
+// ends now.
 func (c *Compiled) phase(name string, start time.Time, size int, note string) {
-	c.Phases = append(c.Phases, c.stat(name, start, size, note))
-}
-
-// stat is the timing record, on lane 0, of a phase that started at start
-// and ends now.
-func (c *Compiled) stat(name string, start time.Time, size int, note string) obs.PhaseStat {
-	d := time.Since(start).Seconds()
 	off := start.Sub(c.t0).Seconds()
 	if off < 0 {
 		off = 0
 	}
-	return obs.PhaseStat{Name: name, Seconds: d, Size: size, Note: note, Start: off}
+	c.Phases = append(c.Phases, obs.PhaseStat{
+		Name: name, Seconds: time.Since(start).Seconds(), Size: size, Note: note, Start: off,
+	})
 }
 
 // analyze runs the front end — parse, semantic analysis, flowgraph,
@@ -251,22 +236,18 @@ func analyze(src string, opts Options) (*Compiled, error) {
 	return c, nil
 }
 
-// generate runs the back end — the three code generators, the skew
-// analysis and the verifier — on a copy of the analyzed program fe.
+// generate runs the back end — the three code generators in the paper's
+// order, the skew analysis and the verifier — on a copy of the analyzed
+// program fe.
 func generate(fe *Compiled, opts Options) (*Compiled, error) {
 	c := &Compiled{
 		Module: fe.Module, Info: fe.Info, IR: fe.IR, OptStats: fe.OptStats, Comm: fe.Comm,
 		Cells: fe.Cells, W2Lines: fe.W2Lines, Src: fe.Src, t0: fe.t0,
 		Phases: append([]obs.PhaseStat(nil), fe.Phases...),
 	}
-	mod, src, prog := c.Module, c.Src, c.IR
-	workers := opts.CompileWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 
 	start := time.Now()
-	cg, err := cellgen.Generate(prog, cellgen.Options{Pipeline: opts.Pipeline, Workers: workers})
+	cg, err := cellgen.Generate(c.IR, cellgen.Options{Pipeline: opts.Pipeline})
 	if err != nil {
 		return nil, err
 	}
@@ -274,9 +255,8 @@ func generate(fe *Compiled, opts Options) (*Compiled, error) {
 	c.Cell = cg.Cell
 	c.Sched = cg.Sched
 	// The debug map assigns µprogram addresses — the one mutation of
-	// the cell program after generation — so it runs here, before the
-	// cell program is published to the concurrent back-end tasks.
-	c.Debug = prof.BuildDebugMap(mod.Name, src, c.Cell)
+	// the cell program after generation; everything below only reads it.
+	c.Debug = prof.BuildDebugMap(c.Module.Name, c.Src, c.Cell)
 	note := ""
 	if opts.Pipeline {
 		t := c.Sched.Totals()
@@ -285,146 +265,50 @@ func generate(fe *Compiled, opts Options) (*Compiled, error) {
 	}
 	c.phase("cellgen", start, c.Cell.NumInstrs(), note)
 
-	// With the cell program frozen, the remaining phases only read it:
-	// the skew analysis, the IU generator and the host generator are
-	// mutually independent, and the verifier needs all three — a
-	// fork-join of three tasks on up to `workers` goroutines, then the
-	// verifier.  Each task records its phase and its error into a
-	// private slot; the slots are read in canonical (serial) order
-	// below, so Compiled.Phases keeps one order, and a failing compile
-	// reports the error a serial walk would have hit first, at any
-	// worker count.  A parallel compile records each task's slot as its
-	// phase's lane: one task per lane, so a lane's phases never overlap.
-	c.Timing = cellgen.Timing(c.Cell)
-	c.QueueOcc = map[w2.Channel]int64{}
-	chans := make([]w2.Channel, 0, len(c.Timing))
-	for ch := range c.Timing {
-		chans = append(chans, ch)
+	start = time.Now()
+	if err := c.analyzeSkew(); err != nil {
+		return nil, err
 	}
-	sort.Slice(chans, func(i, j int) bool { return fmt.Sprint(chans[i]) < fmt.Sprint(chans[j]) })
+	skewNote := ""
+	if len(c.Sched.Skews) > 0 {
+		skewNote = fmt.Sprintf("structural search, %d points evaluated", c.Sched.Totals().SkewOps)
+	}
+	c.phase("skew", start, int(c.Skew), skewNote)
 
-	tasks := []func() (obs.PhaseStat, error){
-		// Inter-cell scheduling: minimum skew and queue occupancy per
-		// channel (§6.2), each channel analyzed independently.  A
-		// single-cell array has no inter-cell boundary to synchronize.
-		func() (obs.PhaseStat, error) {
-			start := time.Now()
-			if c.Cells > 1 {
-				type chanSkew struct {
-					an  *skew.Analysis
-					rec prof.SkewSearch
-					err error
-				}
-				res := make([]chanSkew, len(chans))
-				conc.Do(workers, len(chans), func(i int) {
-					ch := chans[i]
-					chStart := time.Now()
-					a, err := skew.NewAnalysis(c.Timing[ch], c.Timing[ch])
-					if err != nil {
-						res[i].err = fmt.Errorf("driver: channel %s: %w", ch, err)
-						return
-					}
-					s, st, err := a.MinSkewStats()
-					if err != nil {
-						res[i].err = fmt.Errorf("driver: channel %s: %w", ch, err)
-						return
-					}
-					res[i].an = a
-					res[i].rec = prof.SkewSearch{
-						Channel: fmt.Sprint(ch),
-						Method:  st.Method,
-						Ops:     st.Ops,
-						Pairs:   st.Pairs,
-						Pruned:  st.Pruned,
-						Skew:    s,
-						NS:      time.Since(chStart).Nanoseconds(),
-					}
-				})
-				var maxSkew int64
-				for i := range res {
-					if res[i].err != nil {
-						return obs.PhaseStat{}, res[i].err
-					}
-					c.Sched.Skews = append(c.Sched.Skews, res[i].rec)
-					if res[i].rec.Skew > maxSkew {
-						maxSkew = res[i].rec.Skew
-					}
-				}
-				// Addresses and loop signals propagate systolically one
-				// cycle per hop, so multi-cell arrays need a skew of at
-				// least one cycle.
-				if maxSkew < 1 {
-					maxSkew = 1
-				}
-				c.Skew = maxSkew
-				for i, ch := range chans {
-					occ, err := res[i].an.CheckQueue(c.Skew, mcode.QueueDepth)
-					if err != nil {
-						return obs.PhaseStat{}, fmt.Errorf("driver: channel %s: %w", ch, err)
-					}
-					c.QueueOcc[ch] = occ
-				}
-			}
-			// Channels were analyzed in sorted order, so the
-			// introspection record is already deterministic.
-			skewNote := ""
-			if len(c.Sched.Skews) > 0 {
-				t := c.Sched.Totals()
-				skewNote = fmt.Sprintf("structural search, %d points evaluated", t.SkewOps)
-			}
-			return c.stat("skew", start, int(c.Skew), skewNote), nil
-		},
-		func() (obs.PhaseStat, error) {
-			start := time.Now()
-			iu, err := iugen.Generate(c.Cell)
-			if err != nil {
-				return obs.PhaseStat{}, err
-			}
-			c.IUGen = iu
-			c.IU = iu.IU
-			return c.stat("iugen", start, c.IU.NumInstrs(), ""), nil
-		},
-		func() (obs.PhaseStat, error) {
-			start := time.Now()
-			host, err := hostgen.Generate(c.Cell)
-			if err != nil {
-				return obs.PhaseStat{}, err
-			}
-			c.Host = host
-			var hostWords int64
-			for _, s := range host.In {
-				hostWords += s.Words()
-			}
-			for _, s := range host.Out {
-				hostWords += s.Words()
-			}
-			return c.stat("hostgen", start, int(hostWords), ""), nil
-		},
+	start = time.Now()
+	iu, err := iugen.Generate(c.Cell)
+	if err != nil {
+		return nil, err
 	}
-	phases := make([]obs.PhaseStat, len(tasks))
-	errs := make([]error, len(tasks))
-	conc.Do(workers, len(tasks), func(i int) {
-		phases[i], errs[i] = tasks[i]()
-		if workers > 1 {
-			phases[i].Worker = i
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	c.IUGen = iu
+	c.IU = iu.IU
+	c.phase("iugen", start, c.IU.NumInstrs(), "")
+
+	start = time.Now()
+	host, err := hostgen.Generate(c.Cell)
+	if err != nil {
+		return nil, err
 	}
-	c.Phases = append(c.Phases, phases...)
+	c.Host = host
+	var hostWords int64
+	for _, s := range host.In {
+		hostWords += s.Words()
+	}
+	for _, s := range host.Out {
+		hostWords += s.Words()
+	}
+	c.phase("hostgen", start, int(hostWords), "")
+
 	if opts.Verify {
-		start := time.Now()
-		rep, err := verify.VerifyParallel(verify.Program{
+		start = time.Now()
+		rep, err := verify.Verify(verify.Program{
 			Cells: c.Cells,
 			Cell:  c.Cell,
 			IU:    c.IU,
 			Host:  c.Host,
 			Skew:  c.Skew,
 			Lead:  c.IUGen.Prologue + 1,
-		}, workers)
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -432,6 +316,61 @@ func generate(fe *Compiled, opts Options) (*Compiled, error) {
 		c.phase("verify", start, rep.Checked, fmt.Sprintf("%d propositions proven", rep.Checked))
 	}
 	return c, nil
+}
+
+// analyzeSkew is the inter-cell scheduling step (§6.2): the minimum skew
+// over every channel, then each channel's queue occupancy at that skew.
+// Channels are taken in sorted order, so the introspection record in
+// Sched.Skews and the first error reported are deterministic.  A
+// single-cell array has no inter-cell boundary to synchronize.
+func (c *Compiled) analyzeSkew() error {
+	c.Timing = cellgen.Timing(c.Cell)
+	c.QueueOcc = map[w2.Channel]int64{}
+	if c.Cells <= 1 {
+		return nil
+	}
+	chans := make([]w2.Channel, 0, len(c.Timing))
+	for ch := range c.Timing {
+		chans = append(chans, ch)
+	}
+	sort.Slice(chans, func(i, j int) bool { return fmt.Sprint(chans[i]) < fmt.Sprint(chans[j]) })
+
+	// Addresses and loop signals propagate systolically one cycle per
+	// hop, so multi-cell arrays need a skew of at least one cycle.
+	c.Skew = 1
+	analyses := make([]*skew.Analysis, len(chans))
+	for i, ch := range chans {
+		chStart := time.Now()
+		a, err := skew.NewAnalysis(c.Timing[ch], c.Timing[ch])
+		if err != nil {
+			return fmt.Errorf("driver: channel %s: %w", ch, err)
+		}
+		s, st, err := a.MinSkewStats()
+		if err != nil {
+			return fmt.Errorf("driver: channel %s: %w", ch, err)
+		}
+		analyses[i] = a
+		c.Sched.Skews = append(c.Sched.Skews, prof.SkewSearch{
+			Channel: fmt.Sprint(ch),
+			Method:  st.Method,
+			Ops:     st.Ops,
+			Pairs:   st.Pairs,
+			Pruned:  st.Pruned,
+			Skew:    s,
+			NS:      time.Since(chStart).Nanoseconds(),
+		})
+		if s > c.Skew {
+			c.Skew = s
+		}
+	}
+	for i, ch := range chans {
+		occ, err := analyses[i].CheckQueue(c.Skew, mcode.QueueDepth)
+		if err != nil {
+			return fmt.Errorf("driver: channel %s: %w", ch, err)
+		}
+		c.QueueOcc[ch] = occ
+	}
+	return nil
 }
 
 func countLines(src string) int {

@@ -123,7 +123,7 @@ func TestCompileAllocBudget(t *testing.T) {
 	src := workloads.ColorSegPaper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	c, err := Compile(src, Options{Pipeline: true, Verify: true, CompileWorkers: 1})
+	c, err := Compile(src, Options{Pipeline: true, Verify: true})
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"warp/internal/workloads"
@@ -16,8 +17,7 @@ func compileFingerprint(t *testing.T, c *Compiled) string {
 	return Fingerprint(c)
 }
 
-// phaseNames returns the compile's phase names in merge order — the
-// canonical order must itself be independent of the worker count.
+// phaseNames returns the compile's phase names in execution order.
 func phaseNames(c *Compiled) string {
 	var names []string
 	for _, p := range c.Phases {
@@ -26,12 +26,34 @@ func phaseNames(c *Compiled) string {
 	return strings.Join(names, ",")
 }
 
+// compileAtOnce has n callers compile src at the same moment — what
+// warpd's pool does to the compiler — and returns each caller's result.
+// A compilation is one goroutine; the concurrency under test is between
+// compilations.
+func compileAtOnce(n int, src string, opts Options) ([]*Compiled, []error) {
+	cs, errs := make([]*Compiled, n), make([]error, n)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			cs[i], errs[i] = Compile(src, opts)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	return cs, errs
+}
+
 // TestCompileEquivalence is the compile-equivalence harness: every
-// example workload, plain and software-pipelined, compiled at 1, 2 and
-// 8 workers, must produce byte-identical microcode, host programs,
-// skew vectors and scheduler counters.  The serial compilation
-// (CompileWorkers=1) is the reference.  Run under -race in CI, this is
-// also the data-race probe for the whole parallel compile path.
+// example workload, plain and software-pipelined, compiled by 2 and by
+// 8 concurrent callers, must produce in every caller the microcode, host
+// programs, skew vectors, scheduler counters and phase order of a lone
+// compile.  Run under -race, this is the data-race probe for state the
+// compiler's packages share between compilations, and it catches output
+// that depends on map iteration order.
 func TestCompileEquivalence(t *testing.T) {
 	cases := []struct {
 		name string
@@ -57,23 +79,26 @@ func TestCompileEquivalence(t *testing.T) {
 			}
 			t.Run(tc.name+"/"+mode, func(t *testing.T) {
 				t.Parallel()
-				ref, err := Compile(tc.src, Options{Pipeline: pipe, Verify: true, CompileWorkers: 1})
+				opts := Options{Pipeline: pipe, Verify: true}
+				ref, err := Compile(tc.src, opts)
 				if err != nil {
-					t.Fatalf("serial compile: %v", err)
+					t.Fatalf("lone compile: %v", err)
 				}
 				refFP := compileFingerprint(t, ref)
 				refPhases := phaseNames(ref)
-				for _, workers := range []int{2, 8} {
-					c, err := Compile(tc.src, Options{Pipeline: pipe, Verify: true, CompileWorkers: workers})
-					if err != nil {
-						t.Fatalf("workers=%d compile: %v", workers, err)
-					}
-					if fp := compileFingerprint(t, c); fp != refFP {
-						t.Errorf("workers=%d: output diverged from serial compile:\n%s",
-							workers, firstDiff(refFP, fp))
-					}
-					if pn := phaseNames(c); pn != refPhases {
-						t.Errorf("workers=%d: phase order %q, serial %q", workers, pn, refPhases)
+				for _, callers := range []int{2, 8} {
+					cs, errs := compileAtOnce(callers, tc.src, opts)
+					for i, c := range cs {
+						if errs[i] != nil {
+							t.Fatalf("caller %d of %d: %v", i, callers, errs[i])
+						}
+						if fp := compileFingerprint(t, c); fp != refFP {
+							t.Errorf("caller %d of %d: output diverged from a lone compile:\n%s",
+								i, callers, firstDiff(refFP, fp))
+						}
+						if pn := phaseNames(c); pn != refPhases {
+							t.Errorf("caller %d of %d: phase order %q, alone %q", i, callers, pn, refPhases)
+						}
 					}
 				}
 			})
@@ -82,28 +107,38 @@ func TestCompileEquivalence(t *testing.T) {
 }
 
 // TestCompileEquivalenceCycles closes the loop on the contract's
-// "cycle counts" clause: programs compiled at different worker counts
-// must simulate to the same cycle count (guaranteed by byte-identical
-// microcode, asserted here end to end on a small workload).
+// "cycle counts" clause: programs compiled by concurrent callers must
+// simulate to the cycle count of a lone compile (guaranteed by
+// byte-identical microcode, asserted here end to end on a small
+// workload).
 func TestCompileEquivalenceCycles(t *testing.T) {
 	src := workloads.Polynomial(10, 100)
+	opts := Options{Pipeline: true, Verify: true}
 	inputs := map[string][]float64{
 		"z": make([]float64, 100), "c": make([]float64, 10),
 	}
-	var ref int64
-	for i, workers := range []int{1, 2, 8} {
-		c, err := Compile(src, Options{Pipeline: true, Verify: true, CompileWorkers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+	cycles := func(c *Compiled) int64 {
+		t.Helper()
 		_, stats, err := Run(c, inputs)
 		if err != nil {
-			t.Fatalf("workers=%d run: %v", workers, err)
+			t.Fatal(err)
 		}
-		if i == 0 {
-			ref = stats.Cycles
-		} else if stats.Cycles != ref {
-			t.Errorf("workers=%d: %d cycles, serial compile gave %d", workers, stats.Cycles, ref)
+		return stats.Cycles
+	}
+	lone, err := Compile(src, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := cycles(lone)
+	for _, callers := range []int{2, 8} {
+		cs, errs := compileAtOnce(callers, src, opts)
+		for i, c := range cs {
+			if errs[i] != nil {
+				t.Fatalf("caller %d of %d: %v", i, callers, errs[i])
+			}
+			if got := cycles(c); got != ref {
+				t.Errorf("caller %d of %d: %d cycles, a lone compile gave %d", i, callers, got, ref)
+			}
 		}
 	}
 }
@@ -114,18 +149,19 @@ func firstDiff(a, b string) string {
 	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
 	for i := 0; i < len(al) && i < len(bl); i++ {
 		if al[i] != bl[i] {
-			return fmt.Sprintf("line %d:\n  serial:   %q\n  parallel: %q", i+1, al[i], bl[i])
+			return fmt.Sprintf("line %d:\n  alone:      %q\n  concurrent: %q", i+1, al[i], bl[i])
 		}
 	}
-	return fmt.Sprintf("lengths differ: serial %d lines, parallel %d lines", len(al), len(bl))
+	return fmt.Sprintf("lengths differ: alone %d lines, concurrent %d lines", len(al), len(bl))
 }
 
-// FuzzCompileParallel is the differential fuzzer for the parallel
-// compile path: every accepted random program must compile to
-// bit-identical artifacts serially and at 8 workers, in both plain and
-// pipelined modes, with verification on — so every accepted program
-// also passes the static verifier under both schedules.  The seed
-// corpus runs as a regular test; explore with
+// FuzzCompileParallel is the differential fuzzer for concurrent
+// compilation: every random program, compiled by 2 and by 8 callers at
+// once in both plain and pipelined modes with verification on, must
+// give every caller what a lone compile gives — bit-identical artifacts
+// for an accepted program (which therefore also passes the static
+// verifier under both schedules), the same error for a rejected one.
+// The seed corpus runs as a regular test; explore with
 // `go test -fuzz=FuzzCompileParallel ./internal/driver`.
 func FuzzCompileParallel(f *testing.F) {
 	for seed := int64(0); seed < 16; seed++ {
@@ -135,27 +171,32 @@ func FuzzCompileParallel(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		src, _ := workloads.RandomProgram(rng)
 		for _, pipe := range []bool{false, true} {
-			serial, err := Compile(src, Options{Pipeline: pipe, Verify: true, CompileWorkers: 1})
-			if err != nil {
-				// The generator can emit programs the front end
-				// rejects; the contract is only about accepted ones —
-				// but rejection itself must be worker-independent.
-				if _, perr := Compile(src, Options{Pipeline: pipe, Verify: true, CompileWorkers: 8}); perr == nil {
-					t.Fatalf("pipeline=%v: serial compile rejected (%v) but parallel accepted\n%s", pipe, err, src)
+			opts := Options{Pipeline: pipe, Verify: true}
+			lone, loneErr := Compile(src, opts)
+			var loneFP string
+			if loneErr == nil {
+				if lone.Verified == nil {
+					t.Fatalf("pipeline=%v: verification did not run", pipe)
 				}
-				continue
+				loneFP = compileFingerprint(t, lone)
 			}
-			par, err := Compile(src, Options{Pipeline: pipe, Verify: true, CompileWorkers: 8})
-			if err != nil {
-				t.Fatalf("pipeline=%v: parallel compile rejected what serial accepted: %v\n%s", pipe, err, src)
-			}
-			sfp, pfp := compileFingerprint(t, serial), compileFingerprint(t, par)
-			if sfp != pfp {
-				t.Fatalf("pipeline=%v: serial and 8-worker compiles diverged:\n%s\n%s",
-					pipe, firstDiff(sfp, pfp), src)
-			}
-			if serial.Verified == nil || par.Verified == nil {
-				t.Fatalf("pipeline=%v: verification did not run", pipe)
+			for _, callers := range []int{2, 8} {
+				cs, errs := compileAtOnce(callers, src, opts)
+				for i, c := range cs {
+					// The generator can emit programs the compiler
+					// rejects; rejection must not depend on company.
+					if loneErr != nil || errs[i] != nil {
+						if fmt.Sprint(loneErr) != fmt.Sprint(errs[i]) {
+							t.Fatalf("pipeline=%v: caller %d of %d got error %v, a lone compile %v\n%s",
+								pipe, i, callers, errs[i], loneErr, src)
+						}
+						continue
+					}
+					if fp := compileFingerprint(t, c); fp != loneFP {
+						t.Fatalf("pipeline=%v: caller %d of %d diverged from a lone compile:\n%s\n%s",
+							pipe, i, callers, firstDiff(loneFP, fp), src)
+					}
+				}
 			}
 		}
 	})

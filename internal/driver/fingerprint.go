@@ -18,10 +18,10 @@ import (
 // are measurements of the compile, not outputs of it.
 //
 // Two compilations with equal fingerprints are interchangeable: they
-// simulate to the same cycle counts and outputs.  The PR 9 parallel
-// compile equivalence harness pins worker-count independence against
-// it, and the service pins a bounds request's program against a compile
-// of the generator's concrete source with it.
+// simulate to the same cycle counts and outputs.  The compile
+// equivalence harness pins concurrent callers to a lone compile with it,
+// and the service pins a bounds request's program against a compile of
+// the generator's concrete source with it.
 func Fingerprint(c *Compiled) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "cells=%d skew=%d backoff=%v %q\n", c.Cells, c.Skew, c.PipelineBackoff, c.BackoffReason)
@@ -39,9 +39,8 @@ func Fingerprint(c *Compiled) string {
 	sort.Strings(occ)
 	sb.WriteString(strings.Join(occ, " ") + "\n")
 
-	// Scheduler introspection: the counters are part of the contract
-	// (a parallel II search must count placements exactly as the
-	// serial one), the nanosecond fields are not.
+	// Scheduler introspection: the counters are part of the contract,
+	// the nanosecond fields are not.
 	st := c.Sched.Totals()
 	fmt.Fprintf(&sb, "sched loops=%d pipelined=%d attempts=%d placements=%d evictions=%d emitrejects=%d skewops=%d skewpairs=%d skewpruned=%d\n",
 		st.Loops, st.Pipelined, st.Attempts, st.Placements, st.Evictions, st.EmitRejects,

@@ -2,113 +2,72 @@ package driver
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
+	"warp/internal/obs"
 	"warp/internal/workloads"
 )
 
-// TestPhaseTimingSoundness pins the phase-timing contract under
-// parallel compilation: phase stats feed warpd's
-// compile_phase_seconds_total counter and the Chrome trace lanes, so
-// they must not double-count.  The contract is per lane — tasks on one
-// worker lane run sequentially, so their [Start, Start+Seconds)
-// intervals never overlap and their durations sum to at most the
-// compile's wall time.  Cross-lane overlap is expected (that is the
-// parallelism); cross-lane sums are not bounded by wall.
+// TestPhaseTimingSoundness pins the phase-timing contract: phase stats
+// feed warpd's compile_phase_seconds_total counter and the Chrome
+// compiler track, so they must not double-count.  A compilation is one
+// goroutine, so the contract is global: each phase is recorded once, no
+// two phases of one compile overlap, and their durations sum to at most
+// the compile's wall time — alone (workers=1) and with four callers
+// compiling at once (workers=4), the way warpd's pool calls the compiler.
 func TestPhaseTimingSoundness(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			start := time.Now()
-			c, err := Compile(workloads.ColorSegPaper(), Options{
-				Pipeline: true, Verify: true, CompileWorkers: workers,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			wall := time.Since(start).Seconds()
-
-			// Each phase is recorded exactly once: duplicate names would
-			// double-count in the per-phase Prometheus counter.
-			seen := map[string]int{}
-			for _, p := range c.Phases {
-				seen[p.Name]++
-			}
-			for name, n := range seen {
-				if n != 1 {
-					t.Errorf("phase %q recorded %d times; the phase counter would double-count", name, n)
-				}
-			}
-
-			byLane := map[int][]int{}
-			for i, p := range c.Phases {
-				if p.Seconds < 0 {
-					t.Errorf("phase %q: negative duration %v", p.Name, p.Seconds)
-				}
-				if p.Start < 0 {
-					t.Errorf("phase %q: starts %fs before the compile", p.Name, -p.Start)
-				}
-				if workers == 1 && p.Worker != 0 {
-					t.Errorf("phase %q: on lane %d in a serial compile", p.Name, p.Worker)
-				}
-				byLane[p.Worker] = append(byLane[p.Worker], i)
-			}
-
-			// The serial front end always runs on lane 0; every lane index
-			// must be inside the worker pool.
-			for lane := range byLane {
-				if lane < 0 || lane >= workers {
-					t.Errorf("phase recorded on lane %d, pool has %d lanes", lane, workers)
-				}
-			}
-
-			// Per-lane: non-overlapping intervals, and Σ durations ≤ wall.
-			// A small epsilon absorbs float rounding of the offsets.
-			const eps = 1e-9
-			for lane, idxs := range byLane {
-				var sum float64
-				for ai, i := range idxs {
-					a := c.Phases[i]
-					sum += a.Seconds
-					for _, j := range idxs[ai+1:] {
-						b := c.Phases[j]
-						if a.Start < b.Start+b.Seconds-eps && b.Start < a.Start+a.Seconds-eps {
-							t.Errorf("lane %d: phases %q [%f,%f) and %q [%f,%f) overlap",
-								lane, a.Name, a.Start, a.Start+a.Seconds,
-								b.Name, b.Start, b.Start+b.Seconds)
-						}
+	for _, callers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", callers), func(t *testing.T) {
+			var wg sync.WaitGroup
+			for caller := 0; caller < callers; caller++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					start := time.Now()
+					c, err := Compile(workloads.ColorSegPaper(), Options{Pipeline: true, Verify: true})
+					if err != nil {
+						t.Error(err)
+						return
 					}
-				}
-				if sum > wall+eps {
-					t.Errorf("lane %d: phase durations sum to %fs, compile wall was %fs — double-counted time",
-						lane, sum, wall)
-				}
+					checkPhaseTiming(t, c.Phases, time.Since(start).Seconds())
+				}()
 			}
+			wg.Wait()
 		})
 	}
 }
 
-// BenchmarkCompileWorkers is the compile-scaling microbenchmark: the
-// heaviest Table 7-1 compilation at 1, 2 and 4 workers.  On a
-// single-CPU host the curve is flat; the benchmark's job is to show
-// parallelism is free (no slowdown from the orchestration), and on
-// multi-core hosts, what it buys.
-func BenchmarkCompileWorkers(b *testing.B) {
-	src := workloads.ColorSegPaper()
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("colorseg-w%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := Compile(src, Options{Pipeline: true, Verify: true, CompileWorkers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+// checkPhaseTiming checks one compile's phase records, in execution
+// order, against the wall time of the Compile call that produced them.
+func checkPhaseTiming(t *testing.T, phases []obs.PhaseStat, wall float64) {
+	// A small epsilon absorbs float rounding of the offsets.
+	const eps = 1e-9
+	seen := map[string]bool{}
+	var sum, end float64
+	for _, p := range phases {
+		if seen[p.Name] {
+			t.Errorf("phase %q recorded twice; the phase counter would double-count", p.Name)
+		}
+		seen[p.Name] = true
+		if p.Seconds < 0 {
+			t.Errorf("phase %q: negative duration %v", p.Name, p.Seconds)
+		}
+		if p.Start < end-eps {
+			t.Errorf("phase %q starts at %fs, before the previous phase ended at %fs", p.Name, p.Start, end)
+		}
+		end = p.Start + p.Seconds
+		sum += p.Seconds
+	}
+	if sum > wall+eps {
+		t.Errorf("phase durations sum to %fs, compile wall was %fs — double-counted time", sum, wall)
 	}
 }
 
-// BenchmarkCompileSerial tracks the serial baseline on the remaining
-// paper workloads so a superlinear phase regression is caught by
-// `go test -bench` without the full warpbench suite.
+// BenchmarkCompileSerial tracks whole compiles of two paper workloads so
+// a superlinear phase regression is caught by `go test -bench` without
+// the full warpbench suite.
 func BenchmarkCompileSerial(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -119,7 +78,7 @@ func BenchmarkCompileSerial(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Compile(c.src, Options{Pipeline: true, CompileWorkers: 1}); err != nil {
+				if _, err := Compile(c.src, Options{Pipeline: true}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -63,13 +63,6 @@ func TestVerifyGoldenReports(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep4, err := verify.VerifyParallel(verifyProgram(c), 4)
-			if err != nil {
-				t.Fatalf("%s at 4 workers: %v", name, err)
-			}
-			if got4, _ := json.Marshal(rep4); !bytes.Equal(got, got4) {
-				t.Errorf("%s: report differs at 4 workers:\n  1: %s\n  4: %s", name, got, got4)
-			}
 			fmt.Fprintf(&out, "%s %s\n", name, got)
 		}
 	}

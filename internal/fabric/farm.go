@@ -42,7 +42,7 @@ type TileStats struct {
 // Config sizes and paces the farm.
 type Config struct {
 	// Arrays is how many simulator instances run tiles concurrently
-	// (minimum 1).
+	// (minimum 1).  Run never goes wider than the plan has tiles.
 	Arrays int
 	// Deadline bounds each tile attempt (0 = none beyond the parent
 	// context).
@@ -76,7 +76,7 @@ func (e *TileError) Unwrap() error { return e.Err }
 
 // Stats is the fabric-level aggregation of a job's per-tile profiles.
 type Stats struct {
-	Arrays     int
+	Arrays     int // farm width used: Config.Arrays, at most Tiles
 	Tiles      int // planned tiles
 	Dispatched int // tile attempts started (retries included)
 	Retried    int // attempts beyond each tile's first
@@ -166,6 +166,13 @@ func defaultRetryable(err error) bool {
 func Run(ctx context.Context, pl *Plan, cfg Config, run RunTileFunc) ([]float64, *Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	// Arrays may come straight off a request.  A farm wider than the
+	// plan cannot schedule differently — the extra arrays never get a
+	// tile — so the width, which sizes the goroutines, both channels and
+	// the makespan model, stops at the tile count.
+	if cfg.Arrays > len(pl.Tiles) {
+		cfg.Arrays = len(pl.Tiles)
 	}
 	if cfg.Arrays < 1 {
 		cfg.Arrays = 1

@@ -3,6 +3,8 @@ package fabric
 import (
 	"context"
 	"errors"
+	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -264,6 +266,48 @@ func TestStitchOrderIndependence(t *testing.T) {
 				t.Fatalf("seed %d: c[%d] = %v differs from first run's %v", seed, i, out[i], first[i])
 			}
 		}
+	}
+}
+
+// TestArraysBeyondTiles: Config.Arrays can come off a request unbounded,
+// and the farm must never be wider than its plan.  A 4-tile plan asked
+// for 1<<30 arrays runs exactly as it does on 4 — same outputs, stats
+// and makespan — on as many goroutines: every tile holds its array until
+// all four are in flight, and the process's goroutine count is read then.
+func TestArraysBeyondTiles(t *testing.T) {
+	pl := stressPlan(t, 4, 2, 4, 2)
+	if len(pl.Tiles) != 4 {
+		t.Fatalf("plan has %d tiles, want 4", len(pl.Tiles))
+	}
+	farm := func(arrays int) ([]float64, *Stats, int) {
+		before := runtime.NumGoroutine()
+		var inFlight sync.WaitGroup
+		inFlight.Add(len(pl.Tiles))
+		var goroutines atomic.Int64
+		run := func(ctx context.Context, tl Tile, in map[string][]float64) ([]float64, TileStats, error) {
+			inFlight.Done()
+			inFlight.Wait()
+			goroutines.Store(int64(runtime.NumGoroutine()))
+			return fakeMatmulRun(100+int64(tl.ID))(ctx, tl, in)
+		}
+		out, stats, err := Run(context.Background(), pl, Config{Arrays: arrays}, run)
+		if err != nil {
+			t.Fatalf("arrays=%d: %v", arrays, err)
+		}
+		return out, stats, int(goroutines.Load()) - before
+	}
+	want, wantStats, _ := farm(4)
+	got, gotStats, extra := farm(1 << 30)
+	if !reflect.DeepEqual(got, want) {
+		t.Error("outputs differ from the 4-array run")
+	}
+	if gotStats.Arrays != 4 || gotStats.MakespanCycles != wantStats.MakespanCycles ||
+		gotStats.AggregateCycles != wantStats.AggregateCycles || gotStats.Dispatched != wantStats.Dispatched {
+		t.Errorf("stats %+v, the 4-array run had %+v", gotStats, wantStats)
+	}
+	// Four workers, the stager and the closer.
+	if extra > 6 {
+		t.Errorf("%d goroutines beyond the caller's for a 4-tile plan, want at most 6", extra)
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 // per cell — the cell's activity/stall track plus one track per
 // functional unit and memory port — one counter track per queue for
 // occupancy, and a second process (pid 2, "compiler") carrying the
-// compile-phase slices, one track per compile worker lane.  One machine
-// cycle maps to one microsecond of trace time.
+// compile-phase slices on one track.  One machine cycle maps to one
+// microsecond of trace time.
 //
 // Consecutive same-kind stall cycles are coalesced into one slice so a
 // long skew lead-in or drain is a single span, not thousands of events.
@@ -190,16 +190,15 @@ func (t *ChromeTracer) flushStall(cell int) {
 		sp.kind, sp.start, sp.end-sp.start+1, tracePIDArray, cellTID(cell, tidOffActive))
 }
 
-// Phase draws one compile-phase record on the compiler process at its
-// true timeline position, one track per compile worker lane, so the
-// concurrent phases of a parallel compilation draw as overlapping.
+// Phase draws one compile-phase record on the compiler track at its
+// true timeline position.
 func (t *ChromeTracer) Phase(p PhaseStat) {
 	dur := p.Seconds * 1e6
 	if dur < 1 {
 		dur = 1
 	}
-	t.emit(`{"name":%s,"cat":"compile","ph":"X","ts":%.0f,"dur":%.0f,"pid":%d,"tid":%d,"args":{"size":%d,"note":%s}}`,
-		strconv.Quote(p.Name), p.Start*1e6, dur, tracePIDCompiler, 1+p.Worker, p.Size, strconv.Quote(p.Note))
+	t.emit(`{"name":%s,"cat":"compile","ph":"X","ts":%.0f,"dur":%.0f,"pid":%d,"tid":1,"args":{"size":%d,"note":%s}}`,
+		strconv.Quote(p.Name), p.Start*1e6, dur, tracePIDCompiler, p.Size, strconv.Quote(p.Note))
 }
 
 // Close finalizes the JSON document and flushes the buffered writer.

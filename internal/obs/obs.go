@@ -140,13 +140,7 @@ type PhaseStat struct {
 	Size int
 	Note string
 	// Start is the phase's start offset from the beginning of the
-	// compilation, in seconds.  With parallel compilation phases
-	// overlap in wall time; Start+Seconds places each phase on the
-	// compile timeline.
+	// compilation, in seconds.  A compilation is one goroutine, so the
+	// phases of one compile never overlap and Σ Seconds ≤ its wall time.
 	Start float64
-	// Worker is the compile worker lane that ran the phase.  Phases
-	// sharing a lane never overlap; the timing-soundness contract is
-	// per-lane (Σ Seconds on one lane ≤ total compile wall), not
-	// global — concurrent lanes legitimately sum past the wall clock.
-	Worker int
 }

@@ -150,9 +150,8 @@ func (s *Span) Now() time.Duration {
 
 // AddPhases files a finished compilation's phase records as closed
 // child spans of s.  anchor is the trace clock when the compilation
-// began (see Now); each phase lands at anchor+Start for Seconds, so the
-// concurrent lanes of a parallel compile render as the overlapping
-// spans they were.  Attributes: size, worker, and note when non-empty.
+// began (see Now); each phase lands at anchor+Start for Seconds.
+// Attributes: size, and note when non-empty.
 func (s *Span) AddPhases(anchor time.Duration, phases []PhaseStat) {
 	if s == nil {
 		return
@@ -160,10 +159,7 @@ func (s *Span) AddPhases(anchor time.Duration, phases []PhaseStat) {
 	s.t.mu.Lock()
 	defer s.t.mu.Unlock()
 	for _, p := range phases {
-		attrs := []SpanAttr{
-			{Key: "size", Value: strconv.Itoa(p.Size)},
-			{Key: "worker", Value: strconv.Itoa(p.Worker)},
-		}
+		attrs := []SpanAttr{{Key: "size", Value: strconv.Itoa(p.Size)}}
 		if p.Note != "" {
 			attrs = append(attrs, SpanAttr{Key: "note", Value: p.Note})
 		}

@@ -120,8 +120,9 @@ func TestSpanDisabledZeroAlloc(t *testing.T) {
 
 // TestSpanAddPhases is the table for the one adapter between compile
 // timelines and request spans: every phase lands at anchor+Start for
-// Seconds under the receiving span, lanes may overlap, and the
-// attributes are size, worker, then note when there is one.
+// Seconds under the receiving span — offsets are taken as recorded,
+// never re-serialized — and the attributes are size, then note when
+// there is one.
 func TestSpanAddPhases(t *testing.T) {
 	ms := func(f float64) int64 { return int64(f * float64(time.Millisecond)) }
 	cases := []struct {
@@ -141,23 +142,23 @@ func TestSpanAddPhases(t *testing.T) {
 			},
 			want: [][2]int64{{ms(5), ms(7)}, {ms(7), ms(10)}},
 			attrs: [][]SpanAttr{
-				{{"size", "34"}, {"worker", "0"}},
-				{{"size", "120"}, {"worker", "0"}, {"note", "2 loops pipelined"}},
+				{{"size", "34"}},
+				{{"size", "120"}, {"note", "2 loops pipelined"}},
 			},
 		},
 		{
 			name:   "overlapping lanes keep their own offsets",
 			anchor: 0,
 			phases: []PhaseStat{
-				{Name: "skew", Seconds: 0.004, Size: 14, Start: 0.010, Worker: 0},
-				{Name: "iugen", Seconds: 0.001, Size: 40, Start: 0.010, Worker: 1},
-				{Name: "hostgen", Seconds: 0.006, Size: 900, Start: 0.0105, Worker: 2},
+				{Name: "skew", Seconds: 0.004, Size: 14, Start: 0.010},
+				{Name: "iugen", Seconds: 0.001, Size: 40, Start: 0.010},
+				{Name: "hostgen", Seconds: 0.006, Size: 900, Start: 0.0105},
 			},
 			want: [][2]int64{{ms(10), ms(14)}, {ms(10), ms(11)}, {ms(10.5), ms(16.5)}},
 			attrs: [][]SpanAttr{
-				{{"size", "14"}, {"worker", "0"}},
-				{{"size", "40"}, {"worker", "1"}},
-				{{"size", "900"}, {"worker", "2"}},
+				{{"size", "14"}},
+				{{"size", "40"}},
+				{{"size", "900"}},
 			},
 		},
 	}

@@ -33,9 +33,7 @@ func Key(src string, opts warp.Options) string {
 	// a new one must be appended here or identical sources would alias
 	// across differing code generation (TestCacheKeyDistinguishesOptions
 	// walks the Options fields and fails on one that is neither hashed
-	// nor exempted).  CompileWorkers is deliberately absent — the
-	// compiler's output is byte-identical at any worker count, so
-	// compilations differing only in parallelism must share one entry.
+	// nor exempted).
 	fmt.Fprintf(h, "\x00noopt=%t\x00pipeline=%t\x00cells=%d\x00verify=%t",
 		opts.NoOptimize, opts.Pipeline, opts.Cells, opts.Verify)
 	return hex.EncodeToString(h.Sum(nil))

@@ -19,7 +19,7 @@ import (
 // fails here until it is either hashed by Key or exempted on purpose.
 func TestCacheKeyDistinguishesOptions(t *testing.T) {
 	notCodegen := map[string]bool{
-		"CompileWorkers": true, // output is byte-identical at any worker count
+		"CompileWorkers": true, // ignored by the compiler
 	}
 	src := workloads.Polynomial(10, 50)
 	base := Key(src, driver.Options{})

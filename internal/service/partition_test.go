@@ -88,7 +88,11 @@ func TestRunPartitionedEndToEnd(t *testing.T) {
 }
 
 // TestRunPartitionedConv exercises the conv1d sharding path through
-// the service, including kernel/signal parameter identification.
+// the service, including kernel/signal parameter identification.  The
+// first request's fabric width is the largest the wire's "arrays" can
+// reasonably be abused with: the farm runs no wider than the plan's
+// tiles, answers with the stitched result, and the server goes on to
+// serve the ordinary request behind it.
 func TestRunPartitionedConv(t *testing.T) {
 	svc := New(Config{Workers: 2})
 	defer svc.Close()
@@ -97,28 +101,30 @@ func TestRunPartitionedConv(t *testing.T) {
 
 	const nx, kw, window = 500, 9, 64
 	x, w := workloads.LargeConv1DData(nx, kw, 3)
-	resp, body := postJSON(t, ts.Client(), ts.URL+"/run", RunRequest{
-		Source:    workloads.Conv1D(kw, window),
-		Inputs:    map[string][]float64{"x": x, "w": w},
-		Partition: &PartitionJSON{Workload: "conv1d", Arrays: 4},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var rr RunResponse
-	decodeBody(t, body, &rr)
 	want := workloads.Conv1DRef(x, w)
-	got := rr.Outputs["results"]
-	if len(got) != len(want) {
-		t.Fatalf("%d outputs, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("results[%d] = %v, want %v", i, got[i], want[i])
+	for _, arrays := range []int{1 << 30, 4} {
+		resp, body := postJSON(t, ts.Client(), ts.URL+"/run", RunRequest{
+			Source:    workloads.Conv1D(kw, window),
+			Inputs:    map[string][]float64{"x": x, "w": w},
+			Partition: &PartitionJSON{Workload: "conv1d", Arrays: arrays},
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("arrays=%d: status %d: %s", arrays, resp.StatusCode, body)
 		}
-	}
-	if rr.Fabric == nil || rr.Fabric.Arrays != 4 {
-		t.Fatalf("fabric stats %+v", rr.Fabric)
+		var rr RunResponse
+		decodeBody(t, body, &rr)
+		got := rr.Outputs["results"]
+		if len(got) != len(want) {
+			t.Fatalf("arrays=%d: %d outputs, want %d", arrays, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("arrays=%d: results[%d] = %v, want %v", arrays, i, got[i], want[i])
+			}
+		}
+		if rr.Fabric == nil || rr.Fabric.Tiles <= 4 || rr.Fabric.Arrays != min(arrays, rr.Fabric.Tiles) {
+			t.Fatalf("arrays=%d: fabric stats %+v, want the width capped at the tile count", arrays, rr.Fabric)
+		}
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
-	"runtime"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -45,13 +44,6 @@ type Config struct {
 	// compilation runs the verifier, and a violation is returned as 422
 	// with one structured diagnostic per violated invariant.
 	NoVerify bool
-	// CompileWorkers bounds each compilation's internal parallelism
-	// (warp.Options.CompileWorkers).  It is a server policy, not a wire
-	// option: the compiled program is byte-identical at any setting, so
-	// clients have no say and the cache key ignores it.  0 defaults to
-	// GOMAXPROCS capped at Workers, so one compiling request cannot
-	// out-schedule the whole simulation pool; negative forces serial.
-	CompileWorkers int
 	// Compile substitutes the compiler entry point (nil = warp.Compile);
 	// tests use it to instrument driver invocations.
 	Compile CompileFunc
@@ -105,15 +97,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.FlightSize == 0 {
 		cfg.FlightSize = 64
-	}
-	if cfg.CompileWorkers == 0 {
-		cfg.CompileWorkers = runtime.GOMAXPROCS(0)
-		if cfg.CompileWorkers > cfg.Workers {
-			cfg.CompileWorkers = cfg.Workers
-		}
-	}
-	if cfg.CompileWorkers < 1 {
-		cfg.CompileWorkers = 1
 	}
 	logger := cfg.Logger
 	if logger == nil {
@@ -175,12 +158,10 @@ func (o CompileOptions) warpOptions() warp.Options {
 }
 
 // options maps wire options to compiler options under the server's
-// verification policy (verify unless configured off) and compile
-// parallelism policy.
+// verification policy (verify unless configured off).
 func (s *Server) options(o CompileOptions) warp.Options {
 	opts := o.warpOptions()
 	opts.Verify = !s.cfg.NoVerify
-	opts.CompileWorkers = s.cfg.CompileWorkers
 	return opts
 }
 

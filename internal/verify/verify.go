@@ -35,7 +35,6 @@ package verify
 import (
 	"fmt"
 
-	"warp/internal/conc"
 	"warp/internal/hostgen"
 	"warp/internal/mcode"
 	"warp/internal/skew"
@@ -122,18 +121,6 @@ func (c *collector) ok() { c.checked++ }
 // report on success and an *Error aggregating every violation found on
 // failure.
 func Verify(p Program) (*Report, error) {
-	return VerifyParallel(p, 1)
-}
-
-// VerifyParallel is Verify with its independent invariant groups —
-// register hazards, host stream coverage, data queue safety, forwarded
-// Adr/Sig queue safety, and the IU stream elaboration — proven on up to
-// workers concurrent goroutines.  Each group collects diagnostics and
-// report fragments privately; the fragments are merged in the serial
-// checking order, so the report, every diagnostic, the suppression
-// cap's behaviour and the proposition count are identical at any
-// worker count.
-func VerifyParallel(p Program, workers int) (*Report, error) {
 	col := &collector{}
 	rep := &Report{
 		Cells: p.Cells, Skew: p.Skew, Lead: p.Lead,
@@ -154,68 +141,22 @@ func VerifyParallel(p Program, workers int) (*Report, error) {
 	}
 
 	// The operation totals are closed-form over trip counts and every
-	// group reads them, so they are derived once before the fan-out (which
-	// also seals the trees for the groups' prefix queries).
+	// group below reads them (sealing also readies the trees for the
+	// groups' prefix queries).
 	for _, ch := range []w2.Channel{w2.ChanX, w2.ChanY} {
 		rep.Sends[ch], rep.Recvs[ch] = skew.Seal(cs.data[ch])
 	}
 	rep.MemRefs, _ = skew.Seal(cs.mem)
 	rep.Signals, _ = skew.Seal(cs.bnd)
 
-	// Independent invariant groups.  Each runs against a shadow report
-	// seeded with the shared totals and a private collector; shadows
-	// are merged below in this slice's order, which is the serial
-	// checking order.
-	groups := []struct {
-		name string
-		run  func(r *Report, c *collector)
-	}{
-		{"hazards", func(r *Report, c *collector) { checkHazards(p.Cell, cs.index, c); c.ok() }},
-		{"host-streams", func(r *Report, c *collector) { checkHostStreams(p, r, c) }},
-		{"data-queues", func(r *Report, c *collector) { checkDataQueues(p, cs, r, c) }},
-		{"forwarded-streams", func(r *Report, c *collector) { checkForwardedStreams(p, cs, r, c) }},
-		{"iu-streams", func(r *Report, c *collector) { checkIUStreams(p, cs, r, c) }},
-	}
-	shadowRep := make([]*Report, len(groups))
-	shadowCol := make([]*collector, len(groups))
-	conc.Do(workers, len(groups), func(i int) {
-		r := &Report{
-			Cells: rep.Cells, Skew: rep.Skew, Lead: rep.Lead,
-			Sends: rep.Sends, Recvs: rep.Recvs,
-			MemRefs: rep.MemRefs, Signals: rep.Signals,
-			Data: map[w2.Channel]Occ{},
-		}
-		c := &collector{}
-		groups[i].run(r, c)
-		shadowRep[i], shadowCol[i] = r, c
-	})
-
-	// Merge.  Diagnostics concatenate in group order into the shared
-	// collector, whose cap replays the serial suppression behaviour: a
-	// group collects at most maxDiags privately (anything beyond would
-	// have been suppressed serially too), and re-adding through col
-	// re-applies the global cap at the same sequence positions.
-	for i := range groups {
-		for _, d := range shadowCol[i].diags {
-			col.add(d)
-		}
-		col.dropped += shadowCol[i].dropped
-		col.checked += shadowCol[i].checked
-		rep.Evals += shadowRep[i].Evals
-	}
-	// Report fragments: each field has exactly one writing group, except
-	// the Adr/Sig occupancies, where the IU-stream group sharpens the
-	// forwarded-stream group's result by the serial max-merge rule.
-	for ch, occ := range shadowRep[2].Data {
-		rep.Data[ch] = occ
-	}
-	rep.Adr, rep.Sig = shadowRep[3].Adr, shadowRep[3].Sig
-	if iu := shadowRep[4]; iu.Adr.Method != "" && (rep.Adr.Method == "" || iu.Adr.Max > rep.Adr.Max) {
-		rep.Adr = iu.Adr
-	}
-	if iu := shadowRep[4]; iu.Sig.Method != "" && (rep.Sig.Method == "" || iu.Sig.Max > rep.Sig.Max) {
-		rep.Sig = iu.Sig
-	}
+	checkHazards(p.Cell, cs.index, col)
+	col.ok()
+	checkHostStreams(p, rep, col)
+	checkDataQueues(p, cs, rep, col)
+	checkForwardedStreams(p, cs, rep, col)
+	// Last: it sharpens the Adr/Sig occupancies the forwarded-stream
+	// proof recorded.
+	checkIUStreams(p, cs, rep, col)
 
 	rep.Checked = col.checked
 	if col.dropped > 0 {
@@ -229,6 +170,10 @@ func VerifyParallel(p Program, workers int) (*Report, error) {
 	}
 	return rep, nil
 }
+
+// VerifyParallel is Verify: the second argument is ignored; kept for
+// benchmark/, see ROADMAP 1(c).
+func VerifyParallel(p Program, _ int) (*Report, error) { return Verify(p) }
 
 // checkShape validates the inputs are present and the array geometry is
 // sane; nothing else can run without it.

@@ -136,7 +136,7 @@ func TestObsProfileConsistent(t *testing.T) {
 // file parses as JSON and every event carries the ph, ts, pid and tid
 // fields the Perfetto/Chrome trace viewers require.
 func TestRunTracedJSON(t *testing.T) {
-	prog, err := warp.Compile(workloads.Matmul(10), warp.Options{Pipeline: true, CompileWorkers: 4})
+	prog, err := warp.Compile(workloads.Matmul(10), warp.Options{Pipeline: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +158,8 @@ func TestRunTracedJSON(t *testing.T) {
 		t.Fatalf("suspiciously small trace: %d events", len(doc.TraceEvents))
 	}
 	// The compiler track is the program's phase timeline verbatim: one
-	// compile-category slice per phase, at its own start offset, on its
-	// own worker lane — so skew ∥ iugen ∥ hostgen draw as concurrent.
+	// compile-category slice per phase, at its own start offset, all on
+	// the one compiler track.
 	want := prog.Phases()
 	phases := 0
 	for i, raw := range doc.TraceEvents {
@@ -186,8 +186,8 @@ func TestRunTracedJSON(t *testing.T) {
 		}
 		ph := want[phases]
 		phases++
-		if *ev.Name != ph.Name || *ev.Ph != "X" || *ev.PID != 2 || *ev.TID != 1+ph.Worker || math.Abs(*ev.TS-ph.Start*1e6) > 0.5 {
-			t.Errorf("compile slice %s, want %q at ts %.0f on pid 2 tid %d", raw, ph.Name, ph.Start*1e6, 1+ph.Worker)
+		if *ev.Name != ph.Name || *ev.Ph != "X" || *ev.PID != 2 || *ev.TID != 1 || math.Abs(*ev.TS-ph.Start*1e6) > 0.5 {
+			t.Errorf("compile slice %s, want %q at ts %.0f on pid 2 tid 1", raw, ph.Name, ph.Start*1e6)
 		}
 	}
 	if phases != len(want) {

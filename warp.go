@@ -65,8 +65,7 @@ const (
 )
 
 // Options control compilation: optimizer and software-pipelining
-// switches, the array-size override, static verification and compiler
-// parallelism.
+// switches, the array-size override and static verification.
 type Options = driver.Options
 
 // Program is a compiled W2 module.
