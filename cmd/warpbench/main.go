@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -30,6 +31,7 @@ import (
 	"warp"
 	"warp/internal/bench"
 	"warp/internal/commgraph"
+	"warp/internal/driver"
 	"warp/internal/interp"
 	"warp/internal/ir"
 	"warp/internal/iugen"
@@ -671,6 +673,52 @@ func fastexec() error {
 	}
 	fmt.Printf("\n(gate: bench.FastexecSpeedupFloor holds the 32x32 speedup above %.1fx in %s)\n",
 		bench.FastexecSpeedupFloor, bench.BaselineFile)
+	return fastPlans()
+}
+
+// fastPlans sizes the fast executor's plan for the ledger's eight
+// programs at the paper's sizes: a plan keeps the cell program's loops,
+// so its words and the bytes it retains follow the microcode while the
+// operations it stands for follow the trip counts.  Build time is the
+// one walk that validates the plan against the IU's streams.
+func fastPlans() error {
+	fmt.Println("\nfast plans at paper size (a plan word is one static microinstruction):")
+	fmt.Printf("%-16s %10s %10s %12s %12s %10s\n", "program", "cell ucode", "plan words", "dynamic ops", "retained B", "build")
+	for _, p := range []struct {
+		name, src string
+		plain     bool
+	}{
+		{"polynomial", workloads.PolynomialPaper(), false},
+		{"conv1d", workloads.Conv1D(9, 2048), false},
+		{"binop", workloads.BinopPaper(), false},
+		{"colorseg", workloads.ColorSegPaper(), false},
+		{"mandelbrot", workloads.MandelbrotPaper(), false},
+		{"fft1024", workloads.FFTPaper(), false}, // backs off to the plain schedule
+		{"matmul32", workloads.Matmul(32), false},
+		{"matmul32-plain", workloads.Matmul(32), true},
+	} {
+		c, err := driver.Compile(p.src, driver.Options{Pipeline: !p.plain, Verify: true})
+		if err != nil {
+			return fmt.Errorf("%s: %w", p.name, err)
+		}
+		// Collect twice: a compile's and a build's pooled IU traces outlive
+		// one collection.
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		plan, err := c.FastPlan()
+		build := time.Since(start)
+		if err != nil {
+			return fmt.Errorf("%s: fast plan: %w", p.name, err)
+		}
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		fmt.Printf("%-16s %10d %10d %12d %12d %10s\n", p.name, c.Cell.NumInstrs(), plan.Words(), plan.Ops(),
+			max(0, int64(after.HeapAlloc)-int64(before.HeapAlloc)), build.Round(10*time.Microsecond))
+	}
 	return nil
 }
 

@@ -7,24 +7,29 @@
 // tracked.  For a *verified* program all of that re-derives guarantees
 // the static verifier has already proven — queues never under- or
 // overflow, every address and loop signal arrives on time, the machine
-// never stalls.  This package exploits those proofs: it compiles the
-// representative cell's microcode into a flat trace of the non-nop
-// microinstructions with every memory address and loop-control signal
-// resolved ahead of time, then replays the trace per cell directly over
-// host slices.  The machine model is not re-implemented here: the IU
-// microprogram is elaborated exactly once by mcode.IUCode.Elaborate, the
-// cell program is decoded and stepped by mcode's sequencer, and FPU
-// fields evaluate through mcode.AluOp.Eval — the definitions the
-// simulator and the verifier use.
+// never stalls.  This package exploits those proofs: it decodes the
+// representative cell's microcode into a plan that keeps the program's
+// loops — one pointer-free word per static microinstruction that issues
+// a field or closes a loop, runs of idle words folded into a skip count,
+// every memory field's address bound to the iteration numbers of the
+// loops around it — and runs that nest per cell directly over host
+// slices.  A plan is as large as the microcode, whatever the trip counts:
+// the paper's 512×512 colorseg plans in a few kilobytes.  The machine
+// model is not re-implemented here: the IU microprogram is elaborated by
+// mcode.IUCode.Elaborate, the plan is stepped by mcode's sequencer, FPU
+// fields evaluate through mcode.AluOp.Eval and addresses are bound by
+// mcode.AddrInfo.Bind — the definitions the simulator, the verifier and
+// the host program generator use.
 //
-// The replay is bit-exact with the simulator:
+// The run is bit-exact with the simulator:
 //
-//   - Writes land late exactly as in hardware: receives, loads, moves
-//     and literals become visible one cycle after issue, FPU results
-//     after mcode.FPULatency cycles.  A small ring keyed by landing
-//     cycle applies them in (landing cycle, issue order) — the same
-//     order the simulator's pending-write scan produces, including
-//     same-cycle write-after-write resolution.
+//   - Writes land late exactly as in hardware, on the two latencies the
+//     machine has.  FPU results wait in one small FIFO (equal latency, so
+//     issue order is landing order); receives, loads, moves and literals
+//     are applied at the end of the word that issues them, after the FPU
+//     results landing by the next cycle.  That is the simulator's
+//     (landing cycle, issue order), same-cycle write-after-write
+//     included.
 //   - Cells execute sequentially left to right.  Data flows rightward
 //     only (the compiler enforces this), so cell i's entire input
 //     streams are known once cell i-1 has run; FIFO pop order is
@@ -40,11 +45,13 @@
 // stalls), so the run takes Lead + (Cells-1)·Skew + CellCycles cycles —
 // exactly the count the simulator reports.
 //
-// The package trusts nothing silently: trip counts, stream lengths,
-// address bounds and loop-signal consistency are all checked while the
-// trace is built, and a program that cannot be compiled into a trace
-// (oversized, or violating a build-time contract) is reported as an
-// error so the caller can fall back to the simulator.
+// The package trusts nothing silently.  Compile elaborates the IU once
+// and steps the plan once against what it emits: trip counts, stream
+// lengths, address bounds, every address the IU sends against the one
+// the memory field names, every loop signal against the sequencer.  The
+// walk stores nothing per event; a program that fails it (or is too long
+// to walk) is reported as an error so the caller can fall back to the
+// simulator.
 package fastexec
 
 import (
@@ -58,20 +65,21 @@ import (
 	"warp/internal/w2"
 )
 
-// maxTraceCycles caps the unrolled trace (and the IU elaboration) so a
-// pathological trip-count product cannot exhaust memory building a
-// plan; oversized programs are compile errors and run on the simulator.
+// maxTraceCycles caps Compile's validation walk (and the IU elaboration
+// it checks against): longer programs are compile errors and run on the
+// simulator.
 const maxTraceCycles = 1 << 22
 
-// ctxCheckInterval is how often (in executed trace operations) the
-// executor polls ExecConfig.Ctx, mirroring the simulator's bounded
-// cancellation stride.
+// ctxCheckInterval is how often (in executed plan words) the executor
+// polls ExecConfig.Ctx, mirroring the simulator's bounded cancellation
+// stride.
 const ctxCheckInterval = 1 << 12
 
-const (
-	ringSlots = mcode.FPULatency + 1 // landing cycles in flight are distinct mod this
-	ringSpan  = mcode.FPULatency     // no write lands more than this far ahead
-)
+// fifoSlots holds the FPU results in flight in one cell: at most three
+// fields a word, each landing FPULatency cycles later (a power of two).
+const fifoSlots = 16
+
+var _ [fifoSlots - 3*mcode.FPULatency]struct{} // does not compile if the FIFO is too small
 
 // Program is the static machine configuration a plan is compiled from —
 // the same artifacts the simulator consumes.
@@ -86,32 +94,41 @@ type Program struct {
 	Lead int64
 }
 
-// ioStep is one pre-resolved queue-port operation.
-type ioStep struct {
-	recv  bool
-	chanY bool
-	reg   mcode.Reg
+// ioField is one queue-port operation of a word.
+type ioField struct {
+	ch  w2.Channel
+	reg mcode.Reg
 }
 
-// memStep is one pre-resolved memory-port operation: the address the IU
-// would have streamed is already bound and bounds-checked.
-type memStep struct {
-	valid bool
-	store bool
-	reg   mcode.Reg
-	addr  int32
+const (
+	memNone = iota
+	memLoad
+	memStore
+)
+
+// memField is one memory-port field.  Its address, with the enclosing
+// loops at iterations iter, is start + Σ Coef·iter[Depth] over the plan's
+// terms[termLo:termHi].
+type memField struct {
+	kind           uint8
+	reg            mcode.Reg
+	start          int64
+	termLo, termHi int32
 }
 
-// op is one non-nop microinstruction of the trace, stamped with its
-// cell-local issue cycle.
-type op struct {
-	cycle int64
-	add   *mcode.AluOp
-	mul   *mcode.AluOp
-	mov   *mcode.AluOp
-	lit   *mcode.LitOp
-	mem   [mcode.MemPorts]memStep
-	io    []ioStep
+// word is one microinstruction of the plan: skip idle cycles, then the
+// fields of one cycle, then the loops it closes (the plan's
+// ends[endLo:endHi], heads remapped to plan words).
+type word struct {
+	skip               int64
+	depth              int
+	ioLo, recvLo, ioHi int32 // the plan's io[ioLo:recvLo] are the word's sends, io[recvLo:ioHi] its receives
+	endLo, endHi       int32
+	mem                [mcode.MemPorts]memField
+
+	loads, stores, hasAdd, hasMul, hasMov, hasLit bool
+	add, mul, mov                                 mcode.AluOp
+	lit                                           mcode.LitOp
 }
 
 // Plan is a compiled execution plan.  It is immutable after Compile and
@@ -121,30 +138,37 @@ type Plan struct {
 	skew, lead int64
 	cellCycles int64
 	cycles     int64 // modeled machine time, closed form
-	ops        []op
 	host       *hostgen.Program
 
-	// Static per-cell dynamic-operation counts over one full trace.
-	addOps, mulOps, movOps int64
-	loads, stores          int64
-	sendX, sendY           int
+	words []word
+	io    []ioField
+	terms []mcode.LoopTerm
+	ends  []mcode.LoopEnd
+	depth int // deepest loop nesting: iteration counters a run needs
+
+	// Per-cell dynamic-operation counts of one run, in closed form.
+	ops, addOps, mulOps, movOps int64
+	loads, stores               int64
+	send                        [2]int // words a cell sends on X, Y
 }
 
 // Cycles returns the modeled machine time of a run: the cycle count the
 // cycle-accurate simulator would report.
 func (p *Plan) Cycles() int64 { return p.cycles }
 
-// Ops returns the trace length: dynamic non-nop microinstructions per
-// cell.
-func (p *Plan) Ops() int { return len(p.ops) }
+// Ops returns the dynamic non-nop microinstructions one cell executes.
+func (p *Plan) Ops() int { return int(p.ops) }
 
-// Compile builds an execution plan: it elaborates the IU microprogram
-// once to materialize the address and loop-signal streams, then unrolls
-// the cell microprogram into a flat trace with every address resolved
-// and every loop signal checked against the sequencer.  Programs the
-// trace cannot represent (oversized, non-positive trip counts, stream
-// inconsistencies) fail with an error; callers fall back to the
-// simulator.
+// Words returns the plan's size in words: static, whatever the trip
+// counts.
+func (p *Plan) Words() int { return len(p.words) }
+
+// Compile builds an execution plan: it decodes the cell microprogram
+// into plan words with its loops kept, elaborates the IU microprogram
+// once and walks the plan once against the address and loop-signal
+// streams it emits.  Programs that fail a check (oversized, non-positive
+// trip counts, stream inconsistencies) fail with an error; callers fall
+// back to the simulator.
 func Compile(p Program) (*Plan, error) {
 	if p.Cells < 1 {
 		return nil, fmt.Errorf("fastexec: need at least one cell")
@@ -159,21 +183,40 @@ func Compile(p Program) (*Plan, error) {
 	if iuCycles := p.IU.Cycles(); iuCycles > maxTraceCycles {
 		return nil, fmt.Errorf("fastexec: IU program unrolls to %d cycles, over the %d-cycle trace cap", iuCycles, maxTraceCycles)
 	}
-	b, err := buildTrace(p)
+	// An IU loop with an empty body emits nothing and takes no time;
+	// the decoder leaves it out.
+	iuCode, _ := mcode.DecodeIU(p.IU)
+	for i := range iuCode.Words {
+		if err := positiveTrips("IU loop", iuCode.Words[i].Ends); err != nil {
+			return nil, err
+		}
+	}
+	// The IU's cycle count is capped above, so the elaboration completes.
+	iu, _ := iuCode.Elaborate(p.IU.Table, maxTraceCycles)
+	defer iu.Release()
+	if iu.OverRead >= 0 {
+		return nil, fmt.Errorf("fastexec: IU table read past its %d entries", len(p.IU.Table))
+	}
+	code, err := mcode.DecodeCell(p.Cell)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fastexec: %w", err)
+	}
+	for i := range code.Words {
+		if err := positiveTrips("loop", code.Words[i].Ends); err != nil {
+			return nil, err
+		}
 	}
 
+	counts := mcode.CountCell(p.Cell)
 	plan := &Plan{
 		cells:      p.Cells,
 		skew:       p.Skew,
 		lead:       p.Lead,
 		cellCycles: cellCycles,
-		ops:        b.ops,
 		host:       p.Host,
-		addOps:     b.addOps, mulOps: b.mulOps, movOps: b.movOps,
-		loads: b.loads, stores: b.stores,
-		sendX: int(b.counts.Send[w2.ChanX]), sendY: int(b.counts.Send[w2.ChanY]),
+		depth:      code.Depth,
+		ops:        counts.Ops,
+		send:       [2]int{int(counts.Send[w2.ChanX]), int(counts.Send[w2.ChanY])},
 	}
 	// The last cell finishes at Lead + (Cells-1)·Skew + CellCycles - 1;
 	// the simulator's reported count is one past that.  An empty cell
@@ -182,36 +225,29 @@ func Compile(p Program) (*Plan, error) {
 	if cellCycles == 0 {
 		plan.cycles++
 	}
+	instrs, err := plan.decode(p.Cell, code)
+	if err != nil {
+		return nil, err
+	}
+	if err := plan.validate(iu, instrs); err != nil {
+		return nil, err
+	}
 
 	// Host-stream consistency: cell 0 must not drain the input streams
 	// dry, and the last cell's sends must fit the output sequences.
 	// (Verified programs satisfy both; the checks keep an unverified
 	// explicit fast run honest.)
 	for _, ch := range []w2.Channel{w2.ChanX, w2.ChanY} {
-		if have, want := p.Host.In[ch].Words(), b.counts.Recv[ch]; have < want {
+		if have, want := p.Host.In[ch].Words(), counts.Recv[ch]; have < want {
 			return nil, fmt.Errorf("fastexec: cell 0 receives %d words on %s but the host program supplies %d", want, ch, have)
 		}
 	}
 	for _, ch := range []w2.Channel{w2.ChanX, w2.ChanY} {
-		if have, want := p.Host.Out[ch].Words(), b.counts.Send[ch]; want > have {
+		if have, want := p.Host.Out[ch].Words(), counts.Send[ch]; want > have {
 			return nil, fmt.Errorf("fastexec: the last cell sends %d words on %s but the host program expects %d", want, ch, have)
 		}
 	}
 	return plan, nil
-}
-
-// builder unrolls the cell microprogram into the trace, consuming the
-// IU streams in the exact order the hardware would pop them.
-type builder struct {
-	iu     *mcode.IUTrace
-	adrPos int
-	sigPos int
-
-	ops    []op
-	counts mcode.CellCounts // closed-form totals: trace length, words per channel
-
-	addOps, mulOps, movOps int64
-	loads, stores          int64
 }
 
 // positiveTrips rejects a non-positive trip count.  The sequencer's
@@ -226,112 +262,171 @@ func positiveTrips(what string, ends []mcode.LoopEnd) error {
 	return nil
 }
 
-// buildTrace elaborates the IU once (mcode.IUCode.Elaborate, the shared
-// definition of its register machine) and steps the shared sequencer
-// over the decoded cell program, binding one address per memory
-// reference and checking one loop signal per boundary crossed.
-func buildTrace(p Program) (*builder, error) {
-	// An IU loop with an empty body emits nothing and takes no time;
-	// the decoder leaves it out.
-	iuCode, _ := mcode.DecodeIU(p.IU)
-	for i := range iuCode.Words {
-		if err := positiveTrips("IU loop", iuCode.Words[i].Ends); err != nil {
-			return nil, err
-		}
-	}
-	// Compile capped the IU's cycle count, so the elaboration completes.
-	iu, _ := iuCode.Elaborate(p.IU.Table, maxTraceCycles)
-	if iu.OverRead >= 0 {
-		return nil, fmt.Errorf("fastexec: IU table read past its %d entries", len(p.IU.Table))
-	}
-
-	code, err := mcode.DecodeCell(p.Cell)
-	if err != nil {
-		return nil, fmt.Errorf("fastexec: %w", err)
-	}
+// decode fills in the plan's words from the decoded cell program, whose
+// order is WalkInstrs', and returns the instruction behind each word for
+// validate's diagnostics.  Its work and the plan's size depend on the
+// microcode alone.
+func (p *Plan) decode(cell *mcode.CellProgram, code mcode.CellCode) ([]*mcode.Instr, error) {
+	isHead := make([]bool, len(code.Words))
 	for i := range code.Words {
-		if err := positiveTrips("loop", code.Words[i].Ends); err != nil {
-			return nil, err
+		for _, e := range code.Words[i].Ends {
+			isHead[e.Head] = true
 		}
 	}
-	b := &builder{iu: iu, counts: mcode.CountCell(p.Cell)}
-	b.ops = make([]op, 0, b.counts.Ops)
-	s := mcode.Seq{Iter: make([]int64, code.Depth)}
-	for t := int64(0); s.PC < len(code.Words); t++ {
-		w := &code.Words[s.PC]
-		crossed, again := s.Advance(w.Depth, w.Ends)
-		if !w.Nop {
-			if err := b.instr(w.Instr, t); err != nil {
-				return nil, err
+	planPC := make([]int, len(code.Words)) // µPC → the first plan word at or after it
+	var instrs []*mcode.Instr
+	var err error
+	fail := func(e error) {
+		if err == nil {
+			err = e
+		}
+	}
+	pc, idle := 0, int64(0)
+	mcode.WalkInstrs(cell.Items, func(in *mcode.Instr, loops []*mcode.LoopItem) {
+		cw := &code.Words[pc]
+		if isHead[pc] && idle > 0 {
+			// An idle run ends at a loop head in a word of its own: the
+			// back edge must count only the idle cycles inside the body.
+			p.words = append(p.words, word{skip: idle - 1})
+			instrs = append(instrs, nil)
+			idle = 0
+		}
+		planPC[pc] = len(p.words)
+		pc++
+		if cw.Nop && len(cw.Ends) == 0 {
+			idle++
+			return
+		}
+		w := word{skip: idle, depth: cw.Depth, ioLo: int32(len(p.io)), endLo: int32(len(p.ends))}
+		idle = 0
+		runs := int64(1) // how often the word executes
+		for _, l := range loops {
+			runs *= l.Trips
+		}
+		for _, recv := range []bool{false, true} { // sends first: runCell reads registers before it writes any
+			if recv {
+				w.recvLo = int32(len(p.io))
+			}
+			for _, io := range in.IO {
+				if io.Recv != recv {
+					continue
+				}
+				if io.Recv {
+					if io.Dir != w2.DirL {
+						fail(fmt.Errorf("fastexec: receive from the right is not supported (rightward flow only)"))
+					}
+				} else if io.Dir != w2.DirR {
+					fail(fmt.Errorf("fastexec: send to the left is not supported (rightward flow only)"))
+				}
+				f := ioField{ch: w2.ChanX, reg: io.Reg}
+				if io.Chan == w2.ChanY {
+					f.ch = w2.ChanY
+				}
+				p.io = append(p.io, f)
+			}
+		}
+		w.ioHi = int32(len(p.io))
+		for port, mo := range in.Mem {
+			if mo == nil {
+				continue
+			}
+			b, berr := mo.Addr.Bind(loops)
+			if berr != nil {
+				fail(fmt.Errorf("fastexec: address %w", berr))
+			}
+			m := memField{kind: memLoad, reg: mo.Reg, start: b.Start, termLo: int32(len(p.terms))}
+			p.terms = append(p.terms, b.Terms...)
+			m.termHi = int32(len(p.terms))
+			if mo.Store {
+				m.kind, w.stores = memStore, true
+				p.stores += runs
+			} else {
+				w.loads = true
+				p.loads += runs
+			}
+			w.mem[port] = m
+		}
+		if in.Add != nil {
+			w.hasAdd, w.add = true, *in.Add
+			p.addOps += runs
+		}
+		if in.Mul != nil {
+			w.hasMul, w.mul = true, *in.Mul
+			p.mulOps += runs
+		}
+		if in.Mov != nil {
+			w.hasMov, w.mov = true, *in.Mov
+			p.movOps += runs
+		}
+		if in.Lit != nil {
+			w.hasLit, w.lit = true, *in.Lit
+		}
+		for _, e := range cw.Ends {
+			e.Head = planPC[e.Head]
+			p.ends = append(p.ends, e)
+		}
+		w.endHi = int32(len(p.ends))
+		p.words = append(p.words, w)
+		instrs = append(instrs, in)
+	})
+	return instrs, err
+}
+
+// addr is the address a memory field references with the enclosing
+// loops at iterations iter.
+func (p *Plan) addr(m *memField, iter []int64) int64 {
+	a := m.start
+	for _, t := range p.terms[m.termLo:m.termHi] {
+		a += t.Coef * iter[t.Depth]
+	}
+	return a
+}
+
+// validate steps the plan once, as Execute will, against the streams the
+// IU emits in the order the hardware pops them: one address per memory
+// reference — in range, and the address the field's metadata names —
+// and one loop signal per boundary crossed.
+func (p *Plan) validate(iu *mcode.IUTrace, instrs []*mcode.Instr) error {
+	s := mcode.Seq{Iter: make([]int64, p.depth)}
+	adrs, sigs := iu.Adr, iu.Sigs
+	for t := int64(0); s.PC < len(p.words); t++ {
+		w, in := &p.words[s.PC], instrs[s.PC]
+		t += w.skip
+		for port := range w.mem {
+			m := &w.mem[port]
+			if m.kind == memNone {
+				continue
+			}
+			if len(adrs) == 0 {
+				return fmt.Errorf("fastexec: the IU address stream ran dry at cycle %d, memory port %d", t, port)
+			}
+			addr, named := adrs[0].Val, in.Mem[port].Addr
+			adrs = adrs[1:]
+			if addr < 0 || addr >= mcode.MemWords {
+				return fmt.Errorf("fastexec: address %d outside the %d-word cell memory (IU generated a bad address for %s)",
+					addr, mcode.MemWords, named)
+			}
+			if want := p.addr(m, s.Iter); addr != want {
+				return fmt.Errorf("fastexec: address mismatch at cycle %d, memory port %d: the IU sends %d where %s names %d",
+					t, port, addr, named, want)
 			}
 		}
 		// One IU control signal is consumed per loop boundary, innermost
 		// first.
-		for i, e := range w.Ends[:crossed] {
-			if err := b.loopEnd(e.ID, again && i == crossed-1); err != nil {
-				return nil, err
+		ends := p.ends[w.endLo:w.endHi]
+		crossed, again := s.Advance(w.depth, ends)
+		for i, e := range ends[:crossed] {
+			if len(sigs) == 0 {
+				return fmt.Errorf("fastexec: the IU signal stream ran dry at loop L%d", e.ID)
+			}
+			sig, more := sigs[0], again && i == crossed-1
+			sigs = sigs[1:]
+			if sig.ID != e.ID || sig.More != more {
+				return fmt.Errorf("fastexec: loop signal mismatch: sequencer at L%d(more=%v), IU sent L%d(more=%v)",
+					e.ID, more, sig.ID, sig.More)
 			}
 		}
 	}
-	return b, nil
-}
-
-func (b *builder) loopEnd(id int, more bool) error {
-	if b.sigPos >= len(b.iu.Sigs) {
-		return fmt.Errorf("fastexec: the IU signal stream ran dry at loop L%d", id)
-	}
-	s := &b.iu.Sigs[b.sigPos]
-	b.sigPos++
-	if s.ID != id || s.More != more {
-		return fmt.Errorf("fastexec: loop signal mismatch: sequencer at L%d(more=%v), IU sent L%d(more=%v)",
-			id, more, s.ID, s.More)
-	}
-	return nil
-}
-
-// instr appends one non-empty instruction issued at cell cycle t.
-func (b *builder) instr(in *mcode.Instr, t int64) error {
-	o := op{cycle: t, add: in.Add, mul: in.Mul, mov: in.Mov, lit: in.Lit}
-	for _, io := range in.IO {
-		if io.Recv {
-			if io.Dir != w2.DirL {
-				return fmt.Errorf("fastexec: receive from the right is not supported (rightward flow only)")
-			}
-		} else if io.Dir != w2.DirR {
-			return fmt.Errorf("fastexec: send to the left is not supported (rightward flow only)")
-		}
-		o.io = append(o.io, ioStep{recv: io.Recv, chanY: io.Chan == w2.ChanY, reg: io.Reg})
-	}
-	for port, mo := range in.Mem {
-		if mo == nil {
-			continue
-		}
-		if b.adrPos >= len(b.iu.Adr) {
-			return fmt.Errorf("fastexec: the IU address stream ran dry at cycle %d, memory port %d", t, port)
-		}
-		addr := b.iu.Adr[b.adrPos].Val
-		b.adrPos++
-		if addr < 0 || addr >= mcode.MemWords {
-			return fmt.Errorf("fastexec: address %d outside the %d-word cell memory (IU generated a bad address for %s)",
-				addr, mcode.MemWords, mo.Addr)
-		}
-		o.mem[port] = memStep{valid: true, store: mo.Store, reg: mo.Reg, addr: int32(addr)}
-		if mo.Store {
-			b.stores++
-		} else {
-			b.loads++
-		}
-	}
-	if in.Add != nil {
-		b.addOps++
-	}
-	if in.Mul != nil {
-		b.mulOps++
-	}
-	if in.Mov != nil {
-		b.movOps++
-	}
-	b.ops = append(b.ops, o)
 	return nil
 }
 
@@ -348,10 +443,10 @@ type ExecConfig struct {
 	MaxCycles int64
 	// Progress, when non-nil, receives modeled-cycle position updates
 	// at the same stride the context is polled, plus one final update
-	// when the run completes.  The position is the fraction of the
-	// trace replayed scaled onto the modeled cycle count, so it is
-	// monotone and comparable to the simulator's cycles-retired
-	// counter.  nil keeps the replay loop progress-free.
+	// when the run completes.  The position is the cell cycles retired
+	// so far (cells run one after another) scaled onto the modeled
+	// cycle count, so it is monotone and comparable to the simulator's
+	// cycles-retired counter.  nil keeps the run loop progress-free.
 	Progress obs.ProgressFunc
 }
 
@@ -375,55 +470,11 @@ type Result struct {
 	Obs *obs.Profile
 }
 
-// pendWrite is a register write waiting for its landing cycle.
-type pendWrite struct {
-	reg mcode.Reg
-	val float64
-}
-
-// ringSlot holds the writes landing on one cycle.  Landing cycles in
-// flight span at most FPULatency cycles, so slots keyed by cycle mod
-// (FPULatency+1) never collide.
-type ringSlot struct {
-	land int64
-	w    []pendWrite
-}
-
-// pstore is a memory store waiting its one-cycle latency; stores always
-// land before the next trace operation executes.
-type pstore struct {
-	addr int32
+// regWrite is a register write waiting to land.
+type regWrite struct {
+	reg  mcode.Reg
 	val  float64
-}
-
-// cellRun is the per-cell execution state.
-type cellRun struct {
-	regs    [mcode.NumRegs]float64
-	ring    [ringSlots]ringSlot
-	applied int64 // cycle up to which landed writes are applied
-}
-
-// landTo applies every pending register write landing at or before
-// cycle t, in (landing cycle, issue order) — the simulator's pending
-// scan order.
-func (c *cellRun) landTo(t int64) {
-	for u := c.applied + 1; u <= t && u <= c.applied+ringSpan; u++ {
-		s := &c.ring[u%ringSlots]
-		if s.land == u {
-			for _, w := range s.w {
-				c.regs[w.reg] = w.val
-			}
-			s.w = s.w[:0]
-			s.land = -1
-		}
-	}
-	c.applied = t
-}
-
-func (c *cellRun) write(reg mcode.Reg, v float64, land int64) {
-	s := &c.ring[land%ringSlots]
-	s.land = land
-	s.w = append(s.w, pendWrite{reg: reg, val: v})
+	land int64 // landing cycle (FPU results only)
 }
 
 // execState is the whole-array execution state shared across cells.
@@ -433,35 +484,25 @@ type execState struct {
 	ctx      context.Context
 	progress obs.ProgressFunc
 
-	mem     []float64 // one cell's data memory, zeroed per cell
-	pstores []pstore
+	mem  []float64 // one cell's data memory, zeroed per cell
+	iter []int64   // the sequencer's iteration counters, all zero between cells
 
-	// Inter-cell streams, double-buffered: a cell reads prev* (its left
-	// neighbour's full output) and appends to cur*.
-	prevX, prevY []float64
-	curX, curY   []float64
-	xPos, yPos   int
+	// Inter-cell streams on X and Y, double-buffered: a cell reads prev
+	// (its left neighbour's full output) and appends to cur.
+	prev, cur [2][]float64
 
 	hostIn, hostOut [2]hostgen.Reader // the host streams on X, Y
-	sent            map[w2.Channel]int
+	sent            [2]int
 
-	opCount int64
-}
-
-func chanOf(chanY bool) (w2.Channel, int) {
-	if chanY {
-		return w2.ChanY, 1
-	}
-	return w2.ChanX, 0
+	wordCount int64
 }
 
 // hostWord resolves cell 0's next input word on a channel, lazily
 // against host memory — exact because semantic analysis makes receive
 // externals in-parameters and send externals out-parameters, so the
 // input region is never overwritten during a run.
-func (st *execState) hostWord(chanY bool) (float64, error) {
-	ch, ci := chanOf(chanY)
-	w := st.hostIn[ci].Next()
+func (st *execState) hostWord(ch w2.Channel) (float64, error) {
+	w := st.hostIn[ch].Next()
 	if w == nil {
 		return 0, fmt.Errorf("fastexec: host input stream on %s ran dry after %d words", ch, st.plan.host.In[ch].Words())
 	}
@@ -477,9 +518,8 @@ func (st *execState) hostWord(chanY bool) (float64, error) {
 // hostCollect receives one word from the last cell on a channel,
 // mirroring the simulator's output sequencing (Discard entries are
 // dummy sends with no destination).
-func (st *execState) hostCollect(chanY bool, v float64) error {
-	ch, ci := chanOf(chanY)
-	w := st.hostOut[ci].Next()
+func (st *execState) hostCollect(ch w2.Channel, v float64) error {
+	w := st.hostOut[ch].Next()
 	if w == nil {
 		return fmt.Errorf("fastexec: the last cell sent more words on %s than the host program expects (%d)", ch, st.sent[ch])
 	}
@@ -521,13 +561,14 @@ func (p *Plan) Execute(hostMem []float64, cfg ExecConfig) (*Result, error) {
 		ctx:      cfg.Ctx,
 		progress: cfg.Progress,
 		mem:      make([]float64, mcode.MemWords),
-		curX:     make([]float64, 0, p.sendX),
-		curY:     make([]float64, 0, p.sendY),
-		sent:     map[w2.Channel]int{},
+		iter:     make([]int64, p.depth),
 	}
-	for ci, ch := range []w2.Channel{w2.ChanX, w2.ChanY} {
-		st.hostIn[ci] = hostgen.NewReader(p.host.In[ch])
-		st.hostOut[ci] = hostgen.NewReader(p.host.Out[ch])
+	for ch, words := range p.send {
+		st.hostIn[ch] = hostgen.NewReader(p.host.In[w2.Channel(ch)])
+		st.hostOut[ch] = hostgen.NewReader(p.host.Out[w2.Channel(ch)])
+		if p.cells > 1 { // the one cell of an array of one talks to the host alone
+			st.prev[ch], st.cur[ch] = make([]float64, 0, words), make([]float64, 0, words)
+		}
 	}
 	for i := 0; i < p.cells; i++ {
 		if err := p.runCell(st, i); err != nil {
@@ -535,9 +576,9 @@ func (p *Plan) Execute(hostMem []float64, cfg ExecConfig) (*Result, error) {
 		}
 		// This cell's output becomes the next cell's input; the spent
 		// input buffer is recycled as the next output buffer.
-		st.prevX, st.curX = st.curX, st.prevX[:0]
-		st.prevY, st.curY = st.curY, st.prevY[:0]
-		st.xPos, st.yPos = 0, 0
+		for ch := range st.cur {
+			st.prev[ch], st.cur[ch] = st.cur[ch], st.prev[ch][:0]
+		}
 	}
 	if cfg.Progress != nil {
 		cfg.Progress(obs.ProgressUpdate{Cycles: p.cycles, Done: true})
@@ -545,125 +586,170 @@ func (p *Plan) Execute(hostMem []float64, cfg ExecConfig) (*Result, error) {
 	return p.result(st), nil
 }
 
-// runCell replays the trace for one cell.
+// runCell runs the plan for one cell.
 func (p *Plan) runCell(st *execState, idx int) error {
 	first, last := idx == 0, idx == p.cells-1
-	c := &cellRun{applied: -1}
-	for s := range c.ring {
-		c.ring[s].land = -1
+	var regs [mcode.NumRegs]float64
+	// FPU results in flight, oldest at head: all have the same latency,
+	// so they land in the order they were issued.
+	var fifo [fifoSlots]regWrite
+	var head, tail uint
+	// What the current word holds back to the end of its cycle: the
+	// stores, and the ALU results that take one cycle.
+	var stored [mcode.MemPorts]struct {
+		addr int64
+		val  float64
 	}
-	clear(st.mem)
-	st.pstores = st.pstores[:0]
+	var moved [3]regWrite
+	mem, words := st.mem, p.words
+	clear(mem)
+	// The left neighbour's words, how many of each channel are consumed,
+	// and this cell's own (handed back once it retires).
+	prev, cur := st.prev, st.cur
+	var pos [2]int
 
-	for oi := range p.ops {
-		o := &p.ops[oi]
+	s := mcode.Seq{Iter: st.iter}
+	for t := int64(0); s.PC < len(words); t++ {
+		w := &words[s.PC]
 		if st.ctx != nil || st.progress != nil {
-			st.opCount++
-			if st.opCount%ctxCheckInterval == 1 {
+			st.wordCount++
+			if st.wordCount%ctxCheckInterval == 1 {
 				if st.ctx != nil {
 					if err := st.ctx.Err(); err != nil {
 						return fmt.Errorf("fastexec: run aborted: %w", err)
 					}
 				}
 				if st.progress != nil {
-					// The replay visits cells sequentially, so the raw
-					// trace position would jump backwards at each cell
-					// boundary; scale the global op counter onto the
-					// modeled cycle axis for a monotone position.
-					total := int64(len(p.ops)) * int64(p.cells)
-					st.progress(obs.ProgressUpdate{Cycles: p.cycles * st.opCount / total})
+					// Cells run one after another: the cell cycles retired so
+					// far, scaled onto the modeled cycle axis, are a monotone
+					// position.
+					done := int64(idx)*p.cellCycles + t
+					st.progress(obs.ProgressUpdate{Cycles: p.cycles * done / (int64(p.cells) * p.cellCycles)})
 				}
 			}
 		}
-		t := o.cycle
-		// Writes landing by this cycle become visible before any read.
-		c.landTo(t)
-		for _, w := range st.pstores {
-			st.mem[w.addr] = w.val
+		if w.skip > 0 {
+			// FPU results that land during the idle cycles are visible to
+			// this word's reads.
+			t += w.skip
+			for head != tail && fifo[head%fifoSlots].land <= t {
+				r := &fifo[head%fifoSlots]
+				regs[r.reg] = r.val
+				head++
+			}
 		}
-		st.pstores = st.pstores[:0]
 
-		// Field order matches the simulator: IO, memory ports, ADD,
-		// MUL, MOV, literal — which fixes the issue order of same-cycle
-		// pending writes.
-		for _, io := range o.io {
-			if io.recv {
-				var v float64
-				if first {
-					var err error
-					if v, err = st.hostWord(io.chanY); err != nil {
-						return err
-					}
-				} else if io.chanY {
-					if st.yPos >= len(st.prevY) {
-						return fmt.Errorf("fastexec: queue cell%d.Y underflows (receive before the matching send)", idx)
-					}
-					v = st.prevY[st.yPos]
-					st.yPos++
-				} else {
-					if st.xPos >= len(st.prevX) {
-						return fmt.Errorf("fastexec: queue cell%d.X underflows (receive before the matching send)", idx)
-					}
-					v = st.prevX[st.xPos]
-					st.xPos++
-				}
-				c.write(io.reg, v, t+1)
-			} else {
-				v := c.regs[io.reg]
-				switch {
-				case last:
-					if err := st.hostCollect(io.chanY, v); err != nil {
-						return err
-					}
-				case io.chanY:
-					st.curY = append(st.curY, v)
-				default:
-					st.curX = append(st.curX, v)
+		// The cycle's reads: sends, stores and the FPU fields see the
+		// registers as they stand.  Every field evaluates through the one
+		// ALU table both executors share (divide-by-zero fault included);
+		// one block per field on purpose: ranging over an array of the
+		// three costs 10% of the whole run.
+		for _, io := range p.io[w.ioLo:w.recvLo] {
+			if !last {
+				cur[io.ch] = append(cur[io.ch], regs[io.reg])
+			} else if err := st.hostCollect(io.ch, regs[io.reg]); err != nil {
+				return err
+			}
+		}
+		nstored, nmoved := 0, 0
+		if w.stores {
+			for pi := range w.mem {
+				if m := &w.mem[pi]; m.kind == memStore {
+					stored[nstored].addr, stored[nstored].val = p.addr(m, s.Iter), regs[m.reg]
+					nstored++
 				}
 			}
 		}
-		for pi := range o.mem {
-			ms := &o.mem[pi]
-			if !ms.valid {
+		if w.hasAdd {
+			v, err := w.add.Eval(&regs)
+			if err != nil {
+				return fmt.Errorf("fastexec: %w", err)
+			}
+			if lat := w.add.Code.Latency(); lat == 1 {
+				moved[nmoved] = regWrite{reg: w.add.Dst, val: v}
+				nmoved++
+			} else {
+				fifo[tail%fifoSlots] = regWrite{reg: w.add.Dst, val: v, land: t + lat}
+				tail++
+			}
+		}
+		if w.hasMul {
+			v, err := w.mul.Eval(&regs)
+			if err != nil {
+				return fmt.Errorf("fastexec: %w", err)
+			}
+			if lat := w.mul.Code.Latency(); lat == 1 {
+				moved[nmoved] = regWrite{reg: w.mul.Dst, val: v}
+				nmoved++
+			} else {
+				fifo[tail%fifoSlots] = regWrite{reg: w.mul.Dst, val: v, land: t + lat}
+				tail++
+			}
+		}
+		if w.hasMov {
+			v, err := w.mov.Eval(&regs)
+			if err != nil {
+				return fmt.Errorf("fastexec: %w", err)
+			}
+			if lat := w.mov.Code.Latency(); lat == 1 {
+				moved[nmoved] = regWrite{reg: w.mov.Dst, val: v}
+				nmoved++
+			} else {
+				fifo[tail%fifoSlots] = regWrite{reg: w.mov.Dst, val: v, land: t + lat}
+				tail++
+			}
+		}
+
+		// The cycle's end: a register sees the writes landing next cycle in
+		// issue order — FPU results, issued cycles ago, then this word's
+		// one-cycle writes in field order: IO, memory ports, ADD, MUL, MOV,
+		// literal.  Loads read before the word's stores land.
+		for head != tail && fifo[head%fifoSlots].land <= t+1 {
+			r := &fifo[head%fifoSlots]
+			regs[r.reg] = r.val
+			head++
+		}
+		for _, io := range p.io[w.recvLo:w.ioHi] {
+			if first {
+				v, err := st.hostWord(io.ch)
+				if err != nil {
+					return err
+				}
+				regs[io.reg] = v
 				continue
 			}
-			if ms.store {
-				st.pstores = append(st.pstores, pstore{addr: ms.addr, val: c.regs[ms.reg]})
-			} else {
-				c.write(ms.reg, st.mem[ms.addr], t+1)
+			in, n := prev[io.ch], pos[io.ch]
+			if n >= len(in) {
+				return fmt.Errorf("fastexec: queue cell%d.%s underflows (receive before the matching send)", idx, io.ch)
+			}
+			regs[io.reg] = in[n]
+			pos[io.ch] = n + 1
+		}
+		if w.loads {
+			for pi := range w.mem {
+				if m := &w.mem[pi]; m.kind == memLoad {
+					regs[m.reg] = mem[p.addr(m, s.Iter)]
+				}
 			}
 		}
-		// FPU fields, evaluated by the one ALU table both executors share
-		// (divide-by-zero fault included) and landed at the unit's
-		// latency.  One block per field on purpose: ranging over an array
-		// of the three costs 10% of the whole replay.
-		if f := o.add; f != nil {
-			v, err := f.Eval(&c.regs)
-			if err != nil {
-				return fmt.Errorf("fastexec: %w", err)
-			}
-			c.write(f.Dst, v, t+f.Code.Latency())
+		for _, sw := range stored[:nstored] {
+			mem[sw.addr] = sw.val
 		}
-		if f := o.mul; f != nil {
-			v, err := f.Eval(&c.regs)
-			if err != nil {
-				return fmt.Errorf("fastexec: %w", err)
-			}
-			c.write(f.Dst, v, t+f.Code.Latency())
+		for _, r := range moved[:nmoved] {
+			regs[r.reg] = r.val
 		}
-		if f := o.mov; f != nil {
-			v, err := f.Eval(&c.regs)
-			if err != nil {
-				return fmt.Errorf("fastexec: %w", err)
-			}
-			c.write(f.Dst, v, t+f.Code.Latency())
+		if w.hasLit {
+			regs[w.lit.Dst] = w.lit.Value
 		}
-		if o.lit != nil {
-			c.write(o.lit.Dst, o.lit.Value, t+1)
+		if w.endLo == w.endHi {
+			s.PC++
+		} else {
+			s.Advance(w.depth, p.ends[w.endLo:w.endHi])
 		}
 	}
 	// Writes still in flight when the cell retires are never observed:
 	// the simulator stops stepping a finished cell the same way.
+	st.cur = cur
 	return nil
 }
 
@@ -673,8 +759,13 @@ func (p *Plan) result(st *execState) *Result {
 		CellFinish: make([]int64, p.cells),
 		AddOps:     p.addOps * int64(p.cells),
 		MulOps:     p.mulOps * int64(p.cells),
-		Sent:       st.sent,
+		Sent:       make(map[w2.Channel]int, len(st.sent)),
 		Cycles:     p.cycles,
+	}
+	for ci, n := range st.sent {
+		if n > 0 {
+			res.Sent[w2.Channel(ci)] = n
+		}
 	}
 	prof := &obs.Profile{
 		Cells:  p.cells,
@@ -683,7 +774,6 @@ func (p *Plan) result(st *execState) *Result {
 		Lead:   p.lead,
 		Cell:   make([]obs.CellProfile, p.cells),
 	}
-	busy := int64(len(p.ops))
 	last := p.cycles - 1
 	for i := 0; i < p.cells; i++ {
 		start := p.lead + int64(i)*p.skew
@@ -698,8 +788,8 @@ func (p *Plan) result(st *execState) *Result {
 			Finish: finish,
 			AddOps: p.addOps, MulOps: p.mulOps, MovOps: p.movOps,
 			Loads: p.loads, Stores: p.stores,
-			Busy:     busy,
-			Bubble:   p.cellCycles - busy, // idle issue slots; the starved split needs queue timing
+			Busy:     p.ops,
+			Bubble:   p.cellCycles - p.ops, // idle issue slots; the starved split needs queue timing
 			SkewLead: int64(i) * p.skew,
 			Drain:    last - finish,
 		}

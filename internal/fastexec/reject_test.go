@@ -11,10 +11,10 @@ import (
 
 // TestCompileRejections pins every build-time contract check of
 // fastexec.Compile with its exact error text, one smallest hand-built
-// program per check.  The table was written against the Compile that
-// carried its own IU emulator and loop unroller; the checks and their
-// wording are part of the package's contract (callers fall back to the
-// simulator on any of them and surface the text).
+// program per check.  All but address-mismatch were written against the
+// Compile that carried its own IU emulator and loop unroller; the checks
+// and their wording are part of the package's contract (callers fall
+// back to the simulator on any of them and surface the text).
 func TestCompileRejections(t *testing.T) {
 	sym := &w2.Symbol{Name: "buf", Kind: w2.SymCellArray}
 	load := &mcode.Instr{Mem: [mcode.MemPorts]*mcode.MemOp{{Reg: 1, Addr: mcode.AddrInfo{Sym: sym}}}}
@@ -41,6 +41,23 @@ func TestCompileRejections(t *testing.T) {
 		}
 	}
 	huge := int64(1) << 23 // over the 1<<22-cycle trace cap
+
+	// The smallest well-formed program of the same shapes: buf[4+i] is
+	// loaded over two iterations, the IU reading both addresses from its
+	// table.
+	idx := &w2.ForStmt{Var: "i"}
+	walk := &mcode.Instr{Mem: [mcode.MemPorts]*mcode.MemOp{{Reg: 1,
+		Addr: mcode.AddrInfo{Sym: sym, Base: 4, Affine: w2.AffVar(idx)}}}}
+	wellFormed := func(table ...int64) fastexec.Program {
+		return fastexec.Program{Cells: 2, Skew: 1, Lead: 2,
+			Cell: cell(&mcode.LoopItem{ID: 3, Trips: 2, Src: idx, Step: 1,
+				Body: []mcode.CodeItem{code(walk, recv(w2.DirL), send(w2.DirR))}}),
+			IU: &mcode.IUProgram{Items: []mcode.IUItem{
+				iuCode(&mcode.IUInstr{Out: [mcode.MemPorts]*mcode.IUOut{{FromTable: true}}}, sig(3, true)),
+				iuCode(&mcode.IUInstr{Out: [mcode.MemPorts]*mcode.IUOut{{FromTable: true}}}, sig(3, false)),
+			}, Table: table},
+			Host: host(2, 2)}
+	}
 
 	cases := []struct {
 		name string
@@ -76,6 +93,8 @@ func TestCompileRejections(t *testing.T) {
 					&mcode.IUInstr{Out: [mcode.MemPorts]*mcode.IUOut{{Src: 2}}})),
 				Host: host(0, 0)},
 			"fastexec: address 5000 outside the 4096-word cell memory (IU generated a bad address for buf+0)"},
+		{"address-mismatch", wellFormed(4, 6), // in range, but the second iteration loads buf[4+1]
+			"fastexec: address mismatch at cycle 3, memory port 0: the IU sends 6 where buf+i names 5"},
 		{"signal-stream-dry",
 			fastexec.Program{Cells: 1, Cell: cell(loop(3, 2, code(&mcode.Instr{}))),
 				IU: iu(iuCode(sig(3, true))), Host: host(0, 0)},
@@ -120,17 +139,9 @@ func TestCompileRejections(t *testing.T) {
 		})
 	}
 
-	// The smallest well-formed program of the same shapes compiles: the
-	// table above rejects for the stated reason, not for a malformed
-	// fixture.
-	ok := fastexec.Program{Cells: 2, Skew: 1, Lead: 2,
-		Cell: cell(loop(3, 2, code(load, recv(w2.DirL), send(w2.DirR)))),
-		IU: &mcode.IUProgram{Items: []mcode.IUItem{
-			iuCode(&mcode.IUInstr{Out: [mcode.MemPorts]*mcode.IUOut{{FromTable: true}}}, sig(3, true)),
-			iuCode(&mcode.IUInstr{Out: [mcode.MemPorts]*mcode.IUOut{{FromTable: true}}}, sig(3, false)),
-		}, Table: []int64{4, 5}},
-		Host: host(2, 2)}
-	plan, err := fastexec.Compile(ok)
+	// The well-formed program compiles: the table above rejects for the
+	// stated reason, not for a malformed fixture.
+	plan, err := fastexec.Compile(wellFormed(4, 5))
 	if err != nil {
 		t.Fatalf("well-formed fixture rejected: %v", err)
 	}

@@ -60,20 +60,13 @@ type Stream []op
 // Σ coef·iter[depth] over terms; then it closes ends, innermost first.
 type op struct {
 	word  Word
-	terms []term
+	terms []mcode.LoopTerm
 	ends  []loopEnd
 	count int64 // dynamic executions: the product of the enclosing trip counts
 	// body, on the first operation of an innermost loop, is the number of
 	// operations in the loop (the last of them closes it before any
 	// other); 0 elsewhere.
 	body int
-}
-
-// term is one affine term of a host address: coef per iteration of the
-// enclosing loop at nesting depth depth (0 = outermost).
-type term struct {
-	coef  int64
-	depth int
 }
 
 // loopEnd closes one loop: after its last operation the stream resumes
@@ -108,7 +101,7 @@ func (s Stream) String() string {
 		default:
 			fmt.Fprintf(&sb, " %d:@%d", i, o.word.Index)
 			for _, t := range o.terms {
-				fmt.Fprintf(&sb, "%+d*i%d", t.coef, t.depth)
+				fmt.Fprintf(&sb, "%+d*i%d", t.Coef, t.Depth)
 			}
 		}
 		for _, e := range o.ends {
@@ -180,7 +173,7 @@ func (r *Reader) Read(buf []Word) int {
 func (r *Reader) word(o *op) Word {
 	w := o.word
 	for _, t := range o.terms {
-		w.Index += int32(t.coef * r.iter[t.depth])
+		w.Index += int32(t.Coef * r.iter[t.Depth])
 	}
 	return w
 }
@@ -212,8 +205,8 @@ func (r *Reader) run(o *op, buf []Word) int {
 	for j := range body {
 		w, stride := r.word(&body[j]), int32(0)
 		for _, t := range body[j].terms {
-			if t.depth == loop.depth {
-				stride += int32(t.coef)
+			if t.Depth == loop.depth {
+				stride += int32(t.Coef)
 			}
 		}
 		fill(buf[j:words], len(body), w, stride)
@@ -389,36 +382,15 @@ func (b *builder) add(io *mcode.IOOp, mult int64) error {
 	return nil
 }
 
-// resolve folds the binding's pipelining delta into the constant term
-// (AddrInfo.Shifted) and binds each remaining affine term to the
-// innermost enclosing loop with the matching source statement, turning
-// coef·(First + Step·iteration) into a constant and a per-iteration
-// coefficient.  lo and hi track the address range over all iterations.
+// resolve binds the external's address to the enclosing loops
+// (mcode.AddrInfo.Bind) and checks that it stays within a Word's index.
 func (b *builder) resolve(a *mcode.AddrInfo) (op, error) {
-	aff := a.Shifted()
-	base := int64(a.Base) + aff.Const
-	lo, hi := float64(base), float64(base)
-	var o op
-	for _, t := range aff.Terms {
-		depth := len(b.loops) - 1
-		for depth >= 0 && b.loops[depth].Src != t.Var {
-			depth--
-		}
-		if depth < 0 {
-			return op{}, fmt.Errorf("external %s references loop %s outside its scope", a, t.Var.Var)
-		}
-		l := b.loops[depth]
-		base += t.Coef * l.First
-		o.terms = append(o.terms, term{coef: t.Coef * l.Step, depth: depth})
-		// In floating point the range cannot wrap, and at the magnitudes
-		// that matter (±2³¹) it is exact.
-		first := float64(t.Coef) * float64(l.First)
-		last := first + float64(t.Coef)*float64(l.Step)*float64(l.Trips-1)
-		lo, hi = lo+min(first, last), hi+max(first, last)
+	r, err := a.Bind(b.loops)
+	if err != nil {
+		return op{}, fmt.Errorf("external %w", err)
 	}
-	if lo < -maxIndex || hi > maxIndex {
-		return op{}, fmt.Errorf("external %s resolves to host addresses %.0f..%.0f, outside ±%d", a, lo, hi, int64(maxIndex))
+	if r.Lo < -maxIndex || r.Hi > maxIndex {
+		return op{}, fmt.Errorf("external %s resolves to host addresses %.0f..%.0f, outside ±%d", a, r.Lo, r.Hi, int64(maxIndex))
 	}
-	o.word.Index = int32(base)
-	return o, nil
+	return op{word: Word{Index: int32(r.Start)}, terms: r.Terms}, nil
 }

@@ -231,6 +231,52 @@ func (a AddrInfo) Shifted() w2.Affine {
 	return aff
 }
 
+// LoopTerm is one term of a bound address: Coef per iteration of the
+// enclosing loop at nesting depth Depth (0 = outermost).
+type LoopTerm struct {
+	Coef  int64
+	Depth int
+}
+
+// BoundAddr is an address as a function of the iteration numbers of the
+// loops around it: Start + Σ Coef·iteration[Depth], within Lo..Hi over
+// all their iterations.
+type BoundAddr struct {
+	Start  int64
+	Terms  []LoopTerm
+	Lo, Hi float64
+}
+
+// Bind folds the pipelining delta into the constant term (Shifted) and
+// binds each remaining affine term to the innermost of the enclosing
+// loops (outermost first) with the matching source statement, turning
+// coef·(First + Step·iteration) into a constant and a per-iteration
+// coefficient: the one resolution of an address against a loop nest,
+// shared by the host program and the fast executor's plan.
+func (a AddrInfo) Bind(loops []*LoopItem) (BoundAddr, error) {
+	aff := a.Shifted()
+	b := BoundAddr{Start: int64(a.Base) + aff.Const}
+	b.Lo, b.Hi = float64(b.Start), float64(b.Start)
+	for _, t := range aff.Terms {
+		depth := len(loops) - 1
+		for depth >= 0 && loops[depth].Src != t.Var {
+			depth--
+		}
+		if depth < 0 {
+			return BoundAddr{}, fmt.Errorf("%s references loop %s outside its scope", a, t.Var.Var)
+		}
+		l := loops[depth]
+		b.Start += t.Coef * l.First
+		b.Terms = append(b.Terms, LoopTerm{Coef: t.Coef * l.Step, Depth: depth})
+		// In floating point the range cannot wrap, and at the magnitudes
+		// that matter (±2³¹) it is exact.
+		first := float64(t.Coef) * float64(l.First)
+		last := first + float64(t.Coef)*float64(l.Step)*float64(l.Trips-1)
+		b.Lo, b.Hi = b.Lo+min(first, last), b.Hi+max(first, last)
+	}
+	return b, nil
+}
+
 // IOOp is a queue-port field: a receive writes the popped word to Dst;
 // a send pushes Src.
 type IOOp struct {

@@ -1,6 +1,9 @@
 package mcode
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // flat.go is the executable form of the machine model: the structured
 // microprograms decoded into flat instruction arrays, the sequencer that
@@ -203,6 +206,23 @@ type IUTrace struct {
 	OverRead   int
 }
 
+// tracePool recycles traces.  A trace is as long as the IU's run and is
+// read once — by the verifier, by the fast executor's validation walk —
+// so every compilation would otherwise allocate megabytes and drop them.
+var tracePool = sync.Pool{New: func() any { return new(IUTrace) }}
+
+// Release hands the trace's storage to the next Elaborate.  The trace
+// must not be used afterwards.
+func (tr *IUTrace) Release() { tracePool.Put(tr) }
+
+// emptied returns s emptied, or a new slice when s has no room for n.
+func emptied[T any](s []T, n int64) []T {
+	if int64(cap(s)) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
 // Elaborate runs the IU register machine over the decoded program and
 // returns the streams it emits.  The IU's arithmetic is input-independent
 // — immediates, an adder and a pre-stored table — so this is the
@@ -213,9 +233,10 @@ type IUTrace struct {
 // step.  done is false when the program runs past limit cycles; the trace
 // then holds only what was emitted so far.
 func (c IUCode) Elaborate(table []int64, limit int64) (tr *IUTrace, done bool) {
-	tr = &IUTrace{
-		Adr:      make([]AdrEvent, 0, min(c.Adrs, MemPorts*limit)),
-		Sigs:     make([]SigEvent, 0, min(c.Sigs, limit)),
+	tr = tracePool.Get().(*IUTrace)
+	*tr = IUTrace{
+		Adr:      emptied(tr.Adr, min(c.Adrs, MemPorts*limit)),
+		Sigs:     emptied(tr.Sigs, min(c.Sigs, limit)),
 		OverRead: -1,
 	}
 	var regs [IUNumRegs]int64

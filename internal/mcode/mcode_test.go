@@ -107,6 +107,38 @@ func TestAddrInfoShifted(t *testing.T) {
 	}
 }
 
+// TestAddrInfoBind: each term binds to the innermost enclosing loop of
+// its source statement, First and Step (what software pipelining
+// retargets) and the delta fold in, and the range is over all iterations.
+func TestAddrInfoBind(t *testing.T) {
+	i, j := &w2.ForStmt{Var: "i"}, &w2.ForStmt{Var: "j"}
+	info := AddrInfo{Sym: &w2.Symbol{Name: "a"}, Base: 100,
+		Affine: w2.AffVar(i).Scale(3).Add(w2.AffVar(j).Scale(-2)).Add(w2.AffConst(2)),
+		Delta:  map[*w2.ForStmt]int64{i: 4}}
+	loops := []*LoopItem{
+		{Src: i, Trips: 9, Step: 1}, // shadowed by the inner loop over i
+		{Src: j, Trips: 5, First: 1, Step: 2},
+		{Src: i, Trips: 4, First: 2, Step: 1},
+	}
+	// 100 + 3(i+4) - 2j + 2 at i = 2+k2, j = 1+2·k1: 118 - 4·k1 + 3·k2.
+	b, err := info.Bind(loops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Start != 118 || len(b.Terms) != 2 || b.Terms[0] != (LoopTerm{Coef: 3, Depth: 2}) || b.Terms[1] != (LoopTerm{Coef: -4, Depth: 1}) {
+		t.Errorf("Bind = %+v, want 118 + 3·k2 - 4·k1", b)
+	}
+	if b.Lo != 118-16 || b.Hi != 118+9 {
+		t.Errorf("range %v..%v, want 102..127", b.Lo, b.Hi)
+	}
+	if _, err := info.Bind(loops[:2]); err != nil {
+		t.Errorf("outer loop over i not found: %v", err)
+	}
+	if _, err := info.Bind(loops[:1]); err == nil || err.Error() != "a+3*i - 2*j + 2 [i+4] references loop j outside its scope" {
+		t.Errorf("unbound j: error %v", err)
+	}
+}
+
 func TestAluCodeProperties(t *testing.T) {
 	if Mov.Latency() != 1 {
 		t.Error("mov latency must be 1")

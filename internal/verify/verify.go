@@ -355,6 +355,7 @@ func checkIUStreams(p Program, cs *cellStreams, rep *Report, col *collector) {
 	// decoder leaves it out.
 	iuCode, _ := mcode.DecodeIU(p.IU)
 	trace, ok := iuCode.Elaborate(p.IU.Table, emuCycleLimit)
+	defer trace.Release()
 	if k := trace.OverRead; k >= 0 {
 		// Over-reads yield address 0, so the checks below still run and
 		// surface further violations.
