@@ -32,6 +32,7 @@ import (
 	"warp/internal/bench"
 	"warp/internal/commgraph"
 	"warp/internal/driver"
+	"warp/internal/fabric"
 	"warp/internal/interp"
 	"warp/internal/ir"
 	"warp/internal/iugen"
@@ -605,6 +606,78 @@ func fabricScaling() error {
 	fmt.Printf("%d tiles, aggregate %d cyc, makespan %d cyc, speedup %.2fx, wall %s\n",
 		fs.Tiles, fs.AggregateCycles, fs.MakespanCycles, fs.Speedup,
 		time.Duration(fs.WallNS).Round(time.Microsecond))
+	return tileBatching()
+}
+
+// tileBatching times what one tile of a partitioned job costs an array,
+// staging and stitching left out: on the simulator, on the fast executor
+// one tile a walk (driver.RunWith, the farm's per-tile path), and with 8
+// and 32 tiles sharing one walk of the kernel's plan (driver.RunBatch,
+// what the farm hands an array).  The two jobs are the benchmark's
+// fabric-farm pair; every row is the best of five passes over all the
+// job's tiles on one goroutine.
+func tileBatching() error {
+	a, b := workloads.LargeMatmulData(80, 80, 80, 5)
+	x, w := workloads.LargeConv1DData(8192, 9, 5)
+	fmt.Println("\none tile's cost by how many tiles share a walk of the fast plan (us/tile, best of 5 passes):")
+	fmt.Printf("%-10s %6s %10s %10s %10s %10s %14s %12s\n",
+		"job", "tiles", "sim", "fast x1", "fast x8", "fast x32", "x32 over x1", "x32 over sim")
+	for _, j := range []struct {
+		name, kernel string
+		plan         func(fabric.TileProgram, fabric.Limits) (*fabric.Plan, error)
+	}{
+		{"mm80", workloads.Matmul(10), func(tp fabric.TileProgram, l fabric.Limits) (*fabric.Plan, error) {
+			return fabric.PlanMatmul(fabric.Matmul{M: 80, K: 80, N: 80, A: a, B: b}, tp, l)
+		}},
+		{"conv8192", workloads.Conv1D(9, 512), func(tp fabric.TileProgram, l fabric.Limits) (*fabric.Plan, error) {
+			return fabric.PlanConv1D(fabric.Conv1D{Kernel: w, X: x}, tp, l)
+		}},
+	} {
+		c, err := driver.Compile(j.kernel, driver.Options{Pipeline: true, Verify: true})
+		if err != nil {
+			return fmt.Errorf("%s: %w", j.name, err)
+		}
+		tp := fabric.TileProgram{Cells: c.Cells}
+		for _, sym := range c.Info.HostSyms {
+			if prm := (fabric.Param{Name: sym.Name, Size: sym.Type.Size()}); sym.Out {
+				tp.Out = prm
+			} else {
+				tp.In = append(tp.In, prm)
+			}
+		}
+		pl, err := j.plan(tp, fabric.DefaultLimits(c.Cells))
+		if err != nil {
+			return fmt.Errorf("%s: %w", j.name, err)
+		}
+		inputs := make([]map[string][]float64, len(pl.Tiles))
+		for i, t := range pl.Tiles {
+			inputs[i] = pl.Inputs(t)
+		}
+		perTile := func(backend string, width int) (float64, error) {
+			best := time.Duration(1<<62 - 1)
+			for pass := 0; pass < 5; pass++ {
+				start := time.Now()
+				for lo := 0; lo < len(inputs); lo += width {
+					if _, _, err := driver.RunBatch(c, inputs[lo:min(lo+width, len(inputs))], driver.RunOptions{Backend: backend}); err != nil {
+						return 0, fmt.Errorf("%s: %w", j.name, err)
+					}
+				}
+				best = min(best, time.Since(start))
+			}
+			return float64(best.Microseconds()) / float64(len(inputs)), nil
+		}
+		var us [4]float64
+		for i, m := range []struct {
+			backend string
+			width   int
+		}{{driver.BackendSim, 1}, {driver.BackendFast, 1}, {driver.BackendFast, 8}, {driver.BackendFast, 32}} {
+			if us[i], err = perTile(m.backend, m.width); err != nil {
+				return err
+			}
+		}
+		fmt.Printf("%-10s %6d %10.1f %10.1f %10.1f %10.1f %13.1fx %11.1fx\n",
+			j.name, len(inputs), us[0], us[1], us[2], us[3], us[1]/us[3], us[0]/us[3])
+	}
 	return nil
 }
 

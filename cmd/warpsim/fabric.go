@@ -121,8 +121,8 @@ func runFabric(spec *fabricSpec, o *options) {
 	m := prog.Metrics()
 	fmt.Printf("fabric %s: %d tiles on %d arrays (%d-cell kernel, skew %d, %s backend)\n",
 		spec.Workload, fs.Tiles, fs.Arrays, m.Cells, m.Skew, fs.Backend)
-	fmt.Printf("dispatched %d, retried %d, failed %d; staged %d host words\n",
-		fs.Dispatched, fs.Retried, fs.Failed, fs.StagedWords)
+	fmt.Printf("dispatched %d, retried %d, failed %d; %d batches, %d fell back to tile-by-tile; staged %d host words\n",
+		fs.Dispatched, fs.Retried, fs.Failed, fs.Batches, fs.BatchFallbacks, fs.StagedWords)
 	fmt.Printf("aggregate %d cycles, makespan %d cycles, modeled speedup %.2fx, wall %s\n",
 		fs.AggregateCycles, fs.MakespanCycles, fs.Speedup, time.Duration(fs.WallNS).Round(time.Microsecond))
 	if o.stats {

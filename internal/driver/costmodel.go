@@ -6,6 +6,7 @@ import (
 
 	"warp/internal/fastexec"
 	"warp/internal/interp"
+	"warp/internal/mcode"
 	"warp/internal/sim"
 	"warp/internal/telemetry"
 	"warp/internal/workloads"
@@ -40,7 +41,11 @@ func CostModelForHost() telemetry.CostModel {
 // of the decision audit; on deterministic workloads it equals the cycle
 // count the simulator reports.
 func (c *Compiled) ModeledCycles() int64 {
-	return (c.IUGen.Prologue + 1) + int64(c.Cells-1)*c.Skew + c.Cell.Cycles()
+	c.costOnce.Do(func() {
+		c.modeledCycles = (c.IUGen.Prologue + 1) + int64(c.Cells-1)*c.Skew + c.Cell.Cycles()
+		c.runOps = mcode.CountCell(c.Cell).Ops * int64(c.Cells)
+	})
+	return c.modeledCycles
 }
 
 func calibrate() {

@@ -118,6 +118,12 @@ type Compiled struct {
 	fastOnce sync.Once
 	fastPlan *fastexec.Plan
 	fastErr  error
+
+	// The two walks of the cell program every run's decision audit reads
+	// — modeled cycles and all cells' dynamic non-nop operations — done
+	// once, by ModeledCycles.
+	costOnce              sync.Once
+	modeledCycles, runOps int64
 }
 
 // FastPlan returns the compiled program's fast-execution plan, building
@@ -436,7 +442,7 @@ type RunOptions struct {
 // status and observability needs decide); the predictions are recorded
 // so their accuracy can be audited before they start driving the
 // choice (ROADMAP: cost-modeled auto-selection).
-func chooseBackend(c *Compiled, o RunOptions) (string, *telemetry.Decision, error) {
+func chooseBackend(c *Compiled, o RunOptions) (string, telemetry.Decision, error) {
 	model := CostModelForHost()
 	d := &telemetry.Decision{
 		PredictedCycles: c.ModeledCycles(),
@@ -449,7 +455,7 @@ func chooseBackend(c *Compiled, o RunOptions) (string, *telemetry.Decision, erro
 	// audit record never builds a plan: only a run that may execute on
 	// the fast backend pays for (and caches) one.
 	predictFast := func() {
-		d.PredictedOps = mcode.CountCell(c.Cell).Ops * int64(c.Cells)
+		d.PredictedOps = c.runOps // set by ModeledCycles, above
 		d.PredictedFastWallNS = model.PredictFastNS(d.PredictedOps)
 	}
 	switch b := o.Backend; b {
@@ -484,17 +490,17 @@ func chooseBackend(c *Compiled, o RunOptions) (string, *telemetry.Decision, erro
 		}
 	case BackendFast:
 		if c.Verified == nil {
-			return "", nil, fmt.Errorf("backend %q: %w", b, ErrUnverified)
+			return "", telemetry.Decision{}, fmt.Errorf("backend %q: %w", b, ErrUnverified)
 		}
 		if _, err := c.FastPlan(); err != nil {
-			return "", nil, fmt.Errorf("backend %q: %w", b, err)
+			return "", telemetry.Decision{}, fmt.Errorf("backend %q: %w", b, err)
 		}
 		predictFast()
 		d.Backend, d.Reason = BackendFast, "explicit-fast"
 	default:
-		return "", nil, fmt.Errorf("unknown backend %q (want %q, %q or %q)", b, BackendAuto, BackendSim, BackendFast)
+		return "", telemetry.Decision{}, fmt.Errorf("unknown backend %q (want %q, %q or %q)", b, BackendAuto, BackendSim, BackendFast)
 	}
-	return d.Backend, d, nil
+	return d.Backend, *d, nil
 }
 
 // Run executes the compiled program on the simulated Warp machine.
@@ -509,13 +515,43 @@ func Run(c *Compiled, inputs map[string][]float64) (map[string][]float64, *sim.S
 // builds fresh machine state, so one Compiled may run from many
 // goroutines concurrently.
 func RunWith(c *Compiled, inputs map[string][]float64, o RunOptions) (map[string][]float64, *sim.Stats, error) {
+	outs, stats, err := RunBatch(c, []map[string][]float64{inputs}, o)
+	if err != nil {
+		return nil, nil, err
+	}
+	return outs[0], stats[0], nil
+}
+
+// batchStateBytes bounds the execution state of one batched walk (4 MB:
+// 32 lanes of a tile kernel stay inside a core's cache, and a program
+// with megabyte streams walks alone).
+const batchStateBytes = 4 << 20
+
+// RunsFast reports whether a run under these options executes on the
+// fast backend — whether RunBatch would walk its problems together.
+func RunsFast(c *Compiled, o RunOptions) bool {
+	backend, _, err := chooseBackend(c, o)
+	return err == nil && backend == BackendFast
+}
+
+// RunBatch is RunWith over several input sets under one backend
+// decision.  On the fast backend the problems share walks of the plan
+// (fastexec.Plan.ExecuteBatch), as many to a walk as batchStateBytes
+// allows, and the problems of a walk share one Stats — a modeled run is
+// the same for every input — whose Decision records the walk's width and
+// each problem's share of its wall time; on the simulator they run one
+// after another.  Any error fails the whole batch.
+func RunBatch(c *Compiled, inputs []map[string][]float64, o RunOptions) ([]map[string][]float64, []*sim.Stats, error) {
 	backend, decision, err := chooseBackend(c, o)
 	if err != nil {
 		return nil, nil, err
 	}
-	hostMem, err := interp.BuildHostMem(c.Info, inputs)
-	if err != nil {
-		return nil, nil, err
+	n := len(inputs)
+	hostMems, stats := make([][]float64, n), make([]*sim.Stats, n)
+	for i, in := range inputs {
+		if hostMems[i], err = interp.BuildHostMem(c.Info, in); err != nil {
+			return nil, nil, err
+		}
 	}
 	// The executors report raw positions; wrap the caller's hook so
 	// every update carries the modeled total (the denominator of a
@@ -527,46 +563,64 @@ func RunWith(c *Compiled, inputs map[string][]float64, o RunOptions) (map[string
 			inner(u)
 		}
 	}
-	start := time.Now()
-	var stats *sim.Stats
+	width := 1
 	if backend == BackendFast {
-		stats, err = runFast(c, hostMem, o)
-	} else {
-		stats, err = sim.Run(sim.Config{
-			Cells:     c.Cells,
-			Cell:      c.Cell,
-			IU:        c.IU,
-			Host:      c.Host,
-			Skew:      c.Skew,
-			Lead:      c.IUGen.Prologue + 1,
-			HostMem:   hostMem,
-			MaxCycles: o.MaxCycles,
-			Ctx:       o.Ctx,
-			Recorder:  o.Recorder,
-			PCStats:   o.Profile,
-			Progress:  o.Progress,
-		})
+		plan, _ := c.FastPlan() // chooseBackend built it
+		width = max(1, min(n, batchStateBytes/plan.StateBytes()))
 	}
-	if err != nil {
-		return nil, nil, err
+	for lo := 0; lo < n; lo += width {
+		hi := min(lo+width, n)
+		start := time.Now()
+		var st *sim.Stats
+		if backend == BackendFast {
+			st, err = runFast(c, hostMems[lo:hi], o)
+		} else {
+			st, err = sim.Run(sim.Config{
+				Cells:     c.Cells,
+				Cell:      c.Cell,
+				IU:        c.IU,
+				Host:      c.Host,
+				Skew:      c.Skew,
+				Lead:      c.IUGen.Prologue + 1,
+				HostMem:   hostMems[lo],
+				MaxCycles: o.MaxCycles,
+				Ctx:       o.Ctx,
+				Recorder:  o.Recorder,
+				PCStats:   o.Profile,
+				Progress:  o.Progress,
+			})
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		d := decision // each walk has a wall time, and perhaps a width, of its own
+		d.ActualWallNS = time.Since(start).Nanoseconds() / int64(hi-lo)
+		if hi-lo > 1 {
+			d.Batch = hi - lo
+		}
+		st.Backend, st.Decision, st.Obs.Phases = backend, &d, c.Phases
+		for i := lo; i < hi; i++ {
+			stats[i] = st
+		}
 	}
-	decision.ActualWallNS = time.Since(start).Nanoseconds()
-	stats.Backend = backend
-	stats.Decision = decision
-	stats.Obs.Phases = c.Phases
-	return interp.ExtractOutputs(c.Info, hostMem), stats, nil
+	outs := make([]map[string][]float64, n)
+	for i := range outs {
+		outs[i] = interp.ExtractOutputs(c.Info, hostMems[i])
+	}
+	return outs, stats, nil
 }
 
-// runFast executes over the cached dataflow plan and converts the
-// result to the simulator's Stats shape.  The queue peaks come from the
-// verifier's proven occupancy bounds — the fast path never materializes
-// queues, but the bounds are exactly what the proof discharged.
-func runFast(c *Compiled, hostMem []float64, o RunOptions) (*sim.Stats, error) {
+// runFast executes over the cached dataflow plan, one walk for all the
+// host memories, and converts the result to the simulator's Stats shape.
+// The queue peaks come from the verifier's proven occupancy bounds — the
+// fast path never materializes queues, but the bounds are exactly what
+// the proof discharged.
+func runFast(c *Compiled, hostMems [][]float64, o RunOptions) (*sim.Stats, error) {
 	plan, err := c.FastPlan() // cached; already built by chooseBackend
 	if err != nil {
 		return nil, err
 	}
-	res, err := plan.Execute(hostMem, fastexec.ExecConfig{Ctx: o.Ctx, MaxCycles: o.MaxCycles, Progress: o.Progress})
+	res, err := plan.ExecuteBatch(hostMems, fastexec.ExecConfig{Ctx: o.Ctx, MaxCycles: o.MaxCycles, Progress: o.Progress})
 	if err != nil {
 		return nil, err
 	}

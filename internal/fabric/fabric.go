@@ -28,8 +28,10 @@
 //     with the next tiles' inputs staged while current tiles run
 //     (double-buffered host I/O), per-tile deadlines, bounded livelock
 //     retries, and a typed per-tile error that fails the job without
-//     hanging the farm.  Per-tile run profiles aggregate into a
-//     fabric-level Stats.
+//     hanging the farm.  Tiles of one job share one kernel, so an array
+//     may be handed a batch of first attempts to run in one call
+//     (Config.Batch); a batch that fails re-runs tile by tile.  Per-tile
+//     run profiles aggregate into a fabric-level Stats.
 package fabric
 
 import (

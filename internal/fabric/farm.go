@@ -20,6 +20,16 @@ import (
 // calls it from several goroutines at once, one per array.
 type RunTileFunc func(ctx context.Context, t Tile, inputs map[string][]float64) ([]float64, TileStats, error)
 
+// RunBatchFunc executes several tiles of one job in one call — they share
+// one kernel, so an executor can walk it once for all of them — and returns
+// each tile's output and stats, in order, or one error for the whole batch.
+type RunBatchFunc func(ctx context.Context, tiles []Tile, inputs []map[string][]float64) ([][]float64, []TileStats, error)
+
+// maxBatch is the most tiles one batch holds.  Measured on the 10-cell
+// matmul and conv1d(9,512) kernels, a tile of a 32-wide walk costs a
+// tenth of a walk of its own; wider gains little more.
+const maxBatch = 32
+
 // TileStats is one tile run's profile contribution.
 type TileStats struct {
 	Cycles int64
@@ -53,6 +63,13 @@ type Config struct {
 	// Retryable classifies errors worth retrying; nil means the
 	// default: simulator livelock and a per-tile deadline hit.
 	Retryable func(error) bool
+	// Batch, when non-nil, runs the tiles' first attempts several at a
+	// time: an even share of the plan per array, at most maxBatch.  A
+	// batch is only a faster way to the same results: if it fails for any
+	// reason (a fault in one tile, the deadline, a cancelled attempt) its
+	// tiles go through the per-tile function one by one, which alone
+	// accounts for attempts, retries, deadlines and errors.
+	Batch RunBatchFunc
 	// Progress, when non-nil, receives one update per completed tile
 	// (TilesDone/Tiles plus aggregate cycles so far).  Updates are
 	// delivered from the farm's single result-collection loop, so the
@@ -81,16 +98,20 @@ type Stats struct {
 	Dispatched int // tile attempts started (retries included)
 	Retried    int // attempts beyond each tile's first
 	Failed     int // tiles that exhausted their attempts
+	// Batches counts Config.Batch calls, BatchFallbacks those that failed
+	// and sent their tiles down the per-tile path.
+	Batches, BatchFallbacks int
 
 	// AggregateCycles is the summed machine time of every completed
 	// tile — what one array would spend running the job serially.
 	AggregateCycles int64
 	// MakespanCycles is the modeled machine time of the N-array job:
 	// the per-tile cycle counts list-scheduled onto Arrays arrays in
-	// plan order.  Both counts are exact outputs of the deterministic
-	// simulator, so Speedup = Aggregate/Makespan is a deterministic,
-	// host-independent scaling measure (wall clock, recorded below,
-	// additionally depends on how many host CPUs back the goroutines).
+	// plan order, whatever order the tiles completed in.  Both counts are
+	// exact outputs of the deterministic simulator, so Speedup =
+	// Aggregate/Makespan is a deterministic, host-independent scaling
+	// measure (wall clock, recorded below, additionally depends on how
+	// many host CPUs back the goroutines).
 	MakespanCycles int64
 	// Speedup is AggregateCycles/MakespanCycles — the modeled
 	// machine-time speedup of this farm over a single array.
@@ -134,11 +155,11 @@ type Stats struct {
 	Decision *telemetry.Decision
 }
 
-// stagedTile is one unit of queued work: a tile plus its pre-sliced
-// inputs.
-type stagedTile struct {
-	tile   Tile
-	inputs map[string][]float64
+// stagedBatch is one unit of queued work: consecutive tiles of the plan
+// plus their pre-sliced inputs.
+type stagedBatch struct {
+	tiles  []Tile
+	inputs []map[string][]float64
 }
 
 // tileResult is what a worker reports back for one tile.
@@ -157,10 +178,10 @@ func defaultRetryable(err error) bool {
 	return errors.Is(err, sim.ErrLivelock) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// Run executes the plan on the farm: tiles are staged one slice ahead
-// per array (double-buffered host I/O), dispatched to Arrays worker
-// goroutines, and stitched in plan order once every tile has
-// completed.  The first tile to exhaust its attempts cancels the rest
+// Run executes the plan on the farm: tiles are staged one slice (with
+// Config.Batch, one batch) ahead per array (double-buffered host I/O),
+// dispatched to Arrays worker goroutines, and stitched in plan order
+// once every tile has completed.  The first tile to exhaust its attempts cancels the rest
 // and fails the job with its *TileError; the farm always drains its
 // workers before returning, so a failed job never leaks goroutines.
 func Run(ctx context.Context, pl *Plan, cfg Config, run RunTileFunc) ([]float64, *Stats, error) {
@@ -187,18 +208,26 @@ func Run(ctx context.Context, pl *Plan, cfg Config, run RunTileFunc) ([]float64,
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
+	width := 1
+	if cfg.Batch != nil {
+		width = min(maxBatch, (len(pl.Tiles)+cfg.Arrays-1)/cfg.Arrays)
+	}
+
 	// Stage tiles ahead of the workers: the channel buffer holds one
-	// pre-sliced tile per array, so while array i simulates tile t its
-	// next tile's input is already in host memory.
-	staged := make(chan stagedTile, cfg.Arrays)
+	// pre-sliced batch per array, so while array i simulates its tiles
+	// the next ones' input is already in host memory.
+	staged := make(chan stagedBatch, cfg.Arrays)
 	var stagedWords atomic.Int64
 	go func() {
 		defer close(staged)
-		for _, t := range pl.Tiles {
-			st := stagedTile{tile: t, inputs: pl.Inputs(t)}
-			stagedWords.Add(int64(pl.TileIn))
+		for lo := 0; lo < len(pl.Tiles); lo += width {
+			b := stagedBatch{tiles: pl.Tiles[lo:min(lo+width, len(pl.Tiles))], inputs: make([]map[string][]float64, 0, width)}
+			for _, t := range b.tiles {
+				b.inputs = append(b.inputs, pl.Inputs(t))
+				stagedWords.Add(int64(pl.TileIn))
+			}
 			select {
-			case staged <- st:
+			case staged <- b:
 			case <-ctx.Done():
 				return
 			}
@@ -206,18 +235,28 @@ func Run(ctx context.Context, pl *Plan, cfg Config, run RunTileFunc) ([]float64,
 	}()
 
 	results := make(chan tileResult, cfg.Arrays)
+	var batches, fallbacks atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Arrays; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for st := range staged {
-				if ctx.Err() != nil {
-					// The job is already failing or cancelled: drain the
-					// queue without simulating so the stager can finish.
-					continue
+			for b := range staged {
+				if len(b.tiles) > 1 && ctx.Err() == nil {
+					batches.Add(1)
+					if runBatch(ctx, b, cfg, results) {
+						continue
+					}
+					fallbacks.Add(1)
 				}
-				results <- runTile(ctx, st, cfg, run)
+				for i, t := range b.tiles {
+					if ctx.Err() != nil {
+						// The job is already failing or cancelled: drain the
+						// queue without simulating so the stager can finish.
+						break
+					}
+					results <- runTile(ctx, t, b.inputs[i], cfg, run)
+				}
 			}
 		}()
 	}
@@ -228,7 +267,8 @@ func Run(ctx context.Context, pl *Plan, cfg Config, run RunTileFunc) ([]float64,
 
 	stats := &Stats{Arrays: cfg.Arrays, Tiles: len(pl.Tiles)}
 	tileOut := make([][]float64, len(pl.Tiles))
-	cycles := make([]int64, 0, len(pl.Tiles))
+	cycles := make([]int64, len(pl.Tiles)) // by tile ID: the makespan is a function of the plan
+	done := 0
 	var jobErr error
 	var cycleSum float64 // utilization weights
 	for r := range results {
@@ -246,7 +286,8 @@ func Run(ctx context.Context, pl *Plan, cfg Config, run RunTileFunc) ([]float64,
 			continue
 		}
 		tileOut[r.id] = r.out
-		cycles = append(cycles, r.stats.Cycles)
+		cycles[r.id] = r.stats.Cycles
+		done++
 		stats.Backend = r.stats.Backend
 		if stats.TileDecision == nil {
 			stats.TileDecision = r.stats.Decision
@@ -269,12 +310,13 @@ func Run(ctx context.Context, pl *Plan, cfg Config, run RunTileFunc) ([]float64,
 		if cfg.Progress != nil {
 			cfg.Progress(obs.ProgressUpdate{
 				Cycles:    stats.AggregateCycles,
-				TilesDone: len(cycles),
+				TilesDone: done,
 				Tiles:     stats.Tiles,
 			})
 		}
 	}
 	stats.StagedWords = stagedWords.Load()
+	stats.Batches, stats.BatchFallbacks = int(batches.Load()), int(fallbacks.Load())
 	if cycleSum > 0 {
 		stats.AddUtil /= cycleSum
 		stats.MulUtil /= cycleSum
@@ -297,10 +339,29 @@ func Run(ctx context.Context, pl *Plan, cfg Config, run RunTileFunc) ([]float64,
 	return out, stats, nil
 }
 
+// runBatch gives a staged batch its one attempt at running together,
+// inside one tile attempt's deadline (every tile of a batch that makes it
+// met its own), and reports the tiles' results if it succeeds.
+func runBatch(ctx context.Context, b stagedBatch, cfg Config, results chan<- tileResult) bool {
+	if cfg.Deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, cfg.Deadline)
+		defer cancel()
+	}
+	outs, ts, err := cfg.Batch(ctx, b.tiles, b.inputs)
+	if err != nil || len(outs) != len(b.tiles) || len(ts) != len(b.tiles) {
+		return false
+	}
+	for i, t := range b.tiles {
+		results <- tileResult{id: t.ID, out: outs[i], stats: ts[i]}
+	}
+	return true
+}
+
 // runTile runs one staged tile with the per-attempt deadline and the
 // bounded retry policy.
-func runTile(ctx context.Context, st stagedTile, cfg Config, run RunTileFunc) tileResult {
-	res := tileResult{id: st.tile.ID}
+func runTile(ctx context.Context, t Tile, inputs map[string][]float64, cfg Config, run RunTileFunc) tileResult {
+	res := tileResult{id: t.ID}
 	attempts := 1 + cfg.Retries
 	for a := 1; a <= attempts; a++ {
 		if a > 1 {
@@ -310,7 +371,7 @@ func runTile(ctx context.Context, st stagedTile, cfg Config, run RunTileFunc) ti
 		if cfg.Deadline > 0 {
 			actx, acancel = context.WithTimeout(ctx, cfg.Deadline)
 		}
-		out, ts, err := run(actx, st.tile, st.inputs)
+		out, ts, err := run(actx, t, inputs)
 		acancel()
 		if err == nil {
 			res.out, res.stats = out, ts
@@ -325,7 +386,7 @@ func runTile(ctx context.Context, st stagedTile, cfg Config, run RunTileFunc) ti
 		if a < attempts && cfg.Retryable(err) {
 			continue
 		}
-		res.err = &TileError{Tile: st.tile.ID, Attempts: a, Err: err}
+		res.err = &TileError{Tile: t.ID, Attempts: a, Err: err}
 		return res
 	}
 	return res // unreachable: the loop always returns
@@ -336,9 +397,10 @@ func isTileError(err error) bool {
 	return errors.As(err, &te)
 }
 
-// modelMakespan list-schedules the completed tiles' cycle counts onto
-// n arrays — each tile goes to the least-loaded array, ties to the
-// lowest index — and returns the resulting makespan.  The schedule
+// modelMakespan list-schedules the tiles' cycle counts, in plan order
+// (a tile that did not complete counts nothing), onto n arrays — each
+// tile goes to the least-loaded array, ties to the lowest index — and
+// returns the resulting makespan.  The schedule
 // (and so the makespan) is a deterministic function of the plan,
 // unlike the racy goroutine assignment of the real dispatch, which
 // makes it safe to pin in benchmark baselines.

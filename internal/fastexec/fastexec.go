@@ -21,6 +21,13 @@
 // mcode.AddrInfo.Bind — the definitions the simulator, the verifier and
 // the host program generator use.
 //
+// W2 has no data-dependent control and the IU generates every address
+// and loop signal, so one walk of a plan serves any number of problems
+// (ExecuteBatch): words, sequencing and addresses are shared, and each
+// register, memory word, stream word and FPU FIFO entry holds a value per
+// problem.  One problem alone keeps a one-wide body over the same words
+// (runCell): the lane-wide body runs one problem at half its speed.
+//
 // The run is bit-exact with the simulator:
 //
 //   - Writes land late exactly as in hardware, on the two latencies the
@@ -57,6 +64,7 @@ package fastexec
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"warp/internal/hostgen"
 	"warp/internal/mcode"
@@ -108,7 +116,7 @@ const (
 
 // memField is one memory-port field.  Its address, with the enclosing
 // loops at iterations iter, is start + Σ Coef·iter[Depth] over the plan's
-// terms[termLo:termHi].
+// terms[termLo:termHi], counted from the plan's memLo.
 type memField struct {
 	kind           uint8
 	reg            mcode.Reg
@@ -145,6 +153,11 @@ type Plan struct {
 	terms []mcode.LoopTerm
 	ends  []mcode.LoopEnd
 	depth int // deepest loop nesting: iteration counters a run needs
+
+	// The envelope of the addresses the memory fields are bound to: cell
+	// memory words memLo up to memLo+memWords are all a run holds.
+	memLo    int64
+	memWords int
 
 	// Per-cell dynamic-operation counts of one run, in closed form.
 	ops, addOps, mulOps, movOps int64
@@ -282,6 +295,7 @@ func (p *Plan) decode(cell *mcode.CellProgram, code mcode.CellCode) ([]*mcode.In
 		}
 	}
 	pc, idle := 0, int64(0)
+	lo, hi := float64(mcode.MemWords), float64(-1) // the envelope, empty so far
 	mcode.WalkInstrs(cell.Items, func(in *mcode.Instr, loops []*mcode.LoopItem) {
 		cw := &code.Words[pc]
 		if isHead[pc] && idle > 0 {
@@ -334,6 +348,7 @@ func (p *Plan) decode(cell *mcode.CellProgram, code mcode.CellCode) ([]*mcode.In
 			if berr != nil {
 				fail(fmt.Errorf("fastexec: address %w", berr))
 			}
+			lo, hi = min(lo, b.Lo), max(hi, b.Hi)
 			m := memField{kind: memLoad, reg: mo.Reg, start: b.Start, termLo: int32(len(p.terms))}
 			p.terms = append(p.terms, b.Terms...)
 			m.termHi = int32(len(p.terms))
@@ -369,6 +384,15 @@ func (p *Plan) decode(cell *mcode.CellProgram, code mcode.CellCode) ([]*mcode.In
 		p.words = append(p.words, w)
 		instrs = append(instrs, in)
 	})
+	// Addresses count from the envelope's low end, cut to the cell memory:
+	// validate refuses the program if a walked address falls outside it.
+	p.memLo = int64(max(lo, 0))
+	p.memWords = int(max(min(hi, mcode.MemWords-1)-float64(p.memLo)+1, 0))
+	for i := range p.words {
+		for port := range p.words[i].mem {
+			p.words[i].mem[port].start -= p.memLo
+		}
+	}
 	return instrs, err
 }
 
@@ -406,9 +430,13 @@ func (p *Plan) validate(iu *mcode.IUTrace, instrs []*mcode.Instr) error {
 				return fmt.Errorf("fastexec: address %d outside the %d-word cell memory (IU generated a bad address for %s)",
 					addr, mcode.MemWords, named)
 			}
-			if want := p.addr(m, s.Iter); addr != want {
+			if want := p.memLo + p.addr(m, s.Iter); addr != want {
 				return fmt.Errorf("fastexec: address mismatch at cycle %d, memory port %d: the IU sends %d where %s names %d",
 					t, port, addr, named, want)
+			}
+			if addr < p.memLo || addr-p.memLo >= int64(p.memWords) {
+				return fmt.Errorf("fastexec: address %d outside the %d words from %d that %s and the other fields are bound to",
+					addr, p.memWords, p.memLo, named)
 			}
 		}
 		// One IU control signal is consumed per loop boundary, innermost
@@ -477,59 +505,104 @@ type regWrite struct {
 	land int64 // landing cycle (FPU results only)
 }
 
-// execState is the whole-array execution state shared across cells.
+// execState is the whole-array execution state shared across cells,
+// n = len(hostMems) problems wide.  It is pooled: a slice is reused when
+// it has the room.
 type execState struct {
 	plan     *Plan
-	hostMem  []float64
+	hostMems [][]float64 // one image per problem
 	ctx      context.Context
 	progress obs.ProgressFunc
 
-	mem  []float64 // one cell's data memory, zeroed per cell
+	mem  []float64 // one cell's data memory over the plan's envelope, word a of problem l at mem[a·n+l], zeroed per cell
 	iter []int64   // the sequencer's iteration counters, all zero between cells
 
 	// Inter-cell streams on X and Y, double-buffered: a cell reads prev
-	// (its left neighbour's full output) and appends to cur.
+	// (its left neighbour's full output) and appends to cur, n values a
+	// word.
 	prev, cur [2][]float64
 
-	hostIn, hostOut [2]hostgen.Reader // the host streams on X, Y
+	// A batched walk's lanes: register r of problem l at regs[r·n+l], and
+	// the values of the FPU FIFO's slots and of a word's held-back writes.
+	regs, fifo, held []float64
+
+	hostIn, hostOut [2]hostgen.Reader // the host streams on X, Y: the same words for every problem
 	sent            [2]int
 
 	wordCount int64
 }
 
-// hostWord resolves cell 0's next input word on a channel, lazily
-// against host memory — exact because semantic analysis makes receive
-// externals in-parameters and send externals out-parameters, so the
-// input region is never overwritten during a run.
-func (st *execState) hostWord(ch w2.Channel) (float64, error) {
-	w := st.hostIn[ch].Next()
-	if w == nil {
-		return 0, fmt.Errorf("fastexec: host input stream on %s ran dry after %d words", ch, st.plan.host.In[ch].Words())
+var statePool = sync.Pool{New: func() any { return new(execState) }}
+
+// sized returns s at length n, reallocated only when it lacks the room.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	if w.Literal {
-		return w.Value, nil
-	}
-	if w.Index < 0 || int(w.Index) >= len(st.hostMem) {
-		return 0, fmt.Errorf("fastexec: host input index %d outside host memory of %d words", w.Index, len(st.hostMem))
-	}
-	return st.hostMem[w.Index], nil
+	return s[:n]
 }
 
-// hostCollect receives one word from the last cell on a channel,
-// mirroring the simulator's output sequencing (Discard entries are
-// dummy sends with no destination).
-func (st *execState) hostCollect(ch w2.Channel, v float64) error {
+// hostWords resolves cell 0's next input word on a channel for every
+// problem, lazily against host memory — exact because semantic analysis
+// makes receive externals in-parameters and send externals out-parameters,
+// so the input region is never overwritten during a run.
+func (st *execState) hostWords(ch w2.Channel, dst []float64) error {
+	w := st.hostIn[ch].Next()
+	if w == nil {
+		return fmt.Errorf("fastexec: host input stream on %s ran dry after %d words", ch, st.plan.host.In[ch].Words())
+	}
+	for l, hostMem := range st.hostMems {
+		switch {
+		case w.Literal:
+			dst[l] = w.Value
+		case w.Index < 0 || int(w.Index) >= len(hostMem):
+			return fmt.Errorf("fastexec: host input index %d outside host memory of %d words", w.Index, len(hostMem))
+		default:
+			dst[l] = hostMem[w.Index]
+		}
+	}
+	return nil
+}
+
+// hostCollect receives one word per problem from the last cell on a
+// channel, mirroring the simulator's output sequencing (Discard entries
+// are dummy sends with no destination).
+func (st *execState) hostCollect(ch w2.Channel, vals []float64) error {
 	w := st.hostOut[ch].Next()
 	if w == nil {
 		return fmt.Errorf("fastexec: the last cell sent more words on %s than the host program expects (%d)", ch, st.sent[ch])
 	}
 	if idx := int(w.Index); idx != hostgen.Discard {
-		if idx < 0 || idx >= len(st.hostMem) {
-			return fmt.Errorf("fastexec: host output index %d outside host memory of %d words", idx, len(st.hostMem))
+		for l, hostMem := range st.hostMems {
+			if idx < 0 || idx >= len(hostMem) {
+				return fmt.Errorf("fastexec: host output index %d outside host memory of %d words", idx, len(hostMem))
+			}
+			hostMem[idx] = vals[l]
 		}
-		st.hostMem[idx] = v
 	}
 	st.sent[ch]++
+	return nil
+}
+
+// poll counts an executed plan word and, once a stride, checks for
+// cancellation and reports progress: t is the cell cycle cell idx has
+// reached.
+func (st *execState) poll(idx int, t int64) error {
+	st.wordCount++
+	if st.wordCount%ctxCheckInterval != 1 {
+		return nil
+	}
+	if st.ctx != nil {
+		if err := st.ctx.Err(); err != nil {
+			return fmt.Errorf("fastexec: run aborted: %w", err)
+		}
+	}
+	if p := st.plan; st.progress != nil {
+		// Cells run one after another: the cell cycles retired so far,
+		// scaled onto the modeled cycle axis, are a monotone position.
+		done := int64(idx)*p.cellCycles + t
+		st.progress(obs.ProgressUpdate{Cycles: p.cycles * done / (int64(p.cells) * p.cellCycles)})
+	}
 	return nil
 }
 
@@ -537,6 +610,26 @@ func (st *execState) hostCollect(ch w2.Channel, v float64) error {
 // outputs written in place).  The plan is read-only: concurrent
 // Execute calls on one Plan are safe.
 func (p *Plan) Execute(hostMem []float64, cfg ExecConfig) (*Result, error) {
+	return p.ExecuteBatch([][]float64{hostMem}, cfg)
+}
+
+// StateBytes is the execution state one problem of a batch occupies:
+// registers, cell memory envelope, write buffers, inter-cell streams.
+func (p *Plan) StateBytes() int {
+	return 8 * (mcode.NumRegs + p.memWords + fifoSlots + mcode.MemPorts + 3 + 2*(p.send[0]+p.send[1]))
+}
+
+// ExecuteBatch runs the plan over several problems' host memory images
+// in one walk: W2 has no data-dependent control and the IU generates
+// every address and loop signal, so all problems execute the same words
+// at the same addresses and differ only in the values.  Every image ends
+// bit-identical to what Execute leaves in it and the Result is
+// Execute's; an error (a divide by zero names its lane) fails the whole
+// batch, its images half written.
+func (p *Plan) ExecuteBatch(hostMems [][]float64, cfg ExecConfig) (*Result, error) {
+	if len(hostMems) == 0 {
+		return nil, fmt.Errorf("fastexec: an empty batch")
+	}
 	maxCycles := cfg.MaxCycles
 	if maxCycles == 0 {
 		maxCycles = 1 << 28
@@ -555,23 +648,31 @@ func (p *Plan) Execute(hostMem []float64, cfg ExecConfig) (*Result, error) {
 		}
 	}
 
-	st := &execState{
-		plan:     p,
-		hostMem:  hostMem,
-		ctx:      cfg.Ctx,
-		progress: cfg.Progress,
-		mem:      make([]float64, mcode.MemWords),
-		iter:     make([]int64, p.depth),
+	n := len(hostMems)
+	st := statePool.Get().(*execState)
+	defer func() {
+		st.hostMems, st.ctx, st.progress = nil, nil, nil // the pool must not keep a caller's memory alive
+		statePool.Put(st)
+	}()
+	st.plan, st.hostMems, st.ctx, st.progress = p, hostMems, cfg.Ctx, cfg.Progress
+	st.sent, st.wordCount = [2]int{}, 0
+	st.mem, st.iter = sized(st.mem, p.memWords*n), sized(st.iter, p.depth)
+	clear(st.iter)
+	run := p.runCell // one problem keeps the words' one-wide body
+	if n > 1 {
+		run = p.runLanes
+		st.regs, st.fifo = sized(st.regs, mcode.NumRegs*n), sized(st.fifo, fifoSlots*n)
+		st.held = sized(st.held, (mcode.MemPorts+3)*n)
 	}
 	for ch, words := range p.send {
 		st.hostIn[ch] = hostgen.NewReader(p.host.In[w2.Channel(ch)])
 		st.hostOut[ch] = hostgen.NewReader(p.host.Out[w2.Channel(ch)])
 		if p.cells > 1 { // the one cell of an array of one talks to the host alone
-			st.prev[ch], st.cur[ch] = make([]float64, 0, words), make([]float64, 0, words)
+			st.prev[ch], st.cur[ch] = sized(st.prev[ch], words*n)[:0], sized(st.cur[ch], words*n)[:0]
 		}
 	}
 	for i := 0; i < p.cells; i++ {
-		if err := p.runCell(st, i); err != nil {
+		if err := run(st, i); err != nil {
 			return nil, fmt.Errorf("cell %d: %w", i, err)
 		}
 		// This cell's output becomes the next cell's input; the spent
@@ -612,20 +713,8 @@ func (p *Plan) runCell(st *execState, idx int) error {
 	for t := int64(0); s.PC < len(words); t++ {
 		w := &words[s.PC]
 		if st.ctx != nil || st.progress != nil {
-			st.wordCount++
-			if st.wordCount%ctxCheckInterval == 1 {
-				if st.ctx != nil {
-					if err := st.ctx.Err(); err != nil {
-						return fmt.Errorf("fastexec: run aborted: %w", err)
-					}
-				}
-				if st.progress != nil {
-					// Cells run one after another: the cell cycles retired so
-					// far, scaled onto the modeled cycle axis, are a monotone
-					// position.
-					done := int64(idx)*p.cellCycles + t
-					st.progress(obs.ProgressUpdate{Cycles: p.cycles * done / (int64(p.cells) * p.cellCycles)})
-				}
+			if err := st.poll(idx, t); err != nil {
+				return err
 			}
 		}
 		if w.skip > 0 {
@@ -647,7 +736,7 @@ func (p *Plan) runCell(st *execState, idx int) error {
 		for _, io := range p.io[w.ioLo:w.recvLo] {
 			if !last {
 				cur[io.ch] = append(cur[io.ch], regs[io.reg])
-			} else if err := st.hostCollect(io.ch, regs[io.reg]); err != nil {
+			} else if err := st.hostCollect(io.ch, regs[io.reg:][:1]); err != nil {
 				return err
 			}
 		}
@@ -711,11 +800,9 @@ func (p *Plan) runCell(st *execState, idx int) error {
 		}
 		for _, io := range p.io[w.recvLo:w.ioHi] {
 			if first {
-				v, err := st.hostWord(io.ch)
-				if err != nil {
+				if err := st.hostWords(io.ch, regs[io.reg:][:1]); err != nil {
 					return err
 				}
-				regs[io.reg] = v
 				continue
 			}
 			in, n := prev[io.ch], pos[io.ch]
@@ -750,6 +837,113 @@ func (p *Plan) runCell(st *execState, idx int) error {
 	// Writes still in flight when the cell retires are never observed:
 	// the simulator stops stepping a finished cell the same way.
 	st.cur = cur
+	return nil
+}
+
+// runLanes is runCell for n problems at once: the same words under one
+// sequencer, the same order of reads and landings within a word, every
+// value n lanes wide.  What amortizes is the walk itself — field dispatch,
+// address arithmetic, sequencing — most of what a small run costs.
+func (p *Plan) runLanes(st *execState, idx int) error {
+	first, last := idx == 0, idx == p.cells-1
+	n, regs, mem := len(st.hostMems), st.regs, st.mem
+	clear(regs)
+	clear(mem)
+	lanes := func(r mcode.Reg) []float64 { return regs[int(r)*n:][:n] }
+	// The register and landing cycle of each FPU result in flight (its
+	// values are st.fifo[slot·n:]), oldest at head.
+	var fifo [fifoSlots]regWrite
+	var head, tail uint
+	land := func(t int64) {
+		for ; head != tail && fifo[head%fifoSlots].land <= t; head++ {
+			copy(lanes(fifo[head%fifoSlots].reg), st.fifo[int(head%fifoSlots)*n:][:n])
+		}
+	}
+	// What the current word holds back to the end of its cycle (values in
+	// st.held[i·n:]): its stores' addresses, then its one-cycle ALU
+	// results' registers.
+	var held [mcode.MemPorts + 3]int64
+	var pos [2]int
+
+	s := mcode.Seq{Iter: st.iter}
+	for t := int64(0); s.PC < len(p.words); t++ {
+		w := &p.words[s.PC]
+		if err := st.poll(idx, t); err != nil {
+			return err
+		}
+		if w.skip > 0 {
+			t += w.skip
+			land(t)
+		}
+		for _, io := range p.io[w.ioLo:w.recvLo] {
+			if !last {
+				st.cur[io.ch] = append(st.cur[io.ch], lanes(io.reg)...)
+			} else if err := st.hostCollect(io.ch, lanes(io.reg)); err != nil {
+				return err
+			}
+		}
+		nstored := 0
+		for pi := range w.mem {
+			if m := &w.mem[pi]; m.kind == memStore {
+				held[nstored] = p.addr(m, s.Iter)
+				copy(st.held[nstored*n:][:n], lanes(m.reg))
+				nstored++
+			}
+		}
+		nheld := nstored
+		for _, f := range [...]struct {
+			on bool
+			op *mcode.AluOp
+		}{{w.hasAdd, &w.add}, {w.hasMul, &w.mul}, {w.hasMov, &w.mov}} {
+			if !f.on {
+				continue
+			}
+			var dst []float64
+			if lat := f.op.Code.Latency(); lat == 1 {
+				held[nheld], dst = int64(f.op.Dst), st.held[nheld*n:][:n]
+				nheld++
+			} else {
+				fifo[tail%fifoSlots], dst = regWrite{reg: f.op.Dst, land: t + lat}, st.fifo[int(tail%fifoSlots)*n:][:n]
+				tail++
+			}
+			if err := f.op.EvalBatch(dst, regs, n); err != nil {
+				return fmt.Errorf("fastexec: %w", err)
+			}
+		}
+		land(t + 1)
+		for _, io := range p.io[w.recvLo:w.ioHi] {
+			if first {
+				if err := st.hostWords(io.ch, lanes(io.reg)); err != nil {
+					return err
+				}
+				continue
+			}
+			in, at := st.prev[io.ch], pos[io.ch]*n
+			if at >= len(in) {
+				return fmt.Errorf("fastexec: queue cell%d.%s underflows (receive before the matching send)", idx, io.ch)
+			}
+			copy(lanes(io.reg), in[at:at+n])
+			pos[io.ch]++
+		}
+		for pi := range w.mem {
+			if m := &w.mem[pi]; m.kind == memLoad {
+				copy(lanes(m.reg), mem[int(p.addr(m, s.Iter))*n:][:n])
+			}
+		}
+		for i, at := range held[:nheld] {
+			if vals := st.held[i*n:][:n]; i < nstored {
+				copy(mem[int(at)*n:][:n], vals)
+			} else {
+				copy(lanes(mcode.Reg(at)), vals)
+			}
+		}
+		if w.hasLit {
+			for l, dst := 0, lanes(w.lit.Dst); l < n; l++ {
+				dst[l] = w.lit.Value
+			}
+		}
+		s.Advance(w.depth, p.ends[w.endLo:w.endHi])
+	}
 	return nil
 }
 

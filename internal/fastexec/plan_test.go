@@ -83,23 +83,42 @@ func TestPlanSizeIndependentOfTrips(t *testing.T) {
 	}
 }
 
-// TestExecuteAllocs pins what a run allocates: its own state, sized by
-// the plan, never per word or per cell.  The unrolled executor before
-// this one allocated 209 times on the same program.
+// TestExecuteAllocs pins what a run allocates: its Result and its stream
+// readers' counters.  Its state — the cell memory over the plan's address
+// envelope, the iteration counters, the inter-cell streams — comes from a
+// pool, sized by the plan, never per word or per cell; before the
+// envelope a run allocated and cleared all 4096 words of cell memory for
+// each cell (17 allocations and 38 KB here), and the unrolled executor
+// before that allocated 209 times.
 func TestExecuteAllocs(t *testing.T) {
 	c, plan := planFor(t, workloads.Polynomial(10, 100), driver.Options{Pipeline: true})
 	mem, err := interp.BuildHostMem(c.Info, seededInputs(c, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(10, func() {
+	run := func() {
 		if _, err := plan.Execute(mem, fastexec.ExecConfig{}); err != nil {
 			t.Fatal(err)
 		}
-	})
-	t.Logf("%.0f allocations per run", allocs)
-	if allocs > 209 {
-		t.Errorf("Execute allocates %.0f times, the unrolled executor 209", allocs)
+	}
+	allocs := testing.AllocsPerRun(10, run)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 100
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%.0f allocations, %d bytes per run", allocs, bytes)
+	if allocs > 17 {
+		t.Errorf("Execute allocates %.0f times, want at most the 17 of the run that allocated its own state", allocs)
+	}
+	// 1.8 KB with the state pooled; a pool miss (a collection, or the race
+	// detector dropping one Put in four) re-allocates it, which reads
+	// 5.5 KB a run under -race.
+	if bytes > 12<<10 {
+		t.Errorf("Execute allocates %d bytes a run, want under 12 KB", bytes)
 	}
 }
 
@@ -289,6 +308,16 @@ func TestLoopShapesMatchSimulator(t *testing.T) {
 			if written == 0 {
 				t.Error("the nest wrote no output")
 			}
+			// The same nest three problems wide: each lane must end as it
+			// does alone.
+			lanes := make([][]float64, 3)
+			for l := range lanes {
+				lanes[l] = make([]float64, 128)
+				for x := range lanes[l][:64] {
+					lanes[l][x] = float64(x*(l+1)) + 0.25
+				}
+			}
+			checkBatch(t, plan, lanes)
 			t.Logf("%d plan words for %d cycles; out = %v", plan.Words(), cell.Cycles(), simMem[64:64+written])
 		})
 	}

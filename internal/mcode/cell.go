@@ -176,6 +176,48 @@ func boolToF(b bool) float64 {
 	return 0
 }
 
+// EvalBatch is Eval over n register files at once, register r of file l
+// at regs[r·n+l]: dst[l] receives file l's result.  The arithmetic codes
+// dispatch once, outside the lane loop; the rest go through Eval itself,
+// lane by lane, so they cannot differ from it — and a fault (a divide by
+// zero) names the first lane it is in.
+func (o *AluOp) EvalBatch(dst, regs []float64, n int) error {
+	dst = dst[:n]
+	a, b := regs[int(o.Src[0])*n:][:n], regs[int(o.Src[1])*n:][:n]
+	switch o.Code {
+	case Fadd:
+		for l := range dst {
+			dst[l] = a[l] + b[l]
+		}
+	case Fsub:
+		for l := range dst {
+			dst[l] = a[l] - b[l]
+		}
+	case Fmul:
+		for l := range dst {
+			dst[l] = a[l] * b[l]
+		}
+	case Mov:
+		copy(dst, a)
+	default:
+		c := a
+		if o.Code == Sel {
+			c = regs[int(o.Src[2])*n:][:n]
+		}
+		var file [NumRegs]float64
+		lane := AluOp{Code: o.Code, Src: [3]Reg{0, 1, 2}}
+		for l := range dst {
+			file[0], file[1], file[2] = a[l], b[l], c[l]
+			v, err := lane.Eval(&file)
+			if err != nil {
+				return fmt.Errorf("%w in lane %d", err, l)
+			}
+			dst[l] = v
+		}
+	}
+	return nil
+}
+
 func (o *AluOp) String() string {
 	ops := make([]string, o.Code.NumOperands())
 	for i := range ops {

@@ -215,9 +215,10 @@ var tracePool = sync.Pool{New: func() any { return new(IUTrace) }}
 // must not be used afterwards.
 func (tr *IUTrace) Release() { tracePool.Put(tr) }
 
-// emptied returns s emptied, or a new slice when s has no room for n.
+// emptied returns s emptied, or a new slice when s has no room for n:
+// never nil, so a trace does not depend on what the pool handed out.
 func emptied[T any](s []T, n int64) []T {
-	if int64(cap(s)) < n {
+	if s == nil || int64(cap(s)) < n {
 		return make([]T, 0, n)
 	}
 	return s[:0]

@@ -1,6 +1,8 @@
 package mcode
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -151,6 +153,66 @@ func TestAluCodeProperties(t *testing.T) {
 	}
 	if Sel.NumOperands() != 3 || Fneg.NumOperands() != 1 || Fadd.NumOperands() != 2 {
 		t.Error("operand counts wrong")
+	}
+}
+
+// TestEvalBatchMatchesEval: every operation code over every pairing (and
+// for sel, triple) of the awkward floats, one lane per combination: the
+// batch leaves the bits Eval returns, faults where Eval faults — naming
+// the first faulting lane — and without those lanes runs clean.
+func TestEvalBatchMatchesEval(t *testing.T) {
+	vals := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1, -1, 0.75, 3, -2.5e300, 1e-300}
+	var files [][NumRegs]float64
+	for _, a := range vals {
+		for _, b := range vals {
+			for _, c := range []float64{math.NaN(), 0, 7} {
+				files = append(files, [NumRegs]float64{5: a, 9: b, 2: c})
+			}
+		}
+	}
+	for code := Fadd; code <= Fdiv; code++ {
+		op := &AluOp{Code: code, Dst: 1, Src: [3]Reg{5, 9, 2}}
+		var clean [][NumRegs]float64
+		var want []float64
+		firstFault := -1
+		for l := range files {
+			v, err := op.Eval(&files[l])
+			if err != nil {
+				if firstFault < 0 {
+					firstFault = l
+				}
+				continue
+			}
+			clean, want = append(clean, files[l]), append(want, v)
+		}
+		batch := func(files [][NumRegs]float64) ([]float64, error) {
+			n := len(files)
+			regs, dst := make([]float64, NumRegs*n), make([]float64, n)
+			for l := range files {
+				for r, v := range files[l] {
+					regs[r*n+l] = v
+				}
+			}
+			return dst, op.EvalBatch(dst, regs, n)
+		}
+		if _, err := batch(files); firstFault < 0 && err != nil {
+			t.Errorf("%s: batch faults (%v), no lane does alone", code, err)
+		} else if firstFault >= 0 && (err == nil || !strings.HasSuffix(err.Error(), fmt.Sprintf("divide by zero in lane %d", firstFault))) {
+			t.Errorf("%s: batch error %v, want the divide by zero of lane %d", code, err, firstFault)
+		}
+		got, err := batch(clean)
+		if err != nil {
+			t.Fatalf("%s: %d clean lanes: %v", code, len(clean), err)
+		}
+		for l := range want {
+			if math.Float64bits(got[l]) != math.Float64bits(want[l]) {
+				t.Errorf("%s(%v, %v, %v): lane says %v, Eval %v", code, clean[l][5], clean[l][9], clean[l][2], got[l], want[l])
+			}
+		}
+		if code == Fdiv && (firstFault < 0 || len(clean) == len(files)) {
+			t.Error("fdiv: no lane divides by zero")
+		}
 	}
 }
 

@@ -71,6 +71,8 @@ type Metrics struct {
 	fabricDispatched int64            // tile attempts started (retries included)
 	fabricRetried    int64            // attempts beyond each tile's first
 	fabricFailed     int64            // tiles that exhausted their attempts
+	fabricBatches    int64            // batched first attempts (several tiles, one walk of the fast plan)
+	fabricFallbacks  int64            // batches that failed and re-ran tile by tile
 	fabricCycles     int64            // aggregate simulated cycles across tiles
 }
 
@@ -165,6 +167,8 @@ func (m *Metrics) observe(o *runOutcome) {
 		m.fabricDispatched += int64(f.Dispatched)
 		m.fabricRetried += int64(f.Retried)
 		m.fabricFailed += int64(f.Failed)
+		m.fabricBatches += int64(f.Batches)
+		m.fabricFallbacks += int64(f.BatchFallbacks)
 		m.fabricCycles += f.AggregateCycles
 	} else {
 		m.runs[o.result]++
@@ -312,6 +316,8 @@ func (m *Metrics) WritePrometheus(w io.Writer, cs CacheStats, ts TemplateCacheSt
 	counter(w, "warpd_fabric_tile_dispatch_total", "Tile attempts started (retries included).", m.fabricDispatched)
 	counter(w, "warpd_fabric_tile_retries_total", "Tile attempts beyond each tile's first.", m.fabricRetried)
 	counter(w, "warpd_fabric_tile_failures_total", "Tiles that exhausted their attempts.", m.fabricFailed)
+	counter(w, "warpd_fabric_batches_total", "Batched first attempts: several tiles through one walk of the fast plan.", m.fabricBatches)
+	counter(w, "warpd_fabric_batch_fallbacks_total", "Batches that failed and re-ran their tiles one by one.", m.fabricFallbacks)
 	counter(w, "warpd_fabric_cycles_total", "Aggregate simulated cycles across all tiles.", m.fabricCycles)
 }
 

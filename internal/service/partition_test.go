@@ -80,6 +80,8 @@ func TestRunPartitionedEndToEnd(t *testing.T) {
 		"warpd_fabric_tile_dispatch_total 27",
 		"warpd_fabric_tile_retries_total 0",
 		"warpd_fabric_tile_failures_total 0",
+		"warpd_fabric_batches_total 3", // a verified kernel's tiles go nine to a walk of its fast plan
+		"warpd_fabric_batch_fallbacks_total 0",
 	} {
 		if !strings.Contains(metrics, line) {
 			t.Errorf("/metrics missing %q", line)

@@ -56,6 +56,11 @@ type Decision struct {
 	PredictedFastWallNS int64 `json:"predicted_fast_wall_ns,omitempty"`
 	// ActualWallNS is stamped by the driver when the run completes.
 	ActualWallNS int64 `json:"actual_wall_ns,omitempty"`
+	// Batch is how many problems shared the run's walk of the fast plan
+	// (absent for a run of its own); ActualWallNS is then the walk's wall
+	// time divided by it, which the one-problem PredictedFastWallNS
+	// overstates by what the batch amortized.
+	Batch int `json:"batch,omitempty"`
 	// Model records the constants the prediction used, so stored
 	// decisions stay interpretable across recalibrations.
 	Model CostModel `json:"model"`

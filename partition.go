@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 
+	"warp/internal/driver"
 	"warp/internal/fabric"
+	"warp/internal/prof"
 )
 
 // Problem is an oversized workload for RunPartitioned — one whose
@@ -62,30 +64,56 @@ type TileError = fabric.TileError
 // function of the problem: identical across runs regardless of tile
 // completion order.
 func (p *Program) RunPartitioned(cfg RunConfig, prob Problem) (map[string][]float64, *FabricStats, error) {
+	return p.runPartitioned(cfg, prob, true)
+}
+
+// runPartitioned is RunPartitioned; without batch every tile takes the
+// per-tile path, the reference the batched farm is tested against.
+func (p *Program) runPartitioned(cfg RunConfig, prob Problem, batch bool) (map[string][]float64, *FabricStats, error) {
 	pl, err := p.partitionPlan(cfg, prob)
 	if err != nil {
 		return nil, nil, err
 	}
-	// A tile runs like any single-array run, under its own attempt's
-	// context.  Every tile worker shares the kernel's one cached fast
-	// plan, so a verified kernel runs the whole farm at dataflow speed.
-	run := func(ctx context.Context, t fabric.Tile, in map[string][]float64) ([]float64, fabric.TileStats, error) {
-		out, rs, err := p.RunWith(RunConfig{Context: ctx, MaxCycles: cfg.MaxCycles, Profile: cfg.Profile, Backend: cfg.Backend}, in)
+	// Tiles run like any single-array run, under their attempt's context,
+	// and share the kernel's one cached fast plan, so a verified kernel
+	// runs the whole farm at dataflow speed.
+	opts := driver.RunOptions{MaxCycles: cfg.MaxCycles, Profile: cfg.Profile, Backend: cfg.Backend}
+	runTiles := func(ctx context.Context, _ []fabric.Tile, ins []map[string][]float64) ([][]float64, []fabric.TileStats, error) {
+		opts := opts
+		opts.Ctx = ctx
+		outs, stats, err := driver.RunBatch(p.c, ins, opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		res, ts := make([][]float64, len(outs)), make([]fabric.TileStats, len(outs))
+		for i, rs := range stats {
+			res[i] = outs[i][pl.OutName()]
+			ts[i] = fabric.TileStats{Cycles: rs.Cycles, Backend: rs.Backend, Decision: rs.Decision, Summary: rs.Obs.Summarize()}
+			if cfg.Profile {
+				ts[i].Source = prof.BuildSource(p.c.Debug, rs.Obs.PC, rs.Cycles)
+			}
+		}
+		return res, ts, nil
+	}
+	run := func(ctx context.Context, _ fabric.Tile, in map[string][]float64) ([]float64, fabric.TileStats, error) {
+		res, ts, err := runTiles(ctx, nil, []map[string][]float64{in})
 		if err != nil {
 			return nil, fabric.TileStats{}, err
 		}
-		ts := fabric.TileStats{Cycles: rs.Cycles, Backend: rs.Backend, Decision: rs.Decision, Source: rs.Source}
-		if rs.Profile != nil {
-			ts.Summary = rs.Profile.Summarize()
-		}
-		return out[pl.OutName()], ts, nil
+		return res[0], ts[0], nil
 	}
-	out, stats, err := fabric.Run(cfg.Context, pl, fabric.Config{
+	fcfg := fabric.Config{
 		Arrays:   cfg.Arrays,
 		Deadline: cfg.TileDeadline,
 		Retries:  cfg.TileRetries,
 		Progress: cfg.Progress,
-	}, run)
+	}
+	// Tiles bound for the fast executor go a batch at a time: one walk of
+	// the plan for all of a batch's tiles.
+	if batch && driver.RunsFast(p.c, opts) {
+		fcfg.Batch = runTiles
+	}
+	out, stats, err := fabric.Run(cfg.Context, pl, fcfg, run)
 	if stats != nil {
 		stats.Decision = jobDecision(stats)
 	}

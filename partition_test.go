@@ -3,6 +3,8 @@ package warp_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -145,5 +147,87 @@ func TestRunPartitionedZeroProblem(t *testing.T) {
 	}
 	if _, _, err := prog.RunPartitioned(warp.RunConfig{}, warp.Problem{}); err == nil {
 		t.Fatal("zero Problem accepted")
+	}
+}
+
+// TestFarmBatchedMatchesPerTile is the fabric's differential seam on the
+// fast backend (run it under -race): the same partitioned problem with
+// the tiles' first attempts batched through one walk of the kernel's
+// plan, with every tile on the per-tile path, and as a whole in Go —
+// stitched outputs element-exact, and the two farms' statistics equal
+// field for field but for wall time and the batch counters.  The array
+// counts make batches that do not divide the plan (64 tiles on 3 arrays
+// go 22, 22, 20) and a farm wider than the plan, which has nothing to
+// batch.
+func TestFarmBatchedMatchesPerTile(t *testing.T) {
+	mm, err := warp.Compile(workloads.Matmul(10), warp.Options{Pipeline: true, Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cv, err := warp.Compile(workloads.Conv1D(9, 128), warp.Options{Pipeline: true, Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := workloads.LargeMatmulData(35, 35, 35, 5) // quarter-integers: the tiled reduction is exact
+	x, w := workloads.LargeConv1DData(3000, 9, 6)
+	// scrub removes what legitimately differs between the two farms.
+	scrub := func(fs *warp.FabricStats) warp.FabricStats {
+		c := *fs
+		c.WallNS, c.Batches, c.BatchFallbacks = 0, 0, 0
+		for _, d := range []**warp.Decision{&c.TileDecision, &c.Decision} {
+			if *d != nil {
+				dd := **d
+				dd.ActualWallNS, dd.Batch = 0, 0
+				*d = &dd
+			}
+		}
+		return c
+	}
+	for _, job := range []struct {
+		name  string
+		prog  *warp.Program
+		prob  warp.Problem
+		want  []float64
+		tiles int
+	}{
+		{"matmul35", mm, warp.MatmulProblem(35, 35, 35, a, b), workloads.MatmulRectRef(a, b, 35, 35, 35), 64},
+		{"conv3000", cv, warp.Conv1DProblem(w, x), workloads.Conv1DRef(x, w), 25},
+	} {
+		for _, arrays := range []int{1, 2, 3, 100} {
+			t.Run(fmt.Sprintf("%s/arrays=%d", job.name, arrays), func(t *testing.T) {
+				cfg := warp.RunConfig{Arrays: arrays}
+				out, batched, err := job.prog.RunPartitioned(cfg, job.prob)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, perTile, err := job.prog.RunPartitionedPerTile(cfg, job.prob)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for name, got := range out {
+					if !reflect.DeepEqual(got, job.want) || !reflect.DeepEqual(ref[name], job.want) {
+						t.Fatalf("%s: batched, per-tile and whole-problem outputs differ", name)
+					}
+				}
+				if batched.Tiles != job.tiles || batched.Backend != "fast" || batched.Dispatched != job.tiles {
+					t.Fatalf("batched farm: %+v, want %d tiles once each on the fast backend", batched, job.tiles)
+				}
+				if got, want := scrub(batched), scrub(perTile); !reflect.DeepEqual(got, want) {
+					t.Errorf("batched statistics %+v (tile decision %+v),\nper-tile %+v (tile decision %+v)", got, got.TileDecision, want, want.TileDecision)
+				}
+				width := min(32, (job.tiles+batched.Arrays-1)/batched.Arrays)
+				wantBatches := 0
+				if width > 1 {
+					wantBatches = (job.tiles + width - 1) / width
+				}
+				if batched.Batches != wantBatches || batched.BatchFallbacks != 0 || perTile.Batches != 0 {
+					t.Errorf("%d batches, %d fallbacks (per-tile farm: %d batches), want %d, 0 (0)",
+						batched.Batches, batched.BatchFallbacks, perTile.Batches, wantBatches)
+				}
+				if wantBatches > 0 && (batched.TileDecision.Batch < 2 || batched.Decision.Batch != batched.TileDecision.Batch || perTile.TileDecision.Batch != 0) {
+					t.Errorf("decisions record batch %d (job %d; per-tile farm %d)", batched.TileDecision.Batch, batched.Decision.Batch, perTile.TileDecision.Batch)
+				}
+			})
+		}
 	}
 }

@@ -14,7 +14,11 @@
 # the fast backend with -check, which stitches the tiles and compares
 # every output element against the full-problem W2 interpreter; the
 # summary line must name the fast backend, proving the farm actually
-# took the fast path rather than silently falling back to sim.
+# took the fast path rather than silently falling back to sim.  Each
+# spec also runs on 2 arrays, where every array's share of the plan is
+# more than one tile: the summary must count at least one batch (several
+# tiles through one walk of the fast plan) and no batch that fell back
+# to running tile by tile.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -39,6 +43,11 @@ for spec in examples/fabric/*.json; do
         echo "$out" | grep "fast backend"
         echo "$out" | grep "element-exact"
     done
+    echo "== fabric $spec on 2 arrays, batched =="
+    out=$("$bin/warpsim" -arrays 2 -check "$spec")
+    echo "$out" | grep "fast backend"
+    echo "$out" | grep -E "; [1-9][0-9]* batches, 0 fell back"
+    echo "$out" | grep "element-exact"
 done
 
 echo "fastexec-check: PASS"
