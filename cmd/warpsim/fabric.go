@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"warp"
-	"warp/internal/bench"
 	"warp/internal/interp"
 	"warp/internal/w2"
 	"warp/internal/workloads"
@@ -107,7 +106,6 @@ func runFabric(spec *fabricSpec, o *options) {
 	prog := o.compile(concrete(kernelSrc), warp.Options{Pipeline: o.pipeline})
 	runCfg, tick := o.runConfig()
 	runCfg.Arrays, runCfg.TileDeadline, runCfg.TileRetries = o.arrays, o.tileDL, o.tileRetry
-	runStart := time.Now()
 	out, fs, err := prog.RunPartitioned(runCfg, prob)
 	tick.Stop()
 	if err != nil {
@@ -129,7 +127,6 @@ func runFabric(spec *fabricSpec, o *options) {
 		fmt.Print(decisionLine(fs.Decision))
 	}
 
-	o.writeStats(bench.FromFabric("warpsim/fabric-"+spec.Workload, m, fs, nil), runStart)
 	o.writeProfile(fs.Source, prog.SchedReport())
 	o.writeOutputs(out)
 

@@ -5,11 +5,10 @@
 //
 //	warpsim [-pipeline] [-cells n] [-seed n] [-inputs data.json]
 //	        [-bounds n=32[,k=5...]] [-backend auto|sim|fast] [-crosscheck] [-progress]
-//	        [-check] [-trace out.json] [-stats] [-stats-json out.json]
+//	        [-check] [-trace out.json] [-stats]
 //	        [-max-cycles n] program.w2
 //	warpsim -arrays n [-backend auto|sim|fast] [-check] [-progress]
-//	        [-tile-retries n] [-tile-deadline d]
-//	        [-stats-json out.json] problem.json
+//	        [-tile-retries n] [-tile-deadline d] problem.json
 //
 // The program argument is a W2 source file, or the name of a built-in
 // workload (matmul, polynomial, conv1d, binop, fft, colorseg,
@@ -54,9 +53,7 @@
 // Observability: -trace writes a Chrome trace-event JSON file (load it
 // at https://ui.perfetto.dev — one track per cell, functional unit and
 // queue, plus a compiler-phase track); -stats prints the per-cell
-// utilization/stall table and the compiler's per-phase timing;
-// -stats-json writes the run record in the same JSON schema as
-// `warpbench -json` (one per-experiment record, schema warpbench/1).
+// utilization/stall table and the compiler's per-phase timing.
 //
 // Profiling: -profile records the exact per-µPC cycle counters and
 // prints the source-line hot-spot report (with the busy/starved/bubble
@@ -67,7 +64,7 @@
 // profiling.  On a fabric run the profile is the merge of every tile's
 // exact attribution.
 //
-// Every output path (-o, -trace, -stats-json, -flame, -pprof) is
+// Every output path (-o, -trace, -flame, -pprof) is
 // created up front, before compiling or simulating anything, so an
 // unwritable path fails immediately — exit status 1 and a message
 // naming the flag — instead of after a long run.
@@ -85,13 +82,12 @@ import (
 	"time"
 
 	"warp"
-	"warp/internal/bench"
 	"warp/internal/verify"
 	"warp/internal/workloads"
 )
 
 // options is the parsed command line, plus the output files it names:
-// every output path (-o, -trace, -stats-json, -flame, -pprof) is opened
+// every output path (-o, -trace, -flame, -pprof) is opened
 // before anything is compiled or simulated.  A single-array run and a
 // fabric job read the same options and share every step below that
 // does not depend on which of the two is running.
@@ -112,8 +108,8 @@ type options struct {
 	crossFlag bool
 	progress  bool
 
-	outPath, tracePath, statsJSON, flamePath, pprofPath string
-	outFile, traceFile, statsFile, flameFile, pprofFile *os.File
+	outPath, tracePath, flamePath, pprofPath string
+	outFile, traceFile, flameFile, pprofFile *os.File
 }
 
 // profiling reports whether the run collects the source-line profile:
@@ -130,7 +126,6 @@ func main() {
 	flag.StringVar(&o.outPath, "o", "", "write outputs as JSON to this file (default stdout summary)")
 	flag.StringVar(&o.tracePath, "trace", "", "write a Chrome trace-event JSON file (Perfetto-loadable)")
 	flag.BoolVar(&o.stats, "stats", false, "print per-cell utilization/stall table and compile-phase timing")
-	flag.StringVar(&o.statsJSON, "stats-json", "", "write the run record as benchmark JSON (warpbench -json schema)")
 	flag.Int64Var(&o.maxCycles, "max-cycles", 0, "abort the simulation after this many cycles (0 = default, 1<<28)")
 	flag.IntVar(&o.arrays, "arrays", 1, "farm a fabric problem spec across this many simulated arrays")
 	flag.IntVar(&o.tileRetry, "tile-retries", 1, "extra attempts a livelocked tile gets before the job fails")
@@ -153,7 +148,6 @@ func main() {
 	// an unwritable path must fail now, with the flag named, not after
 	// the run has spent its cycles.
 	o.traceFile = createOut("-trace", o.tracePath)
-	o.statsFile = createOut("-stats-json", o.statsJSON)
 	o.flameFile = createOut("-flame", o.flamePath)
 	o.pprofFile = createOut("-pprof", o.pprofPath)
 	o.outFile = createOut("-o", o.outPath)
@@ -203,7 +197,6 @@ func main() {
 
 	var out map[string][]float64
 	var rstats *warp.RunStats
-	runStart := time.Now()
 	if o.crossFlag {
 		if o.traceFile != nil || o.profiling() {
 			fail(fmt.Errorf("-crosscheck needs both backends plain; drop -trace/-profile/-flame/-pprof"))
@@ -229,7 +222,6 @@ func main() {
 	fmt.Printf("module %s: %d cells, skew %d, %d cycles, peak queue %d (%s)\n",
 		m.Name, m.Cells, m.Skew, rstats.Cycles, rstats.MaxQueue, rstats.MaxQueueAt)
 
-	o.writeStats(bench.FromRun("warpsim/"+m.Name, m, rstats, nil), runStart)
 	o.writeProfile(rstats.Source, prog.SchedReport())
 
 	if o.stats {
@@ -291,21 +283,6 @@ func (o *options) runConfig() (warp.RunConfig, *progressTicker) {
 	tick := newProgressTicker(os.Stderr)
 	cfg.Progress = tick.update
 	return cfg, tick
-}
-
-// writeStats writes the -stats-json record of the run that began at
-// runStart, if asked for.
-func (o *options) writeStats(exp bench.Experiment, runStart time.Time) {
-	if o.statsFile == nil {
-		return
-	}
-	wallNS := int64(time.Since(runStart))
-	exp.Wall = &bench.Wall{Iters: 1, MedianNS: wallNS, MinNS: wallNS}
-	rep := &bench.Report{Schema: bench.Schema, Experiments: []bench.Experiment{exp}}
-	if err := writeClose(o.statsFile, rep.Write); err != nil {
-		fail(fmt.Errorf("-stats-json: %w", err))
-	}
-	fmt.Printf("stats: wrote %s (%s schema)\n", o.statsJSON, bench.Schema)
 }
 
 // writeOutputs writes the output arrays as JSON to the -o file and

@@ -49,7 +49,6 @@ func (a Analysis) Unidirectional() bool { return !(a.UsesRightward && a.UsesLeft
 func Analyze(p *ir.Program) Analysis {
 	var a Analysis
 	for _, fn := range p.Funcs {
-		g := opt.GlobalDeps(fn)
 		var recvL, recvR, sendL, sendR []*ir.Node
 		ir.Walk(fn.Regions, func(b *ir.Block) {
 			for _, n := range b.Nodes {
@@ -71,44 +70,37 @@ func Analyze(p *ir.Program) Analysis {
 		if len(recvR)+len(sendL) > 0 {
 			a.UsesLeftward = true
 		}
-		if !a.RightCycle && reaches(g, recvL, sendR) {
-			a.RightCycle = true
-		}
-		if !a.LeftCycle && reaches(g, recvR, sendL) {
-			a.LeftCycle = true
-		}
+		// One traversal labels what depends on a receive from the left
+		// (fromL) and on a receive from the right (fromR).
+		const fromL, fromR = 1, 2
+		reach := opt.GlobalDeps(fn).Reachable(recvL, recvR)
+		a.RightCycle = a.RightCycle || anyLabelled(reach, sendR, fromL)
+		a.LeftCycle = a.LeftCycle || anyLabelled(reach, sendL, fromR)
 	}
 	return a
 }
 
-// reaches reports whether any target is data-dependent on any source.
-func reaches(g *opt.DepGraph, sources, targets []*ir.Node) bool {
-	if len(sources) == 0 || len(targets) == 0 {
-		return false
-	}
-	targetSet := make(map[*ir.Node]bool, len(targets))
-	for _, t := range targets {
-		targetSet[t] = true
-	}
-	for _, s := range sources {
-		for n := range g.Reachable(s) {
-			if targetSet[n] {
-				return true
-			}
+// anyLabelled reports whether some node's label has the bit set.
+func anyLabelled(label map[*ir.Node]uint, nodes []*ir.Node, bit uint) bool {
+	for _, n := range nodes {
+		if label[n]&bit != 0 {
+			return true
 		}
 	}
 	return false
 }
 
-// Check validates a program against the restrictions of §5.1: it must
-// be mappable onto the skewed computation model, and (like the paper's
-// compiler) we additionally require unidirectional flow.  Sends must
-// also be balanced with receives: within one homogeneous program, cell
-// i+1 receives from its left exactly what cell i sends to its right,
-// so the static counts must agree.  A single-cell array has no interior
-// boundary, so the conservation requirement is waived there.
-func Check(p *ir.Program, ncells int) error {
-	a := Analyze(p)
+// Check is Analyze(p).Check(p, ncells).
+func Check(p *ir.Program, ncells int) error { return Analyze(p).Check(p, ncells) }
+
+// Check validates the analyzed program p against the restrictions of
+// §5.1: it must be mappable onto the skewed computation model, and (like
+// the paper's compiler) we additionally require unidirectional flow.
+// Sends must also be balanced with receives: within one homogeneous
+// program, cell i+1 receives from its left exactly what cell i sends to
+// its right, so the static counts must agree.  A single-cell array has no
+// interior boundary, so the conservation requirement is waived there.
+func (a Analysis) Check(p *ir.Program, ncells int) error {
 	if !a.Mappable() {
 		return fmt.Errorf("commgraph: program has both right and left communication cycles and cannot be mapped onto the skewed computation model (§5.1.1)")
 	}

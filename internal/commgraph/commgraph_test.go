@@ -1,6 +1,7 @@
 package commgraph
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -217,5 +218,72 @@ end
 	// The same program is fine on a single cell.
 	if err := Check(p, 1); err != nil {
 		t.Errorf("single-cell Check: %v", err)
+	}
+}
+
+// TestAnalyzeCaseByCase pins the one traversal that answers both cycle
+// questions: what depends on a receive from the left and what depends on
+// a receive from the right are labelled apart, per function, and a cycle
+// in any function is the program's.
+func TestAnalyzeCaseByCase(t *testing.T) {
+	program := func(funcs ...string) string {
+		src := "module m (xs in, ys out)\nfloat xs[8];\nfloat ys[8];\ncellprogram (c : 0 : 3)\nbegin\n"
+		for i, body := range funcs {
+			src += fmt.Sprintf("function f%d\nbegin\nfloat v, w;\nint i;\nfor i := 0 to 7 do begin\n%s\nend;\nend\n", i, body)
+		}
+		for i := range funcs {
+			src += fmt.Sprintf("call f%d;\n", i)
+		}
+		return src + "end\n"
+	}
+	const (
+		right = "receive (L, X, v, xs[i]); send (R, X, v, ys[i]);"
+		left  = "receive (R, Y, w, xs[i]); send (L, Y, w, ys[i]);"
+		// Both directions in use, each send fed by the receive that
+		// completes no cycle with it.
+		crossed = "receive (L, X, v, xs[i]); receive (R, Y, w, xs[i]); send (R, X, w, ys[i]); send (L, Y, v);"
+		quiet   = "v := 1.0;"
+	)
+	for _, tc := range []struct {
+		name  string
+		funcs []string
+		want  Analysis
+		check string // substring of Check's error on four cells; "" = accepted
+	}{
+		{"right cycle", []string{right},
+			Analysis{UsesRightward: true, RightCycle: true}, ""},
+		{"left cycle", []string{left},
+			Analysis{UsesLeftward: true, LeftCycle: true}, ""},
+		{"both cycles", []string{right + left},
+			Analysis{UsesRightward: true, UsesLeftward: true, RightCycle: true, LeftCycle: true}, "both right and left"},
+		{"both directions, no cycle", []string{crossed},
+			Analysis{UsesRightward: true, UsesLeftward: true}, "both leftward and rightward"},
+		{"cycle in the second function", []string{quiet, right},
+			Analysis{UsesRightward: true, RightCycle: true}, ""},
+		{"one cycle per function", []string{right, left},
+			Analysis{UsesRightward: true, UsesLeftward: true, RightCycle: true, LeftCycle: true}, "both right and left"},
+		{"right cycle twice", []string{right, right},
+			Analysis{UsesRightward: true, RightCycle: true}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := buildSrc(t, program(tc.funcs...))
+			if len(p.Funcs) != len(tc.funcs) {
+				t.Fatalf("%d functions built, want %d", len(p.Funcs), len(tc.funcs))
+			}
+			a := Analyze(p)
+			if a != tc.want {
+				t.Errorf("Analyze = %+v, want %+v", a, tc.want)
+			}
+			err, pkgErr := a.Check(p, 4), Check(p, 4)
+			if (err == nil) != (pkgErr == nil) || (err != nil && err.Error() != pkgErr.Error()) {
+				t.Errorf("Analysis.Check says %v, Check says %v", err, pkgErr)
+			}
+			switch {
+			case tc.check == "" && err != nil:
+				t.Errorf("Check: %v", err)
+			case tc.check != "" && (err == nil || !strings.Contains(err.Error(), tc.check)):
+				t.Errorf("Check error = %v, want one naming %q", err, tc.check)
+			}
+		})
 	}
 }

@@ -232,7 +232,7 @@ func analyze(src string, opts Options) (*Compiled, error) {
 
 	start = time.Now()
 	c.Comm = commgraph.Analyze(prog)
-	if err := commgraph.Check(prog, c.Cells); err != nil {
+	if err := c.Comm.Check(prog, c.Cells); err != nil {
 		return nil, err
 	}
 	if c.Comm.UsesLeftward {

@@ -143,20 +143,37 @@ func mayAlias(a, b w2.Affine) bool {
 	return len(a.Terms) != 0 || len(b.Terms) != 0
 }
 
-// Reachable computes the set of nodes reachable from start over the
-// dependence graph (start excluded unless on a cycle).
-func (g *DepGraph) Reachable(start *ir.Node) map[*ir.Node]bool {
-	seen := make(map[*ir.Node]bool)
-	var stack []*ir.Node
-	stack = append(stack, g.Succ[start]...)
+// Reachable labels the nodes that depend on the given source sets: bit i
+// of a node's label is set when the node is reachable over the dependence
+// graph from some node of sources[i] (a source itself only if it lies on
+// a cycle), and unreached nodes are absent.  One traversal answers every
+// such question at once: a node is revisited only when its label grows.
+func (g *DepGraph) Reachable(sources ...[]*ir.Node) map[*ir.Node]uint {
+	type visit struct {
+		n    *ir.Node
+		from uint
+	}
+	var stack []visit
+	for i, set := range sources {
+		for _, s := range set {
+			for _, n := range g.Succ[s] {
+				stack = append(stack, visit{n, 1 << i})
+			}
+		}
+	}
+	label := make(map[*ir.Node]uint, len(g.Succ))
 	for len(stack) > 0 {
-		n := stack[len(stack)-1]
+		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if seen[n] {
+		have := label[v.n]
+		if have&v.from == v.from {
 			continue
 		}
-		seen[n] = true
-		stack = append(stack, g.Succ[n]...)
+		have |= v.from
+		label[v.n] = have
+		for _, n := range g.Succ[v.n] {
+			stack = append(stack, visit{n, have})
+		}
 	}
-	return seen
+	return label
 }

@@ -36,11 +36,11 @@ func TestGlobalDepsScalarFlow(t *testing.T) {
 	if recv0 == nil || len(sends) != 2 {
 		t.Fatal("program shape unexpected")
 	}
-	reach := g.Reachable(recv0)
+	reach := g.Reachable([]*ir.Node{recv0})
 	// The first receive flows into `a` (via the write/read arcs) and so
 	// into the loop's send, and directly into the final send.
 	for i, s := range sends {
-		if !reach[s] {
+		if reach[s] == 0 {
 			t.Errorf("send %d not reachable from the first receive", i)
 		}
 	}
@@ -90,10 +90,10 @@ func TestGlobalDepsMemoryFlow(t *testing.T) {
 	if store0 == nil || store1 == nil || load0 == nil {
 		t.Fatal("program shape unexpected")
 	}
-	if !g.Reachable(store0)[load0] {
+	if g.Reachable([]*ir.Node{store0})[load0] == 0 {
 		t.Error("store buf[0] does not reach load buf[0]")
 	}
-	if g.Reachable(store1)[load0] {
+	if g.Reachable([]*ir.Node{store1})[load0] != 0 {
 		t.Error("store buf[1] wrongly reaches load buf[0]: both addresses are loop invariant and distinct")
 	}
 }

@@ -64,7 +64,7 @@ type SchedProfile struct {
 }
 
 // SchedTotals is the roll-up of a SchedProfile, the shape exported as
-// warpd_sched_* Prometheus counters and into warpbench/1 reports.
+// warpd_sched_* Prometheus counters.
 type SchedTotals struct {
 	Loops       int   `json:"loops"`
 	Pipelined   int   `json:"pipelined"`

@@ -293,8 +293,8 @@ func (m *Metrics) WritePrometheus(w io.Writer, cs CacheStats, ts TemplateCacheSt
 
 	gauge(w, "warpd_template_entries", "Symbolic templates resident in the template cache.", ts.Templates)
 	gauge(w, "warpd_template_programs", "Instantiated programs resident across all templates.", ts.Programs)
-	counter(w, "warpd_template_hits_total", "Template-cache hits (instantiated program already resident).", ts.Hits)
-	counter(w, "warpd_template_misses_total", "Template-cache misses (instantiation or fallback started).", ts.Misses)
+	counter(w, "warpd_template_hits_total", "Template-cache hits (the program compiled from a template at one bound vector was resident; singleflight waiters included).", ts.Hits)
+	counter(w, "warpd_template_misses_total", "Template-cache misses (compilation of a template at one bound vector started).", ts.Misses)
 	counter(w, "warpd_template_evictions_total", "Instantiated programs evicted from the template cache.", ts.Evictions)
 
 	gauge(w, "warpd_queue_depth", "Jobs waiting in the admission queue.", ps.QueueDepth)
