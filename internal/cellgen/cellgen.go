@@ -14,6 +14,7 @@ package cellgen
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"warp/internal/ir"
@@ -140,10 +141,7 @@ func interRegionGaps(items []mcode.CodeItem) []mcode.CodeItem {
 	var out []mcode.CodeItem
 	for _, it := range items {
 		if li, ok := it.(*mcode.LoopItem); ok {
-			if n := countAddrExprs(li); n > 0 {
-				if n > mcode.IUNumRegs {
-					n = mcode.IUNumRegs
-				}
+			if n := countAddrExprs(li.Body); n > 0 {
 				gap := make([]*mcode.Instr, n)
 				for i := range gap {
 					gap[i] = &mcode.Instr{}
@@ -156,28 +154,49 @@ func interRegionGaps(items []mcode.CodeItem) []mcode.CodeItem {
 	return out
 }
 
-// countAddrExprs counts the distinct affine address forms of a loop's
-// memory references.
-func countAddrExprs(li *mcode.LoopItem) int {
-	seen := map[string]bool{}
-	var walk func(items []mcode.CodeItem)
-	walk = func(items []mcode.CodeItem) {
+// countAddrExprs counts the distinct affine address forms of a loop
+// body's memory references, up to the IU register file size: both
+// callers spend one cycle per form the IU can hold, so the walk stops
+// there.  Two references share a form when they name the same array and
+// their shifted addresses read the same (loops by variable name, as
+// Affine.String prints them).
+func countAddrExprs(body []mcode.CodeItem) int {
+	seen := map[string]struct{}{}
+	var key []byte
+	var walk func(items []mcode.CodeItem) (more bool)
+	walk = func(items []mcode.CodeItem) bool {
 		for _, it := range items {
 			switch it := it.(type) {
 			case *mcode.Straight:
 				for _, in := range it.Instrs {
 					for _, m := range in.Mem {
-						if m != nil {
-							seen[m.Addr.Sym.Name+"|"+m.Addr.Shifted().String()] = true
+						if m == nil {
+							continue
+						}
+						aff := m.Addr.Shifted()
+						key = append(key[:0], m.Addr.Sym.Name...)
+						for _, t := range aff.Terms {
+							key = strconv.AppendInt(append(key, '|'), t.Coef, 10)
+							key = append(append(key, '*'), t.Var.Var...)
+						}
+						key = strconv.AppendInt(append(key, '|'), aff.Const, 10)
+						if _, ok := seen[string(key)]; !ok {
+							seen[string(key)] = struct{}{}
+							if len(seen) == mcode.IUNumRegs {
+								return false
+							}
 						}
 					}
 				}
 			case *mcode.LoopItem:
-				walk(it.Body)
+				if !walk(it.Body) {
+					return false
+				}
 			}
 		}
+		return true
 	}
-	walk(li.Body)
+	walk(body)
 	return len(seen)
 }
 
@@ -260,15 +279,7 @@ func padLoopBody(body []mcode.CodeItem) []mcode.CodeItem {
 	if !nested {
 		return body
 	}
-	exprs := 0
-	{
-		probe := &mcode.LoopItem{Body: body, Trips: 1}
-		exprs = countAddrExprs(probe)
-		if exprs > mcode.IUNumRegs {
-			exprs = mcode.IUNumRegs
-		}
-	}
-	need := mcode.LoopOverheadCycles + int64(exprs)
+	need := mcode.LoopOverheadCycles + int64(countAddrExprs(body))
 	trailing := int64(0)
 	if n := len(body); n > 0 {
 		if st, ok := body[n-1].(*mcode.Straight); ok {

@@ -11,10 +11,19 @@ import (
 // This file materializes a modulo schedule into prologue, kernel and
 // epilogue code with modulo variable expansion.
 
-// emitModulo turns a kernel schedule into code items.  ok=false rejects
-// the schedule (register pressure or too few iterations) and sends the
-// caller to a larger II or the fallback.
-func (g *gen) emitModulo(r *ir.LoopRegion, b *ir.Block, ms *moduloResult, trips int64) ([]mcode.CodeItem, bool, error) {
+// emitReject is why emitModulo turned a schedule down.
+type emitReject int
+
+const (
+	emitOK          emitReject = iota
+	rejectRegisters            // the values' registers, one per kernel copy, exceed the temporary pool
+	rejectTrips                // fewer iterations than the pipeline's stages plus one unrolled kernel
+	numEmitRejects
+)
+
+// emitModulo turns a kernel schedule into code items.  A reject other
+// than emitOK sends the caller to a larger II or the fallback.
+func (g *gen) emitModulo(r *ir.LoopRegion, b *ir.Block, ms *moduloResult, trips int64) ([]mcode.CodeItem, emitReject, error) {
 	ii := ms.ii
 
 	// Last use (flat offset) per value node.
@@ -63,7 +72,7 @@ func (g *gen) emitModulo(r *ir.LoopRegion, b *ir.Block, ms *moduloResult, trips 
 	// circular-interval analysis).
 	pool := int64(mcode.NumRegs - g.tempBase)
 	if int64(len(values))*u > pool {
-		return nil, false, nil
+		return nil, rejectRegisters, nil
 	}
 
 	// Shape: S pipeline stages, R kernel repetitions.
@@ -72,7 +81,7 @@ func (g *gen) emitModulo(r *ir.LoopRegion, b *ir.Block, ms *moduloResult, trips 
 	p := (s - 1) * ii
 	rReps := (trips - (s - 1)) / u
 	if rReps < 1 {
-		return nil, false, nil
+		return nil, rejectTrips, nil
 	}
 	kernelLen := u * ii
 	kernelEnd := p + rReps*kernelLen
@@ -126,17 +135,17 @@ func (g *gen) emitModulo(r *ir.LoopRegion, b *ir.Block, ms *moduloResult, trips 
 
 	prologue, err := emitRange(0, p, false)
 	if err != nil {
-		return nil, false, err
+		return nil, emitOK, err
 	}
 	// Kernel body: the first repetition's instances, with Delta
 	// expressed relative to the loop counter.
 	kernelInstrs, err := emitRange(p, p+kernelLen, true)
 	if err != nil {
-		return nil, false, err
+		return nil, emitOK, err
 	}
 	epilogue, err := emitRange(kernelEnd, flatEnd, false)
 	if err != nil {
-		return nil, false, err
+		return nil, emitOK, err
 	}
 
 	id := g.loopID
@@ -156,7 +165,7 @@ func (g *gen) emitModulo(r *ir.LoopRegion, b *ir.Block, ms *moduloResult, trips 
 	if len(epilogue) > 0 {
 		items = append(items, &mcode.Straight{Instrs: epilogue})
 	}
-	return items, true, nil
+	return items, emitOK, nil
 }
 
 // moduloEmitter fills single instructions for one instance (node n of

@@ -1,7 +1,10 @@
 package cellgen
 
 import (
-	"sort"
+	"cmp"
+	"fmt"
+	"math"
+	"slices"
 
 	"warp/internal/ir"
 	"warp/internal/mcode"
@@ -207,25 +210,250 @@ func resMII(b *ir.Block) int64 {
 	return mii
 }
 
-// recurrenceBound is the recurrence-constrained lower bound on II: the
-// smallest II ≥ from at which the dependences among the scheduled
-// operations admit any schedule at all, i.e. no cycle has positive total
-// weight lat − II·dist (Bellman-Ford longest paths; the weights only
-// fall as II grows, so the first feasible II is the bound).  Below it
-// tryModulo can only exhaust its budget evicting.
-func recurrenceBound(b *ir.Block, edges []mEdge, from, limit int64) int64 {
-	var live []mEdge
+// dEdge is an mEdge between two scheduled nodes, by node number.
+type dEdge struct {
+	from, to  int32
+	lat, dist int64
+}
+
+// adjacency lists edge numbers per node in CSR form: node n's edges are
+// idx[start[n]:start[n+1]], in edge-list order.
+type adjacency struct{ start, idx []int32 }
+
+func (a adjacency) of(n int32) []int32 { return a.idx[a.start[n]:a.start[n+1]] }
+
+// newAdjacency indexes edges by the end that end picks.
+func newAdjacency(n int, edges []dEdge, end func(dEdge) int32) adjacency {
+	a := adjacency{start: make([]int32, n+1), idx: make([]int32, len(edges))}
 	for _, e := range edges {
-		if needsInstr(e.from) && needsInstr(e.to) {
-			live = append(live, e)
+		a.start[end(e)+1]++
+	}
+	for i := 0; i < n; i++ {
+		a.start[i+1] += a.start[i]
+	}
+	next := append([]int32(nil), a.start[:n]...)
+	for i, e := range edges {
+		k := end(e)
+		a.idx[next[k]] = int32(i)
+		next[k]++
+	}
+	return a
+}
+
+// loopGraph is one loop body's scheduling problem on dense tables, built
+// once per loop and read at every II the search looks at.  The scheduled
+// nodes (those that occupy an instruction field) are numbered in block
+// order, and everything the scheduler and the II bounds touch per
+// placement — edges, priorities, reservation rows, offsets — is a slice
+// over those numbers: no map is read after newLoopGraph returns.
+type loopGraph struct {
+	nodes      []*ir.Node
+	edges      []dEdge // buildModuloEdges' order, which seeds the eviction sequence
+	succ, pred adjacency
+	row        []int32 // reservation-table row per node: its unit, or its queue port
+	rowCap     []uint8 // operations a row holds per cycle
+	crit       int64   // critical path of one iteration: the longest dist-0 chain
+	order      []int32 // nodes by priority: height descending, then ID ascending
+	rank       []int32 // inverse of order
+	clusters   []cluster
+
+	// Search state, reset by every tryModulo / recurrenceBound / refuted.
+	off, lastTry []int64
+	placed       []bool
+	occ          []int32 // (slot·rows + row)·MemPorts + k: the k-th occupant
+	occN         []uint8 // occupants per (slot, row); both grow with the II asked for
+	dist         []int64 // refuted's longest-path matrix, largest cluster squared
+}
+
+// cluster is a recurrence cluster — a strongly connected component of the
+// dependence graph — holding two or more operations of one capacity-1
+// unit.  Only there do the dependences bound the distance between two
+// operations from both sides, which is what refuted needs.
+type cluster struct {
+	size  int
+	edges []dEdge   // the edges inside, ends renumbered 0..size-1
+	units [][]int32 // per capacity-1 unit with ≥ 2 operations here: their numbers
+}
+
+// newLoopGraph numbers the block's scheduled nodes and builds the tables.
+// ok=false means the dist-0 edges have a cycle (a malformed block;
+// listSchedule refuses those first).
+func newLoopGraph(b *ir.Block, edges []mEdge) (*loopGraph, bool) {
+	g := &loopGraph{}
+	index := make(map[*ir.Node]int32, len(b.Nodes))
+	ports := map[portKey]int32{}
+	rows := int32(unitIO)
+	for _, n := range b.Nodes {
+		if !needsInstr(n) {
+			continue
+		}
+		index[n] = int32(len(g.nodes))
+		g.nodes = append(g.nodes, n)
+		row := int32(unitOf(n))
+		if row == int32(unitIO) {
+			p, ok := ports[portOf(n)]
+			if !ok {
+				p = rows
+				ports[portOf(n)] = p
+				rows++
+			}
+			row = p
+		}
+		g.row = append(g.row, row)
+	}
+	n := len(g.nodes)
+	g.rowCap = make([]uint8, rows)
+	for i := range g.rowCap {
+		g.rowCap[i] = 1
+	}
+	g.rowCap[unitMem] = mcode.MemPorts
+
+	g.edges = make([]dEdge, 0, len(edges))
+	for _, e := range edges {
+		from, okF := index[e.from]
+		to, okT := index[e.to]
+		if okF && okT { // buildModuloEdges adds no other kind
+			g.edges = append(g.edges, dEdge{from: from, to: to, lat: e.lat, dist: e.dist})
 		}
 	}
-	start := map[*ir.Node]int64{}
+	g.succ = newAdjacency(n, g.edges, func(e dEdge) int32 { return e.from })
+	g.pred = newAdjacency(n, g.edges, func(e dEdge) int32 { return e.to })
+
+	// Heights: longest path over dist-0 edges (acyclic by construction)
+	// from a node to a sink; relax to a fixpoint, bounded by the node
+	// count as a cycle safeguard.
+	height := make([]int64, n)
+	for round := 0; ; round++ {
+		changed := false
+		for _, e := range g.edges {
+			if e.dist != 0 {
+				continue
+			}
+			if h := e.lat + height[e.to]; h > height[e.from] {
+				height[e.from] = h
+				changed = true
+			}
+		}
+		if !changed {
+			break
+		}
+		if round > n {
+			return nil, false
+		}
+	}
+	g.order = make([]int32, n)
+	for i := range g.order {
+		g.order[i] = int32(i)
+		g.crit = max(g.crit, height[i])
+	}
+	slices.SortFunc(g.order, func(a, b int32) int {
+		if c := cmp.Compare(height[b], height[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(g.nodes[a].ID, g.nodes[b].ID)
+	})
+	g.rank = make([]int32, n)
+	for r, m := range g.order {
+		g.rank[m] = int32(r)
+	}
+	g.findClusters()
+
+	g.off = make([]int64, n)
+	g.lastTry = make([]int64, n)
+	g.placed = make([]bool, n)
+	return g, true
+}
+
+// findClusters fills g.clusters: Kosaraju's two passes, over succ and
+// then pred, keeping the components refuted can use.
+func (g *loopGraph) findClusters() {
+	n := len(g.nodes)
+	seen := make([]bool, n)
+	finish := make([]int32, 0, n)
+	var forward func(m int32)
+	forward = func(m int32) {
+		seen[m] = true
+		for _, e := range g.succ.of(m) {
+			if to := g.edges[e].to; !seen[to] {
+				forward(to)
+			}
+		}
+		finish = append(finish, m)
+	}
+	for m := range g.nodes {
+		if !seen[m] {
+			forward(int32(m))
+		}
+	}
+
+	comp := make([]int32, n)  // component number; 0 = not reached yet
+	local := make([]int32, n) // position within the component
+	var members []int32
+	var backward func(m, c int32)
+	backward = func(m, c int32) {
+		comp[m] = c
+		local[m] = int32(len(members))
+		members = append(members, m)
+		for _, e := range g.pred.of(m) {
+			if from := g.edges[e].from; comp[from] == 0 {
+				backward(from, c)
+			}
+		}
+	}
+	rowOps := make([][]int32, len(g.rowCap))
+	maxSize := 0
+	for i, c := n-1, int32(0); i >= 0; i-- {
+		if comp[finish[i]] != 0 {
+			continue
+		}
+		c++
+		members = members[:0]
+		backward(finish[i], c)
+		if len(members) < 2 {
+			continue
+		}
+		for _, m := range members {
+			if row := g.row[m]; g.rowCap[row] == 1 {
+				rowOps[row] = append(rowOps[row], local[m])
+			}
+		}
+		cl := cluster{size: len(members)}
+		for _, m := range members {
+			ops := rowOps[g.row[m]]
+			if len(ops) >= 2 {
+				cl.units = append(cl.units, append([]int32(nil), ops...))
+			}
+			rowOps[g.row[m]] = ops[:0]
+		}
+		if cl.units == nil {
+			continue
+		}
+		for _, m := range members {
+			for _, e := range g.succ.of(m) {
+				if ed := g.edges[e]; comp[ed.to] == c {
+					cl.edges = append(cl.edges, dEdge{from: local[m], to: local[ed.to], lat: ed.lat, dist: ed.dist})
+				}
+			}
+		}
+		g.clusters = append(g.clusters, cl)
+		maxSize = max(maxSize, cl.size)
+	}
+	g.dist = make([]int64, maxSize*maxSize)
+}
+
+// recurrenceBound is the recurrence-constrained lower bound on II: the
+// smallest II ≥ from at which the dependences admit any schedule at all,
+// i.e. no cycle has positive total weight lat − II·dist (Bellman-Ford
+// longest paths; the weights only fall as II grows, so the first feasible
+// II is the bound).  Below it tryModulo can only exhaust its budget
+// evicting.
+func (g *loopGraph) recurrenceBound(from, limit int64) int64 {
+	start := g.off // scratch: tryModulo writes an offset before it reads one
 	positiveCycle := func(ii int64) bool {
 		clear(start)
 		for round := 0; ; round++ {
 			changed := false
-			for _, e := range live {
+			for _, e := range g.edges {
 				if t := start[e.from] + e.lat - ii*e.dist; t > start[e.to] {
 					start[e.to] = t
 					changed = true
@@ -234,7 +462,7 @@ func recurrenceBound(b *ir.Block, edges []mEdge, from, limit int64) int64 {
 			if !changed {
 				return false
 			}
-			if round > len(b.Nodes) {
+			if round >= len(g.nodes) {
 				return true
 			}
 		}
@@ -244,6 +472,110 @@ func recurrenceBound(b *ir.Block, edges []mEdge, from, limit int64) int64 {
 		ii++
 	}
 	return ii
+}
+
+// noPath marks an unreachable pair in refuted's matrix; far enough from
+// the minimum that adding two of them does not wrap.
+const noPath = math.MinInt64 / 4
+
+// refuted reports whether the dependences and the capacity-1 units
+// together rule out every schedule at ii.  In a recurrence cluster the
+// all-pairs longest paths d (weights lat − II·dist, Floyd–Warshall) give
+// each pair a window: t(j) − t(i) ≥ d(i,j) along the path i→j and
+// t(i) − t(j) ≥ d(j,i) along j→i, so t(j) − t(i) ∈ [d(i,j), −d(j,i)] in
+// any schedule.  Two operations of a capacity-1 unit must differ mod II,
+// hence:
+//
+//   - a window holding only multiples of II refutes II;
+//   - k operations pairwise within w cycles all issue inside w+1
+//     consecutive cycles, which are min(w+1, II) distinct slots of the
+//     unit: k above that refutes II.
+//
+// Both are necessary conditions, so nothing feasible is refuted.  ii must
+// be at or above recurrenceBound: with no cycle of positive weight the
+// paths are well defined and every window has lo ≤ hi.
+func (g *loopGraph) refuted(ii int64) bool {
+	for i := range g.clusters {
+		c := &g.clusters[i]
+		n := c.size
+		d := g.dist[:n*n]
+		for i := range d {
+			d[i] = noPath
+		}
+		for i := 0; i < n; i++ {
+			d[i*n+i] = 0
+		}
+		for _, e := range c.edges {
+			if w := e.lat - ii*e.dist; w > d[int(e.from)*n+int(e.to)] {
+				d[int(e.from)*n+int(e.to)] = w
+			}
+		}
+		for k := 0; k < n; k++ {
+			dk := d[k*n : k*n+n]
+			for i := 0; i < n; i++ {
+				ik := d[i*n+k]
+				if ik == noPath {
+					continue
+				}
+				di := d[i*n : i*n+n]
+				for j, kj := range dk {
+					if kj != noPath && ik+kj > di[j] {
+						di[j] = ik + kj
+					}
+				}
+			}
+		}
+		// The cluster is strongly connected, so every pair has a path
+		// each way and both ends of its window are finite.
+		window := func(i, j int32) (lo, hi int64) { return d[int(i)*n+int(j)], -d[int(j)*n+int(i)] }
+		for _, ops := range c.units {
+			for a, i := range ops {
+				for _, j := range ops[a+1:] {
+					if lo, hi := window(i, j); floorDiv(hi, ii)-floorDiv(lo-1, ii) == hi-lo+1 {
+						return true // every distance the window allows is a multiple of II
+					}
+				}
+			}
+			for w := int64(1); w+2 <= int64(len(ops)); w++ {
+				within := func(i, j int32) bool { lo, hi := window(i, j); return -w <= lo && hi <= w }
+				if hasClique(ops, int(min64(w+1, ii))+1, within) {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// floorDiv is a/b rounded toward −∞, b > 0.
+func floorDiv(a, b int64) int64 {
+	q := a / b
+	if a%b < 0 {
+		q--
+	}
+	return q
+}
+
+// hasClique reports whether size of the nodes are pairwise adjacent.
+func hasClique(nodes []int32, size int, adjacent func(i, j int32) bool) bool {
+	if size <= 0 {
+		return true
+	}
+	for a, i := range nodes {
+		if len(nodes)-a < size {
+			return false
+		}
+		var rest []int32
+		for _, j := range nodes[a+1:] {
+			if adjacent(i, j) {
+				rest = append(rest, j)
+			}
+		}
+		if hasClique(rest, size-1, adjacent) {
+			return true
+		}
+	}
+	return false
 }
 
 // moduloResult is a successful kernel schedule.
@@ -261,150 +593,100 @@ type moduloResult struct {
 // fixed budget.  Eviction is what lets recurrence clusters (for
 // example, a carried scalar's move tied to its consumer's cycle)
 // converge where one-pass greedy placement deadlocks.
-func tryModulo(b *ir.Block, edges []mEdge, ii int64, ls *prof.LoopSched) (*moduloResult, bool) {
-	succ := map[*ir.Node][]mEdge{}
-	pred := map[*ir.Node][]mEdge{}
-	for _, e := range edges {
-		succ[e.from] = append(succ[e.from], e)
-		pred[e.to] = append(pred[e.to], e)
+func (g *loopGraph) tryModulo(ii int64, ls *prof.LoopSched) (*moduloResult, bool) {
+	n := len(g.nodes)
+	rows := len(g.rowCap)
+	off, placed, lastTry := g.off, g.placed, g.lastTry
+	clear(placed)
+	clear(lastTry)
+	// Modulo reservation table with eviction support: per residue and
+	// row, the occupants.
+	slots := int(ii) * rows
+	if slots > len(g.occN) {
+		g.occN = make([]uint8, slots)
+		g.occ = make([]int32, slots*mcode.MemPorts)
+	}
+	occN := g.occN[:slots]
+	clear(occN)
+	occupants := func(m int32, t int64) (slot int, occ []int32) {
+		slot = int(t%ii)*rows + int(g.row[m])
+		return slot, g.occ[slot*mcode.MemPorts : (slot+1)*mcode.MemPorts]
 	}
 
-	var sched []*ir.Node
-	for _, n := range b.Nodes {
-		if needsInstr(n) {
-			sched = append(sched, n)
-		}
-	}
-	height := map[*ir.Node]int64{}
-	// Longest path over dist-0 edges (acyclic by construction); iterate
-	// to fixpoint, bounded by the node count as a cycle safeguard.
-	for round := 0; round <= len(b.Nodes)+1; round++ {
-		changed := false
-		for _, e := range edges {
-			if e.dist != 0 {
-				continue
-			}
-			if h := e.lat + height[e.to]; h > height[e.from] {
-				height[e.from] = h
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-		if round == len(b.Nodes)+1 {
-			return nil, false // dist-0 cycle: malformed block
-		}
-	}
-
-	res := &moduloResult{ii: ii, off: map[*ir.Node]int64{}}
-
-	// Modulo reservation tables with eviction support: per residue, the
-	// occupants of each unit.
-	type resKey struct {
-		res  int64
-		unit unit
-		port portKey
-	}
-	occupants := map[resKey][]*ir.Node{}
-	keyOf := func(n *ir.Node, t int64) resKey {
-		k := resKey{res: t % ii, unit: unitOf(n)}
-		if k.unit == unitIO {
-			k.port = portOf(n)
-		}
-		return k
-	}
-	capOf := func(u unit) int {
-		if u == unitMem {
-			return mcode.MemPorts
-		}
-		return 1
-	}
-
-	unsched := map[*ir.Node]bool{}
-	for _, n := range sched {
-		unsched[n] = true
-	}
-	lastTry := map[*ir.Node]int64{}
-
-	unschedule := func(n *ir.Node) {
-		t, ok := res.off[n]
-		if !ok {
+	unplaced := n
+	cursor := 0 // no unplaced node has a rank below cursor
+	unschedule := func(m int32) {
+		if !placed[m] {
 			return
 		}
 		ls.Evictions++
-		k := keyOf(n, t)
-		occ := occupants[k]
-		for i, m := range occ {
-			if m == n {
-				occupants[k] = append(occ[:i:i], occ[i+1:]...)
+		slot, occ := occupants(m, off[m])
+		k := int(occN[slot])
+		for i := 0; i < k; i++ {
+			if occ[i] == m {
+				copy(occ[i:k-1], occ[i+1:k])
 				break
 			}
 		}
-		delete(res.off, n)
-		unsched[n] = true
+		occN[slot]--
+		placed[m] = false
+		unplaced++
+		cursor = min(cursor, int(g.rank[m]))
 	}
 
-	budget := (len(sched) + 4) * int(min64(ii, 64)) * 8
-	for len(unsched) > 0 {
+	budget := (n + 4) * int(min64(ii, 64)) * 8
+	for unplaced > 0 {
 		if budget <= 0 {
 			return nil, false
 		}
 		budget--
 		ls.Placements++
 		// Highest priority unscheduled op.
-		var n *ir.Node
-		for m := range unsched {
-			if n == nil || height[m] > height[n] ||
-				(height[m] == height[n] && m.ID < n.ID) {
-				n = m
-			}
+		for placed[g.order[cursor]] {
+			cursor++
 		}
+		m := g.order[cursor]
 
 		lo := int64(0)
-		for _, e := range pred[n] {
-			if t, ok := res.off[e.from]; ok {
-				if v := t + e.lat - e.dist*ii; v > lo {
-					lo = v
-				}
+		for _, e := range g.pred.of(m) {
+			if e := &g.edges[e]; placed[e.from] {
+				lo = max(lo, off[e.from]+e.lat-e.dist*ii)
 			}
 		}
-		if lt := lastTry[n]; lt > lo {
-			lo = lt
-		}
+		lo = max(lo, lastTry[m])
 		// Find a free slot in the II-wide window, else force lo and
 		// evict the occupants.
 		t := int64(-1)
 		for c := lo; c < lo+ii; c++ {
-			k := keyOf(n, c)
-			if len(occupants[k]) < capOf(k.unit) {
+			if slot, _ := occupants(m, c); occN[slot] < g.rowCap[g.row[m]] {
 				t = c
 				break
 			}
 		}
-		forced := t < 0
-		if forced {
+		if t < 0 {
 			t = lo
-			k := keyOf(n, t)
-			for _, victim := range append([]*ir.Node(nil), occupants[k]...) {
-				unschedule(victim)
+			slot, occ := occupants(m, t)
+			for occN[slot] > 0 {
+				unschedule(occ[0])
 			}
 		}
-		res.off[n] = t
-		k := keyOf(n, t)
-		occupants[k] = append(occupants[k], n)
-		delete(unsched, n)
-		lastTry[n] = t + 1
+		off[m] = t
+		slot, occ := occupants(m, t)
+		occ[occN[slot]] = m
+		occN[slot]++
+		placed[m] = true
+		unplaced--
+		lastTry[m] = t + 1
 
 		// Evict scheduled neighbours whose constraints the placement
 		// violates.
-		for _, e := range succ[n] {
-			if ts, ok := res.off[e.to]; ok && ts+e.dist*ii < t+e.lat {
+		for _, e := range g.succ.of(m) {
+			if e := &g.edges[e]; placed[e.to] && off[e.to]+e.dist*ii < t+e.lat {
 				unschedule(e.to)
 			}
 		}
-		for _, e := range pred[n] {
-			if tp, ok := res.off[e.from]; ok && t+e.dist*ii < tp+e.lat {
+		for _, e := range g.pred.of(m) {
+			if e := &g.edges[e]; placed[e.from] && t+e.dist*ii < off[e.from]+e.lat {
 				unschedule(e.from)
 			}
 		}
@@ -413,29 +695,17 @@ func tryModulo(b *ir.Block, edges []mEdge, ii int64, ls *prof.LoopSched) (*modul
 	// Normalize: eviction cycles can drift the whole schedule upward;
 	// shift down by a multiple of II (which preserves residues and all
 	// dependence slacks).
-	minOff := int64(1) << 62
-	for _, t := range res.off {
-		if t < minOff {
-			minOff = t
-		}
+	shift := slices.Min(off) / ii * ii
+	res := &moduloResult{ii: ii, off: make(map[*ir.Node]int64, n), nodes: slices.Clone(g.nodes)}
+	for m, t := range off {
+		res.off[g.nodes[m]] = t - shift
+		res.span = max(res.span, t-shift+1)
 	}
-	if shift := (minOff / ii) * ii; shift > 0 {
-		for n := range res.off {
-			res.off[n] -= shift
+	slices.SortStableFunc(res.nodes, func(a, b *ir.Node) int {
+		if c := cmp.Compare(res.off[a], res.off[b]); c != 0 {
+			return c
 		}
-	}
-	for _, t := range res.off {
-		if t+1 > res.span {
-			res.span = t + 1
-		}
-	}
-	res.nodes = append(res.nodes, sched...)
-	sort.SliceStable(res.nodes, func(i, j int) bool {
-		ti, tj := res.off[res.nodes[i]], res.off[res.nodes[j]]
-		if ti != tj {
-			return ti < tj
-		}
-		return res.nodes[i].ID < res.nodes[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	return res, true
 }
@@ -447,11 +717,11 @@ func min64(a, b int64) int64 {
 	return b
 }
 
-// moduloSchedule orchestrates: qualify, search for the smallest
-// feasible II from the larger of the resource and recurrence bounds
-// up, check register demand, and emit
-// prologue/kernel/epilogue.  ok=false means "fall back to a plain
-// counted loop".
+// moduloSchedule orchestrates: qualify, bound the II from below (by the
+// units, the trip count, the recurrences, and the two together), search
+// upward from there for the smallest II that schedules, check register
+// demand, and emit prologue/kernel/epilogue.  ok=false means "fall back
+// to a plain counted loop".
 func (g *gen) moduloSchedule(r *ir.LoopRegion, b *ir.Block, ls *prof.LoopSched) ([]mcode.CodeItem, bool, error) {
 	// Baseline: the plain list schedule (also the fallback measure).
 	base, err := listSchedule(b)
@@ -463,29 +733,70 @@ func (g *gen) moduloSchedule(r *ir.LoopRegion, b *ir.Block, ls *prof.LoopSched) 
 		ls.Reason = "non-parallel array subscripts"
 		return nil, false, nil
 	}
+	lg, ok := newLoopGraph(b, edges)
+	if !ok {
+		ls.Reason = "dependence cycle within one iteration"
+		return nil, false, nil
+	}
 
 	trips := r.Trips()
-	mii := recurrenceBound(b, edges, resMII(b), base.len)
+	mii, reason := lg.lowerBound(resMII(b), trips, base.len)
 	ls.MII = int(mii)
+	if mii >= base.len {
+		ls.Reason = reason
+		return nil, false, nil
+	}
 
+	var outOfBudget int
+	var rejects [numEmitRejects]int
 	for ii := mii; ii < base.len; ii++ {
-		ls.Attempts++
-		ms, ok := tryModulo(b, edges, ii, ls)
-		if !ok {
+		if ii > mii && lg.refuted(ii) {
 			continue
 		}
-		items, ok, err := g.emitModulo(r, b, ms, trips)
+		ls.Attempts++
+		ms, ok := lg.tryModulo(ii, ls)
+		if !ok {
+			outOfBudget++
+			continue
+		}
+		items, reject, err := g.emitModulo(r, b, ms, trips)
 		if err != nil {
 			return nil, false, err
 		}
-		if ok {
+		if reject == emitOK {
 			ls.II = int(ii)
 			return items, true, nil
 		}
 		// Register pressure or trip count rejected this II; a larger II
 		// lowers the overlap, so keep searching.
 		ls.EmitRejects++
+		rejects[reject]++
 	}
-	ls.Reason = "no feasible II below the list schedule"
+	ls.Reason = fmt.Sprintf("no II in [%d, %d) accepted: %d out of eviction budget, %d register pressure, %d too few trips",
+		mii, base.len, outOfBudget, rejects[rejectRegisters], rejects[rejectTrips])
 	return nil, false, nil
+}
+
+// lowerBound is the first II the search need try: the largest of four
+// sound lower bounds.  At or above limit (the list schedule's length)
+// pipelining cannot win, and reason says which bound ruled it out.
+//
+//   - resources: a unit issues one operation a cycle (resMII);
+//   - trip count: emitModulo needs S = ⌈span/II⌉ ≤ trips stages, and any
+//     schedule has span ≥ critical path + 1 (the dist-0 chain fits inside
+//     one iteration's offsets), so II ≥ ⌈(critical path + 1)/trips⌉;
+//   - recurrences: no dependence cycle of positive weight (recurrenceBound);
+//   - recurrences and capacity-1 units together (refuted).
+func (g *loopGraph) lowerBound(res, trips, limit int64) (mii int64, reason string) {
+	if need := (g.crit + trips) / trips; need > res {
+		if need >= limit {
+			return need, fmt.Sprintf("trip count %d allows no II below the list schedule (needs ≥ %d)", trips, need)
+		}
+		res = need
+	}
+	mii = g.recurrenceBound(res, limit)
+	for mii < limit && g.refuted(mii) {
+		mii++
+	}
+	return mii, fmt.Sprintf("recurrence and resources need II ≥ %d", mii)
 }

@@ -134,13 +134,13 @@ func GlobalDeps(fn *ir.Func) *DepGraph {
 // difference rules out aliasing only for loop-invariant addresses:
 // a[i] and a[i+1] touch the same element one iteration apart.
 func mayAlias(a, b w2.Affine) bool {
-	d := a.Sub(b)
-	if !d.IsConst() || d.Const == 0 {
-		return true
-	}
-	// Constant nonzero difference: disjoint only if the addresses are
-	// themselves loop invariant.
-	return len(a.Terms) != 0 || len(b.Terms) != 0
+	// A loop-variant address reaches other elements as its loops iterate:
+	// whatever a−b is — variant, zero, or a nonzero constant — some pair
+	// of iterations may meet.  Two loop-invariant addresses are disjoint
+	// exactly when their constants differ.  (This is a.Sub(b) examined
+	// case by case, without building the difference: GlobalDeps asks once
+	// per store × load.)
+	return len(a.Terms) != 0 || len(b.Terms) != 0 || a.Const == b.Const
 }
 
 // Reachable labels the nodes that depend on the given source sets: bit i

@@ -203,6 +203,7 @@ func TestSchedProfile(t *testing.T) {
 	rep := s.Report()
 	for _, want := range []string{
 		"scheduler: 2 loops, 1 pipelined",
+		"(MII: the first II tried, the largest of the unit, trip-count and recurrence lower bounds)",
 		"loop i (line 4, 100 trips): II 3 (MII 2)",
 		"non-parallel array subscripts",
 		"skew search: 236 points evaluated",

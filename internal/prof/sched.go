@@ -32,10 +32,20 @@ type LoopSched struct {
 	Line  int    `json:"line"`  // source line of the for statement
 	Trips int64  `json:"trips"` // iteration count
 
-	Pipelined bool   `json:"pipelined"`
-	Reason    string `json:"reason,omitempty"` // why not pipelined
+	Pipelined bool `json:"pipelined"`
+	// Reason is why the loop was not pipelined.  When no II was tried it
+	// names the lower bound that left none below the list schedule; after
+	// a search it counts how the tried IIs failed (eviction budget,
+	// register pressure, too few trips).
+	Reason string `json:"reason,omitempty"`
 
-	MII         int   `json:"mii,omitempty"`          // lower bound on II: the larger of the resource and recurrence bounds
+	// MII is the first II worth trying: the largest of the search's sound
+	// lower bounds — units (one operation per unit per cycle), trip count
+	// (stages ≤ trips), recurrences (no dependence cycle of positive
+	// weight), and recurrences with capacity-1 units (two operations of
+	// one unit never a multiple of II apart).  Zero when the loop did not
+	// qualify for the search.
+	MII         int   `json:"mii,omitempty"`
 	II          int   `json:"ii,omitempty"`           // achieved initiation interval (0 = none)
 	Attempts    int   `json:"attempts,omitempty"`     // II values tried (tryModulo invocations)
 	Placements  int64 `json:"placements,omitempty"`   // candidate op placements evaluated
@@ -113,6 +123,9 @@ func (s *SchedProfile) Report() string {
 		t.Loops, t.Pipelined, t.Attempts, t.Placements, t.Evictions, t.EmitRejects, float64(t.SearchNS)/1e6)
 	if s == nil {
 		return sb.String()
+	}
+	if t.Pipelined > 0 {
+		sb.WriteString("  (MII: the first II tried, the largest of the unit, trip-count and recurrence lower bounds)\n")
 	}
 	for _, l := range s.Loops {
 		if l.Pipelined {
