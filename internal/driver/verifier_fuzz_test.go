@@ -19,7 +19,9 @@ import (
 //   - rejection must catch corruption: seeded microcode mutations —
 //     dropping a send, widening a trip count, shrinking the skew,
 //     corrupting a register, truncating the IU address table, renaming
-//     a loop, flipping a loop signal — must each be rejected.
+//     a loop, flipping a static loop signal, shifting a dynamic one,
+//     pushing an IU immediate's addresses past the cell memory — must
+//     each be rejected.
 
 // verifyProgram assembles the verifier's input from a compilation,
 // exactly as the driver's verify phase does.
@@ -248,6 +250,66 @@ var mutations = []mutation{
 			return false
 		})
 	}},
+	{"shift-dynamic-signal", func(p *verify.Program) bool {
+		// Copy+1 says "stop" one cell iteration early: at the IU iteration
+		// whose iter·M + Copy is CellTrips−2.  The first dynamic signal
+		// that has such an iteration is shifted.
+		var walk func(items []mcode.IUItem, trips int64) bool
+		walk = func(items []mcode.IUItem, trips int64) bool {
+			for _, it := range items {
+				switch it := it.(type) {
+				case *mcode.IUStraight:
+					for _, in := range it.Instrs {
+						s := in.Sig
+						if s == nil || s.Static || s.M < 1 {
+							continue
+						}
+						if k := s.CellTrips - 2 - s.Copy; k >= 0 && k%s.M == 0 && k/s.M < trips {
+							s.Copy++
+							return true
+						}
+					}
+				case *mcode.IULoop:
+					if walk(it.Body, it.Trips) {
+						return true
+					}
+				}
+			}
+			return false
+		}
+		return walk(p.IU.Items, 1)
+	}},
+	{"address-out-of-range", func(p *verify.Program) bool {
+		// The first immediate an address output reads (in listing order,
+		// before anything but an induction step rewrites the register)
+		// moves every address it feeds past the cell memory.
+		var instrs []*mcode.IUInstr
+		eachIUInstr(p.IU.Items, func(in *mcode.IUInstr) bool {
+			instrs = append(instrs, in)
+			return false
+		})
+		for i, in := range instrs {
+			if in.Imm == nil || (in.Alu != nil && in.Alu.Dst == in.Imm.Dst) {
+				continue
+			}
+			r := in.Imm.Dst
+			for _, next := range instrs[i+1:] {
+				for _, o := range next.Out {
+					if o != nil && !o.FromTable && o.Src == r {
+						in.Imm.Value += mcode.MemWords
+						return true
+					}
+				}
+				if next.Imm != nil && next.Imm.Dst == r {
+					break
+				}
+				if a := next.Alu; a != nil && a.Dst == r && (a.A != r || (!a.BIsImm && a.B == r)) {
+					break
+				}
+			}
+		}
+		return false
+	}},
 }
 
 // mutated builds a fresh verifier input with deep-copied programs so a
@@ -362,8 +424,10 @@ func TestVerifierSoundnessSweep(t *testing.T) {
 }
 
 // TestVerifierRejectsMutationsOnWorkloads pins mutation rejection on
-// the real (non-random) workloads, where every mutation site exists.
+// the real (non-random) workloads, where every mutation has a site in at
+// least one of them.
 func TestVerifierRejectsMutationsOnWorkloads(t *testing.T) {
+	sites := map[string]int{}
 	for name, src := range map[string]string{
 		"polynomial": workloads.Polynomial(10, 40),
 		"conv1d":     workloads.Conv1D(9, 48),
@@ -380,12 +444,18 @@ func TestVerifierRejectsMutationsOnWorkloads(t *testing.T) {
 				continue
 			}
 			applied++
+			sites[m.name]++
 			if _, err := verify.Verify(*p); err == nil {
 				t.Errorf("%s: mutation %q not rejected", name, m.name)
 			}
 		}
 		if applied < 5 {
 			t.Errorf("%s: only %d mutations applicable; the corpus is too weak", name, applied)
+		}
+	}
+	for _, m := range mutations {
+		if sites[m.name] == 0 {
+			t.Errorf("mutation %q applies to none of the workloads", m.name)
 		}
 	}
 }
