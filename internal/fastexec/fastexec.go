@@ -18,8 +18,8 @@
 // model is not re-implemented here: the IU microprogram is elaborated by
 // mcode.IUCode.Elaborate, the plan is stepped by mcode's sequencer, FPU
 // fields evaluate through mcode.AluOp.Eval and addresses are bound by
-// mcode.AddrInfo.Bind — the definitions the simulator, the verifier and
-// the host program generator use.
+// mcode.AddrInfo.Bind — the definitions the simulator and the host
+// program generator use.
 //
 // W2 has no data-dependent control and the IU generates every address
 // and loop signal, so one walk of a plan serves any number of problems

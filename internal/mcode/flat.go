@@ -11,8 +11,10 @@ import (
 // homogeneous, never stall and have static trip counts, so the control
 // state of a cell (or the IU) is a program counter plus one iteration
 // counter per loop-nesting depth over one decoded program.  The
-// simulator, the fast executor's trace builder and the verifier all
-// sequence through this one definition.
+// simulator and the fast executor's trace builder sequence through this
+// one definition; the verifier decodes the cell program with it and
+// proves the IU's streams from the IU loop tree, with Elaborate as the
+// test oracle of that proof.
 
 // LoopEnd is a loop-body boundary closed by the last instruction of the
 // body: the sequencer either takes the back edge to Head or falls
@@ -194,7 +196,9 @@ type SigEvent struct {
 	PC   int
 }
 
-// IUTrace is everything the IU emits over one run.
+// IUTrace is everything the IU emits over one run.  Only the fast
+// executor's plan validation reads one in production; the verifier proves
+// the same streams without it.
 type IUTrace struct {
 	Adr    []AdrEvent
 	Sigs   []SigEvent
@@ -207,8 +211,8 @@ type IUTrace struct {
 }
 
 // tracePool recycles traces.  A trace is as long as the IU's run and is
-// read once — by the verifier, by the fast executor's validation walk —
-// so every compilation would otherwise allocate megabytes and drop them.
+// read once, by the fast executor's validation walk (and by tests), so
+// every plan build would otherwise allocate megabytes and drop them.
 var tracePool = sync.Pool{New: func() any { return new(IUTrace) }}
 
 // Release hands the trace's storage to the next Elaborate.  The trace

@@ -2,6 +2,8 @@ package verify
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"warp/internal/mcode"
 	"warp/internal/skew"
@@ -79,7 +81,8 @@ func compareQueue(name string, pushes, pops []skew.Node, shift int64) error {
 
 // Differential proves every queue of p both ways — structurally and by
 // enumeration — and returns the first disagreement.  It also checks the
-// IU emission trees against the elaborated trace, event for event.
+// IU proofs against the elaborated trace, event for event (compareIU),
+// and the boundary tree's normal form against its enumeration.
 func Differential(p Program) error {
 	cs := buildCellStreams(p.Cell)
 	for _, ch := range []w2.Channel{w2.ChanX, w2.ChanY} {
@@ -105,29 +108,155 @@ func Differential(p Program) error {
 		}
 	}
 
-	iuCode, _ := mcode.DecodeIU(p.IU)
-	trace, ok := iuCode.Elaborate(p.IU.Table, emuCycleLimit)
-	if !ok {
-		return fmt.Errorf("IU over the cycle limit")
-	}
-	adr, sig := buildIUStreams(p.IU)
-	adrEvents, _ := flatten(adr, pickSend)
-	sigEvents, _ := flatten(sig, pickSend)
-	if len(adrEvents) != len(trace.Adr) || len(sigEvents) != len(trace.Sigs) {
-		return fmt.Errorf("IU trees hold %d addresses and %d signals, the trace %d and %d", len(adrEvents), len(sigEvents), len(trace.Adr), len(trace.Sigs))
-	}
-	for i, a := range trace.Adr {
-		if e := adrEvents[i]; e.at != a.At || e.instr != a.PC {
-			return fmt.Errorf("address %d: tree says cycle %d µPC %d, trace cycle %d µPC %d", i, e.at, e.instr, a.At, a.PC)
-		}
-	}
-	for i, s := range trace.Sigs {
-		if e := sigEvents[i]; e.at != s.At || e.instr != s.PC {
-			return fmt.Errorf("signal %d: tree says cycle %d µPC %d, trace cycle %d µPC %d", i, e.at, e.instr, s.At, s.PC)
-		}
-	}
-	if err := compareQueue("Adr into cell 0", adr, cs.mem, p.Lead); err != nil {
+	f, err := compareIU(p.IU)
+	if err != nil {
 		return err
 	}
-	return compareQueue("Sig into cell 0", sig, cs.bnd, p.Lead)
+	if bad := f.badLoop; bad != nil {
+		return fmt.Errorf("IU loop L%d neither translates nor resets a%d", bad.id, f.badReg)
+	}
+	// The boundary sequence's normal form spells the boundary tree.
+	s := newSigForms()
+	var bnd []mcode.SigEvent
+	each(cs.bnd, 0, true, func(b *skew.Node, _ int64, last bool) {
+		bnd = append(bnd, mcode.SigEvent{ID: b.Instr, More: !last})
+	})
+	if err := compareRuns(s, s.cellBody(cs.bnd, nil, true, s.cellInner(cs.bnd)), bnd); err != nil {
+		return fmt.Errorf("boundary tree: %v", err)
+	}
+	code := decodeIU(p.IU)
+	if err := compareQueue("Adr into cell 0", code.adr, cs.mem, p.Lead); err != nil {
+		return err
+	}
+	return compareQueue("Sig into cell 0", code.sig, cs.bnd, p.Lead)
+}
+
+// iuOracleCycles bounds the IU runs the oracle elaborates.
+const iuOracleCycles = 1 << 24
+
+// compareIU checks the IU proofs of prog against mcode.IUCode.Elaborate,
+// event for event: the emission trees, the table-read count and the
+// first over-read, both renderers, the signal sequence's normal form,
+// and — unless the fold refuses a loop, which the returned fold then
+// names — each register-sourced Out field's least and greatest address.
+func compareIU(prog *mcode.IUProgram) (*iuFold, error) {
+	code, _ := mcode.DecodeIU(prog)
+	trace, ok := code.Elaborate(prog.Table, iuOracleCycles)
+	defer trace.Release()
+	if !ok {
+		return nil, fmt.Errorf("IU over the oracle's %d cycles", int64(iuOracleCycles))
+	}
+	iu := decodeIU(prog)
+	if iu.adrs != int64(len(trace.Adr)) || iu.sigs != int64(len(trace.Sigs)) {
+		return nil, fmt.Errorf("IU trees hold %d addresses and %d signals, the trace %d and %d", iu.adrs, iu.sigs, len(trace.Adr), len(trace.Sigs))
+	}
+	// Past the enumeration budget flatten returns nothing, and the counts
+	// stand for the events.
+	adrEvents, _ := flatten(iu.adr, pickSend)
+	sigEvents, _ := flatten(iu.sig, pickSend)
+	for i, e := range adrEvents {
+		if a := trace.Adr[i]; e.at != a.At || e.instr != a.PC {
+			return nil, fmt.Errorf("address %d: tree says cycle %d µPC %d, trace cycle %d µPC %d", i, e.at, e.instr, a.At, a.PC)
+		}
+	}
+	for i, e := range sigEvents {
+		if s := trace.Sigs[i]; e.at != s.At || e.instr != s.PC {
+			return nil, fmt.Errorf("signal %d: tree says cycle %d µPC %d, trace cycle %d µPC %d", i, e.at, e.instr, s.At, s.PC)
+		}
+	}
+
+	// Table reads and the first over-read, in closed form.
+	if iu.reads != int64(trace.TableReads) {
+		return nil, fmt.Errorf("%d table reads, the trace %d", iu.reads, trace.TableReads)
+	}
+	if n := int64(len(prog.Table)); (iu.reads > n) != (trace.OverRead >= 0) {
+		return nil, fmt.Errorf("%d reads of a %d-word table, the trace's first over-read %d", iu.reads, n, trace.OverRead)
+	} else if trace.OverRead >= 0 {
+		a := trace.Adr[trace.OverRead]
+		if at, pc := nth(iu.tbl, n); at != a.At || pc != a.PC {
+			return nil, fmt.Errorf("first over-read at cycle %d µPC %d, the trace's at cycle %d µPC %d", at, pc, a.At, a.PC)
+		}
+	}
+
+	// The signal renderer and the IU signal sequence's normal form.
+	if got := renderSigs(iu); !slices.Equal(got, trace.Sigs) {
+		return nil, fmt.Errorf("rendered signals differ from the trace's")
+	}
+	s := newSigForms()
+	if s.iuInner(iu.items) {
+		if err := compareRuns(s, s.iuBody(iu.items, nil, 0), trace.Sigs); err != nil {
+			return nil, fmt.Errorf("IU signal tree: %v", err)
+		}
+	}
+
+	// The fold: each Out field's extremes over the run.
+	f := &iuFold{fields: map[int]span{}}
+	if !f.prove(iu) {
+		return f, nil
+	}
+	if got := renderAdrs(iu, prog.Table); !slices.Equal(got, trace.Adr) {
+		return nil, fmt.Errorf("rendered addresses differ from the trace's")
+	}
+	want := map[int]span{}
+	port, last := 0, mcode.AdrEvent{At: -1}
+	for _, a := range trace.Adr {
+		if a.At != last.At || a.PC != last.PC {
+			port = 0
+		}
+		outs := code.Words[a.PC].Out
+		for outs[port] == nil {
+			port++
+		}
+		if !outs[port].FromTable {
+			k := a.PC*mcode.MemPorts + port
+			s, seen := want[k]
+			if !seen {
+				s = span{a.Val, a.Val}
+			}
+			want[k] = span{min(s.lo, a.Val), max(s.hi, a.Val)}
+		}
+		port++
+		last = a
+	}
+	if !maps.Equal(f.fields, want) {
+		return nil, fmt.Errorf("Out field extremes (µPC·%d + port: [lo hi]): fold %v, trace %v", mcode.MemPorts, f.fields, want)
+	}
+	if inRange := !slices.ContainsFunc(trace.Adr, func(a mcode.AdrEvent) bool { return a.Val < 0 || a.Val >= mcode.MemWords }); inRange != (!f.outside && tableInRange(prog.Table, iu.reads)) {
+		return nil, fmt.Errorf("range verdict %v, the trace's %v", !inRange, inRange)
+	}
+	return f, nil
+}
+
+// compareRuns checks that runs expand to the decisions of sigs.
+func compareRuns(s *sigForms, runs []sigRun, sigs []mcode.SigEvent) error {
+	i := 0
+	var err error
+	s.expand(runs, func(id int, more bool) bool {
+		switch {
+		case i >= len(sigs):
+			err = fmt.Errorf("more than %d signals", len(sigs))
+		case sigs[i].ID != id || sigs[i].More != more:
+			err = fmt.Errorf("signal %d is L%d(more=%v), want L%d(more=%v)", i, id, more, sigs[i].ID, sigs[i].More)
+		}
+		i++
+		return err == nil
+	})
+	if err == nil && i != len(sigs) {
+		err = fmt.Errorf("%d signals, want %d", i, len(sigs))
+	}
+	return err
+}
+
+// expand calls f with every symbol of runs in order until f returns
+// false; it returns false then.
+func (s *sigForms) expand(runs []sigRun, f func(id int, more bool) bool) bool {
+	for _, r := range runs {
+		n := &s.nodes[r.node]
+		for k := int64(0); k < r.n; k++ {
+			if n.body == nil && !f(n.id, n.more) || n.body != nil && !s.expand(n.body, f) {
+				return false
+			}
+		}
+	}
+	return true
 }

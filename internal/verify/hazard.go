@@ -42,31 +42,35 @@ type regState struct {
 type hazardChecker struct {
 	regs [mcode.NumRegs]regState
 	col  *collector
-	idx  map[*mcode.Instr]int
 }
 
 // checkHazards runs the analysis over the whole cell program.  All
 // cells run the same program, so one pass covers the array; reported
 // diagnostics use cell -1.
-func checkHazards(p *mcode.CellProgram, idx map[*mcode.Instr]int, col *collector) {
-	h := &hazardChecker{col: col, idx: idx}
-	h.walkItems(p.Items, 0)
+func checkHazards(p *mcode.CellProgram, col *collector) {
+	h := &hazardChecker{col: col}
+	h.walkItems(p.Items, 0, 0)
 }
 
-func (h *hazardChecker) walkItems(items []mcode.CodeItem, t int64) int64 {
+// walkItems walks items from cycle t, their first instruction being µPC
+// pc (listing order), and returns the cycle and µPC after them.
+func (h *hazardChecker) walkItems(items []mcode.CodeItem, t int64, pc int) (int64, int) {
 	for _, it := range items {
 		switch it := it.(type) {
 		case *mcode.Straight:
 			for _, in := range it.Instrs {
-				h.instr(in, t)
+				h.instr(in, t, pc)
 				t++
+				pc++
 			}
 		case *mcode.LoopItem:
 			bodyLen := it.Cycles() / max(it.Trips, 1)
 			iters := min(it.Trips, 2)
+			head, end := pc, pc
 			for k := int64(0); k < iters; k++ {
-				t = h.walkItems(it.Body, t)
+				t, end = h.walkItems(it.Body, t, head)
 			}
+			pc = end
 			if it.Trips > 2 {
 				shift := (it.Trips - 2) * bodyLen
 				// Writes from the walked iteration 1 recur every
@@ -81,13 +85,15 @@ func (h *hazardChecker) walkItems(items []mcode.CodeItem, t int64) int64 {
 			}
 		}
 	}
-	return t
+	return t, pc
 }
 
-// instr checks one microinstruction at absolute cycle t: reads against
-// the current write states, then the cycle's own writes.
-func (h *hazardChecker) instr(in *mcode.Instr, t int64) {
-	read := func(r mcode.Reg, what string) {
+// instr checks one microinstruction, µPC pc, at absolute cycle t: reads
+// against the current write states, then the cycle's own writes.
+func (h *hazardChecker) instr(in *mcode.Instr, t int64, pc int) {
+	// read checks one operand; op names the ALU operation reading it
+	// (nil for a store or a send), spelled out only in a diagnostic.
+	read := func(r mcode.Reg, field string, op *mcode.AluOp) {
 		st := h.regs[r]
 		if !st.written {
 			// Implicit zero initialization: defined, not a violation.
@@ -98,8 +104,12 @@ func (h *hazardChecker) instr(in *mcode.Instr, t int64) {
 			if st.first {
 				inv, kind = InvDefBeforeUse, "first defining"
 			}
+			what := field
+			if op != nil {
+				what += " " + op.Code.String()
+			}
 			h.col.add(Diagnostic{
-				Invariant: inv, Cell: -1, Instr: h.idx[in], Loop: -1,
+				Invariant: inv, Cell: -1, Instr: pc, Loop: -1,
 				Detail: fmt.Sprintf("%s reads %s at cycle %d, but the %s write (cycle %d, latency %d) lands only at cycle %d",
 					what, r, t, kind, st.issue, st.lat, st.issue+st.lat),
 			})
@@ -110,7 +120,7 @@ func (h *hazardChecker) instr(in *mcode.Instr, t int64) {
 			return
 		}
 		for i := 0; i < op.Code.NumOperands(); i++ {
-			read(op.Src[i], field+" "+op.Code.String())
+			read(op.Src[i], field, op)
 		}
 	}
 	readAlu(in.Add, "add")
@@ -118,60 +128,53 @@ func (h *hazardChecker) instr(in *mcode.Instr, t int64) {
 	readAlu(in.Mov, "mov")
 	for _, m := range in.Mem {
 		if m != nil && m.Store {
-			read(m.Reg, "store")
+			read(m.Reg, "store", nil)
 		}
 	}
 	for _, io := range in.IO {
 		if !io.Recv {
-			read(io.Reg, "send")
+			read(io.Reg, "send", nil)
 		}
 	}
 
-	type write struct {
-		reg mcode.Reg
-		lat int64
+	// The cycle's writes, in field order: ADD, MUL, MOV, loads, receives,
+	// the literal.
+	var seen uint64 // registers written so far this cycle
+	write := func(r mcode.Reg, lat int64) {
+		if seen>>r&1 != 0 {
+			h.col.add(Diagnostic{
+				Invariant: InvStructure, Cell: -1, Instr: pc, Loop: -1,
+				Detail: fmt.Sprintf("two fields write %s in the same cycle (%d)", r, t),
+			})
+		}
+		seen |= 1 << r
+		if st := h.regs[r]; st.written && st.issue < t && st.issue+st.lat > t+lat {
+			// An earlier in-flight result would land after (and clobber)
+			// this newer value — a write-ordering inversion.
+			h.col.add(Diagnostic{
+				Invariant: InvFPULatency, Cell: -1, Instr: pc, Loop: -1,
+				Detail: fmt.Sprintf("write to %s at cycle %d lands before the still-in-flight write of cycle %d (latency %d)",
+					r, t, st.issue, st.lat),
+			})
+		}
+		h.regs[r] = regState{written: true, first: !h.regs[r].written, issue: t, lat: lat}
 	}
-	var writes []write
-	if in.Add != nil {
-		writes = append(writes, write{in.Add.Dst, in.Add.Code.Latency()})
-	}
-	if in.Mul != nil {
-		writes = append(writes, write{in.Mul.Dst, in.Mul.Code.Latency()})
-	}
-	if in.Mov != nil {
-		writes = append(writes, write{in.Mov.Dst, in.Mov.Code.Latency()})
+	for _, op := range [...]*mcode.AluOp{in.Add, in.Mul, in.Mov} {
+		if op != nil {
+			write(op.Dst, op.Code.Latency())
+		}
 	}
 	for _, m := range in.Mem {
 		if m != nil && !m.Store {
-			writes = append(writes, write{m.Reg, 1})
+			write(m.Reg, 1)
 		}
 	}
 	for _, io := range in.IO {
 		if io.Recv {
-			writes = append(writes, write{io.Reg, 1})
+			write(io.Reg, 1)
 		}
 	}
 	if in.Lit != nil {
-		writes = append(writes, write{in.Lit.Dst, 1})
-	}
-	seen := map[mcode.Reg]bool{}
-	for _, w := range writes {
-		if seen[w.reg] {
-			h.col.add(Diagnostic{
-				Invariant: InvStructure, Cell: -1, Instr: h.idx[in], Loop: -1,
-				Detail: fmt.Sprintf("two fields write %s in the same cycle (%d)", w.reg, t),
-			})
-		}
-		seen[w.reg] = true
-		if st := h.regs[w.reg]; st.written && st.issue < t && st.issue+st.lat > t+w.lat {
-			// An earlier in-flight result would land after (and clobber)
-			// this newer value — a write-ordering inversion.
-			h.col.add(Diagnostic{
-				Invariant: InvFPULatency, Cell: -1, Instr: h.idx[in], Loop: -1,
-				Detail: fmt.Sprintf("write to %s at cycle %d lands before the still-in-flight write of cycle %d (latency %d)",
-					w.reg, t, st.issue, st.lat),
-			})
-		}
-		h.regs[w.reg] = regState{written: true, first: !h.regs[w.reg].written, issue: t, lat: w.lat}
+		write(in.Lit.Dst, 1)
 	}
 }

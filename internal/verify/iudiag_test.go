@@ -11,8 +11,10 @@ import (
 // TestIUStreamDiagnostics pins the full diagnostic list (invariant,
 // location, text) of every IU-side rejection on hand-built programs.
 // The expectations were recorded from the verifier that emulated the IU
-// itself; the shared elaboration in internal/mcode must lead to the same
-// words at the same µPCs and cycles.
+// itself, and kept through the one that elaborated it with
+// internal/mcode; the structural proofs must lead to the same words at
+// the same µPCs and cycles.  The last three cases are past the cycle cap
+// those verifiers had.
 func TestIUStreamDiagnostics(t *testing.T) {
 	load := func() *mcode.Instr {
 		in := &mcode.Instr{}
@@ -100,26 +102,55 @@ func TestIUStreamDiagnostics(t *testing.T) {
 			p.IU.Items = []mcode.IUItem{&mcode.IULoop{ID: 3, Trips: 3, Body: []mcode.IUItem{iuCode(dyn(0), dyn(1))}}}
 			return p
 		}, nil},
-		{"iu-over-cycle-limit", func() Program {
-			// The IU outruns the emulation cap after over-reading its
-			// table: both findings are reported, in that order.
+		{"neither-translation-nor-reset", func() Program {
+			// a1 doubles every iteration: no affine form in the counter
+			// holds it, so the address range is left unproven.
 			p := program(0, 0, straight(&mcode.Instr{}))
+			double := &mcode.IUInstr{Alu: &mcode.IUAlu{Dst: 1, A: 1, B: 1}}
+			p.IU.Items = []mcode.IUItem{&mcode.IULoop{ID: 3, Trips: 2, Body: []mcode.IUItem{iuCode(double)}}}
+			return p
+		}, []string{
+			`unproven cell=-1 instr=-1 loop=3 "IU loop L3 neither translates nor resets a1; address range unproven"`,
+		}},
+		{"iu-over-cycle-limit", func() Program {
+			// The IU over-reads its table, then idles for 2²⁴ cycles: there
+			// is no cycle cap, so the over-read is the only finding.
+			p := program(0, 0, straight(load()))
 			p.IU.Items = []mcode.IUItem{
 				iuCode(out(&mcode.IUOut{FromTable: true})),
-				&mcode.IULoop{ID: 3, Trips: emuCycleLimit, Body: []mcode.IUItem{iuCode(&mcode.IUInstr{})}},
+				&mcode.IULoop{ID: 3, Trips: 1 << 24, Body: []mcode.IUItem{iuCode(&mcode.IUInstr{})}},
 			}
 			return p
 		}, []string{
 			`addr-stream cell=-1 instr=0 loop=-1 "IU reads past the end of its 0-entry address table at cycle 0"`,
-			`unproven cell=-1 instr=-1 loop=-1 "IU program exceeds 16777216 cycles; address and signal streams cannot be verified"`,
 		}},
 		{"cell-over-cycle-limit", func() Program {
-			p := program(0, 0, &mcode.LoopItem{ID: 3, Trips: emuCycleLimit + 1, Body: []mcode.CodeItem{straight(&mcode.Instr{})}})
+			// A (2²⁴+1)-trip cell loop and the IU loop that signals it.
+			const trips = 1<<24 + 1
+			p := program(0, 0, &mcode.LoopItem{ID: 3, Trips: trips, Body: []mcode.CodeItem{straight(&mcode.Instr{})}})
 			p.Cells = 1
+			dyn := &mcode.IUInstr{Sig: &mcode.IUSig{LoopID: 3, M: 1, CellTrips: trips}}
+			p.IU.Items = []mcode.IUItem{&mcode.IULoop{ID: 3, Trips: trips, Body: []mcode.IUItem{iuCode(dyn)}}}
 			return p
-		}, []string{
-			`unproven cell=-1 instr=-1 loop=-1 "cell program too large to enumerate loop boundaries; signal stream unproven"`,
-		}},
+		}, nil},
+		{"nest-of-2^40", func() Program {
+			// 2²⁸ rows of 2¹² loads: the IU steps its address register per
+			// load and resets it per row, so every address is in range.
+			const rows, cols = 1 << 28, 1 << 12
+			p := program(0, 0, &mcode.LoopItem{ID: 1, Trips: rows, Body: []mcode.CodeItem{
+				&mcode.LoopItem{ID: 2, Trips: cols, Body: []mcode.CodeItem{straight(load(), &mcode.Instr{}, &mcode.Instr{})}},
+				straight(&mcode.Instr{}),
+			}})
+			step := out(&mcode.IUOut{Src: 0})
+			step.Alu = &mcode.IUAlu{Dst: 0, A: 0, BIsImm: true, ImmVal: 1}
+			rowEnd := &mcode.IUInstr{Imm: &mcode.IUImm{Dst: 0}, Sig: &mcode.IUSig{LoopID: 1, M: 1, CellTrips: rows}}
+			p.IU.Items = []mcode.IUItem{&mcode.IULoop{ID: 0, Trips: rows, Body: []mcode.IUItem{
+				&mcode.IULoop{ID: 1, Trips: cols, Body: []mcode.IUItem{iuCode(step, &mcode.IUInstr{},
+					&mcode.IUInstr{Sig: &mcode.IUSig{LoopID: 2, M: 1, CellTrips: cols}})}},
+				iuCode(rowEnd),
+			}}}
+			return p
+		}, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

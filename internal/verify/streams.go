@@ -11,15 +11,12 @@ import (
 // generators' bookkeeping.  A stream is a tree: leaves carry event
 // counts at one cycle, loops keep their trip count.  The queue proofs of
 // queue.go evaluate these trees in place and never expand a trip count;
-// only each (and flatten on top of it) enumerates dynamic events, for
-// the one comparison that is per event by nature (the IU's signal
-// sequence against the sequencer's boundaries) and to name the offending
-// event once a proof has failed.
+// only each (and flatten on top of it) enumerates dynamic events, to name
+// the offending event once a proof has failed.  The IU's trees are read
+// by decodeIU (iu.go).
 //
-// The machine model itself — µPC numbering, the sequencer, the IU
-// register machine — is not re-implemented here: the cell program is
-// decoded by mcode.DecodeCell and the IU's values come from
-// mcode.IUCode.Elaborate (see checkIUStreams).
+// The cell program's µPC numbering is mcode.DecodeCell's: listing order,
+// which every walk here carries along.
 //
 // Cell time is the instruction's ordinal in the dynamic execution:
 // every cell executes exactly one microinstruction per cycle, so the
@@ -34,10 +31,8 @@ type event struct {
 
 // cellStreams is everything the verifier derives from one cell program.
 type cellStreams struct {
-	code   mcode.CellCode             // the decoded program (mcode's shared machine model)
-	index  map[*mcode.Instr]int       // an instruction's µPC: its index in code.Words
-	data   map[w2.Channel][]skew.Node // send/recv counts per data channel
-	cycles int64                      // total program length in cycles
+	code mcode.CellCode             // the decoded program (mcode's shared machine model)
+	data map[w2.Channel][]skew.Node // send/recv counts per data channel
 	// The streams every cell consumes from its left neighbour the cycle it
 	// forwards them to its right one, so a leaf's send and recv are equal:
 	// memory references (Adr queue), and loop boundaries (Sig queue) — one
@@ -56,13 +51,11 @@ const (
 
 // buildCellStreams walks the cell program once, structurally.
 func buildCellStreams(p *mcode.CellProgram) *cellStreams {
-	cs := &cellStreams{index: map[*mcode.Instr]int{}}
+	cs := &cellStreams{}
 	// A loop with an empty body is left out of the code and reported by
 	// checkStructure (mcode.ValidateCell), before anything sequences it.
 	cs.code, _ = mcode.DecodeCell(p)
-	for pc := range cs.code.Words {
-		cs.index[cs.code.Words[pc].Instr] = pc
-	}
+	pc := 0
 	var walk func(items []mcode.CodeItem) (length int64, out [numSlots][]skew.Node)
 	walk = func(items []mcode.CodeItem) (at int64, out [numSlots][]skew.Node) {
 		for _, it := range items {
@@ -91,11 +84,12 @@ func buildCellStreams(p *mcode.CellProgram) *cellStreams {
 					}
 					for s, n := range leaf {
 						if n.Send > 0 || n.Recv > 0 {
-							n.At, n.Instr = at, cs.index[in]
+							n.At, n.Instr = at, pc
 							out[s] = append(out[s], n)
 						}
 					}
 					at++
+					pc++
 				}
 			case *mcode.LoopItem:
 				n, inner := walk(it.Body)
@@ -112,58 +106,10 @@ func buildCellStreams(p *mcode.CellProgram) *cellStreams {
 		}
 		return at, out
 	}
-	length, out := walk(p.Items)
-	cs.cycles = length
+	_, out := walk(p.Items)
 	cs.data = map[w2.Channel][]skew.Node{w2.ChanX: out[slotX], w2.ChanY: out[slotY]}
 	cs.mem, cs.bnd = out[slotMem], out[slotBnd]
 	return cs
-}
-
-// buildIUStreams reads the IU's two emission streams off its program:
-// an Out or Sig field fires every time its word executes, so the
-// positions are as static as the cell's.  Leaves carry the IU µPC
-// (listing order, mcode.DecodeIU's numbering).
-func buildIUStreams(p *mcode.IUProgram) (adr, sig []skew.Node) {
-	pc := 0
-	var walk func(items []mcode.IUItem) (length int64, out [2][]skew.Node)
-	walk = func(items []mcode.IUItem) (at int64, out [2][]skew.Node) {
-		for _, it := range items {
-			switch it := it.(type) {
-			case *mcode.IUStraight:
-				for _, in := range it.Instrs {
-					var emits [2]int // addresses, signals
-					for _, o := range in.Out {
-						if o != nil {
-							emits[0]++
-						}
-					}
-					if in.Sig != nil {
-						emits[1]++
-					}
-					for s, n := range emits {
-						if n > 0 {
-							out[s] = append(out[s], skew.Node{At: at, Instr: pc, Send: n})
-						}
-					}
-					at++
-					pc++
-				}
-			case *mcode.IULoop:
-				n, inner := walk(it.Body)
-				for s, body := range inner {
-					if len(body) > 0 {
-						out[s] = append(out[s], skew.Node{At: at, Loop: &skew.Nest{Trips: it.Trips, IterLen: n, Body: body}})
-					}
-				}
-				at += n * it.Trips
-			}
-		}
-		return at, out
-	}
-	_, out := walk(p.Items)
-	skew.Seal(out[0])
-	skew.Seal(out[1])
-	return out[0], out[1]
 }
 
 // each visits every dynamic leaf of the stream in time order with its

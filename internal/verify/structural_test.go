@@ -48,11 +48,10 @@ func differentialAtSkews(t *testing.T, name string, c *driver.Compiled) {
 	}
 }
 
-// TestStructuralSweepMatchesEnumeration: for every benchmark and
-// testdata program and the 540 (random program, option set) pairs of
-// driver.TestVerifierSoundnessSweep, the structural peak, low-water mark
-// and verdict of every queue equal the enumerated ones.
-func TestStructuralSweepMatchesEnumeration(t *testing.T) {
+// compileCorpus compiles every benchmark and testdata program and the
+// 540 (random program, option set) pairs of
+// driver.TestVerifierSoundnessSweep, handing each to f.
+func compileCorpus(t *testing.T, f func(name string, c *driver.Compiled)) {
 	for _, tc := range []struct {
 		name, src string
 		pipeline  bool
@@ -72,7 +71,7 @@ func TestStructuralSweepMatchesEnumeration(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		differentialAtSkews(t, tc.name, c)
+		f(tc.name, c)
 	}
 
 	rng := rand.New(rand.NewSource(99)) // TestVerifierSoundnessSweep's programs
@@ -83,16 +82,38 @@ func TestStructuralSweepMatchesEnumeration(t *testing.T) {
 			if err != nil {
 				t.Fatalf("program %d: compile (%+v): %v", i, opts, err)
 			}
-			differentialAtSkews(t, src, c)
+			f(src, c)
 		}
 	}
 }
 
+// TestStructuralSweepMatchesEnumeration: over the corpus, the structural
+// peak, low-water mark and verdict of every queue equal the enumerated
+// ones, and the IU proofs — each Out field's extremes, the table reads,
+// the first over-read, both signal normal forms — equal what
+// mcode.IUCode.Elaborate's trace says, event for event.
+func TestStructuralSweepMatchesEnumeration(t *testing.T) {
+	compileCorpus(t, func(name string, c *driver.Compiled) { differentialAtSkews(t, name, c) })
+}
+
+// TestIUProofsDecideCorpus: on every program of the corpus the IU's
+// value proofs decide structurally — the diagnostic renderer never runs.
+func TestIUProofsDecideCorpus(t *testing.T) {
+	compileCorpus(t, func(name string, c *driver.Compiled) {
+		rep, err := verify.Verify(verifyProgram(c))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if rep.Rendered != 0 {
+			t.Errorf("%s: %d IU streams enumerated on an accepted program", name, rep.Rendered)
+		}
+	})
+}
+
 // TestVerifyCostIndependentOfTrips: a larger image or a longer signal is
 // the same loop tree with larger trip counts, so its queue proofs look at
-// the same number of pushes, and the verifier's allocation count moves
-// by no more than a constant (what is still per event — the IU's value
-// trace — is sized in one piece).
+// the same number of pushes, its IU proofs take the same steps, and the
+// verifier's allocation count moves by no more than a constant.
 func TestVerifyCostIndependentOfTrips(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
@@ -102,8 +123,9 @@ func TestVerifyCostIndependentOfTrips(t *testing.T) {
 		// The pipelined kernel is unrolled seven times; 65 538 leaves the
 		// remainder 256 does, hence the same tree.
 		{"conv1d", workloads.Conv1D(9, 256), workloads.Conv1D(9, 256+7*9326)},
+		{"binop", workloads.Binop(64, 64), workloads.Binop(512, 512)},
 	} {
-		var evals [2]int64
+		var evals, steps [2]int64
 		var allocs [2]float64
 		for i, src := range []string{tc.small, tc.large} {
 			c, err := driver.Compile(src, driver.Options{Pipeline: true})
@@ -115,12 +137,15 @@ func TestVerifyCostIndependentOfTrips(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
-			evals[i] = rep.Evals
+			evals[i], steps[i] = rep.Evals, rep.Steps
 			allocs[i] = testing.AllocsPerRun(3, func() { verify.Verify(p) })
 		}
-		t.Logf("%s: %d/%d point evaluations, %.0f/%.0f allocations", tc.name, evals[0], evals[1], allocs[0], allocs[1])
+		t.Logf("%s: %d/%d point evaluations, %d/%d IU proof steps, %.0f/%.0f allocations", tc.name, evals[0], evals[1], steps[0], steps[1], allocs[0], allocs[1])
 		if evals[0] != evals[1] || evals[0] == 0 {
 			t.Errorf("%s: %d point evaluations at the small size, %d at the large", tc.name, evals[0], evals[1])
+		}
+		if steps[0] != steps[1] || steps[0] == 0 {
+			t.Errorf("%s: %d IU proof steps at the small size, %d at the large", tc.name, steps[0], steps[1])
 		}
 		if d := allocs[1] - allocs[0]; d > 16 || d < -16 {
 			t.Errorf("%s: %.0f allocations at the small size, %.0f at the large", tc.name, allocs[0], allocs[1])

@@ -17,15 +17,16 @@
 //     skew relative to the matching send of cell k−1;
 //   - FPU result latency: no register read before its producer's
 //     5-cycle latency elapses, and no use before definition;
-//   - IU streams: the elaborated IU address stream matches the cells'
+//   - IU streams: the IU address stream matches the cells'
 //     memory-reference consumption in count, timing and range, and the
 //     loop-control signal stream matches the cell sequencer's boundary
-//     crossings; the host I/O programs cover the boundary cells' queue
-//     traffic word for word.
+//     crossings, proven from the IU loop tree — registers as affine forms
+//     in the loop counters, signals and boundaries as run-length trees
+//     (iu.go, sigform.go); the host I/O programs cover the boundary
+//     cells' queue traffic word for word.
 //
-// What is still elaborated event by event is value-dependent: the IU's
-// addresses and loop decisions (mcode.IUCode.Elaborate) and their
-// comparison, signal by signal, with the sequencer's boundaries.
+// Nothing on the accept path runs per event.  Events are enumerated only
+// to render the diagnostics of a failed proof.
 //
 // Verification is conservative: a proof that would exceed its work
 // budget is abandoned and the program rejected as unprovable
@@ -49,9 +50,6 @@ const (
 	// structural evaluation may look at (a handful per loop level, whatever
 	// the trip counts), and the events enumerated to render a violation.
 	enumEventLimit = 1 << 22
-	// emuCycleLimit caps what is elaborated per event (the IU's value
-	// streams, the boundary sequence they are compared with) in cycles.
-	emuCycleLimit = 1 << 24
 	// maxDiags caps the diagnostics collected before suppression.
 	maxDiags = 64
 )
@@ -97,6 +95,14 @@ type Report struct {
 	// over every queue.  It depends on the loop structure and the skew,
 	// not on trip counts.
 	Evals int64 `json:"-"`
+	// Steps is the work the IU's value proofs did: words and loops the
+	// register fold looked at, signal runs built.  Like Evals it follows
+	// the loop structure, not the trip counts.
+	Steps int64 `json:"-"`
+	// Rendered counts the IU streams enumerated event by event because a
+	// structural proof could not decide them; zero on every program the
+	// compiler emits.
+	Rendered int `json:"-"`
 }
 
 // collector accumulates diagnostics with a suppression cap.
@@ -149,7 +155,7 @@ func Verify(p Program) (*Report, error) {
 	rep.MemRefs, _ = skew.Seal(cs.mem)
 	rep.Signals, _ = skew.Seal(cs.bnd)
 
-	checkHazards(p.Cell, cs.index, col)
+	checkHazards(p.Cell, col)
 	col.ok()
 	checkHostStreams(p, rep, col)
 	checkDataQueues(p, cs, rep, col)
@@ -344,58 +350,40 @@ func checkForwardedStreams(p Program, cs *cellStreams, rep *Report, col *collect
 
 // checkIUStreams verifies the IU's two output streams against the
 // cells' consumption.  Their values — addresses, table reads, loop
-// decisions — come from elaborating the IU (mcode.IUCode.Elaborate, the
-// shared definition of its register machine) and are checked event by
-// event: address range, and exact sequence equality of the signals with
-// the sequencer's boundary crossings.  Their timing does not depend on
-// values: the Adr and Sig queues into cell 0 are proven from the IU's
-// emission trees against the cell's, like every other queue.
+// decisions — are proven from the IU loop tree (iu.go, sigform.go): the
+// address range from the register fold, the table reads in closed form,
+// and the signal sequence as the boundary sequence's run-length normal
+// form.  Their timing does not depend on values: the Adr and Sig queues
+// into cell 0 are proven from the IU's emission trees against the cell's,
+// like every other queue, and the Sig queue's low-water mark is the
+// signals' arrival check.  A failed proof is rendered event by event.
 func checkIUStreams(p Program, cs *cellStreams, rep *Report, col *collector) {
-	// An IU loop with an empty body emits nothing and takes no time; the
-	// decoder leaves it out.
-	iuCode, _ := mcode.DecodeIU(p.IU)
-	trace, ok := iuCode.Elaborate(p.IU.Table, emuCycleLimit)
-	defer trace.Release()
-	if k := trace.OverRead; k >= 0 {
+	iu := decodeIU(p.IU)
+	table := p.IU.Table
+	if n := int64(len(table)); iu.reads > n {
 		// Over-reads yield address 0, so the checks below still run and
 		// surface further violations.
-		a := trace.Adr[k]
-		col.add(Diagnostic{Invariant: InvAddrStream, Cell: -1, Instr: a.PC, Loop: -1,
-			Detail: fmt.Sprintf("IU reads past the end of its %d-entry address table at cycle %d", len(p.IU.Table), a.At)})
+		at, pc := nth(iu.tbl, n)
+		col.add(Diagnostic{Invariant: InvAddrStream, Cell: -1, Instr: pc, Loop: -1,
+			Detail: fmt.Sprintf("IU reads past the end of its %d-entry address table at cycle %d", n, at)})
 	}
-	if !ok {
-		col.add(Diagnostic{Invariant: InvUnproven, Cell: -1, Instr: -1, Loop: -1,
-			Detail: fmt.Sprintf("IU program exceeds %d cycles; address and signal streams cannot be verified", int64(emuCycleLimit))})
-		return
-	}
-	adr, sig := buildIUStreams(p.IU)
 
 	// Address table must be consumed exactly.
-	if trace.TableReads < len(p.IU.Table) {
+	if iu.reads < int64(len(table)) {
 		col.add(Diagnostic{Invariant: InvAddrStream, Cell: -1, Instr: -1, Loop: -1,
-			Detail: fmt.Sprintf("IU address table has %d entries but the program reads only %d", len(p.IU.Table), trace.TableReads)})
-	} else if trace.TableReads == len(p.IU.Table) {
+			Detail: fmt.Sprintf("IU address table has %d entries but the program reads only %d", len(table), iu.reads)})
+	} else if iu.reads == int64(len(table)) {
 		col.ok()
 	}
 
 	// Every emitted address must lie in the cell data memory.
-	rangeOK := true
-	for _, a := range trace.Adr {
-		if a.Val < 0 || a.Val >= mcode.MemWords {
-			col.add(Diagnostic{Invariant: InvAddrStream, Cell: -1, Instr: a.PC, Loop: -1,
-				Detail: fmt.Sprintf("IU emits address %d at cycle %d, outside the %d-word cell memory", a.Val, a.At, mcode.MemWords)})
-			rangeOK = false
-		}
-	}
-	if rangeOK {
-		col.ok()
-	}
+	checkAddrRange(iu, table, rep, col)
 
 	// Address stream vs cell consumption: cell 0 pops at its cycle + lead.
-	if n := int64(len(trace.Adr)); n != rep.MemRefs {
+	if iu.adrs != rep.MemRefs {
 		col.add(Diagnostic{Invariant: InvAddrStream, Cell: -1, Instr: -1, Loop: -1,
-			Detail: fmt.Sprintf("IU emits %d addresses but each cell makes %d memory references", n, rep.MemRefs)})
-	} else if res, ok := proveQueue(adr, cs.mem, p.Lead, &rep.Evals); !ok {
+			Detail: fmt.Sprintf("IU emits %d addresses but each cell makes %d memory references", iu.adrs, rep.MemRefs)})
+	} else if res, ok := proveQueue(iu.adr, cs.mem, p.Lead, &rep.Evals); !ok {
 		unproven(col, 0, "Adr queue into cell 0")
 	} else {
 		col.ok()
@@ -420,23 +408,88 @@ func checkIUStreams(p Program, cs *cellStreams, rep *Report, col *collector) {
 		}
 	}
 
-	// Signal stream vs the sequencer's boundary crossings, signal by
-	// signal: the one walk over the boundary tree that is per event.
-	if cs.cycles > emuCycleLimit {
-		col.add(Diagnostic{Invariant: InvUnproven, Cell: -1, Instr: -1, Loop: -1,
-			Detail: "cell program too large to enumerate loop boundaries; signal stream unproven"})
-		return
-	}
-	if n := int64(len(trace.Sigs)); n != rep.Signals {
+	// Signal stream vs the sequencer's boundary crossings.
+	if iu.sigs != rep.Signals {
 		col.add(Diagnostic{Invariant: InvSigStream, Cell: -1, Instr: -1, Loop: -1,
-			Detail: fmt.Sprintf("IU emits %d loop signals but each cell crosses %d loop boundaries", n, rep.Signals)})
+			Detail: fmt.Sprintf("IU emits %d loop signals but each cell crosses %d loop boundaries", iu.sigs, rep.Signals)})
 		return
 	}
 	col.ok()
+	res, queued := sweepResult{underAt: -1, overAt: -1}, true
+	if iu.sigs > 0 {
+		res, queued = proveQueue(iu.sig, cs.bnd, p.Lead, &rep.Evals)
+	}
+	if !queued || res.underAt >= 0 || !sameSignals(iu, cs.bnd, &rep.Steps) {
+		checkSignalsByEvent(p, cs, iu, rep, col)
+	} else {
+		col.ok()
+	}
+	if iu.sigs > 0 {
+		if !queued {
+			unproven(col, 0, "Sig queue into cell 0")
+			return
+		}
+		if res.overAt >= 0 {
+			col.add(Diagnostic{Invariant: InvQueueOverflow, Cell: 0, Instr: res.overInstr, Loop: -1,
+				Detail: fmt.Sprintf("Sig queue into cell 0 reaches occupancy %d (> %d) at IU cycle %d", res.maxOcc, mcode.QueueDepth, res.overPush)})
+		} else {
+			col.ok()
+		}
+		if rep.Sig.Method == "" || res.maxOcc > rep.Sig.Max {
+			rep.Sig = Occ{Max: res.maxOcc, Method: "exact"}
+		}
+	}
+}
+
+// checkAddrRange proves every address the IU emits lies in the cell
+// memory: register outputs by the fold's extreme points, table outputs by
+// the table words read.  Only a failed proof enumerates, to name each
+// address outside.
+func checkAddrRange(iu *iuCode, table []int64, rep *Report, col *collector) {
+	f := &iuFold{}
+	proven := f.prove(iu)
+	rep.Steps += f.steps
+	switch {
+	case !proven:
+		col.add(Diagnostic{Invariant: InvUnproven, Cell: -1, Instr: -1, Loop: f.badLoop.id,
+			Detail: fmt.Sprintf("IU loop L%d neither translates nor resets a%d; address range unproven", f.badLoop.id, f.badReg)})
+		return
+	case !f.outside && tableInRange(table, iu.reads):
+		col.ok()
+		return
+	case iu.adrs > enumEventLimit:
+		unrendered(col, "IU address range", iu.adrs)
+		return
+	}
+	rep.Rendered++
+	inRange := true
+	for _, a := range renderAdrs(iu, table) {
+		if a.Val < 0 || a.Val >= mcode.MemWords {
+			col.add(Diagnostic{Invariant: InvAddrStream, Cell: -1, Instr: a.PC, Loop: -1,
+				Detail: fmt.Sprintf("IU emits address %d at cycle %d, outside the %d-word cell memory", a.Val, a.At, mcode.MemWords)})
+			inRange = false
+		}
+	}
+	if inRange {
+		col.ok()
+	}
+}
+
+// checkSignalsByEvent renders the signal comparison the structural proof
+// could not make — or that failed — signal by signal: decision against
+// the sequencer's crossing, arrival against cell 0's need.  The counts
+// are equal.
+func checkSignalsByEvent(p Program, cs *cellStreams, iu *iuCode, rep *Report, col *collector) {
+	if iu.sigs > enumEventLimit {
+		unrendered(col, "IU signal stream", iu.sigs)
+		return
+	}
+	rep.Rendered++
+	sigs := renderSigs(iu)
 	seqOK := true
 	i := 0
 	each(cs.bnd, 0, true, func(b *skew.Node, at int64, last bool) {
-		s, id, more := trace.Sigs[i], b.Instr, !last
+		s, id, more := sigs[i], b.Instr, !last
 		if s.ID != id || s.More != more {
 			col.add(Diagnostic{Invariant: InvSigStream, Cell: -1, Instr: s.PC, Loop: id,
 				Detail: fmt.Sprintf("signal %d: IU sends L%d(more=%v) but the sequencer crosses L%d(more=%v)", i, s.ID, s.More, id, more)})
@@ -452,20 +505,11 @@ func checkIUStreams(p Program, cs *cellStreams, rep *Report, col *collector) {
 	if seqOK {
 		col.ok()
 	}
-	if len(trace.Sigs) > 0 {
-		res, ok := proveQueue(sig, cs.bnd, p.Lead, &rep.Evals)
-		if !ok {
-			unproven(col, 0, "Sig queue into cell 0")
-			return
-		}
-		if res.overAt >= 0 {
-			col.add(Diagnostic{Invariant: InvQueueOverflow, Cell: 0, Instr: res.overInstr, Loop: -1,
-				Detail: fmt.Sprintf("Sig queue into cell 0 reaches occupancy %d (> %d) at IU cycle %d", res.maxOcc, mcode.QueueDepth, res.overPush)})
-		} else {
-			col.ok()
-		}
-		if rep.Sig.Method == "" || res.maxOcc > rep.Sig.Max {
-			rep.Sig = Occ{Max: res.maxOcc, Method: "exact"}
-		}
-	}
+}
+
+// unrendered records a failed IU proof whose violation is past the
+// budget of events enumerated to name it.
+func unrendered(col *collector, what string, events int64) {
+	col.add(Diagnostic{Invariant: InvUnproven, Cell: -1, Instr: -1, Loop: -1,
+		Detail: fmt.Sprintf("%s: %d events, past the analysis budget of %d enumerated to locate a violation", what, events, int64(enumEventLimit))})
 }
