@@ -47,8 +47,8 @@
 // for a single array, completed tiles for a fabric job — finished with
 // a newline before anything else prints, so it never interleaves with
 // -stats output.  -stats additionally reports the backend decision
-// audit: which executor ran the program, why, and the cost model's
-// predicted wall time against the measured one.
+// audit: which executor ran the program, why, its exact cycle count and
+// the measured wall time.
 //
 // Observability: -trace writes a Chrome trace-event JSON file (load it
 // at https://ui.perfetto.dev — one track per cell, functional unit and

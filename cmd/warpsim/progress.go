@@ -101,20 +101,15 @@ func formatProgress(u warp.ProgressUpdate) string {
 }
 
 // decisionLine renders the backend decision audit for the -stats
-// report: what ran, why, and how the cost model's prediction compared
-// to the measured wall.
+// report: what ran, why, its exact cycle count and the measured wall.
 func decisionLine(d *warp.Decision) string {
 	if d == nil {
 		return ""
 	}
-	line := fmt.Sprintf("decision: backend %s (%s); predicted sim %s", d.Backend, d.Reason,
-		time.Duration(d.PredictedSimWallNS).Round(time.Microsecond))
-	if d.PredictedFastWallNS > 0 {
-		line += fmt.Sprintf(", fast %s", time.Duration(d.PredictedFastWallNS).Round(time.Microsecond))
-	}
-	line += fmt.Sprintf("; actual %s", time.Duration(d.ActualWallNS).Round(time.Microsecond))
-	if f := d.ErrorFactor(); f > 0 {
-		line += fmt.Sprintf(" (%.1fx off)", f)
+	line := fmt.Sprintf("decision: backend %s (%s); %d cycles; actual %s", d.Backend, d.Reason,
+		d.PredictedCycles, time.Duration(d.ActualWallNS).Round(time.Microsecond))
+	if d.Batch > 1 {
+		line += fmt.Sprintf(", batch %d", d.Batch)
 	}
 	return line + "\n"
 }

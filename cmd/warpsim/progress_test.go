@@ -79,7 +79,7 @@ func TestProgressTickerNoInterleaveWithStats(t *testing.T) {
 	stdout.WriteString("cell  busy  stall\n   0  0.92   0.08\n")
 	stdout.WriteString(decisionLine(&warp.Decision{
 		Backend: "fast", Reason: "auto-verified",
-		PredictedSimWallNS: 1e6, PredictedFastWallNS: 1e5, ActualWallNS: 1.2e5,
+		PredictedCycles: 719, ActualWallNS: 1.2e5, Batch: 4,
 	}))
 	combined := stderr.String() + stdout.String()
 	for i, line := range strings.Split(strings.TrimSuffix(combined, "\n"), "\n") {
@@ -90,7 +90,7 @@ func TestProgressTickerNoInterleaveWithStats(t *testing.T) {
 			t.Errorf("stats line %d interleaved with ticker frames: %q", i, line)
 		}
 	}
-	if !strings.Contains(stdout.String(), "decision: backend fast (auto-verified)") {
+	if !strings.Contains(stdout.String(), "decision: backend fast (auto-verified); 719 cycles; actual 120µs, batch 4\n") {
 		t.Errorf("decision line malformed: %q", stdout.String())
 	}
 }

@@ -122,8 +122,21 @@ type Compiled struct {
 	// The two walks of the cell program every run's decision audit reads
 	// — modeled cycles and all cells' dynamic non-nop operations — done
 	// once, by ModeledCycles.
-	costOnce              sync.Once
+	countOnce             sync.Once
 	modeledCycles, runOps int64
+}
+
+// ModeledCycles returns the closed-form machine-cycle count of one run
+// of the compiled program: the IU lead, the skew ramp across the array,
+// and one cell's execution time.  The machine is statically scheduled,
+// so on deterministic workloads it equals the cycle count either backend
+// reports; every run's decision audit records it.
+func (c *Compiled) ModeledCycles() int64 {
+	c.countOnce.Do(func() {
+		c.modeledCycles = (c.IUGen.Prologue + 1) + int64(c.Cells-1)*c.Skew + c.Cell.Cycles()
+		c.runOps = mcode.CountCell(c.Cell).Ops * int64(c.Cells)
+	})
+	return c.modeledCycles
 }
 
 // FastPlan returns the compiled program's fast-execution plan, building
@@ -437,26 +450,19 @@ type RunOptions struct {
 // chooseBackend resolves a RunOptions backend request against the
 // compiled program: which engine runs (or an error for an impossible
 // explicit request), plus the decision audit record — why that engine,
-// and what the host cost model predicts each candidate would cost.
-// The selection policy itself is unchanged from PR 7 (verification
-// status and observability needs decide); the predictions are recorded
-// so their accuracy can be audited before they start driving the
-// choice (ROADMAP: cost-modeled auto-selection).
+// and the run's exact cycle and operation counts.  Verification status,
+// observability needs and whether the fast plan builds decide.
 func chooseBackend(c *Compiled, o RunOptions) (string, telemetry.Decision, error) {
-	model := CostModelForHost()
 	d := &telemetry.Decision{
 		PredictedCycles: c.ModeledCycles(),
 		Cells:           c.Cells,
-		Model:           model,
 	}
-	d.PredictedSimWallNS = model.PredictSimNS(d.PredictedCycles, c.Cells)
-	// predictFast completes the fast-executor side of the prediction.
-	// The trace length is a closed form over the trip counts, so the
-	// audit record never builds a plan: only a run that may execute on
-	// the fast backend pays for (and caches) one.
+	// predictFast records the fast side's work.  The operation count is a
+	// closed form over the trip counts, so the audit record never builds a
+	// plan: only a run that may execute on the fast backend pays for (and
+	// caches) one.
 	predictFast := func() {
 		d.PredictedOps = c.runOps // set by ModeledCycles, above
-		d.PredictedFastWallNS = model.PredictFastNS(d.PredictedOps)
 	}
 	switch b := o.Backend; b {
 	case "", BackendAuto:
@@ -466,8 +472,8 @@ func chooseBackend(c *Compiled, o RunOptions) (string, telemetry.Decision, error
 		// shortcut) or one whose trace cannot be built.
 		switch {
 		case c.Verified == nil:
-			// No prediction either: an unverified program has no fast
-			// side to compare against.
+			// No operation count either: an unverified program has no
+			// fast side.
 			d.Backend, d.Reason = BackendSim, "unverified"
 		case o.Profile:
 			d.Backend, d.Reason = BackendSim, "profile-requested"
@@ -486,7 +492,7 @@ func chooseBackend(c *Compiled, o RunOptions) (string, telemetry.Decision, error
 	case BackendSim:
 		d.Backend, d.Reason = BackendSim, "explicit-sim"
 		if c.Verified != nil {
-			predictFast() // record what fast would have cost
+			predictFast() // record what fast would have done
 		}
 	case BackendFast:
 		if c.Verified == nil {

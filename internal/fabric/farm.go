@@ -43,9 +43,9 @@ type TileStats struct {
 	// Stats.Source.
 	Source *prof.SourceProfile
 	// Decision is the tile run's backend decision audit, as stamped by
-	// the driver.  Tiles of one job share one compiled program, so the
-	// farm keeps the first completed tile's decision as the job's
-	// per-tile template (Stats.TileDecision).
+	// the driver.  Tiles of one job share one compiled program, so every
+	// tile decides alike and the farm builds the job's Stats.Decision from
+	// the first one to complete.
 	Decision *telemetry.Decision
 }
 
@@ -141,17 +141,10 @@ type Stats struct {
 	// uniform across a job, taken from the completed tiles).
 	Backend string
 
-	// TileDecision is the first completed tile's backend decision audit
-	// (one compiled program per job, so every tile decides alike); its
-	// ActualWallNS is that single tile's wall time.  The job-level
-	// decision with whole-job predicted and actual wall is assembled by
-	// the caller (warp.Program.RunPartitioned) into Decision.
-	TileDecision *telemetry.Decision
-	// Decision is the job-level decision audit: the tile decision with
-	// predicted walls scaled to the job's list-scheduled wave count and
-	// ActualWallNS set to the job wall.  Filled by the caller; the
-	// cycle/op inputs stay per-tile (they are what the simulator counts
-	// per tile).
+	// Decision is the job's backend decision audit: a copy of the first
+	// completed tile's decision with ActualWallNS set to WallNS.  Its
+	// cycle and operation counts stay per tile (what the executor counts
+	// for one tile); nil when no tile completed.
 	Decision *telemetry.Decision
 }
 
@@ -289,8 +282,9 @@ func Run(ctx context.Context, pl *Plan, cfg Config, run RunTileFunc) ([]float64,
 		cycles[r.id] = r.stats.Cycles
 		done++
 		stats.Backend = r.stats.Backend
-		if stats.TileDecision == nil {
-			stats.TileDecision = r.stats.Decision
+		if stats.Decision == nil && r.stats.Decision != nil {
+			d := *r.stats.Decision
+			stats.Decision = &d
 		}
 		stats.AggregateCycles += r.stats.Cycles
 		w := float64(r.stats.Cycles)
@@ -326,6 +320,9 @@ func Run(ctx context.Context, pl *Plan, cfg Config, run RunTileFunc) ([]float64,
 		stats.Speedup = float64(stats.AggregateCycles) / float64(stats.MakespanCycles)
 	}
 	stats.WallNS = int64(time.Since(start))
+	if stats.Decision != nil {
+		stats.Decision.ActualWallNS = stats.WallNS
+	}
 	if jobErr != nil {
 		return nil, stats, jobErr
 	}

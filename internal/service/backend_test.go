@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 
@@ -13,7 +14,8 @@ import (
 // TestServiceBackendSelection drives the wire contract of the backend
 // field: a default (verifying) server runs "fast" requests on the fast
 // executor, "sim" requests on the simulator, picks fast automatically,
-// and the two agree on outputs and cycles word for word.
+// and the two agree on outputs and cycles word for word.  Every
+// response's decision holds only exact and measured fields.
 func TestServiceBackendSelection(t *testing.T) {
 	svc := New(Config{Workers: 2})
 	defer svc.Close()
@@ -44,6 +46,25 @@ func TestServiceBackendSelection(t *testing.T) {
 		var rr RunResponse
 		if err := json.Unmarshal(body, &rr); err != nil {
 			t.Fatal(err)
+		}
+		// The decision carries what is exact or measured, and nothing
+		// else: its cycle count is the one the run reports.
+		var raw struct {
+			Decision map[string]json.RawMessage `json:"decision"`
+		}
+		if err := json.Unmarshal(body, &raw); err != nil {
+			t.Fatal(err)
+		}
+		keys := make([]string, 0, len(raw.Decision))
+		for k := range raw.Decision {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if got, want := strings.Join(keys, ","), "actual_wall_ns,backend,cells,predicted_cycles,predicted_ops,reason"; got != want {
+			t.Errorf("backend %q: decision keys %s, want %s", backend, got, want)
+		}
+		if rr.Decision == nil || rr.Decision.PredictedCycles != rr.Stats.Cycles {
+			t.Errorf("backend %q: decision %+v, run counted %d cycles", backend, rr.Decision, rr.Stats.Cycles)
 		}
 		return rr
 	}

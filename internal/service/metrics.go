@@ -21,10 +21,9 @@ type decisionKey struct {
 // Metrics aggregates everything the daemon exports at /metrics: request
 // counters by outcome, the compile/run/queue-wait latency histograms
 // (telemetry.Histogram families keyed by cache result and backend), the
-// backend decision audit (decision counts plus cost-model prediction
-// error), and the per-run obs.Summary aggregates (simulated cycles, FPU
-// utilization, peak queue occupancy).  All methods are safe for
-// concurrent use.
+// backend decision counts by backend and reason, and the per-run
+// obs.Summary aggregates (simulated cycles, FPU utilization, peak queue
+// occupancy).  All methods are safe for concurrent use.
 type Metrics struct {
 	mu sync.Mutex
 
@@ -40,12 +39,8 @@ type Metrics struct {
 	queueWait      *telemetry.Histogram
 
 	// Backend decision audit: how often each (backend, reason) pair was
-	// chosen, and how far the cost model's predicted wall strayed from
-	// the measured one (error factor = max(actual/pred, pred/actual)).
-	decisions    map[decisionKey]int64
-	predErrSum   map[string]float64 // backend -> summed error factors
-	predErrCount map[string]int64
-	predErrMax   map[string]float64
+	// chosen.
+	decisions map[decisionKey]int64
 
 	// Per-compile-phase accumulated wall-clock time and counts (parse,
 	// cellgen, verify, ...), from the driver's phase records.
@@ -86,9 +81,6 @@ func NewMetrics() *Metrics {
 		runLatency:     map[string]*telemetry.Histogram{},
 		queueWait:      telemetry.NewLatency(),
 		decisions:      map[decisionKey]int64{},
-		predErrSum:     map[string]float64{},
-		predErrCount:   map[string]int64{},
-		predErrMax:     map[string]float64{},
 		phaseSeconds:   map[string]float64{},
 		phaseCounts:    map[string]int64{},
 		fabricJobs:     map[string]int64{},
@@ -155,9 +147,8 @@ func (m *Metrics) CompileSched(t prof.SchedTotals) {
 // Every outcome counts under its result label — a fabric job with the
 // tile attempts it made before it finished or died; a completed one adds
 // its backend-labelled latency, the executor that ran it (a partitioned
-// job counts once, not per tile), its decision audit — the (backend,
-// reason) counter and, when it carries both a prediction and a measured
-// wall, the prediction error factor — and, single-array, its summary.
+// job counts once, not per tile), its (backend, reason) decision
+// counter and, single-array, its summary.
 func (m *Metrics) observe(o *runOutcome) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -185,13 +176,6 @@ func (m *Metrics) observe(o *runOutcome) {
 	hist(m.runLatency, backend).Observe(o.seconds)
 	if d := o.decision; d != nil {
 		m.decisions[decisionKey{d.Backend, d.Reason}]++
-		if f := d.ErrorFactor(); f > 0 {
-			m.predErrSum[d.Backend] += f
-			m.predErrCount[d.Backend]++
-			if f > m.predErrMax[d.Backend] {
-				m.predErrMax[d.Backend] = f
-			}
-		}
 	}
 	if o.fabric != nil {
 		return
@@ -322,9 +306,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, cs CacheStats, ts TemplateCacheSt
 }
 
 // writeDecisions renders the decision counter (two labels, so it
-// bypasses writeLabelled) and the prediction-error aggregates.  The
-// error family is a summary — _sum/_count per backend gives the mean
-// error factor — with the worst single miss as a separate gauge.
+// bypasses writeLabelled).
 func (m *Metrics) writeDecisions(w io.Writer) {
 	family(w, "warpd_decision_total", "counter", "Backend decisions by chosen backend and reason.")
 	keys := make([]decisionKey, 0, len(m.decisions))
@@ -339,23 +321,6 @@ func (m *Metrics) writeDecisions(w io.Writer) {
 	})
 	for _, k := range keys {
 		fmt.Fprintf(w, "warpd_decision_total{backend=%q,reason=%q} %d\n", k.backend, k.reason, m.decisions[k])
-	}
-	if len(m.predErrCount) == 0 {
-		return
-	}
-	backends := make([]string, 0, len(m.predErrCount))
-	for b := range m.predErrCount {
-		backends = append(backends, b)
-	}
-	sort.Strings(backends)
-	family(w, "warpd_prediction_error_ratio", "summary", "Cost-model wall-time misprediction factor, max(actual/predicted, predicted/actual), over completed runs.")
-	for _, b := range backends {
-		fmt.Fprintf(w, "warpd_prediction_error_ratio_sum{backend=%q} %s\n", b, formatFloat(m.predErrSum[b]))
-		fmt.Fprintf(w, "warpd_prediction_error_ratio_count{backend=%q} %d\n", b, m.predErrCount[b])
-	}
-	family(w, "warpd_prediction_error_max", "gauge", "Worst single-run misprediction factor per backend.")
-	for _, b := range backends {
-		fmt.Fprintf(w, "warpd_prediction_error_max{backend=%q} %s\n", b, formatFloat(m.predErrMax[b]))
 	}
 }
 

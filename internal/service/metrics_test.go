@@ -373,8 +373,6 @@ func TestMetricsRoundTripStrict(t *testing.T) {
 		{"warpd_queue_wait_seconds_count", nil},
 		{"warpd_decision_total", map[string]string{"backend": "sim", "reason": "explicit-sim"}},
 		{"warpd_decision_total", map[string]string{"backend": "fast", "reason": "explicit-fast"}},
-		{"warpd_prediction_error_ratio_count", map[string]string{"backend": "sim"}},
-		{"warpd_prediction_error_max", map[string]string{"backend": "fast"}},
 	} {
 		s := find(want.name, want.labels)
 		if s == nil {
@@ -388,6 +386,13 @@ func TestMetricsRoundTripStrict(t *testing.T) {
 	// The queue-wait count covers every pooled request (4 runs).
 	if s := find("warpd_queue_wait_seconds_count", nil); s != nil && s.value < 4 {
 		t.Errorf("queue-wait count %v, want >= 4", s.value)
+	}
+	// A decision predicts no wall time, so there is no misprediction to
+	// export.
+	for _, s := range doc.samples {
+		if strings.HasPrefix(s.name, "warpd_prediction_error") {
+			t.Errorf("/metrics still exports %s%v", s.name, s.labels)
+		}
 	}
 }
 

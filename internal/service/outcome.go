@@ -71,7 +71,7 @@ func fabricOutcome(out map[string][]float64, fs *warp.FabricStats) *runOutcome {
 }
 
 // annotate stamps the outcome onto the run (or fabric) span: backend,
-// predicted-vs-actual decision audit, profile summary — or the error.
+// decision reason and measured wall, profile summary — or the error.
 func (o *runOutcome) annotate(sp *obs.Span, err error) {
 	if o.fabric != nil && o.fabric.Tiles > 0 {
 		sp.Annotate("tiles", fmt.Sprint(o.fabric.Tiles))
@@ -83,11 +83,7 @@ func (o *runOutcome) annotate(sp *obs.Span, err error) {
 	sp.Annotate("backend", o.stats.Backend)
 	if d := o.decision; d != nil {
 		sp.Annotate("decision", d.Reason)
-		sp.Annotate("predicted_wall_ns", fmt.Sprint(d.PredictedWallNS()))
 		sp.Annotate("actual_wall_ns", fmt.Sprint(d.ActualWallNS))
-		if f := d.ErrorFactor(); f > 0 {
-			sp.Annotate("prediction_error", fmt.Sprintf("%.2f", f))
-		}
 	}
 	if o.fabric == nil {
 		sp.AttachSummary(o.summary)

@@ -33,8 +33,8 @@ type RequestRecord struct {
 	HasProfile bool                `json:"has_profile,omitempty"`
 	Source     *warp.SourceProfile `json:"-"`
 	// Decision is the run's backend decision audit: the chosen executor,
-	// the reason, and the cost model's predicted wall times beside the
-	// measured one.
+	// the reason, the exact cycle and operation counts, and the measured
+	// wall time.
 	Decision *warp.Decision `json:"decision,omitempty"`
 	// Template is set on a bounds request (see warp.TemplateDetail).
 	Template *warp.TemplateDetail `json:"template,omitempty"`

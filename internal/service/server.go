@@ -266,8 +266,8 @@ type RunStatsJSON struct {
 // RunResponse carries the outputs and statistics of one run.  Fabric
 // is set only for partitioned runs; Request names the flight record a
 // profiled run's download URL is built from; Decision is the backend
-// decision audit — which executor ran the program, why, and the cost
-// model's predicted wall times beside the measured one.
+// decision audit — which executor ran the program, why, its exact cycle
+// and operation counts, and the measured wall time.
 type RunResponse struct {
 	Program  string               `json:"program"`
 	Cached   bool                 `json:"cached"`

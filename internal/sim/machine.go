@@ -73,8 +73,8 @@ type Stats struct {
 	// driver stamps it when it selects the backend.
 	Backend string
 	// Decision is the backend decision audit for this run: why this
-	// backend, the cost model's predicted wall for each candidate, and
-	// the actual wall once complete.  sim.Run leaves it nil; the driver
+	// backend, the run's exact cycle and operation counts, and the actual
+	// wall once complete.  sim.Run leaves it nil; the driver
 	// stamps it beside Backend.
 	Decision *telemetry.Decision
 	Cycles   int64 // total cycles until the last cell finished

@@ -1,7 +1,7 @@
 // Package telemetry is the daemon's measurement plane: a dependency-free
 // log-bucketed histogram (mergeable, with quantile estimation and
-// Prometheus text rendering) and the backend decision audit record that
-// pairs a cost-model prediction with the wall time actually observed.
+// Prometheus text rendering) and the backend decision audit record: the
+// run's exact cycle and operation counts beside its measured wall time.
 //
 // The package sits below internal/service and internal/driver so both
 // can share types without an import cycle: the driver produces Decisions,

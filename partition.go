@@ -114,9 +114,6 @@ func (p *Program) runPartitioned(cfg RunConfig, prob Problem, batch bool) (map[s
 		fcfg.Batch = runTiles
 	}
 	out, stats, err := fabric.Run(cfg.Context, pl, fcfg, run)
-	if stats != nil {
-		stats.Decision = jobDecision(stats)
-	}
 	if err != nil {
 		return nil, stats, err
 	}
@@ -129,28 +126,6 @@ func (p *Program) runPartitioned(cfg RunConfig, prob Problem, batch bool) (map[s
 		})
 	}
 	return map[string][]float64{pl.OutName(): out}, stats, nil
-}
-
-// jobDecision lifts the per-tile backend decision to the job: the
-// cycle/op inputs stay per-tile (each matches what the simulator counts
-// for one tile), the predicted walls scale by the list-scheduled wave
-// count (tiles over arrays, rounded up), and the actual wall is the
-// job's.
-func jobDecision(stats *FabricStats) *Decision {
-	td := stats.TileDecision
-	if td == nil {
-		return nil
-	}
-	d := *td
-	arrays := stats.Arrays
-	if arrays < 1 {
-		arrays = 1
-	}
-	waves := int64((stats.Tiles + arrays - 1) / arrays)
-	d.PredictedSimWallNS *= waves
-	d.PredictedFastWallNS *= waves
-	d.ActualWallNS = stats.WallNS
-	return &d
 }
 
 // partitionPlan builds the tile plan for prob against this program's

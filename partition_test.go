@@ -174,12 +174,10 @@ func TestFarmBatchedMatchesPerTile(t *testing.T) {
 	scrub := func(fs *warp.FabricStats) warp.FabricStats {
 		c := *fs
 		c.WallNS, c.Batches, c.BatchFallbacks = 0, 0, 0
-		for _, d := range []**warp.Decision{&c.TileDecision, &c.Decision} {
-			if *d != nil {
-				dd := **d
-				dd.ActualWallNS, dd.Batch = 0, 0
-				*d = &dd
-			}
+		if c.Decision != nil {
+			d := *c.Decision
+			d.ActualWallNS, d.Batch = 0, 0
+			c.Decision = &d
 		}
 		return c
 	}
@@ -213,7 +211,7 @@ func TestFarmBatchedMatchesPerTile(t *testing.T) {
 					t.Fatalf("batched farm: %+v, want %d tiles once each on the fast backend", batched, job.tiles)
 				}
 				if got, want := scrub(batched), scrub(perTile); !reflect.DeepEqual(got, want) {
-					t.Errorf("batched statistics %+v (tile decision %+v),\nper-tile %+v (tile decision %+v)", got, got.TileDecision, want, want.TileDecision)
+					t.Errorf("batched statistics %+v (decision %+v),\nper-tile %+v (decision %+v)", got, got.Decision, want, want.Decision)
 				}
 				width := min(32, (job.tiles+batched.Arrays-1)/batched.Arrays)
 				wantBatches := 0
@@ -224,8 +222,11 @@ func TestFarmBatchedMatchesPerTile(t *testing.T) {
 					t.Errorf("%d batches, %d fallbacks (per-tile farm: %d batches), want %d, 0 (0)",
 						batched.Batches, batched.BatchFallbacks, perTile.Batches, wantBatches)
 				}
-				if wantBatches > 0 && (batched.TileDecision.Batch < 2 || batched.Decision.Batch != batched.TileDecision.Batch || perTile.TileDecision.Batch != 0) {
-					t.Errorf("decisions record batch %d (job %d; per-tile farm %d)", batched.TileDecision.Batch, batched.Decision.Batch, perTile.TileDecision.Batch)
+				if wantBatches > 0 && (batched.Decision.Batch < 2 || perTile.Decision.Batch != 0) {
+					t.Errorf("decisions record batch %d (per-tile farm %d)", batched.Decision.Batch, perTile.Decision.Batch)
+				}
+				if batched.Decision.ActualWallNS != batched.WallNS {
+					t.Errorf("job decision wall %d, job wall %d", batched.Decision.ActualWallNS, batched.WallNS)
 				}
 			})
 		}

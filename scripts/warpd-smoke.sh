@@ -61,8 +61,8 @@ curl -sf "$BASE/debug/requests/$RUNID/trace" | jq -e '.traceEvents | length > 0'
 echo "debug/requests: ok ($NREQ records, trace download ok)"
 
 # The run response and the flight record both carry the backend
-# decision audit: which executor ran, why, and the cost model's
-# prediction beside the measured wall.
+# decision audit: which executor ran, why, the exact cycle count and the
+# measured wall.
 echo "$RUN" | jq -e '.decision.backend != null and .decision.reason != null and .decision.actual_wall_ns > 0' >/dev/null ||
   { echo "FAIL: run response has no backend decision audit" >&2; exit 1; }
 curl -sf "$BASE/debug/requests/$RUNID" | jq -e '.decision.reason != null' >/dev/null ||
@@ -127,8 +127,11 @@ echo "$METRICS" | grep -q 'warpd_queue_wait_seconds_count' ||
   { echo "FAIL: /metrics has no queue-wait histogram" >&2; exit 1; }
 echo "$METRICS" | grep -q 'warpd_decision_total{' ||
   { echo "FAIL: /metrics has no backend decision counters" >&2; exit 1; }
-echo "$METRICS" | grep -q 'warpd_prediction_error_ratio_count{' ||
-  { echo "FAIL: /metrics has no prediction-error series" >&2; exit 1; }
+if grep -q 'warpd_prediction_error' <<<"$METRICS"; then
+  echo "FAIL: /metrics exports a wall-time prediction error" >&2; exit 1
+fi
+echo "$RUN" | jq -e '.decision | has("predicted_sim_wall_ns") | not' >/dev/null ||
+  { echo "FAIL: run decision carries a wall-time prediction" >&2; exit 1; }
 echo "metrics: ok (incl. latency histograms + decision audit)"
 
 kill -TERM "$WARPD_PID"

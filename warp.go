@@ -127,21 +127,17 @@ type RunStats struct {
 	// SourceProfile for the export formats (text report, folded flame
 	// stacks, pprof protobuf).
 	Source *SourceProfile
-	// Decision is the backend decision audit: why this backend ran,
-	// what the host-calibrated cost model predicted each backend would
-	// cost, and the wall time actually spent.  Always present.
+	// Decision is the backend decision audit: why this backend ran, the
+	// run's exact cycle and operation counts, and the wall time actually
+	// spent.  Always present.
 	Decision *Decision
 }
 
 // Decision is the backend decision audit record attached to every run:
-// the chosen backend, the reason, the cost model's predicted wall time
-// for each candidate backend (from exact cycle/op counts and two
-// host-calibrated constants), and the actual wall time observed.
+// the chosen backend, the reason, the closed-form cycle count (equal to
+// the executed one) and dynamic operation count, and the actual wall
+// time observed.
 type Decision = telemetry.Decision
-
-// CostModel holds the host-calibrated constants behind Decision
-// predictions.
-type CostModel = telemetry.CostModel
 
 // ProgressUpdate is one coarse snapshot of a running execution; see
 // RunConfig.Progress.
