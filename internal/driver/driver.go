@@ -119,9 +119,9 @@ type Compiled struct {
 	fastPlan *fastexec.Plan
 	fastErr  error
 
-	// The two walks of the cell program every run's decision audit reads
-	// — modeled cycles and all cells' dynamic non-nop operations — done
-	// once, by ModeledCycles.
+	// The counts every run's decision audit reads — modeled cycles and all
+	// cells' dynamic non-nop operations — from one walk of the cell
+	// program, done once, by ModeledCycles.
 	countOnce             sync.Once
 	modeledCycles, runOps int64
 }
@@ -133,8 +133,9 @@ type Compiled struct {
 // reports; every run's decision audit records it.
 func (c *Compiled) ModeledCycles() int64 {
 	c.countOnce.Do(func() {
-		c.modeledCycles = (c.IUGen.Prologue + 1) + int64(c.Cells-1)*c.Skew + c.Cell.Cycles()
-		c.runOps = mcode.CountCell(c.Cell).Ops * int64(c.Cells)
+		counts, _ := mcode.CountCell(c.Cell) // generate refuses a program whose counts overflow
+		c.modeledCycles = (c.IUGen.Prologue + 1) + int64(c.Cells-1)*c.Skew + counts.Cycles
+		c.runOps = counts.Ops * int64(c.Cells)
 	})
 	return c.modeledCycles
 }
@@ -272,6 +273,11 @@ func generate(fe *Compiled, opts Options) (*Compiled, error) {
 	}
 	c.CellGen = cg
 	c.Cell = cg.Cell
+	// Every count below multiplies trip counts out: a program whose
+	// counts overflow 64 bits is refused here, naming the loop.
+	if _, err := mcode.CountCell(c.Cell); err != nil {
+		return nil, fmt.Errorf("driver: %w", err)
+	}
 	c.Sched = cg.Sched
 	// The debug map assigns µprogram addresses — the one mutation of
 	// the cell program after generation; everything below only reads it.

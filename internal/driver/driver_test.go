@@ -1,6 +1,8 @@
 package driver
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -153,5 +155,64 @@ func TestCompileAllocBudget(t *testing.T) {
 	t.Logf("mandelbrot: %.0f allocations per verified compile", allocs)
 	if allocs > 2500 {
 		t.Errorf("mandelbrot compile made %.0f allocations, want at most 2500", allocs)
+	}
+}
+
+// TestCompileRejectsCycleOverflow: a nest whose cycle count does not fit
+// in 64 bits is refused at compile time with an *mcode.OverflowError
+// naming the loop the product overflows at.  It used to wrap silently
+// and be verified: 2²¹·2²¹·2²¹ trips compiled to 13194145824772 cycles
+// per cell and 2³¹·2³¹·2 to a negative count, both "proofs exact", while
+// 3·10⁹ each failed in iugen on a body of negative length.
+func TestCompileRejectsCycleOverflow(t *testing.T) {
+	nest := func(i, j, k int64) string {
+		return fmt.Sprintf(`module ovf (x in, y out)
+float x[1];
+float y[1];
+cellprogram (cid : 0 : 0)
+begin
+    function f
+    begin
+        float r;
+        int i, j, k;
+        receive (L, X, r, x[0]);
+        for i := 0 to %d do begin
+            for j := 0 to %d do begin
+                for k := 0 to %d do begin
+                    r := r * 0.5;
+                end;
+            end;
+        end;
+        send (R, X, r, y[0]);
+    end
+    call f;
+end
+`, i-1, j-1, k-1)
+	}
+	// The loops are numbered innermost first: L2 is i, L1 is j.
+	for _, tc := range []struct {
+		name    string
+		i, j, k int64
+		loop    int
+	}{
+		{"2^21-cubed", 1 << 21, 1 << 21, 1 << 21, 2},
+		{"2^31-2^31-2", 1 << 31, 1 << 31, 2, 2},
+		{"3e9-cubed", 3e9, 3e9, 3e9, 1},
+	} {
+		for _, opts := range []Options{{Verify: true}, {Pipeline: true, Verify: true}} {
+			c, err := Compile(nest(tc.i, tc.j, tc.k), opts)
+			var ovf *mcode.OverflowError
+			if !errors.As(err, &ovf) {
+				var cycles int64
+				if err == nil {
+					cycles = c.ModeledCycles()
+				}
+				t.Errorf("%s (pipeline %v): err = %v (%d cycles), want an overflow at loop L%d", tc.name, opts.Pipeline, err, cycles, tc.loop)
+				continue
+			}
+			if ovf.Loop != tc.loop || !ovf.Cycles {
+				t.Errorf("%s (pipeline %v): %v, want the cycle count at loop L%d", tc.name, opts.Pipeline, err, tc.loop)
+			}
+		}
 	}
 }

@@ -31,7 +31,7 @@ func (r *memRefRec) MemRef(cycle int64, cell, _ int, addr int64, _ bool) {
 // sequence must be what the simulator's cell 0 pops (sim.stepIU is an
 // independent implementation of the same register machine), each address
 // must have left the IU by the cycle it is popped, the cycle count must
-// be IUProgram.Cycles(), and the signal sequence must be the cell
+// be CountIU's Cycles, and the signal sequence must be the cell
 // sequencer's boundary crossings.
 func TestIUElaborationMatchesSimulator(t *testing.T) {
 	for _, tc := range []struct{ name, src string }{
@@ -58,12 +58,13 @@ func TestIUElaborationMatchesSimulator(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tr, done := iuCode.Elaborate(c.IU.Table, c.IU.Cycles())
+				ic, _ := mcode.CountIU(c.IU)
+				tr, done := iuCode.Elaborate(c.IU.Table, ic.Cycles)
 				if !done {
-					t.Fatalf("elaboration ran past the program's own %d cycles", c.IU.Cycles())
+					t.Fatalf("elaboration ran past the program's own %d cycles", ic.Cycles)
 				}
-				if tr.Cycles != c.IU.Cycles() {
-					t.Errorf("elaborated %d cycles, IUProgram.Cycles() = %d", tr.Cycles, c.IU.Cycles())
+				if tr.Cycles != ic.Cycles {
+					t.Errorf("elaborated %d cycles, CountIU counts %d", tr.Cycles, ic.Cycles)
 				}
 				if tr.OverRead >= 0 || tr.TableReads != len(c.IU.Table) {
 					t.Errorf("table: %d reads of %d entries, first over-read at %d", tr.TableReads, len(c.IU.Table), tr.OverRead)
@@ -87,7 +88,7 @@ func TestIUElaborationMatchesSimulator(t *testing.T) {
 					}
 				}
 
-				code, err := mcode.DecodeCell(c.Cell)
+				code, err := mcode.Decode(c.Cell)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -95,8 +96,9 @@ func TestIUElaborationMatchesSimulator(t *testing.T) {
 				n := 0
 				for s.PC < len(code.Words) {
 					w := &code.Words[s.PC]
-					crossed, again := s.Advance(w.Depth, w.Ends)
-					for i, e := range w.Ends[:crossed] {
+					ends := code.Ends[w.EndLo:w.EndHi]
+					crossed, again := s.Advance(w.Depth, ends)
+					for i, e := range ends[:crossed] {
 						if n >= len(tr.Sigs) {
 							t.Fatalf("the sequencer crosses more than the %d boundaries the IU signals", len(tr.Sigs))
 						}
@@ -109,7 +111,7 @@ func TestIUElaborationMatchesSimulator(t *testing.T) {
 				if n != len(tr.Sigs) {
 					t.Errorf("the IU sends %d signals, the sequencer crosses %d boundaries", len(tr.Sigs), n)
 				}
-				if counts := mcode.CountCell(c.Cell); counts.Signals != int64(n) || counts.AdrPops != int64(len(tr.Adr)) {
+				if counts, _ := mcode.CountCell(c.Cell); counts.Signals != int64(n) || counts.AdrPops != int64(len(tr.Adr)) {
 					t.Errorf("closed-form counts %d signals / %d addresses, elaborated %d / %d", counts.Signals, counts.AdrPops, n, len(tr.Adr))
 				}
 			})
@@ -155,7 +157,8 @@ func TestIUElaborationIdleRuns(t *testing.T) {
 			}
 			// Every limit on programs of a few thousand cycles, a stride
 			// coprime to the loop lengths beyond.
-			total := c.IU.Cycles()
+			ic, _ := mcode.CountIU(c.IU)
+			total := ic.Cycles
 			step := int64(1)
 			if total > 4000 {
 				step = total/4000 | 1

@@ -1,25 +1,13 @@
-// Package fastexec executes compiled Warp programs at dataflow speed,
-// without cycle-accurate lock-step simulation.
-//
-// The cycle-accurate simulator (internal/sim) advances the whole
-// machine one clock tick at a time: every cell is stepped every cycle,
-// scheduled nops included, pending-write lists are scanned, queues are
-// tracked.  For a *verified* program all of that re-derives guarantees
-// the static verifier has already proven — queues never under- or
-// overflow, every address and loop signal arrives on time, the machine
-// never stalls.  This package exploits those proofs: it decodes the
-// representative cell's microcode into a plan that keeps the program's
-// loops — one pointer-free word per static microinstruction that issues
-// a field or closes a loop, runs of idle words folded into a skip count,
-// every memory field's address bound to the iteration numbers of the
-// loops around it — and runs that nest per cell directly over host
-// slices.  A plan is as large as the microcode, whatever the trip counts:
-// the paper's 512×512 colorseg plans in a few kilobytes.  The machine
-// model is not re-implemented here: the IU microprogram is elaborated by
-// mcode.IUCode.Elaborate, the plan is stepped by mcode's sequencer, FPU
-// fields evaluate through mcode.AluOp.Eval and addresses are bound by
-// mcode.AddrInfo.Bind — the definitions the simulator and the host
-// program generator use.
+// Package fastexec executes compiled Warp programs at dataflow speed: a
+// mode of the one machine model the cycle-accurate simulator
+// (internal/sim) steps, not a second one.  The simulator steps every cell
+// every clock tick under real queues and pops every address and loop
+// signal off the IU's streams; for a *verified* program that re-derives
+// what the static verifier has proven.  So a plan is the decoded cell
+// program the simulator steps (mcode.Decode), run per cell directly over
+// host slices with addresses from its bound affine terms, its writes
+// landing through mcode.CellRegs as the simulator's do.  A plan is as
+// large as the microcode, whatever the trip counts.
 //
 // W2 has no data-dependent control and the IU generates every address
 // and loop signal, so one walk of a plan serves any number of problems
@@ -30,13 +18,9 @@
 //
 // The run is bit-exact with the simulator:
 //
-//   - Writes land late exactly as in hardware, on the two latencies the
-//     machine has.  FPU results wait in one small FIFO (equal latency, so
-//     issue order is landing order); receives, loads, moves and literals
-//     are applied at the end of the word that issues them, after the FPU
-//     results landing by the next cycle.  That is the simulator's
-//     (landing cycle, issue order), same-cycle write-after-write
-//     included.
+//   - Writes land late exactly as in hardware, in the simulator's
+//     (landing cycle, issue order); the batched walk (runLanes) keeps
+//     the order of mcode.CellRegs.
 //   - Cells execute sequentially left to right.  Data flows rightward
 //     only (the compiler enforces this), so cell i's entire input
 //     streams are known once cell i-1 has run; FIFO pop order is
@@ -62,6 +46,7 @@
 package fastexec
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sync"
@@ -83,12 +68,6 @@ const maxTraceCycles = 1 << 22
 // stride.
 const ctxCheckInterval = 1 << 12
 
-// fifoSlots holds the FPU results in flight in one cell: at most three
-// fields a word, each landing FPULatency cycles later (a power of two).
-const fifoSlots = 16
-
-var _ [fifoSlots - 3*mcode.FPULatency]struct{} // does not compile if the FIFO is too small
-
 // Program is the static machine configuration a plan is compiled from —
 // the same artifacts the simulator consumes.
 type Program struct {
@@ -102,67 +81,16 @@ type Program struct {
 	Lead int64
 }
 
-// ioField is one queue-port operation of a word.
-type ioField struct {
-	ch  w2.Channel
-	reg mcode.Reg
-}
-
-const (
-	memNone = iota
-	memLoad
-	memStore
-)
-
-// memField is one memory-port field.  Its address, with the enclosing
-// loops at iterations iter, is start + Σ Coef·iter[Depth] over the plan's
-// terms[termLo:termHi], counted from the plan's memLo.
-type memField struct {
-	kind           uint8
-	reg            mcode.Reg
-	start          int64
-	termLo, termHi int32
-}
-
-// word is one microinstruction of the plan: skip idle cycles, then the
-// fields of one cycle, then the loops it closes (the plan's
-// ends[endLo:endHi], heads remapped to plan words).
-type word struct {
-	skip               int64
-	depth              int
-	ioLo, recvLo, ioHi int32 // the plan's io[ioLo:recvLo] are the word's sends, io[recvLo:ioHi] its receives
-	endLo, endHi       int32
-	mem                [mcode.MemPorts]memField
-
-	loads, stores, hasAdd, hasMul, hasMov, hasLit bool
-	add, mul, mov                                 mcode.AluOp
-	lit                                           mcode.LitOp
-}
-
 // Plan is a compiled execution plan.  It is immutable after Compile and
 // safe for concurrent Execute calls.
 type Plan struct {
 	cells      int
 	skew, lead int64
-	cellCycles int64
 	cycles     int64 // modeled machine time, closed form
 	host       *hostgen.Program
 
-	words []word
-	io    []ioField
-	terms []mcode.LoopTerm
-	ends  []mcode.LoopEnd
-	depth int // deepest loop nesting: iteration counters a run needs
-
-	// The envelope of the addresses the memory fields are bound to: cell
-	// memory words memLo up to memLo+memWords are all a run holds.
-	memLo    int64
-	memWords int
-
-	// Per-cell dynamic-operation counts of one run, in closed form.
-	ops, addOps, mulOps, movOps int64
-	loads, stores               int64
-	send                        [2]int // words a cell sends on X, Y
+	code   mcode.Decoded
+	counts mcode.CellCounts // one cell's run, in closed form
 }
 
 // Cycles returns the modeled machine time of a run: the cycle count the
@@ -170,11 +98,11 @@ type Plan struct {
 func (p *Plan) Cycles() int64 { return p.cycles }
 
 // Ops returns the dynamic non-nop microinstructions one cell executes.
-func (p *Plan) Ops() int { return int(p.ops) }
+func (p *Plan) Ops() int { return int(p.counts.Ops) }
 
 // Words returns the plan's size in words: static, whatever the trip
 // counts.
-func (p *Plan) Words() int { return len(p.words) }
+func (p *Plan) Words() int { return len(p.code.Words) }
 
 // Compile builds an execution plan: it decodes the cell microprogram
 // into plan words with its loops kept, elaborates the IU microprogram
@@ -189,12 +117,19 @@ func Compile(p Program) (*Plan, error) {
 	if p.Cell == nil || p.IU == nil || p.Host == nil {
 		return nil, fmt.Errorf("fastexec: incomplete program (cell, IU and host programs are all required)")
 	}
-	cellCycles := p.Cell.Cycles()
-	if cellCycles > maxTraceCycles {
-		return nil, fmt.Errorf("fastexec: cell program unrolls to %d cycles, over the %d-cycle trace cap", cellCycles, maxTraceCycles)
+	counts, err := mcode.CountCell(p.Cell)
+	if err != nil {
+		return nil, fmt.Errorf("fastexec: %w", err)
 	}
-	if iuCycles := p.IU.Cycles(); iuCycles > maxTraceCycles {
-		return nil, fmt.Errorf("fastexec: IU program unrolls to %d cycles, over the %d-cycle trace cap", iuCycles, maxTraceCycles)
+	if counts.Cycles > maxTraceCycles {
+		return nil, fmt.Errorf("fastexec: cell program unrolls to %d cycles, over the %d-cycle trace cap", counts.Cycles, maxTraceCycles)
+	}
+	iuCounts, err := mcode.CountIU(p.IU)
+	if err != nil {
+		return nil, fmt.Errorf("fastexec: %w", err)
+	}
+	if iuCounts.Cycles > maxTraceCycles {
+		return nil, fmt.Errorf("fastexec: IU program unrolls to %d cycles, over the %d-cycle trace cap", iuCounts.Cycles, maxTraceCycles)
 	}
 	// An IU loop with an empty body emits nothing and takes no time;
 	// the decoder leaves it out.
@@ -210,39 +145,40 @@ func Compile(p Program) (*Plan, error) {
 	if iu.OverRead >= 0 {
 		return nil, fmt.Errorf("fastexec: IU table read past its %d entries", len(p.IU.Table))
 	}
-	code, err := mcode.DecodeCell(p.Cell)
+	code, err := mcode.Decode(p.Cell)
 	if err != nil {
 		return nil, fmt.Errorf("fastexec: %w", err)
 	}
+	if err := positiveTrips("loop", code.Ends); err != nil {
+		return nil, err
+	}
 	for i := range code.Words {
-		if err := positiveTrips("loop", code.Words[i].Ends); err != nil {
-			return nil, err
+		w := &code.Words[i]
+		for k, io := range code.IO[w.IOLo:w.IOHi] {
+			if send := w.IOLo+int32(k) < w.RecvLo; send && io.Dir != w2.DirR {
+				return nil, fmt.Errorf("fastexec: send to the left is not supported (rightward flow only)")
+			} else if !send && io.Dir != w2.DirL {
+				return nil, fmt.Errorf("fastexec: receive from the right is not supported (rightward flow only)")
+			}
 		}
 	}
+	if code.Unbound != nil {
+		return nil, fmt.Errorf("fastexec: address %w", code.Unbound)
+	}
 
-	counts := mcode.CountCell(p.Cell)
 	plan := &Plan{
-		cells:      p.Cells,
-		skew:       p.Skew,
-		lead:       p.Lead,
-		cellCycles: cellCycles,
-		host:       p.Host,
-		depth:      code.Depth,
-		ops:        counts.Ops,
-		send:       [2]int{int(counts.Send[w2.ChanX]), int(counts.Send[w2.ChanY])},
+		cells:  p.Cells,
+		skew:   p.Skew,
+		lead:   p.Lead,
+		host:   p.Host,
+		code:   *code,
+		counts: counts,
 	}
 	// The last cell finishes at Lead + (Cells-1)·Skew + CellCycles - 1;
 	// the simulator's reported count is one past that.  An empty cell
 	// program still costs its start cycle.
-	plan.cycles = p.Lead + int64(p.Cells-1)*p.Skew + cellCycles
-	if cellCycles == 0 {
-		plan.cycles++
-	}
-	instrs, err := plan.decode(p.Cell, code)
-	if err != nil {
-		return nil, err
-	}
-	if err := plan.validate(iu, instrs); err != nil {
+	plan.cycles = p.Lead + int64(p.Cells-1)*p.Skew + max(counts.Cycles, 1)
+	if err := plan.validate(iu, p.Cell); err != nil {
 		return nil, err
 	}
 
@@ -254,8 +190,6 @@ func Compile(p Program) (*Plan, error) {
 		if have, want := p.Host.In[ch].Words(), counts.Recv[ch]; have < want {
 			return nil, fmt.Errorf("fastexec: cell 0 receives %d words on %s but the host program supplies %d", want, ch, have)
 		}
-	}
-	for _, ch := range []w2.Channel{w2.ChanX, w2.ChanY} {
 		if have, want := p.Host.Out[ch].Words(), counts.Send[ch]; want > have {
 			return nil, fmt.Errorf("fastexec: the last cell sends %d words on %s but the host program expects %d", want, ch, have)
 		}
@@ -275,132 +209,11 @@ func positiveTrips(what string, ends []mcode.LoopEnd) error {
 	return nil
 }
 
-// decode fills in the plan's words from the decoded cell program, whose
-// order is WalkInstrs', and returns the instruction behind each word for
-// validate's diagnostics.  Its work and the plan's size depend on the
-// microcode alone.
-func (p *Plan) decode(cell *mcode.CellProgram, code mcode.CellCode) ([]*mcode.Instr, error) {
-	isHead := make([]bool, len(code.Words))
-	for i := range code.Words {
-		for _, e := range code.Words[i].Ends {
-			isHead[e.Head] = true
-		}
-	}
-	planPC := make([]int, len(code.Words)) // µPC → the first plan word at or after it
-	var instrs []*mcode.Instr
-	var err error
-	fail := func(e error) {
-		if err == nil {
-			err = e
-		}
-	}
-	pc, idle := 0, int64(0)
-	lo, hi := float64(mcode.MemWords), float64(-1) // the envelope, empty so far
-	mcode.WalkInstrs(cell.Items, func(in *mcode.Instr, loops []*mcode.LoopItem) {
-		cw := &code.Words[pc]
-		if isHead[pc] && idle > 0 {
-			// An idle run ends at a loop head in a word of its own: the
-			// back edge must count only the idle cycles inside the body.
-			p.words = append(p.words, word{skip: idle - 1})
-			instrs = append(instrs, nil)
-			idle = 0
-		}
-		planPC[pc] = len(p.words)
-		pc++
-		if cw.Nop && len(cw.Ends) == 0 {
-			idle++
-			return
-		}
-		w := word{skip: idle, depth: cw.Depth, ioLo: int32(len(p.io)), endLo: int32(len(p.ends))}
-		idle = 0
-		runs := int64(1) // how often the word executes
-		for _, l := range loops {
-			runs *= l.Trips
-		}
-		for _, recv := range []bool{false, true} { // sends first: runCell reads registers before it writes any
-			if recv {
-				w.recvLo = int32(len(p.io))
-			}
-			for _, io := range in.IO {
-				if io.Recv != recv {
-					continue
-				}
-				if io.Recv {
-					if io.Dir != w2.DirL {
-						fail(fmt.Errorf("fastexec: receive from the right is not supported (rightward flow only)"))
-					}
-				} else if io.Dir != w2.DirR {
-					fail(fmt.Errorf("fastexec: send to the left is not supported (rightward flow only)"))
-				}
-				f := ioField{ch: w2.ChanX, reg: io.Reg}
-				if io.Chan == w2.ChanY {
-					f.ch = w2.ChanY
-				}
-				p.io = append(p.io, f)
-			}
-		}
-		w.ioHi = int32(len(p.io))
-		for port, mo := range in.Mem {
-			if mo == nil {
-				continue
-			}
-			b, berr := mo.Addr.Bind(loops)
-			if berr != nil {
-				fail(fmt.Errorf("fastexec: address %w", berr))
-			}
-			lo, hi = min(lo, b.Lo), max(hi, b.Hi)
-			m := memField{kind: memLoad, reg: mo.Reg, start: b.Start, termLo: int32(len(p.terms))}
-			p.terms = append(p.terms, b.Terms...)
-			m.termHi = int32(len(p.terms))
-			if mo.Store {
-				m.kind, w.stores = memStore, true
-				p.stores += runs
-			} else {
-				w.loads = true
-				p.loads += runs
-			}
-			w.mem[port] = m
-		}
-		if in.Add != nil {
-			w.hasAdd, w.add = true, *in.Add
-			p.addOps += runs
-		}
-		if in.Mul != nil {
-			w.hasMul, w.mul = true, *in.Mul
-			p.mulOps += runs
-		}
-		if in.Mov != nil {
-			w.hasMov, w.mov = true, *in.Mov
-			p.movOps += runs
-		}
-		if in.Lit != nil {
-			w.hasLit, w.lit = true, *in.Lit
-		}
-		for _, e := range cw.Ends {
-			e.Head = planPC[e.Head]
-			p.ends = append(p.ends, e)
-		}
-		w.endHi = int32(len(p.ends))
-		p.words = append(p.words, w)
-		instrs = append(instrs, in)
-	})
-	// Addresses count from the envelope's low end, cut to the cell memory:
-	// validate refuses the program if a walked address falls outside it.
-	p.memLo = int64(max(lo, 0))
-	p.memWords = int(max(min(hi, mcode.MemWords-1)-float64(p.memLo)+1, 0))
-	for i := range p.words {
-		for port := range p.words[i].mem {
-			p.words[i].mem[port].start -= p.memLo
-		}
-	}
-	return instrs, err
-}
-
 // addr is the address a memory field references with the enclosing
 // loops at iterations iter.
-func (p *Plan) addr(m *memField, iter []int64) int64 {
-	a := m.start
-	for _, t := range p.terms[m.termLo:m.termHi] {
+func (p *Plan) addr(m *mcode.MemField, iter []int64) int64 {
+	a := m.Start
+	for _, t := range p.code.Terms[m.TermLo:m.TermHi] {
 		a += t.Coef * iter[t.Depth]
 	}
 	return a
@@ -410,39 +223,39 @@ func (p *Plan) addr(m *memField, iter []int64) int64 {
 // IU emits in the order the hardware pops them: one address per memory
 // reference — in range, and the address the field's metadata names —
 // and one loop signal per boundary crossed.
-func (p *Plan) validate(iu *mcode.IUTrace, instrs []*mcode.Instr) error {
-	s := mcode.Seq{Iter: make([]int64, p.depth)}
+func (p *Plan) validate(iu *mcode.IUTrace, cell *mcode.CellProgram) error {
+	s := mcode.Seq{Iter: make([]int64, p.code.Depth)}
 	adrs, sigs := iu.Adr, iu.Sigs
-	for t := int64(0); s.PC < len(p.words); t++ {
-		w, in := &p.words[s.PC], instrs[s.PC]
-		t += w.skip
-		for port := range w.mem {
-			m := &w.mem[port]
-			if m.kind == memNone {
+	for t := int64(0); s.PC < len(p.code.Words); t++ {
+		w := &p.code.Words[s.PC]
+		t += w.Skip
+		for port := range w.Mem {
+			m := &w.Mem[port]
+			if m.Kind == mcode.MemNone {
 				continue
 			}
 			if len(adrs) == 0 {
 				return fmt.Errorf("fastexec: the IU address stream ran dry at cycle %d, memory port %d", t, port)
 			}
-			addr, named := adrs[0].Val, in.Mem[port].Addr
+			addr := adrs[0].Val
 			adrs = adrs[1:]
 			if addr < 0 || addr >= mcode.MemWords {
 				return fmt.Errorf("fastexec: address %d outside the %d-word cell memory (IU generated a bad address for %s)",
-					addr, mcode.MemWords, named)
+					addr, mcode.MemWords, cell.MemAddr(w, port))
 			}
-			if want := p.memLo + p.addr(m, s.Iter); addr != want {
+			if want := p.code.MemLo + p.addr(m, s.Iter); addr != want {
 				return fmt.Errorf("fastexec: address mismatch at cycle %d, memory port %d: the IU sends %d where %s names %d",
-					t, port, addr, named, want)
+					t, port, addr, cell.MemAddr(w, port), want)
 			}
-			if addr < p.memLo || addr-p.memLo >= int64(p.memWords) {
+			if addr < p.code.MemLo || addr-p.code.MemLo >= int64(p.code.MemWords) {
 				return fmt.Errorf("fastexec: address %d outside the %d words from %d that %s and the other fields are bound to",
-					addr, p.memWords, p.memLo, named)
+					addr, p.code.MemWords, p.code.MemLo, cell.MemAddr(w, port))
 			}
 		}
 		// One IU control signal is consumed per loop boundary, innermost
 		// first.
-		ends := p.ends[w.endLo:w.endHi]
-		crossed, again := s.Advance(w.depth, ends)
+		ends := p.code.Ends[w.EndLo:w.EndHi]
+		crossed, again := s.Advance(w.Depth, ends)
 		for i, e := range ends[:crossed] {
 			if len(sigs) == 0 {
 				return fmt.Errorf("fastexec: the IU signal stream ran dry at loop L%d", e.ID)
@@ -498,13 +311,6 @@ type Result struct {
 	Obs *obs.Profile
 }
 
-// regWrite is a register write waiting to land.
-type regWrite struct {
-	reg  mcode.Reg
-	val  float64
-	land int64 // landing cycle (FPU results only)
-}
-
 // execState is the whole-array execution state shared across cells,
 // n = len(hostMems) problems wide.  It is pooled: a slice is reused when
 // it has the room.
@@ -522,6 +328,7 @@ type execState struct {
 	// word.
 	prev, cur [2][]float64
 
+	cell mcode.CellRegs // the one-wide body's registers
 	// A batched walk's lanes: register r of problem l at regs[r·n+l], and
 	// the values of the FPU FIFO's slots and of a word's held-back writes.
 	regs, fifo, held []float64
@@ -600,8 +407,8 @@ func (st *execState) poll(idx int, t int64) error {
 	if p := st.plan; st.progress != nil {
 		// Cells run one after another: the cell cycles retired so far,
 		// scaled onto the modeled cycle axis, are a monotone position.
-		done := int64(idx)*p.cellCycles + t
-		st.progress(obs.ProgressUpdate{Cycles: p.cycles * done / (int64(p.cells) * p.cellCycles)})
+		done := int64(idx)*p.counts.Cycles + t
+		st.progress(obs.ProgressUpdate{Cycles: p.cycles * done / (int64(p.cells) * p.counts.Cycles)})
 	}
 	return nil
 }
@@ -616,7 +423,7 @@ func (p *Plan) Execute(hostMem []float64, cfg ExecConfig) (*Result, error) {
 // StateBytes is the execution state one problem of a batch occupies:
 // registers, cell memory envelope, write buffers, inter-cell streams.
 func (p *Plan) StateBytes() int {
-	return 8 * (mcode.NumRegs + p.memWords + fifoSlots + mcode.MemPorts + 3 + 2*(p.send[0]+p.send[1]))
+	return 8 * (mcode.NumRegs + p.code.MemWords + mcode.FPUSlots + mcode.MemPorts + 3 + 2*int(p.counts.Send[0]+p.counts.Send[1]))
 }
 
 // ExecuteBatch runs the plan over several problems' host memory images
@@ -630,10 +437,7 @@ func (p *Plan) ExecuteBatch(hostMems [][]float64, cfg ExecConfig) (*Result, erro
 	if len(hostMems) == 0 {
 		return nil, fmt.Errorf("fastexec: an empty batch")
 	}
-	maxCycles := cfg.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = 1 << 28
-	}
+	maxCycles := cmp.Or(cfg.MaxCycles, 1<<28)
 	// The simulator aborts when its clock passes MaxCycles before the
 	// last cell retires, i.e. whenever the run needs more than
 	// MaxCycles+1 cycles; the modeled count makes the same decision
@@ -656,19 +460,19 @@ func (p *Plan) ExecuteBatch(hostMems [][]float64, cfg ExecConfig) (*Result, erro
 	}()
 	st.plan, st.hostMems, st.ctx, st.progress = p, hostMems, cfg.Ctx, cfg.Progress
 	st.sent, st.wordCount = [2]int{}, 0
-	st.mem, st.iter = sized(st.mem, p.memWords*n), sized(st.iter, p.depth)
+	st.mem, st.iter = sized(st.mem, p.code.MemWords*n), sized(st.iter, p.code.Depth)
 	clear(st.iter)
 	run := p.runCell // one problem keeps the words' one-wide body
 	if n > 1 {
 		run = p.runLanes
-		st.regs, st.fifo = sized(st.regs, mcode.NumRegs*n), sized(st.fifo, fifoSlots*n)
+		st.regs, st.fifo = sized(st.regs, mcode.NumRegs*n), sized(st.fifo, mcode.FPUSlots*n)
 		st.held = sized(st.held, (mcode.MemPorts+3)*n)
 	}
-	for ch, words := range p.send {
+	for ch, words := range p.counts.Send {
 		st.hostIn[ch] = hostgen.NewReader(p.host.In[w2.Channel(ch)])
 		st.hostOut[ch] = hostgen.NewReader(p.host.Out[w2.Channel(ch)])
 		if p.cells > 1 { // the one cell of an array of one talks to the host alone
-			st.prev[ch], st.cur[ch] = sized(st.prev[ch], words*n)[:0], sized(st.cur[ch], words*n)[:0]
+			st.prev[ch], st.cur[ch] = sized(st.prev[ch], int(words)*n)[:0], sized(st.cur[ch], int(words)*n)[:0]
 		}
 	}
 	for i := 0; i < p.cells; i++ {
@@ -687,22 +491,18 @@ func (p *Plan) ExecuteBatch(hostMems [][]float64, cfg ExecConfig) (*Result, erro
 	return p.result(st), nil
 }
 
-// runCell runs the plan for one cell.
+// runCell runs the plan for one cell: the one-wide body, its registers
+// stepped through mcode.CellRegs as the simulator's are.
 func (p *Plan) runCell(st *execState, idx int) error {
 	first, last := idx == 0, idx == p.cells-1
-	var regs [mcode.NumRegs]float64
-	// FPU results in flight, oldest at head: all have the same latency,
-	// so they land in the order they were issued.
-	var fifo [fifoSlots]regWrite
-	var head, tail uint
-	// What the current word holds back to the end of its cycle: the
-	// stores, and the ALU results that take one cycle.
+	r := &st.cell
+	r.Reset()
+	// The current word's stores, held back to the end of its cycle.
 	var stored [mcode.MemPorts]struct {
 		addr int64
 		val  float64
 	}
-	var moved [3]regWrite
-	mem, words := st.mem, p.words
+	mem, words := st.mem, p.code.Words
 	clear(mem)
 	// The left neighbour's words, how many of each channel are consumed,
 	// and this cell's own (handed back once it retires).
@@ -717,121 +517,86 @@ func (p *Plan) runCell(st *execState, idx int) error {
 				return err
 			}
 		}
-		if w.skip > 0 {
+		if w.Skip > 0 {
 			// FPU results that land during the idle cycles are visible to
 			// this word's reads.
-			t += w.skip
-			for head != tail && fifo[head%fifoSlots].land <= t {
-				r := &fifo[head%fifoSlots]
-				regs[r.reg] = r.val
-				head++
-			}
+			t += w.Skip
+			r.Land(t)
 		}
 
 		// The cycle's reads: sends, stores and the FPU fields see the
-		// registers as they stand.  Every field evaluates through the one
-		// ALU table both executors share (divide-by-zero fault included);
-		// one block per field on purpose: ranging over an array of the
-		// three costs 10% of the whole run.
-		for _, io := range p.io[w.ioLo:w.recvLo] {
+		// registers as they stand.
+		for _, io := range p.code.IO[w.IOLo:w.RecvLo] {
 			if !last {
-				cur[io.ch] = append(cur[io.ch], regs[io.reg])
-			} else if err := st.hostCollect(io.ch, regs[io.reg:][:1]); err != nil {
+				cur[io.Ch] = append(cur[io.Ch], r.R[io.Reg])
+			} else if err := st.hostCollect(io.Ch, r.R[io.Reg:][:1]); err != nil {
 				return err
 			}
 		}
-		nstored, nmoved := 0, 0
-		if w.stores {
-			for pi := range w.mem {
-				if m := &w.mem[pi]; m.kind == memStore {
-					stored[nstored].addr, stored[nstored].val = p.addr(m, s.Iter), regs[m.reg]
+		nstored := 0
+		if w.Stores {
+			for pi := range w.Mem {
+				if m := &w.Mem[pi]; m.Kind == mcode.MemStore {
+					stored[nstored].addr, stored[nstored].val = p.addr(m, s.Iter), r.R[m.Reg]
 					nstored++
 				}
 			}
 		}
-		if w.hasAdd {
-			v, err := w.add.Eval(&regs)
+		if w.HasAdd {
+			v, err := w.Add.Eval(&r.R)
 			if err != nil {
 				return fmt.Errorf("fastexec: %w", err)
 			}
-			if lat := w.add.Code.Latency(); lat == 1 {
-				moved[nmoved] = regWrite{reg: w.add.Dst, val: v}
-				nmoved++
-			} else {
-				fifo[tail%fifoSlots] = regWrite{reg: w.add.Dst, val: v, land: t + lat}
-				tail++
-			}
+			r.Push(&w.Add, v, t)
 		}
-		if w.hasMul {
-			v, err := w.mul.Eval(&regs)
+		if w.HasMul {
+			v, err := w.Mul.Eval(&r.R)
 			if err != nil {
 				return fmt.Errorf("fastexec: %w", err)
 			}
-			if lat := w.mul.Code.Latency(); lat == 1 {
-				moved[nmoved] = regWrite{reg: w.mul.Dst, val: v}
-				nmoved++
-			} else {
-				fifo[tail%fifoSlots] = regWrite{reg: w.mul.Dst, val: v, land: t + lat}
-				tail++
-			}
+			r.Push(&w.Mul, v, t)
 		}
-		if w.hasMov {
-			v, err := w.mov.Eval(&regs)
+		if w.HasMov {
+			v, err := w.Mov.Eval(&r.R)
 			if err != nil {
 				return fmt.Errorf("fastexec: %w", err)
 			}
-			if lat := w.mov.Code.Latency(); lat == 1 {
-				moved[nmoved] = regWrite{reg: w.mov.Dst, val: v}
-				nmoved++
-			} else {
-				fifo[tail%fifoSlots] = regWrite{reg: w.mov.Dst, val: v, land: t + lat}
-				tail++
-			}
+			r.Push(&w.Mov, v, t)
 		}
 
-		// The cycle's end: a register sees the writes landing next cycle in
-		// issue order — FPU results, issued cycles ago, then this word's
-		// one-cycle writes in field order: IO, memory ports, ADD, MUL, MOV,
-		// literal.  Loads read before the word's stores land.
-		for head != tail && fifo[head%fifoSlots].land <= t+1 {
-			r := &fifo[head%fifoSlots]
-			regs[r.reg] = r.val
-			head++
-		}
-		for _, io := range p.io[w.recvLo:w.ioHi] {
+		// The cycle's writes in landing order (mcode.CellRegs): receives
+		// and loads go straight to the registers, which nothing reads any
+		// more this cycle; loads read before the word's stores land.
+		r.Land(t + 1)
+		for _, io := range p.code.IO[w.RecvLo:w.IOHi] {
 			if first {
-				if err := st.hostWords(io.ch, regs[io.reg:][:1]); err != nil {
+				if err := st.hostWords(io.Ch, r.R[io.Reg:][:1]); err != nil {
 					return err
 				}
 				continue
 			}
-			in, n := prev[io.ch], pos[io.ch]
+			in, n := prev[io.Ch], pos[io.Ch]
 			if n >= len(in) {
-				return fmt.Errorf("fastexec: queue cell%d.%s underflows (receive before the matching send)", idx, io.ch)
+				return fmt.Errorf("fastexec: queue cell%d.%s underflows (receive before the matching send)", idx, io.Ch)
 			}
-			regs[io.reg] = in[n]
-			pos[io.ch] = n + 1
+			r.R[io.Reg] = in[n]
+			pos[io.Ch] = n + 1
 		}
-		if w.loads {
-			for pi := range w.mem {
-				if m := &w.mem[pi]; m.kind == memLoad {
-					regs[m.reg] = mem[p.addr(m, s.Iter)]
+		if w.Loads {
+			for pi := range w.Mem {
+				if m := &w.Mem[pi]; m.Kind == mcode.MemLoad {
+					r.R[m.Reg] = mem[p.addr(m, s.Iter)]
 				}
 			}
 		}
 		for _, sw := range stored[:nstored] {
 			mem[sw.addr] = sw.val
 		}
-		for _, r := range moved[:nmoved] {
-			regs[r.reg] = r.val
-		}
-		if w.hasLit {
-			regs[w.lit.Dst] = w.lit.Value
-		}
-		if w.endLo == w.endHi {
+		r.Retire(w)
+		if w.EndLo == w.EndHi {
 			s.PC++
 		} else {
-			s.Advance(w.depth, p.ends[w.endLo:w.endHi])
+			s.Advance(w.Depth, p.code.Ends[w.EndLo:w.EndHi])
 		}
 	}
 	// Writes still in flight when the cell retires are never observed:
@@ -852,11 +617,14 @@ func (p *Plan) runLanes(st *execState, idx int) error {
 	lanes := func(r mcode.Reg) []float64 { return regs[int(r)*n:][:n] }
 	// The register and landing cycle of each FPU result in flight (its
 	// values are st.fifo[slot·n:]), oldest at head.
-	var fifo [fifoSlots]regWrite
+	var fifo [mcode.FPUSlots]struct {
+		reg  mcode.Reg
+		land int64
+	}
 	var head, tail uint
 	land := func(t int64) {
-		for ; head != tail && fifo[head%fifoSlots].land <= t; head++ {
-			copy(lanes(fifo[head%fifoSlots].reg), st.fifo[int(head%fifoSlots)*n:][:n])
+		for ; head != tail && fifo[head%mcode.FPUSlots].land <= t; head++ {
+			copy(lanes(fifo[head%mcode.FPUSlots].reg), st.fifo[int(head%mcode.FPUSlots)*n:][:n])
 		}
 	}
 	// What the current word holds back to the end of its cycle (values in
@@ -866,27 +634,27 @@ func (p *Plan) runLanes(st *execState, idx int) error {
 	var pos [2]int
 
 	s := mcode.Seq{Iter: st.iter}
-	for t := int64(0); s.PC < len(p.words); t++ {
-		w := &p.words[s.PC]
+	for t := int64(0); s.PC < len(p.code.Words); t++ {
+		w := &p.code.Words[s.PC]
 		if err := st.poll(idx, t); err != nil {
 			return err
 		}
-		if w.skip > 0 {
-			t += w.skip
+		if w.Skip > 0 {
+			t += w.Skip
 			land(t)
 		}
-		for _, io := range p.io[w.ioLo:w.recvLo] {
+		for _, io := range p.code.IO[w.IOLo:w.RecvLo] {
 			if !last {
-				st.cur[io.ch] = append(st.cur[io.ch], lanes(io.reg)...)
-			} else if err := st.hostCollect(io.ch, lanes(io.reg)); err != nil {
+				st.cur[io.Ch] = append(st.cur[io.Ch], lanes(io.Reg)...)
+			} else if err := st.hostCollect(io.Ch, lanes(io.Reg)); err != nil {
 				return err
 			}
 		}
 		nstored := 0
-		for pi := range w.mem {
-			if m := &w.mem[pi]; m.kind == memStore {
+		for pi := range w.Mem {
+			if m := &w.Mem[pi]; m.Kind == mcode.MemStore {
 				held[nstored] = p.addr(m, s.Iter)
-				copy(st.held[nstored*n:][:n], lanes(m.reg))
+				copy(st.held[nstored*n:][:n], lanes(m.Reg))
 				nstored++
 			}
 		}
@@ -894,7 +662,7 @@ func (p *Plan) runLanes(st *execState, idx int) error {
 		for _, f := range [...]struct {
 			on bool
 			op *mcode.AluOp
-		}{{w.hasAdd, &w.add}, {w.hasMul, &w.mul}, {w.hasMov, &w.mov}} {
+		}{{w.HasAdd, &w.Add}, {w.HasMul, &w.Mul}, {w.HasMov, &w.Mov}} {
 			if !f.on {
 				continue
 			}
@@ -903,7 +671,8 @@ func (p *Plan) runLanes(st *execState, idx int) error {
 				held[nheld], dst = int64(f.op.Dst), st.held[nheld*n:][:n]
 				nheld++
 			} else {
-				fifo[tail%fifoSlots], dst = regWrite{reg: f.op.Dst, land: t + lat}, st.fifo[int(tail%fifoSlots)*n:][:n]
+				slot := tail % mcode.FPUSlots
+				fifo[slot].reg, fifo[slot].land, dst = f.op.Dst, t+lat, st.fifo[int(slot)*n:][:n]
 				tail++
 			}
 			if err := f.op.EvalBatch(dst, regs, n); err != nil {
@@ -911,23 +680,23 @@ func (p *Plan) runLanes(st *execState, idx int) error {
 			}
 		}
 		land(t + 1)
-		for _, io := range p.io[w.recvLo:w.ioHi] {
+		for _, io := range p.code.IO[w.RecvLo:w.IOHi] {
 			if first {
-				if err := st.hostWords(io.ch, lanes(io.reg)); err != nil {
+				if err := st.hostWords(io.Ch, lanes(io.Reg)); err != nil {
 					return err
 				}
 				continue
 			}
-			in, at := st.prev[io.ch], pos[io.ch]*n
+			in, at := st.prev[io.Ch], pos[io.Ch]*n
 			if at >= len(in) {
-				return fmt.Errorf("fastexec: queue cell%d.%s underflows (receive before the matching send)", idx, io.ch)
+				return fmt.Errorf("fastexec: queue cell%d.%s underflows (receive before the matching send)", idx, io.Ch)
 			}
-			copy(lanes(io.reg), in[at:at+n])
-			pos[io.ch]++
+			copy(lanes(io.Reg), in[at:at+n])
+			pos[io.Ch]++
 		}
-		for pi := range w.mem {
-			if m := &w.mem[pi]; m.kind == memLoad {
-				copy(lanes(m.reg), mem[int(p.addr(m, s.Iter))*n:][:n])
+		for pi := range w.Mem {
+			if m := &w.Mem[pi]; m.Kind == mcode.MemLoad {
+				copy(lanes(m.Reg), mem[int(p.addr(m, s.Iter))*n:][:n])
 			}
 		}
 		for i, at := range held[:nheld] {
@@ -937,12 +706,12 @@ func (p *Plan) runLanes(st *execState, idx int) error {
 				copy(lanes(mcode.Reg(at)), vals)
 			}
 		}
-		if w.hasLit {
-			for l, dst := 0, lanes(w.lit.Dst); l < n; l++ {
-				dst[l] = w.lit.Value
+		if w.HasLit {
+			for l, dst := 0, lanes(w.Lit.Dst); l < n; l++ {
+				dst[l] = w.Lit.Value
 			}
 		}
-		s.Advance(w.depth, p.ends[w.endLo:w.endHi])
+		s.Advance(w.Depth, p.code.Ends[w.EndLo:w.EndHi])
 	}
 	return nil
 }
@@ -951,8 +720,8 @@ func (p *Plan) runLanes(st *execState, idx int) error {
 func (p *Plan) result(st *execState) *Result {
 	res := &Result{
 		CellFinish: make([]int64, p.cells),
-		AddOps:     p.addOps * int64(p.cells),
-		MulOps:     p.mulOps * int64(p.cells),
+		AddOps:     p.counts.AddOps * int64(p.cells),
+		MulOps:     p.counts.MulOps * int64(p.cells),
 		Sent:       make(map[w2.Channel]int, len(st.sent)),
 		Cycles:     p.cycles,
 	}
@@ -971,19 +740,16 @@ func (p *Plan) result(st *execState) *Result {
 	last := p.cycles - 1
 	for i := 0; i < p.cells; i++ {
 		start := p.lead + int64(i)*p.skew
-		finish := start
-		if p.cellCycles > 0 {
-			finish = start + p.cellCycles - 1
-		}
+		finish := start + max(p.counts.Cycles-1, 0)
 		res.CellFinish[i] = finish
 		res.CellActive += finish - start
 		prof.Cell[i] = obs.CellProfile{
 			Start:  start,
 			Finish: finish,
-			AddOps: p.addOps, MulOps: p.mulOps, MovOps: p.movOps,
-			Loads: p.loads, Stores: p.stores,
-			Busy:     p.ops,
-			Bubble:   p.cellCycles - p.ops, // idle issue slots; the starved split needs queue timing
+			AddOps: p.counts.AddOps, MulOps: p.counts.MulOps, MovOps: p.counts.MovOps,
+			Loads: p.counts.Loads, Stores: p.counts.Stores,
+			Busy:     p.counts.Ops,
+			Bubble:   p.counts.Cycles - p.counts.Ops, // idle issue slots; the starved split needs queue timing
 			SkewLead: int64(i) * p.skew,
 			Drain:    last - finish,
 		}

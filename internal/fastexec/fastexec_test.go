@@ -85,6 +85,16 @@ func runBoth(t *testing.T, c *driver.Compiled, plan *fastexec.Plan, inputs map[s
 			t.Errorf("sent on %s: fast %d, sim %d", ch, res.Sent[ch], n)
 		}
 	}
+	// The simulator counts its profile cycle by cycle; the plan's is closed
+	// form.  Only the split of idle cycles into starved and bubble needs
+	// the simulator's queue timing.
+	for i, sc := range simStats.Obs.Cell {
+		fc := res.Obs.Cell[i]
+		if fc.Busy != sc.Busy || fc.AddOps != sc.AddOps || fc.MulOps != sc.MulOps || fc.MovOps != sc.MovOps ||
+			fc.Loads != sc.Loads || fc.Stores != sc.Stores || fc.Bubble != sc.Starved+sc.Bubble {
+			t.Errorf("cell %d profile: fast %+v, sim %+v", i, fc, sc)
+		}
+	}
 	for i := range simMem {
 		if math.Float64bits(simMem[i]) != math.Float64bits(fastMem[i]) {
 			t.Fatalf("host word %d diverges: fast %v (bits %x), sim %v (bits %x)",

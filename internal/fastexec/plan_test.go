@@ -274,7 +274,8 @@ func TestLoopShapesMatchSimulator(t *testing.T) {
 			// The IU runs ahead of cell 0 and the cells run one after the
 			// other: no queue of these small nests fills, and no receive
 			// comes before its send.
-			prog := fastexec.Program{Cells: n.cells, Cell: cell, IU: iu, Host: host, Skew: cell.Cycles(), Lead: iu.Cycles() + 1}
+			ic, _ := mcode.CountIU(iu)
+			prog := fastexec.Program{Cells: n.cells, Cell: cell, IU: iu, Host: host, Skew: cell.Cycles(), Lead: ic.Cycles + 1}
 			plan, err := fastexec.Compile(prog)
 			if err != nil {
 				t.Fatal(err)

@@ -385,7 +385,7 @@ func (b *builder) add(io *mcode.IOOp, mult int64) error {
 // resolve binds the external's address to the enclosing loops
 // (mcode.AddrInfo.Bind) and checks that it stays within a Word's index.
 func (b *builder) resolve(a *mcode.AddrInfo) (op, error) {
-	r, err := a.Bind(b.loops)
+	r, err := a.Bind(b.loops, nil)
 	if err != nil {
 		return op{}, fmt.Errorf("external %w", err)
 	}

@@ -144,6 +144,9 @@ type stackEntry struct {
 
 // Generate builds the IU program for a cell program.
 func Generate(cell *mcode.CellProgram) (*Result, error) {
+	if _, err := mcode.CountCell(cell); err != nil { // refused here, before mirrorLoop's Cycles would panic
+		return nil, fmt.Errorf("iugen: %w", err)
+	}
 	g := &genState{top: &iuBody{m: 1}}
 	g.mirrorItems(cell.Items, g.top)
 	if g.err != nil {
@@ -165,6 +168,9 @@ func Generate(cell *mcode.CellProgram) (*Result, error) {
 		prog.Items = append(prog.Items, &mcode.IUStraight{Instrs: prologue})
 	}
 	prog.Items = append(prog.Items, g.top.items...)
+	if _, err := mcode.CountIU(prog); err != nil {
+		return nil, fmt.Errorf("iugen: %w", err)
+	}
 
 	spilled := 0
 	for _, e := range exprs {
@@ -291,15 +297,6 @@ func (g *genState) findStack(loop *w2.ForStmt) *stackEntry {
 	return nil
 }
 
-// cellItemsLen returns the length in cycles of a cell item list.
-func cellItemsLen(items []mcode.CodeItem) int64 {
-	var n int64
-	for _, it := range items {
-		n += it.Cycles()
-	}
-	return n
-}
-
 // countBodyAddrExprs counts distinct affine address forms among the
 // memory references of a straight-line body.
 func countBodyAddrExprs(items []mcode.CodeItem) int {
@@ -335,7 +332,7 @@ func hasLoops(items []mcode.CodeItem) bool {
 // bodies are unrolled by m = ceil(3/bodyLen) (§6.3.1), with the
 // remainder iterations peeled straight-line and their signals static.
 func (g *genState) mirrorLoop(cl *mcode.LoopItem, body *iuBody) {
-	bodyLen := cellItemsLen(cl.Body)
+	bodyLen := (&mcode.CellProgram{Items: cl.Body}).Cycles()
 	if bodyLen == 0 {
 		g.fail("loop L%d has an empty body", cl.ID)
 		return

@@ -82,8 +82,8 @@ func TestIUInduction(t *testing.T) {
 // cells, offset only by its prologue.
 func TestIUMirrorsCellLength(t *testing.T) {
 	cg, iu := genIU(t, memSrc, false)
-	if got, want := iu.IU.Cycles(), cg.Cell.Cycles()+iu.Prologue; got != want {
-		t.Errorf("IU %d cycles, want %d", got, want)
+	if ic, _ := mcode.CountIU(iu.IU); ic.Cycles != cg.Cell.Cycles()+iu.Prologue {
+		t.Errorf("IU %d cycles, want %d", ic.Cycles, cg.Cell.Cycles()+iu.Prologue)
 	}
 }
 
@@ -92,8 +92,8 @@ func TestIUMirrorsCellLength(t *testing.T) {
 // counter test of §6.3.1.
 func TestIUSignalCounts(t *testing.T) {
 	cg, iu := genIU(t, memSrc, false)
-	cc := mcode.CountCell(cg.Cell)
-	ic := mcode.CountIU(iu.IU)
+	cc, _ := mcode.CountCell(cg.Cell)
+	ic, _ := mcode.CountIU(iu.IU)
 	if cc.Signals != ic.Signals {
 		t.Errorf("signals: cells %d, IU %d", cc.Signals, ic.Signals)
 	}
@@ -183,8 +183,8 @@ begin
 end
 `
 	cg, iu := genIU(t, src, false)
-	cc := mcode.CountCell(cg.Cell)
-	ic := mcode.CountIU(iu.IU)
+	cc, _ := mcode.CountCell(cg.Cell)
+	ic, _ := mcode.CountIU(iu.IU)
 	if cc.Signals != ic.Signals {
 		t.Errorf("signals: cells %d, IU %d", cc.Signals, ic.Signals)
 	}
@@ -253,7 +253,7 @@ end
 	if iu.TableEntries == 0 {
 		t.Error("spilled expressions produced no table entries")
 	}
-	ic := mcode.CountIU(iu.IU)
+	ic, _ := mcode.CountIU(iu.IU)
 	if ic.TableOuts != int64(iu.TableEntries) {
 		t.Errorf("table reads %d vs entries %d", ic.TableOuts, iu.TableEntries)
 	}

@@ -294,10 +294,11 @@ type BoundAddr struct {
 // loops (outermost first) with the matching source statement, turning
 // coef·(First + Step·iteration) into a constant and a per-iteration
 // coefficient: the one resolution of an address against a loop nest,
-// shared by the host program and the fast executor's plan.
-func (a AddrInfo) Bind(loops []*LoopItem) (BoundAddr, error) {
+// shared by the host program and the decoded cell program.  The terms
+// are appended to terms (nil for a slice of their own).
+func (a AddrInfo) Bind(loops []*LoopItem, terms []LoopTerm) (BoundAddr, error) {
 	aff := a.Shifted()
-	b := BoundAddr{Start: int64(a.Base) + aff.Const}
+	b := BoundAddr{Start: int64(a.Base) + aff.Const, Terms: terms}
 	b.Lo, b.Hi = float64(b.Start), float64(b.Start)
 	for _, t := range aff.Terms {
 		depth := len(loops) - 1
@@ -414,18 +415,14 @@ func (in *Instr) String() string {
 
 // CodeItem is a node of the structured cell program: straight-line code
 // or a counted loop.
-type CodeItem interface {
-	// Cycles returns the execution time of the item in cycles.
-	Cycles() int64
-}
+type CodeItem interface{ codeItem() }
 
 // Straight is a block of consecutive microinstructions.
 type Straight struct {
 	Instrs []*Instr
 }
 
-// Cycles returns the length of the block.
-func (s *Straight) Cycles() int64 { return int64(len(s.Instrs)) }
+func (*Straight) codeItem() {}
 
 // LoopItem is a counted loop.  The cell's sequencer repeats the body;
 // the termination decision each iteration comes from the IU's loop
@@ -445,27 +442,22 @@ type LoopItem struct {
 	Step  int64
 }
 
-// Cycles returns total loop execution time.
-func (l *LoopItem) Cycles() int64 {
-	var body int64
-	for _, it := range l.Body {
-		body += it.Cycles()
-	}
-	return body * l.Trips
-}
+func (*LoopItem) codeItem() {}
 
 // CellProgram is the complete microprogram of one cell.
 type CellProgram struct {
 	Items []CodeItem
 }
 
-// Cycles returns the total execution time of the program.
+// Cycles returns the total execution time of the program.  It panics
+// with the *OverflowError on a program CountCell refuses (the compiler
+// refuses it first).
 func (p *CellProgram) Cycles() int64 {
-	var n int64
-	for _, it := range p.Items {
-		n += it.Cycles()
+	c, err := CountCell(p)
+	if err != nil {
+		panic(err)
 	}
-	return n
+	return c.Cycles
 }
 
 // WalkInstrs visits every static microinstruction of items in the
@@ -506,23 +498,25 @@ func (p *CellProgram) AssignPCs() int {
 	return n
 }
 
+// MemAddr returns the address memory port port of the decoded word w
+// names: a walk to its instruction, for diagnostics.
+func (p *CellProgram) MemAddr(w *Word, port int) (a AddrInfo) {
+	pc := int(w.PC) + int(w.Skip)
+	WalkInstrs(p.Items, func(in *Instr, _ []*LoopItem) {
+		if pc == 0 {
+			a = in.Mem[port].Addr
+		}
+		pc--
+	})
+	return a
+}
+
 // NumInstrs counts static microinstructions (the paper's "cell µcode"
 // length metric of Table 7-1).
 func (p *CellProgram) NumInstrs() int {
-	var count func(items []CodeItem) int
-	count = func(items []CodeItem) int {
-		n := 0
-		for _, it := range items {
-			switch it := it.(type) {
-			case *Straight:
-				n += len(it.Instrs)
-			case *LoopItem:
-				n += count(it.Body)
-			}
-		}
-		return n
-	}
-	return count(p.Items)
+	n := 0
+	WalkInstrs(p.Items, func(*Instr, []*LoopItem) { n++ })
+	return n
 }
 
 // Listing renders the program as an annotated microcode listing.

@@ -1,20 +1,26 @@
 package mcode
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
+
+	"warp/internal/w2"
 )
 
 // flat.go is the executable form of the machine model: the structured
-// microprograms decoded into flat instruction arrays, the sequencer that
-// steps them, and the static elaboration of the IU.  Cells are
-// homogeneous, never stall and have static trip counts, so the control
-// state of a cell (or the IU) is a program counter plus one iteration
-// counter per loop-nesting depth over one decoded program.  The
-// simulator and the fast executor's trace builder sequence through this
-// one definition; the verifier decodes the cell program with it and
-// proves the IU's streams from the IU loop tree, with Elaborate as the
-// test oracle of that proof.
+// microprograms decoded into flat arrays, the sequencer that steps them,
+// the cell's landing model and the IU's cycle.  Cells are homogeneous,
+// never stall and have static trip counts, so the control state of a
+// cell (or the IU) is a word index plus one iteration counter per
+// loop-nesting depth over one decoded program.
+//
+// Decode builds the one decoded cell program.  The simulator steps it
+// cycle by cycle under real queues, taking addresses from the IU; the
+// fast executor runs it at dataflow speed from the bound addresses; both
+// land a word's writes through CellRegs.  The verifier reads the
+// microcode itself and proves the IU's streams from the IU loop tree,
+// with Elaborate as the test oracle of that proof.
 
 // LoopEnd is a loop-body boundary closed by the last instruction of the
 // body: the sequencer either takes the back edge to Head or falls
@@ -23,15 +29,262 @@ import (
 type LoopEnd struct {
 	ID    int   // loop ID shared between the cell and IU programs
 	Trips int64 // static trip count
-	Head  int   // index of the body's first instruction
+	Head  int   // index of the body's first word
 }
 
-// CellWord is one decoded cell microinstruction.
-type CellWord struct {
-	*Instr
-	Depth int       // static loop-nesting depth (0 outside every loop)
-	Nop   bool      // no field issues
-	Ends  []LoopEnd // boundaries closed after this instruction, innermost first
+// IOField is one queue-port field of a word.
+type IOField struct {
+	Ch  w2.Channel
+	Reg Reg
+	Dir w2.Direction
+	Ord int32 // the field's place among the instruction's queue fields
+}
+
+// Memory-field kinds.
+const (
+	MemNone = iota
+	MemLoad
+	MemStore
+)
+
+// MemField is one memory-port field.  Its address with the enclosing
+// loops at iterations iter is Start + Σ Coef·iter[Depth] over the code's
+// Terms[TermLo:TermHi], counted from the code's MemLo.
+type MemField struct {
+	Kind           uint8
+	Reg            Reg
+	Start          int64
+	TermLo, TermHi int32
+}
+
+// Word is one microinstruction of the decoded cell program: Skip idle
+// cycles, then the fields of one cycle, then the loops it closes
+// (Ends[EndLo:EndHi], innermost first).  The word's idle cycles are
+// µPCs PC to PC+Skip−1 and its issuing cycle is µPC PC+Skip.
+type Word struct {
+	Skip               int64
+	Depth              int   // static loop-nesting depth (0 outside every loop)
+	PC                 int32 // µPC of the word's first cycle
+	IOLo, RecvLo, IOHi int32 // IO[IOLo:RecvLo] are the word's sends, IO[RecvLo:IOHi] its receives
+	EndLo, EndHi       int32
+	Mem                [MemPorts]MemField
+
+	Nop                                           bool // no field issues
+	Loads, Stores, HasAdd, HasMul, HasMov, HasLit bool
+	Add, Mul, Mov                                 AluOp
+	Lit                                           LitOp
+}
+
+// Decoded is a decoded cell program.  Its size depends on the microcode
+// alone, whatever the trip counts.
+type Decoded struct {
+	Words []Word
+	IO    []IOField
+	Terms []LoopTerm
+	Ends  []LoopEnd
+	Depth int // deepest loop nesting
+
+	// The envelope of the addresses the memory fields are bound to: cell
+	// memory words MemLo up to MemLo+MemWords, cut to the cell memory.
+	MemLo    int64
+	MemWords int
+	// Unbound is the first memory-field address Bind could not resolve;
+	// the field's Start and terms are then meaningless.
+	Unbound error
+}
+
+// Decode flattens a cell program in canonical walk order.  A loop whose
+// body holds no instruction has no boundary to sequence: it is left out
+// of the code (it would take no time and issue nothing) and the first
+// such loop is reported as an error, so a caller may reject the program
+// or run the rest.
+func Decode(p *CellProgram) (*Decoded, error) {
+	d := &Decoded{Words: make([]Word, 0, p.NumInstrs())}
+	var empty error
+	var loops []*LoopItem
+	pc, idle := 0, 0                         // the next µPC, and the idle instructions before it not yet in a word
+	lo, hi := float64(MemWords), float64(-1) // the envelope, empty so far
+	// word starts a word at µPC at: skip idle cycles and no fields yet.
+	word := func(skip, at int) Word {
+		io, end := int32(len(d.IO)), int32(len(d.Ends))
+		return Word{Skip: int64(skip), Depth: len(loops), PC: int32(at), IOLo: io, RecvLo: io, IOHi: io, EndLo: end, EndHi: end}
+	}
+	// flush puts the pending idle run into a word of its own, its last
+	// instruction the issuing cycle.
+	flush := func() {
+		if idle > 0 {
+			w := word(idle-1, pc-idle)
+			w.Nop = true
+			d.Words, idle = append(d.Words, w), 0
+		}
+	}
+	var walk func(items []CodeItem)
+	walk = func(items []CodeItem) {
+		for _, it := range items {
+			switch it := it.(type) {
+			case *Straight:
+				for _, in := range it.Instrs {
+					pc++
+					if in.Empty() {
+						idle++
+						continue
+					}
+					w := word(idle, pc-1-idle)
+					idle = 0
+					for _, recv := range []bool{false, true} {
+						w.RecvLo = int32(len(d.IO))
+						for k, io := range in.IO {
+							if io.Recv == recv {
+								d.IO = append(d.IO, IOField{Ch: io.Chan, Reg: io.Reg, Dir: io.Dir, Ord: int32(k)})
+							}
+						}
+					}
+					w.IOHi = int32(len(d.IO))
+					for port, mo := range in.Mem {
+						if mo == nil {
+							continue
+						}
+						b, err := mo.Addr.Bind(loops, d.Terms)
+						if err != nil {
+							d.Unbound = cmp.Or(d.Unbound, err)
+							b.Terms = d.Terms
+						}
+						lo, hi = min(lo, b.Lo), max(hi, b.Hi)
+						w.Mem[port] = MemField{Kind: MemLoad, Reg: mo.Reg, Start: b.Start,
+							TermLo: int32(len(d.Terms)), TermHi: int32(len(b.Terms))}
+						d.Terms = b.Terms
+						if mo.Store {
+							w.Mem[port].Kind, w.Stores = MemStore, true
+						} else {
+							w.Loads = true
+						}
+					}
+					if in.Add != nil {
+						w.HasAdd, w.Add = true, *in.Add
+					}
+					if in.Mul != nil {
+						w.HasMul, w.Mul = true, *in.Mul
+					}
+					if in.Mov != nil {
+						w.HasMov, w.Mov = true, *in.Mov
+					}
+					if in.Lit != nil {
+						w.HasLit, w.Lit = true, *in.Lit
+					}
+					d.Words = append(d.Words, w)
+				}
+			case *LoopItem:
+				// An idle run ends at a loop head: the back edge must count
+				// only the idle cycles inside the body.
+				flush()
+				head, first := len(d.Words), pc
+				loops = append(loops, it)
+				walk(it.Body)
+				flush()
+				loops = loops[:len(loops)-1]
+				if pc == first {
+					empty = cmp.Or(empty, fmt.Errorf("loop L%d has an empty body", it.ID))
+					continue
+				}
+				d.Depth = max(d.Depth, len(loops)+1)
+				// The body's last word closes the loop; ends are appended
+				// innermost first, and only to the last word, so they stay
+				// contiguous.
+				d.Ends = append(d.Ends, LoopEnd{ID: it.ID, Trips: it.Trips, Head: head})
+				d.Words[len(d.Words)-1].EndHi = int32(len(d.Ends))
+			}
+		}
+	}
+	walk(p.Items)
+	flush()
+	// Addresses count from the envelope's low end, cut to the cell memory.
+	d.MemLo = int64(max(lo, 0))
+	d.MemWords = int(max(min(hi, MemWords-1)-float64(d.MemLo)+1, 0))
+	for i := range d.Words {
+		for port := range d.Words[i].Mem {
+			d.Words[i].Mem[port].Start -= d.MemLo
+		}
+	}
+	return d, empty
+}
+
+// FPUSlots holds the FPU results in flight in one cell: at most three
+// fields a word, each landing FPULatency cycles later (a power of two).
+const FPUSlots = 16
+
+var _ [FPUSlots - 3*FPULatency]struct{} // does not compile if the FIFO is too small
+
+// regWrite is a register write waiting to land.
+type regWrite struct {
+	reg  Reg
+	val  float64
+	land int64 // landing cycle (FPU results only)
+}
+
+// CellRegs is a cell's register file with the writes in flight: the
+// landing model both executors step a word through, writes landing late
+// exactly as in hardware.  A word issuing at cycle t reads the registers
+// as they stand (sends, stores, FPU fields, whose results it Pushes) and
+// Holds its receives and loads.  Land(t+1) and Retire end the cycle: the
+// earlier words' FPU results due by t+1, the held writes in field order
+// (queue fields, memory ports, one-cycle ALU results), then the literal
+// — the machine's (landing cycle, issue order), same-cycle
+// write-after-write included.
+type CellRegs struct {
+	R [NumRegs]float64
+	// FPU results in flight, oldest at head: all have the same latency, so
+	// they land in the order they were issued.
+	fifo       [FPUSlots]regWrite
+	head, tail uint
+	// The word's one-cycle writes, in room for a well-formed word's (two
+	// receives, the loads, three ALU results; a malformed word grows it).
+	held    []regWrite
+	heldBuf [2 + MemPorts + 3]regWrite
+}
+
+// Reset empties the register file and the writes in flight.  A CellRegs
+// must not be copied after it.
+func (r *CellRegs) Reset() {
+	*r = CellRegs{}
+	r.held = r.heldBuf[:0]
+}
+
+// Hold holds a one-cycle write back to the end of the word's cycle.
+func (r *CellRegs) Hold(reg Reg, v float64) { r.held = append(r.held, regWrite{reg: reg, val: v}) }
+
+// Push puts the result v of an FPU field of the word issuing at cycle t
+// in flight.  The executors evaluate each field themselves (AluOp.Eval)
+// and push it: Push inlines, and a method over all three fields would
+// not (the call costs a tenth of a fast run).
+func (r *CellRegs) Push(op *AluOp, v float64, t int64) {
+	if lat := op.Code.Latency(); lat == 1 {
+		r.Hold(op.Dst, v)
+	} else {
+		r.fifo[r.tail%FPUSlots] = regWrite{reg: op.Dst, val: v, land: t + lat}
+		r.tail++
+	}
+}
+
+// Land applies the FPU results that land by cycle t.
+func (r *CellRegs) Land(t int64) {
+	for r.head != r.tail && r.fifo[r.head%FPUSlots].land <= t {
+		w := &r.fifo[r.head%FPUSlots]
+		r.R[w.reg] = w.val
+		r.head++
+	}
+}
+
+// Retire applies the held writes of the word's cycle in field order,
+// then its literal.  The executor lands the FPU results due by the next
+// cycle first (Land(t+1)): they were issued by earlier words.
+func (r *CellRegs) Retire(w *Word) {
+	for _, h := range r.held {
+		r.R[h.reg] = h.val
+	}
+	r.held = r.held[:0]
+	if w.HasLit {
+		r.R[w.Lit.Dst] = w.Lit.Value
+	}
 }
 
 // IUWord is one decoded IU microinstruction.
@@ -47,49 +300,37 @@ type IUWord struct {
 	Run int
 }
 
-// CellCode is a decoded cell program.  A word's index is its µPC: the
-// number AssignPCs gives the instruction.
-type CellCode struct {
-	Words []CellWord
-	Depth int // deepest loop nesting
-}
-
 // IUCode is a decoded IU program, indexed by IU µPC (listing order).
 type IUCode struct {
 	Words []IUWord
 	Depth int
 	// Adrs and Sigs are how many addresses and signals one run emits
-	// (closed form over trip counts, products saturating at emitHint):
-	// what Elaborate sizes its trace by.
+	// (CountIU's closed form; 0 when it overflows): a hint Elaborate sizes
+	// its trace by.
 	Adrs, Sigs int64
 }
 
-// emitHint is where DecodeIU stops multiplying trip counts out.
-const emitHint = 1 << 31
-
-// DecodeCell flattens a cell program in canonical walk order.  A loop
-// whose body holds no instruction has no boundary to sequence: it is
-// left out of the code (it would take no time and issue nothing) and the
-// first such loop is reported as an error, so a caller may reject the
-// program or run the rest.
-func DecodeCell(p *CellProgram) (CellCode, error) {
-	code := CellCode{Words: make([]CellWord, 0, p.NumInstrs())}
+// DecodeIU flattens the IU program the same way.  IU loops carry no
+// signals of their own; they simply repeat their static trip count.
+func DecodeIU(p *IUProgram) (IUCode, error) {
+	code := IUCode{Words: make([]IUWord, 0, p.NumInstrs())}
+	if c, err := CountIU(p); err == nil {
+		code.Adrs, code.Sigs = max(c.AdrOuts, 0), max(c.Signals, 0) // a negative trip count runs once
+	}
 	var empty error
-	var walk func(items []CodeItem, depth int)
-	walk = func(items []CodeItem, depth int) {
+	var walk func(items []IUItem, depth int)
+	walk = func(items []IUItem, depth int) {
 		for _, it := range items {
 			switch it := it.(type) {
-			case *Straight:
+			case *IUStraight:
 				for _, in := range it.Instrs {
-					code.Words = append(code.Words, CellWord{Instr: in, Depth: depth, Nop: in.Empty()})
+					code.Words = append(code.Words, IUWord{IUInstr: in, Depth: depth})
 				}
-			case *LoopItem:
+			case *IULoop:
 				head := len(code.Words)
 				walk(it.Body, depth+1)
 				if len(code.Words) == head {
-					if empty == nil {
-						empty = fmt.Errorf("loop L%d has an empty body", it.ID)
-					}
+					empty = cmp.Or(empty, fmt.Errorf("loop L%d has an empty body", it.ID))
 					continue
 				}
 				code.Depth = max(code.Depth, depth+1)
@@ -99,50 +340,6 @@ func DecodeCell(p *CellProgram) (CellCode, error) {
 		}
 	}
 	walk(p.Items, 0)
-	return code, empty
-}
-
-// DecodeIU flattens the IU program the same way.  IU loops carry no
-// signals of their own; they simply repeat their static trip count.
-func DecodeIU(p *IUProgram) (IUCode, error) {
-	code := IUCode{Words: make([]IUWord, 0, p.NumInstrs())}
-	var empty error
-	var walk func(items []IUItem, depth int, runs int64)
-	walk = func(items []IUItem, depth int, runs int64) {
-		for _, it := range items {
-			switch it := it.(type) {
-			case *IUStraight:
-				for _, in := range it.Instrs {
-					code.Words = append(code.Words, IUWord{IUInstr: in, Depth: depth})
-					for _, o := range in.Out {
-						if o != nil {
-							code.Adrs += runs
-						}
-					}
-					if in.Sig != nil {
-						code.Sigs += runs
-					}
-				}
-			case *IULoop:
-				head := len(code.Words)
-				inner := int64(emitHint)
-				if trips := max(it.Trips, 1); trips < emitHint/runs {
-					inner = runs * trips
-				}
-				walk(it.Body, depth+1, inner)
-				if len(code.Words) == head {
-					if empty == nil {
-						empty = fmt.Errorf("loop L%d has an empty body", it.ID)
-					}
-					continue
-				}
-				code.Depth = max(code.Depth, depth+1)
-				last := &code.Words[len(code.Words)-1]
-				last.Ends = append(last.Ends, LoopEnd{ID: it.ID, Trips: it.Trips, Head: head})
-			}
-		}
-	}
-	walk(p.Items, 0, 1)
 	for pc := len(code.Words) - 1; pc >= 0; pc-- {
 		w := &code.Words[pc]
 		if w.Alu != nil || w.Imm != nil || w.Sig != nil || w.Out != [MemPorts]*IUOut{} || len(w.Ends) > 0 {
@@ -179,6 +376,81 @@ func (s *Seq) Advance(depth int, ends []LoopEnd) (crossed int, more bool) {
 	}
 	s.PC++
 	return len(ends), false
+}
+
+// IURegs is the IU's register file.
+type IURegs [IUNumRegs]int64
+
+// IUOutput is what one IU word sends toward cell 0: its addresses in
+// port order, Over the index among them of the first one read past the
+// end of the table (as 0) or -1, and its loop signal, if Sig.  Step fills
+// one the caller keeps: returning it costs a tenth of a simulated cycle.
+type IUOutput struct {
+	Adr        [MemPorts]int64
+	NAdr, Over int
+	Sig, More  bool
+	SigID      int
+}
+
+// Step executes the IU word at s.PC, moves s past it and fills out with
+// what the word emits, reading the table from entry *reads on: the one
+// definition of an IU cycle, which the simulator steps and Elaborate
+// runs.  Every read of the cycle is done before either register write
+// lands (the writes are visible the next cycle); when the immediate and the adder field write the same
+// register, the adder's result is the one that stays.
+func (r *IURegs) Step(c *IUCode, s *Seq, table []int64, reads *int, out *IUOutput) {
+	in := &c.Words[s.PC]
+	// The current iteration of the innermost enclosing IU loop.
+	var iter int64
+	if in.Depth > 0 {
+		iter = s.Iter[in.Depth-1]
+	}
+	s.Advance(in.Depth, in.Ends)
+	out.NAdr, out.Over, out.Sig = 0, -1, false
+	for _, o := range in.Out {
+		switch {
+		case o == nil:
+			continue
+		case !o.FromTable:
+			out.Adr[out.NAdr] = r[o.Src]
+		case *reads < len(table):
+			out.Adr[out.NAdr] = table[*reads]
+		default:
+			out.Adr[out.NAdr] = 0
+			if out.Over < 0 {
+				out.Over = out.NAdr
+			}
+		}
+		if o.FromTable {
+			*reads++
+		}
+		out.NAdr++
+	}
+	if sig := in.Sig; sig != nil {
+		out.Sig, out.SigID, out.More = true, sig.LoopID, sig.Continue
+		if !sig.Static {
+			// The termination decision the IU's counter work pays for
+			// (§6.3.1): cell iteration iter·M + Copy of CellTrips.
+			out.More = iter*sig.M+sig.Copy < sig.CellTrips-1
+		}
+	}
+	var sum int64
+	if alu := in.Alu; alu != nil {
+		a, b := r[alu.A], alu.ImmVal
+		if !alu.BIsImm {
+			b = r[alu.B]
+		}
+		sum = a + b
+		if alu.Sub {
+			sum = a - b
+		}
+	}
+	if in.Imm != nil {
+		r[in.Imm.Dst] = in.Imm.Value
+	}
+	if in.Alu != nil {
+		r[in.Alu.Dst] = sum
+	}
 }
 
 // AdrEvent is one address the IU pushes onto the Adr path.
@@ -229,14 +501,12 @@ func emptied[T any](s []T, n int64) []T {
 }
 
 // Elaborate runs the IU register machine over the decoded program and
-// returns the streams it emits.  The IU's arithmetic is input-independent
-// — immediates, an adder and a pre-stored table — so this is the
-// machine's exact behaviour, not an approximation.  Register writes land
-// the next cycle, before that cycle's reads; when the immediate and the
-// adder field of one instruction write the same register, the adder's
-// result is the one that stays.  A run of idle words is crossed in one
-// step.  done is false when the program runs past limit cycles; the trace
-// then holds only what was emitted so far.
+// returns the streams it emits, one Step a word.  The IU's arithmetic is
+// input-independent — immediates, an adder and a pre-stored table — so
+// this is the machine's exact behaviour, not an approximation.  A run of
+// idle words is crossed in one step.  done is false when the program
+// runs past limit cycles; the trace then holds only what was emitted so
+// far.
 func (c IUCode) Elaborate(table []int64, limit int64) (tr *IUTrace, done bool) {
 	tr = tracePool.Get().(*IUTrace)
 	*tr = IUTrace{
@@ -244,71 +514,29 @@ func (c IUCode) Elaborate(table []int64, limit int64) (tr *IUTrace, done bool) {
 		Sigs:     emptied(tr.Sigs, min(c.Sigs, limit)),
 		OverRead: -1,
 	}
-	var regs [IUNumRegs]int64
+	var regs IURegs
+	var out IUOutput
 	s := Seq{Iter: make([]int64, c.Depth)}
 	for s.PC < len(c.Words) {
 		if tr.Cycles >= limit {
 			return tr, false
 		}
 		t, pc := tr.Cycles, s.PC
-		in := &c.Words[pc]
-		if in.Run > 0 {
-			n := min(int64(in.Run), limit-t)
+		if run := c.Words[pc].Run; run > 0 {
+			n := min(int64(run), limit-t)
 			s.PC += int(n)
 			tr.Cycles += n
 			continue
 		}
-		// The current iteration of the innermost enclosing IU loop.
-		var iter int64
-		if in.Depth > 0 {
-			iter = s.Iter[in.Depth-1]
+		regs.Step(&c, &s, table, &tr.TableReads, &out)
+		if out.Over >= 0 && tr.OverRead < 0 {
+			tr.OverRead = len(tr.Adr) + out.Over
 		}
-		s.Advance(in.Depth, in.Ends)
-
-		for _, out := range in.Out {
-			if out == nil {
-				continue
-			}
-			var v int64
-			if !out.FromTable {
-				v = regs[out.Src]
-			} else {
-				if tr.TableReads < len(table) {
-					v = table[tr.TableReads]
-				} else if tr.OverRead < 0 {
-					tr.OverRead = len(tr.Adr)
-				}
-				tr.TableReads++
-			}
+		for _, v := range out.Adr[:out.NAdr] {
 			tr.Adr = append(tr.Adr, AdrEvent{Val: v, At: t, PC: pc})
 		}
-		if sig := in.Sig; sig != nil {
-			more := sig.Continue
-			if !sig.Static {
-				// The termination decision the IU's counter work pays for
-				// (§6.3.1): cell iteration iter·M + Copy of CellTrips.
-				more = iter*sig.M+sig.Copy < sig.CellTrips-1
-			}
-			tr.Sigs = append(tr.Sigs, SigEvent{ID: sig.LoopID, More: more, At: t, PC: pc})
-		}
-		// Every read of this cycle is done (the adder's below included)
-		// before either write is applied: the writes land next cycle.
-		var sum int64
-		if alu := in.Alu; alu != nil {
-			a, b := regs[alu.A], alu.ImmVal
-			if !alu.BIsImm {
-				b = regs[alu.B]
-			}
-			sum = a + b
-			if alu.Sub {
-				sum = a - b
-			}
-		}
-		if in.Imm != nil {
-			regs[in.Imm.Dst] = in.Imm.Value
-		}
-		if in.Alu != nil {
-			regs[in.Alu.Dst] = sum
+		if out.Sig {
+			tr.Sigs = append(tr.Sigs, SigEvent{ID: out.SigID, More: out.More, At: t, PC: pc})
 		}
 		tr.Cycles++
 	}

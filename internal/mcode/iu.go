@@ -159,7 +159,7 @@ func (in *IUInstr) String() string {
 
 // IUItem is a node of the structured IU program.
 type IUItem interface {
-	iuCycles() int64
+	iuItem()
 }
 
 // IUStraight is a block of consecutive IU microinstructions.
@@ -167,7 +167,7 @@ type IUStraight struct {
 	Instrs []*IUInstr
 }
 
-func (s *IUStraight) iuCycles() int64 { return int64(len(s.Instrs)) }
+func (*IUStraight) iuItem() {}
 
 // IULoop is a counted IU loop, mirroring a cell loop.
 type IULoop struct {
@@ -176,28 +176,13 @@ type IULoop struct {
 	Body  []IUItem
 }
 
-func (l *IULoop) iuCycles() int64 {
-	var n int64
-	for _, it := range l.Body {
-		n += it.iuCycles()
-	}
-	return n * l.Trips
-}
+func (*IULoop) iuItem() {}
 
 // IUProgram is the complete IU microprogram, together with the
 // pre-stored address table contents.
 type IUProgram struct {
 	Items []IUItem
 	Table []int64
-}
-
-// Cycles returns total execution time.
-func (p *IUProgram) Cycles() int64 {
-	var n int64
-	for _, it := range p.Items {
-		n += it.iuCycles()
-	}
-	return n
 }
 
 // NumInstrs counts static microinstructions (the "IU µcode" metric of

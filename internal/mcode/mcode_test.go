@@ -32,8 +32,8 @@ func TestIUProgramCyclesAndInstrs(t *testing.T) {
 			&IUStraight{Instrs: []*IUInstr{{}, {}, {}, {}}},
 		}},
 	}}
-	if got := p.Cycles(); got != 2+20 {
-		t.Errorf("Cycles = %d, want 22", got)
+	if c, _ := CountIU(p); c.Cycles != 2+20 {
+		t.Errorf("Cycles = %d, want 22", c.Cycles)
 	}
 	if got := p.NumInstrs(); got != 6 {
 		t.Errorf("NumInstrs = %d, want 6", got)
@@ -123,7 +123,7 @@ func TestAddrInfoBind(t *testing.T) {
 		{Src: i, Trips: 4, First: 2, Step: 1},
 	}
 	// 100 + 3(i+4) - 2j + 2 at i = 2+k2, j = 1+2·k1: 118 - 4·k1 + 3·k2.
-	b, err := info.Bind(loops)
+	b, err := info.Bind(loops, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,10 +133,10 @@ func TestAddrInfoBind(t *testing.T) {
 	if b.Lo != 118-16 || b.Hi != 118+9 {
 		t.Errorf("range %v..%v, want 102..127", b.Lo, b.Hi)
 	}
-	if _, err := info.Bind(loops[:2]); err != nil {
+	if _, err := info.Bind(loops[:2], nil); err != nil {
 		t.Errorf("outer loop over i not found: %v", err)
 	}
-	if _, err := info.Bind(loops[:1]); err == nil || err.Error() != "a+3*i - 2*j + 2 [i+4] references loop j outside its scope" {
+	if _, err := info.Bind(loops[:1], nil); err == nil || err.Error() != "a+3*i - 2*j + 2 [i+4] references loop j outside its scope" {
 		t.Errorf("unbound j: error %v", err)
 	}
 }
@@ -261,7 +261,10 @@ func TestCountCell(t *testing.T) {
 			}},
 		}},
 	}}
-	c := CountCell(p)
+	c, err := CountCell(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if c.Ops != 4*3+8 {
 		t.Errorf("Ops = %d, want 20 non-empty instructions", c.Ops)
 	}
@@ -300,8 +303,8 @@ func TestElaborateIU(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr, done := code.Elaborate(p.Table, 100)
-	if !done || tr.Cycles != p.Cycles() {
-		t.Fatalf("done=%v after %d cycles, want all %d", done, tr.Cycles, p.Cycles())
+	if c, _ := CountIU(p); !done || tr.Cycles != c.Cycles {
+		t.Fatalf("done=%v after %d cycles, want all %d", done, tr.Cycles, c.Cycles)
 	}
 	wantAdr := []AdrEvent{
 		{Val: 0, At: 0, PC: 0}, {Val: 40, At: 1, PC: 1},
@@ -323,7 +326,7 @@ func TestElaborateIU(t *testing.T) {
 	if len(tr.Sigs) != 2 || tr.Sigs[0] != wantSigs[0] || tr.Sigs[1] != wantSigs[1] {
 		t.Errorf("signals %+v, want %+v", tr.Sigs, wantSigs)
 	}
-	if c := CountIU(p); c.AdrOuts != int64(len(tr.Adr)) || c.TableOuts != int64(tr.TableReads) || c.Signals != int64(len(tr.Sigs)) {
+	if c, _ := CountIU(p); c.AdrOuts != int64(len(tr.Adr)) || c.TableOuts != int64(tr.TableReads) || c.Signals != int64(len(tr.Sigs)) {
 		t.Errorf("closed-form counts %+v disagree with the trace", c)
 	}
 
@@ -332,9 +335,10 @@ func TestElaborateIU(t *testing.T) {
 	}
 }
 
-// TestDecodeIndexIsPC: a decoded word's index is the µPC AssignPCs gives
-// its instruction, through nested loops and empty blocks, and NumInstrs
-// is the decoded length.
+// TestDecodeIndexIsPC: a decoded word covers the µPCs AssignPCs gives
+// its idle instructions and its issuing one, back to back from PC,
+// through nested loops and empty blocks; idle runs split at loop heads,
+// and NumInstrs is the decoded length in cycles.
 func TestDecodeIndexIsPC(t *testing.T) {
 	block := func(n int) *Straight {
 		s := &Straight{}
@@ -350,22 +354,25 @@ func TestDecodeIndexIsPC(t *testing.T) {
 		block(2),
 	}}
 	n := p.AssignPCs()
-	code, err := DecodeCell(p)
+	code, err := Decode(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(code.Words) != n || p.NumInstrs() != n {
-		t.Fatalf("decoded %d words, AssignPCs numbered %d, NumInstrs %d", len(code.Words), n, p.NumInstrs())
-	}
+	pc := 0
 	for i, w := range code.Words {
-		if w.Instr.PC != i {
-			t.Errorf("word %d holds the instruction numbered %d", i, w.Instr.PC)
+		if int(w.PC) != pc || !w.Nop {
+			t.Errorf("word %d starts at µPC %d (nop %v), want %d", i, w.PC, w.Nop, pc)
 		}
+		pc += int(w.Skip) + 1
 	}
-	// The inner loop's last word closes both loops, innermost first.
-	last := code.Words[3]
-	if code.Depth != 2 || last.Depth != 2 || len(last.Ends) != 2 ||
-		last.Ends[0] != (LoopEnd{ID: 1, Trips: 3, Head: 2}) || last.Ends[1] != (LoopEnd{ID: 0, Trips: 2, Head: 1}) {
-		t.Errorf("depth %d, word 3 = depth %d ends %+v", code.Depth, last.Depth, last.Ends)
+	if pc != n || p.NumInstrs() != n || len(code.Words) != 4 {
+		t.Fatalf("%d words over %d µPCs, AssignPCs numbered %d, NumInstrs %d", len(code.Words), pc, n, p.NumInstrs())
+	}
+	// The inner loop's last word closes both loops, innermost first, and
+	// the back edges go to the words at the loops' heads.
+	last := code.Words[2]
+	if ends := code.Ends[last.EndLo:last.EndHi]; code.Depth != 2 || last.Depth != 2 || len(ends) != 2 ||
+		ends[0] != (LoopEnd{ID: 1, Trips: 3, Head: 2}) || ends[1] != (LoopEnd{ID: 0, Trips: 2, Head: 1}) {
+		t.Errorf("depth %d, word 2 = depth %d ends %+v", code.Depth, last.Depth, ends)
 	}
 }

@@ -2,6 +2,7 @@ package mcode
 
 import (
 	"fmt"
+	"math"
 
 	"warp/internal/w2"
 )
@@ -16,8 +17,12 @@ import (
 //   - at most one queue operation per port per instruction;
 //   - the Mov field carries only Mov operations, Add no MUL-unit codes
 //     and vice versa;
-//   - loops have positive trip counts and nonempty bodies.
+//   - loops have positive trip counts and nonempty bodies;
+//   - its closed-form counts fit in 64 bits (CountCell).
 func ValidateCell(p *CellProgram) error {
+	if _, err := CountCell(p); err != nil {
+		return err
+	}
 	return validateCellItems(p.Items)
 }
 
@@ -34,11 +39,7 @@ func validateCellItems(items []CodeItem) error {
 			if it.Trips < 1 {
 				return fmt.Errorf("loop L%d: %d trips", it.ID, it.Trips)
 			}
-			var body int64
-			for _, b := range it.Body {
-				body += b.Cycles()
-			}
-			if body == 0 {
+			if (&CellProgram{Items: it.Body}).NumInstrs() == 0 {
 				return fmt.Errorf("loop L%d: empty body", it.ID)
 			}
 			if err := validateCellItems(it.Body); err != nil {
@@ -116,55 +117,137 @@ func validateInstr(in *Instr) error {
 	return nil
 }
 
-// CellCounts are the dynamic operation counts of a cell program.
+// CellCounts are the closed-form counts of one run of a cell program.
 type CellCounts struct {
-	Ops     int64 // non-empty instructions executed = the fast executor's trace length
+	Cycles  int64
+	Ops     int64 // non-empty instructions executed
 	AdrPops int64 // memory references = addresses consumed
 	Signals int64 // loop boundaries = control signals consumed
-	Recv    map[w2.Channel]int64
-	Send    map[w2.Channel]int64
+	// Field issues: FPU and move fields, loads and stores.
+	AddOps, MulOps, MovOps int64
+	Loads, Stores          int64
+	Recv, Send             [2]int64 // queue fields, indexed by w2.Channel
 }
 
-// CountCell computes the dynamic counts by walking the structure.
-func CountCell(p *CellProgram) CellCounts {
-	c := CellCounts{Recv: map[w2.Channel]int64{}, Send: map[w2.Channel]int64{}}
-	countCellItems(p.Items, 1, &c)
-	return c
-}
+// CountCell computes the counts in one walk of the structure, every
+// product over trip counts checked: a count that overflows 64 bits is an
+// *OverflowError naming the loop.
+func CountCell(p *CellProgram) (CellCounts, error) { return countCellItems(p.Items, -1) }
 
-func countCellItems(items []CodeItem, mult int64, c *CellCounts) {
+// countCellItems counts one execution of items inside loop (-1: none).
+func countCellItems(items []CodeItem, loop int) (CellCounts, error) {
+	var c CellCounts
 	for _, it := range items {
+		var add CellCounts // counts of one execution of the item
+		trips, at := int64(1), loop
 		switch it := it.(type) {
 		case *Straight:
+			add.Cycles = int64(len(it.Instrs))
 			for _, in := range it.Instrs {
 				if !in.Empty() {
-					c.Ops += mult
+					add.Ops++
 				}
 				for _, m := range in.Mem {
-					if m != nil {
-						c.AdrPops += mult
+					if m == nil {
+						continue
+					}
+					add.AdrPops++
+					if m.Store {
+						add.Stores++
+					} else {
+						add.Loads++
 					}
 				}
 				for _, io := range in.IO {
 					if io.Recv {
-						c.Recv[io.Chan] += mult
+						add.Recv[io.Chan]++
 					} else {
-						c.Send[io.Chan] += mult
+						add.Send[io.Chan]++
 					}
+				}
+				if in.Add != nil {
+					add.AddOps++
+				}
+				if in.Mul != nil {
+					add.MulOps++
+				}
+				if in.Mov != nil {
+					add.MovOps++
 				}
 			}
 		case *LoopItem:
-			c.Signals += mult * it.Trips
-			countCellItems(it.Body, mult*it.Trips, c)
+			var err error
+			if add, err = countCellItems(it.Body, it.ID); err != nil {
+				return c, err
+			}
+			add.Signals++
+			trips, at = it.Trips, it.ID
+		}
+		dst, src := c.fields(), add.fields()
+		if err := addTimes(dst[:], src[:], trips, at); err != nil {
+			return c, err
 		}
 	}
+	return c, nil
+}
+
+func (c *CellCounts) fields() [13]*int64 {
+	return [...]*int64{&c.Cycles, &c.Ops, &c.AdrPops, &c.Signals, &c.AddOps, &c.MulOps, &c.MovOps,
+		&c.Loads, &c.Stores, &c.Recv[0], &c.Recv[1], &c.Send[0], &c.Send[1]}
+}
+
+// addTimes adds trips times each count of src to the same count of dst,
+// the cycle count first, inside the loop with the given ID.
+func addTimes(dst, src []*int64, trips int64, loop int) error {
+	for i, d := range dst {
+		v, ok := MulAdd(*d, *src[i], trips)
+		if !ok {
+			return &OverflowError{Loop: loop, Cycles: i == 0}
+		}
+		*d = v
+	}
+	return nil
+}
+
+// OverflowError is a program whose cycle count, or one of its event
+// counts, does not fit in 64 bits: the count overflows at loop Loop, or
+// in the sum of the top-level items (Loop -1).
+type OverflowError struct {
+	Loop   int
+	Cycles bool // the cycle count, not an event count
+}
+
+func (e *OverflowError) Error() string {
+	what := "an event"
+	if e.Cycles {
+		what = "the cycle"
+	}
+	if e.Loop < 0 {
+		return fmt.Sprintf("%s count overflows 64 bits", what)
+	}
+	return fmt.Sprintf("loop L%d: %s count overflows 64 bits", e.Loop, what)
+}
+
+// MulAdd returns acc + n·trips and whether it fits in int64: the one
+// checked multiply behind every closed-form count over trip counts —
+// cycles and events of the cell and IU programs, and skew.Seal's totals.
+func MulAdd(acc, n, trips int64) (int64, bool) {
+	p := n * trips
+	if trips != 1 && n != 0 && (p/n != trips || n == -1 && trips == math.MinInt64) {
+		return 0, false
+	}
+	s := acc + p
+	return s, (s > acc) == (p > 0) || p == 0
 }
 
 // ValidateIU checks the structural invariants of an IU microprogram:
-// registers within the 16-register file, positive trip counts, and no
-// multiplications (true by construction — the instruction set has
-// none).
+// registers within the 16-register file, positive trip counts, counts
+// that fit in 64 bits (CountIU), and no multiplications (true by
+// construction — the instruction set has none).
 func ValidateIU(p *IUProgram) error {
+	if _, err := CountIU(p); err != nil {
+		return err
+	}
 	return validateIUItems(p.Items)
 }
 
@@ -203,40 +286,54 @@ func validateIUItems(items []IUItem) error {
 	return nil
 }
 
-// IUCounts are the dynamic emission counts of an IU program.
+// IUCounts are the closed-form counts of one run of an IU program.
 type IUCounts struct {
+	Cycles    int64
 	AdrOuts   int64
 	TableOuts int64
 	Signals   int64
 }
 
-// CountIU computes the dynamic counts by walking the structure.
-func CountIU(p *IUProgram) IUCounts {
-	var c IUCounts
-	countIUItems(p.Items, 1, &c)
-	return c
-}
+// CountIU computes the counts in one walk, checked as CountCell's are.
+func CountIU(p *IUProgram) (IUCounts, error) { return countIUItems(p.Items, -1) }
 
-func countIUItems(items []IUItem, mult int64, c *IUCounts) {
+func countIUItems(items []IUItem, loop int) (IUCounts, error) {
+	var c IUCounts
 	for _, it := range items {
+		var add IUCounts
+		trips, at := int64(1), loop
 		switch it := it.(type) {
 		case *IUStraight:
+			add.Cycles = int64(len(it.Instrs))
 			for _, in := range it.Instrs {
 				for _, o := range in.Out {
 					if o == nil {
 						continue
 					}
-					c.AdrOuts += mult
+					add.AdrOuts++
 					if o.FromTable {
-						c.TableOuts += mult
+						add.TableOuts++
 					}
 				}
 				if in.Sig != nil {
-					c.Signals += mult
+					add.Signals++
 				}
 			}
 		case *IULoop:
-			countIUItems(it.Body, mult*it.Trips, c)
+			var err error
+			if add, err = countIUItems(it.Body, it.ID); err != nil {
+				return c, err
+			}
+			trips, at = it.Trips, it.ID
+		}
+		dst, src := c.fields(), add.fields()
+		if err := addTimes(dst[:], src[:], trips, at); err != nil {
+			return c, err
 		}
 	}
+	return c, nil
+}
+
+func (c *IUCounts) fields() [4]*int64 {
+	return [...]*int64{&c.Cycles, &c.AdrOuts, &c.TableOuts, &c.Signals}
 }

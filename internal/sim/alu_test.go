@@ -6,8 +6,9 @@ import (
 	"warp/internal/mcode"
 )
 
-// issueAlu issues one FPU field on a lone cell at cycle now: the field
-// sits in the slot of its unit, as the code generators place it.
+// issueAlu issues one FPU field on a lone cell at cycle now through the
+// word executor: the field sits in the slot of its unit, as the code
+// generators place it, and the instruction is decoded as every run's is.
 func issueAlu(c *cell, op *mcode.AluOp, now int64) error {
 	in := &mcode.Instr{Add: op}
 	switch {
@@ -16,12 +17,16 @@ func issueAlu(c *cell, op *mcode.AluOp, now int64) error {
 	case op.Code == mcode.Mov:
 		in = &mcode.Instr{Mov: op}
 	}
-	return (&machine{now: now}).execCellInstr(c, in)
+	code, err := mcode.Decode(&mcode.CellProgram{Items: []mcode.CodeItem{&mcode.Straight{Instrs: []*mcode.Instr{in}}}})
+	if err != nil {
+		return err
+	}
+	return (&machine{now: now, code: *code}).issue(c, &code.Words[0])
 }
 
 // TestAluAllCodes drives every FPU operation through a cell and checks
-// value and latency: the result must sit alone in the latency-wheel slot
-// of its landing cycle.
+// value and latency: the result must be visible from its landing cycle
+// on and not before.
 func TestAluAllCodes(t *testing.T) {
 	cases := []struct {
 		code mcode.AluCode
@@ -53,24 +58,20 @@ func TestAluAllCodes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		c := &cell{}
-		c.regs[1], c.regs[2], c.regs[3] = tc.a, tc.b, tc.c
+		r := &c.regs
+		r.R[1], r.R[2], r.R[3], r.R[5] = tc.a, tc.b, tc.c, -7
 		if err := issueAlu(c, &mcode.AluOp{Code: tc.code, Dst: 5, Src: [3]mcode.Reg{1, 2, 3}}, 100); err != nil {
 			t.Fatalf("%s: %v", tc.code, err)
 		}
-		pending := 0
-		for _, slot := range c.wheel {
-			pending += len(slot)
-		}
-		if pending != 1 {
-			t.Fatalf("%s: %d pending writes", tc.code, pending)
-		}
+		// A one-cycle result lands at the end of its issuing cycle.
 		land := 100 + tc.code.Latency()
-		slot := c.wheel[land%wheelSlots]
-		if len(slot) != 1 {
-			t.Fatalf("%s does not land at %d", tc.code, land)
+		r.Land(land - 1)
+		if early := r.R[5] != -7; early != (land == 101) {
+			t.Fatalf("%s does not land at %d (r5 = %v at %d)", tc.code, land, r.R[5], land-1)
 		}
-		if w := slot[0]; w.reg != 5 || w.val != tc.want {
-			t.Errorf("%s(%v,%v,%v) = %v -> %s, want %v -> r5", tc.code, tc.a, tc.b, tc.c, w.val, w.reg, tc.want)
+		r.Land(land)
+		if r.R[5] != tc.want {
+			t.Errorf("%s(%v,%v,%v) = %v -> r5, want %v", tc.code, tc.a, tc.b, tc.c, r.R[5], tc.want)
 		}
 	}
 }

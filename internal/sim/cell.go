@@ -8,42 +8,42 @@ import (
 	"warp/internal/w2"
 )
 
-// stepCell executes one cycle of one live cell.
+// stepCell executes one cycle of one live cell: an idle cycle of the
+// current word's skip, or the word itself.
 func (m *machine) stepCell(c *cell) error {
 	if m.trace && m.now == c.start {
 		m.rec.CellStart(m.now, c.idx)
 	}
-	if c.PC >= len(m.prog) {
+	words := m.code.Words
+	if c.PC >= len(words) {
 		// Only reachable for an empty program.
 		m.finish(c)
 		return nil
 	}
 
-	// Register writes and memory stores landing this cycle become
-	// visible before any read.
-	slot := &c.wheel[uint64(m.now)%wheelSlots]
-	for _, w := range *slot {
-		c.regs[w.reg] = w.val
+	w := &words[c.PC]
+	if c.idled < w.Skip {
+		c.idle(m, w.Depth, int(w.PC)+int(c.idled))
+		c.idled++
+		return nil
 	}
-	*slot = (*slot)[:0]
-	for _, w := range c.stores[:c.pending] {
-		c.mem[w.addr] = w.val
-	}
-	c.pending = 0
-
-	pc := c.PC
-	in := &m.prog[pc]
-	crossed, again := c.Advance(in.Depth, in.Ends)
-
-	c.account(m, in, pc)
-	if err := m.execCellInstr(c, in.Instr); err != nil {
-		return fmt.Errorf("cell %d: %w", c.idx, err)
+	c.idled = 0
+	pc := int(w.PC) + int(w.Skip)
+	ends := m.code.Ends[w.EndLo:w.EndHi]
+	crossed, again := c.Advance(w.Depth, ends)
+	if w.Nop {
+		c.idle(m, w.Depth, pc)
+	} else {
+		c.account(m, w, pc)
+		if err := m.issue(c, w); err != nil {
+			return fmt.Errorf("cell %d: %w", c.idx, err)
+		}
 	}
 
 	// Loop boundaries: pop one IU control signal per boundary,
 	// innermost first, and forward it down the array.
-	for i := range in.Ends[:crossed] {
-		id, more := in.Ends[i].ID, again && i == crossed-1
+	for i := range ends[:crossed] {
+		id, more := ends[i].ID, again && i == crossed-1
 		s, err := c.sig.pop()
 		if err != nil {
 			return fmt.Errorf("cell %d, loop L%d: %w", c.idx, id, err)
@@ -52,14 +52,14 @@ func (m *machine) stepCell(c *cell) error {
 			return fmt.Errorf("cell %d: loop signal mismatch: sequencer at L%d(more=%v), IU sent L%d(more=%v)",
 				c.idx, id, more, s.id, s.more)
 		}
-		if c.idx+1 < len(m.cells) {
-			if err := m.cells[c.idx+1].sig.push(s); err != nil {
+		if c.next != nil {
+			if err := c.next.sig.push(s); err != nil {
 				return err
 			}
 		}
 	}
 
-	if c.PC >= len(m.prog) {
+	if c.PC >= len(words) {
 		m.finish(c)
 	}
 	return nil
@@ -73,112 +73,112 @@ func (m *machine) finish(c *cell) {
 	}
 }
 
-// account attributes the cycle: a busy cycle issues at least one field;
-// a scheduled nop is starvation when both data queues are empty (the
-// upstream producer has not delivered) and a schedule bubble otherwise.
-// FPU issues are also attributed to the instruction's loop depth, which
-// is what lets the utilization report isolate the innermost loop (§7).
-func (c *cell) account(m *machine, in *mcode.CellWord, pc int) {
-	dp := &c.depth[in.Depth]
-	dp.Cycles++
-	if in.Nop {
-		if c.in[w2.ChanX].n == 0 && c.in[w2.ChanY].n == 0 {
-			c.starved++
-			if c.pcs != nil {
-				c.pcs.Starved[pc]++
-			}
-			if m.trace {
-				m.rec.Stall(m.now, c.idx, obs.StallQueueEmpty)
-			}
-		} else {
-			c.bubble++
-			if c.pcs != nil {
-				c.pcs.Bubble[pc]++
-			}
-			if m.trace {
-				m.rec.Stall(m.now, c.idx, obs.StallBubble)
-			}
+// idle attributes a cycle that issues nothing, at µPC pc: starvation
+// when both data queues are empty (the upstream producer has not
+// delivered) and a schedule bubble otherwise.
+func (c *cell) idle(m *machine, depth, pc int) {
+	c.depth[depth].Cycles++
+	if c.in[w2.ChanX].n == 0 && c.in[w2.ChanY].n == 0 {
+		c.starved++
+		if c.pcs != nil {
+			c.pcs.Starved[pc]++
+		}
+		if m.trace {
+			m.rec.Stall(m.now, c.idx, obs.StallQueueEmpty)
 		}
 		return
 	}
-	if in.Add != nil {
-		c.addOps++
-		dp.AddOps++
+	c.bubble++
+	if c.pcs != nil {
+		c.pcs.Bubble[pc]++
 	}
-	if in.Mul != nil {
-		c.mulOps++
-		dp.MulOps++
+	if m.trace {
+		m.rec.Stall(m.now, c.idx, obs.StallBubble)
 	}
-	if in.Mov != nil {
-		c.movOps++
-	}
+}
+
+// account attributes a busy cycle, at µPC pc.  FPU issues are also
+// attributed to the word's loop depth, which is what lets the
+// utilization report isolate the innermost loop (§7).
+func (c *cell) account(m *machine, w *mcode.Word, pc int) {
+	dp := &c.depth[w.Depth]
+	dp.Cycles++
 	c.busy++
 	if c.pcs != nil {
 		c.pcs.Busy[pc]++
 	}
-	if m.trace {
-		if in.Add != nil {
+	if w.HasAdd {
+		c.addOps++
+		dp.AddOps++
+		if m.trace {
 			m.rec.Issue(m.now, c.idx, obs.UnitAdd)
 		}
-		if in.Mul != nil {
+	}
+	if w.HasMul {
+		c.mulOps++
+		dp.MulOps++
+		if m.trace {
 			m.rec.Issue(m.now, c.idx, obs.UnitMul)
 		}
-		if in.Mov != nil {
+	}
+	if w.HasMov {
+		c.movOps++
+		if m.trace {
 			m.rec.Issue(m.now, c.idx, obs.UnitMov)
 		}
 	}
 }
 
-// land schedules a register write for lat cycles from now.
-func (c *cell) land(now, lat int64, reg mcode.Reg, val float64) {
-	slot := &c.wheel[uint64(now+lat)%wheelSlots]
-	*slot = append(*slot, regWrite{reg: reg, val: val})
-}
-
-func (m *machine) execCellInstr(c *cell, in *mcode.Instr) error {
-	var next *cell // downstream neighbour; nil for the last cell
-	if c.idx+1 < len(m.cells) {
-		next = &m.cells[c.idx+1]
-	}
-
-	// Queue operations.
-	for _, io := range in.IO {
-		ch := w2.ChanX
-		if io.Chan == w2.ChanY {
-			ch = w2.ChanY
-		}
-		if io.Recv {
+// issue executes the word's fields, its writes landing in the order of
+// mcode.CellRegs, the model the fast executor steps too.  Queue fields
+// run in the instruction's order and memory fields in port order, as the
+// recorder sees them.
+func (m *machine) issue(c *cell, w *mcode.Word) error {
+	next, r := c.next, &c.regs
+	r.Land(m.now) // FPU results that landed during idle cycles
+	// Queue fields: the sends and the receives, merged back into the
+	// instruction's order.
+	fields := m.code.IO
+	for s, rv := w.IOLo, w.RecvLo; s < w.RecvLo || rv < w.IOHi; {
+		if rv < w.IOHi && (s == w.RecvLo || fields[rv].Ord < fields[s].Ord) {
+			io := &fields[rv]
+			rv++
 			if io.Dir != w2.DirL {
 				return fmt.Errorf("sim: receive from the right is not supported (rightward flow only)")
 			}
-			q := &c.in[ch]
+			q := &c.in[io.Ch]
 			v, err := q.pop()
 			if err != nil {
 				return err
 			}
 			recPop(m, q)
-			c.land(m.now, 1, io.Reg, v)
-		} else {
-			if io.Dir != w2.DirR {
-				return fmt.Errorf("sim: send to the left is not supported (rightward flow only)")
-			}
-			v := c.regs[io.Reg]
-			if next != nil {
-				q := &next.in[ch]
-				if err := q.push(v); err != nil {
-					return err
-				}
-				recPush(m, q)
-			} else if err := m.hostCollect(ch, v); err != nil {
+			r.Hold(io.Reg, v)
+			continue
+		}
+		io := &fields[s]
+		s++
+		if io.Dir != w2.DirR {
+			return fmt.Errorf("sim: send to the left is not supported (rightward flow only)")
+		}
+		v := r.R[io.Reg]
+		if next != nil {
+			q := &next.in[io.Ch]
+			if err := q.push(v); err != nil {
 				return err
 			}
+			recPush(m, q)
+		} else if err := m.hostCollect(io.Ch, v); err != nil {
+			return err
 		}
 	}
 
 	// Memory references: addresses pop from the Adr queue and are
-	// forwarded systolically to the next cell.
-	for port, mo := range in.Mem {
-		if mo == nil {
+	// forwarded systolically to the next cell.  The bound address terms
+	// are never read: the IU's stream is what the simulator checks.
+	var addrs [mcode.MemPorts]int64
+	for port := range w.Mem {
+		mf := &w.Mem[port]
+		if mf.Kind == mcode.MemNone {
 			continue
 		}
 		addr, err := c.adr.pop()
@@ -194,49 +194,53 @@ func (m *machine) execCellInstr(c *cell, in *mcode.Instr) error {
 		}
 		if addr < 0 || addr >= int64(len(c.mem)) {
 			return fmt.Errorf("sim: address %d outside the %d-word cell memory (IU generated a bad address for %s)",
-				addr, len(c.mem), mo.Addr)
+				addr, len(c.mem), m.cfg.Cell.MemAddr(w, port))
 		}
-		if mo.Store {
+		addrs[port] = addr
+		store := mf.Kind == mcode.MemStore
+		if store {
 			c.nStores++
-			c.stores[c.pending] = memWrite{addr: addr, val: c.regs[mo.Reg]}
-			c.pending++
 		} else {
 			c.nLoads++
-			c.land(m.now, 1, mo.Reg, c.mem[addr])
+			r.Hold(mf.Reg, c.mem[addr]) // read before the word's stores land
 		}
 		if m.trace {
-			m.rec.MemRef(m.now, c.idx, port, addr, mo.Store)
+			m.rec.MemRef(m.now, c.idx, port, addr, store)
 		}
 	}
 
-	// FPU fields (counted in account, which ran before us): each result
-	// register write is scheduled at the unit's latency.  One block per
-	// field on purpose: ranging over an array of the three costs 5% of the
-	// whole run here and 10% in the fast executor.
-	if op := in.Add; op != nil {
-		v, err := op.Eval(&c.regs)
+	// FPU fields (counted in account, which ran before us), one block
+	// each: a loop over the three costs more than the fields.
+	if w.HasAdd {
+		v, err := w.Add.Eval(&r.R)
 		if err != nil {
 			return fmt.Errorf("sim: %w", err)
 		}
-		c.land(m.now, op.Code.Latency(), op.Dst, v)
+		r.Push(&w.Add, v, m.now)
 	}
-	if op := in.Mul; op != nil {
-		v, err := op.Eval(&c.regs)
+	if w.HasMul {
+		v, err := w.Mul.Eval(&r.R)
 		if err != nil {
 			return fmt.Errorf("sim: %w", err)
 		}
-		c.land(m.now, op.Code.Latency(), op.Dst, v)
+		r.Push(&w.Mul, v, m.now)
 	}
-	if op := in.Mov; op != nil {
-		v, err := op.Eval(&c.regs)
+	if w.HasMov {
+		v, err := w.Mov.Eval(&r.R)
 		if err != nil {
 			return fmt.Errorf("sim: %w", err)
 		}
-		c.land(m.now, op.Code.Latency(), op.Dst, v)
+		r.Push(&w.Mov, v, m.now)
 	}
 
-	if in.Lit != nil {
-		c.land(m.now, 1, in.Lit.Dst, in.Lit.Value)
+	// Stores land at the end of the cycle, in port order; nothing has
+	// written a register yet.
+	for port := range w.Mem {
+		if mf := &w.Mem[port]; mf.Kind == mcode.MemStore {
+			c.mem[addrs[port]] = r.R[mf.Reg]
+		}
 	}
+	r.Land(m.now + 1)
+	r.Retire(w)
 	return nil
 }

@@ -22,25 +22,29 @@ type boundary struct {
 	more bool
 }
 
-// walkCell runs a cell program through the flat decoder and sequencer,
-// returning the depth of every instruction executed and the boundaries
-// crossed after each.
+// walkCell runs a cell program through the decoder and sequencer,
+// returning the depth of every instruction executed — a word's skipped
+// idle cycles included — and the boundaries crossed after each.
 func walkCell(t *testing.T, p *mcode.CellProgram) (depths []int, crossed [][]boundary) {
 	t.Helper()
-	code, err := mcode.DecodeCell(p)
+	code, err := mcode.Decode(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := code.Words
 	s := mcode.Seq{Iter: make([]int64, code.Depth)}
-	for s.PC < len(prog) {
-		in := &prog[s.PC]
-		n, more := s.Advance(in.Depth, in.Ends)
+	for s.PC < len(code.Words) {
+		w := &code.Words[s.PC]
+		for range w.Skip {
+			depths = append(depths, w.Depth)
+			crossed = append(crossed, nil)
+		}
+		ends := code.Ends[w.EndLo:w.EndHi]
+		n, more := s.Advance(w.Depth, ends)
 		var bs []boundary
-		for i, e := range in.Ends[:n] {
+		for i, e := range ends[:n] {
 			bs = append(bs, boundary{e.ID, more && i == n-1})
 		}
-		depths = append(depths, in.Depth)
+		depths = append(depths, w.Depth)
 		crossed = append(crossed, bs)
 	}
 	return depths, crossed
@@ -167,9 +171,9 @@ func TestDecodeRejectsEmptyLoop(t *testing.T) {
 		&mcode.LoopItem{ID: 3, Trips: 2, Body: []mcode.CodeItem{straight(0)}},
 		straight(1),
 	}}
-	if code, err := mcode.DecodeCell(cp); err == nil {
+	if code, err := mcode.Decode(cp); err == nil {
 		t.Error("cell loop with an empty body must be rejected")
-	} else if len(code.Words) != 1 || len(code.Words[0].Ends) != 0 {
+	} else if len(code.Words) != 1 || len(code.Ends) != 0 {
 		t.Errorf("the empty loop left a trace in the code: %+v", code.Words)
 	}
 	ip := &mcode.IUProgram{Items: []mcode.IUItem{&mcode.IULoop{ID: 3, Trips: 2}}}

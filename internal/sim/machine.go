@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -112,24 +113,13 @@ type sigItem struct {
 	more bool
 }
 
-// wheelSlots is the size of a cell's register-write latency wheel: a
-// power of two above the longest result latency, so a write issued at
-// cycle t for t+latency lands in a slot that was drained since.
-const wheelSlots = 8
-
-var _ [wheelSlots - 1 - mcode.FPULatency]struct{}
-
-// wheelCap is the preallocated room per wheel slot: the eight register
-// writes a well-formed instruction can issue (two receives, two loads,
-// three ALU fields, one literal) plus the FPU results of an earlier one.
-// A malformed instruction only makes the slot grow.
-const wheelCap = 12
-
 // cell is the runtime state of one Warp cell.  The small, hot fields
 // come first; the register file, queues and memory follow.
 type cell struct {
 	idx       int
-	mcode.Seq // program counter and loop iteration counters
+	next      *cell // the downstream neighbour; nil for the last cell
+	mcode.Seq       // word index and loop iteration counters
+	idled     int64 // idle cycles of the current word's skip run so far
 	start     int64
 	finish    int64 // the cycle the last instruction retired on
 
@@ -145,50 +135,24 @@ type cell struct {
 	// nil otherwise (the account hot path tests the pointer once).
 	pcs *obs.PCProfile
 
-	// wheel[t%wheelSlots] holds the register writes landing at cycle t,
-	// in issue order.
-	wheel [wheelSlots][]regWrite
-	// Stores issued last cycle; they become visible this cycle.
-	stores  [mcode.MemPorts]memWrite
-	pending int // live entries of stores
-
-	regs [mcode.NumRegs]float64
+	regs mcode.CellRegs    // the register file and the writes in flight
 	in   [2]queue[float64] // data queues, indexed by w2.Channel
 	adr  queue[int64]
 	sig  queue[sigItem]
 	mem  [mcode.MemWords]float64
 }
 
-type regWrite struct {
-	reg mcode.Reg
-	val float64
-}
-
-type memWrite struct {
-	addr int64
-	val  float64
-}
-
-type iuRegWrite struct {
-	reg mcode.IUReg
-	val int64
-}
-
 // machine is the full simulated Warp system.
 type machine struct {
 	cfg   Config
-	prog  []mcode.CellWord // the decoded cell program every cell executes
+	code  mcode.Decoded // the decoded cell program every cell executes
 	cells []cell
 
-	iuProg []mcode.IUWord
+	iuCode mcode.IUCode
 	iu     mcode.Seq
-	iuReg  [mcode.IUNumRegs]int64
-	// Register writes of the last IU instruction (immediate, adder);
-	// they land the next cycle.
-	iuPending  [2]iuRegWrite
-	iuNPending int
-	table      []int64
-	tblPos     int
+	iuRegs mcode.IURegs
+	iuOut  mcode.IUOutput // what the IU emitted this cycle
+	tblPos int            // the IU's table reads so far
 
 	// The host streams, indexed by w2.Channel: the input words not yet
 	// fed and the output words collected so far (the readers are at the
@@ -223,9 +187,7 @@ func Run(cfg Config) (*Stats, error) {
 	if cfg.Skew < 0 {
 		return nil, fmt.Errorf("sim: negative skew %d", cfg.Skew)
 	}
-	if cfg.MaxCycles == 0 {
-		cfg.MaxCycles = 1 << 28
-	}
+	cfg.MaxCycles = cmp.Or(cfg.MaxCycles, 1<<28)
 	m, err := newMachine(cfg)
 	if err != nil {
 		return nil, err
@@ -256,7 +218,7 @@ func Run(cfg Config) (*Stats, error) {
 		if err := m.cycle(lo, hi); err != nil {
 			return nil, fmt.Errorf("cycle %d: %w", m.now, err)
 		}
-		for lo < hi && m.cells[lo].PC >= len(m.prog) {
+		for lo < hi && m.cells[lo].PC >= len(m.code.Words) {
 			lo++
 		}
 	}
@@ -275,7 +237,7 @@ func Run(cfg Config) (*Stats, error) {
 // newMachine decodes the microprograms and allocates all run state: a
 // handful of allocations sized by the cell count, none afterwards.
 func newMachine(cfg Config) (*machine, error) {
-	code, err := mcode.DecodeCell(cfg.Cell)
+	code, err := mcode.Decode(cfg.Cell)
 	if err != nil {
 		return nil, fmt.Errorf("sim: cell %w", err)
 	}
@@ -283,17 +245,13 @@ func newMachine(cfg Config) (*machine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: IU %w", err)
 	}
-	prog, depth := code.Words, code.Depth
-	rec := cfg.Recorder
-	if rec == nil {
-		rec = obs.Nop()
-	}
+	depth, pcs := code.Depth, cfg.Cell.NumInstrs()
+	rec := cmp.Or(cfg.Recorder, obs.Nop())
 	m := &machine{
 		cfg:    cfg,
-		prog:   prog,
+		code:   *code,
 		cells:  make([]cell, cfg.Cells),
-		iuProg: iuCode.Words,
-		table:  cfg.IU.Table,
+		iuCode: iuCode,
 		rec:    rec,
 		trace:  obs.Enabled(rec),
 	}
@@ -309,7 +267,7 @@ func newMachine(cfg Config) (*machine, error) {
 	const histLen = mcode.QueueDepth + 1
 	perCell := depth + int(obs.NumQueues)*histLen
 	if cfg.PCStats {
-		perCell += 3 * len(prog)
+		perCell += 3 * pcs
 	}
 	arena := make([]int64, cfg.Cells*perCell)
 	take := func(n int) []int64 {
@@ -319,23 +277,22 @@ func newMachine(cfg Config) (*machine, error) {
 	}
 	rows := max(4, depth+1) // the depth profile has always had at least four
 	depths := make([]obs.DepthProfile, cfg.Cells*rows)
-	wheels := make([]regWrite, cfg.Cells*wheelSlots*wheelCap)
 	for i := range m.cells {
 		c := &m.cells[i]
 		c.idx = i
+		if i+1 < cfg.Cells {
+			c.next = &m.cells[i+1]
+		}
 		c.start = cfg.Lead + int64(i)*cfg.Skew
+		c.regs.Reset()
 		c.Iter = take(depth)
 		c.depth, depths = depths[:rows:rows], depths[rows:]
-		for s := range c.wheel {
-			c.wheel[s], wheels = wheels[:0:wheelCap], wheels[wheelCap:]
-		}
 		c.in[w2.ChanX].init(i, obs.QueueX, take(histLen))
 		c.in[w2.ChanY].init(i, obs.QueueY, take(histLen))
 		c.adr.init(i, obs.QueueAdr, take(histLen))
 		c.sig.init(i, obs.NumQueues, nil)
 		if cfg.PCStats {
-			n := len(prog)
-			c.pcs = &obs.PCProfile{Busy: take(n), Starved: take(n), Bubble: take(n)}
+			c.pcs = &obs.PCProfile{Busy: take(pcs), Starved: take(pcs), Bubble: take(pcs)}
 		}
 	}
 	return m, nil
@@ -498,72 +455,30 @@ func recPop[T any](m *machine, q *queue[T]) {
 	}
 }
 
-// stepIU executes one IU microinstruction.
+// stepIU executes one IU microinstruction (mcode.IURegs.Step) and
+// pushes what it emits into cell 0's Adr and Sig queues.
 func (m *machine) stepIU() error {
-	// Register writes of the previous instruction land before any read.
-	for _, w := range m.iuPending[:m.iuNPending] {
-		m.iuReg[w.reg] = w.val
-	}
-	m.iuNPending = 0
-
-	if m.iu.PC >= len(m.iuProg) {
+	if m.iu.PC >= len(m.iuCode.Words) {
 		return nil
 	}
-	in := &m.iuProg[m.iu.PC]
-	// The current iteration of the innermost enclosing IU loop.
-	var iter int64
-	if in.Depth > 0 {
-		iter = m.iu.Iter[in.Depth-1]
+	if m.iuCode.Words[m.iu.PC].Run > 0 { // an idle word: nothing to emit, no loop to close
+		m.iu.PC++
+		return nil
 	}
-	m.iu.Advance(in.Depth, in.Ends)
-
+	out := &m.iuOut
+	m.iuRegs.Step(&m.iuCode, &m.iu, m.cfg.IU.Table, &m.tblPos, out)
+	if out.Over >= 0 {
+		return fmt.Errorf("sim: IU table read past its %d entries", len(m.cfg.IU.Table))
+	}
 	cell0 := &m.cells[0]
-	for _, out := range in.Out {
-		if out == nil {
-			continue
-		}
-		var v int64
-		if out.FromTable {
-			if m.tblPos >= len(m.table) {
-				return fmt.Errorf("sim: IU table read past its %d entries", len(m.table))
-			}
-			v = m.table[m.tblPos]
-			m.tblPos++
-		} else {
-			v = m.iuReg[out.Src]
-		}
+	for _, v := range out.Adr[:out.NAdr] {
 		if err := cell0.adr.push(v); err != nil {
 			return err
 		}
 		recPush(m, &cell0.adr)
 	}
-	if in.Sig != nil {
-		more := in.Sig.Continue
-		if !in.Sig.Static {
-			// The termination decision the IU's counter work pays for
-			// (§6.3.1): cell iteration iter·M + Copy of CellTrips.
-			more = iter*in.Sig.M+in.Sig.Copy < in.Sig.CellTrips-1
-		}
-		if err := cell0.sig.push(sigItem{id: in.Sig.LoopID, more: more}); err != nil {
-			return err
-		}
-	}
-	if in.Imm != nil {
-		m.iuPending[m.iuNPending] = iuRegWrite{reg: in.Imm.Dst, val: in.Imm.Value}
-		m.iuNPending++
-	}
-	if in.Alu != nil {
-		a := m.iuReg[in.Alu.A]
-		b := in.Alu.ImmVal
-		if !in.Alu.BIsImm {
-			b = m.iuReg[in.Alu.B]
-		}
-		v := a + b
-		if in.Alu.Sub {
-			v = a - b
-		}
-		m.iuPending[m.iuNPending] = iuRegWrite{reg: in.Alu.Dst, val: v}
-		m.iuNPending++
+	if out.Sig {
+		return cell0.sig.push(sigItem{id: out.SigID, more: out.More})
 	}
 	return nil
 }

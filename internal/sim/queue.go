@@ -20,21 +20,19 @@
 //     loads and receives; FPULatency for FPU results);
 //   - memory stores become visible the cycle after issue.
 //
-// Execution model.  None of the above is interpreted from the compiler's
-// data structures on the cycle loop.  Run decodes the cell and IU
-// microprograms once into flat instruction arrays (exec.go): every entry
-// carries its static loop depth, its nop flag and the loop boundaries it
-// closes, so sequencing is index arithmetic on a program counter and one
-// iteration counter per nesting depth, shared by all (homogeneous)
-// cells.  Queues are fixed 128-word rings inside the cell; register
-// writes land through a small latency wheel; the host cursors are
-// arrays.  All of it is allocated once per run, in proportion to the
-// number of cells and never to the number of cycles.  Because cells
-// start and finish in index order, the cycle loop steps only the window
-// of live cells: a cell waiting out its skew or already drained costs
-// nothing per cycle (its idle-stall events are emitted only to an
-// attached recorder, and its queues' untouched cycles are added to the
-// occupancy histograms in bulk at the end).
+// Execution model.  Nothing above is interpreted from the compiler's
+// data structures on the cycle loop.  Every cell steps the one decoded
+// cell program (mcode.Decode, which the fast executor runs too) with a
+// word index, the idle cycles run of the word's skip and one iteration
+// counter per depth.  An idle cycle only does the accounting; an issuing
+// one executes the word's fields, its writes landing through
+// mcode.CellRegs.  Addresses come from the IU's Adr queue, never from the
+// words' bound terms, so the simulator stays an independent check of the
+// verifier.  All state is allocated once per run, in proportion to the
+// cells and never to the cycles.  Cells start and finish in index order,
+// so the cycle loop steps only the window of live cells: the others'
+// idle-stall events go only to an attached recorder, and their queues'
+// untouched cycles are added to the histograms in bulk at the end.
 package sim
 
 import (

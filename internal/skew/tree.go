@@ -1,6 +1,10 @@
 package skew
 
-import "sort"
+import (
+	"sort"
+
+	"warp/internal/mcode"
+)
 
 // tree.go evaluates queue occupancy on the loop tree, without expanding
 // a trip count.  It is the one evaluator in the compiler: Analysis
@@ -70,8 +74,12 @@ func Seal(body []Node) (sends, recvs int64) {
 		n.sends, n.recvs = sends, recvs
 		if l := n.Loop; l != nil {
 			l.sends, l.recvs = Seal(l.Body)
-			sends += l.sends * l.Trips
-			recvs += l.recvs * l.Trips
+			s, okS := mcode.MulAdd(sends, l.sends, l.Trips)
+			r, okR := mcode.MulAdd(recvs, l.recvs, l.Trips)
+			if !okS || !okR { // never for a program mcode.CountCell accepts
+				panic("skew: a stream's event count overflows 64 bits")
+			}
+			sends, recvs = s, r
 			continue
 		}
 		sends += int64(n.Send)

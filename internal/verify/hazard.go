@@ -64,12 +64,12 @@ func (h *hazardChecker) walkItems(items []mcode.CodeItem, t int64, pc int) (int6
 				pc++
 			}
 		case *mcode.LoopItem:
-			bodyLen := it.Cycles() / max(it.Trips, 1)
 			iters := min(it.Trips, 2)
-			head, end := pc, pc
+			head, end, t0 := pc, pc, t
 			for k := int64(0); k < iters; k++ {
 				t, end = h.walkItems(it.Body, t, head)
 			}
+			bodyLen := (t - t0) / max(iters, 1)
 			pc = end
 			if it.Trips > 2 {
 				shift := (it.Trips - 2) * bodyLen

@@ -15,7 +15,7 @@ import (
 // the offending event once a proof has failed.  The IU's trees are read
 // by decodeIU (iu.go).
 //
-// The cell program's µPC numbering is mcode.DecodeCell's: listing order,
+// The cell program's µPC numbering is mcode.AssignPCs': listing order,
 // which every walk here carries along.
 //
 // Cell time is the instruction's ordinal in the dynamic execution:
@@ -31,7 +31,6 @@ type event struct {
 
 // cellStreams is everything the verifier derives from one cell program.
 type cellStreams struct {
-	code mcode.CellCode             // the decoded program (mcode's shared machine model)
 	data map[w2.Channel][]skew.Node // send/recv counts per data channel
 	// The streams every cell consumes from its left neighbour the cycle it
 	// forwards them to its right one, so a leaf's send and recv are equal:
@@ -52,9 +51,6 @@ const (
 // buildCellStreams walks the cell program once, structurally.
 func buildCellStreams(p *mcode.CellProgram) *cellStreams {
 	cs := &cellStreams{}
-	// A loop with an empty body is left out of the code and reported by
-	// checkStructure (mcode.ValidateCell), before anything sequences it.
-	cs.code, _ = mcode.DecodeCell(p)
 	pc := 0
 	var walk func(items []mcode.CodeItem) (length int64, out [numSlots][]skew.Node)
 	walk = func(items []mcode.CodeItem) (at int64, out [numSlots][]skew.Node) {

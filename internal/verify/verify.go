@@ -137,14 +137,15 @@ func Verify(p Program) (*Report, error) {
 	if !checkShape(p, col) {
 		return nil, &Error{Diags: col.diags}
 	}
-	cs := buildCellStreams(p.Cell)
-	checkStructure(p, cs, col)
+	checkStructure(p, col)
 	if len(col.diags) > 0 {
 		// The deeper analyses assume structural well-formedness (register
-		// numbers in range, positive trip counts, ...); running them on a
-		// malformed program would be meaningless or unsafe.
+		// numbers in range, positive trip counts, counts that fit in 64
+		// bits, ...); running them on a malformed program would be
+		// meaningless or unsafe.
 		return nil, &Error{Diags: col.diags}
 	}
+	cs := buildCellStreams(p.Cell)
 
 	// The operation totals are closed-form over trip counts and every
 	// group below reads them (sealing also readies the trees for the
@@ -213,7 +214,7 @@ func checkShape(p Program, col *collector) bool {
 
 // checkStructure runs the mcode structural validators and the dataflow
 // direction rule (rightward only, matching the simulator's wiring).
-func checkStructure(p Program, cs *cellStreams, col *collector) {
+func checkStructure(p Program, col *collector) {
 	if err := mcode.ValidateCell(p.Cell); err != nil {
 		col.add(Diagnostic{Invariant: InvStructure, Cell: -1, Instr: -1, Loop: -1,
 			Detail: "cell program: " + err.Error()})
@@ -226,8 +227,9 @@ func checkStructure(p Program, cs *cellStreams, col *collector) {
 	} else {
 		col.ok()
 	}
-	for pc, w := range cs.code.Words {
-		for _, io := range w.IO {
+	pc := 0
+	mcode.WalkInstrs(p.Cell.Items, func(in *mcode.Instr, _ []*mcode.LoopItem) {
+		for _, io := range in.IO {
 			if io.Recv && io.Dir != w2.DirL {
 				col.add(Diagnostic{Invariant: InvStructure, Cell: -1, Instr: pc, Loop: -1,
 					Detail: "receive from the right: rightward flow only"})
@@ -237,7 +239,8 @@ func checkStructure(p Program, cs *cellStreams, col *collector) {
 					Detail: "send to the left: rightward flow only"})
 			}
 		}
-	}
+		pc++
+	})
 	col.ok()
 }
 
