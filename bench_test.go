@@ -21,6 +21,7 @@ package warp_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"warp"
@@ -327,4 +328,41 @@ func BenchmarkFFT1024_Simulate(b *testing.B) {
 		cycles = stats.Cycles
 	}
 	b.ReportMetric(float64(cycles), "machine-cycles")
+}
+
+// ---------------------------------------------------------------------
+// The fabric's simulator job: a 40×40×40 matmul in 64 tiles of the
+// ten-cell matmul kernel on two arrays, first attempts batched (one walk
+// of the simulated machine per batch) against every tile on its own.
+
+func BenchmarkRunPartitionedSim(b *testing.B) {
+	prog, err := warp.Compile(workloads.Matmul(10), warp.Options{Pipeline: true, Verify: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	x, y := workloads.LargeMatmulData(40, 40, 40, 3)
+	prob := warp.MatmulProblem(40, 40, 40, x, y)
+	cfg := warp.RunConfig{Arrays: 2, Backend: warp.BackendSim}
+	for _, path := range []struct {
+		name string
+		run  func(warp.RunConfig, warp.Problem) (map[string][]float64, *warp.FabricStats, error)
+	}{{"batched", prog.RunPartitioned}, {"per-tile", prog.RunPartitionedPerTile}} {
+		b.Run(path.name, func(b *testing.B) {
+			var tiles int
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < b.N; i++ {
+				_, stats, err := path.run(cfg, prob)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tiles = stats.Tiles
+			}
+			runtime.ReadMemStats(&after)
+			per := float64(b.N * tiles)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per/1e3, "µs/tile")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/per, "allocs/tile")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/per/1024, "KB/tile")
+		})
+	}
 }

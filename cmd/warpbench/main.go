@@ -597,18 +597,18 @@ func fabricScaling(w io.Writer) error {
 }
 
 // tileBatching times what one tile of a partitioned job costs an array,
-// staging and stitching left out: on the simulator, on the fast executor
-// one tile a walk (driver.RunWith, the farm's per-tile path), and with 8
-// and 32 tiles sharing one walk of the kernel's plan (driver.RunBatch,
-// what the farm hands an array).  The two jobs are the benchmark's
+// staging and stitching left out: one tile a walk (driver.RunWith, the
+// farm's per-tile path) and 32 tiles sharing one walk of the simulated
+// machine, and on the fast executor one, 8 and 32 tiles a walk of the
+// kernel's plan (driver.RunBatch, what the farm hands an array).  The two jobs are the benchmark's
 // fabric-farm pair; every row is the best of five passes over all the
 // job's tiles on one goroutine.
 func tileBatching(w io.Writer) error {
 	a, b := workloads.LargeMatmulData(80, 80, 80, 5)
 	x, kern := workloads.LargeConv1DData(8192, 9, 5)
-	fmt.Fprintln(w, "\none tile's cost by how many tiles share a walk of the fast plan (us/tile, best of 5 passes):")
-	fmt.Fprintf(w, "%-10s %6s %10s %10s %10s %10s %14s %12s\n",
-		"job", "tiles", "sim", "fast x1", "fast x8", "fast x32", "x32 over x1", "x32 over sim")
+	fmt.Fprintln(w, "\none tile's cost by how many tiles share a walk (us/tile, best of 5 passes):")
+	fmt.Fprintf(w, "%-10s %6s %10s %10s %10s %10s %10s %12s %12s\n",
+		"job", "tiles", "sim x1", "sim x32", "fast x1", "fast x8", "fast x32", "sim x1/x32", "fast x1/x32")
 	for _, j := range []struct {
 		name, kernel string
 		plan         func(fabric.TileProgram, fabric.Limits) (*fabric.Plan, error)
@@ -653,17 +653,17 @@ func tileBatching(w io.Writer) error {
 			}
 			return float64(best.Microseconds()) / float64(len(inputs)), nil
 		}
-		var us [4]float64
+		var us [5]float64
 		for i, m := range []struct {
 			backend string
 			width   int
-		}{{driver.BackendSim, 1}, {driver.BackendFast, 1}, {driver.BackendFast, 8}, {driver.BackendFast, 32}} {
+		}{{driver.BackendSim, 1}, {driver.BackendSim, 32}, {driver.BackendFast, 1}, {driver.BackendFast, 8}, {driver.BackendFast, 32}} {
 			if us[i], err = perTile(m.backend, m.width); err != nil {
 				return err
 			}
 		}
-		fmt.Fprintf(w, "%-10s %6d %10.1f %10.1f %10.1f %10.1f %13.1fx %11.1fx\n",
-			j.name, len(inputs), us[0], us[1], us[2], us[3], us[1]/us[3], us[0]/us[3])
+		fmt.Fprintf(w, "%-10s %6d %10.1f %10.1f %10.1f %10.1f %10.1f %11.1fx %11.1fx\n",
+			j.name, len(inputs), us[0], us[1], us[2], us[3], us[4], us[0]/us[1], us[2]/us[4])
 	}
 	return nil
 }

@@ -124,6 +124,11 @@ type Compiled struct {
 	// program, done once, by ModeledCycles.
 	countOnce             sync.Once
 	modeledCycles, runOps int64
+
+	// The state one problem adds to a batched simulator walk, measured once
+	// by simLaneBytes.
+	laneOnce  sync.Once
+	laneBytes int
 }
 
 // ModeledCycles returns the closed-form machine-cycle count of one run
@@ -138,6 +143,14 @@ func (c *Compiled) ModeledCycles() int64 {
 		c.runOps = counts.Ops * int64(c.Cells)
 	})
 	return c.modeledCycles
+}
+
+// simLaneBytes returns the machine state one problem adds to a batched
+// walk of the simulator (sim.LaneBytes), 0 when the program walks only
+// alone.
+func (c *Compiled) simLaneBytes() int {
+	c.laneOnce.Do(func() { c.laneBytes = sim.LaneBytes(c.Cells, c.Cell) })
+	return c.laneBytes
 }
 
 // FastPlan returns the compiled program's fast-execution plan, building
@@ -539,20 +552,17 @@ func RunWith(c *Compiled, inputs map[string][]float64, o RunOptions) (map[string
 // with megabyte streams walks alone).
 const batchStateBytes = 4 << 20
 
-// RunsFast reports whether a run under these options executes on the
-// fast backend — whether RunBatch would walk its problems together.
-func RunsFast(c *Compiled, o RunOptions) bool {
-	backend, _, err := chooseBackend(c, o)
-	return err == nil && backend == BackendFast
-}
-
 // RunBatch is RunWith over several input sets under one backend
-// decision.  On the fast backend the problems share walks of the plan
-// (fastexec.Plan.ExecuteBatch), as many to a walk as batchStateBytes
-// allows, and the problems of a walk share one Stats — a modeled run is
-// the same for every input — whose Decision records the walk's width and
-// each problem's share of its wall time; on the simulator they run one
-// after another.  Any error fails the whole batch.
+// decision.  The problems share walks — of the fast plan
+// (fastexec.Plan.ExecuteBatch) or of the simulated machine
+// (sim.RunBatch) — as many to a walk as batchStateBytes allows, and the
+// problems of a walk share one Stats: W2 has no data-dependent control,
+// so the run is the same for every input.  Its Decision records the
+// walk's width and each problem's share of its wall time.  A simulator
+// run with a cycle recorder attached walks alone: the recorder sees one
+// run's events.  Any error fails the whole batch, an address outside a
+// batched walk's memory envelope (sim.ErrEnvelope) included: such
+// problems run one at a time, as the fabric's per-tile path runs them.
 func RunBatch(c *Compiled, inputs []map[string][]float64, o RunOptions) ([]map[string][]float64, []*sim.Stats, error) {
 	backend, decision, err := chooseBackend(c, o)
 	if err != nil {
@@ -576,9 +586,15 @@ func RunBatch(c *Compiled, inputs []map[string][]float64, o RunOptions) ([]map[s
 		}
 	}
 	width := 1
-	if backend == BackendFast {
+	switch {
+	case n == 1: // nothing to walk together
+	case backend == BackendFast:
 		plan, _ := c.FastPlan() // chooseBackend built it
 		width = max(1, min(n, batchStateBytes/plan.StateBytes()))
+	case !obs.Enabled(o.Recorder):
+		if lane := c.simLaneBytes(); lane > 0 {
+			width = max(1, min(n, batchStateBytes/lane))
+		}
 	}
 	for lo := 0; lo < n; lo += width {
 		hi := min(lo+width, n)
@@ -587,20 +603,19 @@ func RunBatch(c *Compiled, inputs []map[string][]float64, o RunOptions) ([]map[s
 		if backend == BackendFast {
 			st, err = runFast(c, hostMems[lo:hi], o)
 		} else {
-			st, err = sim.Run(sim.Config{
+			st, err = sim.RunBatch(sim.Config{
 				Cells:     c.Cells,
 				Cell:      c.Cell,
 				IU:        c.IU,
 				Host:      c.Host,
 				Skew:      c.Skew,
 				Lead:      c.IUGen.Prologue + 1,
-				HostMem:   hostMems[lo],
 				MaxCycles: o.MaxCycles,
 				Ctx:       o.Ctx,
 				Recorder:  o.Recorder,
 				PCStats:   o.Profile,
 				Progress:  o.Progress,
-			})
+			}, hostMems[lo:hi])
 		}
 		if err != nil {
 			return nil, nil, err

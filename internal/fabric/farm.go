@@ -26,8 +26,12 @@ type RunTileFunc func(ctx context.Context, t Tile, inputs map[string][]float64) 
 type RunBatchFunc func(ctx context.Context, tiles []Tile, inputs []map[string][]float64) ([][]float64, []TileStats, error)
 
 // maxBatch is the most tiles one batch holds.  Measured on the 10-cell
-// matmul and conv1d(9,512) kernels, a tile of a 32-wide walk costs a
-// tenth of a walk of its own; wider gains little more.
+// matmul and conv1d(9,512) kernels, a tile of a 32-wide walk costs an
+// eighth to a thirteenth of a walk of its own on the fast executor and a
+// fourteenth to an eighteenth on the simulator.  128 wide cuts that by
+// at most another 45 %, but a failed batch reruns every tile of it alone,
+// and a 128-wide simulator walk of the matmul kernel fills the driver's
+// 4 MB.
 const maxBatch = 32
 
 // TileStats is one tile run's profile contribution.

@@ -35,7 +35,13 @@ func (m *machine) stepCell(c *cell) error {
 		c.idle(m, w.Depth, pc)
 	} else {
 		c.account(m, w, pc)
-		if err := m.issue(c, w); err != nil {
+		var err error
+		if m.lanes == nil { // a run alone falls through to its issue
+			err = m.issue(c, w)
+		} else {
+			err = m.issueLanes(c, w)
+		}
+		if err != nil {
 			return fmt.Errorf("cell %d: %w", c.idx, err)
 		}
 	}

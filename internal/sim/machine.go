@@ -36,7 +36,7 @@ type Config struct {
 	// (the IU prologue plus one transfer cycle).
 	Lead int64
 	// HostMem is the host memory image: inputs pre-loaded, outputs
-	// written during the run.
+	// written during the run.  RunBatch takes one per problem instead.
 	HostMem []float64
 	// MaxCycles aborts a runaway simulation (default 1<<28).  The
 	// resulting error wraps ErrLivelock.
@@ -135,11 +135,14 @@ type cell struct {
 	// nil otherwise (the account hot path tests the pointer once).
 	pcs *obs.PCProfile
 
-	regs mcode.CellRegs    // the register file and the writes in flight
-	in   [2]queue[float64] // data queues, indexed by w2.Channel
-	adr  queue[int64]
-	sig  queue[sigItem]
-	mem  [mcode.MemWords]float64
+	regs  mcode.CellRegs    // the register file and the writes in flight
+	lanes laneRegs          // the same, lane-wide, in a batched walk
+	in    [2]queue[float64] // data queues, indexed by w2.Channel
+	adr   queue[int64]
+	sig   queue[sigItem]
+	// mem is the cell memory, or in a batched walk its envelope,
+	// lane-minor: lane l's envelope word a at mem[a·n+l].
+	mem []float64
 }
 
 // machine is the full simulated Warp system.
@@ -147,6 +150,11 @@ type machine struct {
 	cfg   Config
 	code  mcode.Decoded // the decoded cell program every cell executes
 	cells []cell
+
+	// A batched walk's host images, one per lane (nil alone: the run's
+	// image is cfg.HostMem), and where a host input word's lanes gather.
+	lanes  [][]float64
+	gather []float64
 
 	iuCode mcode.IUCode
 	iu     mcode.Seq
@@ -180,7 +188,11 @@ type machine struct {
 // Any violation of the machine's static contracts — queue underflow or
 // overflow, a loop signal that contradicts the sequencer, a host stream
 // overrun or left unfinished, words left in a queue — is an error.
-func Run(cfg Config) (*Stats, error) {
+func Run(cfg Config) (*Stats, error) { return run(cfg, nil) }
+
+// run is Run over the lanes' host images in one walk, or over
+// cfg.HostMem alone when lanes is nil.
+func run(cfg Config, lanes [][]float64) (*Stats, error) {
 	if cfg.Cells < 1 {
 		return nil, fmt.Errorf("sim: need at least one cell")
 	}
@@ -188,7 +200,7 @@ func Run(cfg Config) (*Stats, error) {
 		return nil, fmt.Errorf("sim: negative skew %d", cfg.Skew)
 	}
 	cfg.MaxCycles = cmp.Or(cfg.MaxCycles, 1<<28)
-	m, err := newMachine(cfg)
+	m, err := newMachine(cfg, lanes)
 	if err != nil {
 		return nil, err
 	}
@@ -235,11 +247,19 @@ func Run(cfg Config) (*Stats, error) {
 }
 
 // newMachine decodes the microprograms and allocates all run state: a
-// handful of allocations sized by the cell count, none afterwards.
-func newMachine(cfg Config) (*machine, error) {
+// handful of allocations sized by the cell count and the lanes, none
+// afterwards.
+func newMachine(cfg Config, lanes [][]float64) (*machine, error) {
 	code, err := mcode.Decode(cfg.Cell)
 	if err != nil {
 		return nil, fmt.Errorf("sim: cell %w", err)
+	}
+	n, memWords := 1, mcode.MemWords
+	if lanes != nil {
+		if code.Unbound != nil {
+			return nil, fmt.Errorf("sim: a batched walk needs the memory envelope, but address %w", code.Unbound)
+		}
+		n, memWords = len(lanes), code.MemWords
 	}
 	iuCode, err := mcode.DecodeIU(cfg.IU)
 	if err != nil {
@@ -251,6 +271,7 @@ func newMachine(cfg Config) (*machine, error) {
 		cfg:    cfg,
 		code:   *code,
 		cells:  make([]cell, cfg.Cells),
+		lanes:  lanes,
 		iuCode: iuCode,
 		rec:    rec,
 		trace:  obs.Enabled(rec),
@@ -277,6 +298,19 @@ func newMachine(cfg Config) (*machine, error) {
 	}
 	rows := max(4, depth+1) // the depth profile has always had at least four
 	depths := make([]obs.DepthProfile, cfg.Cells*rows)
+	// A second arena holds every value: each cell's memory, and in a
+	// batched walk its registers, writes in flight and X and Y queue words.
+	cellVals := memWords * n
+	if lanes != nil {
+		cellVals += (laneRegWords + 2*mcode.QueueDepth) * n
+	}
+	vals := make([]float64, cfg.Cells*cellVals+n)
+	takeVals := func(k int) []float64 {
+		out := vals[:k:k]
+		vals = vals[k:]
+		return out
+	}
+	m.gather = takeVals(n)
 	for i := range m.cells {
 		c := &m.cells[i]
 		c.idx = i
@@ -285,6 +319,12 @@ func newMachine(cfg Config) (*machine, error) {
 		}
 		c.start = cfg.Lead + int64(i)*cfg.Skew
 		c.regs.Reset()
+		c.mem = takeVals(memWords * n)
+		if lanes != nil {
+			c.lanes.reset(n, takeVals(laneRegWords*n))
+			c.in[w2.ChanX].vals = takeVals(mcode.QueueDepth * n)
+			c.in[w2.ChanY].vals = takeVals(mcode.QueueDepth * n)
+		}
 		c.Iter = take(depth)
 		c.depth, depths = depths[:rows:rows], depths[rows:]
 		c.in[w2.ChanX].init(i, obs.QueueX, take(histLen))
@@ -500,6 +540,14 @@ func (m *machine) stepHostIn() error {
 			continue
 		}
 		w := m.hostIn[ch].Next()
+		if m.lanes != nil {
+			if err := m.hostInLanes(q, w); err != nil {
+				return err
+			}
+			recPush(m, q)
+			m.hostInLeft[ch]--
+			continue
+		}
 		v := w.Value
 		if !w.Literal {
 			if w.Index < 0 || int(w.Index) >= len(m.cfg.HostMem) {
@@ -520,7 +568,7 @@ func (m *machine) stepHostIn() error {
 func (m *machine) hostCollect(ch w2.Channel, v float64) error {
 	w := m.hostOut[ch].Next()
 	if w == nil {
-		return fmt.Errorf("sim: the last cell sent more words on %s than the host program expects (%d)", ch, m.hostSent[ch])
+		return m.hostOverrun(ch)
 	}
 	if idx := int(w.Index); idx != hostgen.Discard {
 		if idx < 0 || idx >= len(m.cfg.HostMem) {
@@ -530,4 +578,10 @@ func (m *machine) hostCollect(ch w2.Channel, v float64) error {
 	}
 	m.hostSent[ch]++
 	return nil
+}
+
+// hostOverrun is the error of a send past the end of the host's output
+// stream on ch.
+func (m *machine) hostOverrun(ch w2.Channel) error {
+	return fmt.Errorf("sim: the last cell sent more words on %s than the host program expects (%d)", ch, m.hostSent[ch])
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -56,6 +57,22 @@ func TestRunHandProgram(t *testing.T) {
 	}
 }
 
+// runBoth runs the configuration alone and as a batched walk of three
+// copies of its host image, and fails unless the two errors read alike
+// byte for byte: a control error is the same in every lane.
+func runBoth(t *testing.T, cfg Config) error {
+	t.Helper()
+	_, err := Run(cfg)
+	images := make([][]float64, 3)
+	for l := range images {
+		images[l] = append([]float64(nil), cfg.HostMem...)
+	}
+	if _, wide := RunBatch(cfg, images); fmt.Sprint(wide) != fmt.Sprint(err) {
+		t.Errorf("alone: %v\nthree lanes: %v", err, wide)
+	}
+	return err
+}
+
 // TestRunDetectsUnderflow: a cell receiving a word nobody sends.
 func TestRunDetectsUnderflow(t *testing.T) {
 	prog := &mcode.CellProgram{Items: []mcode.CodeItem{
@@ -63,7 +80,7 @@ func TestRunDetectsUnderflow(t *testing.T) {
 			{IO: []*mcode.IOOp{{Recv: true, Dir: w2.DirL, Chan: w2.ChanY, Reg: 1}}},
 		}},
 	}}
-	_, err := Run(Config{
+	err := runBoth(t, Config{
 		Cells: 1,
 		Cell:  prog,
 		IU:    &mcode.IUProgram{},
@@ -89,7 +106,7 @@ func TestRunDetectsSignalMismatch(t *testing.T) {
 			{Sig: &mcode.IUSig{LoopID: 0, Static: true, Continue: false}},
 		}},
 	}}
-	_, err := Run(Config{
+	err := runBoth(t, Config{
 		Cells: 1,
 		Cell:  cellProg,
 		IU:    iu,
@@ -109,7 +126,7 @@ func TestRunDetectsMissingSignal(t *testing.T) {
 			&mcode.Straight{Instrs: []*mcode.Instr{{}}},
 		}},
 	}}
-	_, err := Run(Config{
+	err := runBoth(t, Config{
 		Cells: 1,
 		Cell:  cellProg,
 		IU:    &mcode.IUProgram{},
@@ -136,7 +153,7 @@ func TestRunDetectsBadAddress(t *testing.T) {
 			{Out: [mcode.MemPorts]*mcode.IUOut{{Src: 0}}},
 		}},
 	}}
-	_, err := Run(Config{
+	err := runBoth(t, Config{
 		Cells: 1,
 		Cell:  cellProg,
 		IU:    iu,
@@ -261,10 +278,46 @@ func TestRunDetectsUnbalancedEnd(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.Lead = 1
 			tc.cfg.HostMem = []float64{42, 0}
-			_, err := Run(tc.cfg)
+			err := runBoth(t, tc.cfg)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("err = %v, want %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestBatchLandingOrder: an FPU result and a move into the same register
+// land at the end of one cycle, the move last, so the register holds the
+// move's value — alone and in every lane of a batched walk.
+func TestBatchLandingOrder(t *testing.T) {
+	recv := func(r mcode.Reg) *mcode.Instr {
+		return &mcode.Instr{IO: []*mcode.IOOp{{Recv: true, Dir: w2.DirL, Chan: w2.ChanX, Reg: r}}}
+	}
+	instrs := []*mcode.Instr{recv(1), recv(2), {Add: &mcode.AluOp{Code: mcode.Fadd, Dst: 5, Src: [3]mcode.Reg{1, 2}}}}
+	for len(instrs) < 2+mcode.FPULatency-1 {
+		instrs = append(instrs, &mcode.Instr{})
+	}
+	instrs = append(instrs,
+		&mcode.Instr{Mov: &mcode.AluOp{Code: mcode.Mov, Dst: 5, Src: [3]mcode.Reg{1}}},
+		&mcode.Instr{IO: []*mcode.IOOp{{Dir: w2.DirR, Chan: w2.ChanX, Reg: 5}}})
+	host := emptyHost()
+	host.In[w2.ChanX] = hostgen.Of(hostgen.Word{Index: 0}, hostgen.Word{Index: 1})
+	host.Out[w2.ChanX] = hostgen.Of(hostgen.Word{Index: 2})
+	cfg := Config{Cells: 1, Cell: &mcode.CellProgram{Items: []mcode.CodeItem{&mcode.Straight{Instrs: instrs}}},
+		IU: &mcode.IUProgram{}, Host: host, Lead: 1}
+	images := [][]float64{{1, 2, 0}, {3, 4, 0}, {5, 6, 0}}
+	for l, img := range images {
+		cfg.HostMem = append([]float64(nil), img...)
+		if _, err := Run(cfg); err != nil || cfg.HostMem[2] != img[0] {
+			t.Fatalf("lane %d alone: sent %v (%v), want the move's %v", l, cfg.HostMem[2], err, img[0])
+		}
+	}
+	if _, err := RunBatch(cfg, images); err != nil {
+		t.Fatal(err)
+	}
+	for l, img := range images {
+		if img[2] != img[0] {
+			t.Errorf("lane %d: sent %v, want the move's %v", l, img[2], img[0])
+		}
 	}
 }

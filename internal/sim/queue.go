@@ -33,6 +33,15 @@
 // so the cycle loop steps only the window of live cells: the others'
 // idle-stall events go only to an attached recorder, and their queues'
 // untouched cycles are added to the histograms in bulk at the end.
+//
+// Batch axis.  The IU generates every address and loop signal without
+// looking at the data, and W2 has no data-dependent control, so N
+// problems of one program run the same cycles under the same queue
+// occupancies and signals.  RunBatch steps them through one machine: one
+// cycle loop, one IU, one host-stream reader per channel, one sequencer
+// per cell and one set of queue counters, histograms and accounting,
+// with only the values — registers, writes in flight, X and Y queue
+// words and cell memory — N lanes wide (lanes.go).
 package sim
 
 import (
@@ -61,6 +70,9 @@ type queue[T any] struct {
 	hist   []int64 // hist[d] = cycles ending with occupancy d
 
 	buf [mcode.QueueDepth]T
+	// vals holds a data queue's words in a batched walk, n lanes to a
+	// slot: lane l's word in slot s at vals[s·n+l].  buf is then unused.
+	vals []float64
 }
 
 // ringMask wraps a ring index; the hardware depth is a power of two
@@ -87,7 +99,7 @@ func (q *queue[T]) init(cell int, kind obs.Queue, hist []int64) {
 
 func (q *queue[T]) push(v T) error {
 	if q.n >= len(q.buf) {
-		return fmt.Errorf("sim: queue %s overflows its %d words", q.name(), len(q.buf))
+		return q.overflow()
 	}
 	q.buf[(q.head+q.n)&ringMask] = v
 	q.n++
@@ -101,13 +113,51 @@ func (q *queue[T]) push(v T) error {
 func (q *queue[T]) pop() (T, error) {
 	if q.n == 0 {
 		var zero T
-		return zero, fmt.Errorf("sim: queue %s underflows (receive before the matching send)", q.name())
+		return zero, q.underflow()
 	}
 	v := q.buf[q.head]
 	q.head = (q.head + 1) & ringMask
 	q.n--
 	q.pops++
 	return v, nil
+}
+
+// pushLanes is push for a data queue of a batched walk: it pushes one
+// word per lane, src.
+func (q *queue[T]) pushLanes(src []float64) error {
+	if q.n >= len(q.buf) {
+		return q.overflow()
+	}
+	n := len(src)
+	copy(q.vals[((q.head+q.n)&ringMask)*n:][:n], src)
+	q.n++
+	q.pushes++
+	if q.n > q.high {
+		q.high = q.n
+	}
+	return nil
+}
+
+// popLanes is pop for a data queue of a batched walk: it pops one word
+// per lane into dst.
+func (q *queue[T]) popLanes(dst []float64) error {
+	if q.n == 0 {
+		return q.underflow()
+	}
+	n := len(dst)
+	copy(dst, q.vals[q.head*n:][:n])
+	q.head = (q.head + 1) & ringMask
+	q.n--
+	q.pops++
+	return nil
+}
+
+func (q *queue[T]) overflow() error {
+	return fmt.Errorf("sim: queue %s overflows its %d words", q.name(), len(q.buf))
+}
+
+func (q *queue[T]) underflow() error {
+	return fmt.Errorf("sim: queue %s underflows (receive before the matching send)", q.name())
 }
 
 // profile snapshots the queue's accounting for the run profile.

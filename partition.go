@@ -76,7 +76,9 @@ func (p *Program) runPartitioned(cfg RunConfig, prob Problem, batch bool) (map[s
 	}
 	// Tiles run like any single-array run, under their attempt's context,
 	// and share the kernel's one cached fast plan, so a verified kernel
-	// runs the whole farm at dataflow speed.
+	// runs the whole farm at dataflow speed.  First attempts go a batch at
+	// a time, one walk of the kernel for all of a batch's tiles on either
+	// backend (driver.RunBatch chooses the width).
 	opts := driver.RunOptions{MaxCycles: cfg.MaxCycles, Profile: cfg.Profile, Backend: cfg.Backend}
 	runTiles := func(ctx context.Context, _ []fabric.Tile, ins []map[string][]float64) ([][]float64, []fabric.TileStats, error) {
 		opts := opts
@@ -108,9 +110,7 @@ func (p *Program) runPartitioned(cfg RunConfig, prob Problem, batch bool) (map[s
 		Retries:  cfg.TileRetries,
 		Progress: cfg.Progress,
 	}
-	// Tiles bound for the fast executor go a batch at a time: one walk of
-	// the plan for all of a batch's tiles.
-	if batch && driver.RunsFast(p.c, opts) {
+	if batch {
 		fcfg.Batch = runTiles
 	}
 	out, stats, err := fabric.Run(cfg.Context, pl, fcfg, run)

@@ -150,15 +150,28 @@ func TestRunPartitionedZeroProblem(t *testing.T) {
 	}
 }
 
-// TestFarmBatchedMatchesPerTile is the fabric's differential seam on the
-// fast backend (run it under -race): the same partitioned problem with
-// the tiles' first attempts batched through one walk of the kernel's
-// plan, with every tile on the per-tile path, and as a whole in Go —
-// stitched outputs element-exact, and the two farms' statistics equal
-// field for field but for wall time and the batch counters.  The array
-// counts make batches that do not divide the plan (64 tiles on 3 arrays
-// go 22, 22, 20) and a farm wider than the plan, which has nothing to
-// batch.
+// scrubFarm removes what legitimately differs between a batched farm and
+// a per-tile one: wall time and the batch counters.
+func scrubFarm(fs *warp.FabricStats) warp.FabricStats {
+	c := *fs
+	c.WallNS, c.Batches, c.BatchFallbacks = 0, 0, 0
+	if c.Decision != nil {
+		d := *c.Decision
+		d.ActualWallNS, d.Batch = 0, 0
+		c.Decision = &d
+	}
+	return c
+}
+
+// TestFarmBatchedMatchesPerTile is the fabric's differential seam on both
+// backends (run it under -race): the same partitioned problem with the
+// tiles' first attempts batched through one walk of the kernel — the fast
+// plan's, or the simulated machine's ("-sim" jobs) — with every tile on
+// the per-tile path, and as a whole in Go: stitched outputs
+// element-exact, and the two farms' statistics equal field for field but
+// for wall time and the batch counters.  The array counts make batches
+// that do not divide the plan (64 tiles on 3 arrays go 22, 22, 20) and a
+// farm wider than the plan, which has nothing to batch.
 func TestFarmBatchedMatchesPerTile(t *testing.T) {
 	mm, err := warp.Compile(workloads.Matmul(10), warp.Options{Pipeline: true, Verify: true})
 	if err != nil {
@@ -170,30 +183,22 @@ func TestFarmBatchedMatchesPerTile(t *testing.T) {
 	}
 	a, b := workloads.LargeMatmulData(35, 35, 35, 5) // quarter-integers: the tiled reduction is exact
 	x, w := workloads.LargeConv1DData(3000, 9, 6)
-	// scrub removes what legitimately differs between the two farms.
-	scrub := func(fs *warp.FabricStats) warp.FabricStats {
-		c := *fs
-		c.WallNS, c.Batches, c.BatchFallbacks = 0, 0, 0
-		if c.Decision != nil {
-			d := *c.Decision
-			d.ActualWallNS, d.Batch = 0, 0
-			c.Decision = &d
-		}
-		return c
-	}
 	for _, job := range []struct {
-		name  string
-		prog  *warp.Program
-		prob  warp.Problem
-		want  []float64
-		tiles int
+		name    string
+		backend string
+		prog    *warp.Program
+		prob    warp.Problem
+		want    []float64
+		tiles   int
 	}{
-		{"matmul35", mm, warp.MatmulProblem(35, 35, 35, a, b), workloads.MatmulRectRef(a, b, 35, 35, 35), 64},
-		{"conv3000", cv, warp.Conv1DProblem(w, x), workloads.Conv1DRef(x, w), 25},
+		{"matmul35", warp.BackendFast, mm, warp.MatmulProblem(35, 35, 35, a, b), workloads.MatmulRectRef(a, b, 35, 35, 35), 64},
+		{"conv3000", warp.BackendFast, cv, warp.Conv1DProblem(w, x), workloads.Conv1DRef(x, w), 25},
+		{"matmul35-sim", warp.BackendSim, mm, warp.MatmulProblem(35, 35, 35, a, b), workloads.MatmulRectRef(a, b, 35, 35, 35), 64},
+		{"conv3000-sim", warp.BackendSim, cv, warp.Conv1DProblem(w, x), workloads.Conv1DRef(x, w), 25},
 	} {
 		for _, arrays := range []int{1, 2, 3, 100} {
 			t.Run(fmt.Sprintf("%s/arrays=%d", job.name, arrays), func(t *testing.T) {
-				cfg := warp.RunConfig{Arrays: arrays}
+				cfg := warp.RunConfig{Arrays: arrays, Backend: job.backend}
 				out, batched, err := job.prog.RunPartitioned(cfg, job.prob)
 				if err != nil {
 					t.Fatal(err)
@@ -207,10 +212,10 @@ func TestFarmBatchedMatchesPerTile(t *testing.T) {
 						t.Fatalf("%s: batched, per-tile and whole-problem outputs differ", name)
 					}
 				}
-				if batched.Tiles != job.tiles || batched.Backend != "fast" || batched.Dispatched != job.tiles {
-					t.Fatalf("batched farm: %+v, want %d tiles once each on the fast backend", batched, job.tiles)
+				if batched.Tiles != job.tiles || batched.Backend != job.backend || batched.Dispatched != job.tiles {
+					t.Fatalf("batched farm: %+v, want %d tiles once each on the %s backend", batched, job.tiles, job.backend)
 				}
-				if got, want := scrub(batched), scrub(perTile); !reflect.DeepEqual(got, want) {
+				if got, want := scrubFarm(batched), scrubFarm(perTile); !reflect.DeepEqual(got, want) {
 					t.Errorf("batched statistics %+v (decision %+v),\nper-tile %+v (decision %+v)", got, got.Decision, want, want.Decision)
 				}
 				width := min(32, (job.tiles+batched.Arrays-1)/batched.Arrays)
@@ -230,5 +235,41 @@ func TestFarmBatchedMatchesPerTile(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestFarmBatchEnvelopeFallback: a kernel whose memory fields name other
+// words than the IU sends — every field moved 1000 words up, the IU's
+// addresses unchanged, so a run alone computes what the original kernel
+// computes — fails every batched simulator walk on an address outside the
+// fields' envelope.  Each batch then falls back to the per-tile path, and
+// the farm's outputs and statistics are the per-tile farm's.
+func TestFarmBatchEnvelopeFallback(t *testing.T) {
+	prog, err := warp.Compile(workloads.Matmul(10), warp.Options{Pipeline: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog.MoveMemoryFields(1000)
+	a, b := workloads.LargeMatmulData(35, 35, 35, 5)
+	prob, want := warp.MatmulProblem(35, 35, 35, a, b), workloads.MatmulRectRef(a, b, 35, 35, 35)
+	cfg := warp.RunConfig{Arrays: 2, Backend: warp.BackendSim}
+	out, batched, err := prog.RunPartitioned(cfg, prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, perTile, err := prog.RunPartitionedPerTile(cfg, prob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range out {
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(ref[name], want) {
+			t.Fatalf("%s: batched, per-tile and whole-problem outputs differ", name)
+		}
+	}
+	if batched.Batches != 2 || batched.BatchFallbacks != batched.Batches {
+		t.Errorf("%d batches, %d fell back; want 2, all of them", batched.Batches, batched.BatchFallbacks)
+	}
+	if got, want := scrubFarm(batched), scrubFarm(perTile); !reflect.DeepEqual(got, want) {
+		t.Errorf("batched statistics %+v,\nper-tile %+v", got, want)
 	}
 }

@@ -16,9 +16,10 @@
 # summary line must name the fast backend, proving the farm actually
 # took the fast path rather than silently falling back to sim.  Each
 # spec also runs on 2 arrays, where every array's share of the plan is
-# more than one tile: the summary must count at least one batch (several
-# tiles through one walk of the fast plan) and no batch that fell back
-# to running tile by tile.
+# more than one tile, on either backend: the summary must count at least
+# one batch (several tiles through one walk of the fast plan, or of the
+# simulated machine) and no batch that fell back to running tile by
+# tile.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,11 +44,13 @@ for spec in examples/fabric/*.json; do
         echo "$out" | grep "fast backend"
         echo "$out" | grep "element-exact"
     done
-    echo "== fabric $spec on 2 arrays, batched =="
-    out=$("$bin/warpsim" -arrays 2 -check "$spec")
-    echo "$out" | grep "fast backend"
-    echo "$out" | grep -E "; [1-9][0-9]* batches, 0 fell back"
-    echo "$out" | grep "element-exact"
+    for backend in fast sim; do
+        echo "== fabric $spec on 2 arrays, batched on the $backend backend =="
+        out=$("$bin/warpsim" -backend "$backend" -arrays 2 -check "$spec")
+        echo "$out" | grep "$backend backend"
+        echo "$out" | grep -E "; [1-9][0-9]* batches, 0 fell back"
+        echo "$out" | grep "element-exact"
+    done
 done
 
 echo "fastexec-check: PASS"
