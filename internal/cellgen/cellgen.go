@@ -230,7 +230,7 @@ func (g *gen) genLoop(r *ir.LoopRegion) ([]mcode.CodeItem, error) {
 	ls := prof.LoopSched{Loop: r.Loop.Var, Line: r.Loop.Pos.Line, Trips: r.Trips()}
 	start := time.Now()
 	if g.opts.Pipeline {
-		items, ok, err := g.pipelineLoop(r, &ls)
+		items, ok, err := g.moduloSchedule(r, &ls)
 		ls.SearchNS = time.Since(start).Nanoseconds()
 		if err != nil {
 			return nil, err

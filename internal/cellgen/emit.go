@@ -267,10 +267,11 @@ func (g *gen) emitBlock(s *blockSchedule, regs map[*ir.Node]mcode.Reg, shift map
 
 // scheduleBlock schedules, allocates and emits one block.
 func (g *gen) scheduleBlock(b *ir.Block, shift map[*w2.ForStmt]int64) ([]*mcode.Instr, error) {
-	s, err := listSchedule(b)
+	bg, err := newBlockGraph(b, blockEdges(b))
 	if err != nil {
 		return nil, err
 	}
+	s := bg.listSchedule()
 	regs, err := g.assignRegs(s)
 	if err != nil {
 		return nil, err

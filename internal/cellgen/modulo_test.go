@@ -3,6 +3,8 @@ package cellgen
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -19,6 +21,7 @@ type loopCase struct {
 	loop  *ir.LoopRegion
 	block *ir.Block
 	edges []mEdge
+	g     *blockGraph // ready for the II search
 	base  *blockSchedule
 }
 
@@ -26,10 +29,8 @@ func (lc loopCase) String() string {
 	return fmt.Sprintf("loop %s (line %d, %d trips)", lc.loop.Loop.Var, lc.loop.Loop.Pos.Line, lc.loop.Trips())
 }
 
-// pipelinableLoops compiles src down to optimized IR and returns every
-// innermost single-block loop whose dependences buildModuloEdges can
-// bound — the loops moduloSchedule searches an II for.
-func pipelinableLoops(t testing.TB, src string) []loopCase {
+// lower compiles src down to IR, optimized or not.
+func lower(t testing.TB, src string, optimize bool) *ir.Program {
 	t.Helper()
 	m, err := w2.Parse(src)
 	if err != nil {
@@ -43,7 +44,17 @@ func pipelinableLoops(t testing.TB, src string) []loopCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Optimize(p)
+	if optimize {
+		opt.Optimize(p)
+	}
+	return p
+}
+
+// pipelinableLoops returns every innermost single-block loop of p, the IR
+// of src, whose dependences buildModuloEdges can bound — the loops
+// moduloSchedule searches an II for.
+func pipelinableLoops(t testing.TB, src string, p *ir.Program) []loopCase {
+	t.Helper()
 	var out []loopCase
 	var visit func(regions []ir.Region)
 	visit = func(regions []ir.Region) {
@@ -60,13 +71,17 @@ func pipelinableLoops(t testing.TB, src string) []loopCase {
 			if !ok {
 				continue
 			}
-			base, err := listSchedule(br.Block)
+			edges, ok := buildModuloEdges(br.Block, l.Loop)
+			if !ok {
+				continue
+			}
+			g, err := newBlockGraph(br.Block, edges)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%v\n%s", err, src)
 			}
-			if edges, ok := buildModuloEdges(br.Block, l.Loop); ok {
-				out = append(out, loopCase{src: src, loop: l, block: br.Block, edges: edges, base: base})
-			}
+			base := g.listSchedule()
+			g.initSearch()
+			out = append(out, loopCase{src: src, loop: l, block: br.Block, edges: edges, g: g, base: base})
 		}
 	}
 	for _, fn := range p.Funcs {
@@ -92,12 +107,12 @@ var benchmarkPrograms = []struct{ name, src string }{
 func sweepLoops(t testing.TB, seed int64, random int) []loopCase {
 	var out []loopCase
 	for _, p := range benchmarkPrograms {
-		out = append(out, pipelinableLoops(t, p.src)...)
+		out = append(out, pipelinableLoops(t, p.src, lower(t, p.src, true))...)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < random; i++ {
 		src, _ := workloads.RandomProgram(rng)
-		out = append(out, pipelinableLoops(t, src)...)
+		out = append(out, pipelinableLoops(t, src, lower(t, src, true))...)
 	}
 	return out
 }
@@ -113,11 +128,8 @@ func TestModuloScheduleMatchesReference(t *testing.T) {
 	loops, iis, accepted := 0, 0, 0
 	for _, lc := range sweepLoops(t, 11, 600) {
 		loops++
-		lg, ok := newLoopGraph(lc.block, lc.edges)
-		if !ok {
-			t.Fatalf("%s: dist-0 cycle\n%s", lc, lc.src)
-		}
-		res := resMII(lc.block)
+		lg := lc.g
+		res := lg.resMII()
 		if got, want := lg.recurrenceBound(res, lc.base.len), refRecurrenceBound(lc.block, lc.edges, res, lc.base.len); got != want {
 			t.Errorf("%s: recurrence bound %d, reference %d\n%s", lc, got, want, lc.src)
 		}
@@ -155,6 +167,107 @@ func TestModuloScheduleMatchesReference(t *testing.T) {
 	}
 }
 
+// TestListScheduleMatchesReference: list scheduling on the dense block
+// graph is the map-based scheduler (reference_test.go) with the maps
+// taken out — on every block of the benchmark programs, of the testdata
+// programs and of the 600 random ones the modulo comparison draws,
+// optimized and not, it issues every node in the same cycle, lists the
+// nodes in the same order and gives the block the same length.  So does
+// the graph of every pipelinable loop body, carried edges and all, that a
+// pipelining attempt takes its baseline from.  A block whose dependences
+// close a cycle, of positive or of zero latency, is refused with the
+// reference's error.
+func TestListScheduleMatchesReference(t *testing.T) {
+	var srcs []string
+	for _, p := range benchmarkPrograms {
+		srcs = append(srcs, p.src)
+	}
+	files, err := filepath.Glob("../../testdata/*.w2")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("testdata programs: %v (%d files)", err, len(files))
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs = append(srcs, string(src))
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 600; i++ {
+		src, _ := workloads.RandomProgram(rng)
+		srcs = append(srcs, src)
+	}
+
+	differs := func(got, want *blockSchedule) string {
+		if got.len != want.len || len(got.nodes) != len(want.nodes) {
+			return fmt.Sprintf("%d cycles, %d nodes; reference %d, %d", got.len, len(got.nodes), want.len, len(want.nodes))
+		}
+		for i, n := range want.nodes {
+			if got.nodes[i] != n {
+				return fmt.Sprintf("node %d is n%d; reference n%d", i, got.nodes[i].ID, n.ID)
+			}
+		}
+		for _, n := range want.block.Nodes {
+			if got.issue[n] != want.issue[n] {
+				return fmt.Sprintf("n%d issues at %d; reference %d", n.ID, got.issue[n], want.issue[n])
+			}
+		}
+		return ""
+	}
+	blocks, loops := 0, 0
+	for _, src := range srcs {
+		for _, optimize := range []bool{true, false} {
+			p := lower(t, src, optimize)
+			for _, fn := range p.Funcs {
+				for _, b := range fn.Blocks {
+					blocks++
+					want, err := refListSchedule(b)
+					if err != nil {
+						t.Fatalf("b%d: %v\n%s", b.ID, err, src)
+					}
+					g, err := newBlockGraph(b, blockEdges(b))
+					if err != nil {
+						t.Fatalf("b%d: %v\n%s", b.ID, err, src)
+					}
+					if d := differs(g.listSchedule(), want); d != "" {
+						t.Errorf("b%d (optimized %v): %s\n%s", b.ID, optimize, d, src)
+					}
+				}
+			}
+			for _, lc := range pipelinableLoops(t, src, p) {
+				loops++
+				want, _ := refListSchedule(lc.block)
+				if d := differs(lc.base, want); d != "" {
+					t.Errorf("%s (optimized %v), from the loop body's graph: %s\n%s", lc, optimize, d, src)
+				}
+			}
+		}
+	}
+	t.Logf("%d blocks, %d loop bodies", blocks, loops)
+	if blocks < 2000 || loops < 600 {
+		t.Errorf("the sweep is too thin: %d blocks, %d loop bodies", blocks, loops)
+	}
+
+	c := &ir.Node{ID: 1, Op: ir.OpConst}
+	fadd := &ir.Node{ID: 2, Op: ir.OpFadd}
+	fmul := &ir.Node{ID: 3, Op: ir.OpFmul, Args: []*ir.Node{fadd, c}}
+	fadd.Args = []*ir.Node{fmul, c}
+	move := &ir.Node{ID: 4, Op: ir.OpWrite, Args: []*ir.Node{c}}
+	sub := &ir.Node{ID: 5, Op: ir.OpFsub, Args: []*ir.Node{c, c}, Deps: []*ir.Node{move}}
+	move.Deps = []*ir.Node{sub}
+	for _, b := range []*ir.Block{
+		{ID: 7, Nodes: []*ir.Node{c, fadd, fmul}}, // operands: 2·FPULatency around
+		{ID: 8, Nodes: []*ir.Node{c, move, sub}},  // ordering edges of latency 0
+	} {
+		_, want := refListSchedule(b)
+		_, err := newBlockGraph(b, blockEdges(b))
+		if want == nil || err == nil || err.Error() != want.Error() || want.Error() != fmt.Sprintf("cellgen: dependence cycle in block b%d", b.ID) {
+			t.Errorf("b%d: error %v; reference %v", b.ID, err, want)
+		}
+	}
+}
+
 // TestRecurrenceBoundSkipsOnlyInfeasibleIIs: the II search starts at
 // lowerBound and passes over every later II refuted rules out, instead of
 // trying each II from resMII.  That changes nothing but the attempt
@@ -172,8 +285,8 @@ func TestRecurrenceBoundSkipsOnlyInfeasibleIIs(t *testing.T) {
 	var loops, raised, byTrips, byRecurrence, byUnits, exhaustive int
 	for _, lc := range sweepLoops(t, 7, 200) {
 		loops++
-		lg, _ := newLoopGraph(lc.block, lc.edges)
-		res, trips := resMII(lc.block), lc.loop.Trips()
+		lg := lc.g
+		res, trips := lg.resMII(), lc.loop.Trips()
 		mii, _ := lg.lowerBound(res, trips, lc.base.len)
 		if mii > res {
 			raised++
@@ -228,7 +341,7 @@ func TestRecurrenceBoundSkipsOnlyInfeasibleIIs(t *testing.T) {
 // stage numbers k solve difference constraints k(to) − k(from) ≥ c(e)
 // with c(e) ≤ c, whose least non-negative solution is a longest path of
 // at most n−1 edges.
-func searchAllPlacements(g *loopGraph, ii, trips int64) []int64 {
+func searchAllPlacements(g *blockGraph, ii, trips int64) []int64 {
 	n := len(g.nodes)
 	var maxLat int64 = 1
 	for _, e := range g.edges {
@@ -303,12 +416,12 @@ func searchAllPlacements(g *loopGraph, ii, trips int64) []int64 {
 func TestSearchAllPlacementsFindsSchedules(t *testing.T) {
 	checked := 0
 	for _, lc := range sweepLoops(t, 7, 200) {
-		lg, _ := newLoopGraph(lc.block, lc.edges)
+		lg := lc.g
 		if len(lg.nodes) > 8 {
 			continue
 		}
 		trips := lc.loop.Trips()
-		for ii := resMII(lc.block); ii < lc.base.len; ii++ {
+		for ii := lg.resMII(); ii < lc.base.len; ii++ {
 			ms, ok := lg.tryModulo(ii, &prof.LoopSched{})
 			if !ok || (ms.span+ii-1)/ii > trips {
 				continue
@@ -457,17 +570,18 @@ end
 	}
 }
 
-// benchmarkModuloSchedule times the II search alone — the loop graph, the
+// benchmarkModuloSchedule times the II search alone — the block graph, the
 // lower bounds and tryModulo up to the first II it schedules — on every
 // pipelinable loop of one program; emission is left out.
 func benchmarkModuloSchedule(b *testing.B, src string) {
-	loops := pipelinableLoops(b, src)
+	loops := pipelinableLoops(b, src, lower(b, src, true))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, lc := range loops {
-			lg, _ := newLoopGraph(lc.block, lc.edges)
-			mii, _ := lg.lowerBound(resMII(lc.block), lc.loop.Trips(), lc.base.len)
+			lg, _ := newBlockGraph(lc.block, lc.edges)
+			lg.initSearch()
+			mii, _ := lg.lowerBound(lg.resMII(), lc.loop.Trips(), lc.base.len)
 			var ls prof.LoopSched
 			for ii := mii; ii < lc.base.len; ii++ {
 				if _, ok := lg.tryModulo(ii, &ls); ok {

@@ -28,21 +28,13 @@ import (
 // constrains their read to precede the overwriting move of the same
 // flat cycle pattern, so they need no expansion.
 
-// mEdge is a modulo-scheduling dependence: to must start no earlier
-// than from's start plus lat, dist iterations later:
-//
-//	t(to) + dist·II ≥ t(from) + lat.
-type mEdge struct {
-	from, to *ir.Node
-	lat      int64
-	dist     int64
-}
-
-// buildModuloEdges constructs intra- and inter-iteration dependences of
-// a loop body block.  ok=false means the body has a construct the
-// analysis cannot bound (non-parallel array subscripts), so the caller
-// falls back to list scheduling.
+// buildModuloEdges constructs the dependences of a loop body block: the
+// intra-iteration ones (blockEdges), then the inter-iteration ones.
+// ok=false means the body has a construct the analysis cannot bound
+// (non-parallel array subscripts), so the caller falls back to list
+// scheduling.
 func buildModuloEdges(b *ir.Block, loop *w2.ForStmt) (edges []mEdge, ok bool) {
+	edges = blockEdges(b)
 	add := func(from, to *ir.Node, lat, dist int64) {
 		edges = append(edges, mEdge{from: from, to: to, lat: lat, dist: dist})
 	}
@@ -55,38 +47,6 @@ func buildModuloEdges(b *ir.Block, loop *w2.ForStmt) (edges []mEdge, ok bool) {
 			reads[n.Sym] = n
 		case ir.OpWrite:
 			writes[n.Sym] = n
-		}
-	}
-
-	// Intra-iteration operand and ordering edges (as in list
-	// scheduling).
-	for _, n := range b.Nodes {
-		for _, a := range n.Args {
-			if needsInstr(a) {
-				add(a, n, resultLatency(a), 0)
-			}
-		}
-		for _, d := range n.Deps {
-			if needsInstr(d) {
-				add(d, n, depLatency(d, n), 0)
-			}
-		}
-		if n.Op == ir.OpWrite {
-			// Consumers of the old value must issue no later than the
-			// overwriting move (this cycle's read still sees the old
-			// home-register value).
-			if r := reads[n.Sym]; r != nil {
-				for _, m := range b.Nodes {
-					if m == n {
-						continue
-					}
-					for _, a := range m.Args {
-						if a == r {
-							add(m, n, 0, 0)
-						}
-					}
-				}
-			}
 		}
 	}
 
@@ -111,7 +71,7 @@ func buildModuloEdges(b *ir.Block, loop *w2.ForStmt) (edges []mEdge, ok bool) {
 			}
 			// And the next iteration's write must not land before this
 			// iteration's consumers read: t_w ≥ t_consumer (dist 0)
-			// already added above; the pair bounds the overlap.
+			// is a block edge; the pair bounds the overlap.
 		}
 	}
 
@@ -176,93 +136,19 @@ func buildModuloEdges(b *ir.Block, loop *w2.ForStmt) (edges []mEdge, ok bool) {
 	return edges, true
 }
 
-// resMII is the resource-constrained lower bound on II.
-func resMII(b *ir.Block) int64 {
-	var adds, muls, movs, memrefs int64
-	portCount := map[portKey]int64{}
-	for _, n := range b.Nodes {
-		switch unitOf(n) {
-		case unitAdd:
-			adds++
-		case unitMul:
-			muls++
-		case unitMov:
-			movs++
-		case unitMem:
-			memrefs++
-		case unitIO:
-			portCount[portOf(n)]++
-		}
+// resMII is the resource-constrained lower bound on II: the busiest
+// reservation row's operations over the row's capacity.
+func (g *blockGraph) resMII() int64 {
+	ops := make([]int64, len(g.rowCap))
+	for _, row := range g.row {
+		ops[row]++
 	}
 	mii := int64(1)
-	maxi := func(v int64) {
-		if v > mii {
-			mii = v
-		}
-	}
-	maxi(adds)
-	maxi(muls)
-	maxi(movs)
-	maxi((memrefs + mcode.MemPorts - 1) / mcode.MemPorts)
-	for _, c := range portCount {
-		maxi(c)
+	for row, c := range ops {
+		capacity := int64(g.rowCap[row])
+		mii = max(mii, (c+capacity-1)/capacity)
 	}
 	return mii
-}
-
-// dEdge is an mEdge between two scheduled nodes, by node number.
-type dEdge struct {
-	from, to  int32
-	lat, dist int64
-}
-
-// adjacency lists edge numbers per node in CSR form: node n's edges are
-// idx[start[n]:start[n+1]], in edge-list order.
-type adjacency struct{ start, idx []int32 }
-
-func (a adjacency) of(n int32) []int32 { return a.idx[a.start[n]:a.start[n+1]] }
-
-// newAdjacency indexes edges by the end that end picks.
-func newAdjacency(n int, edges []dEdge, end func(dEdge) int32) adjacency {
-	a := adjacency{start: make([]int32, n+1), idx: make([]int32, len(edges))}
-	for _, e := range edges {
-		a.start[end(e)+1]++
-	}
-	for i := 0; i < n; i++ {
-		a.start[i+1] += a.start[i]
-	}
-	next := append([]int32(nil), a.start[:n]...)
-	for i, e := range edges {
-		k := end(e)
-		a.idx[next[k]] = int32(i)
-		next[k]++
-	}
-	return a
-}
-
-// loopGraph is one loop body's scheduling problem on dense tables, built
-// once per loop and read at every II the search looks at.  The scheduled
-// nodes (those that occupy an instruction field) are numbered in block
-// order, and everything the scheduler and the II bounds touch per
-// placement — edges, priorities, reservation rows, offsets — is a slice
-// over those numbers: no map is read after newLoopGraph returns.
-type loopGraph struct {
-	nodes      []*ir.Node
-	edges      []dEdge // buildModuloEdges' order, which seeds the eviction sequence
-	succ, pred adjacency
-	row        []int32 // reservation-table row per node: its unit, or its queue port
-	rowCap     []uint8 // operations a row holds per cycle
-	crit       int64   // critical path of one iteration: the longest dist-0 chain
-	order      []int32 // nodes by priority: height descending, then ID ascending
-	rank       []int32 // inverse of order
-	clusters   []cluster
-
-	// Search state, reset by every tryModulo / recurrenceBound / refuted.
-	off, lastTry []int64
-	placed       []bool
-	occ          []int32 // (slot·rows + row)·MemPorts + k: the k-th occupant
-	occN         []uint8 // occupants per (slot, row); both grow with the II asked for
-	dist         []int64 // refuted's longest-path matrix, largest cluster squared
 }
 
 // cluster is a recurrence cluster — a strongly connected component of the
@@ -275,98 +161,20 @@ type cluster struct {
 	units [][]int32 // per capacity-1 unit with ≥ 2 operations here: their numbers
 }
 
-// newLoopGraph numbers the block's scheduled nodes and builds the tables.
-// ok=false means the dist-0 edges have a cycle (a malformed block;
-// listSchedule refuses those first).
-func newLoopGraph(b *ir.Block, edges []mEdge) (*loopGraph, bool) {
-	g := &loopGraph{}
-	index := make(map[*ir.Node]int32, len(b.Nodes))
-	ports := map[portKey]int32{}
-	rows := int32(unitIO)
-	for _, n := range b.Nodes {
-		if !needsInstr(n) {
-			continue
-		}
-		index[n] = int32(len(g.nodes))
-		g.nodes = append(g.nodes, n)
-		row := int32(unitOf(n))
-		if row == int32(unitIO) {
-			p, ok := ports[portOf(n)]
-			if !ok {
-				p = rows
-				ports[portOf(n)] = p
-				rows++
-			}
-			row = p
-		}
-		g.row = append(g.row, row)
-	}
+// initSearch makes the II search's state: the predecessor index, the
+// per-node tables and the recurrence clusters.
+func (g *blockGraph) initSearch() {
 	n := len(g.nodes)
-	g.rowCap = make([]uint8, rows)
-	for i := range g.rowCap {
-		g.rowCap[i] = 1
-	}
-	g.rowCap[unitMem] = mcode.MemPorts
-
-	g.edges = make([]dEdge, 0, len(edges))
-	for _, e := range edges {
-		from, okF := index[e.from]
-		to, okT := index[e.to]
-		if okF && okT { // buildModuloEdges adds no other kind
-			g.edges = append(g.edges, dEdge{from: from, to: to, lat: e.lat, dist: e.dist})
-		}
-	}
-	g.succ = newAdjacency(n, g.edges, func(e dEdge) int32 { return e.from })
 	g.pred = newAdjacency(n, g.edges, func(e dEdge) int32 { return e.to })
-
-	// Heights: longest path over dist-0 edges (acyclic by construction)
-	// from a node to a sink; relax to a fixpoint, bounded by the node
-	// count as a cycle safeguard.
-	height := make([]int64, n)
-	for round := 0; ; round++ {
-		changed := false
-		for _, e := range g.edges {
-			if e.dist != 0 {
-				continue
-			}
-			if h := e.lat + height[e.to]; h > height[e.from] {
-				height[e.from] = h
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-		if round > n {
-			return nil, false
-		}
-	}
-	g.order = make([]int32, n)
-	for i := range g.order {
-		g.order[i] = int32(i)
-		g.crit = max(g.crit, height[i])
-	}
-	slices.SortFunc(g.order, func(a, b int32) int {
-		if c := cmp.Compare(height[b], height[a]); c != 0 {
-			return c
-		}
-		return cmp.Compare(g.nodes[a].ID, g.nodes[b].ID)
-	})
-	g.rank = make([]int32, n)
-	for r, m := range g.order {
-		g.rank[m] = int32(r)
-	}
-	g.findClusters()
-
 	g.off = make([]int64, n)
 	g.lastTry = make([]int64, n)
 	g.placed = make([]bool, n)
-	return g, true
+	g.findClusters()
 }
 
 // findClusters fills g.clusters: Kosaraju's two passes, over succ and
 // then pred, keeping the components refuted can use.
-func (g *loopGraph) findClusters() {
+func (g *blockGraph) findClusters() {
 	n := len(g.nodes)
 	seen := make([]bool, n)
 	finish := make([]int32, 0, n)
@@ -447,7 +255,7 @@ func (g *loopGraph) findClusters() {
 // longest paths; the weights only fall as II grows, so the first feasible
 // II is the bound).  Below it tryModulo can only exhaust its budget
 // evicting.
-func (g *loopGraph) recurrenceBound(from, limit int64) int64 {
+func (g *blockGraph) recurrenceBound(from, limit int64) int64 {
 	start := g.off // scratch: tryModulo writes an offset before it reads one
 	positiveCycle := func(ii int64) bool {
 		clear(start)
@@ -494,7 +302,7 @@ const noPath = math.MinInt64 / 4
 // Both are necessary conditions, so nothing feasible is refuted.  ii must
 // be at or above recurrenceBound: with no cycle of positive weight the
 // paths are well defined and every window has lo ≤ hi.
-func (g *loopGraph) refuted(ii int64) bool {
+func (g *blockGraph) refuted(ii int64) bool {
 	for i := range g.clusters {
 		c := &g.clusters[i]
 		n := c.size
@@ -593,7 +401,7 @@ type moduloResult struct {
 // fixed budget.  Eviction is what lets recurrence clusters (for
 // example, a carried scalar's move tied to its consumer's cycle)
 // converge where one-pass greedy placement deadlocks.
-func (g *loopGraph) tryModulo(ii int64, ls *prof.LoopSched) (*moduloResult, bool) {
+func (g *blockGraph) tryModulo(ii int64, ls *prof.LoopSched) (*moduloResult, bool) {
 	n := len(g.nodes)
 	rows := len(g.rowCap)
 	off, placed, lastTry := g.off, g.placed, g.lastTry
@@ -717,30 +525,37 @@ func min64(a, b int64) int64 {
 	return b
 }
 
-// moduloSchedule orchestrates: qualify, bound the II from below (by the
-// units, the trip count, the recurrences, and the two together), search
-// upward from there for the smallest II that schedules, check register
-// demand, and emit prologue/kernel/epilogue.  ok=false means "fall back
-// to a plain counted loop".
-func (g *gen) moduloSchedule(r *ir.LoopRegion, b *ir.Block, ls *prof.LoopSched) ([]mcode.CodeItem, bool, error) {
-	// Baseline: the plain list schedule (also the fallback measure).
-	base, err := listSchedule(b)
-	if err != nil {
-		return nil, false, err
+// moduloSchedule software-pipelines an innermost loop whose body is a
+// single basic block: qualify, bound the II from below (by the units, the
+// trip count, the recurrences, and the two together), search upward from
+// there for the smallest II that schedules, check register demand, and
+// emit prologue/kernel/epilogue.  ok=false means "fall back to a plain
+// counted loop".
+func (g *gen) moduloSchedule(r *ir.LoopRegion, ls *prof.LoopSched) ([]mcode.CodeItem, bool, error) {
+	var br *ir.BlockRegion
+	if len(r.Body) == 1 {
+		br, _ = r.Body[0].(*ir.BlockRegion)
 	}
+	if br == nil {
+		ls.Reason = "not an innermost single-block loop"
+		return nil, false, nil
+	}
+	b := br.Block
 	edges, ok := buildModuloEdges(b, r.Loop)
 	if !ok {
 		ls.Reason = "non-parallel array subscripts"
 		return nil, false, nil
 	}
-	lg, ok := newLoopGraph(b, edges)
-	if !ok {
-		ls.Reason = "dependence cycle within one iteration"
-		return nil, false, nil
+	lg, err := newBlockGraph(b, edges)
+	if err != nil {
+		return nil, false, err
 	}
+	// Baseline: the plain list schedule (also the fallback measure).
+	base := lg.listSchedule()
+	lg.initSearch()
 
 	trips := r.Trips()
-	mii, reason := lg.lowerBound(resMII(b), trips, base.len)
+	mii, reason := lg.lowerBound(lg.resMII(), trips, base.len)
 	ls.MII = int(mii)
 	if mii >= base.len {
 		ls.Reason = reason
@@ -787,7 +602,7 @@ func (g *gen) moduloSchedule(r *ir.LoopRegion, b *ir.Block, ls *prof.LoopSched) 
 //     one iteration's offsets), so II ≥ ⌈(critical path + 1)/trips⌉;
 //   - recurrences: no dependence cycle of positive weight (recurrenceBound);
 //   - recurrences and capacity-1 units together (refuted).
-func (g *loopGraph) lowerBound(res, trips, limit int64) (mii int64, reason string) {
+func (g *blockGraph) lowerBound(res, trips, limit int64) (mii int64, reason string) {
 	if need := (g.crit + trips) / trips; need > res {
 		if need >= limit {
 			return need, fmt.Sprintf("trip count %d allows no II below the list schedule (needs ≥ %d)", trips, need)

@@ -1,19 +1,250 @@
 package cellgen
 
 import (
+	"fmt"
 	"sort"
 
 	"warp/internal/ir"
 	"warp/internal/mcode"
 	"warp/internal/prof"
+	"warp/internal/w2"
 )
 
-// This file keeps the modulo scheduler as it was before it moved onto
-// dense tables — every table a Go map keyed by *ir.Node or resKey — as
-// the oracle of TestModuloScheduleMatchesReference and of the II-bound
-// tests.  It is the parent commit's code verbatim except for the names
-// (ref…) and refTryModulo's budgetScale, which lets the bound tests show
-// that a skipped II is not merely one the eviction budget gave up on.
+// This file keeps both schedulers as they were before they moved onto
+// dense tables — every table a Go map keyed by *ir.Node, portKey or
+// resKey.  The list scheduler (refBuildEdges, refListSchedule) is the
+// oracle of TestListScheduleMatchesReference; the modulo scheduler is the
+// oracle of TestModuloScheduleMatchesReference and of the II-bound tests.
+// Both are the code they replaced verbatim except for the names (ref…)
+// and refTryModulo's budgetScale, which lets the bound tests show that a
+// skipped II is not merely one the eviction budget gave up on.
+
+// refEdge is a scheduling dependence with a minimum issue distance.
+type refEdge struct {
+	to  *ir.Node
+	lat int64
+}
+
+// refBuildEdges constructs the scheduling dependence graph of a block:
+// operand edges, explicit ordering edges, and home-register
+// anti-dependences (every consumer of an OpRead must issue no later
+// than the OpWrite that overwrites the scalar's home register).
+func refBuildEdges(b *ir.Block) map[*ir.Node][]refEdge {
+	succ := make(map[*ir.Node][]refEdge)
+	reads := make(map[*w2.Symbol][]*ir.Node)
+	for _, n := range b.Nodes {
+		if n.Op == ir.OpRead {
+			reads[n.Sym] = append(reads[n.Sym], n)
+		}
+	}
+	for _, n := range b.Nodes {
+		for _, a := range n.Args {
+			succ[a] = append(succ[a], refEdge{to: n, lat: resultLatency(a)})
+		}
+		for _, d := range n.Deps {
+			succ[d] = append(succ[d], refEdge{to: n, lat: depLatency(d, n)})
+		}
+		if n.Op == ir.OpWrite {
+			// Home-register anti-dependence: the write lands one cycle
+			// after issue, so consumers of the old value must issue no
+			// later than the write.
+			for _, r := range reads[n.Sym] {
+				for _, m := range b.Nodes {
+					if m == n {
+						continue
+					}
+					for _, a := range m.Args {
+						if a == r {
+							succ[m] = append(succ[m], refEdge{to: n, lat: 0})
+						}
+					}
+				}
+			}
+		}
+	}
+	return succ
+}
+
+// refListSchedule schedules the block's nodes cycle by cycle.
+func refListSchedule(b *ir.Block) (*blockSchedule, error) {
+	succ := refBuildEdges(b)
+
+	// Topological order (opt passes may have rewired args out of
+	// creation order).
+	indeg := make(map[*ir.Node]int)
+	for _, n := range b.Nodes {
+		indeg[n] += 0
+		for _, e := range succ[n] {
+			indeg[e.to]++
+		}
+	}
+	var topo []*ir.Node
+	var ready []*ir.Node
+	for _, n := range b.Nodes {
+		if indeg[n] == 0 {
+			ready = append(ready, n)
+		}
+	}
+	for len(ready) > 0 {
+		n := ready[0]
+		ready = ready[1:]
+		topo = append(topo, n)
+		for _, e := range succ[n] {
+			indeg[e.to]--
+			if indeg[e.to] == 0 {
+				ready = append(ready, e.to)
+			}
+		}
+	}
+	if len(topo) != len(b.Nodes) {
+		return nil, fmt.Errorf("cellgen: dependence cycle in block b%d", b.ID)
+	}
+
+	// Priority: latency-weighted height (critical path to a sink).
+	height := make(map[*ir.Node]int64)
+	for i := len(topo) - 1; i >= 0; i-- {
+		n := topo[i]
+		var h int64
+		for _, e := range succ[n] {
+			if v := e.lat + height[e.to]; v > h {
+				h = v
+			}
+		}
+		height[n] = h
+	}
+
+	// Earliest start driven by scheduled predecessors.
+	pred := make(map[*ir.Node][]struct {
+		from *ir.Node
+		lat  int64
+	})
+	for n, es := range succ {
+		for _, e := range es {
+			pred[e.to] = append(pred[e.to], struct {
+				from *ir.Node
+				lat  int64
+			}{n, e.lat})
+		}
+	}
+
+	sched := &blockSchedule{block: b, issue: make(map[*ir.Node]int64)}
+	unscheduled := make(map[*ir.Node]bool)
+	for _, n := range b.Nodes {
+		if needsInstr(n) {
+			unscheduled[n] = true
+		} else {
+			sched.issue[n] = 0 // available at block entry
+		}
+	}
+
+	// Resource tables.
+	addBusy := map[int64]bool{}
+	mulBusy := map[int64]bool{}
+	movBusy := map[int64]bool{}
+	memBusy := map[int64]int{}
+	ioBusy := map[int64]map[portKey]bool{}
+
+	earliest := func(n *ir.Node) int64 {
+		var t int64
+		for _, p := range pred[n] {
+			if !needsInstr(p.from) {
+				continue // ready at block entry
+			}
+			it, ok := sched.issue[p.from]
+			if !ok {
+				return -1 // predecessor not scheduled yet
+			}
+			if v := it + p.lat; v > t {
+				t = v
+			}
+		}
+		return t
+	}
+
+	fits := func(n *ir.Node, t int64) bool {
+		switch unitOf(n) {
+		case unitAdd:
+			return !addBusy[t]
+		case unitMul:
+			return !mulBusy[t]
+		case unitMov:
+			return !movBusy[t]
+		case unitMem:
+			return memBusy[t] < mcode.MemPorts
+		case unitIO:
+			m := ioBusy[t]
+			return m == nil || !m[portOf(n)]
+		}
+		return true
+	}
+	take := func(n *ir.Node, t int64) {
+		switch unitOf(n) {
+		case unitAdd:
+			addBusy[t] = true
+		case unitMul:
+			mulBusy[t] = true
+		case unitMov:
+			movBusy[t] = true
+		case unitMem:
+			memBusy[t]++
+		case unitIO:
+			if ioBusy[t] == nil {
+				ioBusy[t] = map[portKey]bool{}
+			}
+			ioBusy[t][portOf(n)] = true
+		}
+	}
+
+	for t := int64(0); len(unscheduled) > 0; t++ {
+		if t > int64(len(b.Nodes))*64+1024 {
+			return nil, fmt.Errorf("cellgen: scheduler did not converge in block b%d", b.ID)
+		}
+		// Candidates ready at cycle t, by priority.
+		var cands []*ir.Node
+		for n := range unscheduled {
+			e := earliest(n)
+			if e >= 0 && e <= t {
+				cands = append(cands, n)
+			}
+		}
+		sort.Slice(cands, func(i, j int) bool {
+			if height[cands[i]] != height[cands[j]] {
+				return height[cands[i]] > height[cands[j]]
+			}
+			return cands[i].ID < cands[j].ID
+		})
+		for _, n := range cands {
+			if fits(n, t) {
+				sched.issue[n] = t
+				take(n, t)
+				delete(unscheduled, n)
+				sched.nodes = append(sched.nodes, n)
+			}
+		}
+	}
+
+	// The block must extend past every in-flight result: a pipelined
+	// write landing after the last issue would otherwise cross into the
+	// next block (or the next loop iteration) and clobber a reused
+	// register there.
+	for _, n := range sched.nodes {
+		end := sched.issue[n] + 1
+		if lat := resultLatency(n); lat > 1 {
+			end = sched.issue[n] + lat
+		}
+		if end > sched.len {
+			sched.len = end
+		}
+	}
+	sort.SliceStable(sched.nodes, func(i, j int) bool {
+		ti, tj := sched.issue[sched.nodes[i]], sched.issue[sched.nodes[j]]
+		if ti != tj {
+			return ti < tj
+		}
+		return sched.nodes[i].ID < sched.nodes[j].ID
+	})
+	return sched, nil
+}
 
 // refRecurrenceBound is the recurrence-constrained lower bound on II: the
 // smallest II ≥ from at which the dependences among the scheduled

@@ -38,7 +38,6 @@ type Node struct {
 	Dir  w2.Direction // OpRecv/OpSend
 	Chan w2.Channel   // OpRecv/OpSend
 	Ext  *ExtRef      // OpRecv/OpSend host binding
-	Loop *w2.ForStmt  // OpIndexF
 
 	// Deps are explicit ordering edges in addition to operand edges:
 	// queue order, memory order, and register anti-dependences.  The
@@ -68,8 +67,6 @@ func (n *Node) String() string {
 		fmt.Fprintf(&sb, " %s[%s]", n.Sym.Name, n.Addr)
 	case OpRead, OpWrite:
 		fmt.Fprintf(&sb, " %s", n.Sym.Name)
-	case OpIndexF:
-		fmt.Fprintf(&sb, " %s", n.Loop.Var)
 	}
 	for _, a := range n.Args {
 		fmt.Fprintf(&sb, " n%d", a.ID)

@@ -56,11 +56,6 @@ const (
 	// conditionals so that cell timing stays data independent.
 	OpSelect
 
-	// OpIndexF produces float(i) for the enclosing loop index Loop.
-	// The cells cannot convert integers, so the code generator lowers
-	// this to a floating induction register updated once per iteration.
-	OpIndexF
-
 	// OpRead produces the value of scalar Sym on entry to the block
 	// (a register read at code-generation time).
 	OpRead
@@ -91,7 +86,6 @@ var opNames = [...]string{
 	OpOr:      "or",
 	OpNot:     "not",
 	OpSelect:  "select",
-	OpIndexF:  "indexf",
 	OpRead:    "read",
 	OpWrite:   "write",
 }
