@@ -13,7 +13,10 @@ import (
 
 	"warp/internal/driver"
 	"warp/internal/fastexec"
+	"warp/internal/hostgen"
 	"warp/internal/interp"
+	"warp/internal/mcode"
+	"warp/internal/w2"
 	"warp/internal/workloads"
 )
 
@@ -136,17 +139,72 @@ end
 	if res != nil || err == nil {
 		t.Fatalf("result %v, error %v: a divide by zero in lane %d must fail the batch", res, err, bad)
 	}
-	if !strings.Contains(err.Error(), "floating divide by zero in lane 3") {
+	if !strings.HasSuffix(err.Error(), "floating divide by zero in lane 3") {
 		t.Errorf("error %q does not name lane %d", err, bad)
 	}
 	// The same fault, the same text up to the lane, on the one-wide body.
 	_, single := plan.Execute(images[bad], fastexec.ExecConfig{})
-	if single == nil || !strings.HasPrefix(err.Error(), single.Error()) {
+	if single == nil || err.Error() != single.Error()+" in lane 3" {
 		t.Errorf("batch error %q, the lane alone fails with %q", err, single)
 	}
 	// Without the bad lane the batch runs.
 	if _, err := plan.ExecuteBatch(append(images[:bad:bad], images[bad+1:]...), fastexec.ExecConfig{}); err != nil {
 		t.Errorf("the other lanes: %v", err)
+	}
+}
+
+// TestBatchLandingOrder: writes that meet at one register at the end of
+// one cycle land in the machine's order — FPU results due, then receives,
+// then one-cycle ALU results — on the one-wide body and in every lane of
+// a batched walk.  r5: an FPU result, a receive and a move, so it holds
+// the move's value; r6: an FPU result and a receive, so it holds the
+// received word.  The simulator runs the same program in its own test.
+func TestBatchLandingOrder(t *testing.T) {
+	recv := func(r mcode.Reg) *mcode.Instr {
+		return &mcode.Instr{IO: []*mcode.IOOp{{Recv: true, Dir: w2.DirL, Chan: w2.ChanX, Reg: r}}}
+	}
+	send := func(r mcode.Reg) *mcode.Instr {
+		return &mcode.Instr{IO: []*mcode.IOOp{{Dir: w2.DirR, Chan: w2.ChanX, Reg: r}}}
+	}
+	fadd := func(dst mcode.Reg) *mcode.Instr {
+		return &mcode.Instr{Add: &mcode.AluOp{Code: mcode.Fadd, Dst: dst, Src: [3]mcode.Reg{1, 2}}}
+	}
+	instrs := []*mcode.Instr{recv(1), recv(2), fadd(5), fadd(6)}
+	for len(instrs) < 2+mcode.FPULatency-1 { // the first sum lands at the end of the next word
+		instrs = append(instrs, &mcode.Instr{})
+	}
+	meet := recv(5)
+	meet.Mov = &mcode.AluOp{Code: mcode.Mov, Dst: 5, Src: [3]mcode.Reg{1}}
+	instrs = append(instrs, meet, recv(6), send(5), send(6))
+	cell := &mcode.CellProgram{Items: []mcode.CodeItem{&mcode.Straight{Instrs: instrs}}}
+	cell.AssignPCs()
+	host := &hostgen.Program{
+		In:  map[w2.Channel]hostgen.Stream{w2.ChanX: hostgen.Of(hostgen.Word{Index: 0}, hostgen.Word{Index: 1}, hostgen.Word{Index: 2}, hostgen.Word{Index: 3})},
+		Out: map[w2.Channel]hostgen.Stream{w2.ChanX: hostgen.Of(hostgen.Word{Index: 4}, hostgen.Word{Index: 5})},
+	}
+	plan, err := fastexec.Compile(fastexec.Program{Cells: 1, Cell: cell, IU: &mcode.IUProgram{}, Host: host, Lead: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	images := [][]float64{{1, 2, 10, 20, 0, 0}, {3, 4, 30, 40, 0, 0}, {5, 6, 50, 60, 0, 0}}
+	check := func(what string, img []float64) {
+		t.Helper()
+		if img[4] != img[0] || img[5] != img[3] {
+			t.Errorf("%s: sent r5 = %v and r6 = %v, want the move's %v and the received %v", what, img[4], img[5], img[0], img[3])
+		}
+	}
+	for l, img := range images {
+		alone := append([]float64(nil), img...)
+		if _, err := plan.Execute(alone, fastexec.ExecConfig{}); err != nil {
+			t.Fatalf("lane %d alone: %v", l, err)
+		}
+		check(fmt.Sprintf("lane %d alone", l), alone)
+	}
+	if _, err := plan.ExecuteBatch(images, fastexec.ExecConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	for l, img := range images {
+		check(fmt.Sprintf("lane %d", l), img)
 	}
 }
 

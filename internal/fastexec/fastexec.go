@@ -14,13 +14,13 @@
 // (ExecuteBatch): words, sequencing and addresses are shared, and each
 // register, memory word, stream word and FPU FIFO entry holds a value per
 // problem.  One problem alone keeps a one-wide body over the same words
-// (runCell): the lane-wide body runs one problem at half its speed.
+// (runCell): the lane-wide body runs one problem 2.3–2.9× slower.
 //
 // The run is bit-exact with the simulator:
 //
 //   - Writes land late exactly as in hardware, in the simulator's
-//     (landing cycle, issue order); the batched walk (runLanes) keeps
-//     the order of mcode.CellRegs.
+//     (landing cycle, issue order): runCell steps mcode.CellRegs and the
+//     batched walk (runLanes) mcode.LaneRegs, as the simulator does.
 //   - Cells execute sequentially left to right.  Data flows rightward
 //     only (the compiler enforces this), so cell i's entire input
 //     streams are known once cell i-1 has run; FIFO pop order is
@@ -328,10 +328,9 @@ type execState struct {
 	// word.
 	prev, cur [2][]float64
 
-	cell mcode.CellRegs // the one-wide body's registers
-	// A batched walk's lanes: register r of problem l at regs[r·n+l], and
-	// the values of the FPU FIFO's slots and of a word's held-back writes.
-	regs, fifo, held []float64
+	cell     mcode.CellRegs // the one-wide body's registers
+	lanes    mcode.LaneRegs // a batched walk's, over laneVals
+	laneVals []float64
 
 	hostIn, hostOut [2]hostgen.Reader // the host streams on X, Y: the same words for every problem
 	sent            [2]int
@@ -358,15 +357,8 @@ func (st *execState) hostWords(ch w2.Channel, dst []float64) error {
 	if w == nil {
 		return fmt.Errorf("fastexec: host input stream on %s ran dry after %d words", ch, st.plan.host.In[ch].Words())
 	}
-	for l, hostMem := range st.hostMems {
-		switch {
-		case w.Literal:
-			dst[l] = w.Value
-		case w.Index < 0 || int(w.Index) >= len(hostMem):
-			return fmt.Errorf("fastexec: host input index %d outside host memory of %d words", w.Index, len(hostMem))
-		default:
-			dst[l] = hostMem[w.Index]
-		}
+	if err := w.Gather(dst, st.hostMems); err != nil {
+		return fmt.Errorf("fastexec: %w", err)
 	}
 	return nil
 }
@@ -379,13 +371,8 @@ func (st *execState) hostCollect(ch w2.Channel, vals []float64) error {
 	if w == nil {
 		return fmt.Errorf("fastexec: the last cell sent more words on %s than the host program expects (%d)", ch, st.sent[ch])
 	}
-	if idx := int(w.Index); idx != hostgen.Discard {
-		for l, hostMem := range st.hostMems {
-			if idx < 0 || idx >= len(hostMem) {
-				return fmt.Errorf("fastexec: host output index %d outside host memory of %d words", idx, len(hostMem))
-			}
-			hostMem[idx] = vals[l]
-		}
+	if err := w.Scatter(st.hostMems, vals); err != nil {
+		return fmt.Errorf("fastexec: %w", err)
 	}
 	st.sent[ch]++
 	return nil
@@ -423,7 +410,7 @@ func (p *Plan) Execute(hostMem []float64, cfg ExecConfig) (*Result, error) {
 // StateBytes is the execution state one problem of a batch occupies:
 // registers, cell memory envelope, write buffers, inter-cell streams.
 func (p *Plan) StateBytes() int {
-	return 8 * (mcode.NumRegs + p.code.MemWords + mcode.FPUSlots + mcode.MemPorts + 3 + 2*int(p.counts.Send[0]+p.counts.Send[1]))
+	return 8 * (mcode.LaneRegWords + p.code.MemWords + 2*int(p.counts.Send[0]+p.counts.Send[1]))
 }
 
 // ExecuteBatch runs the plan over several problems' host memory images
@@ -465,8 +452,6 @@ func (p *Plan) ExecuteBatch(hostMems [][]float64, cfg ExecConfig) (*Result, erro
 	run := p.runCell // one problem keeps the words' one-wide body
 	if n > 1 {
 		run = p.runLanes
-		st.regs, st.fifo = sized(st.regs, mcode.NumRegs*n), sized(st.fifo, mcode.FPUSlots*n)
-		st.held = sized(st.held, (mcode.MemPorts+3)*n)
 	}
 	for ch, words := range p.counts.Send {
 		st.hostIn[ch] = hostgen.NewReader(p.host.In[w2.Channel(ch)])
@@ -607,30 +592,15 @@ func (p *Plan) runCell(st *execState, idx int) error {
 
 // runLanes is runCell for n problems at once: the same words under one
 // sequencer, the same order of reads and landings within a word, every
-// value n lanes wide.  What amortizes is the walk itself — field dispatch,
-// address arithmetic, sequencing — most of what a small run costs.
+// value n lanes wide, its writes landing through mcode.LaneRegs.  What
+// amortizes is the walk itself — field dispatch, address arithmetic,
+// sequencing — most of what a small run costs.
 func (p *Plan) runLanes(st *execState, idx int) error {
 	first, last := idx == 0, idx == p.cells-1
-	n, regs, mem := len(st.hostMems), st.regs, st.mem
-	clear(regs)
+	n, r, mem := len(st.hostMems), &st.lanes, st.mem
+	st.laneVals = sized(st.laneVals, mcode.LaneRegWords*n)
+	r.Reset(n, st.laneVals)
 	clear(mem)
-	lanes := func(r mcode.Reg) []float64 { return regs[int(r)*n:][:n] }
-	// The register and landing cycle of each FPU result in flight (its
-	// values are st.fifo[slot·n:]), oldest at head.
-	var fifo [mcode.FPUSlots]struct {
-		reg  mcode.Reg
-		land int64
-	}
-	var head, tail uint
-	land := func(t int64) {
-		for ; head != tail && fifo[head%mcode.FPUSlots].land <= t; head++ {
-			copy(lanes(fifo[head%mcode.FPUSlots].reg), st.fifo[int(head%mcode.FPUSlots)*n:][:n])
-		}
-	}
-	// What the current word holds back to the end of its cycle (values in
-	// st.held[i·n:]): its stores' addresses, then its one-cycle ALU
-	// results' registers.
-	var held [mcode.MemPorts + 3]int64
 	var pos [2]int
 
 	s := mcode.Seq{Iter: st.iter}
@@ -641,48 +611,36 @@ func (p *Plan) runLanes(st *execState, idx int) error {
 		}
 		if w.Skip > 0 {
 			t += w.Skip
-			land(t)
+			r.Land(t)
 		}
 		for _, io := range p.code.IO[w.IOLo:w.RecvLo] {
 			if !last {
-				st.cur[io.Ch] = append(st.cur[io.Ch], lanes(io.Reg)...)
-			} else if err := st.hostCollect(io.Ch, lanes(io.Reg)); err != nil {
+				st.cur[io.Ch] = append(st.cur[io.Ch], r.Lanes(io.Reg)...)
+			} else if err := st.hostCollect(io.Ch, r.Lanes(io.Reg)); err != nil {
 				return err
 			}
 		}
-		nstored := 0
+		// Loads are held and read before the word's stores land; stores
+		// read the registers before any write does.
+		for pi := range w.Mem {
+			if m := &w.Mem[pi]; m.Kind == mcode.MemLoad {
+				copy(r.Hold(m.Reg), mem[int(p.addr(m, s.Iter))*n:][:n])
+			}
+		}
 		for pi := range w.Mem {
 			if m := &w.Mem[pi]; m.Kind == mcode.MemStore {
-				held[nstored] = p.addr(m, s.Iter)
-				copy(st.held[nstored*n:][:n], lanes(m.Reg))
-				nstored++
+				copy(mem[int(p.addr(m, s.Iter))*n:][:n], r.Lanes(m.Reg))
 			}
 		}
-		nheld := nstored
-		for _, f := range [...]struct {
-			on bool
-			op *mcode.AluOp
-		}{{w.HasAdd, &w.Add}, {w.HasMul, &w.Mul}, {w.HasMov, &w.Mov}} {
-			if !f.on {
-				continue
-			}
-			var dst []float64
-			if lat := f.op.Code.Latency(); lat == 1 {
-				held[nheld], dst = int64(f.op.Dst), st.held[nheld*n:][:n]
-				nheld++
-			} else {
-				slot := tail % mcode.FPUSlots
-				fifo[slot].reg, fifo[slot].land, dst = f.op.Dst, t+lat, st.fifo[int(slot)*n:][:n]
-				tail++
-			}
-			if err := f.op.EvalBatch(dst, regs, n); err != nil {
-				return fmt.Errorf("fastexec: %w", err)
-			}
+		if err := r.Issue(w, t); err != nil {
+			return fmt.Errorf("fastexec: %w", err)
 		}
-		land(t + 1)
+		// Receives land after the FPU results due by t+1 and before the
+		// held writes, as in runCell.
+		r.Land(t + 1)
 		for _, io := range p.code.IO[w.RecvLo:w.IOHi] {
 			if first {
-				if err := st.hostWords(io.Ch, lanes(io.Reg)); err != nil {
+				if err := st.hostWords(io.Ch, r.Lanes(io.Reg)); err != nil {
 					return err
 				}
 				continue
@@ -691,26 +649,10 @@ func (p *Plan) runLanes(st *execState, idx int) error {
 			if at >= len(in) {
 				return fmt.Errorf("fastexec: queue cell%d.%s underflows (receive before the matching send)", idx, io.Ch)
 			}
-			copy(lanes(io.Reg), in[at:at+n])
+			copy(r.Lanes(io.Reg), in[at:at+n])
 			pos[io.Ch]++
 		}
-		for pi := range w.Mem {
-			if m := &w.Mem[pi]; m.Kind == mcode.MemLoad {
-				copy(lanes(m.Reg), mem[int(p.addr(m, s.Iter))*n:][:n])
-			}
-		}
-		for i, at := range held[:nheld] {
-			if vals := st.held[i*n:][:n]; i < nstored {
-				copy(mem[int(at)*n:][:n], vals)
-			} else {
-				copy(lanes(mcode.Reg(at)), vals)
-			}
-		}
-		if w.HasLit {
-			for l, dst := 0, lanes(w.Lit.Dst); l < n; l++ {
-				dst[l] = w.Lit.Value
-			}
-		}
+		r.Retire(w)
 		s.Advance(w.Depth, p.code.Ends[w.EndLo:w.EndHi])
 	}
 	return nil

@@ -41,6 +41,37 @@ type Word struct {
 // inserted to conserve the stream, as in the paper's Figure 4-1).
 const Discard = -1
 
+// Gather resolves the input word w against several problems' host
+// memories: dst[l] is what the host sends from mems[l].
+func (w *Word) Gather(dst []float64, mems [][]float64) error {
+	for l, mem := range mems {
+		switch {
+		case w.Literal:
+			dst[l] = w.Value
+		case w.Index < 0 || int(w.Index) >= len(mem):
+			return fmt.Errorf("host input index %d outside host memory of %d words", w.Index, len(mem))
+		default:
+			dst[l] = mem[w.Index]
+		}
+	}
+	return nil
+}
+
+// Scatter stores the output word w's arriving values, vals[l] into
+// mems[l], or nowhere when it is a Discard.
+func (w *Word) Scatter(mems [][]float64, vals []float64) error {
+	if w.Index == Discard {
+		return nil
+	}
+	for l, mem := range mems {
+		if w.Index < 0 || int(w.Index) >= len(mem) {
+			return fmt.Errorf("host output index %d outside host memory of %d words", w.Index, len(mem))
+		}
+		mem[w.Index] = vals[l]
+	}
+	return nil
+}
+
 // Program is the host I/O program: per channel, the input stream for
 // the first cell and the output stream from the last cell.  A channel
 // without traffic has no entry.

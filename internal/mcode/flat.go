@@ -18,7 +18,8 @@ import (
 // Decode builds the one decoded cell program.  The simulator steps it
 // cycle by cycle under real queues, taking addresses from the IU; the
 // fast executor runs it at dataflow speed from the bound addresses; both
-// land a word's writes through CellRegs.  The verifier reads the
+// land a word's writes through CellRegs, and a batched walk of either
+// through LaneRegs.  The verifier reads the
 // microcode itself and proves the IU's streams from the IU loop tree,
 // with Elaborate as the test oracle of that proof.
 
@@ -284,6 +285,110 @@ func (r *CellRegs) Retire(w *Word) {
 	r.held = r.held[:0]
 	if w.HasLit {
 		r.R[w.Lit.Dst] = w.Lit.Value
+	}
+}
+
+// maxHeld is room for a well-formed word's one-cycle writes, as in
+// CellRegs: two receives, the loads and three ALU results.
+const maxHeld = 2 + MemPorts + 3
+
+// LaneRegWords counts the values one lane of a LaneRegs holds: its
+// registers, its FPU results in flight and a word's one-cycle writes.
+const LaneRegWords = NumRegs + FPUSlots + maxHeld
+
+// LaneRegs is CellRegs n lanes wide, the landing model of a batched walk:
+// register g of lane l at r[g·n+l], each write in flight n values.  A
+// word steps it as it steps CellRegs, except that Hold and Push return the
+// lanes of the write for the caller to fill, so the writes land in the
+// same (landing cycle, issue order).  A LaneRegs must not be copied after
+// Reset.
+type LaneRegs struct {
+	n    int
+	r    []float64
+	fifo [FPUSlots]struct {
+		reg  Reg
+		land int64
+	}
+	fifoVals   []float64 // FIFO slot s's values at fifoVals[s·n:]
+	head, tail uint
+	held       []Reg // the word's one-cycle writes, k's values at heldVals[k·n:]
+	heldBuf    [maxHeld]Reg
+	heldVals   []float64
+}
+
+// Reset empties n register files over vals, LaneRegWords·n values.
+func (r *LaneRegs) Reset(n int, vals []float64) {
+	regs, fifo := NumRegs*n, (NumRegs+FPUSlots)*n
+	*r = LaneRegs{n: n, r: vals[:regs:regs], fifoVals: vals[regs:fifo:fifo], heldVals: vals[fifo:]}
+	clear(r.r)
+	r.held = r.heldBuf[:0]
+}
+
+// Lanes returns register g of every lane.
+func (r *LaneRegs) Lanes(g Reg) []float64 { return r.r[int(g)*r.n:][:r.n] }
+
+// Hold holds a one-cycle write to g back to the end of the word's cycle.
+// A malformed word with more of them than a well-formed one grows the
+// buffer.
+func (r *LaneRegs) Hold(g Reg) []float64 {
+	k := len(r.held)
+	r.held = append(r.held, g)
+	if len(r.heldVals) < (k+1)*r.n {
+		r.heldVals = append(r.heldVals, make([]float64, r.n)...)
+	}
+	return r.heldVals[k*r.n:][:r.n]
+}
+
+// Push puts the result of an FPU field of the word issuing at cycle t in
+// flight.
+func (r *LaneRegs) Push(op *AluOp, t int64) []float64 {
+	lat := op.Code.Latency()
+	if lat == 1 {
+		return r.Hold(op.Dst)
+	}
+	s := r.tail % FPUSlots
+	r.fifo[s].reg, r.fifo[s].land = op.Dst, t+lat
+	r.tail++
+	return r.fifoVals[int(s)*r.n:][:r.n]
+}
+
+// Issue evaluates the FPU fields of the word issuing at cycle t against
+// the registers as they stand and Pushes their results.  A fault names
+// its lane (AluOp.EvalBatch).
+func (r *LaneRegs) Issue(w *Word, t int64) error {
+	for _, f := range [...]struct {
+		on bool
+		op *AluOp
+	}{{w.HasAdd, &w.Add}, {w.HasMul, &w.Mul}, {w.HasMov, &w.Mov}} {
+		if f.on {
+			if err := f.op.EvalBatch(r.Push(f.op, t), r.r, r.n); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// Land applies the FPU results that land by cycle t.
+func (r *LaneRegs) Land(t int64) {
+	for ; r.head != r.tail && r.fifo[r.head%FPUSlots].land <= t; r.head++ {
+		s := r.head % FPUSlots
+		copy(r.Lanes(r.fifo[s].reg), r.fifoVals[int(s)*r.n:][:r.n])
+	}
+}
+
+// Retire applies the held writes of the word's cycle in field order, then
+// its literal, as CellRegs.Retire does.
+func (r *LaneRegs) Retire(w *Word) {
+	for k, g := range r.held {
+		copy(r.Lanes(g), r.heldVals[k*r.n:][:r.n])
+	}
+	r.held = r.held[:0]
+	if w.HasLit {
+		dst := r.Lanes(w.Lit.Dst)
+		for l := range dst {
+			dst[l] = w.Lit.Value
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package mcode
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -212,6 +213,98 @@ func TestEvalBatchMatchesEval(t *testing.T) {
 		}
 		if code == Fdiv && (firstFault < 0 || len(clean) == len(files)) {
 			t.Error("fdiv: no lane divides by zero")
+		}
+	}
+}
+
+// TestLaneRegsMatchCellRegs: random streams of decoded words — FPU, Mov
+// and literal fields, held one-cycle writes (more than a well-formed word
+// has, now and then), idle skips, and few registers, so that several
+// writes meet at one register in one cycle — stepped through n CellRegs
+// and one LaneRegs n wide as the executors step them: after every word
+// each lane holds its CellRegs' registers, bit for bit.
+func TestLaneRegsMatchCellRegs(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	reg := func() Reg { return Reg(rng.Intn(6)) }
+	val := func() float64 { return float64(rng.Intn(64)-32) / 4 }
+	field := func(on *bool, op *AluOp, codes ...AluCode) {
+		if *on = rng.Intn(2) == 0; *on {
+			*op = AluOp{Code: codes[rng.Intn(len(codes))], Dst: reg(), Src: [3]Reg{reg(), reg(), reg()}}
+		}
+	}
+	for _, n := range []int{1, 2, 3, 7, 32} {
+		for stream := 0; stream < 40; stream++ {
+			cells := make([]CellRegs, n)
+			for l := range cells {
+				cells[l].Reset()
+			}
+			var lanes LaneRegs
+			lanes.Reset(n, make([]float64, LaneRegWords*n))
+			vals := make([]float64, n)
+			t0 := int64(0)
+			for i := 0; i < 80; i, t0 = i+1, t0+1 {
+				var w Word
+				if rng.Intn(4) == 0 {
+					w.Skip = int64(rng.Intn(FPULatency + 2))
+				}
+				field(&w.HasAdd, &w.Add, Fadd, Fsub, Fneg, CmpLT, BoolOr, Sel)
+				field(&w.HasMul, &w.Mul, Fmul)
+				field(&w.HasMov, &w.Mov, Mov)
+				if w.HasLit = rng.Intn(4) == 0; w.HasLit {
+					w.Lit = LitOp{Dst: reg(), Value: val()}
+				}
+				if w.Skip > 0 {
+					t0 += w.Skip
+					for l := range cells {
+						cells[l].Land(t0)
+					}
+					lanes.Land(t0)
+				}
+				holds := rng.Intn(5)
+				if rng.Intn(8) == 0 {
+					holds = maxHeld + 2
+				}
+				for k := 0; k < holds; k++ {
+					g := reg()
+					for l := range vals {
+						vals[l] = val()
+						cells[l].Hold(g, vals[l])
+					}
+					copy(lanes.Hold(g), vals)
+				}
+				for l := range cells {
+					c := &cells[l]
+					for _, f := range []struct {
+						on bool
+						op *AluOp
+					}{{w.HasAdd, &w.Add}, {w.HasMul, &w.Mul}, {w.HasMov, &w.Mov}} {
+						if f.on {
+							v, err := f.op.Eval(&c.R)
+							if err != nil {
+								t.Fatal(err)
+							}
+							c.Push(f.op, v, t0)
+						}
+					}
+				}
+				if err := lanes.Issue(&w, t0); err != nil {
+					t.Fatal(err)
+				}
+				for l := range cells {
+					cells[l].Land(t0 + 1)
+					cells[l].Retire(&w)
+				}
+				lanes.Land(t0 + 1)
+				lanes.Retire(&w)
+				for g := Reg(0); g < NumRegs; g++ {
+					for l, v := range lanes.Lanes(g) {
+						if math.Float64bits(v) != math.Float64bits(cells[l].R[g]) {
+							t.Fatalf("width %d, stream %d, word %d (%+v): lane %d %s = %v, its CellRegs %v",
+								n, stream, i, w, l, g, v, cells[l].R[g])
+						}
+					}
+				}
+			}
 		}
 	}
 }

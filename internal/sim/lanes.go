@@ -47,98 +47,16 @@ func LaneBytes(cells int, cell *mcode.CellProgram) int {
 	if err != nil || code.Unbound != nil {
 		return 0
 	}
-	return 8 * cells * (laneRegWords + 2*mcode.QueueDepth + code.MemWords)
-}
-
-// maxHeld is room for a well-formed word's one-cycle writes, as in
-// mcode.CellRegs: two receives, the loads and three ALU results.  A
-// malformed word grows it.
-const maxHeld = 2 + mcode.MemPorts + 3
-
-// laneRegWords counts the values one lane of a laneRegs holds.
-const laneRegWords = mcode.NumRegs + mcode.FPUSlots + maxHeld
-
-// laneRegs is mcode.CellRegs n lanes wide: register g of lane l at
-// r[g·n+l], each write in flight n values.  A word steps it as it steps
-// CellRegs, except that hold and push return the lanes of the write for
-// the caller to fill, so the writes land in the same (landing cycle,
-// issue order).  A laneRegs must not be copied after reset.
-type laneRegs struct {
-	n    int
-	r    []float64
-	fifo [mcode.FPUSlots]struct {
-		reg  mcode.Reg
-		land int64
-	}
-	fifoVals   []float64 // FIFO slot s's values at fifoVals[s·n:]
-	head, tail uint
-	held       []mcode.Reg // the word's one-cycle writes, k's values at heldVals[k·n:]
-	heldBuf    [maxHeld]mcode.Reg
-	heldVals   []float64
-}
-
-// reset empties n register files over vals: laneRegWords·n zeros.
-func (r *laneRegs) reset(n int, vals []float64) {
-	regs, fifo := mcode.NumRegs*n, (mcode.NumRegs+mcode.FPUSlots)*n
-	*r = laneRegs{n: n, r: vals[:regs:regs], fifoVals: vals[regs:fifo:fifo], heldVals: vals[fifo:]}
-	r.held = r.heldBuf[:0]
-}
-
-// lanes returns register g of every lane.
-func (r *laneRegs) lanes(g mcode.Reg) []float64 { return r.r[int(g)*r.n:][:r.n] }
-
-// hold holds a one-cycle write to g back to the end of the word's cycle.
-func (r *laneRegs) hold(g mcode.Reg) []float64 {
-	k := len(r.held)
-	r.held = append(r.held, g)
-	if len(r.heldVals) < (k+1)*r.n {
-		r.heldVals = append(r.heldVals, make([]float64, r.n)...)
-	}
-	return r.heldVals[k*r.n:][:r.n]
-}
-
-// push puts the result of an FPU field of the word issuing at cycle t in
-// flight.
-func (r *laneRegs) push(op *mcode.AluOp, t int64) []float64 {
-	lat := op.Code.Latency()
-	if lat == 1 {
-		return r.hold(op.Dst)
-	}
-	s := r.tail % mcode.FPUSlots
-	r.fifo[s].reg, r.fifo[s].land = op.Dst, t+lat
-	r.tail++
-	return r.fifoVals[int(s)*r.n:][:r.n]
-}
-
-// land applies the FPU results that land by cycle t.
-func (r *laneRegs) land(t int64) {
-	for ; r.head != r.tail && r.fifo[r.head%mcode.FPUSlots].land <= t; r.head++ {
-		s := r.head % mcode.FPUSlots
-		copy(r.lanes(r.fifo[s].reg), r.fifoVals[int(s)*r.n:][:r.n])
-	}
-}
-
-// retire applies the held writes of the word's cycle in field order, then
-// its literal.
-func (r *laneRegs) retire(w *mcode.Word) {
-	for k, g := range r.held {
-		copy(r.lanes(g), r.heldVals[k*r.n:][:r.n])
-	}
-	r.held = r.held[:0]
-	if w.HasLit {
-		dst := r.lanes(w.Lit.Dst)
-		for l := range dst {
-			dst[l] = w.Lit.Value
-		}
-	}
+	return 8 * cells * (mcode.LaneRegWords + 2*mcode.QueueDepth + code.MemWords)
 }
 
 // issueLanes is issue for a batched walk: the same fields in the same
-// order against the same queues, every value n lanes wide.  The memory
-// of lane l holds envelope word a at mem[a·n+l].
+// order against the same queues, every value n lanes wide, its writes
+// landing through mcode.LaneRegs.  The memory of lane l holds envelope
+// word a at mem[a·n+l].
 func (m *machine) issueLanes(c *cell, w *mcode.Word) error {
 	next, r, n := c.next, &c.lanes, len(m.lanes)
-	r.land(m.now)
+	r.Land(m.now)
 	fields := m.code.IO
 	for s, rv := w.IOLo, w.RecvLo; s < w.RecvLo || rv < w.IOHi; {
 		if rv < w.IOHi && (s == w.RecvLo || fields[rv].Ord < fields[s].Ord) {
@@ -148,7 +66,7 @@ func (m *machine) issueLanes(c *cell, w *mcode.Word) error {
 				return fmt.Errorf("sim: receive from the right is not supported (rightward flow only)")
 			}
 			q := &c.in[io.Ch]
-			if err := q.popLanes(r.hold(io.Reg)); err != nil {
+			if err := q.popLanes(r.Hold(io.Reg)); err != nil {
 				return err
 			}
 			recPop(m, q)
@@ -159,7 +77,7 @@ func (m *machine) issueLanes(c *cell, w *mcode.Word) error {
 		if io.Dir != w2.DirR {
 			return fmt.Errorf("sim: send to the left is not supported (rightward flow only)")
 		}
-		v := r.lanes(io.Reg)
+		v := r.Lanes(io.Reg)
 		if next != nil {
 			q := &next.in[io.Ch]
 			if err := q.pushLanes(v); err != nil {
@@ -203,46 +121,32 @@ func (m *machine) issueLanes(c *cell, w *mcode.Word) error {
 			c.nStores++
 		} else {
 			c.nLoads++
-			copy(r.hold(mf.Reg), c.mem[at[port]:][:n])
+			copy(r.Hold(mf.Reg), c.mem[at[port]:][:n])
 		}
 		if m.trace {
 			m.rec.MemRef(m.now, c.idx, port, addr, store)
 		}
 	}
 
-	for _, f := range [...]struct {
-		on bool
-		op *mcode.AluOp
-	}{{w.HasAdd, &w.Add}, {w.HasMul, &w.Mul}, {w.HasMov, &w.Mov}} {
-		if f.on {
-			if err := f.op.EvalBatch(r.push(f.op, m.now), r.r, n); err != nil {
-				return fmt.Errorf("sim: %w", err)
-			}
-		}
+	if err := r.Issue(w, m.now); err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
 
 	for port := range w.Mem {
 		if mf := &w.Mem[port]; mf.Kind == mcode.MemStore {
-			copy(c.mem[at[port]:][:n], r.lanes(mf.Reg))
+			copy(c.mem[at[port]:][:n], r.Lanes(mf.Reg))
 		}
 	}
-	r.land(m.now + 1)
-	r.retire(w)
+	r.Land(m.now + 1)
+	r.Retire(w)
 	return nil
 }
 
 // hostInLanes pushes the host input word w into cell 0's queue q, one
 // value per lane.
 func (m *machine) hostInLanes(q *queue[float64], w *hostgen.Word) error {
-	for l, mem := range m.lanes {
-		switch {
-		case w.Literal:
-			m.gather[l] = w.Value
-		case w.Index < 0 || int(w.Index) >= len(mem):
-			return fmt.Errorf("sim: host input index %d outside host memory of %d words", w.Index, len(mem))
-		default:
-			m.gather[l] = mem[w.Index]
-		}
+	if err := w.Gather(m.gather, m.lanes); err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
 	return q.pushLanes(m.gather)
 }
@@ -254,13 +158,8 @@ func (m *machine) hostCollectLanes(ch w2.Channel, vals []float64) error {
 	if w == nil {
 		return m.hostOverrun(ch)
 	}
-	if idx := int(w.Index); idx != hostgen.Discard {
-		for l, mem := range m.lanes {
-			if idx < 0 || idx >= len(mem) {
-				return fmt.Errorf("sim: host output index %d outside host memory of %d words", idx, len(mem))
-			}
-			mem[idx] = vals[l]
-		}
+	if err := w.Scatter(m.lanes, vals); err != nil {
+		return fmt.Errorf("sim: %w", err)
 	}
 	m.hostSent[ch]++
 	return nil

@@ -136,7 +136,7 @@ type cell struct {
 	pcs *obs.PCProfile
 
 	regs  mcode.CellRegs    // the register file and the writes in flight
-	lanes laneRegs          // the same, lane-wide, in a batched walk
+	lanes mcode.LaneRegs    // the same, lane-wide, in a batched walk
 	in    [2]queue[float64] // data queues, indexed by w2.Channel
 	adr   queue[int64]
 	sig   queue[sigItem]
@@ -302,7 +302,7 @@ func newMachine(cfg Config, lanes [][]float64) (*machine, error) {
 	// batched walk its registers, writes in flight and X and Y queue words.
 	cellVals := memWords * n
 	if lanes != nil {
-		cellVals += (laneRegWords + 2*mcode.QueueDepth) * n
+		cellVals += (mcode.LaneRegWords + 2*mcode.QueueDepth) * n
 	}
 	vals := make([]float64, cfg.Cells*cellVals+n)
 	takeVals := func(k int) []float64 {
@@ -321,7 +321,7 @@ func newMachine(cfg Config, lanes [][]float64) (*machine, error) {
 		c.regs.Reset()
 		c.mem = takeVals(memWords * n)
 		if lanes != nil {
-			c.lanes.reset(n, takeVals(laneRegWords*n))
+			c.lanes.Reset(n, takeVals(mcode.LaneRegWords*n))
 			c.in[w2.ChanX].vals = takeVals(mcode.QueueDepth * n)
 			c.in[w2.ChanY].vals = takeVals(mcode.QueueDepth * n)
 		}

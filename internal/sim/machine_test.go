@@ -286,38 +286,51 @@ func TestRunDetectsUnbalancedEnd(t *testing.T) {
 	}
 }
 
-// TestBatchLandingOrder: an FPU result and a move into the same register
-// land at the end of one cycle, the move last, so the register holds the
-// move's value — alone and in every lane of a batched walk.
+// TestBatchLandingOrder: writes that meet at one register at the end of
+// one cycle land in the machine's order — FPU results due, then receives,
+// then one-cycle ALU results — alone and in every lane of a batched walk.
+// r5: an FPU result, a receive and a move, so it holds the move's value;
+// r6: an FPU result and a receive, so it holds the received word.
 func TestBatchLandingOrder(t *testing.T) {
 	recv := func(r mcode.Reg) *mcode.Instr {
 		return &mcode.Instr{IO: []*mcode.IOOp{{Recv: true, Dir: w2.DirL, Chan: w2.ChanX, Reg: r}}}
 	}
-	instrs := []*mcode.Instr{recv(1), recv(2), {Add: &mcode.AluOp{Code: mcode.Fadd, Dst: 5, Src: [3]mcode.Reg{1, 2}}}}
-	for len(instrs) < 2+mcode.FPULatency-1 {
+	send := func(r mcode.Reg) *mcode.Instr {
+		return &mcode.Instr{IO: []*mcode.IOOp{{Dir: w2.DirR, Chan: w2.ChanX, Reg: r}}}
+	}
+	fadd := func(dst mcode.Reg) *mcode.Instr {
+		return &mcode.Instr{Add: &mcode.AluOp{Code: mcode.Fadd, Dst: dst, Src: [3]mcode.Reg{1, 2}}}
+	}
+	instrs := []*mcode.Instr{recv(1), recv(2), fadd(5), fadd(6)}
+	for len(instrs) < 2+mcode.FPULatency-1 { // the first sum lands at the end of the next word
 		instrs = append(instrs, &mcode.Instr{})
 	}
-	instrs = append(instrs,
-		&mcode.Instr{Mov: &mcode.AluOp{Code: mcode.Mov, Dst: 5, Src: [3]mcode.Reg{1}}},
-		&mcode.Instr{IO: []*mcode.IOOp{{Dir: w2.DirR, Chan: w2.ChanX, Reg: 5}}})
+	meet := recv(5)
+	meet.Mov = &mcode.AluOp{Code: mcode.Mov, Dst: 5, Src: [3]mcode.Reg{1}}
+	instrs = append(instrs, meet, recv(6), send(5), send(6))
 	host := emptyHost()
-	host.In[w2.ChanX] = hostgen.Of(hostgen.Word{Index: 0}, hostgen.Word{Index: 1})
-	host.Out[w2.ChanX] = hostgen.Of(hostgen.Word{Index: 2})
+	host.In[w2.ChanX] = hostgen.Of(hostgen.Word{Index: 0}, hostgen.Word{Index: 1}, hostgen.Word{Index: 2}, hostgen.Word{Index: 3})
+	host.Out[w2.ChanX] = hostgen.Of(hostgen.Word{Index: 4}, hostgen.Word{Index: 5})
 	cfg := Config{Cells: 1, Cell: &mcode.CellProgram{Items: []mcode.CodeItem{&mcode.Straight{Instrs: instrs}}},
 		IU: &mcode.IUProgram{}, Host: host, Lead: 1}
-	images := [][]float64{{1, 2, 0}, {3, 4, 0}, {5, 6, 0}}
+	images := [][]float64{{1, 2, 10, 20, 0, 0}, {3, 4, 30, 40, 0, 0}, {5, 6, 50, 60, 0, 0}}
+	check := func(what string, img []float64) {
+		t.Helper()
+		if img[4] != img[0] || img[5] != img[3] {
+			t.Errorf("%s: sent r5 = %v and r6 = %v, want the move's %v and the received %v", what, img[4], img[5], img[0], img[3])
+		}
+	}
 	for l, img := range images {
 		cfg.HostMem = append([]float64(nil), img...)
-		if _, err := Run(cfg); err != nil || cfg.HostMem[2] != img[0] {
-			t.Fatalf("lane %d alone: sent %v (%v), want the move's %v", l, cfg.HostMem[2], err, img[0])
+		if _, err := Run(cfg); err != nil {
+			t.Fatalf("lane %d alone: %v", l, err)
 		}
+		check(fmt.Sprintf("lane %d alone", l), cfg.HostMem)
 	}
 	if _, err := RunBatch(cfg, images); err != nil {
 		t.Fatal(err)
 	}
 	for l, img := range images {
-		if img[2] != img[0] {
-			t.Errorf("lane %d: sent %v, want the move's %v", l, img[2], img[0])
-		}
+		check(fmt.Sprintf("lane %d", l), img)
 	}
 }
