@@ -14,7 +14,6 @@ package cellgen
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"time"
 
 	"warp/internal/ir"
@@ -141,7 +140,7 @@ func interRegionGaps(items []mcode.CodeItem) []mcode.CodeItem {
 	var out []mcode.CodeItem
 	for _, it := range items {
 		if li, ok := it.(*mcode.LoopItem); ok {
-			if n := countAddrExprs(li.Body); n > 0 {
+			if n := mcode.CountAddrExprs(li.Body, mcode.IUNumRegs); n > 0 {
 				gap := make([]*mcode.Instr, n)
 				for i := range gap {
 					gap[i] = &mcode.Instr{}
@@ -152,52 +151,6 @@ func interRegionGaps(items []mcode.CodeItem) []mcode.CodeItem {
 		out = append(out, it)
 	}
 	return out
-}
-
-// countAddrExprs counts the distinct affine address forms of a loop
-// body's memory references, up to the IU register file size: both
-// callers spend one cycle per form the IU can hold, so the walk stops
-// there.  Two references share a form when they name the same array and
-// their shifted addresses read the same (loops by variable name, as
-// Affine.String prints them).
-func countAddrExprs(body []mcode.CodeItem) int {
-	seen := map[string]struct{}{}
-	var key []byte
-	var walk func(items []mcode.CodeItem) (more bool)
-	walk = func(items []mcode.CodeItem) bool {
-		for _, it := range items {
-			switch it := it.(type) {
-			case *mcode.Straight:
-				for _, in := range it.Instrs {
-					for _, m := range in.Mem {
-						if m == nil {
-							continue
-						}
-						aff := m.Addr.Shifted()
-						key = append(key[:0], m.Addr.Sym.Name...)
-						for _, t := range aff.Terms {
-							key = strconv.AppendInt(append(key, '|'), t.Coef, 10)
-							key = append(append(key, '*'), t.Var.Var...)
-						}
-						key = strconv.AppendInt(append(key, '|'), aff.Const, 10)
-						if _, ok := seen[string(key)]; !ok {
-							seen[string(key)] = struct{}{}
-							if len(seen) == mcode.IUNumRegs {
-								return false
-							}
-						}
-					}
-				}
-			case *mcode.LoopItem:
-				if !walk(it.Body) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	walk(body)
-	return len(seen)
 }
 
 func (g *gen) genRegions(regions []ir.Region) ([]mcode.CodeItem, error) {
@@ -279,7 +232,7 @@ func padLoopBody(body []mcode.CodeItem) []mcode.CodeItem {
 	if !nested {
 		return body
 	}
-	need := mcode.LoopOverheadCycles + int64(countAddrExprs(body))
+	need := mcode.LoopOverheadCycles + int64(mcode.CountAddrExprs(body, mcode.IUNumRegs))
 	trailing := int64(0)
 	if n := len(body); n > 0 {
 		if st, ok := body[n-1].(*mcode.Straight); ok {

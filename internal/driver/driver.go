@@ -175,8 +175,10 @@ func (c *Compiled) FastPlan() (*fastexec.Plan, error) {
 // pipelining was requested and the IU cannot feed the overlapped
 // schedule (its sequential table overflows), compilation backs off to
 // the plain schedule; the rollback is recorded in PipelineBackoff,
-// BackoffReason and a "pipeline-backoff" phase entry.  Only the back end
-// runs again: nothing before cell code generation reads Options.Pipeline.
+// BackoffReason and a "pipeline-backoff" phase entry.  The IU code
+// generator refuses such a schedule right after cell code generation,
+// before the skew search, and only the back end runs again: nothing
+// before cell code generation reads Options.Pipeline.
 func Compile(src string, opts Options) (*Compiled, error) {
 	fe, err := analyze(src, opts)
 	if err != nil {
@@ -270,8 +272,8 @@ func analyze(src string, opts Options) (*Compiled, error) {
 }
 
 // generate runs the back end — the three code generators in the paper's
-// order, the skew analysis and the verifier — on a copy of the analyzed
-// program fe.
+// order, the skew analysis after the IU's and the verifier — on a copy
+// of the analyzed program fe.
 func generate(fe *Compiled, opts Options) (*Compiled, error) {
 	c := &Compiled{
 		Module: fe.Module, Info: fe.Info, IR: fe.IR, OptStats: fe.OptStats, Comm: fe.Comm,
@@ -303,6 +305,18 @@ func generate(fe *Compiled, opts Options) (*Compiled, error) {
 	}
 	c.phase("cellgen", start, c.Cell.NumInstrs(), note)
 
+	// iugen reads only the cell program, and it is where a pipelined
+	// schedule the IU cannot feed is refused: it runs first, so that a
+	// doomed attempt ends before the skew search.
+	start = time.Now()
+	iu, err := iugen.Generate(c.Cell)
+	if err != nil {
+		return nil, err
+	}
+	c.IUGen = iu
+	c.IU = iu.IU
+	c.phase("iugen", start, c.IU.NumInstrs(), "")
+
 	start = time.Now()
 	if err := c.analyzeSkew(); err != nil {
 		return nil, err
@@ -312,15 +326,6 @@ func generate(fe *Compiled, opts Options) (*Compiled, error) {
 		skewNote = fmt.Sprintf("structural search, %d points evaluated", c.Sched.Totals().SkewOps)
 	}
 	c.phase("skew", start, int(c.Skew), skewNote)
-
-	start = time.Now()
-	iu, err := iugen.Generate(c.Cell)
-	if err != nil {
-		return nil, err
-	}
-	c.IUGen = iu
-	c.IU = iu.IU
-	c.phase("iugen", start, c.IU.NumInstrs(), "")
 
 	start = time.Now()
 	host, err := hostgen.Generate(c.Cell)

@@ -124,7 +124,7 @@ func TestBackoffReusesFrontEnd(t *testing.T) {
 	for _, p := range retried.Phases {
 		names = append(names, p.Name)
 	}
-	if got, want := strings.Join(names, " "), "parse sema flowgraph optimize commgraph cellgen skew iugen hostgen verify pipeline-backoff"; got != want {
+	if got, want := strings.Join(names, " "), "parse sema flowgraph optimize commgraph cellgen iugen skew hostgen verify pipeline-backoff"; got != want {
 		t.Errorf("phases %q, want %q", got, want)
 	}
 

@@ -28,6 +28,7 @@ package iugen
 
 import (
 	"fmt"
+	"slices"
 
 	"warp/internal/mcode"
 	"warp/internal/w2"
@@ -54,6 +55,8 @@ type Result struct {
 // construction.
 type iuBody struct {
 	parent        *iuBody
+	depth         int // nesting depth: 0 at top level
+	idx           int // creation order: 0 at top level
 	startInParent int64
 	loop          *mcode.IULoop // nil at top level
 	cellLoop      *mcode.LoopItem
@@ -66,11 +69,13 @@ type iuBody struct {
 
 // segment is one straight run of IU instructions within a body.
 type segment struct {
-	owner  *iuBody
-	start  int64 // cycle offset within owner
-	instrs []*mcode.IUInstr
-	block  *mcode.IUStraight
-	idx    int // position in genState.segOrder (static program order)
+	owner *iuBody
+	start int64             // cycle offset within owner
+	block *mcode.IUStraight // the run's instructions
+	idx   int               // position in genState.segOrder (static program order)
+	// taken marks the instructions holding a tentatively placed update
+	// (plan.go), one flag per instruction.
+	taken []bool
 }
 
 // term is one induction component of an address expression.
@@ -82,11 +87,12 @@ type term struct {
 // site is one address consumption point.
 type site struct {
 	seg    *segment
-	cycle  int64 // within seg.instrs
+	cycle  int64 // within seg.block.Instrs
 	slot   int
 	constV int64
-	terms  []siteTerm
-	seq    int // static discovery order
+	terms  []siteTerm // outermost first
+	seq    int        // static discovery order: the site's index in genState.sites
+	e      *expr      // the expression the site belongs to
 }
 
 // siteTerm records the expression's dependence on one loop, including
@@ -100,8 +106,7 @@ type siteTerm struct {
 // expr is one address expression: a group of sites sharing an induction
 // register or a run of table entries.
 type expr struct {
-	key      string
-	sites    []*site
+	sites    []*site // in seq order
 	constV   int64
 	terms    []term // outermost first
 	spilled  bool
@@ -111,12 +116,21 @@ type expr struct {
 	// register is initialized to constV+initBias so the first
 	// iteration's uses still see constV.
 	initBias int64
+	// updates are the strength-reduction adds tentatively placed for
+	// the register (plan.go).
+	updates []update
+	// alias is the index of the next expression grouped under the same
+	// key, -1 for none.
+	alias int
 }
 
 type genState struct {
-	top    *iuBody
-	sites  []*site
-	loopID int
+	top   *iuBody
+	sites []site
+	// termBuf backs every site's terms, each site a capped window of it.
+	termBuf []siteTerm
+	bodies  int // iuBodies created, top level included
+	loopID  int
 	// cellStack tracks enclosing cell loops during mirroring with the
 	// current static iteration info.
 	cellStack []stackEntry
@@ -147,7 +161,7 @@ func Generate(cell *mcode.CellProgram) (*Result, error) {
 	if _, err := mcode.CountCell(cell); err != nil { // refused here, before mirrorLoop's Cycles would panic
 		return nil, fmt.Errorf("iugen: %w", err)
 	}
-	g := &genState{top: &iuBody{m: 1}}
+	g := &genState{top: &iuBody{m: 1}, bodies: 1}
 	g.mirrorItems(cell.Items, g.top)
 	if g.err != nil {
 		return nil, g.err
@@ -161,7 +175,7 @@ func Generate(cell *mcode.CellProgram) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.emitOuts(exprs)
+	g.emitOuts()
 
 	prog := &mcode.IUProgram{Table: table}
 	if len(prologue) > 0 {
@@ -225,7 +239,7 @@ func (g *genState) mirrorItems(items []mcode.CodeItem, body *iuBody) {
 func (g *genState) curSegment(body *iuBody) *segment {
 	if n := len(body.segs); n > 0 {
 		s := body.segs[n-1]
-		if s.start+int64(len(s.instrs)) == body.length {
+		if s.start+int64(len(s.block.Instrs)) == body.length {
 			return s
 		}
 	}
@@ -237,12 +251,14 @@ func (g *genState) curSegment(body *iuBody) *segment {
 	return s
 }
 
+// extend appends n cycles to body's trailing straight segment, the
+// instructions taken from one slab.
 func (g *genState) extend(body *iuBody, n int64) *segment {
 	s := g.curSegment(body)
-	for i := int64(0); i < n; i++ {
-		in := &mcode.IUInstr{}
-		s.instrs = append(s.instrs, in)
-		s.block.Instrs = append(s.block.Instrs, in)
+	slab := make([]mcode.IUInstr, n)
+	s.block.Instrs = slices.Grow(s.block.Instrs, len(slab))
+	for i := range slab {
+		s.block.Instrs = append(s.block.Instrs, &slab[i])
 	}
 	body.length += n
 	return s
@@ -251,7 +267,7 @@ func (g *genState) extend(body *iuBody, n int64) *segment {
 // mirrorStraight creates matching IU cycles and records address sites.
 func (g *genState) mirrorStraight(st *mcode.Straight, body *iuBody) {
 	seg := g.extend(body, int64(len(st.Instrs)))
-	base := int64(len(seg.instrs)) - int64(len(st.Instrs))
+	base := int64(len(seg.block.Instrs)) - int64(len(st.Instrs))
 	for i, in := range st.Instrs {
 		for slot, m := range in.Mem {
 			if m == nil {
@@ -265,8 +281,8 @@ func (g *genState) mirrorStraight(st *mcode.Straight, body *iuBody) {
 // addSite folds a cell address into IU-structure terms.
 func (g *genState) addSite(seg *segment, cycle int64, slot int, a mcode.AddrInfo) {
 	aff := a.Shifted()
-	s := &site{seg: seg, cycle: cycle, slot: slot, seq: len(g.sites)}
-	s.constV = int64(a.Base) + aff.Const
+	s := site{seg: seg, cycle: cycle, slot: slot, seq: len(g.sites), constV: int64(a.Base) + aff.Const}
+	lo := len(g.termBuf)
 	for _, t := range aff.Terms {
 		entry := g.findStack(t.Var)
 		if entry == nil {
@@ -280,11 +296,18 @@ func (g *genState) addSite(seg *segment, cycle int64, slot int, a mcode.AddrInfo
 			s.constV += cellStride * entry.copyIdx
 			continue
 		}
-		s.terms = append(s.terms, siteTerm{
-			term:    term{body: entry.body, stride: cellStride},
-			copyIdx: entry.copyIdx,
-		})
+		// Insertion by depth keeps the terms outermost first.
+		st := siteTerm{term: term{body: entry.body, stride: cellStride}, copyIdx: entry.copyIdx}
+		i := len(g.termBuf)
+		g.termBuf = append(g.termBuf, st)
+		for ; i > lo && g.termBuf[i-1].body.depth > st.body.depth; i-- {
+			g.termBuf[i] = g.termBuf[i-1]
+		}
+		g.termBuf[i] = st
 	}
+	// Capped, so no later site's terms land in this window; a growth of
+	// the buffer leaves the window on the old array, intact.
+	s.terms = g.termBuf[lo:len(g.termBuf):len(g.termBuf)]
 	g.sites = append(g.sites, s)
 }
 
@@ -295,26 +318,6 @@ func (g *genState) findStack(loop *w2.ForStmt) *stackEntry {
 		}
 	}
 	return nil
-}
-
-// countBodyAddrExprs counts distinct affine address forms among the
-// memory references of a straight-line body.
-func countBodyAddrExprs(items []mcode.CodeItem) int {
-	seen := map[string]bool{}
-	for _, it := range items {
-		st, ok := it.(*mcode.Straight)
-		if !ok {
-			continue
-		}
-		for _, in := range st.Instrs {
-			for _, mo := range in.Mem {
-				if mo != nil {
-					seen[mo.Addr.Sym.Name+"|"+mo.Addr.Shifted().String()] = true
-				}
-			}
-		}
-	}
-	return len(seen)
 }
 
 func hasLoops(items []mcode.CodeItem) bool {
@@ -349,7 +352,7 @@ func (g *genState) mirrorLoop(cl *mcode.LoopItem, body *iuBody) {
 		// m·bodyLen ≥ 3 + m·E, i.e. m ≥ 3/(bodyLen−E).  When a copy has
 		// no adder slack (E ≥ bodyLen), keep the minimum unroll and let
 		// the addresses take the table escape.
-		e := int64(countBodyAddrExprs(cl.Body))
+		e := int64(mcode.CountAddrExprs(cl.Body, mcode.IUNumRegs))
 		if e < bodyLen {
 			m = (mcode.LoopOverheadCycles + (bodyLen - e) - 1) / (bodyLen - e)
 		} else {
@@ -362,7 +365,8 @@ func (g *genState) mirrorLoop(cl *mcode.LoopItem, body *iuBody) {
 	if mainTrips > 0 {
 		il := &mcode.IULoop{ID: g.loopID, Trips: mainTrips}
 		g.loopID++
-		lb := &iuBody{parent: body, startInParent: body.length, loop: il, cellLoop: cl, m: m, epoch: g.curEpoch}
+		lb := &iuBody{parent: body, depth: body.depth + 1, idx: g.bodies, startInParent: body.length, loop: il, cellLoop: cl, m: m, epoch: g.curEpoch}
+		g.bodies++
 		for c := int64(0); c < m; c++ {
 			g.pushStack(cl, lb, c, m)
 			g.mirrorItems(cl.Body, lb)
@@ -431,8 +435,8 @@ func (g *genState) placeSig(body *iuBody, target int64, sig *mcode.IUSig) {
 // if the cycle falls inside a nested loop item.
 func (g *genState) instrAt(body *iuBody, cycle int64) *mcode.IUInstr {
 	for _, s := range body.segs {
-		if cycle >= s.start && cycle < s.start+int64(len(s.instrs)) {
-			return s.instrs[cycle-s.start]
+		if cycle >= s.start && cycle < s.start+int64(len(s.block.Instrs)) {
+			return s.block.Instrs[cycle-s.start]
 		}
 	}
 	return nil
@@ -445,7 +449,7 @@ func (g *genState) instrAt(body *iuBody, cycle int64) *mcode.IUInstr {
 func (g *genState) reserveCounter(body *iuBody) bool {
 	need := mcode.LoopOverheadCycles
 	for _, s := range body.segs {
-		for _, in := range s.instrs {
+		for _, in := range s.block.Instrs {
 			if need == 0 {
 				return true
 			}

@@ -1,8 +1,9 @@
 package iugen
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"warp/internal/mcode"
 )
@@ -14,36 +15,53 @@ import (
 // left — are marked for the sequential table, exactly the escape
 // mechanism the paper describes.
 
-// depth returns the nesting depth of a body (top level = 0).
-func depth(b *iuBody) int {
-	d := 0
-	for b.parent != nil {
-		d++
-		b = b.parent
-	}
-	return d
+// exprKey buckets the expressions: its constant, its innermost
+// induction loop body (-1 for a constant address) and that loop's
+// stride.  Expressions under one key are told apart by their full term
+// lists (expr.alias chains them).
+type exprKey struct {
+	constV int64
+	body   int
+	stride int64
 }
 
-// groupExprs partitions the sites into address expressions.
+// groupExprs partitions the sites into address expressions, in order of
+// their first site, each expression's sites in seq order.  The
+// expressions are one table, their terms windows of one buffer and
+// their sites windows of one table.
 func (g *genState) groupExprs() []*expr {
-	byKey := make(map[string]*expr)
-	var order []*expr
-	for _, s := range g.sites {
-		sort.Slice(s.terms, func(i, j int) bool { return depth(s.terms[i].body) < depth(s.terms[j].body) })
-		key := fmt.Sprintf("c%d", s.constV)
-		for _, t := range s.terms {
-			key += fmt.Sprintf("|b%p*%d", t.body, t.stride)
+	var all []expr
+	var terms []term
+	byKey := make(map[exprKey]int) // the latest expression under a key
+	idOf := make([]int, len(g.sites))
+	var counts []int // sites per expression
+	for i := range g.sites {
+		s := &g.sites[i]
+		key := exprKey{constV: s.constV, body: -1}
+		if n := len(s.terms); n > 0 {
+			key.body, key.stride = s.terms[n-1].body.idx, s.terms[n-1].stride
 		}
-		e, ok := byKey[key]
+		id, ok := byKey[key]
+		for ok && !sameTerms(all[id].terms, s.terms) {
+			id = all[id].alias
+			ok = id >= 0
+		}
 		if !ok {
-			e = &expr{key: key, constV: s.constV}
+			lo := len(terms)
 			for _, t := range s.terms {
-				e.terms = append(e.terms, t.term)
+				terms = append(terms, t.term)
 			}
-			byKey[key] = e
-			order = append(order, e)
+			alias, chained := byKey[key]
+			if !chained {
+				alias = -1
+			}
+			id = len(all)
+			all = append(all, expr{constV: s.constV, terms: terms[lo:len(terms):len(terms)], alias: alias})
+			counts = append(counts, 0)
+			byKey[key] = id
 		}
-		e.sites = append(e.sites, s)
+		idOf[i] = id
+		counts[id]++
 		// Dynamic count: one output per execution of the site.
 		cnt := int64(1)
 		for b := s.seg.owner; b != nil; b = b.parent {
@@ -51,28 +69,48 @@ func (g *genState) groupExprs() []*expr {
 				cnt *= b.loop.Trips
 			}
 		}
-		e.dynCount += cnt
+		all[id].dynCount += cnt
 	}
-	for _, e := range order {
-		sort.Slice(e.sites, func(i, j int) bool { return e.sites[i].seq < e.sites[j].seq })
+	order := make([]*expr, len(all))
+	table := make([]*site, len(g.sites))
+	off := 0
+	for id := range all {
+		e := &all[id]
+		order[id] = e
+		e.sites = table[off : off : off+counts[id]]
+		off += counts[id]
+	}
+	for i := range g.sites {
+		s := &g.sites[i]
+		s.e = order[idOf[i]]
+		s.e.sites = append(s.e.sites, s)
 	}
 	return order
 }
 
-// pendingUpdate is a strength-reduction add tentatively placed in an
-// instruction; the register number is patched in after spilling.  A
-// pre-placed update fires before the iteration's first use, which the
-// register's initialization compensates for (init bias −delta).
-type pendingUpdate struct {
-	in    *mcode.IUInstr
-	delta int64
-	pre   bool
+// sameTerms reports whether an expression's terms are a site's.
+func sameTerms(ts []term, ss []siteTerm) bool {
+	if len(ts) != len(ss) {
+		return false
+	}
+	for i, t := range ts {
+		if t != ss[i].term {
+			return false
+		}
+	}
+	return true
 }
 
-// planner state for update placement.
-type planner struct {
-	taken   map[*mcode.IUInstr]bool
-	pending map[*expr][]*pendingUpdate
+// update is a strength-reduction add tentatively placed in an
+// instruction, seg.block.Instrs[at]; the register number is patched in
+// after spilling.  A pre-placed update fires before the iteration's
+// first use, which the register's initialization compensates for (init
+// bias −delta).
+type update struct {
+	seg   *segment
+	at    int
+	delta int64
+	pre   bool
 }
 
 // exprScope returns the segment-order epoch of the top-level region all
@@ -109,24 +147,30 @@ func (g *genState) exprScope(e *expr) (epoch int, global bool) {
 // the register, mark the address").
 //
 // It returns the prologue (global initializations) and the peak number
-// of simultaneously live registers.
+// of simultaneously live registers.  A table that would overflow is
+// refused as soon as the register file's limits are applied: only spills
+// follow.
 func (g *genState) planExprs(exprs []*expr) ([]*mcode.IUInstr, int, error) {
-	pl := &planner{
-		taken:   make(map[*mcode.IUInstr]bool),
-		pending: make(map[*expr][]*pendingUpdate),
+	var cycles int
+	for _, seg := range g.segOrder {
+		cycles += len(seg.block.Instrs)
+	}
+	taken := make([]bool, cycles)
+	for _, seg := range g.segOrder {
+		n := len(seg.block.Instrs)
+		seg.taken, taken = taken[:n:n], taken[n:]
 	}
 	var candidates []*expr
 	for _, e := range exprs {
-		if ok := pl.plan(e); ok {
+		if ok := e.plan(); ok {
 			candidates = append(candidates, e)
-			for _, u := range pl.pending[e] {
+			for _, u := range e.updates {
 				if u.pre {
 					e.initBias -= u.delta
 				}
 			}
 		} else {
-			pl.unplace(e)
-			e.spilled = true
+			e.spill()
 		}
 	}
 
@@ -150,21 +194,6 @@ func (g *genState) planExprs(exprs []*expr) ([]*mcode.IUInstr, int, error) {
 		}
 	}
 
-	// Spill policy: fewest dynamic outputs first — "complicated address
-	// computations with no common sub-expressions are good candidates;
-	// address computations inside nested loops are bad candidates"
-	// (§6.3.2).
-	trim := func(list []*expr, limit int) []*expr {
-		if len(list) <= limit {
-			return list
-		}
-		sort.SliceStable(list, func(i, j int) bool { return list[i].dynCount > list[j].dynCount })
-		for _, e := range list[limit:] {
-			pl.unplace(e)
-			e.spilled = true
-		}
-		return list[:limit]
-	}
 	globals = trim(globals, mcode.IUNumRegs)
 	pool := mcode.IUNumRegs - len(globals)
 	var scopes []*scope
@@ -172,7 +201,10 @@ func (g *genState) planExprs(exprs []*expr) ([]*mcode.IUInstr, int, error) {
 		sc.exprs = trim(sc.exprs, pool)
 		scopes = append(scopes, sc)
 	}
-	sort.Slice(scopes, func(i, j int) bool { return scopes[i].epoch < scopes[j].epoch })
+	if tableWords(exprs) > mcode.TableWords {
+		return nil, 0, errTableFull
+	}
+	slices.SortFunc(scopes, func(a, b *scope) int { return cmp.Compare(a.epoch, b.epoch) })
 
 	// Numbering: globals first; scoped expressions then share the
 	// remaining numbers greedily.  Reusing a number for a later region
@@ -182,7 +214,8 @@ func (g *genState) planExprs(exprs []*expr) ([]*mcode.IUInstr, int, error) {
 	// re-initialized in time, a fresh one is taken and initialized in
 	// the prologue; when neither works the expression is spilled —
 	// the paper's step 3b.
-	sort.Slice(globals, func(i, j int) bool { return globals[i].sites[0].seq < globals[j].sites[0].seq })
+	byFirstSite := func(a, b *expr) int { return cmp.Compare(a.sites[0].seq, b.sites[0].seq) }
+	slices.SortFunc(globals, byFirstSite)
 	for i, e := range globals {
 		e.reg = mcode.IUReg(i)
 	}
@@ -200,11 +233,11 @@ func (g *genState) planExprs(exprs []*expr) ([]*mcode.IUInstr, int, error) {
 	}
 	nextFresh := len(globals)
 	maxRegs := len(globals)
-	freeFrom := map[mcode.IUReg]int{} // numbers in reuse rotation → dead-from index
+	var freeFrom [mcode.IUNumRegs]int // numbers in reuse rotation → dead-from index
 	for _, sc := range scopes {
 		end := regionEnd(sc.epoch)
-		sort.Slice(sc.exprs, func(i, j int) bool { return sc.exprs[i].sites[0].seq < sc.exprs[j].sites[0].seq })
-		usedHere := map[mcode.IUReg]bool{}
+		slices.SortFunc(sc.exprs, byFirstSite)
+		var usedHere [mcode.IUNumRegs]bool
 		for _, e := range sc.exprs {
 			assigned := false
 			// Reuse a dead number if its re-initialization fits.
@@ -229,8 +262,7 @@ func (g *genState) planExprs(exprs []*expr) ([]*mcode.IUInstr, int, error) {
 				assigned = true
 			}
 			if !assigned {
-				pl.unplace(e)
-				e.spilled = true
+				e.spill()
 			}
 		}
 		if nextFresh > maxRegs {
@@ -238,23 +270,45 @@ func (g *genState) planExprs(exprs []*expr) ([]*mcode.IUInstr, int, error) {
 		}
 	}
 
-	// Materialize the surviving updates.
+	// Materialize the surviving updates, their adds taken from one slab.
+	n := 0
+	for _, e := range candidates {
+		if !e.spilled {
+			n += len(e.updates)
+		}
+	}
+	alus := make([]mcode.IUAlu, 0, n)
 	for _, e := range candidates {
 		if e.spilled {
 			continue
 		}
-		for _, u := range pl.pending[e] {
-			u.in.Alu = &mcode.IUAlu{
-				Dst: e.reg, A: e.reg,
-				BIsImm: true, ImmVal: u.delta,
-			}
+		for _, u := range e.updates {
+			alu := mcode.IUAlu{Dst: e.reg, A: e.reg, BIsImm: true, ImmVal: u.delta}
 			if u.delta < 0 {
-				u.in.Alu.Sub = true
-				u.in.Alu.ImmVal = -u.delta
+				alu.Sub = true
+				alu.ImmVal = -u.delta
 			}
+			alus = append(alus, alu)
+			u.seg.block.Instrs[u.at].Alu = &alus[len(alus)-1]
 		}
 	}
 	return prologue, maxRegs, nil
+}
+
+// trim keeps at most limit of the expressions in list, spilling the
+// rest.  Spill policy: fewest dynamic outputs first — "complicated
+// address computations with no common sub-expressions are good
+// candidates; address computations inside nested loops are bad
+// candidates" (§6.3.2).
+func trim(list []*expr, limit int) []*expr {
+	if len(list) <= limit {
+		return list
+	}
+	slices.SortStableFunc(list, func(a, b *expr) int { return cmp.Compare(b.dynCount, a.dynCount) })
+	for _, e := range list[limit:] {
+		e.spill()
+	}
+	return list[:limit]
 }
 
 // placeInit writes the register initialization into a free immediate
@@ -262,9 +316,9 @@ func (g *genState) planExprs(exprs []*expr) ([]*mcode.IUInstr, int, error) {
 // first).
 func (g *genState) placeInit(e *expr, from, epoch int) bool {
 	for i := epoch - 1; i >= from; i-- {
-		seg := g.segOrder[i]
-		for c := len(seg.instrs) - 1; c >= 0; c-- {
-			in := seg.instrs[c]
+		instrs := g.segOrder[i].block.Instrs
+		for c := len(instrs) - 1; c >= 0; c-- {
+			in := instrs[c]
 			if in.Imm == nil {
 				in.Imm = &mcode.IUImm{Dst: e.reg, Value: e.constV + e.initBias}
 				return true
@@ -274,49 +328,51 @@ func (g *genState) placeInit(e *expr, from, epoch int) bool {
 	return false
 }
 
-// unplace releases an expression's tentatively reserved cycles.
-func (pl *planner) unplace(e *expr) {
-	for _, u := range pl.pending[e] {
-		delete(pl.taken, u.in)
+// spill releases an expression's tentatively reserved cycles and moves
+// it to the table.
+func (e *expr) spill() {
+	for _, u := range e.updates {
+		u.seg.taken[u.at] = false
 	}
-	delete(pl.pending, e)
+	e.updates = nil
+	e.spilled = true
+}
+
+// strideOf returns the expression's stride in loop body b (0 if it does
+// not depend on b).
+func (e *expr) strideOf(b *iuBody) int64 {
+	for _, t := range e.terms {
+		if t.body == b {
+			return t.stride
+		}
+	}
+	return 0
 }
 
 // plan attempts register binding for one expression: one update per
 // unrolled copy at the innermost induction level, and one compensating
 // update per iteration of every enclosing loop between the innermost
 // and outermost induction levels.
-func (pl *planner) plan(e *expr) bool {
+func (e *expr) plan() bool {
 	if len(e.terms) == 0 {
 		return true // constant address: init only
 	}
-	innermost := e.terms[len(e.terms)-1].body
-
 	// The chain of loops from the innermost induction level up through
 	// every enclosing loop, with their strides (0 for loops the address
 	// does not depend on).  Loops above the outermost induction level
 	// still need compensation: the accumulation of the levels below must
 	// be undone so the register restarts each enclosing iteration.
-	strideOf := make(map[*iuBody]int64)
-	for _, t := range e.terms {
-		strideOf[t.body] = t.stride
-	}
-	var chain []*iuBody
-	for b := innermost; b.parent != nil; b = b.parent {
-		chain = append(chain, b)
-	}
-	// chain[0] = innermost ... chain[len-1] = outermost loop body.
+	innermost := e.terms[len(e.terms)-1].body
 
 	// Innermost level: one update of +stride after each copy's last use.
-	if !pl.planInnermost(e, innermost, strideOf[innermost]) {
+	if !e.planInnermost(innermost, e.strideOf(innermost)) {
 		return false
 	}
-	// Outer levels: compensate the accumulation of the level below.
-	for i := 1; i < len(chain); i++ {
-		b := chain[i]
-		below := chain[i-1]
-		accum := pl.levelAccum(below, strideOf[below])
-		delta := strideOf[b] - accum
+	// Outer levels, up to the outermost loop body: compensate the
+	// accumulation of the level below.
+	for below, b := innermost, innermost.parent; b.parent != nil; below, b = b, b.parent {
+		accum := levelAccum(below, e.strideOf(below))
+		delta := e.strideOf(b) - accum
 		if delta == 0 {
 			continue
 		}
@@ -324,10 +380,10 @@ func (pl *planner) plan(e *expr) bool {
 		// iteration ends; or, pre-placed, before the inner loop item
 		// starts (compensated in the initialization).
 		from := below.startInParent + below.loop.Trips*below.length
-		if pl.placeIn(e, b, from, b.length, delta, false) {
+		if e.placeIn(b, from, b.length, delta, false) {
 			continue
 		}
-		if pl.placeIn(e, b, 0, below.startInParent, delta, true) {
+		if e.placeIn(b, 0, below.startInParent, delta, true) {
 			continue
 		}
 		return false
@@ -338,22 +394,21 @@ func (pl *planner) plan(e *expr) bool {
 // levelAccum is the total register change contributed per complete
 // execution of the loop b: its in-body updates run m times per IU
 // iteration for Trips iterations.
-func (pl *planner) levelAccum(b *iuBody, stride int64) int64 {
+func levelAccum(b *iuBody, stride int64) int64 {
 	return stride * b.m * b.loop.Trips
 }
 
 // planInnermost places the per-copy updates at the innermost level.
-func (pl *planner) planInnermost(e *expr, b *iuBody, stride int64) bool {
+func (e *expr) planInnermost(b *iuBody, stride int64) bool {
 	if stride == 0 {
 		return true
 	}
 	cellBodyLen := b.length / b.m
-	// Last use per copy, first use per copy (intervals mapped to b).
-	last := make([]int64, b.m)
-	first := make([]int64, b.m)
-	for c := range first {
-		first[c] = int64(-1)
-		last[c] = int64(-1)
+	// First and last use per copy (intervals mapped to b).  mirrorLoop
+	// unrolls a body at most LoopOverheadCycles times.
+	var first, last [mcode.LoopOverheadCycles]int64
+	for c := range b.m {
+		first[c], last[c] = -1, -1
 	}
 	for _, s := range e.sites {
 		lo, hi, ok := mapInterval(s, b)
@@ -391,10 +446,10 @@ func (pl *planner) planInnermost(e *expr, b *iuBody, stride int64) bool {
 		if c+1 < b.m {
 			to = first[c+1]
 		}
-		if pl.placeIn(e, b, from, to, stride, false) {
+		if e.placeIn(b, from, to, stride, false) {
 			continue
 		}
-		if b.m == 1 && pl.placeIn(e, b, 0, first[0], stride, true) {
+		if b.m == 1 && e.placeIn(b, 0, first[0], stride, true) {
 			continue
 		}
 		return false
@@ -424,22 +479,22 @@ func mapInterval(s *site, b *iuBody) (lo, hi int64, ok bool) {
 	return lo, hi, true
 }
 
-// placeIn reserves a free adder cycle in [from, to) of b's straight
-// segments for a pending +delta update.  pre marks updates placed
-// before the iteration's first use (compensated by the register's
-// initialization).
-func (pl *planner) placeIn(e *expr, b *iuBody, from, to int64, delta int64, pre bool) bool {
+// placeIn reserves the first free adder cycle in [from, to) of b's
+// straight segments for a pending +delta update.  pre marks updates
+// placed before the iteration's first use (compensated by the
+// register's initialization).
+func (e *expr) placeIn(b *iuBody, from, to int64, delta int64, pre bool) bool {
 	for _, seg := range b.segs {
-		for c, in := range seg.instrs {
-			cyc := seg.start + int64(c)
-			if cyc < from || cyc >= to {
+		if seg.start >= to {
+			break
+		}
+		instrs := seg.block.Instrs
+		for c := max(from-seg.start, 0); c < min(to-seg.start, int64(len(instrs))); c++ {
+			if in := instrs[c]; in.Alu != nil || in.CtrWork || seg.taken[c] {
 				continue
 			}
-			if in.Alu != nil || in.CtrWork || pl.taken[in] {
-				continue
-			}
-			pl.taken[in] = true
-			pl.pending[e] = append(pl.pending[e], &pendingUpdate{in: in, delta: delta, pre: pre})
+			seg.taken[c] = true
+			e.updates = append(e.updates, update{seg: seg, at: int(c), delta: delta, pre: pre})
 			return true
 		}
 	}
@@ -449,44 +504,58 @@ func (pl *planner) placeIn(e *expr, b *iuBody, from, to int64, delta int64, pre 
 // ---------------------------------------------------------------------
 // Table construction and output emission.
 
-// buildTable enumerates, in execution order, the values of every
-// spilled site; the result is the pre-stored sequential table (§6.3.2).
-// Its length is known in closed form — each spilled site reads once per
-// iteration of the loops around it — so a table that would overflow is
-// refused before anything is walked.
-func (g *genState) buildTable(exprs []*expr) ([]int64, error) {
-	sitesOf := make(map[*mcode.IUStraight][]*site) // a block's spilled sites
-	bodyOf := make(map[*mcode.IULoop]*iuBody)      // the loops around them
+// errTableFull refuses a table longer than the IU's.
+var errTableFull = fmt.Errorf("iugen: pre-stored addresses exceed the %d-word table (queue overflow of the escape mechanism); fewer addresses must be spilled", mcode.TableWords)
+
+// tableWords is the table's length in closed form — each spilled site
+// reads once per iteration of the loops around it — saturated just past
+// the table: that is all the check needs, and it keeps the product far
+// from overflow.
+func tableWords(exprs []*expr) int64 {
 	var words int64
 	for _, e := range exprs {
 		if !e.spilled {
 			continue
 		}
 		for _, s := range e.sites {
-			sitesOf[s.seg.block] = append(sitesOf[s.seg.block], s)
 			reads := int64(1)
 			for b := s.seg.owner; b.loop != nil; b = b.parent {
-				bodyOf[b.loop] = b
-				// Saturating just past the table is all the check needs, and
-				// keeps the product far from overflow.
 				trips := min(max(b.loop.Trips, 0), mcode.TableWords+1)
 				reads = min(reads*trips, mcode.TableWords+1)
 			}
 			words = min(words+reads, mcode.TableWords+1)
 		}
 	}
+	return words
+}
+
+// buildTable enumerates, in execution order, the values of every
+// spilled site; the result is the pre-stored sequential table (§6.3.2).
+// A table that would overflow is refused before anything is walked.
+func (g *genState) buildTable(exprs []*expr) ([]int64, error) {
+	words := tableWords(exprs)
 	if words > mcode.TableWords {
-		return nil, fmt.Errorf("iugen: pre-stored addresses exceed the %d-word table (queue overflow of the escape mechanism); fewer addresses must be spilled", mcode.TableWords)
+		return nil, errTableFull
 	}
 	if words == 0 {
 		return nil, nil
 	}
-	for _, ss := range sitesOf {
-		sort.Slice(ss, func(i, j int) bool {
-			if ss[i].cycle != ss[j].cycle {
-				return ss[i].cycle < ss[j].cycle
+	sitesOf := make(map[*mcode.IUStraight][]*site) // a block's spilled sites
+	bodyOf := make(map[*mcode.IULoop]*iuBody)      // the loops around them
+	for _, e := range exprs {
+		if !e.spilled {
+			continue
+		}
+		for _, s := range e.sites {
+			sitesOf[s.seg.block] = append(sitesOf[s.seg.block], s)
+			for b := s.seg.owner; b.loop != nil; b = b.parent {
+				bodyOf[b.loop] = b
 			}
-			return ss[i].slot < ss[j].slot
+		}
+	}
+	for _, ss := range sitesOf {
+		slices.SortFunc(ss, func(a, b *site) int {
+			return cmp.Or(cmp.Compare(a.cycle, b.cycle), cmp.Compare(a.slot, b.slot))
 		})
 	}
 
@@ -520,21 +589,17 @@ func (g *genState) buildTable(exprs []*expr) ([]int64, error) {
 	return table, nil
 }
 
-// emitOuts fills the address-output fields of every site's instruction.
-func (g *genState) emitOuts(exprs []*expr) {
-	exprOf := make(map[*site]*expr)
-	for _, e := range exprs {
-		for _, s := range e.sites {
-			exprOf[s] = e
-		}
-	}
-	for _, s := range g.sites {
-		e := exprOf[s]
-		in := s.seg.instrs[s.cycle]
-		if e.spilled {
-			in.Out[s.slot] = &mcode.IUOut{FromTable: true}
+// emitOuts fills the address-output fields of every site's instruction,
+// the outputs taken from one slab.
+func (g *genState) emitOuts() {
+	outs := make([]mcode.IUOut, len(g.sites))
+	for i := range g.sites {
+		s, out := &g.sites[i], &outs[i]
+		if s.e.spilled {
+			out.FromTable = true
 		} else {
-			in.Out[s.slot] = &mcode.IUOut{Src: e.reg}
+			out.Src = s.e.reg
 		}
+		s.seg.block.Instrs[s.cycle].Out[s.slot] = out
 	}
 }

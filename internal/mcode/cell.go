@@ -28,6 +28,7 @@ package mcode
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"warp/internal/w2"
@@ -271,6 +272,53 @@ func (a AddrInfo) Shifted() w2.Affine {
 		aff = w2.Affine{Const: aff.Const + aff.Coef(loop)*d, Terms: aff.Terms}
 	}
 	return aff
+}
+
+// CountAddrExprs counts the distinct address expressions among the
+// memory references of items, loop bodies included, stopping at limit.
+// Two references share an expression when they name the same array and
+// their shifted addresses have the same constant and the same terms in
+// order, loops compared by variable name.  The cell code generator pads
+// a cycle per expression the IU can hold and the IU code generator
+// sizes its unroll factor by them.
+func CountAddrExprs(items []CodeItem, limit int) int {
+	return len(addAddrExprs(make([]addrExpr, 0, limit), items))
+}
+
+// addrExpr is one address expression: an array and a shifted address.
+type addrExpr struct {
+	name string
+	aff  w2.Affine
+}
+
+// addAddrExprs appends to seen the address expressions of items it does
+// not hold yet, while it has capacity.
+func addAddrExprs(seen []addrExpr, items []CodeItem) []addrExpr {
+	for _, it := range items {
+		switch it := it.(type) {
+		case *Straight:
+			for _, in := range it.Instrs {
+			refs:
+				for _, m := range in.Mem {
+					if m == nil || len(seen) == cap(seen) {
+						continue
+					}
+					e := addrExpr{m.Addr.Sym.Name, m.Addr.Shifted()}
+					for _, s := range seen {
+						if e.aff.Const == s.aff.Const && e.name == s.name && slices.EqualFunc(e.aff.Terms, s.aff.Terms, func(t, u w2.AffTerm) bool {
+							return t.Coef == u.Coef && t.Var.Var == u.Var.Var
+						}) {
+							continue refs
+						}
+					}
+					seen = append(seen, e)
+				}
+			}
+		case *LoopItem:
+			seen = addAddrExprs(seen, it.Body)
+		}
+	}
+	return seen
 }
 
 // LoopTerm is one term of a bound address: Coef per iteration of the

@@ -2,7 +2,7 @@ package w2
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -40,14 +40,14 @@ func (a Affine) clone() Affine {
 }
 
 // normalize sorts terms (by loop statement position for determinism) and
-// removes zero coefficients.
+// removes zero coefficients, in place.
 func (a Affine) normalize() Affine {
-	sort.SliceStable(a.Terms, func(i, j int) bool {
-		pi, pj := a.Terms[i].Var.Pos, a.Terms[j].Var.Pos
-		if pi.Line != pj.Line {
-			return pi.Line < pj.Line
+	slices.SortStableFunc(a.Terms, func(x, y AffTerm) int {
+		px, py := x.Var.Pos, y.Var.Pos
+		if px.Line != py.Line {
+			return px.Line - py.Line
 		}
-		return pi.Col < pj.Col
+		return px.Col - py.Col
 	})
 	out := a.Terms[:0]
 	for _, t := range a.Terms {
@@ -67,22 +67,21 @@ func (a Affine) normalize() Affine {
 	return a
 }
 
-// Add returns a+b.
+// Add returns a+b, in one allocation.
 func (a Affine) Add(b Affine) Affine {
-	r := a.clone()
-	r.Const += b.Const
-	r.Terms = append(r.Terms, b.Terms...)
-	return r.normalize()
+	terms := make([]AffTerm, 0, len(a.Terms)+len(b.Terms))
+	terms = append(append(terms, a.Terms...), b.Terms...)
+	return Affine{Const: a.Const + b.Const, Terms: terms}.normalize()
 }
 
-// Sub returns a−b.
+// Sub returns a−b, in one allocation.
 func (a Affine) Sub(b Affine) Affine {
-	r := a.clone()
-	r.Const -= b.Const
+	terms := make([]AffTerm, 0, len(a.Terms)+len(b.Terms))
+	terms = append(terms, a.Terms...)
 	for _, t := range b.Terms {
-		r.Terms = append(r.Terms, AffTerm{Var: t.Var, Coef: -t.Coef})
+		terms = append(terms, AffTerm{Var: t.Var, Coef: -t.Coef})
 	}
-	return r.normalize()
+	return Affine{Const: a.Const - b.Const, Terms: terms}.normalize()
 }
 
 // Scale returns k·a.

@@ -149,3 +149,84 @@ func TestAffineString(t *testing.T) {
 		}
 	}
 }
+
+// TestAffineArithmeticMatchesReference checks Add, Sub and Scale against
+// a map from loop to coefficient on random forms over five loops, raw
+// operands included (zero coefficients, a loop named twice, terms out of
+// order), and that every result comes back normalized: sorted by loop
+// position, no zero coefficient, no loop twice.  Add and Sub of two
+// non-empty forms allocate once.
+func TestAffineArithmeticMatchesReference(t *testing.T) {
+	loops := []*ForStmt{
+		loopI, loopJ, loopK,
+		{Var: "p", Pos: Pos{Line: 2, Col: 9}},
+		{Var: "q", Pos: Pos{Line: 7, Col: 3}},
+	}
+	r := rand.New(rand.NewSource(33))
+	raw := func() Affine {
+		a := Affine{Const: int64(r.Intn(41) - 20)}
+		for n := r.Intn(7); n > 0; n-- {
+			a.Terms = append(a.Terms, AffTerm{Var: loops[r.Intn(len(loops))], Coef: int64(r.Intn(7) - 3)})
+		}
+		return a
+	}
+	ref := func(a Affine, k int64, into map[*ForStmt]int64) {
+		for _, t := range a.Terms {
+			into[t.Var] += k * t.Coef
+		}
+	}
+	check := func(op string, got Affine, wantConst int64, want map[*ForStmt]int64) {
+		t.Helper()
+		for v, c := range want {
+			if c == 0 {
+				delete(want, v)
+			}
+		}
+		ok := got.Const == wantConst && len(got.Terms) == len(want)
+		for i, term := range got.Terms {
+			if term.Coef == 0 || want[term.Var] != term.Coef {
+				ok = false
+			}
+			if i > 0 {
+				p, q := got.Terms[i-1].Var.Pos, term.Var.Pos
+				if p.Line > q.Line || p.Line == q.Line && p.Col >= q.Col {
+					ok = false
+				}
+			}
+		}
+		if !ok {
+			t.Fatalf("%s = %v (%+v), want const %d and terms %v", op, got, got.Terms, wantConst, want)
+		}
+	}
+	for n := 0; n < 2000; n++ {
+		a, b := raw(), raw()
+		switch r.Intn(3) {
+		case 1: // b cancels part of a
+			b.Terms = append(b.Terms, a.Terms[:len(a.Terms)/2]...)
+		case 2: // b undoes part of a under addition
+			for _, term := range a.Terms[len(a.Terms)/2:] {
+				b.Terms = append(b.Terms, AffTerm{Var: term.Var, Coef: -term.Coef})
+			}
+		}
+		sum, diff := map[*ForStmt]int64{}, map[*ForStmt]int64{}
+		ref(a, 1, sum)
+		ref(b, 1, sum)
+		ref(a, 1, diff)
+		ref(b, -1, diff)
+		check("Add", a.Add(b), a.Const+b.Const, sum)
+		check("Sub", a.Sub(b), a.Const-b.Const, diff)
+		k := int64(r.Intn(9) - 4)
+		scaled := map[*ForStmt]int64{}
+		ref(a, k, scaled)
+		check("Scale", a.Scale(k), k*a.Const, scaled)
+	}
+
+	a := AffVar(loopI).Scale(3).Add(AffVar(loopK)).Add(AffConst(4))
+	b := AffVar(loopJ).Add(AffVar(loopK).Scale(-2))
+	if n := testing.AllocsPerRun(100, func() { a.Add(b) }); n > 1 {
+		t.Errorf("Add made %.0f allocations, want at most 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { a.Sub(b) }); n > 1 {
+		t.Errorf("Sub made %.0f allocations, want at most 1", n)
+	}
+}

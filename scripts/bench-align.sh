@@ -2,7 +2,7 @@
 # Compare where the linker puts the benchmark's host-speed probe in two
 # builds: the working tree's and revision <rev>'s.
 #
-#   scripts/bench-align.sh <rev>
+#   scripts/bench-align.sh <rev> [dir]
 #
 # The benchmark divides every wall-clock metric by the host factor it
 # times in main.(*hostClock).tick (benchmark/calibrate.go), and the
@@ -18,13 +18,16 @@
 #
 # <rev> is exported with `git archive` into a temporary directory, and
 # both binaries are written there; nothing under either tree is written.
+# Given a directory, the script leaves the two binaries in it as
+# work.bin and rev.bin when they pass (scripts/bench-pairs.sh runs them).
 set -euo pipefail
 
-if [ $# -ne 1 ]; then
-	echo "usage: $0 <rev>" >&2
+if [ $# -lt 1 ] || [ $# -gt 2 ]; then
+	echo "usage: $0 <rev> [dir]" >&2
 	exit 2
 fi
 rev=$1
+keep=${2:-}
 root="$(cd "$(dirname "$0")/.." && pwd)"
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -51,5 +54,8 @@ base=$(probe "$tmp/rev.bin" "$rev")
 if [ "$work" != "$base" ]; then
 	echo "bench-align: FAIL (tick at $work mod 64, $rev at $base)"
 	exit 1
+fi
+if [ -n "$keep" ]; then
+	mv "$tmp/work.bin" "$tmp/rev.bin" "$keep"/
 fi
 echo "bench-align: PASS (tick at $work mod 64 in both)"
