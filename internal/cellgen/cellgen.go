@@ -158,7 +158,7 @@ func (g *gen) genRegions(regions []ir.Region) ([]mcode.CodeItem, error) {
 	for _, r := range regions {
 		switch r := r.(type) {
 		case *ir.BlockRegion:
-			instrs, err := g.scheduleBlock(r.Block, nil)
+			instrs, err := g.scheduleBlock(r.Block)
 			if err != nil {
 				return nil, err
 			}

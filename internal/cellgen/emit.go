@@ -6,7 +6,6 @@ import (
 
 	"warp/internal/ir"
 	"warp/internal/mcode"
-	"warp/internal/w2"
 )
 
 // This file assigns temporary registers to a scheduled block and emits
@@ -110,19 +109,7 @@ var aluCodeOf = map[ir.Op]mcode.AluCode{
 	ir.OpSelect: mcode.Sel,
 }
 
-// copyShift clones the iteration-offset map (nil stays nil).
-func copyShift(shift map[*w2.ForStmt]int64) map[*w2.ForStmt]int64 {
-	if len(shift) == 0 {
-		return nil
-	}
-	m := make(map[*w2.ForStmt]int64, len(shift))
-	for k, v := range shift {
-		m[k] = v
-	}
-	return m
-}
-
-func (g *gen) extInfo(e *ir.ExtRef, shift map[*w2.ForStmt]int64) (*mcode.AddrInfo, *float64) {
+func (g *gen) extInfo(e *ir.ExtRef) (*mcode.AddrInfo, *float64) {
 	if e == nil {
 		return nil, nil
 	}
@@ -134,14 +121,11 @@ func (g *gen) extInfo(e *ir.ExtRef, shift map[*w2.ForStmt]int64) (*mcode.AddrInf
 		Sym:    e.Sym,
 		Base:   e.Sym.Base,
 		Affine: e.Addr,
-		Delta:  copyShift(shift),
 	}, nil
 }
 
-// emitBlock converts a scheduled block into microinstructions.  The
-// shift map (iteration offsets from software pipelining) is recorded on
-// every address and host binding.
-func (g *gen) emitBlock(s *blockSchedule, regs map[*ir.Node]mcode.Reg, shift map[*w2.ForStmt]int64) ([]*mcode.Instr, error) {
+// emitBlock converts a scheduled block into microinstructions.
+func (g *gen) emitBlock(s *blockSchedule, regs map[*ir.Node]mcode.Reg) ([]*mcode.Instr, error) {
 	instrs := make([]*mcode.Instr, s.len)
 	for i := range instrs {
 		instrs[i] = &mcode.Instr{}
@@ -169,31 +153,30 @@ func (g *gen) emitBlock(s *blockSchedule, regs map[*ir.Node]mcode.Reg, shift map
 			}
 			switch n.Op {
 			case ir.OpRecv:
-				ext, lit := g.extInfo(n.Ext, shift)
+				ext, lit := g.extInfo(n.Ext)
 				r, ok := regs[n]
 				if !ok {
 					return nil, fmt.Errorf("cellgen: receive n%d lost its register", n.ID)
 				}
 				in.IO = append(in.IO, &mcode.IOOp{
 					Recv: true, Dir: n.Dir, Chan: n.Chan, Reg: r,
-					Ext: ext, ExtLiteral: lit, Delta: copyShift(shift),
+					Ext: ext, ExtLiteral: lit,
 				})
 			case ir.OpSend:
 				src, err := g.operandReg(n.Args[0], regs)
 				if err != nil {
 					return nil, err
 				}
-				ext, lit := g.extInfo(n.Ext, shift)
+				ext, lit := g.extInfo(n.Ext)
 				in.IO = append(in.IO, &mcode.IOOp{
 					Recv: false, Dir: n.Dir, Chan: n.Chan, Reg: src,
-					Ext: ext, ExtLiteral: lit, Delta: copyShift(shift),
+					Ext: ext, ExtLiteral: lit,
 				})
 			case ir.OpLoad, ir.OpStore:
 				op := &mcode.MemOp{
 					Store: n.Op == ir.OpStore,
 					Addr: mcode.AddrInfo{
 						Sym: n.Sym, Base: n.Sym.Base, Affine: n.Addr,
-						Delta: copyShift(shift),
 					},
 				}
 				if n.Op == ir.OpStore {
@@ -266,7 +249,7 @@ func (g *gen) emitBlock(s *blockSchedule, regs map[*ir.Node]mcode.Reg, shift map
 }
 
 // scheduleBlock schedules, allocates and emits one block.
-func (g *gen) scheduleBlock(b *ir.Block, shift map[*w2.ForStmt]int64) ([]*mcode.Instr, error) {
+func (g *gen) scheduleBlock(b *ir.Block) ([]*mcode.Instr, error) {
 	bg, err := newBlockGraph(b, blockEdges(b))
 	if err != nil {
 		return nil, err
@@ -276,5 +259,5 @@ func (g *gen) scheduleBlock(b *ir.Block, shift map[*w2.ForStmt]int64) ([]*mcode.
 	if err != nil {
 		return nil, err
 	}
-	return g.emitBlock(s, regs, shift)
+	return g.emitBlock(s, regs)
 }

@@ -234,16 +234,12 @@ func (em *moduloEmitter) emit(in *mcode.Instr, n *ir.Node, k int64, kernel bool)
 	if in.Pos.Line == 0 && n.Pos.Line != 0 {
 		in.Pos = n.Pos
 	}
-	var delta map[*w2.ForStmt]int64
-	if kernel {
-		delta = map[*w2.ForStmt]int64{em.r.Loop: k}
-	}
 	switch n.Op {
 	case ir.OpRecv:
 		ext, lit := em.extFor(n.Ext, k, kernel)
 		in.IO = append(in.IO, &mcode.IOOp{
 			Recv: true, Dir: n.Dir, Chan: n.Chan, Reg: em.regOf(n, k),
-			Ext: ext, ExtLiteral: lit, Delta: delta,
+			Ext: ext, ExtLiteral: lit,
 		})
 	case ir.OpSend:
 		src, err := em.operand(n.Args[0], k)
@@ -253,7 +249,7 @@ func (em *moduloEmitter) emit(in *mcode.Instr, n *ir.Node, k int64, kernel bool)
 		ext, lit := em.extFor(n.Ext, k, kernel)
 		in.IO = append(in.IO, &mcode.IOOp{
 			Recv: false, Dir: n.Dir, Chan: n.Chan, Reg: src,
-			Ext: ext, ExtLiteral: lit, Delta: delta,
+			Ext: ext, ExtLiteral: lit,
 		})
 	case ir.OpLoad, ir.OpStore:
 		op := &mcode.MemOp{

@@ -371,7 +371,6 @@ func (a AddrInfo) Bind(loops []*LoopItem, terms []LoopTerm) (BoundAddr, error) {
 // IOOp is a queue-port field: a receive writes the popped word to Dst;
 // a send pushes Src.
 type IOOp struct {
-	Recv bool
 	Dir  w2.Direction
 	Chan w2.Channel
 	Reg  Reg
@@ -379,7 +378,7 @@ type IOOp struct {
 	// ExtLiteral supplies the value when the external is a literal.
 	Ext        *AddrInfo
 	ExtLiteral *float64
-	Delta      map[*w2.ForStmt]int64 // iteration offset (software pipelining)
+	Recv       bool
 }
 
 func (o *IOOp) String() string {

@@ -11,6 +11,7 @@ import (
 	"warp/internal/driver"
 	"warp/internal/mcode"
 	"warp/internal/skew"
+	"warp/internal/verify"
 	"warp/internal/workloads"
 )
 
@@ -173,5 +174,33 @@ func TestSkewBudget(t *testing.T) {
 	}
 	if s, st, err := a.MinSkewStats(); err != nil || s != 0 || st.Ops > 8 {
 		t.Errorf("self queue: skew %d after %d evaluations (%v), want 0 in a handful", s, st.Ops, err)
+	}
+}
+
+// TestVerifyWalkFollowsTree: FFT's bit-reversal recursion is a nest of
+// 2-trip loops one level deeper per doubling of the points, and the IU's
+// lead has the first iteration of every level look back before its loop,
+// so without reuse every level walks both iterations and the verifier's
+// walk doubles with every level.  Walks of a repeated context are reused,
+// so FFT(1024)'s queue proofs walk at most twice FFT(64)'s pushes.
+func TestVerifyWalkFollowsTree(t *testing.T) {
+	walks := map[int]int64{}
+	for _, points := range []int{64, 256, 1024} {
+		c, err := driver.Compile(workloads.FFT(points), driver.Options{Pipeline: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var walked int64
+		stop := skew.CountWalked(func(n int64) { walked += n })
+		rep, err := verify.Verify(verify.Program{Cells: c.Cells, Cell: c.Cell, IU: c.IU, Host: c.Host, Skew: c.Skew, Lead: c.IUGen.Prologue + 1})
+		stop()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("FFT(%d): %d pushes walked for %d evaluations", points, walked, rep.Evals)
+		walks[points] = walked
+	}
+	if walks[1024] > 2*walks[64] {
+		t.Errorf("FFT(1024) walks %d pushes, FFT(64) %d: want at most twice", walks[1024], walks[64])
 	}
 }

@@ -1,6 +1,7 @@
 package skew
 
 import (
+	"math"
 	"sort"
 
 	"warp/internal/mcode"
@@ -39,6 +40,21 @@ import (
 // that is the first ⌈(d+1)/P⌉+1 iterations, which look back past the
 // loop's start, and the last; a loop against pops with no common period
 // is walked in full — the plain sweep.
+//
+// One walk stands for every iteration that looks back into the same
+// context.  The pushes of an iteration of a loop are the count before it
+// plus what the loop's body holds; when its pops are looked up in a
+// window that lies in one iteration of a pop loop, they are the count
+// before that iteration plus what that body holds up to the same offset.
+// So two such iterations — of any instances of the push loop — in the
+// same context (pop loop, offset) see the same occupancy up to a
+// constant, the difference of the counts before, and look at the same
+// number of pushes: the second reuses the first's extremes and evals.
+// Without it a nest of 2-trip loops whose first iterations look back
+// before their loops — FFT's bit-reversal recursion seen from the IU,
+// which leads the cells — would cost 2^depth walks of its innermost
+// body.  Counts inside a walk resume from the pop iteration the previous
+// count descended into.
 
 // Node is one element of a structured timed stream: either a leaf
 // carrying event counts at one cycle, or a loop.  The nodes of a body
@@ -54,13 +70,16 @@ type Node struct {
 }
 
 // Nest is a counted loop of a stream: Trips iterations of IterLen cycles
-// each, back to back.
+// each, back to back.  A tree holds each Nest once: the evaluator tells
+// the contexts of a walk apart by their Nest.
 type Nest struct {
 	Trips   int64
 	IterLen int64
 	Body    []Node
-	// Events of one iteration (set by Seal).
+	// Events of one iteration, and whether its body holds a loop (set by
+	// Seal).
 	sends, recvs int64
+	nested       bool
 }
 
 // Seal returns the dynamic send/recv event totals of a stream without
@@ -74,6 +93,9 @@ func Seal(body []Node) (sends, recvs int64) {
 		n.sends, n.recvs = sends, recvs
 		if l := n.Loop; l != nil {
 			l.sends, l.recvs = Seal(l.Body)
+			for j := range l.Body {
+				l.nested = l.nested || l.Body[j].Loop != nil
+			}
 			s, okS := mcode.MulAdd(sends, l.sends, l.Trips)
 			r, okR := mcode.MulAdd(recvs, l.recvs, l.Trips)
 			if !okS || !okR { // never for a program mcode.CountCell accepts
@@ -155,8 +177,62 @@ type occupancy struct {
 	// peak is the most the queue holds right after a push, low the least
 	// right before one.
 	peak, low int64
-	// evals counts the pushes looked at, against budget.
-	evals, budget int64
+	// evals counts the pushes looked at, against budget; reused the ones
+	// of them reused walks stood for.
+	evals, budget, reused int64
+	// The walks reuse can stand for, in the order they were made.
+	reuse [reuseSlots]walked
+	kept  int
+	// finger is the innermost pop loop iteration the last count descended
+	// into: [lo, hi), its body, and the receives before it.
+	finger struct {
+		lo, hi, recvs int64
+		body          []Node
+	}
+}
+
+// popped returns the receives of the pops at cycles ≤ x: Count, resumed
+// from the iteration the previous count ended in when x falls in it too.
+func (o *occupancy) popped(x int64) (recvs int64) {
+	f := &o.finger
+	body, base := o.pops, int64(0)
+	if f.lo <= x && x < f.hi {
+		body, base, recvs = f.body, f.lo, f.recvs
+	}
+	for {
+		i := sort.Search(len(body), func(i int) bool { return base+body[i].At > x }) - 1
+		if i < 0 {
+			return recvs
+		}
+		n := &body[i]
+		recvs += n.recvs
+		l := n.Loop
+		if l == nil {
+			return recvs + int64(n.Recv)
+		}
+		at := base + n.At
+		k := (x - at) / l.IterLen
+		if k >= l.Trips {
+			return recvs + l.Trips*l.recvs
+		}
+		recvs += k * l.recvs
+		base, body = at+k*l.IterLen, l.Body
+		f.lo, f.hi, f.recvs, f.body = base, base+l.IterLen, recvs, body
+	}
+}
+
+// reuseSlots bounds the walks one evaluation remembers.  Past it an
+// iteration is walked, as when no earlier walk matches.
+const reuseSlots = 32
+
+// walked is one iteration of push, walked with its pops looked up in one
+// iteration of pop from off cycles into it: its extremes less the
+// queue's fill at the iteration's start, and the pushes it looked at.
+type walked struct {
+	push, pop *Nest
+	off       int64
+	peak, low int64
+	evals     int64
 }
 
 // walk visits the pushes of body, whose first cycle is base and before
@@ -174,8 +250,7 @@ func (o *occupancy) walk(body []Node, base, pushed int64) bool {
 			if o.evals++; o.evals > o.budget {
 				return false
 			}
-			_, popped := Count(o.pops, at-o.lag)
-			occ := before + int64(n.Send) - popped
+			occ := before + int64(n.Send) - o.popped(at-o.lag)
 			o.peak = max(o.peak, occ)
 			o.low = min(o.low, occ-int64(n.Send))
 			continue
@@ -184,7 +259,7 @@ func (o *occupancy) walk(body []Node, base, pushed int64) bool {
 			continue
 		}
 		for k := int64(0); k < l.Trips; k++ {
-			if !o.walk(l.Body, at+k*l.IterLen, before+k*l.sends) {
+			if !o.iter(l, at+k*l.IterLen, before+k*l.sends) {
 				return false
 			}
 			// Iterations k..last look back into one stretch of the pops
@@ -192,7 +267,7 @@ func (o *occupancy) walk(body []Node, base, pushed int64) bool {
 			// last stand for all.
 			_, hi := stretch(o.pops, at+k*l.IterLen-o.lag, l.IterLen)
 			if last := min(l.Trips, (hi+o.lag-at)/l.IterLen) - 1; last > k {
-				if !o.walk(l.Body, at+last*l.IterLen, before+last*l.sends) {
+				if !o.iter(l, at+last*l.IterLen, before+last*l.sends) {
 					return false
 				}
 				k = last
@@ -201,6 +276,74 @@ func (o *occupancy) walk(body []Node, base, pushed int64) bool {
 	}
 	return true
 }
+
+// iter visits one iteration of l, at base and after pushed pushes.  Its
+// pops are looked up in the window [base−lag, base−lag+IterLen); when
+// that window lies in one iteration of a pop loop, the walk of an earlier
+// iteration of l in the same context (pop loop, offset) stands for this
+// one, its extremes moved by the difference of the counts before (see
+// the file comment).  Only a body holding a loop is worth remembering.
+func (o *occupancy) iter(l *Nest, base, pushed int64) bool {
+	if !l.nested {
+		return o.walk(l.Body, base, pushed)
+	}
+	pop, off, popped := context(o.pops, base-o.lag, l.IterLen)
+	if pop == nil {
+		return o.walk(l.Body, base, pushed)
+	}
+	fill := pushed - popped
+	for i := range o.kept {
+		w := &o.reuse[i]
+		if w.push != l || w.pop != pop || w.off != off {
+			continue
+		}
+		if o.evals+w.evals > o.budget {
+			break // walk it: it stops where it always did
+		}
+		o.evals += w.evals
+		o.reused += w.evals
+		o.peak, o.low = max(o.peak, w.peak+fill), min(o.low, w.low+fill)
+		return true
+	}
+	peak, low, evals := o.peak, o.low, o.evals
+	o.peak, o.low = math.MinInt64, math.MaxInt64
+	ok := o.walk(l.Body, base, pushed)
+	if ok && o.kept < reuseSlots {
+		o.reuse[o.kept] = walked{push: l, pop: pop, off: off, peak: o.peak - fill, low: o.low - fill, evals: o.evals - evals}
+		o.kept++
+	}
+	o.peak, o.low = max(peak, o.peak), min(low, o.low)
+	return ok
+}
+
+// context returns the innermost loop of the stream one of whose
+// iterations holds all of the cycles [t, t+n), t's offset into that
+// iteration and the receives before it; nil when no iteration of any
+// loop holds them.
+func context(body []Node, t, n int64) (inner *Nest, off, recvs int64) {
+	var base, before int64
+	for {
+		i := sort.Search(len(body), func(i int) bool { return base+body[i].At > t }) - 1
+		if i < 0 {
+			return inner, off, recvs
+		}
+		at, l := base+body[i].At, body[i].Loop
+		if l == nil {
+			return inner, off, recvs
+		}
+		k := (t - at) / l.IterLen
+		start := at + k*l.IterLen
+		if k >= l.Trips || t+n > start+l.IterLen {
+			return inner, off, recvs
+		}
+		before += body[i].recvs + k*l.recvs
+		inner, off, recvs = l, t-start, before
+		base, body = start, l.Body
+	}
+}
+
+// evaluated hands each evaluation's walked pushes to the tests.
+var evaluated func(walked int64)
 
 // Evaluate returns the exact extremes of the queue pushed by the sends
 // of pushes and popped by the receives of pops lag cycles behind: its
@@ -212,7 +355,9 @@ func Evaluate(pushes, pops []Node, lag, budget int64, evals *int64) (peak, low i
 	o := occupancy{pops: pops, lag: lag, budget: budget}
 	ok = o.walk(pushes, 0, 0)
 	*evals += o.evals
+	if evaluated != nil {
+		evaluated(o.evals - o.reused)
+	}
 	pushed, _ := Count(pushes, Forever)
-	_, popped := Count(pops, Forever)
-	return o.peak, min(o.low, pushed-popped), ok
+	return o.peak, min(o.low, pushed-o.popped(Forever)), ok
 }

@@ -260,3 +260,18 @@ func (s *sigForms) expand(runs []sigRun, f func(id int, more bool) bool) bool {
 	}
 	return true
 }
+
+// Hazards runs the register hazard check over p and returns its
+// diagnostics, the number suppressed and the instructions it visited.
+func Hazards(p *mcode.CellProgram) (diags []Diagnostic, dropped int, visited int64) {
+	h := &hazardChecker{col: &collector{}}
+	h.walkItems(p.Items, 0, 0)
+	return h.col.diags, h.col.dropped, h.visited
+}
+
+// RefHazards is Hazards on the reference check of reference_test.go.
+func RefHazards(p *mcode.CellProgram) (diags []Diagnostic, dropped int) {
+	h := &refHazardChecker{col: &collector{}}
+	h.walkItems(p.Items, 0, 0)
+	return h.col.diags, h.col.dropped
+}

@@ -31,6 +31,18 @@ import (
 // recurs in iteration k at the same relative distance, so read/write
 // distances are constant from iteration 1 on, and registers last
 // written before the loop only age (grow safer) with k.
+//
+// Nor is a body walked twice from one entry state.  What a walk of a
+// loop body finds depends only on the state it starts from as seen from
+// its first cycle: which registers were written before, and which writes
+// are still in flight, with their age (capped at the latency: a write
+// that has landed can no longer race anything) and whether they are
+// their register's first.  A diagnostic-free walk of a body holding a
+// loop is remembered with that entry state, and a later iteration of the
+// same loop entered in the same state applies its writes shifted in time
+// instead of walking again.  Without it a nest of 2-trip loops — FFT's
+// bit-reversal recursion — would cost 2^depth walks of its innermost
+// body, since every level walks both of its iterations.
 
 type regState struct {
 	written bool
@@ -42,7 +54,48 @@ type regState struct {
 type hazardChecker struct {
 	regs [mcode.NumRegs]regState
 	col  *collector
+	// The diagnostic-free walks of loop bodies holding a loop, and the
+	// writes they leave behind: walks[i] wrote writes[w.writes0:w.writes1].
+	walks          [maxWalks]bodyWalk
+	writes         [maxWalkWrites]bodyWrite
+	nwalks, nwrite int
+	// visited counts the instructions checked (for the tests).
+	visited int64
 }
+
+// bodyWalk is one walk of a loop's body from an entry state: the
+// registers written before it and the writes still in flight at its
+// first cycle, as seen from that cycle.
+type bodyWalk struct {
+	loop    *mcode.LoopItem
+	written uint64
+	flight  [maxFlight]bodyWrite
+	nflight int
+	// What the walk did: its length, the µPC after it, and the last write
+	// of every register it wrote.
+	cycles           int64
+	pc               int
+	writes0, writes1 int
+}
+
+// bodyWrite is a register's last write, at cycle at relative to a
+// body's first cycle.
+type bodyWrite struct {
+	reg   mcode.Reg
+	first bool
+	at    int64
+	lat   int64
+}
+
+// Bounds on what a hazard check remembers, all of it in the checker
+// itself: past them a body is walked, as when no earlier walk matches.
+// An entry state holds at most two FPU results a cycle over the
+// latency's four cycles in flight.
+const (
+	maxWalks      = 32
+	maxWalkWrites = 256
+	maxFlight     = 2 * (mcode.FPULatency - 1)
+)
 
 // checkHazards runs the analysis over the whole cell program.  All
 // cells run the same program, so one pass covers the array; reported
@@ -67,7 +120,7 @@ func (h *hazardChecker) walkItems(items []mcode.CodeItem, t int64, pc int) (int6
 			iters := min(it.Trips, 2)
 			head, end, t0 := pc, pc, t
 			for k := int64(0); k < iters; k++ {
-				t, end = h.walkItems(it.Body, t, head)
+				t, end = h.iter(it, t, head)
 			}
 			bodyLen := (t - t0) / max(iters, 1)
 			pc = end
@@ -88,9 +141,84 @@ func (h *hazardChecker) walkItems(items []mcode.CodeItem, t int64, pc int) (int6
 	return t, pc
 }
 
+// iter walks one iteration of loop it from cycle t, its body's first
+// instruction being µPC pc, or applies the writes of an earlier walk
+// from the same entry state, shifted to t (see the file comment).  Only
+// a body holding a loop is worth remembering.
+func (h *hazardChecker) iter(it *mcode.LoopItem, t int64, pc int) (int64, int) {
+	if !holdsLoop(it.Body) {
+		return h.walkItems(it.Body, t, pc)
+	}
+	entry, ok := h.entry(it, t)
+	if !ok {
+		return h.walkItems(it.Body, t, pc)
+	}
+	for i := range h.nwalks {
+		w := &h.walks[i]
+		if w.loop != it || w.written != entry.written || w.flight != entry.flight {
+			continue
+		}
+		for _, wr := range h.writes[w.writes0:w.writes1] {
+			h.regs[wr.reg] = regState{written: true, first: wr.first, issue: t + wr.at, lat: wr.lat}
+		}
+		return t + w.cycles, w.pc
+	}
+	diags, dropped := len(h.col.diags), h.col.dropped
+	end, endPC := h.walkItems(it.Body, t, pc)
+	if len(h.col.diags) != diags || h.col.dropped != dropped || h.nwalks == maxWalks {
+		return end, endPC
+	}
+	entry.cycles, entry.pc, entry.writes0 = end-t, endPC, h.nwrite
+	for r, st := range h.regs {
+		if st.written && st.issue >= t {
+			if h.nwrite == maxWalkWrites {
+				h.nwrite = entry.writes0
+				return end, endPC
+			}
+			h.writes[h.nwrite] = bodyWrite{reg: mcode.Reg(r), first: st.first, at: st.issue - t, lat: st.lat}
+			h.nwrite++
+		}
+	}
+	entry.writes1 = h.nwrite
+	h.walks[h.nwalks] = entry
+	h.nwalks++
+	return end, endPC
+}
+
+// entry returns the register state at cycle t as a walk of loop it from
+// t sees it; ok is false when more than maxFlight writes are in flight.
+func (h *hazardChecker) entry(it *mcode.LoopItem, t int64) (w bodyWalk, ok bool) {
+	w.loop = it
+	for r, st := range h.regs {
+		if !st.written {
+			continue
+		}
+		w.written |= 1 << r
+		if st.issue+st.lat > t {
+			if w.nflight == maxFlight {
+				return w, false
+			}
+			w.flight[w.nflight] = bodyWrite{reg: mcode.Reg(r), first: st.first, at: st.issue - t, lat: st.lat}
+			w.nflight++
+		}
+	}
+	return w, true
+}
+
+// holdsLoop reports whether items hold a loop.
+func holdsLoop(items []mcode.CodeItem) bool {
+	for _, it := range items {
+		if _, ok := it.(*mcode.LoopItem); ok {
+			return true
+		}
+	}
+	return false
+}
+
 // instr checks one microinstruction, µPC pc, at absolute cycle t: reads
 // against the current write states, then the cycle's own writes.
 func (h *hazardChecker) instr(in *mcode.Instr, t int64, pc int) {
+	h.visited++
 	// read checks one operand; op names the ALU operation reading it
 	// (nil for a store or a send), spelled out only in a diagnostic.
 	read := func(r mcode.Reg, field string, op *mcode.AluOp) {
