@@ -158,13 +158,15 @@ func (g *gen) genRegions(regions []ir.Region) ([]mcode.CodeItem, error) {
 	for _, r := range regions {
 		switch r := r.(type) {
 		case *ir.BlockRegion:
-			instrs, err := g.scheduleBlock(r.Block)
+			bg, err := newBlockGraph(r.Block, blockEdges(r.Block))
 			if err != nil {
 				return nil, err
 			}
-			if len(instrs) > 0 {
-				items = append(items, &mcode.Straight{Instrs: instrs})
+			straight, err := g.emitBlock(bg.listSchedule())
+			if err != nil {
+				return nil, err
 			}
+			items = append(items, straight...)
 		case *ir.LoopRegion:
 			li, err := g.genLoop(r)
 			if err != nil {
@@ -182,23 +184,33 @@ func (g *gen) genRegions(regions []ir.Region) ([]mcode.CodeItem, error) {
 func (g *gen) genLoop(r *ir.LoopRegion) ([]mcode.CodeItem, error) {
 	ls := prof.LoopSched{Loop: r.Loop.Var, Line: r.Loop.Pos.Line, Trips: r.Trips()}
 	start := time.Now()
+	var base *blockSchedule
 	if g.opts.Pipeline {
-		items, ok, err := g.moduloSchedule(r, &ls)
+		items, b, err := g.moduloSchedule(r, &ls)
 		ls.SearchNS = time.Since(start).Nanoseconds()
 		if err != nil {
 			return nil, err
 		}
-		if ok {
+		if items != nil {
 			ls.Pipelined = true
 			g.res.Sched.Loops = append(g.res.Sched.Loops, ls)
 			g.res.PipelinedLoops++
 			return items, nil
 		}
+		base = b
 	} else {
 		ls.Reason = "pipelining disabled"
 	}
 	g.res.Sched.Loops = append(g.res.Sched.Loops, ls)
-	body, err := g.genRegions(r.Body)
+	var body []mcode.CodeItem
+	var err error
+	if base != nil {
+		// The body's one block, from the list schedule the search measured
+		// itself against.
+		body, err = g.emitBlock(base)
+	} else {
+		body, err = g.genRegions(r.Body)
+	}
 	if err != nil {
 		return nil, err
 	}

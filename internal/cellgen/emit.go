@@ -1,49 +1,50 @@
 package cellgen
 
 import (
+	"errors"
 	"fmt"
-	"sort"
 
 	"warp/internal/ir"
 	"warp/internal/mcode"
+	"warp/internal/w2"
 )
 
-// This file assigns temporary registers to a scheduled block and emits
-// the microinstructions.
+// This file lowers scheduled nodes into microinstruction words — one
+// emitter for both schedulers: a list-scheduled block is the one
+// iteration of a schedule as long as the block, a pipelined loop's
+// prologue, kernel and epilogue are ranges of its flat schedule — and
+// assigns a block's temporary registers.
+
+// needsReg reports whether the node's result needs a temporary register.
+func needsReg(n *ir.Node) bool { return needsInstr(n) && n.Op.HasResult() }
+
+// lastUses returns, per value node, the last cycle its register is busy:
+// the latest issue among its consumers, and never before the node's own
+// write lands — an idle register must stay reserved until its in-flight
+// result has arrived, or a reuser would be clobbered.
+func lastUses(nodes []*ir.Node, at map[*ir.Node]int64) map[*ir.Node]int64 {
+	last := make(map[*ir.Node]int64, len(nodes))
+	for _, n := range nodes {
+		if needsReg(n) {
+			last[n] = at[n] + resultLatency(n)
+		}
+	}
+	for _, n := range nodes {
+		for _, a := range n.Args {
+			if t, ok := last[a]; ok && at[n] > t {
+				last[a] = at[n]
+			}
+		}
+	}
+	return last
+}
 
 // assignRegs allocates temporary registers for value-producing nodes
 // over the register pool left after dedicated scalar and constant
 // registers, reusing registers whose values are dead.
 func (g *gen) assignRegs(s *blockSchedule) (map[*ir.Node]mcode.Reg, error) {
-	// Last use per node: the max issue over consumers, but never before
-	// the producer's own write lands — an idle register must stay
-	// reserved until its in-flight result has arrived, or a reuser
-	// would be clobbered.
-	lastUse := make(map[*ir.Node]int64)
-	for _, n := range s.block.Nodes {
-		for _, a := range n.Args {
-			if t := s.issue[n]; t > lastUse[a] {
-				lastUse[a] = t
-			}
-		}
-	}
-	for _, n := range s.nodes {
-		if land := s.issue[n] + resultLatency(n); land > lastUse[n] {
-			lastUse[n] = land
-		}
-	}
-
-	needsReg := func(n *ir.Node) bool {
-		switch n.Op {
-		case ir.OpRecv, ir.OpLoad, ir.OpFadd, ir.OpFsub, ir.OpFmul,
-			ir.OpFdiv, ir.OpFneg, ir.OpEq, ir.OpNe, ir.OpLt, ir.OpLe,
-			ir.OpGt, ir.OpGe, ir.OpAnd, ir.OpOr, ir.OpNot, ir.OpSelect:
-			return true
-		}
-		return false
-	}
-
-	regs := make(map[*ir.Node]mcode.Reg)
+	lastUse := lastUses(s.nodes, s.issue)
+	regs := make(map[*ir.Node]mcode.Reg, len(lastUse))
 	type slot struct {
 		reg    mcode.Reg
 		freeAt int64
@@ -57,15 +58,11 @@ func (g *gen) assignRegs(s *blockSchedule) (map[*ir.Node]mcode.Reg, error) {
 			continue
 		}
 		t := s.issue[n]
-		end := lastUse[n]
-		if end < t {
-			end = t
-		}
 		found := false
 		for i := range pool {
 			if pool[i].freeAt <= t {
 				regs[n] = pool[i].reg
-				pool[i].freeAt = end + 1
+				pool[i].freeAt = lastUse[n] + 1
 				found = true
 				break
 			}
@@ -78,26 +75,124 @@ func (g *gen) assignRegs(s *blockSchedule) (map[*ir.Node]mcode.Reg, error) {
 	return regs, nil
 }
 
-// operandReg resolves the register holding a node's value.
-func (g *gen) operandReg(n *ir.Node, regs map[*ir.Node]mcode.Reg) (mcode.Reg, error) {
+// emitBlock allocates a list-scheduled block's registers and emits it:
+// no code item for an empty block, else one straight run.
+func (g *gen) emitBlock(s *blockSchedule) ([]mcode.CodeItem, error) {
+	regs, err := g.assignRegs(s)
+	if err != nil {
+		return nil, err
+	}
+	e := emitter{g: g, nodes: s.nodes, at: s.issue, ii: s.len, trips: 1, regs: regs, copies: 1}
+	instrs, err := e.emitRange(0, s.len)
+	if len(instrs) == 0 || err != nil {
+		return nil, err
+	}
+	return []mcode.CodeItem{&mcode.Straight{Instrs: instrs}}, nil
+}
+
+// emitter lowers the instances of one schedule into microinstruction
+// words: iteration k's instance of node n issues in flat cycle
+// k·ii + at[n].  The schedule's path decides an instance's register and
+// addresses.
+type emitter struct {
+	g         *gen
+	nodes     []*ir.Node // issue order: by offset, then ID
+	at        map[*ir.Node]int64
+	ii, trips int64
+
+	// Iteration k's value of n is in regs[n] + (k mod copies)·stride:
+	// a block has one copy, a kernel one per overlapped iteration.
+	regs           map[*ir.Node]mcode.Reg
+	copies, stride int64
+
+	// The pipelined loop (nil in a block), its first index, and whether
+	// the range emitted is the kernel: its instances keep the loop term
+	// and shift it by their iteration (the loop counter advances by the
+	// unroll degree per repetition), where prologue and epilogue
+	// instances substitute their iteration's index.
+	loop   *w2.ForStmt
+	lo     int64
+	kernel bool
+}
+
+// emitRange emits the instances that issue in flat cycles [from, to)
+// into fresh words, node by node in issue order: that order decides
+// which instance claims a word's source position and which memory port
+// a reference takes.
+func (e *emitter) emitRange(from, to int64) ([]*mcode.Instr, error) {
+	if to <= from {
+		return nil, nil
+	}
+	words := make([]mcode.Instr, to-from)
+	instrs := make([]*mcode.Instr, len(words))
+	for i := range instrs {
+		instrs[i] = &words[i]
+	}
+	for _, n := range e.nodes {
+		o := e.at[n]
+		for k := max(0, (from-o+e.ii-1)/e.ii); k < e.trips; k++ {
+			abs := k*e.ii + o
+			if abs < from {
+				continue
+			}
+			if abs >= to {
+				break
+			}
+			if err := e.place(instrs[abs-from], n, k); err != nil {
+				return nil, fmt.Errorf("cellgen: cycle %d, n%d (%s): %v", abs, n.ID, n.Op, err)
+			}
+		}
+	}
+	return instrs, nil
+}
+
+// reg is the register holding iteration k's value of n.
+func (e *emitter) reg(n *ir.Node, k int64) (mcode.Reg, error) {
 	switch n.Op {
 	case ir.OpConst:
-		r, ok := g.res.ConstRegs[n.FVal]
+		r, ok := e.g.res.ConstRegs[n.FVal]
 		if !ok {
-			return 0, fmt.Errorf("cellgen: constant %g has no register", n.FVal)
+			return 0, fmt.Errorf("constant %g has no register", n.FVal)
 		}
 		return r, nil
 	case ir.OpRead:
-		r, ok := g.res.ScalarRegs[n.Sym]
+		r, ok := e.g.res.ScalarRegs[n.Sym]
 		if !ok {
-			return 0, fmt.Errorf("cellgen: scalar %s has no home register", n.Sym.Name)
+			return 0, fmt.Errorf("scalar %s has no home register", n.Sym.Name)
 		}
 		return r, nil
 	}
-	if r, ok := regs[n]; ok {
-		return r, nil
+	r, ok := e.regs[n]
+	if !ok {
+		return 0, fmt.Errorf("n%d (%s) has no result register", n.ID, n.Op)
 	}
-	return 0, fmt.Errorf("cellgen: node n%d (%s) has no result register", n.ID, n.Op)
+	return r + mcode.Reg(k%e.copies*e.stride), nil
+}
+
+// addr is iteration k's address of the element aff of sym.
+func (e *emitter) addr(sym *w2.Symbol, aff w2.Affine, k int64) mcode.AddrInfo {
+	info := mcode.AddrInfo{Sym: sym, Base: sym.Base, Affine: aff}
+	switch {
+	case e.loop == nil: // a block: the enclosing loops' indices, as written
+	case e.kernel:
+		info.ShiftLoop, info.Shift = e.loop, k
+	default:
+		info.Affine = aff.Subst(e.loop, e.lo+k)
+	}
+	return info
+}
+
+// ext is iteration k's host binding of a queue operation.
+func (e *emitter) ext(x *ir.ExtRef, k int64) (*mcode.AddrInfo, *float64) {
+	if x == nil {
+		return nil, nil
+	}
+	if x.Sym == nil {
+		v := x.Literal
+		return nil, &v
+	}
+	info := e.addr(x.Sym, x.Addr, k)
+	return &info, nil
 }
 
 var aluCodeOf = map[ir.Op]mcode.AluCode{
@@ -109,155 +204,76 @@ var aluCodeOf = map[ir.Op]mcode.AluCode{
 	ir.OpSelect: mcode.Sel,
 }
 
-func (g *gen) extInfo(e *ir.ExtRef) (*mcode.AddrInfo, *float64) {
-	if e == nil {
-		return nil, nil
+// place lowers iteration k's instance of n into the word in: the one
+// function in this package that fills an instruction field.
+func (e *emitter) place(in *mcode.Instr, n *ir.Node, k int64) error {
+	// Debug map: the first instance placed into the word claims the
+	// instruction's source position.
+	if in.Pos.Line == 0 && n.Pos.Line != 0 {
+		in.Pos = n.Pos
 	}
-	if e.Sym == nil {
-		v := e.Literal
-		return nil, &v
+	var src [3]mcode.Reg
+	for i, a := range n.Args {
+		r, err := e.reg(a, k)
+		if err != nil {
+			return err
+		}
+		src[i] = r
 	}
-	return &mcode.AddrInfo{
-		Sym:    e.Sym,
-		Base:   e.Sym.Base,
-		Affine: e.Addr,
-	}, nil
-}
-
-// emitBlock converts a scheduled block into microinstructions.
-func (g *gen) emitBlock(s *blockSchedule, regs map[*ir.Node]mcode.Reg) ([]*mcode.Instr, error) {
-	instrs := make([]*mcode.Instr, s.len)
-	for i := range instrs {
-		instrs[i] = &mcode.Instr{}
+	var dst mcode.Reg
+	if needsReg(n) {
+		r, err := e.reg(n, k)
+		if err != nil {
+			return err
+		}
+		dst = r
 	}
-	// Stable per-cycle ordering for memory ports.
-	byCycle := make(map[int64][]*ir.Node)
-	for _, n := range s.nodes {
-		byCycle[s.issue[n]] = append(byCycle[s.issue[n]], n)
-	}
-	var cycles []int64
-	for t := range byCycle {
-		cycles = append(cycles, t)
-	}
-	sort.Slice(cycles, func(i, j int) bool { return cycles[i] < cycles[j] })
-
-	for _, t := range cycles {
-		in := instrs[t]
-		nodes := byCycle[t]
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
-		for _, n := range nodes {
-			// Debug map: the first node placed into the word (lowest ID in
-			// this cycle) claims the instruction's source position.
-			if in.Pos.Line == 0 && n.Pos.Line != 0 {
-				in.Pos = n.Pos
+	switch n.Op {
+	case ir.OpRecv, ir.OpSend:
+		reg := dst
+		if n.Op == ir.OpSend {
+			reg = src[0]
+		}
+		ext, lit := e.ext(n.Ext, k)
+		in.IO = append(in.IO, &mcode.IOOp{
+			Recv: n.Op == ir.OpRecv, Dir: n.Dir, Chan: n.Chan, Reg: reg,
+			Ext: ext, ExtLiteral: lit,
+		})
+	case ir.OpLoad, ir.OpStore:
+		op := &mcode.MemOp{Store: n.Op == ir.OpStore, Reg: dst, Addr: e.addr(n.Sym, n.Addr, k)}
+		if op.Store {
+			op.Reg = src[0]
+		}
+		slot := 0
+		for slot < mcode.MemPorts && in.Mem[slot] != nil {
+			slot++
+		}
+		if slot == mcode.MemPorts {
+			return fmt.Errorf("more than %d memory references in one word", mcode.MemPorts)
+		}
+		in.Mem[slot] = op
+	case ir.OpWrite:
+		if in.Mov != nil {
+			return errors.New("the move field is double-booked")
+		}
+		in.Mov = &mcode.AluOp{Code: mcode.Mov, Dst: e.g.res.ScalarRegs[n.Sym], Src: src}
+	default:
+		code, ok := aluCodeOf[n.Op]
+		if !ok {
+			return fmt.Errorf("no instruction field computes %s", n.Op)
+		}
+		op := &mcode.AluOp{Code: code, Dst: dst, Src: src}
+		if code.OnMulUnit() {
+			if in.Mul != nil {
+				return errors.New("the MUL unit is double-booked")
 			}
-			switch n.Op {
-			case ir.OpRecv:
-				ext, lit := g.extInfo(n.Ext)
-				r, ok := regs[n]
-				if !ok {
-					return nil, fmt.Errorf("cellgen: receive n%d lost its register", n.ID)
-				}
-				in.IO = append(in.IO, &mcode.IOOp{
-					Recv: true, Dir: n.Dir, Chan: n.Chan, Reg: r,
-					Ext: ext, ExtLiteral: lit,
-				})
-			case ir.OpSend:
-				src, err := g.operandReg(n.Args[0], regs)
-				if err != nil {
-					return nil, err
-				}
-				ext, lit := g.extInfo(n.Ext)
-				in.IO = append(in.IO, &mcode.IOOp{
-					Recv: false, Dir: n.Dir, Chan: n.Chan, Reg: src,
-					Ext: ext, ExtLiteral: lit,
-				})
-			case ir.OpLoad, ir.OpStore:
-				op := &mcode.MemOp{
-					Store: n.Op == ir.OpStore,
-					Addr: mcode.AddrInfo{
-						Sym: n.Sym, Base: n.Sym.Base, Affine: n.Addr,
-					},
-				}
-				if n.Op == ir.OpStore {
-					src, err := g.operandReg(n.Args[0], regs)
-					if err != nil {
-						return nil, err
-					}
-					op.Reg = src
-				} else {
-					r, ok := regs[n]
-					if !ok {
-						return nil, fmt.Errorf("cellgen: load n%d lost its register", n.ID)
-					}
-					op.Reg = r
-				}
-				placed := false
-				for slot := 0; slot < mcode.MemPorts; slot++ {
-					if in.Mem[slot] == nil {
-						in.Mem[slot] = op
-						placed = true
-						break
-					}
-				}
-				if !placed {
-					return nil, fmt.Errorf("cellgen: more than %d memory references in cycle %d", mcode.MemPorts, t)
-				}
-			case ir.OpWrite:
-				src, err := g.operandReg(n.Args[0], regs)
-				if err != nil {
-					return nil, err
-				}
-				dst := g.res.ScalarRegs[n.Sym]
-				if in.Mov != nil {
-					return nil, fmt.Errorf("cellgen: move field double-booked in cycle %d", t)
-				}
-				in.Mov = &mcode.AluOp{Code: mcode.Mov, Dst: dst, Src: [3]mcode.Reg{src}}
-			default:
-				code, ok := aluCodeOf[n.Op]
-				if !ok {
-					return nil, fmt.Errorf("cellgen: cannot emit %s", n.Op)
-				}
-				op := &mcode.AluOp{Code: code}
-				r, ok := regs[n]
-				if !ok {
-					return nil, fmt.Errorf("cellgen: node n%d lost its register", n.ID)
-				}
-				op.Dst = r
-				for i, a := range n.Args {
-					src, err := g.operandReg(a, regs)
-					if err != nil {
-						return nil, err
-					}
-					op.Src[i] = src
-				}
-				if code.OnMulUnit() {
-					if in.Mul != nil {
-						return nil, fmt.Errorf("cellgen: MUL unit double-booked in cycle %d", t)
-					}
-					in.Mul = op
-				} else {
-					if in.Add != nil {
-						return nil, fmt.Errorf("cellgen: ADD unit double-booked in cycle %d", t)
-					}
-					in.Add = op
-				}
+			in.Mul = op
+		} else {
+			if in.Add != nil {
+				return errors.New("the ADD unit is double-booked")
 			}
+			in.Add = op
 		}
 	}
-	return instrs, nil
-}
-
-// scheduleBlock schedules, allocates and emits one block.
-func (g *gen) scheduleBlock(b *ir.Block) ([]*mcode.Instr, error) {
-	bg, err := newBlockGraph(b, blockEdges(b))
-	if err != nil {
-		return nil, err
-	}
-	s := bg.listSchedule()
-	regs, err := g.assignRegs(s)
-	if err != nil {
-		return nil, err
-	}
-	return g.emitBlock(s, regs)
+	return nil
 }

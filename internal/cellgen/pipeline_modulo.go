@@ -529,28 +529,29 @@ func min64(a, b int64) int64 {
 // single basic block: qualify, bound the II from below (by the units, the
 // trip count, the recurrences, and the two together), search upward from
 // there for the smallest II that schedules, check register demand, and
-// emit prologue/kernel/epilogue.  ok=false means "fall back to a plain
-// counted loop".
-func (g *gen) moduloSchedule(r *ir.LoopRegion, ls *prof.LoopSched) ([]mcode.CodeItem, bool, error) {
+// emit prologue/kernel/epilogue.  No items means "fall back to a plain
+// counted loop": around the body's list schedule when one is returned
+// (the attempt got as far as building it).
+func (g *gen) moduloSchedule(r *ir.LoopRegion, ls *prof.LoopSched) ([]mcode.CodeItem, *blockSchedule, error) {
 	var br *ir.BlockRegion
 	if len(r.Body) == 1 {
 		br, _ = r.Body[0].(*ir.BlockRegion)
 	}
 	if br == nil {
 		ls.Reason = "not an innermost single-block loop"
-		return nil, false, nil
+		return nil, nil, nil
 	}
-	b := br.Block
-	edges, ok := buildModuloEdges(b, r.Loop)
+	edges, ok := buildModuloEdges(br.Block, r.Loop)
 	if !ok {
 		ls.Reason = "non-parallel array subscripts"
-		return nil, false, nil
+		return nil, nil, nil
 	}
-	lg, err := newBlockGraph(b, edges)
+	lg, err := newBlockGraph(br.Block, edges)
 	if err != nil {
-		return nil, false, err
+		return nil, nil, err
 	}
-	// Baseline: the plain list schedule (also the fallback measure).
+	// Baseline: the plain list schedule, the measure to beat and the
+	// fallback.
 	base := lg.listSchedule()
 	lg.initSearch()
 
@@ -559,7 +560,7 @@ func (g *gen) moduloSchedule(r *ir.LoopRegion, ls *prof.LoopSched) ([]mcode.Code
 	ls.MII = int(mii)
 	if mii >= base.len {
 		ls.Reason = reason
-		return nil, false, nil
+		return nil, base, nil
 	}
 
 	var outOfBudget int
@@ -574,13 +575,13 @@ func (g *gen) moduloSchedule(r *ir.LoopRegion, ls *prof.LoopSched) ([]mcode.Code
 			outOfBudget++
 			continue
 		}
-		items, reject, err := g.emitModulo(r, b, ms, trips)
+		items, reject, err := g.emitModulo(r, ms)
 		if err != nil {
-			return nil, false, err
+			return nil, nil, err
 		}
 		if reject == emitOK {
 			ls.II = int(ii)
-			return items, true, nil
+			return items, nil, nil
 		}
 		// Register pressure or trip count rejected this II; a larger II
 		// lowers the overlap, so keep searching.
@@ -589,7 +590,7 @@ func (g *gen) moduloSchedule(r *ir.LoopRegion, ls *prof.LoopSched) ([]mcode.Code
 	}
 	ls.Reason = fmt.Sprintf("no II in [%d, %d) accepted: %d out of eviction budget, %d register pressure, %d too few trips",
 		mii, base.len, outOfBudget, rejects[rejectRegisters], rejects[rejectTrips])
-	return nil, false, nil
+	return nil, base, nil
 }
 
 // lowerBound is the first II the search need try: the largest of four

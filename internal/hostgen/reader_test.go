@@ -234,7 +234,7 @@ func randNest(rng *rand.Rand) *mcode.CellProgram {
 						if rng.Intn(2) == 0 {
 							a.Affine.Terms = append(a.Affine.Terms, w2.AffTerm{Var: l, Coef: int64(rng.Intn(9) - 4)})
 							if rng.Intn(4) == 0 {
-								a.Delta = map[*w2.ForStmt]int64{l: int64(rng.Intn(3) - 1)}
+								a.Shift, a.ShiftLoop = int64(rng.Intn(3)-1), l
 							}
 						}
 					}

@@ -245,33 +245,31 @@ func (o *MemOp) String() string {
 
 // AddrInfo describes the address the IU must generate for one memory
 // reference or one host binding: Base + Affine evaluated at the current
-// loop indices shifted by Delta (software pipelining moves operations
-// across iteration boundaries).
+// loop indices, ShiftLoop's index shifted by Shift (software pipelining
+// moves operations across iteration boundaries of one loop).
 type AddrInfo struct {
-	Sym    *w2.Symbol
-	Base   int
-	Affine w2.Affine
-	Delta  map[*w2.ForStmt]int64 // iteration offset per loop; nil when zero
+	Sym       *w2.Symbol
+	Base      int
+	Affine    w2.Affine
+	Shift     int64       // iteration offset of ShiftLoop's index
+	ShiftLoop *w2.ForStmt // the loop Shift applies to
 }
 
 func (a AddrInfo) String() string {
 	s := fmt.Sprintf("%s+%s", a.Sym.Name, a.Affine)
-	for loop, d := range a.Delta {
-		if d != 0 {
-			s += fmt.Sprintf(" [%s%+d]", loop.Var, d)
-		}
+	if a.Shift != 0 {
+		s += fmt.Sprintf(" [%s%+d]", a.ShiftLoop.Var, a.Shift)
 	}
 	return s
 }
 
-// Shifted returns the affine address with each loop index i replaced by
-// i+Delta[i], folding the shift into the constant term.
+// Shifted returns the affine address with ShiftLoop's index i replaced by
+// i+Shift, folding the shift into the constant term.
 func (a AddrInfo) Shifted() w2.Affine {
-	aff := a.Affine
-	for loop, d := range a.Delta {
-		aff = w2.Affine{Const: aff.Const + aff.Coef(loop)*d, Terms: aff.Terms}
+	if a.Shift == 0 {
+		return a.Affine
 	}
-	return aff
+	return w2.Affine{Const: a.Affine.Const + a.Affine.Coef(a.ShiftLoop)*a.Shift, Terms: a.Affine.Terms}
 }
 
 // CountAddrExprs counts the distinct address expressions among the
@@ -337,14 +335,14 @@ type BoundAddr struct {
 	Lo, Hi float64
 }
 
-// Bind folds the pipelining delta into the constant term (Shifted) and
+// Bind folds the pipelining shift into the constant term (Shifted) and
 // binds each remaining affine term to the innermost of the enclosing
 // loops (outermost first) with the matching source statement, turning
 // coef·(First + Step·iteration) into a constant and a per-iteration
 // coefficient: the one resolution of an address against a loop nest,
 // shared by the host program and the decoded cell program.  The terms
 // are appended to terms (nil for a slice of their own).
-func (a AddrInfo) Bind(loops []*LoopItem, terms []LoopTerm) (BoundAddr, error) {
+func (a *AddrInfo) Bind(loops []*LoopItem, terms []LoopTerm) (BoundAddr, error) {
 	aff := a.Shifted()
 	b := BoundAddr{Start: int64(a.Base) + aff.Const, Terms: terms}
 	b.Lo, b.Hi = float64(b.Start), float64(b.Start)

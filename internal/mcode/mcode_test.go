@@ -97,7 +97,7 @@ func TestInstrEmptyAndNop(t *testing.T) {
 func TestAddrInfoShifted(t *testing.T) {
 	loop := &w2.ForStmt{Var: "i"}
 	aff := w2.AffVar(loop).Scale(3).Add(w2.AffConst(2))
-	info := AddrInfo{Affine: aff, Delta: map[*w2.ForStmt]int64{loop: 4}}
+	info := AddrInfo{Affine: aff, Shift: 4, ShiftLoop: loop}
 	shifted := info.Shifted()
 	// i -> i+4: 3(i+4)+2 = 3i+14.
 	if shifted.Const != 14 || shifted.Coef(loop) != 3 {
@@ -117,7 +117,7 @@ func TestAddrInfoBind(t *testing.T) {
 	i, j := &w2.ForStmt{Var: "i"}, &w2.ForStmt{Var: "j"}
 	info := AddrInfo{Sym: &w2.Symbol{Name: "a"}, Base: 100,
 		Affine: w2.AffVar(i).Scale(3).Add(w2.AffVar(j).Scale(-2)).Add(w2.AffConst(2)),
-		Delta:  map[*w2.ForStmt]int64{i: 4}}
+		Shift:  4, ShiftLoop: i}
 	loops := []*LoopItem{
 		{Src: i, Trips: 9, Step: 1}, // shadowed by the inner loop over i
 		{Src: j, Trips: 5, First: 1, Step: 2},
