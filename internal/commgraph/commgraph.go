@@ -70,6 +70,9 @@ func Analyze(p *ir.Program) Analysis {
 		if len(recvR)+len(sendL) > 0 {
 			a.UsesLeftward = true
 		}
+		if (len(recvL) == 0 || len(sendR) == 0) && (len(recvR) == 0 || len(sendL) == 0) {
+			continue // no send a cycle could close through
+		}
 		// One traversal labels what depends on a receive from the left
 		// (fromL) and on a receive from the right (fromR).
 		const fromL, fromR = 1, 2
@@ -80,10 +83,11 @@ func Analyze(p *ir.Program) Analysis {
 	return a
 }
 
-// anyLabelled reports whether some node's label has the bit set.
-func anyLabelled(label map[*ir.Node]uint, nodes []*ir.Node, bit uint) bool {
+// anyLabelled reports whether some node's label, indexed by node id,
+// has the bit set.
+func anyLabelled(label []uint, nodes []*ir.Node, bit uint) bool {
 	for _, n := range nodes {
-		if label[n]&bit != 0 {
+		if label[n.ID]&bit != 0 {
 			return true
 		}
 	}

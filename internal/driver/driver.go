@@ -294,9 +294,6 @@ func generate(fe *Compiled, opts Options) (*Compiled, error) {
 		return nil, fmt.Errorf("driver: %w", err)
 	}
 	c.Sched = cg.Sched
-	// The debug map assigns µprogram addresses — the one mutation of
-	// the cell program after generation; everything below only reads it.
-	c.Debug = prof.BuildDebugMap(c.Module.Name, c.Src, c.Cell)
 	note := ""
 	if opts.Pipeline {
 		t := c.Sched.Totals()
@@ -307,7 +304,7 @@ func generate(fe *Compiled, opts Options) (*Compiled, error) {
 
 	// iugen reads only the cell program, and it is where a pipelined
 	// schedule the IU cannot feed is refused: it runs first, so that a
-	// doomed attempt ends before the skew search.
+	// doomed attempt ends before the debug map and the skew search.
 	start = time.Now()
 	iu, err := iugen.Generate(c.Cell)
 	if err != nil {
@@ -317,7 +314,13 @@ func generate(fe *Compiled, opts Options) (*Compiled, error) {
 	c.IU = iu.IU
 	c.phase("iugen", start, c.IU.NumInstrs(), "")
 
+	// The debug map assigns µprogram addresses — the one mutation of
+	// the cell program after generation; iugen reads none of them, and
+	// everything below only reads them.  Its time counts to the skew
+	// phase.
 	start = time.Now()
+	c.Debug = prof.BuildDebugMap(c.Module.Name, c.Src, c.Cell)
+
 	if err := c.analyzeSkew(); err != nil {
 		return nil, err
 	}

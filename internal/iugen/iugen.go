@@ -158,13 +158,18 @@ type stackEntry struct {
 
 // Generate builds the IU program for a cell program.
 func Generate(cell *mcode.CellProgram) (*Result, error) {
-	if _, err := mcode.CountCell(cell); err != nil { // refused here, before mirrorLoop's Cycles would panic
+	if _, err := mcode.CountCell(cell); err != nil { // refused here, before mirrorLoop's cycles would wrap
 		return nil, fmt.Errorf("iugen: %w", err)
 	}
 	g := &genState{top: &iuBody{m: 1}, bodies: 1}
 	g.mirrorItems(cell.Items, g.top)
 	if g.err != nil {
 		return nil, g.err
+	}
+	// A table the mirrored sites already overfill is refused before any
+	// expression is grouped or planned: planExprs would refuse it anyway.
+	if g.tableBound() > mcode.TableWords {
+		return nil, errTableFull
 	}
 	exprs := g.groupExprs()
 	prologue, maxRegs, err := g.planExprs(exprs)
@@ -320,6 +325,21 @@ func (g *genState) findStack(loop *w2.ForStmt) *stackEntry {
 	return nil
 }
 
+// cycles is the length of one execution of items, in closed form:
+// CountCell has refused a program whose count overflows.
+func cycles(items []mcode.CodeItem) int64 {
+	var n int64
+	for _, it := range items {
+		switch it := it.(type) {
+		case *mcode.Straight:
+			n += int64(len(it.Instrs))
+		case *mcode.LoopItem:
+			n += it.Trips * cycles(it.Body)
+		}
+	}
+	return n
+}
+
 func hasLoops(items []mcode.CodeItem) bool {
 	for _, it := range items {
 		if _, ok := it.(*mcode.LoopItem); ok {
@@ -335,7 +355,7 @@ func hasLoops(items []mcode.CodeItem) bool {
 // bodies are unrolled by m = ceil(3/bodyLen) (§6.3.1), with the
 // remainder iterations peeled straight-line and their signals static.
 func (g *genState) mirrorLoop(cl *mcode.LoopItem, body *iuBody) {
-	bodyLen := (&mcode.CellProgram{Items: cl.Body}).Cycles()
+	bodyLen := cycles(cl.Body)
 	if bodyLen == 0 {
 		g.fail("loop L%d has an empty body", cl.ID)
 		return

@@ -509,8 +509,7 @@ var errTableFull = fmt.Errorf("iugen: pre-stored addresses exceed the %d-word ta
 
 // tableWords is the table's length in closed form — each spilled site
 // reads once per iteration of the loops around it — saturated just past
-// the table: that is all the check needs, and it keeps the product far
-// from overflow.
+// the table: that is all the check needs.
 func tableWords(exprs []*expr) int64 {
 	var words int64
 	for _, e := range exprs {
@@ -518,13 +517,109 @@ func tableWords(exprs []*expr) int64 {
 			continue
 		}
 		for _, s := range e.sites {
-			reads := int64(1)
-			for b := s.seg.owner; b.loop != nil; b = b.parent {
-				trips := min(max(b.loop.Trips, 0), mcode.TableWords+1)
-				reads = min(reads*trips, mcode.TableWords+1)
-			}
-			words = min(words+reads, mcode.TableWords+1)
+			words = min(words+siteReads(s), mcode.TableWords+1)
 		}
+	}
+	return words
+}
+
+// boundCap saturates the reads of a site and tableBound's sums: far
+// above any table, far below an overflow of the sum of two capped values.
+const boundCap = int64(1) << 62
+
+// siteReads is the number of times a site executes — the product of the
+// trip counts of the IU loops around it — saturated at boundCap.
+func siteReads(s *site) int64 {
+	reads := int64(1)
+	for b := s.seg.owner; b.loop != nil; b = b.parent {
+		trips := max(b.loop.Trips, 0)
+		if trips != 0 && reads > boundCap/trips {
+			return boundCap
+		}
+		reads *= trips
+	}
+	return reads
+}
+
+// tableBound is a lower bound of the table planExprs would build, taken
+// from the mirrored sites before any expression is grouped or planned;
+// 0 when no bound is known.
+//
+// It applies when at least IUNumRegs constant addresses each have sites
+// in two or more top-level regions.  A constant always plans, and one
+// spanning regions is global (exprScope), so trim keeps exactly
+// IUNumRegs globals, every region's pool is empty and every other
+// expression is spilled.  The kept expressions fall under at most
+// IUNumRegs keys (exprKey) and each holds a subset of its key's sites, so
+// the table holds at least every site's reads but those of the IUNumRegs
+// keys that read most.  Summing the other keys' reads, each saturated,
+// keeps the bound sound: a key the cap touches already exceeds any table.
+func (g *genState) tableBound() int64 {
+	consts := 0
+	for i := range g.sites {
+		if len(g.sites[i].terms) == 0 {
+			consts++
+		}
+	}
+	if consts < 2*mcode.IUNumRegs { // a global constant has two sites or more
+		return 0
+	}
+	// The keys' reads, found through an open-addressed table of key
+	// numbers at most half full.
+	type keyReads struct {
+		key   exprKey
+		reads int64
+		// region is a constant's top-level region (exprScope), -1 once
+		// its sites span two.
+		region int
+	}
+	keys := make([]keyReads, 0, len(g.sites))
+	bits := 1
+	for 1<<bits < 2*len(g.sites) {
+		bits++
+	}
+	slot := make([]int32, 1<<bits) // key number + 1; 0 when free
+	global := 0
+	for i := range g.sites {
+		s := &g.sites[i]
+		key := exprKey{constV: s.constV, body: -1}
+		if n := len(s.terms); n > 0 {
+			key.body, key.stride = s.terms[n-1].body.idx, s.terms[n-1].stride
+		}
+		h := (uint64(key.constV)*0x9E3779B97F4A7C15 ^ uint64(key.body)*0xC2B2AE3D27D4EB4F ^
+			uint64(key.stride)*0x165667B19E3779F9) >> (64 - bits)
+		for slot[h] != 0 && keys[slot[h]-1].key != key {
+			h = (h + 1) & (1<<bits - 1)
+		}
+		region := s.seg.owner.epoch
+		if s.seg.owner == g.top {
+			region = s.seg.idx
+		}
+		if slot[h] == 0 {
+			keys = append(keys, keyReads{key: key, region: region})
+			slot[h] = int32(len(keys))
+		}
+		k := &keys[slot[h]-1]
+		if key.body == -1 && k.region >= 0 && k.region != region {
+			k.region = -1
+			global++
+		}
+		k.reads = min(k.reads+siteReads(s), boundCap)
+	}
+	if global < mcode.IUNumRegs {
+		return 0
+	}
+	var top [mcode.IUNumRegs]int64 // the largest sums so far, ascending
+	var words int64
+	for _, k := range keys {
+		r := k.reads
+		if r > top[0] {
+			r, top[0] = top[0], r
+			for j := 1; j < len(top) && top[j-1] > top[j]; j++ {
+				top[j-1], top[j] = top[j], top[j-1]
+			}
+		}
+		words = min(words+r, boundCap)
 	}
 	return words
 }
@@ -532,6 +627,9 @@ func tableWords(exprs []*expr) int64 {
 // buildTable enumerates, in execution order, the values of every
 // spilled site; the result is the pre-stored sequential table (§6.3.2).
 // A table that would overflow is refused before anything is walked.
+// The walk follows the IU items with dense indices: a straight item is
+// its body's next segment, a loop is found by IULoop.ID and its
+// iteration is kept by body idx.
 func (g *genState) buildTable(exprs []*expr) ([]int64, error) {
 	words := tableWords(exprs)
 	if words > mcode.TableWords {
@@ -540,52 +638,69 @@ func (g *genState) buildTable(exprs []*expr) ([]int64, error) {
 	if words == 0 {
 		return nil, nil
 	}
-	sitesOf := make(map[*mcode.IUStraight][]*site) // a block's spilled sites
-	bodyOf := make(map[*mcode.IULoop]*iuBody)      // the loops around them
-	for _, e := range exprs {
-		if !e.spilled {
+	// The spilled sites by segment: segment i's are
+	// spilled[from[i]:from[i+1]], in (cycle, slot) order.
+	from := make([]int, len(g.segOrder)+1)
+	loopBody := make([]*iuBody, g.loopID) // the loops around them
+	n := 0
+	for i := range g.sites {
+		s := &g.sites[i]
+		if !s.e.spilled {
 			continue
 		}
-		for _, s := range e.sites {
-			sitesOf[s.seg.block] = append(sitesOf[s.seg.block], s)
-			for b := s.seg.owner; b.loop != nil; b = b.parent {
-				bodyOf[b.loop] = b
-			}
+		n++
+		from[s.seg.idx+1]++
+		for b := s.seg.owner; b.loop != nil && loopBody[b.loop.ID] == nil; b = b.parent {
+			loopBody[b.loop.ID] = b
 		}
 	}
-	for _, ss := range sitesOf {
-		slices.SortFunc(ss, func(a, b *site) int {
+	for i := range g.segOrder {
+		from[i+1] += from[i]
+	}
+	spilled := make([]*site, n)
+	next := slices.Clone(from[:len(g.segOrder)])
+	for i := range g.sites {
+		if s := &g.sites[i]; s.e.spilled {
+			spilled[next[s.seg.idx]] = s
+			next[s.seg.idx]++
+		}
+	}
+	for i := range g.segOrder {
+		slices.SortFunc(spilled[from[i]:from[i+1]], func(a, b *site) int {
 			return cmp.Or(cmp.Compare(a.cycle, b.cycle), cmp.Compare(a.slot, b.slot))
 		})
 	}
 
 	table := make([]int64, 0, words)
-	iters := make(map[*iuBody]int64)
-	var walk func(items []mcode.IUItem)
-	walk = func(items []mcode.IUItem) {
+	iters := make([]int64, g.bodies) // by body idx
+	var walk func(body *iuBody, items []mcode.IUItem)
+	walk = func(body *iuBody, items []mcode.IUItem) {
+		segs := body.segs
 		for _, it := range items {
 			switch it := it.(type) {
 			case *mcode.IUStraight:
-				for _, s := range sitesOf[it] {
+				seg := segs[0]
+				segs = segs[1:]
+				for _, s := range spilled[from[seg.idx]:from[seg.idx+1]] {
 					v := s.constV
 					for _, t := range s.terms {
-						v += t.stride * (t.body.m*iters[t.body] + t.copyIdx)
+						v += t.stride * (t.body.m*iters[t.body.idx] + t.copyIdx)
 					}
 					table = append(table, v)
 				}
 			case *mcode.IULoop:
-				b := bodyOf[it]
+				b := loopBody[it.ID]
 				if b == nil {
 					continue // no spilled site inside
 				}
 				for i := int64(0); i < it.Trips; i++ {
-					iters[b] = i
-					walk(it.Body)
+					iters[b.idx] = i
+					walk(b, it.Body)
 				}
 			}
 		}
 	}
-	walk(g.top.items)
+	walk(g.top, g.top.items)
 	return table, nil
 }
 

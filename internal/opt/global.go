@@ -1,11 +1,14 @@
 package opt
 
 import (
+	"cmp"
+	"slices"
+
 	"warp/internal/ir"
 	"warp/internal/w2"
 )
 
-// DepKind classifies a global dependence arc (§6.1): the global flow
+// DepKind classifies a global dependence (§6.1): the global flow
 // analyzer inserts "uses" arcs when a strict dependence can be deduced
 // (this read always sees that write) and conservative sequencing arcs
 // otherwise.
@@ -19,25 +22,28 @@ const (
 	Sequencing
 )
 
-// DepArc is one dependence arc between dag nodes, possibly in different
-// basic blocks.
-type DepArc struct {
-	From, To *ir.Node
-	Kind     DepKind
+// Hub is one alias class's junction in the dependence graph: every
+// source of the class has an arc into the hub and the hub one to every
+// target, standing for the complete set of arcs from those sources to
+// those targets.
+type Hub struct {
+	Sym  *w2.Symbol
+	Kind DepKind
 }
 
-// DepGraph is the global data-dependence information for one function:
-// operand edges, explicit ordering edges, and the cross-block arcs
-// computed by GlobalDeps.
+// DepGraph is the global data-dependence graph of one function over
+// dense ids: a dag node's id is its ir.Node.ID, and id Nodes+i is
+// Hubs[i].  The successors of id v over all edge classes (operands,
+// ordering edges and global dependences) are succ[start[v]:start[v+1]].
 type DepGraph struct {
-	Fn   *ir.Func
-	Arcs []DepArc
-	// Succ maps each node to its dependence successors over all edge
-	// classes (operands, ordering edges, and global arcs).
-	Succ map[*ir.Node][]*ir.Node
+	Fn    *ir.Func
+	Nodes int
+	Hubs  []Hub
+	start []int32
+	succ  []int32
 }
 
-// GlobalDeps computes cross-block dependence arcs for a function:
+// GlobalDeps computes the cross-block dependences of a function:
 //
 //   - scalar flow: an OpWrite of a scalar reaches every later OpRead of
 //     the same scalar (strict when it is the unique reaching write,
@@ -45,135 +51,241 @@ type DepGraph struct {
 //     conservatively including loop back edges);
 //   - memory flow: a store to an array reaches later loads of the same
 //     array unless their affine addresses can never be equal, in which
-//     case no arc is inserted (the paper's analysis "is powerful enough
-//     to distinguish between individual array elements"); stores to
-//     possibly-equal addresses get sequencing arcs.
+//     case there is no dependence (the paper's analysis "is powerful
+//     enough to distinguish between individual array elements"); stores
+//     to possibly-equal addresses are sequenced.
 //
 // Blocks execute in program order, and loop bodies additionally feed
 // back into themselves, so "later" includes same-block-next-iteration
 // when the nodes share a loop.
+//
+// Two addresses may alias unless both are loop invariant with different
+// constants: a loop-variant address reaches other elements as its loops
+// iterate.  So a symbol's dependences are complete bipartite between
+// classes, and each class pair is one hub rather than an arc per pair:
+// scalar writes → reads; variant stores → every load and every store;
+// invariant stores → variant loads and variant stores; invariant stores
+// with constant c → invariant loads with constant c and the other
+// invariant stores with constant c.  The store→store hubs are built only
+// where two stores can meet, so a store's path back to itself through a
+// hub stands for a cycle the arcs have too.  Reachability between dag
+// nodes is exactly the arcs'.
+//
+// Node ids must be distinct within the function, as ir.Build numbers
+// them.
 func GlobalDeps(fn *ir.Func) *DepGraph {
-	g := &DepGraph{Fn: fn, Succ: make(map[*ir.Node][]*ir.Node)}
+	g := &DepGraph{Fn: fn}
 
-	// Operand and intra-block ordering edges.
+	// The blocks, and every node that takes part in an alias class: a
+	// scalar's writes and reads, an array's loads and stores, each at a
+	// variant or an invariant address.
+	const (
+		write = iota
+		read
+		load
+		store
+		kinds // class of a member: (symbol·kinds + kind)·2 + variant
+	)
+	var blocks []*ir.Block
+	var members []member
+	symIdx := map[*w2.Symbol]int{}
+	var syms []*w2.Symbol
 	ir.Walk(fn.Regions, func(b *ir.Block) {
+		blocks = append(blocks, b)
 		for _, n := range b.Nodes {
+			g.Nodes = max(g.Nodes, n.ID+1)
 			for _, a := range n.Args {
-				g.Succ[a] = append(g.Succ[a], n)
+				g.Nodes = max(g.Nodes, a.ID+1)
 			}
 			for _, d := range n.Deps {
-				g.Succ[d] = append(g.Succ[d], n)
+				g.Nodes = max(g.Nodes, d.ID+1)
 			}
-		}
-	})
-
-	// Collect scalar writes/reads and memory ops per block order.
-	type memo struct {
-		writes map[*w2.Symbol][]*ir.Node
-		reads  map[*w2.Symbol][]*ir.Node
-		loads  map[*w2.Symbol][]*ir.Node
-		stores map[*w2.Symbol][]*ir.Node
-	}
-	all := memo{
-		writes: map[*w2.Symbol][]*ir.Node{},
-		reads:  map[*w2.Symbol][]*ir.Node{},
-		loads:  map[*w2.Symbol][]*ir.Node{},
-		stores: map[*w2.Symbol][]*ir.Node{},
-	}
-	ir.Walk(fn.Regions, func(b *ir.Block) {
-		for _, n := range b.Nodes {
+			kind := write
 			switch n.Op {
 			case ir.OpWrite:
-				all.writes[n.Sym] = append(all.writes[n.Sym], n)
 			case ir.OpRead:
-				all.reads[n.Sym] = append(all.reads[n.Sym], n)
+				kind = read
 			case ir.OpLoad:
-				all.loads[n.Sym] = append(all.loads[n.Sym], n)
+				kind = load
 			case ir.OpStore:
-				all.stores[n.Sym] = append(all.stores[n.Sym], n)
+				kind = store
+			default:
+				continue
 			}
+			s, ok := symIdx[n.Sym]
+			if !ok {
+				s = len(syms)
+				symIdx[n.Sym] = s
+				syms = append(syms, n.Sym)
+			}
+			k := (s*kinds + kind) * 2
+			if len(n.Addr.Terms) != 0 {
+				k++
+			}
+			members = append(members, member{k, n.Addr.Const, int32(n.ID)})
 		}
 	})
 
-	add := func(from, to *ir.Node, k DepKind) {
-		g.Arcs = append(g.Arcs, DepArc{From: from, To: to, Kind: k})
-		g.Succ[from] = append(g.Succ[from], to)
+	// The members by class, in walk order: class k is
+	// sorted[at[k]:at[k+1]], an invariant class sorted by constant.
+	at := make([]int, len(syms)*kinds*2+1)
+	for _, m := range members {
+		at[m.class+1]++
+	}
+	for k := range len(at) - 1 {
+		at[k+1] += at[k]
+	}
+	sorted := make([]member, len(members))
+	next := slices.Clone(at)
+	for _, m := range members {
+		sorted[next[m.class]] = m
+		next[m.class]++
+	}
+	for k := 0; k+1 < len(at); k += 2 {
+		slices.SortFunc(sorted[at[k]:at[k+1]], byConst)
+	}
+	// class returns a symbol's members of one kind: invariant, variant
+	// and both.
+	class := func(s, kind int) (inv, vary, all []member) {
+		k := (s*kinds + kind) * 2
+		return sorted[at[k]:at[k+1]], sorted[at[k+1]:at[k+2]], sorted[at[k]:at[k+2]]
 	}
 
-	// Scalar arcs: flow-insensitive over the function (conservative but
-	// exact enough for reachability; the blocks execute in order and
-	// loops iterate, so any write may reach any read).
-	for sym, ws := range all.writes {
-		for _, w := range ws {
-			for _, r := range all.reads[sym] {
-				add(w, r, Strict)
+	// The hubs, each with its sources and targets.
+	type hubEnds struct{ from, to []member }
+	var ends []hubEnds
+	hub := func(s int, k DepKind, from, to []member) {
+		if len(from) > 0 && len(to) > 0 {
+			g.Hubs = append(g.Hubs, Hub{Sym: syms[s], Kind: k})
+			ends = append(ends, hubEnds{from, to})
+		}
+	}
+	for s := range syms {
+		_, _, writes := class(s, write)
+		_, _, reads := class(s, read)
+		_, varLoads, loads := class(s, load)
+		invStores, varStores, stores := class(s, store)
+		hub(s, Strict, writes, reads)
+		hub(s, Strict, varStores, loads)
+		hub(s, Strict, invStores, varLoads)
+		if len(stores) >= 2 {
+			hub(s, Sequencing, varStores, stores)
+			hub(s, Sequencing, invStores, varStores)
+		}
+		// Invariant stores and loads, merged by constant.
+		k := (s*kinds + store) * 2
+		l := (s*kinds + load) * 2
+		for st, ld := at[k], at[l]; st < at[k+1]; {
+			c := sorted[st].c
+			stEnd := st
+			for stEnd < at[k+1] && sorted[stEnd].c == c {
+				stEnd++
+			}
+			for ld < at[l+1] && sorted[ld].c < c {
+				ld++
+			}
+			ldEnd := ld
+			for ldEnd < at[l+1] && sorted[ldEnd].c == c {
+				ldEnd++
+			}
+			hub(s, Strict, sorted[st:stEnd], sorted[ld:ldEnd])
+			if stEnd-st >= 2 {
+				hub(s, Sequencing, sorted[st:stEnd], sorted[st:stEnd])
+			}
+			st, ld = stEnd, ldEnd
+		}
+	}
+
+	// The graph in CSR form: count every edge, then place it.
+	g.start = make([]int32, g.Nodes+len(g.Hubs)+1)
+	for _, b := range blocks {
+		for _, n := range b.Nodes {
+			for _, a := range n.Args {
+				g.start[a.ID+1]++
+			}
+			for _, d := range n.Deps {
+				g.start[d.ID+1]++
 			}
 		}
 	}
-	// Memory arcs with affine disambiguation.
-	for sym, sts := range all.stores {
-		for _, st := range sts {
-			for _, ld := range all.loads[sym] {
-				if mayAlias(st.Addr, ld.Addr) {
-					add(st, ld, Strict)
-				}
+	for i, e := range ends {
+		h := g.Nodes + i
+		for _, f := range e.from {
+			g.start[f.id+1]++
+		}
+		g.start[h+1] += int32(len(e.to))
+	}
+	for v := range len(g.start) - 1 {
+		g.start[v+1] += g.start[v]
+	}
+	g.succ = make([]int32, g.start[len(g.start)-1])
+	fill := slices.Clone(g.start[:len(g.start)-1])
+	add := func(from, to int32) {
+		g.succ[fill[from]] = to
+		fill[from]++
+	}
+	for _, b := range blocks {
+		for _, n := range b.Nodes {
+			for _, a := range n.Args {
+				add(int32(a.ID), int32(n.ID))
 			}
-			for _, st2 := range sts {
-				if st2 != st && mayAlias(st.Addr, st2.Addr) {
-					add(st, st2, Sequencing)
-				}
+			for _, d := range n.Deps {
+				add(int32(d.ID), int32(n.ID))
 			}
+		}
+	}
+	for i, e := range ends {
+		h := int32(g.Nodes + i)
+		for _, f := range e.from {
+			add(f.id, h)
+		}
+		for j, t := range e.to {
+			g.succ[g.start[h]+int32(j)] = t.id
 		}
 	}
 	return g
 }
 
-// mayAlias reports whether two affine addresses could refer to the same
-// element for some (possibly different) iteration vectors.  Unlike the
-// same-iteration test used inside a block, a nonzero constant
-// difference rules out aliasing only for loop-invariant addresses:
-// a[i] and a[i+1] touch the same element one iteration apart.
-func mayAlias(a, b w2.Affine) bool {
-	// A loop-variant address reaches other elements as its loops iterate:
-	// whatever a−b is — variant, zero, or a nonzero constant — some pair
-	// of iterations may meet.  Two loop-invariant addresses are disjoint
-	// exactly when their constants differ.  (This is a.Sub(b) examined
-	// case by case, without building the difference: GlobalDeps asks once
-	// per store × load.)
-	return len(a.Terms) != 0 || len(b.Terms) != 0 || a.Const == b.Const
+// member is a node of an alias class (GlobalDeps).
+type member struct {
+	class int
+	c     int64
+	id    int32
 }
 
-// Reachable labels the nodes that depend on the given source sets: bit i
-// of a node's label is set when the node is reachable over the dependence
-// graph from some node of sources[i] (a source itself only if it lies on
-// a cycle), and unreached nodes are absent.  One traversal answers every
-// such question at once: a node is revisited only when its label grows.
-func (g *DepGraph) Reachable(sources ...[]*ir.Node) map[*ir.Node]uint {
-	type visit struct {
-		n    *ir.Node
-		from uint
+// byConst orders members by their address constant.
+func byConst(a, b member) int { return cmp.Compare(a.c, b.c) }
+
+// Reachable labels the dag nodes that depend on the given source sets,
+// indexed by ir.Node.ID: bit i of a node's label is set when the node is
+// reachable over the dependence graph from some node of sources[i] (a
+// source itself only if it lies on a cycle); an unreached node's label
+// is 0.  One traversal answers every such question at once: a node is
+// revisited only when its label grows.
+func (g *DepGraph) Reachable(sources ...[]*ir.Node) []uint {
+	label := make([]uint, len(g.start)-1)
+	var stack []int32
+	reach := func(v int32, bits uint) {
+		if label[v]|bits != label[v] {
+			label[v] |= bits
+			stack = append(stack, v)
+		}
 	}
-	var stack []visit
 	for i, set := range sources {
 		for _, s := range set {
-			for _, n := range g.Succ[s] {
-				stack = append(stack, visit{n, 1 << i})
+			if s.ID < g.Nodes {
+				for _, v := range g.succ[g.start[s.ID]:g.start[s.ID+1]] {
+					reach(v, 1<<i)
+				}
 			}
 		}
 	}
-	label := make(map[*ir.Node]uint, len(g.Succ))
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		have := label[v.n]
-		if have&v.from == v.from {
-			continue
-		}
-		have |= v.from
-		label[v.n] = have
-		for _, n := range g.Succ[v.n] {
-			stack = append(stack, visit{n, have})
+		for _, w := range g.succ[g.start[v]:g.start[v+1]] {
+			reach(w, label[v])
 		}
 	}
-	return label
+	return label[:g.Nodes]
 }

@@ -37,24 +37,24 @@ func TestGlobalDepsScalarFlow(t *testing.T) {
 		t.Fatal("program shape unexpected")
 	}
 	reach := g.Reachable([]*ir.Node{recv0})
-	// The first receive flows into `a` (via the write/read arcs) and so
+	// The first receive flows into `a` (via the write/read hub) and so
 	// into the loop's send, and directly into the final send.
 	for i, s := range sends {
-		if reach[s] == 0 {
+		if reach[s.ID] == 0 {
 			t.Errorf("send %d not reachable from the first receive", i)
 		}
 	}
-	if len(g.Arcs) == 0 {
-		t.Error("no global arcs recorded")
+	if len(g.Hubs) == 0 {
+		t.Error("no global dependences recorded")
 	}
 	strict := 0
-	for _, a := range g.Arcs {
-		if a.Kind == Strict {
+	for _, h := range g.Hubs {
+		if h.Kind == Strict {
 			strict++
 		}
 	}
 	if strict == 0 {
-		t.Error("no strict arcs recorded")
+		t.Error("no strict dependences recorded")
 	}
 }
 
@@ -90,10 +90,10 @@ func TestGlobalDepsMemoryFlow(t *testing.T) {
 	if store0 == nil || store1 == nil || load0 == nil {
 		t.Fatal("program shape unexpected")
 	}
-	if g.Reachable([]*ir.Node{store0})[load0] == 0 {
+	if g.Reachable([]*ir.Node{store0})[load0.ID] == 0 {
 		t.Error("store buf[0] does not reach load buf[0]")
 	}
-	if g.Reachable([]*ir.Node{store1})[load0] != 0 {
+	if g.Reachable([]*ir.Node{store1})[load0.ID] != 0 {
 		t.Error("store buf[1] wrongly reaches load buf[0]: both addresses are loop invariant and distinct")
 	}
 }
