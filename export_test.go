@@ -13,12 +13,10 @@ func (p *Program) RunPartitionedPerTile(cfg RunConfig, prob Problem) (map[string
 // is: runs alone are unchanged, but the words the fields are bound to no
 // longer hold the addresses the IU sends.
 func (p *Program) MoveMemoryFields(k int) {
-	moved := map[*mcode.MemOp]bool{}
 	mcode.WalkInstrs(p.c.Cell.Items, func(in *mcode.Instr, _ []*mcode.LoopItem) {
-		for _, mo := range in.Mem {
-			if mo != nil && !moved[mo] {
+		for i := range in.Mem {
+			if mo := &in.Mem[i]; mo.Kind != mcode.MemNone {
 				mo.Addr.Base += k
-				moved[mo] = true
 			}
 		}
 	})

@@ -29,7 +29,7 @@ func TestCountAddrExprsMatchesStringKeys(t *testing.T) {
 		padding, unroll = map[string]bool{}, map[string]bool{}
 		mcode.WalkInstrs(body, func(in *mcode.Instr, _ []*mcode.LoopItem) {
 			for _, m := range in.Mem {
-				if m == nil {
+				if m.Kind == mcode.MemNone {
 					continue
 				}
 				aff := m.Addr.Shifted()

@@ -113,7 +113,7 @@ func (g *gen) genFunc(fn *ir.Func) error {
 		r := mcode.Reg(g.nextReg)
 		g.nextReg++
 		g.res.ConstRegs[c] = r
-		preamble = append(preamble, &mcode.Instr{Lit: &mcode.LitOp{Dst: r, Value: c}})
+		preamble = append(preamble, &mcode.Instr{Fields: mcode.Fields{HasLit: true, Lit: mcode.LitOp{Dst: r, Value: c}}})
 	}
 	g.tempBase = g.nextReg
 	if g.tempBase >= mcode.NumRegs {
@@ -141,11 +141,7 @@ func interRegionGaps(items []mcode.CodeItem) []mcode.CodeItem {
 	for _, it := range items {
 		if li, ok := it.(*mcode.LoopItem); ok {
 			if n := mcode.CountAddrExprs(li.Body, mcode.IUNumRegs); n > 0 {
-				gap := make([]*mcode.Instr, n)
-				for i := range gap {
-					gap[i] = &mcode.Instr{}
-				}
-				out = append(out, &mcode.Straight{Instrs: gap})
+				out = append(out, &mcode.Straight{Instrs: nops(int64(n))})
 			}
 		}
 		out = append(out, it)
@@ -254,10 +250,7 @@ func padLoopBody(body []mcode.CodeItem) []mcode.CodeItem {
 	if trailing >= need {
 		return body
 	}
-	var pad []*mcode.Instr
-	for i := trailing; i < need; i++ {
-		pad = append(pad, &mcode.Instr{})
-	}
+	pad := nops(need - trailing)
 	if trailing > 0 {
 		st := body[len(body)-1].(*mcode.Straight)
 		st.Instrs = append(st.Instrs, pad...)

@@ -123,11 +123,7 @@ func (e *emitter) emitRange(from, to int64) ([]*mcode.Instr, error) {
 	if to <= from {
 		return nil, nil
 	}
-	words := make([]mcode.Instr, to-from)
-	instrs := make([]*mcode.Instr, len(words))
-	for i := range instrs {
-		instrs[i] = &words[i]
-	}
+	instrs := nops(to - from)
 	for _, n := range e.nodes {
 		o := e.at[n]
 		for k := max(0, (from-o+e.ii-1)/e.ii); k < e.trips; k++ {
@@ -144,6 +140,16 @@ func (e *emitter) emitRange(from, to int64) ([]*mcode.Instr, error) {
 		}
 	}
 	return instrs, nil
+}
+
+// nops returns n empty words, allocated as one slab.
+func nops(n int64) []*mcode.Instr {
+	words := make([]mcode.Instr, n)
+	instrs := make([]*mcode.Instr, n)
+	for i := range instrs {
+		instrs[i] = &words[i]
+	}
+	return instrs
 }
 
 // reg is the register holding iteration k's value of n.
@@ -180,19 +186,6 @@ func (e *emitter) addr(sym *w2.Symbol, aff w2.Affine, k int64) mcode.AddrInfo {
 		info.Affine = aff.Subst(e.loop, e.lo+k)
 	}
 	return info
-}
-
-// ext is iteration k's host binding of a queue operation.
-func (e *emitter) ext(x *ir.ExtRef, k int64) (*mcode.AddrInfo, *float64) {
-	if x == nil {
-		return nil, nil
-	}
-	if x.Sym == nil {
-		v := x.Literal
-		return nil, &v
-	}
-	info := e.addr(x.Sym, x.Addr, k)
-	return &info, nil
 }
 
 var aluCodeOf = map[ir.Op]mcode.AluCode{
@@ -234,45 +227,48 @@ func (e *emitter) place(in *mcode.Instr, n *ir.Node, k int64) error {
 		if n.Op == ir.OpSend {
 			reg = src[0]
 		}
-		ext, lit := e.ext(n.Ext, k)
-		in.IO = append(in.IO, &mcode.IOOp{
-			Recv: n.Op == ir.OpRecv, Dir: n.Dir, Chan: n.Chan, Reg: reg,
-			Ext: ext, ExtLiteral: lit,
-		})
-	case ir.OpLoad, ir.OpStore:
-		op := &mcode.MemOp{Store: n.Op == ir.OpStore, Reg: dst, Addr: e.addr(n.Sym, n.Addr, k)}
-		if op.Store {
-			op.Reg = src[0]
+		io := mcode.IOOp{Recv: n.Op == ir.OpRecv, Dir: n.Dir, Chan: n.Chan, Reg: reg}
+		switch x := n.Ext; {
+		case x == nil:
+		case x.Sym == nil:
+			io.IsLiteral, io.Literal = true, x.Literal
+		default:
+			io.Ext = e.addr(x.Sym, x.Addr, k)
 		}
+		in.IO = append(in.IO, io)
+	case ir.OpLoad, ir.OpStore:
 		slot := 0
-		for slot < mcode.MemPorts && in.Mem[slot] != nil {
+		for slot < mcode.MemPorts && in.Mem[slot].Kind != mcode.MemNone {
 			slot++
 		}
 		if slot == mcode.MemPorts {
 			return fmt.Errorf("more than %d memory references in one word", mcode.MemPorts)
 		}
-		in.Mem[slot] = op
+		in.Mem[slot] = mcode.MemOp{Kind: mcode.MemLoad, Reg: dst, Addr: e.addr(n.Sym, n.Addr, k)}
+		if n.Op == ir.OpStore {
+			in.Mem[slot].Kind, in.Mem[slot].Reg = mcode.MemStore, src[0]
+		}
 	case ir.OpWrite:
-		if in.Mov != nil {
+		if in.HasMov {
 			return errors.New("the move field is double-booked")
 		}
-		in.Mov = &mcode.AluOp{Code: mcode.Mov, Dst: e.g.res.ScalarRegs[n.Sym], Src: src}
+		in.HasMov, in.Mov = true, mcode.AluOp{Code: mcode.Mov, Dst: e.g.res.ScalarRegs[n.Sym], Src: src}
 	default:
 		code, ok := aluCodeOf[n.Op]
 		if !ok {
 			return fmt.Errorf("no instruction field computes %s", n.Op)
 		}
-		op := &mcode.AluOp{Code: code, Dst: dst, Src: src}
+		op := mcode.AluOp{Code: code, Dst: dst, Src: src}
 		if code.OnMulUnit() {
-			if in.Mul != nil {
+			if in.HasMul {
 				return errors.New("the MUL unit is double-booked")
 			}
-			in.Mul = op
+			in.HasMul, in.Mul = true, op
 		} else {
-			if in.Add != nil {
+			if in.HasAdd {
 				return errors.New("the ADD unit is double-booked")
 			}
-			in.Add = op
+			in.HasAdd, in.Add = true, op
 		}
 	}
 	return nil

@@ -73,3 +73,47 @@ func TestEmitRefusesOverfullWords(t *testing.T) {
 		}
 	}
 }
+
+// TestEmitAllocations: the emitter writes every field into the word it
+// is given, so emitting a range makes two allocations — the word slab
+// and its pointer slice — whatever the number of ALU, move and memory
+// fields in it.
+func TestEmitAllocations(t *testing.T) {
+	one := &ir.Node{ID: 1, Op: ir.OpConst, FVal: 1}
+	s, a := &w2.Symbol{Name: "s"}, &w2.Symbol{Name: "a", Base: 100}
+	g := &gen{res: &Result{
+		ConstRegs:  map[float64]mcode.Reg{1: 0},
+		ScalarRegs: map[*w2.Symbol]mcode.Reg{s: 1},
+	}}
+	for _, cycles := range []int64{1, 4, 32} {
+		e := emitter{g: g, at: map[*ir.Node]int64{}, ii: cycles, trips: 1, regs: map[*ir.Node]mcode.Reg{}, copies: 1}
+		for c := int64(0); c < cycles; c++ {
+			id := 10 * int(c)
+			for _, n := range []*ir.Node{
+				{ID: id + 2, Op: ir.OpFadd, Args: []*ir.Node{one, one}},
+				{ID: id + 3, Op: ir.OpFmul, Args: []*ir.Node{one, one}},
+				{ID: id + 4, Op: ir.OpWrite, Sym: s, Args: []*ir.Node{one}},
+				{ID: id + 5, Op: ir.OpLoad, Sym: a, Addr: w2.AffConst(c)},
+				{ID: id + 6, Op: ir.OpStore, Sym: a, Addr: w2.AffConst(c + 64), Args: []*ir.Node{one}},
+			} {
+				e.nodes, e.at[n] = append(e.nodes, n), c
+				if needsReg(n) {
+					e.regs[n] = mcode.Reg(2 + len(e.regs))
+				}
+			}
+		}
+		var words []*mcode.Instr
+		allocs := testing.AllocsPerRun(20, func() {
+			var err error
+			if words, err = e.emitRange(0, cycles); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if w := words[cycles-1]; !w.HasAdd || !w.HasMul || !w.HasMov || w.Mem[0].Kind != mcode.MemLoad || w.Mem[1].Kind != mcode.MemStore {
+			t.Fatalf("%d cycles: the last word is %s", cycles, w)
+		}
+		if allocs != 2 {
+			t.Errorf("%d cycles of %d fields: %.0f allocations, want 2 (the word slab and its pointer slice)", cycles, 5*cycles, allocs)
+		}
+	}
+}

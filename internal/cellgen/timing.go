@@ -38,7 +38,8 @@ func timingItems(items []mcode.CodeItem, progs map[w2.Channel]*skew.Prog, ids ma
 		switch it := it.(type) {
 		case *mcode.Straight:
 			for i, in := range it.Instrs {
-				for _, io := range in.IO {
+				for j := range in.IO {
+					io := &in.IO[j]
 					kind := skew.Output
 					slot := 1
 					if io.Recv {

@@ -153,7 +153,7 @@ end
 		t.Fatalf("constants: %d registers, want 1 (2.5 shared)", len(res.ConstRegs))
 	}
 	first, ok := res.Cell.Items[0].(*mcode.Straight)
-	if !ok || first.Instrs[0].Lit == nil || first.Instrs[0].Lit.Value != 2.5 {
+	if !ok || !first.Instrs[0].HasLit || first.Instrs[0].Lit.Value != 2.5 {
 		t.Error("constant preamble missing")
 	}
 }

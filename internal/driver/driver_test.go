@@ -123,18 +123,21 @@ func TestPolynomialEndToEnd(t *testing.T) {
 // does not depend on the host's speed.  And nothing in the modulo
 // scheduler's search allocates per placement: mandelbrot, whose one
 // 15-operation loop used to cost 13 179 allocations a compile (maps
-// churned by 11 000 evictions), compiles in under 1 150 now that the list
+// churned by 11 000 evictions), compiles in under 1 050 now that the list
 // scheduler runs on the same dense block graph (1 564 while it kept its
 // own maps; 1 359 while the IU code generator and the affine arithmetic
 // still allocated per address site and per operation; 1 201 while each
-// scheduler had its own emitter and every word was allocated alone).
+// scheduler had its own emitter and every word was allocated alone;
+// 1 026 while every instruction field was a heap object of its own and
+// the debug map allocated loop frames per µPC; 890 since).
 // Nor does the IU code generator allocate per address site, IU cycle or
 // placement: fft1024, whose pipelined attempt the IU refuses before the
 // plain schedule compiles, made 36 579 allocations a verified compile
 // with string keys, pointer-keyed maps and a heap object per IU cycle
 // (16 572 with two emitters, 14 564 while the refusal still grouped and
 // planned every expression and commgraph built an arc per dependent
-// pair); it makes 12 628 now and stays under 13 300.
+// pair, 12 628 with a heap object per instruction field); it makes
+// 10 861 now and stays under 11 900.
 func TestCompileAllocBudget(t *testing.T) {
 	src := workloads.ColorSegPaper()
 	var before, after runtime.MemStats
@@ -161,8 +164,8 @@ func TestCompileAllocBudget(t *testing.T) {
 		name, src string
 		budget    float64
 	}{
-		{"mandelbrot", workloads.Mandelbrot(32*32, 4), 1150},
-		{"fft1024", workloads.FFTPaper(), 13300},
+		{"mandelbrot", workloads.Mandelbrot(32*32, 4), 1050},
+		{"fft1024", workloads.FFTPaper(), 11900},
 	} {
 		allocs := testing.AllocsPerRun(5, func() {
 			if _, err := Compile(tc.src, Options{Pipeline: true, Verify: true}); err != nil {

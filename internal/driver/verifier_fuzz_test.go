@@ -3,6 +3,7 @@ package driver
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"warp/internal/mcode"
@@ -63,30 +64,9 @@ func copyCellItems(items []mcode.CodeItem) []mcode.CodeItem {
 }
 
 func copyInstr(in *mcode.Instr) *mcode.Instr {
-	cp := &mcode.Instr{}
-	copyAlu := func(op *mcode.AluOp) *mcode.AluOp {
-		if op == nil {
-			return nil
-		}
-		c := *op
-		return &c
-	}
-	cp.Add, cp.Mul, cp.Mov = copyAlu(in.Add), copyAlu(in.Mul), copyAlu(in.Mov)
-	for i, m := range in.Mem {
-		if m != nil {
-			c := *m
-			cp.Mem[i] = &c
-		}
-	}
-	for _, io := range in.IO {
-		c := *io
-		cp.IO = append(cp.IO, &c)
-	}
-	if in.Lit != nil {
-		c := *in.Lit
-		cp.Lit = &c
-	}
-	return cp
+	cp := *in
+	cp.IO = slices.Clone(in.IO)
+	return &cp
 }
 
 func copyIUProgram(p *mcode.IUProgram) *mcode.IUProgram {

@@ -161,23 +161,22 @@ end
 // received word.  The simulator runs the same program in its own test.
 func TestBatchLandingOrder(t *testing.T) {
 	recv := func(r mcode.Reg) *mcode.Instr {
-		return &mcode.Instr{IO: []*mcode.IOOp{{Recv: true, Dir: w2.DirL, Chan: w2.ChanX, Reg: r}}}
+		return &mcode.Instr{IO: []mcode.IOOp{{Recv: true, Dir: w2.DirL, Chan: w2.ChanX, Reg: r}}}
 	}
 	send := func(r mcode.Reg) *mcode.Instr {
-		return &mcode.Instr{IO: []*mcode.IOOp{{Dir: w2.DirR, Chan: w2.ChanX, Reg: r}}}
+		return &mcode.Instr{IO: []mcode.IOOp{{Dir: w2.DirR, Chan: w2.ChanX, Reg: r}}}
 	}
 	fadd := func(dst mcode.Reg) *mcode.Instr {
-		return &mcode.Instr{Add: &mcode.AluOp{Code: mcode.Fadd, Dst: dst, Src: [3]mcode.Reg{1, 2}}}
+		return &mcode.Instr{Fields: mcode.Fields{HasAdd: true, Add: mcode.AluOp{Code: mcode.Fadd, Dst: dst, Src: [3]mcode.Reg{1, 2}}}}
 	}
 	instrs := []*mcode.Instr{recv(1), recv(2), fadd(5), fadd(6)}
 	for len(instrs) < 2+mcode.FPULatency-1 { // the first sum lands at the end of the next word
 		instrs = append(instrs, &mcode.Instr{})
 	}
 	meet := recv(5)
-	meet.Mov = &mcode.AluOp{Code: mcode.Mov, Dst: 5, Src: [3]mcode.Reg{1}}
+	meet.HasMov, meet.Mov = true, mcode.AluOp{Code: mcode.Mov, Dst: 5, Src: [3]mcode.Reg{1}}
 	instrs = append(instrs, meet, recv(6), send(5), send(6))
 	cell := &mcode.CellProgram{Items: []mcode.CodeItem{&mcode.Straight{Instrs: instrs}}}
-	cell.AssignPCs()
 	host := &hostgen.Program{
 		In:  map[w2.Channel]hostgen.Stream{w2.ChanX: hostgen.Of(hostgen.Word{Index: 0}, hostgen.Word{Index: 1}, hostgen.Word{Index: 2}, hostgen.Word{Index: 3})},
 		Out: map[w2.Channel]hostgen.Stream{w2.ChanX: hostgen.Of(hostgen.Word{Index: 4}, hostgen.Word{Index: 5})},

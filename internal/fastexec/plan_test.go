@@ -145,7 +145,7 @@ func straightIU(items []mcode.CodeItem) *mcode.IUProgram {
 			case *mcode.Straight:
 				for _, in := range it.Instrs {
 					for _, mo := range in.Mem {
-						if mo != nil {
+						if mo.Kind != mcode.MemNone {
 							iu.Table = append(iu.Table, int64(mo.Addr.Base)+mo.Addr.Affine.Eval(idx))
 							instrs = append(instrs, &mcode.IUInstr{Out: [mcode.MemPorts]*mcode.IUOut{{FromTable: true}}})
 						}
@@ -179,24 +179,28 @@ func TestLoopShapesMatchSimulator(t *testing.T) {
 
 	nop := func() *mcode.Instr { return &mcode.Instr{} }
 	recv := func(r mcode.Reg, a w2.Affine) *mcode.Instr {
-		return &mcode.Instr{IO: []*mcode.IOOp{{Recv: true, Dir: w2.DirL, Chan: w2.ChanX, Reg: r,
-			Ext: &mcode.AddrInfo{Sym: in, Affine: a}}}}
+		return &mcode.Instr{IO: []mcode.IOOp{{Recv: true, Dir: w2.DirL, Chan: w2.ChanX, Reg: r,
+			Ext: mcode.AddrInfo{Sym: in, Affine: a}}}}
 	}
 	send := func(r mcode.Reg, a w2.Affine) *mcode.Instr {
-		return &mcode.Instr{IO: []*mcode.IOOp{{Dir: w2.DirR, Chan: w2.ChanX, Reg: r,
-			Ext: &mcode.AddrInfo{Sym: out, Base: 64, Affine: a}}}}
+		return &mcode.Instr{IO: []mcode.IOOp{{Dir: w2.DirR, Chan: w2.ChanX, Reg: r,
+			Ext: mcode.AddrInfo{Sym: out, Base: 64, Affine: a}}}}
 	}
 	mem := func(store bool, r mcode.Reg, a w2.Affine) *mcode.Instr {
-		return &mcode.Instr{Mem: [mcode.MemPorts]*mcode.MemOp{{Store: store, Reg: r, Addr: mcode.AddrInfo{Sym: buf, Affine: a}}}}
+		kind := uint8(mcode.MemLoad)
+		if store {
+			kind = mcode.MemStore
+		}
+		return &mcode.Instr{Mem: [mcode.MemPorts]mcode.MemOp{{Kind: kind, Reg: r, Addr: mcode.AddrInfo{Sym: buf, Affine: a}}}}
 	}
 	fadd := func(dst, a, b mcode.Reg) *mcode.Instr {
-		return &mcode.Instr{Add: &mcode.AluOp{Code: mcode.Fadd, Dst: dst, Src: [3]mcode.Reg{a, b}}}
+		return &mcode.Instr{Fields: mcode.Fields{HasAdd: true, Add: mcode.AluOp{Code: mcode.Fadd, Dst: dst, Src: [3]mcode.Reg{a, b}}}}
 	}
 	mov := func(dst, src mcode.Reg) *mcode.Instr {
-		return &mcode.Instr{Mov: &mcode.AluOp{Code: mcode.Mov, Dst: dst, Src: [3]mcode.Reg{src}}}
+		return &mcode.Instr{Fields: mcode.Fields{HasMov: true, Mov: mcode.AluOp{Code: mcode.Mov, Dst: dst, Src: [3]mcode.Reg{src}}}}
 	}
 	lit := func(dst mcode.Reg, v float64) *mcode.Instr {
-		return &mcode.Instr{Lit: &mcode.LitOp{Dst: dst, Value: v}}
+		return &mcode.Instr{Fields: mcode.Fields{HasLit: true, Lit: mcode.LitOp{Dst: dst, Value: v}}}
 	}
 	code := func(instrs ...*mcode.Instr) mcode.CodeItem { return &mcode.Straight{Instrs: instrs} }
 	loop := func(id int, v *w2.ForStmt, trips int64, body ...mcode.CodeItem) mcode.CodeItem {
@@ -220,11 +224,11 @@ func TestLoopShapesMatchSimulator(t *testing.T) {
 				in = send(3, aff(int64(c-3)))
 			}
 			if c == mcode.FPULatency-1-gap {
-				in.Mov = mov(3, 4).Mov
+				in.HasMov, in.Mov = true, mov(3, 4).Mov
 			}
 			instrs = append(instrs, in)
 		}
-		instrs[0].Lit = lit(3, -1).Lit
+		instrs[0].HasLit, instrs[0].Lit = true, lit(3, -1).Lit
 		return []mcode.CodeItem{code(instrs...)}
 	}
 
@@ -265,7 +269,6 @@ func TestLoopShapesMatchSimulator(t *testing.T) {
 	for _, n := range nests {
 		t.Run(n.name, func(t *testing.T) {
 			cell := &mcode.CellProgram{Items: n.items}
-			cell.AssignPCs()
 			iu := straightIU(n.items)
 			host, err := hostgen.Generate(cell)
 			if err != nil {

@@ -17,12 +17,12 @@ import (
 // back to the simulator on any of them and surface the text).
 func TestCompileRejections(t *testing.T) {
 	sym := &w2.Symbol{Name: "buf", Kind: w2.SymCellArray}
-	load := &mcode.Instr{Mem: [mcode.MemPorts]*mcode.MemOp{{Reg: 1, Addr: mcode.AddrInfo{Sym: sym}}}}
+	load := &mcode.Instr{Mem: [mcode.MemPorts]mcode.MemOp{{Kind: mcode.MemLoad, Reg: 1, Addr: mcode.AddrInfo{Sym: sym}}}}
 	recv := func(dir w2.Direction) *mcode.Instr {
-		return &mcode.Instr{IO: []*mcode.IOOp{{Recv: true, Dir: dir, Chan: w2.ChanX, Reg: 1}}}
+		return &mcode.Instr{IO: []mcode.IOOp{{Recv: true, Dir: dir, Chan: w2.ChanX, Reg: 1}}}
 	}
 	send := func(dir w2.Direction) *mcode.Instr {
-		return &mcode.Instr{IO: []*mcode.IOOp{{Dir: dir, Chan: w2.ChanY, Reg: 1}}}
+		return &mcode.Instr{IO: []mcode.IOOp{{Dir: dir, Chan: w2.ChanY, Reg: 1}}}
 	}
 	cell := func(items ...mcode.CodeItem) *mcode.CellProgram { return &mcode.CellProgram{Items: items} }
 	code := func(instrs ...*mcode.Instr) mcode.CodeItem { return &mcode.Straight{Instrs: instrs} }
@@ -46,7 +46,7 @@ func TestCompileRejections(t *testing.T) {
 	// loaded over two iterations, the IU reading both addresses from its
 	// table.
 	idx := &w2.ForStmt{Var: "i"}
-	walk := &mcode.Instr{Mem: [mcode.MemPorts]*mcode.MemOp{{Reg: 1,
+	walk := &mcode.Instr{Mem: [mcode.MemPorts]mcode.MemOp{{Kind: mcode.MemLoad, Reg: 1,
 		Addr: mcode.AddrInfo{Sym: sym, Base: 4, Affine: w2.AffVar(idx)}}}}
 	wellFormed := func(table ...int64) fastexec.Program {
 		return fastexec.Program{Cells: 2, Skew: 1, Lead: 2,

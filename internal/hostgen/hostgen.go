@@ -336,11 +336,11 @@ func (b *builder) build(items []mcode.CodeItem, mult int64) error {
 		switch it := it.(type) {
 		case *mcode.Straight:
 			for _, in := range it.Instrs {
-				for _, io := range in.IO {
+				for i := range in.IO {
 					if mult == 0 {
 						continue
 					}
-					if err := b.add(io, mult); err != nil {
+					if err := b.add(&in.IO[i], mult); err != nil {
 						return fmt.Errorf("hostgen: %s: %w", in.Pos, err)
 					}
 				}
@@ -398,11 +398,11 @@ func (b *builder) add(io *mcode.IOOp, mult int64) error {
 	*total += mult
 	o := op{word: Word{Index: Discard}}
 	switch {
-	case io.Recv && io.ExtLiteral != nil:
-		o.word = Word{Literal: true, Value: *io.ExtLiteral}
-	case io.Ext != nil:
+	case io.Recv && io.IsLiteral:
+		o.word = Word{Literal: true, Value: io.Literal}
+	case io.Ext.Sym != nil:
 		var err error
-		if o, err = b.resolve(io.Ext); err != nil {
+		if o, err = b.resolve(&io.Ext); err != nil {
 			return err
 		}
 	case io.Recv:

@@ -40,8 +40,8 @@ func (o *oracle) run(items []mcode.CodeItem) error {
 		switch it := it.(type) {
 		case *mcode.Straight:
 			for _, in := range it.Instrs {
-				for _, io := range in.IO {
-					if err := o.emit(io); err != nil {
+				for i := range in.IO {
+					if err := o.emit(&in.IO[i]); err != nil {
 						return err
 					}
 				}
@@ -63,9 +63,9 @@ func (o *oracle) run(items []mcode.CodeItem) error {
 func (o *oracle) emit(io *mcode.IOOp) error {
 	w := Word{Index: Discard}
 	switch {
-	case io.Recv && io.ExtLiteral != nil:
-		w = Word{Literal: true, Value: *io.ExtLiteral}
-	case io.Ext != nil:
+	case io.Recv && io.IsLiteral:
+		w = Word{Literal: true, Value: io.Literal}
+	case io.Ext.Sym != nil:
 		aff := io.Ext.Shifted()
 		idx := int64(io.Ext.Base) + aff.Const
 		for _, t := range aff.Terms {
@@ -219,17 +219,16 @@ func randNest(rng *rand.Rand) *mcode.CellProgram {
 			}
 			var instrs []*mcode.Instr
 			for k := rng.Intn(4); k > 0; k-- {
-				io := &mcode.IOOp{Recv: rng.Intn(2) == 0, Chan: w2.Channel(rng.Intn(2))}
+				io := mcode.IOOp{Recv: rng.Intn(2) == 0, Chan: w2.Channel(rng.Intn(2))}
 				switch kind := rng.Intn(20); {
 				case kind == 0 && io.Recv:
 					// no external at all
 				case kind < 4:
 					if io.Recv {
-						v := float64(rng.Intn(5))
-						io.ExtLiteral = &v
+						io.IsLiteral, io.Literal = true, float64(rng.Intn(5))
 					}
 				default:
-					a := &mcode.AddrInfo{Sym: sym, Base: rng.Intn(50), Affine: w2.Affine{Const: int64(rng.Intn(9) - 4)}}
+					a := mcode.AddrInfo{Sym: sym, Base: rng.Intn(50), Affine: w2.Affine{Const: int64(rng.Intn(9) - 4)}}
 					for _, l := range scope {
 						if rng.Intn(2) == 0 {
 							a.Affine.Terms = append(a.Affine.Terms, w2.AffTerm{Var: l, Coef: int64(rng.Intn(9) - 4)})
@@ -243,7 +242,7 @@ func randNest(rng *rand.Rand) *mcode.CellProgram {
 					}
 					io.Ext = a
 				}
-				instrs = append(instrs, &mcode.Instr{IO: []*mcode.IOOp{io}})
+				instrs = append(instrs, &mcode.Instr{IO: []mcode.IOOp{io}})
 			}
 			items = append(items, &mcode.Straight{Instrs: instrs})
 		}
@@ -288,10 +287,10 @@ func unresolvable(items []mcode.CodeItem) bool {
 		case *mcode.Straight:
 			for _, in := range it.Instrs {
 				for _, io := range in.IO {
-					if io.Recv && io.Ext == nil && io.ExtLiteral == nil {
+					if io.Recv && io.Ext.Sym == nil && !io.IsLiteral {
 						return true
 					}
-					if io.Ext != nil {
+					if io.Ext.Sym != nil {
 						for _, t := range io.Ext.Affine.Terms {
 							if t.Var.Var == "stray" {
 								return true
@@ -338,9 +337,8 @@ func TestHostProgramSizeIndependentOfTrips(t *testing.T) {
 // or an address outside Word.Index, is a positioned error — and neither
 // is one under a loop that never runs.
 func TestCountsExactOrRefused(t *testing.T) {
-	lit := 1.0
 	pos := w2.Pos{Line: 12, Col: 5}
-	recv := &mcode.Straight{Instrs: []*mcode.Instr{{Pos: pos, IO: []*mcode.IOOp{{Recv: true, Chan: w2.ChanY, ExtLiteral: &lit}}}}}
+	recv := &mcode.Straight{Instrs: []*mcode.Instr{{Pos: pos, IO: []mcode.IOOp{{Recv: true, Chan: w2.ChanY, IsLiteral: true, Literal: 1}}}}}
 	nest := func(trips ...int64) *mcode.CellProgram {
 		items := []mcode.CodeItem{recv}
 		for _, n := range trips {
@@ -370,9 +368,9 @@ func TestCountsExactOrRefused(t *testing.T) {
 
 	loop := &w2.ForStmt{Var: "i"}
 	far := func(trips, coef int64) *mcode.CellProgram {
-		ext := &mcode.AddrInfo{Sym: &w2.Symbol{Name: "a"}, Affine: w2.Affine{Terms: []w2.AffTerm{{Var: loop, Coef: coef}}}}
+		ext := mcode.AddrInfo{Sym: &w2.Symbol{Name: "a"}, Affine: w2.Affine{Terms: []w2.AffTerm{{Var: loop, Coef: coef}}}}
 		return &mcode.CellProgram{Items: []mcode.CodeItem{&mcode.LoopItem{Trips: trips, Step: 1, Src: loop, Body: []mcode.CodeItem{
-			&mcode.Straight{Instrs: []*mcode.Instr{{Pos: pos, IO: []*mcode.IOOp{{Chan: w2.ChanX, Ext: ext}}}}},
+			&mcode.Straight{Instrs: []*mcode.Instr{{Pos: pos, IO: []mcode.IOOp{{Chan: w2.ChanX, Ext: ext}}}}},
 		}}}}
 	}
 	if _, err := Generate(far(1<<20, 1<<10)); err != nil {

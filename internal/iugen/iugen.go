@@ -274,11 +274,10 @@ func (g *genState) mirrorStraight(st *mcode.Straight, body *iuBody) {
 	seg := g.extend(body, int64(len(st.Instrs)))
 	base := int64(len(seg.block.Instrs)) - int64(len(st.Instrs))
 	for i, in := range st.Instrs {
-		for slot, m := range in.Mem {
-			if m == nil {
-				continue
+		for slot := range in.Mem {
+			if m := &in.Mem[slot]; m.Kind != mcode.MemNone {
+				g.addSite(seg, base+int64(i), slot, m.Addr)
 			}
-			g.addSite(seg, base+int64(i), slot, m.Addr)
 		}
 	}
 }

@@ -231,13 +231,13 @@ func (o *AluOp) String() string {
 // queue (addresses are generated on the IU, §2.2); the AddrInfo
 // metadata records what the IU must produce for this reference.
 type MemOp struct {
-	Store bool
-	Reg   Reg // destination (load) or source (store)
-	Addr  AddrInfo
+	Kind uint8 // MemNone (the port is idle), MemLoad or MemStore
+	Reg  Reg   // destination (load) or source (store)
+	Addr AddrInfo
 }
 
 func (o *MemOp) String() string {
-	if o.Store {
+	if o.Kind == MemStore {
 		return fmt.Sprintf("store [adr] <- %s  ; %s", o.Reg, o.Addr)
 	}
 	return fmt.Sprintf("load %s <- [adr]  ; %s", o.Reg, o.Addr)
@@ -297,8 +297,9 @@ func addAddrExprs(seen []addrExpr, items []CodeItem) []addrExpr {
 		case *Straight:
 			for _, in := range it.Instrs {
 			refs:
-				for _, m := range in.Mem {
-					if m == nil || len(seen) == cap(seen) {
+				for i := range in.Mem {
+					m := &in.Mem[i]
+					if m.Kind == MemNone || len(seen) == cap(seen) {
 						continue
 					}
 					e := addrExpr{m.Addr.Sym.Name, m.Addr.Shifted()}
@@ -372,11 +373,11 @@ type IOOp struct {
 	Dir  w2.Direction
 	Chan w2.Channel
 	Reg  Reg
-	// Ext is the host binding for boundary cells; nil otherwise.
-	// ExtLiteral supplies the value when the external is a literal.
-	Ext        *AddrInfo
-	ExtLiteral *float64
-	Recv       bool
+	// Ext is the host binding for boundary cells (Ext.Sym nil: none).
+	// When the external is a literal, Literal supplies the value.
+	Ext             AddrInfo
+	IsLiteral, Recv bool
+	Literal         float64
 }
 
 func (o *IOOp) String() string {
@@ -394,36 +395,41 @@ type LitOp struct {
 
 func (o *LitOp) String() string { return fmt.Sprintf("lit %s <- %g", o.Dst, o.Value) }
 
-// Instr is one wide microinstruction: all non-nil fields issue in the
-// same cycle.  Mov is a dedicated crossbar register-move field: the
-// full crossbar of Figure 2-2 can route one register to another without
-// passing through an FPU, so moves do not compete with arithmetic.
-type Instr struct {
-	Add *AluOp
-	Mul *AluOp
-	Mov *AluOp // crossbar move (Code must be Mov)
-	Mem [MemPorts]*MemOp
-	IO  []*IOOp // at most one per (direction, channel, recv/send) port
-	Lit *LitOp
+// Fields is the fixed-field block of one wide microinstruction, each
+// unit's field with its presence bit: the block the code generator writes
+// and the decoded word embeds, read as written.  Mov is a dedicated
+// crossbar register-move field: the full crossbar of Figure 2-2 can route
+// one register to another without passing through an FPU, so moves do
+// not compete with arithmetic.
+type Fields struct {
+	HasAdd, HasMul, HasMov, HasLit bool
+	Add, Mul                       AluOp
+	Mov                            AluOp // a crossbar move: its Code is Mov
+	Lit                            LitOp
+}
 
-	// Debug information carried alongside the microcode.  Pos is the W2
-	// source position of the statement this instruction primarily
-	// executes (the first field placed into the word claims it; zero for
-	// scheduled nops and synthetic preamble/pad cycles).  PC is the
-	// instruction's static µprogram address, assigned by AssignPCs in
-	// the same canonical walk order NumInstrs counts — the key the
-	// simulator's exact per-µPC cycle counters are indexed by.
+// Instr is one wide microinstruction: all its fields issue in the same
+// cycle.  A memory port issues unless its Kind is MemNone.
+type Instr struct {
+	Fields
+	Mem [MemPorts]MemOp
+	IO  []IOOp // at most one per (direction, channel, recv/send) port
+
+	// Pos is the W2 source position of the statement this instruction
+	// primarily executes (the first field placed into the word claims it;
+	// zero for scheduled nops and synthetic preamble/pad cycles): the debug
+	// information carried alongside the microcode.  The instruction's µPC
+	// is its index in WalkInstrs order.
 	Pos w2.Pos
-	PC  int
 }
 
 // Empty reports whether the instruction is a no-op.
 func (in *Instr) Empty() bool {
-	if in.Add != nil || in.Mul != nil || in.Mov != nil || in.Lit != nil || len(in.IO) > 0 {
+	if in.HasAdd || in.HasMul || in.HasMov || in.HasLit || len(in.IO) > 0 {
 		return false
 	}
-	for _, m := range in.Mem {
-		if m != nil {
+	for i := range in.Mem {
+		if in.Mem[i].Kind != MemNone {
 			return false
 		}
 	}
@@ -432,24 +438,24 @@ func (in *Instr) Empty() bool {
 
 func (in *Instr) String() string {
 	var parts []string
-	if in.Add != nil {
+	if in.HasAdd {
 		parts = append(parts, in.Add.String())
 	}
-	if in.Mul != nil {
+	if in.HasMul {
 		parts = append(parts, in.Mul.String())
 	}
-	if in.Mov != nil {
+	if in.HasMov {
 		parts = append(parts, in.Mov.String())
 	}
-	for _, m := range in.Mem {
-		if m != nil {
+	for i := range in.Mem {
+		if m := &in.Mem[i]; m.Kind != MemNone {
 			parts = append(parts, m.String())
 		}
 	}
-	for _, io := range in.IO {
-		parts = append(parts, io.String())
+	for i := range in.IO {
+		parts = append(parts, in.IO[i].String())
 	}
-	if in.Lit != nil {
+	if in.HasLit {
 		parts = append(parts, in.Lit.String())
 	}
 	if len(parts) == 0 {
@@ -508,9 +514,9 @@ func (p *CellProgram) Cycles() int64 {
 // WalkInstrs visits every static microinstruction of items in the
 // canonical order (straight-line blocks and loop bodies in program
 // order), passing the stack of enclosing loops outermost-first.  It is
-// the single definition of µprogram address order: AssignPCs, NumInstrs
-// and the profiler's debug map all derive from this walk, so a PC
-// assigned at compile time indexes the same instruction everywhere.
+// the single definition of µprogram address order: an instruction's µPC
+// is its index in this walk, which Decode, NumInstrs and the profiler's
+// debug map all count, so a µPC indexes the same instruction everywhere.
 func WalkInstrs(items []CodeItem, visit func(in *Instr, loops []*LoopItem)) {
 	var stack []*LoopItem
 	var walk func(items []CodeItem)
@@ -529,18 +535,6 @@ func WalkInstrs(items []CodeItem, visit func(in *Instr, loops []*LoopItem)) {
 		}
 	}
 	walk(items)
-}
-
-// AssignPCs numbers every static microinstruction with its µprogram
-// address in canonical walk order and returns the instruction count.
-// The simulator's per-µPC profile counters are indexed by these PCs.
-func (p *CellProgram) AssignPCs() int {
-	n := 0
-	WalkInstrs(p.Items, func(in *Instr, _ []*LoopItem) {
-		in.PC = n
-		n++
-	})
-	return n
 }
 
 // MemAddr returns the address memory port port of the decoded word w

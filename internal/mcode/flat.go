@@ -70,10 +70,9 @@ type Word struct {
 	EndLo, EndHi       int32
 	Mem                [MemPorts]MemField
 
-	Nop                                           bool // no field issues
-	Loads, Stores, HasAdd, HasMul, HasMov, HasLit bool
-	Add, Mul, Mov                                 AluOp
-	Lit                                           LitOp
+	Nop           bool // no field issues
+	Loads, Stores bool
+	Fields        // the instruction's field block, as the code generator wrote it
 }
 
 // Decoded is a decoded cell program.  Its size depends on the microcode
@@ -134,15 +133,16 @@ func Decode(p *CellProgram) (*Decoded, error) {
 					idle = 0
 					for _, recv := range []bool{false, true} {
 						w.RecvLo = int32(len(d.IO))
-						for k, io := range in.IO {
-							if io.Recv == recv {
+						for k := range in.IO {
+							if io := &in.IO[k]; io.Recv == recv {
 								d.IO = append(d.IO, IOField{Ch: io.Chan, Reg: io.Reg, Dir: io.Dir, Ord: int32(k)})
 							}
 						}
 					}
 					w.IOHi = int32(len(d.IO))
-					for port, mo := range in.Mem {
-						if mo == nil {
+					for port := range in.Mem {
+						mo := &in.Mem[port]
+						if mo.Kind == MemNone {
 							continue
 						}
 						b, err := mo.Addr.Bind(loops, d.Terms)
@@ -151,27 +151,13 @@ func Decode(p *CellProgram) (*Decoded, error) {
 							b.Terms = d.Terms
 						}
 						lo, hi = min(lo, b.Lo), max(hi, b.Hi)
-						w.Mem[port] = MemField{Kind: MemLoad, Reg: mo.Reg, Start: b.Start,
+						w.Mem[port] = MemField{Kind: mo.Kind, Reg: mo.Reg, Start: b.Start,
 							TermLo: int32(len(d.Terms)), TermHi: int32(len(b.Terms))}
 						d.Terms = b.Terms
-						if mo.Store {
-							w.Mem[port].Kind, w.Stores = MemStore, true
-						} else {
-							w.Loads = true
-						}
+						w.Stores = w.Stores || mo.Kind == MemStore
+						w.Loads = w.Loads || mo.Kind == MemLoad
 					}
-					if in.Add != nil {
-						w.HasAdd, w.Add = true, *in.Add
-					}
-					if in.Mul != nil {
-						w.HasMul, w.Mul = true, *in.Mul
-					}
-					if in.Mov != nil {
-						w.HasMov, w.Mov = true, *in.Mov
-					}
-					if in.Lit != nil {
-						w.HasLit, w.Lit = true, *in.Lit
-					}
+					w.Fields = in.Fields
 					d.Words = append(d.Words, w)
 				}
 			case *LoopItem:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -44,12 +45,12 @@ func TestIUProgramCyclesAndInstrs(t *testing.T) {
 func TestListings(t *testing.T) {
 	cell := &CellProgram{Items: []CodeItem{
 		&Straight{Instrs: []*Instr{
-			{Lit: &LitOp{Dst: 3, Value: 1.5}},
-			{Add: &AluOp{Code: Fadd, Dst: 1, Src: [3]Reg{2, 3}},
-				IO: []*IOOp{{Recv: true, Dir: w2.DirL, Chan: w2.ChanX, Reg: 4}}},
+			{Fields: Fields{HasLit: true, Lit: LitOp{Dst: 3, Value: 1.5}}},
+			{Fields: Fields{HasAdd: true, Add: AluOp{Code: Fadd, Dst: 1, Src: [3]Reg{2, 3}}},
+				IO: []IOOp{{Recv: true, Dir: w2.DirL, Chan: w2.ChanX, Reg: 4}}},
 		}},
 		&LoopItem{ID: 2, Trips: 7, Body: []CodeItem{
-			&Straight{Instrs: []*Instr{{Mov: &AluOp{Code: Mov, Dst: 0, Src: [3]Reg{1}}}}},
+			&Straight{Instrs: []*Instr{{Fields: Fields{HasMov: true, Mov: AluOp{Code: Mov, Dst: 0, Src: [3]Reg{1}}}}}},
 		}},
 	}}
 	l := cell.Listing()
@@ -80,7 +81,7 @@ func TestInstrEmptyAndNop(t *testing.T) {
 	if !in.Empty() || in.String() != "nop" {
 		t.Error("empty instruction broken")
 	}
-	in.Mov = &AluOp{Code: Mov}
+	in.HasMov, in.Mov = true, AluOp{Code: Mov}
 	if in.Empty() {
 		t.Error("mov instruction reported empty")
 	}
@@ -312,16 +313,16 @@ func TestLaneRegsMatchCellRegs(t *testing.T) {
 func TestValidateCellCatchesBadPrograms(t *testing.T) {
 	bad := []*CellProgram{
 		{Items: []CodeItem{&Straight{Instrs: []*Instr{
-			{Add: &AluOp{Code: Fadd, Dst: 200}},
+			{Fields: Fields{HasAdd: true, Add: AluOp{Code: Fadd, Dst: 200}}},
 		}}}},
 		{Items: []CodeItem{&Straight{Instrs: []*Instr{
-			{Add: &AluOp{Code: Fmul, Dst: 1}},
+			{Fields: Fields{HasAdd: true, Add: AluOp{Code: Fmul, Dst: 1}}},
 		}}}},
 		{Items: []CodeItem{&Straight{Instrs: []*Instr{
-			{Mov: &AluOp{Code: Fadd, Dst: 1}},
+			{Fields: Fields{HasMov: true, Mov: AluOp{Code: Fadd, Dst: 1}}},
 		}}}},
 		{Items: []CodeItem{&Straight{Instrs: []*Instr{
-			{IO: []*IOOp{
+			{IO: []IOOp{
 				{Recv: true, Dir: w2.DirL, Chan: w2.ChanX, Reg: 1},
 				{Recv: true, Dir: w2.DirL, Chan: w2.ChanX, Reg: 2},
 			}},
@@ -342,13 +343,13 @@ func TestCountCell(t *testing.T) {
 	p := &CellProgram{Items: []CodeItem{
 		&LoopItem{ID: 0, Trips: 4, Body: []CodeItem{
 			&Straight{Instrs: []*Instr{
-				{IO: []*IOOp{{Recv: true, Dir: w2.DirL, Chan: w2.ChanX, Reg: 0}}},
-				{Mem: [MemPorts]*MemOp{{Store: true, Reg: 0}}},
-				{IO: []*IOOp{{Recv: false, Dir: w2.DirR, Chan: w2.ChanY, Reg: 0}}},
+				{IO: []IOOp{{Recv: true, Dir: w2.DirL, Chan: w2.ChanX, Reg: 0}}},
+				{Mem: [MemPorts]MemOp{{Kind: MemStore, Reg: 0}}},
+				{IO: []IOOp{{Recv: false, Dir: w2.DirR, Chan: w2.ChanY, Reg: 0}}},
 			}},
 			&LoopItem{ID: 1, Trips: 2, Body: []CodeItem{
 				&Straight{Instrs: []*Instr{
-					{Mem: [MemPorts]*MemOp{{Store: false, Reg: 1}}},
+					{Mem: [MemPorts]MemOp{{Kind: MemLoad, Reg: 1}}},
 					{}, // a scheduled nop: a cycle, not an operation
 				}},
 			}},
@@ -428,7 +429,7 @@ func TestElaborateIU(t *testing.T) {
 	}
 }
 
-// TestDecodeIndexIsPC: a decoded word covers the µPCs AssignPCs gives
+// TestDecodeIndexIsPC: a decoded word covers the µPCs, WalkInstrs indices,
 // its idle instructions and its issuing one, back to back from PC,
 // through nested loops and empty blocks; idle runs split at loop heads,
 // and NumInstrs is the decoded length in cycles.
@@ -446,7 +447,7 @@ func TestDecodeIndexIsPC(t *testing.T) {
 		&LoopItem{ID: 0, Trips: 2, Body: []CodeItem{block(1), inner, block(0)}},
 		block(2),
 	}}
-	n := p.AssignPCs()
+	n := p.NumInstrs()
 	code, err := Decode(p)
 	if err != nil {
 		t.Fatal(err)
@@ -458,8 +459,8 @@ func TestDecodeIndexIsPC(t *testing.T) {
 		}
 		pc += int(w.Skip) + 1
 	}
-	if pc != n || p.NumInstrs() != n || len(code.Words) != 4 {
-		t.Fatalf("%d words over %d µPCs, AssignPCs numbered %d, NumInstrs %d", len(code.Words), pc, n, p.NumInstrs())
+	if pc != n || len(code.Words) != 4 {
+		t.Fatalf("%d words over %d µPCs, NumInstrs %d", len(code.Words), pc, n)
 	}
 	// The inner loop's last word closes both loops, innermost first, and
 	// the back edges go to the words at the loops' heads.
@@ -467,5 +468,31 @@ func TestDecodeIndexIsPC(t *testing.T) {
 	if ends := code.Ends[last.EndLo:last.EndHi]; code.Depth != 2 || last.Depth != 2 || len(ends) != 2 ||
 		ends[0] != (LoopEnd{ID: 1, Trips: 3, Head: 2}) || ends[1] != (LoopEnd{ID: 0, Trips: 2, Head: 1}) {
 		t.Errorf("depth %d, word 2 = depth %d ends %+v", code.Depth, last.Depth, ends)
+	}
+}
+
+// TestWordIsPointerFree: a decoded word holds no pointer, so
+// Decoded.Words is one slab the garbage collector does not scan, and it
+// embeds the instruction's own field block, so Decode copies the fields
+// in one assignment.
+func TestWordIsPointerFree(t *testing.T) {
+	var check func(path string, typ reflect.Type)
+	check = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				check(path+"."+typ.Field(i).Name, typ.Field(i).Type)
+			}
+		case reflect.Array:
+			check(path+"[]", typ.Elem())
+		case reflect.Pointer, reflect.Slice, reflect.Map, reflect.String, reflect.Interface, reflect.Chan, reflect.Func, reflect.UnsafePointer:
+			t.Errorf("%s is a %s", path, typ.Kind())
+		}
+	}
+	check("Word", reflect.TypeOf(Word{}))
+	for _, typ := range []reflect.Type{reflect.TypeOf(Word{}), reflect.TypeOf(Instr{})} {
+		if f, ok := typ.FieldByName("Fields"); !ok || !f.Anonymous || f.Type != reflect.TypeOf(Fields{}) {
+			t.Errorf("%s does not embed Fields", typ)
+		}
 	}
 }

@@ -52,9 +52,16 @@ func validateCellItems(items []CodeItem) error {
 
 func regOK(r Reg) bool { return r >= 0 && r < NumRegs }
 
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 func validateInstr(in *Instr) error {
-	checkAlu := func(op *AluOp, field string) error {
-		if op == nil {
+	checkAlu := func(on bool, op *AluOp, field string) error {
+		if !on {
 			return nil
 		}
 		if !regOK(op.Dst) {
@@ -81,37 +88,33 @@ func validateInstr(in *Instr) error {
 		}
 		return nil
 	}
-	if err := checkAlu(in.Add, "add"); err != nil {
+	if err := checkAlu(in.HasAdd, &in.Add, "add"); err != nil {
 		return err
 	}
-	if err := checkAlu(in.Mul, "mul"); err != nil {
+	if err := checkAlu(in.HasMul, &in.Mul, "mul"); err != nil {
 		return err
 	}
-	if err := checkAlu(in.Mov, "mov"); err != nil {
+	if err := checkAlu(in.HasMov, &in.Mov, "mov"); err != nil {
 		return err
 	}
-	type port struct {
-		recv bool
-		dir  w2.Direction
-		ch   w2.Channel
-	}
-	seen := map[port]bool{}
-	for _, io := range in.IO {
-		p := port{io.Recv, io.Dir, io.Chan}
-		if seen[p] {
+	var seen uint8 // the queue ports in use, port recv | channel<<1 | direction<<2
+	for i := range in.IO {
+		io := &in.IO[i]
+		port := b2i(io.Recv) | b2i(io.Chan != w2.ChanX)<<1 | b2i(io.Dir != w2.DirL)<<2
+		if seen>>port&1 != 0 {
 			return fmt.Errorf("two operations on one queue port in a cycle")
 		}
-		seen[p] = true
+		seen |= 1 << port
 		if !regOK(io.Reg) {
 			return fmt.Errorf("queue operation register %s out of range", io.Reg)
 		}
 	}
-	for _, m := range in.Mem {
-		if m != nil && !regOK(m.Reg) {
+	for i := range in.Mem {
+		if m := &in.Mem[i]; m.Kind != MemNone && !regOK(m.Reg) {
 			return fmt.Errorf("memory operation register %s out of range", m.Reg)
 		}
 	}
-	if in.Lit != nil && !regOK(in.Lit.Dst) {
+	if in.HasLit && !regOK(in.Lit.Dst) {
 		return fmt.Errorf("literal destination %s out of range", in.Lit.Dst)
 	}
 	return nil
@@ -147,33 +150,26 @@ func countCellItems(items []CodeItem, loop int) (CellCounts, error) {
 				if !in.Empty() {
 					add.Ops++
 				}
-				for _, m := range in.Mem {
-					if m == nil {
-						continue
-					}
-					add.AdrPops++
-					if m.Store {
-						add.Stores++
-					} else {
+				for i := range in.Mem {
+					switch in.Mem[i].Kind {
+					case MemLoad:
+						add.AdrPops++
 						add.Loads++
+					case MemStore:
+						add.AdrPops++
+						add.Stores++
 					}
 				}
-				for _, io := range in.IO {
-					if io.Recv {
+				for i := range in.IO {
+					if io := &in.IO[i]; io.Recv {
 						add.Recv[io.Chan]++
 					} else {
 						add.Send[io.Chan]++
 					}
 				}
-				if in.Add != nil {
-					add.AddOps++
-				}
-				if in.Mul != nil {
-					add.MulOps++
-				}
-				if in.Mov != nil {
-					add.MovOps++
-				}
+				add.AddOps += b2i(in.HasAdd)
+				add.MulOps += b2i(in.HasMul)
+				add.MovOps += b2i(in.HasMov)
 			}
 		case *LoopItem:
 			var err error

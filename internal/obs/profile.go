@@ -56,9 +56,10 @@ func (c *CellProfile) Inner() *DepthProfile {
 }
 
 // PCProfile holds one cell's exact per-µPC cycle counters, indexed by
-// the static µprogram address assigned by mcode.AssignPCs.  For every
-// executed instruction the simulator increments exactly one of the
-// three counters at its PC, so for each cell
+// the static µprogram address: the instruction's index in
+// mcode.WalkInstrs order.  For every executed instruction the simulator
+// increments exactly one of the three counters at its PC, so for each
+// cell
 //
 //	Σ_pc (Busy+Starved+Bubble) == CellProfile.Active()
 //

@@ -1,6 +1,7 @@
 package prof
 
 import (
+	"slices"
 	"strings"
 
 	"warp/internal/mcode"
@@ -39,28 +40,32 @@ type DebugMap struct {
 	Source []string `json:"-"` // source lines; Source[i] is line i+1
 }
 
-// BuildDebugMap assigns µprogram addresses to every instruction of the
-// cell program (via AssignPCs) and records the address → source
-// mapping.  It must run after code generation and before the program
-// is profiled; the driver calls it as part of compilation.
+// BuildDebugMap records the address → source mapping of the cell
+// program, an instruction's µPC being its index in mcode.WalkInstrs
+// order.  It reads the program and does not change it.  Instructions
+// under the same enclosing loops share one loop-frame slice.
 func BuildDebugMap(module, src string, cell *mcode.CellProgram) *DebugMap {
-	d := &DebugMap{Module: module, NumPCs: cell.AssignPCs()}
+	d := &DebugMap{Module: module, NumPCs: cell.NumInstrs()}
 	if src != "" {
 		d.Source = strings.Split(src, "\n")
 	}
 	d.PCs = make([]PCInfo, 0, d.NumPCs)
+	// frames are the frames of stack; a walk's stacks that are prefixes of
+	// it share them.
+	var stack []*mcode.LoopItem
+	var frames []LoopFrame
 	mcode.WalkInstrs(cell.Items, func(in *mcode.Instr, loops []*mcode.LoopItem) {
-		info := PCInfo{PC: in.PC, Line: in.Pos.Line, Col: in.Pos.Col}
+		info := PCInfo{PC: len(d.PCs), Line: in.Pos.Line, Col: in.Pos.Col}
 		if len(loops) > 0 {
-			info.Loops = make([]LoopFrame, len(loops))
-			for i, l := range loops {
-				f := LoopFrame{}
-				if l.Src != nil {
-					f.Var = l.Src.Var
-					f.Line = l.Src.Pos.Line
+			if len(loops) > len(stack) || !slices.Equal(loops, stack[:len(loops)]) {
+				stack, frames = slices.Clone(loops), make([]LoopFrame, len(loops))
+				for i, l := range loops {
+					if l.Src != nil {
+						frames[i] = LoopFrame{Var: l.Src.Var, Line: l.Src.Pos.Line}
+					}
 				}
-				info.Loops[i] = f
 			}
+			info.Loops = frames[:len(loops):len(loops)]
 		}
 		d.PCs = append(d.PCs, info)
 	})

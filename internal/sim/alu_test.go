@@ -10,12 +10,12 @@ import (
 // word executor: the field sits in the slot of its unit, as the code
 // generators place it, and the instruction is decoded as every run's is.
 func issueAlu(c *cell, op *mcode.AluOp, now int64) error {
-	in := &mcode.Instr{Add: op}
+	in := &mcode.Instr{Fields: mcode.Fields{HasAdd: true, Add: *op}}
 	switch {
 	case op.Code.OnMulUnit():
-		in = &mcode.Instr{Mul: op}
+		in.Fields = mcode.Fields{HasMul: true, Mul: *op}
 	case op.Code == mcode.Mov:
-		in = &mcode.Instr{Mov: op}
+		in.Fields = mcode.Fields{HasMov: true, Mov: *op}
 	}
 	code, err := mcode.Decode(&mcode.CellProgram{Items: []mcode.CodeItem{&mcode.Straight{Instrs: []*mcode.Instr{in}}}})
 	if err != nil {
@@ -99,7 +99,7 @@ func TestIUAluSemantics(t *testing.T) {
 	cellProg := &mcode.CellProgram{Items: []mcode.CodeItem{
 		&mcode.Straight{Instrs: []*mcode.Instr{
 			{}, {}, {},
-			{Mem: [mcode.MemPorts]*mcode.MemOp{{Store: false, Reg: 1, Addr: mcode.AddrInfo{Sym: sym}}}},
+			{Mem: [mcode.MemPorts]mcode.MemOp{{Kind: mcode.MemLoad, Reg: 1, Addr: mcode.AddrInfo{Sym: sym}}}},
 		}},
 	}}
 	_, err := Run(Config{

@@ -206,7 +206,7 @@ func TestBatchEnvelope(t *testing.T) {
 		Cells: 2, Skew: 1, Lead: 1,
 		Cell: &mcode.CellProgram{Items: []mcode.CodeItem{&mcode.Straight{Instrs: []*mcode.Instr{
 			{}, {},
-			{Mem: [mcode.MemPorts]*mcode.MemOp{{Reg: 1, Addr: mcode.AddrInfo{Sym: sym}}}},
+			{Mem: [mcode.MemPorts]mcode.MemOp{{Kind: mcode.MemLoad, Reg: 1, Addr: mcode.AddrInfo{Sym: sym}}}},
 		}}}},
 		IU: &mcode.IUProgram{Items: []mcode.IUItem{&mcode.IUStraight{Instrs: []*mcode.IUInstr{
 			{Imm: &mcode.IUImm{Dst: 0, Value: 5}},

@@ -55,7 +55,7 @@ type Config struct {
 	// PCStats enables exact per-µPC cycle attribution: every executed
 	// instruction increments one busy/starved/bubble counter at its
 	// static µprogram address (its index in the canonical walk order,
-	// the number mcode.AssignPCs gives it).  The counters land in
+	// mcode.WalkInstrs').  The counters land in
 	// Stats.Obs.PC.  Off by default — the hot-path cost when off is one
 	// nil check per cycle per cell.
 	PCStats bool

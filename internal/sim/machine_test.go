@@ -15,8 +15,8 @@ import (
 func passProgram() *mcode.CellProgram {
 	return &mcode.CellProgram{Items: []mcode.CodeItem{
 		&mcode.Straight{Instrs: []*mcode.Instr{
-			{IO: []*mcode.IOOp{{Recv: true, Dir: w2.DirL, Chan: w2.ChanX, Reg: 1}}},
-			{IO: []*mcode.IOOp{{Recv: false, Dir: w2.DirR, Chan: w2.ChanX, Reg: 1}}},
+			{IO: []mcode.IOOp{{Recv: true, Dir: w2.DirL, Chan: w2.ChanX, Reg: 1}}},
+			{IO: []mcode.IOOp{{Recv: false, Dir: w2.DirR, Chan: w2.ChanX, Reg: 1}}},
 		}},
 	}}
 }
@@ -77,7 +77,7 @@ func runBoth(t *testing.T, cfg Config) error {
 func TestRunDetectsUnderflow(t *testing.T) {
 	prog := &mcode.CellProgram{Items: []mcode.CodeItem{
 		&mcode.Straight{Instrs: []*mcode.Instr{
-			{IO: []*mcode.IOOp{{Recv: true, Dir: w2.DirL, Chan: w2.ChanY, Reg: 1}}},
+			{IO: []mcode.IOOp{{Recv: true, Dir: w2.DirL, Chan: w2.ChanY, Reg: 1}}},
 		}},
 	}}
 	err := runBoth(t, Config{
@@ -144,7 +144,7 @@ func TestRunDetectsBadAddress(t *testing.T) {
 	sym := &w2.Symbol{Name: "buf", Kind: w2.SymCellArray}
 	cellProg := &mcode.CellProgram{Items: []mcode.CodeItem{
 		&mcode.Straight{Instrs: []*mcode.Instr{
-			{Mem: [mcode.MemPorts]*mcode.MemOp{{Store: false, Reg: 1, Addr: mcode.AddrInfo{Sym: sym}}}},
+			{Mem: [mcode.MemPorts]mcode.MemOp{{Kind: mcode.MemLoad, Reg: 1, Addr: mcode.AddrInfo{Sym: sym}}}},
 		}},
 	}}
 	iu := &mcode.IUProgram{Items: []mcode.IUItem{
@@ -173,7 +173,7 @@ func TestRunHostBackpressure(t *testing.T) {
 	var items []mcode.CodeItem
 	items = append(items, &mcode.LoopItem{ID: 0, Trips: 200, Body: []mcode.CodeItem{
 		&mcode.Straight{Instrs: []*mcode.Instr{
-			{IO: []*mcode.IOOp{{Recv: true, Dir: w2.DirL, Chan: w2.ChanX, Reg: 1}}},
+			{IO: []mcode.IOOp{{Recv: true, Dir: w2.DirL, Chan: w2.ChanX, Reg: 1}}},
 			{}, {}, {},
 		}},
 	}})
@@ -228,7 +228,7 @@ func dummySym() *w2.Symbol {
 func TestRunDetectsUnbalancedEnd(t *testing.T) {
 	recvOnly := &mcode.CellProgram{Items: []mcode.CodeItem{
 		&mcode.Straight{Instrs: []*mcode.Instr{
-			{IO: []*mcode.IOOp{{Recv: true, Dir: w2.DirL, Chan: w2.ChanX, Reg: 1}}},
+			{IO: []mcode.IOOp{{Recv: true, Dir: w2.DirL, Chan: w2.ChanX, Reg: 1}}},
 		}},
 	}}
 	adrOut := &mcode.IUProgram{Items: []mcode.IUItem{
@@ -293,20 +293,20 @@ func TestRunDetectsUnbalancedEnd(t *testing.T) {
 // r6: an FPU result and a receive, so it holds the received word.
 func TestBatchLandingOrder(t *testing.T) {
 	recv := func(r mcode.Reg) *mcode.Instr {
-		return &mcode.Instr{IO: []*mcode.IOOp{{Recv: true, Dir: w2.DirL, Chan: w2.ChanX, Reg: r}}}
+		return &mcode.Instr{IO: []mcode.IOOp{{Recv: true, Dir: w2.DirL, Chan: w2.ChanX, Reg: r}}}
 	}
 	send := func(r mcode.Reg) *mcode.Instr {
-		return &mcode.Instr{IO: []*mcode.IOOp{{Dir: w2.DirR, Chan: w2.ChanX, Reg: r}}}
+		return &mcode.Instr{IO: []mcode.IOOp{{Dir: w2.DirR, Chan: w2.ChanX, Reg: r}}}
 	}
 	fadd := func(dst mcode.Reg) *mcode.Instr {
-		return &mcode.Instr{Add: &mcode.AluOp{Code: mcode.Fadd, Dst: dst, Src: [3]mcode.Reg{1, 2}}}
+		return &mcode.Instr{Fields: mcode.Fields{HasAdd: true, Add: mcode.AluOp{Code: mcode.Fadd, Dst: dst, Src: [3]mcode.Reg{1, 2}}}}
 	}
 	instrs := []*mcode.Instr{recv(1), recv(2), fadd(5), fadd(6)}
 	for len(instrs) < 2+mcode.FPULatency-1 { // the first sum lands at the end of the next word
 		instrs = append(instrs, &mcode.Instr{})
 	}
 	meet := recv(5)
-	meet.Mov = &mcode.AluOp{Code: mcode.Mov, Dst: 5, Src: [3]mcode.Reg{1}}
+	meet.HasMov, meet.Mov = true, mcode.AluOp{Code: mcode.Mov, Dst: 5, Src: [3]mcode.Reg{1}}
 	instrs = append(instrs, meet, recv(6), send(5), send(6))
 	host := emptyHost()
 	host.In[w2.ChanX] = hostgen.Of(hostgen.Word{Index: 0}, hostgen.Word{Index: 1}, hostgen.Word{Index: 2}, hostgen.Word{Index: 3})

@@ -157,11 +157,11 @@ func TestQueueOps(t *testing.T) {
 // the queue that reached it: three words pile up in cell 1's X queue
 // because the downstream program drains only after a delay.
 func TestStatsNamesHighWaterQueue(t *testing.T) {
-	recv := func(r mcode.Reg) *mcode.IOOp {
-		return &mcode.IOOp{Recv: true, Dir: w2.DirL, Chan: w2.ChanX, Reg: r}
+	recv := func(r mcode.Reg) mcode.IOOp {
+		return mcode.IOOp{Recv: true, Dir: w2.DirL, Chan: w2.ChanX, Reg: r}
 	}
-	send := func(r mcode.Reg) *mcode.IOOp {
-		return &mcode.IOOp{Recv: false, Dir: w2.DirR, Chan: w2.ChanX, Reg: r}
+	send := func(r mcode.Reg) mcode.IOOp {
+		return mcode.IOOp{Recv: false, Dir: w2.DirR, Chan: w2.ChanX, Reg: r}
 	}
 	// Each cell receives 3 words then sends them: with skew 5 (two more
 	// than the 3-cycle send/receive offset between the programs), all of
@@ -169,12 +169,12 @@ func TestStatsNamesHighWaterQueue(t *testing.T) {
 	// receive drains, so the inter-cell queue peaks at 3.
 	prog := &mcode.CellProgram{Items: []mcode.CodeItem{
 		&mcode.Straight{Instrs: []*mcode.Instr{
-			{IO: []*mcode.IOOp{recv(1)}},
-			{IO: []*mcode.IOOp{recv(2)}},
-			{IO: []*mcode.IOOp{recv(3)}},
-			{IO: []*mcode.IOOp{send(1)}},
-			{IO: []*mcode.IOOp{send(2)}},
-			{IO: []*mcode.IOOp{send(3)}},
+			{IO: []mcode.IOOp{recv(1)}},
+			{IO: []mcode.IOOp{recv(2)}},
+			{IO: []mcode.IOOp{recv(3)}},
+			{IO: []mcode.IOOp{send(1)}},
+			{IO: []mcode.IOOp{send(2)}},
+			{IO: []mcode.IOOp{send(3)}},
 		}},
 	}}
 	host := &hostgen.Program{

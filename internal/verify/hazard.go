@@ -243,24 +243,23 @@ func (h *hazardChecker) instr(in *mcode.Instr, t int64, pc int) {
 			})
 		}
 	}
-	readAlu := func(op *mcode.AluOp, field string) {
-		if op == nil {
-			return
-		}
-		for i := 0; i < op.Code.NumOperands(); i++ {
-			read(op.Src[i], field, op)
+	alus := [...]struct {
+		on    bool
+		op    *mcode.AluOp
+		field string
+	}{{in.HasAdd, &in.Add, "add"}, {in.HasMul, &in.Mul, "mul"}, {in.HasMov, &in.Mov, "mov"}}
+	for _, a := range alus {
+		for i := 0; a.on && i < a.op.Code.NumOperands(); i++ {
+			read(a.op.Src[i], a.field, a.op)
 		}
 	}
-	readAlu(in.Add, "add")
-	readAlu(in.Mul, "mul")
-	readAlu(in.Mov, "mov")
-	for _, m := range in.Mem {
-		if m != nil && m.Store {
+	for i := range in.Mem {
+		if m := &in.Mem[i]; m.Kind == mcode.MemStore {
 			read(m.Reg, "store", nil)
 		}
 	}
-	for _, io := range in.IO {
-		if !io.Recv {
+	for i := range in.IO {
+		if io := &in.IO[i]; !io.Recv {
 			read(io.Reg, "send", nil)
 		}
 	}
@@ -287,22 +286,22 @@ func (h *hazardChecker) instr(in *mcode.Instr, t int64, pc int) {
 		}
 		h.regs[r] = regState{written: true, first: !h.regs[r].written, issue: t, lat: lat}
 	}
-	for _, op := range [...]*mcode.AluOp{in.Add, in.Mul, in.Mov} {
-		if op != nil {
-			write(op.Dst, op.Code.Latency())
+	for _, a := range alus {
+		if a.on {
+			write(a.op.Dst, a.op.Code.Latency())
 		}
 	}
-	for _, m := range in.Mem {
-		if m != nil && !m.Store {
+	for i := range in.Mem {
+		if m := &in.Mem[i]; m.Kind == mcode.MemLoad {
 			write(m.Reg, 1)
 		}
 	}
-	for _, io := range in.IO {
-		if io.Recv {
+	for i := range in.IO {
+		if io := &in.IO[i]; io.Recv {
 			write(io.Reg, 1)
 		}
 	}
-	if in.Lit != nil {
+	if in.HasLit {
 		write(in.Lit.Dst, 1)
 	}
 }

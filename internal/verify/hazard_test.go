@@ -60,19 +60,20 @@ func compareHazards(t *testing.T, name string, p *mcode.CellProgram) (mutations 
 			}
 			in.IO = append(in.IO[:i:i], in.IO[i+1:]...)
 			check("drop-send")
-			in.IO = append(in.IO[:i:i], append([]*mcode.IOOp{io}, in.IO[i:]...)...)
+			in.IO = append(in.IO[:i:i], append([]mcode.IOOp{io}, in.IO[i:]...)...)
 			mutations++
 		}
 		var fpu *mcode.AluOp
-		for _, op := range []*mcode.AluOp{in.Add, in.Mul} {
-			if op != nil && op.Code.Latency() > 1 {
-				fpu = op
-			}
+		if in.HasAdd && in.Add.Code.Latency() > 1 {
+			fpu = &in.Add
 		}
-		if fpu == nil || len(next) == 0 || next[0].Add == nil || next[0].Add.Code.NumOperands() == 0 {
+		if in.HasMul {
+			fpu = &in.Mul
+		}
+		if fpu == nil || len(next) == 0 || !next[0].HasAdd || next[0].Add.Code.NumOperands() == 0 {
 			return
 		}
-		read, was := next[0].Add, next[0].Add.Src[0]
+		read, was := &next[0].Add, next[0].Add.Src[0]
 		read.Src[0] = fpu.Dst
 		check("early-read")
 		read.Src[0] = was
@@ -112,15 +113,15 @@ func randCell(rng *rand.Rand, depth int) []mcode.CodeItem {
 			in := &mcode.Instr{}
 			switch rng.Intn(6) {
 			case 0:
-				in.Add = &mcode.AluOp{Code: mcode.Fadd, Dst: reg(), Src: [3]mcode.Reg{reg(), reg()}}
+				in.HasAdd, in.Add = true, mcode.AluOp{Code: mcode.Fadd, Dst: reg(), Src: [3]mcode.Reg{reg(), reg()}}
 			case 1:
-				in.Mul = &mcode.AluOp{Code: mcode.Fmul, Dst: reg(), Src: [3]mcode.Reg{reg(), reg()}}
+				in.HasMul, in.Mul = true, mcode.AluOp{Code: mcode.Fmul, Dst: reg(), Src: [3]mcode.Reg{reg(), reg()}}
 			case 2:
-				in.Mov = &mcode.AluOp{Code: mcode.Mov, Dst: reg(), Src: [3]mcode.Reg{reg()}}
+				in.HasMov, in.Mov = true, mcode.AluOp{Code: mcode.Mov, Dst: reg(), Src: [3]mcode.Reg{reg()}}
 			case 3:
-				in.Lit = &mcode.LitOp{Dst: reg()}
+				in.HasLit, in.Lit = true, mcode.LitOp{Dst: reg()}
 			case 4:
-				in.IO = []*mcode.IOOp{{Recv: rng.Intn(2) == 0, Reg: reg()}}
+				in.IO = []mcode.IOOp{{Recv: rng.Intn(2) == 0, Reg: reg()}}
 			}
 			run = append(run, in)
 		}

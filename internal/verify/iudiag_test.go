@@ -18,7 +18,7 @@ import (
 func TestIUStreamDiagnostics(t *testing.T) {
 	load := func() *mcode.Instr {
 		in := &mcode.Instr{}
-		in.Mem[0] = &mcode.MemOp{Reg: 1}
+		in.Mem[0] = mcode.MemOp{Kind: mcode.MemLoad, Reg: 1}
 		return in
 	}
 	out := func(o *mcode.IUOut) *mcode.IUInstr {

@@ -79,19 +79,19 @@ func (h *refHazardChecker) instr(in *mcode.Instr, t int64, pc int) {
 			})
 		}
 	}
-	readAlu := func(op *mcode.AluOp, field string) {
-		if op == nil {
+	readAlu := func(on bool, op *mcode.AluOp, field string) {
+		if !on {
 			return
 		}
 		for i := 0; i < op.Code.NumOperands(); i++ {
 			read(op.Src[i], field, op)
 		}
 	}
-	readAlu(in.Add, "add")
-	readAlu(in.Mul, "mul")
-	readAlu(in.Mov, "mov")
+	readAlu(in.HasAdd, &in.Add, "add")
+	readAlu(in.HasMul, &in.Mul, "mul")
+	readAlu(in.HasMov, &in.Mov, "mov")
 	for _, m := range in.Mem {
-		if m != nil && m.Store {
+		if m.Kind == mcode.MemStore {
 			read(m.Reg, "store", nil)
 		}
 	}
@@ -123,13 +123,16 @@ func (h *refHazardChecker) instr(in *mcode.Instr, t int64, pc int) {
 		}
 		h.regs[r] = regState{written: true, first: !h.regs[r].written, issue: t, lat: lat}
 	}
-	for _, op := range [...]*mcode.AluOp{in.Add, in.Mul, in.Mov} {
-		if op != nil {
-			write(op.Dst, op.Code.Latency())
+	for _, f := range [...]struct {
+		on bool
+		op *mcode.AluOp
+	}{{in.HasAdd, &in.Add}, {in.HasMul, &in.Mul}, {in.HasMov, &in.Mov}} {
+		if f.on {
+			write(f.op.Dst, f.op.Code.Latency())
 		}
 	}
 	for _, m := range in.Mem {
-		if m != nil && !m.Store {
+		if m.Kind == mcode.MemLoad {
 			write(m.Reg, 1)
 		}
 	}
@@ -138,7 +141,7 @@ func (h *refHazardChecker) instr(in *mcode.Instr, t int64, pc int) {
 			write(io.Reg, 1)
 		}
 	}
-	if in.Lit != nil {
+	if in.HasLit {
 		write(in.Lit.Dst, 1)
 	}
 }

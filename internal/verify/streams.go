@@ -15,8 +15,8 @@ import (
 // the offending event once a proof has failed.  The IU's trees are read
 // by decodeIU (iu.go).
 //
-// The cell program's µPC numbering is mcode.AssignPCs': listing order,
-// which every walk here carries along.
+// The cell program's µPC numbering is mcode.WalkInstrs' order, listing
+// order, which every walk here carries along.
 //
 // Cell time is the instruction's ordinal in the dynamic execution:
 // every cell executes exactly one microinstruction per cycle, so the
@@ -61,8 +61,8 @@ func buildCellStreams(p *mcode.CellProgram) *cellStreams {
 					// One leaf per (instruction, stream), so a cycle carrying
 					// both a send and a receive keeps them together.
 					var leaf [numSlots]skew.Node
-					for _, io := range in.IO {
-						n := &leaf[slotX]
+					for i := range in.IO {
+						io, n := &in.IO[i], &leaf[slotX]
 						if io.Chan == w2.ChanY {
 							n = &leaf[slotY]
 						}
@@ -72,8 +72,8 @@ func buildCellStreams(p *mcode.CellProgram) *cellStreams {
 							n.Send++
 						}
 					}
-					for _, m := range in.Mem {
-						if m != nil {
+					for i := range in.Mem {
+						if in.Mem[i].Kind != mcode.MemNone {
 							leaf[slotMem].Send++
 							leaf[slotMem].Recv++
 						}

@@ -229,12 +229,11 @@ func checkStructure(p Program, col *collector) {
 	}
 	pc := 0
 	mcode.WalkInstrs(p.Cell.Items, func(in *mcode.Instr, _ []*mcode.LoopItem) {
-		for _, io := range in.IO {
-			if io.Recv && io.Dir != w2.DirL {
+		for i := range in.IO {
+			if io := &in.IO[i]; io.Recv && io.Dir != w2.DirL {
 				col.add(Diagnostic{Invariant: InvStructure, Cell: -1, Instr: pc, Loop: -1,
 					Detail: "receive from the right: rightward flow only"})
-			}
-			if !io.Recv && io.Dir != w2.DirR {
+			} else if !io.Recv && io.Dir != w2.DirR {
 				col.add(Diagnostic{Invariant: InvStructure, Cell: -1, Instr: pc, Loop: -1,
 					Detail: "send to the left: rightward flow only"})
 			}

@@ -13,12 +13,12 @@ import (
 // smallest program that trips (or satisfies) one proposition, so every
 // diagnostic path is pinned independently of the compiler.
 
-func recvOp(r mcode.Reg) *mcode.IOOp {
-	return &mcode.IOOp{Recv: true, Dir: w2.DirL, Chan: w2.ChanX, Reg: r}
+func recvOp(r mcode.Reg) mcode.IOOp {
+	return mcode.IOOp{Recv: true, Dir: w2.DirL, Chan: w2.ChanX, Reg: r}
 }
 
-func sendOp(r mcode.Reg) *mcode.IOOp {
-	return &mcode.IOOp{Recv: false, Dir: w2.DirR, Chan: w2.ChanX, Reg: r}
+func sendOp(r mcode.Reg) mcode.IOOp {
+	return mcode.IOOp{Recv: false, Dir: w2.DirR, Chan: w2.ChanX, Reg: r}
 }
 
 func straight(instrs ...*mcode.Instr) *mcode.Straight {
@@ -66,8 +66,8 @@ func TestAcceptsMinimalProgram(t *testing.T) {
 	// recv r1; send r1 — balanced, covered by skew 1, no hazards.
 	p := program(1, 1,
 		straight(
-			&mcode.Instr{IO: []*mcode.IOOp{recvOp(1)}},
-			&mcode.Instr{IO: []*mcode.IOOp{sendOp(1)}},
+			&mcode.Instr{IO: []mcode.IOOp{recvOp(1)}},
+			&mcode.Instr{IO: []mcode.IOOp{sendOp(1)}},
 		),
 	)
 	rep, err := Verify(p)
@@ -86,13 +86,13 @@ func TestAcceptsMinimalProgram(t *testing.T) {
 }
 
 func TestStructureBadRegister(t *testing.T) {
-	p := program(1, 0, straight(&mcode.Instr{IO: []*mcode.IOOp{recvOp(mcode.NumRegs + 3)}}))
+	p := program(1, 0, straight(&mcode.Instr{IO: []mcode.IOOp{recvOp(mcode.NumRegs + 3)}}))
 	expect(t, p, InvStructure)
 }
 
 func TestStructureLeftwardSend(t *testing.T) {
-	bad := &mcode.IOOp{Recv: false, Dir: w2.DirL, Chan: w2.ChanX, Reg: 1}
-	p := program(0, 1, straight(&mcode.Instr{IO: []*mcode.IOOp{bad}}))
+	bad := mcode.IOOp{Recv: false, Dir: w2.DirL, Chan: w2.ChanX, Reg: 1}
+	p := program(0, 1, straight(&mcode.Instr{IO: []mcode.IOOp{bad}}))
 	expect(t, p, InvStructure)
 }
 
@@ -101,8 +101,8 @@ func TestDefBeforeUse(t *testing.T) {
 	// reads r2 at cycle 1, racing the register's first definition.
 	p := program(0, 1,
 		straight(
-			&mcode.Instr{Add: &mcode.AluOp{Code: mcode.Fadd, Dst: 2, Src: [3]mcode.Reg{1, 1}}},
-			&mcode.Instr{IO: []*mcode.IOOp{sendOp(2)}},
+			&mcode.Instr{Fields: mcode.Fields{HasAdd: true, Add: mcode.AluOp{Code: mcode.Fadd, Dst: 2, Src: [3]mcode.Reg{1, 1}}}},
+			&mcode.Instr{IO: []mcode.IOOp{sendOp(2)}},
 		),
 	)
 	expect(t, p, InvDefBeforeUse)
@@ -114,9 +114,9 @@ func TestFPULatencyHazard(t *testing.T) {
 	// the redefinition — an FPU-latency hazard, not def-before-use.
 	p := program(0, 1,
 		straight(
-			&mcode.Instr{Lit: &mcode.LitOp{Dst: 2, Value: 1}},
-			&mcode.Instr{Add: &mcode.AluOp{Code: mcode.Fadd, Dst: 2, Src: [3]mcode.Reg{2, 2}}},
-			&mcode.Instr{IO: []*mcode.IOOp{sendOp(2)}},
+			&mcode.Instr{Fields: mcode.Fields{HasLit: true, Lit: mcode.LitOp{Dst: 2, Value: 1}}},
+			&mcode.Instr{Fields: mcode.Fields{HasAdd: true, Add: mcode.AluOp{Code: mcode.Fadd, Dst: 2, Src: [3]mcode.Reg{2, 2}}}},
+			&mcode.Instr{IO: []mcode.IOOp{sendOp(2)}},
 		),
 	)
 	verr := expect(t, p, InvFPULatency)
@@ -131,7 +131,7 @@ func TestImplicitZeroReadAccepted(t *testing.T) {
 	// Sending a never-written register is defined behavior: the machine
 	// clears the register file at start.  Single cell, so the send-only
 	// stream has no inter-cell queue to balance.
-	p := program(0, 1, straight(&mcode.Instr{IO: []*mcode.IOOp{sendOp(7)}}))
+	p := program(0, 1, straight(&mcode.Instr{IO: []mcode.IOOp{sendOp(7)}}))
 	p.Cells = 1
 	if _, err := Verify(p); err != nil {
 		t.Fatalf("read of an implicitly-zero register rejected: %v", err)
@@ -143,9 +143,9 @@ func TestQueueBalance(t *testing.T) {
 	// pass and can never balance.
 	p := program(1, 2,
 		straight(
-			&mcode.Instr{IO: []*mcode.IOOp{recvOp(1)}},
-			&mcode.Instr{IO: []*mcode.IOOp{sendOp(1)}},
-			&mcode.Instr{IO: []*mcode.IOOp{sendOp(1)}},
+			&mcode.Instr{IO: []mcode.IOOp{recvOp(1)}},
+			&mcode.Instr{IO: []mcode.IOOp{sendOp(1)}},
+			&mcode.Instr{IO: []mcode.IOOp{sendOp(1)}},
 		),
 	)
 	expect(t, p, InvQueueBalance)
@@ -156,9 +156,9 @@ func TestSkewTooSmall(t *testing.T) {
 	// cycle 2; skew 1 delivers the word one cycle late.
 	p := program(1, 1,
 		straight(
-			&mcode.Instr{IO: []*mcode.IOOp{recvOp(1)}},
+			&mcode.Instr{IO: []mcode.IOOp{recvOp(1)}},
 			&mcode.Instr{},
-			&mcode.Instr{IO: []*mcode.IOOp{sendOp(1)}},
+			&mcode.Instr{IO: []mcode.IOOp{sendOp(1)}},
 		),
 	)
 	expect(t, p, InvSkew)
@@ -169,10 +169,10 @@ func TestQueueOverflow(t *testing.T) {
 	// hardware queue depth.
 	var instrs []*mcode.Instr
 	for i := 0; i < 200; i++ {
-		instrs = append(instrs, &mcode.Instr{IO: []*mcode.IOOp{sendOp(1)}})
+		instrs = append(instrs, &mcode.Instr{IO: []mcode.IOOp{sendOp(1)}})
 	}
 	for i := 0; i < 200; i++ {
-		instrs = append(instrs, &mcode.Instr{IO: []*mcode.IOOp{recvOp(1)}})
+		instrs = append(instrs, &mcode.Instr{IO: []mcode.IOOp{recvOp(1)}})
 	}
 	p := program(200, 200, straight(instrs...))
 	verr := expect(t, p, InvQueueOverflow)
@@ -194,10 +194,10 @@ func TestExactOccupancyAtBoundary(t *testing.T) {
 	// not overflowing.
 	var instrs []*mcode.Instr
 	for i := 0; i < mcode.QueueDepth; i++ {
-		instrs = append(instrs, &mcode.Instr{IO: []*mcode.IOOp{sendOp(1)}})
+		instrs = append(instrs, &mcode.Instr{IO: []mcode.IOOp{sendOp(1)}})
 	}
 	for i := 0; i < mcode.QueueDepth; i++ {
-		instrs = append(instrs, &mcode.Instr{IO: []*mcode.IOOp{recvOp(1)}})
+		instrs = append(instrs, &mcode.Instr{IO: []mcode.IOOp{recvOp(1)}})
 	}
 	p := program(mcode.QueueDepth, mcode.QueueDepth, straight(instrs...))
 	rep, err := Verify(p)
@@ -213,8 +213,8 @@ func TestHostStreamMismatch(t *testing.T) {
 	// The cell receives one word; the host feeds two.
 	p := program(2, 1,
 		straight(
-			&mcode.Instr{IO: []*mcode.IOOp{recvOp(1)}},
-			&mcode.Instr{IO: []*mcode.IOOp{sendOp(1)}},
+			&mcode.Instr{IO: []mcode.IOOp{recvOp(1)}},
+			&mcode.Instr{IO: []mcode.IOOp{sendOp(1)}},
 		),
 	)
 	expect(t, p, InvHostStream)
@@ -230,7 +230,7 @@ func TestAddrStreamUnreadTable(t *testing.T) {
 func TestAddrStreamMissingAddresses(t *testing.T) {
 	// The cell makes a memory reference but the IU emits no address.
 	load := &mcode.Instr{}
-	load.Mem[0] = &mcode.MemOp{Store: false, Reg: 1}
+	load.Mem[0] = mcode.MemOp{Kind: mcode.MemLoad, Reg: 1}
 	p := program(0, 0, straight(load))
 	expect(t, p, InvAddrStream)
 }
@@ -238,7 +238,7 @@ func TestAddrStreamMissingAddresses(t *testing.T) {
 func TestAddrStreamOutOfRange(t *testing.T) {
 	// The IU emits an address beyond the 4K-word cell memory.
 	load := &mcode.Instr{}
-	load.Mem[0] = &mcode.MemOp{Store: false, Reg: 1}
+	load.Mem[0] = mcode.MemOp{Kind: mcode.MemLoad, Reg: 1}
 	p := program(0, 0, straight(load))
 	out := &mcode.IUInstr{Imm: &mcode.IUImm{Dst: 1, Value: mcode.MemWords + 10}}
 	emit := &mcode.IUInstr{}
