@@ -123,21 +123,23 @@ func TestPolynomialEndToEnd(t *testing.T) {
 // does not depend on the host's speed.  And nothing in the modulo
 // scheduler's search allocates per placement: mandelbrot, whose one
 // 15-operation loop used to cost 13 179 allocations a compile (maps
-// churned by 11 000 evictions), compiles in under 1 050 now that the list
+// churned by 11 000 evictions), compiles in under 700 now that the list
 // scheduler runs on the same dense block graph (1 564 while it kept its
 // own maps; 1 359 while the IU code generator and the affine arithmetic
 // still allocated per address site and per operation; 1 201 while each
 // scheduler had its own emitter and every word was allocated alone;
 // 1 026 while every instruction field was a heap object of its own and
-// the debug map allocated loop frames per µPC; 890 since).
+// the debug map allocated loop frames per µPC; 890 while the front end
+// allocated per token, node and side-table entry; 602 since).
 // Nor does the IU code generator allocate per address site, IU cycle or
 // placement: fft1024, whose pipelined attempt the IU refuses before the
 // plain schedule compiles, made 36 579 allocations a verified compile
 // with string keys, pointer-keyed maps and a heap object per IU cycle
 // (16 572 with two emitters, 14 564 while the refusal still grouped and
 // planned every expression and commgraph built an arc per dependent
-// pair, 12 628 with a heap object per instruction field); it makes
-// 10 861 now and stays under 11 900.
+// pair, 12 628 with a heap object per instruction field, 10 861 with a
+// heap object per AST node, IR node and side-table entry); it makes
+// 6 127 now and stays under 6 750.
 func TestCompileAllocBudget(t *testing.T) {
 	src := workloads.ColorSegPaper()
 	var before, after runtime.MemStats
@@ -164,8 +166,8 @@ func TestCompileAllocBudget(t *testing.T) {
 		name, src string
 		budget    float64
 	}{
-		{"mandelbrot", workloads.Mandelbrot(32*32, 4), 1050},
-		{"fft1024", workloads.FFTPaper(), 11900},
+		{"mandelbrot", workloads.Mandelbrot(32*32, 4), 700},
+		{"fft1024", workloads.FFTPaper(), 6750},
 	} {
 		allocs := testing.AllocsPerRun(5, func() {
 			if _, err := Compile(tc.src, Options{Pipeline: true, Verify: true}); err != nil {
@@ -235,5 +237,26 @@ end
 				t.Errorf("%s (pipeline %v): %v, want the cycle count at loop L%d", tc.name, opts.Pipeline, err, tc.loop)
 			}
 		}
+	}
+}
+
+// TestFrontEndAllocBudget: the front end (parse, sema, flowgraph,
+// optimize, commgraph) allocates by the slab, not by the token, AST
+// node, IR node or side-table entry.  The eight benchmark programs made
+// 7 623 allocations a sweep when the token slice grew by appending,
+// every node, affine form and map entry was an allocation of its own and
+// the IR builder made five maps per block; they make 1 245 now.
+func TestFrontEndAllocBudget(t *testing.T) {
+	const budget = 1400
+	allocs := testing.AllocsPerRun(5, func() {
+		for _, p := range p8 {
+			if _, err := analyze(p.src, Options{Pipeline: p.pipeline, Verify: true}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	t.Logf("%.0f allocations per front-end sweep of the eight benchmark programs", allocs)
+	if allocs > budget {
+		t.Errorf("front-end sweep made %.0f allocations, want at most %d", allocs, budget)
 	}
 }

@@ -137,7 +137,7 @@ type nest struct {
 func straightIU(items []mcode.CodeItem) *mcode.IUProgram {
 	iu := &mcode.IUProgram{}
 	var instrs []*mcode.IUInstr
-	idx := map[*w2.ForStmt]int64{}
+	var idx []int64 // by ForStmt.ID
 	var run func(items []mcode.CodeItem)
 	run = func(items []mcode.CodeItem) {
 		for _, it := range items {
@@ -153,7 +153,10 @@ func straightIU(items []mcode.CodeItem) *mcode.IUProgram {
 				}
 			case *mcode.LoopItem:
 				for n := int64(0); n < it.Trips; n++ {
-					idx[it.Src] = it.First + it.Step*n
+					if it.Src.ID >= len(idx) {
+						idx = append(idx, make([]int64, it.Src.ID+1-len(idx))...)
+					}
+					idx[it.Src.ID] = it.First + it.Step*n
 					run(it.Body)
 					instrs = append(instrs, &mcode.IUInstr{Sig: &mcode.IUSig{LoopID: it.ID, Static: true, Continue: n+1 < it.Trips}})
 				}
@@ -173,7 +176,7 @@ func TestLoopShapesMatchSimulator(t *testing.T) {
 	in := &w2.Symbol{Name: "in"}
 	out := &w2.Symbol{Name: "out"}
 	buf := &w2.Symbol{Name: "buf", Kind: w2.SymCellArray}
-	i, j, k := &w2.ForStmt{Var: "i"}, &w2.ForStmt{Var: "j"}, &w2.ForStmt{Var: "k"}
+	i, j, k := &w2.ForStmt{Var: "i", ID: 0}, &w2.ForStmt{Var: "j", ID: 1}, &w2.ForStmt{Var: "k", ID: 2}
 	aff := func(c int64, terms ...w2.AffTerm) w2.Affine { return w2.Affine{Const: c, Terms: terms} }
 	term := func(v *w2.ForStmt, coef int64) w2.AffTerm { return w2.AffTerm{Var: v, Coef: coef} }
 

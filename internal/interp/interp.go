@@ -48,7 +48,7 @@ func runContext(ctx context.Context, info *w2.Info, inputs map[string][]float64)
 			host:  host,
 			mem:   make(map[*w2.Symbol][]float64),
 			vars:  make(map[*w2.Symbol]float64),
-			idx:   make(map[*w2.ForStmt]int64),
+			idx:   make([]int64, len(info.Bounds)),
 			inPos: map[w2.Channel]int{},
 		}
 		for _, s := range info.Module.Cells.Body {
@@ -110,7 +110,7 @@ type cellState struct {
 	host        []float64
 	mem         map[*w2.Symbol][]float64
 	vars        map[*w2.Symbol]float64
-	idx         map[*w2.ForStmt]int64
+	idx         []int64 // loop indices by ForStmt.ID
 	loops       []*w2.ForStmt
 
 	// trace, when non-nil, collects up to traceMax communication
@@ -158,10 +158,10 @@ func (c *cellState) stmt(s w2.Stmt) error {
 		}
 		return c.stmts(s.Else)
 	case *w2.ForStmt:
-		b := c.info.Bounds[s]
+		b := c.info.Bounds[s.ID]
 		c.loops = append(c.loops, s)
 		for i := b[0]; i <= b[1]; i++ {
-			c.idx[s] = i
+			c.idx[s.ID] = i
 			if err := c.stmts(s.Body); err != nil {
 				return err
 			}
@@ -237,24 +237,22 @@ func (c *cellState) hostIndex(e w2.Expr) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("external must be a host reference")
 	}
-	sym := c.info.Uses[ref]
-	aff, ok := c.info.Address[ref]
-	if !ok {
+	sym := c.info.Uses[ref.ID]
+	if sym == nil || sym.Kind != w2.SymHost {
 		return 0, fmt.Errorf("external %s has no resolved address", ref.Name)
 	}
-	return sym.Base + int(aff.Eval(c.idx)), nil
+	return sym.Base + int(c.info.Address[ref.ID].Eval(c.idx)), nil
 }
 
 func (c *cellState) assign(ref *w2.VarRef, v float64) error {
-	sym := c.info.Uses[ref]
+	sym := c.info.Uses[ref.ID]
 	switch sym.Kind {
 	case w2.SymCellScalar:
 		c.vars[sym] = v
 		return nil
 	case w2.SymCellArray:
 		arr := c.array(sym)
-		aff := c.info.Address[ref]
-		i := aff.Eval(c.idx)
+		i := c.info.Address[ref.ID].Eval(c.idx)
 		if i < 0 || int(i) >= len(arr) {
 			return fmt.Errorf("store outside array %s", sym.Name)
 		}
@@ -280,14 +278,13 @@ func (c *cellState) eval(e w2.Expr) (float64, error) {
 	case *w2.FloatLit:
 		return e.Value, nil
 	case *w2.VarRef:
-		sym := c.info.Uses[e]
+		sym := c.info.Uses[e.ID]
 		switch sym.Kind {
 		case w2.SymCellScalar:
 			return c.vars[sym], nil
 		case w2.SymCellArray:
 			arr := c.array(sym)
-			aff := c.info.Address[e]
-			i := aff.Eval(c.idx)
+			i := c.info.Address[e.ID].Eval(c.idx)
 			if i < 0 || int(i) >= len(arr) {
 				return 0, fmt.Errorf("load outside array %s", sym.Name)
 			}

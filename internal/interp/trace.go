@@ -47,7 +47,7 @@ func RunTrace(info *w2.Info, inputs map[string][]float64, cells, maxPerCell int)
 			host:  host,
 			mem:   make(map[*w2.Symbol][]float64),
 			vars:  make(map[*w2.Symbol]float64),
-			idx:   make(map[*w2.ForStmt]int64),
+			idx:   make([]int64, len(info.Bounds)),
 			inPos: map[w2.Channel]int{},
 		}
 		if i < cells {

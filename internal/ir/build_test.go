@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -305,5 +306,31 @@ func TestDumpIsStable(t *testing.T) {
 	}
 	if !strings.Contains(a, "loop i = 0..3") {
 		t.Errorf("dump misses loop header:\n%s", a)
+	}
+}
+
+// TestConstIndexKeepsEquality: a block's constants are found by ==, as
+// the linear scan the index replaced found them: +0 and −0 are one
+// constant, a NaN is a new one every time, and each block starts with
+// none.
+func TestConstIndexKeepsEquality(t *testing.T) {
+	b := &builder{consts: map[float64]*Node{}}
+	b.startBlock()
+	zero := b.constF(0)
+	if b.constF(math.Copysign(0, -1)) != zero {
+		t.Error("−0 did not find the block's +0")
+	}
+	if b.constF(1) == zero || b.constF(1) != b.constF(1) {
+		t.Error("1 is not one constant of its own")
+	}
+	if nan := b.constF(math.NaN()); b.constF(math.NaN()) == nan {
+		t.Error("a NaN found an earlier NaN")
+	}
+	if len(b.blockNodes) != 4 {
+		t.Errorf("block has %d constants, want 4 (0, 1, NaN, NaN)", len(b.blockNodes))
+	}
+	b.startBlock()
+	if b.constF(0) == zero {
+		t.Error("a new block found the previous block's constant")
 	}
 }

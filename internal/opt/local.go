@@ -29,6 +29,7 @@ func (s Stats) Total() int { return s.CSE + s.Folded + s.Idempotent + s.Rebalanc
 // program, to a fixed point (each round may expose new opportunities).
 func Optimize(p *ir.Program) Stats {
 	var total Stats
+	var t tables
 	for _, fn := range p.Funcs {
 		total.Dead += removeDeadWrites(fn)
 		for _, b := range fn.Blocks {
@@ -36,9 +37,9 @@ func Optimize(p *ir.Program) Stats {
 				var s Stats
 				s.Folded += foldConstants(b)
 				s.Idempotent += removeIdentities(b)
-				s.CSE += cse(b)
-				s.Rebalanced += reduceHeight(b)
-				s.Dead += removeDead(b)
+				s.CSE += t.cse(b)
+				s.Rebalanced += t.reduceHeight(b)
+				s.Dead += t.removeDead(b)
 				total.CSE += s.CSE
 				total.Folded += s.Folded
 				total.Idempotent += s.Idempotent
@@ -220,18 +221,88 @@ func removeIdentities(b *ir.Block) int {
 	return count
 }
 
-// cseKey identifies structurally equal pure nodes.
+// tables are the local passes' per-block side tables, indexed by
+// ir.Node.ID − lo over the block's ID range [lo, lo+len): one set per
+// Optimize call, cleared for each block.
+type tables struct {
+	lo    int
+	count []int32 // uses (removeDead: > 0 is used; reduceHeight: the number)
+	head  []int32 // cse: first node keyed by this first operand, as index+1
+	next  []int32 // cse: the next node keyed by the same first operand
+	key   []cseKey
+	nodes []*ir.Node // cse: the nodes by index
+	// consts are cse's operandless nodes (constants) by value.
+	consts map[float64]*ir.Node
+	// leaves and interior are reduceHeight's chain under one root.
+	leaves, interior []*ir.Node
+}
+
+// reset sizes and clears the tables for b's nodes and their operands.
+func (t *tables) reset(b *ir.Block) {
+	lo, hi := math.MaxInt, -1
+	for _, n := range b.Nodes {
+		lo, hi = min(lo, n.ID), max(hi, n.ID)
+		for _, a := range n.Args {
+			lo, hi = min(lo, a.ID), max(hi, a.ID)
+		}
+		for _, d := range n.Deps {
+			lo, hi = min(lo, d.ID), max(hi, d.ID)
+		}
+	}
+	n := max(hi-lo+1, 0)
+	t.lo = lo
+	t.count = resize(t.count, n)
+	t.head = resize(t.head, n)
+	t.next = resize(t.next, n)
+	t.key = resize(t.key, n)
+	t.nodes = resize(t.nodes, n)
+}
+
+// resize returns s with length n, zeroed.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// countUses fills t.count with the number of operand and ordering
+// edges into each node of b.
+func (t *tables) countUses(b *ir.Block) {
+	t.reset(b)
+	for _, n := range b.Nodes {
+		for _, a := range n.Args {
+			t.count[a.ID-t.lo]++
+		}
+		for _, d := range n.Deps {
+			t.count[d.ID-t.lo]++
+		}
+	}
+}
+
+func (t *tables) uses(n *ir.Node) int32 { return t.count[n.ID-t.lo] }
+
+// cseKey identifies structurally equal pure nodes, with the first
+// operand's ID, by which the table chains them, left out.
 type cseKey struct {
-	op     ir.Op
-	a0, a1 int
-	fval   float64
+	op   ir.Op
+	a1   int
+	fval float64
 }
 
 // cse merges structurally identical pure nodes (local value numbering).
-// Commutative operands are ordered canonically first.
-func cse(b *ir.Block) int {
+// Commutative operands are ordered canonically first.  A node's key is
+// taken when it is visited, and == compares the values: +0 and −0 are
+// one constant, and a NaN never matches.
+func (t *tables) cse(b *ir.Block) int {
+	t.reset(b)
+	if t.consts == nil {
+		t.consts = make(map[float64]*ir.Node)
+	}
+	clear(t.consts)
 	count := 0
-	seen := make(map[cseKey]*ir.Node)
 	for _, n := range b.Nodes {
 		if !isPure(n) {
 			continue
@@ -239,26 +310,44 @@ func cse(b *ir.Block) int {
 		if n.Op.IsCommutative() && len(n.Args) == 2 && n.Args[0].ID > n.Args[1].ID {
 			n.Args[0], n.Args[1] = n.Args[1], n.Args[0]
 		}
-		k := cseKey{op: n.Op, fval: n.FVal, a0: -1, a1: -1}
-		if len(n.Args) > 0 {
-			k.a0 = n.Args[0].ID
+		if len(n.Args) == 0 { // a constant
+			if prev, ok := t.consts[n.FVal]; ok {
+				replace(b, n, prev)
+				count++
+				continue
+			}
+			t.consts[n.FVal] = n
+			continue
 		}
+		k := cseKey{op: n.Op, fval: n.FVal, a1: -1}
 		if len(n.Args) > 1 {
 			k.a1 = n.Args[1].ID
 		}
 		if n.Op == ir.OpSelect {
-			// Three operands: fold the third into fval slot-free key by
-			// chaining; handled separately below.
+			// Three operands: the third takes the value's slot.
 			k.fval = float64(n.Args[2].ID)
 		}
-		if prev, ok := seen[k]; ok && prev != n {
+		a0 := n.Args[0].ID - t.lo
+		if prev := t.lookup(a0, k); prev != nil {
 			replace(b, n, prev)
 			count++
 			continue
 		}
-		seen[k] = n
+		i := n.ID - t.lo
+		t.key[i], t.nodes[i] = k, n
+		t.next[i], t.head[a0] = t.head[a0], int32(i+1)
 	}
 	return count
+}
+
+// lookup returns the node entered under first operand a0 and key k.
+func (t *tables) lookup(a0 int, k cseKey) *ir.Node {
+	for i := t.head[a0]; i != 0; i = t.next[i-1] {
+		if t.key[i-1] == k {
+			return t.nodes[i-1]
+		}
+	}
+	return nil
 }
 
 // removeDeadWrites deletes block-exit writes of scalars that are never
@@ -267,19 +356,23 @@ func cse(b *ir.Block) int {
 // flow-insensitive test keeps any scalar with a read somewhere, which
 // conservatively covers loop-carried uses.)
 func removeDeadWrites(fn *ir.Func) int {
-	read := map[*w2.Symbol]bool{}
+	var read []bool // by w2.Symbol.ID
 	for _, b := range fn.Blocks {
 		for _, n := range b.Nodes {
 			if n.Op == ir.OpRead {
-				read[n.Sym] = true
+				if n.Sym.ID >= len(read) {
+					read = append(read, make([]bool, n.Sym.ID+1-len(read))...)
+				}
+				read[n.Sym.ID] = true
 			}
 		}
 	}
+	isRead := func(sym *w2.Symbol) bool { return sym.ID < len(read) && read[sym.ID] }
 	count := 0
 	for _, b := range fn.Blocks {
 		kept := b.Nodes[:0]
 		for _, n := range b.Nodes {
-			if n.Op == ir.OpWrite && !read[n.Sym] {
+			if n.Op == ir.OpWrite && !isRead(n.Sym) {
 				count++
 				continue
 			}
@@ -291,20 +384,12 @@ func removeDeadWrites(fn *ir.Func) int {
 }
 
 // removeDead deletes pure nodes with no remaining uses.
-func removeDead(b *ir.Block) int {
-	used := make(map[*ir.Node]bool)
-	for _, n := range b.Nodes {
-		for _, a := range n.Args {
-			used[a] = true
-		}
-		for _, d := range n.Deps {
-			used[d] = true
-		}
-	}
+func (t *tables) removeDead(b *ir.Block) int {
+	t.countUses(b)
 	kept := b.Nodes[:0]
 	count := 0
 	for _, n := range b.Nodes {
-		if isPure(n) && !used[n] {
+		if isPure(n) && t.uses(n) == 0 {
 			count++
 			continue
 		}
@@ -319,42 +404,21 @@ func removeDead(b *ir.Block) int {
 // path through deeply pipelined arithmetic units [Patel & Davidson;
 // Rau & Glaeser].  Only interior nodes with exactly one use may be
 // restructured.
-func reduceHeight(b *ir.Block) int {
-	uses := make(map[*ir.Node]int)
-	for _, n := range b.Nodes {
-		for _, a := range n.Args {
-			uses[a]++
-		}
-		for _, d := range n.Deps {
-			uses[d]++
-		}
-	}
+func (t *tables) reduceHeight(b *ir.Block) int {
+	t.countUses(b)
 	count := 0
 	for _, root := range b.Nodes {
 		if (root.Op != ir.OpFadd && root.Op != ir.OpFmul) || len(root.Args) != 2 {
 			continue
 		}
-		// Collect the maximal single-use chain of the same op.
-		var leaves []*ir.Node
-		var interior []*ir.Node
-		var collect func(n *ir.Node, isRoot bool)
-		collect = func(n *ir.Node, isRoot bool) {
-			if n.Op == root.Op && (isRoot || uses[n] == 1) {
-				if !isRoot {
-					interior = append(interior, n)
-				}
-				collect(n.Args[0], false)
-				collect(n.Args[1], false)
-				return
-			}
-			leaves = append(leaves, n)
-		}
-		collect(root, true)
+		t.leaves, t.interior = t.leaves[:0], t.interior[:0]
+		t.collect(root, root.Op, true)
+		leaves, interior := t.leaves, t.interior
 		if len(leaves) < 4 {
 			continue
 		}
 		// Height of the existing tree vs. balanced height.
-		depth := chainDepth(root, root.Op, uses)
+		depth := t.chainDepth(root, root.Op)
 		balanced := ceilLog2(len(leaves))
 		if depth <= balanced {
 			continue
@@ -386,15 +450,29 @@ func reduceHeight(b *ir.Block) int {
 	return count
 }
 
-func chainDepth(n *ir.Node, op ir.Op, uses map[*ir.Node]int) int {
+// collect gathers the maximal single-use chain of op under n into
+// t.interior and t.leaves, left to right.
+func (t *tables) collect(n *ir.Node, op ir.Op, isRoot bool) {
+	if n.Op == op && (isRoot || t.uses(n) == 1) {
+		if !isRoot {
+			t.interior = append(t.interior, n)
+		}
+		t.collect(n.Args[0], op, false)
+		t.collect(n.Args[1], op, false)
+		return
+	}
+	t.leaves = append(t.leaves, n)
+}
+
+func (t *tables) chainDepth(n *ir.Node, op ir.Op) int {
 	if n.Op != op {
 		return 0
 	}
 	d := 0
 	for _, a := range n.Args {
 		ad := 0
-		if a.Op == op && uses[a] == 1 {
-			ad = chainDepth(a, op, uses)
+		if a.Op == op && t.uses(a) == 1 {
+			ad = t.chainDepth(a, op)
 		}
 		if ad > d {
 			d = ad

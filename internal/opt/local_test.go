@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"math"
 	"testing"
 
 	"warp/internal/ir"
@@ -245,5 +246,35 @@ func TestOptimizeIdempotent(t *testing.T) {
 	second := Optimize(p)
 	if second.Total() != 0 {
 		t.Errorf("second Optimize still found %+v", second)
+	}
+}
+
+// TestCSEComparesConstantsByValue: local value numbering finds a
+// constant by ==, as its map key did: a folded −0 merges into the
+// block's +0, and two folded NaNs stay two constants.
+func TestCSEComparesConstantsByValue(t *testing.T) {
+	p := buildSrc(t, wrap(`
+        v := -0.0;
+        w := 0.0;
+        a := (1e308 * 10.0) - (1e308 * 10.0);
+        b := (1e308 * 10.0) - (1e308 * 10.0);
+        send (R, X, v);
+        send (R, X, w);
+        send (R, X, a);
+        send (R, X, b);
+`))
+	Optimize(p)
+	var zeros, nans int
+	for _, n := range p.Funcs[0].Blocks[0].Nodes {
+		switch {
+		case n.Op != ir.OpConst:
+		case n.FVal == 0:
+			zeros++
+		case math.IsNaN(n.FVal):
+			nans++
+		}
+	}
+	if zeros != 1 || nans != 2 {
+		t.Errorf("%d zero and %d NaN constants, want 1 and 2\n%s", zeros, nans, p.Funcs[0].Dump())
 	}
 }

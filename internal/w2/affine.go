@@ -29,14 +29,19 @@ type AffTerm struct {
 func AffConst(c int64) Affine { return Affine{Const: c} }
 
 // AffVar returns the affine expression for a loop index.
-func AffVar(loop *ForStmt) Affine {
-	return Affine{Terms: []AffTerm{{Var: loop, Coef: 1}}}
+func AffVar(loop *ForStmt) Affine { return affVar(loop, nil) }
+
+func affVar(loop *ForStmt, r *slab[AffTerm]) Affine {
+	return Affine{Terms: append(newTerms(r, 1), AffTerm{Var: loop, Coef: 1})}
 }
 
-func (a Affine) clone() Affine {
-	t := make([]AffTerm, len(a.Terms))
-	copy(t, a.Terms)
-	return Affine{Const: a.Const, Terms: t}
+// newTerms returns an empty term list with room for n terms, from r
+// (sema builds every form in one slab) or, when r is nil, the heap.
+func newTerms(r *slab[AffTerm], n int) []AffTerm {
+	if r == nil {
+		return make([]AffTerm, 0, n)
+	}
+	return r.take(n)[:0]
 }
 
 // normalize sorts terms (by loop statement position for determinism) and
@@ -68,16 +73,19 @@ func (a Affine) normalize() Affine {
 }
 
 // Add returns a+b, in one allocation.
-func (a Affine) Add(b Affine) Affine {
-	terms := make([]AffTerm, 0, len(a.Terms)+len(b.Terms))
+func (a Affine) Add(b Affine) Affine { return a.add(b, nil) }
+
+func (a Affine) add(b Affine, r *slab[AffTerm]) Affine {
+	terms := newTerms(r, len(a.Terms)+len(b.Terms))
 	terms = append(append(terms, a.Terms...), b.Terms...)
 	return Affine{Const: a.Const + b.Const, Terms: terms}.normalize()
 }
 
 // Sub returns a−b, in one allocation.
-func (a Affine) Sub(b Affine) Affine {
-	terms := make([]AffTerm, 0, len(a.Terms)+len(b.Terms))
-	terms = append(terms, a.Terms...)
+func (a Affine) Sub(b Affine) Affine { return a.sub(b, nil) }
+
+func (a Affine) sub(b Affine, r *slab[AffTerm]) Affine {
+	terms := append(newTerms(r, len(a.Terms)+len(b.Terms)), a.Terms...)
 	for _, t := range b.Terms {
 		terms = append(terms, AffTerm{Var: t.Var, Coef: -t.Coef})
 	}
@@ -85,13 +93,29 @@ func (a Affine) Sub(b Affine) Affine {
 }
 
 // Scale returns k·a.
-func (a Affine) Scale(k int64) Affine {
-	r := a.clone()
-	r.Const *= k
-	for i := range r.Terms {
-		r.Terms[i].Coef *= k
+func (a Affine) Scale(k int64) Affine { return a.scale(k, nil) }
+
+func (a Affine) scale(k int64, r *slab[AffTerm]) Affine {
+	s := Affine{Const: a.Const * k, Terms: append(newTerms(r, len(a.Terms)), a.Terms...)}
+	for i := range s.Terms {
+		s.Terms[i].Coef *= k
 	}
-	return r.normalize()
+	return s.normalize()
+}
+
+// ConstDiff returns a−b and true when that difference is a constant,
+// without building it.  For normalized forms over loops at distinct
+// positions (a parsed module's), that is when their terms are equal.
+func (a Affine) ConstDiff(b Affine) (int64, bool) {
+	if len(a.Terms) != len(b.Terms) {
+		return 0, false
+	}
+	for i := range a.Terms {
+		if a.Terms[i] != b.Terms[i] {
+			return 0, false
+		}
+	}
+	return a.Const - b.Const, true
 }
 
 // IsConst reports whether a has no loop-variant terms.
@@ -121,16 +145,16 @@ func (a Affine) Equal(b Affine) bool {
 }
 
 // Range returns the minimum and maximum values a can take given that
-// each loop index v ranges over [lo(v), hi(v)] as recorded in bounds.
-func (a Affine) Range(bounds map[*ForStmt][2]int64) (min, max int64) {
+// each loop index v ranges over bounds[v.ID] = [lo(v), hi(v)].
+func (a Affine) Range(bounds [][2]int64) (min, max int64) {
 	min, max = a.Const, a.Const
 	for _, t := range a.Terms {
-		b, ok := bounds[t.Var]
-		if !ok {
+		if t.Var.ID >= len(bounds) {
 			// Unknown loop: treat conservatively as [0,0]; callers
 			// always supply bounds for loops in scope.
 			continue
 		}
+		b := bounds[t.Var.ID]
 		lo, hi := t.Coef*b[0], t.Coef*b[1]
 		if lo > hi {
 			lo, hi = hi, lo
@@ -155,11 +179,12 @@ func (a Affine) Subst(loop *ForStmt, val int64) Affine {
 	return r
 }
 
-// Eval evaluates the affine form for concrete index values.
-func (a Affine) Eval(idx map[*ForStmt]int64) int64 {
+// Eval evaluates the affine form for concrete index values: loop v's
+// index is idx[v.ID].
+func (a Affine) Eval(idx []int64) int64 {
 	v := a.Const
 	for _, t := range a.Terms {
-		v += t.Coef * idx[t.Var]
+		v += t.Coef * idx[t.Var.ID]
 	}
 	return v
 }

@@ -6,11 +6,12 @@ import (
 	"testing/quick"
 )
 
-// Loop variables for affine testing: stable identities.
+// Loop variables for affine testing: stable identities, numbered as
+// the parser would number them.
 var (
-	loopI = &ForStmt{Var: "i", Pos: Pos{Line: 1, Col: 1}}
-	loopJ = &ForStmt{Var: "j", Pos: Pos{Line: 2, Col: 1}}
-	loopK = &ForStmt{Var: "k", Pos: Pos{Line: 3, Col: 1}}
+	loopI = &ForStmt{Var: "i", Pos: Pos{Line: 1, Col: 1}, ID: 0}
+	loopJ = &ForStmt{Var: "j", Pos: Pos{Line: 2, Col: 1}, ID: 1}
+	loopK = &ForStmt{Var: "k", Pos: Pos{Line: 3, Col: 1}, ID: 2}
 )
 
 // randAffine draws a small random affine form over i, j, k.
@@ -24,12 +25,9 @@ func randAffine(r *rand.Rand) Affine {
 	return a
 }
 
-func randIdx(r *rand.Rand) map[*ForStmt]int64 {
-	return map[*ForStmt]int64{
-		loopI: int64(r.Intn(11) - 5),
-		loopJ: int64(r.Intn(11) - 5),
-		loopK: int64(r.Intn(11) - 5),
-	}
+// randIdx draws index values for i, j, k (in ID order).
+func randIdx(r *rand.Rand) []int64 {
+	return []int64{int64(r.Intn(11) - 5), int64(r.Intn(11) - 5), int64(r.Intn(11) - 5)}
 }
 
 // TestAffineAlgebraProperties checks with testing/quick that the affine
@@ -71,7 +69,7 @@ func TestAffineAlgebraProperties(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		a := randAffine(r)
 		idx := randIdx(r)
-		idx[loopI] = int64(v)
+		idx[loopI.ID] = int64(v)
 		return a.Subst(loopI, int64(v)).Eval(idx) == a.Eval(idx)
 	}
 	if err := quick.Check(subst, cfg); err != nil {
@@ -85,17 +83,17 @@ func TestAffineRangeSound(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a := randAffine(r)
-		bounds := map[*ForStmt][2]int64{
-			loopI: {0, int64(r.Intn(5))},
-			loopJ: {int64(-r.Intn(3)), int64(r.Intn(3))},
-			loopK: {1, int64(1 + r.Intn(4))},
+		bounds := [][2]int64{ // i, j, k in ID order
+			{0, int64(r.Intn(5))},
+			{int64(-r.Intn(3)), int64(r.Intn(3))},
+			{1, int64(1 + r.Intn(4))},
 		}
 		min, max := a.Range(bounds)
 		// Exhaustive check over the small rectangle.
-		for i := bounds[loopI][0]; i <= bounds[loopI][1]; i++ {
-			for j := bounds[loopJ][0]; j <= bounds[loopJ][1]; j++ {
-				for k := bounds[loopK][0]; k <= bounds[loopK][1]; k++ {
-					v := a.Eval(map[*ForStmt]int64{loopI: i, loopJ: j, loopK: k})
+		for i := bounds[loopI.ID][0]; i <= bounds[loopI.ID][1]; i++ {
+			for j := bounds[loopJ.ID][0]; j <= bounds[loopJ.ID][1]; j++ {
+				for k := bounds[loopK.ID][0]; k <= bounds[loopK.ID][1]; k++ {
+					v := a.Eval([]int64{i, j, k})
 					if v < min || v > max {
 						return false
 					}
@@ -228,5 +226,60 @@ func TestAffineArithmeticMatchesReference(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { a.Sub(b) }); n > 1 {
 		t.Errorf("Sub made %.0f allocations, want at most 1", n)
+	}
+}
+
+// TestConstDiffMatchesSub checks ConstDiff against the normalized Sub it
+// stands in for on normalized forms, half of them a constant apart, and
+// that it allocates nothing.
+func TestConstDiffMatchesSub(t *testing.T) {
+	r := rand.New(rand.NewSource(38))
+	for n := 0; n < 2000; n++ {
+		a, b := randAffine(r), randAffine(r)
+		if r.Intn(2) == 0 {
+			b = a.Add(AffConst(int64(r.Intn(5) - 2)))
+		}
+		d, ok := a.ConstDiff(b)
+		s := a.Sub(b)
+		if ok != s.IsConst() || ok && d != s.Const {
+			t.Fatalf("(%v).ConstDiff(%v) = %d, %v; Sub gives %v", a, b, d, ok, s)
+		}
+	}
+	a := AffVar(loopI).Scale(3).Add(AffVar(loopK)).Add(AffConst(4))
+	b := a.Add(AffConst(2))
+	if n := testing.AllocsPerRun(100, func() { a.ConstDiff(b) }); n != 0 {
+		t.Errorf("ConstDiff made %.0f allocations, want none", n)
+	}
+}
+
+// TestArenaArithmeticMatchesHeap checks that the arena forms of AffVar,
+// Add, Sub and Scale that sema uses give the results of the exported
+// ones, and that a result's terms cannot be appended into the next
+// result's window.
+func TestArenaArithmeticMatchesHeap(t *testing.T) {
+	var arena slab[AffTerm]
+	r := rand.New(rand.NewSource(39))
+	for n := 0; n < 2000; n++ {
+		a, b := randAffine(r), randAffine(r)
+		k := int64(r.Intn(9) - 4)
+		for _, c := range []struct {
+			op        string
+			got, want Affine
+		}{
+			{"var", affVar(loopJ, &arena), AffVar(loopJ)},
+			{"add", a.add(b, &arena), a.Add(b)},
+			{"sub", a.sub(b, &arena), a.Sub(b)},
+			{"scale", a.scale(k, &arena), a.Scale(k)},
+		} {
+			if !c.got.Equal(c.want) || (c.got.Terms == nil) != (c.want.Terms == nil) {
+				t.Fatalf("%s: arena gives %v, heap %v", c.op, c.got, c.want)
+			}
+		}
+	}
+	x := affVar(loopI, &arena)
+	y := affVar(loopJ, &arena)
+	_ = append(x.Terms, AffTerm{Var: loopK, Coef: 5})
+	if y.Terms[0].Var != loopJ {
+		t.Error("appending to one arena form overwrote the next")
 	}
 }

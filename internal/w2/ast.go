@@ -118,6 +118,10 @@ type Module struct {
 	Decls  []*VarDecl // module-level variable declarations (host arrays)
 	Cells  *CellProgram
 	Pos    Pos
+
+	// refs and loops count the VarRef and ForStmt IDs the parser handed
+	// out: sema's side tables have one entry per ID.
+	refs, loops int
 }
 
 // Param is a formal parameter of the module, bound to a host variable.
@@ -185,6 +189,10 @@ type ForStmt struct {
 	Hi   Expr
 	Body []Stmt
 	Pos  Pos
+	// ID numbers the module's for statements densely from 0, in source
+	// order; it indexes Info.Bounds and an Affine's Eval and Range
+	// tables.
+	ID int
 }
 
 // ReceiveStmt is "receive (dir, chan, lvalue [, external]);".
@@ -259,6 +267,9 @@ type VarRef struct {
 	Name    string
 	Indices []Expr // nil for scalars
 	Pos     Pos
+	// ID numbers the module's variable references densely from 0, in
+	// source order; it indexes Info.Uses and Info.Address.
+	ID int
 }
 
 // BinOp enumerates binary operators.

@@ -2,23 +2,8 @@ package w2
 
 import (
 	"fmt"
-	"strings"
+	"math"
 )
-
-// Lexer turns W2 source text into a stream of tokens.  It supports the
-// comment syntax used in the paper's listings: /* ... */ block comments
-// (non-nesting) and -- line comments as a convenience.
-type Lexer struct {
-	src  string
-	off  int
-	line int
-	col  int
-}
-
-// NewLexer returns a lexer over src.
-func NewLexer(src string) *Lexer {
-	return &Lexer{src: src, line: 1, col: 1}
-}
 
 // LexError describes a lexical error with its position.
 type LexError struct {
@@ -28,195 +13,169 @@ type LexError struct {
 
 func (e *LexError) Error() string { return fmt.Sprintf("%s: %s", e.Pos, e.Msg) }
 
-func (l *Lexer) peek() byte {
-	if l.off >= len(l.src) {
-		return 0
-	}
-	return l.src[l.off]
-}
-
-func (l *Lexer) peek2() byte {
-	if l.off+1 >= len(l.src) {
-		return 0
-	}
-	return l.src[l.off+1]
-}
-
-func (l *Lexer) advance() byte {
-	c := l.src[l.off]
-	l.off++
-	if c == '\n' {
-		l.line++
-		l.col = 1
-	} else {
-		l.col++
-	}
-	return c
-}
-
-func (l *Lexer) pos() Pos { return Pos{Line: l.line, Col: l.col} }
-
 func isDigit(c byte) bool  { return c >= '0' && c <= '9' }
 func isLetter(c byte) bool { return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') }
 
-func (l *Lexer) skipSpaceAndComments() error {
-	for l.off < len(l.src) {
-		c := l.peek()
-		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			l.advance()
-		case c == '/' && l.peek2() == '*':
-			start := l.pos()
-			l.advance()
-			l.advance()
-			closed := false
-			for l.off < len(l.src) {
-				if l.peek() == '*' && l.peek2() == '/' {
-					l.advance()
-					l.advance()
-					closed = true
-					break
-				}
-				l.advance()
-			}
-			if !closed {
-				return &LexError{Pos: start, Msg: "unterminated comment"}
-			}
-		case c == '-' && l.peek2() == '-':
-			for l.off < len(l.src) && l.peek() != '\n' {
-				l.advance()
-			}
-		default:
-			return nil
-		}
-	}
-	return nil
-}
-
-// Next returns the next token.  At end of input it returns an EOF token.
-func (l *Lexer) Next() (Token, error) {
-	if err := l.skipSpaceAndComments(); err != nil {
-		return Token{}, err
-	}
-	pos := l.pos()
-	if l.off >= len(l.src) {
-		return Token{Kind: EOF, Pos: pos}, nil
-	}
-	c := l.peek()
-	switch {
-	case isLetter(c):
-		start := l.off
-		for l.off < len(l.src) && (isLetter(l.peek()) || isDigit(l.peek())) {
-			l.advance()
-		}
-		word := l.src[start:l.off]
-		if kw, ok := keywords[strings.ToLower(word)]; ok {
-			return Token{Kind: kw, Pos: pos, Text: word}, nil
-		}
-		return Token{Kind: IDENT, Pos: pos, Text: word}, nil
-	case isDigit(c):
-		return l.lexNumber(pos)
-	}
-	l.advance()
-	switch c {
-	case '(':
-		return Token{Kind: LPAREN, Pos: pos}, nil
-	case ')':
-		return Token{Kind: RPAREN, Pos: pos}, nil
-	case '[':
-		return Token{Kind: LBRACKET, Pos: pos}, nil
-	case ']':
-		return Token{Kind: RBRACKET, Pos: pos}, nil
-	case ',':
-		return Token{Kind: COMMA, Pos: pos}, nil
-	case ';':
-		return Token{Kind: SEMICOLON, Pos: pos}, nil
-	case ':':
-		if l.peek() == '=' {
-			l.advance()
-			return Token{Kind: ASSIGN, Pos: pos}, nil
-		}
-		return Token{Kind: COLON, Pos: pos}, nil
-	case '+':
-		return Token{Kind: PLUS, Pos: pos}, nil
-	case '-':
-		return Token{Kind: MINUS, Pos: pos}, nil
-	case '*':
-		return Token{Kind: STAR, Pos: pos}, nil
-	case '/':
-		return Token{Kind: SLASH, Pos: pos}, nil
-	case '=':
-		return Token{Kind: EQ, Pos: pos}, nil
-	case '<':
-		switch l.peek() {
-		case '=':
-			l.advance()
-			return Token{Kind: LE, Pos: pos}, nil
-		case '>':
-			l.advance()
-			return Token{Kind: NE, Pos: pos}, nil
-		}
-		return Token{Kind: LT, Pos: pos}, nil
-	case '>':
-		if l.peek() == '=' {
-			l.advance()
-			return Token{Kind: GE, Pos: pos}, nil
-		}
-		return Token{Kind: GT, Pos: pos}, nil
-	}
-	return Token{}, &LexError{Pos: pos, Msg: fmt.Sprintf("unexpected character %q", c)}
-}
-
-func (l *Lexer) lexNumber(pos Pos) (Token, error) {
-	start := l.off
-	for l.off < len(l.src) && isDigit(l.peek()) {
-		l.advance()
-	}
-	isFloat := false
-	if l.peek() == '.' && isDigit(l.peek2()) {
-		isFloat = true
-		l.advance()
-		for l.off < len(l.src) && isDigit(l.peek()) {
-			l.advance()
-		}
-	}
-	if l.peek() == 'e' || l.peek() == 'E' {
-		// Exponent: e[+-]?digits.
-		save := l.off
-		saveLine, saveCol := l.line, l.col
-		l.advance()
-		if l.peek() == '+' || l.peek() == '-' {
-			l.advance()
-		}
-		if isDigit(l.peek()) {
-			isFloat = true
-			for l.off < len(l.src) && isDigit(l.peek()) {
-				l.advance()
-			}
-		} else {
-			l.off, l.line, l.col = save, saveLine, saveCol
-		}
-	}
-	text := l.src[start:l.off]
-	if isFloat {
-		return Token{Kind: FLOATLIT, Pos: pos, Text: text}, nil
-	}
-	return Token{Kind: INTLIT, Pos: pos, Text: text}, nil
+// tokens is a lexed source: every token up to and including EOF in one
+// slice, and how many tokens of each kind it holds (the parser sizes its
+// node slabs from these counts).
+type tokens struct {
+	toks  []Token
+	count [numKinds]int
 }
 
 // Tokenize lexes the whole input, returning all tokens up to and
 // including the EOF token.
 func Tokenize(src string) ([]Token, error) {
-	l := NewLexer(src)
-	var toks []Token
+	t, err := tokenize(src)
+	if err != nil {
+		return nil, err
+	}
+	return t.toks, nil
+}
+
+// tokenize lexes src into one token slice whose capacity is set from
+// the source length, so a typical source never regrows it.  It
+// supports the comment syntax used in the paper's listings: /* ... */
+// block comments (non-nesting) and -- line comments as a convenience.
+// Columns count bytes from 1.
+func tokenize(src string) (tokens, error) {
+	var t tokens
+	if len(src) > math.MaxInt32 {
+		// Token spans are 32-bit; a W2 source is a few kilobytes.
+		return t, &LexError{Pos: Pos{Line: 1, Col: 1}, Msg: "source longer than 2 GiB"}
+	}
+	// W2 sources run 2.2 to 6.6 bytes a token.
+	t.toks = make([]Token, 0, len(src)/2+16)
+	off, line, lineStart := 0, 1, 0
 	for {
-		t, err := l.Next()
-		if err != nil {
-			return nil, err
+		// Space and comments.
+		for off < len(src) {
+			c := src[off]
+			if c == '\n' {
+				off++
+				line, lineStart = line+1, off
+			} else if c == ' ' || c == '\t' || c == '\r' {
+				off++
+			} else if c == '/' && off+1 < len(src) && src[off+1] == '*' {
+				startPos := Pos{Line: line, Col: off - lineStart + 1}
+				off += 2
+				for {
+					if off+1 >= len(src) {
+						return t, &LexError{Pos: startPos, Msg: "unterminated comment"}
+					}
+					if src[off] == '*' && src[off+1] == '/' {
+						off += 2
+						break
+					}
+					if src[off] == '\n' {
+						line, lineStart = line+1, off+1
+					}
+					off++
+				}
+			} else if c == '-' && off+1 < len(src) && src[off+1] == '-' {
+				for off < len(src) && src[off] != '\n' {
+					off++
+				}
+			} else {
+				break
+			}
 		}
-		toks = append(toks, t)
-		if t.Kind == EOF {
-			return toks, nil
+		start := off
+		if off >= len(src) {
+			t.toks = append(t.toks, Token{Kind: EOF, Line: int32(line), Col: int32(start - lineStart + 1), Off: int32(start), End: int32(off)})
+			t.count[EOF]++
+			return t, nil
+		}
+		c := src[off]
+		off++
+		var k TokenKind
+		switch c {
+		case '(':
+			k = LPAREN
+		case ')':
+			k = RPAREN
+		case '[':
+			k = LBRACKET
+		case ']':
+			k = RBRACKET
+		case ',':
+			k = COMMA
+		case ';':
+			k = SEMICOLON
+		case ':':
+			k = COLON
+			if off < len(src) && src[off] == '=' {
+				off++
+				k = ASSIGN
+			}
+		case '+':
+			k = PLUS
+		case '-':
+			k = MINUS
+		case '*':
+			k = STAR
+		case '/':
+			k = SLASH
+		case '=':
+			k = EQ
+		case '<':
+			k = LT
+			if off < len(src) && src[off] == '=' {
+				off++
+				k = LE
+			} else if off < len(src) && src[off] == '>' {
+				off++
+				k = NE
+			}
+		case '>':
+			k = GT
+			if off < len(src) && src[off] == '=' {
+				off++
+				k = GE
+			}
+		default:
+			switch {
+			case isLetter(c):
+				for off < len(src) && (isLetter(src[off]) || isDigit(src[off])) {
+					off++
+				}
+				k = keyword(src[start:off])
+			case isDigit(c):
+				off, k = lexNumber(src, off)
+			default:
+				return t, &LexError{Pos: Pos{Line: line, Col: start - lineStart + 1}, Msg: fmt.Sprintf("unexpected character %q", c)}
+			}
+		}
+		t.toks = append(t.toks, Token{Kind: k, Line: int32(line), Col: int32(start - lineStart + 1), Off: int32(start), End: int32(off)})
+		t.count[k]++
+	}
+}
+
+// lexNumber returns the end and the kind of the number whose first
+// digit ends at off: digits, an optional fraction (a '.' followed by a
+// digit) and an optional exponent (e[+-]?digits; an 'e' without digits
+// is left to the next token).  Either makes it a FLOATLIT.
+func lexNumber(src string, off int) (int, TokenKind) {
+	digits := func(off int) int {
+		for off < len(src) && isDigit(src[off]) {
+			off++
+		}
+		return off
+	}
+	kind := INTLIT
+	off = digits(off)
+	if off+1 < len(src) && src[off] == '.' && isDigit(src[off+1]) {
+		off, kind = digits(off+1), FLOATLIT
+	}
+	if off < len(src) && (src[off] == 'e' || src[off] == 'E') {
+		e := off + 1
+		if e < len(src) && (src[e] == '+' || src[e] == '-') {
+			e++
+		}
+		if e < len(src) && isDigit(src[e]) {
+			off, kind = digits(e), FLOATLIT
 		}
 	}
+	return off, kind
 }

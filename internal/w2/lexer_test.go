@@ -64,8 +64,8 @@ func TestTokenizeNumbers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", c.src, err)
 		}
-		if toks[0].Kind != c.kind || toks[0].Text != c.text {
-			t.Errorf("%q -> %v %q, want %v %q", c.src, toks[0].Kind, toks[0].Text, c.kind, c.text)
+		if toks[0].Kind != c.kind || toks[0].Text(c.src) != c.text {
+			t.Errorf("%q -> %v %q, want %v %q", c.src, toks[0].Kind, toks[0].Text(c.src), c.kind, c.text)
 		}
 	}
 }
@@ -83,7 +83,8 @@ func TestTokenizeNumberThenIdent(t *testing.T) {
 }
 
 func TestTokenizeComments(t *testing.T) {
-	toks, err := Tokenize("a /* block \n comment */ b -- line comment\nc")
+	src := "a /* block \n comment */ b -- line comment\nc"
+	toks, err := Tokenize(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,8 +92,8 @@ func TestTokenizeComments(t *testing.T) {
 		t.Fatalf("got %d tokens %v, want 4", len(toks), toks)
 	}
 	for i, name := range []string{"a", "b", "c"} {
-		if toks[i].Text != name {
-			t.Errorf("token %d = %q, want %q", i, toks[i].Text, name)
+		if toks[i].Text(src) != name {
+			t.Errorf("token %d = %q, want %q", i, toks[i].Text(src), name)
 		}
 	}
 }
@@ -116,11 +117,11 @@ func TestTokenizePositions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if toks[0].Pos != (Pos{Line: 1, Col: 1}) {
-		t.Errorf("a at %v, want 1:1", toks[0].Pos)
+	if toks[0].Pos() != (Pos{Line: 1, Col: 1}) {
+		t.Errorf("a at %v, want 1:1", toks[0].Pos())
 	}
-	if toks[1].Pos != (Pos{Line: 2, Col: 3}) {
-		t.Errorf("b at %v, want 2:3", toks[1].Pos)
+	if toks[1].Pos() != (Pos{Line: 2, Col: 3}) {
+		t.Errorf("b at %v, want 2:3", toks[1].Pos())
 	}
 }
 

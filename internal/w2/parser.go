@@ -37,10 +37,63 @@ import (
 //	primary     = intlit | floatlit | varref | "(" expr ")" .
 //
 // Semantic analysis (sema.go) layers the §5.1 restrictions on top.
+//
+// Nodes come from per-kind slabs sized from the token counts before
+// parsing starts (every binary operator token bounds the BinExprs, every
+// identifier the VarRefs, every '[' the subscripts, and so on), and
+// every list of statements or subscripts is one window of a shared
+// backing array, so an expression or a statement costs no allocation of
+// its own.  The slabs belong to the one module they build: the tree
+// outlives the compile (a compiled program points into it), so nothing
+// here is pooled.
 type Parser struct {
+	src   string
 	toks  []Token
 	pos   int
 	depth int // open statements plus open unary/parenthesized/subscript expressions
+	refs  int // VarRef IDs handed out
+	loops int // ForStmt IDs handed out
+
+	bins    slab[BinExpr]
+	uns     slab[UnExpr]
+	vars    slab[VarRef]
+	ints    slab[IntLit]
+	floats  slab[FloatLit]
+	assigns slab[AssignStmt]
+	ifs     slab[IfStmt]
+	fors    slab[ForStmt]
+	recvs   slab[ReceiveStmt]
+	sends   slab[SendStmt]
+	calls   slab[CallStmt]
+	blocks  slab[BlockStmt]
+	decls   slab[VarDecl]
+	stmts   lists[Stmt]
+	indices lists[Expr]
+}
+
+// newParser sizes the slabs from the token counts: each is an upper
+// bound for a module that parses.
+func newParser(src string, t tokens) *Parser {
+	c := &t.count
+	p := &Parser{src: src, toks: t.toks}
+	p.bins.reserve(c[OR] + c[AND] + c[EQ] + c[NE] + c[LT] + c[LE] + c[GT] + c[GE] +
+		c[PLUS] + c[MINUS] + c[STAR] + c[SLASH] + c[DIV] + c[MOD])
+	p.uns.reserve(c[MINUS] + c[NOT])
+	// Every send and receive names a direction and a channel, every
+	// for, call and function one more identifier that is not a VarRef.
+	p.vars.reserve(c[IDENT] - 2*(c[SEND]+c[RECEIVE]) - c[FOR] - c[CALL] - c[FUNCTION])
+	p.ints.reserve(c[INTLIT])
+	p.floats.reserve(c[FLOATLIT])
+	p.assigns.reserve(c[ASSIGN] - c[FOR])
+	p.ifs.reserve(c[IF])
+	p.fors.reserve(c[FOR])
+	p.recvs.reserve(c[RECEIVE])
+	p.sends.reserve(c[SEND])
+	p.calls.reserve(c[CALL])
+	p.blocks.reserve(c[BEGIN] - c[FUNCTION] - c[CELLPROGRAM])
+	p.stmts.store.reserve(c[ASSIGN] + c[IF] + c[RECEIVE] + c[SEND] + c[CALL] + c[BEGIN])
+	p.indices.store.reserve(c[LBRACKET])
+	return p
 }
 
 // maxNesting bounds how deep statements and expressions may nest.  The
@@ -70,31 +123,46 @@ func (e *ParseError) Error() string { return fmt.Sprintf("%s: syntax error: %s",
 
 // Parse parses a complete W2 module from source text.
 func Parse(src string) (*Module, error) {
-	toks, err := Tokenize(src)
+	toks, err := tokenize(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &Parser{toks: toks}
+	p := newParser(src, toks)
 	m, err := p.parseModule()
 	if err != nil {
 		return nil, err
 	}
 	if p.cur().Kind != EOF {
-		return nil, p.errf("unexpected %s after end of module", p.cur())
+		return nil, p.errf("unexpected %s after end of module", p.found())
 	}
+	m.refs, m.loops = p.refs, p.loops
 	return m, nil
 }
 
 func (p *Parser) cur() Token  { return p.toks[p.pos] }
 func (p *Parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
 
+// found describes the current token for a diagnostic: its kind, and
+// its spelling for identifiers and literals.
+func (p *Parser) found() string {
+	switch t := p.cur(); t.Kind {
+	case IDENT, INTLIT, FLOATLIT:
+		return fmt.Sprintf("%s %q", t.Kind, p.text(t))
+	default:
+		return t.Kind.String()
+	}
+}
+
+// text is a token's spelling.
+func (p *Parser) text(t Token) string { return t.Text(p.src) }
+
 func (p *Parser) errf(format string, args ...any) error {
-	return &ParseError{Pos: p.cur().Pos, Msg: fmt.Sprintf(format, args...)}
+	return &ParseError{Pos: p.cur().Pos(), Msg: fmt.Sprintf(format, args...)}
 }
 
 func (p *Parser) expect(k TokenKind) (Token, error) {
 	if p.cur().Kind != k {
-		return Token{}, p.errf("expected %s, found %s", k, p.cur())
+		return Token{}, p.errf("expected %s, found %s", k, p.found())
 	}
 	return p.next(), nil
 }
@@ -119,13 +187,13 @@ func (p *Parser) parseModule() (*Module, error) {
 	if _, err := p.expect(LPAREN); err != nil {
 		return nil, err
 	}
-	m := &Module{Name: name.Text, Pos: start.Pos}
+	m := &Module{Name: p.text(name), Pos: start.Pos()}
 	for p.cur().Kind != RPAREN {
 		id, err := p.expect(IDENT)
 		if err != nil {
 			return nil, err
 		}
-		param := &Param{Name: id.Text, Pos: id.Pos}
+		param := &Param{Name: p.text(id), Pos: id.Pos()}
 		switch p.cur().Kind {
 		case IN:
 			p.next()
@@ -133,7 +201,7 @@ func (p *Parser) parseModule() (*Module, error) {
 			p.next()
 			param.Out = true
 		default:
-			return nil, p.errf("expected 'in' or 'out' after parameter %s", id.Text)
+			return nil, p.errf("expected 'in' or 'out' after parameter %s", param.Name)
 		}
 		m.Params = append(m.Params, param)
 		if !p.accept(COMMA) {
@@ -145,11 +213,9 @@ func (p *Parser) parseModule() (*Module, error) {
 	}
 	// Module-level declarations (host arrays).
 	for p.cur().Kind == FLOAT || p.cur().Kind == INT {
-		decls, err := p.parseVarDecl()
-		if err != nil {
+		if m.Decls, err = p.parseVarDecl(m.Decls); err != nil {
 			return nil, err
 		}
-		m.Decls = append(m.Decls, decls...)
 	}
 	cp, err := p.parseCellProgram()
 	if err != nil {
@@ -159,9 +225,9 @@ func (p *Parser) parseModule() (*Module, error) {
 	return m, nil
 }
 
-// parseVarDecl parses "float a[10], b, c[2][3];" into one VarDecl per
-// declarator.
-func (p *Parser) parseVarDecl() ([]*VarDecl, error) {
+// parseVarDecl parses "float a[10], b, c[2][3];" and appends one
+// VarDecl per declarator to decls.
+func (p *Parser) parseVarDecl(decls []*VarDecl) ([]*VarDecl, error) {
 	var base Base
 	switch p.cur().Kind {
 	case FLOAT:
@@ -169,10 +235,9 @@ func (p *Parser) parseVarDecl() ([]*VarDecl, error) {
 	case INT:
 		base = BaseInt
 	default:
-		return nil, p.errf("expected type keyword, found %s", p.cur())
+		return nil, p.errf("expected type keyword, found %s", p.found())
 	}
 	p.next()
-	var decls []*VarDecl
 	for {
 		id, err := p.expect(IDENT)
 		if err != nil {
@@ -184,19 +249,21 @@ func (p *Parser) parseVarDecl() ([]*VarDecl, error) {
 			if err != nil {
 				return nil, err
 			}
-			dim, err := strconv.Atoi(n.Text)
+			dim, err := strconv.Atoi(p.text(n))
 			if err != nil || dim <= 0 {
-				return nil, &ParseError{Pos: n.Pos, Msg: "array dimension must be a positive integer"}
+				return nil, &ParseError{Pos: n.Pos(), Msg: "array dimension must be a positive integer"}
 			}
 			typ.Dims = append(typ.Dims, dim)
 			if _, err := p.expect(RBRACKET); err != nil {
 				return nil, err
 			}
 			if len(typ.Dims) > 2 {
-				return nil, &ParseError{Pos: n.Pos, Msg: "arrays are limited to two dimensions"}
+				return nil, &ParseError{Pos: n.Pos(), Msg: "arrays are limited to two dimensions"}
 			}
 		}
-		decls = append(decls, &VarDecl{Name: id.Text, Type: typ, Pos: id.Pos})
+		d := p.decls.new()
+		d.Name, d.Type, d.Pos = p.text(id), typ, id.Pos()
+		decls = append(decls, d)
 		if !p.accept(COMMA) {
 			break
 		}
@@ -239,7 +306,7 @@ func (p *Parser) parseCellProgram() (*CellProgram, error) {
 	if _, err := p.expect(BEGIN); err != nil {
 		return nil, err
 	}
-	cp := &CellProgram{CellID: id.Text, First: first, Last: last, Pos: start.Pos}
+	cp := &CellProgram{CellID: p.text(id), First: first, Last: last, Pos: start.Pos()}
 	for p.cur().Kind == FUNCTION {
 		f, err := p.parseFunction()
 		if err != nil {
@@ -247,12 +314,8 @@ func (p *Parser) parseCellProgram() (*CellProgram, error) {
 		}
 		cp.Funcs = append(cp.Funcs, f)
 	}
-	for p.cur().Kind != END {
-		s, err := p.parseStmt()
-		if err != nil {
-			return nil, err
-		}
-		cp.Body = append(cp.Body, s)
+	if cp.Body, err = p.parseStmtList(false); err != nil {
+		return nil, err
 	}
 	if _, err := p.expect(END); err != nil {
 		return nil, err
@@ -267,9 +330,9 @@ func (p *Parser) parseIntToken() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	n, err := strconv.Atoi(t.Text)
+	n, err := strconv.Atoi(p.text(t))
 	if err != nil {
-		return 0, &ParseError{Pos: t.Pos, Msg: "integer out of range"}
+		return 0, &ParseError{Pos: t.Pos(), Msg: "integer out of range"}
 	}
 	if neg {
 		n = -n
@@ -289,20 +352,14 @@ func (p *Parser) parseFunction() (*FuncDecl, error) {
 	if _, err := p.expect(BEGIN); err != nil {
 		return nil, err
 	}
-	f := &FuncDecl{Name: name.Text, Pos: start.Pos}
+	f := &FuncDecl{Name: p.text(name), Pos: start.Pos()}
 	for p.cur().Kind == FLOAT || p.cur().Kind == INT {
-		decls, err := p.parseVarDecl()
-		if err != nil {
+		if f.Locals, err = p.parseVarDecl(f.Locals); err != nil {
 			return nil, err
 		}
-		f.Locals = append(f.Locals, decls...)
 	}
-	for p.cur().Kind != END {
-		s, err := p.parseStmt()
-		if err != nil {
-			return nil, err
-		}
-		f.Body = append(f.Body, s)
+	if f.Body, err = p.parseStmtList(false); err != nil {
+		return nil, err
 	}
 	if _, err := p.expect(END); err != nil {
 		return nil, err
@@ -311,24 +368,18 @@ func (p *Parser) parseFunction() (*FuncDecl, error) {
 	return f, nil
 }
 
-func (p *Parser) parseStmtList(terminators ...TokenKind) ([]Stmt, error) {
-	var stmts []Stmt
-	isTerm := func(k TokenKind) bool {
-		for _, t := range terminators {
-			if k == t {
-				return true
-			}
-		}
-		return k == EOF
-	}
-	for !isTerm(p.cur().Kind) {
+// parseStmtList parses statements up to an END, or also up to the end
+// of input when orEOF is set.
+func (p *Parser) parseStmtList(orEOF bool) ([]Stmt, error) {
+	mark := p.stmts.mark()
+	for k := p.cur().Kind; k != END && !(orEOF && k == EOF); k = p.cur().Kind {
 		s, err := p.parseStmt()
 		if err != nil {
 			return nil, err
 		}
-		stmts = append(stmts, s)
+		p.stmts.push(s)
 	}
-	return stmts, nil
+	return p.stmts.finish(mark), nil
 }
 
 func (p *Parser) parseStmt() (Stmt, error) {
@@ -356,10 +407,12 @@ func (p *Parser) parseStmt() (Stmt, error) {
 		if _, err := p.expect(SEMICOLON); err != nil {
 			return nil, err
 		}
-		return &CallStmt{Name: name.Text, Pos: t.Pos}, nil
+		s := p.calls.new()
+		s.Name, s.Pos = p.text(name), t.Pos()
+		return s, nil
 	case BEGIN:
 		t := p.next()
-		body, err := p.parseStmtList(END)
+		body, err := p.parseStmtList(true)
 		if err != nil {
 			return nil, err
 		}
@@ -367,9 +420,11 @@ func (p *Parser) parseStmt() (Stmt, error) {
 			return nil, err
 		}
 		p.accept(SEMICOLON)
-		return &BlockStmt{Body: body, Pos: t.Pos}, nil
+		s := p.blocks.new()
+		s.Body, s.Pos = body, t.Pos()
+		return s, nil
 	}
-	return nil, p.errf("expected statement, found %s", p.cur())
+	return nil, p.errf("expected statement, found %s", p.found())
 }
 
 func (p *Parser) parseAssign() (Stmt, error) {
@@ -387,7 +442,9 @@ func (p *Parser) parseAssign() (Stmt, error) {
 	if _, err := p.expect(SEMICOLON); err != nil {
 		return nil, err
 	}
-	return &AssignStmt{LHS: lhs, RHS: rhs, Pos: lhs.Pos}, nil
+	s := p.assigns.new()
+	s.LHS, s.RHS, s.Pos = lhs, rhs, lhs.Pos
+	return s, nil
 }
 
 func (p *Parser) parseIf() (Stmt, error) {
@@ -403,44 +460,49 @@ func (p *Parser) parseIf() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &IfStmt{Cond: cond, Then: flattenBlock(thenStmt), Pos: t.Pos}
+	s := p.ifs.new()
+	s.Cond, s.Then, s.Pos = cond, p.flattenBlock(thenStmt), t.Pos()
 	if p.accept(ELSE) {
 		elseStmt, err := p.parseStmt()
 		if err != nil {
 			return nil, err
 		}
-		s.Else = flattenBlock(elseStmt)
+		s.Else = p.flattenBlock(elseStmt)
 	}
 	return s, nil
 }
 
 // flattenBlock unwraps a single BlockStmt into its statement list so
 // that "if c then begin a; b end" yields [a; b] directly.
-func flattenBlock(s Stmt) []Stmt {
+func (p *Parser) flattenBlock(s Stmt) []Stmt {
 	if b, ok := s.(*BlockStmt); ok {
 		return b.Body
 	}
-	return []Stmt{s}
+	mark := p.stmts.mark()
+	p.stmts.push(s)
+	return p.stmts.finish(mark)
 }
 
 func (p *Parser) parseFor() (Stmt, error) {
 	t := p.next() // for
+	s := p.fors.new()
+	s.Pos, s.ID = t.Pos(), p.loops
+	p.loops++
 	id, err := p.expect(IDENT)
 	if err != nil {
 		return nil, err
 	}
+	s.Var = p.text(id)
 	if _, err := p.expect(ASSIGN); err != nil {
 		return nil, err
 	}
-	lo, err := p.parseExpr()
-	if err != nil {
+	if s.Lo, err = p.parseExpr(); err != nil {
 		return nil, err
 	}
 	if _, err := p.expect(TO); err != nil {
 		return nil, err
 	}
-	hi, err := p.parseExpr()
-	if err != nil {
+	if s.Hi, err = p.parseExpr(); err != nil {
 		return nil, err
 	}
 	if _, err := p.expect(DO); err != nil {
@@ -450,7 +512,8 @@ func (p *Parser) parseFor() (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ForStmt{Var: id.Text, Lo: lo, Hi: hi, Body: flattenBlock(body), Pos: t.Pos}, nil
+	s.Body = p.flattenBlock(body)
+	return s, nil
 }
 
 func (p *Parser) parseDirection() (Direction, error) {
@@ -458,13 +521,13 @@ func (p *Parser) parseDirection() (Direction, error) {
 	if err != nil {
 		return 0, err
 	}
-	switch t.Text {
+	switch p.text(t) {
 	case "L", "l":
 		return DirL, nil
 	case "R", "r":
 		return DirR, nil
 	}
-	return 0, &ParseError{Pos: t.Pos, Msg: fmt.Sprintf("invalid direction %q (want L or R)", t.Text)}
+	return 0, &ParseError{Pos: t.Pos(), Msg: fmt.Sprintf("invalid direction %q (want L or R)", p.text(t))}
 }
 
 func (p *Parser) parseChannel() (Channel, error) {
@@ -472,50 +535,64 @@ func (p *Parser) parseChannel() (Channel, error) {
 	if err != nil {
 		return 0, err
 	}
-	switch t.Text {
+	switch p.text(t) {
 	case "X", "x":
 		return ChanX, nil
 	case "Y", "y":
 		return ChanY, nil
 	}
-	return 0, &ParseError{Pos: t.Pos, Msg: fmt.Sprintf("invalid channel %q (want X or Y)", t.Text)}
+	return 0, &ParseError{Pos: t.Pos(), Msg: fmt.Sprintf("invalid channel %q (want X or Y)", p.text(t))}
+}
+
+// parseIOHead parses the "(dir, chan," that opens a send or receive.
+func (p *Parser) parseIOHead() (Direction, Channel, error) {
+	if _, err := p.expect(LPAREN); err != nil {
+		return 0, 0, err
+	}
+	dir, err := p.parseDirection()
+	if err != nil {
+		return 0, 0, err
+	}
+	if _, err := p.expect(COMMA); err != nil {
+		return 0, 0, err
+	}
+	ch, err := p.parseChannel()
+	if err != nil {
+		return 0, 0, err
+	}
+	if _, err := p.expect(COMMA); err != nil {
+		return 0, 0, err
+	}
+	return dir, ch, nil
+}
+
+// parseIOTail parses the ");" that closes a send or receive.
+func (p *Parser) parseIOTail() error {
+	if _, err := p.expect(RPAREN); err != nil {
+		return err
+	}
+	_, err := p.expect(SEMICOLON)
+	return err
 }
 
 func (p *Parser) parseReceive() (Stmt, error) {
 	t := p.next() // receive
-	if _, err := p.expect(LPAREN); err != nil {
-		return nil, err
-	}
-	dir, err := p.parseDirection()
+	dir, ch, err := p.parseIOHead()
 	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(COMMA); err != nil {
-		return nil, err
-	}
-	ch, err := p.parseChannel()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(COMMA); err != nil {
 		return nil, err
 	}
 	lhs, err := p.parseVarRef()
 	if err != nil {
 		return nil, err
 	}
-	s := &ReceiveStmt{Dir: dir, Chan: ch, LHS: lhs, Pos: t.Pos}
+	s := p.recvs.new()
+	s.Dir, s.Chan, s.LHS, s.Pos = dir, ch, lhs, t.Pos()
 	if p.accept(COMMA) {
-		ext, err := p.parseExpr()
-		if err != nil {
+		if s.External, err = p.parseExpr(); err != nil {
 			return nil, err
 		}
-		s.External = ext
 	}
-	if _, err := p.expect(RPAREN); err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(SEMICOLON); err != nil {
+	if err := p.parseIOTail(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -523,39 +600,22 @@ func (p *Parser) parseReceive() (Stmt, error) {
 
 func (p *Parser) parseSend() (Stmt, error) {
 	t := p.next() // send
-	if _, err := p.expect(LPAREN); err != nil {
-		return nil, err
-	}
-	dir, err := p.parseDirection()
+	dir, ch, err := p.parseIOHead()
 	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(COMMA); err != nil {
-		return nil, err
-	}
-	ch, err := p.parseChannel()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(COMMA); err != nil {
 		return nil, err
 	}
 	val, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	s := &SendStmt{Dir: dir, Chan: ch, Value: val, Pos: t.Pos}
+	s := p.sends.new()
+	s.Dir, s.Chan, s.Value, s.Pos = dir, ch, val, t.Pos()
 	if p.accept(COMMA) {
-		ext, err := p.parseVarRef()
-		if err != nil {
+		if s.External, err = p.parseVarRef(); err != nil {
 			return nil, err
 		}
-		s.External = ext
 	}
-	if _, err := p.expect(RPAREN); err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(SEMICOLON); err != nil {
+	if err := p.parseIOTail(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -566,17 +626,21 @@ func (p *Parser) parseVarRef() (*VarRef, error) {
 	if err != nil {
 		return nil, err
 	}
-	ref := &VarRef{Name: id.Text, Pos: id.Pos}
+	ref := p.vars.new()
+	ref.Name, ref.Pos, ref.ID = p.text(id), id.Pos(), p.refs
+	p.refs++
+	mark := p.indices.mark()
 	for p.accept(LBRACKET) {
 		idx, err := p.parseExpr()
 		if err != nil {
 			return nil, err
 		}
-		ref.Indices = append(ref.Indices, idx)
+		p.indices.push(idx)
 		if _, err := p.expect(RBRACKET); err != nil {
 			return nil, err
 		}
 	}
+	ref.Indices = p.indices.finish(mark)
 	return ref, nil
 }
 
@@ -592,18 +656,25 @@ func (p *Parser) parseVarRef() (*VarRef, error) {
 //	primary := literal | varref | "(" expr ")"
 func (p *Parser) parseExpr() (Expr, error) { return p.parseOr() }
 
+// binary returns a BinExpr from the slab.
+func (p *Parser) binary(op BinOp, l, r Expr, pos Pos) *BinExpr {
+	e := p.bins.new()
+	e.Op, e.L, e.R, e.Pos = op, l, r, pos
+	return e
+}
+
 func (p *Parser) parseOr() (Expr, error) {
 	l, err := p.parseAnd()
 	if err != nil {
 		return nil, err
 	}
 	for p.cur().Kind == OR {
-		pos := p.next().Pos
+		pos := p.next().Pos()
 		r, err := p.parseAnd()
 		if err != nil {
 			return nil, err
 		}
-		l = &BinExpr{Op: OpOr, L: l, R: r, Pos: pos}
+		l = p.binary(OpOr, l, r, pos)
 	}
 	return l, nil
 }
@@ -614,18 +685,33 @@ func (p *Parser) parseAnd() (Expr, error) {
 		return nil, err
 	}
 	for p.cur().Kind == AND {
-		pos := p.next().Pos
+		pos := p.next().Pos()
 		r, err := p.parseRel()
 		if err != nil {
 			return nil, err
 		}
-		l = &BinExpr{Op: OpAnd, L: l, R: r, Pos: pos}
+		l = p.binary(OpAnd, l, r, pos)
 	}
 	return l, nil
 }
 
-var relOps = map[TokenKind]BinOp{
-	EQ: OpEq, NE: OpNe, LT: OpLt, LE: OpLe, GT: OpGt, GE: OpGe,
+// relOp maps a relational operator token to its BinOp.
+func relOp(k TokenKind) (BinOp, bool) {
+	switch k {
+	case EQ:
+		return OpEq, true
+	case NE:
+		return OpNe, true
+	case LT:
+		return OpLt, true
+	case LE:
+		return OpLe, true
+	case GT:
+		return OpGt, true
+	case GE:
+		return OpGe, true
+	}
+	return 0, false
 }
 
 func (p *Parser) parseRel() (Expr, error) {
@@ -633,13 +719,13 @@ func (p *Parser) parseRel() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if op, ok := relOps[p.cur().Kind]; ok {
-		pos := p.next().Pos
+	if op, ok := relOp(p.cur().Kind); ok {
+		pos := p.next().Pos()
 		r, err := p.parseAdd()
 		if err != nil {
 			return nil, err
 		}
-		return &BinExpr{Op: op, L: l, R: r, Pos: pos}, nil
+		return p.binary(op, l, r, pos), nil
 	}
 	return l, nil
 }
@@ -654,12 +740,12 @@ func (p *Parser) parseAdd() (Expr, error) {
 		if p.cur().Kind == MINUS {
 			op = OpSub
 		}
-		pos := p.next().Pos
+		pos := p.next().Pos()
 		r, err := p.parseMul()
 		if err != nil {
 			return nil, err
 		}
-		l = &BinExpr{Op: op, L: l, R: r, Pos: pos}
+		l = p.binary(op, l, r, pos)
 	}
 	return l, nil
 }
@@ -683,12 +769,12 @@ func (p *Parser) parseMul() (Expr, error) {
 		default:
 			return l, nil
 		}
-		pos := p.next().Pos
+		pos := p.next().Pos()
 		r, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		l = &BinExpr{Op: op, L: l, R: r, Pos: pos}
+		l = p.binary(op, l, r, pos)
 	}
 }
 
@@ -699,21 +785,15 @@ func (p *Parser) parseUnary() (Expr, error) {
 		return nil, err
 	}
 	defer p.leave()
-	switch p.cur().Kind {
-	case MINUS:
-		pos := p.next().Pos
+	if k := p.cur().Kind; k == MINUS || k == NOT {
+		pos := p.next().Pos()
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		return &UnExpr{Neg: true, X: x, Pos: pos}, nil
-	case NOT:
-		pos := p.next().Pos
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &UnExpr{Neg: false, X: x, Pos: pos}, nil
+		e := p.uns.new()
+		e.Neg, e.X, e.Pos = k == MINUS, x, pos
+		return e, nil
 	}
 	return p.parsePrimary()
 }
@@ -722,18 +802,22 @@ func (p *Parser) parsePrimary() (Expr, error) {
 	switch p.cur().Kind {
 	case INTLIT:
 		t := p.next()
-		v, err := strconv.ParseInt(t.Text, 10, 64)
+		v, err := strconv.ParseInt(p.text(t), 10, 64)
 		if err != nil {
-			return nil, &ParseError{Pos: t.Pos, Msg: "integer literal out of range"}
+			return nil, &ParseError{Pos: t.Pos(), Msg: "integer literal out of range"}
 		}
-		return &IntLit{Value: v, Pos: t.Pos}, nil
+		e := p.ints.new()
+		e.Value, e.Pos = v, t.Pos()
+		return e, nil
 	case FLOATLIT:
 		t := p.next()
-		v, err := strconv.ParseFloat(t.Text, 64)
+		v, err := strconv.ParseFloat(p.text(t), 64)
 		if err != nil {
-			return nil, &ParseError{Pos: t.Pos, Msg: "malformed float literal"}
+			return nil, &ParseError{Pos: t.Pos(), Msg: "malformed float literal"}
 		}
-		return &FloatLit{Value: v, Pos: t.Pos}, nil
+		e := p.floats.new()
+		e.Value, e.Pos = v, t.Pos()
+		return e, nil
 	case IDENT:
 		return p.parseVarRef()
 	case LPAREN:
@@ -747,5 +831,5 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		}
 		return e, nil
 	}
-	return nil, p.errf("expected expression, found %s", p.cur())
+	return nil, p.errf("expected expression, found %s", p.found())
 }

@@ -248,3 +248,39 @@ func TestParseNestingBound(t *testing.T) {
 		}
 	}
 }
+
+// TestTokenizeAllocatesOnce: the token slice's capacity is set from the
+// source length, so lexing a module is one allocation.
+func TestTokenizeAllocatesOnce(t *testing.T) {
+	src := minimal(strings.Repeat("v := (v + w) * buf[0] - 2.0;\n", 50))
+	if n := testing.AllocsPerRun(20, func() { Tokenize(src) }); n != 1 {
+		t.Errorf("Tokenize made %.0f allocations, want 1", n)
+	}
+}
+
+// TestFrontEndAllocationsIndependentOfSize: nodes come from slabs sized
+// from the token counts and the side tables are sized once, so a module
+// with a hundred times the statements and expressions costs the parser
+// and sema only the logarithmic growth of their scratch stacks and of
+// the affine term arena.
+func TestFrontEndAllocationsIndependentOfSize(t *testing.T) {
+	body := func(n int) string {
+		return minimal(strings.Repeat("for i := 0 to 3 do begin\n v := (v + w) * buf[i] - 2.0;\n send (R, X, v, ys[i]);\nend;\n", n))
+	}
+	allocs := func(src string) (parse, sema float64) {
+		parse = testing.AllocsPerRun(10, func() { mustParse(t, src) })
+		m := mustParse(t, src)
+		sema = testing.AllocsPerRun(10, func() {
+			if _, err := Analyze(m); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return parse, sema
+	}
+	p1, s1 := allocs(body(10))
+	p100, s100 := allocs(body(1000))
+	t.Logf("parse %.0f → %.0f, sema %.0f → %.0f allocations for 10 → 1000 loops", p1, p100, s1, s100)
+	if p100 > p1+16 || s100 > s1+16 {
+		t.Errorf("parse %.0f → %.0f, sema %.0f → %.0f allocations for 10 → 1000 loops, want at most 16 more", p1, p100, s1, s100)
+	}
+}

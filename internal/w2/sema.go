@@ -46,6 +46,9 @@ func (k SymKind) String() string {
 
 // Symbol is a resolved variable.
 type Symbol struct {
+	// ID numbers the module's declared symbols densely from 0: host
+	// parameters in declaration order, then each function's locals.
+	ID   int
 	Name string
 	Kind SymKind
 	Type Type
@@ -54,21 +57,24 @@ type Symbol struct {
 	Func *FuncDecl
 }
 
-// Info is the result of semantic analysis: resolution and typing maps
-// keyed by syntax nodes, plus memory layout for the cell and the host.
+// Info is the result of semantic analysis: dense side tables indexed
+// by the IDs the parser gave the syntax nodes, plus memory layout for
+// the cell and the host.
 type Info struct {
 	Module *Module
 	Funcs  map[string]*FuncDecl
 
-	// Uses maps every VarRef to its symbol.
-	Uses map[*VarRef]*Symbol
-	// ExprBase maps every expression to its base type.
-	ExprBase map[Expr]Base
-	// Bounds maps every for statement to its constant [lo, hi].
-	Bounds map[*ForStmt][2]int64
-	// Address maps every array-element VarRef to the affine form of its
-	// flattened (row-major) element index, excluding the array base.
-	Address map[*VarRef]Affine
+	// Uses holds every VarRef's symbol, indexed by VarRef.ID.
+	Uses []*Symbol
+	// Bounds holds every for statement's constant [lo, hi], indexed by
+	// ForStmt.ID.
+	Bounds [][2]int64
+	// Address holds, for every array-element VarRef, the affine form of
+	// its flattened (row-major) element index excluding the array base,
+	// indexed by VarRef.ID (the zero Affine for a scalar).
+	Address []Affine
+	// NumSyms bounds Symbol.ID: every declared symbol's ID is below it.
+	NumSyms int
 
 	// HostSyms lists host parameters in declaration order.
 	HostSyms []*Symbol
@@ -96,22 +102,28 @@ type checker struct {
 	host  map[string]*Symbol
 	fn    *FuncDecl
 	local map[string]*Symbol
-	loops []*ForStmt // active loop nest, outermost first
-	// loopBounds caches the bounds of active loops for range checking.
-	loopBounds map[*ForStmt][2]int64
+	loops []*ForStmt    // active loop nest, outermost first
+	syms  []Symbol      // the backing array of every declared symbol
+	terms slab[AffTerm] // every affine form's terms
 }
 
-// Analyze performs semantic analysis of a parsed module.
+// symbol returns a new declared symbol with the next ID.
+func (c *checker) symbol(s Symbol) *Symbol {
+	s.ID = len(c.syms)
+	c.syms = append(c.syms, s)
+	return &c.syms[s.ID]
+}
+
+// Analyze performs semantic analysis of a module returned by Parse.
 func Analyze(m *Module) (*Info, error) {
 	info := &Info{
-		Module:   m,
-		Funcs:    make(map[string]*FuncDecl),
-		Uses:     make(map[*VarRef]*Symbol),
-		ExprBase: make(map[Expr]Base),
-		Bounds:   make(map[*ForStmt][2]int64),
-		Address:  make(map[*VarRef]Affine),
+		Module:  m,
+		Funcs:   make(map[string]*FuncDecl),
+		Uses:    make([]*Symbol, m.refs),
+		Bounds:  make([][2]int64, m.loops),
+		Address: make([]Affine, m.refs),
 	}
-	c := &checker{info: info, host: make(map[string]*Symbol), loopBounds: make(map[*ForStmt][2]int64)}
+	c := &checker{info: info, host: make(map[string]*Symbol)}
 
 	if m.Cells == nil {
 		return nil, errAt(m.Pos, "module %s has no cellprogram", m.Name)
@@ -122,6 +134,13 @@ func Analyze(m *Module) (*Info, error) {
 	if m.Cells.Last < m.Cells.First {
 		return nil, errAt(m.Cells.Pos, "cellprogram range %d:%d is empty", m.Cells.First, m.Cells.Last)
 	}
+
+	// One backing array holds every symbol, so the addresses stay put.
+	nsyms := len(m.Params)
+	for _, f := range m.Cells.Funcs {
+		nsyms += len(f.Locals)
+	}
+	c.syms = make([]Symbol, 0, nsyms)
 
 	// Host parameters: each must have a module-level declaration.
 	declByName := make(map[string]*VarDecl)
@@ -140,7 +159,7 @@ func Analyze(m *Module) (*Info, error) {
 		if d.Type.Base != BaseFloat {
 			return nil, errAt(d.Pos, "host parameter %s must be float (channels carry 32-bit floating words)", p.Name)
 		}
-		sym := &Symbol{Name: p.Name, Kind: SymHost, Type: d.Type, Out: p.Out, Base: base}
+		sym := c.symbol(Symbol{Name: p.Name, Kind: SymHost, Type: d.Type, Out: p.Out, Base: base})
 		base += d.Type.Size()
 		c.host[p.Name] = sym
 		info.HostSyms = append(info.HostSyms, sym)
@@ -179,6 +198,7 @@ func Analyze(m *Module) (*Info, error) {
 	if len(m.Cells.Body) == 0 {
 		return nil, errAt(m.Cells.Pos, "cellprogram has no call statement")
 	}
+	info.NumSyms = len(c.syms)
 	return info, nil
 }
 
@@ -200,12 +220,12 @@ func (c *checker) checkFunc(f *FuncDecl) error {
 			if d.Type.Base != BaseFloat {
 				return errAt(d.Pos, "cell arrays must be float: %s", d.Name)
 			}
-			sym = &Symbol{Name: d.Name, Kind: SymCellArray, Type: d.Type, Base: memBase, Func: f}
+			sym = c.symbol(Symbol{Name: d.Name, Kind: SymCellArray, Type: d.Type, Base: memBase, Func: f})
 			memBase += d.Type.Size()
 		case d.Type.Base == BaseInt:
-			sym = &Symbol{Name: d.Name, Kind: SymLoopVar, Type: d.Type, Func: f}
+			sym = c.symbol(Symbol{Name: d.Name, Kind: SymLoopVar, Type: d.Type, Func: f})
 		default:
-			sym = &Symbol{Name: d.Name, Kind: SymCellScalar, Type: d.Type, Func: f}
+			sym = c.symbol(Symbol{Name: d.Name, Kind: SymCellScalar, Type: d.Type, Func: f})
 		}
 		c.local[d.Name] = sym
 	}
@@ -226,7 +246,9 @@ func (c *checker) lookup(name string, pos Pos) (*Symbol, error) {
 		return s, nil
 	}
 	if name == c.info.Module.Cells.CellID {
-		return &Symbol{Name: name, Kind: SymCellID, Type: Type{Base: BaseInt}}, nil
+		// Every use of the cell identifier is an error, so its symbol
+		// never reaches the side tables of an accepted module.
+		return &Symbol{ID: -1, Name: name, Kind: SymCellID, Type: Type{Base: BaseInt}}, nil
 	}
 	return nil, errAt(pos, "undefined variable %s", name)
 }
@@ -299,12 +321,10 @@ func (c *checker) checkStmt(s Stmt) error {
 		if hi < lo {
 			return errAt(s.Pos, "loop %s runs from %d to %d: empty loops are not supported", s.Var, lo, hi)
 		}
-		c.info.Bounds[s] = [2]int64{lo, hi}
+		c.info.Bounds[s.ID] = [2]int64{lo, hi}
 		c.loops = append(c.loops, s)
-		c.loopBounds[s] = [2]int64{lo, hi}
 		err = c.checkStmts(s.Body)
 		c.loops = c.loops[:len(c.loops)-1]
-		delete(c.loopBounds, s)
 		return err
 
 	case *ReceiveStmt:
@@ -381,7 +401,7 @@ func (c *checker) checkCellLValue(ref *VarRef) (*Symbol, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.info.Uses[ref] = sym
+	c.info.Uses[ref.ID] = sym
 	switch sym.Kind {
 	case SymHost:
 		return nil, errAt(ref.Pos, "%s is a host variable; cells access host data only through send/receive externals", ref.Name)
@@ -414,17 +434,17 @@ func (c *checker) checkSubscripts(ref *VarRef, sym *Symbol) error {
 		if err != nil {
 			return err
 		}
-		min, max := aff.Range(c.loopBounds)
+		min, max := aff.Range(c.info.Bounds)
 		if min < 0 || max >= int64(sym.Type.Dims[k]) {
 			return errAt(idx.ExprPos(), "subscript %s of %s ranges over [%d,%d], outside [0,%d]",
 				aff, ref.Name, min, max, sym.Type.Dims[k]-1)
 		}
-		addr = addr.Add(aff)
+		addr = addr.add(aff, &c.terms)
 		if k < len(sym.Type.Dims)-1 {
-			addr = addr.Scale(int64(sym.Type.Dims[k+1]))
+			addr = addr.scale(int64(sym.Type.Dims[k+1]), &c.terms)
 		}
 	}
-	c.info.Address[ref] = addr
+	c.info.Address[ref.ID] = addr
 	return nil
 }
 
@@ -433,14 +453,13 @@ func (c *checker) checkSubscripts(ref *VarRef, sym *Symbol) error {
 func (c *checker) affine(e Expr) (Affine, error) {
 	switch e := e.(type) {
 	case *IntLit:
-		c.info.ExprBase[e] = BaseInt
 		return AffConst(e.Value), nil
 	case *VarRef:
 		sym, err := c.lookup(e.Name, e.Pos)
 		if err != nil {
 			return Affine{}, err
 		}
-		c.info.Uses[e] = sym
+		c.info.Uses[e.ID] = sym
 		switch sym.Kind {
 		case SymLoopVar:
 			if len(e.Indices) != 0 {
@@ -450,8 +469,7 @@ func (c *checker) affine(e Expr) (Affine, error) {
 			if loop == nil {
 				return Affine{}, errAt(e.Pos, "loop variable %s used outside its loop", e.Name)
 			}
-			c.info.ExprBase[e] = BaseInt
-			return AffVar(loop), nil
+			return affVar(loop, &c.terms), nil
 		case SymCellID:
 			return Affine{}, errAt(e.Pos, "the cell identifier may not appear in subscripts: addresses are generated once on the IU and must be common to all cells")
 		}
@@ -464,8 +482,7 @@ func (c *checker) affine(e Expr) (Affine, error) {
 		if err != nil {
 			return Affine{}, err
 		}
-		c.info.ExprBase[e] = BaseInt
-		return a.Scale(-1), nil
+		return a.scale(-1, &c.terms), nil
 	case *BinExpr:
 		switch e.Op {
 		case OpAdd, OpSub:
@@ -477,11 +494,10 @@ func (c *checker) affine(e Expr) (Affine, error) {
 			if err != nil {
 				return Affine{}, err
 			}
-			c.info.ExprBase[e] = BaseInt
 			if e.Op == OpAdd {
-				return l.Add(r), nil
+				return l.add(r, &c.terms), nil
 			}
-			return l.Sub(r), nil
+			return l.sub(r, &c.terms), nil
 		case OpMul:
 			l, err := c.affine(e.L)
 			if err != nil {
@@ -491,12 +507,11 @@ func (c *checker) affine(e Expr) (Affine, error) {
 			if err != nil {
 				return Affine{}, err
 			}
-			c.info.ExprBase[e] = BaseInt
 			if l.IsConst() {
-				return r.Scale(l.Const), nil
+				return r.scale(l.Const, &c.terms), nil
 			}
 			if r.IsConst() {
-				return l.Scale(r.Const), nil
+				return l.scale(r.Const, &c.terms), nil
 			}
 			return Affine{}, errAt(e.Pos, "subscript is quadratic in loop indices; addresses must be affine")
 		}
@@ -532,17 +547,15 @@ func (c *checker) checkExpr(e Expr) (Base, error) {
 	switch e := e.(type) {
 	case *IntLit:
 		// Integer literals in float context are promoted.
-		c.info.ExprBase[e] = BaseFloat
 		return BaseFloat, nil
 	case *FloatLit:
-		c.info.ExprBase[e] = BaseFloat
 		return BaseFloat, nil
 	case *VarRef:
 		sym, err := c.lookup(e.Name, e.Pos)
 		if err != nil {
 			return BaseInvalid, err
 		}
-		c.info.Uses[e] = sym
+		c.info.Uses[e.ID] = sym
 		switch sym.Kind {
 		case SymHost:
 			return BaseInvalid, errAt(e.Pos, "%s is a host variable; cells access host data only through receive externals", e.Name)
@@ -550,13 +563,11 @@ func (c *checker) checkExpr(e Expr) (Base, error) {
 			if len(e.Indices) != 0 {
 				return BaseInvalid, errAt(e.Pos, "%s is a scalar", e.Name)
 			}
-			c.info.ExprBase[e] = BaseFloat
 			return BaseFloat, nil
 		case SymCellArray:
 			if err := c.checkSubscripts(e, sym); err != nil {
 				return BaseInvalid, err
 			}
-			c.info.ExprBase[e] = BaseFloat
 			return BaseFloat, nil
 		case SymLoopVar, SymCellID:
 			return BaseInvalid, errAt(e.Pos, "%s is an integer and cannot appear in cell computation: Warp cells have no integer arithmetic (use it only in subscripts)", e.Name)
@@ -571,13 +582,11 @@ func (c *checker) checkExpr(e Expr) (Base, error) {
 			if bt != BaseFloat {
 				return BaseInvalid, errAt(e.Pos, "unary minus requires a float operand")
 			}
-			c.info.ExprBase[e] = BaseFloat
 			return BaseFloat, nil
 		}
 		if bt != BaseBool {
 			return BaseInvalid, errAt(e.Pos, "'not' requires a boolean operand")
 		}
-		c.info.ExprBase[e] = BaseBool
 		return BaseBool, nil
 	case *BinExpr:
 		switch {
@@ -593,7 +602,6 @@ func (c *checker) checkExpr(e Expr) (Base, error) {
 			if lt != BaseFloat || rt != BaseFloat {
 				return BaseInvalid, errAt(e.Pos, "comparisons require float operands")
 			}
-			c.info.ExprBase[e] = BaseBool
 			return BaseBool, nil
 		case e.Op == OpAnd || e.Op == OpOr:
 			lt, err := c.checkExpr(e.L)
@@ -607,7 +615,6 @@ func (c *checker) checkExpr(e Expr) (Base, error) {
 			if lt != BaseBool || rt != BaseBool {
 				return BaseInvalid, errAt(e.Pos, "%s requires boolean operands", e.Op)
 			}
-			c.info.ExprBase[e] = BaseBool
 			return BaseBool, nil
 		case e.Op == OpIntDiv || e.Op == OpMod:
 			return BaseInvalid, errAt(e.Pos, "div/mod are not available in cell computation")
@@ -623,7 +630,6 @@ func (c *checker) checkExpr(e Expr) (Base, error) {
 			if lt != BaseFloat || rt != BaseFloat {
 				return BaseInvalid, errAt(e.Pos, "operator %s requires float operands", e.Op)
 			}
-			c.info.ExprBase[e] = BaseFloat
 			return BaseFloat, nil
 		}
 	}
@@ -640,20 +646,18 @@ func (c *checker) checkExternal(e Expr, isSend bool) error {
 		if isSend {
 			return errAt(e.Pos, "send external must name a host location")
 		}
-		c.info.ExprBase[e] = BaseFloat
 		return nil
 	case *IntLit:
 		if isSend {
 			return errAt(e.Pos, "send external must name a host location")
 		}
-		c.info.ExprBase[e] = BaseFloat
 		return nil
 	case *VarRef:
 		sym, err := c.lookup(e.Name, e.Pos)
 		if err != nil {
 			return err
 		}
-		c.info.Uses[e] = sym
+		c.info.Uses[e.ID] = sym
 		if sym.Kind != SymHost {
 			return errAt(e.Pos, "external operand %s must be a host variable", e.Name)
 		}
@@ -673,17 +677,17 @@ func (c *checker) checkExternal(e Expr, isSend bool) error {
 			if err != nil {
 				return err
 			}
-			min, max := aff.Range(c.loopBounds)
+			min, max := aff.Range(c.info.Bounds)
 			if min < 0 || max >= int64(sym.Type.Dims[k]) {
 				return errAt(idx.ExprPos(), "subscript %s of %s ranges over [%d,%d], outside [0,%d]",
 					aff, e.Name, min, max, sym.Type.Dims[k]-1)
 			}
-			addr = addr.Add(aff)
+			addr = addr.add(aff, &c.terms)
 			if k < len(sym.Type.Dims)-1 {
-				addr = addr.Scale(int64(sym.Type.Dims[k+1]))
+				addr = addr.scale(int64(sym.Type.Dims[k+1]), &c.terms)
 			}
 		}
-		c.info.Address[e] = addr
+		c.info.Address[e.ID] = addr
 		return nil
 	}
 	return errAt(e.ExprPos(), "invalid external operand")

@@ -206,8 +206,8 @@ func TestSemaAddressForms(t *testing.T) {
                 buf[2*i + j] := 1.0;
 `))
 	var found bool
-	for ref, aff := range info.Address {
-		if ref.Name != "buf" {
+	for id, aff := range info.Address {
+		if info.Uses[id].Name != "buf" {
 			continue
 		}
 		found = true
@@ -243,8 +243,8 @@ begin
 end
 `
 	info := mustAnalyze(t, src)
-	for ref, aff := range info.Address {
-		if ref.Name != "m" {
+	for id, aff := range info.Address {
+		if info.Uses[id].Name != "m" {
 			continue
 		}
 		if got := aff.String(); got != "5*i + j" {

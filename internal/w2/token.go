@@ -12,7 +12,7 @@ package w2
 import "fmt"
 
 // TokenKind enumerates the lexical tokens of W2.
-type TokenKind int
+type TokenKind int32
 
 // Token kinds.  Keywords mirror the surface syntax used in the paper's
 // Figure 4-1 (module, cellprogram, begin/end, function, call, receive,
@@ -67,9 +67,11 @@ const (
 	LE        // <=
 	GT        // >
 	GE        // >=
+
+	numKinds // the number of token kinds
 )
 
-var tokenNames = map[TokenKind]string{
+var tokenNames = [numKinds]string{
 	EOF:         "end of file",
 	IDENT:       "identifier",
 	INTLIT:      "integer literal",
@@ -118,36 +120,45 @@ var tokenNames = map[TokenKind]string{
 }
 
 func (k TokenKind) String() string {
-	if s, ok := tokenNames[k]; ok {
-		return s
+	if k >= 0 && k < numKinds {
+		return tokenNames[k]
 	}
 	return fmt.Sprintf("token(%d)", int(k))
 }
 
-var keywords = map[string]TokenKind{
-	"module":      MODULE,
-	"cellprogram": CELLPROGRAM,
-	"begin":       BEGIN,
-	"end":         END,
-	"function":    FUNCTION,
-	"call":        CALL,
-	"float":       FLOAT,
-	"int":         INT,
-	"if":          IF,
-	"then":        THEN,
-	"else":        ELSE,
-	"for":         FOR,
-	"to":          TO,
-	"do":          DO,
-	"receive":     RECEIVE,
-	"send":        SEND,
-	"in":          IN,
-	"out":         OUT,
-	"and":         AND,
-	"or":          OR,
-	"not":         NOT,
-	"div":         DIV,
-	"mod":         MOD,
+// keywords lists the keyword kinds by the length of their spelling
+// (their tokenNames entry).
+var keywords [len("cellprogram") + 1][]TokenKind
+
+func init() {
+	for k := MODULE; k <= MOD; k++ {
+		n := len(tokenNames[k])
+		keywords[n] = append(keywords[n], k)
+	}
+}
+
+// keyword returns the keyword a word spells, case-insensitively, or
+// IDENT.  The word is folded into a stack buffer and compared with the
+// few keywords of its length, so resolving it costs neither a map
+// lookup nor an allocation.
+func keyword(word string) TokenKind {
+	if len(word) >= len(keywords) {
+		return IDENT
+	}
+	var buf [len(keywords)]byte
+	for i := 0; i < len(word); i++ {
+		c := word[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	for _, k := range keywords[len(word)] {
+		if tokenNames[k] == string(buf[:len(word)]) {
+			return k
+		}
+	}
+	return IDENT
 }
 
 // Pos identifies a source location (1-based line and column).
@@ -158,19 +169,18 @@ type Pos struct {
 
 func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
 
-// Token is a single lexical token with its source position and, for
-// literals and identifiers, its spelling.
+// Token is a single lexical token: its kind, its source position (line
+// and byte column, from 1) and the byte span [Off, End) of its spelling
+// in the source, in 20 bytes.
 type Token struct {
-	Kind TokenKind
-	Pos  Pos
-	Text string // spelling for IDENT, INTLIT, FLOATLIT
+	Kind      TokenKind
+	Line, Col int32
+	Off, End  int32
 }
 
-func (t Token) String() string {
-	switch t.Kind {
-	case IDENT, INTLIT, FLOATLIT:
-		return fmt.Sprintf("%s %q", t.Kind, t.Text)
-	default:
-		return t.Kind.String()
-	}
-}
+// Pos returns the token's source position.
+func (t Token) Pos() Pos { return Pos{Line: int(t.Line), Col: int(t.Col)} }
+
+// Text returns the token's spelling in src, the source it was lexed
+// from.
+func (t Token) Text(src string) string { return src[t.Off:t.End] }
