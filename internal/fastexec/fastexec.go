@@ -6,15 +6,20 @@
 // what the static verifier has proven.  So a plan is the decoded cell
 // program the simulator steps (mcode.Decode), run per cell directly over
 // host slices with addresses from its bound affine terms, its writes
-// landing through mcode.CellRegs as the simulator's do.  A plan is as
-// large as the microcode, whatever the trip counts.
+// landing through mcode.CellRegs as the simulator's do.  Compile lowers
+// the decoded words once more, into the plan's own stream of 8-byte ops
+// (lower.go): per word the reads before its cycle's landing and the
+// writes after it, the plain arithmetic inline, every other code through
+// mcode.AluOp.Eval.  A plan is as large as the microcode, whatever the
+// trip counts.
 //
 // W2 has no data-dependent control and the IU generates every address
 // and loop signal, so one walk of a plan serves any number of problems
 // (ExecuteBatch): words, sequencing and addresses are shared, and each
 // register, memory word, stream word and FPU FIFO entry holds a value per
-// problem.  One problem alone keeps a one-wide body over the same words
-// (runCell): the lane-wide body runs one problem 2.3–2.9× slower.
+// problem.  One problem alone keeps a one-wide body over the ops
+// (runCell): the lane-wide body, over the decoded words, runs one problem
+// 2.3–2.9× slower.
 //
 // The run is bit-exact with the simulator:
 //
@@ -90,6 +95,7 @@ type Plan struct {
 	host       *hostgen.Program
 
 	code   mcode.Decoded
+	low    lowered          // the code as runCell's ops
 	counts mcode.CellCounts // one cell's run, in closed form
 }
 
@@ -172,6 +178,7 @@ func Compile(p Program) (*Plan, error) {
 		lead:   p.Lead,
 		host:   p.Host,
 		code:   *code,
+		low:    lower(code),
 		counts: counts,
 	}
 	// The last cell finishes at Lead + (Cells-1)·Skew + CellCycles - 1;
@@ -355,7 +362,7 @@ func sized[T any](s []T, n int) []T {
 func (st *execState) hostWords(ch w2.Channel, dst []float64) error {
 	w := st.hostIn[ch].Next()
 	if w == nil {
-		return fmt.Errorf("fastexec: host input stream on %s ran dry after %d words", ch, st.plan.host.In[ch].Words())
+		return st.ranDry(ch)
 	}
 	if err := w.Gather(dst, st.hostMems); err != nil {
 		return fmt.Errorf("fastexec: %w", err)
@@ -369,13 +376,24 @@ func (st *execState) hostWords(ch w2.Channel, dst []float64) error {
 func (st *execState) hostCollect(ch w2.Channel, vals []float64) error {
 	w := st.hostOut[ch].Next()
 	if w == nil {
-		return fmt.Errorf("fastexec: the last cell sent more words on %s than the host program expects (%d)", ch, st.sent[ch])
+		return st.sentMore(ch)
 	}
 	if err := w.Scatter(st.hostMems, vals); err != nil {
 		return fmt.Errorf("fastexec: %w", err)
 	}
 	st.sent[ch]++
 	return nil
+}
+
+// ranDry reports cell 0 receiving past the end of a host input stream.
+func (st *execState) ranDry(ch w2.Channel) error {
+	return fmt.Errorf("fastexec: host input stream on %s ran dry after %d words", ch, st.plan.host.In[ch].Words())
+}
+
+// sentMore reports the last cell sending past the end of a host output
+// stream.
+func (st *execState) sentMore(ch w2.Channel) error {
+	return fmt.Errorf("fastexec: the last cell sent more words on %s than the host program expects (%d)", ch, st.sent[ch])
 }
 
 // poll counts an executed plan word and, once a stride, checks for
@@ -476,112 +494,114 @@ func (p *Plan) ExecuteBatch(hostMems [][]float64, cfg ExecConfig) (*Result, erro
 	return p.result(st), nil
 }
 
-// runCell runs the plan for one cell: the one-wide body, its registers
-// stepped through mcode.CellRegs as the simulator's are.
+// runCell runs the plan for one cell: the one-wide body, over the ops
+// Compile lowered the words to, its FPU results landing through
+// mcode.CellRegs as the simulator's do.  A word's read ops see the
+// registers as they stand; its write ops come after the FPU results due
+// by the next cycle land, in the machine's (landing cycle, issue order).
 func (p *Plan) runCell(st *execState, idx int) error {
 	first, last := idx == 0, idx == p.cells-1
+	polled := st.ctx != nil || st.progress != nil
 	r := &st.cell
 	r.Reset()
-	// The current word's stores, held back to the end of its cycle.
+	// The word's stores held back past its loads.
 	var stored [mcode.MemPorts]struct {
 		addr int64
 		val  float64
 	}
-	mem, words := st.mem, p.code.Words
+	host, mem := st.hostMems[0], st.mem
 	clear(mem)
+	steps, ops, mems := p.low.steps, p.low.ops, p.low.mems
 	// The left neighbour's words, how many of each channel are consumed,
 	// and this cell's own (handed back once it retires).
 	prev, cur := st.prev, st.cur
 	var pos [2]int
 
 	s := mcode.Seq{Iter: st.iter}
-	for t := int64(0); s.PC < len(words); t++ {
-		w := &words[s.PC]
-		if st.ctx != nil || st.progress != nil {
+	for t := int64(0); s.PC < len(steps); t++ {
+		w := &steps[s.PC]
+		if polled {
 			if err := st.poll(idx, t); err != nil {
 				return err
 			}
 		}
-		if w.Skip > 0 {
+		if w.skip > 0 {
 			// FPU results that land during the idle cycles are visible to
 			// this word's reads.
-			t += w.Skip
+			t += w.skip
 			r.Land(t)
 		}
-
-		// The cycle's reads: sends, stores and the FPU fields see the
-		// registers as they stand.
-		for _, io := range p.code.IO[w.IOLo:w.RecvLo] {
-			if !last {
-				cur[io.Ch] = append(cur[io.Ch], r.R[io.Reg])
-			} else if err := st.hostCollect(io.Ch, r.R[io.Reg:][:1]); err != nil {
-				return err
-			}
-		}
-		nstored := 0
-		if w.Stores {
-			for pi := range w.Mem {
-				if m := &w.Mem[pi]; m.Kind == mcode.MemStore {
-					stored[nstored].addr, stored[nstored].val = p.addr(m, s.Iter), r.R[m.Reg]
-					nstored++
+		for i := w.lo; i < w.mid; i++ {
+			switch o := &ops[i]; o.kind {
+			case opSend:
+				if !last {
+					cur[o.x] = append(cur[o.x], r.R[o.a])
+					continue
 				}
+				hw := st.hostOut[o.x].Next()
+				if hw == nil {
+					return st.sentMore(w2.Channel(o.x))
+				}
+				if err := hw.Out(host, r.R[o.a]); err != nil {
+					return fmt.Errorf("fastexec: %w", err)
+				}
+				st.sent[o.x]++
+			case opStore:
+				mem[p.addr(&mems[o.x], s.Iter)] = r.R[o.a]
+			case opStoreHold:
+				stored[o.b].addr, stored[o.b].val = p.addr(&mems[o.x], s.Iter), r.R[o.a]
+			case opFadd:
+				r.PushAt(mcode.Reg(o.dst), r.R[o.a]+r.R[o.b], t+mcode.FPULatency)
+			case opFsub:
+				r.PushAt(mcode.Reg(o.dst), r.R[o.a]-r.R[o.b], t+mcode.FPULatency)
+			case opFmul:
+				r.PushAt(mcode.Reg(o.dst), r.R[o.a]*r.R[o.b], t+mcode.FPULatency)
+			case opEval:
+				v, err := p.low.alus[o.x].Eval(&r.R)
+				if err != nil {
+					return fmt.Errorf("fastexec: %w", err)
+				}
+				r.PushAt(mcode.Reg(o.dst), v, t+mcode.FPULatency)
+			case opMov:
+				r.Hold(mcode.Reg(o.dst), r.R[o.a])
 			}
 		}
-		if w.HasAdd {
-			v, err := w.Add.Eval(&r.R)
-			if err != nil {
-				return fmt.Errorf("fastexec: %w", err)
-			}
-			r.Push(&w.Add, v, t)
-		}
-		if w.HasMul {
-			v, err := w.Mul.Eval(&r.R)
-			if err != nil {
-				return fmt.Errorf("fastexec: %w", err)
-			}
-			r.Push(&w.Mul, v, t)
-		}
-		if w.HasMov {
-			v, err := w.Mov.Eval(&r.R)
-			if err != nil {
-				return fmt.Errorf("fastexec: %w", err)
-			}
-			r.Push(&w.Mov, v, t)
-		}
-
-		// The cycle's writes in landing order (mcode.CellRegs): receives
-		// and loads go straight to the registers, which nothing reads any
-		// more this cycle; loads read before the word's stores land.
 		r.Land(t + 1)
-		for _, io := range p.code.IO[w.RecvLo:w.IOHi] {
-			if first {
-				if err := st.hostWords(io.Ch, r.R[io.Reg:][:1]); err != nil {
-					return err
+		for i := w.mid; i < w.hi; i++ {
+			switch o := &ops[i]; o.kind {
+			case opRecv:
+				if first {
+					hw := st.hostIn[o.x].Next()
+					if hw == nil {
+						return st.ranDry(w2.Channel(o.x))
+					}
+					v, err := hw.In(host)
+					if err != nil {
+						return fmt.Errorf("fastexec: %w", err)
+					}
+					r.R[o.dst] = v
+					continue
 				}
-				continue
-			}
-			in, n := prev[io.Ch], pos[io.Ch]
-			if n >= len(in) {
-				return fmt.Errorf("fastexec: queue cell%d.%s underflows (receive before the matching send)", idx, io.Ch)
-			}
-			r.R[io.Reg] = in[n]
-			pos[io.Ch] = n + 1
-		}
-		if w.Loads {
-			for pi := range w.Mem {
-				if m := &w.Mem[pi]; m.Kind == mcode.MemLoad {
-					r.R[m.Reg] = mem[p.addr(m, s.Iter)]
+				in, n := prev[o.x], pos[o.x]
+				if n >= len(in) {
+					return fmt.Errorf("fastexec: queue cell%d.%s underflows (receive before the matching send)", idx, w2.Channel(o.x))
 				}
+				r.R[o.dst] = in[n]
+				pos[o.x] = n + 1
+			case opLoad:
+				r.R[o.dst] = mem[p.addr(&mems[o.x], s.Iter)]
+			case opStoreLand:
+				mem[stored[o.b].addr] = stored[o.b].val
+			case opCommit:
+				r.Commit()
+			case opLit:
+				r.R[o.dst] = p.low.lits[o.x]
 			}
 		}
-		for _, sw := range stored[:nstored] {
-			mem[sw.addr] = sw.val
-		}
-		r.Retire(w)
-		if w.EndLo == w.EndHi {
+		if w.endLo == w.endHi {
 			s.PC++
 		} else {
-			s.Advance(w.Depth, p.code.Ends[w.EndLo:w.EndHi])
+			s.Advance(int(w.depth), p.code.Ends[w.endLo:w.endHi])
 		}
 	}
 	// Writes still in flight when the cell retires are never observed:
@@ -597,6 +617,7 @@ func (p *Plan) runCell(st *execState, idx int) error {
 // sequencing — most of what a small run costs.
 func (p *Plan) runLanes(st *execState, idx int) error {
 	first, last := idx == 0, idx == p.cells-1
+	polled := st.ctx != nil || st.progress != nil
 	n, r, mem := len(st.hostMems), &st.lanes, st.mem
 	st.laneVals = sized(st.laneVals, mcode.LaneRegWords*n)
 	r.Reset(n, st.laneVals)
@@ -606,8 +627,10 @@ func (p *Plan) runLanes(st *execState, idx int) error {
 	s := mcode.Seq{Iter: st.iter}
 	for t := int64(0); s.PC < len(p.code.Words); t++ {
 		w := &p.code.Words[s.PC]
-		if err := st.poll(idx, t); err != nil {
-			return err
+		if polled {
+			if err := st.poll(idx, t); err != nil {
+				return err
+			}
 		}
 		if w.Skip > 0 {
 			t += w.Skip

@@ -41,18 +41,53 @@ type Word struct {
 // inserted to conserve the stream, as in the paper's Figure 4-1).
 const Discard = -1
 
+// In resolves the input word w against one problem's host memory: what
+// the host sends from mem.
+func (w *Word) In(mem []float64) (float64, error) {
+	switch {
+	case w.Literal:
+		return w.Value, nil
+	case w.Index < 0 || int(w.Index) >= len(mem):
+		return 0, &indexError{"input", w.Index, len(mem)}
+	}
+	return mem[w.Index], nil
+}
+
+// Out stores v, the arriving value of the output word w, into one
+// problem's host memory, or nowhere when it is a Discard.
+func (w *Word) Out(mem []float64, v float64) error {
+	switch {
+	case w.Index == Discard:
+		return nil
+	case w.Index < 0 || int(w.Index) >= len(mem):
+		return &indexError{"output", w.Index, len(mem)}
+	}
+	mem[w.Index] = v
+	return nil
+}
+
+// indexError is a host word's index outside host memory.  It is
+// formatted only when read, so that In and Out inline into the
+// executors' loops.
+type indexError struct {
+	dir   string // "input" or "output"
+	index int32
+	words int
+}
+
+func (e *indexError) Error() string {
+	return fmt.Sprintf("host %s index %d outside host memory of %d words", e.dir, e.index, e.words)
+}
+
 // Gather resolves the input word w against several problems' host
 // memories: dst[l] is what the host sends from mems[l].
 func (w *Word) Gather(dst []float64, mems [][]float64) error {
 	for l, mem := range mems {
-		switch {
-		case w.Literal:
-			dst[l] = w.Value
-		case w.Index < 0 || int(w.Index) >= len(mem):
-			return fmt.Errorf("host input index %d outside host memory of %d words", w.Index, len(mem))
-		default:
-			dst[l] = mem[w.Index]
+		v, err := w.In(mem)
+		if err != nil {
+			return err
 		}
+		dst[l] = v
 	}
 	return nil
 }
@@ -60,14 +95,10 @@ func (w *Word) Gather(dst []float64, mems [][]float64) error {
 // Scatter stores the output word w's arriving values, vals[l] into
 // mems[l], or nowhere when it is a Discard.
 func (w *Word) Scatter(mems [][]float64, vals []float64) error {
-	if w.Index == Discard {
-		return nil
-	}
 	for l, mem := range mems {
-		if w.Index < 0 || int(w.Index) >= len(mem) {
-			return fmt.Errorf("host output index %d outside host memory of %d words", w.Index, len(mem))
+		if err := w.Out(mem, vals[l]); err != nil {
+			return err
 		}
-		mem[w.Index] = vals[l]
 	}
 	return nil
 }

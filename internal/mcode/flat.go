@@ -240,16 +240,24 @@ func (r *CellRegs) Reset() {
 func (r *CellRegs) Hold(reg Reg, v float64) { r.held = append(r.held, regWrite{reg: reg, val: v}) }
 
 // Push puts the result v of an FPU field of the word issuing at cycle t
-// in flight.  The executors evaluate each field themselves (AluOp.Eval)
-// and push it: Push inlines, and a method over all three fields would
-// not (the call costs a tenth of a fast run).
+// in flight: a one-cycle result (a move) is held, the rest land
+// op.Code.Latency() cycles later.  The simulator evaluates each field
+// itself (AluOp.Eval) and pushes it: Push inlines, and a method over all
+// three fields would not.
 func (r *CellRegs) Push(op *AluOp, v float64, t int64) {
 	if lat := op.Code.Latency(); lat == 1 {
 		r.Hold(op.Dst, v)
 	} else {
-		r.fifo[r.tail%FPUSlots] = regWrite{reg: op.Dst, val: v, land: t + lat}
-		r.tail++
+		r.PushAt(op.Dst, v, t+lat)
 	}
+}
+
+// PushAt puts an FPU result v for reg in flight, landing at cycle land:
+// Push for an executor that resolved the field's latency when it lowered
+// the word.  Results must be pushed in landing order.
+func (r *CellRegs) PushAt(reg Reg, v float64, land int64) {
+	r.fifo[r.tail%FPUSlots] = regWrite{reg: reg, val: v, land: land}
+	r.tail++
 }
 
 // Land applies the FPU results that land by cycle t.
@@ -261,14 +269,20 @@ func (r *CellRegs) Land(t int64) {
 	}
 }
 
-// Retire applies the held writes of the word's cycle in field order,
-// then its literal.  The executor lands the FPU results due by the next
-// cycle first (Land(t+1)): they were issued by earlier words.
-func (r *CellRegs) Retire(w *Word) {
+// Commit applies the held writes of the word's cycle in the order they
+// were held.
+func (r *CellRegs) Commit() {
 	for _, h := range r.held {
 		r.R[h.reg] = h.val
 	}
 	r.held = r.held[:0]
+}
+
+// Retire applies the held writes of the word's cycle in field order,
+// then its literal.  The executor lands the FPU results due by the next
+// cycle first (Land(t+1)): they were issued by earlier words.
+func (r *CellRegs) Retire(w *Word) {
+	r.Commit()
 	if w.HasLit {
 		r.R[w.Lit.Dst] = w.Lit.Value
 	}

@@ -7,6 +7,7 @@ import (
 
 	"warp/internal/hostgen"
 	"warp/internal/mcode"
+	"warp/internal/mcode/mcodetest"
 	"warp/internal/w2"
 )
 
@@ -286,51 +287,33 @@ func TestRunDetectsUnbalancedEnd(t *testing.T) {
 	}
 }
 
-// TestBatchLandingOrder: writes that meet at one register at the end of
-// one cycle land in the machine's order — FPU results due, then receives,
-// then one-cycle ALU results — alone and in every lane of a batched walk.
-// r5: an FPU result, a receive and a move, so it holds the move's value;
-// r6: an FPU result and a receive, so it holds the received word.
+// TestBatchLandingOrder: writes that meet at one register or one memory
+// word at the end of one cycle land in the machine's order — FPU results
+// due, then receives, loads, stores, one-cycle ALU results and the
+// literal — and every code only Eval computes reads its operands as they
+// stand, alone and in every lane of a batched walk; a fault reads alike
+// on both, up to the lane the batch names.  The fast plan runs the same
+// cases in its own test.
 func TestBatchLandingOrder(t *testing.T) {
-	recv := func(r mcode.Reg) *mcode.Instr {
-		return &mcode.Instr{IO: []mcode.IOOp{{Recv: true, Dir: w2.DirL, Chan: w2.ChanX, Reg: r}}}
-	}
-	send := func(r mcode.Reg) *mcode.Instr {
-		return &mcode.Instr{IO: []mcode.IOOp{{Dir: w2.DirR, Chan: w2.ChanX, Reg: r}}}
-	}
-	fadd := func(dst mcode.Reg) *mcode.Instr {
-		return &mcode.Instr{Fields: mcode.Fields{HasAdd: true, Add: mcode.AluOp{Code: mcode.Fadd, Dst: dst, Src: [3]mcode.Reg{1, 2}}}}
-	}
-	instrs := []*mcode.Instr{recv(1), recv(2), fadd(5), fadd(6)}
-	for len(instrs) < 2+mcode.FPULatency-1 { // the first sum lands at the end of the next word
-		instrs = append(instrs, &mcode.Instr{})
-	}
-	meet := recv(5)
-	meet.HasMov, meet.Mov = true, mcode.AluOp{Code: mcode.Mov, Dst: 5, Src: [3]mcode.Reg{1}}
-	instrs = append(instrs, meet, recv(6), send(5), send(6))
-	host := emptyHost()
-	host.In[w2.ChanX] = hostgen.Of(hostgen.Word{Index: 0}, hostgen.Word{Index: 1}, hostgen.Word{Index: 2}, hostgen.Word{Index: 3})
-	host.Out[w2.ChanX] = hostgen.Of(hostgen.Word{Index: 4}, hostgen.Word{Index: 5})
-	cfg := Config{Cells: 1, Cell: &mcode.CellProgram{Items: []mcode.CodeItem{&mcode.Straight{Instrs: instrs}}},
-		IU: &mcode.IUProgram{}, Host: host, Lead: 1}
-	images := [][]float64{{1, 2, 10, 20, 0, 0}, {3, 4, 30, 40, 0, 0}, {5, 6, 50, 60, 0, 0}}
-	check := func(what string, img []float64) {
-		t.Helper()
-		if img[4] != img[0] || img[5] != img[3] {
-			t.Errorf("%s: sent r5 = %v and r6 = %v, want the move's %v and the received %v", what, img[4], img[5], img[0], img[3])
-		}
-	}
-	for l, img := range images {
-		cfg.HostMem = append([]float64(nil), img...)
-		if _, err := Run(cfg); err != nil {
-			t.Fatalf("lane %d alone: %v", l, err)
-		}
-		check(fmt.Sprintf("lane %d alone", l), cfg.HostMem)
-	}
-	if _, err := RunBatch(cfg, images); err != nil {
-		t.Fatal(err)
-	}
-	for l, img := range images {
-		check(fmt.Sprintf("lane %d", l), img)
+	for _, c := range mcodetest.LandingCases() {
+		t.Run(c.Name, func(t *testing.T) {
+			cfg := Config{Cells: 1, Cell: c.Cell, IU: c.IU, Host: c.Host, Lead: c.Lead}
+			fault := "cycle 3: cell 0: sim: " + c.Fault // the one faulting case divides in its third word
+			images := make([][]float64, len(c.Inputs))
+			for l := range images {
+				images[l] = c.Image(l)
+				cfg.HostMem = c.Image(l)
+				_, err := Run(cfg)
+				if err := c.Check(cfg.HostMem, err, fault); err != nil {
+					t.Errorf("lane %d alone: %v", l, err)
+				}
+			}
+			_, err := RunBatch(cfg, images)
+			for l, img := range images {
+				if err := c.Check(img, err, fault+" in lane 0"); err != nil {
+					t.Errorf("lane %d: %v", l, err)
+				}
+			}
+		})
 	}
 }
