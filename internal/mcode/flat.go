@@ -70,9 +70,9 @@ type Word struct {
 	EndLo, EndHi       int32
 	Mem                [MemPorts]MemField
 
-	Nop           bool // no field issues
-	Loads, Stores bool
-	Fields        // the instruction's field block, as the code generator wrote it
+	Nop    bool // no field issues
+	Loads  bool // a memory port loads
+	Fields      // the instruction's field block, as the code generator wrote it
 }
 
 // Decoded is a decoded cell program.  Its size depends on the microcode
@@ -154,7 +154,6 @@ func Decode(p *CellProgram) (*Decoded, error) {
 						w.Mem[port] = MemField{Kind: mo.Kind, Reg: mo.Reg, Start: b.Start,
 							TermLo: int32(len(d.Terms)), TermHi: int32(len(b.Terms))}
 						d.Terms = b.Terms
-						w.Stores = w.Stores || mo.Kind == MemStore
 						w.Loads = w.Loads || mo.Kind == MemLoad
 					}
 					w.Fields = in.Fields

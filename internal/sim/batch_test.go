@@ -228,11 +228,14 @@ func TestBatchEnvelope(t *testing.T) {
 }
 
 // BenchmarkRunBatch reports the walk's cost per problem at the fabric's
-// two tile kernels: width 1 is Run.
+// two tile kernels, and at small binop and colorseg kernels, the programs
+// where a one-problem run spends its time: width 1 is Run.
 func BenchmarkRunBatch(b *testing.B) {
 	for _, k := range []struct{ name, src string }{
 		{"matmul10", workloads.Matmul(10)},
 		{"conv1d-9x512", workloads.Conv1D(9, 512)},
+		{"binop64", workloads.Binop(64, 64)},
+		{"colorseg16", workloads.ColorSeg(16, 16, 10)},
 	} {
 		c, cfg := configFor(b, k.src, driver.Options{Pipeline: true, Verify: true})
 		cfg.PCStats = false

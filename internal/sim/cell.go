@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 
 	"warp/internal/mcode"
@@ -9,64 +10,75 @@ import (
 )
 
 // stepCell executes one cycle of one live cell: an idle cycle of the
-// current word's skip, or the word itself.
+// current step's skip, or the step's issuing cycle.  It reads only the
+// lowered steps; the sequencer moves only at a word that closes a loop.
 func (m *machine) stepCell(c *cell) error {
 	if m.trace && m.now == c.start {
 		m.rec.CellStart(m.now, c.idx)
 	}
-	words := m.code.Words
-	if c.PC >= len(words) {
+	steps := m.low.steps
+	if c.PC >= len(steps) {
 		// Only reachable for an empty program.
 		m.finish(c)
 		return nil
 	}
 
-	w := &words[c.PC]
-	if c.idled < w.Skip {
-		c.idle(m, w.Depth, int(w.PC)+int(c.idled))
+	s := &steps[c.PC]
+	if c.idled < s.skip {
+		c.idle(m, int(s.pc)+int(c.idled))
 		c.idled++
 		return nil
 	}
 	c.idled = 0
-	pc := int(w.PC) + int(w.Skip)
-	ends := m.code.Ends[w.EndLo:w.EndHi]
-	crossed, again := c.Advance(w.Depth, ends)
-	if w.Nop {
-		c.idle(m, w.Depth, pc)
+	if s.nop {
+		c.idle(m, int(s.pc)+int(s.skip))
 	} else {
-		c.account(m, w, pc)
+		if m.trace {
+			m.traceIssue(c)
+		}
 		var err error
 		if m.lanes == nil { // a run alone falls through to its issue
-			err = m.issue(c, w)
+			err = m.issue(c, s)
 		} else {
-			err = m.issueLanes(c, w)
+			err = m.issueLanes(c, &m.code.Words[c.PC])
 		}
 		if err != nil {
 			return fmt.Errorf("cell %d: %w", c.idx, err)
 		}
 	}
 
-	// Loop boundaries: pop one IU control signal per boundary,
-	// innermost first, and forward it down the array.
+	if s.endLo == s.endHi {
+		c.PC++
+	} else if err := m.closeLoops(c, s); err != nil {
+		return err
+	}
+	if c.PC >= len(steps) {
+		m.finish(c)
+	}
+	return nil
+}
+
+// closeLoops moves the sequencer past a word that closes loops: it pops
+// one IU control signal per boundary crossed, innermost first, checks it
+// against the sequencer's decision and forwards it down the array.
+func (m *machine) closeLoops(c *cell, s *step) error {
+	ends := m.code.Ends[s.endLo:s.endHi]
+	crossed, again := c.Advance(int(s.depth), ends)
 	for i := range ends[:crossed] {
 		id, more := ends[i].ID, again && i == crossed-1
-		s, err := c.sig.pop()
+		sig, err := c.sig.pop()
 		if err != nil {
 			return fmt.Errorf("cell %d, loop L%d: %w", c.idx, id, err)
 		}
-		if s.id != id || s.more != more {
+		if sig.id != id || sig.more != more {
 			return fmt.Errorf("cell %d: loop signal mismatch: sequencer at L%d(more=%v), IU sent L%d(more=%v)",
-				c.idx, id, more, s.id, s.more)
+				c.idx, id, more, sig.id, sig.more)
 		}
 		if c.next != nil {
-			if err := c.next.sig.push(s); err != nil {
+			if err := c.next.sig.push(sig); err != nil {
 				return err
 			}
 		}
-	}
-
-	if c.PC >= len(words) {
-		m.finish(c)
 	}
 	return nil
 }
@@ -82,8 +94,7 @@ func (m *machine) finish(c *cell) {
 // idle attributes a cycle that issues nothing, at µPC pc: starvation
 // when both data queues are empty (the upstream producer has not
 // delivered) and a schedule bubble otherwise.
-func (c *cell) idle(m *machine, depth, pc int) {
-	c.depth[depth].Cycles++
+func (c *cell) idle(m *machine, pc int) {
 	if c.in[w2.ChanX].n == 0 && c.in[w2.ChanY].n == 0 {
 		c.starved++
 		if c.pcs != nil {
@@ -103,150 +114,119 @@ func (c *cell) idle(m *machine, depth, pc int) {
 	}
 }
 
-// account attributes a busy cycle, at µPC pc.  FPU issues are also
-// attributed to the word's loop depth, which is what lets the
-// utilization report isolate the innermost loop (§7).
-func (c *cell) account(m *machine, w *mcode.Word, pc int) {
-	dp := &c.depth[w.Depth]
-	dp.Cycles++
-	c.busy++
-	if c.pcs != nil {
-		c.pcs.Busy[pc]++
-	}
+// traceIssue reports the FPU fields of the word the cell issues to the
+// recorder, before the word's queue and memory events.
+func (m *machine) traceIssue(c *cell) {
+	w := &m.code.Words[c.PC]
 	if w.HasAdd {
-		c.addOps++
-		dp.AddOps++
-		if m.trace {
-			m.rec.Issue(m.now, c.idx, obs.UnitAdd)
-		}
+		m.rec.Issue(m.now, c.idx, obs.UnitAdd)
 	}
 	if w.HasMul {
-		c.mulOps++
-		dp.MulOps++
-		if m.trace {
-			m.rec.Issue(m.now, c.idx, obs.UnitMul)
-		}
+		m.rec.Issue(m.now, c.idx, obs.UnitMul)
 	}
 	if w.HasMov {
-		c.movOps++
-		if m.trace {
-			m.rec.Issue(m.now, c.idx, obs.UnitMov)
-		}
+		m.rec.Issue(m.now, c.idx, obs.UnitMov)
 	}
 }
 
-// issue executes the word's fields, its writes landing in the order of
-// mcode.CellRegs, the model the fast executor steps too.  Queue fields
-// run in the instruction's order and memory fields in port order, as the
-// recorder sees them.
-func (m *machine) issue(c *cell, w *mcode.Word) error {
+// Rightward flow only: the texts of a queue field the machine refuses.
+var (
+	errRecvRight = errors.New("sim: receive from the right is not supported (rightward flow only)")
+	errSendLeft  = errors.New("sim: send to the left is not supported (rightward flow only)")
+)
+
+// issue executes the ops of the step the cell issues (c.PC), its writes
+// landing in the order of mcode.CellRegs, the model the fast executor
+// steps too: queue fields in the instruction's order, memory ports in
+// port order, then the ADD, MUL and move fields, as the recorder sees
+// them.  Addresses pop from the Adr queue and are forwarded
+// systolically to the next cell; the bound address terms are never
+// read, the IU's stream is what the simulator checks.
+func (m *machine) issue(c *cell, s *step) error {
 	next, r := c.next, &c.regs
 	r.Land(m.now) // FPU results that landed during idle cycles
-	// Queue fields: the sends and the receives, merged back into the
-	// instruction's order.
-	fields := m.code.IO
-	for s, rv := w.IOLo, w.RecvLo; s < w.RecvLo || rv < w.IOHi; {
-		if rv < w.IOHi && (s == w.RecvLo || fields[rv].Ord < fields[s].Ord) {
-			io := &fields[rv]
-			rv++
-			if io.Dir != w2.DirL {
-				return fmt.Errorf("sim: receive from the right is not supported (rightward flow only)")
-			}
-			q := &c.in[io.Ch]
+	// The word's stores, landing at the end of the cycle in port order.
+	var stores [mcode.MemPorts]struct {
+		addr int64
+		reg  uint8
+	}
+	nst := 0
+	for i := s.lo; i < s.hi; i++ {
+		switch o := &m.low.ops[i]; o.kind {
+		case opRecv:
+			q := &c.in[o.x]
 			v, err := q.pop()
 			if err != nil {
 				return err
 			}
 			recPop(m, q)
-			r.Hold(io.Reg, v)
-			continue
-		}
-		io := &fields[s]
-		s++
-		if io.Dir != w2.DirR {
-			return fmt.Errorf("sim: send to the left is not supported (rightward flow only)")
-		}
-		v := r.R[io.Reg]
-		if next != nil {
-			q := &next.in[io.Ch]
-			if err := q.push(v); err != nil {
+			r.Hold(mcode.Reg(o.dst), v)
+		case opSend:
+			v := r.R[o.a]
+			if next != nil {
+				q := &next.in[o.x]
+				if err := q.push(v); err != nil {
+					return err
+				}
+				recPush(m, q)
+			} else if err := m.hostCollect(w2.Channel(o.x), v); err != nil {
 				return err
 			}
-			recPush(m, q)
-		} else if err := m.hostCollect(io.Ch, v); err != nil {
-			return err
-		}
-	}
-
-	// Memory references: addresses pop from the Adr queue and are
-	// forwarded systolically to the next cell.  The bound address terms
-	// are never read: the IU's stream is what the simulator checks.
-	var addrs [mcode.MemPorts]int64
-	for port := range w.Mem {
-		mf := &w.Mem[port]
-		if mf.Kind == mcode.MemNone {
-			continue
-		}
-		addr, err := c.adr.pop()
-		if err != nil {
-			return err
-		}
-		recPop(m, &c.adr)
-		if next != nil {
-			if err := next.adr.push(addr); err != nil {
+		case opRecvRight:
+			return errRecvRight
+		case opSendLeft:
+			return errSendLeft
+		case opLoad, opStore:
+			addr, err := c.adr.pop()
+			if err != nil {
 				return err
 			}
-			recPush(m, &next.adr)
-		}
-		if addr < 0 || addr >= int64(len(c.mem)) {
-			return fmt.Errorf("sim: address %d outside the %d-word cell memory (IU generated a bad address for %s)",
-				addr, len(c.mem), m.cfg.Cell.MemAddr(w, port))
-		}
-		addrs[port] = addr
-		store := mf.Kind == mcode.MemStore
-		if store {
-			c.nStores++
-		} else {
-			c.nLoads++
-			r.Hold(mf.Reg, c.mem[addr]) // read before the word's stores land
-		}
-		if m.trace {
-			m.rec.MemRef(m.now, c.idx, port, addr, store)
+			recPop(m, &c.adr)
+			if next != nil {
+				if err := next.adr.push(addr); err != nil {
+					return err
+				}
+				recPush(m, &next.adr)
+			}
+			if addr < 0 || addr >= int64(len(c.mem)) {
+				return fmt.Errorf("sim: address %d outside the %d-word cell memory (IU generated a bad address for %s)",
+					addr, len(c.mem), m.cfg.Cell.MemAddr(&m.code.Words[c.PC], int(o.x)))
+			}
+			store := o.kind == opStore
+			if store {
+				stores[nst].addr, stores[nst].reg = addr, o.a
+				nst++
+			} else {
+				r.Hold(mcode.Reg(o.dst), c.mem[addr]) // read before the word's stores land
+			}
+			if m.trace {
+				m.rec.MemRef(m.now, c.idx, int(o.x), addr, store)
+			}
+		case opFadd:
+			r.PushAt(mcode.Reg(o.dst), r.R[o.a]+r.R[o.b], m.now+mcode.FPULatency)
+		case opFsub:
+			r.PushAt(mcode.Reg(o.dst), r.R[o.a]-r.R[o.b], m.now+mcode.FPULatency)
+		case opFmul:
+			r.PushAt(mcode.Reg(o.dst), r.R[o.a]*r.R[o.b], m.now+mcode.FPULatency)
+		case opMov:
+			r.Hold(mcode.Reg(o.dst), r.R[o.a])
+		case opEval:
+			f := mcode.AluOp{Code: mcode.AluCode(o.code), Src: [3]mcode.Reg{mcode.Reg(o.a), mcode.Reg(o.b), mcode.Reg(o.c)}}
+			v, err := f.Eval(&r.R)
+			if err != nil {
+				return fmt.Errorf("sim: %w", err)
+			}
+			r.PushAt(mcode.Reg(o.dst), v, m.now+mcode.FPULatency)
 		}
 	}
-
-	// FPU fields (counted in account, which ran before us), one block
-	// each: a loop over the three costs more than the fields.
-	if w.HasAdd {
-		v, err := w.Add.Eval(&r.R)
-		if err != nil {
-			return fmt.Errorf("sim: %w", err)
-		}
-		r.Push(&w.Add, v, m.now)
-	}
-	if w.HasMul {
-		v, err := w.Mul.Eval(&r.R)
-		if err != nil {
-			return fmt.Errorf("sim: %w", err)
-		}
-		r.Push(&w.Mul, v, m.now)
-	}
-	if w.HasMov {
-		v, err := w.Mov.Eval(&r.R)
-		if err != nil {
-			return fmt.Errorf("sim: %w", err)
-		}
-		r.Push(&w.Mov, v, m.now)
-	}
-
-	// Stores land at the end of the cycle, in port order; nothing has
-	// written a register yet.
-	for port := range w.Mem {
-		if mf := &w.Mem[port]; mf.Kind == mcode.MemStore {
-			c.mem[addrs[port]] = r.R[mf.Reg]
-		}
+	// Nothing has written a register yet.
+	for _, st := range stores[:nst] {
+		c.mem[st.addr] = r.R[st.reg]
 	}
 	r.Land(m.now + 1)
-	r.Retire(w)
+	r.Commit()
+	if s.lit {
+		r.R[s.litDst] = s.litVal
+	}
 	return nil
 }

@@ -63,7 +63,7 @@ func (m *machine) issueLanes(c *cell, w *mcode.Word) error {
 			io := &fields[rv]
 			rv++
 			if io.Dir != w2.DirL {
-				return fmt.Errorf("sim: receive from the right is not supported (rightward flow only)")
+				return errRecvRight
 			}
 			q := &c.in[io.Ch]
 			if err := q.popLanes(r.Hold(io.Reg)); err != nil {
@@ -75,7 +75,7 @@ func (m *machine) issueLanes(c *cell, w *mcode.Word) error {
 		io := &fields[s]
 		s++
 		if io.Dir != w2.DirR {
-			return fmt.Errorf("sim: send to the left is not supported (rightward flow only)")
+			return errSendLeft
 		}
 		v := r.Lanes(io.Reg)
 		if next != nil {
@@ -117,10 +117,7 @@ func (m *machine) issueLanes(c *cell, w *mcode.Word) error {
 		}
 		at[port] = int(a) * n
 		store := mf.Kind == mcode.MemStore
-		if store {
-			c.nStores++
-		} else {
-			c.nLoads++
+		if !store {
 			copy(r.Hold(mf.Reg), c.mem[at[port]:][:n])
 		}
 		if m.trace {

@@ -53,11 +53,11 @@ type Config struct {
 	// the aggregate Stats.Obs profile is collected either way.
 	Recorder obs.Recorder
 	// PCStats enables exact per-µPC cycle attribution: every executed
-	// instruction increments one busy/starved/bubble counter at its
+	// instruction counts in one busy/starved/bubble counter at its
 	// static µprogram address (its index in the canonical walk order,
 	// mcode.WalkInstrs').  The counters land in
 	// Stats.Obs.PC.  Off by default — the hot-path cost when off is one
-	// nil check per cycle per cell.
+	// nil check per idle cycle per cell.
 	PCStats bool
 	// Progress, when non-nil, receives a cycles-retired update at the
 	// same stride the context is polled, plus one final update when the
@@ -123,16 +123,15 @@ type cell struct {
 	start     int64
 	finish    int64 // the cycle the last instruction retired on
 
-	// Always-on per-cell accounting (integer increments only); the
-	// totals land in Stats.Obs at the end of the run.
-	addOps, mulOps, movOps int64
-	nLoads, nStores        int64
-	busy, starved, bubble  int64
-	depth                  []obs.DepthProfile
+	// The idle split, the one accounting the cycle loop does (integer
+	// increments only): what a cell issues is the program's, counted
+	// when the run ends (issueCounts).
+	starved, bubble int64
+	depth           []obs.DepthProfile
 	// sampled counts the cycles sampleQueues ran on this cell.
 	sampled int64
 	// pcs holds the exact per-µPC counters when Config.PCStats is set;
-	// nil otherwise (the account hot path tests the pointer once).
+	// nil otherwise (the idle path tests the pointer once).
 	pcs *obs.PCProfile
 
 	regs  mcode.CellRegs    // the register file and the writes in flight
@@ -149,7 +148,11 @@ type cell struct {
 type machine struct {
 	cfg   Config
 	code  mcode.Decoded // the decoded cell program every cell executes
+	low   lowered       // the same, as the one-wide body's steps and ops
 	cells []cell
+	// times is scratch for issueCounts: how often a cell runs each word.
+	// finishes is Stats.CellFinish, from the same arena.
+	times, finishes []int64
 
 	// A batched walk's host images, one per lane (nil alone: the run's
 	// image is cfg.HostMem), and where a host input word's lanes gather.
@@ -230,7 +233,7 @@ func run(cfg Config, lanes [][]float64) (*Stats, error) {
 		if err := m.cycle(lo, hi); err != nil {
 			return nil, fmt.Errorf("cycle %d: %w", m.now, err)
 		}
-		for lo < hi && m.cells[lo].PC >= len(m.code.Words) {
+		for lo < hi && m.cells[lo].PC >= len(m.low.steps) {
 			lo++
 		}
 	}
@@ -246,9 +249,9 @@ func run(cfg Config, lanes [][]float64) (*Stats, error) {
 	return m.stats(), nil
 }
 
-// newMachine decodes the microprograms and allocates all run state: a
-// handful of allocations sized by the cell count and the lanes, none
-// afterwards.
+// newMachine decodes the microprograms, lowers the cell program and
+// allocates all run state: a handful of allocations sized by the
+// program, the cell count and the lanes, none afterwards.
 func newMachine(cfg Config, lanes [][]float64) (*machine, error) {
 	code, err := mcode.Decode(cfg.Cell)
 	if err != nil {
@@ -265,11 +268,17 @@ func newMachine(cfg Config, lanes [][]float64) (*machine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: IU %w", err)
 	}
-	depth, pcs := code.Depth, cfg.Cell.NumInstrs()
+	// A word covers its idle µPCs and its issuing one, back to back, so
+	// the last word ends the program's µPCs.
+	depth, pcs := code.Depth, 0
+	if k := len(code.Words); k > 0 {
+		pcs = int(code.Words[k-1].PC) + int(code.Words[k-1].Skip) + 1
+	}
 	rec := cmp.Or(cfg.Recorder, obs.Nop())
 	m := &machine{
 		cfg:    cfg,
 		code:   *code,
+		low:    lower(code),
 		cells:  make([]cell, cfg.Cells),
 		lanes:  lanes,
 		iuCode: iuCode,
@@ -281,21 +290,23 @@ func newMachine(cfg Config, lanes [][]float64) (*machine, error) {
 		m.hostIn[ch], m.hostInLeft[ch] = hostgen.NewReader(in), in.Words()
 		m.hostOut[ch] = hostgen.NewReader(cfg.Host.Out[w2.Channel(ch)])
 	}
-	m.iu.Iter = make([]int64, iuCode.Depth)
 
-	// One arena holds every int64 counter of the cells: loop iterations,
-	// three occupancy histograms, three per-µPC rows when profiling.
+	// One arena holds every int64 counter: the IU's loop iterations, the
+	// word counts, the cells' finish cycles, and per cell its loop
+	// iterations, three occupancy histograms, three per-µPC rows when
+	// profiling.
 	const histLen = mcode.QueueDepth + 1
 	perCell := depth + int(obs.NumQueues)*histLen
 	if cfg.PCStats {
 		perCell += 3 * pcs
 	}
-	arena := make([]int64, cfg.Cells*perCell)
+	arena := make([]int64, iuCode.Depth+len(code.Words)+cfg.Cells+cfg.Cells*perCell)
 	take := func(n int) []int64 {
 		out := arena[:n:n]
 		arena = arena[n:]
 		return out
 	}
+	m.iu.Iter, m.times, m.finishes = take(iuCode.Depth), take(len(code.Words)), take(cfg.Cells)
 	rows := max(4, depth+1) // the depth profile has always had at least four
 	depths := make([]obs.DepthProfile, cfg.Cells*rows)
 	// A second arena holds every value: each cell's memory, and in a
@@ -378,7 +389,7 @@ func (m *machine) checkBalance() error {
 func (m *machine) stats() *Stats {
 	stats := &Stats{
 		Cycles:     m.now,
-		CellFinish: make([]int64, m.cfg.Cells),
+		CellFinish: m.finishes,
 		Sent:       map[w2.Channel]int{},
 	}
 	for ch, n := range m.hostSent {
@@ -397,22 +408,19 @@ func (m *machine) stats() *Stats {
 		HostStallY: m.hostStall[w2.ChanY],
 	}
 	last := stats.Cycles - 1 // cycle the last cell retired on
+	issued := m.issueCounts(m.times)
 	for i := range m.cells {
 		c := &m.cells[i]
 		stats.CellFinish[i] = c.finish
 		stats.CellActive += c.finish - c.start
-		stats.AddOps += c.addOps
-		stats.MulOps += c.mulOps
-		prof.Cell[i] = obs.CellProfile{
-			Start:  c.start,
-			Finish: c.finish,
-			AddOps: c.addOps, MulOps: c.mulOps, MovOps: c.movOps,
-			Loads: c.nLoads, Stores: c.nStores,
-			Busy: c.busy, Starved: c.starved, Bubble: c.bubble,
-			SkewLead: c.start - m.cells[0].start,
-			Drain:    last - c.finish,
-			Depth:    c.depth,
-		}
+		stats.AddOps += issued.AddOps
+		stats.MulOps += issued.MulOps
+		cp := issued
+		cp.Start, cp.Finish = c.start, c.finish
+		cp.Starved, cp.Bubble = c.starved, c.bubble
+		cp.SkewLead, cp.Drain = c.start-m.cells[0].start, last-c.finish
+		cp.Depth = c.depth
+		prof.Cell[i] = cp
 		// The cycles this cell's queues went unsampled lie before its
 		// upstream neighbour started or after it finished itself;
 		// either way they were empty (checkBalance passed).

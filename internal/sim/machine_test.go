@@ -317,3 +317,81 @@ func TestBatchLandingOrder(t *testing.T) {
 		})
 	}
 }
+
+// TestRunFaultOrder pins which fault a word reports when more than one of
+// its fields would fault: the first in the order the word executes — its
+// queue fields in the instruction's order, then its memory ports, then
+// its FPU fields — alone and three lanes wide.  (The divide's own text is
+// TestBatchLandingOrder's.)
+func TestRunFaultOrder(t *testing.T) {
+	recvY := mcode.IOOp{Recv: true, Dir: w2.DirL, Chan: w2.ChanY, Reg: 2}
+	sendX := mcode.IOOp{Dir: w2.DirR, Chan: w2.ChanX, Reg: 1}
+	// fill sends a full queue's worth of words into cell 1's X queue
+	// before cell 1 starts, then runs the word under test.
+	fill := func(last *mcode.Instr) *mcode.CellProgram {
+		s := &mcode.Straight{}
+		for range mcode.QueueDepth {
+			s.Instrs = append(s.Instrs, &mcode.Instr{IO: []mcode.IOOp{sendX}})
+		}
+		s.Instrs = append(s.Instrs, last)
+		return &mcode.CellProgram{Items: []mcode.CodeItem{s}}
+	}
+	one := func(in *mcode.Instr) *mcode.CellProgram {
+		return &mcode.CellProgram{Items: []mcode.CodeItem{&mcode.Straight{Instrs: []*mcode.Instr{in}}}}
+	}
+	load := [mcode.MemPorts]mcode.MemOp{{Kind: mcode.MemLoad, Reg: 3, Addr: mcode.AddrInfo{Sym: dummySym()}}}
+	div := mcode.Fields{HasMul: true, Mul: mcode.AluOp{Code: mcode.Fdiv, Dst: 4, Src: [3]mcode.Reg{0, 1}}}
+	for _, tc := range []struct {
+		name  string
+		cells int
+		cell  *mcode.CellProgram
+		host  *hostgen.Program
+		want  string
+	}{
+		{
+			name: "underflowing-receive-then-overflowing-send", cells: 2,
+			cell: fill(&mcode.Instr{IO: []mcode.IOOp{recvY, sendX}}),
+			want: "cycle 129: cell 0: sim: queue cell0.Y underflows (receive before the matching send)",
+		},
+		{
+			name: "overflowing-send-then-underflowing-receive", cells: 2,
+			cell: fill(&mcode.Instr{IO: []mcode.IOOp{sendX, recvY}}),
+			want: "cycle 129: cell 0: sim: queue cell1.X overflows its 128 words",
+		},
+		{
+			name: "receive-then-empty-address-queue", cells: 1,
+			cell: one(&mcode.Instr{IO: []mcode.IOOp{{Recv: true, Dir: w2.DirL, Chan: w2.ChanX, Reg: 2}}, Mem: load}),
+			host: hostFor(1),
+			want: "cycle 1: cell 0: sim: queue cell0.Adr underflows (receive before the matching send)",
+		},
+		{
+			name: "queue-fault-before-divide-by-zero", cells: 1,
+			cell: one(&mcode.Instr{Fields: div, IO: []mcode.IOOp{recvY}}),
+			want: "cycle 1: cell 0: sim: queue cell0.Y underflows (receive before the matching send)",
+		},
+		{
+			name: "leftward-send-then-rightward-receive", cells: 1,
+			cell: one(&mcode.Instr{IO: []mcode.IOOp{{Dir: w2.DirL, Chan: w2.ChanX, Reg: 1}, {Recv: true, Dir: w2.DirR, Chan: w2.ChanY, Reg: 2}}}),
+			want: "cycle 1: cell 0: sim: send to the left is not supported (rightward flow only)",
+		},
+		{
+			name: "rightward-receive-then-leftward-send", cells: 1,
+			cell: one(&mcode.Instr{IO: []mcode.IOOp{{Recv: true, Dir: w2.DirR, Chan: w2.ChanY, Reg: 2}, {Dir: w2.DirL, Chan: w2.ChanX, Reg: 1}}}),
+			want: "cycle 1: cell 0: sim: receive from the right is not supported (rightward flow only)",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			host := tc.host
+			if host == nil {
+				host = emptyHost()
+			}
+			err := runBoth(t, Config{
+				Cells: tc.cells, Cell: tc.cell, IU: &mcode.IUProgram{}, Host: host,
+				Skew: 2 * mcode.QueueDepth, Lead: 1, HostMem: []float64{42, 0},
+			})
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("err = %v,\nwant %s", err, tc.want)
+			}
+		})
+	}
+}

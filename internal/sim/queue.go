@@ -21,18 +21,25 @@
 //   - memory stores become visible the cycle after issue.
 //
 // Execution model.  Nothing above is interpreted from the compiler's
-// data structures on the cycle loop.  Every cell steps the one decoded
-// cell program (mcode.Decode, which the fast executor runs too) with a
-// word index, the idle cycles run of the word's skip and one iteration
-// counter per depth.  An idle cycle only does the accounting; an issuing
-// one executes the word's fields, its writes landing through
-// mcode.CellRegs.  Addresses come from the IU's Adr queue, never from the
-// words' bound terms, so the simulator stays an independent check of the
-// verifier.  All state is allocated once per run, in proportion to the
-// cells and never to the cycles.  Cells start and finish in index order,
-// so the cycle loop steps only the window of live cells: the others'
-// idle-stall events go only to an attached recorder, and their queues'
-// untouched cycles are added to the histograms in bulk at the end.
+// data structures on the cycle loop.  A run lowers the one decoded cell
+// program (mcode.Decode, which the fast executor runs too) once into
+// steps and ops (lower.go): per word its skip, µPC, loop ends and
+// literal, and its fields in the order they execute, every static choice
+// made.  Every cell steps them with a word index, the idle cycles run of
+// the word's skip and one iteration counter per depth.  An idle cycle
+// only splits itself into starved or bubble by queue state; an issuing
+// one runs the word's ops, its writes landing through mcode.CellRegs.
+// What a cell issues is the program's — every cell runs every word as
+// often as the trip counts around it multiply to — so busy cycles, FPU
+// and memory operations, depth rows and per-µPC busy counters are summed
+// over the words once the run ends.  Addresses come from the IU's Adr
+// queue, never from the words' bound terms, so the simulator stays an
+// independent check of the verifier.  All state is allocated once per
+// run, in proportion to the program and the cells and never to the
+// cycles.  Cells start and finish in index order, so the cycle loop
+// steps only the window of live cells: the others' idle-stall events go
+// only to an attached recorder, and their queues' untouched cycles are
+// added to the histograms in bulk at the end.
 //
 // Batch axis.  The IU generates every address and loop signal without
 // looking at the data, and W2 has no data-dependent control, so N
