@@ -439,7 +439,7 @@ func TestSearchAllPlacementsFindsSchedules(t *testing.T) {
 
 // TestFirstIITriedIsAccepted pins, per loop of the benchmark programs the
 // search looks at, the bound it starts from, the II it accepts and the
-// attempts in between.  The aim (ROADMAP item 5) is attempts = 1
+// attempts in between.  The aim (ROADMAP item 2) is attempts = 1
 // everywhere; a loop that needs more is listed with the reason, and the
 // search may not get worse on it.
 func TestFirstIITriedIsAccepted(t *testing.T) {

@@ -97,7 +97,7 @@ func TestIUElaborationMatchesSimulator(t *testing.T) {
 				for s.PC < len(code.Words) {
 					w := &code.Words[s.PC]
 					ends := code.Ends[w.EndLo:w.EndHi]
-					crossed, again := s.Advance(w.Depth, ends)
+					crossed, again := s.Advance(int(w.Depth), ends)
 					for i, e := range ends[:crossed] {
 						if n >= len(tr.Sigs) {
 							t.Fatalf("the sequencer crosses more than the %d boundaries the IU signals", len(tr.Sigs))

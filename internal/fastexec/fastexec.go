@@ -6,20 +6,23 @@
 // what the static verifier has proven.  So a plan is the decoded cell
 // program the simulator steps (mcode.Decode), run per cell directly over
 // host slices with addresses from its bound affine terms, its writes
-// landing through mcode.CellRegs as the simulator's do.  Compile lowers
-// the decoded words once more, into the plan's own stream of 8-byte ops
-// (lower.go): per word the reads before its cycle's landing and the
-// writes after it, the plain arithmetic inline, every other code through
-// mcode.AluOp.Eval.  A plan is as large as the microcode, whatever the
-// trip counts.
+// landing through mcode.CellRegs as the simulator's do.  The plan walks
+// the decoded program's own op stream; Compile only partitions each
+// word's ops, in stream order, into its reads (sends, stores, FPU fields,
+// moves), which see the registers as they stand, and its writes
+// (receives, loads), which land after the FPU results due by the next
+// cycle: the order the machine lands them in, with only the moves (and
+// the loads of a word that also stores) held to the end of the cycle,
+// by a move closing the word's writes.  A plan is as large as the
+// microcode, whatever the trip counts.
 //
 // W2 has no data-dependent control and the IU generates every address
 // and loop signal, so one walk of a plan serves any number of problems
 // (ExecuteBatch): words, sequencing and addresses are shared, and each
 // register, memory word, stream word and FPU FIFO entry holds a value per
 // problem.  One problem alone keeps a one-wide body over the ops
-// (runCell): the lane-wide body, over the decoded words, runs one problem
-// 2.3–2.9× slower.
+// (runCell): the lane-wide body (runLanes) runs one problem 2.3–2.9×
+// slower.
 //
 // The run is bit-exact with the simulator:
 //
@@ -54,6 +57,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"warp/internal/hostgen"
@@ -94,8 +98,13 @@ type Plan struct {
 	cycles     int64 // modeled machine time, closed form
 	host       *hostgen.Program
 
-	code   mcode.Decoded
-	low    lowered          // the code as runCell's ops
+	code mcode.Decoded
+	// The plan's view of the code (partition): its words, their op ranges
+	// into ops, where each word's reads come before its writes, which
+	// begin at ops[writes[word]].
+	words  []mcode.Word
+	ops    []mcode.Op
+	writes []int32
 	counts mcode.CellCounts // one cell's run, in closed form
 }
 
@@ -158,14 +167,12 @@ func Compile(p Program) (*Plan, error) {
 	if err := positiveTrips("loop", code.Ends); err != nil {
 		return nil, err
 	}
-	for i := range code.Words {
-		w := &code.Words[i]
-		for k, io := range code.IO[w.IOLo:w.IOHi] {
-			if send := w.IOLo+int32(k) < w.RecvLo; send && io.Dir != w2.DirR {
-				return nil, fmt.Errorf("fastexec: send to the left is not supported (rightward flow only)")
-			} else if !send && io.Dir != w2.DirL {
-				return nil, fmt.Errorf("fastexec: receive from the right is not supported (rightward flow only)")
-			}
+	for _, o := range code.Ops {
+		switch o.Kind {
+		case mcode.OpSendLeft:
+			return nil, fmt.Errorf("fastexec: send to the left is not supported (rightward flow only)")
+		case mcode.OpRecvRight:
+			return nil, fmt.Errorf("fastexec: receive from the right is not supported (rightward flow only)")
 		}
 	}
 	if code.Unbound != nil {
@@ -178,9 +185,9 @@ func Compile(p Program) (*Plan, error) {
 		lead:   p.Lead,
 		host:   p.Host,
 		code:   *code,
-		low:    lower(code),
 		counts: counts,
 	}
+	plan.words, plan.ops, plan.writes = partition(code)
 	// The last cell finishes at Lead + (Cells-1)·Skew + CellCycles - 1;
 	// the simulator's reported count is one past that.  An empty cell
 	// program still costs its start cycle.
@@ -216,6 +223,54 @@ func positiveTrips(what string, ends []mcode.LoopEnd) error {
 	return nil
 }
 
+// partition returns the plan's view of the code: its words, each word's
+// ops with its reads — sends, stores, FPU fields, moves — before its
+// writes — receives, loads — each in stream order, and where each word's
+// writes begin.  A word that loads and stores reads its loads first of
+// all, held to the end of its cycle: a load reads the memory as it stood
+// before the word's stores.  A word that holds a write (a move or such a
+// load) ends with a move among its writes, which lands them: the commit
+// an op, paid for only by the words that hold.
+func partition(code *mcode.Decoded) (words []mcode.Word, ops []mcode.Op, writes []int32) {
+	words, writes = slices.Clone(code.Words), make([]int32, len(code.Words))
+	ops = make([]mcode.Op, 0, len(code.Ops)+len(code.Words))
+	for i := range words {
+		w := &words[i]
+		word := code.Ops[w.Lo:w.Hi]
+		stores := slices.ContainsFunc(word, func(o mcode.Op) bool { return o.Kind == mcode.OpStore })
+		holds := false
+		w.Lo = int32(len(ops))
+		for class := range 3 {
+			if class == 2 {
+				writes[i] = int32(len(ops))
+			}
+			for _, o := range word {
+				if c := phase(o.Kind, stores); c == class {
+					ops = append(ops, o)
+					holds = holds || c < 2 && (o.Kind == mcode.OpMov || o.Kind == mcode.OpLoad)
+				}
+			}
+		}
+		if holds {
+			ops = append(ops, mcode.Op{Kind: mcode.OpMov})
+		}
+		w.Hi = int32(len(ops))
+	}
+	return words, ops, writes
+}
+
+// phase is the class the partition puts an op of a word in: 0 a held
+// load (the word stores), 1 a read, 2 a write.
+func phase(k mcode.OpKind, stores bool) int {
+	switch {
+	case k == mcode.OpLoad && stores:
+		return 0
+	case k == mcode.OpRecv || k == mcode.OpLoad:
+		return 2
+	}
+	return 1
+}
+
 // addr is the address a memory field references with the enclosing
 // loops at iterations iter.
 func (p *Plan) addr(m *mcode.MemField, iter []int64) int64 {
@@ -235,12 +290,12 @@ func (p *Plan) validate(iu *mcode.IUTrace, cell *mcode.CellProgram) error {
 	adrs, sigs := iu.Adr, iu.Sigs
 	for t := int64(0); s.PC < len(p.code.Words); t++ {
 		w := &p.code.Words[s.PC]
-		t += w.Skip
-		for port := range w.Mem {
-			m := &w.Mem[port]
-			if m.Kind == mcode.MemNone {
+		t += int64(w.Skip)
+		for _, o := range p.code.Ops[w.Lo:w.Hi] {
+			if o.Kind != mcode.OpLoad && o.Kind != mcode.OpStore {
 				continue
 			}
+			m, port := &p.code.Mems[o.X], int(o.B)
 			if len(adrs) == 0 {
 				return fmt.Errorf("fastexec: the IU address stream ran dry at cycle %d, memory port %d", t, port)
 			}
@@ -262,7 +317,7 @@ func (p *Plan) validate(iu *mcode.IUTrace, cell *mcode.CellProgram) error {
 		// One IU control signal is consumed per loop boundary, innermost
 		// first.
 		ends := p.code.Ends[w.EndLo:w.EndHi]
-		crossed, again := s.Advance(w.Depth, ends)
+		crossed, again := s.Advance(int(w.Depth), ends)
 		for i, e := range ends[:crossed] {
 			if len(sigs) == 0 {
 				return fmt.Errorf("fastexec: the IU signal stream ran dry at loop L%d", e.ID)
@@ -494,114 +549,110 @@ func (p *Plan) ExecuteBatch(hostMems [][]float64, cfg ExecConfig) (*Result, erro
 	return p.result(st), nil
 }
 
-// runCell runs the plan for one cell: the one-wide body, over the ops
-// Compile lowered the words to, its FPU results landing through
-// mcode.CellRegs as the simulator's do.  A word's read ops see the
-// registers as they stand; its write ops come after the FPU results due
-// by the next cycle land, in the machine's (landing cycle, issue order).
+// runCell runs the plan for one cell: the one-wide body, over the
+// partitioned ops, its FPU results landing through mcode.CellRegs as the
+// simulator's do.  A word's reads see the registers as they stand; its
+// writes come after the FPU results due by the next cycle land, then its
+// held writes (Commit) and its literal, in the machine's (landing cycle,
+// issue order).
 func (p *Plan) runCell(st *execState, idx int) error {
 	first, last := idx == 0, idx == p.cells-1
 	polled := st.ctx != nil || st.progress != nil
 	r := &st.cell
 	r.Reset()
-	// The word's stores held back past its loads.
-	var stored [mcode.MemPorts]struct {
-		addr int64
-		val  float64
-	}
 	host, mem := st.hostMems[0], st.mem
 	clear(mem)
-	steps, ops, mems := p.low.steps, p.low.ops, p.low.mems
+	words, ops, mems := p.words, p.ops, p.code.Mems
+	writes := p.writes[:len(words)]
 	// The left neighbour's words, how many of each channel are consumed,
 	// and this cell's own (handed back once it retires).
 	prev, cur := st.prev, st.cur
 	var pos [2]int
 
 	s := mcode.Seq{Iter: st.iter}
-	for t := int64(0); s.PC < len(steps); t++ {
-		w := &steps[s.PC]
+	for t := int64(0); s.PC < len(words); t++ {
+		w, mid := &words[s.PC], writes[s.PC]
 		if polled {
 			if err := st.poll(idx, t); err != nil {
 				return err
 			}
 		}
-		if w.skip > 0 {
+		if w.Skip > 0 {
 			// FPU results that land during the idle cycles are visible to
 			// this word's reads.
-			t += w.skip
+			t += int64(w.Skip)
 			r.Land(t)
 		}
-		for i := w.lo; i < w.mid; i++ {
-			switch o := &ops[i]; o.kind {
-			case opSend:
+		for i := w.Lo; i < mid; i++ {
+			switch o := &ops[i]; o.Kind {
+			case mcode.OpSend:
 				if !last {
-					cur[o.x] = append(cur[o.x], r.R[o.a])
+					cur[o.X] = append(cur[o.X], r.R[o.A])
 					continue
 				}
-				hw := st.hostOut[o.x].Next()
+				hw := st.hostOut[o.X].Next()
 				if hw == nil {
-					return st.sentMore(w2.Channel(o.x))
+					return st.sentMore(w2.Channel(o.X))
 				}
-				if err := hw.Out(host, r.R[o.a]); err != nil {
+				if err := hw.Out(host, r.R[o.A]); err != nil {
 					return fmt.Errorf("fastexec: %w", err)
 				}
-				st.sent[o.x]++
-			case opStore:
-				mem[p.addr(&mems[o.x], s.Iter)] = r.R[o.a]
-			case opStoreHold:
-				stored[o.b].addr, stored[o.b].val = p.addr(&mems[o.x], s.Iter), r.R[o.a]
-			case opFadd:
-				r.PushAt(mcode.Reg(o.dst), r.R[o.a]+r.R[o.b], t+mcode.FPULatency)
-			case opFsub:
-				r.PushAt(mcode.Reg(o.dst), r.R[o.a]-r.R[o.b], t+mcode.FPULatency)
-			case opFmul:
-				r.PushAt(mcode.Reg(o.dst), r.R[o.a]*r.R[o.b], t+mcode.FPULatency)
-			case opEval:
-				v, err := p.low.alus[o.x].Eval(&r.R)
+				st.sent[o.X]++
+			case mcode.OpLoad: // the word also stores
+				r.Hold(mcode.Reg(o.Dst), mem[p.addr(&mems[o.X], s.Iter)])
+			case mcode.OpStore:
+				mem[p.addr(&mems[o.X], s.Iter)] = r.R[o.A]
+			case mcode.OpFadd:
+				r.PushAt(mcode.Reg(o.Dst), r.R[o.A]+r.R[o.B], t+mcode.FPULatency)
+			case mcode.OpFsub:
+				r.PushAt(mcode.Reg(o.Dst), r.R[o.A]-r.R[o.B], t+mcode.FPULatency)
+			case mcode.OpFmul:
+				r.PushAt(mcode.Reg(o.Dst), r.R[o.A]*r.R[o.B], t+mcode.FPULatency)
+			case mcode.OpEval:
+				v, err := o.Eval(&r.R)
 				if err != nil {
 					return fmt.Errorf("fastexec: %w", err)
 				}
-				r.PushAt(mcode.Reg(o.dst), v, t+mcode.FPULatency)
-			case opMov:
-				r.Hold(mcode.Reg(o.dst), r.R[o.a])
+				r.PushAt(mcode.Reg(o.Dst), v, t+mcode.FPULatency)
+			case mcode.OpMov:
+				r.Hold(mcode.Reg(o.Dst), r.R[o.A])
 			}
 		}
 		r.Land(t + 1)
-		for i := w.mid; i < w.hi; i++ {
-			switch o := &ops[i]; o.kind {
-			case opRecv:
+		for i := mid; i < w.Hi; i++ {
+			switch o := &ops[i]; o.Kind {
+			case mcode.OpRecv:
 				if first {
-					hw := st.hostIn[o.x].Next()
+					hw := st.hostIn[o.X].Next()
 					if hw == nil {
-						return st.ranDry(w2.Channel(o.x))
+						return st.ranDry(w2.Channel(o.X))
 					}
 					v, err := hw.In(host)
 					if err != nil {
 						return fmt.Errorf("fastexec: %w", err)
 					}
-					r.R[o.dst] = v
+					r.R[o.Dst] = v
 					continue
 				}
-				in, n := prev[o.x], pos[o.x]
+				in, n := prev[o.X], pos[o.X]
 				if n >= len(in) {
-					return fmt.Errorf("fastexec: queue cell%d.%s underflows (receive before the matching send)", idx, w2.Channel(o.x))
+					return fmt.Errorf("fastexec: queue cell%d.%s underflows (receive before the matching send)", idx, w2.Channel(o.X))
 				}
-				r.R[o.dst] = in[n]
-				pos[o.x] = n + 1
-			case opLoad:
-				r.R[o.dst] = mem[p.addr(&mems[o.x], s.Iter)]
-			case opStoreLand:
-				mem[stored[o.b].addr] = stored[o.b].val
-			case opCommit:
+				r.R[o.Dst] = in[n]
+				pos[o.X] = n + 1
+			case mcode.OpLoad:
+				r.R[o.Dst] = mem[p.addr(&mems[o.X], s.Iter)]
+			case mcode.OpMov: // the word's held writes land
 				r.Commit()
-			case opLit:
-				r.R[o.dst] = p.low.lits[o.x]
 			}
 		}
-		if w.endLo == w.endHi {
+		if w.Lit {
+			r.R[w.LitDst] = p.code.Lits[s.PC]
+		}
+		if w.EndLo == w.EndHi {
 			s.PC++
 		} else {
-			s.Advance(int(w.depth), p.code.Ends[w.endLo:w.endHi])
+			s.Advance(int(w.Depth), p.code.Ends[w.EndLo:w.EndHi])
 		}
 	}
 	// Writes still in flight when the cell retires are never observed:
@@ -610,10 +661,10 @@ func (p *Plan) runCell(st *execState, idx int) error {
 	return nil
 }
 
-// runLanes is runCell for n problems at once: the same words under one
-// sequencer, the same order of reads and landings within a word, every
-// value n lanes wide, its writes landing through mcode.LaneRegs.  What
-// amortizes is the walk itself — field dispatch, address arithmetic,
+// runLanes is runCell for n problems at once: the same ops under one
+// sequencer, in the same order of reads and landings within a word,
+// every value n lanes wide, its writes landing through mcode.LaneRegs.
+// What amortizes is the walk itself — op dispatch, address arithmetic,
 // sequencing — most of what a small run costs.
 func (p *Plan) runLanes(st *execState, idx int) error {
 	first, last := idx == 0, idx == p.cells-1
@@ -622,61 +673,67 @@ func (p *Plan) runLanes(st *execState, idx int) error {
 	st.laneVals = sized(st.laneVals, mcode.LaneRegWords*n)
 	r.Reset(n, st.laneVals)
 	clear(mem)
+	words, ops, mems := p.words, p.ops, p.code.Mems
 	var pos [2]int
 
 	s := mcode.Seq{Iter: st.iter}
-	for t := int64(0); s.PC < len(p.code.Words); t++ {
-		w := &p.code.Words[s.PC]
+	for t := int64(0); s.PC < len(words); t++ {
+		w, mid := &words[s.PC], p.writes[s.PC]
 		if polled {
 			if err := st.poll(idx, t); err != nil {
 				return err
 			}
 		}
 		if w.Skip > 0 {
-			t += w.Skip
+			t += int64(w.Skip)
 			r.Land(t)
 		}
-		for _, io := range p.code.IO[w.IOLo:w.RecvLo] {
-			if !last {
-				st.cur[io.Ch] = append(st.cur[io.Ch], r.Lanes(io.Reg)...)
-			} else if err := st.hostCollect(io.Ch, r.Lanes(io.Reg)); err != nil {
-				return err
-			}
-		}
-		// Loads are held and read before the word's stores land; stores
-		// read the registers before any write does.
-		for pi := range w.Mem {
-			if m := &w.Mem[pi]; m.Kind == mcode.MemLoad {
-				copy(r.Hold(m.Reg), mem[int(p.addr(m, s.Iter))*n:][:n])
-			}
-		}
-		for pi := range w.Mem {
-			if m := &w.Mem[pi]; m.Kind == mcode.MemStore {
-				copy(mem[int(p.addr(m, s.Iter))*n:][:n], r.Lanes(m.Reg))
-			}
-		}
-		if err := r.Issue(w, t); err != nil {
-			return fmt.Errorf("fastexec: %w", err)
-		}
-		// Receives land after the FPU results due by t+1 and before the
-		// held writes, as in runCell.
-		r.Land(t + 1)
-		for _, io := range p.code.IO[w.RecvLo:w.IOHi] {
-			if first {
-				if err := st.hostWords(io.Ch, r.Lanes(io.Reg)); err != nil {
+		for i := w.Lo; i < mid; i++ {
+			switch o := &ops[i]; o.Kind {
+			case mcode.OpSend:
+				v := r.Lanes(mcode.Reg(o.A))
+				if !last {
+					st.cur[o.X] = append(st.cur[o.X], v...)
+				} else if err := st.hostCollect(w2.Channel(o.X), v); err != nil {
 					return err
 				}
-				continue
+			case mcode.OpLoad: // the word also stores
+				copy(r.Hold(mcode.Reg(o.Dst)), mem[int(p.addr(&mems[o.X], s.Iter))*n:][:n])
+			case mcode.OpStore:
+				copy(mem[int(p.addr(&mems[o.X], s.Iter))*n:][:n], r.Lanes(mcode.Reg(o.A)))
+			default:
+				if err := r.Exec(o, t); err != nil {
+					return fmt.Errorf("fastexec: %w", err)
+				}
 			}
-			in, at := st.prev[io.Ch], pos[io.Ch]*n
-			if at >= len(in) {
-				return fmt.Errorf("fastexec: queue cell%d.%s underflows (receive before the matching send)", idx, io.Ch)
-			}
-			copy(r.Lanes(io.Reg), in[at:at+n])
-			pos[io.Ch]++
 		}
-		r.Retire(w)
-		s.Advance(w.Depth, p.code.Ends[w.EndLo:w.EndHi])
+		r.Land(t + 1)
+		for i := mid; i < w.Hi; i++ {
+			switch o := &ops[i]; o.Kind {
+			case mcode.OpRecv:
+				dst := r.Lanes(mcode.Reg(o.Dst))
+				if first {
+					if err := st.hostWords(w2.Channel(o.X), dst); err != nil {
+						return err
+					}
+					continue
+				}
+				in, at := st.prev[o.X], pos[o.X]*n
+				if at >= len(in) {
+					return fmt.Errorf("fastexec: queue cell%d.%s underflows (receive before the matching send)", idx, w2.Channel(o.X))
+				}
+				copy(dst, in[at:at+n])
+				pos[o.X]++
+			case mcode.OpLoad:
+				copy(r.Lanes(mcode.Reg(o.Dst)), mem[int(p.addr(&mems[o.X], s.Iter))*n:][:n])
+			case mcode.OpMov: // the word's held writes land
+				r.Commit()
+			}
+		}
+		if w.Lit {
+			r.Set(mcode.Reg(w.LitDst), p.code.Lits[s.PC])
+		}
+		s.Advance(int(w.Depth), p.code.Ends[w.EndLo:w.EndHi])
 	}
 	return nil
 }

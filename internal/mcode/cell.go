@@ -2,9 +2,10 @@
 // cells and the interface unit, shared between the code generators and
 // everything that runs or checks their output.  It also holds the one
 // executable model of the machine those consumers step (flat.go: the
-// decoded programs, the sequencer, the static IU elaboration; AluOp.Eval
-// below: the cell's arithmetic), so the simulator, the fast executor and
-// the verifier cannot drift apart on what an instruction means.
+// decoded programs, the sequencer, the static IU elaboration; lower.go:
+// the one op stream a word's fields lower to; AluOp.Eval below: the
+// cell's arithmetic), so the simulator, the fast executor and the
+// verifier cannot drift apart on what an instruction means.
 //
 // A Warp cell (Figure 2-2 of the paper) is a horizontal microengine:
 // every functional unit is controlled by its own field of a wide
@@ -124,9 +125,15 @@ type AluOp struct {
 // Booleans are 0 and 1, and any non-zero operand counts as true.  A
 // floating divide by zero is a machine fault, returned as an error.
 func (o *AluOp) Eval(regs *[NumRegs]float64) (float64, error) {
-	a := regs[o.Src[0]]
-	b := regs[o.Src[1]]
-	switch o.Code {
+	return eval(o.Code, regs, o.Src[0], o.Src[1], o.Src[2])
+}
+
+// eval is Eval of code over the source registers src0, src1 and src2
+// (src2 read only by Sel).
+func eval(code AluCode, regs *[NumRegs]float64, src0, src1, src2 Reg) (float64, error) {
+	a := regs[src0]
+	b := regs[src1]
+	switch code {
 	case Fadd:
 		return a + b, nil
 	case Fsub:
@@ -162,11 +169,11 @@ func (o *AluOp) Eval(regs *[NumRegs]float64) (float64, error) {
 		if a != 0 {
 			return b, nil
 		}
-		return regs[o.Src[2]], nil
+		return regs[src2], nil
 	case Mov:
 		return a, nil
 	default:
-		return 0, fmt.Errorf("unknown ALU code %v", o.Code)
+		return 0, fmt.Errorf("unknown ALU code %v", code)
 	}
 }
 
@@ -397,7 +404,7 @@ func (o *LitOp) String() string { return fmt.Sprintf("lit %s <- %g", o.Dst, o.Va
 
 // Fields is the fixed-field block of one wide microinstruction, each
 // unit's field with its presence bit: the block the code generator writes
-// and the decoded word embeds, read as written.  Mov is a dedicated
+// and Decode lowers into ops.  Mov is a dedicated
 // crossbar register-move field: the full crossbar of Figure 2-2 can route
 // one register to another without passing through an FPU, so moves do
 // not compete with arithmetic.

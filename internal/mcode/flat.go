@@ -4,8 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"sync"
-
-	"warp/internal/w2"
 )
 
 // flat.go is the executable form of the machine model: the structured
@@ -15,11 +13,13 @@ import (
 // cell (or the IU) is a word index plus one iteration counter per
 // loop-nesting depth over one decoded program.
 //
-// Decode builds the one decoded cell program.  The simulator steps it
-// cycle by cycle under real queues, taking addresses from the IU; the
-// fast executor runs it at dataflow speed from the bound addresses; both
-// land a word's writes through CellRegs, and a batched walk of either
-// through LaneRegs.  The verifier reads the
+// Decode builds the one decoded cell program: compact words and, in the
+// same walk, the one op stream their fields lower to (lower.go).  The
+// simulator steps it cycle by cycle under real queues, taking addresses
+// from the IU; the fast executor runs it at dataflow speed from the bound
+// addresses, each word's ops partitioned into reads and writes; all four
+// executor bodies walk the ops, landing a word's writes through CellRegs,
+// or a batched walk's through LaneRegs.  The verifier reads the
 // microcode itself and proves the IU's streams from the IU loop tree,
 // with Elaborate as the test oracle of that proof.
 
@@ -33,14 +33,6 @@ type LoopEnd struct {
 	Head  int   // index of the body's first word
 }
 
-// IOField is one queue-port field of a word.
-type IOField struct {
-	Ch  w2.Channel
-	Reg Reg
-	Dir w2.Direction
-	Ord int32 // the field's place among the instruction's queue fields
-}
-
 // Memory-field kinds.
 const (
 	MemNone = iota
@@ -48,38 +40,39 @@ const (
 	MemStore
 )
 
-// MemField is one memory-port field.  Its address with the enclosing
-// loops at iterations iter is Start + Σ Coef·iter[Depth] over the code's
-// Terms[TermLo:TermHi], counted from the code's MemLo.
+// MemField is the address a memory op is bound to: with the enclosing
+// loops at iterations iter it is Start + Σ Coef·iter[Depth] over the
+// code's Terms[TermLo:TermHi], counted from the code's MemLo.
 type MemField struct {
-	Kind           uint8
-	Reg            Reg
 	Start          int64
 	TermLo, TermHi int32
 }
 
-// Word is one microinstruction of the decoded cell program: Skip idle
-// cycles, then the fields of one cycle, then the loops it closes
-// (Ends[EndLo:EndHi], innermost first).  The word's idle cycles are
-// µPCs PC to PC+Skip−1 and its issuing cycle is µPC PC+Skip.
+// Word is one microinstruction of the decoded cell program, in 32 bytes
+// (the executors step one a cycle): Skip idle cycles, then its issuing
+// cycle, which runs the code's Ops[Lo:Hi] and then the literal, then the
+// loops it closes (Ends[EndLo:EndHi], innermost first).  The word's idle
+// cycles are µPCs PC to PC+Skip−1 and its issuing cycle is µPC PC+Skip.
 type Word struct {
-	Skip               int64
-	Depth              int   // static loop-nesting depth (0 outside every loop)
-	PC                 int32 // µPC of the word's first cycle
-	IOLo, RecvLo, IOHi int32 // IO[IOLo:RecvLo] are the word's sends, IO[RecvLo:IOHi] its receives
-	EndLo, EndHi       int32
-	Mem                [MemPorts]MemField
+	Skip         int32
+	PC           int32 // µPC of the word's first cycle
+	Lo, Hi       int32
+	EndLo, EndHi int32
+	Depth        uint16 // static loop-nesting depth (0 outside every loop)
 
-	Nop    bool // no field issues
-	Loads  bool // a memory port loads
-	Fields      // the instruction's field block, as the code generator wrote it
+	Nop                    bool // no field issues
+	HasAdd, HasMul, HasMov bool // which FPU fields issue, for the recorder and the accounting
+	Lit                    bool // the literal field writes the code's Lits[word] to LitDst
+	LitDst                 uint8
 }
 
 // Decoded is a decoded cell program.  Its size depends on the microcode
 // alone, whatever the trip counts.
 type Decoded struct {
 	Words []Word
-	IO    []IOField
+	Lits  []float64 // each word's literal value
+	Ops   []Op
+	Mems  []MemField // the memory ops' addresses, in op order
 	Terms []LoopTerm
 	Ends  []LoopEnd
 	Depth int // deepest loop nesting
@@ -99,15 +92,32 @@ type Decoded struct {
 // such loop is reported as an error, so a caller may reject the program
 // or run the rest.
 func Decode(p *CellProgram) (*Decoded, error) {
-	d := &Decoded{Words: make([]Word, 0, p.NumInstrs())}
+	// Size the slabs from the program: one walk to count, one to fill.
+	var instrs, ops, mems, terms int
+	WalkInstrs(p.Items, func(in *Instr, _ []*LoopItem) {
+		instrs++
+		ops += len(in.IO)
+		for port := range in.Mem {
+			if mo := &in.Mem[port]; mo.Kind != MemNone {
+				ops, mems, terms = ops+1, mems+1, terms+len(mo.Addr.Affine.Terms)
+			}
+		}
+		for _, on := range [...]bool{in.HasAdd, in.HasMul, in.HasMov} {
+			if on {
+				ops++
+			}
+		}
+	})
+	d := &Decoded{Words: make([]Word, 0, instrs), Lits: make([]float64, 0, instrs), Ops: make([]Op, 0, ops), Mems: make([]MemField, 0, mems),
+		Terms: make([]LoopTerm, 0, terms)}
 	var empty error
 	var loops []*LoopItem
 	pc, idle := 0, 0                         // the next µPC, and the idle instructions before it not yet in a word
 	lo, hi := float64(MemWords), float64(-1) // the envelope, empty so far
 	// word starts a word at µPC at: skip idle cycles and no fields yet.
 	word := func(skip, at int) Word {
-		io, end := int32(len(d.IO)), int32(len(d.Ends))
-		return Word{Skip: int64(skip), Depth: len(loops), PC: int32(at), IOLo: io, RecvLo: io, IOHi: io, EndLo: end, EndHi: end}
+		op, end := int32(len(d.Ops)), int32(len(d.Ends))
+		return Word{Skip: int32(skip), Depth: uint16(len(loops)), PC: int32(at), Lo: op, Hi: op, EndLo: end, EndHi: end}
 	}
 	// flush puts the pending idle run into a word of its own, its last
 	// instruction the issuing cycle.
@@ -115,7 +125,7 @@ func Decode(p *CellProgram) (*Decoded, error) {
 		if idle > 0 {
 			w := word(idle-1, pc-idle)
 			w.Nop = true
-			d.Words, idle = append(d.Words, w), 0
+			d.Words, d.Lits, idle = append(d.Words, w), append(d.Lits, 0), 0
 		}
 	}
 	var walk func(items []CodeItem)
@@ -131,15 +141,9 @@ func Decode(p *CellProgram) (*Decoded, error) {
 					}
 					w := word(idle, pc-1-idle)
 					idle = 0
-					for _, recv := range []bool{false, true} {
-						w.RecvLo = int32(len(d.IO))
-						for k := range in.IO {
-							if io := &in.IO[k]; io.Recv == recv {
-								d.IO = append(d.IO, IOField{Ch: io.Chan, Reg: io.Reg, Dir: io.Dir, Ord: int32(k)})
-							}
-						}
+					for k := range in.IO {
+						d.Ops = append(d.Ops, ioOp(&in.IO[k]))
 					}
-					w.IOHi = int32(len(d.IO))
 					for port := range in.Mem {
 						mo := &in.Mem[port]
 						if mo.Kind == MemNone {
@@ -151,13 +155,25 @@ func Decode(p *CellProgram) (*Decoded, error) {
 							b.Terms = d.Terms
 						}
 						lo, hi = min(lo, b.Lo), max(hi, b.Hi)
-						w.Mem[port] = MemField{Kind: mo.Kind, Reg: mo.Reg, Start: b.Start,
-							TermLo: int32(len(d.Terms)), TermHi: int32(len(b.Terms))}
+						d.Ops = append(d.Ops, memOp(mo, port, len(d.Mems)))
+						d.Mems = append(d.Mems, MemField{Start: b.Start, TermLo: int32(len(d.Terms)), TermHi: int32(len(b.Terms))})
 						d.Terms = b.Terms
-						w.Loads = w.Loads || mo.Kind == MemLoad
 					}
-					w.Fields = in.Fields
-					d.Words = append(d.Words, w)
+					for _, f := range [...]struct {
+						on bool
+						op *AluOp
+					}{{in.HasAdd, &in.Add}, {in.HasMul, &in.Mul}, {in.HasMov, &in.Mov}} {
+						if f.on {
+							d.Ops = append(d.Ops, aluOp(f.op))
+						}
+					}
+					w.Hi = int32(len(d.Ops))
+					w.HasAdd, w.HasMul, w.HasMov = in.HasAdd, in.HasMul, in.HasMov
+					lit := 0.0
+					if in.HasLit {
+						w.Lit, w.LitDst, lit = true, narrow(in.Lit.Dst), in.Lit.Value
+					}
+					d.Words, d.Lits = append(d.Words, w), append(d.Lits, lit)
 				}
 			case *LoopItem:
 				// An idle run ends at a loop head: the back edge must count
@@ -186,10 +202,8 @@ func Decode(p *CellProgram) (*Decoded, error) {
 	// Addresses count from the envelope's low end, cut to the cell memory.
 	d.MemLo = int64(max(lo, 0))
 	d.MemWords = int(max(min(hi, MemWords-1)-float64(d.MemLo)+1, 0))
-	for i := range d.Words {
-		for port := range d.Words[i].Mem {
-			d.Words[i].Mem[port].Start -= d.MemLo
-		}
+	for i := range d.Mems {
+		d.Mems[i].Start -= d.MemLo
 	}
 	return d, empty
 }
@@ -210,12 +224,12 @@ type regWrite struct {
 // CellRegs is a cell's register file with the writes in flight: the
 // landing model both executors step a word through, writes landing late
 // exactly as in hardware.  A word issuing at cycle t reads the registers
-// as they stand (sends, stores, FPU fields, whose results it Pushes) and
-// Holds its receives and loads.  Land(t+1) and Retire end the cycle: the
-// earlier words' FPU results due by t+1, the held writes in field order
-// (queue fields, memory ports, one-cycle ALU results), then the literal
-// — the machine's (landing cycle, issue order), same-cycle
-// write-after-write included.
+// as they stand (sends, stores, FPU fields, whose results it puts in
+// flight with PushAt) and Holds its receives, loads and moves.  Land(t+1),
+// Commit and the word's literal end the cycle: the earlier words' FPU
+// results due by t+1, the held writes in field order (queue fields,
+// memory ports, one-cycle ALU results), then the literal — the machine's
+// (landing cycle, issue order), same-cycle write-after-write included.
 type CellRegs struct {
 	R [NumRegs]float64
 	// FPU results in flight, oldest at head: all have the same latency, so
@@ -238,22 +252,8 @@ func (r *CellRegs) Reset() {
 // Hold holds a one-cycle write back to the end of the word's cycle.
 func (r *CellRegs) Hold(reg Reg, v float64) { r.held = append(r.held, regWrite{reg: reg, val: v}) }
 
-// Push puts the result v of an FPU field of the word issuing at cycle t
-// in flight: a one-cycle result (a move) is held, the rest land
-// op.Code.Latency() cycles later.  The simulator evaluates each field
-// itself (AluOp.Eval) and pushes it: Push inlines, and a method over all
-// three fields would not.
-func (r *CellRegs) Push(op *AluOp, v float64, t int64) {
-	if lat := op.Code.Latency(); lat == 1 {
-		r.Hold(op.Dst, v)
-	} else {
-		r.PushAt(op.Dst, v, t+lat)
-	}
-}
-
-// PushAt puts an FPU result v for reg in flight, landing at cycle land:
-// Push for an executor that resolved the field's latency when it lowered
-// the word.  Results must be pushed in landing order.
+// PushAt puts an FPU result v for reg in flight, landing at cycle land.
+// Results must be pushed in landing order.
 func (r *CellRegs) PushAt(reg Reg, v float64, land int64) {
 	r.fifo[r.tail%FPUSlots] = regWrite{reg: reg, val: v, land: land}
 	r.tail++
@@ -269,22 +269,15 @@ func (r *CellRegs) Land(t int64) {
 }
 
 // Commit applies the held writes of the word's cycle in the order they
-// were held.
+// were held, leaving an empty buffer alone.
 func (r *CellRegs) Commit() {
+	if len(r.held) == 0 {
+		return
+	}
 	for _, h := range r.held {
 		r.R[h.reg] = h.val
 	}
 	r.held = r.held[:0]
-}
-
-// Retire applies the held writes of the word's cycle in field order,
-// then its literal.  The executor lands the FPU results due by the next
-// cycle first (Land(t+1)): they were issued by earlier words.
-func (r *CellRegs) Retire(w *Word) {
-	r.Commit()
-	if w.HasLit {
-		r.R[w.Lit.Dst] = w.Lit.Value
-	}
 }
 
 // maxHeld is room for a well-formed word's one-cycle writes, as in
@@ -297,10 +290,10 @@ const LaneRegWords = NumRegs + FPUSlots + maxHeld
 
 // LaneRegs is CellRegs n lanes wide, the landing model of a batched walk:
 // register g of lane l at r[g·n+l], each write in flight n values.  A
-// word steps it as it steps CellRegs, except that Hold and Push return the
-// lanes of the write for the caller to fill, so the writes land in the
-// same (landing cycle, issue order).  A LaneRegs must not be copied after
-// Reset.
+// word steps it as it steps CellRegs, except that Hold and PushAt return
+// the lanes of the write for the caller to fill, so the writes land in
+// the same (landing cycle, issue order).  A LaneRegs must not be copied
+// after Reset.
 type LaneRegs struct {
 	n    int
 	r    []float64
@@ -338,34 +331,25 @@ func (r *LaneRegs) Hold(g Reg) []float64 {
 	return r.heldVals[k*r.n:][:r.n]
 }
 
-// Push puts the result of an FPU field of the word issuing at cycle t in
-// flight.
-func (r *LaneRegs) Push(op *AluOp, t int64) []float64 {
-	lat := op.Code.Latency()
-	if lat == 1 {
-		return r.Hold(op.Dst)
-	}
+// PushAt puts an FPU result for g in flight, landing at cycle land, and
+// returns its lanes.
+func (r *LaneRegs) PushAt(g Reg, land int64) []float64 {
 	s := r.tail % FPUSlots
-	r.fifo[s].reg, r.fifo[s].land = op.Dst, t+lat
+	r.fifo[s].reg, r.fifo[s].land = g, land
 	r.tail++
 	return r.fifoVals[int(s)*r.n:][:r.n]
 }
 
-// Issue evaluates the FPU fields of the word issuing at cycle t against
-// the registers as they stand and Pushes their results.  A fault names
-// its lane (AluOp.EvalBatch).
-func (r *LaneRegs) Issue(w *Word, t int64) error {
-	for _, f := range [...]struct {
-		on bool
-		op *AluOp
-	}{{w.HasAdd, &w.Add}, {w.HasMul, &w.Mul}, {w.HasMov, &w.Mov}} {
-		if f.on {
-			if err := f.op.EvalBatch(r.Push(f.op, t), r.r, r.n); err != nil {
-				return err
-			}
-		}
+// Exec runs an FPU or move op of the word issuing at cycle t against the
+// registers as they stand: a move is held, the rest land FPULatency
+// later.  A fault names its lane (AluOp.EvalBatch).
+func (r *LaneRegs) Exec(o *Op, t int64) error {
+	if o.Kind == OpMov {
+		copy(r.Hold(Reg(o.Dst)), r.Lanes(Reg(o.A)))
+		return nil
 	}
-	return nil
+	f := o.Alu()
+	return f.EvalBatch(r.PushAt(f.Dst, t+FPULatency), r.r, r.n)
 }
 
 // Land applies the FPU results that land by cycle t.
@@ -376,18 +360,20 @@ func (r *LaneRegs) Land(t int64) {
 	}
 }
 
-// Retire applies the held writes of the word's cycle in field order, then
-// its literal, as CellRegs.Retire does.
-func (r *LaneRegs) Retire(w *Word) {
+// Commit applies the held writes of the word's cycle in the order they
+// were held.
+func (r *LaneRegs) Commit() {
 	for k, g := range r.held {
 		copy(r.Lanes(g), r.heldVals[k*r.n:][:r.n])
 	}
 	r.held = r.held[:0]
-	if w.HasLit {
-		dst := r.Lanes(w.Lit.Dst)
-		for l := range dst {
-			dst[l] = w.Lit.Value
-		}
+}
+
+// Set writes v to register g of every lane: the word's literal.
+func (r *LaneRegs) Set(g Reg, v float64) {
+	dst := r.Lanes(g)
+	for l := range dst {
+		dst[l] = v
 	}
 }
 

@@ -218,12 +218,15 @@ func TestEvalBatchMatchesEval(t *testing.T) {
 	}
 }
 
-// TestLaneRegsMatchCellRegs: random streams of decoded words — FPU, Mov
-// and literal fields, held one-cycle writes (more than a well-formed word
+// TestLaneRegsMatchCellRegs: random streams of words — FPU, Mov and
+// literal fields, held one-cycle writes (more than a well-formed word
 // has, now and then), idle skips, and few registers, so that several
 // writes meet at one register in one cycle — stepped through n CellRegs
-// and one LaneRegs n wide as the executors step them: after every word
-// each lane holds its CellRegs' registers, bit for bit.
+// and one LaneRegs n wide as the executors step them: each CellRegs
+// evaluates a field with AluOp.Eval and puts it in flight with PushAt or
+// Hold, the LaneRegs runs the field's op (Exec: EvalBatch into PushAt, or
+// Hold), and both end the word with Land, Commit and the literal.  After
+// every word each lane holds its CellRegs' registers, bit for bit.
 func TestLaneRegsMatchCellRegs(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	reg := func() Reg { return Reg(rng.Intn(6)) }
@@ -244,9 +247,10 @@ func TestLaneRegsMatchCellRegs(t *testing.T) {
 			vals := make([]float64, n)
 			t0 := int64(0)
 			for i := 0; i < 80; i, t0 = i+1, t0+1 {
-				var w Word
+				var w Fields
+				skip := int64(0)
 				if rng.Intn(4) == 0 {
-					w.Skip = int64(rng.Intn(FPULatency + 2))
+					skip = int64(rng.Intn(FPULatency + 2))
 				}
 				field(&w.HasAdd, &w.Add, Fadd, Fsub, Fneg, CmpLT, BoolOr, Sel)
 				field(&w.HasMul, &w.Mul, Fmul)
@@ -254,8 +258,8 @@ func TestLaneRegsMatchCellRegs(t *testing.T) {
 				if w.HasLit = rng.Intn(4) == 0; w.HasLit {
 					w.Lit = LitOp{Dst: reg(), Value: val()}
 				}
-				if w.Skip > 0 {
-					t0 += w.Skip
+				if skip > 0 {
+					t0 += skip
 					for l := range cells {
 						cells[l].Land(t0)
 					}
@@ -273,35 +277,47 @@ func TestLaneRegsMatchCellRegs(t *testing.T) {
 					}
 					copy(lanes.Hold(g), vals)
 				}
-				for l := range cells {
-					c := &cells[l]
-					for _, f := range []struct {
-						on bool
-						op *AluOp
-					}{{w.HasAdd, &w.Add}, {w.HasMul, &w.Mul}, {w.HasMov, &w.Mov}} {
-						if f.on {
-							v, err := f.op.Eval(&c.R)
-							if err != nil {
-								t.Fatal(err)
-							}
-							c.Push(f.op, v, t0)
+				for _, f := range []struct {
+					on bool
+					op *AluOp
+				}{{w.HasAdd, &w.Add}, {w.HasMul, &w.Mul}, {w.HasMov, &w.Mov}} {
+					if !f.on {
+						continue
+					}
+					for l := range cells {
+						c := &cells[l]
+						v, err := f.op.Eval(&c.R)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if lat := f.op.Code.Latency(); lat == 1 {
+							c.Hold(f.op.Dst, v)
+						} else {
+							c.PushAt(f.op.Dst, v, t0+lat)
 						}
 					}
-				}
-				if err := lanes.Issue(&w, t0); err != nil {
-					t.Fatal(err)
+					o := aluOp(f.op)
+					if err := lanes.Exec(&o, t0); err != nil {
+						t.Fatal(err)
+					}
 				}
 				for l := range cells {
 					cells[l].Land(t0 + 1)
-					cells[l].Retire(&w)
+					cells[l].Commit()
+					if w.HasLit {
+						cells[l].R[w.Lit.Dst] = w.Lit.Value
+					}
 				}
 				lanes.Land(t0 + 1)
-				lanes.Retire(&w)
+				lanes.Commit()
+				if w.HasLit {
+					lanes.Set(w.Lit.Dst, w.Lit.Value)
+				}
 				for g := Reg(0); g < NumRegs; g++ {
 					for l, v := range lanes.Lanes(g) {
 						if math.Float64bits(v) != math.Float64bits(cells[l].R[g]) {
-							t.Fatalf("width %d, stream %d, word %d (%+v): lane %d %s = %v, its CellRegs %v",
-								n, stream, i, w, l, g, v, cells[l].R[g])
+							t.Fatalf("width %d, stream %d, word %d (skip %d, %+v): lane %d %s = %v, its CellRegs %v",
+								n, stream, i, skip, w, l, g, v, cells[l].R[g])
 						}
 					}
 				}
@@ -471,10 +487,12 @@ func TestDecodeIndexIsPC(t *testing.T) {
 	}
 }
 
-// TestWordIsPointerFree: a decoded word holds no pointer, so
-// Decoded.Words is one slab the garbage collector does not scan, and it
-// embeds the instruction's own field block, so Decode copies the fields
-// in one assignment.
+// TestWordIsPointerFree: a decoded word and its ops hold no pointer, so
+// Decoded.Words, Ops and Mems are slabs the garbage collector does not
+// scan, and they stay compact: a word in 32 bytes, an op in 8, which is
+// what an executor body walks (the fast one-wide body measured 5–10 %
+// slower over 48-byte words).  The instruction embeds its field block,
+// so the code generator writes the fields in one assignment.
 func TestWordIsPointerFree(t *testing.T) {
 	var check func(path string, typ reflect.Type)
 	check = func(path string, typ reflect.Type) {
@@ -489,10 +507,13 @@ func TestWordIsPointerFree(t *testing.T) {
 			t.Errorf("%s is a %s", path, typ.Kind())
 		}
 	}
-	check("Word", reflect.TypeOf(Word{}))
-	for _, typ := range []reflect.Type{reflect.TypeOf(Word{}), reflect.TypeOf(Instr{})} {
-		if f, ok := typ.FieldByName("Fields"); !ok || !f.Anonymous || f.Type != reflect.TypeOf(Fields{}) {
-			t.Errorf("%s does not embed Fields", typ)
-		}
+	for _, v := range []any{Word{}, Op{}, MemField{}} {
+		check(reflect.TypeOf(v).Name(), reflect.TypeOf(v))
+	}
+	if w, o := reflect.TypeOf(Word{}).Size(), reflect.TypeOf(Op{}).Size(); w > 32 || o != 8 {
+		t.Errorf("a word takes %d bytes and an op %d, want at most 32 and 8", w, o)
+	}
+	if f, ok := reflect.TypeOf(Instr{}).FieldByName("Fields"); !ok || !f.Anonymous || f.Type != reflect.TypeOf(Fields{}) {
+		t.Error("Instr does not embed Fields")
 	}
 }

@@ -8,8 +8,8 @@ import (
 
 // issueAlu issues one FPU field on a lone cell at cycle now through the
 // word executor: the field sits in the slot of its unit, as the code
-// generators place it, and the instruction is decoded and lowered as
-// every run's is.
+// generators place it, and the instruction is decoded as every run's
+// is.
 func issueAlu(c *cell, op *mcode.AluOp, now int64) error {
 	in := &mcode.Instr{Fields: mcode.Fields{HasAdd: true, Add: *op}}
 	switch {
@@ -22,8 +22,8 @@ func issueAlu(c *cell, op *mcode.AluOp, now int64) error {
 	if err != nil {
 		return err
 	}
-	m := &machine{now: now, code: *code, low: lower(code)}
-	return m.issue(c, &m.low.steps[0])
+	m := &machine{now: now, code: *code}
+	return m.issue(c, &m.code.Words[0])
 }
 
 // TestAluAllCodes drives every FPU operation through a cell and checks

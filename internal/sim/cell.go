@@ -10,49 +10,49 @@ import (
 )
 
 // stepCell executes one cycle of one live cell: an idle cycle of the
-// current step's skip, or the step's issuing cycle.  It reads only the
-// lowered steps; the sequencer moves only at a word that closes a loop.
+// current word's skip, or the word's issuing cycle.  It reads only the
+// compact words; the sequencer moves only at a word that closes a loop.
 func (m *machine) stepCell(c *cell) error {
 	if m.trace && m.now == c.start {
 		m.rec.CellStart(m.now, c.idx)
 	}
-	steps := m.low.steps
-	if c.PC >= len(steps) {
+	words := m.code.Words
+	if c.PC >= len(words) {
 		// Only reachable for an empty program.
 		m.finish(c)
 		return nil
 	}
 
-	s := &steps[c.PC]
-	if c.idled < s.skip {
-		c.idle(m, int(s.pc)+int(c.idled))
+	w := &words[c.PC]
+	if c.idled < int64(w.Skip) {
+		c.idle(m, int(w.PC)+int(c.idled))
 		c.idled++
 		return nil
 	}
 	c.idled = 0
-	if s.nop {
-		c.idle(m, int(s.pc)+int(s.skip))
+	if w.Nop {
+		c.idle(m, int(w.PC)+int(w.Skip))
 	} else {
 		if m.trace {
 			m.traceIssue(c)
 		}
 		var err error
 		if m.lanes == nil { // a run alone falls through to its issue
-			err = m.issue(c, s)
+			err = m.issue(c, w)
 		} else {
-			err = m.issueLanes(c, &m.code.Words[c.PC])
+			err = m.issueLanes(c, w)
 		}
 		if err != nil {
 			return fmt.Errorf("cell %d: %w", c.idx, err)
 		}
 	}
 
-	if s.endLo == s.endHi {
+	if w.EndLo == w.EndHi {
 		c.PC++
-	} else if err := m.closeLoops(c, s); err != nil {
+	} else if err := m.closeLoops(c, w); err != nil {
 		return err
 	}
-	if c.PC >= len(steps) {
+	if c.PC >= len(words) {
 		m.finish(c)
 	}
 	return nil
@@ -61,9 +61,9 @@ func (m *machine) stepCell(c *cell) error {
 // closeLoops moves the sequencer past a word that closes loops: it pops
 // one IU control signal per boundary crossed, innermost first, checks it
 // against the sequencer's decision and forwards it down the array.
-func (m *machine) closeLoops(c *cell, s *step) error {
-	ends := m.code.Ends[s.endLo:s.endHi]
-	crossed, again := c.Advance(int(s.depth), ends)
+func (m *machine) closeLoops(c *cell, w *mcode.Word) error {
+	ends := m.code.Ends[w.EndLo:w.EndHi]
+	crossed, again := c.Advance(int(w.Depth), ends)
 	for i := range ends[:crossed] {
 		id, more := ends[i].ID, again && i == crossed-1
 		sig, err := c.sig.pop()
@@ -135,14 +135,14 @@ var (
 	errSendLeft  = errors.New("sim: send to the left is not supported (rightward flow only)")
 )
 
-// issue executes the ops of the step the cell issues (c.PC), its writes
+// issue executes the ops of the word the cell issues (c.PC), its writes
 // landing in the order of mcode.CellRegs, the model the fast executor
 // steps too: queue fields in the instruction's order, memory ports in
 // port order, then the ADD, MUL and move fields, as the recorder sees
 // them.  Addresses pop from the Adr queue and are forwarded
 // systolically to the next cell; the bound address terms are never
 // read, the IU's stream is what the simulator checks.
-func (m *machine) issue(c *cell, s *step) error {
+func (m *machine) issue(c *cell, w *mcode.Word) error {
 	next, r := c.next, &c.regs
 	r.Land(m.now) // FPU results that landed during idle cycles
 	// The word's stores, landing at the end of the cycle in port order.
@@ -151,72 +151,60 @@ func (m *machine) issue(c *cell, s *step) error {
 		reg  uint8
 	}
 	nst := 0
-	for i := s.lo; i < s.hi; i++ {
-		switch o := &m.low.ops[i]; o.kind {
-		case opRecv:
-			q := &c.in[o.x]
+	for i := w.Lo; i < w.Hi; i++ {
+		switch o := &m.code.Ops[i]; o.Kind {
+		case mcode.OpRecv:
+			q := &c.in[o.X]
 			v, err := q.pop()
 			if err != nil {
 				return err
 			}
 			recPop(m, q)
-			r.Hold(mcode.Reg(o.dst), v)
-		case opSend:
-			v := r.R[o.a]
+			r.Hold(mcode.Reg(o.Dst), v)
+		case mcode.OpSend:
+			v := r.R[o.A]
 			if next != nil {
-				q := &next.in[o.x]
+				q := &next.in[o.X]
 				if err := q.push(v); err != nil {
 					return err
 				}
 				recPush(m, q)
-			} else if err := m.hostCollect(w2.Channel(o.x), v); err != nil {
+			} else if err := m.hostCollect(w2.Channel(o.X), v); err != nil {
 				return err
 			}
-		case opRecvRight:
+		case mcode.OpRecvRight:
 			return errRecvRight
-		case opSendLeft:
+		case mcode.OpSendLeft:
 			return errSendLeft
-		case opLoad, opStore:
-			addr, err := c.adr.pop()
+		case mcode.OpLoad, mcode.OpStore:
+			addr, err := m.popAddr(c, int(o.B))
 			if err != nil {
 				return err
 			}
-			recPop(m, &c.adr)
-			if next != nil {
-				if err := next.adr.push(addr); err != nil {
-					return err
-				}
-				recPush(m, &next.adr)
-			}
-			if addr < 0 || addr >= int64(len(c.mem)) {
-				return fmt.Errorf("sim: address %d outside the %d-word cell memory (IU generated a bad address for %s)",
-					addr, len(c.mem), m.cfg.Cell.MemAddr(&m.code.Words[c.PC], int(o.x)))
-			}
-			store := o.kind == opStore
+			store := o.Kind == mcode.OpStore
 			if store {
-				stores[nst].addr, stores[nst].reg = addr, o.a
+				stores[nst].addr, stores[nst].reg = addr, o.A
 				nst++
 			} else {
-				r.Hold(mcode.Reg(o.dst), c.mem[addr]) // read before the word's stores land
+				r.Hold(mcode.Reg(o.Dst), c.mem[addr]) // read before the word's stores land
 			}
 			if m.trace {
-				m.rec.MemRef(m.now, c.idx, int(o.x), addr, store)
+				m.rec.MemRef(m.now, c.idx, int(o.B), addr, store)
 			}
-		case opFadd:
-			r.PushAt(mcode.Reg(o.dst), r.R[o.a]+r.R[o.b], m.now+mcode.FPULatency)
-		case opFsub:
-			r.PushAt(mcode.Reg(o.dst), r.R[o.a]-r.R[o.b], m.now+mcode.FPULatency)
-		case opFmul:
-			r.PushAt(mcode.Reg(o.dst), r.R[o.a]*r.R[o.b], m.now+mcode.FPULatency)
-		case opMov:
-			r.Hold(mcode.Reg(o.dst), r.R[o.a])
-		case opEval:
-			f := mcode.AluOp{Code: mcode.AluCode(o.code), Src: [3]mcode.Reg{mcode.Reg(o.a), mcode.Reg(o.b), mcode.Reg(o.c)}}
-			v, err := f.Eval(&r.R)
+		case mcode.OpFadd:
+			r.PushAt(mcode.Reg(o.Dst), r.R[o.A]+r.R[o.B], m.now+mcode.FPULatency)
+		case mcode.OpFsub:
+			r.PushAt(mcode.Reg(o.Dst), r.R[o.A]-r.R[o.B], m.now+mcode.FPULatency)
+		case mcode.OpFmul:
+			r.PushAt(mcode.Reg(o.Dst), r.R[o.A]*r.R[o.B], m.now+mcode.FPULatency)
+		case mcode.OpMov:
+			r.Hold(mcode.Reg(o.Dst), r.R[o.A])
+		case mcode.OpEval:
+			v, err := o.Eval(&r.R)
 			if err != nil {
 				return fmt.Errorf("sim: %w", err)
 			}
-			r.PushAt(mcode.Reg(o.dst), v, m.now+mcode.FPULatency)
+			r.PushAt(mcode.Reg(o.Dst), v, m.now+mcode.FPULatency)
 		}
 	}
 	// Nothing has written a register yet.
@@ -225,8 +213,30 @@ func (m *machine) issue(c *cell, s *step) error {
 	}
 	r.Land(m.now + 1)
 	r.Commit()
-	if s.lit {
-		r.R[s.litDst] = s.litVal
+	if w.Lit {
+		r.R[w.LitDst] = m.code.Lits[c.PC]
 	}
 	return nil
+}
+
+// popAddr pops the address of the cell's memory port port off its Adr
+// queue, forwards it to the next cell and checks it against the cell
+// memory.
+func (m *machine) popAddr(c *cell, port int) (int64, error) {
+	addr, err := c.adr.pop()
+	if err != nil {
+		return 0, err
+	}
+	recPop(m, &c.adr)
+	if next := c.next; next != nil {
+		if err := next.adr.push(addr); err != nil {
+			return 0, err
+		}
+		recPush(m, &next.adr)
+	}
+	if addr < 0 || addr >= mcode.MemWords {
+		return 0, fmt.Errorf("sim: address %d outside the %d-word cell memory (IU generated a bad address for %s)",
+			addr, mcode.MemWords, m.cfg.Cell.MemAddr(&m.code.Words[c.PC], port))
+	}
+	return addr, nil
 }

@@ -35,16 +35,16 @@ func walkCell(t *testing.T, p *mcode.CellProgram) (depths []int, crossed [][]bou
 	for s.PC < len(code.Words) {
 		w := &code.Words[s.PC]
 		for range w.Skip {
-			depths = append(depths, w.Depth)
+			depths = append(depths, int(w.Depth))
 			crossed = append(crossed, nil)
 		}
 		ends := code.Ends[w.EndLo:w.EndHi]
-		n, more := s.Advance(w.Depth, ends)
+		n, more := s.Advance(int(w.Depth), ends)
 		var bs []boundary
 		for i, e := range ends[:n] {
 			bs = append(bs, boundary{e.ID, more && i == n-1})
 		}
-		depths = append(depths, w.Depth)
+		depths = append(depths, int(w.Depth))
 		crossed = append(crossed, bs)
 	}
 	return depths, crossed

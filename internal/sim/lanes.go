@@ -50,92 +50,76 @@ func LaneBytes(cells int, cell *mcode.CellProgram) int {
 	return 8 * cells * (mcode.LaneRegWords + 2*mcode.QueueDepth + code.MemWords)
 }
 
-// issueLanes is issue for a batched walk: the same fields in the same
-// order against the same queues, every value n lanes wide, its writes
-// landing through mcode.LaneRegs.  The memory of lane l holds envelope
-// word a at mem[a·n+l].
+// issueLanes is issue for a batched walk: the same ops in the same order
+// against the same queues, every value n lanes wide, its writes landing
+// through mcode.LaneRegs.  The memory of lane l holds envelope word a at
+// mem[a·n+l].
 func (m *machine) issueLanes(c *cell, w *mcode.Word) error {
 	next, r, n := c.next, &c.lanes, len(m.lanes)
 	r.Land(m.now)
-	fields := m.code.IO
-	for s, rv := w.IOLo, w.RecvLo; s < w.RecvLo || rv < w.IOHi; {
-		if rv < w.IOHi && (s == w.RecvLo || fields[rv].Ord < fields[s].Ord) {
-			io := &fields[rv]
-			rv++
-			if io.Dir != w2.DirL {
-				return errRecvRight
-			}
-			q := &c.in[io.Ch]
-			if err := q.popLanes(r.Hold(io.Reg)); err != nil {
+	// The word's stores, landing at the end of the cycle in port order.
+	var stores [mcode.MemPorts]struct {
+		at  int
+		reg mcode.Reg
+	}
+	nst := 0
+	for i := w.Lo; i < w.Hi; i++ {
+		switch o := &m.code.Ops[i]; o.Kind {
+		case mcode.OpRecv:
+			q := &c.in[o.X]
+			if err := q.popLanes(r.Hold(mcode.Reg(o.Dst))); err != nil {
 				return err
 			}
 			recPop(m, q)
-			continue
-		}
-		io := &fields[s]
-		s++
-		if io.Dir != w2.DirR {
+		case mcode.OpSend:
+			v := r.Lanes(mcode.Reg(o.A))
+			if next != nil {
+				q := &next.in[o.X]
+				if err := q.pushLanes(v); err != nil {
+					return err
+				}
+				recPush(m, q)
+			} else if err := m.hostCollectLanes(w2.Channel(o.X), v); err != nil {
+				return err
+			}
+		case mcode.OpRecvRight:
+			return errRecvRight
+		case mcode.OpSendLeft:
 			return errSendLeft
-		}
-		v := r.Lanes(io.Reg)
-		if next != nil {
-			q := &next.in[io.Ch]
-			if err := q.pushLanes(v); err != nil {
+		case mcode.OpLoad, mcode.OpStore:
+			addr, err := m.popAddr(c, int(o.B))
+			if err != nil {
 				return err
 			}
-			recPush(m, q)
-		} else if err := m.hostCollectLanes(io.Ch, v); err != nil {
-			return err
-		}
-	}
-
-	var at [mcode.MemPorts]int
-	for port := range w.Mem {
-		mf := &w.Mem[port]
-		if mf.Kind == mcode.MemNone {
-			continue
-		}
-		addr, err := c.adr.pop()
-		if err != nil {
-			return err
-		}
-		recPop(m, &c.adr)
-		if next != nil {
-			if err := next.adr.push(addr); err != nil {
-				return err
+			a := addr - m.code.MemLo
+			if a < 0 || a >= int64(m.code.MemWords) {
+				return fmt.Errorf("sim: address %d for %s is %w (%d words from %d)",
+					addr, m.cfg.Cell.MemAddr(w, int(o.B)), ErrEnvelope, m.code.MemWords, m.code.MemLo)
 			}
-			recPush(m, &next.adr)
-		}
-		if addr < 0 || addr >= mcode.MemWords {
-			return fmt.Errorf("sim: address %d outside the %d-word cell memory (IU generated a bad address for %s)",
-				addr, mcode.MemWords, m.cfg.Cell.MemAddr(w, port))
-		}
-		a := addr - m.code.MemLo
-		if a < 0 || a >= int64(m.code.MemWords) {
-			return fmt.Errorf("sim: address %d for %s is %w (%d words from %d)",
-				addr, m.cfg.Cell.MemAddr(w, port), ErrEnvelope, m.code.MemWords, m.code.MemLo)
-		}
-		at[port] = int(a) * n
-		store := mf.Kind == mcode.MemStore
-		if !store {
-			copy(r.Hold(mf.Reg), c.mem[at[port]:][:n])
-		}
-		if m.trace {
-			m.rec.MemRef(m.now, c.idx, port, addr, store)
+			store := o.Kind == mcode.OpStore
+			if store {
+				stores[nst].at, stores[nst].reg = int(a)*n, mcode.Reg(o.A)
+				nst++
+			} else {
+				copy(r.Hold(mcode.Reg(o.Dst)), c.mem[int(a)*n:][:n])
+			}
+			if m.trace {
+				m.rec.MemRef(m.now, c.idx, int(o.B), addr, store)
+			}
+		default:
+			if err := r.Exec(o, m.now); err != nil {
+				return fmt.Errorf("sim: %w", err)
+			}
 		}
 	}
-
-	if err := r.Issue(w, m.now); err != nil {
-		return fmt.Errorf("sim: %w", err)
-	}
-
-	for port := range w.Mem {
-		if mf := &w.Mem[port]; mf.Kind == mcode.MemStore {
-			copy(c.mem[at[port]:][:n], r.Lanes(mf.Reg))
-		}
+	for _, st := range stores[:nst] {
+		copy(c.mem[st.at:][:n], r.Lanes(st.reg))
 	}
 	r.Land(m.now + 1)
-	r.Retire(w)
+	r.Commit()
+	if w.Lit {
+		r.Set(mcode.Reg(w.LitDst), m.code.Lits[c.PC])
+	}
 	return nil
 }
 

@@ -148,7 +148,6 @@ type cell struct {
 type machine struct {
 	cfg   Config
 	code  mcode.Decoded // the decoded cell program every cell executes
-	low   lowered       // the same, as the one-wide body's steps and ops
 	cells []cell
 	// times is scratch for issueCounts: how often a cell runs each word.
 	// finishes is Stats.CellFinish, from the same arena.
@@ -233,7 +232,7 @@ func run(cfg Config, lanes [][]float64) (*Stats, error) {
 		if err := m.cycle(lo, hi); err != nil {
 			return nil, fmt.Errorf("cycle %d: %w", m.now, err)
 		}
-		for lo < hi && m.cells[lo].PC >= len(m.low.steps) {
+		for lo < hi && m.cells[lo].PC >= len(m.code.Words) {
 			lo++
 		}
 	}
@@ -249,8 +248,7 @@ func run(cfg Config, lanes [][]float64) (*Stats, error) {
 	return m.stats(), nil
 }
 
-// newMachine decodes the microprograms, lowers the cell program and
-// allocates all run state: a handful of allocations sized by the
+// newMachine decodes the microprograms and allocates all run state: a handful of allocations sized by the
 // program, the cell count and the lanes, none afterwards.
 func newMachine(cfg Config, lanes [][]float64) (*machine, error) {
 	code, err := mcode.Decode(cfg.Cell)
@@ -278,7 +276,6 @@ func newMachine(cfg Config, lanes [][]float64) (*machine, error) {
 	m := &machine{
 		cfg:    cfg,
 		code:   *code,
-		low:    lower(code),
 		cells:  make([]cell, cfg.Cells),
 		lanes:  lanes,
 		iuCode: iuCode,
@@ -436,6 +433,70 @@ func (m *machine) stats() *Stats {
 	stats.Obs = prof
 	stats.MaxQueue, stats.MaxQueueAt = prof.MaxQueue()
 	return stats
+}
+
+// issueCounts fills in what the cells of a finished run issued, which the
+// program alone decides: every cell runs every word as often as the
+// trip counts of the loops around it multiply to (a trip count below one
+// counting once, as the sequencer's do-while loops run it), so each
+// cell's busy cycles, FPU and memory operations, depth rows and per-µPC
+// busy counters are the same sums over the words.  times is scratch
+// space, one count per word.  The returned profile holds the per-cell
+// totals; the idle split stays the cycle loop's.
+func (m *machine) issueCounts(times []int64) obs.CellProfile {
+	for i := range times {
+		times[i] = 1
+	}
+	for j := range m.code.Words {
+		w := &m.code.Words[j]
+		for _, e := range m.code.Ends[w.EndLo:w.EndHi] {
+			trips := max(e.Trips, 1)
+			for k := e.Head; k <= j; k++ {
+				times[k] *= trips
+			}
+		}
+	}
+	var tot obs.CellProfile
+	c0 := &m.cells[0]
+	for i := range m.code.Words {
+		w, k := &m.code.Words[i], times[i]
+		dp := &c0.depth[w.Depth]
+		dp.Cycles += k * (int64(w.Skip) + 1)
+		if w.Nop {
+			continue
+		}
+		tot.Busy += k
+		if c0.pcs != nil {
+			c0.pcs.Busy[int(w.PC)+int(w.Skip)] = k
+		}
+		if w.HasAdd {
+			tot.AddOps += k
+			dp.AddOps += k
+		}
+		if w.HasMul {
+			tot.MulOps += k
+			dp.MulOps += k
+		}
+		if w.HasMov {
+			tot.MovOps += k
+		}
+		for _, o := range m.code.Ops[w.Lo:w.Hi] {
+			switch o.Kind {
+			case mcode.OpLoad:
+				tot.Loads += k
+			case mcode.OpStore:
+				tot.Stores += k
+			}
+		}
+	}
+	for i := 1; i < len(m.cells); i++ {
+		c := &m.cells[i]
+		copy(c.depth, c0.depth)
+		if c.pcs != nil {
+			copy(c.pcs.Busy, c0.pcs.Busy)
+		}
+	}
+	return tot
 }
 
 // cycle executes one global clock tick: the IU, the host, then every

@@ -21,14 +21,15 @@
 //   - memory stores become visible the cycle after issue.
 //
 // Execution model.  Nothing above is interpreted from the compiler's
-// data structures on the cycle loop.  A run lowers the one decoded cell
-// program (mcode.Decode, which the fast executor runs too) once into
-// steps and ops (lower.go): per word its skip, µPC, loop ends and
-// literal, and its fields in the order they execute, every static choice
-// made.  Every cell steps them with a word index, the idle cycles run of
-// the word's skip and one iteration counter per depth.  An idle cycle
-// only splits itself into starved or bubble by queue state; an issuing
-// one runs the word's ops, its writes landing through mcode.CellRegs.
+// data structures on the cycle loop, and the simulator lowers nothing
+// itself: it steps the one decoded cell program (mcode.Decode, which the
+// fast executor runs too), compact words — skip, µPC, op range, loop
+// ends, literal — over the one op stream, a word's fields in the order
+// they execute, every static choice made.  Every cell steps them with a
+// word index, the idle cycles run of the word's skip and one iteration
+// counter per depth.  An idle cycle only splits itself into starved or
+// bubble by queue state; an issuing one runs the word's ops, its writes
+// landing through mcode.CellRegs, or lane-wide through mcode.LaneRegs.
 // What a cell issues is the program's — every cell runs every word as
 // often as the trip counts around it multiply to — so busy cycles, FPU
 // and memory operations, depth rows and per-µPC busy counters are summed
