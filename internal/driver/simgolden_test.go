@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"warp/internal/alloctest"
 	"warp/internal/interp"
 	"warp/internal/obs"
 	"warp/internal/sim"
@@ -205,7 +206,7 @@ func TestSimAllocsIndependentOfCycles(t *testing.T) {
 		}
 		cfg := simConfigOf(t, c)
 		var cycles int64
-		n := testing.AllocsPerRun(5, func() {
+		n := alloctest.AllocsPerRun(5, func() {
 			stats, err := sim.Run(cfg)
 			if err != nil {
 				t.Fatal(err)

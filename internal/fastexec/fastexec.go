@@ -397,7 +397,10 @@ type execState struct {
 	hostIn, hostOut [2]hostgen.Reader // the host streams on X, Y: the same words for every problem
 	sent            [2]int
 
-	wordCount int64
+	// untilPoll counts a polled run's words down to the next poll, across
+	// cells: 1 at the start, so that the first word polls, then
+	// ctxCheckInterval.
+	untilPoll int64
 }
 
 var statePool = sync.Pool{New: func() any { return new(execState) }}
@@ -451,14 +454,18 @@ func (st *execState) sentMore(ch w2.Channel) error {
 	return fmt.Errorf("fastexec: the last cell sent more words on %s than the host program expects (%d)", ch, st.sent[ch])
 }
 
-// poll counts an executed plan word and, once a stride, checks for
+// poll counts an executed plan word down and, once a stride, checks for
 // cancellation and reports progress: t is the cell cycle cell idx has
-// reached.
+// reached.  It inlines into the executor bodies; check does not.
 func (st *execState) poll(idx int, t int64) error {
-	st.wordCount++
-	if st.wordCount%ctxCheckInterval != 1 {
+	if st.untilPoll--; st.untilPoll > 0 {
 		return nil
 	}
+	st.untilPoll = ctxCheckInterval
+	return st.check(idx, t)
+}
+
+func (st *execState) check(idx int, t int64) error {
 	if st.ctx != nil {
 		if err := st.ctx.Err(); err != nil {
 			return fmt.Errorf("fastexec: run aborted: %w", err)
@@ -519,7 +526,7 @@ func (p *Plan) ExecuteBatch(hostMems [][]float64, cfg ExecConfig) (*Result, erro
 		statePool.Put(st)
 	}()
 	st.plan, st.hostMems, st.ctx, st.progress = p, hostMems, cfg.Ctx, cfg.Progress
-	st.sent, st.wordCount = [2]int{}, 0
+	st.sent, st.untilPoll = [2]int{}, 1
 	st.mem, st.iter = sized(st.mem, p.code.MemWords*n), sized(st.iter, p.code.Depth)
 	clear(st.iter)
 	run := p.runCell // one problem keeps the words' one-wide body

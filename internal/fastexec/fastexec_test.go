@@ -12,12 +12,14 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"warp/internal/driver"
 	"warp/internal/fastexec"
 	"warp/internal/interp"
+	"warp/internal/obs"
 	"warp/internal/sim"
 	"warp/internal/workloads"
 )
@@ -227,6 +229,47 @@ func TestContextCancelled(t *testing.T) {
 		t.Fatal("cancelled context did not abort the run")
 	} else if ctx.Err() == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("abort error %v does not wrap %v", err, context.Canceled)
+	}
+}
+
+// TestProgressStride pins where a polled run reports: on its first plan
+// word and then every 4096 words, counted across cells, one and three
+// problems wide, then once done (positions recorded before the count
+// became an inlined countdown).
+func TestProgressStride(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		src  string
+		opts driver.Options
+		want []int64
+	}{
+		{"polynomial-800", workloads.Polynomial(10, 800), driver.Options{}, []int64{0, 1232, 2469, 3706, 4939, 6176, 7413, 8650, 9722}},
+		{"matmul16", workloads.Matmul(16), driver.Options{Pipeline: true}, []int64{0, 329, 658, 987, 1316, 1607}},
+	} {
+		c, plan := planFor(t, tc.src, tc.opts)
+		for _, width := range []int{1, 3} {
+			var mems [][]float64
+			for l := 0; l < width; l++ {
+				mem, err := interp.BuildHostMem(c.Info, seededInputs(c, int64(l+1)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				mems = append(mems, mem)
+			}
+			var got []int64
+			_, err := plan.ExecuteBatch(mems, fastexec.ExecConfig{Progress: func(u obs.ProgressUpdate) {
+				if u.Done != (len(got) == len(tc.want)-1) {
+					t.Errorf("%s width %d: update %d has Done %v", tc.name, width, len(got), u.Done)
+				}
+				got = append(got, u.Cycles)
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, tc.want) {
+				t.Errorf("%s width %d: progress at %v, want %v", tc.name, width, got, tc.want)
+			}
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"warp/internal/alloctest"
 	"warp/internal/driver"
 	"warp/internal/fastexec"
 	"warp/internal/hostgen"
@@ -101,7 +102,7 @@ func TestExecuteAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	allocs := testing.AllocsPerRun(10, run)
+	allocs := alloctest.AllocsPerRun(10, run)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	const runs = 100

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -354,12 +353,6 @@ func isVerifyError(err error) bool {
 	return errors.As(err, &verr)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 func (s *Server) writeError(w http.ResponseWriter, err error) {
 	status, _, _ := classify(err)
 	if status == http.StatusTooManyRequests {
@@ -397,13 +390,7 @@ func (s *Server) retryAfterSeconds() int {
 }
 
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return &httpError{status: http.StatusBadRequest, msg: "bad request body: " + err.Error()}
-	}
-	return nil
+	return decodeJSON(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), v)
 }
 
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
@@ -575,6 +562,9 @@ func (s *Server) runOne(ctx context.Context, endpoint string, req *RunRequest) (
 		}
 		cfg.Context = ctx
 		o, err := run(cfg)
+		if err == nil {
+			err = finiteOutputs(o.outputs)
+		}
 		_, _, o.result = classify(err)
 		o.seconds = time.Since(start).Seconds()
 		o.annotate(span, err)
@@ -603,6 +593,20 @@ func (s *Server) runOne(ctx context.Context, endpoint string, req *RunRequest) (
 	}
 	rq.Cycles, rq.Source, rq.Decision = done.cycles, done.source, done.decision
 	return done.response(rq), nil
+}
+
+// finiteOutputs refuses outputs a JSON response cannot carry, naming
+// the first NaN or infinity in output-name order.
+func finiteOutputs(outs map[string][]float64) error {
+	for _, name := range outputNames(outs) {
+		for i, v := range outs[name] {
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				return &httpError{http.StatusUnprocessableEntity,
+					fmt.Sprintf("output %s[%d] is %v, which a JSON response cannot carry", name, i, v)}
+			}
+		}
+	}
+	return nil
 }
 
 // buildProblem maps a partitioned request's full-size inputs onto the
@@ -644,7 +648,7 @@ func buildProblem(prog *warp.Program, req *RunRequest) (warp.Problem, error) {
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if err := s.decode(w, r, &req); err != nil {
+	if err := s.decodeRun(w, r, &req); err != nil {
 		s.writeError(w, err)
 		return
 	}

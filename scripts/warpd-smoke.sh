@@ -114,6 +114,24 @@ for SUB in "" /trace /profile /progress "/progress?format=json"; do
 done
 echo "request record: $PROGID resolves on record + progress; unknown ID 404s on every view"
 
+# A run whose outputs overflow is refused with a 422 and a JSON body
+# naming the first non-finite output, not answered 200 with no body.
+jq -Rs '{source: ., inputs: {z: [range(100)|1e300], c: [range(10)|1e300]}}' \
+  testdata/polynomial.w2 > "$TMP/overflow.json"
+CODE=$(curl -s -o "$TMP/overflow.out" -w '%{http_code}' -X POST --data @"$TMP/overflow.json" "$BASE/run")
+[ "$CODE" = "422" ] && jq -e '.error | test("^output results\\[[0-9]+\\] is [+-]Inf")' "$TMP/overflow.out" >/dev/null ||
+  { echo "FAIL: overflowing run got $CODE: $(cat "$TMP/overflow.out")" >&2; exit 1; }
+echo "non-finite outputs: 422 ($(jq -r .error "$TMP/overflow.out"))"
+
+# A case-folded key is outside the canonical request shape the
+# single-pass decoder takes: encoding/json serves it, as it always has.
+jq -Rs '{Inputs: {z: [range(100)|./25], c: [range(10)|./8]}, source: .}' \
+  testdata/polynomial.w2 > "$TMP/folded.json"
+FOLDED=$(curl -sf -X POST --data @"$TMP/folded.json" "$BASE/run")
+[ "$(echo "$FOLDED" | jq -c .outputs)" = "$(echo "$RUN" | jq -c .outputs)" ] ||
+  { echo "FAIL: the case-folded request's outputs differ from the canonical one's" >&2; exit 1; }
+echo "case-folded keys: served by the reference decoder, outputs identical"
+
 METRICS=$(curl -sf "$BASE/metrics")
 echo "$METRICS" | grep -q 'warpd_compile_requests_total{result="hit"} 1' ||
   { echo "FAIL: /metrics does not report the compile cache hit" >&2; exit 1; }
