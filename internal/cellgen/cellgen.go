@@ -231,13 +231,7 @@ func (g *gen) genLoop(r *ir.LoopRegion) ([]mcode.CodeItem, error) {
 // bodies are left alone: the IU code generator unrolls those instead,
 // keeping the cells at full speed.
 func padLoopBody(body []mcode.CodeItem) []mcode.CodeItem {
-	nested := false
-	for _, it := range body {
-		if _, ok := it.(*mcode.LoopItem); ok {
-			nested = true
-		}
-	}
-	if !nested {
+	if !mcode.HoldsLoop(body) {
 		return body
 	}
 	need := mcode.LoopOverheadCycles + int64(mcode.CountAddrExprs(body, mcode.IUNumRegs))

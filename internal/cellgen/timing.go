@@ -13,60 +13,32 @@ import (
 // unidirectional, which the driver validates before code generation,
 // so receive/send direction needs no further distinction here.)
 func Timing(p *mcode.CellProgram) map[w2.Channel]*skew.Prog {
-	progs := map[w2.Channel]*skew.Prog{
-		w2.ChanX: {},
-		w2.ChanY: {},
-	}
-	ids := map[w2.Channel]*[2]int{
-		w2.ChanX: {},
-		w2.ChanY: {},
-	}
-	bodies := make(map[w2.Channel][]skew.Elem)
-	n := timingItems(p.Items, progs, ids, bodies)
-	for ch, p := range progs {
-		p.Body = bodies[ch]
-		p.Len = n
-	}
-	return progs
-}
-
-// timingItems converts a code-item list, returning its length in
-// cycles and appending per-channel elements to bodies.
-func timingItems(items []mcode.CodeItem, progs map[w2.Channel]*skew.Prog, ids map[w2.Channel]*[2]int, bodies map[w2.Channel][]skew.Elem) int64 {
-	var at int64
-	for _, it := range items {
-		switch it := it.(type) {
-		case *mcode.Straight:
-			for i, in := range it.Instrs {
-				for j := range in.IO {
-					io := &in.IO[j]
-					kind := skew.Output
-					slot := 1
-					if io.Recv {
-						kind = skew.Input
-						slot = 0
-					}
-					id := &ids[io.Chan][slot]
-					bodies[io.Chan] = append(bodies[io.Chan], &skew.Op{
-						Kind: kind, ID: *id, At: at + int64(i),
-					})
-					*id++
-				}
+	// A body folds to its elements per channel; ids numbers the
+	// receives and the sends of each channel.
+	type elems [2][]skew.Elem
+	var ids [2][2]int
+	bodies, n := mcode.Fold(p.Items, elems{}, func(b elems, in *mcode.Instr, s *mcode.CellSite) elems {
+		for j := range in.IO {
+			io := &in.IO[j]
+			kind, slot := skew.Output, 1
+			if io.Recv {
+				kind, slot = skew.Input, 0
 			}
-			at += int64(len(it.Instrs))
-		case *mcode.LoopItem:
-			inner := make(map[w2.Channel][]skew.Elem)
-			iterLen := timingItems(it.Body, progs, ids, inner)
-			for ch, body := range inner {
-				if len(body) == 0 {
-					continue
-				}
-				bodies[ch] = append(bodies[ch], &skew.Loop{
-					At: at, Trips: it.Trips, IterLen: iterLen, Body: body,
-				})
-			}
-			at += iterLen * it.Trips
+			b[io.Chan] = append(b[io.Chan], &skew.Op{Kind: kind, ID: ids[io.Chan][slot], At: s.At})
+			ids[io.Chan][slot]++
 		}
+		return b
+	}, func(elems, *mcode.LoopItem, *mcode.CellSite) elems { return elems{} },
+		func(b elems, l *mcode.LoopItem, s *mcode.CellSite, iterLen int64, body elems) elems {
+			for ch, e := range body {
+				if len(e) > 0 {
+					b[ch] = append(b[ch], &skew.Loop{At: s.At, Trips: l.Trips, IterLen: iterLen, Body: e})
+				}
+			}
+			return b
+		})
+	return map[w2.Channel]*skew.Prog{
+		w2.ChanX: {Body: bodies[w2.ChanX], Len: n},
+		w2.ChanY: {Body: bodies[w2.ChanY], Len: n},
 	}
-	return at
 }

@@ -323,8 +323,9 @@ func (r *Reader) refill() *Word {
 // address that leaves the range of Word.Index, fails the generation.
 func Generate(cell *mcode.CellProgram) (*Program, error) {
 	var b builder
-	if err := b.build(cell.Items, 1); err != nil {
-		return nil, err
+	mcode.Fold(cell.Items, scope{mult: 1}, b.instr, b.enter, b.exit)
+	if b.err != nil {
+		return nil, b.err
 	}
 	prog := &Program{In: map[w2.Channel]Stream{}, Out: map[w2.Channel]Stream{}}
 	for ch, s := range b.streams {
@@ -357,67 +358,66 @@ const overflowed = -1
 type builder struct {
 	streams [numChans][2]Stream // by channel, then 0 = sends, 1 = receives
 	words   [numChans][2]int64
-	loops   []*mcode.LoopItem // enclosing loops, outermost first
+	err     error // the first refusal
 }
 
-// build compiles one item list; mult is the product of the enclosing
-// trip counts: how often the list executes (0: never; overflowed).
-func (b *builder) build(items []mcode.CodeItem, mult int64) error {
-	for _, it := range items {
-		switch it := it.(type) {
-		case *mcode.Straight:
-			for _, in := range it.Instrs {
-				for i := range in.IO {
-					if mult == 0 {
-						continue
-					}
-					if err := b.add(&in.IO[i], mult); err != nil {
-						return fmt.Errorf("hostgen: %s: %w", in.Pos, err)
-					}
-				}
-			}
-		case *mcode.LoopItem:
-			inner := int64(0) // a loop without trips never runs its body
-			if it.Trips > 0 {
-				inner = overflowed
-				if mult != overflowed && mult <= math.MaxInt64/it.Trips {
-					inner = mult * it.Trips
-				}
-			}
-			var heads [numChans][2]int
-			for ch := range b.streams {
-				heads[ch] = [2]int{len(b.streams[ch][0]), len(b.streams[ch][1])}
-			}
-			depth := len(b.loops)
-			b.loops = append(b.loops, it)
-			if err := b.build(it.Body, inner); err != nil {
-				return err
-			}
-			b.loops = b.loops[:depth]
-			for ch := range b.streams {
-				for dir, s := range b.streams[ch] {
-					head := heads[ch][dir]
-					if len(s) == head {
-						continue
-					}
-					innermost := true
-					for j := head; j < len(s); j++ {
-						innermost = innermost && len(s[j].ends) == 0
-					}
-					if innermost {
-						s[head].body = len(s) - head
-					}
-					s[len(s)-1].ends = append(s[len(s)-1].ends, loopEnd{depth: depth, trips: it.Trips, head: head})
-				}
-			}
+// scope is what the fold carries into a loop body: how often the body
+// executes (0: never; overflowed), the product of the enclosing trip
+// counts, and where its streams start.
+type scope struct {
+	mult  int64
+	heads [numChans][2]int
+}
+
+// instr appends the I/O operations of in, which executes v.mult times.
+func (b *builder) instr(v scope, in *mcode.Instr, s *mcode.CellSite) scope {
+	for i := 0; i < len(in.IO) && v.mult != 0 && b.err == nil; i++ {
+		if err := b.add(&in.IO[i], v.mult, s.Loops); err != nil {
+			b.err = fmt.Errorf("hostgen: %s: %w", in.Pos, err)
 		}
 	}
-	return nil
+	return v
+}
+
+func (b *builder) enter(v scope, l *mcode.LoopItem, _ *mcode.CellSite) scope {
+	var inner scope // a loop without trips never runs its body
+	if l.Trips > 0 {
+		inner.mult = overflowed
+		if v.mult != overflowed && v.mult <= math.MaxInt64/l.Trips {
+			inner.mult = v.mult * l.Trips
+		}
+	}
+	for ch := range b.streams {
+		inner.heads[ch] = [2]int{len(b.streams[ch][0]), len(b.streams[ch][1])}
+	}
+	return inner
+}
+
+// exit closes loop l around the operations its body appended.
+func (b *builder) exit(v scope, l *mcode.LoopItem, s *mcode.CellSite, _ int64, inner scope) scope {
+	for ch := range b.streams {
+		for dir, st := range b.streams[ch] {
+			head := inner.heads[ch][dir]
+			if len(st) == head {
+				continue
+			}
+			innermost := true
+			for j := head; j < len(st); j++ {
+				innermost = innermost && len(st[j].ends) == 0
+			}
+			if innermost {
+				st[head].body = len(st) - head
+			}
+			last := &st[len(st)-1]
+			last.ends = append(last.ends, loopEnd{depth: len(s.Loops), trips: l.Trips, head: head})
+		}
+	}
+	return v
 }
 
 // add resolves one I/O operation that executes mult times against the
 // enclosing loops and appends it to its stream.
-func (b *builder) add(io *mcode.IOOp, mult int64) error {
+func (b *builder) add(io *mcode.IOOp, mult int64, loops []*mcode.LoopItem) error {
 	dir := 0
 	if io.Recv {
 		dir = 1
@@ -433,7 +433,7 @@ func (b *builder) add(io *mcode.IOOp, mult int64) error {
 		o.word = Word{Literal: true, Value: io.Literal}
 	case io.Ext.Sym != nil:
 		var err error
-		if o, err = b.resolve(&io.Ext); err != nil {
+		if o, err = resolve(&io.Ext, loops); err != nil {
 			return err
 		}
 	case io.Recv:
@@ -446,8 +446,8 @@ func (b *builder) add(io *mcode.IOOp, mult int64) error {
 
 // resolve binds the external's address to the enclosing loops
 // (mcode.AddrInfo.Bind) and checks that it stays within a Word's index.
-func (b *builder) resolve(a *mcode.AddrInfo) (op, error) {
-	r, err := a.Bind(b.loops, nil)
+func resolve(a *mcode.AddrInfo, loops []*mcode.LoopItem) (op, error) {
+	r, err := a.Bind(loops, nil)
 	if err != nil {
 		return op{}, fmt.Errorf("external %w", err)
 	}

@@ -440,3 +440,41 @@ func BenchmarkReader(b *testing.B) {
 		})
 	}
 }
+
+// TestRefusalTexts pins Generate's refusals byte for byte: a receive
+// with no external binding, an external outside its loops' scope or
+// outside ±2³¹−1, and a stream whose word count overflows — each with
+// the position of its statement.
+func TestRefusalTexts(t *testing.T) {
+	pos := w2.Pos{Line: 12, Col: 5}
+	loop := &w2.ForStmt{Var: "i"}
+	ext := func(coef int64) mcode.AddrInfo {
+		return mcode.AddrInfo{Sym: &w2.Symbol{Name: "a"}, Base: 3, Affine: w2.Affine{Terms: []w2.AffTerm{{Var: loop, Coef: coef}}}}
+	}
+	in := func(io mcode.IOOp) mcode.CodeItem {
+		return &mcode.Straight{Instrs: []*mcode.Instr{{}, {Pos: pos, IO: []mcode.IOOp{io}}}}
+	}
+	nest := func(trips int64, body ...mcode.CodeItem) *mcode.LoopItem {
+		return &mcode.LoopItem{ID: 4, Trips: trips, Step: 1, Src: loop, Body: body}
+	}
+	cases := []struct {
+		name string
+		cell []mcode.CodeItem
+		want string
+	}{
+		{"no external", []mcode.CodeItem{nest(3, in(mcode.IOOp{Recv: true, Chan: w2.ChanX}))},
+			"hostgen: 12:5: a receive on channel X has no external binding; the first cell would starve (every receive from the host side needs an external, §4.3)"},
+		{"out of scope", []mcode.CodeItem{in(mcode.IOOp{Chan: w2.ChanY, Ext: ext(1)})},
+			"hostgen: 12:5: external a+i references loop i outside its scope"},
+		{"out of range", []mcode.CodeItem{nest(1<<20, in(mcode.IOOp{Recv: true, Chan: w2.ChanY, Ext: ext(-(1 << 12))}))},
+			"hostgen: 12:5: external a+-4096*i resolves to host addresses -4294963197..3, outside ±2147483647"},
+		{"word count", []mcode.CodeItem{nest(1<<32, nest(1<<31, in(mcode.IOOp{Chan: w2.ChanX})))},
+			"hostgen: 12:5: host stream on X longer than 9223372036854775807 words"},
+	}
+	for _, tc := range cases {
+		_, err := Generate(&mcode.CellProgram{Items: tc.cell})
+		if got := fmt.Sprint(err); got != tc.want {
+			t.Errorf("%s: %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}

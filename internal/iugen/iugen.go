@@ -324,37 +324,13 @@ func (g *genState) findStack(loop *w2.ForStmt) *stackEntry {
 	return nil
 }
 
-// cycles is the length of one execution of items, in closed form:
-// CountCell has refused a program whose count overflows.
-func cycles(items []mcode.CodeItem) int64 {
-	var n int64
-	for _, it := range items {
-		switch it := it.(type) {
-		case *mcode.Straight:
-			n += int64(len(it.Instrs))
-		case *mcode.LoopItem:
-			n += it.Trips * cycles(it.Body)
-		}
-	}
-	return n
-}
-
-func hasLoops(items []mcode.CodeItem) bool {
-	for _, it := range items {
-		if _, ok := it.(*mcode.LoopItem); ok {
-			return true
-		}
-	}
-	return false
-}
-
 // mirrorLoop mirrors one cell loop.  Bodies of at least the three
 // counter-work cycles become one IU loop with the full trip count and a
 // per-iteration dynamic termination signal.  Shorter straight-line
 // bodies are unrolled by m = ceil(3/bodyLen) (§6.3.1), with the
 // remainder iterations peeled straight-line and their signals static.
 func (g *genState) mirrorLoop(cl *mcode.LoopItem, body *iuBody) {
-	bodyLen := cycles(cl.Body)
+	bodyLen := mcode.Cycles(cl.Body) // CountCell has refused a program whose count overflows
 	if bodyLen == 0 {
 		g.fail("loop L%d has an empty body", cl.ID)
 		return
@@ -362,7 +338,7 @@ func (g *genState) mirrorLoop(cl *mcode.LoopItem, body *iuBody) {
 	trips := cl.Trips
 	m := int64(1)
 	if bodyLen < mcode.LoopOverheadCycles {
-		if hasLoops(cl.Body) {
+		if mcode.HoldsLoop(cl.Body) {
 			g.fail("loop L%d: body of %d cycles contains inner loops; the IU cannot pace it", cl.ID, bodyLen)
 			return
 		}

@@ -287,7 +287,8 @@ func (a AddrInfo) Shifted() w2.Affine {
 // a cycle per expression the IU can hold and the IU code generator
 // sizes its unroll factor by them.
 func CountAddrExprs(items []CodeItem, limit int) int {
-	return len(addAddrExprs(make([]addrExpr, 0, limit), items))
+	seen, _ := Fold(items, make([]addrExpr, 0, limit), addAddrExprs, nil, nil)
+	return len(seen)
 }
 
 // addrExpr is one address expression: an array and a shifted address.
@@ -296,33 +297,24 @@ type addrExpr struct {
 	aff  w2.Affine
 }
 
-// addAddrExprs appends to seen the address expressions of items it does
-// not hold yet, while it has capacity.
-func addAddrExprs(seen []addrExpr, items []CodeItem) []addrExpr {
-	for _, it := range items {
-		switch it := it.(type) {
-		case *Straight:
-			for _, in := range it.Instrs {
-			refs:
-				for i := range in.Mem {
-					m := &in.Mem[i]
-					if m.Kind == MemNone || len(seen) == cap(seen) {
-						continue
-					}
-					e := addrExpr{m.Addr.Sym.Name, m.Addr.Shifted()}
-					for _, s := range seen {
-						if e.aff.Const == s.aff.Const && e.name == s.name && slices.EqualFunc(e.aff.Terms, s.aff.Terms, func(t, u w2.AffTerm) bool {
-							return t.Coef == u.Coef && t.Var.Var == u.Var.Var
-						}) {
-							continue refs
-						}
-					}
-					seen = append(seen, e)
-				}
-			}
-		case *LoopItem:
-			seen = addAddrExprs(seen, it.Body)
+// addAddrExprs appends to seen the address expressions of in it does not
+// hold yet, while it has capacity.
+func addAddrExprs(seen []addrExpr, in *Instr, _ *CellSite) []addrExpr {
+refs:
+	for i := range in.Mem {
+		m := &in.Mem[i]
+		if m.Kind == MemNone || len(seen) == cap(seen) {
+			continue
 		}
+		e := addrExpr{m.Addr.Sym.Name, m.Addr.Shifted()}
+		for _, s := range seen {
+			if e.aff.Const == s.aff.Const && e.name == s.name && slices.EqualFunc(e.aff.Terms, s.aff.Terms, func(t, u w2.AffTerm) bool {
+				return t.Coef == u.Coef && t.Var.Var == u.Var.Var
+			}) {
+				continue refs
+			}
+		}
+		seen = append(seen, e)
 	}
 	return seen
 }
@@ -471,37 +463,6 @@ func (in *Instr) String() string {
 	return strings.Join(parts, " | ")
 }
 
-// CodeItem is a node of the structured cell program: straight-line code
-// or a counted loop.
-type CodeItem interface{ codeItem() }
-
-// Straight is a block of consecutive microinstructions.
-type Straight struct {
-	Instrs []*Instr
-}
-
-func (*Straight) codeItem() {}
-
-// LoopItem is a counted loop.  The cell's sequencer repeats the body;
-// the termination decision each iteration comes from the IU's loop
-// control signal (§6.3.1).
-//
-// Src/First/Step record the mapping from the hardware loop's iteration
-// number k (0-based) to the source-level index of loop Src:
-// i = First + Step·k.  The IU code generator uses it to evaluate affine
-// addresses; software pipelining may retarget the mapping.
-type LoopItem struct {
-	ID    int // loop identifier shared with the IU program
-	Trips int64
-	Body  []CodeItem
-
-	Src   *w2.ForStmt
-	First int64
-	Step  int64
-}
-
-func (*LoopItem) codeItem() {}
-
 // CellProgram is the complete microprogram of one cell.
 type CellProgram struct {
 	Items []CodeItem
@@ -518,30 +479,16 @@ func (p *CellProgram) Cycles() int64 {
 	return c.Cycles
 }
 
-// WalkInstrs visits every static microinstruction of items in the
-// canonical order (straight-line blocks and loop bodies in program
-// order), passing the stack of enclosing loops outermost-first.  It is
-// the single definition of µprogram address order: an instruction's µPC
-// is its index in this walk, which Decode, NumInstrs and the profiler's
-// debug map all count, so a µPC indexes the same instruction everywhere.
+// WalkInstrs visits every static microinstruction of items in µPC
+// order, passing the stack of enclosing loops outermost-first: the Fold
+// of an instruction-at-a-time pass.  An instruction's µPC is its index in
+// this walk, which Decode, NumInstrs and the profiler's debug map all
+// count, so a µPC indexes the same instruction everywhere.
 func WalkInstrs(items []CodeItem, visit func(in *Instr, loops []*LoopItem)) {
-	var stack []*LoopItem
-	var walk func(items []CodeItem)
-	walk = func(items []CodeItem) {
-		for _, it := range items {
-			switch it := it.(type) {
-			case *Straight:
-				for _, in := range it.Instrs {
-					visit(in, stack)
-				}
-			case *LoopItem:
-				stack = append(stack, it)
-				walk(it.Body)
-				stack = stack[:len(stack)-1]
-			}
-		}
-	}
-	walk(items)
+	Fold(items, struct{}{}, func(v struct{}, in *Instr, s *CellSite) struct{} {
+		visit(in, s.Loops)
+		return v
+	}, nil, nil)
 }
 
 // MemAddr returns the address memory port port of the decoded word w
@@ -559,30 +506,11 @@ func (p *CellProgram) MemAddr(w *Word, port int) (a AddrInfo) {
 
 // NumInstrs counts static microinstructions (the paper's "cell µcode"
 // length metric of Table 7-1).
-func (p *CellProgram) NumInstrs() int {
-	n := 0
-	WalkInstrs(p.Items, func(*Instr, []*LoopItem) { n++ })
-	return n
-}
+func (p *CellProgram) NumInstrs() int { return numInstrs(p.Items) }
 
 // Listing renders the program as an annotated microcode listing.
 func (p *CellProgram) Listing() string {
 	var sb strings.Builder
-	var walk func(items []CodeItem, depth int)
-	walk = func(items []CodeItem, depth int) {
-		indent := strings.Repeat("  ", depth)
-		for _, it := range items {
-			switch it := it.(type) {
-			case *Straight:
-				for _, in := range it.Instrs {
-					fmt.Fprintf(&sb, "%s%s\n", indent, in)
-				}
-			case *LoopItem:
-				fmt.Fprintf(&sb, "%sloop L%d (%d times):\n", indent, it.ID, it.Trips)
-				walk(it.Body, depth+1)
-			}
-		}
-	}
-	walk(p.Items, 0)
+	listing(&sb, p.Items)
 	return sb.String()
 }

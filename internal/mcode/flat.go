@@ -111,94 +111,86 @@ func Decode(p *CellProgram) (*Decoded, error) {
 	d := &Decoded{Words: make([]Word, 0, instrs), Lits: make([]float64, 0, instrs), Ops: make([]Op, 0, ops), Mems: make([]MemField, 0, mems),
 		Terms: make([]LoopTerm, 0, terms)}
 	var empty error
-	var loops []*LoopItem
-	pc, idle := 0, 0                         // the next µPC, and the idle instructions before it not yet in a word
+	idle := 0                                // the idle instructions before the next µPC not yet in a word
 	lo, hi := float64(MemWords), float64(-1) // the envelope, empty so far
-	// word starts a word at µPC at: skip idle cycles and no fields yet.
-	word := func(skip, at int) Word {
+	// word starts a word at µPC at, depth loops deep: skip idle cycles and
+	// no fields yet.
+	word := func(skip, at, depth int) Word {
 		op, end := int32(len(d.Ops)), int32(len(d.Ends))
-		return Word{Skip: int32(skip), Depth: uint16(len(loops)), PC: int32(at), Lo: op, Hi: op, EndLo: end, EndHi: end}
+		return Word{Skip: int32(skip), Depth: uint16(depth), PC: int32(at), Lo: op, Hi: op, EndLo: end, EndHi: end}
 	}
-	// flush puts the pending idle run into a word of its own, its last
-	// instruction the issuing cycle.
-	flush := func() {
+	// flush puts the idle run before µPC pc into a word of its own, its
+	// last instruction the issuing cycle.
+	flush := func(pc, depth int) {
 		if idle > 0 {
-			w := word(idle-1, pc-idle)
+			w := word(idle-1, pc-idle, depth)
 			w.Nop = true
 			d.Words, d.Lits, idle = append(d.Words, w), append(d.Lits, 0), 0
 		}
 	}
-	var walk func(items []CodeItem)
-	walk = func(items []CodeItem) {
-		for _, it := range items {
-			switch it := it.(type) {
-			case *Straight:
-				for _, in := range it.Instrs {
-					pc++
-					if in.Empty() {
-						idle++
-						continue
-					}
-					w := word(idle, pc-1-idle)
-					idle = 0
-					for k := range in.IO {
-						d.Ops = append(d.Ops, ioOp(&in.IO[k]))
-					}
-					for port := range in.Mem {
-						mo := &in.Mem[port]
-						if mo.Kind == MemNone {
-							continue
-						}
-						b, err := mo.Addr.Bind(loops, d.Terms)
-						if err != nil {
-							d.Unbound = cmp.Or(d.Unbound, err)
-							b.Terms = d.Terms
-						}
-						lo, hi = min(lo, b.Lo), max(hi, b.Hi)
-						d.Ops = append(d.Ops, memOp(mo, port, len(d.Mems)))
-						d.Mems = append(d.Mems, MemField{Start: b.Start, TermLo: int32(len(d.Terms)), TermHi: int32(len(b.Terms))})
-						d.Terms = b.Terms
-					}
-					for _, f := range [...]struct {
-						on bool
-						op *AluOp
-					}{{in.HasAdd, &in.Add}, {in.HasMul, &in.Mul}, {in.HasMov, &in.Mov}} {
-						if f.on {
-							d.Ops = append(d.Ops, aluOp(f.op))
-						}
-					}
-					w.Hi = int32(len(d.Ops))
-					w.HasAdd, w.HasMul, w.HasMov = in.HasAdd, in.HasMul, in.HasMov
-					lit := 0.0
-					if in.HasLit {
-						w.Lit, w.LitDst, lit = true, narrow(in.Lit.Dst), in.Lit.Value
-					}
-					d.Words, d.Lits = append(d.Words, w), append(d.Lits, lit)
-				}
-			case *LoopItem:
-				// An idle run ends at a loop head: the back edge must count
-				// only the idle cycles inside the body.
-				flush()
-				head, first := len(d.Words), pc
-				loops = append(loops, it)
-				walk(it.Body)
-				flush()
-				loops = loops[:len(loops)-1]
-				if pc == first {
-					empty = cmp.Or(empty, fmt.Errorf("loop L%d has an empty body", it.ID))
-					continue
-				}
-				d.Depth = max(d.Depth, len(loops)+1)
-				// The body's last word closes the loop; ends are appended
-				// innermost first, and only to the last word, so they stay
-				// contiguous.
-				d.Ends = append(d.Ends, LoopEnd{ID: it.ID, Trips: it.Trips, Head: head})
-				d.Words[len(d.Words)-1].EndHi = int32(len(d.Ends))
+	// A loop body's value is its first word and µPC.
+	type body struct{ head, pc int }
+	Fold(p.Items, body{}, func(v body, in *Instr, s *CellSite) body {
+		if in.Empty() {
+			idle++
+			return v
+		}
+		w := word(idle, s.PC-idle, len(s.Loops))
+		idle = 0
+		for k := range in.IO {
+			d.Ops = append(d.Ops, ioOp(&in.IO[k]))
+		}
+		for port := range in.Mem {
+			mo := &in.Mem[port]
+			if mo.Kind == MemNone {
+				continue
+			}
+			b, err := mo.Addr.Bind(s.Loops, d.Terms)
+			if err != nil {
+				d.Unbound = cmp.Or(d.Unbound, err)
+				b.Terms = d.Terms
+			}
+			lo, hi = min(lo, b.Lo), max(hi, b.Hi)
+			d.Ops = append(d.Ops, memOp(mo, port, len(d.Mems)))
+			d.Mems = append(d.Mems, MemField{Start: b.Start, TermLo: int32(len(d.Terms)), TermHi: int32(len(b.Terms))})
+			d.Terms = b.Terms
+		}
+		for _, f := range [...]struct {
+			on bool
+			op *AluOp
+		}{{in.HasAdd, &in.Add}, {in.HasMul, &in.Mul}, {in.HasMov, &in.Mov}} {
+			if f.on {
+				d.Ops = append(d.Ops, aluOp(f.op))
 			}
 		}
-	}
-	walk(p.Items)
-	flush()
+		w.Hi = int32(len(d.Ops))
+		w.HasAdd, w.HasMul, w.HasMov = in.HasAdd, in.HasMul, in.HasMov
+		lit := 0.0
+		if in.HasLit {
+			w.Lit, w.LitDst, lit = true, narrow(in.Lit.Dst), in.Lit.Value
+		}
+		d.Words, d.Lits = append(d.Words, w), append(d.Lits, lit)
+		return v
+	}, func(_ body, _ *LoopItem, s *CellSite) body {
+		// An idle run ends at a loop head: the back edge must count only
+		// the idle cycles inside the body.
+		flush(s.PC, len(s.Loops))
+		return body{len(d.Words), s.PC}
+	}, func(v body, l *LoopItem, s *CellSite, _ int64, b body) body {
+		depth := len(s.Loops) + 1
+		flush(s.PC, depth)
+		if s.PC == b.pc {
+			empty = cmp.Or(empty, fmt.Errorf("loop L%d has an empty body", l.ID))
+			return v
+		}
+		d.Depth = max(d.Depth, depth)
+		// The body's last word closes the loop; ends are appended innermost
+		// first, and only to the last word, so they stay contiguous.
+		d.Ends = append(d.Ends, LoopEnd{ID: l.ID, Trips: l.Trips, Head: b.head})
+		d.Words[len(d.Words)-1].EndHi = int32(len(d.Ends))
+		return v
+	})
+	flush(instrs, 0)
 	// Addresses count from the envelope's low end, cut to the cell memory.
 	d.MemLo = int64(max(lo, 0))
 	d.MemWords = int(max(min(hi, MemWords-1)-float64(d.MemLo)+1, 0))
@@ -408,28 +400,20 @@ func DecodeIU(p *IUProgram) (IUCode, error) {
 		code.Adrs, code.Sigs = max(c.AdrOuts, 0), max(c.Signals, 0) // a negative trip count runs once
 	}
 	var empty error
-	var walk func(items []IUItem, depth int)
-	walk = func(items []IUItem, depth int) {
-		for _, it := range items {
-			switch it := it.(type) {
-			case *IUStraight:
-				for _, in := range it.Instrs {
-					code.Words = append(code.Words, IUWord{IUInstr: in, Depth: depth})
-				}
-			case *IULoop:
-				head := len(code.Words)
-				walk(it.Body, depth+1)
-				if len(code.Words) == head {
-					empty = cmp.Or(empty, fmt.Errorf("loop L%d has an empty body", it.ID))
-					continue
-				}
-				code.Depth = max(code.Depth, depth+1)
-				last := &code.Words[len(code.Words)-1]
-				last.Ends = append(last.Ends, LoopEnd{ID: it.ID, Trips: it.Trips, Head: head})
-			}
+	// A loop body's value is its first word.
+	Fold(p.Items, 0, func(head int, in *IUInstr, s *IUSite) int {
+		code.Words = append(code.Words, IUWord{IUInstr: in, Depth: len(s.Loops)})
+		return head
+	}, func(int, *IULoop, *IUSite) int { return len(code.Words) }, func(v int, l *IULoop, s *IUSite, _ int64, head int) int {
+		n := len(code.Words)
+		if n == head {
+			empty = cmp.Or(empty, fmt.Errorf("loop L%d has an empty body", l.ID))
+			return v
 		}
-	}
-	walk(p.Items, 0)
+		code.Depth = max(code.Depth, len(s.Loops)+1)
+		code.Words[n-1].Ends = append(code.Words[n-1].Ends, LoopEnd{ID: l.ID, Trips: l.Trips, Head: head})
+		return v
+	})
 	for pc := len(code.Words) - 1; pc >= 0; pc-- {
 		w := &code.Words[pc]
 		if w.Alu != nil || w.Imm != nil || w.Sig != nil || w.Out != [MemPorts]*IUOut{} || len(w.Ends) > 0 {

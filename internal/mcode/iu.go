@@ -157,27 +157,6 @@ func (in *IUInstr) String() string {
 	return strings.Join(parts, " | ")
 }
 
-// IUItem is a node of the structured IU program.
-type IUItem interface {
-	iuItem()
-}
-
-// IUStraight is a block of consecutive IU microinstructions.
-type IUStraight struct {
-	Instrs []*IUInstr
-}
-
-func (*IUStraight) iuItem() {}
-
-// IULoop is a counted IU loop, mirroring a cell loop.
-type IULoop struct {
-	ID    int
-	Trips int64
-	Body  []IUItem
-}
-
-func (*IULoop) iuItem() {}
-
 // IUProgram is the complete IU microprogram, together with the
 // pre-stored address table contents.
 type IUProgram struct {
@@ -187,42 +166,12 @@ type IUProgram struct {
 
 // NumInstrs counts static microinstructions (the "IU µcode" metric of
 // Table 7-1).
-func (p *IUProgram) NumInstrs() int {
-	var count func(items []IUItem) int
-	count = func(items []IUItem) int {
-		n := 0
-		for _, it := range items {
-			switch it := it.(type) {
-			case *IUStraight:
-				n += len(it.Instrs)
-			case *IULoop:
-				n += count(it.Body)
-			}
-		}
-		return n
-	}
-	return count(p.Items)
-}
+func (p *IUProgram) NumInstrs() int { return numInstrs(p.Items) }
 
 // Listing renders the IU program.
 func (p *IUProgram) Listing() string {
 	var sb strings.Builder
-	var walk func(items []IUItem, depth int)
-	walk = func(items []IUItem, depth int) {
-		indent := strings.Repeat("  ", depth)
-		for _, it := range items {
-			switch it := it.(type) {
-			case *IUStraight:
-				for _, in := range it.Instrs {
-					fmt.Fprintf(&sb, "%s%s\n", indent, in)
-				}
-			case *IULoop:
-				fmt.Fprintf(&sb, "%sloop L%d (%d times):\n", indent, it.ID, it.Trips)
-				walk(it.Body, depth+1)
-			}
-		}
-	}
-	walk(p.Items, 0)
+	listing(&sb, p.Items)
 	if len(p.Table) > 0 {
 		fmt.Fprintf(&sb, "table: %d entries\n", len(p.Table))
 	}

@@ -23,31 +23,27 @@ func ValidateCell(p *CellProgram) error {
 	if _, err := CountCell(p); err != nil {
 		return err
 	}
-	return validateCellItems(p.Items)
-}
-
-func validateCellItems(items []CodeItem) error {
-	for _, it := range items {
-		switch it := it.(type) {
-		case *Straight:
-			for i, in := range it.Instrs {
-				if err := validateInstr(in); err != nil {
-					return fmt.Errorf("instruction %d: %w", i, err)
-				}
-			}
-		case *LoopItem:
-			if it.Trips < 1 {
-				return fmt.Errorf("loop L%d: %d trips", it.ID, it.Trips)
-			}
-			if (&CellProgram{Items: it.Body}).NumInstrs() == 0 {
-				return fmt.Errorf("loop L%d: empty body", it.ID)
-			}
-			if err := validateCellItems(it.Body); err != nil {
-				return fmt.Errorf("loop L%d: %w", it.ID, err)
+	err, _ := Fold(p.Items, error(nil), func(err error, in *Instr, s *CellSite) error {
+		if err == nil {
+			if err = validateInstr(in); err != nil {
+				err = fmt.Errorf("instruction %d: %w", s.Index, err)
 			}
 		}
-	}
-	return nil
+		return err
+	}, nil, func(err error, l *LoopItem, _ *CellSite, _ int64, body error) error {
+		switch {
+		case err != nil:
+			return err
+		case l.Trips < 1:
+			return fmt.Errorf("loop L%d: %d trips", l.ID, l.Trips)
+		case len(l.Body) == 0 || numInstrs(l.Body) == 0:
+			return fmt.Errorf("loop L%d: empty body", l.ID)
+		case body != nil:
+			return fmt.Errorf("loop L%d: %w", l.ID, body)
+		}
+		return nil
+	})
+	return err
 }
 
 func regOK(r Reg) bool { return r >= 0 && r < NumRegs }
@@ -132,63 +128,60 @@ type CellCounts struct {
 	Recv, Send             [2]int64 // queue fields, indexed by w2.Channel
 }
 
-// CountCell computes the counts in one walk of the structure, every
+// CountCell computes the counts in one fold of the structure, every
 // product over trip counts checked: a count that overflows 64 bits is an
-// *OverflowError naming the loop.
-func CountCell(p *CellProgram) (CellCounts, error) { return countCellItems(p.Items, -1) }
+// *OverflowError naming the loop.  A block's counts are added at once,
+// the cycle count first, and so are a loop's: which count an overflow
+// names depends on it.
+func CountCell(p *CellProgram) (CellCounts, error) { return countCell(p.Items) }
 
-// countCellItems counts one execution of items inside loop (-1: none).
-func countCellItems(items []CodeItem, loop int) (CellCounts, error) {
-	var c CellCounts
-	for _, it := range items {
-		var add CellCounts // counts of one execution of the item
-		trips, at := int64(1), loop
-		switch it := it.(type) {
-		case *Straight:
-			add.Cycles = int64(len(it.Instrs))
-			for _, in := range it.Instrs {
-				if !in.Empty() {
-					add.Ops++
-				}
-				for i := range in.Mem {
-					switch in.Mem[i].Kind {
-					case MemLoad:
-						add.AdrPops++
-						add.Loads++
-					case MemStore:
-						add.AdrPops++
-						add.Stores++
-					}
-				}
-				for i := range in.IO {
-					if io := &in.IO[i]; io.Recv {
-						add.Recv[io.Chan]++
-					} else {
-						add.Send[io.Chan]++
-					}
-				}
-				add.AddOps += b2i(in.HasAdd)
-				add.MulOps += b2i(in.HasMul)
-				add.MovOps += b2i(in.HasMov)
-			}
-		case *LoopItem:
-			var err error
-			if add, err = countCellItems(it.Body, it.ID); err != nil {
-				return c, err
-			}
-			add.Signals++
-			trips, at = it.Trips, it.ID
+func countCell(items []CodeItem) (CellCounts, error) {
+	var err error // the first overflow
+	c, _ := Fold(items, new(CellCounts), func(c *CellCounts, _ *Instr, s *CellSite) *CellCounts {
+		if s.Index > 0 || err != nil {
+			return c
 		}
-		dst, src := c.fields(), add.fields()
-		if err := addTimes(dst[:], src[:], trips, at); err != nil {
-			return c, err
+		add := CellCounts{Cycles: int64(len(s.Block.Instrs))}
+		for _, in := range s.Block.Instrs {
+			if !in.Empty() {
+				add.Ops++
+			}
+			for i := range in.Mem {
+				switch in.Mem[i].Kind {
+				case MemLoad:
+					add.AdrPops++
+					add.Loads++
+				case MemStore:
+					add.AdrPops++
+					add.Stores++
+				}
+			}
+			for i := range in.IO {
+				if io := &in.IO[i]; io.Recv {
+					add.Recv[io.Chan]++
+				} else {
+					add.Send[io.Chan]++
+				}
+			}
+			add.AddOps += b2i(in.HasAdd)
+			add.MulOps += b2i(in.HasMul)
+			add.MovOps += b2i(in.HasMov)
 		}
-	}
-	return c, nil
+		err = addTimes(c.fields(), add.fields(), 1, s.loop())
+		return c
+	}, func(*CellCounts, *LoopItem, *CellSite) *CellCounts { return new(CellCounts) },
+		func(c *CellCounts, l *LoopItem, _ *CellSite, _ int64, body *CellCounts) *CellCounts {
+			if err == nil {
+				body.Signals++
+				err = addTimes(c.fields(), body.fields(), l.Trips, l.ID)
+			}
+			return c
+		})
+	return *c, err
 }
 
-func (c *CellCounts) fields() [13]*int64 {
-	return [...]*int64{&c.Cycles, &c.Ops, &c.AdrPops, &c.Signals, &c.AddOps, &c.MulOps, &c.MovOps,
+func (c *CellCounts) fields() []*int64 {
+	return []*int64{&c.Cycles, &c.Ops, &c.AdrPops, &c.Signals, &c.AddOps, &c.MulOps, &c.MovOps,
 		&c.Loads, &c.Stores, &c.Recv[0], &c.Recv[1], &c.Send[0], &c.Send[1]}
 }
 
@@ -244,39 +237,36 @@ func ValidateIU(p *IUProgram) error {
 	if _, err := CountIU(p); err != nil {
 		return err
 	}
-	return validateIUItems(p.Items)
+	err, _ := Fold(p.Items, error(nil), func(err error, in *IUInstr, _ *IUSite) error {
+		if err == nil {
+			err = validateIUInstr(in)
+		}
+		return err
+	}, nil, func(err error, l *IULoop, _ *IUSite, _ int64, body error) error {
+		if err == nil && l.Trips < 1 {
+			return fmt.Errorf("IU loop L%d: %d trips", l.ID, l.Trips)
+		}
+		return body
+	})
+	return err
 }
 
-func validateIUItems(items []IUItem) error {
+func validateIUInstr(in *IUInstr) error {
 	iuRegOK := func(r IUReg) bool { return r >= 0 && r < IUNumRegs }
-	for _, it := range items {
-		switch it := it.(type) {
-		case *IUStraight:
-			for _, in := range it.Instrs {
-				if in.Alu != nil {
-					if !iuRegOK(in.Alu.Dst) || !iuRegOK(in.Alu.A) || (!in.Alu.BIsImm && !iuRegOK(in.Alu.B)) {
-						return fmt.Errorf("IU adder register out of range: %s", in.Alu)
-					}
-					if in.CtrWork {
-						return fmt.Errorf("adder field and counter work collide")
-					}
-				}
-				if in.Imm != nil && !iuRegOK(in.Imm.Dst) {
-					return fmt.Errorf("IU immediate register out of range")
-				}
-				for _, o := range in.Out {
-					if o != nil && !o.FromTable && !iuRegOK(o.Src) {
-						return fmt.Errorf("IU address output register out of range")
-					}
-				}
-			}
-		case *IULoop:
-			if it.Trips < 1 {
-				return fmt.Errorf("IU loop L%d: %d trips", it.ID, it.Trips)
-			}
-			if err := validateIUItems(it.Body); err != nil {
-				return err
-			}
+	if in.Alu != nil {
+		if !iuRegOK(in.Alu.Dst) || !iuRegOK(in.Alu.A) || (!in.Alu.BIsImm && !iuRegOK(in.Alu.B)) {
+			return fmt.Errorf("IU adder register out of range: %s", in.Alu)
+		}
+		if in.CtrWork {
+			return fmt.Errorf("adder field and counter work collide")
+		}
+	}
+	if in.Imm != nil && !iuRegOK(in.Imm.Dst) {
+		return fmt.Errorf("IU immediate register out of range")
+	}
+	for _, o := range in.Out {
+		if o != nil && !o.FromTable && !iuRegOK(o.Src) {
+			return fmt.Errorf("IU address output register out of range")
 		}
 	}
 	return nil
@@ -290,46 +280,42 @@ type IUCounts struct {
 	Signals   int64
 }
 
-// CountIU computes the counts in one walk, checked as CountCell's are.
-func CountIU(p *IUProgram) (IUCounts, error) { return countIUItems(p.Items, -1) }
+// CountIU computes the counts in one fold, checked as CountCell's are.
+func CountIU(p *IUProgram) (IUCounts, error) { return countIU(p.Items) }
 
-func countIUItems(items []IUItem, loop int) (IUCounts, error) {
-	var c IUCounts
-	for _, it := range items {
-		var add IUCounts
-		trips, at := int64(1), loop
-		switch it := it.(type) {
-		case *IUStraight:
-			add.Cycles = int64(len(it.Instrs))
-			for _, in := range it.Instrs {
-				for _, o := range in.Out {
-					if o == nil {
-						continue
-					}
-					add.AdrOuts++
-					if o.FromTable {
-						add.TableOuts++
-					}
+func countIU(items []IUItem) (IUCounts, error) {
+	var err error // the first overflow
+	c, _ := Fold(items, new(IUCounts), func(c *IUCounts, _ *IUInstr, s *IUSite) *IUCounts {
+		if s.Index > 0 || err != nil {
+			return c
+		}
+		add := IUCounts{Cycles: int64(len(s.Block.Instrs))}
+		for _, in := range s.Block.Instrs {
+			for _, o := range in.Out {
+				if o == nil {
+					continue
 				}
-				if in.Sig != nil {
-					add.Signals++
+				add.AdrOuts++
+				if o.FromTable {
+					add.TableOuts++
 				}
 			}
-		case *IULoop:
-			var err error
-			if add, err = countIUItems(it.Body, it.ID); err != nil {
-				return c, err
+			if in.Sig != nil {
+				add.Signals++
 			}
-			trips, at = it.Trips, it.ID
 		}
-		dst, src := c.fields(), add.fields()
-		if err := addTimes(dst[:], src[:], trips, at); err != nil {
-			return c, err
-		}
-	}
-	return c, nil
+		err = addTimes(c.fields(), add.fields(), 1, s.loop())
+		return c
+	}, func(*IUCounts, *IULoop, *IUSite) *IUCounts { return new(IUCounts) },
+		func(c *IUCounts, l *IULoop, _ *IUSite, _ int64, body *IUCounts) *IUCounts {
+			if err == nil {
+				err = addTimes(c.fields(), body.fields(), l.Trips, l.ID)
+			}
+			return c
+		})
+	return *c, err
 }
 
-func (c *IUCounts) fields() [4]*int64 {
-	return [...]*int64{&c.Cycles, &c.AdrOuts, &c.TableOuts, &c.Signals}
+func (c *IUCounts) fields() []*int64 {
+	return []*int64{&c.Cycles, &c.AdrOuts, &c.TableOuts, &c.Signals}
 }

@@ -1,7 +1,6 @@
 package prof
 
 import (
-	"slices"
 	"strings"
 
 	"warp/internal/mcode"
@@ -41,33 +40,27 @@ type DebugMap struct {
 }
 
 // BuildDebugMap records the address → source mapping of the cell
-// program, an instruction's µPC being its index in mcode.WalkInstrs
-// order.  It reads the program and does not change it.  Instructions
-// under the same enclosing loops share one loop-frame slice.
+// program, an instruction's µPC being its index in mcode.Fold's order.
+// It reads the program and does not change it.  Instructions under the
+// same enclosing loops share one loop-frame slice: a loop body folds to
+// the frames around it.
 func BuildDebugMap(module, src string, cell *mcode.CellProgram) *DebugMap {
 	d := &DebugMap{Module: module, NumPCs: cell.NumInstrs()}
 	if src != "" {
 		d.Source = strings.Split(src, "\n")
 	}
 	d.PCs = make([]PCInfo, 0, d.NumPCs)
-	// frames are the frames of stack; a walk's stacks that are prefixes of
-	// it share them.
-	var stack []*mcode.LoopItem
-	var frames []LoopFrame
-	mcode.WalkInstrs(cell.Items, func(in *mcode.Instr, loops []*mcode.LoopItem) {
-		info := PCInfo{PC: len(d.PCs), Line: in.Pos.Line, Col: in.Pos.Col}
-		if len(loops) > 0 {
-			if len(loops) > len(stack) || !slices.Equal(loops, stack[:len(loops)]) {
-				stack, frames = slices.Clone(loops), make([]LoopFrame, len(loops))
-				for i, l := range loops {
-					if l.Src != nil {
-						frames[i] = LoopFrame{Var: l.Src.Var, Line: l.Src.Pos.Line}
-					}
-				}
-			}
-			info.Loops = frames[:len(loops):len(loops)]
+	mcode.Fold(cell.Items, []LoopFrame(nil), func(frames []LoopFrame, in *mcode.Instr, s *mcode.CellSite) []LoopFrame {
+		d.PCs = append(d.PCs, PCInfo{PC: s.PC, Line: in.Pos.Line, Col: in.Pos.Col, Loops: frames})
+		return frames
+	}, func(frames []LoopFrame, l *mcode.LoopItem, _ *mcode.CellSite) []LoopFrame {
+		var f LoopFrame
+		if l.Src != nil {
+			f = LoopFrame{Var: l.Src.Var, Line: l.Src.Pos.Line}
 		}
-		d.PCs = append(d.PCs, info)
+		return append(append(make([]LoopFrame, 0, len(frames)+1), frames...), f)
+	}, func(frames []LoopFrame, _ *mcode.LoopItem, _ *mcode.CellSite, _ int64, _ []LoopFrame) []LoopFrame {
+		return frames
 	})
 	return d
 }

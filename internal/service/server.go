@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -670,24 +671,31 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, &httpError{http.StatusBadRequest, "empty batch"})
 		return
 	}
-	// Fan the batch out through the pool: items run concurrently up to
-	// the worker count, and each failure is per-item, not per-batch.
+	// Run the batch through the pool from at most Workers + QueueCap
+	// goroutines, all the pool can admit at once, each taking the next
+	// item; each failure is per-item, not per-batch.
 	items := make([]BatchItem, len(req.Requests))
-	done := make(chan int, len(req.Requests))
-	for i := range req.Requests {
-		go func(i int) {
-			defer func() { done <- i }()
-			resp, err := s.runOne(r.Context(), "/batch", &req.Requests[i])
-			if err != nil {
-				items[i].Error = err.Error()
-				return
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(len(items), max(s.cfg.Workers+s.cfg.QueueCap, 1)) {
+		wg.Add(1)
+		go func() {
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(items) {
+					wg.Done()
+					return
+				}
+				resp, err := s.runOne(r.Context(), "/batch", &req.Requests[i])
+				if err != nil {
+					items[i].Error = err.Error()
+					continue
+				}
+				items[i].Result = resp
 			}
-			items[i].Result = resp
-		}(i)
+		}()
 	}
-	for range req.Requests {
-		<-done
-	}
+	wg.Wait()
 	writeJSON(w, http.StatusOK, BatchResponse{Results: items})
 }
 

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -260,6 +261,48 @@ func validatePrometheus(t *testing.T, text string) {
 		}
 		if !typed[family] {
 			t.Errorf("metrics line %d: sample %s has no # TYPE", n+1, name)
+		}
+	}
+}
+
+// TestBatchFanOutIsBounded: a batch runs its items from at most
+// Workers + QueueCap goroutines, all the pool can admit at once, however
+// many items it holds — and still answers every item, in order.
+func TestBatchFanOutIsBounded(t *testing.T) {
+	const items, workers, queueCap, slack = 20000, 2, 4, 8
+	svc := New(Config{Workers: workers, QueueCap: queueCap})
+	defer svc.Close()
+	body := "{\"requests\":[{}" + strings.Repeat(",{}", items-1) + "]}"
+
+	var done atomic.Bool
+	peak := make(chan int)
+	base := runtime.NumGoroutine() + 1 // the sampler
+	go func() {
+		n := 0
+		for !done.Load() {
+			n = max(n, runtime.NumGoroutine())
+		}
+		peak <- n
+	}()
+	rec := httptest.NewRecorder()
+	svc.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/batch", strings.NewReader(body)))
+	done.Store(true)
+	if n := <-peak; n > base+workers+queueCap+slack {
+		t.Errorf("%d goroutines alive during the batch, want at most %d + %d + %d + %d", n, base, workers, queueCap, slack)
+	}
+	if rec.Code != http.StatusOK {
+		t.Fatalf("batch: status %d: %s", rec.Code, rec.Body)
+	}
+	var br BatchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &br); err != nil {
+		t.Fatal(err)
+	}
+	if len(br.Results) != items {
+		t.Fatalf("batch returned %d results, want %d", len(br.Results), items)
+	}
+	for i, r := range br.Results {
+		if r.Result != nil || r.Error != "missing program or source" {
+			t.Fatalf("item %d: %+v, want the missing-source error", i, r)
 		}
 	}
 }

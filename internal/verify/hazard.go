@@ -146,7 +146,7 @@ func (h *hazardChecker) walkItems(items []mcode.CodeItem, t int64, pc int) (int6
 // from the same entry state, shifted to t (see the file comment).  Only
 // a body holding a loop is worth remembering.
 func (h *hazardChecker) iter(it *mcode.LoopItem, t int64, pc int) (int64, int) {
-	if !holdsLoop(it.Body) {
+	if !mcode.HoldsLoop(it.Body) {
 		return h.walkItems(it.Body, t, pc)
 	}
 	entry, ok := h.entry(it, t)
@@ -203,16 +203,6 @@ func (h *hazardChecker) entry(it *mcode.LoopItem, t int64) (w bodyWalk, ok bool)
 		}
 	}
 	return w, true
-}
-
-// holdsLoop reports whether items hold a loop.
-func holdsLoop(items []mcode.CodeItem) bool {
-	for _, it := range items {
-		if _, ok := it.(*mcode.LoopItem); ok {
-			return true
-		}
-	}
-	return false
 }
 
 // instr checks one microinstruction, µPC pc, at absolute cycle t: reads

@@ -75,57 +75,50 @@ type iuCode struct {
 // positions are as static as the cell's.  A loop with no word in its body
 // emits nothing and takes no time; like mcode.DecodeIU it is left out.
 func decodeIU(p *mcode.IUProgram) *iuCode {
-	pc := 0
-	var walk func(items []mcode.IUItem) (body []iuItem, length int64, out [3][]skew.Node)
-	walk = func(items []mcode.IUItem) (body []iuItem, at int64, out [3][]skew.Node) {
-		for _, it := range items {
-			switch it := it.(type) {
-			case *mcode.IUStraight:
-				if len(it.Instrs) == 0 {
-					continue
+	// A body folds to its items and its emission trees: addresses,
+	// signals, table reads.
+	type tree struct {
+		body []iuItem
+		out  [3][]skew.Node
+	}
+	t, _ := mcode.Fold(p.Items, &tree{}, func(t *tree, in *mcode.IUInstr, s *mcode.IUSite) *tree {
+		if s.Index == 0 {
+			t.body = append(t.body, iuItem{at: s.At, pc: s.PC, words: s.Block.Instrs})
+		}
+		var emits [3]int // addresses, signals, table reads
+		for _, o := range in.Out {
+			if o != nil {
+				emits[0]++
+				if o.FromTable {
+					emits[2]++
 				}
-				body = append(body, iuItem{at: at, pc: pc, words: it.Instrs})
-				for _, in := range it.Instrs {
-					var emits [3]int // addresses, signals, table reads
-					for _, o := range in.Out {
-						if o != nil {
-							emits[0]++
-							if o.FromTable {
-								emits[2]++
-							}
-						}
-					}
-					if in.Sig != nil {
-						emits[1]++
-					}
-					for s, n := range emits {
-						if n > 0 {
-							out[s] = append(out[s], skew.Node{At: at, Instr: pc, Send: n})
-						}
-					}
-					at++
-					pc++
-				}
-			case *mcode.IULoop:
-				inner, n, nodes := walk(it.Body)
-				if n == 0 {
-					continue
-				}
-				l := &iuLoop{id: it.ID, trips: max(it.Trips, 1), iterLen: n, body: inner,
-					hasAdr: len(nodes[0]) > 0, hasSig: len(nodes[1]) > 0}
-				body = append(body, iuItem{at: at, loop: l})
-				for s, b := range nodes {
-					if len(b) > 0 {
-						out[s] = append(out[s], skew.Node{At: at, Loop: &skew.Nest{Trips: l.trips, IterLen: n, Body: b}})
-					}
-				}
-				at += n * l.trips
 			}
 		}
-		return body, at, out
-	}
-	items, _, out := walk(p.Items)
-	c := &iuCode{items: items, adr: out[0], sig: out[1], tbl: out[2]}
+		if in.Sig != nil {
+			emits[1]++
+		}
+		for k, n := range emits {
+			if n > 0 {
+				t.out[k] = append(t.out[k], skew.Node{At: s.At, Instr: s.PC, Send: n})
+			}
+		}
+		return t
+	}, func(*tree, *mcode.IULoop, *mcode.IUSite) *tree { return &tree{} },
+		func(t *tree, l *mcode.IULoop, s *mcode.IUSite, n int64, inner *tree) *tree {
+			if n == 0 {
+				return t
+			}
+			il := &iuLoop{id: l.ID, trips: max(l.Trips, 1), iterLen: n, body: inner.body,
+				hasAdr: len(inner.out[0]) > 0, hasSig: len(inner.out[1]) > 0}
+			t.body = append(t.body, iuItem{at: s.At, loop: il})
+			for k, b := range &inner.out {
+				if len(b) > 0 {
+					t.out[k] = append(t.out[k], skew.Node{At: s.At, Loop: &skew.Nest{Trips: il.trips, IterLen: n, Body: b}})
+				}
+			}
+			return t
+		})
+	c := &iuCode{items: t.body, adr: t.out[0], sig: t.out[1], tbl: t.out[2]}
 	c.adrs, _ = skew.Seal(c.adr)
 	c.sigs, _ = skew.Seal(c.sig)
 	c.reads, _ = skew.Seal(c.tbl)

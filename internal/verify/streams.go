@@ -15,8 +15,8 @@ import (
 // the offending event once a proof has failed.  The IU's trees are read
 // by decodeIU (iu.go).
 //
-// The cell program's µPC numbering is mcode.WalkInstrs' order, listing
-// order, which every walk here carries along.
+// The cell program's µPC numbering is mcode.Fold's order, listing order,
+// which the fold hands every instruction.
 //
 // Cell time is the instruction's ordinal in the dynamic execution:
 // every cell executes exactly one microinstruction per cycle, so the
@@ -48,64 +48,55 @@ const (
 	numSlots
 )
 
-// buildCellStreams walks the cell program once, structurally.
+// buildCellStreams folds the cell program once, structurally: a body
+// folds to its nodes per stream slot.
 func buildCellStreams(p *mcode.CellProgram) *cellStreams {
-	cs := &cellStreams{}
-	pc := 0
-	var walk func(items []mcode.CodeItem) (length int64, out [numSlots][]skew.Node)
-	walk = func(items []mcode.CodeItem) (at int64, out [numSlots][]skew.Node) {
-		for _, it := range items {
-			switch it := it.(type) {
-			case *mcode.Straight:
-				for _, in := range it.Instrs {
-					// One leaf per (instruction, stream), so a cycle carrying
-					// both a send and a receive keeps them together.
-					var leaf [numSlots]skew.Node
-					for i := range in.IO {
-						io, n := &in.IO[i], &leaf[slotX]
-						if io.Chan == w2.ChanY {
-							n = &leaf[slotY]
-						}
-						if io.Recv {
-							n.Recv++
-						} else {
-							n.Send++
-						}
-					}
-					for i := range in.Mem {
-						if in.Mem[i].Kind != mcode.MemNone {
-							leaf[slotMem].Send++
-							leaf[slotMem].Recv++
-						}
-					}
-					for s, n := range leaf {
-						if n.Send > 0 || n.Recv > 0 {
-							n.At, n.Instr = at, pc
-							out[s] = append(out[s], n)
-						}
-					}
-					at++
-					pc++
-				}
-			case *mcode.LoopItem:
-				n, inner := walk(it.Body)
-				if n > 0 {
-					inner[slotBnd] = append(inner[slotBnd], skew.Node{At: n - 1, Instr: it.ID, Send: 1, Recv: 1})
-				}
-				for s, body := range inner {
-					if len(body) > 0 {
-						out[s] = append(out[s], skew.Node{At: at, Loop: &skew.Nest{Trips: it.Trips, IterLen: n, Body: body}})
-					}
-				}
-				at += n * it.Trips
+	type slots [numSlots][]skew.Node
+	out, _ := mcode.Fold(p.Items, &slots{}, func(out *slots, in *mcode.Instr, s *mcode.CellSite) *slots {
+		// One leaf per (instruction, stream), so a cycle carrying both a
+		// send and a receive keeps them together.
+		var leaf [numSlots]skew.Node
+		for i := range in.IO {
+			io, n := &in.IO[i], &leaf[slotX]
+			if io.Chan == w2.ChanY {
+				n = &leaf[slotY]
+			}
+			if io.Recv {
+				n.Recv++
+			} else {
+				n.Send++
 			}
 		}
-		return at, out
+		for i := range in.Mem {
+			if in.Mem[i].Kind != mcode.MemNone {
+				leaf[slotMem].Send++
+				leaf[slotMem].Recv++
+			}
+		}
+		for k, n := range leaf {
+			if n.Send > 0 || n.Recv > 0 {
+				n.At, n.Instr = s.At, s.PC
+				out[k] = append(out[k], n)
+			}
+		}
+		return out
+	}, func(*slots, *mcode.LoopItem, *mcode.CellSite) *slots { return &slots{} },
+		func(out *slots, l *mcode.LoopItem, s *mcode.CellSite, n int64, inner *slots) *slots {
+			if n > 0 {
+				inner[slotBnd] = append(inner[slotBnd], skew.Node{At: n - 1, Instr: l.ID, Send: 1, Recv: 1})
+			}
+			for k, body := range inner {
+				if len(body) > 0 {
+					out[k] = append(out[k], skew.Node{At: s.At, Loop: &skew.Nest{Trips: l.Trips, IterLen: n, Body: body}})
+				}
+			}
+			return out
+		})
+	return &cellStreams{
+		data: map[w2.Channel][]skew.Node{w2.ChanX: out[slotX], w2.ChanY: out[slotY]},
+		mem:  out[slotMem],
+		bnd:  out[slotBnd],
 	}
-	_, out := walk(p.Items)
-	cs.data = map[w2.Channel][]skew.Node{w2.ChanX: out[slotX], w2.ChanY: out[slotY]}
-	cs.mem, cs.bnd = out[slotMem], out[slotBnd]
-	return cs
 }
 
 // each visits every dynamic leaf of the stream in time order with its

@@ -227,19 +227,18 @@ func checkStructure(p Program, col *collector) {
 	} else {
 		col.ok()
 	}
-	pc := 0
-	mcode.WalkInstrs(p.Cell.Items, func(in *mcode.Instr, _ []*mcode.LoopItem) {
+	mcode.Fold(p.Cell.Items, struct{}{}, func(v struct{}, in *mcode.Instr, s *mcode.CellSite) struct{} {
 		for i := range in.IO {
 			if io := &in.IO[i]; io.Recv && io.Dir != w2.DirL {
-				col.add(Diagnostic{Invariant: InvStructure, Cell: -1, Instr: pc, Loop: -1,
+				col.add(Diagnostic{Invariant: InvStructure, Cell: -1, Instr: s.PC, Loop: -1,
 					Detail: "receive from the right: rightward flow only"})
 			} else if !io.Recv && io.Dir != w2.DirR {
-				col.add(Diagnostic{Invariant: InvStructure, Cell: -1, Instr: pc, Loop: -1,
+				col.add(Diagnostic{Invariant: InvStructure, Cell: -1, Instr: s.PC, Loop: -1,
 					Detail: "send to the left: rightward flow only"})
 			}
 		}
-		pc++
-	})
+		return v
+	}, nil, nil)
 	col.ok()
 }
 
