@@ -29,7 +29,6 @@ import (
 	"warp/internal/prof"
 	"warp/internal/sim"
 	"warp/internal/skew"
-	"warp/internal/telemetry"
 	"warp/internal/verify"
 	"warp/internal/w2"
 )
@@ -479,8 +478,8 @@ type RunOptions struct {
 // explicit request), plus the decision audit record — why that engine,
 // and the run's exact cycle and operation counts.  Verification status,
 // observability needs and whether the fast plan builds decide.
-func chooseBackend(c *Compiled, o RunOptions) (string, telemetry.Decision, error) {
-	d := &telemetry.Decision{
+func chooseBackend(c *Compiled, o RunOptions) (string, obs.Decision, error) {
+	d := &obs.Decision{
 		PredictedCycles: c.ModeledCycles(),
 		Cells:           c.Cells,
 	}
@@ -523,15 +522,15 @@ func chooseBackend(c *Compiled, o RunOptions) (string, telemetry.Decision, error
 		}
 	case BackendFast:
 		if c.Verified == nil {
-			return "", telemetry.Decision{}, fmt.Errorf("backend %q: %w", b, ErrUnverified)
+			return "", obs.Decision{}, fmt.Errorf("backend %q: %w", b, ErrUnverified)
 		}
 		if _, err := c.FastPlan(); err != nil {
-			return "", telemetry.Decision{}, fmt.Errorf("backend %q: %w", b, err)
+			return "", obs.Decision{}, fmt.Errorf("backend %q: %w", b, err)
 		}
 		predictFast()
 		d.Backend, d.Reason = BackendFast, "explicit-fast"
 	default:
-		return "", telemetry.Decision{}, fmt.Errorf("unknown backend %q (want %q, %q or %q)", b, BackendAuto, BackendSim, BackendFast)
+		return "", obs.Decision{}, fmt.Errorf("unknown backend %q (want %q, %q or %q)", b, BackendAuto, BackendSim, BackendFast)
 	}
 	return d.Backend, *d, nil
 }
@@ -646,27 +645,18 @@ func RunBatch(c *Compiled, inputs []map[string][]float64, o RunOptions) ([]map[s
 }
 
 // runFast executes over the cached dataflow plan, one walk for all the
-// host memories, and converts the result to the simulator's Stats shape.
-// The queue peaks come from the verifier's proven occupancy bounds — the
-// fast path never materializes queues, but the bounds are exactly what
-// the proof discharged.
+// host memories, and adds the queue peaks to the executor's record: they
+// come from the verifier's proven occupancy bounds — the fast path never
+// materializes queues, but the bounds are exactly what the proof
+// discharged.
 func runFast(c *Compiled, hostMems [][]float64, o RunOptions) (*sim.Stats, error) {
 	plan, err := c.FastPlan() // cached; already built by chooseBackend
 	if err != nil {
 		return nil, err
 	}
-	res, err := plan.ExecuteBatch(hostMems, fastexec.ExecConfig{Ctx: o.Ctx, MaxCycles: o.MaxCycles, Progress: o.Progress})
+	stats, err := plan.ExecuteBatch(hostMems, fastexec.ExecConfig{Ctx: o.Ctx, MaxCycles: o.MaxCycles, Progress: o.Progress})
 	if err != nil {
 		return nil, err
-	}
-	stats := &sim.Stats{
-		Cycles:     res.Cycles,
-		CellFinish: res.CellFinish,
-		AddOps:     res.AddOps,
-		MulOps:     res.MulOps,
-		CellActive: res.CellActive,
-		Sent:       res.Sent,
-		Obs:        res.Obs,
 	}
 	if rep := c.Verified; rep != nil {
 		for _, ch := range []w2.Channel{w2.ChanX, w2.ChanY} {

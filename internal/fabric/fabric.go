@@ -20,8 +20,7 @@
 //   - The partitioner (plan.go): Plan* functions compute a Plan — the
 //     tile list, each tile's input slices, and the stitch — from a
 //     Problem and the shape of the compiled tile kernel, validated
-//     against the array Limits (cells, cell-memory words, queue
-//     depth).
+//     against the array Limits (cells, cell-memory words).
 //
 //   - The array farm (farm.go): Run dispatches the plan's tiles over N
 //     worker goroutines (one per simulated array) behind a work queue,
@@ -47,17 +46,12 @@ type Limits struct {
 	// CellMemWords is the per-cell data memory budget in words
 	// (default mcode.MemWords, 4K).
 	CellMemWords int
-	// QueueDepth is the per-channel hardware queue capacity in words
-	// (default mcode.QueueDepth).  The compiler proves every kernel's
-	// peak occupancy against this bound; the planner re-checks the
-	// claim it is handed.
-	QueueDepth int
 }
 
 // DefaultLimits returns the hardware limits of one Warp array with the
 // given cell count.
 func DefaultLimits(cells int) Limits {
-	return Limits{Cells: cells, CellMemWords: mcode.MemWords, QueueDepth: mcode.QueueDepth}
+	return Limits{Cells: cells, CellMemWords: mcode.MemWords}
 }
 
 func (l Limits) validate() error {
@@ -66,9 +60,6 @@ func (l Limits) validate() error {
 	}
 	if l.CellMemWords < 1 {
 		return fmt.Errorf("fabric: limits: %d cell-memory words", l.CellMemWords)
-	}
-	if l.QueueDepth < 1 {
-		return fmt.Errorf("fabric: limits: queue depth %d", l.QueueDepth)
 	}
 	return nil
 }

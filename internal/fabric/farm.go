@@ -11,7 +11,6 @@ import (
 	"warp/internal/obs"
 	"warp/internal/prof"
 	"warp/internal/sim"
-	"warp/internal/telemetry"
 )
 
 // RunTileFunc executes one tile on one simulated array: it receives
@@ -50,7 +49,7 @@ type TileStats struct {
 	// the driver.  Tiles of one job share one compiled program, so every
 	// tile decides alike and the farm builds the job's Stats.Decision from
 	// the first one to complete.
-	Decision *telemetry.Decision
+	Decision *obs.Decision
 }
 
 // Config sizes and paces the farm.
@@ -62,11 +61,9 @@ type Config struct {
 	// context).
 	Deadline time.Duration
 	// Retries is how many additional attempts a retryable tile failure
+	// (simulator livelock or a per-tile deadline hit, see retryable)
 	// gets before the job fails with a *TileError.
 	Retries int
-	// Retryable classifies errors worth retrying; nil means the
-	// default: simulator livelock and a per-tile deadline hit.
-	Retryable func(error) bool
 	// Batch, when non-nil, runs the tiles' first attempts several at a
 	// time: an even share of the plan per array, at most maxBatch.  A
 	// batch is only a faster way to the same results: if it fails for any
@@ -149,7 +146,7 @@ type Stats struct {
 	// completed tile's decision with ActualWallNS set to WallNS.  Its
 	// cycle and operation counts stay per tile (what the executor counts
 	// for one tile); nil when no tile completed.
-	Decision *telemetry.Decision
+	Decision *obs.Decision
 }
 
 // stagedBatch is one unit of queued work: consecutive tiles of the plan
@@ -168,10 +165,10 @@ type tileResult struct {
 	err     error
 }
 
-// defaultRetryable retries simulator livelock and per-tile deadline
+// retryable retries simulator livelock and per-tile deadline
 // hits — the failure modes a fresh attempt (or a less loaded host) can
 // clear — and nothing else.
-func defaultRetryable(err error) bool {
+func retryable(err error) bool {
 	return errors.Is(err, sim.ErrLivelock) || errors.Is(err, context.DeadlineExceeded)
 }
 
@@ -197,9 +194,6 @@ func Run(ctx context.Context, pl *Plan, cfg Config, run RunTileFunc) ([]float64,
 	}
 	if cfg.Retries < 0 {
 		cfg.Retries = 0
-	}
-	if cfg.Retryable == nil {
-		cfg.Retryable = defaultRetryable
 	}
 	start := time.Now()
 	ctx, cancel := context.WithCancel(ctx)
@@ -384,7 +378,7 @@ func runTile(ctx context.Context, t Tile, inputs map[string][]float64, cfg Confi
 			res.err = ctx.Err()
 			return res
 		}
-		if a < attempts && cfg.Retryable(err) {
+		if a < attempts && retryable(err) {
 			continue
 		}
 		res.err = &TileError{Tile: t.ID, Attempts: a, Err: err}

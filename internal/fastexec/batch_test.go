@@ -15,6 +15,7 @@ import (
 	"warp/internal/fastexec"
 	"warp/internal/interp"
 	"warp/internal/mcode/mcodetest"
+	"warp/internal/sim"
 	"warp/internal/workloads"
 )
 
@@ -22,11 +23,11 @@ var batchWidths = []int{1, 2, 3, 7, 32, 33}
 
 // checkBatch runs one ExecuteBatch over the images and one Execute per
 // image over copies of them, and compares memories bit for bit and the
-// Results field for field.
+// run records field for field.
 func checkBatch(t *testing.T, plan *fastexec.Plan, images [][]float64) {
 	t.Helper()
 	want := make([][]float64, len(images))
-	var wantRes *fastexec.Result
+	var wantRes *sim.Stats
 	for l, img := range images {
 		want[l] = append([]float64(nil), img...)
 		res, err := plan.Execute(want[l], fastexec.ExecConfig{})

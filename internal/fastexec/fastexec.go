@@ -198,8 +198,8 @@ func Compile(p Program) (*Plan, error) {
 
 	// Host-stream consistency: cell 0 must not drain the input streams
 	// dry, and the last cell's sends must fit the output sequences.
-	// (Verified programs satisfy both; the checks keep an unverified
-	// explicit fast run honest.)
+	// (Verified programs satisfy both, and the driver runs no other
+	// program fast; the checks guard a direct caller of Compile.)
 	for _, ch := range []w2.Channel{w2.ChanX, w2.ChanY} {
 		if have, want := p.Host.In[ch].Words(), counts.Recv[ch]; have < want {
 			return nil, fmt.Errorf("fastexec: cell 0 receives %d words on %s but the host program supplies %d", want, ch, have)
@@ -212,8 +212,8 @@ func Compile(p Program) (*Plan, error) {
 }
 
 // positiveTrips rejects a non-positive trip count.  The sequencer's
-// loops are do-while — such a loop still executes once there — which
-// the closed-form cycle model does not describe.
+// loops are do-while — such a loop still executes once there — but the
+// host program (hostgen) treats its body as never running.
 func positiveTrips(what string, ends []mcode.LoopEnd) error {
 	for _, e := range ends {
 		if e.Trips < 1 {
@@ -353,25 +353,9 @@ type ExecConfig struct {
 	Progress obs.ProgressFunc
 }
 
-// Result reports one execution.
-type Result struct {
-	// Cycles is the modeled machine time — identical to the count the
-	// cycle-accurate simulator reports for the same program.
-	Cycles int64
-	// CellFinish is the modeled absolute cycle each cell finished at.
-	CellFinish []int64
-	// AddOps/MulOps are FPU issues summed over all cells; CellActive is
-	// the summed active windows (finish − start per cell), the
-	// denominator of the utilization metrics.
-	AddOps, MulOps int64
-	CellActive     int64
-	// Sent counts words delivered to the host per channel.
-	Sent map[w2.Channel]int
-	// Obs is a modeled run profile: exact start/finish/issue counts per
-	// cell; scheduled idle cycles are attributed as bubbles (the
-	// starved/bubble split needs queue timing only the simulator has).
-	Obs *obs.Profile
-}
+// Result names the run record, the simulator's own; kept for
+// benchmark/, see ROADMAP 1(c).
+type Result = sim.Stats
 
 // execState is the whole-array execution state shared across cells,
 // n = len(hostMems) problems wide.  It is pooled: a slice is reused when
@@ -481,9 +465,15 @@ func (st *execState) check(idx int, t int64) error {
 }
 
 // Execute runs the plan over a host memory image (inputs pre-loaded;
-// outputs written in place).  The plan is read-only: concurrent
+// outputs written in place) and returns the run record the simulator
+// would: the modeled cycles, each cell's finish, FPU issues, words sent
+// and a modeled profile, which attributes scheduled idle cycles as
+// bubbles (the starved/bubble split needs queue timing only the
+// simulator has).  Backend and Decision are left to the caller, as
+// sim.Run leaves them, and so are the queue peaks, which a run without
+// queues never observes.  The plan is read-only: concurrent
 // Execute calls on one Plan are safe.
-func (p *Plan) Execute(hostMem []float64, cfg ExecConfig) (*Result, error) {
+func (p *Plan) Execute(hostMem []float64, cfg ExecConfig) (*sim.Stats, error) {
 	return p.ExecuteBatch([][]float64{hostMem}, cfg)
 }
 
@@ -497,10 +487,10 @@ func (p *Plan) StateBytes() int {
 // in one walk: W2 has no data-dependent control and the IU generates
 // every address and loop signal, so all problems execute the same words
 // at the same addresses and differ only in the values.  Every image ends
-// bit-identical to what Execute leaves in it and the Result is
+// bit-identical to what Execute leaves in it and the Stats are
 // Execute's; an error (a divide by zero names its lane) fails the whole
 // batch, its images half written.
-func (p *Plan) ExecuteBatch(hostMems [][]float64, cfg ExecConfig) (*Result, error) {
+func (p *Plan) ExecuteBatch(hostMems [][]float64, cfg ExecConfig) (*sim.Stats, error) {
 	if len(hostMems) == 0 {
 		return nil, fmt.Errorf("fastexec: an empty batch")
 	}
@@ -745,9 +735,9 @@ func (p *Plan) runLanes(st *execState, idx int) error {
 	return nil
 }
 
-// result assembles the modeled statistics and run profile.
-func (p *Plan) result(st *execState) *Result {
-	res := &Result{
+// result assembles the modeled run record and profile.
+func (p *Plan) result(st *execState) *sim.Stats {
+	res := &sim.Stats{
 		CellFinish: make([]int64, p.cells),
 		AddOps:     p.counts.AddOps * int64(p.cells),
 		MulOps:     p.counts.MulOps * int64(p.cells),

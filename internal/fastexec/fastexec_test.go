@@ -12,6 +12,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -68,24 +69,8 @@ func runBoth(t *testing.T, c *driver.Compiled, plan *fastexec.Plan, inputs map[s
 		t.Fatalf("fastexec: %v", err)
 	}
 
-	if res.Cycles != simStats.Cycles {
-		t.Errorf("cycles: fast %d, sim %d", res.Cycles, simStats.Cycles)
-	}
-	if res.AddOps != simStats.AddOps || res.MulOps != simStats.MulOps {
-		t.Errorf("FPU issues: fast %d/%d, sim %d/%d", res.AddOps, res.MulOps, simStats.AddOps, simStats.MulOps)
-	}
-	if res.CellActive != simStats.CellActive {
-		t.Errorf("cell-active: fast %d, sim %d", res.CellActive, simStats.CellActive)
-	}
-	for i := range simStats.CellFinish {
-		if res.CellFinish[i] != simStats.CellFinish[i] {
-			t.Errorf("cell %d finish: fast %d, sim %d", i, res.CellFinish[i], simStats.CellFinish[i])
-		}
-	}
-	for ch, n := range simStats.Sent {
-		if res.Sent[ch] != n {
-			t.Errorf("sent on %s: fast %d, sim %d", ch, res.Sent[ch], n)
-		}
+	if f, s := runRecord(res), runRecord(simStats); !reflect.DeepEqual(f, s) {
+		t.Errorf("run record: fast %+v, sim %+v", f, s)
 	}
 	// The simulator counts its profile cycle by cycle; the plan's is closed
 	// form.  Only the split of idle cycles into starved and bubble needs
@@ -103,6 +88,14 @@ func runBoth(t *testing.T, c *driver.Compiled, plan *fastexec.Plan, inputs map[s
 				i, fastMem[i], math.Float64bits(fastMem[i]), simMem[i], math.Float64bits(simMem[i]))
 		}
 	}
+}
+
+// runRecord is the part of a run's Stats both executors fill alike:
+// cycles, each cell's finish, FPU issues, the cell-active total and the
+// words sent.
+func runRecord(st *sim.Stats) sim.Stats {
+	return sim.Stats{Cycles: st.Cycles, CellFinish: st.CellFinish, AddOps: st.AddOps, MulOps: st.MulOps,
+		CellActive: st.CellActive, Sent: st.Sent}
 }
 
 func seededInputs(c *driver.Compiled, seed int64) map[string][]float64 {

@@ -84,7 +84,7 @@ func TestPlanSizeIndependentOfTrips(t *testing.T) {
 	}
 }
 
-// TestExecuteAllocs pins what a run allocates: its Result and its stream
+// TestExecuteAllocs pins what a run allocates: its Stats and its stream
 // readers' counters.  Its state — the cell memory over the plan's address
 // envelope, the iteration counters, the inter-cell streams — comes from a
 // pool, sized by the plan, never per word or per cell; before the

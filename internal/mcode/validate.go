@@ -128,8 +128,9 @@ type CellCounts struct {
 	Recv, Send             [2]int64 // queue fields, indexed by w2.Channel
 }
 
-// CountCell computes the counts in one fold of the structure, every
-// product over trip counts checked: a count that overflows 64 bits is an
+// CountCell computes the counts in one fold of the structure, a loop
+// counted max(Trips, 1) times as the sequencer runs it, every product
+// over trip counts checked: a count that overflows 64 bits is an
 // *OverflowError naming the loop.  A block's counts are added at once,
 // the cycle count first, and so are a loop's: which count an overflow
 // names depends on it.
@@ -186,8 +187,10 @@ func (c *CellCounts) fields() []*int64 {
 }
 
 // addTimes adds trips times each count of src to the same count of dst,
-// the cycle count first, inside the loop with the given ID.
+// the cycle count first, inside the loop with the given ID.  A trip
+// count below one counts once: the sequencer's loops are do-while.
 func addTimes(dst, src []*int64, trips int64, loop int) error {
+	trips = max(trips, 1)
 	for i, d := range dst {
 		v, ok := MulAdd(*d, *src[i], trips)
 		if !ok {

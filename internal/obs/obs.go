@@ -1,6 +1,7 @@
 // Package obs is the observability layer shared by the compiler and the
 // simulator: a zero-overhead-when-disabled event recorder, an aggregate
-// run profile with per-cell stall attribution, and exporters (a Chrome
+// run profile with per-cell stall attribution, the backend decision
+// record a run carries beside it (Decision), and exporters (a Chrome
 // trace-event writer loadable in Perfetto, and a compact text
 // utilization report matching the paper's §7 framing).
 //

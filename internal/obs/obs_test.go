@@ -275,3 +275,17 @@ func TestPhaseReport(t *testing.T) {
 		}
 	}
 }
+
+// TestDecisionErrorFactor pins the shim: a decision predicts no wall
+// time, so there is no error to report, on any record or none.
+func TestDecisionErrorFactor(t *testing.T) {
+	for _, d := range []*Decision{
+		{Backend: "fast", PredictedCycles: 100, ActualWallNS: 300},
+		{Backend: "sim", Reason: "explicit-sim", ActualWallNS: 50, Batch: 4},
+		nil,
+	} {
+		if f := d.ErrorFactor(); f != 0 {
+			t.Errorf("%+v: error factor = %g, want 0", d, f)
+		}
+	}
+}

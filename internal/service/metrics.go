@@ -8,7 +8,6 @@ import (
 
 	"warp/internal/obs"
 	"warp/internal/prof"
-	"warp/internal/telemetry"
 )
 
 // decisionKey identifies one backend-decision series: which executor
@@ -20,7 +19,7 @@ type decisionKey struct {
 
 // Metrics aggregates everything the daemon exports at /metrics: request
 // counters by outcome, the compile/run/queue-wait latency histograms
-// (telemetry.Histogram families keyed by cache result and backend), the
+// (histogram families keyed by cache result and backend), the
 // backend decision counts by backend and reason, and the per-run
 // obs.Summary aggregates (simulated cycles, FPU utilization, peak queue
 // occupancy).  All methods are safe for concurrent use.
@@ -34,9 +33,9 @@ type Metrics struct {
 	// Latency histogram families: compiles keyed by cache result
 	// (hit|miss|rejected), completed runs keyed by backend (sim|fast),
 	// and the admission-queue wait for every pooled request.
-	compileLatency map[string]*telemetry.Histogram
-	runLatency     map[string]*telemetry.Histogram
-	queueWait      *telemetry.Histogram
+	compileLatency map[string]*histogram
+	runLatency     map[string]*histogram
+	queueWait      histogram
 
 	// Backend decision audit: how often each (backend, reason) pair was
 	// chosen.
@@ -77,9 +76,8 @@ func NewMetrics() *Metrics {
 		compiles:       map[string]int64{},
 		runs:           map[string]int64{},
 		backends:       map[string]int64{},
-		compileLatency: map[string]*telemetry.Histogram{},
-		runLatency:     map[string]*telemetry.Histogram{},
-		queueWait:      telemetry.NewLatency(),
+		compileLatency: map[string]*histogram{},
+		runLatency:     map[string]*histogram{},
 		decisions:      map[decisionKey]int64{},
 		phaseSeconds:   map[string]float64{},
 		phaseCounts:    map[string]int64{},
@@ -89,10 +87,10 @@ func NewMetrics() *Metrics {
 
 // hist returns the family member for key, creating it on first use so
 // the exposition only carries series for outcomes that happened.
-func hist(m map[string]*telemetry.Histogram, key string) *telemetry.Histogram {
+func hist(m map[string]*histogram, key string) *histogram {
 	h := m[key]
 	if h == nil {
-		h = telemetry.NewLatency()
+		h = new(histogram)
 		m[key] = h
 	}
 	return h
@@ -106,7 +104,7 @@ func (m *Metrics) Compile(result string, seconds float64) {
 	defer m.mu.Unlock()
 	m.compiles[result]++
 	if result != "error" {
-		hist(m.compileLatency, result).Observe(seconds)
+		hist(m.compileLatency, result).observe(seconds)
 	}
 }
 
@@ -173,7 +171,7 @@ func (m *Metrics) observe(o *runOutcome) {
 	} else {
 		backend = "unknown"
 	}
-	hist(m.runLatency, backend).Observe(o.seconds)
+	hist(m.runLatency, backend).observe(o.seconds)
 	if d := o.decision; d != nil {
 		m.decisions[decisionKey{d.Backend, d.Reason}]++
 	}
@@ -196,7 +194,7 @@ func (m *Metrics) observe(o *runOutcome) {
 func (m *Metrics) QueueWait(seconds float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.queueWait.Observe(seconds)
+	m.queueWait.observe(seconds)
 }
 
 // MedianRunSeconds estimates the median completed-run service time from
@@ -205,15 +203,11 @@ func (m *Metrics) QueueWait(seconds float64) {
 func (m *Metrics) MedianRunSeconds() float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	hs := make([]*telemetry.Histogram, 0, len(m.runLatency))
+	var merged histogram
 	for _, h := range m.runLatency {
-		hs = append(hs, h)
+		merged.merge(h)
 	}
-	merged := telemetry.MergeAll(hs...)
-	if merged == nil {
-		return 0
-	}
-	return merged.Quantile(0.5)
+	return merged.quantile(0.5)
 }
 
 // WritePrometheus renders the registry, plus the given cache, template
@@ -232,7 +226,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, cs CacheStats, ts TemplateCacheSt
 	family(w, "warpd_backend_runs_total", "counter", "Completed runs by execution backend (sim|fast).")
 	writeLabelled(w, "warpd_backend_runs_total", "backend", m.backends)
 
-	telemetry.WriteVec(w, "warpd_compile_seconds",
+	writeHistograms(w, "warpd_compile_seconds",
 		"Compile request service time by cache result.", "result", m.compileLatency)
 
 	m.writeDecisions(w)
@@ -265,10 +259,10 @@ func (m *Metrics) WritePrometheus(w io.Writer, cs CacheStats, ts TemplateCacheSt
 	counter(w, "warpd_sched_skew_pruned_total", "Statement pairs pruned before analysis.", m.sched.SkewPruned)
 	counter(w, "warpd_sched_skew_seconds_total", "Wall-clock time inside the skew search.", formatFloat(float64(m.sched.SkewNS)/1e9))
 
-	telemetry.WriteVec(w, "warpd_run_seconds",
+	writeHistograms(w, "warpd_run_seconds",
 		"Run request service time by execution backend.", "backend", m.runLatency)
-	telemetry.Write(w, "warpd_queue_wait_seconds",
-		"Admission-queue wait of pooled requests.", m.queueWait)
+	family(w, "warpd_queue_wait_seconds", "histogram", "Admission-queue wait of pooled requests.")
+	m.queueWait.writeSeries(w, "warpd_queue_wait_seconds", "")
 
 	gauge(w, "warpd_cache_entries", "Compiled programs resident in the cache.", cs.Entries)
 	counter(w, "warpd_cache_hits_total", "Cache hits (including singleflight waiters).", cs.Hits)
@@ -340,8 +334,6 @@ func gauge(w io.Writer, name, help string, v any) {
 	family(w, name, "gauge", help)
 	fmt.Fprintf(w, "%s %v\n", name, v)
 }
-
-func formatFloat(f float64) string { return telemetry.FormatFloat(f) }
 
 // writeLabelled emits one sample per label value in sorted order, so
 // the output is deterministic and scrape-diff friendly.

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"warp/internal/telemetry"
 	"warp/internal/workloads"
 )
 
@@ -293,7 +292,7 @@ func checkHistograms(t *testing.T, doc *promDoc) {
 // TestMetricsRoundTripStrict drives the service through compiles and
 // runs on both backends (a partitioned job included), then feeds
 // GET /metrics through the strict parser and checks the histogram
-// invariants plus the telemetry-plane series the dashboards key on.
+// invariants plus the latency and decision series the dashboards key on.
 func TestMetricsRoundTripStrict(t *testing.T) {
 	svc := New(Config{Workers: 2, Arrays: 2})
 	defer svc.Close()
@@ -459,7 +458,7 @@ func TestRetryAfterFromQuantiles(t *testing.T) {
 	}
 }
 
-// TestQuantileInterpolation pins the telemetry histogram quantile math
+// TestQuantileInterpolation pins the latency histogram quantile math
 // the Retry-After estimate rides on, through the service's own
 // registry (samples at known positions in the log buckets).
 func TestQuantileInterpolation(t *testing.T) {
@@ -469,8 +468,7 @@ func TestQuantileInterpolation(t *testing.T) {
 	}
 	// All samples beyond the last bound pin to the last finite bound.
 	m.observe(&runOutcome{result: "ok", stats: RunStatsJSON{Backend: "sim"}, seconds: 1e9})
-	bounds := telemetry.LatencyBounds()
-	if got, want := m.MedianRunSeconds(), bounds[len(bounds)-1]; got != want {
+	if got, want := m.MedianRunSeconds(), latencyBounds[latencyBuckets-1]; got != want {
 		t.Errorf("overflow median = %v, want last bound %v", got, want)
 	}
 }

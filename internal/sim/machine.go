@@ -9,7 +9,6 @@ import (
 	"warp/internal/hostgen"
 	"warp/internal/mcode"
 	"warp/internal/obs"
-	"warp/internal/telemetry"
 	"warp/internal/w2"
 )
 
@@ -77,7 +76,7 @@ type Stats struct {
 	// backend, the run's exact cycle and operation counts, and the actual
 	// wall once complete.  sim.Run leaves it nil; the driver
 	// stamps it beside Backend.
-	Decision *telemetry.Decision
+	Decision *obs.Decision
 	Cycles   int64 // total cycles until the last cell finished
 	// CellFinish is the absolute cycle each cell finished at.
 	CellFinish []int64

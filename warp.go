@@ -35,7 +35,6 @@ import (
 	"warp/internal/prof"
 	"warp/internal/sim"
 	"warp/internal/skew"
-	"warp/internal/telemetry"
 	"warp/internal/verify"
 	"warp/internal/w2"
 )
@@ -137,7 +136,7 @@ type RunStats struct {
 // the chosen backend, the reason, the closed-form cycle count (equal to
 // the executed one) and dynamic operation count, and the actual wall
 // time observed.
-type Decision = telemetry.Decision
+type Decision = obs.Decision
 
 // ProgressUpdate is one coarse snapshot of a running execution; see
 // RunConfig.Progress.
