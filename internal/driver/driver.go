@@ -118,11 +118,11 @@ type Compiled struct {
 	fastPlan *fastexec.Plan
 	fastErr  error
 
-	// The counts every run's decision audit reads — modeled cycles and all
-	// cells' dynamic non-nop operations — from one walk of the cell
-	// program, done once, by ModeledCycles.
-	countOnce             sync.Once
-	modeledCycles, runOps int64
+	// One cell's run in closed form, which every run's decision audit
+	// reads (the modeled cycles, the dynamic non-nop operations): one walk
+	// of the cell program, done once, by ModeledCycles.
+	countOnce sync.Once
+	counts    mcode.CellCounts
 
 	// The state one problem adds to a batched simulator walk, measured once
 	// by simLaneBytes.
@@ -132,16 +132,13 @@ type Compiled struct {
 
 // ModeledCycles returns the closed-form machine-cycle count of one run
 // of the compiled program: the IU lead, the skew ramp across the array,
-// and one cell's execution time.  The machine is statically scheduled,
+// and one cell's execution time (sim.ModeledCycles, the formula of the
+// fast plan's record too).  The machine is statically scheduled,
 // so on deterministic workloads it equals the cycle count either backend
 // reports; every run's decision audit records it.
 func (c *Compiled) ModeledCycles() int64 {
-	c.countOnce.Do(func() {
-		counts, _ := mcode.CountCell(c.Cell) // generate refuses a program whose counts overflow
-		c.modeledCycles = (c.IUGen.Prologue + 1) + int64(c.Cells-1)*c.Skew + counts.Cycles
-		c.runOps = counts.Ops * int64(c.Cells)
-	})
-	return c.modeledCycles
+	c.countOnce.Do(func() { c.counts, _ = mcode.CountCell(c.Cell) }) // generate refuses a program whose counts overflow
+	return sim.ModeledCycles(c.Cells, c.Skew, c.IUGen.Prologue+1, c.counts.Cycles)
 }
 
 // simLaneBytes returns the machine state one problem adds to a batched
@@ -313,10 +310,9 @@ func generate(fe *Compiled, opts Options) (*Compiled, error) {
 	c.IU = iu.IU
 	c.phase("iugen", start, c.IU.NumInstrs(), "")
 
-	// The debug map assigns µprogram addresses — the one mutation of
-	// the cell program after generation; iugen reads none of them, and
-	// everything below only reads them.  Its time counts to the skew
-	// phase.
+	// The debug map reads the cell program after iugen, so that a
+	// pipelined attempt the IU refuses ends before it and the skew
+	// search.  Its time counts to the skew phase.
 	start = time.Now()
 	c.Debug = prof.BuildDebugMap(c.Module.Name, c.Src, c.Cell)
 
@@ -488,7 +484,7 @@ func chooseBackend(c *Compiled, o RunOptions) (string, obs.Decision, error) {
 	// plan: only a run that may execute on the fast backend pays for (and
 	// caches) one.
 	predictFast := func() {
-		d.PredictedOps = c.runOps // set by ModeledCycles, above
+		d.PredictedOps = c.counts.Ops * int64(c.Cells) // counted by ModeledCycles, above
 	}
 	switch b := o.Backend; b {
 	case "", BackendAuto:

@@ -38,11 +38,10 @@
 //     guarantees input and output regions never alias), the last cell's
 //     sends store through the output sequence, honoring Discard.
 //
-// Cycle counts are not measured but *modeled*, in closed form: cell i
-// starts at Lead + i·Skew and retires one microinstruction per cycle
-// (the machine is statically scheduled and a verified program never
-// stalls), so the run takes Lead + (Cells-1)·Skew + CellCycles cycles —
-// exactly the count the simulator reports.
+// Cycle counts and the profile are not measured but *modeled*: a
+// verified program never stalls, so a run's record is the simulator's
+// closed form of the program (sim.Closed), built once per plan — what
+// the simulator reports, but for its split of idle cycles.
 //
 // The package trusts nothing silently.  Compile elaborates the IU once
 // and steps the plan once against what it emits: trip counts, stream
@@ -57,6 +56,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 
@@ -93,10 +93,8 @@ type Program struct {
 // Plan is a compiled execution plan.  It is immutable after Compile and
 // safe for concurrent Execute calls.
 type Plan struct {
-	cells      int
-	skew, lead int64
-	cycles     int64 // modeled machine time, closed form
-	host       *hostgen.Program
+	cells int
+	host  *hostgen.Program
 
 	code mcode.Decoded
 	// The plan's view of the code (partition): its words, their op ranges
@@ -106,11 +104,14 @@ type Plan struct {
 	ops    []mcode.Op
 	writes []int32
 	counts mcode.CellCounts // one cell's run, in closed form
+	// closed is every run's record, the simulator's closed form of the
+	// program (sim.Closed); a run returns a copy.
+	closed *sim.Stats
 }
 
 // Cycles returns the modeled machine time of a run: the cycle count the
 // cycle-accurate simulator would report.
-func (p *Plan) Cycles() int64 { return p.cycles }
+func (p *Plan) Cycles() int64 { return p.closed.Cycles }
 
 // Ops returns the dynamic non-nop microinstructions one cell executes.
 func (p *Plan) Ops() int { return int(p.counts.Ops) }
@@ -181,17 +182,12 @@ func Compile(p Program) (*Plan, error) {
 
 	plan := &Plan{
 		cells:  p.Cells,
-		skew:   p.Skew,
-		lead:   p.Lead,
 		host:   p.Host,
 		code:   *code,
 		counts: counts,
+		closed: sim.Closed(sim.Config{Cells: p.Cells, Skew: p.Skew, Lead: p.Lead}, code),
 	}
 	plan.words, plan.ops, plan.writes = partition(code)
-	// The last cell finishes at Lead + (Cells-1)·Skew + CellCycles - 1;
-	// the simulator's reported count is one past that.  An empty cell
-	// program still costs its start cycle.
-	plan.cycles = p.Lead + int64(p.Cells-1)*p.Skew + max(counts.Cycles, 1)
 	if err := plan.validate(iu, p.Cell); err != nil {
 		return nil, err
 	}
@@ -211,9 +207,9 @@ func Compile(p Program) (*Plan, error) {
 	return plan, nil
 }
 
-// positiveTrips rejects a non-positive trip count.  The sequencer's
-// loops are do-while — such a loop still executes once there — but the
-// host program (hostgen) treats its body as never running.
+// positiveTrips rejects a non-positive trip count: the loop would run
+// once, as the sequencer's do-while loops and the host program run it,
+// but the validators refuse it, so no compiled program holds one.
 func positiveTrips(what string, ends []mcode.LoopEnd) error {
 	for _, e := range ends {
 		if e.Trips < 1 {
@@ -379,7 +375,6 @@ type execState struct {
 	laneVals []float64
 
 	hostIn, hostOut [2]hostgen.Reader // the host streams on X, Y: the same words for every problem
-	sent            [2]int
 
 	// untilPoll counts a polled run's words down to the next poll, across
 	// cells: 1 at the start, so that the first word polls, then
@@ -423,7 +418,6 @@ func (st *execState) hostCollect(ch w2.Channel, vals []float64) error {
 	if err := w.Scatter(st.hostMems, vals); err != nil {
 		return fmt.Errorf("fastexec: %w", err)
 	}
-	st.sent[ch]++
 	return nil
 }
 
@@ -435,7 +429,7 @@ func (st *execState) ranDry(ch w2.Channel) error {
 // sentMore reports the last cell sending past the end of a host output
 // stream.
 func (st *execState) sentMore(ch w2.Channel) error {
-	return fmt.Errorf("fastexec: the last cell sent more words on %s than the host program expects (%d)", ch, st.sent[ch])
+	return fmt.Errorf("fastexec: the last cell sent more words on %s than the host program expects (%d)", ch, st.plan.host.Out[ch].Words())
 }
 
 // poll counts an executed plan word down and, once a stride, checks for
@@ -459,16 +453,17 @@ func (st *execState) check(idx int, t int64) error {
 		// Cells run one after another: the cell cycles retired so far,
 		// scaled onto the modeled cycle axis, are a monotone position.
 		done := int64(idx)*p.counts.Cycles + t
-		st.progress(obs.ProgressUpdate{Cycles: p.cycles * done / (int64(p.cells) * p.counts.Cycles)})
+		st.progress(obs.ProgressUpdate{Cycles: p.Cycles() * done / (int64(p.cells) * p.counts.Cycles)})
 	}
 	return nil
 }
 
 // Execute runs the plan over a host memory image (inputs pre-loaded;
 // outputs written in place) and returns the run record the simulator
-// would: the modeled cycles, each cell's finish, FPU issues, words sent
-// and a modeled profile, which attributes scheduled idle cycles as
-// bubbles (the starved/bubble split needs queue timing only the
+// would, in closed form: a copy of the plan's sim.Closed record — the
+// modeled cycles, each cell's finish, FPU issues, words sent and the
+// cells' profiles, depth rows included, every scheduled idle cycle a
+// bubble (the starved/bubble split needs queue timing only the
 // simulator has).  Backend and Decision are left to the caller, as
 // sim.Run leaves them, and so are the queue peaks, which a run without
 // queues never observes.  The plan is read-only: concurrent
@@ -499,9 +494,9 @@ func (p *Plan) ExecuteBatch(hostMems [][]float64, cfg ExecConfig) (*sim.Stats, e
 	// last cell retires, i.e. whenever the run needs more than
 	// MaxCycles+1 cycles; the modeled count makes the same decision
 	// without running.
-	if p.cycles > maxCycles+1 {
+	if p.Cycles() > maxCycles+1 {
 		return nil, fmt.Errorf("fastexec: modeled run needs %d cycles, exceeding %d; the machine is %w",
-			p.cycles, maxCycles, sim.ErrLivelock)
+			p.Cycles(), maxCycles, sim.ErrLivelock)
 	}
 	if cfg.Ctx != nil {
 		if err := cfg.Ctx.Err(); err != nil {
@@ -516,7 +511,7 @@ func (p *Plan) ExecuteBatch(hostMems [][]float64, cfg ExecConfig) (*sim.Stats, e
 		statePool.Put(st)
 	}()
 	st.plan, st.hostMems, st.ctx, st.progress = p, hostMems, cfg.Ctx, cfg.Progress
-	st.sent, st.untilPoll = [2]int{}, 1
+	st.untilPoll = 1
 	st.mem, st.iter = sized(st.mem, p.code.MemWords*n), sized(st.iter, p.code.Depth)
 	clear(st.iter)
 	run := p.runCell // one problem keeps the words' one-wide body
@@ -541,9 +536,9 @@ func (p *Plan) ExecuteBatch(hostMems [][]float64, cfg ExecConfig) (*sim.Stats, e
 		}
 	}
 	if cfg.Progress != nil {
-		cfg.Progress(obs.ProgressUpdate{Cycles: p.cycles, Done: true})
+		cfg.Progress(obs.ProgressUpdate{Cycles: p.Cycles(), Done: true})
 	}
-	return p.result(st), nil
+	return p.result(), nil
 }
 
 // runCell runs the plan for one cell: the one-wide body, over the
@@ -594,7 +589,6 @@ func (p *Plan) runCell(st *execState, idx int) error {
 				if err := hw.Out(host, r.R[o.A]); err != nil {
 					return fmt.Errorf("fastexec: %w", err)
 				}
-				st.sent[o.X]++
 			case mcode.OpLoad: // the word also stores
 				r.Hold(mcode.Reg(o.Dst), mem[p.addr(&mems[o.X], s.Iter)])
 			case mcode.OpStore:
@@ -735,44 +729,23 @@ func (p *Plan) runLanes(st *execState, idx int) error {
 	return nil
 }
 
-// result assembles the modeled run record and profile.
-func (p *Plan) result(st *execState) *sim.Stats {
-	res := &sim.Stats{
-		CellFinish: make([]int64, p.cells),
-		AddOps:     p.counts.AddOps * int64(p.cells),
-		MulOps:     p.counts.MulOps * int64(p.cells),
-		Sent:       make(map[w2.Channel]int, len(st.sent)),
-		Cycles:     p.cycles,
+// result is a copy of the plan's closed-form record, sharing no memory
+// with the plan.
+func (p *Plan) result() *sim.Stats {
+	c := p.closed
+	// One allocation holds the record and its profile.
+	rec := &struct {
+		sim.Stats
+		prof obs.Profile
+	}{*c, *c.Obs}
+	rec.Obs, rec.CellFinish, rec.Sent = &rec.prof, slices.Clone(c.CellFinish), maps.Clone(c.Sent)
+	rec.prof.Cell = slices.Clone(c.Obs.Cell)
+	rows := len(c.Obs.Cell[0].Depth)
+	depth := make([]obs.DepthProfile, len(c.Obs.Cell)*rows)
+	for i := range rec.prof.Cell {
+		cp := &rec.prof.Cell[i]
+		cp.Depth = depth[i*rows : (i+1)*rows : (i+1)*rows]
+		copy(cp.Depth, c.Obs.Cell[i].Depth)
 	}
-	for ci, n := range st.sent {
-		if n > 0 {
-			res.Sent[w2.Channel(ci)] = n
-		}
-	}
-	prof := &obs.Profile{
-		Cells:  p.cells,
-		Cycles: p.cycles,
-		Skew:   p.skew,
-		Lead:   p.lead,
-		Cell:   make([]obs.CellProfile, p.cells),
-	}
-	last := p.cycles - 1
-	for i := 0; i < p.cells; i++ {
-		start := p.lead + int64(i)*p.skew
-		finish := start + max(p.counts.Cycles-1, 0)
-		res.CellFinish[i] = finish
-		res.CellActive += finish - start
-		prof.Cell[i] = obs.CellProfile{
-			Start:  start,
-			Finish: finish,
-			AddOps: p.counts.AddOps, MulOps: p.counts.MulOps, MovOps: p.counts.MovOps,
-			Loads: p.counts.Loads, Stores: p.counts.Stores,
-			Busy:     p.counts.Ops,
-			Bubble:   p.counts.Cycles - p.counts.Ops, // idle issue slots; the starved split needs queue timing
-			SkewLead: int64(i) * p.skew,
-			Drain:    last - finish,
-		}
-	}
-	res.Obs = prof
-	return res
+	return &rec.Stats
 }

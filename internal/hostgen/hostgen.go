@@ -113,7 +113,7 @@ type Program struct {
 
 // Stream is one host stream as the loop nest that generates it: the I/O
 // operations of one (channel, direction) in program order, loops that
-// never run or hold none of them pruned.  Its length is the number of
+// hold none of them pruned.  Its length is the number of
 // static operations; Words is the number of words.
 type Stream []op
 
@@ -132,7 +132,7 @@ type op struct {
 }
 
 // loopEnd closes one loop: after its last operation the stream resumes
-// at operation head until the loop has run trips times.
+// at operation head until the loop has run trips times (at least one).
 type loopEnd struct {
 	depth int
 	trips int64
@@ -317,9 +317,9 @@ func (r *Reader) refill() *Word {
 // Generate walks the cell program once and produces the host program.
 // Every receive on the array's input side must carry an external binding
 // (the first cell receives it from the host); sends without externals
-// are discarded on output.  An operation that never executes (a loop
-// around it has no trips) contributes nothing, not even its resolution
-// error.  Word counts are exact: a stream whose count overflows, or an
+// are discarded on output.  A loop runs its body max(Trips, 1) times, as
+// the sequencer's do-while loops do, so every operation executes and
+// resolves.  Word counts are exact: a stream whose count overflows, or an
 // address that leaves the range of Word.Index, fails the generation.
 func Generate(cell *mcode.CellProgram) (*Program, error) {
 	var b builder
@@ -362,8 +362,8 @@ type builder struct {
 }
 
 // scope is what the fold carries into a loop body: how often the body
-// executes (0: never; overflowed), the product of the enclosing trip
-// counts, and where its streams start.
+// executes (or overflowed), the product of the enclosing trip counts,
+// and where its streams start.
 type scope struct {
 	mult  int64
 	heads [numChans][2]int
@@ -371,7 +371,7 @@ type scope struct {
 
 // instr appends the I/O operations of in, which executes v.mult times.
 func (b *builder) instr(v scope, in *mcode.Instr, s *mcode.CellSite) scope {
-	for i := 0; i < len(in.IO) && v.mult != 0 && b.err == nil; i++ {
+	for i := 0; i < len(in.IO) && b.err == nil; i++ {
 		if err := b.add(&in.IO[i], v.mult, s.Loops); err != nil {
 			b.err = fmt.Errorf("hostgen: %s: %w", in.Pos, err)
 		}
@@ -380,12 +380,9 @@ func (b *builder) instr(v scope, in *mcode.Instr, s *mcode.CellSite) scope {
 }
 
 func (b *builder) enter(v scope, l *mcode.LoopItem, _ *mcode.CellSite) scope {
-	var inner scope // a loop without trips never runs its body
-	if l.Trips > 0 {
-		inner.mult = overflowed
-		if v.mult != overflowed && v.mult <= math.MaxInt64/l.Trips {
-			inner.mult = v.mult * l.Trips
-		}
+	inner := scope{mult: overflowed}
+	if trips := max(l.Trips, 1); v.mult != overflowed && v.mult <= math.MaxInt64/trips {
+		inner.mult = v.mult * trips
 	}
 	for ch := range b.streams {
 		inner.heads[ch] = [2]int{len(b.streams[ch][0]), len(b.streams[ch][1])}
@@ -395,6 +392,7 @@ func (b *builder) enter(v scope, l *mcode.LoopItem, _ *mcode.CellSite) scope {
 
 // exit closes loop l around the operations its body appended.
 func (b *builder) exit(v scope, l *mcode.LoopItem, s *mcode.CellSite, _ int64, inner scope) scope {
+	end := loopEnd{depth: len(s.Loops), trips: max(l.Trips, 1)}
 	for ch := range b.streams {
 		for dir, st := range b.streams[ch] {
 			head := inner.heads[ch][dir]
@@ -409,7 +407,8 @@ func (b *builder) exit(v scope, l *mcode.LoopItem, s *mcode.CellSite, _ int64, i
 				st[head].body = len(st) - head
 			}
 			last := &st[len(st)-1]
-			last.ends = append(last.ends, loopEnd{depth: len(s.Loops), trips: l.Trips, head: head})
+			end.head = head
+			last.ends = append(last.ends, end)
 		}
 	}
 	return v

@@ -18,7 +18,8 @@ import (
 
 // The loop nests and their Reader against the word-by-word emitter they
 // replaced: oracle interprets the cell program directly — one word per
-// executed I/O operation, loop indices looked up as it goes.
+// executed I/O operation, loop indices looked up as it goes, a loop run
+// max(Trips, 1) times as the sequencer's do-while loops run it.
 
 type binding struct {
 	loop *mcode.LoopItem
@@ -48,7 +49,7 @@ func (o *oracle) run(items []mcode.CodeItem) error {
 			}
 		case *mcode.LoopItem:
 			o.stack = append(o.stack, binding{loop: it})
-			for k := int64(0); k < it.Trips; k++ {
+			for k := range max(it.Trips, 1) {
 				o.stack[len(o.stack)-1].val = it.First + k*it.Step
 				if err := o.run(it.Body); err != nil {
 					return err
@@ -253,30 +254,57 @@ func randNest(rng *rand.Rand) *mcode.CellProgram {
 
 func TestReaderMatchesOracleOnRandomNests(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	accepted, rejected, lazy := 0, 0, 0
+	accepted, rejected, zeroTrip := 0, 0, 0
 	for i := 0; i < 1200; i++ {
 		cell := randNest(rng)
-		checkProgram(t, fmt.Sprintf("nest %d", i), cell)
-		if _, err := Generate(cell); err != nil {
+		name := fmt.Sprintf("nest %d", i)
+		checkProgram(t, name, cell)
+		h, err := Generate(cell)
+		if err != nil {
 			rejected++
 			continue
 		}
 		accepted++
-		// An accepted nest with an unresolvable operation holds it under a
-		// loop that never runs.
+		// Every loop runs its body at least once, so every operation
+		// executes: an unresolvable one always fails the generation.
 		if unresolvable(cell.Items) {
-			lazy++
+			t.Errorf("%s: accepted with an unresolvable operation", name)
+		}
+		// The streams are as long as the cell's counted receives and
+		// sends, zero-trip loops included.
+		counts, err := mcode.CountCell(cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ch := range []w2.Channel{w2.ChanX, w2.ChanY} {
+			if h.In[ch].Words() != counts.Recv[ch] || h.Out[ch].Words() != counts.Send[ch] {
+				t.Errorf("%s on %s: %d words in and %d out, mcode.CountCell %d receives and %d sends",
+					name, ch, h.In[ch].Words(), h.Out[ch].Words(), counts.Recv[ch], counts.Send[ch])
+			}
+		}
+		if zeroTrips(cell.Items) {
+			zeroTrip++
 		}
 	}
-	t.Logf("%d nests accepted (%d with an unresolvable operation that never executes), %d rejected", accepted, lazy, rejected)
-	if accepted < 500 || rejected < 100 || lazy < 20 {
-		t.Errorf("the generator is too weak: %d accepted, %d rejected, %d lazy", accepted, rejected, lazy)
+	t.Logf("%d nests accepted (%d with a loop of fewer than one trip), %d rejected", accepted, zeroTrip, rejected)
+	if accepted < 500 || rejected < 100 || zeroTrip < 100 {
+		t.Errorf("the generator is too weak: %d accepted, %d with a zero-trip loop, %d rejected", accepted, zeroTrip, rejected)
 	}
 }
 
-// unresolvable reports whether any operation of the items, executed or
-// not, is one of randNest's failures: a receive without an external, or
-// an address over the loop that is never in scope.
+// zeroTrips reports whether the items hold a loop of fewer than one trip.
+func zeroTrips(items []mcode.CodeItem) bool {
+	for _, it := range items {
+		if l, ok := it.(*mcode.LoopItem); ok && (l.Trips < 1 || zeroTrips(l.Body)) {
+			return true
+		}
+	}
+	return false
+}
+
+// unresolvable reports whether any operation of the items is one of
+// randNest's failures: a receive without an external, or an address over
+// the loop that is never in scope.
 func unresolvable(items []mcode.CodeItem) bool {
 	for _, it := range items {
 		switch it := it.(type) {
@@ -334,8 +362,8 @@ func TestHostProgramSizeIndependentOfTrips(t *testing.T) {
 
 // TestCountsExactOrRefused: the word count is what the verifier and the
 // executors compare with the microcode's, so a count that does not fit,
-// or an address outside Word.Index, is a positioned error — and neither
-// is one under a loop that never runs.
+// or an address outside Word.Index, is a positioned error — under a
+// zero-trip loop too, whose body runs once.
 func TestCountsExactOrRefused(t *testing.T) {
 	pos := w2.Pos{Line: 12, Col: 5}
 	recv := &mcode.Straight{Instrs: []*mcode.Instr{{Pos: pos, IO: []mcode.IOOp{{Recv: true, Chan: w2.ChanY, IsLiteral: true, Literal: 1}}}}}
@@ -362,8 +390,8 @@ func TestCountsExactOrRefused(t *testing.T) {
 	if _, err := Generate(twice); err == nil || !strings.Contains(err.Error(), "longer than") {
 		t.Errorf("2·2^62 words on one channel: error %v", err)
 	}
-	if h, err := Generate(nest(1<<32, 0, 1<<32)); err != nil || len(h.In) != 0 {
-		t.Errorf("overflow under a zero-trip loop: %v, %d streams", err, len(h.In))
+	if _, err := Generate(nest(1<<32, 0, 1<<32)); err == nil || !strings.Contains(err.Error(), "12:5: host stream on Y longer than") {
+		t.Errorf("overflow under a zero-trip loop: error %v, want a positioned overflow", err)
 	}
 
 	loop := &w2.ForStmt{Var: "i"}

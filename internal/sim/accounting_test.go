@@ -5,8 +5,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"warp/internal/alloctest"
 	"warp/internal/driver"
 	"warp/internal/hostgen"
 	"warp/internal/mcode"
@@ -127,5 +129,74 @@ func TestAccountingIdentity(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestStatsIndependentOfInputs pins the premise a run's closed form
+// rests on: W2 has no data-dependent control, so everything the
+// simulator reports is a property of the program.  The eight benchmark
+// programs plain and pipelined and 40 random programs each run on three
+// seeded input sets, profiled, and the three records are deep-equal.
+// Under the race detector, which slows the simulator about tenfold,
+// binop and colorseg run at 64² — the same nests with fewer trips.
+func TestStatsIndependentOfInputs(t *testing.T) {
+	side := 512
+	if alloctest.Race {
+		side = 64
+	}
+	type prog struct{ name, src string }
+	progs := []prog{
+		{"polynomial", workloads.Polynomial(10, 100)},
+		{"conv1d", workloads.Conv1D(9, 2048)},
+		{"binop", workloads.Binop(side, side)},
+		{"colorseg", workloads.ColorSeg(side, side, 10)},
+		{"mandelbrot", workloads.Mandelbrot(32*32, 4)},
+		{"fft1024", workloads.FFT(1024)},
+		{"matmul32", workloads.Matmul(32)},
+	}
+	for seed := range int64(40) {
+		src, _ := workloads.RandomProgram(rand.New(rand.NewSource(seed)))
+		progs = append(progs, prog{fmt.Sprintf("random%d", seed), src})
+	}
+	for _, p := range progs {
+		for _, pipeline := range []bool{false, true} {
+			name := fmt.Sprintf("%s pipeline=%v", p.name, pipeline)
+			c, cfg := configFor(t, p.src, driver.Options{Pipeline: pipeline})
+			var first *sim.Stats
+			for seed := range int64(3) {
+				cfg.HostMem = seededImage(t, c, seed)
+				st, err := sim.Run(cfg)
+				if err != nil {
+					t.Fatalf("%s, inputs %d: %v", name, seed, err)
+				}
+				if first == nil {
+					first = st
+				} else if !reflect.DeepEqual(st, first) {
+					t.Errorf("%s: inputs %d give other Stats than inputs 0", name, seed)
+				}
+			}
+		}
+	}
+}
+
+// TestEmptyProgramCostsItsStart: a cell program of no cycles still costs
+// each cell its start cycle, on the cycle loop and in the closed form.
+func TestEmptyProgramCostsItsStart(t *testing.T) {
+	cfg := sim.Config{Cells: 3, Skew: 2, Lead: 5, Cell: &mcode.CellProgram{}, IU: &mcode.IUProgram{},
+		Host: &hostgen.Program{In: map[w2.Channel]hostgen.Stream{}, Out: map[w2.Channel]hostgen.Stream{}}}
+	st, err := sim.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, err := mcode.Decode(cfg.Cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := sim.Closed(cfg, code)
+	if want := sim.ModeledCycles(3, 2, 5, 0); st.Cycles != want || closed.Cycles != want || want != 5+2*2+1 {
+		t.Errorf("an empty program runs %d cycles, closed form %d, modeled %d", st.Cycles, closed.Cycles, want)
+	}
+	if !reflect.DeepEqual(st.CellFinish, closed.CellFinish) {
+		t.Errorf("finishes %v, closed form %v", st.CellFinish, closed.CellFinish)
 	}
 }

@@ -123,13 +123,11 @@ type cell struct {
 	finish    int64 // the cycle the last instruction retired on
 
 	// The idle split, the one accounting the cycle loop does (integer
-	// increments only): what a cell issues is the program's, counted
-	// when the run ends (issueCounts).
+	// increments only): what a cell issues is the program's (Closed).
 	starved, bubble int64
-	depth           []obs.DepthProfile
 	// sampled counts the cycles sampleQueues ran on this cell.
 	sampled int64
-	// pcs holds the exact per-µPC counters when Config.PCStats is set;
+	// pcs holds the exact per-µPC idle split when Config.PCStats is set;
 	// nil otherwise (the idle path tests the pointer once).
 	pcs *obs.PCProfile
 
@@ -148,9 +146,6 @@ type machine struct {
 	cfg   Config
 	code  mcode.Decoded // the decoded cell program every cell executes
 	cells []cell
-	// times is scratch for issueCounts: how often a cell runs each word.
-	// finishes is Stats.CellFinish, from the same arena.
-	times, finishes []int64
 
 	// A batched walk's host images, one per lane (nil alone: the run's
 	// image is cfg.HostMem), and where a host input word's lanes gather.
@@ -265,12 +260,7 @@ func newMachine(cfg Config, lanes [][]float64) (*machine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: IU %w", err)
 	}
-	// A word covers its idle µPCs and its issuing one, back to back, so
-	// the last word ends the program's µPCs.
-	depth, pcs := code.Depth, 0
-	if k := len(code.Words); k > 0 {
-		pcs = int(code.Words[k-1].PC) + int(code.Words[k-1].Skip) + 1
-	}
+	pcs := numPCs(code.Words)
 	rec := cmp.Or(cfg.Recorder, obs.Nop())
 	m := &machine{
 		cfg:    cfg,
@@ -287,24 +277,21 @@ func newMachine(cfg Config, lanes [][]float64) (*machine, error) {
 		m.hostOut[ch] = hostgen.NewReader(cfg.Host.Out[w2.Channel(ch)])
 	}
 
-	// One arena holds every int64 counter: the IU's loop iterations, the
-	// word counts, the cells' finish cycles, and per cell its loop
-	// iterations, three occupancy histograms, three per-µPC rows when
-	// profiling.
+	// One arena holds every int64 counter: the IU's loop iterations, and
+	// per cell its loop iterations, three occupancy histograms, two
+	// per-µPC idle rows when profiling.
 	const histLen = mcode.QueueDepth + 1
-	perCell := depth + int(obs.NumQueues)*histLen
+	perCell := code.Depth + int(obs.NumQueues)*histLen
 	if cfg.PCStats {
-		perCell += 3 * pcs
+		perCell += 2 * pcs
 	}
-	arena := make([]int64, iuCode.Depth+len(code.Words)+cfg.Cells+cfg.Cells*perCell)
+	arena := make([]int64, iuCode.Depth+cfg.Cells*perCell)
 	take := func(n int) []int64 {
 		out := arena[:n:n]
 		arena = arena[n:]
 		return out
 	}
-	m.iu.Iter, m.times, m.finishes = take(iuCode.Depth), take(len(code.Words)), take(cfg.Cells)
-	rows := max(4, depth+1) // the depth profile has always had at least four
-	depths := make([]obs.DepthProfile, cfg.Cells*rows)
+	m.iu.Iter = take(iuCode.Depth)
 	// A second arena holds every value: each cell's memory, and in a
 	// batched walk its registers, writes in flight and X and Y queue words.
 	cellVals := memWords * n
@@ -332,14 +319,13 @@ func newMachine(cfg Config, lanes [][]float64) (*machine, error) {
 			c.in[w2.ChanX].vals = takeVals(mcode.QueueDepth * n)
 			c.in[w2.ChanY].vals = takeVals(mcode.QueueDepth * n)
 		}
-		c.Iter = take(depth)
-		c.depth, depths = depths[:rows:rows], depths[rows:]
+		c.Iter = take(code.Depth)
 		c.in[w2.ChanX].init(i, obs.QueueX, take(histLen))
 		c.in[w2.ChanY].init(i, obs.QueueY, take(histLen))
 		c.adr.init(i, obs.QueueAdr, take(histLen))
 		c.sig.init(i, obs.NumQueues, nil)
 		if cfg.PCStats {
-			c.pcs = &obs.PCProfile{Busy: take(pcs), Starved: take(pcs), Bubble: take(pcs)}
+			c.pcs = &obs.PCProfile{Starved: take(pcs), Bubble: take(pcs)}
 		}
 	}
 	return m, nil
@@ -380,43 +366,22 @@ func (m *machine) checkBalance() error {
 	return nil
 }
 
-// stats aggregates the per-cell and per-queue accounting of a finished
-// run into the run profile and the compatibility counters.
+// stats is the run's record: the program's closed form (Closed) with
+// what the cycle loop measured laid over it — the machine time, each
+// cell's finish and idle split, the queues and the host's backpressure.
 func (m *machine) stats() *Stats {
-	stats := &Stats{
-		Cycles:     m.now,
-		CellFinish: m.finishes,
-		Sent:       map[w2.Channel]int{},
-	}
-	for ch, n := range m.hostSent {
-		if n > 0 {
-			stats.Sent[w2.Channel(ch)] = n
-		}
-	}
-	prof := &obs.Profile{
-		Cells:      m.cfg.Cells,
-		Cycles:     stats.Cycles,
-		Skew:       m.cfg.Skew,
-		Lead:       m.cfg.Lead,
-		Cell:       make([]obs.CellProfile, m.cfg.Cells),
-		Queues:     make([]obs.QueueProfile, 0, m.cfg.Cells*int(obs.NumQueues)),
-		HostStallX: m.hostStall[w2.ChanX],
-		HostStallY: m.hostStall[w2.ChanY],
-	}
+	stats := Closed(m.cfg, &m.code)
+	prof := stats.Obs
+	stats.Cycles, prof.Cycles = m.now, m.now
+	prof.Queues = make([]obs.QueueProfile, 0, m.cfg.Cells*int(obs.NumQueues))
+	prof.HostStallX, prof.HostStallY = m.hostStall[w2.ChanX], m.hostStall[w2.ChanY]
+	stats.CellActive = 0
 	last := stats.Cycles - 1 // cycle the last cell retired on
-	issued := m.issueCounts(m.times)
 	for i := range m.cells {
-		c := &m.cells[i]
-		stats.CellFinish[i] = c.finish
+		c, cp := &m.cells[i], &prof.Cell[i]
+		stats.CellFinish[i], cp.Finish = c.finish, c.finish
 		stats.CellActive += c.finish - c.start
-		stats.AddOps += issued.AddOps
-		stats.MulOps += issued.MulOps
-		cp := issued
-		cp.Start, cp.Finish = c.start, c.finish
-		cp.Starved, cp.Bubble = c.starved, c.bubble
-		cp.SkewLead, cp.Drain = c.start-m.cells[0].start, last-c.finish
-		cp.Depth = c.depth
-		prof.Cell[i] = cp
+		cp.Starved, cp.Bubble, cp.Drain = c.starved, c.bubble, last-c.finish
 		// The cycles this cell's queues went unsampled lie before its
 		// upstream neighbour started or after it finished itself;
 		// either way they were empty (checkBalance passed).
@@ -426,76 +391,11 @@ func (m *machine) stats() *Stats {
 		c.adr.hist[0] += idle
 		prof.Queues = append(prof.Queues, c.in[w2.ChanX].profile(), c.in[w2.ChanY].profile(), c.adr.profile())
 		if c.pcs != nil {
-			prof.PC = append(prof.PC, *c.pcs)
+			prof.PC[i].Starved, prof.PC[i].Bubble = c.pcs.Starved, c.pcs.Bubble
 		}
 	}
-	stats.Obs = prof
 	stats.MaxQueue, stats.MaxQueueAt = prof.MaxQueue()
 	return stats
-}
-
-// issueCounts fills in what the cells of a finished run issued, which the
-// program alone decides: every cell runs every word as often as the
-// trip counts of the loops around it multiply to (a trip count below one
-// counting once, as the sequencer's do-while loops run it), so each
-// cell's busy cycles, FPU and memory operations, depth rows and per-µPC
-// busy counters are the same sums over the words.  times is scratch
-// space, one count per word.  The returned profile holds the per-cell
-// totals; the idle split stays the cycle loop's.
-func (m *machine) issueCounts(times []int64) obs.CellProfile {
-	for i := range times {
-		times[i] = 1
-	}
-	for j := range m.code.Words {
-		w := &m.code.Words[j]
-		for _, e := range m.code.Ends[w.EndLo:w.EndHi] {
-			trips := max(e.Trips, 1)
-			for k := e.Head; k <= j; k++ {
-				times[k] *= trips
-			}
-		}
-	}
-	var tot obs.CellProfile
-	c0 := &m.cells[0]
-	for i := range m.code.Words {
-		w, k := &m.code.Words[i], times[i]
-		dp := &c0.depth[w.Depth]
-		dp.Cycles += k * (int64(w.Skip) + 1)
-		if w.Nop {
-			continue
-		}
-		tot.Busy += k
-		if c0.pcs != nil {
-			c0.pcs.Busy[int(w.PC)+int(w.Skip)] = k
-		}
-		if w.HasAdd {
-			tot.AddOps += k
-			dp.AddOps += k
-		}
-		if w.HasMul {
-			tot.MulOps += k
-			dp.MulOps += k
-		}
-		if w.HasMov {
-			tot.MovOps += k
-		}
-		for _, o := range m.code.Ops[w.Lo:w.Hi] {
-			switch o.Kind {
-			case mcode.OpLoad:
-				tot.Loads += k
-			case mcode.OpStore:
-				tot.Stores += k
-			}
-		}
-	}
-	for i := 1; i < len(m.cells); i++ {
-		c := &m.cells[i]
-		copy(c.depth, c0.depth)
-		if c.pcs != nil {
-			copy(c.pcs.Busy, c0.pcs.Busy)
-		}
-	}
-	return tot
 }
 
 // cycle executes one global clock tick: the IU, the host, then every

@@ -33,7 +33,8 @@
 // What a cell issues is the program's — every cell runs every word as
 // often as the trip counts around it multiply to — so busy cycles, FPU
 // and memory operations, depth rows and per-µPC busy counters are summed
-// over the words once the run ends.  Addresses come from the IU's Adr
+// over the words once the run ends, by Closed, the closed form the fast
+// executor's record is a copy of.  Addresses come from the IU's Adr
 // queue, never from the words' bound terms, so the simulator stays an
 // independent check of the verifier.  All state is allocated once per
 // run, in proportion to the program and the cells and never to the

@@ -70,7 +70,7 @@ func (p *Program) RunPartitioned(cfg RunConfig, prob Problem) (map[string][]floa
 // runPartitioned is RunPartitioned; without batch every tile takes the
 // per-tile path, the reference the batched farm is tested against.
 func (p *Program) runPartitioned(cfg RunConfig, prob Problem, batch bool) (map[string][]float64, *FabricStats, error) {
-	pl, err := p.partitionPlan(cfg, prob)
+	pl, err := p.partitionPlan(prob)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -129,8 +129,8 @@ func (p *Program) runPartitioned(cfg RunConfig, prob Problem, batch bool) (map[s
 }
 
 // partitionPlan builds the tile plan for prob against this program's
-// kernel shape and the configured memory budget.
-func (p *Program) partitionPlan(cfg RunConfig, prob Problem) (*fabric.Plan, error) {
+// kernel shape and the hardware's limits (fabric.DefaultLimits).
+func (p *Program) partitionPlan(prob Problem) (*fabric.Plan, error) {
 	var tp fabric.TileProgram
 	tp.Cells = p.c.Cells
 	for _, prm := range p.Params() {
@@ -141,9 +141,6 @@ func (p *Program) partitionPlan(cfg RunConfig, prob Problem) (*fabric.Plan, erro
 		}
 	}
 	lim := fabric.DefaultLimits(p.c.Cells)
-	if cfg.TileMemBudget > 0 {
-		lim.CellMemWords = cfg.TileMemBudget
-	}
 	switch prob.kind {
 	case "matmul":
 		return fabric.PlanMatmul(prob.mm, tp, lim)

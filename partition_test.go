@@ -102,21 +102,6 @@ func TestRunPartitionedConvOracle(t *testing.T) {
 	}
 }
 
-// TestRunPartitionedBudget: shrinking the tile memory budget below the
-// kernel's needs must fail planning, not simulate garbage.
-func TestRunPartitionedBudget(t *testing.T) {
-	prog, err := warp.Compile(workloads.Matmul(4), warp.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := workloads.LargeMatmulData(8, 8, 8, 1)
-	_, _, err = prog.RunPartitioned(warp.RunConfig{Arrays: 2, TileMemBudget: 3},
-		warp.MatmulProblem(8, 8, 8, a, b))
-	if err == nil {
-		t.Fatal("partitioner accepted a kernel that overflows the tile memory budget")
-	}
-}
-
 // TestRunPartitionedCancel: a cancelled job context aborts the farm
 // promptly with the context's error.
 func TestRunPartitionedCancel(t *testing.T) {

@@ -207,10 +207,6 @@ type RunConfig struct {
 	// Arrays is how many simulated array instances RunPartitioned farms
 	// tiles across concurrently (minimum 1).
 	Arrays int
-	// TileMemBudget overrides the per-cell data-memory budget in words
-	// that the partitioner sizes tiles against (0 = the hardware's
-	// 4K-word cell memory).
-	TileMemBudget int
 	// TileDeadline bounds each tile attempt; a tile that overruns it is
 	// retried like a livelock (0 = no per-tile deadline).
 	TileDeadline time.Duration
