@@ -547,11 +547,11 @@ func hotspot(w io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", j.name, err)
 		}
-		sp, err := prog.SourceProfile(j.in)
+		_, rs, err := prog.RunWith(warp.RunConfig{Profile: true}, j.in)
 		if err != nil {
 			return fmt.Errorf("%s: %w", j.name, err)
 		}
-		fmt.Fprintf(w, "--- %s ---\n%s\n%s\n", j.name, sp.Report(), prog.SchedReport())
+		fmt.Fprintf(w, "--- %s ---\n%s\n%s\n", j.name, rs.Source.Report(), prog.SchedReport())
 	}
 	return nil
 }

@@ -111,59 +111,43 @@ type Compiled struct {
 	// measured from it.
 	t0 time.Time
 
-	// The fast-execution plan is compiled lazily on first use and
+	// The program loaded once (sim.Load) on first use: its decode and its
+	// count, which every run reads — the simulator's machine, the fast
+	// plan, the decision audit's cycles and operations, the batch width.
+	loadOnce sync.Once
+	loaded   *sim.Loaded
+
+	// The fast-execution plan is built from the load on first use and
 	// cached: it is derived purely from the immutable microcode above,
 	// so one plan is shared by every concurrent run and fabric tile.
 	fastOnce sync.Once
 	fastPlan *fastexec.Plan
 	fastErr  error
+}
 
-	// One cell's run in closed form, which every run's decision audit
-	// reads (the modeled cycles, the dynamic non-nop operations): one walk
-	// of the cell program, done once, by ModeledCycles.
-	countOnce sync.Once
-	counts    mcode.CellCounts
-
-	// The state one problem adds to a batched simulator walk, measured once
-	// by simLaneBytes.
-	laneOnce  sync.Once
-	laneBytes int
+// load returns the compiled program loaded for both executors, loading
+// it on first call.
+func (c *Compiled) load() *sim.Loaded {
+	c.loadOnce.Do(func() {
+		c.loaded = sim.Load(sim.Config{Cells: c.Cells, Cell: c.Cell, IU: c.IU, Host: c.Host, Skew: c.Skew, Lead: c.IUGen.Prologue + 1})
+	})
+	return c.loaded
 }
 
 // ModeledCycles returns the closed-form machine-cycle count of one run
 // of the compiled program: the IU lead, the skew ramp across the array,
-// and one cell's execution time (sim.ModeledCycles, the formula of the
+// and one cell's execution time (sim.Loaded.Cycles, the cycles of the
 // fast plan's record too).  The machine is statically scheduled,
 // so on deterministic workloads it equals the cycle count either backend
 // reports; every run's decision audit records it.
-func (c *Compiled) ModeledCycles() int64 {
-	c.countOnce.Do(func() { c.counts, _ = mcode.CountCell(c.Cell) }) // generate refuses a program whose counts overflow
-	return sim.ModeledCycles(c.Cells, c.Skew, c.IUGen.Prologue+1, c.counts.Cycles)
-}
-
-// simLaneBytes returns the machine state one problem adds to a batched
-// walk of the simulator (sim.LaneBytes), 0 when the program walks only
-// alone.
-func (c *Compiled) simLaneBytes() int {
-	c.laneOnce.Do(func() { c.laneBytes = sim.LaneBytes(c.Cells, c.Cell) })
-	return c.laneBytes
-}
+func (c *Compiled) ModeledCycles() int64 { return c.load().Cycles() }
 
 // FastPlan returns the compiled program's fast-execution plan, building
 // and caching it on first call.  The plan is immutable and shared; a
 // program the trace compiler cannot represent returns the build error
 // on every call.
 func (c *Compiled) FastPlan() (*fastexec.Plan, error) {
-	c.fastOnce.Do(func() {
-		c.fastPlan, c.fastErr = fastexec.Compile(fastexec.Program{
-			Cells: c.Cells,
-			Cell:  c.Cell,
-			IU:    c.IU,
-			Host:  c.Host,
-			Skew:  c.Skew,
-			Lead:  c.IUGen.Prologue + 1,
-		})
-	})
+	c.fastOnce.Do(func() { c.fastPlan, c.fastErr = fastexec.CompileLoaded(c.load()) })
 	return c.fastPlan, c.fastErr
 }
 
@@ -484,7 +468,8 @@ func chooseBackend(c *Compiled, o RunOptions) (string, obs.Decision, error) {
 	// plan: only a run that may execute on the fast backend pays for (and
 	// caches) one.
 	predictFast := func() {
-		d.PredictedOps = c.counts.Ops * int64(c.Cells) // counted by ModeledCycles, above
+		count, _ := c.load().Count() // generate refuses a program whose counts overflow
+		d.PredictedOps = count.Ops * int64(c.Cells)
 	}
 	switch b := o.Backend; b {
 	case "", BackendAuto:
@@ -531,16 +516,11 @@ func chooseBackend(c *Compiled, o RunOptions) (string, obs.Decision, error) {
 	return d.Backend, *d, nil
 }
 
-// Run executes the compiled program on the simulated Warp machine.
-func Run(c *Compiled, inputs map[string][]float64) (map[string][]float64, *sim.Stats, error) {
-	return RunWith(c, inputs, RunOptions{})
-}
-
 // RunWith executes the compiled program under the given run options.
 // The compiled program's phase records are copied into the run profile
 // so one Stats value carries the whole compile-and-run story.  Compiled
-// is never mutated beyond the one-time fast-plan cache: every run
-// builds fresh machine state, so one Compiled may run from many
+// is never mutated beyond the one-time load and fast-plan caches: every
+// run builds fresh machine state, so one Compiled may run from many
 // goroutines concurrently.
 func RunWith(c *Compiled, inputs map[string][]float64, o RunOptions) (map[string][]float64, *sim.Stats, error) {
 	outs, stats, err := RunBatch(c, []map[string][]float64{inputs}, o)
@@ -595,7 +575,7 @@ func RunBatch(c *Compiled, inputs []map[string][]float64, o RunOptions) ([]map[s
 		plan, _ := c.FastPlan() // chooseBackend built it
 		width = max(1, min(n, batchStateBytes/plan.StateBytes()))
 	case !obs.Enabled(o.Recorder):
-		if lane := c.simLaneBytes(); lane > 0 {
+		if lane := c.load().LaneBytes(); lane > 0 {
 			width = max(1, min(n, batchStateBytes/lane))
 		}
 	}
@@ -606,13 +586,7 @@ func RunBatch(c *Compiled, inputs []map[string][]float64, o RunOptions) ([]map[s
 		if backend == BackendFast {
 			st, err = runFast(c, hostMems[lo:hi], o)
 		} else {
-			st, err = sim.RunBatch(sim.Config{
-				Cells:     c.Cells,
-				Cell:      c.Cell,
-				IU:        c.IU,
-				Host:      c.Host,
-				Skew:      c.Skew,
-				Lead:      c.IUGen.Prologue + 1,
+			st, err = c.load().RunBatch(sim.Config{
 				MaxCycles: o.MaxCycles,
 				Ctx:       o.Ctx,
 				Recorder:  o.Recorder,

@@ -57,7 +57,7 @@ func compareRun(t *testing.T, src string, opts Options, inputs map[string][]floa
 	if err != nil {
 		t.Fatalf("interpret: %v", err)
 	}
-	got, _, err := Run(c, inputs)
+	got, _, err := RunWith(c, inputs, RunOptions{})
 	if err != nil {
 		t.Fatalf("simulate: %v", err)
 	}
@@ -96,7 +96,7 @@ func TestPolynomialEndToEnd(t *testing.T) {
 
 	// Horner ground truth, straight from the math.
 	z, coef := inputs["z"], inputs["c"]
-	got, _, err := Run(c, inputs)
+	got, _, err := RunWith(c, inputs, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

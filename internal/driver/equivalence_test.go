@@ -119,7 +119,7 @@ func TestCompileEquivalenceCycles(t *testing.T) {
 	}
 	cycles := func(c *Compiled) int64 {
 		t.Helper()
-		_, stats, err := Run(c, inputs)
+		_, stats, err := RunWith(c, inputs, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,7 +28,7 @@ func TestFFTEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatalf("n=%d: compile: %v", n, err)
 			}
-			got, _, err := Run(c, inputs)
+			got, _, err := RunWith(c, inputs, RunOptions{})
 			if err != nil {
 				t.Fatalf("n=%d: simulate: %v", n, err)
 			}

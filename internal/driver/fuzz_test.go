@@ -29,7 +29,7 @@ func FuzzRandomEquivalence(f *testing.F) {
 			if err != nil {
 				t.Fatalf("interpret: %v\n%s", err, src)
 			}
-			got, _, err := Run(c, inputs)
+			got, _, err := RunWith(c, inputs, RunOptions{})
 			if err != nil {
 				t.Fatalf("simulate (%+v): %v\n%s", opts, err, src)
 			}

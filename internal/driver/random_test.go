@@ -35,7 +35,7 @@ func TestRandomProgramsEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("program %d: interpreter failed: %v\nsource:\n%s", p, err, src)
 			}
-			got, _, err := Run(c, inputs)
+			got, _, err := RunWith(c, inputs, RunOptions{})
 			if err != nil {
 				t.Fatalf("program %d [%s]: simulation failed: %v\nsource:\n%s", p, cfg.name, err, src)
 			}
@@ -64,7 +64,7 @@ func TestRandomProgramsConfigAgreement(t *testing.T) {
 			if err != nil {
 				t.Fatalf("program %d: %v\nsource:\n%s", p, err, src)
 			}
-			got, _, err := Run(c, inputs)
+			got, _, err := RunWith(c, inputs, RunOptions{})
 			if err != nil {
 				t.Fatalf("program %d: %v\nsource:\n%s", p, err, src)
 			}

@@ -229,3 +229,33 @@ func TestSimAllocsIndependentOfCycles(t *testing.T) {
 	}
 	t.Logf("sim.Run: %v allocations at %d and at %d cycles", long, shortCycles, longCycles)
 }
+
+// TestRunWithSimLoadsOnce: a simulator run through the driver reads the
+// program loaded once on its Compiled, so what it allocates is the run's
+// machine state and record and the host image around them — the same at
+// eight times the cycles, and none of it a decode.  It allocated 70
+// times while every run decoded the cell and IU programs, 17 of them the
+// two decodes.
+func TestRunWithSimLoadsOnce(t *testing.T) {
+	allocs := func(points int) float64 {
+		c, err := Compile(workloads.Polynomial(10, points), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs := map[string][]float64{"z": make([]float64, points), "c": make([]float64, 10)}
+		return alloctest.AllocsPerRun(5, func() {
+			if _, _, err := RunWith(c, inputs, RunOptions{Backend: BackendSim}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(100), allocs(800)
+	if short != long {
+		t.Errorf("allocations grow with the run: %v at 100 points, %v at 800", short, long)
+	}
+	const ceiling = 70 - 17
+	if short > ceiling {
+		t.Errorf("a simulator run through RunWith allocates %v times, want at most %d", short, ceiling)
+	}
+	t.Logf("RunWith on the simulator: %v allocations", short)
+}

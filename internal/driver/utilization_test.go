@@ -23,7 +23,7 @@ func TestFPUUtilization(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, stats, err := Run(c, inputs)
+		_, stats, err := RunWith(c, inputs, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

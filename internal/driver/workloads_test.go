@@ -31,7 +31,7 @@ func TestConv1DEndToEnd(t *testing.T) {
 	w := randArray(rng, k)
 	inputs := map[string][]float64{"x": x, "w": w}
 	c := compareRun(t, workloads.Conv1D(k, n), Options{}, inputs)
-	got, _, err := Run(c, inputs)
+	got, _, err := RunWith(c, inputs, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestBinopEndToEnd(t *testing.T) {
 	b := randArray(rng, w*h)
 	inputs := map[string][]float64{"a": a, "b": b}
 	c := compareRun(t, workloads.Binop(w, h), Options{}, inputs)
-	got, _, err := Run(c, inputs)
+	got, _, err := RunWith(c, inputs, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestColorSegEndToEnd(t *testing.T) {
 	}
 	inputs := map[string][]float64{"refs": refs, "image": image}
 	c := compareRun(t, workloads.ColorSeg(w, h, ncells), Options{}, inputs)
-	got, _, err := Run(c, inputs)
+	got, _, err := RunWith(c, inputs, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestMandelbrotEndToEnd(t *testing.T) {
 	}
 	inputs := map[string][]float64{"cxs": cxs, "cys": cys}
 	c := compareRun(t, workloads.Mandelbrot(n, iters), Options{}, inputs)
-	got, _, err := Run(c, inputs)
+	got, _, err := RunWith(c, inputs, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestMatmulEndToEnd(t *testing.T) {
 	b := randArray(rng, n*n)
 	inputs := map[string][]float64{"a": a, "bmat": b}
 	c := compareRun(t, workloads.Matmul(n), Options{}, inputs)
-	got, _, err := Run(c, inputs)
+	got, _, err := RunWith(c, inputs, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,10 +38,12 @@
 //     guarantees input and output regions never alias), the last cell's
 //     sends store through the output sequence, honoring Discard.
 //
-// Cycle counts and the profile are not measured but *modeled*: a
-// verified program never stalls, so a run's record is the simulator's
-// closed form of the program (sim.Closed), built once per plan — what
-// the simulator reports, but for its split of idle cycles.
+// A plan is built from the program loaded once (sim.Load): the decoded
+// words and the count the simulator reads too.  Cycle counts and the
+// profile are not measured but *modeled*: a verified program never
+// stalls, so a run's record is the simulator's closed form of the
+// program (sim.Loaded.Closed) — what the simulator reports, but for its
+// split of idle cycles.
 //
 // The package trusts nothing silently.  Compile elaborates the IU once
 // and steps the plan once against what it emits: trip counts, stream
@@ -56,7 +58,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"maps"
 	"slices"
 	"sync"
 
@@ -93,6 +94,7 @@ type Program struct {
 // Plan is a compiled execution plan.  It is immutable after Compile and
 // safe for concurrent Execute calls.
 type Plan struct {
+	load  *sim.Loaded // the program: its decode, its count, its record
 	cells int
 	host  *hostgen.Program
 
@@ -103,15 +105,12 @@ type Plan struct {
 	words  []mcode.Word
 	ops    []mcode.Op
 	writes []int32
-	counts mcode.CellCounts // one cell's run, in closed form
-	// closed is every run's record, the simulator's closed form of the
-	// program (sim.Closed); a run returns a copy.
-	closed *sim.Stats
+	counts mcode.CellCounts // one cell's run, the load's count
 }
 
 // Cycles returns the modeled machine time of a run: the cycle count the
 // cycle-accurate simulator would report.
-func (p *Plan) Cycles() int64 { return p.closed.Cycles }
+func (p *Plan) Cycles() int64 { return p.load.Cycles() }
 
 // Ops returns the dynamic non-nop microinstructions one cell executes.
 func (p *Plan) Ops() int { return int(p.counts.Ops) }
@@ -120,12 +119,8 @@ func (p *Plan) Ops() int { return int(p.counts.Ops) }
 // counts.
 func (p *Plan) Words() int { return len(p.code.Words) }
 
-// Compile builds an execution plan: it decodes the cell microprogram
-// into plan words with its loops kept, elaborates the IU microprogram
-// once and walks the plan once against the address and loop-signal
-// streams it emits.  Programs that fail a check (oversized, non-positive
-// trip counts, stream inconsistencies) fail with an error; callers fall
-// back to the simulator.
+// Compile builds an execution plan: it loads the program (sim.Load) and
+// builds the plan from the load (CompileLoaded).
 func Compile(p Program) (*Plan, error) {
 	if p.Cells < 1 {
 		return nil, fmt.Errorf("fastexec: need at least one cell")
@@ -133,23 +128,34 @@ func Compile(p Program) (*Plan, error) {
 	if p.Cell == nil || p.IU == nil || p.Host == nil {
 		return nil, fmt.Errorf("fastexec: incomplete program (cell, IU and host programs are all required)")
 	}
-	counts, err := mcode.CountCell(p.Cell)
+	return CompileLoaded(sim.Load(sim.Config{Cells: p.Cells, Cell: p.Cell, IU: p.IU, Host: p.Host, Skew: p.Skew, Lead: p.Lead}))
+}
+
+// CompileLoaded builds the execution plan of a loaded program of at
+// least one cell, reading the load's decoded words and its count: it
+// elaborates the IU microprogram once and walks the plan once against
+// the address and loop-signal streams it emits.  Programs that fail a
+// check (oversized, non-positive trip counts, stream inconsistencies)
+// fail with an error; callers fall back to the simulator.
+func CompileLoaded(l *sim.Loaded) (*Plan, error) {
+	p := l.Config()
+	counts, err := l.Count()
 	if err != nil {
 		return nil, fmt.Errorf("fastexec: %w", err)
 	}
 	if counts.Cycles > maxTraceCycles {
 		return nil, fmt.Errorf("fastexec: cell program unrolls to %d cycles, over the %d-cycle trace cap", counts.Cycles, maxTraceCycles)
 	}
-	iuCounts, err := mcode.CountIU(p.IU)
+	// An IU loop with an empty body emits nothing and takes no time;
+	// the decoder leaves it out.
+	iuCode, _ := l.IU()
+	iuCounts, err := iuCode.Count()
 	if err != nil {
 		return nil, fmt.Errorf("fastexec: %w", err)
 	}
 	if iuCounts.Cycles > maxTraceCycles {
 		return nil, fmt.Errorf("fastexec: IU program unrolls to %d cycles, over the %d-cycle trace cap", iuCounts.Cycles, maxTraceCycles)
 	}
-	// An IU loop with an empty body emits nothing and takes no time;
-	// the decoder leaves it out.
-	iuCode, _ := mcode.DecodeIU(p.IU)
 	for i := range iuCode.Words {
 		if err := positiveTrips("IU loop", iuCode.Words[i].Ends); err != nil {
 			return nil, err
@@ -161,7 +167,7 @@ func Compile(p Program) (*Plan, error) {
 	if iu.OverRead >= 0 {
 		return nil, fmt.Errorf("fastexec: IU table read past its %d entries", len(p.IU.Table))
 	}
-	code, err := mcode.Decode(p.Cell)
+	code, err := l.Code()
 	if err != nil {
 		return nil, fmt.Errorf("fastexec: %w", err)
 	}
@@ -180,13 +186,7 @@ func Compile(p Program) (*Plan, error) {
 		return nil, fmt.Errorf("fastexec: address %w", code.Unbound)
 	}
 
-	plan := &Plan{
-		cells:  p.Cells,
-		host:   p.Host,
-		code:   *code,
-		counts: counts,
-		closed: sim.Closed(sim.Config{Cells: p.Cells, Skew: p.Skew, Lead: p.Lead}, code),
-	}
+	plan := &Plan{load: l, cells: p.Cells, host: p.Host, code: *code, counts: counts}
 	plan.words, plan.ops, plan.writes = partition(code)
 	if err := plan.validate(iu, p.Cell); err != nil {
 		return nil, err
@@ -460,7 +460,7 @@ func (st *execState) check(idx int, t int64) error {
 
 // Execute runs the plan over a host memory image (inputs pre-loaded;
 // outputs written in place) and returns the run record the simulator
-// would, in closed form: a copy of the plan's sim.Closed record — the
+// would, in closed form: the load's sim.Loaded.Closed record — the
 // modeled cycles, each cell's finish, FPU issues, words sent and the
 // cells' profiles, depth rows included, every scheduled idle cycle a
 // bubble (the starved/bubble split needs queue timing only the
@@ -538,7 +538,7 @@ func (p *Plan) ExecuteBatch(hostMems [][]float64, cfg ExecConfig) (*sim.Stats, e
 	if cfg.Progress != nil {
 		cfg.Progress(obs.ProgressUpdate{Cycles: p.Cycles(), Done: true})
 	}
-	return p.result(), nil
+	return p.load.Closed(false), nil
 }
 
 // runCell runs the plan for one cell: the one-wide body, over the
@@ -727,25 +727,4 @@ func (p *Plan) runLanes(st *execState, idx int) error {
 		s.Advance(int(w.Depth), p.code.Ends[w.EndLo:w.EndHi])
 	}
 	return nil
-}
-
-// result is a copy of the plan's closed-form record, sharing no memory
-// with the plan.
-func (p *Plan) result() *sim.Stats {
-	c := p.closed
-	// One allocation holds the record and its profile.
-	rec := &struct {
-		sim.Stats
-		prof obs.Profile
-	}{*c, *c.Obs}
-	rec.Obs, rec.CellFinish, rec.Sent = &rec.prof, slices.Clone(c.CellFinish), maps.Clone(c.Sent)
-	rec.prof.Cell = slices.Clone(c.Obs.Cell)
-	rows := len(c.Obs.Cell[0].Depth)
-	depth := make([]obs.DepthProfile, len(c.Obs.Cell)*rows)
-	for i := range rec.prof.Cell {
-		cp := &rec.prof.Cell[i]
-		cp.Depth = depth[i*rows : (i+1)*rows : (i+1)*rows]
-		copy(cp.Depth, c.Obs.Cell[i].Depth)
-	}
-	return &rec.Stats
 }

@@ -124,9 +124,9 @@ func TestExecuteAllocs(t *testing.T) {
 	}
 }
 
-// TestRunRecordIsACopy: a run returns a copy of the plan's closed-form
-// record, so a caller that writes into one (the driver appends the proven
-// queue peaks) changes neither the plan nor the next run's record.
+// TestRunRecordIsACopy: a run returns a closed-form record of its own,
+// so a caller that writes into one (the driver appends the proven queue
+// peaks) changes neither the plan nor the next run's record.
 func TestRunRecordIsACopy(t *testing.T) {
 	c, plan := planFor(t, workloads.Polynomial(10, 40), driver.Options{Pipeline: true})
 	mem, err := interp.BuildHostMem(c.Info, seededInputs(c, 2))

@@ -359,8 +359,9 @@ func (a *AddrInfo) Bind(loops []*LoopItem, terms []LoopTerm) (BoundAddr, error) 
 		b.Terms = append(b.Terms, LoopTerm{Coef: t.Coef * l.Step, Depth: depth})
 		// In floating point the range cannot wrap, and at the magnitudes
 		// that matter (±2³¹) it is exact.
+		// A loop of fewer than one trip runs once, at First.
 		first := float64(t.Coef) * float64(l.First)
-		last := first + float64(t.Coef)*float64(l.Step)*float64(l.Trips-1)
+		last := first + float64(t.Coef)*float64(l.Step)*float64(max(l.Trips, 1)-1)
 		b.Lo, b.Hi = b.Lo+min(first, last), b.Hi+max(first, last)
 	}
 	return b, nil

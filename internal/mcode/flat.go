@@ -386,18 +386,22 @@ type IUWord struct {
 type IUCode struct {
 	Words []IUWord
 	Depth int
-	// Adrs and Sigs are how many addresses and signals one run emits
-	// (CountIU's closed form; 0 when it overflows): a hint Elaborate sizes
-	// its trace by.
-	Adrs, Sigs int64
+	// One run in closed form (CountIU; zero when it overflows) and the
+	// overflow: what Elaborate sizes its trace by.
+	counts   IUCounts
+	countErr error
 }
+
+// Count returns the counts of one run, counted once by DecodeIU, and
+// CountIU's overflow error.
+func (c *IUCode) Count() (IUCounts, error) { return c.counts, c.countErr }
 
 // DecodeIU flattens the IU program the same way.  IU loops carry no
 // signals of their own; they simply repeat their static trip count.
 func DecodeIU(p *IUProgram) (IUCode, error) {
 	code := IUCode{Words: make([]IUWord, 0, p.NumInstrs())}
-	if c, err := CountIU(p); err == nil {
-		code.Adrs, code.Sigs = max(c.AdrOuts, 0), max(c.Signals, 0) // a negative trip count runs once
+	if code.counts, code.countErr = CountIU(p); code.countErr != nil {
+		code.counts = IUCounts{}
 	}
 	var empty error
 	// A loop body's value is its first word.
@@ -584,8 +588,8 @@ func emptied[T any](s []T, n int64) []T {
 func (c IUCode) Elaborate(table []int64, limit int64) (tr *IUTrace, done bool) {
 	tr = tracePool.Get().(*IUTrace)
 	*tr = IUTrace{
-		Adr:      emptied(tr.Adr, min(c.Adrs, MemPorts*limit)),
-		Sigs:     emptied(tr.Sigs, min(c.Sigs, limit)),
+		Adr:      emptied(tr.Adr, min(c.counts.AdrOuts, MemPorts*limit)),
+		Sigs:     emptied(tr.Sigs, min(c.counts.Signals, limit)),
 		OverRead: -1,
 	}
 	var regs IURegs

@@ -135,6 +135,11 @@ func TestAddrInfoBind(t *testing.T) {
 	if b.Lo != 118-16 || b.Hi != 118+9 {
 		t.Errorf("range %v..%v, want 102..127", b.Lo, b.Hi)
 	}
+	// A loop of no trips runs once, at First: its range is one address.
+	once := AddrInfo{Sym: info.Sym, Base: 100, Affine: w2.AffVar(i).Scale(3)}
+	if b, err := once.Bind([]*LoopItem{{Src: i, Trips: 0, First: 2, Step: 1}}, nil); err != nil || b.Start != 106 || b.Lo != 106 || b.Hi != 106 {
+		t.Errorf("zero-trip loop: Bind = %+v, %v; want 106 over 106..106", b, err)
+	}
 	if _, err := info.Bind(loops[:2], nil); err != nil {
 		t.Errorf("outer loop over i not found: %v", err)
 	}

@@ -138,7 +138,7 @@ func CountCell(p *CellProgram) (CellCounts, error) { return countCell(p.Items) }
 
 func countCell(items []CodeItem) (CellCounts, error) {
 	var err error // the first overflow
-	c, _ := Fold(items, new(CellCounts), func(c *CellCounts, _ *Instr, s *CellSite) *CellCounts {
+	c, _ := Fold(items, CellCounts{}, func(c CellCounts, _ *Instr, s *CellSite) CellCounts {
 		if s.Index > 0 || err != nil {
 			return c
 		}
@@ -170,15 +170,15 @@ func countCell(items []CodeItem) (CellCounts, error) {
 		}
 		err = addTimes(c.fields(), add.fields(), 1, s.loop())
 		return c
-	}, func(*CellCounts, *LoopItem, *CellSite) *CellCounts { return new(CellCounts) },
-		func(c *CellCounts, l *LoopItem, _ *CellSite, _ int64, body *CellCounts) *CellCounts {
+	}, func(CellCounts, *LoopItem, *CellSite) CellCounts { return CellCounts{} },
+		func(c CellCounts, l *LoopItem, _ *CellSite, _ int64, body CellCounts) CellCounts {
 			if err == nil {
 				body.Signals++
 				err = addTimes(c.fields(), body.fields(), l.Trips, l.ID)
 			}
 			return c
 		})
-	return *c, err
+	return c, err
 }
 
 func (c *CellCounts) fields() []*int64 {
@@ -288,7 +288,7 @@ func CountIU(p *IUProgram) (IUCounts, error) { return countIU(p.Items) }
 
 func countIU(items []IUItem) (IUCounts, error) {
 	var err error // the first overflow
-	c, _ := Fold(items, new(IUCounts), func(c *IUCounts, _ *IUInstr, s *IUSite) *IUCounts {
+	c, _ := Fold(items, IUCounts{}, func(c IUCounts, _ *IUInstr, s *IUSite) IUCounts {
 		if s.Index > 0 || err != nil {
 			return c
 		}
@@ -309,14 +309,14 @@ func countIU(items []IUItem) (IUCounts, error) {
 		}
 		err = addTimes(c.fields(), add.fields(), 1, s.loop())
 		return c
-	}, func(*IUCounts, *IULoop, *IUSite) *IUCounts { return new(IUCounts) },
-		func(c *IUCounts, l *IULoop, _ *IUSite, _ int64, body *IUCounts) *IUCounts {
+	}, func(IUCounts, *IULoop, *IUSite) IUCounts { return IUCounts{} },
+		func(c IUCounts, l *IULoop, _ *IUSite, _ int64, body IUCounts) IUCounts {
 			if err == nil {
 				err = addTimes(c.fields(), body.fields(), l.Trips, l.ID)
 			}
 			return c
 		})
-	return *c, err
+	return c, err
 }
 
 func (c *IUCounts) fields() []*int64 {

@@ -27,27 +27,18 @@ var ErrEnvelope = errors.New("outside the memory envelope of a batched walk")
 // cell memory is the envelope, so an address outside it fails the walk
 // with an error wrapping ErrEnvelope, and a program with an address the
 // decoder could not bind does not walk batched at all.  One image is Run.
-func RunBatch(cfg Config, hostMems [][]float64) (*Stats, error) {
+func RunBatch(cfg Config, hostMems [][]float64) (*Stats, error) { return runBatch(nil, cfg, hostMems) }
+
+// runBatch is RunBatch of the loaded program l (cfg's own when nil).
+func runBatch(l *Loaded, cfg Config, hostMems [][]float64) (*Stats, error) {
 	switch len(hostMems) {
 	case 0:
 		return nil, errors.New("sim: an empty batch")
 	case 1:
 		cfg.HostMem = hostMems[0]
-		return Run(cfg)
+		return run(l, cfg, nil)
 	}
-	return run(cfg, hostMems)
-}
-
-// LaneBytes is the machine state one problem adds to a batched walk of
-// the cell program on cells cells: per cell its registers and writes in
-// flight, its X and Y queue words and its memory envelope.  It is 0 for
-// a program that does not walk batched.
-func LaneBytes(cells int, cell *mcode.CellProgram) int {
-	code, err := mcode.Decode(cell)
-	if err != nil || code.Unbound != nil {
-		return 0
-	}
-	return 8 * cells * (mcode.LaneRegWords + 2*mcode.QueueDepth + code.MemWords)
+	return run(l, cfg, hostMems)
 }
 
 // issueLanes is issue for a batched walk: the same ops in the same order

@@ -144,6 +144,7 @@ type cell struct {
 // machine is the full simulated Warp system.
 type machine struct {
 	cfg   Config
+	load  *Loaded
 	code  mcode.Decoded // the decoded cell program every cell executes
 	cells []cell
 
@@ -184,19 +185,23 @@ type machine struct {
 // Any violation of the machine's static contracts — queue underflow or
 // overflow, a loop signal that contradicts the sequencer, a host stream
 // overrun or left unfinished, words left in a queue — is an error.
-func Run(cfg Config) (*Stats, error) { return run(cfg, nil) }
+func Run(cfg Config) (*Stats, error) { return run(nil, cfg, nil) }
 
-// run is Run over the lanes' host images in one walk, or over
-// cfg.HostMem alone when lanes is nil.
-func run(cfg Config, lanes [][]float64) (*Stats, error) {
+// run is Run of the loaded program l (cfg's own when nil: load, then
+// run) over the lanes' host images in one walk, or over cfg.HostMem alone
+// when lanes is nil.
+func run(l *Loaded, cfg Config, lanes [][]float64) (*Stats, error) {
 	if cfg.Cells < 1 {
 		return nil, fmt.Errorf("sim: need at least one cell")
 	}
 	if cfg.Skew < 0 {
 		return nil, fmt.Errorf("sim: negative skew %d", cfg.Skew)
 	}
+	if l == nil {
+		l = Load(cfg)
+	}
 	cfg.MaxCycles = cmp.Or(cfg.MaxCycles, 1<<28)
-	m, err := newMachine(cfg, lanes)
+	m, err := newMachine(l, cfg, lanes)
 	if err != nil {
 		return nil, err
 	}
@@ -242,10 +247,11 @@ func run(cfg Config, lanes [][]float64) (*Stats, error) {
 	return m.stats(), nil
 }
 
-// newMachine decodes the microprograms and allocates all run state: a handful of allocations sized by the
-// program, the cell count and the lanes, none afterwards.
-func newMachine(cfg Config, lanes [][]float64) (*machine, error) {
-	code, err := mcode.Decode(cfg.Cell)
+// newMachine allocates all run state of the loaded program: a handful of
+// allocations sized by the program, the cell count and the lanes, none
+// afterwards.
+func newMachine(l *Loaded, cfg Config, lanes [][]float64) (*machine, error) {
+	code, err := l.Code()
 	if err != nil {
 		return nil, fmt.Errorf("sim: cell %w", err)
 	}
@@ -256,7 +262,7 @@ func newMachine(cfg Config, lanes [][]float64) (*machine, error) {
 		}
 		n, memWords = len(lanes), code.MemWords
 	}
-	iuCode, err := mcode.DecodeIU(cfg.IU)
+	iuCode, err := l.IU()
 	if err != nil {
 		return nil, fmt.Errorf("sim: IU %w", err)
 	}
@@ -264,10 +270,11 @@ func newMachine(cfg Config, lanes [][]float64) (*machine, error) {
 	rec := cmp.Or(cfg.Recorder, obs.Nop())
 	m := &machine{
 		cfg:    cfg,
+		load:   l,
 		code:   *code,
 		cells:  make([]cell, cfg.Cells),
 		lanes:  lanes,
-		iuCode: iuCode,
+		iuCode: *iuCode,
 		rec:    rec,
 		trace:  obs.Enabled(rec),
 	}
@@ -366,11 +373,11 @@ func (m *machine) checkBalance() error {
 	return nil
 }
 
-// stats is the run's record: the program's closed form (Closed) with
+// stats is the run's record: the program's closed form (Loaded.Closed) with
 // what the cycle loop measured laid over it — the machine time, each
 // cell's finish and idle split, the queues and the host's backpressure.
 func (m *machine) stats() *Stats {
-	stats := Closed(m.cfg, &m.code)
+	stats := m.load.Closed(m.cfg.PCStats)
 	prof := stats.Obs
 	stats.Cycles, prof.Cycles = m.now, m.now
 	prof.Queues = make([]obs.QueueProfile, 0, m.cfg.Cells*int(obs.NumQueues))

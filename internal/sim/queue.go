@@ -22,8 +22,9 @@
 //
 // Execution model.  Nothing above is interpreted from the compiler's
 // data structures on the cycle loop, and the simulator lowers nothing
-// itself: it steps the one decoded cell program (mcode.Decode, which the
-// fast executor runs too), compact words — skip, µPC, op range, loop
+// itself: it steps the one decoded cell program of the program's load
+// (Load: mcode.Decode once per program, which the fast executor runs
+// too), compact words — skip, µPC, op range, loop
 // ends, literal — over the one op stream, a word's fields in the order
 // they execute, every static choice made.  Every cell steps them with a
 // word index, the idle cycles run of the word's skip and one iteration
@@ -32,9 +33,9 @@
 // landing through mcode.CellRegs, or lane-wide through mcode.LaneRegs.
 // What a cell issues is the program's — every cell runs every word as
 // often as the trip counts around it multiply to — so busy cycles, FPU
-// and memory operations, depth rows and per-µPC busy counters are summed
-// over the words once the run ends, by Closed, the closed form the fast
-// executor's record is a copy of.  Addresses come from the IU's Adr
+// and memory operations, depth rows and per-µPC busy counters are the
+// load's count and sums over its words once the run ends (Closed), the
+// closed form the fast executor returns too.  Addresses come from the IU's Adr
 // queue, never from the words' bound terms, so the simulator stays an
 // independent check of the verifier.  All state is allocated once per
 // run, in proportion to the program and the cells and never to the

@@ -27,54 +27,61 @@ func polyInputs(n int) map[string][]float64 {
 
 // TestConcurrentRun verifies the documented contract that one compiled
 // *Program is safe for concurrent Run calls: the cache layer hands a
-// single *Program to every request for the same content address.  Run
+// single *Program to every request for the same content address.  The
+// goroutines start together on a fresh program, so its first use — the
+// load both executors read and, verified, the fast plan — is raced too,
+// and each must match a separately compiled program run alone.  Run
 // under -race (CI does) this doubles as the data-race proof.
 func TestConcurrentRun(t *testing.T) {
-	prog, err := warp.Compile(workloads.PolynomialPaper(), warp.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	inputs := polyInputs(100)
-	want, wantStats, err := prog.Run(inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const goroutines = 8
-	var wg sync.WaitGroup
-	outs := make([]map[string][]float64, goroutines)
-	errs := make([]error, goroutines)
-	cycles := make([]int64, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			out, rs, err := prog.Run(inputs)
+	for _, opts := range []warp.Options{{}, {Verify: true}} {
+		compile := func() *warp.Program {
+			prog, err := warp.Compile(workloads.PolynomialPaper(), opts)
 			if err != nil {
-				errs[g] = err
-				return
+				t.Fatal(err)
 			}
-			outs[g] = out
-			cycles[g] = rs.Cycles
-		}(g)
-	}
-	wg.Wait()
+			return prog
+		}
+		want, wantStats, err := compile().Run(inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog := compile()
 
-	for g := 0; g < goroutines; g++ {
-		if errs[g] != nil {
-			t.Fatalf("goroutine %d: %v", g, errs[g])
+		const goroutines = 8
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		outs := make([]map[string][]float64, goroutines)
+		errs := make([]error, goroutines)
+		stats := make([]*warp.RunStats, goroutines)
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				outs[g], stats[g], errs[g] = prog.Run(inputs)
+			}(g)
 		}
-		if cycles[g] != wantStats.Cycles {
-			t.Errorf("goroutine %d: %d cycles, want %d", g, cycles[g], wantStats.Cycles)
-		}
-		for name, w := range want {
-			got := outs[g][name]
-			if len(got) != len(w) {
-				t.Fatalf("goroutine %d: %s has %d values, want %d", g, name, len(got), len(w))
+		close(start)
+		wg.Wait()
+
+		for g := 0; g < goroutines; g++ {
+			if errs[g] != nil {
+				t.Fatalf("verify=%v, goroutine %d: %v", opts.Verify, g, errs[g])
 			}
-			for i := range w {
-				if got[i] != w[i] {
-					t.Fatalf("goroutine %d: %s[%d] = %v, want %v", g, name, i, got[i], w[i])
+			if stats[g].Cycles != wantStats.Cycles || stats[g].Backend != wantStats.Backend {
+				t.Errorf("verify=%v, goroutine %d: %d cycles on %s, want %d on %s",
+					opts.Verify, g, stats[g].Cycles, stats[g].Backend, wantStats.Cycles, wantStats.Backend)
+			}
+			for name, w := range want {
+				got := outs[g][name]
+				if len(got) != len(w) {
+					t.Fatalf("verify=%v, goroutine %d: %s has %d values, want %d", opts.Verify, g, name, len(got), len(w))
+				}
+				for i := range w {
+					if got[i] != w[i] {
+						t.Fatalf("verify=%v, goroutine %d: %s[%d] = %v, want %v", opts.Verify, g, name, i, got[i], w[i])
+					}
 				}
 			}
 		}

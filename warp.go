@@ -270,16 +270,6 @@ func (p *Program) RunWith(cfg RunConfig, inputs map[string][]float64) (map[strin
 	return out, rs, nil
 }
 
-// SourceProfile compiles-and-runs in one call: it executes the program
-// with profiling enabled and returns the source-line cycle profile.
-func (p *Program) SourceProfile(inputs map[string][]float64) (*SourceProfile, error) {
-	_, rs, err := p.RunWith(RunConfig{Profile: true}, inputs)
-	if err != nil {
-		return nil, err
-	}
-	return rs.Source, nil
-}
-
 // DebugMap returns the compiler's µPC → source mapping for this
 // program.
 func (p *Program) DebugMap() *DebugMap { return p.c.Debug }

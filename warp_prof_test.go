@@ -133,12 +133,12 @@ func TestPprofRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := prog.SourceProfile(map[string][]float64{"z": make([]float64, 100), "c": make([]float64, 10)})
+	_, rs, err := prog.RunWith(warp.RunConfig{Profile: true}, map[string][]float64{"z": make([]float64, 100), "c": make([]float64, 10)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := sp.WritePprof(&buf); err != nil {
+	if err := rs.Source.WritePprof(&buf); err != nil {
 		t.Fatal(err)
 	}
 	zr, err := gzip.NewReader(bytes.NewReader(buf.Bytes()))
