@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -107,10 +108,6 @@ type Compiled struct {
 	Cells   int
 	W2Lines int
 
-	// t0 anchors the compile timeline: PhaseStat.Start offsets are
-	// measured from it.
-	t0 time.Time
-
 	// The program loaded once (sim.Load) on first use: its decode and its
 	// count, which every run reads — the simulator's machine, the fast
 	// plan, the decision audit's cycles and operations, the batch width.
@@ -151,208 +148,190 @@ func (c *Compiled) FastPlan() (*fastexec.Plan, error) {
 	return c.fastPlan, c.fastErr
 }
 
-// Compile runs the whole pipeline on W2 source text.  If software
-// pipelining was requested and the IU cannot feed the overlapped
-// schedule (its sequential table overflows), compilation backs off to
-// the plain schedule; the rollback is recorded in PipelineBackoff,
-// BackoffReason and a "pipeline-backoff" phase entry.  The IU code
-// generator refuses such a schedule right after cell code generation,
-// before the skew search, and only the back end runs again: nothing
-// before cell code generation reads Options.Pipeline.
+// Compile runs the whole pipeline on W2 source text: the front end of
+// stages once, then its back end, which starts at cellgen, the first
+// stage that reads Options.Pipeline.  If software pipelining was
+// requested and the IU cannot feed the overlapped schedule (its
+// sequential table overflows), the back end runs again with the plain
+// schedule on the same compilation, whose back-end stages each overwrite
+// every field they own.  The rollback is recorded in PipelineBackoff,
+// BackoffReason and a "pipeline-backoff" phase in the failed attempt's
+// place, spanning it.  The IU code generator refuses such a schedule
+// right after cell code generation, before the skew search.
 func Compile(src string, opts Options) (*Compiled, error) {
-	fe, err := analyze(src, opts)
-	if err != nil {
+	t0 := time.Now()
+	c := &Compiled{Src: src, Phases: make([]obs.PhaseStat, 0, len(stages)+1)}
+	if err := c.run(stages[:backEnd], opts, t0); err != nil {
 		return nil, err
 	}
-	c, err := generate(fe, opts)
+	front, start := len(c.Phases), time.Now()
+	err := c.run(stages[backEnd:], opts, t0)
 	// A verification failure is a verdict on the pipelined schedule
 	// itself, not an IU capacity limit: report it rather than silently
 	// retrying the plain schedule, which would mask the defect.
 	var verr *verify.Error
 	if err != nil && opts.Pipeline && !errors.As(err, &verr) {
-		reason := err.Error()
-		plain := opts
-		plain.Pipeline = false
-		if c2, err2 := generate(fe, plain); err2 == nil {
-			c2.PipelineBackoff = true
-			c2.BackoffReason = reason
-			c2.phase("pipeline-backoff", time.Now(), 0, reason)
-			return c2, nil
+		c.PipelineBackoff, c.BackoffReason = true, err.Error()
+		c.Phases = append(c.Phases[:front], obs.PhaseStat{
+			Name: "pipeline-backoff", Seconds: time.Since(start).Seconds(), Note: c.BackoffReason, Start: start.Sub(t0).Seconds(),
+		})
+		opts.Pipeline = false
+		if c.run(stages[backEnd:], opts, t0) == nil {
+			err = nil
 		}
 	}
-	return c, err
-}
-
-// phase appends the timing record of a phase that started at start and
-// ends now.
-func (c *Compiled) phase(name string, start time.Time, size int, note string) {
-	off := start.Sub(c.t0).Seconds()
-	if off < 0 {
-		off = 0
-	}
-	c.Phases = append(c.Phases, obs.PhaseStat{
-		Name: name, Seconds: time.Since(start).Seconds(), Size: size, Note: note, Start: off,
-	})
-}
-
-// analyze runs the front end — parse, semantic analysis, flowgraph,
-// optimization and the communication check — and returns a compilation
-// up to the decomposed flowgraph: everything the code generators start
-// from, the same for any schedule.
-func analyze(src string, opts Options) (*Compiled, error) {
-	c := &Compiled{W2Lines: countLines(src), Src: src, t0: time.Now()}
-
-	start := c.t0
-	mod, err := w2.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	c.Module = mod
-	c.phase("parse", start, c.W2Lines, "")
-
-	start = time.Now()
-	info, err := w2.Analyze(mod)
-	if err != nil {
-		return nil, err
-	}
-	c.Info = info
-	c.phase("sema", start, len(info.HostSyms), "")
-
-	start = time.Now()
-	prog, err := ir.Build(info)
-	if err != nil {
-		return nil, err
-	}
-	c.IR = prog
-	c.phase("flowgraph", start, len(prog.Funcs), "")
-
-	if !opts.NoOptimize {
-		start = time.Now()
-		c.OptStats = opt.Optimize(prog)
-		c.phase("optimize", start, c.OptStats.Total(), "")
-	}
-	c.Cells = mod.Cells.Last - mod.Cells.First + 1
-	if opts.Cells < 0 {
-		return nil, fmt.Errorf("invalid cell count %d", opts.Cells)
-	}
-	if opts.Cells > 0 {
-		c.Cells = opts.Cells
-	}
-
-	start = time.Now()
-	c.Comm = commgraph.Analyze(prog)
-	if err := c.Comm.Check(prog, c.Cells); err != nil {
-		return nil, err
-	}
-	if c.Comm.UsesLeftward {
-		return nil, fmt.Errorf("driver: program sends data leftward; this compiler (like its examples) supports rightward flow only")
-	}
-	c.phase("commgraph", start, 0, "")
 	return c, nil
 }
 
-// generate runs the back end — the three code generators in the paper's
-// order, the skew analysis after the IU's and the verifier — on a copy
-// of the analyzed program fe.
-func generate(fe *Compiled, opts Options) (*Compiled, error) {
-	c := &Compiled{
-		Module: fe.Module, Info: fe.Info, IR: fe.IR, OptStats: fe.OptStats, Comm: fe.Comm,
-		Cells: fe.Cells, W2Lines: fe.W2Lines, Src: fe.Src, t0: fe.t0,
-		Phases: append([]obs.PhaseStat(nil), fe.Phases...),
-	}
+// A stage is one phase of the compiler: it reads and fills fields of the
+// compilation and reports its phase record's size and note.
+type stage struct {
+	name string
+	when func(Options) bool // nil: always runs
+	run  func(*Compiled, Options) (size int, note string, err error)
+}
 
-	start := time.Now()
-	cg, err := cellgen.Generate(c.IR, cellgen.Options{Pipeline: opts.Pipeline})
-	if err != nil {
-		return nil, err
-	}
-	c.CellGen = cg
-	c.Cell = cg.Cell
-	// Every count below multiplies trip counts out: a program whose
-	// counts overflow 64 bits is refused here, naming the loop.
-	if _, err := mcode.CountCell(c.Cell); err != nil {
-		return nil, fmt.Errorf("driver: %w", err)
-	}
-	c.Sched = cg.Sched
-	note := ""
-	if opts.Pipeline {
-		t := c.Sched.Totals()
-		note = fmt.Sprintf("%d loops pipelined; %d II attempts, %d placements, %d evictions",
-			cg.PipelinedLoops, t.Attempts, t.Placements, t.Evictions)
-	}
-	c.phase("cellgen", start, c.Cell.NumInstrs(), note)
-
+// stages is the compiler in the paper's order (Figure 6-1): flow
+// analysis and the computation decomposition, then the array, IU and
+// host code generators, then the verifier.
+var stages = [...]stage{
+	{name: "parse", run: func(c *Compiled, _ Options) (int, string, error) {
+		c.W2Lines = countLines(c.Src)
+		mod, err := w2.Parse(c.Src)
+		c.Module = mod
+		return c.W2Lines, "", err
+	}},
+	{name: "sema", run: func(c *Compiled, _ Options) (int, string, error) {
+		info, err := w2.Analyze(c.Module)
+		if err != nil {
+			return 0, "", err
+		}
+		c.Info = info
+		return len(info.HostSyms), "", nil
+	}},
+	{name: "flowgraph", run: func(c *Compiled, _ Options) (int, string, error) {
+		prog, err := ir.Build(c.Info)
+		if err != nil {
+			return 0, "", err
+		}
+		c.IR = prog
+		return len(prog.Funcs), "", nil
+	}},
+	{name: "optimize", when: func(o Options) bool { return !o.NoOptimize }, run: func(c *Compiled, _ Options) (int, string, error) {
+		c.OptStats = opt.Optimize(c.IR)
+		return c.OptStats.Total(), "", nil
+	}},
+	{name: "commgraph", run: func(c *Compiled, opts Options) (int, string, error) {
+		c.Cells = c.Module.Cells.Last - c.Module.Cells.First + 1
+		if opts.Cells < 0 {
+			return 0, "", fmt.Errorf("invalid cell count %d", opts.Cells)
+		}
+		if opts.Cells > 0 {
+			c.Cells = opts.Cells
+		}
+		c.Comm = commgraph.Analyze(c.IR)
+		if err := c.Comm.Check(c.IR, c.Cells); err != nil {
+			return 0, "", err
+		}
+		if c.Comm.UsesLeftward {
+			return 0, "", fmt.Errorf("driver: program sends data leftward; this compiler (like its examples) supports rightward flow only")
+		}
+		return 0, "", nil
+	}},
+	{name: "cellgen", run: func(c *Compiled, opts Options) (int, string, error) {
+		cg, err := cellgen.Generate(c.IR, cellgen.Options{Pipeline: opts.Pipeline})
+		if err != nil {
+			return 0, "", err
+		}
+		c.CellGen, c.Cell, c.Sched = cg, cg.Cell, cg.Sched
+		note := ""
+		if opts.Pipeline {
+			t := c.Sched.Totals()
+			note = fmt.Sprintf("%d loops pipelined; %d II attempts, %d placements, %d evictions",
+				cg.PipelinedLoops, t.Attempts, t.Placements, t.Evictions)
+		}
+		return c.Cell.NumInstrs(), note, nil
+	}},
 	// iugen reads only the cell program, and it is where a pipelined
-	// schedule the IU cannot feed is refused: it runs first, so that a
-	// doomed attempt ends before the debug map and the skew search.
-	start = time.Now()
-	iu, err := iugen.Generate(c.Cell)
-	if err != nil {
-		return nil, err
-	}
-	c.IUGen = iu
-	c.IU = iu.IU
-	c.phase("iugen", start, c.IU.NumInstrs(), "")
-
-	// The debug map reads the cell program after iugen, so that a
-	// pipelined attempt the IU refuses ends before it and the skew
-	// search.  Its time counts to the skew phase.
-	start = time.Now()
-	c.Debug = prof.BuildDebugMap(c.Module.Name, c.Src, c.Cell)
-
-	if err := c.analyzeSkew(); err != nil {
-		return nil, err
-	}
-	skewNote := ""
-	if len(c.Sched.Skews) > 0 {
-		skewNote = fmt.Sprintf("structural search, %d points evaluated", c.Sched.Totals().SkewOps)
-	}
-	c.phase("skew", start, int(c.Skew), skewNote)
-
-	start = time.Now()
-	host, err := hostgen.Generate(c.Cell)
-	if err != nil {
-		return nil, err
-	}
-	c.Host = host
-	var hostWords int64
-	for _, s := range host.In {
-		hostWords += s.Words()
-	}
-	for _, s := range host.Out {
-		hostWords += s.Words()
-	}
-	c.phase("hostgen", start, int(hostWords), "")
-
-	if opts.Verify {
-		start = time.Now()
+	// schedule the IU cannot feed — or a program whose cycle count
+	// overflows 64 bits — is refused: it runs first, so that a doomed
+	// attempt ends before the debug map and the skew search.
+	{name: "iugen", run: func(c *Compiled, _ Options) (int, string, error) {
+		iu, err := iugen.Generate(c.Cell)
+		if err != nil {
+			return 0, "", err
+		}
+		c.IUGen, c.IU = iu, iu.IU
+		return c.IU.NumInstrs(), "", nil
+	}},
+	{name: "skew", run: analyzeSkew},
+	{name: "hostgen", run: func(c *Compiled, _ Options) (int, string, error) {
+		host, err := hostgen.Generate(c.Cell)
+		if err != nil {
+			return 0, "", err
+		}
+		c.Host = host
+		var words int64
+		for _, s := range host.In {
+			words += s.Words()
+		}
+		for _, s := range host.Out {
+			words += s.Words()
+		}
+		return int(words), "", nil
+	}},
+	{name: "verify", when: func(o Options) bool { return o.Verify }, run: func(c *Compiled, _ Options) (int, string, error) {
 		rep, err := verify.Verify(verify.Program{
-			Cells: c.Cells,
-			Cell:  c.Cell,
-			IU:    c.IU,
-			Host:  c.Host,
-			Skew:  c.Skew,
-			Lead:  c.IUGen.Prologue + 1,
+			Cells: c.Cells, Cell: c.Cell, IU: c.IU, Host: c.Host, Skew: c.Skew, Lead: c.IUGen.Prologue + 1,
 		})
 		if err != nil {
-			return nil, err
+			return 0, "", err
 		}
 		c.Verified = rep
-		c.phase("verify", start, rep.Checked, fmt.Sprintf("%d propositions proven", rep.Checked))
-	}
-	return c, nil
+		return rep.Checked, fmt.Sprintf("%d propositions proven", rep.Checked), nil
+	}},
 }
 
-// analyzeSkew is the inter-cell scheduling step (§6.2): the minimum skew
-// over every channel, then each channel's queue occupancy at that skew.
-// Channels are taken in sorted order, so the introspection record in
-// Sched.Skews and the first error reported are deterministic.  A
-// single-cell array has no inter-cell boundary to synchronize.
-func (c *Compiled) analyzeSkew() error {
+// backEnd is the index of cellgen, where the back end of stages starts.
+var backEnd = slices.IndexFunc(stages[:], func(s stage) bool { return s.name == "cellgen" })
+
+// run runs seq, a slice of stages, in order, timing each stage and
+// appending its phase record, its start measured from t0; it stops at
+// the first error.
+func (c *Compiled) run(seq []stage, opts Options, t0 time.Time) error {
+	for _, s := range seq {
+		if s.when != nil && !s.when(opts) {
+			continue
+		}
+		start := time.Now()
+		size, note, err := s.run(c, opts)
+		if err != nil {
+			return err
+		}
+		c.Phases = append(c.Phases, obs.PhaseStat{
+			Name: s.name, Seconds: time.Since(start).Seconds(), Size: size, Note: note, Start: start.Sub(t0).Seconds(),
+		})
+	}
+	return nil
+}
+
+// analyzeSkew is the skew stage, the inter-cell scheduling step (§6.2):
+// the minimum skew over every channel, then each channel's queue
+// occupancy at that skew.  Channels are taken in sorted order, so the
+// introspection record in Sched.Skews and the first error reported are
+// deterministic.  A single-cell array has no inter-cell boundary to
+// synchronize.  The debug map is built here, after iugen, so that a
+// pipelined attempt the IU refuses ends before it; its time counts to
+// the skew phase.
+func analyzeSkew(c *Compiled, _ Options) (int, string, error) {
+	c.Debug = prof.BuildDebugMap(c.Module.Name, c.Src, c.Cell)
 	c.Timing = cellgen.Timing(c.Cell)
 	c.QueueOcc = map[w2.Channel]int64{}
 	if c.Cells <= 1 {
-		return nil
+		return 0, "", nil
 	}
 	chans := make([]w2.Channel, 0, len(c.Timing))
 	for ch := range c.Timing {
@@ -368,11 +347,11 @@ func (c *Compiled) analyzeSkew() error {
 		chStart := time.Now()
 		a, err := skew.NewAnalysis(c.Timing[ch], c.Timing[ch])
 		if err != nil {
-			return fmt.Errorf("driver: channel %s: %w", ch, err)
+			return 0, "", fmt.Errorf("driver: channel %s: %w", ch, err)
 		}
 		s, st, err := a.MinSkewStats()
 		if err != nil {
-			return fmt.Errorf("driver: channel %s: %w", ch, err)
+			return 0, "", fmt.Errorf("driver: channel %s: %w", ch, err)
 		}
 		analyses[i] = a
 		c.Sched.Skews = append(c.Sched.Skews, prof.SkewSearch{
@@ -391,11 +370,15 @@ func (c *Compiled) analyzeSkew() error {
 	for i, ch := range chans {
 		occ, err := analyses[i].CheckQueue(c.Skew, mcode.QueueDepth)
 		if err != nil {
-			return fmt.Errorf("driver: channel %s: %w", ch, err)
+			return 0, "", fmt.Errorf("driver: channel %s: %w", ch, err)
 		}
 		c.QueueOcc[ch] = occ
 	}
-	return nil
+	note := ""
+	if len(chans) > 0 {
+		note = fmt.Sprintf("structural search, %d points evaluated", c.Sched.Totals().SkewOps)
+	}
+	return int(c.Skew), note, nil
 }
 
 func countLines(src string) int {
@@ -468,7 +451,7 @@ func chooseBackend(c *Compiled, o RunOptions) (string, obs.Decision, error) {
 	// plan: only a run that may execute on the fast backend pays for (and
 	// caches) one.
 	predictFast := func() {
-		count, _ := c.load().Count() // generate refuses a program whose counts overflow
+		count, _ := c.load().Count() // iugen refuses a program whose counts overflow
 		d.PredictedOps = count.Ops * int64(c.Cells)
 	}
 	switch b := o.Backend; b {

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 
 	"warp/internal/interp"
 	"warp/internal/mcode"
@@ -240,7 +241,7 @@ end
 	}
 }
 
-// TestFrontEndAllocBudget: the front end (parse, sema, flowgraph,
+// TestFrontEndAllocBudget: the front end of stages (parse, sema, flowgraph,
 // optimize, commgraph) allocates by the slab, not by the token, AST
 // node, IR node or side-table entry.  The eight benchmark programs made
 // 7 623 allocations a sweep when the token slice grew by appending,
@@ -250,7 +251,8 @@ func TestFrontEndAllocBudget(t *testing.T) {
 	const budget = 1400
 	allocs := testing.AllocsPerRun(5, func() {
 		for _, p := range p8 {
-			if _, err := analyze(p.src, Options{Pipeline: p.pipeline, Verify: true}); err != nil {
+			c := &Compiled{Src: p.src}
+			if err := c.run(stages[:backEnd], Options{Pipeline: p.pipeline, Verify: true}, time.Now()); err != nil {
 				t.Fatal(err)
 			}
 		}

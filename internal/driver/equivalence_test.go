@@ -67,6 +67,9 @@ func TestCompileEquivalence(t *testing.T) {
 		{"matmul8", workloads.Matmul(8)},
 		{"fft16", workloads.FFT(16)},
 		{"conv1d-512", workloads.Conv1D(9, 512)},
+		// The one case whose pipelined compile backs off: the back end
+		// runs twice on one compilation.
+		{"fft1024", workloads.FFTPaper()},
 	}
 	if testing.Short() {
 		cases = cases[:3]
@@ -157,10 +160,11 @@ func firstDiff(a, b string) string {
 
 // FuzzCompileParallel is the differential fuzzer for concurrent
 // compilation: every random program, compiled by 2 and by 8 callers at
-// once in both plain and pipelined modes with verification on, must
-// give every caller what a lone compile gives — bit-identical artifacts
-// for an accepted program (which therefore also passes the static
-// verifier under both schedules), the same error for a rejected one.
+// once — plain, plain without the optimizer and pipelined, with
+// verification on — must give every caller what a lone compile gives:
+// bit-identical artifacts for an accepted program (which therefore also
+// passes the static verifier under both schedules), the same error for
+// a rejected one.
 // The seed corpus runs as a regular test; explore with
 // `go test -fuzz=FuzzCompileParallel ./internal/driver`.
 func FuzzCompileParallel(f *testing.F) {
@@ -170,13 +174,12 @@ func FuzzCompileParallel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		src, _ := workloads.RandomProgram(rng)
-		for _, pipe := range []bool{false, true} {
-			opts := Options{Pipeline: pipe, Verify: true}
+		for _, opts := range []Options{{Verify: true}, {NoOptimize: true, Verify: true}, {Pipeline: true, Verify: true}} {
 			lone, loneErr := Compile(src, opts)
 			var loneFP string
 			if loneErr == nil {
 				if lone.Verified == nil {
-					t.Fatalf("pipeline=%v: verification did not run", pipe)
+					t.Fatalf("%+v: verification did not run", opts)
 				}
 				loneFP = compileFingerprint(t, lone)
 			}
@@ -187,14 +190,14 @@ func FuzzCompileParallel(f *testing.F) {
 					// rejects; rejection must not depend on company.
 					if loneErr != nil || errs[i] != nil {
 						if fmt.Sprint(loneErr) != fmt.Sprint(errs[i]) {
-							t.Fatalf("pipeline=%v: caller %d of %d got error %v, a lone compile %v\n%s",
-								pipe, i, callers, errs[i], loneErr, src)
+							t.Fatalf("%+v: caller %d of %d got error %v, a lone compile %v\n%s",
+								opts, i, callers, errs[i], loneErr, src)
 						}
 						continue
 					}
 					if fp := compileFingerprint(t, c); fp != loneFP {
-						t.Fatalf("pipeline=%v: caller %d of %d diverged from a lone compile:\n%s\n%s",
-							pipe, i, callers, firstDiff(loneFP, fp), src)
+						t.Fatalf("%+v: caller %d of %d diverged from a lone compile:\n%s\n%s",
+							opts, i, callers, firstDiff(loneFP, fp), src)
 					}
 				}
 			}

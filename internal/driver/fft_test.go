@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"warp/internal/interp"
 	"warp/internal/workloads"
@@ -99,9 +100,11 @@ func TestFFTPipelineBackoff(t *testing.T) {
 }
 
 // TestBackoffReusesFrontEnd: the plain retry after a failed pipelined
-// attempt runs the back end only, on the flowgraph the pipelined code
-// generator has already been through — and must produce, back-off
-// fields aside, exactly what a plain compile from source produces.
+// attempt runs the back end of stages only, on the same compilation,
+// after the pipelined code generator has already been through its
+// flowgraph — and must produce, back-off fields aside, exactly what a
+// plain compile from source produces.  The failed attempt is timed, in
+// its place: a pipeline-backoff record before the retry's cellgen.
 func TestBackoffReusesFrontEnd(t *testing.T) {
 	opts := Options{Pipeline: true, Verify: true}
 	plain := Options{Verify: true}
@@ -121,32 +124,38 @@ func TestBackoffReusesFrontEnd(t *testing.T) {
 		t.Error("fft1024: the retried artifact differs from a plain compile from source")
 	}
 	var names []string
-	for _, p := range retried.Phases {
+	for i, p := range retried.Phases {
 		names = append(names, p.Name)
+		if p.Name == "pipeline-backoff" {
+			if p.Seconds <= 0 || p.Size != 0 || p.Note != retried.BackoffReason {
+				t.Errorf("pipeline-backoff record %+v, want the failed attempt's time, size 0 and the reason", p)
+			}
+			if next := retried.Phases[i+1]; next.Name != "cellgen" || next.Start < p.Start+p.Seconds {
+				t.Errorf("pipeline-backoff record %+v is followed by %+v, want the retry's cellgen after it", p, next)
+			}
+		}
 	}
-	if got, want := strings.Join(names, " "), "parse sema flowgraph optimize commgraph cellgen iugen skew hostgen verify pipeline-backoff"; got != want {
+	if got, want := strings.Join(names, " "), "parse sema flowgraph optimize commgraph pipeline-backoff cellgen iugen skew hostgen verify"; got != want {
 		t.Errorf("phases %q, want %q", got, want)
 	}
 
 	// The same on programs whose pipelined attempt succeeds: the back end
 	// twice over one front end.
 	for name, src := range map[string]string{"matmul32": workloads.Matmul(32), "colorseg": workloads.ColorSeg(64, 64, 10)} {
-		fe, err := analyze(src, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := generate(fe, opts); err != nil {
-			t.Fatal(err)
-		}
-		second, err := generate(fe, plain)
-		if err != nil {
-			t.Fatal(err)
+		c, t0 := &Compiled{Src: src}, time.Now()
+		for _, run := range []struct {
+			stages []stage
+			opts   Options
+		}{{stages[:backEnd], opts}, {stages[backEnd:], opts}, {stages[backEnd:], plain}} {
+			if err := c.run(run.stages, run.opts, t0); err != nil {
+				t.Fatal(err)
+			}
 		}
 		scratch, err := Compile(src, plain)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if Fingerprint(second) != Fingerprint(scratch) {
+		if Fingerprint(c) != Fingerprint(scratch) {
 			t.Errorf("%s: plain code generated after a pipelined attempt differs from a plain compile from source", name)
 		}
 	}

@@ -17,24 +17,28 @@ import (
 // two phases of one compile overlap, and their durations sum to at most
 // the compile's wall time — alone (workers=1) and with four callers
 // compiling at once (workers=4), the way warpd's pool calls the compiler.
+// fft1024's pipelined attempt backs off: its pipeline-backoff record
+// spans the failed attempt and must not overlap the retry.
 func TestPhaseTimingSoundness(t *testing.T) {
 	for _, callers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", callers), func(t *testing.T) {
-			var wg sync.WaitGroup
-			for caller := 0; caller < callers; caller++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					start := time.Now()
-					c, err := Compile(workloads.ColorSegPaper(), Options{Pipeline: true, Verify: true})
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					checkPhaseTiming(t, c.Phases, time.Since(start).Seconds())
-				}()
+			for _, src := range []string{workloads.ColorSegPaper(), workloads.FFTPaper()} {
+				var wg sync.WaitGroup
+				for caller := 0; caller < callers; caller++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						start := time.Now()
+						c, err := Compile(src, Options{Pipeline: true, Verify: true})
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						checkPhaseTiming(t, c.Phases, time.Since(start).Seconds())
+					}()
+				}
+				wg.Wait()
 			}
-			wg.Wait()
 		})
 	}
 }

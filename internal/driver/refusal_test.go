@@ -1,0 +1,94 @@
+package driver
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"warp/internal/workloads"
+)
+
+// TestCompileRefusalTexts pins the exact text of one refusal from each
+// place a compile can stop: the option check, the parser, sema, the
+// communication check, cellgen's register file and the cycle-count
+// overflow the IU code generator refuses.  Pipelining is on, so every
+// refusal after the front end is the one a failed plain retry reports.
+func TestCompileRefusalTexts(t *testing.T) {
+	for _, tc := range []struct {
+		name, src string
+		opts      Options
+		want      string
+	}{
+		{"cells", workloads.Polynomial(10, 100), Options{Cells: -1}, "invalid cell count -1"},
+		{"syntax", "module", Options{}, "1:7: syntax error: expected identifier, found end of file"},
+		{"sema", twoCells("float v;", "v := q;"), Options{}, "8:14: undefined variable q"},
+		{"leftward", twoCells("float v;\n        int i;", "for i := 0 to 3 do begin\n            receive (R, X, v, a[i]);\n            send (L, X, v, b[i]);\n        end;"), Options{}, "driver: program sends data leftward; this compiler (like its examples) supports rightward flow only"},
+		{"overflow", overflowNest, Options{Pipeline: true, Verify: true}, "iugen: loop L2: the cycle count overflows 64 bits"},
+		{"registers", registerHog(70), Options{Pipeline: true}, "cellgen: block b0 needs more than 64 temporary registers (no spill path to cell memory is implemented; restructure the program)"},
+	} {
+		if _, err := Compile(tc.src, tc.opts); fmt.Sprint(err) != tc.want {
+			t.Errorf("%s: err = %q\nwant %q", tc.name, fmt.Sprint(err), tc.want)
+		}
+	}
+}
+
+// twoCells is a two-cell module with input a and output b whose one
+// function declares decls and runs body.
+func twoCells(decls, body string) string {
+	return fmt.Sprintf(`module m (a in, b out)
+float a[4];
+float b[4];
+cellprogram (c : 0 : 1)
+begin
+    function f begin
+        %s
+        %s
+    end
+    call f;
+end
+`, decls, body)
+}
+
+// overflowNest runs 2²¹ · 2²¹ · 2²¹ iterations: the cycle count
+// overflows 64 bits at loop L2 (loops are numbered innermost first).
+const overflowNest = `module ovf (x in, y out)
+float x[1];
+float y[1];
+cellprogram (cid : 0 : 0)
+begin
+    function f
+    begin
+        float r;
+        int i, j, k;
+        receive (L, X, r, x[0]);
+        for i := 0 to 2097151 do begin
+            for j := 0 to 2097151 do begin
+                for k := 0 to 2097151 do begin
+                    r := r * 0.5;
+                end;
+            end;
+        end;
+        send (R, X, r, y[0]);
+    end
+    call f;
+end
+`
+
+// registerHog receives n values before it sends any back, in reverse
+// order, so that all n are live at once.
+func registerHog(n int) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "module hog (xs in, ys out)\nfloat xs[%d];\nfloat ys[%d];\ncellprogram (c : 0 : 0)\nbegin\n    function f\n    begin\n        float v0", n, n)
+	for i := 1; i < n; i++ {
+		fmt.Fprintf(&b, ", v%d", i)
+	}
+	b.WriteString(";\n")
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "        receive (L, X, v%d, xs[%d]);\n", i, i)
+	}
+	for i := n - 1; i >= 0; i-- {
+		fmt.Fprintf(&b, "        send (R, X, v%d, ys[%d]);\n", i, n-1-i)
+	}
+	b.WriteString("    end\n    call f;\nend\n")
+	return b.String()
+}

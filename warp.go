@@ -352,8 +352,9 @@ func (p *Program) Params() []ParamInfo {
 }
 
 // Phases returns the compiler's per-phase wall-clock timing and size
-// records, in execution order; a "pipeline-backoff" entry carries the
-// reason software pipelining was rolled back.
+// records, in execution order.  A compile that rolled software
+// pipelining back has a "pipeline-backoff" entry after "commgraph": it
+// spans the failed pipelined attempt, and its note is the reason.
 func (p *Program) Phases() []obs.PhaseStat { return p.c.Phases }
 
 // PhaseReport renders the per-phase timing table as text.
