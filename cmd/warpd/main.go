@@ -62,6 +62,7 @@ import (
 	"time"
 
 	"warp/internal/service"
+	"warp/internal/sim"
 )
 
 func main() {
@@ -71,7 +72,7 @@ func main() {
 		queue     = flag.Int("queue", 64, "admission-queue depth beyond the workers")
 		cacheSize = flag.Int("cache", 128, "compiled programs kept resident (LRU)")
 		timeout   = flag.Duration("timeout", 30*time.Second, "default per-run deadline")
-		maxCycles = flag.Int64("max-cycles", 0, "per-run livelock guard (0 = simulator default, 1<<28)")
+		maxCycles = flag.Int64("max-cycles", 0, fmt.Sprintf("per-run livelock guard (0 = the default, %d)", sim.Controls{}.Limit()))
 		arrays    = flag.Int("arrays", 2, "default fabric width for partitioned run requests")
 		noVerify  = flag.Bool("no-verify", false, "skip static microcode verification (verified by default; violations return 422)")
 		drain     = flag.Duration("drain", 30*time.Second, "shutdown grace period for in-flight runs")

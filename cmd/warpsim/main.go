@@ -82,6 +82,7 @@ import (
 	"time"
 
 	"warp"
+	"warp/internal/sim"
 	"warp/internal/verify"
 	"warp/internal/workloads"
 )
@@ -126,7 +127,7 @@ func main() {
 	flag.StringVar(&o.outPath, "o", "", "write outputs as JSON to this file (default stdout summary)")
 	flag.StringVar(&o.tracePath, "trace", "", "write a Chrome trace-event JSON file (Perfetto-loadable)")
 	flag.BoolVar(&o.stats, "stats", false, "print per-cell utilization/stall table and compile-phase timing")
-	flag.Int64Var(&o.maxCycles, "max-cycles", 0, "abort the simulation after this many cycles (0 = default, 1<<28)")
+	flag.Int64Var(&o.maxCycles, "max-cycles", 0, fmt.Sprintf("abort the simulation after this many cycles (0 = default, %d)", sim.Controls{}.Limit()))
 	flag.IntVar(&o.arrays, "arrays", 1, "farm a fabric problem spec across this many simulated arrays")
 	flag.IntVar(&o.tileRetry, "tile-retries", 1, "extra attempts a livelocked tile gets before the job fails")
 	flag.DurationVar(&o.tileDL, "tile-deadline", 0, "per-tile attempt deadline (0 = none)")
@@ -495,11 +496,7 @@ func fail(err error) {
 // the host program expects).
 func failRun(err error, maxCycles int64) {
 	if errors.Is(err, warp.ErrLivelock) {
-		limit := maxCycles
-		if limit == 0 {
-			limit = 1 << 28
-		}
-		fmt.Fprintf(os.Stderr, "warpsim: livelock: the simulation made no progress within %d cycles.\n", limit)
+		fmt.Fprintf(os.Stderr, "warpsim: livelock: the simulation made no progress within %d cycles.\n", sim.Controls{MaxCycles: maxCycles}.Limit())
 		fmt.Fprintf(os.Stderr, "warpsim: the array is deadlocked or the program is larger than the cycle budget;\n")
 		fmt.Fprintf(os.Stderr, "warpsim: rerun with a larger -max-cycles if the workload is legitimately long.\n")
 		os.Exit(3)

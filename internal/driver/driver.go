@@ -411,15 +411,15 @@ var ErrUnverified = errors.New("program is not verified (compile with Verify to 
 
 // RunOptions control one execution of a compiled program.  The zero
 // value runs to completion with no instrumentation and the default
-// livelock guard.
+// livelock guard.  Ctx, MaxCycles and Progress are the run controls
+// (sim.Controls), which RunBatch hands to whichever executor runs.
 type RunOptions struct {
-	// Ctx, when non-nil, aborts the simulation once cancelled (polled
-	// every few thousand cycles; see sim.Config.Ctx).
+	// Ctx, when non-nil, aborts the run once cancelled.
 	Ctx context.Context
 	// Recorder receives per-cycle instrumentation events.
 	Recorder obs.Recorder
-	// MaxCycles overrides the runaway-simulation guard (0 keeps the
-	// sim default of 1<<28).
+	// MaxCycles overrides the livelock guard (0 keeps the default,
+	// sim.Controls.Limit).
 	MaxCycles int64
 	// Profile enables exact per-µPC cycle attribution in the simulator
 	// (sim.Config.PCStats); the counters land in Stats.Obs.PC, ready to
@@ -521,12 +521,12 @@ const batchStateBytes = 4 << 20
 // RunBatch is RunWith over several input sets under one backend
 // decision.  The problems share walks — of the fast plan
 // (fastexec.Plan.ExecuteBatch) or of the simulated machine
-// (sim.RunBatch) — as many to a walk as batchStateBytes allows, and the
-// problems of a walk share one Stats: W2 has no data-dependent control,
-// so the run is the same for every input.  Its Decision records the
-// walk's width and each problem's share of its wall time.  A simulator
-// run with a cycle recorder attached walks alone: the recorder sees one
-// run's events.  Any error fails the whole batch, an address outside a
+// (sim.Loaded.RunBatch) — as many to a walk as batchStateBytes allows,
+// and the problems of a walk share one Stats: W2 has no data-dependent
+// control, so the run is the same for every input.  Its Decision records
+// the walk's width and each problem's share of its wall time.  A
+// simulator run with a cycle recorder attached walks alone: the recorder
+// sees one run's events.  Any error fails the whole batch, an address outside a
 // batched walk's memory envelope (sim.ErrEnvelope) included: such
 // problems run one at a time, as the fabric's per-tile path runs them.
 func RunBatch(c *Compiled, inputs []map[string][]float64, o RunOptions) ([]map[string][]float64, []*sim.Stats, error) {
@@ -541,12 +541,14 @@ func RunBatch(c *Compiled, inputs []map[string][]float64, o RunOptions) ([]map[s
 			return nil, nil, err
 		}
 	}
-	// The executors report raw positions; wrap the caller's hook so
-	// every update carries the modeled total (the denominator of a
-	// percent display).  The nil path stays allocation-free.
+	// Whichever executor runs gets the same controls.  The executors
+	// report raw positions; wrap the caller's hook so every update
+	// carries the modeled total (the denominator of a percent display).
+	// The nil path stays allocation-free.
+	ctl := sim.Controls{Ctx: o.Ctx, MaxCycles: o.MaxCycles}
 	if inner := o.Progress; inner != nil {
 		total := decision.PredictedCycles
-		o.Progress = func(u obs.ProgressUpdate) {
+		ctl.Progress = func(u obs.ProgressUpdate) {
 			u.TotalCycles = total
 			inner(u)
 		}
@@ -567,15 +569,9 @@ func RunBatch(c *Compiled, inputs []map[string][]float64, o RunOptions) ([]map[s
 		start := time.Now()
 		var st *sim.Stats
 		if backend == BackendFast {
-			st, err = runFast(c, hostMems[lo:hi], o)
+			st, err = runFast(c, hostMems[lo:hi], ctl)
 		} else {
-			st, err = c.load().RunBatch(sim.Config{
-				MaxCycles: o.MaxCycles,
-				Ctx:       o.Ctx,
-				Recorder:  o.Recorder,
-				PCStats:   o.Profile,
-				Progress:  o.Progress,
-			}, hostMems[lo:hi])
+			st, err = c.load().RunBatch(sim.Config{Controls: ctl, Recorder: o.Recorder, PCStats: o.Profile}, hostMems[lo:hi])
 		}
 		if err != nil {
 			return nil, nil, err
@@ -602,12 +598,12 @@ func RunBatch(c *Compiled, inputs []map[string][]float64, o RunOptions) ([]map[s
 // come from the verifier's proven occupancy bounds — the fast path never
 // materializes queues, but the bounds are exactly what the proof
 // discharged.
-func runFast(c *Compiled, hostMems [][]float64, o RunOptions) (*sim.Stats, error) {
+func runFast(c *Compiled, hostMems [][]float64, ctl sim.Controls) (*sim.Stats, error) {
 	plan, err := c.FastPlan() // cached; already built by chooseBackend
 	if err != nil {
 		return nil, err
 	}
-	stats, err := plan.ExecuteBatch(hostMems, fastexec.ExecConfig{Ctx: o.Ctx, MaxCycles: o.MaxCycles, Progress: o.Progress})
+	stats, err := plan.ExecuteBatch(hostMems, ctl)
 	if err != nil {
 		return nil, err
 	}

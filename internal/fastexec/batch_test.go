@@ -30,7 +30,7 @@ func checkBatch(t *testing.T, plan *fastexec.Plan, images [][]float64) {
 	var wantRes *sim.Stats
 	for l, img := range images {
 		want[l] = append([]float64(nil), img...)
-		res, err := plan.Execute(want[l], fastexec.ExecConfig{})
+		res, err := plan.Execute(want[l], sim.Controls{})
 		if err != nil {
 			t.Fatalf("lane %d alone: %v", l, err)
 		}
@@ -39,7 +39,7 @@ func checkBatch(t *testing.T, plan *fastexec.Plan, images [][]float64) {
 		}
 		wantRes = res
 	}
-	res, err := plan.ExecuteBatch(images, fastexec.ExecConfig{})
+	res, err := plan.ExecuteBatch(images, sim.Controls{})
 	if err != nil {
 		t.Fatalf("batch of %d: %v", len(images), err)
 	}
@@ -134,7 +134,7 @@ end
 			t.Fatal(err)
 		}
 	}
-	res, err := plan.ExecuteBatch(images, fastexec.ExecConfig{})
+	res, err := plan.ExecuteBatch(images, sim.Controls{})
 	if res != nil || err == nil {
 		t.Fatalf("result %v, error %v: a divide by zero in lane %d must fail the batch", res, err, bad)
 	}
@@ -142,12 +142,12 @@ end
 		t.Errorf("error %q does not name lane %d", err, bad)
 	}
 	// The same fault, the same text up to the lane, on the one-wide body.
-	_, single := plan.Execute(images[bad], fastexec.ExecConfig{})
+	_, single := plan.Execute(images[bad], sim.Controls{})
 	if single == nil || err.Error() != single.Error()+" in lane 3" {
 		t.Errorf("batch error %q, the lane alone fails with %q", err, single)
 	}
 	// Without the bad lane the batch runs.
-	if _, err := plan.ExecuteBatch(append(images[:bad:bad], images[bad+1:]...), fastexec.ExecConfig{}); err != nil {
+	if _, err := plan.ExecuteBatch(append(images[:bad:bad], images[bad+1:]...), sim.Controls{}); err != nil {
 		t.Errorf("the other lanes: %v", err)
 	}
 }
@@ -170,12 +170,12 @@ func TestBatchLandingOrder(t *testing.T) {
 			for l := range images {
 				images[l] = c.Image(l)
 				alone := c.Image(l)
-				_, err := plan.Execute(alone, fastexec.ExecConfig{})
+				_, err := plan.Execute(alone, sim.Controls{})
 				if err := c.Check(alone, err, "cell 0: fastexec: "+c.Fault); err != nil {
 					t.Errorf("lane %d alone: %v", l, err)
 				}
 			}
-			_, err = plan.ExecuteBatch(images, fastexec.ExecConfig{})
+			_, err = plan.ExecuteBatch(images, sim.Controls{})
 			for l, img := range images {
 				if err := c.Check(img, err, "cell 0: fastexec: "+c.Fault+" in lane 0"); err != nil {
 					t.Errorf("lane %d: %v", l, err)
@@ -214,7 +214,7 @@ func BenchmarkExecuteBatch(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/width=%d", k.name, width), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := plan.ExecuteBatch(images, fastexec.ExecConfig{}); err != nil {
+					if _, err := plan.ExecuteBatch(images, sim.Controls{}); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -55,7 +55,6 @@
 package fastexec
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -74,7 +73,7 @@ import (
 const maxTraceCycles = 1 << 22
 
 // ctxCheckInterval is how often (in executed plan words) the executor
-// polls ExecConfig.Ctx, mirroring the simulator's bounded cancellation
+// polls Controls.Ctx, mirroring the simulator's bounded cancellation
 // stride.
 const ctxCheckInterval = 1 << 12
 
@@ -329,25 +328,9 @@ func (p *Plan) validate(iu *mcode.IUTrace, cell *mcode.CellProgram) error {
 	return nil
 }
 
-// ExecConfig controls one execution of a plan.
-type ExecConfig struct {
-	// Ctx, when non-nil, is polled at a bounded operation stride (and
-	// once up front); once cancelled the run aborts with an error
-	// wrapping ctx.Err().
-	Ctx context.Context
-	// MaxCycles mirrors the simulator's livelock guard (0 = 1<<28): a
-	// plan whose modeled run the simulator would have aborted is
-	// rejected with an error wrapping sim.ErrLivelock, keeping the two
-	// backends' failure behaviour aligned.
-	MaxCycles int64
-	// Progress, when non-nil, receives modeled-cycle position updates
-	// at the same stride the context is polled, plus one final update
-	// when the run completes.  The position is the cell cycles retired
-	// so far (cells run one after another) scaled onto the modeled
-	// cycle count, so it is monotone and comparable to the simulator's
-	// cycles-retired counter.  nil keeps the run loop progress-free.
-	Progress obs.ProgressFunc
-}
+// ExecConfig names the run controls, the simulator's own; kept for
+// benchmark/, see ROADMAP 1(c).
+type ExecConfig = sim.Controls
 
 // Result names the run record, the simulator's own; kept for
 // benchmark/, see ROADMAP 1(c).
@@ -468,8 +451,8 @@ func (st *execState) check(idx int, t int64) error {
 // sim.Run leaves them, and so are the queue peaks, which a run without
 // queues never observes.  The plan is read-only: concurrent
 // Execute calls on one Plan are safe.
-func (p *Plan) Execute(hostMem []float64, cfg ExecConfig) (*sim.Stats, error) {
-	return p.ExecuteBatch([][]float64{hostMem}, cfg)
+func (p *Plan) Execute(hostMem []float64, ctl sim.Controls) (*sim.Stats, error) {
+	return p.ExecuteBatch([][]float64{hostMem}, ctl)
 }
 
 // StateBytes is the execution state one problem of a batch occupies:
@@ -484,22 +467,22 @@ func (p *Plan) StateBytes() int {
 // at the same addresses and differ only in the values.  Every image ends
 // bit-identical to what Execute leaves in it and the Stats are
 // Execute's; an error (a divide by zero names its lane) fails the whole
-// batch, its images half written.
-func (p *Plan) ExecuteBatch(hostMems [][]float64, cfg ExecConfig) (*sim.Stats, error) {
+// batch, its images half written.  The controls mean what they mean on
+// the simulator; a progress update carries the cell cycles retired so
+// far (cells run one after another) scaled onto the modeled cycle count.
+func (p *Plan) ExecuteBatch(hostMems [][]float64, ctl sim.Controls) (*sim.Stats, error) {
 	if len(hostMems) == 0 {
 		return nil, fmt.Errorf("fastexec: an empty batch")
 	}
-	maxCycles := cmp.Or(cfg.MaxCycles, 1<<28)
-	// The simulator aborts when its clock passes MaxCycles before the
-	// last cell retires, i.e. whenever the run needs more than
-	// MaxCycles+1 cycles; the modeled count makes the same decision
-	// without running.
-	if p.Cycles() > maxCycles+1 {
+	// The simulator aborts when its clock passes the guard before the
+	// last cell retires, i.e. whenever the run needs more than limit+1
+	// cycles; the modeled count makes the same decision without running.
+	if limit := ctl.Limit(); p.Cycles() > limit+1 {
 		return nil, fmt.Errorf("fastexec: modeled run needs %d cycles, exceeding %d; the machine is %w",
-			p.Cycles(), maxCycles, sim.ErrLivelock)
+			p.Cycles(), limit, sim.ErrLivelock)
 	}
-	if cfg.Ctx != nil {
-		if err := cfg.Ctx.Err(); err != nil {
+	if ctl.Ctx != nil {
+		if err := ctl.Ctx.Err(); err != nil {
 			return nil, fmt.Errorf("fastexec: run aborted: %w", err)
 		}
 	}
@@ -510,7 +493,7 @@ func (p *Plan) ExecuteBatch(hostMems [][]float64, cfg ExecConfig) (*sim.Stats, e
 		st.hostMems, st.ctx, st.progress = nil, nil, nil // the pool must not keep a caller's memory alive
 		statePool.Put(st)
 	}()
-	st.plan, st.hostMems, st.ctx, st.progress = p, hostMems, cfg.Ctx, cfg.Progress
+	st.plan, st.hostMems, st.ctx, st.progress = p, hostMems, ctl.Ctx, ctl.Progress
 	st.untilPoll = 1
 	st.mem, st.iter = sized(st.mem, p.code.MemWords*n), sized(st.iter, p.code.Depth)
 	clear(st.iter)
@@ -535,8 +518,8 @@ func (p *Plan) ExecuteBatch(hostMems [][]float64, cfg ExecConfig) (*sim.Stats, e
 			st.prev[ch], st.cur[ch] = st.cur[ch], st.prev[ch][:0]
 		}
 	}
-	if cfg.Progress != nil {
-		cfg.Progress(obs.ProgressUpdate{Cycles: p.Cycles(), Done: true})
+	if ctl.Progress != nil {
+		ctl.Progress(obs.ProgressUpdate{Cycles: p.Cycles(), Done: true})
 	}
 	return p.load.Closed(false), nil
 }

@@ -64,7 +64,7 @@ func runBoth(t *testing.T, c *driver.Compiled, plan *fastexec.Plan, inputs map[s
 	if err != nil {
 		t.Fatalf("sim: %v", err)
 	}
-	res, err := plan.Execute(fastMem, fastexec.ExecConfig{})
+	res, err := plan.Execute(fastMem, sim.Controls{})
 	if err != nil {
 		t.Fatalf("fastexec: %v", err)
 	}
@@ -188,7 +188,7 @@ func TestConcurrentExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := plan.Execute(append([]float64(nil), baseMem...), fastexec.ExecConfig{})
+	ref, err := plan.Execute(append([]float64(nil), baseMem...), sim.Controls{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestConcurrentExecute(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			mem := append([]float64(nil), baseMem...)
-			res, err := plan.Execute(mem, fastexec.ExecConfig{})
+			res, err := plan.Execute(mem, sim.Controls{})
 			if err != nil {
 				t.Errorf("concurrent execute: %v", err)
 				return
@@ -221,7 +221,7 @@ func TestContextCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := plan.Execute(mem, fastexec.ExecConfig{Ctx: ctx}); err == nil {
+	if _, err := plan.Execute(mem, sim.Controls{Ctx: ctx}); err == nil {
 		t.Fatal("cancelled context did not abort the run")
 	} else if ctx.Err() == nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("abort error %v does not wrap %v", err, context.Canceled)
@@ -253,7 +253,7 @@ func TestProgressStride(t *testing.T) {
 				mems = append(mems, mem)
 			}
 			var got []int64
-			_, err := plan.ExecuteBatch(mems, fastexec.ExecConfig{Progress: func(u obs.ProgressUpdate) {
+			_, err := plan.ExecuteBatch(mems, sim.Controls{Progress: func(u obs.ProgressUpdate) {
 				if u.Done != (len(got) == len(tc.want)-1) {
 					t.Errorf("%s width %d: update %d has Done %v", tc.name, width, len(got), u.Done)
 				}
@@ -278,12 +278,12 @@ func TestLivelockParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	guard := plan.Cycles() - 10
-	if _, err := plan.Execute(mem, fastexec.ExecConfig{MaxCycles: guard}); !errors.Is(err, sim.ErrLivelock) {
+	if _, err := plan.Execute(mem, sim.Controls{MaxCycles: guard}); !errors.Is(err, sim.ErrLivelock) {
 		t.Fatalf("guard %d: error %v does not wrap sim.ErrLivelock", guard, err)
 	}
 	// One cycle of slack past the modeled count must run clean, exactly
 	// like the simulator's m.now > MaxCycles check.
-	if _, err := plan.Execute(mem, fastexec.ExecConfig{MaxCycles: plan.Cycles() - 1}); err != nil {
+	if _, err := plan.Execute(mem, sim.Controls{MaxCycles: plan.Cycles() - 1}); err != nil {
 		t.Fatalf("guard at cycles-1: %v", err)
 	}
 }

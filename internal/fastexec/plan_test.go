@@ -99,7 +99,7 @@ func TestExecuteAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func() {
-		if _, err := plan.Execute(mem, fastexec.ExecConfig{}); err != nil {
+		if _, err := plan.Execute(mem, sim.Controls{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -133,7 +133,7 @@ func TestRunRecordIsACopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := plan.Execute(mem, fastexec.ExecConfig{})
+	first, err := plan.Execute(mem, sim.Controls{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestRunRecordIsACopy(t *testing.T) {
 			cp.Depth[d].Cycles = -1
 		}
 	}
-	second, err := plan.Execute(mem, fastexec.ExecConfig{})
+	second, err := plan.Execute(mem, sim.Controls{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestLoopShapesMatchSimulator(t *testing.T) {
 			if err != nil {
 				t.Fatalf("sim: %v", err)
 			}
-			res, err := plan.Execute(fastMem, fastexec.ExecConfig{})
+			res, err := plan.Execute(fastMem, sim.Controls{})
 			if err != nil {
 				t.Fatalf("fastexec: %v", err)
 			}

@@ -24,7 +24,7 @@ func Run(info *w2.Info, inputs map[string][]float64) (map[string][]float64, erro
 // runContext interprets like Run but aborts once ctx is cancelled: the
 // statement loop polls the context every few thousand statements, so an
 // oracle run on a large problem respects the same deadlines as the
-// simulator (sim.Config.Ctx).  The returned error wraps ctx.Err().  A
+// simulator (sim.Controls.Ctx).  The returned error wraps ctx.Err().  A
 // nil ctx behaves like Run.
 func runContext(ctx context.Context, info *w2.Info, inputs map[string][]float64) (map[string][]float64, error) {
 	host, err := BuildHostMem(info, inputs)

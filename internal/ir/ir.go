@@ -84,17 +84,6 @@ type Block struct {
 	Nodes []*Node
 }
 
-// IONodes returns the queue operations of the block in program order.
-func (b *Block) IONodes() []*Node {
-	var out []*Node
-	for _, n := range b.Nodes {
-		if n.Op.IsIO() {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // Region is a node of the structured flowgraph: either a basic block or
 // a counted loop.  W2's constant loop bounds make the flowgraph
 // reducible and fully structured, so a region tree represents it

@@ -115,15 +115,3 @@ func (op Op) IsCommutative() bool {
 	}
 	return false
 }
-
-// IsAssociative reports whether the op may be re-associated (used by
-// height reduction).  Floating re-association changes rounding; the
-// paper's compiler applies it anyway as a local optimization, and so do
-// we.
-func (op Op) IsAssociative() bool {
-	switch op {
-	case OpFadd, OpFmul, OpAnd, OpOr:
-		return true
-	}
-	return false
-}

@@ -90,3 +90,26 @@ func TestIONodes(t *testing.T) {
 		t.Errorf("IONodes = %v", ios)
 	}
 }
+
+// IONodes returns the queue operations of the block in program order.
+func (b *Block) IONodes() []*Node {
+	var out []*Node
+	for _, n := range b.Nodes {
+		if n.Op.IsIO() {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// IsAssociative reports whether the op may be re-associated (used by
+// height reduction).  Floating re-association changes rounding; the
+// paper's compiler applies it anyway as a local optimization, and so do
+// we.
+func (op Op) IsAssociative() bool {
+	switch op {
+	case OpFadd, OpFmul, OpAnd, OpOr:
+		return true
+	}
+	return false
+}

@@ -2,7 +2,6 @@ package iugen
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -228,64 +227,4 @@ func FormatTable65(rows []Table65Row) string {
 		fmt.Fprintf(&sb, "%-32s %9d %10d %7d\n", r.Allocation, r.Registers, r.Arithmetic, r.Updates)
 	}
 	return sb.String()
-}
-
-// EnumerateAllocations searches the allocation space systematically:
-// every subset of a candidate pool, reporting the Pareto frontier over
-// (registers, arithmetic, updates).  This extends the paper's
-// observation that "the options in Table 6-5 are not complete".
-func EnumerateAllocations(targets []SymVec, pool []Register, maxRegs int) []Table65Row {
-	var rows []Table65Row
-	n := len(pool)
-	for mask := 1; mask < 1<<n; mask++ {
-		var regs []Register
-		for b := 0; b < n; b++ {
-			if mask&(1<<b) != 0 {
-				regs = append(regs, pool[b])
-			}
-		}
-		if len(regs) > maxRegs {
-			continue
-		}
-		al := Allocation{Regs: regs}
-		arith, updates, err := al.Cost(targets)
-		if err != nil {
-			continue
-		}
-		var labels []string
-		for _, r := range regs {
-			labels = append(labels, r.Label)
-		}
-		rows = append(rows, Table65Row{
-			Allocation: strings.Join(labels, ", "),
-			Registers:  len(regs),
-			Arithmetic: arith,
-			Updates:    updates,
-		})
-	}
-	// Pareto filter: drop rows dominated on all three axes.
-	var frontier []Table65Row
-	for i, r := range rows {
-		dominated := false
-		for j, q := range rows {
-			if i == j {
-				continue
-			}
-			if q.Registers <= r.Registers && q.Arithmetic <= r.Arithmetic && q.Updates <= r.Updates &&
-				(q.Registers < r.Registers || q.Arithmetic < r.Arithmetic || q.Updates < r.Updates) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			frontier = append(frontier, r)
-		}
-	}
-	sort.Slice(frontier, func(i, j int) bool {
-		if frontier[i].Registers != frontier[j].Registers {
-			return frontier[i].Registers < frontier[j].Registers
-		}
-		return frontier[i].Arithmetic < frontier[j].Arithmetic
-	})
-	return frontier
 }

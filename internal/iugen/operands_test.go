@@ -1,6 +1,10 @@
 package iugen
 
-import "testing"
+import (
+	"sort"
+	"strings"
+	"testing"
+)
 
 // TestTable6_5 reproduces Table 6-5 exactly: the three operand
 // allocations for a[i,j+1] and b[i+j,j] cost (3 regs, 6 adds, 2
@@ -95,4 +99,64 @@ func TestEnumerateAllocations(t *testing.T) {
 				p.Registers, p.Arithmetic, p.Updates)
 		}
 	}
+}
+
+// EnumerateAllocations searches the allocation space systematically:
+// every subset of a candidate pool, reporting the Pareto frontier over
+// (registers, arithmetic, updates).  This extends the paper's
+// observation that "the options in Table 6-5 are not complete".
+func EnumerateAllocations(targets []SymVec, pool []Register, maxRegs int) []Table65Row {
+	var rows []Table65Row
+	n := len(pool)
+	for mask := 1; mask < 1<<n; mask++ {
+		var regs []Register
+		for b := 0; b < n; b++ {
+			if mask&(1<<b) != 0 {
+				regs = append(regs, pool[b])
+			}
+		}
+		if len(regs) > maxRegs {
+			continue
+		}
+		al := Allocation{Regs: regs}
+		arith, updates, err := al.Cost(targets)
+		if err != nil {
+			continue
+		}
+		var labels []string
+		for _, r := range regs {
+			labels = append(labels, r.Label)
+		}
+		rows = append(rows, Table65Row{
+			Allocation: strings.Join(labels, ", "),
+			Registers:  len(regs),
+			Arithmetic: arith,
+			Updates:    updates,
+		})
+	}
+	// Pareto filter: drop rows dominated on all three axes.
+	var frontier []Table65Row
+	for i, r := range rows {
+		dominated := false
+		for j, q := range rows {
+			if i == j {
+				continue
+			}
+			if q.Registers <= r.Registers && q.Arithmetic <= r.Arithmetic && q.Updates <= r.Updates &&
+				(q.Registers < r.Registers || q.Arithmetic < r.Arithmetic || q.Updates < r.Updates) {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			frontier = append(frontier, r)
+		}
+	}
+	sort.Slice(frontier, func(i, j int) bool {
+		if frontier[i].Registers != frontier[j].Registers {
+			return frontier[i].Registers < frontier[j].Registers
+		}
+		return frontier[i].Arithmetic < frontier[j].Arithmetic
+	})
+	return frontier
 }

@@ -30,18 +30,12 @@ func arrayOutcome(out map[string][]float64, rs *warp.RunStats) *runOutcome {
 	if rs == nil {
 		return &runOutcome{}
 	}
+	sum := rs.Profile.Summarize()
 	return &runOutcome{
-		outputs: out,
-		stats: RunStatsJSON{
-			Cycles:         rs.Cycles,
-			Backend:        rs.Backend,
-			MaxQueue:       rs.MaxQueue,
-			MaxQueueAt:     rs.MaxQueueAt,
-			AddUtilization: rs.AddUtilization,
-			MulUtilization: rs.MulUtilization,
-		},
+		outputs:  out,
+		stats:    rs.RunSummary,
 		cycles:   rs.Cycles,
-		summary:  rs.Profile.Summarize(),
+		summary:  sum,
 		decision: rs.Decision,
 		source:   rs.Source,
 	}

@@ -31,8 +31,8 @@ type Config struct {
 	// DefaultTimeout bounds a run request that names no deadline of its
 	// own (default 30s).
 	DefaultTimeout time.Duration
-	// MaxCycles is the per-run livelock guard (0 keeps the simulator
-	// default of 1<<28).
+	// MaxCycles is the per-run livelock guard (0 keeps the default,
+	// sim.Controls.Limit).
 	MaxCycles int64
 	// Arrays is the default fabric width for partitioned run requests
 	// that name no arrays count of their own (default 2).
@@ -253,15 +253,9 @@ type FabricJSON struct {
 	StagedWords     int64   `json:"staged_words"`
 }
 
-// RunStatsJSON is the wire form of the run statistics.
-type RunStatsJSON struct {
-	Cycles         int64   `json:"cycles"`
-	Backend        string  `json:"backend,omitempty"`
-	MaxQueue       int     `json:"max_queue"`
-	MaxQueueAt     string  `json:"max_queue_at,omitempty"`
-	AddUtilization float64 `json:"add_utilization"`
-	MulUtilization float64 `json:"mul_utilization"`
-}
+// RunStatsJSON is the wire form of the run statistics: a run's summary,
+// which warp.RunStats embeds.
+type RunStatsJSON = warp.RunSummary
 
 // RunResponse carries the outputs and statistics of one run.  Fabric
 // is set only for partitioned runs; Request names the flight record a

@@ -90,7 +90,7 @@ func TestAccountingIdentity(t *testing.T) {
 			for l := range images {
 				images[l] = p.image(l)
 			}
-			st, err := sim.RunBatch(p.cfg, images)
+			st, err := sim.Load(p.cfg).RunBatch(p.cfg, images)
 			if err != nil {
 				t.Fatalf("%s, width %d: %v", p.name, width, err)
 			}

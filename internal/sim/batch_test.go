@@ -79,7 +79,7 @@ func checkBatch(t *testing.T, cfg sim.Config, images [][]float64) {
 		wantStats = st
 	}
 	cfg.HostMem = nil
-	st, err := sim.RunBatch(cfg, images)
+	st, err := sim.Load(cfg).RunBatch(cfg, images)
 	if err != nil {
 		t.Fatalf("batch of %d: %v", len(images), err)
 	}
@@ -180,7 +180,7 @@ end
 			t.Fatal(err)
 		}
 	}
-	st, err := sim.RunBatch(cfg, images)
+	st, err := sim.Load(cfg).RunBatch(cfg, images)
 	if st != nil || err == nil {
 		t.Fatalf("stats %v, error %v: a divide by zero in lane %d must fail the walk", st, err, bad)
 	}
@@ -192,7 +192,7 @@ end
 		t.Errorf("batch error %q, the lane alone fails with %q", err, single)
 	}
 	cfg.HostMem = nil
-	if _, err := sim.RunBatch(cfg, append(images[:bad:bad], images[bad+1:]...)); err != nil {
+	if _, err := sim.Load(cfg).RunBatch(cfg, append(images[:bad:bad], images[bad+1:]...)); err != nil {
 		t.Errorf("the other lanes: %v", err)
 	}
 }
@@ -217,7 +217,7 @@ func TestBatchEnvelope(t *testing.T) {
 	if _, err := sim.Run(cfg); err != nil {
 		t.Fatalf("alone: %v", err)
 	}
-	_, err := sim.RunBatch(cfg, [][]float64{nil, nil, nil})
+	_, err := sim.Load(cfg).RunBatch(cfg, [][]float64{nil, nil, nil})
 	if !errors.Is(err, sim.ErrEnvelope) {
 		t.Fatalf("batched: %v, want an error wrapping ErrEnvelope", err)
 	}
@@ -247,7 +247,7 @@ func BenchmarkRunBatch(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/width=%d", k.name, width), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := sim.RunBatch(cfg, images); err != nil {
+					if _, err := sim.Load(cfg).RunBatch(cfg, images); err != nil {
 						b.Fatal(err)
 					}
 				}

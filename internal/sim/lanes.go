@@ -16,21 +16,21 @@ import (
 // for it with errors.Is.
 var ErrEnvelope = errors.New("outside the memory envelope of a batched walk")
 
-// RunBatch runs the configuration over several host memory images in one
-// walk of the machine (cfg.HostMem is ignored).  Every control step is
-// shared and only the values are lane-wide, so each image ends exactly as
-// Run leaves it, and the one Stats, shared by all the problems, is each
-// one's.  A control error (a queue under- or overflow, a loop signal
-// mismatch, a stream residue) is the same in every lane and reads as
-// Run's; a value fault names its lane (a divide by zero "in lane k");
-// either fails the whole batch, its images half written.  Each lane's
-// cell memory is the envelope, so an address outside it fails the walk
-// with an error wrapping ErrEnvelope, and a program with an address the
-// decoder could not bind does not walk batched at all.  One image is Run.
-func RunBatch(cfg Config, hostMems [][]float64) (*Stats, error) { return runBatch(nil, cfg, hostMems) }
-
-// runBatch is RunBatch of the loaded program l (cfg's own when nil).
-func runBatch(l *Loaded, cfg Config, hostMems [][]float64) (*Stats, error) {
+// RunBatch runs the loaded program under cfg's run fields (Controls,
+// Recorder, PCStats; cfg's program fields are the load's) over several
+// host memory images in one walk of the machine (cfg.HostMem is
+// ignored).  Every control step is shared and only the values are
+// lane-wide, so each image ends exactly as Run leaves it, and the one
+// Stats, shared by all the problems, is each one's.  A control error (a
+// queue under- or overflow, a loop signal mismatch, a stream residue) is
+// the same in every lane and reads as Run's; a value fault names its lane
+// (a divide by zero "in lane k"); either fails the whole batch, its images
+// half written.  Each lane's cell memory is the envelope, so an address
+// outside it fails the walk with an error wrapping ErrEnvelope, and a
+// program with an address the decoder could not bind does not walk
+// batched at all.  One image is Run.
+func (l *Loaded) RunBatch(cfg Config, hostMems [][]float64) (*Stats, error) {
+	cfg.Cells, cfg.Cell, cfg.IU, cfg.Host, cfg.Skew, cfg.Lead = l.cfg.Cells, l.cfg.Cell, l.cfg.IU, l.cfg.Host, l.cfg.Skew, l.cfg.Lead
 	switch len(hostMems) {
 	case 0:
 		return nil, errors.New("sim: an empty batch")

@@ -82,14 +82,6 @@ func (l *Loaded) LaneBytes() int {
 	return 8 * l.cfg.Cells * (mcode.LaneRegWords + 2*mcode.QueueDepth + l.code.MemWords)
 }
 
-// RunBatch is RunBatch of the loaded program under cfg's run fields
-// (MaxCycles, Ctx, Recorder, PCStats, Progress); cfg's program fields are
-// the load's.
-func (l *Loaded) RunBatch(cfg Config, hostMems [][]float64) (*Stats, error) {
-	cfg.Cells, cfg.Cell, cfg.IU, cfg.Host, cfg.Skew, cfg.Lead = l.cfg.Cells, l.cfg.Cell, l.cfg.IU, l.cfg.Host, l.cfg.Skew, l.cfg.Lead
-	return runBatch(l, cfg, hostMems)
-}
-
 // numPCs is the number of µPCs of the decoded words: a word covers its
 // idle µPCs and its issuing one, back to back, so the last word ends them.
 func numPCs(words []mcode.Word) int {

@@ -17,10 +17,32 @@ import (
 var ErrLivelock = errors.New("livelocked")
 
 // ctxCheckInterval is how often (in cycles) the run loop polls
-// Config.Ctx for cancellation.  Polling every cycle would put an atomic
+// Controls.Ctx for cancellation.  Polling every cycle would put an atomic
 // load on the hot path; every 4096 cycles bounds the overrun after a
 // deadline or disconnect to microseconds of simulation.
 const ctxCheckInterval = 1 << 12
+
+// Controls are the run controls.  W2 has no data-dependent control
+// (§5.1), so a run is one fixed schedule, and the controls mean the same
+// on the simulator and on the fast executor (fastexec.Plan.ExecuteBatch).
+// The zero value runs to completion under the default guard.
+type Controls struct {
+	// Ctx, when non-nil, is polled up front and then at a bounded stride
+	// (every few thousand cycles or operations); once it is cancelled the
+	// run aborts with an error wrapping ctx.Err().
+	Ctx context.Context
+	// MaxCycles is the livelock guard (see Limit): a run whose clock
+	// passes it aborts with an error wrapping ErrLivelock.
+	MaxCycles int64
+	// Progress, when non-nil, receives a cycles-retired update at the
+	// polling stride and one final Done update.  nil keeps the hot path
+	// progress-free (one branch, no allocations).
+	Progress obs.ProgressFunc
+}
+
+// Limit is the livelock guard in cycles: MaxCycles, or the default of
+// 2^28 cycles when it is 0.
+func (c Controls) Limit() int64 { return cmp.Or(c.MaxCycles, 1<<28) }
 
 // Config assembles everything needed to run a compiled program on the
 // simulated machine.
@@ -35,16 +57,10 @@ type Config struct {
 	// (the IU prologue plus one transfer cycle).
 	Lead int64
 	// HostMem is the host memory image: inputs pre-loaded, outputs
-	// written during the run.  RunBatch takes one per problem instead.
+	// written during the run.  Loaded.RunBatch takes one per problem
+	// instead.
 	HostMem []float64
-	// MaxCycles aborts a runaway simulation (default 1<<28).  The
-	// resulting error wraps ErrLivelock.
-	MaxCycles int64
-	// Ctx, when non-nil, is polled every few thousand cycles; once it is
-	// cancelled the run aborts with an error wrapping ctx.Err(), so
-	// deadlines and client disconnects stop a simulation instead of
-	// waiting out the MaxCycles guard.
-	Ctx context.Context
+	Controls
 	// Recorder receives per-cycle instrumentation events (FPU issues,
 	// memory references, queue push/pop with occupancy, stall
 	// attribution).  nil or obs.Nop() disables event emission; the
@@ -58,11 +74,6 @@ type Config struct {
 	// Stats.Obs.PC.  Off by default — the hot-path cost when off is one
 	// nil check per idle cycle per cell.
 	PCStats bool
-	// Progress, when non-nil, receives a cycles-retired update at the
-	// same stride the context is polled, plus one final update when the
-	// run completes.  nil keeps the hot path progress-free (one branch,
-	// no allocations).
-	Progress obs.ProgressFunc
 }
 
 // Stats reports the outcome of a run.
@@ -184,23 +195,34 @@ type machine struct {
 // Run executes the configuration to completion and returns statistics.
 // Any violation of the machine's static contracts — queue underflow or
 // overflow, a loop signal that contradicts the sequencer, a host stream
-// overrun or left unfinished, words left in a queue — is an error.
-func Run(cfg Config) (*Stats, error) { return run(nil, cfg, nil) }
+// overrun or left unfinished, words left in a queue — is an error.  It
+// loads the program (Load), then runs it.
+func Run(cfg Config) (*Stats, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
+	return run(Load(cfg), cfg, nil)
+}
 
-// run is Run of the loaded program l (cfg's own when nil: load, then
-// run) over the lanes' host images in one walk, or over cfg.HostMem alone
-// when lanes is nil.
-func run(l *Loaded, cfg Config, lanes [][]float64) (*Stats, error) {
+// check refuses a machine the simulator cannot build, before any of its
+// program is read.
+func (cfg *Config) check() error {
 	if cfg.Cells < 1 {
-		return nil, fmt.Errorf("sim: need at least one cell")
+		return errors.New("sim: need at least one cell")
 	}
 	if cfg.Skew < 0 {
-		return nil, fmt.Errorf("sim: negative skew %d", cfg.Skew)
+		return fmt.Errorf("sim: negative skew %d", cfg.Skew)
 	}
-	if l == nil {
-		l = Load(cfg)
+	return nil
+}
+
+// run is Run of the loaded program l over the lanes' host images in one
+// walk, or over cfg.HostMem alone when lanes is nil.
+func run(l *Loaded, cfg Config, lanes [][]float64) (*Stats, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
 	}
-	cfg.MaxCycles = cmp.Or(cfg.MaxCycles, 1<<28)
+	limit := cfg.Limit()
 	m, err := newMachine(l, cfg, lanes)
 	if err != nil {
 		return nil, err
@@ -212,8 +234,8 @@ func run(l *Loaded, cfg Config, lanes [][]float64) (*Stats, error) {
 	// Cells start and (running one program without ever stalling)
 	// finish in index order, so the live ones are the window [lo, hi).
 	for lo, hi := 0, 0; lo < cfg.Cells; m.now++ {
-		if m.now > cfg.MaxCycles {
-			return nil, fmt.Errorf("sim: exceeded %d cycles; the machine is %w", cfg.MaxCycles, ErrLivelock)
+		if m.now > limit {
+			return nil, fmt.Errorf("sim: exceeded %d cycles; the machine is %w", limit, ErrLivelock)
 		}
 		if m.now%ctxCheckInterval == 0 {
 			if cfg.Ctx != nil {

@@ -68,10 +68,32 @@ func runBoth(t *testing.T, cfg Config) error {
 	for l := range images {
 		images[l] = append([]float64(nil), cfg.HostMem...)
 	}
-	if _, wide := RunBatch(cfg, images); fmt.Sprint(wide) != fmt.Sprint(err) {
+	if _, wide := Load(cfg).RunBatch(cfg, images); fmt.Sprint(wide) != fmt.Sprint(err) {
 		t.Errorf("alone: %v\nthree lanes: %v", err, wide)
 	}
 	return err
+}
+
+// TestRunRefusesMachine: a machine of no cells or a negative skew is
+// refused before its program is read, so a zero Config is an error, not a
+// fault; a loaded program refuses the same way.
+func TestRunRefusesMachine(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{}, "sim: need at least one cell"},
+		{Config{Cells: 2, Skew: -1}, "sim: negative skew -1"},
+	} {
+		if _, err := Run(tc.cfg); err == nil || err.Error() != tc.want {
+			t.Errorf("Run(%+v): %v, want %q", tc.cfg, err, tc.want)
+		}
+		cfg := tc.cfg
+		cfg.Cell, cfg.IU, cfg.Host = &mcode.CellProgram{}, &mcode.IUProgram{}, emptyHost()
+		if _, err := Load(cfg).RunBatch(cfg, [][]float64{nil, nil}); err == nil || err.Error() != tc.want {
+			t.Errorf("Load(%+v).RunBatch: %v, want %q", tc.cfg, err, tc.want)
+		}
+	}
 }
 
 // TestRunDetectsUnderflow: a cell receiving a word nobody sends.
@@ -308,7 +330,7 @@ func TestBatchLandingOrder(t *testing.T) {
 					t.Errorf("lane %d alone: %v", l, err)
 				}
 			}
-			_, err := RunBatch(cfg, images)
+			_, err := Load(cfg).RunBatch(cfg, images)
 			for l, img := range images {
 				if err := c.Check(img, err, fault+" in lane 0"); err != nil {
 					t.Errorf("lane %d: %v", l, err)

@@ -112,3 +112,137 @@ func TestPrintPreservesSemantics(t *testing.T) {
 		t.Error("analysis differs after round trip")
 	}
 }
+
+// EqualModule reports structural equality of two modules (positions
+// ignored).  It backs the print/parse round-trip property.
+func EqualModule(a, b *Module) bool {
+	if a.Name != b.Name || len(a.Params) != len(b.Params) || len(a.Decls) != len(b.Decls) {
+		return false
+	}
+	for i := range a.Params {
+		if a.Params[i].Name != b.Params[i].Name || a.Params[i].Out != b.Params[i].Out {
+			return false
+		}
+	}
+	for i := range a.Decls {
+		if !equalDecl(a.Decls[i], b.Decls[i]) {
+			return false
+		}
+	}
+	ca, cb := a.Cells, b.Cells
+	if ca.CellID != cb.CellID || ca.First != cb.First || ca.Last != cb.Last ||
+		len(ca.Funcs) != len(cb.Funcs) || len(ca.Body) != len(cb.Body) {
+		return false
+	}
+	for i := range ca.Funcs {
+		fa, fb := ca.Funcs[i], cb.Funcs[i]
+		if fa.Name != fb.Name || len(fa.Locals) != len(fb.Locals) {
+			return false
+		}
+		for j := range fa.Locals {
+			if !equalDecl(fa.Locals[j], fb.Locals[j]) {
+				return false
+			}
+		}
+		if !equalStmts(fa.Body, fb.Body) {
+			return false
+		}
+	}
+	return equalStmts(ca.Body, cb.Body)
+}
+
+func equalDecl(a, b *VarDecl) bool {
+	if a.Name != b.Name || a.Type.Base != b.Type.Base || len(a.Type.Dims) != len(b.Type.Dims) {
+		return false
+	}
+	for i := range a.Type.Dims {
+		if a.Type.Dims[i] != b.Type.Dims[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func equalStmts(a, b []Stmt) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !equalStmt(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func equalStmt(a, b Stmt) bool {
+	switch a := a.(type) {
+	case *AssignStmt:
+		b, ok := b.(*AssignStmt)
+		return ok && equalExpr(a.LHS, b.LHS) && equalExpr(a.RHS, b.RHS)
+	case *IfStmt:
+		b, ok := b.(*IfStmt)
+		return ok && equalExpr(a.Cond, b.Cond) && equalStmts(a.Then, b.Then) && equalStmts(a.Else, b.Else)
+	case *ForStmt:
+		b, ok := b.(*ForStmt)
+		return ok && a.Var == b.Var && equalExpr(a.Lo, b.Lo) && equalExpr(a.Hi, b.Hi) && equalStmts(a.Body, b.Body)
+	case *ReceiveStmt:
+		b, ok := b.(*ReceiveStmt)
+		return ok && a.Dir == b.Dir && a.Chan == b.Chan && equalExpr(a.LHS, b.LHS) && equalOptExpr(a.External, b.External)
+	case *SendStmt:
+		b, ok := b.(*SendStmt)
+		if !ok || a.Dir != b.Dir || a.Chan != b.Chan || !equalExpr(a.Value, b.Value) {
+			return false
+		}
+		if (a.External == nil) != (b.External == nil) {
+			return false
+		}
+		return a.External == nil || equalExpr(a.External, b.External)
+	case *CallStmt:
+		b, ok := b.(*CallStmt)
+		return ok && a.Name == b.Name
+	case *BlockStmt:
+		b, ok := b.(*BlockStmt)
+		return ok && equalStmts(a.Body, b.Body)
+	}
+	return false
+}
+
+func equalOptExpr(a, b Expr) bool {
+	if (a == nil) != (b == nil) {
+		return false
+	}
+	return a == nil || equalExpr(a, b)
+}
+
+func equalExpr(a, b Expr) bool {
+	switch a := a.(type) {
+	case *IntLit:
+		b, ok := b.(*IntLit)
+		return ok && a.Value == b.Value
+	case *FloatLit:
+		switch b := b.(type) {
+		case *FloatLit:
+			return a.Value == b.Value
+		}
+		return false
+	case *VarRef:
+		b, ok := b.(*VarRef)
+		if !ok || a.Name != b.Name || len(a.Indices) != len(b.Indices) {
+			return false
+		}
+		for i := range a.Indices {
+			if !equalExpr(a.Indices[i], b.Indices[i]) {
+				return false
+			}
+		}
+		return true
+	case *BinExpr:
+		b, ok := b.(*BinExpr)
+		return ok && a.Op == b.Op && equalExpr(a.L, b.L) && equalExpr(a.R, b.R)
+	case *UnExpr:
+		b, ok := b.(*UnExpr)
+		return ok && a.Neg == b.Neg && equalExpr(a.X, b.X)
+	}
+	return false
+}

@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"warp/internal/driver"
 	"warp/internal/fabric"
-	"warp/internal/prof"
 )
 
 // Problem is an oversized workload for RunPartitioned — one whose
@@ -78,22 +76,21 @@ func (p *Program) runPartitioned(cfg RunConfig, prob Problem, batch bool) (map[s
 	// and share the kernel's one cached fast plan, so a verified kernel
 	// runs the whole farm at dataflow speed.  First attempts go a batch at
 	// a time, one walk of the kernel for all of a batch's tiles on either
-	// backend (driver.RunBatch chooses the width).
-	opts := driver.RunOptions{MaxCycles: cfg.MaxCycles, Profile: cfg.Profile, Backend: cfg.Backend}
+	// backend (driver.RunBatch chooses the width).  The farm reports the
+	// job's progress in tiles, so a tile's run reports none.
+	tileCfg := cfg
+	tileCfg.Progress = nil
 	runTiles := func(ctx context.Context, _ []fabric.Tile, ins []map[string][]float64) ([][]float64, []fabric.TileStats, error) {
-		opts := opts
-		opts.Ctx = ctx
-		outs, stats, err := driver.RunBatch(p.c, ins, opts)
+		attempt := tileCfg
+		attempt.Context = ctx
+		outs, rss, err := p.runBatch(attempt, nil, ins)
 		if err != nil {
 			return nil, nil, err
 		}
 		res, ts := make([][]float64, len(outs)), make([]fabric.TileStats, len(outs))
-		for i, rs := range stats {
+		for i, rs := range rss {
 			res[i] = outs[i][pl.OutName()]
-			ts[i] = fabric.TileStats{Cycles: rs.Cycles, Backend: rs.Backend, Decision: rs.Decision, Summary: rs.Obs.Summarize()}
-			if cfg.Profile {
-				ts[i].Source = prof.BuildSource(p.c.Debug, rs.Obs.PC, rs.Cycles)
-			}
+			ts[i] = fabric.TileStats{Cycles: rs.Cycles, Backend: rs.Backend, Decision: rs.Decision, Summary: rs.Profile.Summarize(), Source: rs.Source}
 		}
 		return res, ts, nil
 	}

@@ -40,7 +40,7 @@ import (
 )
 
 // ErrLivelock marks a run aborted by the RunConfig.MaxCycles guard
-// (default 1<<28 cycles).  Test for it with errors.Is.
+// (default 2^28 cycles).  Test for it with errors.Is.
 var ErrLivelock = sim.ErrLivelock
 
 // ErrUnverified marks a run that requested BackendFast on a program
@@ -92,29 +92,11 @@ func Compile(src string, opts Options) (*Program, error) {
 	return &Program{c: c, compileTime: time.Since(start)}, nil
 }
 
-// RunStats reports a simulation run.
+// RunStats reports a run: a view of the executor's record (the profile,
+// the decision audit) with its scalar summary and, when profiled, its
+// source-line profile.
 type RunStats struct {
-	// Cycles is the total machine time until the last cell finished.
-	Cycles int64
-	// Backend names the executor that produced this run: "sim" for the
-	// cycle-accurate simulator, "fast" for the verified dataflow
-	// executor.  Both report identical Cycles and outputs for the same
-	// program and inputs; the fast backend's count comes from the
-	// verifier's closed-form model rather than stepping.
-	Backend string
-	// MaxQueue is the peak data-queue occupancy observed, derived from
-	// the per-queue high-water marks in Profile.Queues.
-	MaxQueue int
-	// MaxQueueAt names the queue (channel and cell boundary) that
-	// reached MaxQueue, e.g. "cell1.X".
-	MaxQueueAt string
-	// AddUtilization and MulUtilization are the fractions of
-	// cell-active cycles in which the respective FPU issued an
-	// operation, summed over all cells — the quantity behind the
-	// paper's "all the arithmetic units are fully utilized in the
-	// innermost loop" (§7).
-	AddUtilization float64
-	MulUtilization float64
+	RunSummary
 	// Profile is the full run profile: per-cell stall attribution and
 	// per-loop-depth utilization, per-queue occupancy, host
 	// backpressure, and the compiler's per-phase timing.  Its
@@ -130,6 +112,33 @@ type RunStats struct {
 	// run's exact cycle and operation counts, and the wall time actually
 	// spent.  Always present.
 	Decision *Decision
+}
+
+// RunSummary is a run's scalar summary, and its wire form (warpd's
+// "stats" object).
+type RunSummary struct {
+	// Cycles is the total machine time until the last cell finished.
+	Cycles int64 `json:"cycles"`
+	// Backend names the executor that produced this run: "sim" for the
+	// cycle-accurate simulator, "fast" for the verified dataflow
+	// executor.  Both report identical Cycles and outputs for the same
+	// program and inputs; the fast backend's count comes from the
+	// verifier's closed-form model rather than stepping.
+	Backend string `json:"backend,omitempty"`
+	// MaxQueue is the peak data-queue occupancy observed, derived from
+	// the per-queue high-water marks in Profile.Queues.
+	MaxQueue int `json:"max_queue"`
+	// MaxQueueAt names the queue (channel and cell boundary) that
+	// reached MaxQueue, e.g. "cell1.X".
+	MaxQueueAt string `json:"max_queue_at,omitempty"`
+	// AddUtilization and MulUtilization are the fractions of
+	// cell-active cycles in which the respective FPU issued an
+	// operation, summed over all cells — the quantity behind the
+	// paper's "all the arithmetic units are fully utilized in the
+	// innermost loop" (§7).  They are the profile's (obs.Summary's
+	// AddUtil and MulUtil).
+	AddUtilization float64 `json:"add_utilization"`
+	MulUtilization float64 `json:"mul_utilization"`
 }
 
 // Decision is the backend decision audit record attached to every run:
@@ -171,7 +180,7 @@ type RunConfig struct {
 	// ctx.Err().
 	Context context.Context
 	// MaxCycles overrides the runaway-simulation guard (0 keeps the
-	// default of 1<<28 cycles).  On overrun the error wraps ErrLivelock.
+	// default of 2^28 cycles).  On overrun the error wraps ErrLivelock.
 	MaxCycles int64
 	// Profile enables exact per-µPC cycle attribution in the simulator
 	// and fills RunStats.Source with the source-line profile (and, for
@@ -236,14 +245,7 @@ func (p *Program) RunWith(cfg RunConfig, inputs map[string][]float64) (map[strin
 		}
 		rec = tracer
 	}
-	out, stats, err := driver.RunWith(p.c, inputs, driver.RunOptions{
-		Ctx:       cfg.Context,
-		Recorder:  rec,
-		MaxCycles: cfg.MaxCycles,
-		Profile:   cfg.Profile,
-		Backend:   cfg.Backend,
-		Progress:  cfg.Progress,
-	})
+	outs, rss, err := p.runBatch(cfg, rec, []map[string][]float64{inputs})
 	if tracer != nil {
 		if cerr := tracer.Close(); err == nil {
 			err = cerr
@@ -252,22 +254,31 @@ func (p *Program) RunWith(cfg RunConfig, inputs map[string][]float64) (map[strin
 	if err != nil {
 		return nil, nil, err
 	}
-	rs := &RunStats{
-		Cycles:     stats.Cycles,
-		Backend:    stats.Backend,
-		MaxQueue:   stats.MaxQueue,
-		MaxQueueAt: stats.MaxQueueAt,
-		Profile:    stats.Obs,
-		Decision:   stats.Decision,
+	return outs[0], &rss[0], nil
+}
+
+// runBatch runs the input sets under cfg's run fields (driver.RunBatch)
+// and views each problem's record as RunStats.
+func (p *Program) runBatch(cfg RunConfig, rec obs.Recorder, inputs []map[string][]float64) ([]map[string][]float64, []RunStats, error) {
+	outs, stats, err := driver.RunBatch(p.c, inputs, driver.RunOptions{Ctx: cfg.Context, Recorder: rec,
+		MaxCycles: cfg.MaxCycles, Profile: cfg.Profile, Backend: cfg.Backend, Progress: cfg.Progress})
+	if err != nil {
+		return nil, nil, err
 	}
-	if stats.CellActive > 0 {
-		rs.AddUtilization = float64(stats.AddOps) / float64(stats.CellActive)
-		rs.MulUtilization = float64(stats.MulOps) / float64(stats.CellActive)
+	rss := make([]RunStats, len(stats))
+	for i, st := range stats {
+		sum := st.Obs.Summarize()
+		rss[i] = RunStats{
+			RunSummary: RunSummary{Cycles: st.Cycles, Backend: st.Backend, MaxQueue: st.MaxQueue, MaxQueueAt: st.MaxQueueAt,
+				AddUtilization: sum.AddUtil, MulUtilization: sum.MulUtil},
+			Profile:  st.Obs,
+			Decision: st.Decision,
+		}
+		if cfg.Profile {
+			rss[i].Source = prof.BuildSource(p.c.Debug, st.Obs.PC, st.Cycles)
+		}
 	}
-	if cfg.Profile && stats.Obs != nil {
-		rs.Source = prof.BuildSource(p.c.Debug, stats.Obs.PC, stats.Cycles)
-	}
-	return out, rs, nil
+	return outs, rss, nil
 }
 
 // DebugMap returns the compiler's µPC → source mapping for this
