@@ -53,23 +53,6 @@ func (v SymVec) Sub(w SymVec) SymVec {
 // index j.
 func (v SymVec) InnerVariant() bool { return v[DimJ] != 0 || v[DimJN] != 0 }
 
-// immediate reports whether the value can be a single immediate
-// operand: a pure integer constant, a pure multiple of N, or a single
-// array base (the link-time symbols the microassembler can encode).
-func (v SymVec) immediate() bool {
-	nonzero := 0
-	for d, c := range v {
-		if c == 0 {
-			continue
-		}
-		if d == DimI || d == DimIN || d == DimJ || d == DimJN {
-			return false // loop-variant: never an immediate
-		}
-		nonzero++
-	}
-	return nonzero == 1
-}
-
 // decomposeAtoms splits a loop-invariant residue into the immediates
 // needed to add it in: one per nonzero symbolic atom.  ok=false if the
 // residue is loop variant.

@@ -25,8 +25,8 @@ import (
 // goldens' programs plain and pipelined, and a hand-built nest whose
 // inner loop has a trip count of zero (the sequencer's do-while loops run
 // its body once), alone and 32 lanes wide.  The active window the cycle
-// loop measured is also mcode.CountCell's cycle count, and the totals
-// are its.
+// loop measured is also mcode.CountCell's cycle count, the totals are
+// its, and Stats.CellActive is the cells' active windows summed.
 func TestAccountingIdentity(t *testing.T) {
 	type prog struct {
 		name  string
@@ -93,6 +93,13 @@ func TestAccountingIdentity(t *testing.T) {
 			st, err := sim.Load(p.cfg).RunBatch(p.cfg, images)
 			if err != nil {
 				t.Fatalf("%s, width %d: %v", p.name, width, err)
+			}
+			var active int64
+			for i := range st.Obs.Cell {
+				active += st.Obs.Cell[i].Active()
+			}
+			if st.CellActive != active {
+				t.Errorf("%s, width %d: CellActive %d, Σ cell active %d", p.name, width, st.CellActive, active)
 			}
 			for i := range st.Obs.Cell {
 				cp, pcs := &st.Obs.Cell[i], &st.Obs.PC[i]

@@ -159,7 +159,7 @@ func (l *Loaded) Closed(pcStats bool) *Stats {
 		cp.Finish = cp.Start + max(c.Cycles-1, 0)
 		cp.Drain = st.Cycles - 1 - cp.Finish
 		finish[i] = cp.Finish
-		st.CellActive += cp.Finish - cp.Start
+		st.CellActive += cp.Active()
 		cp.Depth = depth[i*rows : (i+1)*rows : (i+1)*rows]
 		copy(cp.Depth, cell.Depth)
 		if busyPC != nil {

@@ -109,8 +109,9 @@ type Stats struct {
 	// fully utilized in the innermost loop", §7).
 	AddOps int64
 	MulOps int64
-	// CellActive is the total number of cell-active cycles (sum over
-	// cells of finish−start).
+	// CellActive is the total number of cell-active cycles: the sum over
+	// cells of obs.CellProfile.Active, the denominator Profile.Summarize
+	// divides by.
 	CellActive int64
 	// Obs is the full run profile: per-cell stall attribution and
 	// per-loop-depth utilization, per-queue high-water marks and
@@ -409,8 +410,8 @@ func (m *machine) stats() *Stats {
 	for i := range m.cells {
 		c, cp := &m.cells[i], &prof.Cell[i]
 		stats.CellFinish[i], cp.Finish = c.finish, c.finish
-		stats.CellActive += c.finish - c.start
 		cp.Starved, cp.Bubble, cp.Drain = c.starved, c.bubble, last-c.finish
+		stats.CellActive += cp.Active()
 		// The cycles this cell's queues went unsampled lie before its
 		// upstream neighbour started or after it finished itself;
 		// either way they were empty (checkBalance passed).

@@ -20,7 +20,7 @@ const evalBudget = 1 << 22
 // the global maximum across channels — for the queue occupancy at that
 // chosen skew.
 type Analysis struct {
-	pushes, pops []Node // the upstream sends and the downstream receives, sealed
+	pushes, pops []Node // the upstream sends and the downstream receives
 	evals        int64  // pushes looked at so far
 }
 
@@ -35,59 +35,21 @@ type SearchStats struct {
 }
 
 // NewAnalysis prepares the skew analysis for one channel pair: the
-// outputs of out feed the queue the inputs of in drain.
+// outputs of out feed the queue the inputs of in drain.  It reads both
+// programs in place.  A loop of fewer than one trip is refused here:
+// Seal counts its body no times, but the sequencer runs it once, and
+// while sema refuses empty source loops a pipelined kernel's trip count
+// is computed.
 func NewAnalysis(out, in *Prog) (*Analysis, error) {
+	for _, p := range [...]*Prog{out, in} {
+		if err := p.Validate(); err != nil {
+			return nil, err
+		}
+	}
 	if o, i := out.Count(Output), in.Count(Input); o != i {
 		return nil, fmt.Errorf("skew: %d outputs vs %d inputs; send/receive counts must match", o, i)
 	}
-	pushes, err := tree(out.Body)
-	if err != nil {
-		return nil, err
-	}
-	pops := pushes
-	if in != out {
-		if pops, err = tree(in.Body); err != nil {
-			return nil, err
-		}
-		Seal(pops)
-	}
-	Seal(pushes)
-	return &Analysis{pushes: pushes, pops: pops}, nil
-}
-
-// tree converts a body to the evaluator's form: operations of one cycle
-// share a leaf, outputs are its sends and inputs its receives.
-func tree(body []Elem) ([]Node, error) {
-	var out []Node
-	end := int64(0) // first cycle free after the nodes so far
-	for _, e := range body {
-		switch e := e.(type) {
-		case *Op:
-			if len(out) == 0 || out[len(out)-1].Loop != nil || out[len(out)-1].At != e.At {
-				if e.At < end {
-					return nil, fmt.Errorf("skew: %s(%d) at cycle %d is out of cycle order", e.Kind, e.ID, e.At)
-				}
-				out = append(out, Node{At: e.At, Instr: e.ID})
-				end = e.At + 1
-			}
-			if n := &out[len(out)-1]; e.Kind == Output {
-				n.Send++
-			} else {
-				n.Recv++
-			}
-		case *Loop:
-			if e.Trips < 1 || e.IterLen < 1 || e.At < end {
-				return nil, fmt.Errorf("skew: loop at cycle %d (%d trips of %d cycles) is empty or out of cycle order", e.At, e.Trips, e.IterLen)
-			}
-			inner, err := tree(e.Body)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, Node{At: e.At, Loop: &Nest{Trips: e.Trips, IterLen: e.IterLen, Body: inner}})
-			end = e.At + e.Trips*e.IterLen
-		}
-	}
-	return out, nil
+	return &Analysis{pushes: out.Body, pops: in.Body}, nil
 }
 
 // evaluate is one structural evaluation of the queue at the given skew,

@@ -22,95 +22,67 @@ func (k Kind) String() string {
 	return "output"
 }
 
-// Elem is an element of a timed I/O program: an operation or a loop.
-type Elem interface {
-	elem()
-}
-
-// Op is one static I/O statement, executed at cycle At relative to the
-// start of the enclosing loop body (or program).
-type Op struct {
-	Kind Kind
-	ID   int // statement identifier, unique per kind within the program
-	At   int64
-}
-
-// Loop is a counted loop starting at cycle At relative to the enclosing
-// body, whose body takes IterLen cycles and executes Trips times,
-// back to back.
-type Loop struct {
-	At      int64
-	Trips   int64
-	IterLen int64
-	Body    []Elem
-}
-
-func (*Op) elem()   {}
-func (*Loop) elem() {}
-
 // Prog is a timed I/O program: the I/O behaviour of one compiled cell
-// program, reduced to the cycle-exact times of its send and receive
-// operations.  Len is the total execution length in cycles.
+// program on one channel, reduced to the cycle-exact times of its send
+// and receive operations.  Body is a sealed stream tree (tree.go): a
+// leaf's sends are the program's outputs and its receives its inputs,
+// and the statements of each kind are numbered by ordinal, in program
+// order.  Len is the total execution length in cycles.  Nothing writes
+// to a Prog once it is built, so one can be read from many goroutines.
 type Prog struct {
-	Body []Elem
+	Body []Node
 	Len  int64
 }
 
-// Validate checks structural invariants: operation times within bounds,
-// loops within their enclosing body, monotone layout, unique IDs.
-func (p *Prog) Validate() error {
-	ids := map[Kind]map[int]bool{Input: {}, Output: {}}
-	if err := validateBody(p.Body, p.Len, ids); err != nil {
-		return err
+// events returns the operations of kind k the leaf n carries.
+func events(n *Node, k Kind) int64 {
+	if k == Output {
+		return int64(n.Send)
 	}
-	return nil
+	return int64(n.Recv)
 }
 
-func validateBody(body []Elem, length int64, ids map[Kind]map[int]bool) error {
-	for _, e := range body {
-		switch e := e.(type) {
-		case *Op:
-			if e.At < 0 || e.At >= length {
-				return fmt.Errorf("skew: op %s(%d) at cycle %d outside body of %d cycles", e.Kind, e.ID, e.At, length)
+// Validate checks structural invariants: nodes in increasing cycle
+// order within their body, loops of at least one trip and one cycle.
+func (p *Prog) Validate() error { return validateBody(p.Body, p.Len) }
+
+func validateBody(body []Node, length int64) error {
+	end := int64(0) // first cycle free after the nodes so far
+	for i := range body {
+		n := &body[i]
+		if n.At < end {
+			return fmt.Errorf("skew: node at cycle %d is out of cycle order", n.At)
+		}
+		l := n.Loop
+		if l == nil {
+			if end = n.At + 1; end > length {
+				return fmt.Errorf("skew: event at cycle %d outside body of %d cycles", n.At, length)
 			}
-			if ids[e.Kind][e.ID] {
-				return fmt.Errorf("skew: duplicate %s statement id %d", e.Kind, e.ID)
-			}
-			ids[e.Kind][e.ID] = true
-		case *Loop:
-			if e.Trips < 1 {
-				return fmt.Errorf("skew: loop with %d trips", e.Trips)
-			}
-			if e.IterLen < 1 {
-				return fmt.Errorf("skew: loop with iteration length %d", e.IterLen)
-			}
-			if e.At < 0 || e.At+e.Trips*e.IterLen > length {
-				return fmt.Errorf("skew: loop [%d,%d) outside body of %d cycles", e.At, e.At+e.Trips*e.IterLen, length)
-			}
-			if err := validateBody(e.Body, e.IterLen, ids); err != nil {
-				return err
-			}
+			continue
+		}
+		if l.Trips < 1 {
+			return fmt.Errorf("skew: loop with %d trips", l.Trips)
+		}
+		if l.IterLen < 1 {
+			return fmt.Errorf("skew: loop with iteration length %d", l.IterLen)
+		}
+		if end = n.At + l.Trips*l.IterLen; end > length {
+			return fmt.Errorf("skew: loop [%d,%d) outside body of %d cycles", n.At, end, length)
+		}
+		if err := validateBody(l.Body, l.IterLen); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
 // Count returns the number of dynamic operations of the given kind.
-func (p *Prog) Count(k Kind) int64 { return countBody(p.Body, k) }
-
-func countBody(body []Elem, k Kind) int64 {
-	var n int64
-	for _, e := range body {
-		switch e := e.(type) {
-		case *Op:
-			if e.Kind == k {
-				n++
-			}
-		case *Loop:
-			n += e.Trips * countBody(e.Body, k)
-		}
+func (p *Prog) Count(k Kind) int64 {
+	sends, recvs := Count(p.Body, Forever)
+	if k == Output {
+		return sends
 	}
-	return n
+	return recvs
 }
 
 // Times enumerates the execution cycle of every dynamic operation of
@@ -120,23 +92,10 @@ func countBody(body []Elem, k Kind) int64 {
 // computed by Statements/TimingFunc.
 func (p *Prog) Times(k Kind) []int64 {
 	out := make([]int64, 0, p.Count(k))
-	out = appendTimes(out, p.Body, k, 0)
-	return out
-}
-
-func appendTimes(out []int64, body []Elem, k Kind, base int64) []int64 {
-	for _, e := range body {
-		switch e := e.(type) {
-		case *Op:
-			if e.Kind == k {
-				out = append(out, base+e.At)
-			}
-		case *Loop:
-			for i := int64(0); i < e.Trips; i++ {
-				out = appendTimes(out, e.Body, k, base+e.At+i*e.IterLen)
-			}
-		}
-	}
+	p.EachTime(k, func(_, t int64) bool {
+		out = append(out, t)
+		return true
+	})
 	return out
 }
 
@@ -148,22 +107,22 @@ func (p *Prog) EachTime(k Kind, f func(n, t int64) bool) {
 	eachTime(p.Body, k, 0, &n, f)
 }
 
-func eachTime(body []Elem, k Kind, base int64, n *int64, f func(n, t int64) bool) bool {
-	for _, e := range body {
-		switch e := e.(type) {
-		case *Op:
-			if e.Kind == k {
-				if !f(*n, base+e.At) {
-					return false
-				}
-				*n++
-			}
-		case *Loop:
-			for i := int64(0); i < e.Trips; i++ {
-				if !eachTime(e.Body, k, base+e.At+i*e.IterLen, n, f) {
+func eachTime(body []Node, k Kind, base int64, n *int64, f func(n, t int64) bool) bool {
+	for i := range body {
+		nd := &body[i]
+		if l := nd.Loop; l != nil {
+			for j := int64(0); j < l.Trips; j++ {
+				if !eachTime(l.Body, k, base+nd.At+j*l.IterLen, n, f) {
 					return false
 				}
 			}
+			continue
+		}
+		for c := events(nd, k); c > 0; c-- {
+			if !f(*n, base+nd.At) {
+				return false
+			}
+			*n++
 		}
 	}
 	return true
@@ -173,19 +132,25 @@ func eachTime(body []Elem, k Kind, base int64, n *int64, f func(n, t int64) bool
 func (p *Prog) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "prog len=%d\n", p.Len)
-	dumpBody(&sb, p.Body, 1)
+	var ids [2]int
+	dumpBody(&sb, p.Body, 1, &ids)
 	return sb.String()
 }
 
-func dumpBody(sb *strings.Builder, body []Elem, depth int) {
+func dumpBody(sb *strings.Builder, body []Node, depth int, ids *[2]int) {
 	indent := strings.Repeat("  ", depth)
-	for _, e := range body {
-		switch e := e.(type) {
-		case *Op:
-			fmt.Fprintf(sb, "%s@%d %s(%d)\n", indent, e.At, e.Kind, e.ID)
-		case *Loop:
-			fmt.Fprintf(sb, "%s@%d loop %d times, %d cycles/iter\n", indent, e.At, e.Trips, e.IterLen)
-			dumpBody(sb, e.Body, depth+1)
+	for i := range body {
+		n := &body[i]
+		if l := n.Loop; l != nil {
+			fmt.Fprintf(sb, "%s@%d loop %d times, %d cycles/iter\n", indent, n.At, l.Trips, l.IterLen)
+			dumpBody(sb, l.Body, depth+1, ids)
+			continue
+		}
+		for k := Input; k <= Output; k++ {
+			for c := events(n, k); c > 0; c-- {
+				fmt.Fprintf(sb, "%s@%d %s(%d)\n", indent, n.At, k, ids[k])
+				ids[k]++
+			}
 		}
 	}
 }
@@ -230,31 +195,32 @@ func Out() Item { return ioItem{Output} }
 func Rep(trips int64, body ...Item) Item { return repItem{trips, body} }
 
 // Build assembles an abstract instruction sequence into a timed
-// program.  Statement IDs are assigned in textual order per kind,
-// matching the paper's I(0), I(1), O(0)... numbering.
+// program.  Statements are numbered in textual order per kind, matching
+// the paper's I(0), I(1), O(0)... numbering.
 func Build(items ...Item) *Prog {
-	ids := map[Kind]*int{Input: new(int), Output: new(int)}
-	body, n := buildItems(items, ids)
+	body, n := buildItems(items)
+	Seal(body)
 	return &Prog{Body: body, Len: n}
 }
 
-func buildItems(items []Item, ids map[Kind]*int) ([]Elem, int64) {
-	var body []Elem
+func buildItems(items []Item) ([]Node, int64) {
+	var body []Node
 	var at int64
 	for _, it := range items {
 		switch it := it.(type) {
-		case nopItem:
-			at++
 		case ioItem:
-			id := ids[it.kind]
-			body = append(body, &Op{Kind: it.kind, ID: *id, At: at})
-			*id++
-			at++
+			n := Node{At: at, Recv: 1}
+			if it.kind == Output {
+				n = Node{At: at, Send: 1}
+			}
+			body = append(body, n)
 		case repItem:
-			inner, n := buildItems(it.body, ids)
-			body = append(body, &Loop{At: at, Trips: it.trips, IterLen: n, Body: inner})
+			inner, n := buildItems(it.body)
+			body = append(body, Node{At: at, Loop: &Nest{Trips: it.trips, IterLen: n, Body: inner}})
 			at += n * it.trips
+			continue
 		}
+		at++
 	}
 	return body, at
 }

@@ -1,10 +1,12 @@
 package skew_test
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"warp/internal/cellgen"
@@ -12,6 +14,7 @@ import (
 	"warp/internal/mcode"
 	"warp/internal/skew"
 	"warp/internal/verify"
+	"warp/internal/w2"
 	"warp/internal/workloads"
 )
 
@@ -202,5 +205,73 @@ func TestVerifyWalkFollowsTree(t *testing.T) {
 	}
 	if walks[1024] > 2*walks[64] {
 		t.Errorf("FFT(1024) walks %d pushes, FFT(64) %d: want at most twice", walks[1024], walks[64])
+	}
+}
+
+// TestZeroTripLoopRefused: the sequencer runs a loop of no trips once,
+// but Seal counts its body no times, so the search refuses it rather
+// than read a wrong count.
+func TestZeroTripLoopRefused(t *testing.T) {
+	p := skew.Build(skew.In(), skew.Rep(0, skew.Out(), skew.In()), skew.Out())
+	if _, err := skew.NewAnalysis(p, p); err == nil || !strings.Contains(err.Error(), "0 trips") {
+		t.Errorf("NewAnalysis of a zero-trip loop: %v, want a refusal", err)
+	}
+}
+
+// TestSharedProgConcurrentReads: one cellgen.Timing result of colorseg,
+// as a cached program hands it to every request, read by eight goroutines at once
+// gives each the sequential read — skew, search statistics, occupancy,
+// times and statements.  Under -race it also shows that nothing writes to
+// a Prog once it is built.
+func TestSharedProgConcurrentReads(t *testing.T) {
+	c, err := driver.Compile(workloads.ColorSeg(64, 64, 10), driver.Options{Pipeline: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	timing := cellgen.Timing(c.Cell)
+	for ch, p := range timing {
+		if p.Count(skew.Input) == 0 {
+			continue
+		}
+		if _, err := skew.NewAnalysis(p, p); err != nil {
+			t.Fatalf("%s: %v", ch, err)
+		}
+	}
+	read := func() string {
+		var sb strings.Builder
+		for _, ch := range []w2.Channel{w2.ChanX, w2.ChanY} {
+			p := timing[ch]
+			a, err := skew.NewAnalysis(p, p)
+			if err != nil {
+				fmt.Fprintf(&sb, "%s: %v\n", ch, err)
+				continue
+			}
+			s, st, err := a.MinSkewStats()
+			occ, qerr := a.CheckQueue(s, mcode.QueueDepth)
+			fmt.Fprintf(&sb, "%s: skew %d %+v %v, occupancy %d %v\n", ch, s, st, err, occ, qerr)
+			for _, k := range []skew.Kind{skew.Input, skew.Output} {
+				fmt.Fprintln(&sb, p.Times(k))
+				for _, v := range skew.Statements(p, k) {
+					fmt.Fprintln(&sb, v)
+				}
+			}
+		}
+		return sb.String()
+	}
+	want := read()
+	got := make([]string, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = read()
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if got[i] != want {
+			t.Errorf("goroutine %d's read differs from the sequential read", i)
+		}
 	}
 }

@@ -8,10 +8,10 @@ import (
 )
 
 // tree.go evaluates queue occupancy on the loop tree, without expanding
-// a trip count.  It is the one evaluator in the compiler: Analysis
-// searches the minimum skew with it (over trees converted from Prog) and
-// internal/verify proves every queue of the finished microcode with it
-// (over trees it derives from the microcode itself).
+// a trip count.  It is the one evaluator in the compiler, and it reads
+// the trees of one builder (CellStreams): Analysis searches the minimum
+// skew with it over a Prog's data streams, and internal/verify proves
+// every queue of the finished microcode with it.
 //
 // Every queue in the machine is push-before-pop within a cycle: the
 // global clock steps the IU, then the host, then the cells left to

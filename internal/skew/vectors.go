@@ -2,7 +2,6 @@ package skew
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -51,7 +50,6 @@ func (v *Vectors) String() string {
 func Statements(p *Prog, k Kind) []*Vectors {
 	var out []*Vectors
 	extractVectors(p.Body, k, nil, &out)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -60,17 +58,26 @@ type frame struct {
 	r, n, s, l, t int64
 }
 
-func extractVectors(body []Elem, k Kind, stack []frame, out *[]*Vectors) int64 {
+// extractVectors appends the vectors of body's statements in program
+// order, which numbers them.
+func extractVectors(body []Node, k Kind, stack []frame, out *[]*Vectors) {
 	// opsBefore counts the kind-k operations executed earlier in this
 	// body (one iteration of the enclosing loop).
 	var opsBefore int64
-	for _, e := range body {
-		switch e := e.(type) {
-		case *Op:
-			if e.Kind != k {
-				continue
+	for i := range body {
+		n := &body[i]
+		if l := n.Loop; l != nil {
+			perIter := l.recvs // sealed
+			if k == Output {
+				perIter = l.sends
 			}
-			v := &Vectors{ID: e.ID, Kind: k}
+			f := frame{r: l.Trips, n: perIter, s: opsBefore, l: l.IterLen, t: n.At}
+			extractVectors(l.Body, k, append(stack, f), out)
+			opsBefore += l.Trips * perIter
+			continue
+		}
+		for c := events(n, k); c > 0; c-- {
+			v := &Vectors{ID: len(*out), Kind: k}
 			for _, f := range stack {
 				v.R = append(v.R, f.r)
 				v.N = append(v.N, f.n)
@@ -85,15 +92,9 @@ func extractVectors(body []Elem, k Kind, stack []frame, out *[]*Vectors) int64 {
 			v.N = append(v.N, 1)
 			v.S = append(v.S, opsBefore)
 			v.L = append(v.L, 1)
-			v.T = append(v.T, e.At)
+			v.T = append(v.T, n.At)
 			*out = append(*out, v)
 			opsBefore++
-		case *Loop:
-			perIter := countBody(e.Body, k)
-			f := frame{r: e.Trips, n: perIter, s: opsBefore, l: e.IterLen, t: e.At}
-			extractVectors(e.Body, k, append(stack, f), out)
-			opsBefore += e.Trips * perIter
 		}
 	}
-	return opsBefore
 }

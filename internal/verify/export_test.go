@@ -84,16 +84,13 @@ func compareQueue(name string, pushes, pops []skew.Node, shift int64) error {
 // IU proofs against the elaborated trace, event for event (compareIU),
 // and the boundary tree's normal form against its enumeration.
 func Differential(p Program) error {
-	cs := buildCellStreams(p.Cell)
+	cs := skew.CellStreams(p.Cell)
 	for _, ch := range []w2.Channel{w2.ChanX, w2.ChanY} {
-		skew.Seal(cs.data[ch])
-		if err := compareQueue("channel "+ch.String(), cs.data[ch], cs.data[ch], p.Skew); err != nil {
+		if err := compareQueue("channel "+ch.String(), cs.Data[ch], cs.Data[ch], p.Skew); err != nil {
 			return err
 		}
 	}
-	skew.Seal(cs.mem)
-	skew.Seal(cs.bnd)
-	for name, body := range map[string][]skew.Node{"Adr": cs.mem, "Sig": cs.bnd} {
+	for name, body := range map[string][]skew.Node{"Adr": cs.Mem, "Sig": cs.Bnd} {
 		if p.Skew < 1 {
 			break
 		}
@@ -118,17 +115,17 @@ func Differential(p Program) error {
 	// The boundary sequence's normal form spells the boundary tree.
 	s := newSigForms()
 	var bnd []mcode.SigEvent
-	each(cs.bnd, 0, true, func(b *skew.Node, _ int64, last bool) {
+	each(cs.Bnd, 0, true, func(b *skew.Node, _ int64, last bool) {
 		bnd = append(bnd, mcode.SigEvent{ID: b.Instr, More: !last})
 	})
-	if err := compareRuns(s, s.cellBody(cs.bnd, nil, true, s.cellInner(cs.bnd)), bnd); err != nil {
+	if err := compareRuns(s, s.cellBody(cs.Bnd, nil, true, s.cellInner(cs.Bnd)), bnd); err != nil {
 		return fmt.Errorf("boundary tree: %v", err)
 	}
 	code := decodeIU(p.IU)
-	if err := compareQueue("Adr into cell 0", code.adr, cs.mem, p.Lead); err != nil {
+	if err := compareQueue("Adr into cell 0", code.adr, cs.Mem, p.Lead); err != nil {
 		return err
 	}
-	return compareQueue("Sig into cell 0", code.sig, cs.bnd, p.Lead)
+	return compareQueue("Sig into cell 0", code.sig, cs.Bnd, p.Lead)
 }
 
 // iuOracleCycles bounds the IU runs the oracle elaborates.

@@ -17,7 +17,7 @@ import (
 // one run of its smallest repeating unit.
 //
 // Each side comes from its loop tree, and a loop's sequence is one node
-// (sigForms.close).  The cell's boundary tree (cellStreams.bnd) repeats a
+// (sigForms.close).  The cell's boundary tree (skew.Streams.Bnd) repeats a
 // loop's body with "more" for all iterations but the last.  An IU loop's signals depend on its own counter alone: a
 // static IUSig is fixed, and a dynamic one is monotone in the counter
 // (iter·M + Copy < CellTrips−1), so a loop splits into at most one more

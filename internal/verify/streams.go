@@ -1,102 +1,21 @@
 package verify
 
-import (
-	"warp/internal/mcode"
-	"warp/internal/skew"
-	"warp/internal/w2"
-)
+import "warp/internal/skew"
 
-// streams.go reduces the microcode to timed event streams — the
-// verifier's own reading of the programs, independent of the code
-// generators' bookkeeping.  A stream is a tree: leaves carry event
-// counts at one cycle, loops keep their trip count.  The queue proofs of
-// queue.go evaluate these trees in place and never expand a trip count;
-// only each (and flatten on top of it) enumerates dynamic events, to name
-// the offending event once a proof has failed.  The IU's trees are read
-// by decodeIU (iu.go).
+// streams.go enumerates the timed event streams skew.CellStreams reads
+// off the microcode (and decodeIU, iu.go, off the IU's).  The queue
+// proofs of queue.go evaluate the trees in place and never expand a trip
+// count; only each (and flatten on top of it) enumerates dynamic events,
+// to name the offending event once a proof has failed.
 //
-// The cell program's µPC numbering is mcode.Fold's order, listing order,
-// which the fold hands every instruction.
-//
-// Cell time is the instruction's ordinal in the dynamic execution:
-// every cell executes exactly one microinstruction per cycle, so the
-// nth instruction of cell k runs at machine cycle start_k + n with
+// Cell time is the instruction's ordinal in the dynamic execution, so
+// the nth instruction of cell k runs at machine cycle start_k + n with
 // start_k = Lead + k·Skew.
 
 // event is one dynamic stream event at an absolute cycle.
 type event struct {
 	at    int64
 	instr int
-}
-
-// cellStreams is everything the verifier derives from one cell program.
-type cellStreams struct {
-	data map[w2.Channel][]skew.Node // send/recv counts per data channel
-	// The streams every cell consumes from its left neighbour the cycle it
-	// forwards them to its right one, so a leaf's send and recv are equal:
-	// memory references (Adr queue), and loop boundaries (Sig queue) — one
-	// leaf per loop, at the iteration's last cycle, innermost first.
-	mem, bnd []skew.Node
-}
-
-// Stream slots of buildCellStreams' walk.
-const (
-	slotX = iota
-	slotY
-	slotMem
-	slotBnd
-	numSlots
-)
-
-// buildCellStreams folds the cell program once, structurally: a body
-// folds to its nodes per stream slot.
-func buildCellStreams(p *mcode.CellProgram) *cellStreams {
-	type slots [numSlots][]skew.Node
-	out, _ := mcode.Fold(p.Items, &slots{}, func(out *slots, in *mcode.Instr, s *mcode.CellSite) *slots {
-		// One leaf per (instruction, stream), so a cycle carrying both a
-		// send and a receive keeps them together.
-		var leaf [numSlots]skew.Node
-		for i := range in.IO {
-			io, n := &in.IO[i], &leaf[slotX]
-			if io.Chan == w2.ChanY {
-				n = &leaf[slotY]
-			}
-			if io.Recv {
-				n.Recv++
-			} else {
-				n.Send++
-			}
-		}
-		for i := range in.Mem {
-			if in.Mem[i].Kind != mcode.MemNone {
-				leaf[slotMem].Send++
-				leaf[slotMem].Recv++
-			}
-		}
-		for k, n := range leaf {
-			if n.Send > 0 || n.Recv > 0 {
-				n.At, n.Instr = s.At, s.PC
-				out[k] = append(out[k], n)
-			}
-		}
-		return out
-	}, func(*slots, *mcode.LoopItem, *mcode.CellSite) *slots { return &slots{} },
-		func(out *slots, l *mcode.LoopItem, s *mcode.CellSite, n int64, inner *slots) *slots {
-			if n > 0 {
-				inner[slotBnd] = append(inner[slotBnd], skew.Node{At: n - 1, Instr: l.ID, Send: 1, Recv: 1})
-			}
-			for k, body := range inner {
-				if len(body) > 0 {
-					out[k] = append(out[k], skew.Node{At: s.At, Loop: &skew.Nest{Trips: l.Trips, IterLen: n, Body: body}})
-				}
-			}
-			return out
-		})
-	return &cellStreams{
-		data: map[w2.Channel][]skew.Node{w2.ChanX: out[slotX], w2.ChanY: out[slotY]},
-		mem:  out[slotMem],
-		bnd:  out[slotBnd],
-	}
 }
 
 // each visits every dynamic leaf of the stream in time order with its

@@ -145,16 +145,15 @@ func Verify(p Program) (*Report, error) {
 		// meaningless or unsafe.
 		return nil, &Error{Diags: col.diags}
 	}
-	cs := buildCellStreams(p.Cell)
+	cs := skew.CellStreams(p.Cell)
 
 	// The operation totals are closed-form over trip counts and every
-	// group below reads them (sealing also readies the trees for the
-	// groups' prefix queries).
+	// group below reads them.
 	for _, ch := range []w2.Channel{w2.ChanX, w2.ChanY} {
-		rep.Sends[ch], rep.Recvs[ch] = skew.Seal(cs.data[ch])
+		rep.Sends[ch], rep.Recvs[ch] = skew.Count(cs.Data[ch], skew.Forever)
 	}
-	rep.MemRefs, _ = skew.Seal(cs.mem)
-	rep.Signals, _ = skew.Seal(cs.bnd)
+	rep.MemRefs, _ = skew.Count(cs.Mem, skew.Forever)
+	rep.Signals, _ = skew.Count(cs.Bnd, skew.Forever)
 
 	checkHazards(p.Cell, col)
 	col.ok()
@@ -274,12 +273,12 @@ func unproven(col *collector, cell int, queue string) {
 // cell runs the same program, so one boundary proof covers the array:
 // the upstream cell's sends at its cycle s_n feed the queue the
 // downstream cell drains with receives at s-cell time r_n + skew.
-func checkDataQueues(p Program, cs *cellStreams, rep *Report, col *collector) {
+func checkDataQueues(p Program, cs *skew.Streams, rep *Report, col *collector) {
 	if p.Cells < 2 {
 		return
 	}
 	for _, ch := range []w2.Channel{w2.ChanX, w2.ChanY} {
-		body := cs.data[ch]
+		body := cs.Data[ch]
 		sends, recvs := rep.Sends[ch], rep.Recvs[ch]
 		if sends == 0 && recvs == 0 {
 			continue
@@ -324,7 +323,7 @@ func checkDataQueues(p Program, cs *cellStreams, rep *Report, col *collector) {
 // later: underflow is impossible (skew ≥ 1 and upstream steps first),
 // and peak occupancy is the largest event count in a skew-cycle window
 // (t−skew, t] — the structural evaluation of a stream against itself.
-func checkForwardedStreams(p Program, cs *cellStreams, rep *Report, col *collector) {
+func checkForwardedStreams(p Program, cs *skew.Streams, rep *Report, col *collector) {
 	if p.Cells < 2 {
 		return
 	}
@@ -345,8 +344,8 @@ func checkForwardedStreams(p Program, cs *cellStreams, rep *Report, col *collect
 		}
 		return Occ{Max: peak, Method: "exact"}
 	}
-	rep.Adr = check("Adr", cs.mem)
-	rep.Sig = check("Sig", cs.bnd)
+	rep.Adr = check("Adr", cs.Mem)
+	rep.Sig = check("Sig", cs.Bnd)
 }
 
 // checkIUStreams verifies the IU's two output streams against the
@@ -358,7 +357,7 @@ func checkForwardedStreams(p Program, cs *cellStreams, rep *Report, col *collect
 // into cell 0 are proven from the IU's emission trees against the cell's,
 // like every other queue, and the Sig queue's low-water mark is the
 // signals' arrival check.  A failed proof is rendered event by event.
-func checkIUStreams(p Program, cs *cellStreams, rep *Report, col *collector) {
+func checkIUStreams(p Program, cs *skew.Streams, rep *Report, col *collector) {
 	iu := decodeIU(p.IU)
 	table := p.IU.Table
 	if n := int64(len(table)); iu.reads > n {
@@ -384,7 +383,7 @@ func checkIUStreams(p Program, cs *cellStreams, rep *Report, col *collector) {
 	if iu.adrs != rep.MemRefs {
 		col.add(Diagnostic{Invariant: InvAddrStream, Cell: -1, Instr: -1, Loop: -1,
 			Detail: fmt.Sprintf("IU emits %d addresses but each cell makes %d memory references", iu.adrs, rep.MemRefs)})
-	} else if res, ok := proveQueue(iu.adr, cs.mem, p.Lead, &rep.Evals); !ok {
+	} else if res, ok := proveQueue(iu.adr, cs.Mem, p.Lead, &rep.Evals); !ok {
 		unproven(col, 0, "Adr queue into cell 0")
 	} else {
 		col.ok()
@@ -418,9 +417,9 @@ func checkIUStreams(p Program, cs *cellStreams, rep *Report, col *collector) {
 	col.ok()
 	res, queued := sweepResult{underAt: -1, overAt: -1}, true
 	if iu.sigs > 0 {
-		res, queued = proveQueue(iu.sig, cs.bnd, p.Lead, &rep.Evals)
+		res, queued = proveQueue(iu.sig, cs.Bnd, p.Lead, &rep.Evals)
 	}
-	if !queued || res.underAt >= 0 || !sameSignals(iu, cs.bnd, &rep.Steps) {
+	if !queued || res.underAt >= 0 || !sameSignals(iu, cs.Bnd, &rep.Steps) {
 		checkSignalsByEvent(p, cs, iu, rep, col)
 	} else {
 		col.ok()
@@ -480,7 +479,7 @@ func checkAddrRange(iu *iuCode, table []int64, rep *Report, col *collector) {
 // could not make — or that failed — signal by signal: decision against
 // the sequencer's crossing, arrival against cell 0's need.  The counts
 // are equal.
-func checkSignalsByEvent(p Program, cs *cellStreams, iu *iuCode, rep *Report, col *collector) {
+func checkSignalsByEvent(p Program, cs *skew.Streams, iu *iuCode, rep *Report, col *collector) {
 	if iu.sigs > enumEventLimit {
 		unrendered(col, "IU signal stream", iu.sigs)
 		return
@@ -489,7 +488,7 @@ func checkSignalsByEvent(p Program, cs *cellStreams, iu *iuCode, rep *Report, co
 	sigs := renderSigs(iu)
 	seqOK := true
 	i := 0
-	each(cs.bnd, 0, true, func(b *skew.Node, at int64, last bool) {
+	each(cs.Bnd, 0, true, func(b *skew.Node, at int64, last bool) {
 		s, id, more := sigs[i], b.Instr, !last
 		if s.ID != id || s.More != more {
 			col.add(Diagnostic{Invariant: InvSigStream, Cell: -1, Instr: s.PC, Loop: id,
