@@ -760,10 +760,7 @@ func fastPlans(w io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", p.name, err)
 		}
-		// Collect twice: a compile's and a build's pooled IU traces outlive
-		// one collection.
 		var before, after runtime.MemStats
-		runtime.GC()
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		start := time.Now()
@@ -772,7 +769,6 @@ func fastPlans(w io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("%s: fast plan: %w", p.name, err)
 		}
-		runtime.GC()
 		runtime.GC()
 		runtime.ReadMemStats(&after)
 		fmt.Fprintf(w, "%-16s %10d %10d %12d %12d %10s\n", p.name, c.Cell.NumInstrs(), plan.Words(), plan.Ops(),

@@ -140,11 +140,11 @@ func (c *Compiled) load() *sim.Loaded {
 func (c *Compiled) ModeledCycles() int64 { return c.load().Cycles() }
 
 // FastPlan returns the compiled program's fast-execution plan, building
-// and caching it on first call.  The plan is immutable and shared; a
-// program the trace compiler cannot represent returns the build error
-// on every call.
+// and caching it on first call from the load and the verifier's report.
+// The plan is immutable and shared; an unverified program has none and
+// returns the build error on every call.
 func (c *Compiled) FastPlan() (*fastexec.Plan, error) {
-	c.fastOnce.Do(func() { c.fastPlan, c.fastErr = fastexec.CompileLoaded(c.load()) })
+	c.fastOnce.Do(func() { c.fastPlan, c.fastErr = fastexec.CompileLoaded(c.load(), c.Verified) })
 	return c.fastPlan, c.fastErr
 }
 
@@ -439,8 +439,9 @@ type RunOptions struct {
 // chooseBackend resolves a RunOptions backend request against the
 // compiled program: which engine runs (or an error for an impossible
 // explicit request), plus the decision audit record — why that engine,
-// and the run's exact cycle and operation counts.  Verification status,
-// observability needs and whether the fast plan builds decide.
+// and the run's exact cycle and operation counts.  Verification status
+// and observability needs decide: every verified program has a fast
+// plan, the verifier having proven what the plan takes on trust.
 func chooseBackend(c *Compiled, o RunOptions) (string, obs.Decision, error) {
 	d := &obs.Decision{
 		PredictedCycles: c.ModeledCycles(),
@@ -459,7 +460,7 @@ func chooseBackend(c *Compiled, o RunOptions) (string, obs.Decision, error) {
 		// The fast path models cycles instead of observing them, so any
 		// run that wants per-cycle instrumentation stays on the
 		// simulator; so does an unverified program (no proofs, no
-		// shortcut) or one whose trace cannot be built.
+		// shortcut).
 		switch {
 		case c.Verified == nil:
 			// No operation count either: an unverified program has no
@@ -473,11 +474,7 @@ func chooseBackend(c *Compiled, o RunOptions) (string, obs.Decision, error) {
 			predictFast()
 		default:
 			predictFast()
-			if _, err := c.FastPlan(); err != nil {
-				d.Backend, d.Reason = BackendSim, "no-fast-plan"
-			} else {
-				d.Backend, d.Reason = BackendFast, "auto-verified"
-			}
+			d.Backend, d.Reason = BackendFast, "auto-verified"
 		}
 	case BackendSim:
 		d.Backend, d.Reason = BackendSim, "explicit-sim"
@@ -557,7 +554,10 @@ func RunBatch(c *Compiled, inputs []map[string][]float64, o RunOptions) ([]map[s
 	switch {
 	case n == 1: // nothing to walk together
 	case backend == BackendFast:
-		plan, _ := c.FastPlan() // chooseBackend built it
+		plan, err := c.FastPlan()
+		if err != nil {
+			return nil, nil, err
+		}
 		width = max(1, min(n, batchStateBytes/plan.StateBytes()))
 	case !obs.Enabled(o.Recorder):
 		if lane := c.load().LaneBytes(); lane > 0 {
@@ -599,7 +599,7 @@ func RunBatch(c *Compiled, inputs []map[string][]float64, o RunOptions) ([]map[s
 // materializes queues, but the bounds are exactly what the proof
 // discharged.
 func runFast(c *Compiled, hostMems [][]float64, ctl sim.Controls) (*sim.Stats, error) {
-	plan, err := c.FastPlan() // cached; already built by chooseBackend
+	plan, err := c.FastPlan() // cached after the first run
 	if err != nil {
 		return nil, err
 	}

@@ -22,7 +22,10 @@ import (
 //     corrupting a register, truncating the IU address table, renaming
 //     a loop, flipping a static loop signal, shifting a dynamic one,
 //     pushing an IU immediate's addresses past the cell memory — must
-//     each be rejected.
+//     each be rejected, and so must the in-range mutations, which leave
+//     every address in the cell memory but send one that is not the
+//     address its memory field names: a retargeted table entry, a
+//     shifted immediate, a shifted address stride.
 
 // verifyProgram assembles the verifier's input from a compilation,
 // exactly as the driver's verify phase does.
@@ -292,6 +295,87 @@ var mutations = []mutation{
 	}},
 }
 
+// inRangeMutations each change one IU field or table entry by one word
+// so that every address the IU emits stays in the cell memory but at
+// least one differs from the address its memory field names: only the
+// proof of each address's value rejects them.  The IU's elaboration
+// (mcode.IUCode.Elaborate) picks the first site and direction that
+// does.
+var inRangeMutations = []mutation{
+	{"retarget-table-entry", func(p *verify.Program) bool {
+		return retarget(p, func(yield func(*int64) bool) {
+			for i := range p.IU.Table {
+				if !yield(&p.IU.Table[i]) {
+					return
+				}
+			}
+		})
+	}},
+	{"shift-immediate", func(p *verify.Program) bool {
+		return retarget(p, func(yield func(*int64) bool) {
+			eachIUInstr(p.IU.Items, func(in *mcode.IUInstr) bool {
+				return in.Imm != nil && !yield(&in.Imm.Value)
+			})
+		})
+	}},
+	{"shift-address-stride", func(p *verify.Program) bool {
+		return retarget(p, func(yield func(*int64) bool) {
+			eachIUInstr(p.IU.Items, func(in *mcode.IUInstr) bool {
+				return in.Alu != nil && in.Alu.BIsImm && !yield(&in.Alu.ImmVal)
+			})
+		})
+	}},
+}
+
+// allMutations is every seeded mutation, the in-range ones last.
+var allMutations = slices.Concat(mutations, inRangeMutations)
+
+// retarget moves the first of the values sites yields, by +1 or else −1,
+// that keeps every address p's IU emits in the cell memory and changes
+// at least one of them; false when none does.
+func retarget(p *verify.Program, sites func(yield func(*int64) bool)) bool {
+	want, ok := iuAddrs(p.IU)
+	if !ok {
+		return false
+	}
+	found := false
+	sites(func(v *int64) bool {
+		for _, d := range []int64{1, -1} {
+			*v += d
+			if got, ok := iuAddrs(p.IU); ok && !slices.Equal(got, want) &&
+				!slices.ContainsFunc(got, func(a int64) bool { return a < 0 || a >= mcode.MemWords }) {
+				found = true
+				return false
+			}
+			*v -= d
+		}
+		return true
+	})
+	return found
+}
+
+// iuAddrs returns the addresses the IU emits, by its elaboration; false
+// when it reads past its table.
+func iuAddrs(iu *mcode.IUProgram) ([]int64, bool) {
+	code, err := mcode.DecodeIU(iu)
+	if err != nil {
+		return nil, false
+	}
+	counts, err := mcode.CountIU(iu)
+	if err != nil {
+		return nil, false
+	}
+	tr, done := code.Elaborate(iu.Table, counts.Cycles)
+	if !done || tr.OverRead >= 0 {
+		return nil, false
+	}
+	vals := make([]int64, len(tr.Adr))
+	for i, a := range tr.Adr {
+		vals[i] = a.Val
+	}
+	return vals, true
+}
+
 // mutated builds a fresh verifier input with deep-copied programs so a
 // mutation cannot leak into the compiled original (or another mutation).
 func mutated(c *Compiled) *verify.Program {
@@ -345,7 +429,7 @@ func checkVerifierOnProgram(t *testing.T, c *Compiled, src string, inputs map[st
 			}
 		}
 	}
-	for _, m := range mutations {
+	for _, m := range allMutations {
 		p := mutated(c)
 		if !m.apply(p) {
 			continue
@@ -418,7 +502,7 @@ func TestVerifierRejectsMutationsOnWorkloads(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		applied := 0
-		for _, m := range mutations {
+		for _, m := range allMutations {
 			p := mutated(c)
 			if !m.apply(p) {
 				continue
@@ -433,7 +517,7 @@ func TestVerifierRejectsMutationsOnWorkloads(t *testing.T) {
 			t.Errorf("%s: only %d mutations applicable; the corpus is too weak", name, applied)
 		}
 	}
-	for _, m := range mutations {
+	for _, m := range allMutations {
 		if sites[m.name] == 0 {
 			t.Errorf("mutation %q applies to none of the workloads", m.name)
 		}

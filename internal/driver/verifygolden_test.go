@@ -89,7 +89,8 @@ func rejection(t *testing.T, what string, err error) []byte {
 // TestVerifierRejectsMutationsOnWorkloads are kept in full text; for the
 // 540 (random program, option set) pairs of TestVerifierSoundnessSweep
 // one line carries a digest of the accepted Report and a digest over the
-// rejections of every applicable mutation, in mutation order.
+// rejections of every applicable mutation, in mutation order, and a
+// second line the same digest over the in-range mutations.
 func TestVerifyGoldenDiagnostics(t *testing.T) {
 	var out bytes.Buffer
 	for _, tc := range []struct{ name, src string }{
@@ -101,7 +102,7 @@ func TestVerifyGoldenDiagnostics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		for _, m := range mutations {
+		for _, m := range allMutations {
 			p := mutated(c)
 			if !m.apply(p) {
 				continue
@@ -127,18 +128,24 @@ func TestVerifyGoldenDiagnostics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h := sha256.New()
-			applied := 0
-			for _, m := range mutations {
-				p := mutated(c)
-				if !m.apply(p) {
-					continue
+			digest := func(ms []mutation) (int, []byte) {
+				h := sha256.New()
+				applied := 0
+				for _, m := range ms {
+					p := mutated(c)
+					if !m.apply(p) {
+						continue
+					}
+					applied++
+					_, err := verify.Verify(*p)
+					fmt.Fprintf(h, "%s\n%s", m.name, rejection(t, fmt.Sprintf("program %d/%d %s", i, j, m.name), err))
 				}
-				applied++
-				_, err := verify.Verify(*p)
-				fmt.Fprintf(h, "%s\n%s", m.name, rejection(t, fmt.Sprintf("program %d/%d %s", i, j, m.name), err))
+				return applied, h.Sum(nil)
 			}
-			fmt.Fprintf(&out, "random %d/%d report %x, %d mutations %x\n", i, j, sha256.Sum256(repJSON), applied, h.Sum(nil))
+			applied, sum := digest(mutations)
+			fmt.Fprintf(&out, "random %d/%d report %x, %d mutations %x\n", i, j, sha256.Sum256(repJSON), applied, sum)
+			applied, sum = digest(inRangeMutations)
+			fmt.Fprintf(&out, "random %d/%d %d in-range mutations %x\n", i, j, applied, sum)
 		}
 	}
 	checkGolden(t, filepath.Join("testdata", "verifydiags.golden"), out.Bytes())

@@ -158,11 +158,13 @@ end
 // literal — and every code only Eval computes reads its operands as they
 // stand, on the one-wide body and in every lane of a batched walk; a
 // fault reads alike on both, up to the lane the batch names.  The
-// simulator runs the same cases in its own test.
+// simulator runs the same cases in its own test.  Some cases write one
+// register twice in a cycle, which the verifier refuses, so the plans
+// are built without its report.
 func TestBatchLandingOrder(t *testing.T) {
 	for _, c := range mcodetest.LandingCases() {
 		t.Run(c.Name, func(t *testing.T) {
-			plan, err := fastexec.Compile(fastexec.Program{Cells: 1, Cell: c.Cell, IU: c.IU, Host: c.Host, Lead: c.Lead})
+			plan, err := fastexec.Build(fastexec.Program{Cells: 1, Cell: c.Cell, IU: c.IU, Host: c.Host, Lead: c.Lead})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -45,13 +45,13 @@
 // program (sim.Loaded.Closed) — what the simulator reports, but for its
 // split of idle cycles.
 //
-// The package trusts nothing silently.  Compile elaborates the IU once
-// and steps the plan once against what it emits: trip counts, stream
-// lengths, address bounds, every address the IU sends against the one
-// the memory field names, every loop signal against the sequencer.  The
-// walk stores nothing per event; a program that fails it (or is too long
-// to walk) is reported as an error so the caller can fall back to the
-// simulator.
+// A plan is built only for a verified program: CompileLoaded takes the
+// verifier's report, and Compile verifies the program itself.  What the
+// plan takes on trust is what verify proves — trip counts, rightward
+// flow, the host streams' lengths, every address the IU sends the one
+// the memory field names and within the words the fields are bound to,
+// every loop signal the sequencer's decision — so the build only decodes
+// and lowers, in time and space as large as the microcode.
 package fastexec
 
 import (
@@ -64,13 +64,9 @@ import (
 	"warp/internal/mcode"
 	"warp/internal/obs"
 	"warp/internal/sim"
+	"warp/internal/verify"
 	"warp/internal/w2"
 )
-
-// maxTraceCycles caps Compile's validation walk (and the IU elaboration
-// it checks against): longer programs are compile errors and run on the
-// simulator.
-const maxTraceCycles = 1 << 22
 
 // ctxCheckInterval is how often (in executed plan words) the executor
 // polls Controls.Ctx, mirroring the simulator's bounded cancellation
@@ -118,8 +114,9 @@ func (p *Plan) Ops() int { return int(p.counts.Ops) }
 // counts.
 func (p *Plan) Words() int { return len(p.code.Words) }
 
-// Compile builds an execution plan: it loads the program (sim.Load) and
-// builds the plan from the load (CompileLoaded).
+// Compile builds an execution plan: it verifies the program
+// (verify.Verify), loads it (sim.Load) and builds the plan from the load
+// and the report (CompileLoaded).
 func Compile(p Program) (*Plan, error) {
 	if p.Cells < 1 {
 		return nil, fmt.Errorf("fastexec: need at least one cell")
@@ -127,95 +124,38 @@ func Compile(p Program) (*Plan, error) {
 	if p.Cell == nil || p.IU == nil || p.Host == nil {
 		return nil, fmt.Errorf("fastexec: incomplete program (cell, IU and host programs are all required)")
 	}
-	return CompileLoaded(sim.Load(sim.Config{Cells: p.Cells, Cell: p.Cell, IU: p.IU, Host: p.Host, Skew: p.Skew, Lead: p.Lead}))
+	rep, err := verify.Verify(verify.Program{Cells: p.Cells, Cell: p.Cell, IU: p.IU, Host: p.Host, Skew: p.Skew, Lead: p.Lead})
+	if err != nil {
+		return nil, fmt.Errorf("fastexec: %w", err)
+	}
+	return CompileLoaded(sim.Load(sim.Config{Cells: p.Cells, Cell: p.Cell, IU: p.IU, Host: p.Host, Skew: p.Skew, Lead: p.Lead}), rep)
 }
 
-// CompileLoaded builds the execution plan of a loaded program of at
-// least one cell, reading the load's decoded words and its count: it
-// elaborates the IU microprogram once and walks the plan once against
-// the address and loop-signal streams it emits.  Programs that fail a
-// check (oversized, non-positive trip counts, stream inconsistencies)
-// fail with an error; callers fall back to the simulator.
-func CompileLoaded(l *sim.Loaded) (*Plan, error) {
-	p := l.Config()
+// CompileLoaded builds the execution plan of a loaded program from its
+// decoded words and its count.  rep is the report verify.Verify returned
+// for the same program, the proof of what the plan takes on trust; a nil
+// report builds nothing.
+func CompileLoaded(l *sim.Loaded, rep *verify.Report) (*Plan, error) {
+	if rep == nil {
+		return nil, fmt.Errorf("fastexec: no verification report: a plan is built only for a verified program")
+	}
+	return build(l)
+}
+
+// build decodes and lowers.
+func build(l *sim.Loaded) (*Plan, error) {
 	counts, err := l.Count()
 	if err != nil {
 		return nil, fmt.Errorf("fastexec: %w", err)
-	}
-	if counts.Cycles > maxTraceCycles {
-		return nil, fmt.Errorf("fastexec: cell program unrolls to %d cycles, over the %d-cycle trace cap", counts.Cycles, maxTraceCycles)
-	}
-	// An IU loop with an empty body emits nothing and takes no time;
-	// the decoder leaves it out.
-	iuCode, _ := l.IU()
-	iuCounts, err := iuCode.Count()
-	if err != nil {
-		return nil, fmt.Errorf("fastexec: %w", err)
-	}
-	if iuCounts.Cycles > maxTraceCycles {
-		return nil, fmt.Errorf("fastexec: IU program unrolls to %d cycles, over the %d-cycle trace cap", iuCounts.Cycles, maxTraceCycles)
-	}
-	for i := range iuCode.Words {
-		if err := positiveTrips("IU loop", iuCode.Words[i].Ends); err != nil {
-			return nil, err
-		}
-	}
-	// The IU's cycle count is capped above, so the elaboration completes.
-	iu, _ := iuCode.Elaborate(p.IU.Table, maxTraceCycles)
-	defer iu.Release()
-	if iu.OverRead >= 0 {
-		return nil, fmt.Errorf("fastexec: IU table read past its %d entries", len(p.IU.Table))
 	}
 	code, err := l.Code()
 	if err != nil {
 		return nil, fmt.Errorf("fastexec: %w", err)
 	}
-	if err := positiveTrips("loop", code.Ends); err != nil {
-		return nil, err
-	}
-	for _, o := range code.Ops {
-		switch o.Kind {
-		case mcode.OpSendLeft:
-			return nil, fmt.Errorf("fastexec: send to the left is not supported (rightward flow only)")
-		case mcode.OpRecvRight:
-			return nil, fmt.Errorf("fastexec: receive from the right is not supported (rightward flow only)")
-		}
-	}
-	if code.Unbound != nil {
-		return nil, fmt.Errorf("fastexec: address %w", code.Unbound)
-	}
-
+	p := l.Config()
 	plan := &Plan{load: l, cells: p.Cells, host: p.Host, code: *code, counts: counts}
 	plan.words, plan.ops, plan.writes = partition(code)
-	if err := plan.validate(iu, p.Cell); err != nil {
-		return nil, err
-	}
-
-	// Host-stream consistency: cell 0 must not drain the input streams
-	// dry, and the last cell's sends must fit the output sequences.
-	// (Verified programs satisfy both, and the driver runs no other
-	// program fast; the checks guard a direct caller of Compile.)
-	for _, ch := range []w2.Channel{w2.ChanX, w2.ChanY} {
-		if have, want := p.Host.In[ch].Words(), counts.Recv[ch]; have < want {
-			return nil, fmt.Errorf("fastexec: cell 0 receives %d words on %s but the host program supplies %d", want, ch, have)
-		}
-		if have, want := p.Host.Out[ch].Words(), counts.Send[ch]; want > have {
-			return nil, fmt.Errorf("fastexec: the last cell sends %d words on %s but the host program expects %d", want, ch, have)
-		}
-	}
 	return plan, nil
-}
-
-// positiveTrips rejects a non-positive trip count: the loop would run
-// once, as the sequencer's do-while loops and the host program run it,
-// but the validators refuse it, so no compiled program holds one.
-func positiveTrips(what string, ends []mcode.LoopEnd) error {
-	for _, e := range ends {
-		if e.Trips < 1 {
-			return fmt.Errorf("fastexec: %s L%d has trip count %d", what, e.ID, e.Trips)
-		}
-	}
-	return nil
 }
 
 // partition returns the plan's view of the code: its words, each word's
@@ -274,58 +214,6 @@ func (p *Plan) addr(m *mcode.MemField, iter []int64) int64 {
 		a += t.Coef * iter[t.Depth]
 	}
 	return a
-}
-
-// validate steps the plan once, as Execute will, against the streams the
-// IU emits in the order the hardware pops them: one address per memory
-// reference — in range, and the address the field's metadata names —
-// and one loop signal per boundary crossed.
-func (p *Plan) validate(iu *mcode.IUTrace, cell *mcode.CellProgram) error {
-	s := mcode.Seq{Iter: make([]int64, p.code.Depth)}
-	adrs, sigs := iu.Adr, iu.Sigs
-	for t := int64(0); s.PC < len(p.code.Words); t++ {
-		w := &p.code.Words[s.PC]
-		t += int64(w.Skip)
-		for _, o := range p.code.Ops[w.Lo:w.Hi] {
-			if o.Kind != mcode.OpLoad && o.Kind != mcode.OpStore {
-				continue
-			}
-			m, port := &p.code.Mems[o.X], int(o.B)
-			if len(adrs) == 0 {
-				return fmt.Errorf("fastexec: the IU address stream ran dry at cycle %d, memory port %d", t, port)
-			}
-			addr := adrs[0].Val
-			adrs = adrs[1:]
-			if addr < 0 || addr >= mcode.MemWords {
-				return fmt.Errorf("fastexec: address %d outside the %d-word cell memory (IU generated a bad address for %s)",
-					addr, mcode.MemWords, cell.MemAddr(w, port))
-			}
-			if want := p.code.MemLo + p.addr(m, s.Iter); addr != want {
-				return fmt.Errorf("fastexec: address mismatch at cycle %d, memory port %d: the IU sends %d where %s names %d",
-					t, port, addr, cell.MemAddr(w, port), want)
-			}
-			if addr < p.code.MemLo || addr-p.code.MemLo >= int64(p.code.MemWords) {
-				return fmt.Errorf("fastexec: address %d outside the %d words from %d that %s and the other fields are bound to",
-					addr, p.code.MemWords, p.code.MemLo, cell.MemAddr(w, port))
-			}
-		}
-		// One IU control signal is consumed per loop boundary, innermost
-		// first.
-		ends := p.code.Ends[w.EndLo:w.EndHi]
-		crossed, again := s.Advance(int(w.Depth), ends)
-		for i, e := range ends[:crossed] {
-			if len(sigs) == 0 {
-				return fmt.Errorf("fastexec: the IU signal stream ran dry at loop L%d", e.ID)
-			}
-			sig, more := sigs[0], again && i == crossed-1
-			sigs = sigs[1:]
-			if sig.ID != e.ID || sig.More != more {
-				return fmt.Errorf("fastexec: loop signal mismatch: sequencer at L%d(more=%v), IU sent L%d(more=%v)",
-					e.ID, more, sig.ID, sig.More)
-			}
-		}
-	}
-	return nil
 }
 
 // ExecConfig names the run controls, the simulator's own; kept for

@@ -166,6 +166,27 @@ func TestMatchesSimulatorRandomPrograms(t *testing.T) {
 	}
 }
 
+// TestColorseg512PlainRunsFast: plain colorseg 512² runs 8.9 M cycles,
+// past the 2²²-cycle cap of the walk that once validated a plan against
+// the elaborated IU (so it ran on the simulator); now the driver's
+// automatic choice runs it fast, bit-identical to the simulator and with
+// its run record.
+func TestColorseg512PlainRunsFast(t *testing.T) {
+	c, plan := planFor(t, workloads.ColorSeg(512, 512, 10), driver.Options{Verify: true})
+	inputs := seededInputs(c, 8)
+	_, stats, err := driver.RunWith(c, inputs, driver.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := stats.Decision; stats.Backend != driver.BackendFast || d.Reason != "auto-verified" {
+		t.Fatalf("backend %s (%s), want fast (auto-verified)", stats.Backend, d.Reason)
+	}
+	if stats.Cycles <= 1<<22 {
+		t.Fatalf("%d cycles: not past the old cap", stats.Cycles)
+	}
+	runBoth(t, c, plan, inputs)
+}
+
 // TestModeledCyclesClosedForm pins the closed-form count against the
 // compiled program's own cycle arithmetic.
 func TestModeledCyclesClosedForm(t *testing.T) {

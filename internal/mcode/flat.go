@@ -3,7 +3,6 @@ package mcode
 import (
 	"cmp"
 	"fmt"
-	"sync"
 )
 
 // flat.go is the executable form of the machine model: the structured
@@ -386,23 +385,12 @@ type IUWord struct {
 type IUCode struct {
 	Words []IUWord
 	Depth int
-	// One run in closed form (CountIU; zero when it overflows) and the
-	// overflow: what Elaborate sizes its trace by.
-	counts   IUCounts
-	countErr error
 }
-
-// Count returns the counts of one run, counted once by DecodeIU, and
-// CountIU's overflow error.
-func (c *IUCode) Count() (IUCounts, error) { return c.counts, c.countErr }
 
 // DecodeIU flattens the IU program the same way.  IU loops carry no
 // signals of their own; they simply repeat their static trip count.
 func DecodeIU(p *IUProgram) (IUCode, error) {
 	code := IUCode{Words: make([]IUWord, 0, p.NumInstrs())}
-	if code.counts, code.countErr = CountIU(p); code.countErr != nil {
-		code.counts = IUCounts{}
-	}
 	var empty error
 	// A loop body's value is its first word.
 	Fold(p.Items, 0, func(head int, in *IUInstr, s *IUSite) int {
@@ -546,9 +534,8 @@ type SigEvent struct {
 	PC   int
 }
 
-// IUTrace is everything the IU emits over one run.  Only the fast
-// executor's plan validation reads one in production; the verifier proves
-// the same streams without it.
+// IUTrace is everything the IU emits over one run: what the tests hold
+// the verifier's IU proofs and the simulator's IU to.
 type IUTrace struct {
 	Adr    []AdrEvent
 	Sigs   []SigEvent
@@ -560,38 +547,16 @@ type IUTrace struct {
 	OverRead   int
 }
 
-// tracePool recycles traces.  A trace is as long as the IU's run and is
-// read once, by the fast executor's validation walk (and by tests), so
-// every plan build would otherwise allocate megabytes and drop them.
-var tracePool = sync.Pool{New: func() any { return new(IUTrace) }}
-
-// Release hands the trace's storage to the next Elaborate.  The trace
-// must not be used afterwards.
-func (tr *IUTrace) Release() { tracePool.Put(tr) }
-
-// emptied returns s emptied, or a new slice when s has no room for n:
-// never nil, so a trace does not depend on what the pool handed out.
-func emptied[T any](s []T, n int64) []T {
-	if s == nil || int64(cap(s)) < n {
-		return make([]T, 0, n)
-	}
-	return s[:0]
-}
-
 // Elaborate runs the IU register machine over the decoded program and
-// returns the streams it emits, one Step a word.  The IU's arithmetic is
-// input-independent — immediates, an adder and a pre-stored table — so
-// this is the machine's exact behaviour, not an approximation.  A run of
-// idle words is crossed in one step.  done is false when the program
-// runs past limit cycles; the trace then holds only what was emitted so
-// far.
+// returns the streams it emits, one Step a word: the test oracle of the
+// verifier's IU proofs, which derive the same streams from the IU loop
+// tree.  The IU's arithmetic is input-independent — immediates, an adder
+// and a pre-stored table — so this is the machine's exact behaviour, not
+// an approximation.  A run of idle words is crossed in one step.  done is
+// false when the program runs past limit cycles; the trace then holds
+// only what was emitted so far.
 func (c IUCode) Elaborate(table []int64, limit int64) (tr *IUTrace, done bool) {
-	tr = tracePool.Get().(*IUTrace)
-	*tr = IUTrace{
-		Adr:      emptied(tr.Adr, min(c.counts.AdrOuts, MemPorts*limit)),
-		Sigs:     emptied(tr.Sigs, min(c.counts.Signals, limit)),
-		OverRead: -1,
-	}
+	tr = &IUTrace{OverRead: -1}
 	var regs IURegs
 	var out IUOutput
 	s := Seq{Iter: make([]int64, c.Depth)}

@@ -72,8 +72,8 @@ type Decision struct {
 	// Backend is the executor that ran: "sim" or "fast".
 	Backend string `json:"backend"`
 	// Reason explains the choice: "explicit-sim", "explicit-fast",
-	// "auto-verified", "unverified", "profile-requested",
-	// "cycle-recorder", or "no-fast-plan".
+	// "auto-verified", "unverified", "profile-requested" or
+	// "cycle-recorder".
 	Reason string `json:"reason"`
 	// PredictedCycles is the closed-form machine cycle count
 	// (lead + (cells-1)·skew + cell cycles).  On deterministic workloads

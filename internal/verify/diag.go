@@ -36,6 +36,11 @@ const (
 	// memory-reference consumption (count, timing, or an address
 	// outside the 4K-word cell memory).
 	InvAddrStream Invariant = "addr-stream"
+	// InvAddrValue: an address the IU emits is not the one the memory
+	// field that pops it is bound to (mcode.Decode's binding, the one the
+	// fast executor runs), or lies outside the words those fields are
+	// bound to.
+	InvAddrValue Invariant = "addr-value"
 	// InvSigStream: the IU loop-control signal stream does not match
 	// the boundaries the cell sequencer crosses.
 	InvSigStream Invariant = "sig-stream"
@@ -43,9 +48,9 @@ const (
 	// cells' queue traffic word for word.
 	InvHostStream Invariant = "host-stream"
 	// InvUnproven: a proof would exceed its work budget (a queue whose
-	// pushes and pops share no loop period over millions of events, an
-	// IU or cell program past the elaboration cycle cap); the program is
-	// rejected as unprovable, not as wrong.
+	// pushes and pops share no loop period over millions of events, a
+	// failed IU proof with more events than are enumerated to name the
+	// violation); the program is rejected as unprovable, not as wrong.
 	InvUnproven Invariant = "unproven"
 )
 

@@ -125,7 +125,60 @@ func Differential(p Program) error {
 	if err := compareQueue("Adr into cell 0", code.adr, cs.Mem, p.Lead); err != nil {
 		return err
 	}
-	return compareQueue("Sig into cell 0", code.sig, cs.Bnd, p.Lead)
+	if err := compareQueue("Sig into cell 0", code.sig, cs.Bnd, p.Lead); err != nil {
+		return err
+	}
+	if decided, err := compareAddrValues(p); err != nil || !decided {
+		return fmt.Errorf("address values: decided %v, %v", decided, err)
+	}
+	return nil
+}
+
+// compareAddrValues runs the structural address proof over p and checks
+// its verdict against the streams rendered event by event: an accepting
+// proof must see every IU address equal to its field's and within the
+// fields' envelope.  decided reports whether the structural proof
+// accepted.
+func compareAddrValues(p Program) (decided bool, err error) {
+	iu := decodeIU(p.IU)
+	code, err := mcode.Decode(p.Cell)
+	if err != nil {
+		return false, err
+	}
+	cells := newCellRefs(code)
+	if iu.reads > int64(len(p.IU.Table)) {
+		return false, fmt.Errorf("%d table reads of %d entries", iu.reads, len(p.IU.Table))
+	}
+	f := &iuFold{adr: &adrMatch{cur: cursor{refs: cells}, table: p.IU.Table, ok: true}}
+	if !f.prove(iu) {
+		return false, fmt.Errorf("the fold refuses IU loop L%d", f.badLoop.id)
+	}
+	c := cursor{refs: cells}
+	c.reset()
+	same := true
+	var val [1]int64
+	for _, a := range renderAdrs(iu, p.IU.Table) {
+		r := c.next()
+		if r == nil {
+			return false, fmt.Errorf("more addresses than memory fields")
+		}
+		v := c.form(r, val[:])[0]
+		same = same && a.Val == v && v >= cells.lo && v < cells.hi
+	}
+	if c.next() != nil {
+		return false, fmt.Errorf("more memory fields than addresses")
+	}
+	if f.adr.ok && !same {
+		return true, fmt.Errorf("the structural proof accepts addresses that differ from their fields'")
+	}
+	return f.adr.ok, nil
+}
+
+// AddrValuesDecided reports whether the structural address proof accepts
+// p, the enumerating renderer unneeded.
+func AddrValuesDecided(p Program) bool {
+	decided, err := compareAddrValues(p)
+	return decided && err == nil
 }
 
 // iuOracleCycles bounds the IU runs the oracle elaborates.
@@ -139,7 +192,6 @@ const iuOracleCycles = 1 << 24
 func compareIU(prog *mcode.IUProgram) (*iuFold, error) {
 	code, _ := mcode.DecodeIU(prog)
 	trace, ok := code.Elaborate(prog.Table, iuOracleCycles)
-	defer trace.Release()
 	if !ok {
 		return nil, fmt.Errorf("IU over the oracle's %d cycles", int64(iuOracleCycles))
 	}

@@ -34,10 +34,11 @@ import (
 // count and the first over-read come off the emission tree of table
 // outputs in closed form.
 //
-// The signal proof is in sigform.go.  Enumeration survives only as the
-// diagnostic renderer (iuRender): it runs once a structural check has
-// failed, to name every offending event as the elaborating verifier did,
-// and never past enumEventLimit events.
+// The signal proof is in sigform.go, and the proof that each address is
+// the one its memory field names rides the fold's walk (addr.go).
+// Enumeration survives only as the diagnostic renderer (iuRender): it
+// runs once a structural check has failed, to name every offending event
+// as the elaborating verifier did, and never past enumEventLimit events.
 
 // iuItem is one element of the decoded IU loop tree: a straight run of
 // words, or a loop.
@@ -55,8 +56,10 @@ type iuLoop struct {
 	trips   int64 // iterations run: loops are do-while, so at least one
 	iterLen int64
 	body    []iuItem
-	// Whether the body emits any address or signal.
+	// Whether the body emits any address or signal, and how many table
+	// words one iteration reads.
 	hasAdr, hasSig bool
+	reads          int64
 	sum            transfer // one iteration's effect on the registers (summarize)
 	sigs           []sigRun // the loop's signal sequence (sigForms.iuLoop)
 }
@@ -78,8 +81,9 @@ func decodeIU(p *mcode.IUProgram) *iuCode {
 	// A body folds to its items and its emission trees: addresses,
 	// signals, table reads.
 	type tree struct {
-		body []iuItem
-		out  [3][]skew.Node
+		body  []iuItem
+		out   [3][]skew.Node
+		reads int64
 	}
 	t, _ := mcode.Fold(p.Items, &tree{}, func(t *tree, in *mcode.IUInstr, s *mcode.IUSite) *tree {
 		if s.Index == 0 {
@@ -97,6 +101,7 @@ func decodeIU(p *mcode.IUProgram) *iuCode {
 		if in.Sig != nil {
 			emits[1]++
 		}
+		t.reads += int64(emits[2])
 		for k, n := range emits {
 			if n > 0 {
 				t.out[k] = append(t.out[k], skew.Node{At: s.At, Instr: s.PC, Send: n})
@@ -109,8 +114,9 @@ func decodeIU(p *mcode.IUProgram) *iuCode {
 				return t
 			}
 			il := &iuLoop{id: l.ID, trips: max(l.Trips, 1), iterLen: n, body: inner.body,
-				hasAdr: len(inner.out[0]) > 0, hasSig: len(inner.out[1]) > 0}
+				hasAdr: len(inner.out[0]) > 0, hasSig: len(inner.out[1]) > 0, reads: inner.reads}
 			t.body = append(t.body, iuItem{at: s.At, loop: il})
+			t.reads += il.reads * il.trips
 			for k, b := range &inner.out {
 				if len(b) > 0 {
 					t.out[k] = append(t.out[k], skew.Node{At: s.At, Loop: &skew.Nest{Trips: il.trips, IterLen: n, Body: b}})
@@ -263,7 +269,10 @@ type iuFold struct {
 	// fields, when not nil, collects each register-sourced Out field's
 	// extremes, keyed by µPC·MemPorts + port (the differential test).
 	fields map[int]span
-	arena  []int64
+	// adr, when not nil, compares each address with the memory field that
+	// pops it as the walk observes it (addr.go).
+	adr   *adrMatch
+	arena []int64
 }
 
 type span struct{ lo, hi int64 }
@@ -437,7 +446,14 @@ func (f *iuFold) prove(c *iuCode) bool {
 	for r := range regs {
 		regs[r] = zero
 	}
+	if a := f.adr; a != nil {
+		a.cur.reset()
+		a.reads = zero
+	}
 	f.walk(c.items, &regs)
+	if a := f.adr; a != nil && a.ok {
+		a.ok = a.cur.next() == nil // every field popped an address
+	}
 	return true
 }
 
@@ -454,9 +470,13 @@ func (f *iuFold) walk(items []iuItem, regs *[mcode.IUNumRegs]form) {
 			}
 			f.steps++
 			for port, o := range w.Out {
-				if o != nil && !o.FromTable {
+				if o == nil {
+					continue
+				}
+				if !o.FromTable {
 					f.observe(it.pc+j, port, regs[o.Src])
 				}
+				f.match(o, regs[o.Src])
 			}
 			var sum form
 			if a := w.Alu; a != nil {
@@ -495,11 +515,12 @@ func (f *iuFold) loop(l *iuLoop, regs *[mcode.IUNumRegs]form) {
 		peel = peel || t.bodyReads>>rr.reg&1 != 0 && !equalForms(v, entry[rr.reg])
 	}
 	d := len(f.box)
+	lm := f.enter(l)
 	from := int64(0)
 	if peel {
 		f.peels++
 		f.box = append(f.box, span{0, 0})
-		f.walk(l.body, regs)
+		f.pass(&lm, d, l.body, regs)
 		f.box = f.box[:d]
 		from = 1
 	}
@@ -515,9 +536,10 @@ func (f *iuFold) loop(l *iuLoop, regs *[mcode.IUNumRegs]form) {
 			}
 		}
 		f.box = append(f.box, span{from, l.trips - 1})
-		f.walk(l.body, regs)
+		f.pass(&lm, d, l.body, regs)
 		f.box = f.box[:d]
 	}
+	f.exit(&lm, l.trips)
 	for r := range regs {
 		if t.reset>>r&1 != 0 {
 			regs[r] = reset[r]

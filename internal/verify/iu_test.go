@@ -116,7 +116,6 @@ func measuredTransfer(t *testing.T, body []mcode.IUItem) (c [mcode.IUNumRegs]int
 		prog := &mcode.IUProgram{Items: append(append([]mcode.IUItem{&mcode.IUStraight{Instrs: set}}, body...), &mcode.IUStraight{Instrs: get})}
 		code, _ := mcode.DecodeIU(prog)
 		tr, ok := code.Elaborate(nil, iuOracleCycles)
-		defer tr.Release()
 		if !ok {
 			t.Fatal("loop body over the oracle's cycles")
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"warp/internal/mcode"
+	"warp/internal/w2"
 )
 
 // TestIUStreamDiagnostics pins the full diagnostic list (invariant,
@@ -134,11 +135,15 @@ func TestIUStreamDiagnostics(t *testing.T) {
 			return p
 		}, nil},
 		{"nest-of-2^40", func() Program {
-			// 2²⁸ rows of 2¹² loads: the IU steps its address register per
-			// load and resets it per row, so every address is in range.
+			// 2²⁸ rows of 2¹² loads of word j: the IU steps its address
+			// register per load and resets it per row, so every address is
+			// in range and the one the load names.
 			const rows, cols = 1 << 28, 1 << 12
+			j := &w2.ForStmt{Var: "j"}
+			col := load()
+			col.Mem[0].Addr.Affine = w2.AffVar(j)
 			p := program(0, 0, &mcode.LoopItem{ID: 1, Trips: rows, Body: []mcode.CodeItem{
-				&mcode.LoopItem{ID: 2, Trips: cols, Body: []mcode.CodeItem{straight(load(), &mcode.Instr{}, &mcode.Instr{})}},
+				&mcode.LoopItem{ID: 2, Trips: cols, Src: j, Step: 1, Body: []mcode.CodeItem{straight(col, &mcode.Instr{}, &mcode.Instr{})}},
 				straight(&mcode.Instr{}),
 			}})
 			step := out(&mcode.IUOut{Src: 0})
@@ -151,6 +156,132 @@ func TestIUStreamDiagnostics(t *testing.T) {
 			}}}
 			return p
 		}, nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var got []string
+			if _, err := Verify(tc.build()); err != nil {
+				for _, d := range err.(*Error).Diags {
+					got = append(got, fmt.Sprintf("%s cell=%d instr=%d loop=%d %q", d.Invariant, d.Cell, d.Instr, d.Loop, d.Detail))
+				}
+			}
+			if strings.Join(got, "\n") != strings.Join(tc.want, "\n") {
+				t.Errorf("diagnostics changed:\n  got:\n\t%s\n  want:\n\t%s", strings.Join(got, "\n\t"), strings.Join(tc.want, "\n\t"))
+			}
+		})
+	}
+}
+
+// TestPlanChecksInVerifier pins, with their diagnostics, the checks the
+// fast executor's plan build made at run time against the elaborated IU
+// until the verifier proved them: the table read past its end, an
+// address stream or a signal stream that runs dry, an address outside
+// the cell memory, an address other than the one its memory field names
+// or outside the words the fields are bound to, a field whose address
+// binds to no enclosing loop, a signal other than the
+// sequencer's decision, and an IU loop of fewer than one trip.  Each is
+// the plan build's own smallest program, made otherwise valid; a program
+// as long as the build's 2²²-cycle caps refused is accepted
+// (cell-over-cycle-limit above).
+func TestPlanChecksInVerifier(t *testing.T) {
+	buf := &w2.Symbol{Name: "buf", Kind: w2.SymCellArray}
+	load := func(a mcode.AddrInfo) *mcode.Instr {
+		in := &mcode.Instr{}
+		in.Mem[0] = mcode.MemOp{Kind: mcode.MemLoad, Reg: 1, Addr: a}
+		return in
+	}
+	iuCode := func(instrs ...*mcode.IUInstr) mcode.IUItem { return &mcode.IUStraight{Instrs: instrs} }
+	table := func() *mcode.IUInstr {
+		return &mcode.IUInstr{Out: [mcode.MemPorts]*mcode.IUOut{{FromTable: true}}}
+	}
+	sig := func(id int, more bool) *mcode.IUInstr {
+		return &mcode.IUInstr{Sig: &mcode.IUSig{LoopID: id, Static: true, Continue: more}}
+	}
+	i := &w2.ForStmt{Var: "i"}
+	// buf[4+i] loaded over two iterations, both addresses from the table.
+	walk := func(tbl ...int64) Program {
+		p := program(0, 0, &mcode.LoopItem{ID: 3, Trips: 2, Src: i, Step: 1, Body: []mcode.CodeItem{
+			straight(load(mcode.AddrInfo{Sym: buf, Base: 4, Affine: w2.AffVar(i)}), &mcode.Instr{}, &mcode.Instr{})}})
+		p.IU.Items = []mcode.IUItem{iuCode(table(), &mcode.IUInstr{}, sig(3, true), table(), &mcode.IUInstr{}, sig(3, false))}
+		p.IU.Table = tbl
+		return p
+	}
+	cases := []struct {
+		name  string
+		build func() Program
+		want  []string
+	}{
+		{"iu-table-over-read", func() Program {
+			p := program(0, 0, straight(load(mcode.AddrInfo{Sym: buf})))
+			out := &mcode.IUInstr{Out: [mcode.MemPorts]*mcode.IUOut{{FromTable: true}, {FromTable: true}}}
+			p.IU = &mcode.IUProgram{Items: []mcode.IUItem{iuCode(out)}, Table: []int64{7}}
+			return p
+		}, []string{
+			`addr-stream cell=-1 instr=0 loop=-1 "IU reads past the end of its 1-entry address table at cycle 0"`,
+			`addr-stream cell=-1 instr=-1 loop=-1 "IU emits 2 addresses but each cell makes 1 memory references"`,
+		}},
+		{"address-stream-dry", func() Program {
+			return program(0, 0, straight(&mcode.Instr{}, load(mcode.AddrInfo{Sym: buf})))
+		}, []string{
+			`addr-stream cell=-1 instr=-1 loop=-1 "IU emits 0 addresses but each cell makes 1 memory references"`,
+		}},
+		{"address-out-of-range", func() Program {
+			p := program(0, 0, straight(&mcode.Instr{}, load(mcode.AddrInfo{Sym: buf})))
+			p.IU.Items = []mcode.IUItem{iuCode(&mcode.IUInstr{Imm: &mcode.IUImm{Dst: 2, Value: 5000}},
+				&mcode.IUInstr{Out: [mcode.MemPorts]*mcode.IUOut{{Src: 2}}})}
+			return p
+		}, []string{
+			`addr-stream cell=-1 instr=1 loop=-1 "IU emits address 5000 at cycle 1, outside the 4096-word cell memory"`,
+		}},
+		{"address-mismatch", func() Program { return walk(4, 6) }, []string{
+			`addr-value cell=-1 instr=3 loop=-1 "address 1: the IU sends 6 at cycle 3 where cell instruction 0 port 0 (buf+i) names 5"`,
+		}},
+		{"address-outside-envelope", func() Program {
+			// buf[2⁶⁰+100 − i] at i = 2⁶⁰ is word 100, but the fields'
+			// envelope, bound in floating point, rounds to the one word 0.
+			big := &w2.ForStmt{Var: "i"}
+			aff := w2.AffVar(big)
+			aff.Terms[0].Coef = -1
+			aff.Const = 1<<60 + 100
+			p := program(0, 0, &mcode.LoopItem{ID: 3, Trips: 1, Src: big, First: 1 << 60, Step: 1, Body: []mcode.CodeItem{
+				straight(&mcode.Instr{}, load(mcode.AddrInfo{Sym: buf, Affine: aff}))}})
+			p.IU.Items = []mcode.IUItem{iuCode(&mcode.IUInstr{Imm: &mcode.IUImm{Dst: 2, Value: 100}},
+				&mcode.IUInstr{Out: [mcode.MemPorts]*mcode.IUOut{{Src: 2}}}, sig(3, false))}
+			return p
+		}, []string{
+			`addr-value cell=-1 instr=1 loop=-1 "address 0: the IU sends 100 at cycle 1 for cell instruction 1 port 0 (buf+-i + 1152921504606847076), outside the 1 words from 0 the memory fields are bound to"`,
+		}},
+		{"unbound-field", func() Program {
+			// buf[j] outside any loop over j: the field's address binds to
+			// nothing, whatever the IU sends.
+			p := program(0, 0, straight(&mcode.Instr{}, load(mcode.AddrInfo{Sym: buf, Affine: w2.AffVar(&w2.ForStmt{Var: "j"})})))
+			p.IU.Items = []mcode.IUItem{iuCode(&mcode.IUInstr{}, &mcode.IUInstr{Out: [mcode.MemPorts]*mcode.IUOut{{Src: 0}}})}
+			return p
+		}, []string{
+			`addr-value cell=-1 instr=-1 loop=-1 "a memory field's address buf+j references loop j outside its scope"`,
+		}},
+		{"signal-stream-dry", func() Program {
+			p := program(0, 0, &mcode.LoopItem{ID: 3, Trips: 2, Body: []mcode.CodeItem{straight(&mcode.Instr{})}})
+			p.IU.Items = []mcode.IUItem{iuCode(sig(3, true))}
+			return p
+		}, []string{
+			`sig-stream cell=-1 instr=-1 loop=-1 "IU emits 1 loop signals but each cell crosses 2 loop boundaries"`,
+		}},
+		{"signal-mismatch", func() Program {
+			p := program(0, 0, &mcode.LoopItem{ID: 3, Trips: 2, Body: []mcode.CodeItem{straight(&mcode.Instr{})}})
+			p.IU.Items = []mcode.IUItem{iuCode(sig(3, true), sig(4, false))}
+			return p
+		}, []string{
+			`sig-stream cell=-1 instr=1 loop=3 "signal 1: IU sends L4(more=false) but the sequencer crosses L3(more=false)"`,
+		}},
+		{"iu-trip-count", func() Program {
+			p := program(0, 0, straight(&mcode.Instr{}))
+			p.IU.Items = []mcode.IUItem{&mcode.IULoop{ID: 3, Trips: -1, Body: []mcode.IUItem{iuCode(&mcode.IUInstr{})}}}
+			return p
+		}, []string{
+			`structure cell=-1 instr=-1 loop=-1 "IU program: IU loop L3: -1 trips"`,
+		}},
+		{"well-formed", func() Program { return walk(4, 5) }, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -23,7 +23,11 @@
 //     crossings, proven from the IU loop tree — registers as affine forms
 //     in the loop counters, signals and boundaries as run-length trees
 //     (iu.go, sigform.go); the host I/O programs cover the boundary
-//     cells' queue traffic word for word.
+//     cells' queue traffic word for word;
+//   - address values: every address the IU emits is the one the memory
+//     field popping it is bound to (mcode.Decode's binding, which the
+//     fast executor runs), proven in the same walk of the IU loop tree
+//     against the cell's loop tree (addr.go).
 //
 // Nothing on the accept path runs per event.  Events are enumerated only
 // to render the diagnostics of a failed proof.
@@ -96,8 +100,9 @@ type Report struct {
 	// not on trip counts.
 	Evals int64 `json:"-"`
 	// Steps is the work the IU's value proofs did: words and loops the
-	// register fold looked at, signal runs built.  Like Evals it follows
-	// the loop structure, not the trip counts.
+	// register fold looked at, signal runs built, moves of the address
+	// proof's cursor.  Like Evals it follows the loop structure, not the
+	// trip counts.
 	Steps int64 `json:"-"`
 	// Rendered counts the IU streams enumerated event by event because a
 	// structural proof could not decide them; zero on every program the
@@ -376,8 +381,19 @@ func checkIUStreams(p Program, cs *skew.Streams, rep *Report, col *collector) {
 		col.ok()
 	}
 
-	// Every emitted address must lie in the cell data memory.
-	checkAddrRange(iu, table, rep, col)
+	// Every emitted address must lie in the cell data memory and be the
+	// one the memory field popping it is bound to: one walk of the fold
+	// proves both, the second only when the stream's count and its table
+	// reads are right.
+	code, _ := mcode.Decode(p.Cell) // ValidateCell refuses an empty loop body
+	cells := newCellRefs(code)
+	f := &iuFold{}
+	if iu.adrs == rep.MemRefs && iu.reads <= int64(len(table)) {
+		f.adr = &adrMatch{cur: cursor{refs: cells}, table: table, ok: true}
+	}
+	if checkAddrRange(iu, table, f, rep, col) {
+		checkAddrValues(p, iu, cells, f.adr, rep, col)
+	}
 
 	// Address stream vs cell consumption: cell 0 pops at its cycle + lead.
 	if iu.adrs != rep.MemRefs {
@@ -444,22 +460,24 @@ func checkIUStreams(p Program, cs *skew.Streams, rep *Report, col *collector) {
 // checkAddrRange proves every address the IU emits lies in the cell
 // memory: register outputs by the fold's extreme points, table outputs by
 // the table words read.  Only a failed proof enumerates, to name each
-// address outside.
-func checkAddrRange(iu *iuCode, table []int64, rep *Report, col *collector) {
-	f := &iuFold{}
+// address outside.  It reports whether every address is in range.
+func checkAddrRange(iu *iuCode, table []int64, f *iuFold, rep *Report, col *collector) bool {
 	proven := f.prove(iu)
 	rep.Steps += f.steps
+	if f.adr != nil {
+		rep.Steps += f.adr.cur.steps
+	}
 	switch {
 	case !proven:
 		col.add(Diagnostic{Invariant: InvUnproven, Cell: -1, Instr: -1, Loop: f.badLoop.id,
 			Detail: fmt.Sprintf("IU loop L%d neither translates nor resets a%d; address range unproven", f.badLoop.id, f.badReg)})
-		return
+		return false
 	case !f.outside && tableInRange(table, iu.reads):
 		col.ok()
-		return
+		return true
 	case iu.adrs > enumEventLimit:
 		unrendered(col, "IU address range", iu.adrs)
-		return
+		return false
 	}
 	rep.Rendered++
 	inRange := true
@@ -473,6 +491,7 @@ func checkAddrRange(iu *iuCode, table []int64, rep *Report, col *collector) {
 	if inRange {
 		col.ok()
 	}
+	return inRange
 }
 
 // checkSignalsByEvent renders the signal comparison the structural proof

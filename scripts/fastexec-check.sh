@@ -6,9 +6,8 @@
 # fast dataflow executor, and exits non-zero unless the modeled cycle
 # counts agree exactly and every output word is bit-identical.  Both
 # the list-scheduled and the software-pipelined schedules run, and the
-# paper's 512×512 colorseg pipelined: its plan is a kilobyte of loop
-# nest.  (List-scheduled it is 8.9 M cycles, past the 2^22 the executor
-# will walk to validate a plan, and stays on the simulator.)
+# paper's 512×512 colorseg both ways: its plan is a kilobyte of loop
+# nest, list-scheduled 8.9 M cycles long.
 #
 # Fabric: each example problem spec is farmed across 1 and 4 arrays on
 # the fast backend with -check, which stitches the tiles and compares
@@ -36,6 +35,7 @@ for w in matmul polynomial conv1d binop fft mandelbrot; do
     crosscheck -pipeline "$w"
 done
 crosscheck -pipeline colorseg
+crosscheck colorseg
 
 for spec in examples/fabric/*.json; do
     for arrays in 1 4; do
