@@ -16,17 +16,31 @@ import (
 // context fails the run with an error wrapping context.Canceled; the
 // livelock guard fails a run two cycles short of its length and lets one
 // cycle short complete; progress is monotone and ends in exactly one Done
-// update at the run's cycle count.
+// update at the run's cycle count.  Conv1D(9, 512) is long enough that
+// the progress stride fires several times; matmul(32), 115 000 op-cells,
+// is past the work at which the fast executor's cells stream on spare
+// processors.
 func TestControlsParity(t *testing.T) {
-	// Long enough that the progress stride fires several times.
-	c, err := Compile(workloads.Conv1D(9, 512), Options{Verify: true})
-	if err != nil {
-		t.Fatal(err)
+	for _, prog := range []struct {
+		suffix, src string
+		pipeline    bool
+	}{
+		{"", workloads.Conv1D(9, 512), false},
+		{"/streamed", workloads.Matmul(32), true},
+	} {
+		c, err := Compile(prog.src, Options{Pipeline: prog.pipeline, Verify: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		controlsParity(t, c, prog.suffix)
 	}
+}
+
+func controlsParity(t *testing.T, c *Compiled, suffix string) {
 	cycles := c.ModeledCycles()
 	for _, backend := range []string{BackendSim, BackendFast} {
 		for _, width := range []int{1, 3} {
-			t.Run(fmt.Sprintf("%s/width=%d", backend, width), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/width=%d%s", backend, width, suffix), func(t *testing.T) {
 				inputs := make([]map[string][]float64, width)
 				for i := range inputs {
 					inputs[i] = zeroIn(c)

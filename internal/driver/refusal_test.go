@@ -25,6 +25,7 @@ func TestCompileRefusalTexts(t *testing.T) {
 		{"leftward", twoCells("float v;\n        int i;", "for i := 0 to 3 do begin\n            receive (R, X, v, a[i]);\n            send (L, X, v, b[i]);\n        end;"), Options{}, "driver: program sends data leftward; this compiler (like its examples) supports rightward flow only"},
 		{"overflow", overflowNest, Options{Pipeline: true, Verify: true}, "iugen: loop L2: the cycle count overflows 64 bits"},
 		{"registers", registerHog(70), Options{Pipeline: true}, "cellgen: block b0 needs more than 64 temporary registers (no spill path to cell memory is implemented; restructure the program)"},
+		{"address-range", farExternal, Options{}, "hostgen: 11:13: external x+4611686018427387904*i: the address range overflows 64 bits"},
 	} {
 		if _, err := Compile(tc.src, tc.opts); fmt.Sprint(err) != tc.want {
 			t.Errorf("%s: err = %q\nwant %q", tc.name, fmt.Sprint(err), tc.want)
@@ -67,6 +68,26 @@ begin
                     r := r * 0.5;
                 end;
             end;
+        end;
+        send (R, X, r, y[0]);
+    end
+    call f;
+end
+`
+
+// farExternal receives x[i·2⁶²] for i up to 4: the subscript's range
+// leaves 64 bits (semantic analysis, wrapping, sees it within x).
+const farExternal = `module far (x in, y out)
+float x[1];
+float y[1];
+cellprogram (cid : 0 : 0)
+begin
+    function f
+    begin
+        float r;
+        int i;
+        for i := 0 to 4 do begin
+            receive (L, X, r, x[i*4611686018427387904]);
         end;
         send (R, X, r, y[0]);
     end

@@ -11,3 +11,11 @@ var Partition = partition
 func Build(p Program) (*Plan, error) {
 	return build(sim.Load(sim.Config{Cells: p.Cells, Cell: p.Cell, IU: p.IU, Host: p.Host, Skew: p.Skew, Lead: p.Lead}))
 }
+
+// SetCellWorkers fixes every run's worker count, its size and the helper
+// budget aside, until the returned function restores the default.
+func SetCellWorkers(n int) (restore func()) {
+	old := forceWorkers
+	forceWorkers = n
+	return func() { forceWorkers = old }
+}

@@ -29,9 +29,11 @@
 //   - Writes land late exactly as in hardware, in the simulator's
 //     (landing cycle, issue order): runCell steps mcode.CellRegs and the
 //     batched walk (runLanes) mcode.LaneRegs, as the simulator does.
-//   - Cells execute sequentially left to right.  Data flows rightward
-//     only (the compiler enforces this), so cell i's entire input
-//     streams are known once cell i-1 has run; FIFO pop order is
+//   - Each cell runs to completion on one worker, reading its left
+//     neighbour's output streams as that cell publishes them.  Data
+//     flows rightward only (the compiler enforces this), so what cell i
+//     reads depends on cells 0..i-1 alone, whether they run before it or
+//     beside it on spare processors (ExecuteBatch); FIFO pop order is
 //     preserved by construction.
 //   - The host streams follow hostgen exactly: cell 0's receives
 //     resolve input words lazily against host memory (semantic analysis
@@ -56,9 +58,13 @@ package fastexec
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"warp/internal/hostgen"
 	"warp/internal/mcode"
@@ -224,36 +230,165 @@ type ExecConfig = sim.Controls
 // benchmark/, see ROADMAP 1(c).
 type Result = sim.Stats
 
-// execState is the whole-array execution state shared across cells,
-// n = len(hostMems) problems wide.  It is pooled: a slice is reused when
-// it has the room.
+// streamWork is the work, dynamic ops × cells × problems, below which a
+// run keeps its cells on the caller's goroutine.  A helper costs a
+// goroutine start and the wake-up of an idle processor, ~0.1 ms on the
+// 2-vCPU reference host.  Measured there, one worker against two in
+// alternating runs: below 2¹⁶ op-cells streaming read ×0.85 (polynomial
+// 10×100, 1 250) to ×1.5, and lost or broke even up to 5 300; above it
+// every program won, ×1.1 (a 32-wide matmul10 tile batch) to ×1.65
+// (colorseg 32², 113 000).  2¹⁶, about 1 ms of work, keeps the helper's
+// start under a tenth of the run and the small requests warpd serves
+// most (polynomial, conv1d(9, 512), matmul up to 16: under 20 000) on
+// one worker.
+const streamWork = 1 << 16
+
+// busy counts the workers of the runs in progress, process-wide: each
+// run's own goroutine and the helpers it took.  A run takes helpers only
+// while the count stays within the processors the process may use
+// (GOMAXPROCS, at most the CPUs it may run on), so the runs of a process
+// that already keeps them busy (warpd's workers, the fabric's arrays)
+// start none.
+var busy atomic.Int32
+
+// forceWorkers, when positive, fixes every run's worker count, its size
+// and the budget aside (export_test.go).
+var forceWorkers int
+
+// workers enters a run of n problems in the budget and returns its worker
+// count, G = 1 + the helpers it could take without blocking (at most one
+// per further cell), and the share of the budget it holds until it ends.
+func (p *Plan) workers(n int) (g int, held int32) {
+	b := busy.Add(1)
+	if forceWorkers > 0 {
+		return min(forceWorkers, p.cells), 1
+	}
+	if p.counts.Ops*int64(p.cells)*int64(n) < streamWork {
+		return 1, 1
+	}
+	limit := int32(min(runtime.GOMAXPROCS(0), runtime.NumCPU()))
+	for {
+		k := min(int32(p.cells)-1, limit-b)
+		if k <= 0 {
+			return 1, 1
+		}
+		if busy.CompareAndSwap(b, b+k) {
+			return 1 + int(k), 1 + k
+		}
+		b = busy.Load()
+	}
+}
+
+// execState is the whole-array execution state of one run, n =
+// len(hostMems) problems wide, its cells on G workers.  It is pooled: a
+// slice is reused when it has the room, and no buffer is shared between
+// two states.
 type execState struct {
 	plan     *Plan
 	hostMems [][]float64 // one image per problem
 	ctx      context.Context
 	progress obs.ProgressFunc
+	polled   bool // the bodies poll: a context, a progress hook or several workers
+
+	// The inter-cell streams on X and Y: a ring of G+1 links, cell i
+	// writing ring[i mod (G+1)] and reading its left neighbour's.
+	ring    [][2]link
+	workers []*worker // G of them, worker 0 the caller's goroutine
+	helpers sync.WaitGroup
+
+	hostIn, hostOut [2]hostgen.Reader // cell 0's and the last cell's host streams: the same words for every problem
+
+	failed    atomic.Int64 // the lowest cell that failed, cells while none has
+	reporting atomic.Bool  // a worker is calling progress
+}
+
+// link is one cell's output on one channel, n values a word, read by its
+// right neighbour as they are published.  Cell i+G+1 reuses cell i's
+// link only after its reader, cell i+1, has retired, earlier on the same
+// worker; a cell retires only after its left neighbour (work).
+type link struct {
+	buf    []float64     // sized for the cell's every word; written by its cell only
+	cell   atomic.Int64  // the cell writing it (-1: none yet this run)
+	pub    atomic.Int64  // values published << 1 | 1 once the cell has retired
+	asleep atomic.Bool   // the reader waits on wake
+	wake   chan struct{} // one token: something the reader waits for has happened
+}
+
+// claim readies l for cell idx's output.
+func (l *link) claim(idx int) {
+	l.pub.Store(0)
+	l.cell.Store(int64(idx))
+}
+
+// publish makes the first k values of l visible to its reader, the last
+// once the cell has retired, and wakes the reader if it sleeps: a reader
+// that goes to sleep after the store sees it when it checks again
+// (wait).
+func (l *link) publish(k int, retired bool) {
+	pub := int64(k) << 1
+	if retired {
+		pub |= 1
+	}
+	l.pub.Store(pub)
+	if l.asleep.Load() {
+		l.signal()
+	}
+}
+
+// signal wakes the reader if it sleeps, or leaves it a token that ends
+// its next sleep at once.  It stays out of line, so that a publish is a
+// store and a load.
+//
+//go:noinline
+func (l *link) signal() {
+	select {
+	case l.wake <- struct{}{}:
+	default:
+	}
+}
+
+// published returns the values published for cell idx-1's reader, and
+// whether its writer has retired; none while the writer is another cell.
+func (l *link) published(idx int) ([]float64, bool) {
+	if l.cell.Load() != int64(idx-1) {
+		return nil, false
+	}
+	pub := l.pub.Load()
+	return l.buf[:pub>>1], pub&1 != 0
+}
+
+// worker runs cells w, w+G, w+2G, … one after another, each to
+// completion: the state one cell at a time needs.
+type worker struct {
+	st *execState
+	w  int
 
 	mem  []float64 // one cell's data memory over the plan's envelope, word a of problem l at mem[a·n+l], zeroed per cell
 	iter []int64   // the sequencer's iteration counters, all zero between cells
 
-	// Inter-cell streams on X and Y, double-buffered: a cell reads prev
-	// (its left neighbour's full output) and appends to cur, n values a
-	// word.
-	prev, cur [2][]float64
+	left, right *[2]link     // the running cell's input and output links
+	out         [2][]float64 // its output, in right's buffers
 
 	cell     mcode.CellRegs // the one-wide body's registers
 	lanes    mcode.LaneRegs // a batched walk's, over laneVals
 	laneVals []float64
 
-	hostIn, hostOut [2]hostgen.Reader // the host streams on X, Y: the same words for every problem
-
 	// untilPoll counts a polled run's words down to the next poll, across
-	// cells: 1 at the start, so that the first word polls, then
-	// ctxCheckInterval.
+	// this worker's cells: 1 at the start, so that the first word polls,
+	// then ctxCheckInterval.
 	untilPoll int64
+	retired   atomic.Int64 // cell cycles retired, for progress
+
+	err      error // the first cell of this worker to fail, and its error
+	errCell  int
+	panicked any // a helper's panic, raised again by the caller
 }
 
 var statePool = sync.Pool{New: func() any { return new(execState) }}
+
+// errStopped stops a cell once a cell to its left has failed: the run
+// returns that cell's error, as the sequential run would.
+var errStopped = errors.New("fastexec: stopped")
 
 // sized returns s at length n, reallocated only when it lacks the room.
 func sized[T any](s []T, n int) []T {
@@ -261,6 +396,106 @@ func sized[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
+}
+
+// reset readies a pooled state for a run of p over hostMems on g workers.
+func (st *execState) reset(p *Plan, hostMems [][]float64, ctl sim.Controls, g int) {
+	n := len(hostMems)
+	st.plan, st.hostMems, st.ctx, st.progress = p, hostMems, ctl.Ctx, ctl.Progress
+	st.polled = ctl.Ctx != nil || ctl.Progress != nil || g > 1
+	st.failed.Store(int64(p.cells))
+	st.reporting.Store(false)
+	st.workers = st.workers[:min(g, cap(st.workers))]
+	for len(st.workers) < g {
+		st.workers = append(st.workers, nil)
+	}
+	for i, w := range st.workers {
+		if w == nil {
+			w = &worker{st: st, w: i}
+			st.workers[i] = w
+		}
+		w.mem, w.iter = sized(w.mem, p.code.MemWords*n), sized(w.iter, p.code.Depth)
+		clear(w.iter)
+		w.untilPoll, w.err, w.panicked = 1, nil, nil
+		w.retired.Store(0)
+	}
+	for ch := range p.counts.Send {
+		st.hostIn[ch] = hostgen.NewReader(p.host.In[w2.Channel(ch)])
+		st.hostOut[ch] = hostgen.NewReader(p.host.Out[w2.Channel(ch)])
+	}
+	st.ring = st.ring[:0]
+	if p.cells > 1 { // the one cell of an array of one talks to the host alone
+		st.ring = sized(st.ring, g+1)
+		for i := range st.ring {
+			for ch, words := range p.counts.Send {
+				l := &st.ring[i][ch]
+				l.buf = sized(l.buf, int(words)*n)
+				l.cell.Store(-1)
+				if l.wake == nil {
+					l.wake = make(chan struct{}, 1)
+				}
+			}
+		}
+	}
+}
+
+// release drops what the pool must not keep alive: the caller's memory.
+func (st *execState) release() {
+	st.hostMems, st.ctx, st.progress = nil, nil, nil
+	statePool.Put(st)
+}
+
+// work runs worker w's cells, stopping at its first error or once a cell
+// to the left of its next one has failed.
+func (st *execState) work(w *worker) {
+	p, g := st.plan, len(st.workers)
+	run := p.runCell // one problem keeps the words' one-wide body
+	if len(st.hostMems) > 1 {
+		run = p.runLanes
+	}
+	for idx := w.w; idx < p.cells && int(st.failed.Load()) > idx; idx += g {
+		if len(st.ring) > 0 {
+			w.left, w.right = &st.ring[(idx+len(st.ring)-1)%len(st.ring)], &st.ring[idx%len(st.ring)]
+			for ch := range w.right {
+				w.out[ch] = w.right[ch].buf[:0]
+				w.right[ch].claim(idx)
+			}
+		}
+		err := run(w, idx)
+		if len(st.ring) > 0 {
+			// The cell retires after its left neighbour: cell idx+G, next
+			// on this worker, reuses the left links, whose writer may still
+			// run after its last send, and a link has one waiting reader
+			// at a time.
+			for ch := range w.right {
+				w.right[ch].publish(len(w.out[ch]), false)
+			}
+			for ch := 0; ch < len(w.left) && err == nil && idx > 0; ch++ {
+				_, err = w.wait(idx, ch, math.MaxInt, p.counts.Cycles)
+			}
+			for ch := range w.right {
+				w.right[ch].publish(len(w.out[ch]), true)
+			}
+		}
+		if err != nil {
+			if err != errStopped {
+				w.err, w.errCell = err, idx
+				st.fail(idx)
+			}
+			return
+		}
+	}
+}
+
+// fail records that cell idx failed (-1: the run, every cell stops): the
+// cells right of it stop, and a sleeping reader wakes to see it.
+func (st *execState) fail(idx int) {
+	for f := st.failed.Load(); f > int64(idx) && !st.failed.CompareAndSwap(f, int64(idx)); f = st.failed.Load() {
+	}
+	for i := range st.ring {
+		st.ring[i][0].signal()
+		st.ring[i][1].signal()
+	}
 }
 
 // hostWords resolves cell 0's next input word on a channel for every
@@ -304,29 +539,104 @@ func (st *execState) sentMore(ch w2.Channel) error {
 }
 
 // poll counts an executed plan word down and, once a stride, checks for
-// cancellation and reports progress: t is the cell cycle cell idx has
-// reached.  It inlines into the executor bodies; check does not.
-func (st *execState) poll(idx int, t int64) error {
-	if st.untilPoll--; st.untilPoll > 0 {
+// cancellation, for a failed cell to the left, and reports progress: t
+// is the cell cycle cell idx has reached.  It inlines into the executor
+// bodies; check does not.
+func (w *worker) poll(idx int, t int64) error {
+	if w.untilPoll--; w.untilPoll > 0 {
 		return nil
 	}
-	st.untilPoll = ctxCheckInterval
-	return st.check(idx, t)
+	w.untilPoll = ctxCheckInterval
+	return w.check(idx, t)
 }
 
-func (st *execState) check(idx int, t int64) error {
+func (w *worker) check(idx int, t int64) error {
+	st := w.st
 	if st.ctx != nil {
 		if err := st.ctx.Err(); err != nil {
 			return fmt.Errorf("fastexec: run aborted: %w", err)
 		}
 	}
+	if int(st.failed.Load()) < idx {
+		return errStopped
+	}
 	if p := st.plan; st.progress != nil {
-		// Cells run one after another: the cell cycles retired so far,
-		// scaled onto the modeled cycle axis, are a monotone position.
-		done := int64(idx)*p.counts.Cycles + t
-		st.progress(obs.ProgressUpdate{Cycles: p.Cycles() * done / (int64(p.cells) * p.counts.Cycles)})
+		// Each worker retires its cells one after another: the cell cycles
+		// all workers have retired, scaled onto the modeled cycle axis, are
+		// a monotone position, reported by one worker at a time.
+		w.retired.Store(int64(idx/len(st.workers))*p.counts.Cycles + t)
+		if st.reporting.CompareAndSwap(false, true) {
+			var done int64
+			for _, o := range st.workers {
+				done += o.retired.Load()
+			}
+			st.progress(obs.ProgressUpdate{Cycles: p.Cycles() * done / (int64(p.cells) * p.counts.Cycles)})
+			st.reporting.Store(false)
+		}
 	}
 	return nil
+}
+
+// awaitSpins is how many times a waiting cell yields before it sleeps
+// until its left neighbour publishes: a yield is a few hundred ns, the
+// usual wait for 64 more values a few µs, and a sleep costs a thread
+// wake-up, ~0.1 ms on the reference host.  A neighbour that does not
+// publish for longer has lost its processor, which a spinning reader
+// would only keep from it.
+const awaitSpins = 1 << 10
+
+// await is a receive's slow path: cell idx has consumed the n values of
+// its left link's channel ch published so far.  It publishes the cell's
+// own output, then waits until more are published and returns them; the
+// left neighbour retired without sending them is an underflow.
+func (w *worker) await(idx int, ch int, n int, t int64, out *[2][]float64) ([]float64, error) {
+	for c := range out {
+		w.right[c].publish(len(out[c]), false)
+	}
+	in, err := w.wait(idx, ch, n, t)
+	if err == nil && len(in) <= n {
+		err = fmt.Errorf("fastexec: queue cell%d.%s underflows (receive before the matching send)", idx, w2.Channel(ch))
+	}
+	return in, err
+}
+
+// wait blocks cell idx, at cell cycle t, until its left link on channel
+// ch holds more than n values or its writer has retired, and returns the
+// values published.  It polls as a word does, stops once a cell to the
+// left has failed, and yields awaitSpins times before it sleeps.
+func (w *worker) wait(idx int, ch int, n int, t int64) ([]float64, error) {
+	l := &w.left[ch]
+	for spins := 0; ; spins++ {
+		in, done := l.published(idx)
+		if len(in) > n || done {
+			return in, nil
+		}
+		if err := w.poll(idx, t); err != nil {
+			return nil, err
+		}
+		if int(w.st.failed.Load()) < idx {
+			return nil, errStopped
+		}
+		if spins < awaitSpins {
+			runtime.Gosched()
+			continue
+		}
+		// Sleep until a publish, the neighbour's retirement, a failure
+		// (fail signals every link) or cancellation; the check after
+		// asleep is set sees any store its writer did not signal.
+		l.asleep.Store(true)
+		if in, done := l.published(idx); len(in) <= n && !done && int(w.st.failed.Load()) >= idx {
+			var cancelled <-chan struct{}
+			if w.st.ctx != nil {
+				cancelled = w.st.ctx.Done()
+			}
+			select {
+			case <-l.wake:
+			case <-cancelled:
+			}
+		}
+		l.asleep.Store(false)
+	}
 }
 
 // Execute runs the plan over a host memory image (inputs pre-loaded;
@@ -355,9 +665,17 @@ func (p *Plan) StateBytes() int {
 // at the same addresses and differ only in the values.  Every image ends
 // bit-identical to what Execute leaves in it and the Stats are
 // Execute's; an error (a divide by zero names its lane) fails the whole
-// batch, its images half written.  The controls mean what they mean on
-// the simulator; a progress update carries the cell cycles retired so
-// far (cells run one after another) scaled onto the modeled cycle count.
+// batch, its images half written, and is the error of the leftmost cell
+// that failed.
+//
+// A run of enough work streams its cells on spare processors: cell i runs
+// on worker i mod G, worker 0 the caller's goroutine, and reads its left
+// neighbour's words as they are published.  Data flows only rightward
+// and a link has room for every word, so a cell waits on its left
+// neighbour alone, which has retired or runs on another worker: the run
+// always progresses.  The controls mean what they mean on the simulator;
+// a progress update carries the cell cycles the workers have retired,
+// scaled onto the modeled cycle count.
 func (p *Plan) ExecuteBatch(hostMems [][]float64, ctl sim.Controls) (*sim.Stats, error) {
 	if len(hostMems) == 0 {
 		return nil, fmt.Errorf("fastexec: an empty batch")
@@ -375,36 +693,46 @@ func (p *Plan) ExecuteBatch(hostMems [][]float64, ctl sim.Controls) (*sim.Stats,
 		}
 	}
 
-	n := len(hostMems)
+	g, held := p.workers(len(hostMems))
+	defer busy.Add(-held)
 	st := statePool.Get().(*execState)
+	defer st.release()
+	st.reset(p, hostMems, ctl, g)
+	// A panic (a progress hook's, say) is raised on the caller's
+	// goroutine once every worker has stopped, as a sequential run
+	// raises it.
 	defer func() {
-		st.hostMems, st.ctx, st.progress = nil, nil, nil // the pool must not keep a caller's memory alive
-		statePool.Put(st)
+		if r := recover(); r != nil {
+			st.fail(-1)
+			st.helpers.Wait()
+			panic(r)
+		}
 	}()
-	st.plan, st.hostMems, st.ctx, st.progress = p, hostMems, ctl.Ctx, ctl.Progress
-	st.untilPoll = 1
-	st.mem, st.iter = sized(st.mem, p.code.MemWords*n), sized(st.iter, p.code.Depth)
-	clear(st.iter)
-	run := p.runCell // one problem keeps the words' one-wide body
-	if n > 1 {
-		run = p.runLanes
+	for _, w := range st.workers[1:] {
+		st.helpers.Add(1)
+		go func() {
+			defer st.helpers.Done()
+			defer func() {
+				if w.panicked = recover(); w.panicked != nil {
+					st.fail(-1)
+				}
+			}()
+			st.work(w)
+		}()
 	}
-	for ch, words := range p.counts.Send {
-		st.hostIn[ch] = hostgen.NewReader(p.host.In[w2.Channel(ch)])
-		st.hostOut[ch] = hostgen.NewReader(p.host.Out[w2.Channel(ch)])
-		if p.cells > 1 { // the one cell of an array of one talks to the host alone
-			st.prev[ch], st.cur[ch] = sized(st.prev[ch], int(words)*n)[:0], sized(st.cur[ch], int(words)*n)[:0]
+	st.work(st.workers[0])
+	st.helpers.Wait()
+	var failed *worker
+	for _, w := range st.workers {
+		if w.panicked != nil {
+			panic(w.panicked)
+		}
+		if w.err != nil && (failed == nil || w.errCell < failed.errCell) {
+			failed = w
 		}
 	}
-	for i := 0; i < p.cells; i++ {
-		if err := run(st, i); err != nil {
-			return nil, fmt.Errorf("cell %d: %w", i, err)
-		}
-		// This cell's output becomes the next cell's input; the spent
-		// input buffer is recycled as the next output buffer.
-		for ch := range st.cur {
-			st.prev[ch], st.cur[ch] = st.cur[ch], st.prev[ch][:0]
-		}
+	if failed != nil {
+		return nil, fmt.Errorf("cell %d: %w", failed.errCell, failed.err)
 	}
 	if ctl.Progress != nil {
 		ctl.Progress(obs.ProgressUpdate{Cycles: p.Cycles(), Done: true})
@@ -418,25 +746,32 @@ func (p *Plan) ExecuteBatch(hostMems [][]float64, ctl sim.Controls) (*sim.Stats,
 // writes come after the FPU results due by the next cycle land, then its
 // held writes (Commit) and its literal, in the machine's (landing cycle,
 // issue order).
-func (p *Plan) runCell(st *execState, idx int) error {
+func (p *Plan) runCell(wk *worker, idx int) error {
+	st := wk.st
 	first, last := idx == 0, idx == p.cells-1
-	polled := st.ctx != nil || st.progress != nil
-	r := &st.cell
+	polled := st.polled
+	r := &wk.cell
 	r.Reset()
-	host, mem := st.hostMems[0], st.mem
+	host, mem := st.hostMems[0], wk.mem
 	clear(mem)
 	words, ops, mems := p.words, p.ops, p.code.Mems
 	writes := p.writes[:len(words)]
-	// The left neighbour's words, how many of each channel are consumed,
-	// and this cell's own (handed back once it retires).
-	prev, cur := st.prev, st.cur
+	// The left neighbour's words published so far and how many of each
+	// channel are consumed, and this cell's own, published as they are
+	// written.
+	var prev [2][]float64
+	if !first {
+		prev[0], _ = wk.left[0].published(idx)
+		prev[1], _ = wk.left[1].published(idx)
+	}
+	cur := wk.out
 	var pos [2]int
 
-	s := mcode.Seq{Iter: st.iter}
+	s := mcode.Seq{Iter: wk.iter}
 	for t := int64(0); s.PC < len(words); t++ {
 		w, mid := &words[s.PC], writes[s.PC]
 		if polled {
-			if err := st.poll(idx, t); err != nil {
+			if err := wk.poll(idx, t); err != nil {
 				return err
 			}
 		}
@@ -451,6 +786,9 @@ func (p *Plan) runCell(st *execState, idx int) error {
 			case mcode.OpSend:
 				if !last {
 					cur[o.X] = append(cur[o.X], r.R[o.A])
+					if len(cur[o.X])&63 == 0 {
+						wk.right[o.X].publish(len(cur[o.X]), false)
+					}
 					continue
 				}
 				hw := st.hostOut[o.X].Next()
@@ -498,7 +836,11 @@ func (p *Plan) runCell(st *execState, idx int) error {
 				}
 				in, n := prev[o.X], pos[o.X]
 				if n >= len(in) {
-					return fmt.Errorf("fastexec: queue cell%d.%s underflows (receive before the matching send)", idx, w2.Channel(o.X))
+					var err error
+					if in, err = wk.await(idx, int(o.X), n, t, &cur); err != nil {
+						return err
+					}
+					prev[o.X] = in
 				}
 				r.R[o.Dst] = in[n]
 				pos[o.X] = n + 1
@@ -519,7 +861,7 @@ func (p *Plan) runCell(st *execState, idx int) error {
 	}
 	// Writes still in flight when the cell retires are never observed:
 	// the simulator stops stepping a finished cell the same way.
-	st.cur = cur
+	wk.out = cur
 	return nil
 }
 
@@ -528,21 +870,27 @@ func (p *Plan) runCell(st *execState, idx int) error {
 // every value n lanes wide, its writes landing through mcode.LaneRegs.
 // What amortizes is the walk itself — op dispatch, address arithmetic,
 // sequencing — most of what a small run costs.
-func (p *Plan) runLanes(st *execState, idx int) error {
+func (p *Plan) runLanes(wk *worker, idx int) error {
+	st := wk.st
 	first, last := idx == 0, idx == p.cells-1
-	polled := st.ctx != nil || st.progress != nil
-	n, r, mem := len(st.hostMems), &st.lanes, st.mem
-	st.laneVals = sized(st.laneVals, mcode.LaneRegWords*n)
-	r.Reset(n, st.laneVals)
+	polled := st.polled
+	n, r, mem := len(st.hostMems), &wk.lanes, wk.mem
+	wk.laneVals = sized(wk.laneVals, mcode.LaneRegWords*n)
+	r.Reset(n, wk.laneVals)
 	clear(mem)
 	words, ops, mems := p.words, p.ops, p.code.Mems
+	var prev [2][]float64
+	if !first {
+		prev[0], _ = wk.left[0].published(idx)
+		prev[1], _ = wk.left[1].published(idx)
+	}
 	var pos [2]int
 
-	s := mcode.Seq{Iter: st.iter}
+	s := mcode.Seq{Iter: wk.iter}
 	for t := int64(0); s.PC < len(words); t++ {
 		w, mid := &words[s.PC], p.writes[s.PC]
 		if polled {
-			if err := st.poll(idx, t); err != nil {
+			if err := wk.poll(idx, t); err != nil {
 				return err
 			}
 		}
@@ -555,7 +903,11 @@ func (p *Plan) runLanes(st *execState, idx int) error {
 			case mcode.OpSend:
 				v := r.Lanes(mcode.Reg(o.A))
 				if !last {
-					st.cur[o.X] = append(st.cur[o.X], v...)
+					out := append(wk.out[o.X], v...)
+					wk.out[o.X] = out
+					if len(out)&63 < n { // past a multiple of 64 values
+						wk.right[o.X].publish(len(out), false)
+					}
 				} else if err := st.hostCollect(w2.Channel(o.X), v); err != nil {
 					return err
 				}
@@ -580,9 +932,13 @@ func (p *Plan) runLanes(st *execState, idx int) error {
 					}
 					continue
 				}
-				in, at := st.prev[o.X], pos[o.X]*n
+				in, at := prev[o.X], pos[o.X]*n
 				if at >= len(in) {
-					return fmt.Errorf("fastexec: queue cell%d.%s underflows (receive before the matching send)", idx, w2.Channel(o.X))
+					var err error
+					if in, err = wk.await(idx, int(o.X), at, t, &wk.out); err != nil {
+						return err
+					}
+					prev[o.X] = in
 				}
 				copy(dst, in[at:at+n])
 				pos[o.X]++

@@ -252,8 +252,12 @@ func TestContextCancelled(t *testing.T) {
 // TestProgressStride pins where a polled run reports: on its first plan
 // word and then every 4096 words, counted across cells, one and three
 // problems wide, then once done (positions recorded before the count
-// became an inlined countdown).
+// became an inlined countdown).  The positions are the walk of one
+// worker: a run whose cells stream on several reports where its workers
+// happen to be, monotone and ending in one Done update
+// (TestCellWorkersMatchSequential).
 func TestProgressStride(t *testing.T) {
+	defer fastexec.SetCellWorkers(1)()
 	for _, tc := range []struct {
 		name string
 		src  string

@@ -451,7 +451,7 @@ func resolve(a *mcode.AddrInfo, loops []*mcode.LoopItem) (op, error) {
 		return op{}, fmt.Errorf("external %w", err)
 	}
 	if r.Lo < -maxIndex || r.Hi > maxIndex {
-		return op{}, fmt.Errorf("external %s resolves to host addresses %.0f..%.0f, outside ±%d", a, r.Lo, r.Hi, int64(maxIndex))
+		return op{}, fmt.Errorf("external %s resolves to host addresses %d..%d, outside ±%d", a, r.Lo, r.Hi, int64(maxIndex))
 	}
 	return op{word: Word{Index: int32(r.Start)}, terms: r.Terms}, nil
 }

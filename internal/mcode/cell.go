@@ -29,6 +29,7 @@ package mcode
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -332,7 +333,7 @@ type LoopTerm struct {
 type BoundAddr struct {
 	Start  int64
 	Terms  []LoopTerm
-	Lo, Hi float64
+	Lo, Hi int64
 }
 
 // Bind folds the pipelining shift into the constant term (Shifted) and
@@ -341,11 +342,12 @@ type BoundAddr struct {
 // coef·(First + Step·iteration) into a constant and a per-iteration
 // coefficient: the one resolution of an address against a loop nest,
 // shared by the host program and the decoded cell program.  The terms
-// are appended to terms (nil for a slice of their own).
+// are appended to terms (nil for a slice of their own).  Every product
+// and sum is exact: an address whose range leaves 64 bits is refused.
 func (a *AddrInfo) Bind(loops []*LoopItem, terms []LoopTerm) (BoundAddr, error) {
 	aff := a.Shifted()
-	b := BoundAddr{Start: int64(a.Base) + aff.Const, Terms: terms}
-	b.Lo, b.Hi = float64(b.Start), float64(b.Start)
+	start, ok := AddOK(int64(a.Base), aff.Const)
+	b := BoundAddr{Start: start, Terms: terms, Lo: start, Hi: start}
 	for _, t := range aff.Terms {
 		depth := len(loops) - 1
 		for depth >= 0 && loops[depth].Src != t.Var {
@@ -354,17 +356,38 @@ func (a *AddrInfo) Bind(loops []*LoopItem, terms []LoopTerm) (BoundAddr, error) 
 		if depth < 0 {
 			return BoundAddr{}, fmt.Errorf("%s references loop %s outside its scope", a, t.Var.Var)
 		}
-		l := loops[depth]
-		b.Start += t.Coef * l.First
-		b.Terms = append(b.Terms, LoopTerm{Coef: t.Coef * l.Step, Depth: depth})
-		// In floating point the range cannot wrap, and at the magnitudes
-		// that matter (±2³¹) it is exact.
 		// A loop of fewer than one trip runs once, at First.
-		first := float64(t.Coef) * float64(l.First)
-		last := first + float64(t.Coef)*float64(l.Step)*float64(max(l.Trips, 1)-1)
-		b.Lo, b.Hi = b.Lo+min(first, last), b.Hi+max(first, last)
+		l := loops[depth]
+		first, ok1 := MulOK(t.Coef, l.First)
+		step, ok2 := MulOK(t.Coef, l.Step)
+		span, ok3 := MulOK(step, max(l.Trips, 1)-1)
+		last, ok4 := AddOK(first, span)
+		var ok5, ok6, ok7 bool
+		b.Start, ok5 = AddOK(b.Start, first)
+		b.Lo, ok6 = AddOK(b.Lo, min(first, last))
+		b.Hi, ok7 = AddOK(b.Hi, max(first, last))
+		if !(ok1 && ok2 && ok3 && ok4 && ok5 && ok6 && ok7) {
+			ok = false
+			break
+		}
+		b.Terms = append(b.Terms, LoopTerm{Coef: step, Depth: depth})
+	}
+	if !ok {
+		return BoundAddr{}, fmt.Errorf("%s: the address range overflows 64 bits", a)
 	}
 	return b, nil
+}
+
+// MulOK returns a·b and whether it fits an int64.
+func MulOK(a, b int64) (int64, bool) {
+	c := a * b
+	return c, a == 0 || c/a == b && !(a == -1 && b == math.MinInt64)
+}
+
+// AddOK returns a+b and whether it fits an int64.
+func AddOK(a, b int64) (int64, bool) {
+	c := a + b
+	return c, (a^c)&(b^c) >= 0
 }
 
 // IOOp is a queue-port field: a receive writes the popped word to Dst;

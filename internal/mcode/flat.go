@@ -110,8 +110,8 @@ func Decode(p *CellProgram) (*Decoded, error) {
 	d := &Decoded{Words: make([]Word, 0, instrs), Lits: make([]float64, 0, instrs), Ops: make([]Op, 0, ops), Mems: make([]MemField, 0, mems),
 		Terms: make([]LoopTerm, 0, terms)}
 	var empty error
-	idle := 0                                // the idle instructions before the next µPC not yet in a word
-	lo, hi := float64(MemWords), float64(-1) // the envelope, empty so far
+	idle := 0                            // the idle instructions before the next µPC not yet in a word
+	lo, hi := int64(MemWords), int64(-1) // the envelope, empty so far
 	// word starts a word at µPC at, depth loops deep: skip idle cycles and
 	// no fields yet.
 	word := func(skip, at, depth int) Word {
@@ -191,8 +191,8 @@ func Decode(p *CellProgram) (*Decoded, error) {
 	})
 	flush(instrs, 0)
 	// Addresses count from the envelope's low end, cut to the cell memory.
-	d.MemLo = int64(max(lo, 0))
-	d.MemWords = int(max(min(hi, MemWords-1)-float64(d.MemLo)+1, 0))
+	d.MemLo = max(lo, 0)
+	d.MemWords = int(max(min(hi, MemWords-1)-d.MemLo+1, 0))
 	for i := range d.Mems {
 		d.Mems[i].Start -= d.MemLo
 	}

@@ -146,6 +146,38 @@ func TestAddrInfoBind(t *testing.T) {
 	if _, err := info.Bind(loops[:1], nil); err == nil || err.Error() != "a+3*i - 2*j + 2 [i+4] references loop j outside its scope" {
 		t.Errorf("unbound j: error %v", err)
 	}
+
+	// The range is exact to the edges of int64, and refused past them.
+	const refused = "the address range overflows 64 bits"
+	for _, tc := range []struct {
+		name               string
+		base               int
+		coef, konst        int64
+		first, step, trips int64
+		want               string // start lo..hi, or the refusal
+	}{
+		// buf[2⁶⁰+100 − i] at i = 2⁶⁰: in floating point its range
+		// rounded to 0..0.
+		{"2^60+100-i", 0, -1, 1<<60 + 100, 1 << 60, 1, 1, "100 100..100"},
+		{"up to MaxInt64", 0, 1, 0, math.MaxInt64 - 10, 1, 11, "9223372036854775797 9223372036854775797..9223372036854775807"},
+		{"down to MinInt64", 0, -1, -1, math.MaxInt64 - 10, 1, 11, "-9223372036854775798 -9223372036854775808..-9223372036854775798"},
+		{"one past MaxInt64", 0, 1, 0, math.MaxInt64 - 10, 1, 12, refused},
+		{"one past MinInt64", 0, -1, -2, math.MaxInt64 - 10, 1, 11, refused},
+		{"coef·first", 0, 1 << 32, 0, 1 << 31, 1, 1, refused},
+		{"coef·step", 0, math.MaxInt64, 0, 0, 2, 1, refused},
+		{"step·trips", 0, 1 << 20, 0, 0, 1 << 20, 1 << 24, refused},
+		{"base+constant", 1, 1, math.MaxInt64, 0, 1, 1, refused},
+	} {
+		a := AddrInfo{Sym: info.Sym, Base: tc.base, Affine: w2.AffVar(i).Scale(tc.coef).Add(w2.AffConst(tc.konst))}
+		b, err := a.Bind([]*LoopItem{{Src: i, Trips: tc.trips, First: tc.first, Step: tc.step}}, nil)
+		got := fmt.Sprintf("%d %d..%d", b.Start, b.Lo, b.Hi)
+		if err != nil {
+			got = strings.TrimPrefix(err.Error(), a.String()+": ")
+		}
+		if got != tc.want {
+			t.Errorf("%s: Bind gives %q, want %q", tc.name, got, tc.want)
+		}
+	}
 }
 
 func TestAluCodeProperties(t *testing.T) {

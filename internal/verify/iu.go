@@ -1,8 +1,6 @@
 package verify
 
 import (
-	"math"
-
 	"warp/internal/mcode"
 	"warp/internal/skew"
 )
@@ -572,29 +570,19 @@ func extremes(v form, box []span) (lo, hi int64, ok bool) {
 		if a == 0 {
 			continue
 		}
-		x, ok1 := mulOK(a, box[d].lo)
-		y, ok2 := mulOK(a, box[d].hi)
+		x, ok1 := mcode.MulOK(a, box[d].lo)
+		y, ok2 := mcode.MulOK(a, box[d].hi)
 		if x > y {
 			x, y = y, x
 		}
 		var ok3, ok4 bool
-		lo, ok3 = addOK(lo, x)
-		hi, ok4 = addOK(hi, y)
+		lo, ok3 = mcode.AddOK(lo, x)
+		hi, ok4 = mcode.AddOK(hi, y)
 		if !ok1 || !ok2 || !ok3 || !ok4 {
 			return 0, 0, false
 		}
 	}
 	return lo, hi, true
-}
-
-func mulOK(a, b int64) (int64, bool) {
-	c := a * b
-	return c, a == 0 || c/a == b && !(a == -1 && b == math.MinInt64)
-}
-
-func addOK(a, b int64) (int64, bool) {
-	c := a + b
-	return c, (a^c)&(b^c) >= 0
 }
 
 // tableInRange reports whether the table words a run of reads table
