@@ -17,9 +17,9 @@ import (
 // livelock guard fails a run two cycles short of its length and lets one
 // cycle short complete; progress is monotone and ends in exactly one Done
 // update at the run's cycle count.  Conv1D(9, 512) is long enough that
-// the progress stride fires several times; matmul(32), 115 000 op-cells,
-// is past the work at which the fast executor's cells stream on spare
-// processors.
+// the progress stride fires several times; matmul(32), 115 000 op-cells
+// and 124 480 cell cycles, is past the work at which the fast executor's
+// cells and the simulator's groups of cells stream on spare processors.
 func TestControlsParity(t *testing.T) {
 	for _, prog := range []struct {
 		suffix, src string

@@ -25,7 +25,7 @@ func TestCompileRefusalTexts(t *testing.T) {
 		{"leftward", twoCells("float v;\n        int i;", "for i := 0 to 3 do begin\n            receive (R, X, v, a[i]);\n            send (L, X, v, b[i]);\n        end;"), Options{}, "driver: program sends data leftward; this compiler (like its examples) supports rightward flow only"},
 		{"overflow", overflowNest, Options{Pipeline: true, Verify: true}, "iugen: loop L2: the cycle count overflows 64 bits"},
 		{"registers", registerHog(70), Options{Pipeline: true}, "cellgen: block b0 needs more than 64 temporary registers (no spill path to cell memory is implemented; restructure the program)"},
-		{"address-range", farExternal, Options{}, "hostgen: 11:13: external x+4611686018427387904*i: the address range overflows 64 bits"},
+		{"address-range", farExternal, Options{}, "11:34: subscript 4611686018427387904*i of x: its range overflows 64 bits"},
 	} {
 		if _, err := Compile(tc.src, tc.opts); fmt.Sprint(err) != tc.want {
 			t.Errorf("%s: err = %q\nwant %q", tc.name, fmt.Sprint(err), tc.want)
@@ -76,7 +76,8 @@ end
 `
 
 // farExternal receives x[i·2⁶²] for i up to 4: the subscript's range
-// leaves 64 bits (semantic analysis, wrapping, sees it within x).
+// leaves 64 bits, which semantic analysis refuses (wrapping, it would
+// see the range as [0,0], within x).
 const farExternal = `module far (x in, y out)
 float x[1];
 float y[1];

@@ -232,6 +232,13 @@ func Run(ctx context.Context, pl *Plan, cfg Config, run RunTileFunc) ([]float64,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// Arrays side by side keep the processors busy: each counts in
+			// the process-wide budget while the farm runs, so that no
+			// tile's run takes helpers beside them (sim.Enter).
+			if cfg.Arrays > 1 {
+				sim.Enter(0)
+				defer sim.Leave(0)
+			}
 			for b := range staged {
 				if len(b.tiles) > 1 && ctx.Err() == nil {
 					batches.Add(1)

@@ -61,7 +61,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -243,41 +242,9 @@ type Result = sim.Stats
 // one worker.
 const streamWork = 1 << 16
 
-// busy counts the workers of the runs in progress, process-wide: each
-// run's own goroutine and the helpers it took.  A run takes helpers only
-// while the count stays within the processors the process may use
-// (GOMAXPROCS, at most the CPUs it may run on), so the runs of a process
-// that already keeps them busy (warpd's workers, the fabric's arrays)
-// start none.
-var busy atomic.Int32
-
 // forceWorkers, when positive, fixes every run's worker count, its size
 // and the budget aside (export_test.go).
 var forceWorkers int
-
-// workers enters a run of n problems in the budget and returns its worker
-// count, G = 1 + the helpers it could take without blocking (at most one
-// per further cell), and the share of the budget it holds until it ends.
-func (p *Plan) workers(n int) (g int, held int32) {
-	b := busy.Add(1)
-	if forceWorkers > 0 {
-		return min(forceWorkers, p.cells), 1
-	}
-	if p.counts.Ops*int64(p.cells)*int64(n) < streamWork {
-		return 1, 1
-	}
-	limit := int32(min(runtime.GOMAXPROCS(0), runtime.NumCPU()))
-	for {
-		k := min(int32(p.cells)-1, limit-b)
-		if k <= 0 {
-			return 1, 1
-		}
-		if busy.CompareAndSwap(b, b+k) {
-			return 1 + int(k), 1 + k
-		}
-		b = busy.Load()
-	}
-}
 
 // execState is the whole-array execution state of one run, n =
 // len(hostMems) problems wide, its cells on G workers.  It is pooled: a
@@ -307,11 +274,10 @@ type execState struct {
 // link only after its reader, cell i+1, has retired, earlier on the same
 // worker; a cell retires only after its left neighbour (work).
 type link struct {
-	buf    []float64     // sized for the cell's every word; written by its cell only
-	cell   atomic.Int64  // the cell writing it (-1: none yet this run)
-	pub    atomic.Int64  // values published << 1 | 1 once the cell has retired
-	asleep atomic.Bool   // the reader waits on wake
-	wake   chan struct{} // one token: something the reader waits for has happened
+	buf  []float64    // sized for the cell's every word; written by its cell only
+	cell atomic.Int64 // the cell writing it (-1: none yet this run)
+	pub  atomic.Int64 // values published << 1 | 1 once the cell has retired
+	bell sim.Bell     // wakes the reader
 }
 
 // claim readies l for cell idx's output.
@@ -321,30 +287,14 @@ func (l *link) claim(idx int) {
 }
 
 // publish makes the first k values of l visible to its reader, the last
-// once the cell has retired, and wakes the reader if it sleeps: a reader
-// that goes to sleep after the store sees it when it checks again
-// (wait).
+// once the cell has retired, and wakes the reader if it sleeps.
 func (l *link) publish(k int, retired bool) {
 	pub := int64(k) << 1
 	if retired {
 		pub |= 1
 	}
 	l.pub.Store(pub)
-	if l.asleep.Load() {
-		l.signal()
-	}
-}
-
-// signal wakes the reader if it sleeps, or leaves it a token that ends
-// its next sleep at once.  It stays out of line, so that a publish is a
-// store and a load.
-//
-//go:noinline
-func (l *link) signal() {
-	select {
-	case l.wake <- struct{}{}:
-	default:
-	}
+	l.bell.Ring()
 }
 
 // published returns the values published for cell idx-1's reader, and
@@ -431,9 +381,7 @@ func (st *execState) reset(p *Plan, hostMems [][]float64, ctl sim.Controls, g in
 				l := &st.ring[i][ch]
 				l.buf = sized(l.buf, int(words)*n)
 				l.cell.Store(-1)
-				if l.wake == nil {
-					l.wake = make(chan struct{}, 1)
-				}
+				l.bell.Init()
 			}
 		}
 	}
@@ -493,8 +441,8 @@ func (st *execState) fail(idx int) {
 	for f := st.failed.Load(); f > int64(idx) && !st.failed.CompareAndSwap(f, int64(idx)); f = st.failed.Load() {
 	}
 	for i := range st.ring {
-		st.ring[i][0].signal()
-		st.ring[i][1].signal()
+		st.ring[i][0].bell.Ring()
+		st.ring[i][1].bell.Ring()
 	}
 }
 
@@ -577,14 +525,6 @@ func (w *worker) check(idx int, t int64) error {
 	return nil
 }
 
-// awaitSpins is how many times a waiting cell yields before it sleeps
-// until its left neighbour publishes: a yield is a few hundred ns, the
-// usual wait for 64 more values a few µs, and a sleep costs a thread
-// wake-up, ~0.1 ms on the reference host.  A neighbour that does not
-// publish for longer has lost its processor, which a spinning reader
-// would only keep from it.
-const awaitSpins = 1 << 10
-
 // await is a receive's slow path: cell idx has consumed the n values of
 // its left link's channel ch published so far.  It publishes the cell's
 // own output, then waits until more are published and returns them; the
@@ -602,41 +542,25 @@ func (w *worker) await(idx int, ch int, n int, t int64, out *[2][]float64) ([]fl
 
 // wait blocks cell idx, at cell cycle t, until its left link on channel
 // ch holds more than n values or its writer has retired, and returns the
-// values published.  It polls as a word does, stops once a cell to the
-// left has failed, and yields awaitSpins times before it sleeps.
+// values published.  It polls as a word does and stops once a cell to the
+// left has failed (sim.Bell.Wait).
 func (w *worker) wait(idx int, ch int, n int, t int64) ([]float64, error) {
 	l := &w.left[ch]
-	for spins := 0; ; spins++ {
-		in, done := l.published(idx)
-		if len(in) > n || done {
-			return in, nil
+	var in []float64
+	err := l.bell.Wait(w.st.ctx, func() (bool, error) {
+		var done bool
+		if in, done = l.published(idx); len(in) > n || done {
+			return true, nil
 		}
 		if err := w.poll(idx, t); err != nil {
-			return nil, err
+			return false, err
 		}
 		if int(w.st.failed.Load()) < idx {
-			return nil, errStopped
+			return false, errStopped
 		}
-		if spins < awaitSpins {
-			runtime.Gosched()
-			continue
-		}
-		// Sleep until a publish, the neighbour's retirement, a failure
-		// (fail signals every link) or cancellation; the check after
-		// asleep is set sees any store its writer did not signal.
-		l.asleep.Store(true)
-		if in, done := l.published(idx); len(in) <= n && !done && int(w.st.failed.Load()) >= idx {
-			var cancelled <-chan struct{}
-			if w.st.ctx != nil {
-				cancelled = w.st.ctx.Done()
-			}
-			select {
-			case <-l.wake:
-			case <-cancelled:
-			}
-		}
-		l.asleep.Store(false)
-	}
+		return false, nil
+	})
+	return in, err
 }
 
 // Execute runs the plan over a host memory image (inputs pre-loaded;
@@ -693,8 +617,8 @@ func (p *Plan) ExecuteBatch(hostMems [][]float64, ctl sim.Controls) (*sim.Stats,
 		}
 	}
 
-	g, held := p.workers(len(hostMems))
-	defer busy.Add(-held)
+	g, helpers := p.workers(len(hostMems))
+	defer sim.Leave(helpers)
 	st := statePool.Get().(*execState)
 	defer st.release()
 	st.reset(p, hostMems, ctl, g)
@@ -954,4 +878,19 @@ func (p *Plan) runLanes(wk *worker, idx int) error {
 		s.Advance(int(w.Depth), p.code.Ends[w.EndLo:w.EndHi])
 	}
 	return nil
+}
+
+// workers enters a run of n problems in the process-wide budget
+// (sim.Enter) and returns its worker count, G = 1 + the helpers granted
+// (at most one per further cell), and the helpers to give back.
+func (p *Plan) workers(n int) (g, helpers int) {
+	want := p.cells - 1
+	if forceWorkers > 0 || p.counts.Ops*int64(p.cells)*int64(n) < streamWork {
+		want = 0
+	}
+	helpers = sim.Enter(want)
+	if forceWorkers > 0 {
+		return min(forceWorkers, p.cells), helpers
+	}
+	return 1 + helpers, helpers
 }

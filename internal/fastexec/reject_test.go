@@ -182,3 +182,69 @@ func TestCompileLoadedNeedsReport(t *testing.T) {
 		t.Fatalf("CompileLoaded(nil report) = %v, %v; want error %q", plan, err, want)
 	}
 }
+
+// TestFarAddressRunsAlike: a program whose memory fields name buf[2⁶⁰+100
+// − i] at i = 2⁶⁰, word 100, which the verifier accepts with its exact
+// envelope of that one word, runs alike on the simulator, on the
+// simulator's batched walk (whose memory is the envelope) and on the
+// fast plan: each cell stores the word it receives there and sends it on
+// loaded back, so every image ends with the input delivered, in the same
+// cycles.
+func TestFarAddressRunsAlike(t *testing.T) {
+	big := &w2.ForStmt{Var: "i"}
+	aff := w2.AffVar(big)
+	aff.Terms[0].Coef, aff.Const = -1, 1<<60+100
+	far := mcode.AddrInfo{Sym: sym, Affine: aff}
+	store, load := &mcode.Instr{}, &mcode.Instr{}
+	store.Mem[0] = mcode.MemOp{Kind: mcode.MemStore, Reg: 1, Addr: far}
+	load.Mem[0] = mcode.MemOp{Kind: mcode.MemLoad, Reg: 2, Addr: far}
+	out := &mcode.IUInstr{Out: [mcode.MemPorts]*mcode.IUOut{{Src: 2}}}
+	p := fastexec.Program{Cells: 2, Skew: 4, Lead: 1,
+		Cell: cell(&mcode.LoopItem{ID: 3, Trips: 1, Src: big, First: 1 << 60, Step: 1, Body: []mcode.CodeItem{code(
+			&mcode.Instr{IO: []mcode.IOOp{{Recv: true, Dir: w2.DirL, Chan: w2.ChanX, Reg: 1}}},
+			store, load,
+			&mcode.Instr{IO: []mcode.IOOp{{Dir: w2.DirR, Chan: w2.ChanX, Reg: 2}}})}}),
+		IU: iu(iuCode(&mcode.IUInstr{Imm: &mcode.IUImm{Dst: 2, Value: 100}}, out, out, sig(3, false))),
+		Host: &hostgen.Program{
+			In:  map[w2.Channel]hostgen.Stream{w2.ChanX: hostgen.Of(hostgen.Word{Index: 0})},
+			Out: map[w2.Channel]hostgen.Stream{w2.ChanX: hostgen.Of(hostgen.Word{Index: 1})},
+		}}
+	plan, err := fastexec.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.Config{Cells: p.Cells, Cell: p.Cell, IU: p.IU, Host: p.Host, Skew: p.Skew, Lead: p.Lead}
+	if code, err := sim.Load(cfg).Code(); err != nil || code.MemLo != 100 || code.MemWords != 1 {
+		t.Fatalf("envelope %d words from %d (%v), want the one word 100", code.MemWords, code.MemLo, err)
+	}
+	image := func() []float64 { return []float64{42, 0} }
+	var runs []struct {
+		name   string
+		mem    []float64
+		cycles int64
+	}
+	record := func(name string, mem []float64, st *sim.Stats, err error) {
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		runs = append(runs, struct {
+			name   string
+			mem    []float64
+			cycles int64
+		}{name, mem, st.Cycles})
+	}
+	cfg.HostMem = image()
+	st, err := sim.Run(cfg)
+	record("sim", cfg.HostMem, st, err)
+	wide := [][]float64{image(), image()}
+	st, err = sim.Load(cfg).RunBatch(cfg, wide)
+	record("sim, two lanes", wide[1], st, err)
+	mem := image()
+	st, err = plan.Execute(mem, sim.Controls{})
+	record("fast", mem, st, err)
+	for _, r := range runs {
+		if r.mem[1] != 42 || r.cycles != runs[0].cycles {
+			t.Errorf("%s: delivered %v in %d cycles; want 42 in %d", r.name, r.mem[1], r.cycles, runs[0].cycles)
+		}
+	}
+}

@@ -22,8 +22,8 @@ func issueAlu(c *cell, op *mcode.AluOp, now int64) error {
 	if err != nil {
 		return err
 	}
-	m := &machine{now: now, code: *code}
-	return m.issue(c, &m.code.Words[0])
+	g := &group{machine: &machine{code: *code}, now: now}
+	return g.issue(c, &g.code.Words[0])
 }
 
 // TestAluAllCodes drives every FPU operation through a cell and checks

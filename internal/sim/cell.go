@@ -12,35 +12,35 @@ import (
 // stepCell executes one cycle of one live cell: an idle cycle of the
 // current word's skip, or the word's issuing cycle.  It reads only the
 // compact words; the sequencer moves only at a word that closes a loop.
-func (m *machine) stepCell(c *cell) error {
-	if m.trace && m.now == c.start {
-		m.rec.CellStart(m.now, c.idx)
+func (g *group) stepCell(c *cell) error {
+	if g.trace && g.now == c.start {
+		g.rec.CellStart(g.now, c.idx)
 	}
-	words := m.code.Words
+	words := g.code.Words
 	if c.PC >= len(words) {
 		// Only reachable for an empty program.
-		m.finish(c)
+		g.finish(c)
 		return nil
 	}
 
 	w := &words[c.PC]
 	if c.idled < int64(w.Skip) {
-		c.idle(m, int(w.PC)+int(c.idled))
+		c.idle(g, int(w.PC)+int(c.idled))
 		c.idled++
 		return nil
 	}
 	c.idled = 0
 	if w.Nop {
-		c.idle(m, int(w.PC)+int(w.Skip))
+		c.idle(g, int(w.PC)+int(w.Skip))
 	} else {
-		if m.trace {
-			m.traceIssue(c)
+		if g.trace {
+			g.traceIssue(c)
 		}
 		var err error
-		if m.lanes == nil { // a run alone falls through to its issue
-			err = m.issue(c, w)
+		if g.lanes == nil { // a run alone falls through to its issue
+			err = g.issue(c, w)
 		} else {
-			err = m.issueLanes(c, w)
+			err = g.issueLanes(c, w)
 		}
 		if err != nil {
 			return fmt.Errorf("cell %d: %w", c.idx, err)
@@ -49,11 +49,11 @@ func (m *machine) stepCell(c *cell) error {
 
 	if w.EndLo == w.EndHi {
 		c.PC++
-	} else if err := m.closeLoops(c, w); err != nil {
+	} else if err := g.closeLoops(c, w); err != nil {
 		return err
 	}
 	if c.PC >= len(words) {
-		m.finish(c)
+		g.finish(c)
 	}
 	return nil
 }
@@ -61,8 +61,8 @@ func (m *machine) stepCell(c *cell) error {
 // closeLoops moves the sequencer past a word that closes loops: it pops
 // one IU control signal per boundary crossed, innermost first, checks it
 // against the sequencer's decision and forwards it down the array.
-func (m *machine) closeLoops(c *cell, w *mcode.Word) error {
-	ends := m.code.Ends[w.EndLo:w.EndHi]
+func (g *group) closeLoops(c *cell, w *mcode.Word) error {
+	ends := g.code.Ends[w.EndLo:w.EndHi]
 	crossed, again := c.Advance(int(w.Depth), ends)
 	for i := range ends[:crossed] {
 		id, more := ends[i].ID, again && i == crossed-1
@@ -78,30 +78,38 @@ func (m *machine) closeLoops(c *cell, w *mcode.Word) error {
 			if err := c.next.sig.push(sig); err != nil {
 				return err
 			}
+		} else if c.out != nil {
+			word := int64(sig.id) << 1
+			if sig.more {
+				word |= 1
+			}
+			if err := g.cross(c.out, crossSig, word, 0, nil); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
 // finish retires a cell on the cycle of its last instruction.
-func (m *machine) finish(c *cell) {
-	c.finish = m.now
-	if m.trace {
-		m.rec.CellFinish(m.now, c.idx)
+func (g *group) finish(c *cell) {
+	c.finish = g.now
+	if g.trace {
+		g.rec.CellFinish(g.now, c.idx)
 	}
 }
 
 // idle attributes a cycle that issues nothing, at µPC pc: starvation
 // when both data queues are empty (the upstream producer has not
 // delivered) and a schedule bubble otherwise.
-func (c *cell) idle(m *machine, pc int) {
+func (c *cell) idle(g *group, pc int) {
 	if c.in[w2.ChanX].n == 0 && c.in[w2.ChanY].n == 0 {
 		c.starved++
 		if c.pcs != nil {
 			c.pcs.Starved[pc]++
 		}
-		if m.trace {
-			m.rec.Stall(m.now, c.idx, obs.StallQueueEmpty)
+		if g.trace {
+			g.rec.Stall(g.now, c.idx, obs.StallQueueEmpty)
 		}
 		return
 	}
@@ -109,23 +117,23 @@ func (c *cell) idle(m *machine, pc int) {
 	if c.pcs != nil {
 		c.pcs.Bubble[pc]++
 	}
-	if m.trace {
-		m.rec.Stall(m.now, c.idx, obs.StallBubble)
+	if g.trace {
+		g.rec.Stall(g.now, c.idx, obs.StallBubble)
 	}
 }
 
 // traceIssue reports the FPU fields of the word the cell issues to the
 // recorder, before the word's queue and memory events.
-func (m *machine) traceIssue(c *cell) {
-	w := &m.code.Words[c.PC]
+func (g *group) traceIssue(c *cell) {
+	w := &g.code.Words[c.PC]
 	if w.HasAdd {
-		m.rec.Issue(m.now, c.idx, obs.UnitAdd)
+		g.rec.Issue(g.now, c.idx, obs.UnitAdd)
 	}
 	if w.HasMul {
-		m.rec.Issue(m.now, c.idx, obs.UnitMul)
+		g.rec.Issue(g.now, c.idx, obs.UnitMul)
 	}
 	if w.HasMov {
-		m.rec.Issue(m.now, c.idx, obs.UnitMov)
+		g.rec.Issue(g.now, c.idx, obs.UnitMov)
 	}
 }
 
@@ -142,9 +150,9 @@ var (
 // them.  Addresses pop from the Adr queue and are forwarded
 // systolically to the next cell; the bound address terms are never
 // read, the IU's stream is what the simulator checks.
-func (m *machine) issue(c *cell, w *mcode.Word) error {
+func (g *group) issue(c *cell, w *mcode.Word) error {
 	next, r := c.next, &c.regs
-	r.Land(m.now) // FPU results that landed during idle cycles
+	r.Land(g.now) // FPU results that landed during idle cycles
 	// The word's stores, landing at the end of the cycle in port order.
 	var stores [mcode.MemPorts]struct {
 		addr int64
@@ -152,14 +160,14 @@ func (m *machine) issue(c *cell, w *mcode.Word) error {
 	}
 	nst := 0
 	for i := w.Lo; i < w.Hi; i++ {
-		switch o := &m.code.Ops[i]; o.Kind {
+		switch o := &g.code.Ops[i]; o.Kind {
 		case mcode.OpRecv:
 			q := &c.in[o.X]
 			v, err := q.pop()
 			if err != nil {
 				return err
 			}
-			recPop(m, q)
+			recPop(g, q)
 			r.Hold(mcode.Reg(o.Dst), v)
 		case mcode.OpSend:
 			v := r.R[o.A]
@@ -168,8 +176,12 @@ func (m *machine) issue(c *cell, w *mcode.Word) error {
 				if err := q.push(v); err != nil {
 					return err
 				}
-				recPush(m, q)
-			} else if err := m.hostCollect(w2.Channel(o.X), v); err != nil {
+				recPush(g, q)
+			} else if c.out != nil {
+				if err := g.cross(c.out, uint8(o.X), 0, v, nil); err != nil {
+					return err
+				}
+			} else if err := g.hostCollect(w2.Channel(o.X), v); err != nil {
 				return err
 			}
 		case mcode.OpRecvRight:
@@ -177,7 +189,7 @@ func (m *machine) issue(c *cell, w *mcode.Word) error {
 		case mcode.OpSendLeft:
 			return errSendLeft
 		case mcode.OpLoad, mcode.OpStore:
-			addr, err := m.popAddr(c, int(o.B))
+			addr, err := g.popAddr(c, int(o.B))
 			if err != nil {
 				return err
 			}
@@ -188,15 +200,15 @@ func (m *machine) issue(c *cell, w *mcode.Word) error {
 			} else {
 				r.Hold(mcode.Reg(o.Dst), c.mem[addr]) // read before the word's stores land
 			}
-			if m.trace {
-				m.rec.MemRef(m.now, c.idx, int(o.B), addr, store)
+			if g.trace {
+				g.rec.MemRef(g.now, c.idx, int(o.B), addr, store)
 			}
 		case mcode.OpFadd:
-			r.PushAt(mcode.Reg(o.Dst), r.R[o.A]+r.R[o.B], m.now+mcode.FPULatency)
+			r.PushAt(mcode.Reg(o.Dst), r.R[o.A]+r.R[o.B], g.now+mcode.FPULatency)
 		case mcode.OpFsub:
-			r.PushAt(mcode.Reg(o.Dst), r.R[o.A]-r.R[o.B], m.now+mcode.FPULatency)
+			r.PushAt(mcode.Reg(o.Dst), r.R[o.A]-r.R[o.B], g.now+mcode.FPULatency)
 		case mcode.OpFmul:
-			r.PushAt(mcode.Reg(o.Dst), r.R[o.A]*r.R[o.B], m.now+mcode.FPULatency)
+			r.PushAt(mcode.Reg(o.Dst), r.R[o.A]*r.R[o.B], g.now+mcode.FPULatency)
 		case mcode.OpMov:
 			r.Hold(mcode.Reg(o.Dst), r.R[o.A])
 		case mcode.OpEval:
@@ -204,17 +216,17 @@ func (m *machine) issue(c *cell, w *mcode.Word) error {
 			if err != nil {
 				return fmt.Errorf("sim: %w", err)
 			}
-			r.PushAt(mcode.Reg(o.Dst), v, m.now+mcode.FPULatency)
+			r.PushAt(mcode.Reg(o.Dst), v, g.now+mcode.FPULatency)
 		}
 	}
 	// Nothing has written a register yet.
 	for _, st := range stores[:nst] {
 		c.mem[st.addr] = r.R[st.reg]
 	}
-	r.Land(m.now + 1)
+	r.Land(g.now + 1)
 	r.Commit()
 	if w.Lit {
-		r.R[w.LitDst] = m.code.Lits[c.PC]
+		r.R[w.LitDst] = g.code.Lits[c.PC]
 	}
 	return nil
 }
@@ -222,21 +234,25 @@ func (m *machine) issue(c *cell, w *mcode.Word) error {
 // popAddr pops the address of the cell's memory port port off its Adr
 // queue, forwards it to the next cell and checks it against the cell
 // memory.
-func (m *machine) popAddr(c *cell, port int) (int64, error) {
+func (g *group) popAddr(c *cell, port int) (int64, error) {
 	addr, err := c.adr.pop()
 	if err != nil {
 		return 0, err
 	}
-	recPop(m, &c.adr)
+	recPop(g, &c.adr)
 	if next := c.next; next != nil {
 		if err := next.adr.push(addr); err != nil {
 			return 0, err
 		}
-		recPush(m, &next.adr)
+		recPush(g, &next.adr)
+	} else if c.out != nil {
+		if err := g.cross(c.out, crossAdr, addr, 0, nil); err != nil {
+			return 0, err
+		}
 	}
 	if addr < 0 || addr >= mcode.MemWords {
 		return 0, fmt.Errorf("sim: address %d outside the %d-word cell memory (IU generated a bad address for %s)",
-			addr, mcode.MemWords, m.cfg.Cell.MemAddr(&m.code.Words[c.PC], port))
+			addr, mcode.MemWords, g.cfg.Cell.MemAddr(&g.code.Words[c.PC], port))
 	}
 	return addr, nil
 }

@@ -15,9 +15,9 @@ func straight(n int) *mcode.Straight {
 	return s
 }
 
-// boundary is one loop-body boundary crossed after an instruction, with
+// loopBoundary is one loop-body boundary crossed after an instruction, with
 // the sequencer's decision.
-type boundary struct {
+type loopBoundary struct {
 	id   int
 	more bool
 }
@@ -25,7 +25,7 @@ type boundary struct {
 // walkCell runs a cell program through the decoder and sequencer,
 // returning the depth of every instruction executed — a word's skipped
 // idle cycles included — and the boundaries crossed after each.
-func walkCell(t *testing.T, p *mcode.CellProgram) (depths []int, crossed [][]boundary) {
+func walkCell(t *testing.T, p *mcode.CellProgram) (depths []int, crossed [][]loopBoundary) {
 	t.Helper()
 	code, err := mcode.Decode(p)
 	if err != nil {
@@ -40,9 +40,9 @@ func walkCell(t *testing.T, p *mcode.CellProgram) (depths []int, crossed [][]bou
 		}
 		ends := code.Ends[w.EndLo:w.EndHi]
 		n, more := s.Advance(int(w.Depth), ends)
-		var bs []boundary
+		var bs []loopBoundary
 		for i, e := range ends[:n] {
-			bs = append(bs, boundary{e.ID, more && i == n-1})
+			bs = append(bs, loopBoundary{e.ID, more && i == n-1})
 		}
 		depths = append(depths, int(w.Depth))
 		crossed = append(crossed, bs)
@@ -64,7 +64,7 @@ func TestCellSeqStraight(t *testing.T) {
 	}
 }
 
-// TestCellSeqLoop checks loop-boundary events: one per iteration, with
+// TestCellSeqLoop checks loop-loopBoundary events: one per iteration, with
 // more=false on the last.
 func TestCellSeqLoop(t *testing.T) {
 	p := &mcode.CellProgram{Items: []mcode.CodeItem{
@@ -74,7 +74,7 @@ func TestCellSeqLoop(t *testing.T) {
 	if len(depths) != 6 {
 		t.Errorf("executed %d instructions, want 6", len(depths))
 	}
-	var events []boundary
+	var events []loopBoundary
 	for _, bs := range crossed {
 		events = append(events, bs...)
 	}
@@ -100,7 +100,7 @@ func TestCellSeqNestedLoops(t *testing.T) {
 	if len(depths) != 4 {
 		t.Errorf("executed %d instructions, want 4", len(depths))
 	}
-	var events []boundary
+	var events []loopBoundary
 	for i, bs := range crossed {
 		if depths[i] != 2 {
 			t.Errorf("step %d: depth = %d, want 2 (inner loop body)", i, depths[i])
@@ -112,7 +112,7 @@ func TestCellSeqNestedLoops(t *testing.T) {
 	// step 2: inner more=false, outer more=true
 	// step 3: inner more=true
 	// step 4: inner more=false, outer more=false
-	want := []boundary{
+	want := []loopBoundary{
 		{1, true},
 		{1, false}, {0, true},
 		{1, true},
@@ -164,7 +164,7 @@ func TestIUSeqNestedLoops(t *testing.T) {
 }
 
 // TestDecodeRejectsEmptyLoop: a loop without instructions has no
-// boundary to sequence.  The decoder reports it and leaves it out of the
+// loopBoundary to sequence.  The decoder reports it and leaves it out of the
 // code; the simulator refuses to run the program.
 func TestDecodeRejectsEmptyLoop(t *testing.T) {
 	cp := &mcode.CellProgram{Items: []mcode.CodeItem{

@@ -45,9 +45,9 @@ func (l *Loaded) RunBatch(cfg Config, hostMems [][]float64) (*Stats, error) {
 // against the same queues, every value n lanes wide, its writes landing
 // through mcode.LaneRegs.  The memory of lane l holds envelope word a at
 // mem[a·n+l].
-func (m *machine) issueLanes(c *cell, w *mcode.Word) error {
-	next, r, n := c.next, &c.lanes, len(m.lanes)
-	r.Land(m.now)
+func (g *group) issueLanes(c *cell, w *mcode.Word) error {
+	next, r, n := c.next, &c.lanes, len(g.lanes)
+	r.Land(g.now)
 	// The word's stores, landing at the end of the cycle in port order.
 	var stores [mcode.MemPorts]struct {
 		at  int
@@ -55,13 +55,13 @@ func (m *machine) issueLanes(c *cell, w *mcode.Word) error {
 	}
 	nst := 0
 	for i := w.Lo; i < w.Hi; i++ {
-		switch o := &m.code.Ops[i]; o.Kind {
+		switch o := &g.code.Ops[i]; o.Kind {
 		case mcode.OpRecv:
 			q := &c.in[o.X]
 			if err := q.popLanes(r.Hold(mcode.Reg(o.Dst))); err != nil {
 				return err
 			}
-			recPop(m, q)
+			recPop(g, q)
 		case mcode.OpSend:
 			v := r.Lanes(mcode.Reg(o.A))
 			if next != nil {
@@ -69,8 +69,12 @@ func (m *machine) issueLanes(c *cell, w *mcode.Word) error {
 				if err := q.pushLanes(v); err != nil {
 					return err
 				}
-				recPush(m, q)
-			} else if err := m.hostCollectLanes(w2.Channel(o.X), v); err != nil {
+				recPush(g, q)
+			} else if c.out != nil {
+				if err := g.cross(c.out, uint8(o.X), 0, 0, v); err != nil {
+					return err
+				}
+			} else if err := g.hostCollectLanes(w2.Channel(o.X), v); err != nil {
 				return err
 			}
 		case mcode.OpRecvRight:
@@ -78,14 +82,14 @@ func (m *machine) issueLanes(c *cell, w *mcode.Word) error {
 		case mcode.OpSendLeft:
 			return errSendLeft
 		case mcode.OpLoad, mcode.OpStore:
-			addr, err := m.popAddr(c, int(o.B))
+			addr, err := g.popAddr(c, int(o.B))
 			if err != nil {
 				return err
 			}
-			a := addr - m.code.MemLo
-			if a < 0 || a >= int64(m.code.MemWords) {
+			a := addr - g.code.MemLo
+			if a < 0 || a >= int64(g.code.MemWords) {
 				return fmt.Errorf("sim: address %d for %s is %w (%d words from %d)",
-					addr, m.cfg.Cell.MemAddr(w, int(o.B)), ErrEnvelope, m.code.MemWords, m.code.MemLo)
+					addr, g.cfg.Cell.MemAddr(w, int(o.B)), ErrEnvelope, g.code.MemWords, g.code.MemLo)
 			}
 			store := o.Kind == mcode.OpStore
 			if store {
@@ -94,11 +98,11 @@ func (m *machine) issueLanes(c *cell, w *mcode.Word) error {
 			} else {
 				copy(r.Hold(mcode.Reg(o.Dst)), c.mem[int(a)*n:][:n])
 			}
-			if m.trace {
-				m.rec.MemRef(m.now, c.idx, int(o.B), addr, store)
+			if g.trace {
+				g.rec.MemRef(g.now, c.idx, int(o.B), addr, store)
 			}
 		default:
-			if err := r.Exec(o, m.now); err != nil {
+			if err := r.Exec(o, g.now); err != nil {
 				return fmt.Errorf("sim: %w", err)
 			}
 		}
@@ -106,10 +110,10 @@ func (m *machine) issueLanes(c *cell, w *mcode.Word) error {
 	for _, st := range stores[:nst] {
 		copy(c.mem[st.at:][:n], r.Lanes(st.reg))
 	}
-	r.Land(m.now + 1)
+	r.Land(g.now + 1)
 	r.Commit()
 	if w.Lit {
-		r.Set(mcode.Reg(w.LitDst), m.code.Lits[c.PC])
+		r.Set(mcode.Reg(w.LitDst), g.code.Lits[c.PC])
 	}
 	return nil
 }

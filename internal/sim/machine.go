@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"warp/internal/hostgen"
 	"warp/internal/mcode"
@@ -128,7 +129,7 @@ type sigItem struct {
 // come first; the register file, queues and memory follow.
 type cell struct {
 	idx       int
-	next      *cell // the downstream neighbour; nil for the last cell
+	next      *cell // the downstream neighbour; nil for the last cell of a group
 	mcode.Seq       // word index and loop iteration counters
 	idled     int64 // idle cycles of the current word's skip run so far
 	start     int64
@@ -142,6 +143,9 @@ type cell struct {
 	// pcs holds the exact per-µPC idle split when Config.PCStats is set;
 	// nil otherwise (the idle path tests the pointer once).
 	pcs *obs.PCProfile
+	// out carries what the last cell of a group of several pushes to the
+	// next group's first cell (group.cross); nil otherwise.
+	out *boundary
 
 	regs  mcode.CellRegs    // the register file and the writes in flight
 	lanes mcode.LaneRegs    // the same, lane-wide, in a batched walk
@@ -153,34 +157,18 @@ type cell struct {
 	mem []float64
 }
 
-// machine is the full simulated Warp system.
+// machine is the full simulated Warp system.  What every group reads
+// comes first; the state group 0 writes, the IU's and the host input's,
+// and the state the last group writes, the host output's, follow, apart:
+// the two write theirs a word at a time.
 type machine struct {
-	cfg   Config
-	load  *Loaded
-	code  mcode.Decoded // the decoded cell program every cell executes
-	cells []cell
-
+	cfg  Config
+	load *Loaded
+	code mcode.Decoded // the decoded cell program every cell executes
 	// A batched walk's host images, one per lane (nil alone: the run's
-	// image is cfg.HostMem), and where a host input word's lanes gather.
+	// image is cfg.HostMem).
 	lanes  [][]float64
-	gather []float64
-
 	iuCode mcode.IUCode
-	iu     mcode.Seq
-	iuRegs mcode.IURegs
-	iuOut  mcode.IUOutput // what the IU emitted this cycle
-	tblPos int            // the IU's table reads so far
-
-	// The host streams, indexed by w2.Channel: the input words not yet
-	// fed and the output words collected so far (the readers are at the
-	// end of the struct).
-	hostInLeft [2]int64
-	hostSent   [2]int
-	// hostStall counts the cycles a full queue into cell 0 blocked the
-	// host's input stream.
-	hostStall [2]int64
-
-	now int64
 
 	// rec receives instrumentation events; trace caches
 	// obs.Enabled(rec) so every hook on the cycle loop is one branch
@@ -188,9 +176,32 @@ type machine struct {
 	rec   obs.Recorder
 	trace bool
 
+	// The run's groups of cells (group.go), left to right: solo for a run
+	// of one, and the earliest cycle a group of several recorded an error
+	// at.
+	groupList []group
+	stopAt    atomic.Int64
+	solo      [1]group
+
+	// Group 0's: the IU, where a host input word's lanes gather, and the
+	// host's input streams, indexed by w2.Channel — the words not yet fed
+	// and the cycles a full queue into cell 0 blocked the stream.
+	gather     []float64
+	iu         mcode.Seq
+	iuRegs     mcode.IURegs
+	iuOut      mcode.IUOutput // what the IU emitted this cycle
+	tblPos     int            // the IU's table reads so far
+	hostInLeft [2]int64
+	hostStall  [2]int64
 	// The host streams' readers.  Each holds a block of words in place,
 	// kilobytes of it: last, so that the fields above stay together.
-	hostIn, hostOut [2]hostgen.Reader
+	hostIn [2]hostgen.Reader
+	_      [64]byte
+
+	// The last group's: the host output's words collected so far and
+	// its readers.
+	hostSent [2]int
+	hostOut  [2]hostgen.Reader
 }
 
 // Run executes the configuration to completion and returns statistics.
@@ -223,57 +234,35 @@ func run(l *Loaded, cfg Config, lanes [][]float64) (*Stats, error) {
 	if err := cfg.check(); err != nil {
 		return nil, err
 	}
-	limit := cfg.Limit()
-	m, err := newMachine(l, cfg, lanes)
+	groups, helpers := split(l, cfg, max(len(lanes), 1))
+	defer Leave(helpers)
+	m, err := newMachine(l, cfg, lanes, groups)
 	if err != nil {
 		return nil, err
 	}
 	if m.trace {
 		m.rec.RunStart(cfg.Cells, cfg.Skew, cfg.Lead)
 	}
-
-	// Cells start and (running one program without ever stalling)
-	// finish in index order, so the live ones are the window [lo, hi).
-	for lo, hi := 0, 0; lo < cfg.Cells; m.now++ {
-		if m.now > limit {
-			return nil, fmt.Errorf("sim: exceeded %d cycles; the machine is %w", limit, ErrLivelock)
-		}
-		if m.now%ctxCheckInterval == 0 {
-			if cfg.Ctx != nil {
-				if err := cfg.Ctx.Err(); err != nil {
-					return nil, fmt.Errorf("sim: run aborted at cycle %d: %w", m.now, err)
-				}
-			}
-			if cfg.Progress != nil && m.now > 0 {
-				cfg.Progress(obs.ProgressUpdate{Cycles: m.now})
-			}
-		}
-		for hi < cfg.Cells && m.cells[hi].start <= m.now {
-			hi++
-		}
-		if err := m.cycle(lo, hi); err != nil {
-			return nil, fmt.Errorf("cycle %d: %w", m.now, err)
-		}
-		for lo < hi && m.cells[lo].PC >= len(m.code.Words) {
-			lo++
-		}
+	end, err := m.runGroups()
+	if err != nil {
+		return nil, err
 	}
 	if err := m.checkBalance(); err != nil {
 		return nil, err
 	}
 	if cfg.Progress != nil {
-		cfg.Progress(obs.ProgressUpdate{Cycles: m.now, Done: true})
+		cfg.Progress(obs.ProgressUpdate{Cycles: end, Done: true})
 	}
 	if m.trace {
-		m.rec.RunEnd(m.now)
+		m.rec.RunEnd(end)
 	}
-	return m.stats(), nil
+	return m.stats(end), nil
 }
 
-// newMachine allocates all run state of the loaded program: a handful of
-// allocations sized by the program, the cell count and the lanes, none
-// afterwards.
-func newMachine(l *Loaded, cfg Config, lanes [][]float64) (*machine, error) {
+// newMachine allocates all run state of the loaded program, its cells in
+// the given number of groups: a handful of allocations sized by the
+// program, the cell count, the groups and the lanes, none afterwards.
+func newMachine(l *Loaded, cfg Config, lanes [][]float64, groups int) (*machine, error) {
 	code, err := l.Code()
 	if err != nil {
 		return nil, fmt.Errorf("sim: cell %w", err)
@@ -295,7 +284,6 @@ func newMachine(l *Loaded, cfg Config, lanes [][]float64) (*machine, error) {
 		cfg:    cfg,
 		load:   l,
 		code:   *code,
-		cells:  make([]cell, cfg.Cells),
 		lanes:  lanes,
 		iuCode: *iuCode,
 		rec:    rec,
@@ -307,58 +295,87 @@ func newMachine(l *Loaded, cfg Config, lanes [][]float64) (*machine, error) {
 		m.hostOut[ch] = hostgen.NewReader(cfg.Host.Out[w2.Channel(ch)])
 	}
 
-	// One arena holds every int64 counter: the IU's loop iterations, and
-	// per cell its loop iterations, three occupancy histograms, two
-	// per-µPC idle rows when profiling.
+	// Per group, one arena holds every int64 counter: per cell its loop
+	// iterations, three occupancy histograms, two per-µPC idle rows when
+	// profiling, and in group 0 the IU's loop iterations; a second holds
+	// every value: each cell's memory, and in a batched walk its
+	// registers, writes in flight and X and Y queue words, and in group 0
+	// where a host input word's lanes gather.
 	const histLen = mcode.QueueDepth + 1
 	perCell := code.Depth + int(obs.NumQueues)*histLen
 	if cfg.PCStats {
 		perCell += 2 * pcs
 	}
-	arena := make([]int64, iuCode.Depth+cfg.Cells*perCell)
-	take := func(n int) []int64 {
-		out := arena[:n:n]
-		arena = arena[n:]
-		return out
-	}
-	m.iu.Iter = take(iuCode.Depth)
-	// A second arena holds every value: each cell's memory, and in a
-	// batched walk its registers, writes in flight and X and Y queue words.
 	cellVals := memWords * n
 	if lanes != nil {
 		cellVals += (mcode.LaneRegWords + 2*mcode.QueueDepth) * n
 	}
-	vals := make([]float64, cfg.Cells*cellVals+n)
-	takeVals := func(k int) []float64 {
-		out := vals[:k:k]
-		vals = vals[k:]
-		return out
+	m.groupList = m.solo[:]
+	if groups > 1 {
+		m.groupList = make([]group, groups)
 	}
-	m.gather = takeVals(n)
-	for i := range m.cells {
-		c := &m.cells[i]
-		c.idx = i
-		if i+1 < cfg.Cells {
-			c.next = &m.cells[i+1]
+	for k := range m.groupList {
+		g := &m.groupList[k]
+		first := k * cfg.Cells / groups
+		g.machine, g.k, g.first, g.last, g.peers = m, k, first, -1, groups > 1
+		// Each group's state is allocations of its own: on the 2-vCPU
+		// reference host a group whose cells and counters shared arrays
+		// with the group to its left ran up to four times slower beside
+		// it, and at full speed in arrays of its own.
+		g.cells = make([]cell, (k+1)*cfg.Cells/groups-first)
+		iuIters, gather := 0, 0
+		if k == 0 {
+			iuIters, gather = iuCode.Depth, n
 		}
-		c.start = cfg.Lead + int64(i)*cfg.Skew
-		c.regs.Reset()
-		c.mem = takeVals(memWords * n)
-		if lanes != nil {
-			c.lanes.Reset(n, takeVals(mcode.LaneRegWords*n))
-			c.in[w2.ChanX].vals = takeVals(mcode.QueueDepth * n)
-			c.in[w2.ChanY].vals = takeVals(mcode.QueueDepth * n)
+		arena := make([]int64, iuIters+len(g.cells)*perCell)
+		take := func(words int) []int64 {
+			out := arena[:words:words]
+			arena = arena[words:]
+			return out
 		}
-		c.Iter = take(code.Depth)
-		c.in[w2.ChanX].init(i, obs.QueueX, take(histLen))
-		c.in[w2.ChanY].init(i, obs.QueueY, take(histLen))
-		c.adr.init(i, obs.QueueAdr, take(histLen))
-		c.sig.init(i, obs.NumQueues, nil)
-		if cfg.PCStats {
-			c.pcs = &obs.PCProfile{Starved: take(pcs), Bubble: take(pcs)}
+		vals := make([]float64, gather+len(g.cells)*cellVals)
+		takeVals := func(words int) []float64 {
+			out := vals[:words:words]
+			vals = vals[words:]
+			return out
+		}
+		if k == 0 {
+			m.iu.Iter, m.gather = take(iuIters), takeVals(gather)
+		}
+		for j := range g.cells {
+			c, i := &g.cells[j], first+j
+			c.idx = i
+			if j+1 < len(g.cells) {
+				c.next = &g.cells[j+1]
+			}
+			c.start = cfg.Lead + int64(i)*cfg.Skew
+			c.regs.Reset()
+			c.mem = takeVals(memWords * n)
+			if lanes != nil {
+				c.lanes.Reset(n, takeVals(mcode.LaneRegWords*n))
+				c.in[w2.ChanX].vals = takeVals(mcode.QueueDepth * n)
+				c.in[w2.ChanY].vals = takeVals(mcode.QueueDepth * n)
+			}
+			c.Iter = take(code.Depth)
+			c.in[w2.ChanX].init(i, obs.QueueX, take(histLen))
+			c.in[w2.ChanY].init(i, obs.QueueY, take(histLen))
+			c.adr.init(i, obs.QueueAdr, take(histLen))
+			c.sig.init(i, obs.NumQueues, nil)
+			if cfg.PCStats {
+				c.pcs = &obs.PCProfile{Starved: take(pcs), Bubble: take(pcs)}
+			}
 		}
 	}
 	return m, nil
+}
+
+// cell returns cell i of the array.
+func (m *machine) cell(i int) *cell {
+	for k := len(m.groupList) - 1; ; k-- {
+		if g := &m.groupList[k]; i >= g.first {
+			return &g.cells[i-g.first]
+		}
+	}
 }
 
 // checkBalance runs once the last cell has finished: every stream the
@@ -380,8 +397,8 @@ func (m *machine) checkBalance() error {
 	residue := func(name string, n int) error {
 		return fmt.Errorf("sim: the array finished with %d words left in queue %s", n, name)
 	}
-	for i := range m.cells {
-		c := &m.cells[i]
+	for i := range m.cfg.Cells {
+		c := m.cell(i)
 		switch {
 		case c.in[w2.ChanX].n > 0:
 			return residue(c.in[w2.ChanX].name(), c.in[w2.ChanX].n)
@@ -397,18 +414,19 @@ func (m *machine) checkBalance() error {
 }
 
 // stats is the run's record: the program's closed form (Loaded.Closed) with
-// what the cycle loop measured laid over it — the machine time, each
-// cell's finish and idle split, the queues and the host's backpressure.
-func (m *machine) stats() *Stats {
+// what the cycle loop measured laid over it — the machine time, the
+// cycles before end, each cell's finish and idle split, the queues and the
+// host's backpressure.
+func (m *machine) stats(end int64) *Stats {
 	stats := m.load.Closed(m.cfg.PCStats)
 	prof := stats.Obs
-	stats.Cycles, prof.Cycles = m.now, m.now
+	stats.Cycles, prof.Cycles = end, end
 	prof.Queues = make([]obs.QueueProfile, 0, m.cfg.Cells*int(obs.NumQueues))
 	prof.HostStallX, prof.HostStallY = m.hostStall[w2.ChanX], m.hostStall[w2.ChanY]
 	stats.CellActive = 0
 	last := stats.Cycles - 1 // cycle the last cell retired on
-	for i := range m.cells {
-		c, cp := &m.cells[i], &prof.Cell[i]
+	for i := range m.cfg.Cells {
+		c, cp := m.cell(i), &prof.Cell[i]
 		stats.CellFinish[i], cp.Finish = c.finish, c.finish
 		cp.Starved, cp.Bubble, cp.Drain = c.starved, c.bubble, last-c.finish
 		stats.CellActive += cp.Active()
@@ -428,41 +446,43 @@ func (m *machine) stats() *Stats {
 	return stats
 }
 
-// cycle executes one global clock tick: the IU, the host, then every
-// live cell left to right, so that a word pushed upstream is poppable
-// downstream within the same cycle.  Cells below lo have finished and
-// cells from hi up have not started; they only report their idle cycle
-// to an attached recorder.
-func (m *machine) cycle(lo, hi int) error {
-	if err := m.stepIU(); err != nil {
-		return err
-	}
-	if err := m.stepHostIn(); err != nil {
-		return err
-	}
-	if m.trace {
-		for i := 0; i < lo; i++ {
-			m.rec.Stall(m.now, i, obs.StallDrain)
+// cycle executes one tick of the group's clock: the IU and the host in
+// group 0, then every live cell of the group left to right, so that a
+// word pushed upstream is poppable downstream within the same cycle.
+// Cells below lo have finished and cells from hi up have not started;
+// they only report their idle cycle to an attached recorder.
+func (g *group) cycle() error {
+	if g.k == 0 {
+		if err := g.stepIU(); err != nil {
+			return err
+		}
+		if err := g.stepHostIn(); err != nil {
+			return err
 		}
 	}
-	for i := lo; i < hi; i++ {
-		c := &m.cells[i]
-		if err := m.stepCell(c); err != nil {
+	if g.trace {
+		for i := range g.lo {
+			g.rec.Stall(g.now, g.first+i, obs.StallDrain)
+		}
+	}
+	for i := g.lo; i < g.hi; i++ {
+		c := &g.cells[i]
+		if err := g.stepCell(c); err != nil {
 			return err
 		}
 		// Nothing upstream or in the cell itself touches its input
 		// queues again this cycle.
 		c.sampleQueues()
 	}
-	if hi < len(m.cells) {
+	if g.hi < len(g.cells) {
 		// The next cell to start: its upstream neighbour (the IU and the
 		// host, for cell 0) is already filling its queues.  No queue
 		// further down can have changed yet.
-		m.cells[hi].sampleQueues()
+		g.cells[g.hi].sampleQueues()
 	}
-	if m.trace {
-		for i := hi; i < len(m.cells); i++ {
-			m.rec.Stall(m.now, i, obs.StallSkewLead)
+	if g.trace {
+		for i := g.hi; i < len(g.cells); i++ {
+			g.rec.Stall(g.now, g.first+i, obs.StallSkewLead)
 		}
 	}
 	return nil
@@ -481,39 +501,39 @@ func (c *cell) sampleQueues() {
 
 // recPush and recPop emit queue events when tracing is enabled; they
 // are the only place the occupancy leaves the queue on the hot path.
-func recPush[T any](m *machine, q *queue[T]) {
-	if m.trace && q.kind < obs.NumQueues {
-		m.rec.QueuePush(m.now, q.cell, q.kind, q.n)
+func recPush[T any](g *group, q *queue[T]) {
+	if g.trace && q.kind < obs.NumQueues {
+		g.rec.QueuePush(g.now, q.cell, q.kind, q.n)
 	}
 }
 
-func recPop[T any](m *machine, q *queue[T]) {
-	if m.trace && q.kind < obs.NumQueues {
-		m.rec.QueuePop(m.now, q.cell, q.kind, q.n)
+func recPop[T any](g *group, q *queue[T]) {
+	if g.trace && q.kind < obs.NumQueues {
+		g.rec.QueuePop(g.now, q.cell, q.kind, q.n)
 	}
 }
 
 // stepIU executes one IU microinstruction (mcode.IURegs.Step) and
 // pushes what it emits into cell 0's Adr and Sig queues.
-func (m *machine) stepIU() error {
-	if m.iu.PC >= len(m.iuCode.Words) {
+func (g *group) stepIU() error {
+	if g.iu.PC >= len(g.iuCode.Words) {
 		return nil
 	}
-	if m.iuCode.Words[m.iu.PC].Run > 0 { // an idle word: nothing to emit, no loop to close
-		m.iu.PC++
+	if g.iuCode.Words[g.iu.PC].Run > 0 { // an idle word: nothing to emit, no loop to close
+		g.iu.PC++
 		return nil
 	}
-	out := &m.iuOut
-	m.iuRegs.Step(&m.iuCode, &m.iu, m.cfg.IU.Table, &m.tblPos, out)
+	out := &g.iuOut
+	g.iuRegs.Step(&g.iuCode, &g.iu, g.cfg.IU.Table, &g.tblPos, out)
 	if out.Over >= 0 {
-		return fmt.Errorf("sim: IU table read past its %d entries", len(m.cfg.IU.Table))
+		return fmt.Errorf("sim: IU table read past its %d entries", len(g.cfg.IU.Table))
 	}
-	cell0 := &m.cells[0]
+	cell0 := &g.cells[0]
 	for _, v := range out.Adr[:out.NAdr] {
 		if err := cell0.adr.push(v); err != nil {
 			return err
 		}
-		recPush(m, &cell0.adr)
+		recPush(g, &cell0.adr)
 	}
 	if out.Sig {
 		return cell0.sig.push(sigItem{id: out.SigID, more: out.More})
@@ -522,42 +542,42 @@ func (m *machine) stepIU() error {
 }
 
 // stepHostIn feeds at most one word per channel per cycle into cell 0.
-func (m *machine) stepHostIn() error {
-	for ch := range m.hostIn {
-		if m.hostInLeft[ch] == 0 {
+func (g *group) stepHostIn() error {
+	for ch := range g.hostIn {
+		if g.hostInLeft[ch] == 0 {
 			continue
 		}
-		q := &m.cells[0].in[ch]
+		q := &g.cells[0].in[ch]
 		if q.n >= mcode.QueueDepth {
 			// Backpressure: the host waits.  Attribute the queue-full
 			// stall to the consuming cell 0.
-			m.hostStall[ch]++
-			if m.trace {
-				m.rec.Stall(m.now, 0, obs.StallQueueFull)
+			g.hostStall[ch]++
+			if g.trace {
+				g.rec.Stall(g.now, 0, obs.StallQueueFull)
 			}
 			continue
 		}
-		w := m.hostIn[ch].Next()
-		if m.lanes != nil {
-			if err := m.hostInLanes(q, w); err != nil {
+		w := g.hostIn[ch].Next()
+		if g.lanes != nil {
+			if err := g.hostInLanes(q, w); err != nil {
 				return err
 			}
-			recPush(m, q)
-			m.hostInLeft[ch]--
+			recPush(g, q)
+			g.hostInLeft[ch]--
 			continue
 		}
 		v := w.Value
 		if !w.Literal {
-			if w.Index < 0 || int(w.Index) >= len(m.cfg.HostMem) {
-				return fmt.Errorf("sim: host input index %d outside host memory of %d words", w.Index, len(m.cfg.HostMem))
+			if w.Index < 0 || int(w.Index) >= len(g.cfg.HostMem) {
+				return fmt.Errorf("sim: host input index %d outside host memory of %d words", w.Index, len(g.cfg.HostMem))
 			}
-			v = m.cfg.HostMem[w.Index]
+			v = g.cfg.HostMem[w.Index]
 		}
 		if err := q.push(v); err != nil {
 			return err
 		}
-		recPush(m, q)
-		m.hostInLeft[ch]--
+		recPush(g, q)
+		g.hostInLeft[ch]--
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -407,12 +408,151 @@ func TestRunFaultOrder(t *testing.T) {
 			if host == nil {
 				host = emptyHost()
 			}
-			err := runBoth(t, Config{
-				Cells: tc.cells, Cell: tc.cell, IU: &mcode.IUProgram{}, Host: host,
-				Skew: 2 * mcode.QueueDepth, Lead: 1, HostMem: []float64{42, 0},
-			})
-			if err == nil || err.Error() != tc.want {
-				t.Errorf("err = %v,\nwant %s", err, tc.want)
+			for _, g := range groupCounts {
+				err := runGrouped(t, g, Config{
+					Cells: tc.cells, Cell: tc.cell, IU: &mcode.IUProgram{}, Host: host,
+					Skew: 2 * mcode.QueueDepth, Lead: 1, HostMem: []float64{42, 0},
+				})
+				if err == nil || err.Error() != tc.want {
+					t.Errorf("%d groups: err = %v,\nwant %s", g, err, tc.want)
+				}
+			}
+		})
+	}
+}
+
+// groupCounts are the group counts a run is held to the sequential walk
+// at.
+var groupCounts = []int{1, 2, 4}
+
+// runGrouped is runBoth with the array split into g groups.
+func runGrouped(t *testing.T, g int, cfg Config) error {
+	t.Helper()
+	defer SetGroups(g)()
+	return runBoth(t, cfg)
+}
+
+// TestGroupBoundaryFaults: the faults a run split into groups finds at a
+// boundary, or in two groups at one cycle, read as the sequential walk's
+// first, at every group count: an overflow of the right group's first
+// cell's data or signal queue is the pushing cell's, an underflow there
+// the receiving cell's; of two faults in one cycle the left one wins; and
+// the IU keeps stepping after group 0's cells retire, up to the array's
+// last cycle and no further.
+func TestGroupBoundaryFaults(t *testing.T) {
+	recvX := func(r mcode.Reg) mcode.IOOp { return mcode.IOOp{Recv: true, Dir: w2.DirL, Chan: w2.ChanX, Reg: r} }
+	sendX := func(r mcode.Reg) mcode.IOOp { return mcode.IOOp{Dir: w2.DirR, Chan: w2.ChanX, Reg: r} }
+	straight := func(instrs ...*mcode.Instr) *mcode.CellProgram {
+		return &mcode.CellProgram{Items: []mcode.CodeItem{&mcode.Straight{Instrs: instrs}}}
+	}
+	// addresses emits n addresses into cell 0's Adr queue, one a cycle
+	// from cycle 0, that no cell pops.
+	addresses := func(n int) *mcode.IUProgram {
+		s := &mcode.IUStraight{}
+		for range n {
+			s.Instrs = append(s.Instrs, &mcode.IUInstr{Out: [mcode.MemPorts]*mcode.IUOut{{Src: 0}}})
+		}
+		return &mcode.IUProgram{Items: []mcode.IUItem{s}}
+	}
+	sends := &mcode.Straight{}
+	for range mcode.QueueDepth + 1 {
+		sends.Instrs = append(sends.Instrs, &mcode.Instr{IO: []mcode.IOOp{sendX(1)}})
+	}
+	loop := &mcode.CellProgram{Items: []mcode.CodeItem{
+		&mcode.LoopItem{ID: 0, Trips: 200, Body: []mcode.CodeItem{&mcode.Straight{Instrs: []*mcode.Instr{{}}}}},
+	}}
+	// Receive two words, send the first on: cell 1 underflows on its
+	// second receive, two cycles after its start.
+	short := straight(&mcode.Instr{IO: []mcode.IOOp{recvX(1)}}, &mcode.Instr{IO: []mcode.IOOp{sendX(1)}}, &mcode.Instr{IO: []mcode.IOOp{recvX(2)}})
+	shortHost := hostFor(1)
+	shortHost.In[w2.ChanX] = hostgen.Of(hostgen.Word{Index: 0}, hostgen.Word{Index: 0})
+
+	// Each cell divides 1 by the word it receives and passes the word
+	// less one on, so cell i faults on the first word equal to i: cell 1
+	// on word 3, cell 2 on word 1, one element of L cycles after cell 1
+	// and two skews later, the same cycle.
+	const L = mcode.FPULatency + 4
+	one := &mcode.Instr{}
+	one.HasLit, one.Lit = true, mcode.LitOp{Dst: 4, Value: 1}
+	div := []*mcode.Instr{one}
+	for range 5 {
+		step := &mcode.Instr{Fields: mcode.Fields{
+			HasAdd: true, Add: mcode.AluOp{Code: mcode.Fsub, Dst: 2, Src: [3]mcode.Reg{1, 4}},
+			HasMul: true, Mul: mcode.AluOp{Code: mcode.Fdiv, Dst: 3, Src: [3]mcode.Reg{4, 1}},
+		}}
+		div = append(div, &mcode.Instr{IO: []mcode.IOOp{recvX(1)}}, step)
+		for range mcode.FPULatency + 1 {
+			div = append(div, &mcode.Instr{})
+		}
+		div = append(div, &mcode.Instr{IO: []mcode.IOOp{sendX(2)}})
+	}
+	divHost := emptyHost()
+	for i := range 5 {
+		divHost.In[w2.ChanX] = append(divHost.In[w2.ChanX], hostgen.Of(hostgen.Word{Index: int32(i)})...)
+		divHost.Out[w2.ChanX] = append(divHost.Out[w2.ChanX], hostgen.Of(hostgen.Word{Index: int32(5 + i)})...)
+	}
+
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+		lane string // what a batched walk adds to a value fault
+	}{
+		{
+			name: "data-overflow-into-the-right-group",
+			cfg:  Config{Cells: 2, Cell: &mcode.CellProgram{Items: []mcode.CodeItem{sends}}, IU: &mcode.IUProgram{}, Host: emptyHost(), Skew: 400},
+			want: "cycle 129: cell 0: sim: queue cell1.X overflows its 128 words",
+		},
+		{
+			name: "signal-overflow-into-the-right-group",
+			cfg: Config{Cells: 2, Cell: loop, Host: emptyHost(), Skew: 400,
+				IU: &mcode.IUProgram{Items: []mcode.IUItem{&mcode.IUStraight{Instrs: signalInstrs(200, 1)}}}},
+			want: "cycle 129: sim: queue cell1.Sig overflows its 128 words",
+		},
+		{
+			name: "underflow-in-the-right-group",
+			cfg:  Config{Cells: 2, Cell: short, IU: &mcode.IUProgram{}, Host: shortHost, Skew: 3},
+			want: "cycle 6: cell 1: sim: queue cell1.X underflows (receive before the matching send)",
+		},
+		{
+			name: "left-and-right-cell-faults-in-one-cycle",
+			cfg:  Config{Cells: 4, Cell: straight(div...), IU: &mcode.IUProgram{}, Host: divHost, Skew: 2 * L},
+			want: fmt.Sprintf("cycle %d: cell 1: sim: floating divide by zero", 1+2*L+1+3*L+1),
+			lane: " in lane 0",
+		},
+		{
+			// The IU overflows cell 0's Adr queue in the cycle cell 1
+			// underflows, after cell 0 has retired.
+			name: "iu-and-right-cell-faults-in-one-cycle",
+			cfg:  Config{Cells: 2, Cell: short, IU: addresses(mcode.QueueDepth + 1), Host: shortHost, Skew: 125},
+			want: "cycle 128: sim: queue cell0.Adr overflows its 128 words",
+		},
+		{
+			name: "iu-fault-after-group-0-retires",
+			cfg:  Config{Cells: 2, Cell: straight(&mcode.Instr{}, &mcode.Instr{}, &mcode.Instr{}), IU: addresses(mcode.QueueDepth + 1), Host: emptyHost(), Skew: 200},
+			want: "cycle 128: sim: queue cell0.Adr overflows its 128 words",
+		},
+		{
+			// The array's last cycle is 53: the IU's pushes after it are
+			// never made.
+			name: "iu-stops-at-the-last-cycle",
+			cfg:  Config{Cells: 2, Cell: straight(&mcode.Instr{}, &mcode.Instr{}, &mcode.Instr{}), IU: addresses(mcode.QueueDepth + 1), Host: emptyHost(), Skew: 50},
+			want: "sim: the array finished with 54 words left in queue cell0.Adr",
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Lead = 1
+			tc.cfg.HostMem = []float64{100, 2, 100, 1, 100, 0, 0, 0, 0, 0}
+			images := [][]float64{tc.cfg.HostMem, slices.Clone(tc.cfg.HostMem), slices.Clone(tc.cfg.HostMem)}
+			for _, g := range groupCounts {
+				restore := SetGroups(g)
+				if _, err := Run(tc.cfg); err == nil || err.Error() != tc.want {
+					t.Errorf("%d groups: err = %v,\nwant %s", g, err, tc.want)
+				}
+				if _, err := Load(tc.cfg).RunBatch(tc.cfg, images); err == nil || err.Error() != tc.want+tc.lane {
+					t.Errorf("%d groups, three lanes: err = %v,\nwant %s", g, err, tc.want+tc.lane)
+				}
+				restore()
 			}
 		})
 	}

@@ -1,6 +1,6 @@
 // Package sim is a cycle-accurate simulator of the Warp machine (§2):
-// a linear array of identical microprogrammed cells in lock step with a
-// global clock, an interface unit generating addresses and loop control
+// a linear array of identical microprogrammed cells under a global
+// clock, an interface unit generating addresses and loop control
 // signals, and a host feeding and collecting the data streams.
 //
 // The simulator is the reproduction's stand-in for the 1986 hardware:
@@ -39,16 +39,29 @@
 // queue, never from the words' bound terms, so the simulator stays an
 // independent check of the verifier.  All state is allocated once per
 // run, in proportion to the program and the cells and never to the
-// cycles.  Cells start and finish in index order, so the cycle loop
-// steps only the window of live cells: the others' idle-stall events go
-// only to an attached recorder, and their queues' untouched cycles are
-// added to the histograms in bulk at the end.
+// cycles.  Cells start and finish in index order, so a cycle loop steps
+// only the window of live cells: the others' idle-stall events go only
+// to an attached recorder, and their queues' untouched cycles are added
+// to the histograms in bulk at the end.
+//
+// Groups.  Cell i+1 runs the program a fixed skew behind cell i and
+// reads only what cell i has already pushed, so the machine need not
+// step in lock step to be cycle-exact.  A run of enough work splits the
+// array into contiguous groups of cells (group.go), each with a clock and
+// a cycle loop of its own on a spare processor: a group's last cell
+// hands each word it pushes right to a fixed ring stamped with the cycle
+// of the push, and the next group moves the words stamped up to cycle t
+// into its first cell's queues before it steps cycle t.  Every queue then
+// holds what it holds in lock step at every cycle its cell reads it, so a
+// run in groups returns the lock-stepped run's images, record and first
+// error.  Helpers come from one process-wide budget of processors that
+// the fast executor shares (Enter).
 //
 // Batch axis.  The IU generates every address and loop signal without
 // looking at the data, and W2 has no data-dependent control, so N
 // problems of one program run the same cycles under the same queue
 // occupancies and signals.  RunBatch steps them through one machine: one
-// cycle loop, one IU, one host-stream reader per channel, one sequencer
+// walk of its groups, one IU, one host-stream reader per channel, one sequencer
 // per cell and one set of queue counters, histograms and accounting,
 // with only the values — registers, writes in flight, X and Y queue
 // words and cell memory — N lanes wide (lanes.go).

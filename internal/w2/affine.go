@@ -2,6 +2,7 @@ package w2
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 )
@@ -145,9 +146,10 @@ func (a Affine) Equal(b Affine) bool {
 }
 
 // Range returns the minimum and maximum values a can take given that
-// each loop index v ranges over bounds[v.ID] = [lo(v), hi(v)].
-func (a Affine) Range(bounds [][2]int64) (min, max int64) {
-	min, max = a.Const, a.Const
+// each loop index v ranges over bounds[v.ID] = [lo(v), hi(v)], and
+// whether every product and sum on the way to them fits an int64.
+func (a Affine) Range(bounds [][2]int64) (min, max int64, ok bool) {
+	min, max, ok = a.Const, a.Const, true
 	for _, t := range a.Terms {
 		if t.Var.ID >= len(bounds) {
 			// Unknown loop: treat conservatively as [0,0]; callers
@@ -155,14 +157,29 @@ func (a Affine) Range(bounds [][2]int64) (min, max int64) {
 			continue
 		}
 		b := bounds[t.Var.ID]
-		lo, hi := t.Coef*b[0], t.Coef*b[1]
+		lo, okLo := mulOK(t.Coef, b[0])
+		hi, okHi := mulOK(t.Coef, b[1])
 		if lo > hi {
 			lo, hi = hi, lo
 		}
-		min += lo
-		max += hi
+		var okMin, okMax bool
+		min, okMin = addOK(min, lo)
+		max, okMax = addOK(max, hi)
+		ok = ok && okLo && okHi && okMin && okMax
 	}
-	return min, max
+	return min, max, ok
+}
+
+// mulOK returns a·b and whether it fits an int64.
+func mulOK(a, b int64) (int64, bool) {
+	c := a * b
+	return c, a == 0 || c/a == b && !(a == -1 && b == math.MinInt64)
+}
+
+// addOK returns a+b and whether it fits an int64.
+func addOK(a, b int64) (int64, bool) {
+	c := a + b
+	return c, (a^c)&(b^c) >= 0
 }
 
 // Subst replaces the given loop's index with a concrete value, folding

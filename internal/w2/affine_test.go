@@ -88,7 +88,10 @@ func TestAffineRangeSound(t *testing.T) {
 			{int64(-r.Intn(3)), int64(r.Intn(3))},
 			{1, int64(1 + r.Intn(4))},
 		}
-		min, max := a.Range(bounds)
+		min, max, ok := a.Range(bounds)
+		if !ok {
+			return false
+		}
 		// Exhaustive check over the small rectangle.
 		for i := bounds[loopI.ID][0]; i <= bounds[loopI.ID][1]; i++ {
 			for j := bounds[loopJ.ID][0]; j <= bounds[loopJ.ID][1]; j++ {

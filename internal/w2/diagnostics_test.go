@@ -122,6 +122,9 @@ var diagnostics = []struct{ name, src string }{
 	{"sema/undefined in subscript", minimal("buf[q] := 1.0;")},
 	{"sema/subtracted subscript range", minimal("for i := 0 to 3 do buf[i - 1] := 1.0;")},
 	{"sema/scaled subscript range", minimal("for i := 0 to 3 do buf[2*i] := 1.0;")},
+	// 4·2⁶² wraps to 0, and 10·2⁶¹ to 2⁶²: the range must not wrap.
+	{"sema/subscript range overflow", minimal("for i := 0 to 4 do buf[i*4611686018427387904] := 1.0;")},
+	{"sema/subscript range overflow wrapping past the bound", minimal("for i := 0 to 10 do buf[i*2305843009213693952] := 1.0;")},
 
 	// Sema: values.
 	{"sema/host in computation", minimal("v := xs[0];")},

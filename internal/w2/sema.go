@@ -428,24 +428,38 @@ func (c *checker) checkSubscripts(ref *VarRef, sym *Symbol) error {
 		return errAt(ref.Pos, "%s has %d dimension(s), %d subscript(s) given",
 			ref.Name, len(sym.Type.Dims), len(ref.Indices))
 	}
-	addr := AffConst(0)
-	for k, idx := range ref.Indices {
-		aff, err := c.affine(idx)
-		if err != nil {
-			return err
-		}
-		min, max := aff.Range(c.info.Bounds)
-		if min < 0 || max >= int64(sym.Type.Dims[k]) {
-			return errAt(idx.ExprPos(), "subscript %s of %s ranges over [%d,%d], outside [0,%d]",
-				aff, ref.Name, min, max, sym.Type.Dims[k]-1)
-		}
-		addr = addr.add(aff, &c.terms)
-		if k < len(sym.Type.Dims)-1 {
-			addr = addr.scale(int64(sym.Type.Dims[k+1]), &c.terms)
-		}
+	addr, err := c.address(ref.Name, ref.Indices, sym.Type.Dims)
+	if err != nil {
+		return err
 	}
 	c.info.Address[ref.ID] = addr
 	return nil
+}
+
+// address checks the subscripts of an element of array name, each
+// within its dimension over the loop bounds in scope, and returns the
+// element's flattened affine address.
+func (c *checker) address(name string, indices []Expr, dims []int) (Affine, error) {
+	addr := AffConst(0)
+	for k, idx := range indices {
+		aff, err := c.affine(idx)
+		if err != nil {
+			return Affine{}, err
+		}
+		min, max, ok := aff.Range(c.info.Bounds)
+		if !ok {
+			return Affine{}, errAt(idx.ExprPos(), "subscript %s of %s: its range overflows 64 bits", aff, name)
+		}
+		if min < 0 || max >= int64(dims[k]) {
+			return Affine{}, errAt(idx.ExprPos(), "subscript %s of %s ranges over [%d,%d], outside [0,%d]",
+				aff, name, min, max, dims[k]-1)
+		}
+		addr = addr.add(aff, &c.terms)
+		if k < len(dims)-1 {
+			addr = addr.scale(int64(dims[k+1]), &c.terms)
+		}
+	}
+	return addr, nil
 }
 
 // affine reduces an integer-typed expression to affine form, or fails:
@@ -671,21 +685,9 @@ func (c *checker) checkExternal(e Expr, isSend bool) error {
 			return errAt(e.Pos, "%s has %d dimension(s), %d subscript(s) given",
 				e.Name, len(sym.Type.Dims), len(e.Indices))
 		}
-		addr := AffConst(0)
-		for k, idx := range e.Indices {
-			aff, err := c.affine(idx)
-			if err != nil {
-				return err
-			}
-			min, max := aff.Range(c.info.Bounds)
-			if min < 0 || max >= int64(sym.Type.Dims[k]) {
-				return errAt(idx.ExprPos(), "subscript %s of %s ranges over [%d,%d], outside [0,%d]",
-					aff, e.Name, min, max, sym.Type.Dims[k]-1)
-			}
-			addr = addr.add(aff, &c.terms)
-			if k < len(sym.Type.Dims)-1 {
-				addr = addr.scale(int64(sym.Type.Dims[k+1]), &c.terms)
-			}
+		addr, err := c.address(e.Name, e.Indices, sym.Type.Dims)
+		if err != nil {
+			return err
 		}
 		c.info.Address[e.ID] = addr
 		return nil
