@@ -3,8 +3,7 @@ package warp_test
 // Backend-selection contract tests at the public API surface: the
 // verified fast executor and the cycle-accurate simulator must be
 // interchangeable (bit-identical outputs, exactly equal modeled
-// cycles), selection must be explicit in RunStats.Backend, a forced
-// fast run on an unverified program must fail loudly, and both
+// cycles), selection must be explicit in RunStats.Backend, and both
 // backends must honor context deadlines at a bounded stride.
 
 import (
@@ -35,7 +34,7 @@ func matmulInputs(n int) map[string][]float64 {
 // records which backend produced it.
 func TestBackendEquivalence(t *testing.T) {
 	const n = 8
-	prog, err := warp.Compile(workloads.Matmul(n), warp.Options{Verify: true})
+	prog, err := warp.Compile(workloads.Matmul(n), warp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,55 +85,30 @@ func TestBackendEquivalence(t *testing.T) {
 	}
 }
 
-// TestBackendAuto: a verified program with no observability requested
-// runs fast; requesting a source profile, or compiling without Verify,
-// falls back to the simulator.
+// TestBackendAuto: a run with no observability requested runs fast;
+// requesting a source profile falls back to the simulator.
 func TestBackendAuto(t *testing.T) {
-	verified, err := warp.Compile(workloads.Matmul(8), warp.Options{Verify: true})
+	prog, err := warp.Compile(workloads.Matmul(8), warp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	inputs := matmulInputs(8)
 
-	if _, rs, err := verified.Run(inputs); err != nil {
+	if _, rs, err := prog.Run(inputs); err != nil {
 		t.Fatal(err)
 	} else if rs.Backend != warp.BackendFast {
-		t.Errorf("verified auto run used backend %q, want %q", rs.Backend, warp.BackendFast)
+		t.Errorf("auto run used backend %q, want %q", rs.Backend, warp.BackendFast)
 	}
-	if _, rs, err := verified.RunWith(warp.RunConfig{Profile: true}, inputs); err != nil {
+	if _, rs, err := prog.RunWith(warp.RunConfig{Profile: true}, inputs); err != nil {
 		t.Fatal(err)
 	} else if rs.Backend != warp.BackendSim {
 		t.Errorf("profiled auto run used backend %q, want %q", rs.Backend, warp.BackendSim)
-	}
-
-	unverified, err := warp.Compile(workloads.Matmul(8), warp.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, rs, err := unverified.Run(inputs); err != nil {
-		t.Fatal(err)
-	} else if rs.Backend != warp.BackendSim {
-		t.Errorf("unverified auto run used backend %q, want %q", rs.Backend, warp.BackendSim)
-	}
-}
-
-// TestBackendFastUnverified: demanding the fast backend for a program
-// compiled without Verify fails with ErrUnverified rather than
-// silently degrading to the simulator.
-func TestBackendFastUnverified(t *testing.T) {
-	prog, err := warp.Compile(workloads.Matmul(8), warp.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = prog.RunWith(warp.RunConfig{Backend: warp.BackendFast}, matmulInputs(8))
-	if !errors.Is(err, warp.ErrUnverified) {
-		t.Fatalf("error %v does not wrap warp.ErrUnverified", err)
 	}
 }
 
 // TestBackendUnknown rejects backend names outside {auto, sim, fast}.
 func TestBackendUnknown(t *testing.T) {
-	prog, err := warp.Compile(workloads.Matmul(8), warp.Options{Verify: true})
+	prog, err := warp.Compile(workloads.Matmul(8), warp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +123,7 @@ func TestBackendUnknown(t *testing.T) {
 // the run at the next poll rather than after the full workload.
 func TestBackendDeadline(t *testing.T) {
 	const n = 16
-	prog, err := warp.Compile(workloads.Matmul(n), warp.Options{Verify: true})
+	prog, err := warp.Compile(workloads.Matmul(n), warp.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

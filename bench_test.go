@@ -336,7 +336,7 @@ func BenchmarkFFT1024_Simulate(b *testing.B) {
 // of the simulated machine per batch) against every tile on its own.
 
 func BenchmarkRunPartitionedSim(b *testing.B) {
-	prog, err := warp.Compile(workloads.Matmul(10), warp.Options{Pipeline: true, Verify: true})
+	prog, err := warp.Compile(workloads.Matmul(10), warp.Options{Pipeline: true})
 	if err != nil {
 		b.Fatal(err)
 	}

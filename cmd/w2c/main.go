@@ -3,21 +3,22 @@
 //
 // Usage:
 //
-//	w2c [-cell] [-iu] [-noopt] [-pipeline] [-verify] [-cells n]
+//	w2c [-cell] [-iu] [-noopt] [-pipeline] [-cells n]
 //	    [-bounds n=32[,k=5...]] program.w2
 //
 // Without listing flags it prints the compile report: microcode sizes,
-// minimum skew, proven queue occupancy and IU resource usage.
+// minimum skew, proven queue occupancy, IU resource usage and the
+// verifier's report.
 //
 // With -bounds the source is a ${...}-parameterized template: each
 // placeholder is replaced by its value at the bound vector and the
 // resulting W2 text is compiled.
 //
-// With -verify the static microcode verifier runs as a final compile
-// phase.  A verification failure prints one structured diagnostic per
-// violated invariant (cell, instruction index, invariant name) and
-// exits with status 3, distinguishing "the compiler produced provably
-// wrong microcode" from ordinary compile errors (status 1).
+// The static microcode verifier runs as every compile's final phase.  A
+// verification failure prints one structured diagnostic per violated
+// invariant (cell, instruction index, invariant name) and exits with
+// status 3, distinguishing "the compiler produced provably wrong
+// microcode" from ordinary compile errors (status 1).
 package main
 
 import (
@@ -37,7 +38,6 @@ func main() {
 		showIU   = flag.Bool("iu", false, "print the IU microcode listing")
 		noopt    = flag.Bool("noopt", false, "disable the local optimizer")
 		pipeline = flag.Bool("pipeline", false, "software pipeline innermost loops")
-		doVerify = flag.Bool("verify", false, "statically verify the generated microcode")
 		cells    = flag.Int("cells", 0, "override the array size")
 		bounds   = warp.BoundsFlag()
 	)
@@ -56,7 +56,6 @@ func main() {
 		NoOptimize: *noopt,
 		Pipeline:   *pipeline,
 		Cells:      *cells,
-		Verify:     *doVerify,
 	}
 	var prog *warp.Program
 	if len(bounds) > 0 {
@@ -90,19 +89,16 @@ func main() {
 	fmt.Printf("  optimizer: %d transformations; %d loops software pipelined\n",
 		m.OptCount, m.Pipelined)
 	fmt.Printf("  compile time: %v\n", m.CompileTime)
-	if rep := prog.Verified(); rep != nil {
-		// Every occupancy is the exact peak; anything else a queue was
-		// proven by would be named here (scripts/verify-programs.sh fails
-		// on it).
-		proofs := "exact"
-		for _, occ := range []verify.Occ{rep.Data[w2.ChanX], rep.Data[w2.ChanY], rep.Adr, rep.Sig} {
-			if occ.Method != "" && occ.Method != "exact" {
-				proofs = occ.Method
-			}
+	// Every occupancy is the exact peak; anything else a queue was proven
+	// by would be named here (scripts/verify-programs.sh fails on it).
+	rep, proofs := prog.Verified(), "exact"
+	for _, occ := range []verify.Occ{rep.Data[w2.ChanX], rep.Data[w2.ChanY], rep.Adr, rep.Sig} {
+		if occ.Method != "" && occ.Method != "exact" {
+			proofs = occ.Method
 		}
-		fmt.Printf("  verified: %d propositions proven; peak occupancy X=%d Y=%d Adr=%d Sig=%d; proofs %s\n",
-			rep.Checked, rep.Data[w2.ChanX].Max, rep.Data[w2.ChanY].Max, rep.Adr.Max, rep.Sig.Max, proofs)
 	}
+	fmt.Printf("  verified: %d propositions proven; peak occupancy X=%d Y=%d Adr=%d Sig=%d; proofs %s\n",
+		rep.Checked, rep.Data[w2.ChanX].Max, rep.Data[w2.ChanY].Max, rep.Adr.Max, rep.Sig.Max, proofs)
 	if *showCell {
 		fmt.Println("\ncell microcode:")
 		fmt.Print(prog.CellListing())

@@ -380,12 +380,19 @@ func table71(w io.Writer) error {
 	fmt.Fprintf(w, "%-12s %9s %11s %9s %13s   %s\n",
 		"name", "W2 lines", "cell µcode", "IU µcode", "compile time", "(paper: lines/cell/IU, time)")
 	for _, r := range rows {
-		start := time.Now()
 		prog, err := warp.Compile(r.src, warp.Options{Pipeline: *pipeline})
 		if err != nil {
 			return fmt.Errorf("%s: %w", r.name, err)
 		}
-		el := time.Since(start)
+		// The paper's compiler had no verifier: its time is the phases
+		// before verify.
+		var el time.Duration
+		for _, ph := range prog.Phases() {
+			if ph.Name == "verify" {
+				break
+			}
+			el += time.Duration(ph.Seconds * float64(time.Second))
+		}
 		m := prog.Metrics()
 		p := paper[r.name]
 		fmt.Fprintf(w, "%-12s %9d %11d %9d %13s   (%d/%d/%d, %s)\n",
@@ -620,7 +627,7 @@ func tileBatching(w io.Writer) error {
 			return fabric.PlanConv1D(fabric.Conv1D{Kernel: kern, X: x}, tp, l)
 		}},
 	} {
-		c, err := driver.Compile(j.kernel, driver.Options{Pipeline: true, Verify: true})
+		c, err := driver.Compile(j.kernel, driver.Options{Pipeline: true})
 		if err != nil {
 			return fmt.Errorf("%s: %w", j.name, err)
 		}
@@ -681,7 +688,7 @@ func fastexec(w io.Writer) error {
 	fmt.Fprintln(w, "verified matmul on both backends (outputs bit-checked, cycles must agree):")
 	fmt.Fprintf(w, "%-10s %10s %12s %12s %10s\n", "size", "cycles", "sim wall", "fast wall", "speedup")
 	for _, n := range []int{16, 24, 32} {
-		prog, err := warp.Compile(workloads.Matmul(n), warp.Options{Pipeline: *pipeline, Verify: true})
+		prog, err := warp.Compile(workloads.Matmul(n), warp.Options{Pipeline: *pipeline})
 		if err != nil {
 			return fmt.Errorf("matmul%d: %w", n, err)
 		}
@@ -756,7 +763,7 @@ func fastPlans(w io.Writer) error {
 		{"matmul32", workloads.Matmul(32), false},
 		{"matmul32-plain", workloads.Matmul(32), true},
 	} {
-		c, err := driver.Compile(p.src, driver.Options{Pipeline: !p.plain, Verify: true})
+		c, err := driver.Compile(p.src, driver.Options{Pipeline: !p.plain})
 		if err != nil {
 			return fmt.Errorf("%s: %w", p.name, err)
 		}

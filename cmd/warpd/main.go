@@ -18,13 +18,12 @@
 //	                "backend": "auto"|"sim"|"fast"}
 //	               -> {"outputs": {...}, "stats": {"backend": "fast", ...}}
 //	               "backend" picks the executor: "auto" (default) runs
-//	               verified programs on the fast dataflow executor and
-//	               everything else on the cycle-accurate simulator;
-//	               "fast" demands the fast executor and returns a
-//	               structured 422 (with a hint) when the program is not
-//	               verified — e.g. under -no-verify — instead of
-//	               silently simulating.  Per-backend run counts export
-//	               as warpd_backend_runs_total{backend=...}.
+//	               the fast dataflow executor, and the cycle-accurate
+//	               simulator for a profiled run; "sim" and "fast" force
+//	               one.  Every program is verified when it compiles, and
+//	               one the verifier refuses is a structured 422.
+//	               Per-backend run counts export as
+//	               warpd_backend_runs_total{backend=...}.
 //	POST /batch    {"requests": [<run request>, ...]}
 //	GET  /metrics  Prometheus text format
 //	GET  /healthz  liveness
@@ -74,7 +73,6 @@ func main() {
 		timeout   = flag.Duration("timeout", 30*time.Second, "default per-run deadline")
 		maxCycles = flag.Int64("max-cycles", 0, fmt.Sprintf("per-run livelock guard (0 = the default, %d)", sim.Controls{}.Limit()))
 		arrays    = flag.Int("arrays", 2, "default fabric width for partitioned run requests")
-		noVerify  = flag.Bool("no-verify", false, "skip static microcode verification (verified by default; violations return 422)")
 		drain     = flag.Duration("drain", 30*time.Second, "shutdown grace period for in-flight runs")
 		logFormat = flag.String("log", "text", "log format: text or json")
 		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn or error")
@@ -101,7 +99,6 @@ func main() {
 		DefaultTimeout: *timeout,
 		MaxCycles:      *maxCycles,
 		Arrays:         *arrays,
-		NoVerify:       *noVerify,
 		Logger:         logger,
 		FlightSize:     *flight,
 	})

@@ -31,16 +31,15 @@
 // filled with seeded random values.  With -check the simulated outputs
 // are compared against the reference interpreter.
 //
-// Backends: -backend picks the executor.  "auto" (the default)
-// verifies the program and runs it on the fast dataflow executor —
-// cycle counts come from the verifier's closed-form model — falling
-// back to the cycle-accurate simulator when verification rejects or
+// Every compile runs the static verifier, and a program it refuses is
+// not run.  Backends: -backend picks the executor.  "auto" (the
+// default) runs the fast dataflow executor — cycle counts come from the
+// verifier's closed-form model — and the cycle-accurate simulator when
 // per-cycle observability (-trace, -profile, -flame, -pprof) is
-// requested.  "sim" forces simulation; "fast" demands the fast
-// executor and fails on an unverifiable program.  -crosscheck runs the
-// program on BOTH backends and fails unless the outputs are
-// bit-identical and the cycle counts exactly equal, then reports the
-// wall-clock speedup.
+// requested.  "sim" forces simulation; "fast" forces the fast
+// executor.  -crosscheck runs the program on BOTH backends and fails
+// unless the outputs are bit-identical and the cycle counts exactly
+// equal, then reports the wall-clock speedup.
 //
 // Live progress: -progress streams the run's position as a single
 // carriage-return-updated stderr line — cycle N of the modeled total
@@ -83,7 +82,6 @@ import (
 
 	"warp"
 	"warp/internal/sim"
-	"warp/internal/verify"
 	"warp/internal/workloads"
 )
 
@@ -264,9 +262,15 @@ func main() {
 	}
 }
 
-// compile compiles for the -backend in force (see compileFor) or exits.
+// compile checks the -backend flag, then compiles through compile —
+// warp.Compile of the source, or of a template at its -bounds — or exits.
 func (o *options) compile(compile func(warp.Options) (*warp.Program, error), opts warp.Options) *warp.Program {
-	prog, err := compileFor(compile, opts, o.backend, o.crossFlag)
+	switch o.backend {
+	case "", warp.BackendAuto, warp.BackendSim, warp.BackendFast:
+	default:
+		fail(fmt.Errorf("bad -backend %q (want auto, sim or fast)", o.backend))
+	}
+	prog, err := compile(opts)
 	if err != nil {
 		fail(err)
 	}
@@ -306,39 +310,9 @@ func (o *options) writeOutputs(out map[string][]float64) bool {
 	return true
 }
 
-// compileFor compiles for the chosen backend through compile —
-// warp.Compile of the source, or of a template at its -bounds.  fast
-// and auto want a verified program; auto degrades gracefully (an
-// unverifiable program compiles plain and runs on the simulator) while
-// fast and -crosscheck surface the verification rejection outright.  A
-// plain sim run without -crosscheck skips verification entirely.
-func compileFor(compile func(warp.Options) (*warp.Program, error), opts warp.Options, backend string, crosscheck bool) (*warp.Program, error) {
-	switch backend {
-	case "", warp.BackendAuto, warp.BackendFast:
-	case warp.BackendSim:
-		if !crosscheck {
-			return compile(opts)
-		}
-	default:
-		return nil, fmt.Errorf("bad -backend %q (want auto, sim or fast)", backend)
-	}
-	vopts := opts
-	vopts.Verify = true
-	prog, err := compile(vopts)
-	if err != nil && backend != warp.BackendFast && !crosscheck && isVerifyError(err) {
-		return compile(opts)
-	}
-	return prog, err
-}
-
-// concrete is compileFor's plain closure: warp.Compile of src.
+// concrete is the compile closure of a plain program: warp.Compile of src.
 func concrete(src string) func(warp.Options) (*warp.Program, error) {
 	return func(o warp.Options) (*warp.Program, error) { return warp.Compile(src, o) }
-}
-
-func isVerifyError(err error) bool {
-	var verr *verify.Error
-	return errors.As(err, &verr)
 }
 
 // runCrossCheck executes the program on both backends and fails unless

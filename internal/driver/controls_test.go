@@ -28,7 +28,7 @@ func TestControlsParity(t *testing.T) {
 		{"", workloads.Conv1D(9, 512), false},
 		{"/streamed", workloads.Matmul(32), true},
 	} {
-		c, err := Compile(prog.src, Options{Pipeline: prog.pipeline, Verify: true})
+		c, err := Compile(prog.src, Options{Pipeline: prog.pipeline})
 		if err != nil {
 			t.Fatal(err)
 		}

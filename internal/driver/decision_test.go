@@ -1,6 +1,8 @@
 package driver
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"warp/internal/mcode"
@@ -26,10 +28,40 @@ var decisionCases = []struct {
 	src  string
 	opts Options
 }{
-	{"polynomial", workloads.Polynomial(10, 100), Options{Verify: true}},
-	{"conv1d", workloads.Conv1D(9, 64), Options{Verify: true}},
-	{"matmul-pipelined", workloads.Matmul(8), Options{Verify: true, Pipeline: true}},
-	{"binop-unverified", workloads.Binop(16, 12), Options{}},
+	{"polynomial", workloads.Polynomial(10, 100), Options{}},
+	{"conv1d", workloads.Conv1D(9, 64), Options{}},
+	{"matmul-pipelined", workloads.Matmul(8), Options{Pipeline: true}},
+	{"binop", workloads.Binop(16, 12), Options{}},
+}
+
+// TestEveryCompileVerified: the verifier is a fixed stage of every
+// compile, so every program Compile returns carries its report and
+// builds a fast plan — P8 and twenty random programs under every
+// NoOptimize×Pipeline set.
+func TestEveryCompileVerified(t *testing.T) {
+	srcs := map[string]string{}
+	for _, p := range p8 {
+		srcs[p.name] = p.src
+	}
+	rng := rand.New(rand.NewSource(53))
+	for i := 0; i < 20; i++ {
+		src, _ := workloads.RandomProgram(rng)
+		srcs[fmt.Sprintf("random%d", i)] = src
+	}
+	for name, src := range srcs {
+		for _, opts := range []Options{{}, {NoOptimize: true}, {Pipeline: true}, {NoOptimize: true, Pipeline: true}} {
+			c, err := Compile(src, opts)
+			if err != nil {
+				t.Fatalf("%s %+v: %v", name, opts, err)
+			}
+			if c.Verified == nil {
+				t.Errorf("%s %+v: compiled without a verifier report", name, opts)
+			}
+			if _, err := c.FastPlan(); err != nil {
+				t.Errorf("%s %+v: no fast plan: %v", name, opts, err)
+			}
+		}
+	}
 }
 
 // TestDecisionPredictedCyclesExact pins the decision audit's core
@@ -43,9 +75,6 @@ func TestDecisionPredictedCyclesExact(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, backend := range []string{BackendAuto, BackendSim, BackendFast} {
-				if backend == BackendFast && c.Verified == nil {
-					continue
-				}
 				_, stats, err := RunWith(c, zeroIn(c), RunOptions{Backend: backend})
 				if err != nil {
 					t.Fatalf("backend %s: %v", backend, err)
@@ -96,18 +125,11 @@ func TestDecisionPredictedOpsClosedForm(t *testing.T) {
 				if c.fastPlan != nil || c.fastErr != nil {
 					t.Fatalf("a %q run built a fast plan", stats.Decision.Reason)
 				}
-				if verified, predicted := c.Verified != nil, stats.Decision.PredictedOps != 0; verified != predicted {
-					t.Errorf("%q run: verified=%v but PredictedOps=%d", stats.Decision.Reason, verified, stats.Decision.PredictedOps)
+				if stats.Decision.PredictedOps == 0 {
+					t.Errorf("%q run: no PredictedOps", stats.Decision.Reason)
 				}
 			}
 			plan, err := c.FastPlan()
-			if c.Verified == nil {
-				// A plan is built only from the verifier's report.
-				if err == nil {
-					t.Fatal("an unverified program built a fast plan")
-				}
-				return
-			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,35 +147,28 @@ func TestDecisionPredictedOpsClosedForm(t *testing.T) {
 	}
 }
 
-// TestDecisionReasons pins the reason strings for every selection path.
+// TestDecisionReasons pins the reason strings for every selection path,
+// each with the fast side's operation count.
 func TestDecisionReasons(t *testing.T) {
-	verified, err := Compile(workloads.Polynomial(10, 50), Options{Verify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	unverified, err := Compile(workloads.Polynomial(10, 50), Options{})
+	c, err := Compile(workloads.Polynomial(10, 50), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
 		name        string
-		c           *Compiled
 		o           RunOptions
 		wantBackend string
 		wantReason  string
-		wantFast    bool // the fast side's operation count must be present
 	}{
-		{"auto-verified", verified, RunOptions{}, BackendFast, "auto-verified", true},
-		{"auto-unverified", unverified, RunOptions{}, BackendSim, "unverified", false},
-		{"auto-profile", verified, RunOptions{Profile: true}, BackendSim, "profile-requested", true},
-		{"auto-recorder", verified, RunOptions{Recorder: &countingRec{}}, BackendSim, "cycle-recorder", true},
-		{"explicit-sim", verified, RunOptions{Backend: BackendSim}, BackendSim, "explicit-sim", true},
-		{"explicit-sim-unverified", unverified, RunOptions{Backend: BackendSim}, BackendSim, "explicit-sim", false},
-		{"explicit-fast", verified, RunOptions{Backend: BackendFast}, BackendFast, "explicit-fast", true},
+		{"auto-verified", RunOptions{}, BackendFast, "auto-verified"},
+		{"auto-profile", RunOptions{Profile: true}, BackendSim, "profile-requested"},
+		{"auto-recorder", RunOptions{Recorder: &countingRec{}}, BackendSim, "cycle-recorder"},
+		{"explicit-sim", RunOptions{Backend: BackendSim}, BackendSim, "explicit-sim"},
+		{"explicit-fast", RunOptions{Backend: BackendFast}, BackendFast, "explicit-fast"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			backend, d, err := chooseBackend(tc.c, tc.o)
+			backend, d, err := chooseBackend(c, tc.o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,18 +178,12 @@ func TestDecisionReasons(t *testing.T) {
 			if d.Reason != tc.wantReason {
 				t.Errorf("reason = %q, want %q", d.Reason, tc.wantReason)
 			}
-			if tc.wantFast && d.PredictedOps == 0 {
+			if d.PredictedOps == 0 {
 				t.Error("fast-side operation count missing")
-			}
-			if !tc.wantFast && d.PredictedOps != 0 {
-				t.Errorf("unexpected fast-side operation count: ops=%d", d.PredictedOps)
 			}
 		})
 	}
-	if _, _, err := chooseBackend(unverified, RunOptions{Backend: BackendFast}); err == nil {
-		t.Error("fast-on-unverified must still fail")
-	}
-	if _, _, err := chooseBackend(verified, RunOptions{Backend: "warp9"}); err == nil {
+	if _, _, err := chooseBackend(c, RunOptions{Backend: "warp9"}); err == nil {
 		t.Error("unknown backend must still fail")
 	}
 }
@@ -200,7 +209,7 @@ func (r *countingRec) Stall(int64, int, obs.Stall)         {}
 // and end with a terminal update at exactly the final cycle count.
 func TestProgressUpdatesMonotone(t *testing.T) {
 	// Large enough that the 4096-cycle stride fires several times.
-	c, err := Compile(workloads.Conv1D(9, 512), Options{Verify: true})
+	c, err := Compile(workloads.Conv1D(9, 512), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,11 +43,8 @@ type Options struct {
 	Pipeline bool
 	// Cells overrides the array size declared by the cellprogram.
 	Cells int
-	// Verify runs the static microcode verifier over the compiled
-	// output as a final phase: queue safety, skew coverage, register
-	// hazards and IU stream consistency are proven before the program
-	// is handed out, and a violation fails the compilation with a
-	// *verify.Error carrying structured diagnostics.
+	// Verify is ignored: every compile runs the verifier; kept for
+	// benchmark/, see ROADMAP 1(c).
 	Verify bool
 	// CompileWorkers is ignored; kept for benchmark/, see ROADMAP 1(c).
 	CompileWorkers int
@@ -91,8 +88,11 @@ type Compiled struct {
 	// QueueOcc is the proven per-channel peak queue occupancy.
 	QueueOcc map[w2.Channel]int64
 
-	// Verified is the static verifier's report (nil unless
-	// Options.Verify was set).
+	// Verified is the static verifier's report.  The verifier is the
+	// compile's last stage, so every compiled program has one: queue
+	// safety, skew coverage, register hazards and the IU and host streams
+	// are proven before the program is handed out, and a violation fails
+	// the compile with a *verify.Error carrying structured diagnostics.
 	Verified *verify.Report
 
 	// Debug maps every µinstruction address back to W2 source (line,
@@ -141,8 +141,8 @@ func (c *Compiled) ModeledCycles() int64 { return c.load().Cycles() }
 
 // FastPlan returns the compiled program's fast-execution plan, building
 // and caching it on first call from the load and the verifier's report.
-// The plan is immutable and shared; an unverified program has none and
-// returns the build error on every call.
+// The plan is immutable and shared; a plan the build refuses returns the
+// build error on every call.
 func (c *Compiled) FastPlan() (*fastexec.Plan, error) {
 	c.fastOnce.Do(func() { c.fastPlan, c.fastErr = fastexec.CompileLoaded(c.load(), c.Verified) })
 	return c.fastPlan, c.fastErr
@@ -283,7 +283,7 @@ var stages = [...]stage{
 		}
 		return int(words), "", nil
 	}},
-	{name: "verify", when: func(o Options) bool { return o.Verify }, run: func(c *Compiled, _ Options) (int, string, error) {
+	{name: "verify", run: func(c *Compiled, _ Options) (int, string, error) {
 		rep, err := verify.Verify(verify.Program{
 			Cells: c.Cells, Cell: c.Cell, IU: c.IU, Host: c.Host, Skew: c.Skew, Lead: c.IUGen.Prologue + 1,
 		})
@@ -393,21 +393,15 @@ func countLines(src string) int {
 
 // Execution backend names (RunOptions.Backend).
 const (
-	// BackendAuto picks the fast dataflow executor when the program is
-	// verified and the run needs no per-cycle observability, falling
-	// back to the cycle-accurate simulator otherwise.
+	// BackendAuto picks the fast dataflow executor when the run needs no
+	// per-cycle observability, and the cycle-accurate simulator
+	// otherwise.
 	BackendAuto = "auto"
 	// BackendSim forces the cycle-accurate simulator.
 	BackendSim = "sim"
-	// BackendFast forces the verified fast executor; an unverified
-	// program fails with an error wrapping ErrUnverified instead of
-	// silently degrading to the simulator.
+	// BackendFast forces the verified fast executor.
 	BackendFast = "fast"
 )
-
-// ErrUnverified marks a run that requested the fast backend on a
-// program compiled without verification.  Test with errors.Is.
-var ErrUnverified = errors.New("program is not verified (compile with Verify to use the fast backend)")
 
 // RunOptions control one execution of a compiled program.  The zero
 // value runs to completion with no instrumentation and the default
@@ -439,61 +433,39 @@ type RunOptions struct {
 // chooseBackend resolves a RunOptions backend request against the
 // compiled program: which engine runs (or an error for an impossible
 // explicit request), plus the decision audit record — why that engine,
-// and the run's exact cycle and operation counts.  Verification status
-// and observability needs decide: every verified program has a fast
-// plan, the verifier having proven what the plan takes on trust.
+// and the run's exact cycle and operation counts.  Observability needs
+// decide: every compiled program is verified and so has a fast plan, the
+// verifier having proven what the plan takes on trust.  The operation
+// count is a closed form over the trip counts, so the audit record never
+// builds a plan: only a run that may execute on the fast backend pays
+// for (and caches) one.
 func chooseBackend(c *Compiled, o RunOptions) (string, obs.Decision, error) {
-	d := &obs.Decision{
-		PredictedCycles: c.ModeledCycles(),
-		Cells:           c.Cells,
-	}
-	// predictFast records the fast side's work.  The operation count is a
-	// closed form over the trip counts, so the audit record never builds a
-	// plan: only a run that may execute on the fast backend pays for (and
-	// caches) one.
-	predictFast := func() {
-		count, _ := c.load().Count() // iugen refuses a program whose counts overflow
-		d.PredictedOps = count.Ops * int64(c.Cells)
-	}
+	count, _ := c.load().Count() // iugen refuses a program whose counts overflow
+	d := obs.Decision{PredictedCycles: c.ModeledCycles(), PredictedOps: count.Ops * int64(c.Cells), Cells: c.Cells}
 	switch b := o.Backend; b {
 	case "", BackendAuto:
 		// The fast path models cycles instead of observing them, so any
 		// run that wants per-cycle instrumentation stays on the
-		// simulator; so does an unverified program (no proofs, no
-		// shortcut).
+		// simulator.
 		switch {
-		case c.Verified == nil:
-			// No operation count either: an unverified program has no
-			// fast side.
-			d.Backend, d.Reason = BackendSim, "unverified"
 		case o.Profile:
 			d.Backend, d.Reason = BackendSim, "profile-requested"
-			predictFast()
 		case obs.Enabled(o.Recorder):
 			d.Backend, d.Reason = BackendSim, "cycle-recorder"
-			predictFast()
 		default:
-			predictFast()
 			d.Backend, d.Reason = BackendFast, "auto-verified"
 		}
 	case BackendSim:
 		d.Backend, d.Reason = BackendSim, "explicit-sim"
-		if c.Verified != nil {
-			predictFast() // record what fast would have done
-		}
 	case BackendFast:
-		if c.Verified == nil {
-			return "", obs.Decision{}, fmt.Errorf("backend %q: %w", b, ErrUnverified)
-		}
 		if _, err := c.FastPlan(); err != nil {
 			return "", obs.Decision{}, fmt.Errorf("backend %q: %w", b, err)
 		}
-		predictFast()
 		d.Backend, d.Reason = BackendFast, "explicit-fast"
 	default:
 		return "", obs.Decision{}, fmt.Errorf("unknown backend %q (want %q, %q or %q)", b, BackendAuto, BackendSim, BackendFast)
 	}
-	return d.Backend, *d, nil
+	return d.Backend, d, nil
 }
 
 // RunWith executes the compiled program under the given run options.
@@ -607,23 +579,21 @@ func runFast(c *Compiled, hostMems [][]float64, ctl sim.Controls) (*sim.Stats, e
 	if err != nil {
 		return nil, err
 	}
-	if rep := c.Verified; rep != nil {
-		for _, ch := range []w2.Channel{w2.ChanX, w2.ChanY} {
-			occ, ok := rep.Data[ch]
-			if !ok {
-				continue
-			}
-			kind := obs.QueueX
-			if ch == w2.ChanY {
-				kind = obs.QueueY
-			}
-			stats.Obs.Queues = append(stats.Obs.Queues, obs.QueueProfile{
-				Name:      fmt.Sprintf("proven:%s", ch),
-				Queue:     kind,
-				HighWater: int(occ.Max),
-			})
+	for _, ch := range []w2.Channel{w2.ChanX, w2.ChanY} {
+		occ, ok := c.Verified.Data[ch]
+		if !ok {
+			continue
 		}
-		stats.MaxQueue, stats.MaxQueueAt = stats.Obs.MaxQueue()
+		kind := obs.QueueX
+		if ch == w2.ChanY {
+			kind = obs.QueueY
+		}
+		stats.Obs.Queues = append(stats.Obs.Queues, obs.QueueProfile{
+			Name:      fmt.Sprintf("proven:%s", ch),
+			Queue:     kind,
+			HighWater: int(occ.Max),
+		})
 	}
+	stats.MaxQueue, stats.MaxQueueAt = stats.Obs.MaxQueue()
 	return stats, nil
 }

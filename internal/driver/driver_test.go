@@ -34,13 +34,12 @@ func approxEqual(a, b float64) bool {
 	return diff <= 1e-9*math.Max(scale, 1)
 }
 
-// compareRun compiles src with the static verifier enabled, runs the
-// structural validators over the generated microcode (whatever the
+// compareRun compiles src, checks it carries the verifier's report, runs
+// the structural validators over the generated microcode (whatever the
 // schedule — plain or pipelined), runs it on the simulator, and checks
 // the outputs against the reference interpreter.
 func compareRun(t *testing.T, src string, opts Options, inputs map[string][]float64) *Compiled {
 	t.Helper()
-	opts.Verify = true
 	c, err := Compile(src, opts)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
@@ -145,7 +144,7 @@ func TestCompileAllocBudget(t *testing.T) {
 	src := workloads.ColorSegPaper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	c, err := Compile(src, Options{Pipeline: true, Verify: true})
+	c, err := Compile(src, Options{Pipeline: true})
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +170,7 @@ func TestCompileAllocBudget(t *testing.T) {
 		{"fft1024", workloads.FFTPaper(), 6750},
 	} {
 		allocs := testing.AllocsPerRun(5, func() {
-			if _, err := Compile(tc.src, Options{Pipeline: true, Verify: true}); err != nil {
+			if _, err := Compile(tc.src, Options{Pipeline: true}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -223,7 +222,7 @@ end
 		{"2^31-2^31-2", 1 << 31, 1 << 31, 2, 2},
 		{"3e9-cubed", 3e9, 3e9, 3e9, 1},
 	} {
-		for _, opts := range []Options{{Verify: true}, {Pipeline: true, Verify: true}} {
+		for _, opts := range []Options{{}, {Pipeline: true}} {
 			c, err := Compile(nest(tc.i, tc.j, tc.k), opts)
 			var ovf *mcode.OverflowError
 			if !errors.As(err, &ovf) {
@@ -252,7 +251,7 @@ func TestFrontEndAllocBudget(t *testing.T) {
 	allocs := testing.AllocsPerRun(5, func() {
 		for _, p := range p8 {
 			c := &Compiled{Src: p.src}
-			if err := c.run(stages[:backEnd], Options{Pipeline: p.pipeline, Verify: true}, time.Now()); err != nil {
+			if err := c.run(stages[:backEnd], Options{Pipeline: p.pipeline}, time.Now()); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -82,7 +82,7 @@ func TestCompileEquivalence(t *testing.T) {
 			}
 			t.Run(tc.name+"/"+mode, func(t *testing.T) {
 				t.Parallel()
-				opts := Options{Pipeline: pipe, Verify: true}
+				opts := Options{Pipeline: pipe}
 				ref, err := Compile(tc.src, opts)
 				if err != nil {
 					t.Fatalf("lone compile: %v", err)
@@ -116,7 +116,7 @@ func TestCompileEquivalence(t *testing.T) {
 // workload).
 func TestCompileEquivalenceCycles(t *testing.T) {
 	src := workloads.Polynomial(10, 100)
-	opts := Options{Pipeline: true, Verify: true}
+	opts := Options{Pipeline: true}
 	inputs := map[string][]float64{
 		"z": make([]float64, 100), "c": make([]float64, 10),
 	}
@@ -174,7 +174,7 @@ func FuzzCompileParallel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		src, _ := workloads.RandomProgram(rng)
-		for _, opts := range []Options{{Verify: true}, {NoOptimize: true, Verify: true}, {Pipeline: true, Verify: true}} {
+		for _, opts := range []Options{{}, {NoOptimize: true}, {Pipeline: true}} {
 			lone, loneErr := Compile(src, opts)
 			var loneFP string
 			if loneErr == nil {

@@ -106,8 +106,8 @@ func TestFFTPipelineBackoff(t *testing.T) {
 // plain compile from source produces.  The failed attempt is timed, in
 // its place: a pipeline-backoff record before the retry's cellgen.
 func TestBackoffReusesFrontEnd(t *testing.T) {
-	opts := Options{Pipeline: true, Verify: true}
-	plain := Options{Verify: true}
+	opts := Options{Pipeline: true}
+	plain := Options{}
 	retried, err := Compile(workloads.FFTPaper(), opts)
 	if err != nil {
 		t.Fatal(err)

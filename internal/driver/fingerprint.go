@@ -50,18 +50,17 @@ func Fingerprint(c *Compiled) string {
 			k.Channel, k.Method, k.Ops, k.Pairs, k.Pruned, k.Skew)
 	}
 
-	if c.Verified != nil {
-		fmt.Fprintf(&sb, "verified checked=%d lead=%d memrefs=%d signals=%d\n",
-			c.Verified.Checked, c.Verified.Lead, c.Verified.MemRefs, c.Verified.Signals)
-		var vocc []string
-		for ch, o := range c.Verified.Data {
-			vocc = append(vocc, fmt.Sprintf("vocc %s max=%d method=%s sends=%d recvs=%d",
-				ch, o.Max, o.Method, c.Verified.Sends[ch], c.Verified.Recvs[ch]))
-		}
-		sort.Strings(vocc)
-		sb.WriteString(strings.Join(vocc, "\n") + "\n")
-		fmt.Fprintf(&sb, "adr max=%d method=%s sig max=%d method=%s\n",
-			c.Verified.Adr.Max, c.Verified.Adr.Method, c.Verified.Sig.Max, c.Verified.Sig.Method)
+	rep := c.Verified
+	fmt.Fprintf(&sb, "verified checked=%d lead=%d memrefs=%d signals=%d\n",
+		rep.Checked, rep.Lead, rep.MemRefs, rep.Signals)
+	var vocc []string
+	for ch, o := range rep.Data {
+		vocc = append(vocc, fmt.Sprintf("vocc %s max=%d method=%s sends=%d recvs=%d",
+			ch, o.Max, o.Method, rep.Sends[ch], rep.Recvs[ch]))
 	}
+	sort.Strings(vocc)
+	sb.WriteString(strings.Join(vocc, "\n") + "\n")
+	fmt.Fprintf(&sb, "adr max=%d method=%s sig max=%d method=%s\n",
+		rep.Adr.Max, rep.Adr.Method, rep.Sig.Max, rep.Sig.Method)
 	return sb.String()
 }

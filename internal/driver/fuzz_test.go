@@ -20,7 +20,7 @@ func FuzzRandomEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		src, inputs := workloads.RandomProgram(rng)
-		for _, opts := range []Options{{Verify: true}, {NoOptimize: true, Verify: true}, {Pipeline: true, Verify: true}} {
+		for _, opts := range []Options{{}, {NoOptimize: true}, {Pipeline: true}} {
 			c, err := Compile(src, opts)
 			if err != nil {
 				t.Fatalf("compile (%+v): %v\n%s", opts, err, src)

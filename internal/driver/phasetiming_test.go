@@ -29,7 +29,7 @@ func TestPhaseTimingSoundness(t *testing.T) {
 					go func() {
 						defer wg.Done()
 						start := time.Now()
-						c, err := Compile(src, Options{Pipeline: true, Verify: true})
+						c, err := Compile(src, Options{Pipeline: true})
 						if err != nil {
 							t.Error(err)
 							return

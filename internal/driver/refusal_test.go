@@ -10,9 +10,10 @@ import (
 
 // TestCompileRefusalTexts pins the exact text of one refusal from each
 // place a compile can stop: the option check, the parser, sema, the
-// communication check, cellgen's register file and the cycle-count
-// overflow the IU code generator refuses.  Pipelining is on, so every
-// refusal after the front end is the one a failed plain retry reports.
+// communication check, cellgen's register file, the cycle-count overflow
+// the IU code generator refuses, the skew search's work budget and the
+// verifier.  Pipelining is on where named, so every refusal after the
+// front end is the one a failed plain retry reports.
 func TestCompileRefusalTexts(t *testing.T) {
 	for _, tc := range []struct {
 		name, src string
@@ -23,9 +24,11 @@ func TestCompileRefusalTexts(t *testing.T) {
 		{"syntax", "module", Options{}, "1:7: syntax error: expected identifier, found end of file"},
 		{"sema", twoCells("float v;", "v := q;"), Options{}, "8:14: undefined variable q"},
 		{"leftward", twoCells("float v;\n        int i;", "for i := 0 to 3 do begin\n            receive (R, X, v, a[i]);\n            send (L, X, v, b[i]);\n        end;"), Options{}, "driver: program sends data leftward; this compiler (like its examples) supports rightward flow only"},
-		{"overflow", overflowNest, Options{Pipeline: true, Verify: true}, "iugen: loop L2: the cycle count overflows 64 bits"},
+		{"overflow", overflowNest, Options{Pipeline: true}, "iugen: loop L2: the cycle count overflows 64 bits"},
 		{"registers", registerHog(70), Options{Pipeline: true}, "cellgen: block b0 needs more than 64 temporary registers (no spill path to cell memory is implemented; restructure the program)"},
 		{"address-range", farExternal, Options{}, "11:34: subscript 4611686018427387904*i of x: its range overflows 64 bits"},
+		{"skew-budget", halves(1 << 17), Options{}, "driver: channel X: skew: queue not analyzed within the budget of 4194304 evaluations (the sends and receives share no loop period)"},
+		{"verify", halves(1 << 7), Options{}, "verify: [queue-overflow]: Sig queue: 256 words in one 256-cycle window (> 128)"},
 	} {
 		if _, err := Compile(tc.src, tc.opts); fmt.Sprint(err) != tc.want {
 			t.Errorf("%s: err = %q\nwant %q", tc.name, fmt.Sprint(err), tc.want)
@@ -74,6 +77,37 @@ begin
     call f;
 end
 `
+
+// halves receives 2n words two an iteration, then sends them one an
+// iteration: the sends and receives of X repeat with periods that do not
+// divide, so at the skew that covers every receive the queue's walk is as
+// long as the stream.  Past n = 2¹⁶ the skew search runs into its budget
+// (the class whose verifier-level text verify's
+// TestQueueUnprovenDiagnostic pins); below it, from n = 2⁷, the skew
+// leaves more loop signals in one window than the forwarded Sig queue
+// holds, which only the verifier checks.
+func halves(n int) string {
+	return fmt.Sprintf(`module halves (x in, y out)
+float x[%d];
+float y[%d];
+cellprogram (c : 0 : 1)
+begin
+    function f
+    begin
+        float t, u;
+        int i, j;
+        for i := 0 to %d do begin
+            receive (L, X, t, x[2*i]);
+            receive (L, X, u, x[2*i+1]);
+        end;
+        for j := 0 to %d do begin
+            send (R, X, t, y[j]);
+        end;
+    end
+    call f;
+end
+`, 2*n, 2*n, n-1, 2*n-1)
+}
 
 // farExternal receives x[i·2⁶²] for i up to 4: the subscript's range
 // leaves 64 bits, which semantic analysis refuses (wrapping, it would

@@ -223,7 +223,7 @@ func TestSimAllocsIndependentOfCycles(t *testing.T) {
 	if short != long {
 		t.Errorf("allocations grow with the run: %v at %d cycles, %v at %d", short, shortCycles, long, longCycles)
 	}
-	const ceiling = 64
+	const ceiling = 60
 	if long > ceiling {
 		t.Errorf("sim.Run allocates %v times, want at most %d", long, ceiling)
 	}
@@ -253,7 +253,7 @@ func TestRunWithSimLoadsOnce(t *testing.T) {
 	if short != long {
 		t.Errorf("allocations grow with the run: %v at 100 points, %v at 800", short, long)
 	}
-	const ceiling = 70 - 17
+	const ceiling = 70 - 17 - 4 // less the decodes and the host readers' loop counters
 	if short > ceiling {
 		t.Errorf("a simulator run through RunWith allocates %v times, want at most %d", short, ceiling)
 	}

@@ -32,9 +32,9 @@ func TestGeneratedCodeStructure(t *testing.T) {
 	}
 	for name, src := range srcs {
 		for _, opts := range []Options{
-			{Verify: true},
-			{NoOptimize: true, Verify: true},
-			{Pipeline: true, Verify: true},
+			{},
+			{NoOptimize: true},
+			{Pipeline: true},
 		} {
 			c, err := Compile(src, opts)
 			if err != nil {
@@ -131,7 +131,7 @@ func TestPipelinedOutputsValidated(t *testing.T) {
 		"polynomial": workloads.Polynomial(10, 100),
 		"conv1d":     workloads.Conv1D(9, 48),
 	} {
-		c, err := Compile(src, Options{Pipeline: true, Verify: true})
+		c, err := Compile(src, Options{Pipeline: true})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

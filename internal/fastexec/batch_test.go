@@ -198,7 +198,7 @@ func BenchmarkExecuteBatch(b *testing.B) {
 		{"binop64", workloads.Binop(64, 64)},
 		{"colorseg16", workloads.ColorSeg(16, 16, 10)},
 	} {
-		c, err := driver.Compile(k.src, driver.Options{Pipeline: true, Verify: true})
+		c, err := driver.Compile(k.src, driver.Options{Pipeline: true})
 		if err != nil {
 			b.Fatal(err)
 		}

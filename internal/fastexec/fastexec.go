@@ -370,8 +370,8 @@ func (st *execState) reset(p *Plan, hostMems [][]float64, ctl sim.Controls, g in
 		w.retired.Store(0)
 	}
 	for ch := range p.counts.Send {
-		st.hostIn[ch] = hostgen.NewReader(p.host.In[w2.Channel(ch)])
-		st.hostOut[ch] = hostgen.NewReader(p.host.Out[w2.Channel(ch)])
+		st.hostIn[ch].Reset(p.host.In[w2.Channel(ch)])
+		st.hostOut[ch].Reset(p.host.Out[w2.Channel(ch)])
 	}
 	st.ring = st.ring[:0]
 	if p.cells > 1 { // the one cell of an array of one talks to the host alone

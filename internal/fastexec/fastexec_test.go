@@ -172,7 +172,7 @@ func TestMatchesSimulatorRandomPrograms(t *testing.T) {
 // automatic choice runs it fast, bit-identical to the simulator and with
 // its run record.
 func TestColorseg512PlainRunsFast(t *testing.T) {
-	c, plan := planFor(t, workloads.ColorSeg(512, 512, 10), driver.Options{Verify: true})
+	c, plan := planFor(t, workloads.ColorSeg(512, 512, 10), driver.Options{})
 	inputs := seededInputs(c, 8)
 	_, stats, err := driver.RunWith(c, inputs, driver.RunOptions{})
 	if err != nil {

@@ -31,7 +31,7 @@ func TestPlanSizeIndependentOfTrips(t *testing.T) {
 		retained           int64
 	}
 	measure := func(src string) size {
-		c, err := driver.Compile(src, driver.Options{Pipeline: true, Verify: true})
+		c, err := driver.Compile(src, driver.Options{Pipeline: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,13 +83,14 @@ func TestPlanSizeIndependentOfTrips(t *testing.T) {
 	}
 }
 
-// TestExecuteAllocs pins what a run allocates: its Stats and its stream
-// readers' counters.  Its state — the cell memory over the plan's address
-// envelope, the iteration counters, the inter-cell streams — comes from a
-// pool, sized by the plan, never per word or per cell; before the
+// TestExecuteAllocs pins what a run allocates: its Stats.  Its state —
+// the cell memory over the plan's address envelope, the iteration
+// counters, the inter-cell streams, the host stream readers — comes from
+// a pool, sized by the plan, never per word or per cell; before the
 // envelope a run allocated and cleared all 4096 words of cell memory for
 // each cell (17 allocations and 38 KB here), and the unrolled executor
-// before that allocated 209 times.
+// before that allocated 209 times.  The ceiling keeps slack above the
+// count for the race detector's pool, which drops Puts at random.
 func TestExecuteAllocs(t *testing.T) {
 	c, plan := planFor(t, workloads.Polynomial(10, 100), driver.Options{Pipeline: true})
 	mem, err := interp.BuildHostMem(c.Info, seededInputs(c, 6))
@@ -111,8 +112,8 @@ func TestExecuteAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
 	t.Logf("%.0f allocations, %d bytes per run", allocs, bytes)
-	if allocs > 17 {
-		t.Errorf("Execute allocates %.0f times, want at most the 17 of the run that allocated its own state", allocs)
+	if allocs > 13 {
+		t.Errorf("Execute allocates %.0f times, want at most 13", allocs)
 	}
 	// 2.9 KB with the state pooled, 1 KB of it the cells' depth rows; a pool miss (a collection, or the race
 	// detector dropping one Put in four) re-allocates it, which reads

@@ -308,7 +308,7 @@ func BenchmarkExecuteCells(b *testing.B) {
 		{"colorseg128", workloads.ColorSeg(128, 128, 10)},
 		{"matmul32", workloads.Matmul(32)},
 	} {
-		c, err := driver.Compile(k.src, driver.Options{Pipeline: true, Verify: true})
+		c, err := driver.Compile(k.src, driver.Options{Pipeline: true})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -190,27 +190,37 @@ const blockWords = 128
 
 // Reader hands out the words of a stream in order, through Read a block
 // at a time or through Next one by one (not both: Next reads ahead).
-// Neither allocates.
+// Neither allocates.  The zero Reader reads nothing until Reset.
 type Reader struct {
 	s      Stream
 	pc     int     // next operation
 	iter   []int64 // per nesting depth: iterations the open loop has completed
 	pos, n int     // Next's position in its block, and how much of the block is filled
 	buf    [blockWords]Word
+	nest   [4]int64 // iter's room for a stream nested at most four deep
 }
 
-// NewReader returns a reader at the start of s.  It is a value, block
-// included, so that an executor holds its readers in its own state and a
-// run pays no allocation for them beyond the loop counters; it must not
-// be copied once in use.
-func NewReader(s Stream) Reader {
+// Reset readies r to read s from its start.  A reader is a value, block
+// and loop counters included, so that an executor holds its readers in
+// its own state and resets them without allocating (a stream nested
+// deeper than four loops allocates its counters once, and a pooled
+// reader keeps them); it must not be copied once in use.
+func (r *Reader) Reset(s Stream) {
 	depth := 0
 	for i := range s {
 		for _, e := range s[i].ends {
 			depth = max(depth, e.depth+1)
 		}
 	}
-	return Reader{s: s, iter: make([]int64, depth)}
+	switch {
+	case depth <= len(r.nest):
+		r.iter = r.nest[:depth]
+	case cap(r.iter) < depth:
+		r.iter = make([]int64, depth)
+	}
+	r.iter = r.iter[:depth]
+	clear(r.iter)
+	r.s, r.pc, r.pos, r.n = s, 0, 0, 0
 }
 
 // Read fills buf with the next words of the stream and returns how many

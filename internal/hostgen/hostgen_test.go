@@ -12,7 +12,8 @@ import (
 // words reads a whole stream.
 func words(s Stream) []Word {
 	out := make([]Word, s.Words())
-	r := NewReader(s)
+	var r Reader
+	r.Reset(s)
 	r.Read(out)
 	return out
 }

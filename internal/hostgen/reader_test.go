@@ -103,7 +103,8 @@ func checkStream(t *testing.T, name string, s Stream, want []Word) {
 		if size < 1 {
 			continue
 		}
-		r := NewReader(s)
+		var r Reader
+		r.Reset(s)
 		var got []Word
 		buf := make([]Word, size)
 		for {
@@ -120,7 +121,8 @@ func checkStream(t *testing.T, name string, s Stream, want []Word) {
 			t.Fatalf("%s in blocks of %d: words differ from the oracle's (%d vs %d)\n%s", name, size, len(got), len(want), s)
 		}
 	}
-	r := NewReader(s)
+	var r Reader
+	r.Reset(s)
 	for i, w := range want {
 		if got := r.Next(); got == nil || *got != w {
 			t.Fatalf("%s: Next %d = %+v, want %+v", name, i, got, w)
@@ -422,13 +424,40 @@ func TestReaderDoesNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewReader(h.In[w2.ChanX])
+	var r Reader
 	buf := make([]Word, 300)
 	if n := testing.AllocsPerRun(10, func() {
+		r.Reset(h.In[w2.ChanX])
 		r.Read(buf)
 		r.Next()
 	}); n != 0 {
-		t.Errorf("%.0f allocations per Read+Next", n)
+		t.Errorf("%.0f allocations per Reset+Read+Next", n)
+	}
+}
+
+// TestReaderResetDeepNest: a stream nested deeper than a reader's own
+// loop counters reads right, and allocates its counters once: a second
+// Reset keeps them.
+func TestReaderResetDeepNest(t *testing.T) {
+	items := []mcode.CodeItem{&mcode.Straight{Instrs: []*mcode.Instr{{IO: []mcode.IOOp{{Recv: true, Chan: w2.ChanY, IsLiteral: true, Literal: 1}}}}}}
+	for _, n := range []int64{2, 3, 2, 3, 2, 3} {
+		items = []mcode.CodeItem{&mcode.LoopItem{Trips: n, Step: 1, Body: items}}
+	}
+	h, err := Generate(&mcode.CellProgram{Items: items})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r Reader
+	buf := make([]Word, 300)
+	read := func() int {
+		r.Reset(h.In[w2.ChanY])
+		return r.Read(buf)
+	}
+	if n := read(); n != 216 {
+		t.Fatalf("read %d words of a 6-deep nest, want 216", n)
+	}
+	if n := testing.AllocsPerRun(10, func() { read() }); n != 0 {
+		t.Errorf("%.0f allocations per Reset+Read of a reader that has read the stream", n)
 	}
 }
 
@@ -454,8 +483,9 @@ func BenchmarkReader(b *testing.B) {
 		s := h.In[w2.ChanX]
 		b.Run(tc.name+"/Read", func(b *testing.B) {
 			buf := make([]Word, blockWords)
+			var r Reader
 			for i := 0; i < b.N; i++ {
-				r := NewReader(s)
+				r.Reset(s)
 				for r.Read(buf) > 0 {
 				}
 			}
@@ -463,8 +493,9 @@ func BenchmarkReader(b *testing.B) {
 		})
 		b.Run(tc.name+"/Next", func(b *testing.B) {
 			var sum int
+			var r Reader
 			for i := 0; i < b.N; i++ {
-				r := NewReader(s)
+				r.Reset(s)
 				for w := r.Next(); w != nil; w = r.Next() {
 					sum += int(w.Index)
 				}

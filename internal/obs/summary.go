@@ -72,8 +72,7 @@ type Decision struct {
 	// Backend is the executor that ran: "sim" or "fast".
 	Backend string `json:"backend"`
 	// Reason explains the choice: "explicit-sim", "explicit-fast",
-	// "auto-verified", "unverified", "profile-requested" or
-	// "cycle-recorder".
+	// "auto-verified", "profile-requested" or "cycle-recorder".
 	Reason string `json:"reason"`
 	// PredictedCycles is the closed-form machine cycle count
 	// (lead + (cells-1)·skew + cell cycles).  On deterministic workloads
@@ -82,8 +81,7 @@ type Decision struct {
 	// Cells is the array size the counts are for.
 	Cells int `json:"cells"`
 	// PredictedOps is the dynamic non-nop operation count over all cells
-	// — the fast executor's work.  0 means unknown (the program is
-	// unverified, so it has no fast side).
+	// — the fast executor's work, recorded whichever executor ran.
 	PredictedOps int64 `json:"predicted_ops,omitempty"`
 	// ActualWallNS is stamped by the driver when the run completes.
 	ActualWallNS int64 `json:"actual_wall_ns,omitempty"`

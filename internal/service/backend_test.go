@@ -113,35 +113,6 @@ func TestServiceBackendSelection(t *testing.T) {
 	}
 }
 
-// TestServiceBackendFastUnverifiable: on a -no-verify server nothing
-// is verified, so demanding "backend":"fast" must come back as a
-// structured 422 — never a silent simulator run.
-func TestServiceBackendFastUnverifiable(t *testing.T) {
-	svc := New(Config{Workers: 1, NoVerify: true})
-	defer svc.Close()
-	ts := httptest.NewServer(svc)
-	defer ts.Close()
-
-	resp, body := postJSON(t, ts.Client(), ts.URL+"/run", RunRequest{
-		Source:  workloads.Polynomial(10, 20),
-		Inputs:  map[string][]float64{"z": make([]float64, 20), "c": make([]float64, 10)},
-		Backend: "fast",
-	})
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("status %d, want 422: %s", resp.StatusCode, body)
-	}
-	var er errorResponse
-	if err := json.Unmarshal(body, &er); err != nil {
-		t.Fatalf("error body is not structured JSON: %v: %s", err, body)
-	}
-	if !strings.Contains(er.Error, "not verified") {
-		t.Errorf("error %q does not name the unverified program", er.Error)
-	}
-	if er.Hint == "" {
-		t.Error("422 body carries no hint")
-	}
-}
-
 // TestServiceBackendUnknown rejects made-up backend names with 400.
 func TestServiceBackendUnknown(t *testing.T) {
 	svc := New(Config{Workers: 1})

@@ -20,6 +20,7 @@ import (
 func TestCacheKeyDistinguishesOptions(t *testing.T) {
 	notCodegen := map[string]bool{
 		"CompileWorkers": true, // ignored by the compiler
+		"Verify":         true, // ignored: every compile is verified
 	}
 	src := workloads.Polynomial(10, 50)
 	base := Key(src, driver.Options{})

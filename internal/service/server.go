@@ -39,11 +39,6 @@ type Config struct {
 	Arrays int
 	// MaxBodyBytes bounds a request body (default 8 MiB).
 	MaxBodyBytes int64
-	// NoVerify disables the static microcode verifier.  By default the
-	// service refuses to serve a program it cannot prove safe: every
-	// compilation runs the verifier, and a violation is returned as 422
-	// with one structured diagnostic per violated invariant.
-	NoVerify bool
 	// Compile substitutes the compiler entry point (nil = warp.Compile);
 	// tests use it to instrument driver invocations.
 	Compile CompileFunc
@@ -157,14 +152,6 @@ func (o CompileOptions) warpOptions() warp.Options {
 	return warp.Options{NoOptimize: o.NoOptimize, Pipeline: o.Pipeline, Cells: o.Cells}
 }
 
-// options maps wire options to compiler options under the server's
-// verification policy (verify unless configured off).
-func (s *Server) options(o CompileOptions) warp.Options {
-	opts := o.warpOptions()
-	opts.Verify = !s.cfg.NoVerify
-	return opts
-}
-
 // CompileRequest asks for a compilation.
 type CompileRequest struct {
 	Source  string         `json:"source"`
@@ -211,11 +198,9 @@ type RunRequest struct {
 	// flight recorder.
 	Profile bool `json:"profile,omitempty"`
 	// Backend selects the execution backend: "auto" (or omitted) runs
-	// verified programs on the fast dataflow executor and everything
-	// else on the cycle-accurate simulator; "sim" forces simulation;
-	// "fast" demands the fast executor and fails with 422 when the
-	// program is not verified (e.g. the server runs with -no-verify) —
-	// there is no silent fallback.
+	// the fast dataflow executor unless the run is profiled, and the
+	// cycle-accurate simulator then; "sim" forces simulation; "fast"
+	// forces the fast executor.
 	Backend string `json:"backend,omitempty"`
 }
 
@@ -295,9 +280,6 @@ type errorResponse struct {
 	// when the error is a verification rejection (one entry per
 	// violated invariant: cell, instruction index, invariant name).
 	Diagnostics []verify.Diagnostic `json:"diagnostics,omitempty"`
-	// Hint tells the client how to make the request processable, e.g.
-	// how to satisfy a "backend":"fast" demand on an unverified program.
-	Hint string `json:"hint,omitempty"`
 }
 
 // httpError is an error carrying its HTTP status.
@@ -330,11 +312,9 @@ func classify(err error) (status int, outcome, result string) {
 		return 499, "canceled", "error"
 	case errors.Is(err, warp.ErrLivelock):
 		return http.StatusUnprocessableEntity, "livelock", "error"
-	case errors.Is(err, warp.ErrUnverified), isVerifyError(err):
+	case isVerifyError(err):
 		// Well-formed yet unprocessable: the microcode failed
-		// verification, or the request demanded the fast backend for a
-		// program the server cannot prove safe — refusing beats silently
-		// running the simulator instead.
+		// verification.
 		return http.StatusUnprocessableEntity, "error", "error"
 	case errors.Is(err, errPanic):
 		return http.StatusInternalServerError, "error", "error"
@@ -359,9 +339,6 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	var verr *verify.Error
 	if errors.As(err, &verr) {
 		resp.Diagnostics = verr.Diags
-	}
-	if errors.Is(err, warp.ErrUnverified) {
-		resp.Hint = `the fast backend runs only verified programs; restart the server without -no-verify, or use "backend":"sim"`
 	}
 	writeJSON(w, status, resp)
 }
@@ -473,9 +450,9 @@ func (s *Server) program(ctx context.Context, program, source string, o CompileO
 	case source == "":
 		return nil, "", false, nil, &httpError{http.StatusBadRequest, "missing program or source"}
 	case o.symbolic():
-		return s.templates.GetObserved(ctx, source, s.options(o), o.Bounds, parent)
+		return s.templates.GetObserved(ctx, source, o.warpOptions(), o.Bounds, parent)
 	}
-	prog, key, hit, err := s.cache.GetObserved(ctx, source, s.options(o), parent)
+	prog, key, hit, err := s.cache.GetObserved(ctx, source, o.warpOptions(), parent)
 	return prog, key, hit, nil, err
 }
 

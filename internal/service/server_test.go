@@ -500,7 +500,7 @@ func TestServiceGracefulClose(t *testing.T) {
 // instead of waiting forever on a flight nobody will ever land.
 func TestCompilePanicDoesNotPoisonKey(t *testing.T) {
 	var calls atomic.Int32
-	svc := New(Config{Workers: 1, NoVerify: true, Compile: func(src string, opts warp.Options) (*warp.Program, error) {
+	svc := New(Config{Workers: 1, Compile: func(src string, opts warp.Options) (*warp.Program, error) {
 		if calls.Add(1) == 1 {
 			panic("compiler bug")
 		}

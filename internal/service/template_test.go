@@ -22,7 +22,7 @@ import (
 // substituted source, and the template-cache counters show up on
 // /metrics and the detail in the flight record.
 func TestServiceSymbolicCompileAndRun(t *testing.T) {
-	svc := New(Config{Workers: 2, NoVerify: true})
+	svc := New(Config{Workers: 2})
 	defer svc.Close()
 	ts := httptest.NewServer(svc)
 	defer ts.Close()
@@ -48,7 +48,7 @@ func TestServiceSymbolicCompileAndRun(t *testing.T) {
 		return cr
 	}
 	cr8, cr14 := compileAt(8), compileAt(14)
-	wantKey := Key(src, svc.options(CompileOptions{})) + "@n=14"
+	wantKey := Key(src, CompileOptions{}.warpOptions()) + "@n=14"
 	if cr14.Program != wantKey || cr14.Program == cr8.Program {
 		t.Fatalf("program keys n=8 %s, n=14 %s; want n=14 at %s", cr8.Program, cr14.Program, wantKey)
 	}
@@ -152,7 +152,7 @@ func TestServiceSymbolicCompileAndRun(t *testing.T) {
 // int64 or is not an integer, are 400s counted as compile errors — and
 // the program that would have been wrong is never compiled.
 func TestServiceSymbolicErrors(t *testing.T) {
-	svc := New(Config{Workers: 1, NoVerify: true})
+	svc := New(Config{Workers: 1})
 	defer svc.Close()
 	ts := httptest.NewServer(svc)
 	defer ts.Close()
@@ -312,7 +312,7 @@ func TestCompileRejectsNestingBombs(t *testing.T) {
 // other — zero per-shape entries in the compile cache.  Partitioned
 // runs resolve their tile kernel through the same template.
 func TestFabricTilesShareTemplate(t *testing.T) {
-	svc := New(Config{Workers: 2, NoVerify: true})
+	svc := New(Config{Workers: 2})
 	defer svc.Close()
 	ts := httptest.NewServer(svc)
 	defer ts.Close()

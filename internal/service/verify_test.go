@@ -45,9 +45,6 @@ func TestServiceRejectsUnverifiableProgram(t *testing.T) {
 	svc := New(Config{
 		Workers: 1, QueueCap: 4, CacheSize: 4,
 		Compile: func(src string, opts warp.Options) (*warp.Program, error) {
-			if !opts.Verify {
-				t.Error("the service did not request verification")
-			}
 			return nil, verr
 		},
 	})
@@ -104,33 +101,21 @@ func TestServiceVerifiesByDefault(t *testing.T) {
 	}
 }
 
-// TestServiceNoVerifyOptOut: with NoVerify the compiler is asked not to
-// verify, and the cache keys the two policies apart.
-func TestServiceNoVerifyOptOut(t *testing.T) {
-	var sawVerify *bool
-	svc := New(Config{
-		Workers: 1, QueueCap: 4, CacheSize: 4, NoVerify: true,
-		Compile: func(src string, opts warp.Options) (*warp.Program, error) {
-			sawVerify = &opts.Verify
-			return warp.Compile(src, opts)
-		},
-	})
-	defer svc.Close()
-	ts := httptest.NewServer(svc)
-	defer ts.Close()
-
-	resp, body := postJSON(t, ts.Client(), ts.URL+"/compile",
-		CompileRequest{Source: workloads.Polynomial(10, 20)})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d; body: %s", resp.StatusCode, body)
-	}
-	if sawVerify == nil || *sawVerify {
-		t.Error("NoVerify config did not reach the compiler options")
-	}
-	// The unverified compilation must not alias a verified one.
+// TestServiceKeyUnchanged pins two content addresses as they read
+// while verification was an option the key hashed: every compile is
+// verified now, and the key hashes "verify=true" for all of them, so no
+// address a client holds has moved.
+func TestServiceKeyUnchanged(t *testing.T) {
 	src := workloads.Polynomial(10, 20)
-	on, off := warp.Options{Verify: true}, warp.Options{Verify: false}
-	if Key(src, on) == Key(src, off) {
-		t.Error("cache key ignores the verify option")
+	for _, tc := range []struct {
+		opts warp.Options
+		want string
+	}{
+		{warp.Options{}, "c625b29430665498b4f9adffaff8a2055fa20bd320e0ed23a8bf189537878c6b"},
+		{warp.Options{Pipeline: true}, "94f5d2cbe69d3925616a6660e87dfea7994b78d17607d2e0a8a1b48691255c5e"},
+	} {
+		if got := Key(src, tc.opts); got != tc.want {
+			t.Errorf("Key(%+v) = %s, want %s", tc.opts, got, tc.want)
+		}
 	}
 }

@@ -303,7 +303,7 @@ func TestWarmRunAllocs(t *testing.T) {
 	serve() // compiles
 	allocs := alloctest.AllocsPerRun(20, serve)
 	t.Logf("%.0f allocations per warm /run", allocs)
-	const ceiling = 106
+	const ceiling = 102
 	if allocs > ceiling {
 		t.Errorf("a warm /run allocates %.0f times, want at most %d", allocs, ceiling)
 	}

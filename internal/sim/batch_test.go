@@ -237,7 +237,7 @@ func BenchmarkRunBatch(b *testing.B) {
 		{"binop64", workloads.Binop(64, 64)},
 		{"colorseg16", workloads.ColorSeg(16, 16, 10)},
 	} {
-		c, cfg := configFor(b, k.src, driver.Options{Pipeline: true, Verify: true})
+		c, cfg := configFor(b, k.src, driver.Options{Pipeline: true})
 		cfg.PCStats = false
 		for _, width := range []int{1, 8, 32, 128} {
 			images := make([][]float64, width)

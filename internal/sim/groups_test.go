@@ -210,7 +210,7 @@ func BenchmarkRunGroups(b *testing.B) {
 		{"colorseg128", workloads.ColorSeg(128, 128, 10), true},
 		{"matmul32-plain", workloads.Matmul(32), false},
 	} {
-		c, cfg := configFor(b, k.src, driver.Options{Pipeline: k.pipeline, Verify: true})
+		c, cfg := configFor(b, k.src, driver.Options{Pipeline: k.pipeline})
 		cfg.PCStats = false
 		cfg.HostMem = seededImage(b, c, 1)
 		l := sim.Load(cfg)

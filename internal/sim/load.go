@@ -24,6 +24,9 @@ type Loaded struct {
 	count    mcode.CellCounts
 	countErr error
 	times    []int64 // how often a cell runs each word
+	// crossFits: the program decoded, and every word's pushes across a
+	// boundary fit half a ring, so a run may walk in groups (split).
+	crossFits bool
 }
 
 // Load decodes and counts the program cfg's program fields describe
@@ -34,6 +37,7 @@ func Load(cfg Config) *Loaded {
 	l := &Loaded{cfg: Config{Cells: cfg.Cells, Cell: cfg.Cell, IU: cfg.IU, Host: cfg.Host, Skew: cfg.Skew, Lead: cfg.Lead}}
 	code, err := mcode.Decode(cfg.Cell)
 	l.code, l.codeErr = *code, err
+	l.crossFits = err == nil && crossFits(code)
 	l.iu, l.iuErr = mcode.DecodeIU(cfg.IU)
 	l.count, l.countErr = mcode.CountCell(cfg.Cell)
 	// Every cell runs every word as often as the trip counts around it

@@ -291,8 +291,9 @@ func newMachine(l *Loaded, cfg Config, lanes [][]float64, groups int) (*machine,
 	}
 	for ch := range m.hostIn {
 		in := cfg.Host.In[w2.Channel(ch)]
-		m.hostIn[ch], m.hostInLeft[ch] = hostgen.NewReader(in), in.Words()
-		m.hostOut[ch] = hostgen.NewReader(cfg.Host.Out[w2.Channel(ch)])
+		m.hostIn[ch].Reset(in)
+		m.hostOut[ch].Reset(cfg.Host.Out[w2.Channel(ch)])
+		m.hostInLeft[ch] = in.Words()
 	}
 
 	// Per group, one arena holds every int64 counter: per cell its loop

@@ -137,7 +137,7 @@ func TestSkewCostIndependentOfTrips(t *testing.T) {
 	}
 	var res []result
 	for _, side := range []int{64, 512, 1024} {
-		c, err := driver.Compile(workloads.ColorSeg(side, side, 10), driver.Options{Pipeline: true, Verify: true})
+		c, err := driver.Compile(workloads.ColorSeg(side, side, 10), driver.Options{Pipeline: true})
 		if err != nil {
 			t.Fatalf("colorseg %d²: %v", side, err)
 		}

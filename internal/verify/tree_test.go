@@ -1,10 +1,15 @@
 package verify
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"warp/internal/hostgen"
+	"warp/internal/mcode"
 	"warp/internal/skew"
+	"warp/internal/w2"
 )
 
 // Quick-check of the structural evaluation on hand-built random stream
@@ -214,4 +219,58 @@ func pushesAsPops(body []skew.Node) []skew.Node {
 	}
 	skew.Seal(out)
 	return out
+}
+
+// TestQueueUnprovenDiagnostic pins the text of the verifier's refusal
+// of a data queue it cannot decide, on TestQueueProofBudget's shape as a
+// whole program: a cell receives 2·2²² words two a cycle pair, then sends
+// them one a cycle, so at the skew that covers every receive the pops
+// repeat with twice the period of the pushes and the walk runs into the
+// budget.  At that skew the forwarded signal queue's walk meets the two
+// loops' periods as well, and is left unproven too.
+// The compiler's skew search shares the evaluator and the budget and
+// refuses the program first, so no compile reaches this text; the
+// driver's TestCompileRefusalTexts pins the search's refusal.
+func TestQueueUnprovenDiagnostic(t *testing.T) {
+	const n = enumEventLimit
+	recv := mcode.IOOp{Recv: true, Dir: w2.DirL, Chan: w2.ChanX, IsLiteral: true}
+	cell := &mcode.CellProgram{Items: []mcode.CodeItem{
+		&mcode.LoopItem{ID: 1, Trips: n, Body: []mcode.CodeItem{straight(&mcode.Instr{IO: []mcode.IOOp{recv}}, &mcode.Instr{IO: []mcode.IOOp{recv}})}},
+		&mcode.LoopItem{ID: 2, Trips: 2 * n, Body: []mcode.CodeItem{straight(&mcode.Instr{IO: []mcode.IOOp{sendOp(1)}})}},
+	}}
+	host, err := hostgen.Generate(cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sig := func(id int, trips int64, nops int) mcode.IUItem {
+		body := make([]*mcode.IUInstr, nops+1)
+		for i := range body {
+			body[i] = &mcode.IUInstr{}
+		}
+		body[nops].Sig = &mcode.IUSig{LoopID: id, M: 1, CellTrips: trips}
+		return &mcode.IULoop{ID: id, Trips: trips, Body: []mcode.IUItem{&mcode.IUStraight{Instrs: body}}}
+	}
+	p := Program{Cells: 2, Cell: cell, IU: &mcode.IUProgram{Items: []mcode.IUItem{sig(1, n, 1), sig(2, 2*n, 0)}}, Host: host, Skew: 2 * n, Lead: 1}
+	var got []string
+	if _, err := Verify(p); err != nil {
+		for _, d := range err.(*Error).Diags {
+			got = append(got, fmt.Sprintf("%s cell=%d instr=%d loop=%d %q", d.Invariant, d.Cell, d.Instr, d.Loop, d.Detail))
+		}
+	}
+	want := []string{
+		`unproven cell=-1 instr=-1 loop=-1 "channel X: occupancy not established within the analysis budget of 4194304 events"`,
+		`unproven cell=-1 instr=-1 loop=-1 "Sig queue: occupancy not established within the analysis budget of 4194304 events"`,
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("diagnostics changed:\n  got:\n\t%s\n  want:\n\t%s", strings.Join(got, "\n\t"), strings.Join(want, "\n\t"))
+	}
+	s := skew.CellStreams(cell)
+	x := &skew.Prog{Body: s.Data[w2.ChanX], Len: s.Len}
+	a, err := skew.NewAnalysis(x, x)
+	if err == nil {
+		_, _, err = a.MinSkewStats()
+	}
+	if err == nil || !strings.Contains(err.Error(), "budget") {
+		t.Errorf("the skew search decided the queue the verifier leaves unproven: %v", err)
+	}
 }

@@ -73,11 +73,11 @@ func (p *Program) runPartitioned(cfg RunConfig, prob Problem, batch bool) (map[s
 		return nil, nil, err
 	}
 	// Tiles run like any single-array run, under their attempt's context,
-	// and share the kernel's one cached fast plan, so a verified kernel
-	// runs the whole farm at dataflow speed.  First attempts go a batch at
-	// a time, one walk of the kernel for all of a batch's tiles on either
-	// backend (driver.RunBatch chooses the width).  The farm reports the
-	// job's progress in tiles, so a tile's run reports none.
+	// and share the kernel's one cached fast plan, so the whole farm runs
+	// at dataflow speed.  First attempts go a batch at a time, one walk of
+	// the kernel for all of a batch's tiles on either backend
+	// (driver.RunBatch chooses the width).  The farm reports the job's
+	// progress in tiles, so a tile's run reports none.
 	tileCfg := cfg
 	tileCfg.Progress = nil
 	runTiles := func(ctx context.Context, _ []fabric.Tile, ins []map[string][]float64) ([][]float64, []fabric.TileStats, error) {

@@ -158,11 +158,11 @@ func scrubFarm(fs *warp.FabricStats) warp.FabricStats {
 // that do not divide the plan (64 tiles on 3 arrays go 22, 22, 20) and a
 // farm wider than the plan, which has nothing to batch.
 func TestFarmBatchedMatchesPerTile(t *testing.T) {
-	mm, err := warp.Compile(workloads.Matmul(10), warp.Options{Pipeline: true, Verify: true})
+	mm, err := warp.Compile(workloads.Matmul(10), warp.Options{Pipeline: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cv, err := warp.Compile(workloads.Conv1D(9, 128), warp.Options{Pipeline: true, Verify: true})
+	cv, err := warp.Compile(workloads.Conv1D(9, 128), warp.Options{Pipeline: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func conv2048() warp.Problem {
 func TestPinnedBaselines(t *testing.T) {
 	for _, p := range pinnedBaselines {
 		t.Run(p.name, func(t *testing.T) {
-			prog, err := warp.Compile(p.src(), warp.Options{Pipeline: p.pipe, Verify: true})
+			prog, err := warp.Compile(p.src(), warp.Options{Pipeline: p.pipe})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -29,59 +29,57 @@ func polyInputs(n int) map[string][]float64 {
 // *Program is safe for concurrent Run calls: the cache layer hands a
 // single *Program to every request for the same content address.  The
 // goroutines start together on a fresh program, so its first use — the
-// load both executors read and, verified, the fast plan — is raced too,
-// and each must match a separately compiled program run alone.  Run
-// under -race (CI does) this doubles as the data-race proof.
+// load both executors read and the fast plan — is raced too, and each
+// must match a separately compiled program run alone.  Run under -race
+// (CI does) this doubles as the data-race proof.
 func TestConcurrentRun(t *testing.T) {
 	inputs := polyInputs(100)
-	for _, opts := range []warp.Options{{}, {Verify: true}} {
-		compile := func() *warp.Program {
-			prog, err := warp.Compile(workloads.PolynomialPaper(), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return prog
-		}
-		want, wantStats, err := compile().Run(inputs)
+	compile := func() *warp.Program {
+		prog, err := warp.Compile(workloads.PolynomialPaper(), warp.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		prog := compile()
+		return prog
+	}
+	want, wantStats, err := compile().Run(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := compile()
 
-		const goroutines = 8
-		var wg sync.WaitGroup
-		start := make(chan struct{})
-		outs := make([]map[string][]float64, goroutines)
-		errs := make([]error, goroutines)
-		stats := make([]*warp.RunStats, goroutines)
-		for g := 0; g < goroutines; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				<-start
-				outs[g], stats[g], errs[g] = prog.Run(inputs)
-			}(g)
+	const goroutines = 8
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	outs := make([]map[string][]float64, goroutines)
+	errs := make([]error, goroutines)
+	stats := make([]*warp.RunStats, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			outs[g], stats[g], errs[g] = prog.Run(inputs)
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+
+	for g := 0; g < goroutines; g++ {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
 		}
-		close(start)
-		wg.Wait()
-
-		for g := 0; g < goroutines; g++ {
-			if errs[g] != nil {
-				t.Fatalf("verify=%v, goroutine %d: %v", opts.Verify, g, errs[g])
+		if stats[g].Cycles != wantStats.Cycles || stats[g].Backend != wantStats.Backend {
+			t.Errorf("goroutine %d: %d cycles on %s, want %d on %s",
+				g, stats[g].Cycles, stats[g].Backend, wantStats.Cycles, wantStats.Backend)
+		}
+		for name, w := range want {
+			got := outs[g][name]
+			if len(got) != len(w) {
+				t.Fatalf("goroutine %d: %s has %d values, want %d", g, name, len(got), len(w))
 			}
-			if stats[g].Cycles != wantStats.Cycles || stats[g].Backend != wantStats.Backend {
-				t.Errorf("verify=%v, goroutine %d: %d cycles on %s, want %d on %s",
-					opts.Verify, g, stats[g].Cycles, stats[g].Backend, wantStats.Cycles, wantStats.Backend)
-			}
-			for name, w := range want {
-				got := outs[g][name]
-				if len(got) != len(w) {
-					t.Fatalf("verify=%v, goroutine %d: %s has %d values, want %d", opts.Verify, g, name, len(got), len(w))
-				}
-				for i := range w {
-					if got[i] != w[i] {
-						t.Fatalf("verify=%v, goroutine %d: %s[%d] = %v, want %v", opts.Verify, g, name, i, got[i], w[i])
-					}
+			for i := range w {
+				if got[i] != w[i] {
+					t.Fatalf("goroutine %d: %s[%d] = %v, want %v", g, name, i, got[i], w[i])
 				}
 			}
 		}

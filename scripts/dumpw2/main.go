@@ -2,8 +2,8 @@
 // directory, one <name>.w2 per program, and each ${...} template
 // workload as <name>-sym.w2 (compile those with `w2c -bounds`).  The
 // examples under examples/ embed their sources as Go strings (they are
-// parametric generators), so CI uses this dump to run `w2c -verify`
-// over every example program as a plain file — see
+// parametric generators), so CI uses this dump to compile (and so
+// verify) every example program as a plain file with `w2c` — see
 // scripts/verify-programs.sh.
 //
 // Usage: go run ./scripts/dumpw2 [-dir w2out]

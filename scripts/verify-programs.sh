@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Run the static microcode verifier (w2c -verify) over every W2
-# program in testdata/ and every example workload program — the ${...}
+# Compile with w2c, which runs the static microcode verifier on every
+# compile, every W2 program in testdata/ and every example workload
+# program — the ${...}
 # template workloads substituted at one bound vector (w2c -bounds) — in
 # both the plain and the software-pipelined configuration.  Any invariant
 # violation makes w2c exit 3, which fails this script — an obligation
@@ -29,7 +30,7 @@ status=0
 for f in testdata/*.w2 "$dump"/programs/*.w2; do
     for flags in "" "-pipeline"; do
         flags="$flags $(bounds_for "$f")"
-        if out=$("$dump/w2c" -verify $flags "$f" 2>&1); then
+        if out=$("$dump/w2c" $flags "$f" 2>&1); then
             line=$(echo "$out" | grep -o 'verified:.*')
             if [[ "$line" == *"; proofs exact" ]]; then
                 echo "ok   $f $flags: $line"

@@ -43,28 +43,20 @@ import (
 // (default 2^28 cycles).  Test for it with errors.Is.
 var ErrLivelock = sim.ErrLivelock
 
-// ErrUnverified marks a run that requested BackendFast on a program
-// compiled without Options.Verify: the fast backend executes only
-// proof-carrying programs and never silently degrades to the
-// simulator.  Test for it with errors.Is.
-var ErrUnverified = driver.ErrUnverified
-
 // Execution backend names for RunConfig.Backend.
 const (
 	// BackendAuto (also the empty string) picks the fast dataflow
-	// executor when the program is verified and the run requests no
-	// per-cycle observability (no Trace, no Profile), and the
-	// cycle-accurate simulator otherwise.
+	// executor when the run requests no per-cycle observability (no
+	// Trace, no Profile), and the cycle-accurate simulator otherwise.
 	BackendAuto = driver.BackendAuto
 	// BackendSim forces the cycle-accurate simulator.
 	BackendSim = driver.BackendSim
-	// BackendFast forces the verified fast executor; unverified
-	// programs fail with ErrUnverified.
+	// BackendFast forces the verified fast executor.
 	BackendFast = driver.BackendFast
 )
 
 // Options control compilation: optimizer and software-pipelining
-// switches, the array-size override and static verification.
+// switches and the array-size override.
 type Options = driver.Options
 
 // Program is a compiled W2 module.
@@ -81,8 +73,10 @@ type Program struct {
 // Compile compiles W2 source text through the full pipeline: parsing,
 // semantic analysis, flowgraph construction, local and global flow
 // analysis, communication-cycle checking, cell code generation,
-// minimum-skew and queue-occupancy analysis, IU code generation and
-// host I/O program generation.
+// minimum-skew and queue-occupancy analysis, IU code generation, host
+// I/O program generation and, last, the static microcode verifier: a
+// program the verifier cannot prove safe is refused with a
+// *verify.Error.
 func Compile(src string, opts Options) (*Program, error) {
 	start := time.Now()
 	c, err := driver.Compile(src, opts)
@@ -190,11 +184,9 @@ type RunConfig struct {
 	// simulator's only extra cost is a nil check per cycle per cell.
 	Profile bool
 	// Backend selects the execution backend: BackendAuto (or "") picks
-	// the fast dataflow executor for verified programs when no per-cycle
-	// observability is requested and the simulator otherwise; BackendSim
-	// forces cycle-accurate simulation; BackendFast demands the fast
-	// executor and fails with ErrUnverified when the program was
-	// compiled without Options.Verify.
+	// the fast dataflow executor when no per-cycle observability is
+	// requested and the simulator otherwise; BackendSim forces
+	// cycle-accurate simulation; BackendFast forces the fast executor.
 	Backend string
 	// Progress, when non-nil, receives coarse position updates while
 	// the run executes — cycles retired (with the modeled total for a
@@ -377,9 +369,8 @@ func (p *Program) CellListing() string { return p.c.Cell.Listing() }
 // IUListing renders the generated IU microcode.
 func (p *Program) IUListing() string { return p.c.IU.Listing() }
 
-// Verified returns the static verifier's report — the proven peak
-// queue occupancies and the number of propositions discharged — or nil
-// when Options.Verify was not set.
+// Verified returns the static verifier's report: the proven peak queue
+// occupancies and the number of propositions discharged.
 func (p *Program) Verified() *verify.Report { return p.c.Verified }
 
 // Fingerprint renders every compile output a consumer can observe in a
