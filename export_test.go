@@ -1,6 +1,9 @@
 package warp
 
-import "warp/internal/mcode"
+import (
+	"warp/internal/driver"
+	"warp/internal/mcode"
+)
 
 // RunPartitionedPerTile is RunPartitioned with every tile on the
 // per-tile path: the reference of the farm differential.
@@ -11,7 +14,9 @@ func (p *Program) RunPartitionedPerTile(cfg RunConfig, prob Problem) (map[string
 // MoveMemoryFields moves the address every memory field of the compiled
 // cell program names by k words and leaves the IU's address stream as it
 // is: runs alone are unchanged, but the words the fields are bound to no
-// longer hold the addresses the IU sends.
+// longer hold the addresses the IU sends.  The compile's load decoded the
+// fields as they were, so p gets a fresh compilation of its fields,
+// loaded from the moved ones on its first run.
 func (p *Program) MoveMemoryFields(k int) {
 	mcode.WalkInstrs(p.c.Cell.Items, func(in *mcode.Instr, _ []*mcode.LoopItem) {
 		for i := range in.Mem {
@@ -20,4 +25,13 @@ func (p *Program) MoveMemoryFields(k int) {
 			}
 		}
 	})
+	c := p.c
+	p.c = &driver.Compiled{
+		Module: c.Module, Info: c.Info, IR: c.IR,
+		PipelineBackoff: c.PipelineBackoff, BackoffReason: c.BackoffReason, Phases: c.Phases,
+		OptStats: c.OptStats, Comm: c.Comm,
+		Cell: c.Cell, CellGen: c.CellGen, IU: c.IU, IUGen: c.IUGen, Host: c.Host,
+		Timing: c.Timing, Skew: c.Skew, QueueOcc: c.QueueOcc, Verified: c.Verified,
+		Debug: c.Debug, Sched: c.Sched, Src: c.Src, Cells: c.Cells, W2Lines: c.W2Lines,
+	}
 }

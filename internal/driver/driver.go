@@ -108,9 +108,9 @@ type Compiled struct {
 	Cells   int
 	W2Lines int
 
-	// The program loaded once (sim.Load) on first use: its decode and its
-	// count, which every run reads — the simulator's machine, the fast
-	// plan, the decision audit's cycles and operations, the batch width.
+	// The program loaded once (sim.Load) by the verify stage, which proves
+	// it: its decode and its count, which every run reads — the simulator's
+	// machine, the fast plan, the decision audit, the batch width.
 	loadOnce sync.Once
 	loaded   *sim.Loaded
 
@@ -122,13 +122,20 @@ type Compiled struct {
 	fastErr  error
 }
 
-// load returns the compiled program loaded for both executors, loading
-// it on first call.
+// load returns the load the verify stage proved, or loads a Compiled
+// whose fields were filled by hand on first call.
 func (c *Compiled) load() *sim.Loaded {
 	c.loadOnce.Do(func() {
-		c.loaded = sim.Load(sim.Config{Cells: c.Cells, Cell: c.Cell, IU: c.IU, Host: c.Host, Skew: c.Skew, Lead: c.IUGen.Prologue + 1})
+		if c.loaded == nil {
+			c.loaded = sim.Load(c.program())
+		}
 	})
 	return c.loaded
+}
+
+// program is the compiled program's fields, as sim.Load reads them.
+func (c *Compiled) program() sim.Config {
+	return sim.Config{Cells: c.Cells, Cell: c.Cell, IU: c.IU, Host: c.Host, Skew: c.Skew, Lead: c.IUGen.Prologue + 1}
 }
 
 // ModeledCycles returns the closed-form machine-cycle count of one run
@@ -284,13 +291,12 @@ var stages = [...]stage{
 		return int(words), "", nil
 	}},
 	{name: "verify", run: func(c *Compiled, _ Options) (int, string, error) {
-		rep, err := verify.Verify(verify.Program{
-			Cells: c.Cells, Cell: c.Cell, IU: c.IU, Host: c.Host, Skew: c.Skew, Lead: c.IUGen.Prologue + 1,
-		})
+		l := sim.Load(c.program())
+		rep, err := verify.Verify(l)
 		if err != nil {
 			return 0, "", err
 		}
-		c.Verified = rep
+		c.loaded, c.Verified = l, rep
 		return rep.Checked, fmt.Sprintf("%d propositions proven", rep.Checked), nil
 	}},
 }

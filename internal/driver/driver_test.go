@@ -130,7 +130,8 @@ func TestPolynomialEndToEnd(t *testing.T) {
 // scheduler had its own emitter and every word was allocated alone;
 // 1 026 while every instruction field was a heap object of its own and
 // the debug map allocated loop frames per µPC; 890 while the front end
-// allocated per token, node and side-table entry; 602 since).
+// allocated per token, node and side-table entry; 624 before the compile
+// built the program's load for its runs, 632 since).
 // Nor does the IU code generator allocate per address site, IU cycle or
 // placement: fft1024, whose pipelined attempt the IU refuses before the
 // plain schedule compiles, made 36 579 allocations a verified compile
@@ -138,8 +139,9 @@ func TestPolynomialEndToEnd(t *testing.T) {
 // (16 572 with two emitters, 14 564 while the refusal still grouped and
 // planned every expression and commgraph built an arc per dependent
 // pair, 12 628 with a heap object per instruction field, 10 861 with a
-// heap object per AST node, IR node and side-table entry); it makes
-// 6 127 now and stays under 6 750.
+// heap object per AST node, IR node and side-table entry); it made
+// 6 538 before the compile built the program's load for its runs, makes
+// 6 579 since and stays under 6 750.
 func TestCompileAllocBudget(t *testing.T) {
 	src := workloads.ColorSegPaper()
 	var before, after runtime.MemStats

@@ -231,18 +231,27 @@ func TestSimAllocsIndependentOfCycles(t *testing.T) {
 }
 
 // TestRunWithSimLoadsOnce: a simulator run through the driver reads the
-// program loaded once on its Compiled, so what it allocates is the run's
-// machine state and record and the host image around them — the same at
-// eight times the cycles, and none of it a decode.  It allocated 70
-// times while every run decoded the cell and IU programs, 17 of them the
-// two decodes.
+// program its compile's verify stage loaded and proved, so what it
+// allocates is the run's machine state and record and the host image
+// around them — the same at eight times the cycles, and none of it a
+// decode.  It allocated 70 times while every run decoded the cell and IU
+// programs, 17 of them the two decodes.  And a compile and its first run
+// decode the cell program once: fft1024's compile plus the plan of its
+// first fast run allocated 6 601 times while the verifier decoded the
+// cell program on its own, and 6 583–6 584 since.
 func TestRunWithSimLoadsOnce(t *testing.T) {
 	allocs := func(points int) float64 {
 		c, err := Compile(workloads.Polynomial(10, points), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		proved := c.loaded
 		inputs := map[string][]float64{"z": make([]float64, points), "c": make([]float64, 10)}
+		defer func() {
+			if proved == nil || c.load() != proved {
+				t.Errorf("the runs read another load than the verify stage's")
+			}
+		}()
 		return alloctest.AllocsPerRun(5, func() {
 			if _, _, err := RunWith(c, inputs, RunOptions{Backend: BackendSim}); err != nil {
 				t.Fatal(err)
@@ -258,4 +267,23 @@ func TestRunWithSimLoadsOnce(t *testing.T) {
 		t.Errorf("a simulator run through RunWith allocates %v times, want at most %d", short, ceiling)
 	}
 	t.Logf("RunWith on the simulator: %v allocations", short)
+
+	if alloctest.Race { // the race detector adds about 130 allocations a compile
+		return
+	}
+	src := workloads.FFTPaper()
+	first := testing.AllocsPerRun(5, func() { // as TestCompileAllocBudget counts
+		c, err := Compile(src, Options{Pipeline: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.FastPlan(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const budget = 6601 - 16 // less the verifier's decode, one allocation of noise
+	if first > budget {
+		t.Errorf("fft1024's compile and first plan allocate %v times, want at most %d", first, budget)
+	}
+	t.Logf("fft1024 compile and first plan: %v allocations", first)
 }

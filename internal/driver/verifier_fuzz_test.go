@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"warp/internal/mcode"
+	"warp/internal/sim"
 	"warp/internal/verify"
 	"warp/internal/workloads"
 )
@@ -26,19 +27,6 @@ import (
 //     every address in the cell memory but send one that is not the
 //     address its memory field names: a retargeted table entry, a
 //     shifted immediate, a shifted address stride.
-
-// verifyProgram assembles the verifier's input from a compilation,
-// exactly as the driver's verify phase does.
-func verifyProgram(c *Compiled) verify.Program {
-	return verify.Program{
-		Cells: c.Cells,
-		Cell:  c.Cell,
-		IU:    c.IU,
-		Host:  c.Host,
-		Skew:  c.Skew,
-		Lead:  c.IUGen.Prologue + 1,
-	}
-}
 
 // ---------------------------------------------------------------------
 // Deep copies, so mutations never touch the compiled original.
@@ -126,7 +114,7 @@ func copyIUInstr(in *mcode.IUInstr) *mcode.IUInstr {
 
 type mutation struct {
 	name  string
-	apply func(p *verify.Program) bool
+	apply func(p *sim.Config) bool
 }
 
 func firstLoop(items []mcode.CodeItem) *mcode.LoopItem {
@@ -175,7 +163,7 @@ func eachIUInstr(items []mcode.IUItem, f func(*mcode.IUInstr) bool) bool {
 }
 
 var mutations = []mutation{
-	{"drop-send", func(p *verify.Program) bool {
+	{"drop-send", func(p *sim.Config) bool {
 		return eachInstr(p.Cell.Items, func(in *mcode.Instr) bool {
 			for i, io := range in.IO {
 				if !io.Recv {
@@ -186,21 +174,21 @@ var mutations = []mutation{
 			return false
 		})
 	}},
-	{"widen-trip-count", func(p *verify.Program) bool {
+	{"widen-trip-count", func(p *sim.Config) bool {
 		if l := firstLoop(p.Cell.Items); l != nil {
 			l.Trips++
 			return true
 		}
 		return false
 	}},
-	{"shrink-skew", func(p *verify.Program) bool {
+	{"shrink-skew", func(p *sim.Config) bool {
 		if p.Cells > 1 {
 			p.Skew--
 			return true
 		}
 		return false
 	}},
-	{"corrupt-register", func(p *verify.Program) bool {
+	{"corrupt-register", func(p *sim.Config) bool {
 		return eachInstr(p.Cell.Items, func(in *mcode.Instr) bool {
 			if len(in.IO) > 0 {
 				in.IO[0].Reg = mcode.NumRegs + 35
@@ -209,7 +197,7 @@ var mutations = []mutation{
 			return false
 		})
 	}},
-	{"truncate-iu-table", func(p *verify.Program) bool {
+	{"truncate-iu-table", func(p *sim.Config) bool {
 		if n := len(p.IU.Table); n > 0 {
 			p.IU.Table = p.IU.Table[:n-1]
 		} else {
@@ -217,14 +205,14 @@ var mutations = []mutation{
 		}
 		return true
 	}},
-	{"rename-loop", func(p *verify.Program) bool {
+	{"rename-loop", func(p *sim.Config) bool {
 		if l := firstLoop(p.Cell.Items); l != nil {
 			l.ID += 100
 			return true
 		}
 		return false
 	}},
-	{"flip-signal", func(p *verify.Program) bool {
+	{"flip-signal", func(p *sim.Config) bool {
 		return eachIUInstr(p.IU.Items, func(in *mcode.IUInstr) bool {
 			if in.Sig != nil && in.Sig.Static {
 				in.Sig.Continue = !in.Sig.Continue
@@ -233,7 +221,7 @@ var mutations = []mutation{
 			return false
 		})
 	}},
-	{"shift-dynamic-signal", func(p *verify.Program) bool {
+	{"shift-dynamic-signal", func(p *sim.Config) bool {
 		// Copy+1 says "stop" one cell iteration early: at the IU iteration
 		// whose iter·M + Copy is CellTrips−2.  The first dynamic signal
 		// that has such an iteration is shifted.
@@ -262,7 +250,7 @@ var mutations = []mutation{
 		}
 		return walk(p.IU.Items, 1)
 	}},
-	{"address-out-of-range", func(p *verify.Program) bool {
+	{"address-out-of-range", func(p *sim.Config) bool {
 		// The first immediate an address output reads (in listing order,
 		// before anything but an induction step rewrites the register)
 		// moves every address it feeds past the cell memory.
@@ -302,7 +290,7 @@ var mutations = []mutation{
 // (mcode.IUCode.Elaborate) picks the first site and direction that
 // does.
 var inRangeMutations = []mutation{
-	{"retarget-table-entry", func(p *verify.Program) bool {
+	{"retarget-table-entry", func(p *sim.Config) bool {
 		return retarget(p, func(yield func(*int64) bool) {
 			for i := range p.IU.Table {
 				if !yield(&p.IU.Table[i]) {
@@ -311,14 +299,14 @@ var inRangeMutations = []mutation{
 			}
 		})
 	}},
-	{"shift-immediate", func(p *verify.Program) bool {
+	{"shift-immediate", func(p *sim.Config) bool {
 		return retarget(p, func(yield func(*int64) bool) {
 			eachIUInstr(p.IU.Items, func(in *mcode.IUInstr) bool {
 				return in.Imm != nil && !yield(&in.Imm.Value)
 			})
 		})
 	}},
-	{"shift-address-stride", func(p *verify.Program) bool {
+	{"shift-address-stride", func(p *sim.Config) bool {
 		return retarget(p, func(yield func(*int64) bool) {
 			eachIUInstr(p.IU.Items, func(in *mcode.IUInstr) bool {
 				return in.Alu != nil && in.Alu.BIsImm && !yield(&in.Alu.ImmVal)
@@ -333,7 +321,7 @@ var allMutations = slices.Concat(mutations, inRangeMutations)
 // retarget moves the first of the values sites yields, by +1 or else −1,
 // that keeps every address p's IU emits in the cell memory and changes
 // at least one of them; false when none does.
-func retarget(p *verify.Program, sites func(yield func(*int64) bool)) bool {
+func retarget(p *sim.Config, sites func(yield func(*int64) bool)) bool {
 	want, ok := iuAddrs(p.IU)
 	if !ok {
 		return false
@@ -378,8 +366,8 @@ func iuAddrs(iu *mcode.IUProgram) ([]int64, bool) {
 
 // mutated builds a fresh verifier input with deep-copied programs so a
 // mutation cannot leak into the compiled original (or another mutation).
-func mutated(c *Compiled) *verify.Program {
-	p := verifyProgram(c)
+func mutated(c *Compiled) *sim.Config {
+	p := c.program()
 	p.Cell = copyCellProgram(c.Cell)
 	p.IU = copyIUProgram(c.IU)
 	return &p
@@ -393,7 +381,7 @@ func mutated(c *Compiled) *verify.Program {
 // diagnostics.
 func checkVerifierOnProgram(t *testing.T, c *Compiled, src string, inputs map[string][]float64, simulate bool) {
 	t.Helper()
-	rep, err := verify.Verify(verifyProgram(c))
+	rep, err := verify.Verify(c.load())
 	if err != nil {
 		t.Fatalf("verifier rejects a compiler-produced program: %v\n%s", err, src)
 	}
@@ -434,7 +422,7 @@ func checkVerifierOnProgram(t *testing.T, c *Compiled, src string, inputs map[st
 		if !m.apply(p) {
 			continue
 		}
-		_, err := verify.Verify(*p)
+		_, err := verify.Verify(sim.Load(*p))
 		if err == nil {
 			t.Fatalf("mutation %q not rejected\n%s", m.name, src)
 		}
@@ -509,7 +497,7 @@ func TestVerifierRejectsMutationsOnWorkloads(t *testing.T) {
 			}
 			applied++
 			sites[m.name]++
-			if _, err := verify.Verify(*p); err == nil {
+			if _, err := verify.Verify(sim.Load(*p)); err == nil {
 				t.Errorf("%s: mutation %q not rejected", name, m.name)
 			}
 		}

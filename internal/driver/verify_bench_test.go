@@ -25,18 +25,19 @@ var p8 = []struct {
 }
 
 // BenchmarkVerify times the verifier alone on each P8 program's compiled
-// output: `go test -run '^$' -bench Verify/fft1024 ./internal/driver`.
+// output, the load its compile built (sim.Load) outside the timed loop:
+// `go test -run '^$' -bench Verify/fft1024 ./internal/driver`.
 func BenchmarkVerify(b *testing.B) {
 	for _, p := range p8 {
 		c, err := Compile(p.src, Options{Pipeline: p.pipeline})
 		if err != nil {
 			b.Fatal(err)
 		}
-		prog := verifyProgram(c)
+		l := c.load()
 		b.Run(p.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := verify.Verify(prog); err != nil {
+				if _, err := verify.Verify(l); err != nil {
 					b.Fatal(err)
 				}
 			}

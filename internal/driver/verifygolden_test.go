@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"warp/internal/sim"
 	"warp/internal/verify"
 	"warp/internal/workloads"
 )
@@ -55,7 +56,7 @@ func TestVerifyGoldenReports(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			rep, err := verify.Verify(verifyProgram(c))
+			rep, err := verify.Verify(c.load())
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -107,7 +108,7 @@ func TestVerifyGoldenDiagnostics(t *testing.T) {
 			if !m.apply(p) {
 				continue
 			}
-			_, err := verify.Verify(*p)
+			_, err := verify.Verify(sim.Load(*p))
 			fmt.Fprintf(&out, "%s %s\n%s", tc.name, m.name, rejection(t, tc.name+" "+m.name, err))
 		}
 	}
@@ -120,7 +121,7 @@ func TestVerifyGoldenDiagnostics(t *testing.T) {
 			if err != nil {
 				t.Fatalf("program %d: compile (%+v): %v", i, opts, err)
 			}
-			rep, err := verify.Verify(verifyProgram(c))
+			rep, err := verify.Verify(c.load())
 			if err != nil {
 				t.Fatalf("program %d/%d: %v", i, j, err)
 			}
@@ -137,7 +138,7 @@ func TestVerifyGoldenDiagnostics(t *testing.T) {
 						continue
 					}
 					applied++
-					_, err := verify.Verify(*p)
+					_, err := verify.Verify(sim.Load(*p))
 					fmt.Fprintf(h, "%s\n%s", m.name, rejection(t, fmt.Sprintf("program %d/%d %s", i, j, m.name), err))
 				}
 				return applied, h.Sum(nil)

@@ -164,7 +164,7 @@ end
 func TestBatchLandingOrder(t *testing.T) {
 	for _, c := range mcodetest.LandingCases() {
 		t.Run(c.Name, func(t *testing.T) {
-			plan, err := fastexec.Build(fastexec.Program{Cells: 1, Cell: c.Cell, IU: c.IU, Host: c.Host, Lead: c.Lead})
+			plan, err := fastexec.Build(sim.Config{Cells: 1, Cell: c.Cell, IU: c.IU, Host: c.Host, Lead: c.Lead})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -48,12 +48,13 @@
 // split of idle cycles.
 //
 // A plan is built only for a verified program: CompileLoaded takes the
-// verifier's report, and Compile verifies the program itself.  What the
-// plan takes on trust is what verify proves — trip counts, rightward
-// flow, the host streams' lengths, every address the IU sends the one
-// the memory field names and within the words the fields are bound to,
-// every loop signal the sequencer's decision — so the build only decodes
-// and lowers, in time and space as large as the microcode.
+// verifier's report on the load it partitions, and Compile loads the
+// program, verifies the load and plans it.  What the plan takes on trust
+// is what verify proves — trip counts, rightward flow, the host streams'
+// lengths, every address the IU sends the one the memory field names and
+// within the words the fields are bound to, every loop signal the
+// sequencer's decision — so the build only partitions the load's words,
+// in time and space as large as the microcode.
 package fastexec
 
 import (
@@ -78,18 +79,9 @@ import (
 // stride.
 const ctxCheckInterval = 1 << 12
 
-// Program is the static machine configuration a plan is compiled from —
-// the same artifacts the simulator consumes.
-type Program struct {
-	Cells int
-	Cell  *mcode.CellProgram
-	IU    *mcode.IUProgram
-	Host  *hostgen.Program
-	// Skew is the cycle delay between adjacent cells' start times.
-	Skew int64
-	// Lead is the number of cycles cell 0 starts after the IU.
-	Lead int64
-}
+// Program is sim.Config, whose program fields Compile loads; kept for
+// benchmark/, see ROADMAP 1(c).
+type Program = sim.Config
 
 // Plan is a compiled execution plan.  It is immutable after Compile and
 // safe for concurrent Execute calls.
@@ -119,26 +111,22 @@ func (p *Plan) Ops() int { return int(p.counts.Ops) }
 // counts.
 func (p *Plan) Words() int { return len(p.code.Words) }
 
-// Compile builds an execution plan: it verifies the program
-// (verify.Verify), loads it (sim.Load) and builds the plan from the load
-// and the report (CompileLoaded).
+// Compile builds an execution plan: it loads the program (sim.Load),
+// verifies that load (verify.Verify) and builds the plan from both
+// (CompileLoaded), so the words proven are the words planned.  What the
+// verifier refuses, a missing cell, IU or host program included, it refuses.
 func Compile(p Program) (*Plan, error) {
-	if p.Cells < 1 {
-		return nil, fmt.Errorf("fastexec: need at least one cell")
-	}
-	if p.Cell == nil || p.IU == nil || p.Host == nil {
-		return nil, fmt.Errorf("fastexec: incomplete program (cell, IU and host programs are all required)")
-	}
-	rep, err := verify.Verify(verify.Program{Cells: p.Cells, Cell: p.Cell, IU: p.IU, Host: p.Host, Skew: p.Skew, Lead: p.Lead})
+	l := sim.Load(p)
+	rep, err := verify.Verify(l)
 	if err != nil {
 		return nil, fmt.Errorf("fastexec: %w", err)
 	}
-	return CompileLoaded(sim.Load(sim.Config{Cells: p.Cells, Cell: p.Cell, IU: p.IU, Host: p.Host, Skew: p.Skew, Lead: p.Lead}), rep)
+	return CompileLoaded(l, rep)
 }
 
 // CompileLoaded builds the execution plan of a loaded program from its
 // decoded words and its count.  rep is the report verify.Verify returned
-// for the same program, the proof of what the plan takes on trust; a nil
+// for the same load, the proof of what the plan takes on trust; a nil
 // report builds nothing.
 func CompileLoaded(l *sim.Loaded, rep *verify.Report) (*Plan, error) {
 	if rep == nil {
@@ -147,7 +135,7 @@ func CompileLoaded(l *sim.Loaded, rep *verify.Report) (*Plan, error) {
 	return build(l)
 }
 
-// build decodes and lowers.
+// build partitions the load's decoded words (partition).
 func build(l *sim.Loaded) (*Plan, error) {
 	counts, err := l.Count()
 	if err != nil {

@@ -33,7 +33,7 @@ func planFor(t *testing.T, src string, opts driver.Options) (*driver.Compiled, *
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	plan, err := fastexec.Compile(fastexec.Program{
+	plan, err := fastexec.Compile(sim.Config{
 		Cells: c.Cells,
 		Cell:  c.Cell,
 		IU:    c.IU,

@@ -35,7 +35,7 @@ func TestPlanSizeIndependentOfTrips(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prog := fastexec.Program{Cells: c.Cells, Cell: c.Cell, IU: c.IU, Host: c.Host, Skew: c.Skew, Lead: c.IUGen.Prologue + 1}
+		prog := sim.Config{Cells: c.Cells, Cell: c.Cell, IU: c.IU, Host: c.Host, Skew: c.Skew, Lead: c.IUGen.Prologue + 1}
 		var plan *fastexec.Plan
 		build := func() {
 			if plan, err = fastexec.Compile(prog); err != nil {
@@ -319,7 +319,7 @@ func TestLoopShapesMatchSimulator(t *testing.T) {
 			// before its FPU result lands, which the verifier refuses, so
 			// the plans are built without its report.
 			ic, _ := mcode.CountIU(iu)
-			prog := fastexec.Program{Cells: n.cells, Cell: cell, IU: iu, Host: host, Skew: cell.Cycles(), Lead: ic.Cycles + 1}
+			prog := sim.Config{Cells: n.cells, Cell: cell, IU: iu, Host: host, Skew: cell.Cycles(), Lead: ic.Cycles + 1}
 			plan, err := fastexec.Build(prog)
 			if err != nil {
 				t.Fatal(err)

@@ -53,8 +53,8 @@ func host(in, out int) *hostgen.Program {
 // wellFormed is the smallest verified program of these shapes: buf[4+i]
 // is loaded over two iterations, the IU reading both addresses from its
 // table.
-func wellFormed(table ...int64) fastexec.Program {
-	return fastexec.Program{Cells: 1, Lead: 2,
+func wellFormed(table ...int64) sim.Config {
+	return sim.Config{Cells: 1, Lead: 2,
 		Cell: cell(&mcode.LoopItem{ID: 3, Trips: 2, Src: idx, Step: 1,
 			Body: []mcode.CodeItem{code(walk, recv(w2.DirL), send(w2.DirR))}}),
 		IU: &mcode.IUProgram{Items: []mcode.IUItem{
@@ -66,46 +66,49 @@ func wellFormed(table ...int64) fastexec.Program {
 
 // TestCompileRejections pins what Compile says of each program that
 // once failed one of the plan build's own checks.  Compile verifies
-// first, so the IU-stream checks are the verifier's diagnostics now
-// (TestPlanChecksInVerifier pins them in internal/verify), a program
-// past the old 2²²-cycle caps builds (want ""), and the programs of the
-// checks the build once made on the cell program are refused by the
-// verifier too.  The fixtures start cell 0 a cycle after the IU, as the
-// verifier requires.
+// first, so the shape and IU-stream checks are the verifier's
+// diagnostics now (TestPlanChecksInVerifier pins the IU's in
+// internal/verify), a program past the old 2²²-cycle caps builds (want
+// ""), and the programs of the checks the build once made on the cell
+// program are refused by the verifier too.  The fixtures start cell 0 a
+// cycle after the IU, as the verifier requires.
 func TestCompileRejections(t *testing.T) {
 	huge := int64(1) << 23 // over the 1<<22-cycle trace cap
 	load := &mcode.Instr{Mem: [mcode.MemPorts]mcode.MemOp{{Kind: mcode.MemLoad, Reg: 1, Addr: mcode.AddrInfo{Sym: sym}}}}
 	dyn := &mcode.IUInstr{Sig: &mcode.IUSig{LoopID: 3, M: 1, CellTrips: huge}}
 	cases := []struct {
 		name string
-		p    fastexec.Program
+		p    sim.Config
 		want string
 	}{
 		{"no-cells",
-			fastexec.Program{Cells: 0, Cell: cell(), IU: iu(), Host: host(0, 0)},
-			"fastexec: need at least one cell"},
+			sim.Config{Cells: 0, Cell: cell(), IU: iu(), Host: host(0, 0)},
+			"fastexec: verify: [structure]: array of 0 cells"},
 		{"incomplete",
-			fastexec.Program{Cells: 1, Cell: cell(), IU: iu()},
-			"fastexec: incomplete program (cell, IU and host programs are all required)"},
+			sim.Config{Cells: 1, Cell: cell(), IU: iu()},
+			"fastexec: verify: [structure]: missing cell, IU or host program"},
+		{"no-programs", // loaded all the same (sim.Load), and refused alike
+			sim.Config{Cells: 1},
+			"fastexec: verify: [structure]: missing cell, IU or host program"},
 		{"cell-trace-cap",
-			fastexec.Program{Cells: 1, Lead: 1, Cell: cell(loop(3, huge, code(&mcode.Instr{}))),
+			sim.Config{Cells: 1, Lead: 1, Cell: cell(loop(3, huge, code(&mcode.Instr{}))),
 				IU: iu(&mcode.IULoop{ID: 0, Trips: huge, Body: []mcode.IUItem{iuCode(dyn)}}), Host: host(0, 0)},
 			""},
 		{"iu-trace-cap",
-			fastexec.Program{Cells: 1, Lead: 1, Cell: cell(),
+			sim.Config{Cells: 1, Lead: 1, Cell: cell(),
 				IU:   iu(&mcode.IULoop{ID: 3, Trips: huge, Body: []mcode.IUItem{iuCode(&mcode.IUInstr{})}}),
 				Host: host(0, 0)},
 			""},
 		{"iu-table-over-read",
-			fastexec.Program{Cells: 1, Lead: 1, Cell: cell(code(load)),
+			sim.Config{Cells: 1, Lead: 1, Cell: cell(code(load)),
 				IU:   &mcode.IUProgram{Items: []mcode.IUItem{iuCode(&mcode.IUInstr{Out: [mcode.MemPorts]*mcode.IUOut{{FromTable: true}, {FromTable: true}}})}, Table: []int64{7}},
 				Host: host(0, 0)},
 			"fastexec: verify: 2 invariant violations:\n  instr 0 [addr-stream]: IU reads past the end of its 1-entry address table at cycle 0\n  [addr-stream]: IU emits 2 addresses but each cell makes 1 memory references"},
 		{"address-stream-dry",
-			fastexec.Program{Cells: 1, Lead: 1, Cell: cell(code(&mcode.Instr{}, load)), IU: iu(), Host: host(0, 0)},
+			sim.Config{Cells: 1, Lead: 1, Cell: cell(code(&mcode.Instr{}, load)), IU: iu(), Host: host(0, 0)},
 			"fastexec: verify: [addr-stream]: IU emits 0 addresses but each cell makes 1 memory references"},
 		{"address-out-of-range",
-			fastexec.Program{Cells: 1, Lead: 1, Cell: cell(code(&mcode.Instr{}, load)),
+			sim.Config{Cells: 1, Lead: 1, Cell: cell(code(&mcode.Instr{}, load)),
 				IU: iu(iuCode(
 					&mcode.IUInstr{Imm: &mcode.IUImm{Dst: 2, Value: 5000}},
 					&mcode.IUInstr{Out: [mcode.MemPorts]*mcode.IUOut{{Src: 2}}})),
@@ -114,35 +117,35 @@ func TestCompileRejections(t *testing.T) {
 		{"address-mismatch", wellFormed(4, 6), // in range, but the second iteration loads buf[4+1]
 			"fastexec: verify: instr 2 [addr-value]: address 1: the IU sends 6 at cycle 2 where cell instruction 0 port 0 (buf+i) names 5"},
 		{"signal-stream-dry",
-			fastexec.Program{Cells: 1, Lead: 1, Cell: cell(loop(3, 2, code(&mcode.Instr{}))),
+			sim.Config{Cells: 1, Lead: 1, Cell: cell(loop(3, 2, code(&mcode.Instr{}))),
 				IU: iu(iuCode(sig(3, true))), Host: host(0, 0)},
 			"fastexec: verify: [sig-stream]: IU emits 1 loop signals but each cell crosses 2 loop boundaries"},
 		{"signal-mismatch",
-			fastexec.Program{Cells: 1, Lead: 1, Cell: cell(loop(3, 2, code(&mcode.Instr{}))),
+			sim.Config{Cells: 1, Lead: 1, Cell: cell(loop(3, 2, code(&mcode.Instr{}))),
 				IU: iu(iuCode(sig(3, true), sig(4, false))), Host: host(0, 0)},
 			"fastexec: verify: instr 1 loop L3 [sig-stream]: signal 1: IU sends L4(more=false) but the sequencer crosses L3(more=false)"},
 		{"cell-trip-count",
-			fastexec.Program{Cells: 1, Lead: 1, Cell: cell(loop(3, 0, code(&mcode.Instr{}))), IU: iu(), Host: host(0, 0)},
+			sim.Config{Cells: 1, Lead: 1, Cell: cell(loop(3, 0, code(&mcode.Instr{}))), IU: iu(), Host: host(0, 0)},
 			"fastexec: verify: [structure]: cell program: loop L3: 0 trips"},
 		{"iu-trip-count",
-			fastexec.Program{Cells: 1, Lead: 1, Cell: cell(),
+			sim.Config{Cells: 1, Lead: 1, Cell: cell(),
 				IU:   iu(&mcode.IULoop{ID: 3, Trips: -1, Body: []mcode.IUItem{iuCode(&mcode.IUInstr{})}}),
 				Host: host(0, 0)},
 			"fastexec: verify: [structure]: IU program: IU loop L3: -1 trips"},
 		{"empty-loop-body",
-			fastexec.Program{Cells: 1, Lead: 1, Cell: cell(loop(3, 2, code())), IU: iu(), Host: host(0, 0)},
+			sim.Config{Cells: 1, Lead: 1, Cell: cell(loop(3, 2, code())), IU: iu(), Host: host(0, 0)},
 			"fastexec: verify: [structure]: cell program: loop L3: empty body"},
 		{"receive-from-right",
-			fastexec.Program{Cells: 1, Lead: 1, Cell: cell(code(recv(w2.DirR))), IU: iu(), Host: host(1, 0)},
+			sim.Config{Cells: 1, Lead: 1, Cell: cell(code(recv(w2.DirR))), IU: iu(), Host: host(1, 0)},
 			"fastexec: verify: instr 0 [structure]: receive from the right: rightward flow only"},
 		{"send-to-left",
-			fastexec.Program{Cells: 1, Lead: 1, Cell: cell(code(send(w2.DirL))), IU: iu(), Host: host(0, 1)},
+			sim.Config{Cells: 1, Lead: 1, Cell: cell(code(send(w2.DirL))), IU: iu(), Host: host(0, 1)},
 			"fastexec: verify: instr 0 [structure]: send to the left: rightward flow only"},
 		{"host-input-short",
-			fastexec.Program{Cells: 1, Lead: 1, Cell: cell(code(recv(w2.DirL), recv(w2.DirL))), IU: iu(), Host: host(1, 0)},
+			sim.Config{Cells: 1, Lead: 1, Cell: cell(code(recv(w2.DirL), recv(w2.DirL))), IU: iu(), Host: host(1, 0)},
 			"fastexec: verify: cell 0 [host-stream]: host feeds 1 words on X but the first cell receives 2"},
 		{"host-output-short",
-			fastexec.Program{Cells: 1, Lead: 1, Cell: cell(code(send(w2.DirR), send(w2.DirR))), IU: iu(), Host: host(0, 1)},
+			sim.Config{Cells: 1, Lead: 1, Cell: cell(code(send(w2.DirR), send(w2.DirR))), IU: iu(), Host: host(0, 1)},
 			"fastexec: verify: cell 0 [host-stream]: host expects 1 words on Y but the last cell sends 2"},
 	}
 	for _, tc := range cases {
@@ -175,9 +178,7 @@ func TestCompileRejections(t *testing.T) {
 
 // TestCompileLoadedNeedsReport: no report, no plan.
 func TestCompileLoadedNeedsReport(t *testing.T) {
-	p := wellFormed(4, 5)
-	l := sim.Load(sim.Config{Cells: p.Cells, Cell: p.Cell, IU: p.IU, Host: p.Host, Skew: p.Skew, Lead: p.Lead})
-	plan, err := fastexec.CompileLoaded(l, nil)
+	plan, err := fastexec.CompileLoaded(sim.Load(wellFormed(4, 5)), nil)
 	if want := "fastexec: no verification report: a plan is built only for a verified program"; err == nil || err.Error() != want {
 		t.Fatalf("CompileLoaded(nil report) = %v, %v; want error %q", plan, err, want)
 	}
@@ -199,7 +200,7 @@ func TestFarAddressRunsAlike(t *testing.T) {
 	store.Mem[0] = mcode.MemOp{Kind: mcode.MemStore, Reg: 1, Addr: far}
 	load.Mem[0] = mcode.MemOp{Kind: mcode.MemLoad, Reg: 2, Addr: far}
 	out := &mcode.IUInstr{Out: [mcode.MemPorts]*mcode.IUOut{{Src: 2}}}
-	p := fastexec.Program{Cells: 2, Skew: 4, Lead: 1,
+	p := sim.Config{Cells: 2, Skew: 4, Lead: 1,
 		Cell: cell(&mcode.LoopItem{ID: 3, Trips: 1, Src: big, First: 1 << 60, Step: 1, Body: []mcode.CodeItem{code(
 			&mcode.Instr{IO: []mcode.IOOp{{Recv: true, Dir: w2.DirL, Chan: w2.ChanX, Reg: 1}}},
 			store, load,

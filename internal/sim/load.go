@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+
 	"warp/internal/mcode"
 	"warp/internal/obs"
 	"warp/internal/w2"
@@ -29,12 +31,22 @@ type Loaded struct {
 	crossFits bool
 }
 
+// errMissing is what a load of a program without a cell or an IU program
+// holds in place of their decodes and count.
+var errMissing = errors.New("sim: missing cell or IU program")
+
 // Load decodes and counts the program cfg's program fields describe
-// (Cells, Cell, IU, Host, Skew and Lead; the run fields are not read).
-// What the decoders and the count refuse is kept, not returned: each
-// executor refuses what it cannot run, in its own order.
+// (Cells, Cell, IU, Host, Skew and Lead; the run fields are not read):
+// the one decode of a program, which the verifier proves and the
+// executors run.  What the decoders and the count refuse, a missing cell
+// or IU program included, is kept, not returned: the verifier and each
+// executor refuse it in their own order.
 func Load(cfg Config) *Loaded {
 	l := &Loaded{cfg: Config{Cells: cfg.Cells, Cell: cfg.Cell, IU: cfg.IU, Host: cfg.Host, Skew: cfg.Skew, Lead: cfg.Lead}}
+	if cfg.IU == nil || cfg.Cell == nil {
+		l.codeErr, l.iuErr, l.countErr = errMissing, errMissing, errMissing
+		return l
+	}
 	code, err := mcode.Decode(cfg.Cell)
 	l.code, l.codeErr = *code, err
 	l.crossFits = err == nil && crossFits(code)

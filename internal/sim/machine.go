@@ -209,15 +209,10 @@ type machine struct {
 // overflow, a loop signal that contradicts the sequencer, a host stream
 // overrun or left unfinished, words left in a queue — is an error.  It
 // loads the program (Load), then runs it.
-func Run(cfg Config) (*Stats, error) {
-	if err := cfg.check(); err != nil {
-		return nil, err
-	}
-	return run(Load(cfg), cfg, nil)
-}
+func Run(cfg Config) (*Stats, error) { return run(Load(cfg), cfg, nil) }
 
-// check refuses a machine the simulator cannot build, before any of its
-// program is read.
+// check refuses a machine the simulator cannot build, before a cell
+// steps a word of its program.
 func (cfg *Config) check() error {
 	if cfg.Cells < 1 {
 		return errors.New("sim: need at least one cell")

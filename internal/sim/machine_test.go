@@ -76,8 +76,9 @@ func runBoth(t *testing.T, cfg Config) error {
 }
 
 // TestRunRefusesMachine: a machine of no cells or a negative skew is
-// refused before its program is read, so a zero Config is an error, not a
-// fault; a loaded program refuses the same way.
+// refused before a cell steps, and a zero Config, which has no program to
+// load (Load is total), is an error, not a fault; a loaded program
+// refuses the same way.
 func TestRunRefusesMachine(t *testing.T) {
 	for _, tc := range []struct {
 		cfg  Config

@@ -12,6 +12,7 @@ import (
 	"warp/internal/cellgen"
 	"warp/internal/driver"
 	"warp/internal/mcode"
+	"warp/internal/sim"
 	"warp/internal/skew"
 	"warp/internal/verify"
 	"warp/internal/w2"
@@ -195,7 +196,7 @@ func TestVerifyWalkFollowsTree(t *testing.T) {
 		}
 		var walked int64
 		stop := skew.CountWalked(func(n int64) { walked += n })
-		rep, err := verify.Verify(verify.Program{Cells: c.Cells, Cell: c.Cell, IU: c.IU, Host: c.Host, Skew: c.Skew, Lead: c.IUGen.Prologue + 1})
+		rep, err := verify.Verify(sim.Load(sim.Config{Cells: c.Cells, Cell: c.Cell, IU: c.IU, Host: c.Host, Skew: c.Skew, Lead: c.IUGen.Prologue + 1}))
 		stop()
 		if err != nil {
 			t.Fatal(err)

@@ -4,12 +4,13 @@ import (
 	"fmt"
 
 	"warp/internal/mcode"
+	"warp/internal/sim"
 )
 
 // addr.go proves that every address the IU emits is the one the memory
 // field popping it names, over the whole run, with no event enumerated.
-// The cell side is the binding the fast executor runs — mcode.Decode's
-// Mems and Terms — read into a tree of the memory fields and the loops
+// The cell side is the binding both executors run — the Mems and Terms
+// of the load's decode (sim.Loaded.Code) — read into a tree of the memory fields and the loops
 // that hold one; the IU side is the register fold's forms.  The fold's
 // walk (iu.go) carries a cursor over the cell tree and compares each
 // address with the next field's as it observes it.
@@ -353,7 +354,7 @@ func coef(v form, d int) int64 {
 // already failed — and found every address in the cell memory.  A field
 // whose binding did not resolve fails outright; only a failed structural
 // proof enumerates, to name each address that differs.
-func checkAddrValues(p Program, iu *iuCode, cells *cellRefs, m *adrMatch, rep *Report, col *collector) {
+func checkAddrValues(p sim.Config, iu *iuCode, cells *cellRefs, m *adrMatch, rep *Report, col *collector) {
 	switch {
 	case cells.code.Unbound != nil:
 		col.add(Diagnostic{Invariant: InvAddrValue, Cell: -1, Instr: -1, Loop: -1,

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"warp/internal/mcode"
+	"warp/internal/sim"
 	"warp/internal/skew"
 	"warp/internal/w2"
 )
@@ -83,7 +84,7 @@ func compareQueue(name string, pushes, pops []skew.Node, shift int64) error {
 // enumeration — and returns the first disagreement.  It also checks the
 // IU proofs against the elaborated trace, event for event (compareIU),
 // and the boundary tree's normal form against its enumeration.
-func Differential(p Program) error {
+func Differential(p sim.Config) error {
 	cs := skew.CellStreams(p.Cell)
 	for _, ch := range []w2.Channel{w2.ChanX, w2.ChanY} {
 		if err := compareQueue("channel "+ch.String(), cs.Data[ch], cs.Data[ch], p.Skew); err != nil {
@@ -139,9 +140,9 @@ func Differential(p Program) error {
 // proof must see every IU address equal to its field's and within the
 // fields' envelope.  decided reports whether the structural proof
 // accepted.
-func compareAddrValues(p Program) (decided bool, err error) {
+func compareAddrValues(p sim.Config) (decided bool, err error) {
 	iu := decodeIU(p.IU)
-	code, err := mcode.Decode(p.Cell)
+	code, err := sim.Load(p).Code()
 	if err != nil {
 		return false, err
 	}
@@ -176,7 +177,7 @@ func compareAddrValues(p Program) (decided bool, err error) {
 
 // AddrValuesDecided reports whether the structural address proof accepts
 // p, the enumerating renderer unneeded.
-func AddrValuesDecided(p Program) bool {
+func AddrValuesDecided(p sim.Config) bool {
 	decided, err := compareAddrValues(p)
 	return decided && err == nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"warp/internal/mcode"
+	"warp/internal/sim"
 )
 
 // Quick-check of the IU proofs on hand-built random IU nests, against
@@ -209,7 +210,7 @@ func TestSignalsRenderedWhenFormsDiffer(t *testing.T) {
 		return &mcode.IUInstr{Sig: &mcode.IUSig{LoopID: id, Static: true, Continue: more}}
 	}
 	p.IU.Items = []mcode.IUItem{&mcode.IUStraight{Instrs: []*mcode.IUInstr{sig(2, false), sig(1, true), sig(2, false), sig(1, false)}}}
-	rep, err := Verify(p)
+	rep, err := Verify(sim.Load(p))
 	if err != nil {
 		t.Fatal(err)
 	}

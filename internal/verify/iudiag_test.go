@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"warp/internal/mcode"
+	"warp/internal/sim"
 	"warp/internal/w2"
 )
 
@@ -41,10 +42,10 @@ func TestIUStreamDiagnostics(t *testing.T) {
 
 	cases := []struct {
 		name  string
-		build func() Program
+		build func() sim.Config
 		want  []string // nil: accepted
 	}{
-		{"table-over-read", func() Program {
+		{"table-over-read", func() sim.Config {
 			// Three table reads against a two-entry table; the first
 			// over-read is the third, on IU instruction 2 at cycle 2.
 			p := program(0, 0, straight(append(nops(3), load(), load(), load())...))
@@ -55,7 +56,7 @@ func TestIUStreamDiagnostics(t *testing.T) {
 		}, []string{
 			`addr-stream cell=-1 instr=2 loop=-1 "IU reads past the end of its 2-entry address table at cycle 2"`,
 		}},
-		{"late-address", func() Program {
+		{"late-address", func() sim.Config {
 			// The load pops at cell cycle 0 = IU cycle 1 (lead 1); the
 			// address leaves the IU at cycle 2.
 			p := program(0, 0, straight(load()))
@@ -64,14 +65,14 @@ func TestIUStreamDiagnostics(t *testing.T) {
 		}, []string{
 			`addr-stream cell=0 instr=0 loop=-1 "memory reference 0 pops the Adr queue at cycle 1 but the IU emits the address only at cycle 2"`,
 		}},
-		{"late-signal", func() Program {
+		{"late-signal", func() sim.Config {
 			p := program(0, 0, &mcode.LoopItem{ID: 3, Trips: 1, Body: []mcode.CodeItem{straight(&mcode.Instr{})}})
 			p.IU.Items = []mcode.IUItem{iuCode(&mcode.IUInstr{}, &mcode.IUInstr{}, sig(3, false))}
 			return p
 		}, []string{
 			`sig-stream cell=0 instr=2 loop=3 "signal 0 arrives at IU cycle 2, after cell 0 needs it at cycle 1"`,
 		}},
-		{"same-register-tie", func() Program {
+		{"same-register-tie", func() sim.Config {
 			// a1 <- #9 and a1 <- a0 + #5000 issue together: the adder's
 			// result lands last, so the address emitted next cycle is 5000.
 			p := program(0, 0, straight(append(nops(2), load())...))
@@ -82,7 +83,7 @@ func TestIUStreamDiagnostics(t *testing.T) {
 		}, []string{
 			`addr-stream cell=-1 instr=1 loop=-1 "IU emits address 5000 at cycle 1, outside the 4096-word cell memory"`,
 		}},
-		{"write-lands-next-cycle", func() Program {
+		{"write-lands-next-cycle", func() sim.Config {
 			// The output in the same instruction as the write still reads
 			// the old register (0); one cycle later it reads 5000.
 			p := program(0, 0, straight(append(nops(2), load(), load())...))
@@ -93,7 +94,7 @@ func TestIUStreamDiagnostics(t *testing.T) {
 		}, []string{
 			`addr-stream cell=-1 instr=1 loop=-1 "IU emits address 5000 at cycle 1, outside the 4096-word cell memory"`,
 		}},
-		{"dynamic-signals", func() Program {
+		{"dynamic-signals", func() sim.Config {
 			// A 6-trip cell loop driven by a 3-trip IU loop unrolled twice:
 			// copies 0 and 1 of cell iteration iter·2+copy.
 			p := program(0, 0, &mcode.LoopItem{ID: 3, Trips: 6, Body: []mcode.CodeItem{straight(&mcode.Instr{})}})
@@ -103,7 +104,7 @@ func TestIUStreamDiagnostics(t *testing.T) {
 			p.IU.Items = []mcode.IUItem{&mcode.IULoop{ID: 3, Trips: 3, Body: []mcode.IUItem{iuCode(dyn(0), dyn(1))}}}
 			return p
 		}, nil},
-		{"neither-translation-nor-reset", func() Program {
+		{"neither-translation-nor-reset", func() sim.Config {
 			// a1 doubles every iteration: no affine form in the counter
 			// holds it, so the address range is left unproven.
 			p := program(0, 0, straight(&mcode.Instr{}))
@@ -113,7 +114,7 @@ func TestIUStreamDiagnostics(t *testing.T) {
 		}, []string{
 			`unproven cell=-1 instr=-1 loop=3 "IU loop L3 neither translates nor resets a1; address range unproven"`,
 		}},
-		{"iu-over-cycle-limit", func() Program {
+		{"iu-over-cycle-limit", func() sim.Config {
 			// The IU over-reads its table, then idles for 2²⁴ cycles: there
 			// is no cycle cap, so the over-read is the only finding.
 			p := program(0, 0, straight(load()))
@@ -125,7 +126,7 @@ func TestIUStreamDiagnostics(t *testing.T) {
 		}, []string{
 			`addr-stream cell=-1 instr=0 loop=-1 "IU reads past the end of its 0-entry address table at cycle 0"`,
 		}},
-		{"cell-over-cycle-limit", func() Program {
+		{"cell-over-cycle-limit", func() sim.Config {
 			// A (2²⁴+1)-trip cell loop and the IU loop that signals it.
 			const trips = 1<<24 + 1
 			p := program(0, 0, &mcode.LoopItem{ID: 3, Trips: trips, Body: []mcode.CodeItem{straight(&mcode.Instr{})}})
@@ -134,7 +135,7 @@ func TestIUStreamDiagnostics(t *testing.T) {
 			p.IU.Items = []mcode.IUItem{&mcode.IULoop{ID: 3, Trips: trips, Body: []mcode.IUItem{iuCode(dyn)}}}
 			return p
 		}, nil},
-		{"nest-of-2^40", func() Program {
+		{"nest-of-2^40", func() sim.Config {
 			// 2²⁸ rows of 2¹² loads of word j: the IU steps its address
 			// register per load and resets it per row, so every address is
 			// in range and the one the load names.
@@ -160,7 +161,7 @@ func TestIUStreamDiagnostics(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var got []string
-			if _, err := Verify(tc.build()); err != nil {
+			if _, err := Verify(sim.Load(tc.build())); err != nil {
 				for _, d := range err.(*Error).Diags {
 					got = append(got, fmt.Sprintf("%s cell=%d instr=%d loop=%d %q", d.Invariant, d.Cell, d.Instr, d.Loop, d.Detail))
 				}
@@ -199,7 +200,7 @@ func TestPlanChecksInVerifier(t *testing.T) {
 	}
 	i := &w2.ForStmt{Var: "i"}
 	// buf[4+i] loaded over two iterations, both addresses from the table.
-	walk := func(tbl ...int64) Program {
+	walk := func(tbl ...int64) sim.Config {
 		p := program(0, 0, &mcode.LoopItem{ID: 3, Trips: 2, Src: i, Step: 1, Body: []mcode.CodeItem{
 			straight(load(mcode.AddrInfo{Sym: buf, Base: 4, Affine: w2.AffVar(i)}), &mcode.Instr{}, &mcode.Instr{})}})
 		p.IU.Items = []mcode.IUItem{iuCode(table(), &mcode.IUInstr{}, sig(3, true), table(), &mcode.IUInstr{}, sig(3, false))}
@@ -208,10 +209,10 @@ func TestPlanChecksInVerifier(t *testing.T) {
 	}
 	cases := []struct {
 		name  string
-		build func() Program
+		build func() sim.Config
 		want  []string
 	}{
-		{"iu-table-over-read", func() Program {
+		{"iu-table-over-read", func() sim.Config {
 			p := program(0, 0, straight(load(mcode.AddrInfo{Sym: buf})))
 			out := &mcode.IUInstr{Out: [mcode.MemPorts]*mcode.IUOut{{FromTable: true}, {FromTable: true}}}
 			p.IU = &mcode.IUProgram{Items: []mcode.IUItem{iuCode(out)}, Table: []int64{7}}
@@ -220,12 +221,12 @@ func TestPlanChecksInVerifier(t *testing.T) {
 			`addr-stream cell=-1 instr=0 loop=-1 "IU reads past the end of its 1-entry address table at cycle 0"`,
 			`addr-stream cell=-1 instr=-1 loop=-1 "IU emits 2 addresses but each cell makes 1 memory references"`,
 		}},
-		{"address-stream-dry", func() Program {
+		{"address-stream-dry", func() sim.Config {
 			return program(0, 0, straight(&mcode.Instr{}, load(mcode.AddrInfo{Sym: buf})))
 		}, []string{
 			`addr-stream cell=-1 instr=-1 loop=-1 "IU emits 0 addresses but each cell makes 1 memory references"`,
 		}},
-		{"address-out-of-range", func() Program {
+		{"address-out-of-range", func() sim.Config {
 			p := program(0, 0, straight(&mcode.Instr{}, load(mcode.AddrInfo{Sym: buf})))
 			p.IU.Items = []mcode.IUItem{iuCode(&mcode.IUInstr{Imm: &mcode.IUImm{Dst: 2, Value: 5000}},
 				&mcode.IUInstr{Out: [mcode.MemPorts]*mcode.IUOut{{Src: 2}}})}
@@ -233,10 +234,10 @@ func TestPlanChecksInVerifier(t *testing.T) {
 		}, []string{
 			`addr-stream cell=-1 instr=1 loop=-1 "IU emits address 5000 at cycle 1, outside the 4096-word cell memory"`,
 		}},
-		{"address-mismatch", func() Program { return walk(4, 6) }, []string{
+		{"address-mismatch", func() sim.Config { return walk(4, 6) }, []string{
 			`addr-value cell=-1 instr=3 loop=-1 "address 1: the IU sends 6 at cycle 3 where cell instruction 0 port 0 (buf+i) names 5"`,
 		}},
-		{"address-outside-envelope", func() Program {
+		{"address-outside-envelope", func() sim.Config {
 			// buf[2⁶⁰+100 − i] at i = 2⁶⁰ is word 100, and so is the
 			// fields' envelope, bound exactly: bound in floating point it
 			// rounded to the one word 0, and the IU's 100 fell outside it.
@@ -250,7 +251,7 @@ func TestPlanChecksInVerifier(t *testing.T) {
 				&mcode.IUInstr{Out: [mcode.MemPorts]*mcode.IUOut{{Src: 2}}}, sig(3, false))}
 			return p
 		}, nil},
-		{"unbound-field", func() Program {
+		{"unbound-field", func() sim.Config {
 			// buf[j] outside any loop over j: the field's address binds to
 			// nothing, whatever the IU sends.
 			p := program(0, 0, straight(&mcode.Instr{}, load(mcode.AddrInfo{Sym: buf, Affine: w2.AffVar(&w2.ForStmt{Var: "j"})})))
@@ -259,33 +260,33 @@ func TestPlanChecksInVerifier(t *testing.T) {
 		}, []string{
 			`addr-value cell=-1 instr=-1 loop=-1 "a memory field's address buf+j references loop j outside its scope"`,
 		}},
-		{"signal-stream-dry", func() Program {
+		{"signal-stream-dry", func() sim.Config {
 			p := program(0, 0, &mcode.LoopItem{ID: 3, Trips: 2, Body: []mcode.CodeItem{straight(&mcode.Instr{})}})
 			p.IU.Items = []mcode.IUItem{iuCode(sig(3, true))}
 			return p
 		}, []string{
 			`sig-stream cell=-1 instr=-1 loop=-1 "IU emits 1 loop signals but each cell crosses 2 loop boundaries"`,
 		}},
-		{"signal-mismatch", func() Program {
+		{"signal-mismatch", func() sim.Config {
 			p := program(0, 0, &mcode.LoopItem{ID: 3, Trips: 2, Body: []mcode.CodeItem{straight(&mcode.Instr{})}})
 			p.IU.Items = []mcode.IUItem{iuCode(sig(3, true), sig(4, false))}
 			return p
 		}, []string{
 			`sig-stream cell=-1 instr=1 loop=3 "signal 1: IU sends L4(more=false) but the sequencer crosses L3(more=false)"`,
 		}},
-		{"iu-trip-count", func() Program {
+		{"iu-trip-count", func() sim.Config {
 			p := program(0, 0, straight(&mcode.Instr{}))
 			p.IU.Items = []mcode.IUItem{&mcode.IULoop{ID: 3, Trips: -1, Body: []mcode.IUItem{iuCode(&mcode.IUInstr{})}}}
 			return p
 		}, []string{
 			`structure cell=-1 instr=-1 loop=-1 "IU program: IU loop L3: -1 trips"`,
 		}},
-		{"well-formed", func() Program { return walk(4, 5) }, nil},
+		{"well-formed", func() sim.Config { return walk(4, 5) }, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var got []string
-			if _, err := Verify(tc.build()); err != nil {
+			if _, err := Verify(sim.Load(tc.build())); err != nil {
 				for _, d := range err.(*Error).Diags {
 					got = append(got, fmt.Sprintf("%s cell=%d instr=%d loop=%d %q", d.Invariant, d.Cell, d.Instr, d.Loop, d.Detail))
 				}

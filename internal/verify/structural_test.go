@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"warp/internal/driver"
+	"warp/internal/sim"
 	"warp/internal/verify"
 	"warp/internal/workloads"
 )
@@ -16,8 +17,8 @@ import (
 // tree_test.go; this file needs the compiler, hence the external
 // package.)
 
-func verifyProgram(c *driver.Compiled) verify.Program {
-	return verify.Program{Cells: c.Cells, Cell: c.Cell, IU: c.IU, Host: c.Host, Skew: c.Skew, Lead: c.IUGen.Prologue + 1}
+func verifyProgram(c *driver.Compiled) sim.Config {
+	return sim.Config{Cells: c.Cells, Cell: c.Cell, IU: c.IU, Host: c.Host, Skew: c.Skew, Lead: c.IUGen.Prologue + 1}
 }
 
 func testdata(t *testing.T, name string) string {
@@ -102,7 +103,7 @@ func TestStructuralSweepMatchesEnumeration(t *testing.T) {
 // included.
 func TestIUProofsDecideCorpus(t *testing.T) {
 	compileCorpus(t, func(name string, c *driver.Compiled) {
-		rep, err := verify.Verify(verifyProgram(c))
+		rep, err := verify.Verify(sim.Load(verifyProgram(c)))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -143,13 +144,13 @@ func TestVerifyCostIndependentOfTrips(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
-			p := verifyProgram(c)
-			rep, err := verify.Verify(p)
+			l := sim.Load(verifyProgram(c))
+			rep, err := verify.Verify(l)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
 			evals[i], steps[i] = rep.Evals, rep.Steps
-			allocs[i] = testing.AllocsPerRun(3, func() { verify.Verify(p) })
+			allocs[i] = testing.AllocsPerRun(3, func() { verify.Verify(l) })
 		}
 		t.Logf("%s: %d/%d point evaluations, %d/%d IU proof steps, %.0f/%.0f allocations", tc.name, evals[0], evals[1], steps[0], steps[1], allocs[0], allocs[1])
 		if !tc.plain && evals[0] != evals[1] || evals[0] == 0 {

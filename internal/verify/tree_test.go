@@ -8,6 +8,7 @@ import (
 
 	"warp/internal/hostgen"
 	"warp/internal/mcode"
+	"warp/internal/sim"
 	"warp/internal/skew"
 	"warp/internal/w2"
 )
@@ -250,9 +251,9 @@ func TestQueueUnprovenDiagnostic(t *testing.T) {
 		body[nops].Sig = &mcode.IUSig{LoopID: id, M: 1, CellTrips: trips}
 		return &mcode.IULoop{ID: id, Trips: trips, Body: []mcode.IUItem{&mcode.IUStraight{Instrs: body}}}
 	}
-	p := Program{Cells: 2, Cell: cell, IU: &mcode.IUProgram{Items: []mcode.IUItem{sig(1, n, 1), sig(2, 2*n, 0)}}, Host: host, Skew: 2 * n, Lead: 1}
+	p := sim.Config{Cells: 2, Cell: cell, IU: &mcode.IUProgram{Items: []mcode.IUItem{sig(1, n, 1), sig(2, 2*n, 0)}}, Host: host, Skew: 2 * n, Lead: 1}
 	var got []string
-	if _, err := Verify(p); err != nil {
+	if _, err := Verify(sim.Load(p)); err != nil {
 		for _, d := range err.(*Error).Diags {
 			got = append(got, fmt.Sprintf("%s cell=%d instr=%d loop=%d %q", d.Invariant, d.Cell, d.Instr, d.Loop, d.Detail))
 		}

@@ -25,9 +25,10 @@
 //     (iu.go, sigform.go); the host I/O programs cover the boundary
 //     cells' queue traffic word for word;
 //   - address values: every address the IU emits is the one the memory
-//     field popping it is bound to (mcode.Decode's binding, which the
-//     fast executor runs), proven in the same walk of the IU loop tree
-//     against the cell's loop tree (addr.go).
+//     field popping it is bound to, proven in the same walk of the IU loop
+//     tree against the cell's loop tree (addr.go).  The binding is the
+//     decode of the load handed in (sim.Load, mcode.Decode's), the words
+//     both executors run: a report is about that load and no other.
 //
 // Nothing on the accept path runs per event.  Events are enumerated only
 // to render the diagnostics of a failed proof.
@@ -40,8 +41,8 @@ package verify
 import (
 	"fmt"
 
-	"warp/internal/hostgen"
 	"warp/internal/mcode"
+	"warp/internal/sim"
 	"warp/internal/skew"
 	"warp/internal/w2"
 )
@@ -58,18 +59,9 @@ const (
 	maxDiags = 64
 )
 
-// Program is the compiled artifact under verification: exactly what the
-// simulator would be handed.
-type Program struct {
-	Cells int
-	Cell  *mcode.CellProgram
-	IU    *mcode.IUProgram
-	Host  *hostgen.Program
-	// Skew is the start-time delay between adjacent cells.
-	Skew int64
-	// Lead is the delay between the IU's start and cell 0's.
-	Lead int64
-}
+// Program is sim.Config, whose program fields Verify reads through
+// sim.Load; kept for benchmark/, see ROADMAP 1(c).
+type Program = sim.Config
 
 // Occ is one queue's proven peak occupancy and how it was proven.
 type Occ struct {
@@ -128,10 +120,12 @@ func (c *collector) add(d Diagnostic) {
 // ok records one discharged proposition.
 func (c *collector) ok() { c.checked++ }
 
-// Verify proves the program's cycle-level invariants, returning a
-// report on success and an *Error aggregating every violation found on
-// failure.
-func Verify(p Program) (*Report, error) {
+// Verify proves the cycle-level invariants of the loaded program l — its
+// program fields (l.Config()) and its decode (l.Code()), the load the
+// executors run — returning a report on success and an *Error
+// aggregating every violation found on failure.
+func Verify(l *sim.Loaded) (*Report, error) {
+	p := l.Config()
 	col := &collector{}
 	rep := &Report{
 		Cells: p.Cells, Skew: p.Skew, Lead: p.Lead,
@@ -167,7 +161,8 @@ func Verify(p Program) (*Report, error) {
 	checkForwardedStreams(p, cs, rep, col)
 	// Last: it sharpens the Adr/Sig occupancies the forwarded-stream
 	// proof recorded.
-	checkIUStreams(p, cs, rep, col)
+	code, _ := l.Code() // ValidateCell refuses an empty loop body
+	checkIUStreams(p, code, cs, rep, col)
 
 	rep.Checked = col.checked
 	if col.dropped > 0 {
@@ -182,13 +177,13 @@ func Verify(p Program) (*Report, error) {
 	return rep, nil
 }
 
-// VerifyParallel is Verify: the second argument is ignored; kept for
-// benchmark/, see ROADMAP 1(c).
-func VerifyParallel(p Program, _ int) (*Report, error) { return Verify(p) }
+// VerifyParallel is Verify of p's load: the second argument is ignored;
+// kept for benchmark/, see ROADMAP 1(c).
+func VerifyParallel(p Program, _ int) (*Report, error) { return Verify(sim.Load(p)) }
 
 // checkShape validates the inputs are present and the array geometry is
 // sane; nothing else can run without it.
-func checkShape(p Program, col *collector) bool {
+func checkShape(p sim.Config, col *collector) bool {
 	bad := func(detail string) {
 		col.add(Diagnostic{Invariant: InvStructure, Cell: -1, Instr: -1, Loop: -1, Detail: detail})
 	}
@@ -218,7 +213,7 @@ func checkShape(p Program, col *collector) bool {
 
 // checkStructure runs the mcode structural validators and the dataflow
 // direction rule (rightward only, matching the simulator's wiring).
-func checkStructure(p Program, col *collector) {
+func checkStructure(p sim.Config, col *collector) {
 	if err := mcode.ValidateCell(p.Cell); err != nil {
 		col.add(Diagnostic{Invariant: InvStructure, Cell: -1, Instr: -1, Loop: -1,
 			Detail: "cell program: " + err.Error()})
@@ -251,7 +246,7 @@ func checkStructure(p Program, col *collector) {
 // receive and collect one word per send of the last cell.  The host
 // input path is the machine's only flow-controlled link (the host
 // waits on a full queue), so count equality is the whole obligation.
-func checkHostStreams(p Program, rep *Report, col *collector) {
+func checkHostStreams(p sim.Config, rep *Report, col *collector) {
 	for _, ch := range []w2.Channel{w2.ChanX, w2.ChanY} {
 		if in := p.Host.In[ch].Words(); in != rep.Recvs[ch] {
 			col.add(Diagnostic{Invariant: InvHostStream, Cell: 0, Instr: -1, Loop: -1,
@@ -278,7 +273,7 @@ func unproven(col *collector, cell int, queue string) {
 // cell runs the same program, so one boundary proof covers the array:
 // the upstream cell's sends at its cycle s_n feed the queue the
 // downstream cell drains with receives at s-cell time r_n + skew.
-func checkDataQueues(p Program, cs *skew.Streams, rep *Report, col *collector) {
+func checkDataQueues(p sim.Config, cs *skew.Streams, rep *Report, col *collector) {
 	if p.Cells < 2 {
 		return
 	}
@@ -328,7 +323,7 @@ func checkDataQueues(p Program, cs *skew.Streams, rep *Report, col *collector) {
 // later: underflow is impossible (skew ≥ 1 and upstream steps first),
 // and peak occupancy is the largest event count in a skew-cycle window
 // (t−skew, t] — the structural evaluation of a stream against itself.
-func checkForwardedStreams(p Program, cs *skew.Streams, rep *Report, col *collector) {
+func checkForwardedStreams(p sim.Config, cs *skew.Streams, rep *Report, col *collector) {
 	if p.Cells < 2 {
 		return
 	}
@@ -362,7 +357,7 @@ func checkForwardedStreams(p Program, cs *skew.Streams, rep *Report, col *collec
 // into cell 0 are proven from the IU's emission trees against the cell's,
 // like every other queue, and the Sig queue's low-water mark is the
 // signals' arrival check.  A failed proof is rendered event by event.
-func checkIUStreams(p Program, cs *skew.Streams, rep *Report, col *collector) {
+func checkIUStreams(p sim.Config, code *mcode.Decoded, cs *skew.Streams, rep *Report, col *collector) {
 	iu := decodeIU(p.IU)
 	table := p.IU.Table
 	if n := int64(len(table)); iu.reads > n {
@@ -385,7 +380,6 @@ func checkIUStreams(p Program, cs *skew.Streams, rep *Report, col *collector) {
 	// one the memory field popping it is bound to: one walk of the fold
 	// proves both, the second only when the stream's count and its table
 	// reads are right.
-	code, _ := mcode.Decode(p.Cell) // ValidateCell refuses an empty loop body
 	cells := newCellRefs(code)
 	f := &iuFold{}
 	if iu.adrs == rep.MemRefs && iu.reads <= int64(len(table)) {
@@ -498,7 +492,7 @@ func checkAddrRange(iu *iuCode, table []int64, f *iuFold, rep *Report, col *coll
 // could not make — or that failed — signal by signal: decision against
 // the sequencer's crossing, arrival against cell 0's need.  The counts
 // are equal.
-func checkSignalsByEvent(p Program, cs *skew.Streams, iu *iuCode, rep *Report, col *collector) {
+func checkSignalsByEvent(p sim.Config, cs *skew.Streams, iu *iuCode, rep *Report, col *collector) {
 	if iu.sigs > enumEventLimit {
 		unrendered(col, "IU signal stream", iu.sigs)
 		return

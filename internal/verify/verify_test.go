@@ -6,6 +6,7 @@ import (
 
 	"warp/internal/hostgen"
 	"warp/internal/mcode"
+	"warp/internal/sim"
 	"warp/internal/w2"
 )
 
@@ -27,8 +28,8 @@ func straight(instrs ...*mcode.Instr) *mcode.Straight {
 
 // program wraps cell items into a full verifier input with a host
 // program covering nIn receives and nOut sends on channel X.
-func program(nIn, nOut int, items ...mcode.CodeItem) Program {
-	return Program{
+func program(nIn, nOut int, items ...mcode.CodeItem) sim.Config {
+	return sim.Config{
 		Cells: 2,
 		Cell:  &mcode.CellProgram{Items: items},
 		IU:    &mcode.IUProgram{},
@@ -43,9 +44,9 @@ func program(nIn, nOut int, items ...mcode.CodeItem) Program {
 
 // expect runs the verifier and asserts the given invariant appears
 // among the diagnostics.
-func expect(t *testing.T, p Program, inv Invariant) *Error {
+func expect(t *testing.T, p sim.Config, inv Invariant) *Error {
 	t.Helper()
-	_, err := Verify(p)
+	_, err := Verify(sim.Load(p))
 	if err == nil {
 		t.Fatalf("verifier accepted; want a %s violation", inv)
 	}
@@ -70,7 +71,7 @@ func TestAcceptsMinimalProgram(t *testing.T) {
 			&mcode.Instr{IO: []mcode.IOOp{sendOp(1)}},
 		),
 	)
-	rep, err := Verify(p)
+	rep, err := Verify(sim.Load(p))
 	if err != nil {
 		t.Fatalf("verifier rejected a correct program: %v", err)
 	}
@@ -133,7 +134,7 @@ func TestImplicitZeroReadAccepted(t *testing.T) {
 	// stream has no inter-cell queue to balance.
 	p := program(0, 1, straight(&mcode.Instr{IO: []mcode.IOOp{sendOp(7)}}))
 	p.Cells = 1
-	if _, err := Verify(p); err != nil {
+	if _, err := Verify(sim.Load(p)); err != nil {
 		t.Fatalf("read of an implicitly-zero register rejected: %v", err)
 	}
 }
@@ -200,7 +201,7 @@ func TestExactOccupancyAtBoundary(t *testing.T) {
 		instrs = append(instrs, &mcode.Instr{IO: []mcode.IOOp{recvOp(1)}})
 	}
 	p := program(mcode.QueueDepth, mcode.QueueDepth, straight(instrs...))
-	rep, err := Verify(p)
+	rep, err := Verify(sim.Load(p))
 	if err != nil {
 		t.Fatalf("a full-but-not-overflowing queue was rejected: %v", err)
 	}
@@ -265,7 +266,7 @@ func TestSigStreamAccepted(t *testing.T) {
 	}}
 	p := program(0, 0, cellLoop)
 	p.IU.Items = []mcode.IUItem{iuLoop}
-	if _, err := Verify(p); err != nil {
+	if _, err := Verify(sim.Load(p)); err != nil {
 		t.Fatalf("matched signal stream rejected: %v", err)
 	}
 }
@@ -285,17 +286,17 @@ func TestSigStreamWrongDecision(t *testing.T) {
 }
 
 func TestShapeRejectsMissingPieces(t *testing.T) {
-	if _, err := Verify(Program{Cells: 1}); err == nil {
+	if _, err := Verify(sim.Load(sim.Config{Cells: 1})); err == nil {
 		t.Fatal("nil programs accepted")
 	}
 	p := program(0, 0, straight(&mcode.Instr{}))
 	p.Cells = 0
-	if _, err := Verify(p); err == nil {
+	if _, err := Verify(sim.Load(p)); err == nil {
 		t.Fatal("zero-cell array accepted")
 	}
 	p = program(0, 0, straight(&mcode.Instr{}))
 	p.Skew = 0
-	if _, err := Verify(p); err == nil {
+	if _, err := Verify(sim.Load(p)); err == nil {
 		t.Fatal("zero skew with two cells accepted")
 	}
 }
