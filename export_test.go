@@ -1,6 +1,8 @@
 package warp
 
 import (
+	"reflect"
+
 	"warp/internal/driver"
 	"warp/internal/mcode"
 )
@@ -15,8 +17,11 @@ func (p *Program) RunPartitionedPerTile(cfg RunConfig, prob Problem) (map[string
 // cell program names by k words and leaves the IU's address stream as it
 // is: runs alone are unchanged, but the words the fields are bound to no
 // longer hold the addresses the IU sends.  The compile's load decoded the
-// fields as they were, so p gets a fresh compilation of its fields,
-// loaded from the moved ones on its first run.
+// fields as they were, so p gets a fresh driver.Compiled holding every
+// exported field of the old one and none of its caches: it loads the
+// moved fields on its first run.  Verified is kept on purpose, though it
+// reports on the unmoved load: the fault is the program drifting from
+// what was proven.
 func (p *Program) MoveMemoryFields(k int) {
 	mcode.WalkInstrs(p.c.Cell.Items, func(in *mcode.Instr, _ []*mcode.LoopItem) {
 		for i := range in.Mem {
@@ -25,13 +30,12 @@ func (p *Program) MoveMemoryFields(k int) {
 			}
 		}
 	})
-	c := p.c
-	p.c = &driver.Compiled{
-		Module: c.Module, Info: c.Info, IR: c.IR,
-		PipelineBackoff: c.PipelineBackoff, BackoffReason: c.BackoffReason, Phases: c.Phases,
-		OptStats: c.OptStats, Comm: c.Comm,
-		Cell: c.Cell, CellGen: c.CellGen, IU: c.IU, IUGen: c.IUGen, Host: c.Host,
-		Timing: c.Timing, Skew: c.Skew, QueueOcc: c.QueueOcc, Verified: c.Verified,
-		Debug: c.Debug, Sched: c.Sched, Src: c.Src, Cells: c.Cells, W2Lines: c.W2Lines,
+	old := reflect.ValueOf(p.c).Elem()
+	fresh := reflect.New(old.Type()).Elem()
+	for i := range old.NumField() {
+		if old.Type().Field(i).IsExported() {
+			fresh.Field(i).Set(old.Field(i))
+		}
 	}
+	p.c = fresh.Addr().Interface().(*driver.Compiled)
 }

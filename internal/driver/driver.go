@@ -108,11 +108,10 @@ type Compiled struct {
 	Cells   int
 	W2Lines int
 
-	// The program loaded once (sim.Load) by the verify stage, which proves
-	// it: its decode and its count, which every run reads — the simulator's
-	// machine, the fast plan, the decision audit, the batch width.
-	loadOnce sync.Once
-	loaded   *sim.Loaded
+	// The program loaded (sim.Load) by the verify stage, which proves its
+	// decode; the count every run reads (the simulator's machine, the fast
+	// plan, the decision audit, the batch width) is made on the first.
+	loaded *sim.Loaded
 
 	// The fast-execution plan is built from the load on first use and
 	// cached: it is derived purely from the immutable microcode above,
@@ -122,14 +121,13 @@ type Compiled struct {
 	fastErr  error
 }
 
-// load returns the load the verify stage proved, or loads a Compiled
-// whose fields were filled by hand on first call.
+// load returns the load the verify stage proved.  A Compiled filled by
+// hand has none and is loaded anew on each call: only the verify stage,
+// which runs before a Compiled is shared, sets the load.
 func (c *Compiled) load() *sim.Loaded {
-	c.loadOnce.Do(func() {
-		if c.loaded == nil {
-			c.loaded = sim.Load(c.program())
-		}
-	})
+	if c.loaded == nil {
+		return sim.Load(c.program())
+	}
 	return c.loaded
 }
 
@@ -446,8 +444,9 @@ type RunOptions struct {
 // builds a plan: only a run that may execute on the fast backend pays
 // for (and caches) one.
 func chooseBackend(c *Compiled, o RunOptions) (string, obs.Decision, error) {
-	count, _ := c.load().Count() // iugen refuses a program whose counts overflow
-	d := obs.Decision{PredictedCycles: c.ModeledCycles(), PredictedOps: count.Ops * int64(c.Cells), Cells: c.Cells}
+	l := c.load()
+	count, _ := l.Count() // iugen refuses a program whose counts overflow
+	d := obs.Decision{PredictedCycles: l.Cycles(), PredictedOps: count.Ops * int64(c.Cells), Cells: c.Cells}
 	switch b := o.Backend; b {
 	case "", BackendAuto:
 		// The fast path models cycles instead of observing them, so any

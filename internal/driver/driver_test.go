@@ -140,8 +140,9 @@ func TestPolynomialEndToEnd(t *testing.T) {
 // planned every expression and commgraph built an arc per dependent
 // pair, 12 628 with a heap object per instruction field, 10 861 with a
 // heap object per AST node, IR node and side-table entry); it made
-// 6 538 before the compile built the program's load for its runs, makes
-// 6 579 since and stays under 6 750.
+// 6 538 while the verifier decoded the cell program on its own, and
+// 6 539 since it proves the load the runs read (whose IU decode and
+// count wait for the first run); it stays under 6 750.
 func TestCompileAllocBudget(t *testing.T) {
 	src := workloads.ColorSegPaper()
 	var before, after runtime.MemStats

@@ -281,7 +281,7 @@ func TestRunWithSimLoadsOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const budget = 6601 - 16 // less the verifier's decode, one allocation of noise
+	const budget = 6601 - 17 // less the verifier's decode
 	if first > budget {
 		t.Errorf("fft1024's compile and first plan allocate %v times, want at most %d", first, budget)
 	}

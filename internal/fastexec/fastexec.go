@@ -130,7 +130,7 @@ func Compile(p Program) (*Plan, error) {
 // report builds nothing.
 func CompileLoaded(l *sim.Loaded, rep *verify.Report) (*Plan, error) {
 	if rep == nil {
-		return nil, fmt.Errorf("fastexec: no verification report: a plan is built only for a verified program")
+		return nil, errors.New("fastexec: no verification report: a plan is built only for a verified program")
 	}
 	return build(l)
 }

@@ -193,6 +193,7 @@ func (b *boundary) free() {
 // one global order, walks in one group, and so does a program with a
 // word whose pushes across a boundary could fill its ring.
 func split(l *Loaded, cfg Config, n int) (groups, helpers int) {
+	l.prepare()
 	streams := l.crossFits && cfg.Cells > 1 && !obs.Enabled(cmp.Or(cfg.Recorder, obs.Nop()))
 	want := 0
 	if streams && forceGroups == 0 && l.countErr == nil && l.count.Cycles*int64(cfg.Cells)*int64(n) >= streamWork {

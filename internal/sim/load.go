@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"sync"
 
 	"warp/internal/mcode"
 	"warp/internal/obs"
@@ -9,18 +10,20 @@ import (
 )
 
 // Loaded is a compiled program loaded once (Load): its decoded cell
-// program (mcode.Decode), its IU code (mcode.DecodeIU), one cell's run
-// counted in closed form (mcode.CountCell) and how often a cell runs each
-// decoded word.  W2 has no data-dependent control (§5.1), so all of it is
-// the program's, not a run's: the simulator steps these words, the fast
-// executor's plan (fastexec.CompileLoaded) partitions the same ones, and
-// both records (Closed) and the modeled machine time (Cycles) read the one
-// count.  A Loaded is immutable and serves concurrent runs: what its
-// methods return is shared, and read only.
+// program (mcode.Decode), and, made on the first call that reads them
+// (prepare), its IU code (mcode.DecodeIU), one cell's run counted in
+// closed form (mcode.CountCell) and how often a cell runs each decoded
+// word.  W2 has no data-dependent control (§5.1), so all of it is the
+// program's, not a run's: the verifier proves the decode, the simulator
+// steps these words, the fast executor's plan (fastexec.CompileLoaded)
+// partitions the same ones, and both records (Closed) and the modeled
+// machine time (Cycles) read the one count.  A Loaded serves concurrent
+// runs: what its methods return is shared, and read only.
 type Loaded struct {
 	cfg      Config // the program fields: Cells, Cell, IU, Host, Skew, Lead
 	code     mcode.Decoded
 	codeErr  error
+	once     sync.Once // prepare: what only a run reads, below
 	iu       mcode.IUCode
 	iuErr    error
 	count    mcode.CellCounts
@@ -35,12 +38,13 @@ type Loaded struct {
 // holds in place of their decodes and count.
 var errMissing = errors.New("sim: missing cell or IU program")
 
-// Load decodes and counts the program cfg's program fields describe
-// (Cells, Cell, IU, Host, Skew and Lead; the run fields are not read):
-// the one decode of a program, which the verifier proves and the
-// executors run.  What the decoders and the count refuse, a missing cell
-// or IU program included, is kept, not returned: the verifier and each
-// executor refuse it in their own order.
+// Load decodes the cell program cfg's program fields describe (Cells,
+// Cell, IU, Host, Skew and Lead; the run fields are not read): the one
+// decode of a program, which the verifier proves and the executors run.
+// The IU decode, the count and the run counts wait for the first call
+// that reads them.  What the decoders and the count refuse, a missing
+// cell or IU program included, is kept, not returned: the verifier and
+// each executor refuse it in their own order.
 func Load(cfg Config) *Loaded {
 	l := &Loaded{cfg: Config{Cells: cfg.Cells, Cell: cfg.Cell, IU: cfg.IU, Host: cfg.Host, Skew: cfg.Skew, Lead: cfg.Lead}}
 	if cfg.IU == nil || cfg.Cell == nil {
@@ -49,23 +53,33 @@ func Load(cfg Config) *Loaded {
 	}
 	code, err := mcode.Decode(cfg.Cell)
 	l.code, l.codeErr = *code, err
-	l.crossFits = err == nil && crossFits(code)
-	l.iu, l.iuErr = mcode.DecodeIU(cfg.IU)
-	l.count, l.countErr = mcode.CountCell(cfg.Cell)
-	// Every cell runs every word as often as the trip counts around it
-	// multiply to, a trip count below one counting once, as the do-while
-	// sequencer runs it.
-	l.times = make([]int64, len(code.Words))
-	for j := range code.Words {
-		w := &code.Words[j]
-		l.times[j] = 1
-		for _, e := range code.Ends[w.EndLo:w.EndHi] {
-			for k := e.Head; k <= j; k++ {
-				l.times[k] *= max(e.Trips, 1)
+	return l
+}
+
+// prepare makes, on its first call, what only a run reads: the IU
+// decode, the count, the run counts and crossFits.
+func (l *Loaded) prepare() {
+	l.once.Do(func() {
+		if l.cfg.IU == nil || l.cfg.Cell == nil {
+			return
+		}
+		l.crossFits = l.codeErr == nil && crossFits(&l.code)
+		l.iu, l.iuErr = mcode.DecodeIU(l.cfg.IU)
+		l.count, l.countErr = mcode.CountCell(l.cfg.Cell)
+		// Every cell runs every word as often as the trip counts around it
+		// multiply to, a trip count below one counting once, as the
+		// do-while sequencer runs it.
+		l.times = make([]int64, len(l.code.Words))
+		for j := range l.code.Words {
+			w := &l.code.Words[j]
+			l.times[j] = 1
+			for _, e := range l.code.Ends[w.EndLo:w.EndHi] {
+				for k := e.Head; k <= j; k++ {
+					l.times[k] *= max(e.Trips, 1)
+				}
 			}
 		}
-	}
-	return l
+	})
 }
 
 // Config returns the program fields the program was loaded from.
@@ -75,16 +89,17 @@ func (l *Loaded) Config() Config { return l.cfg }
 func (l *Loaded) Code() (*mcode.Decoded, error) { return &l.code, l.codeErr }
 
 // IU returns the decoded IU program and mcode.DecodeIU's error.
-func (l *Loaded) IU() (*mcode.IUCode, error) { return &l.iu, l.iuErr }
+func (l *Loaded) IU() (*mcode.IUCode, error) { l.prepare(); return &l.iu, l.iuErr }
 
 // Count returns one cell's run in closed form and mcode.CountCell's
 // overflow error.
-func (l *Loaded) Count() (mcode.CellCounts, error) { return l.count, l.countErr }
+func (l *Loaded) Count() (mcode.CellCounts, error) { l.prepare(); return l.count, l.countErr }
 
 // Cycles is the machine time of a run that never stalls: the last cell
 // starts at Lead + (Cells−1)·Skew, and the run reports one past the last
 // of its cycles — an empty cell program still costs its start.
 func (l *Loaded) Cycles() int64 {
+	l.prepare()
 	return l.cfg.Lead + int64(l.cfg.Cells-1)*l.cfg.Skew + max(l.count.Cycles, 1)
 }
 
@@ -116,6 +131,7 @@ func numPCs(words []mcode.Word) int {
 // cycle a bubble: the simulator lays what its cycle loop measures over
 // this, and the fast executor returns it as it is.
 func (l *Loaded) Closed(pcStats bool) *Stats {
+	l.prepare()
 	words, cells, c := l.code.Words, l.cfg.Cells, &l.count
 	finish := make([]int64, cells)
 	pcs := numPCs(words)

@@ -59,6 +59,28 @@ func TestRunHandProgram(t *testing.T) {
 	}
 }
 
+// TestLoadDefersRunPart: Load decodes the cell program alone, what the
+// verifier proves; the IU decode, the count and the run counts wait for
+// the first call that reads them, so a compile that never runs makes
+// none of them.
+func TestLoadDefersRunPart(t *testing.T) {
+	l := Load(Config{Cells: 3, Cell: passProgram(), IU: &mcode.IUProgram{}, Host: hostFor(1), Skew: 1, Lead: 1})
+	code, err := l.Code()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.times != nil || l.count != (mcode.CellCounts{}) {
+		t.Fatalf("Load made the run part: run counts %v, count %+v", l.times, l.count)
+	}
+	count, err := l.Count()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if count.Cycles != 2 || len(l.times) != len(code.Words) {
+		t.Errorf("after Count: %d cycles, run counts %v; want 2 cycles and one count a word of %d", count.Cycles, l.times, len(code.Words))
+	}
+}
+
 // runBoth runs the configuration alone and as a batched walk of three
 // copies of its host image, and fails unless the two errors read alike
 // byte for byte: a control error is the same in every lane.
