@@ -249,7 +249,6 @@ type execState struct {
 	// writing ring[i mod (G+1)] and reading its left neighbour's.
 	ring    [][2]link
 	workers []*worker // G of them, worker 0 the caller's goroutine
-	helpers sync.WaitGroup
 
 	hostIn, hostOut [2]hostgen.Reader // cell 0's and the last cell's host streams: the same words for every problem
 
@@ -316,10 +315,7 @@ type worker struct {
 	// then ctxCheckInterval.
 	untilPoll int64
 	retired   atomic.Int64 // cell cycles retired, for progress
-
-	err      error // the first cell of this worker to fail, and its error
-	errCell  int
-	panicked any // a helper's panic, raised again by the caller
+	errCell   int          // the cell of this worker that failed
 }
 
 var statePool = sync.Pool{New: func() any { return new(execState) }}
@@ -354,7 +350,7 @@ func (st *execState) reset(p *Plan, hostMems [][]float64, ctl sim.Controls, g in
 		}
 		w.mem, w.iter = sized(w.mem, p.code.MemWords*n), sized(w.iter, p.code.Depth)
 		clear(w.iter)
-		w.untilPoll, w.err, w.panicked = 1, nil, nil
+		w.untilPoll = 1
 		w.retired.Store(0)
 	}
 	for ch := range p.counts.Send {
@@ -381,10 +377,10 @@ func (st *execState) release() {
 	statePool.Put(st)
 }
 
-// work runs worker w's cells, stopping at its first error or once a cell
-// to the left of its next one has failed.
-func (st *execState) work(w *worker) {
-	p, g := st.plan, len(st.workers)
+// work runs worker k's cells, stopping at its first error, which it
+// returns, or once a cell to the left of its next one has failed.
+func (st *execState) work(k int) error {
+	p, w, g := st.plan, st.workers[k], len(st.workers)
 	run := p.runCell // one problem keeps the words' one-wide body
 	if len(st.hostMems) > 1 {
 		run = p.runLanes
@@ -413,14 +409,22 @@ func (st *execState) work(w *worker) {
 				w.right[ch].publish(len(w.out[ch]), true)
 			}
 		}
+		if err == errStopped {
+			return nil
+		}
 		if err != nil {
-			if err != errStopped {
-				w.err, w.errCell = err, idx
-				st.fail(idx)
-			}
-			return
+			w.errCell = idx
+			st.fail(idx)
+			return fmt.Errorf("cell %d: %w", idx, err)
 		}
 	}
+	return nil
+}
+
+// before reports whether worker a's error comes before worker b's: the
+// leftmost cell's is the sequential run's.
+func (st *execState) before(a, b int) bool {
+	return st.workers[a].errCell < st.workers[b].errCell
 }
 
 // fail records that cell idx failed (-1: the run, every cell stops): the
@@ -581,11 +585,11 @@ func (p *Plan) StateBytes() int {
 // that failed.
 //
 // A run of enough work streams its cells on spare processors: cell i runs
-// on worker i mod G, worker 0 the caller's goroutine, and reads its left
-// neighbour's words as they are published.  Data flows only rightward
-// and a link has room for every word, so a cell waits on its left
-// neighbour alone, which has retired or runs on another worker: the run
-// always progresses.  The controls mean what they mean on the simulator;
+// on worker i mod G of sim.Fork, whose key is the leftmost failing cell
+// (before).  A cell reads its left neighbour's words as they are
+// published.  Data flows only rightward and a link has room for every
+// word, so a cell waits on its left neighbour alone, which has retired or
+// runs on another worker: the run always progresses.  The controls mean what they mean on the simulator;
 // a progress update carries the cell cycles the workers have retired,
 // scaled onto the modeled cycle count.
 func (p *Plan) ExecuteBatch(hostMems [][]float64, ctl sim.Controls) (*sim.Stats, error) {
@@ -610,41 +614,8 @@ func (p *Plan) ExecuteBatch(hostMems [][]float64, ctl sim.Controls) (*sim.Stats,
 	st := statePool.Get().(*execState)
 	defer st.release()
 	st.reset(p, hostMems, ctl, g)
-	// A panic (a progress hook's, say) is raised on the caller's
-	// goroutine once every worker has stopped, as a sequential run
-	// raises it.
-	defer func() {
-		if r := recover(); r != nil {
-			st.fail(-1)
-			st.helpers.Wait()
-			panic(r)
-		}
-	}()
-	for _, w := range st.workers[1:] {
-		st.helpers.Add(1)
-		go func() {
-			defer st.helpers.Done()
-			defer func() {
-				if w.panicked = recover(); w.panicked != nil {
-					st.fail(-1)
-				}
-			}()
-			st.work(w)
-		}()
-	}
-	st.work(st.workers[0])
-	st.helpers.Wait()
-	var failed *worker
-	for _, w := range st.workers {
-		if w.panicked != nil {
-			panic(w.panicked)
-		}
-		if w.err != nil && (failed == nil || w.errCell < failed.errCell) {
-			failed = w
-		}
-	}
-	if failed != nil {
-		return nil, fmt.Errorf("cell %d: %w", failed.errCell, failed.err)
+	if err := sim.Fork(st, g, (*execState).work, func(st *execState) { st.fail(-1) }, (*execState).before); err != nil {
+		return nil, err
 	}
 	if ctl.Progress != nil {
 		ctl.Progress(obs.ProgressUpdate{Cycles: p.Cycles(), Done: true})

@@ -89,8 +89,9 @@ func TestPlanSizeIndependentOfTrips(t *testing.T) {
 // a pool, sized by the plan, never per word or per cell; before the
 // envelope a run allocated and cleared all 4096 words of cell memory for
 // each cell (17 allocations and 38 KB here), and the unrolled executor
-// before that allocated 209 times.  The ceiling keeps slack above the
-// count for the race detector's pool, which drops Puts at random.
+// before that allocated 209 times.  Under the race detector the counts
+// have no fixed value: its sync.Pool drops Puts at random, and a dropped
+// state is allocated again on the next run.
 func TestExecuteAllocs(t *testing.T) {
 	c, plan := planFor(t, workloads.Polynomial(10, 100), driver.Options{Pipeline: true})
 	mem, err := interp.BuildHostMem(c.Info, seededInputs(c, 6))
@@ -112,12 +113,14 @@ func TestExecuteAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
 	t.Logf("%.0f allocations, %d bytes per run", allocs, bytes)
+	if alloctest.Race {
+		return
+	}
 	if allocs > 13 {
 		t.Errorf("Execute allocates %.0f times, want at most 13", allocs)
 	}
-	// 2.9 KB with the state pooled, 1 KB of it the cells' depth rows; a pool miss (a collection, or the race
-	// detector dropping one Put in four) re-allocates it, which reads
-	// 5.5 KB a run under -race.
+	// 2.9 KB with the state pooled, 1 KB of it the cells' depth rows; a
+	// pool miss (a collection) re-allocates it.
 	if bytes > 12<<10 {
 		t.Errorf("Execute allocates %d bytes a run, want under 12 KB", bytes)
 	}

@@ -15,6 +15,7 @@ import (
 
 	"warp"
 	"warp/internal/obs"
+	"warp/internal/sim"
 	"warp/internal/verify"
 )
 
@@ -84,6 +85,7 @@ func New(cfg Config) *Server {
 	if cfg.DefaultTimeout == 0 {
 		cfg.DefaultTimeout = 30 * time.Second
 	}
+	cfg.MaxCycles = sim.Controls{MaxCycles: cfg.MaxCycles}.Limit()
 	if cfg.MaxBodyBytes == 0 {
 		cfg.MaxBodyBytes = 8 << 20
 	}
@@ -487,8 +489,8 @@ func (s *Server) runOne(ctx context.Context, endpoint string, req *RunRequest) (
 		Backend:   req.Backend,
 		Progress:  rq.publish,
 	}
-	if req.MaxCycles > 0 {
-		cfg.MaxCycles = req.MaxCycles
+	if req.MaxCycles > 0 { // a request may lower the server's guard, never raise it
+		cfg.MaxCycles = min(req.MaxCycles, s.cfg.MaxCycles)
 	}
 	stage, run := "run", func(cfg warp.RunConfig) (*runOutcome, error) {
 		out, rs, err := prog.RunWith(cfg, req.Inputs)

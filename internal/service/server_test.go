@@ -564,3 +564,51 @@ func TestPoolPanicFailsAlone(t *testing.T) {
 		t.Errorf("pool stats = %+v, want nothing in flight and 2 completed", s)
 	}
 }
+
+// longLoop runs 2³⁴ + 4 cycles on its one cell, far past the default
+// livelock guard of 2²⁸.
+const longLoop = `module long (xs in, ys out)
+float xs[1], ys[1];
+cellprogram (cid : 0 : 0)
+begin
+  function f
+  begin
+    float t;
+    int k;
+    receive (L, X, t, xs[0]);
+    for k := 0 to 17179869183 do begin
+      t := t * 1.0;
+    end;
+    send (R, X, t, ys[0]);
+  end
+  call f;
+end
+`
+
+// TestRunMaxCyclesLowersOnly: a request's max_cycles may lower the
+// server's livelock guard, never raise it.  On the fast backend the plan
+// refuses a run whose modeled cycles pass the guard before it runs a
+// cycle, so asking for 2⁴⁰ cycles gets the server's 2²⁸ refusal at once
+// (a run that started would end at the deadline instead, with a 504).
+func TestRunMaxCyclesLowersOnly(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	defer srv.Close()
+	for _, tc := range []struct {
+		maxCycles int64
+		guard     string
+	}{
+		{1 << 40, "exceeding 268435456;"},
+		{1000, "exceeding 1000;"},
+	} {
+		body, err := json.Marshal(RunRequest{Source: longLoop, Backend: "fast", MaxCycles: tc.maxCycles,
+			TimeoutMS: 5000, Inputs: map[string][]float64{"xs": {1}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/run", bytes.NewReader(body)))
+		if rec.Code != http.StatusUnprocessableEntity || !strings.Contains(rec.Body.String(), "modeled run needs 17179869188 cycles, "+tc.guard) {
+			t.Errorf("max_cycles %d: status %d, body %q; want 422 and the plan's refusal %s", tc.maxCycles, rec.Code, rec.Body, tc.guard)
+		}
+	}
+}

@@ -83,11 +83,10 @@ type group struct {
 	peers   bool      // the run has several groups
 
 	// The group's first error, ordered by the cycle and the rank of the
-	// agent that made it (fail), and a helper's panic.
-	err      error
-	at       int64
-	rank     int
-	panicked any
+	// agent that made it (fail).
+	err  error
+	at   int64
+	rank int
 
 	_ [64]byte
 }
@@ -153,18 +152,10 @@ func newBoundary(n int) *boundary {
 	b.written.Store(0)
 	b.done.Store(0)
 	b.freed.Store(0)
-	if n > 0 {
-		b.vals = sized(b.vals, crossDepth*n)
+	if len(b.vals) < crossDepth*n {
+		b.vals = make([]float64, crossDepth*n)
 	}
 	return b
-}
-
-// sized returns s at length n, reallocated only when it lacks the room.
-func sized[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }
 
 // publish makes the producer's words visible to the consumer with the
@@ -225,23 +216,14 @@ func crossFits(code *mcode.Decoded) bool {
 	return true
 }
 
-// runGroups walks the machine's groups, group 0 on the caller's goroutine
-// and every other on a helper of its own, and returns the cycle the walk
-// ended at.  The error is the first in the sequential walk's order of
-// (cycle, agent) — the IU, the host, then the cells left to right — as
-// each group runs until its own first error, or until its clock passes an
-// error recorded at an earlier cycle, and the earliest is returned.  A
-// helper's panic is raised again on the caller once every group has
-// stopped.
+// runGroups walks the machine's groups through Fork, group k as worker
+// k, and returns the cycle the walk ended at.  The error is the first in
+// the sequential walk's order of (cycle, agent) — the IU, the host, then
+// the cells left to right (before) — as each group runs until its own
+// first error, or until its clock passes an error recorded at an earlier
+// cycle.
 func (m *machine) runGroups() (int64, error) {
 	gs := m.groupList
-	if len(gs) == 1 {
-		g := &gs[0]
-		if err := g.run(); err != nil {
-			return 0, err
-		}
-		return g.now, nil
-	}
 	m.stopAt.Store(math.MaxInt64)
 	for k := 1; k < len(gs); k++ {
 		b := newBoundary(len(m.lanes))
@@ -253,53 +235,29 @@ func (m *machine) runGroups() (int64, error) {
 		// cell starts.
 		gs[k].now = c.start
 	}
-	var helpers sync.WaitGroup
-	defer func() {
-		if r := recover(); r != nil {
-			m.stopAll()
-			helpers.Wait()
-			panic(r)
-		}
-	}()
-	for k := 1; k < len(gs); k++ {
-		helpers.Add(1)
-		go func(g *group) {
-			defer helpers.Done()
-			defer func() {
-				if g.panicked = recover(); g.panicked != nil {
-					m.stopAll()
-				}
-			}()
-			g.work()
-		}(&gs[k])
-	}
-	gs[0].work()
-	helpers.Wait()
-	var first *group
-	for k := range gs {
-		g := &gs[k]
-		if g.panicked != nil {
-			panic(g.panicked)
-		}
-		if g.err != nil && (first == nil || g.at < first.at || g.at == first.at && g.rank < first.rank) {
-			first = g
-		}
-	}
-	if first != nil {
-		return 0, first.err
+	if err := Fork(m, len(gs), (*machine).work, (*machine).stopAll, (*machine).before); err != nil {
+		return 0, err
 	}
 	return gs[len(gs)-1].now, nil
 }
 
-// work runs the group of several to its end, records its error and tells
-// the group to its right where it stopped.
-func (g *group) work() {
+// work runs group k to its end, tells the group to its right where it
+// stopped and returns the group's error.
+func (m *machine) work(k int) error {
+	g := &m.groupList[k]
 	if err := g.run(); err != nil && !errors.Is(err, errStop) {
 		g.fail(err, g.now, 2*g.k+1)
 	}
 	if g.out != nil && g.lo < len(g.cells) {
 		g.out.publish(g.now, true)
 	}
+	return g.err
+}
+
+// before reports whether group a's error comes before group b's.
+func (m *machine) before(a, b int) bool {
+	ga, gb := &m.groupList[a], &m.groupList[b]
+	return ga.at < gb.at || ga.at == gb.at && ga.rank < gb.rank
 }
 
 // fail records the group's first error, ordered at cycle at with rank
@@ -314,7 +272,7 @@ func (g *group) fail(err error, at int64, rank int) {
 	g.ringAll()
 }
 
-// stopAll stops every group of the run (a panic).
+// stopAll stops every group of the run (Fork's stop, on a panic).
 func (m *machine) stopAll() {
 	m.stopAt.Store(math.MinInt64)
 	m.ringAll()

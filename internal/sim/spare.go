@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"runtime"
+	"sync"
 	"sync/atomic"
 )
 
@@ -39,6 +40,67 @@ func Enter(want int) (helpers int) {
 
 // Leave ends a run Enter counted, with the helpers Enter granted it.
 func Leave(helpers int) { busy.Add(-1 - int32(helpers)) }
+
+// Fork runs a run's g workers to their end, body(s, 0) on the caller's
+// goroutine and body(s, 1) … body(s, g-1) each on a helper of its own,
+// and returns once every one has returned.  With g = 1 it is body(s, 0):
+// no goroutine, no allocation.  Both executors stream through it: the
+// simulator's groups of cells and the fast executor's cell workers.
+//
+// A worker returns its own first error, or nil once it has none or a
+// peer's error has decided the run (each executor stops its workers
+// itself, by a stop it polls while it runs and while it waits on a Bell).
+// The error returned is the one before ranks first — before(s, a, b)
+// reports whether worker a's error precedes worker b's — whatever order
+// the workers ended in.  A panic on any worker calls stop(s), which must
+// end every other worker's walk, waits for every worker and is raised on
+// the caller, the caller's own before a helper's.
+func Fork[S any](s S, g int, body func(s S, w int) error, stop func(s S), before func(s S, a, b int) bool) error {
+	if g == 1 {
+		return body(s, 0)
+	}
+	type outcome struct {
+		err      error
+		panicked any
+	}
+	outs := make([]outcome, g)
+	var helpers sync.WaitGroup
+	defer func() {
+		if r := recover(); r != nil {
+			stop(s)
+			helpers.Wait()
+			panic(r)
+		}
+	}()
+	for w := 1; w < g; w++ {
+		helpers.Add(1)
+		go func() {
+			o := &outs[w]
+			defer func() {
+				if o.panicked = recover(); o.panicked != nil {
+					stop(s)
+				}
+				helpers.Done()
+			}()
+			o.err = body(s, w)
+		}()
+	}
+	outs[0].err = body(s, 0)
+	helpers.Wait()
+	first := -1
+	for w, o := range outs {
+		if o.panicked != nil {
+			panic(o.panicked)
+		}
+		if o.err != nil && (first < 0 || before(s, w, first)) {
+			first = w
+		}
+	}
+	if first < 0 {
+		return nil
+	}
+	return outs[first].err
+}
 
 // waitSpins is how many times a waiter yields before it sleeps until its
 // Bell rings: a yield is a few hundred ns, the usual wait for a neighbour

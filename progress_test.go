@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"warp"
+	"warp/internal/alloctest"
 	"warp/internal/driver"
 	"warp/internal/interp"
 	"warp/internal/obs"
@@ -98,7 +99,7 @@ func TestProgressNilZeroAlloc(t *testing.T) {
 	}
 	allocsNil := testing.AllocsPerRun(10, func() { run(nil) })
 	allocsOn := testing.AllocsPerRun(10, func() { run(progressSink) })
-	if raceEnabled {
+	if alloctest.Race {
 		t.Skipf("allocation counts are not stable under the race detector (%v with hook, %v without)", allocsOn, allocsNil)
 	}
 	if allocsOn != allocsNil {
