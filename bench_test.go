@@ -25,7 +25,7 @@ import (
 	"testing"
 
 	"warp"
-	"warp/internal/iugen"
+	"warp/internal/paper"
 	"warp/internal/skew"
 	"warp/internal/workloads"
 )
@@ -34,11 +34,11 @@ import (
 // Figure 3-1: SIMD vs skewed computation model.
 
 func BenchmarkFig3_1_ModelLatency(b *testing.B) {
-	deps := []skew.StageDep{{Producer: 3, Consumer: 3}}
+	deps := []paper.StageDep{{Producer: 3, Consumer: 3}}
 	var simd, skewed int64
 	for i := 0; i < b.N; i++ {
-		simd = skew.SIMDLatency(4, deps)
-		skewed = skew.SkewedLatency(4, deps)
+		simd = paper.SIMDLatency(4, deps)
+		skewed = paper.SkewedLatency(4, deps)
 	}
 	b.ReportMetric(float64(simd), "simd-latency")
 	b.ReportMetric(float64(skewed), "skewed-latency")
@@ -48,11 +48,11 @@ func BenchmarkFig3_1_ModelLatency(b *testing.B) {
 // Tables 6-1 and 6-2: exact minimum skew of the worked examples.
 
 func BenchmarkTable6_1_MinSkewExact(b *testing.B) {
-	p := skew.Fig62()
+	p := paper.Fig62()
 	var s int64
 	for i := 0; i < b.N; i++ {
 		var err error
-		s, err = skew.MinSkewExact(p, p)
+		s, err = paper.MinSkewExact(p, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -61,11 +61,11 @@ func BenchmarkTable6_1_MinSkewExact(b *testing.B) {
 }
 
 func BenchmarkTable6_2_MinSkewExact(b *testing.B) {
-	p := skew.Fig64()
+	p := paper.Fig64()
 	var s int64
 	for i := 0; i < b.N; i++ {
 		var err error
-		s, err = skew.MinSkewExact(p, p)
+		s, err = paper.MinSkewExact(p, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -77,9 +77,9 @@ func BenchmarkTable6_2_MinSkewExact(b *testing.B) {
 // Table 6-3: characteristic-vector extraction.
 
 func BenchmarkTable6_3_Vectors(b *testing.B) {
-	p := skew.Fig64()
+	p := paper.Fig64()
 	for i := 0; i < b.N; i++ {
-		if got := len(skew.Statements(p, skew.Output)); got != 5 {
+		if got := len(paper.Statements(p, skew.Output)); got != 5 {
 			b.Fatalf("got %d output statements", got)
 		}
 	}
@@ -89,11 +89,11 @@ func BenchmarkTable6_3_Vectors(b *testing.B) {
 // Table 6-4: the closed-form pairwise bound.
 
 func BenchmarkTable6_4_MinSkewBound(b *testing.B) {
-	p := skew.Fig64()
-	var bound skew.Rat
+	p := paper.Fig64()
+	var bound paper.Rat
 	for i := 0; i < b.N; i++ {
 		var err error
-		bound, _, err = skew.MinSkewBound(p, p, skew.BoundPaper)
+		bound, _, err = paper.MinSkewBound(p, p, paper.BoundPaper)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -106,7 +106,7 @@ func BenchmarkTable6_4_MinSkewBound(b *testing.B) {
 
 func BenchmarkTable6_5_Allocations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := iugen.Table65()
+		rows, err := paper.Table65()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -193,16 +193,16 @@ func BenchmarkSimThroughput_Matmul(b *testing.B) {
 // which is the point of §6.2.1's formulation.
 
 func scaledFig64(scale int64) *skew.Prog {
-	return skew.Build(
-		skew.Nop(),
-		skew.Rep(5*scale, skew.In(), skew.In(), skew.Nop()),
-		skew.Nop(), skew.Nop(),
-		skew.Rep(2*scale, skew.Out(), skew.Out()),
-		skew.Nop(), skew.Nop(),
-		skew.Rep(2*scale, skew.Out(), skew.Out(), skew.Out(), skew.Nop(), skew.Nop()),
-		skew.Nop(),
+	return paper.Build(
+		paper.Nop(),
+		paper.Rep(5*scale, paper.In(), paper.In(), paper.Nop()),
+		paper.Nop(), paper.Nop(),
+		paper.Rep(2*scale, paper.Out(), paper.Out()),
+		paper.Nop(), paper.Nop(),
+		paper.Rep(2*scale, paper.Out(), paper.Out(), paper.Out(), paper.Nop(), paper.Nop()),
+		paper.Nop(),
 		// Pad the stream: input and output counts must match.
-		skew.Rep(6*scale, skew.In(), skew.Out()),
+		paper.Rep(6*scale, paper.In(), paper.Out()),
 	)
 }
 
@@ -211,14 +211,14 @@ func BenchmarkAblationSkewMethods(b *testing.B) {
 		p := scaledFig64(scale)
 		b.Run(fmt.Sprintf("exact/scale=%d", scale), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := skew.MinSkewExact(p, p); err != nil {
+				if _, err := paper.MinSkewExact(p, p); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 		b.Run(fmt.Sprintf("bound/scale=%d", scale), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := skew.MinSkewBound(p, p, skew.BoundPaper); err != nil {
+				if _, _, err := paper.MinSkewBound(p, p, paper.BoundPaper); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -28,7 +28,7 @@ import (
 	"warp/internal/fabric"
 	"warp/internal/interp"
 	"warp/internal/ir"
-	"warp/internal/iugen"
+	"warp/internal/paper"
 	"warp/internal/skew"
 	"warp/internal/w2"
 	"warp/internal/workloads"
@@ -99,14 +99,14 @@ func main() {
 // result.
 func fig31(w io.Writer) error {
 	const stage, cells = 4, 3
-	deps := []skew.StageDep{{Producer: 3, Consumer: 3}}
-	simd := skew.SIMDLatency(stage, deps)
-	skewed := skew.SkewedLatency(stage, deps)
+	deps := []paper.StageDep{{Producer: 3, Consumer: 3}}
+	simd := paper.SIMDLatency(stage, deps)
+	skewed := paper.SkewedLatency(stage, deps)
 	fmt.Fprintf(w, "stage of %d steps, dependence: step 4 -> neighbour's step 4\n\n", stage)
 	fmt.Fprintf(w, "%-28s %8s %8s\n", "", "SIMD", "skewed")
 	fmt.Fprintf(w, "%-28s %8d %8d   (paper: 4 vs 1)\n", "latency per cell (cycles)", simd, skewed)
 	fmt.Fprintf(w, "%-28s %8d %8d\n", "latency through 3 cells",
-		skew.PipelineLatency(cells, simd, stage), skew.PipelineLatency(cells, skewed, stage))
+		paper.PipelineLatency(cells, simd, stage), paper.PipelineLatency(cells, skewed, stage))
 	fmt.Fprintln(w, "\nstart cycle of data set d on cell c:")
 	fmt.Fprintf(w, "%6s", "")
 	for d := int64(0); d < 3; d++ {
@@ -117,8 +117,8 @@ func fig31(w io.Writer) error {
 		fmt.Fprintf(w, "cell %d", c)
 		for d := int64(0); d < 3; d++ {
 			fmt.Fprintf(w, "   %10d %10d",
-				skew.StageStart(true, c, d, simd, stage),
-				skew.StageStart(false, c, d, skewed, stage))
+				paper.StageStart(true, c, d, simd, stage),
+				paper.StageStart(false, c, d, skewed, stage))
 		}
 		fmt.Fprintln(w)
 	}
@@ -246,46 +246,40 @@ end
 }
 
 func table61(w io.Writer) error {
-	p := skew.Fig62()
-	to := p.Times(skew.Output)
-	ti := p.Times(skew.Input)
-	fmt.Fprintf(w, "%-8s %6s %6s %10s\n", "number", "τ_O", "τ_I", "τ_O-τ_I")
-	maxd := int64(-1 << 62)
-	for n := range to {
-		d := to[n] - ti[n]
-		if d > maxd {
-			maxd = d
-		}
-		fmt.Fprintf(w, "%-8d %6d %6d %10d\n", n, to[n], ti[n], d)
-	}
-	fmt.Fprintf(w, "%-8s %6s %6s %10d   (paper: 3)\n", "max", "", "", maxd)
+	p := paper.Fig62()
+	d := timingTable(w, p, 3)
 	fmt.Fprintln(w, "\ntwo cells at the minimum skew (paper's Figure 6-3):")
-	fmt.Fprint(w, skew.TwoCellTrace(p, maxd))
+	fmt.Fprint(w, paper.TwoCellTrace(p, d))
 	return nil
 }
 
 func table62(w io.Writer) error {
-	p := skew.Fig64()
-	to := p.Times(skew.Output)
-	ti := p.Times(skew.Input)
+	timingTable(w, paper.Fig64(), 18)
+	return nil
+}
+
+// timingTable prints τ_O(n), τ_I(n) and their difference for every
+// ordinal of p against itself, and returns the largest difference: the
+// minimum skew, which the paper gives as paperSkew.
+func timingTable(w io.Writer, p *skew.Prog, paperSkew int) int64 {
+	to := paper.Times(p, skew.Output)
+	ti := paper.Times(p, skew.Input)
 	fmt.Fprintf(w, "%-8s %6s %6s %10s\n", "number", "τ_O", "τ_I", "τ_O-τ_I")
 	maxd := int64(-1 << 62)
 	for n := range to {
 		d := to[n] - ti[n]
-		if d > maxd {
-			maxd = d
-		}
+		maxd = max(maxd, d)
 		fmt.Fprintf(w, "%-8d %6d %6d %10d\n", n, to[n], ti[n], d)
 	}
-	fmt.Fprintf(w, "%-8s %6s %6s %10d   (paper: 18)\n", "max", "", "", maxd)
-	return nil
+	fmt.Fprintf(w, "%-8s %6s %6s %10d   (paper: %d)\n", "max", "", "", maxd, paperSkew)
+	return maxd
 }
 
 func table63(w io.Writer) error {
-	p := skew.Fig64()
+	p := paper.Fig64()
 	fmt.Fprintln(w, "characteristic vectors R, N, S, L, T (paper's Table 6-3):")
 	for _, kind := range []skew.Kind{skew.Input, skew.Output} {
-		for _, v := range skew.Statements(p, kind) {
+		for _, v := range paper.Statements(p, kind) {
 			fmt.Fprintf(w, "  %s\n", v)
 		}
 	}
@@ -293,42 +287,42 @@ func table63(w io.Writer) error {
 }
 
 func table64(w io.Writer) error {
-	p := skew.Fig64()
+	p := paper.Fig64()
 	fmt.Fprintln(w, "closed-form timing functions and domains (paper's Table 6-4):")
 	for _, kind := range []skew.Kind{skew.Input, skew.Output} {
-		for _, v := range skew.Statements(p, kind) {
-			sym := skew.NewTimingFunc(v).Symbolic()
+		for _, v := range paper.Statements(p, kind) {
+			sym := paper.NewTimingFunc(v).Symbolic()
 			fmt.Fprintf(w, "  %s(%d): τ(n) = %-34s  [%s]\n", kindLetter(kind), v.ID, sym, sym.DomainString())
 		}
 	}
 	// The §6.2.1 pair analyses.
-	ins := skew.Statements(p, skew.Input)
-	outs := skew.Statements(p, skew.Output)
+	ins := paper.Statements(p, skew.Input)
+	outs := paper.Statements(p, skew.Output)
 	fmt.Fprintln(w, "\npair analyses (§6.2.1):")
 	for _, pc := range []struct {
-		o, i  *skew.Vectors
+		o, i  *paper.Vectors
 		paper string
 	}{
 		{outs[1], ins[0], "disjoint"},
 		{outs[0], ins[0], "completely overlapped, bound 17"},
 		{outs[4], ins[0], "partially overlapped, bound 17+2/3"},
 	} {
-		pb := skew.AnalyzePair(pc.o, pc.i, skew.BoundPaper)
-		if pb.Overlap == skew.Disjoint {
+		pb := paper.AnalyzePair(pc.o, pc.i, paper.BoundPaper)
+		if pb.Overlap == paper.Disjoint {
 			fmt.Fprintf(w, "  O(%d) x I(%d): %-24s              (paper: %s)\n", pc.o.ID, pc.i.ID, pb.Overlap, pc.paper)
 		} else {
 			fmt.Fprintf(w, "  O(%d) x I(%d): %-24s bound %-6s  (paper: %s)\n", pc.o.ID, pc.i.ID, pb.Overlap, pb.Bound, pc.paper)
 		}
 	}
-	b, _, err := skew.MinSkewBound(p, p, skew.BoundPaper)
+	b, _, err := paper.MinSkewBound(p, p, paper.BoundPaper)
 	if err != nil {
 		return err
 	}
-	bt, _, err := skew.MinSkewBound(p, p, skew.BoundTight)
+	bt, _, err := paper.MinSkewBound(p, p, paper.BoundTight)
 	if err != nil {
 		return err
 	}
-	exact, err := skew.MinSkewExact(p, p)
+	exact, err := paper.MinSkewExact(p, p)
 	if err != nil {
 		return err
 	}
@@ -344,19 +338,19 @@ func kindLetter(k skew.Kind) string {
 }
 
 func table65(w io.Writer) error {
-	rows, err := iugen.Table65()
+	rows, err := paper.Table65()
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "operand allocations for a[i,j+1] and b[i+j,j] (paper's Table 6-5):")
-	fmt.Fprint(w, iugen.FormatTable65(rows))
+	fmt.Fprint(w, paper.FormatTable65(rows))
 	fmt.Fprintln(w, "paper:                              3/6/2, 4/2/2, 5/1/3")
 	return nil
 }
 
 // table71 compiles the five sample programs at the paper's sizes.
 func table71(w io.Writer) error {
-	paper := map[string][3]int{ // W2 lines, cell µcode, IU µcode
+	want := map[string][3]int{ // W2 lines, cell µcode, IU µcode
 		"1d-conv":    {59, 69, 72},
 		"binop":      {61, 118, 130},
 		"colorseg":   {67, 477, 509},
@@ -394,7 +388,7 @@ func table71(w io.Writer) error {
 			el += time.Duration(ph.Seconds * float64(time.Second))
 		}
 		m := prog.Metrics()
-		p := paper[r.name]
+		p := want[r.name]
 		fmt.Fprintf(w, "%-12s %9d %11d %9d %13s   (%d/%d/%d, %s)\n",
 			r.name, m.W2Lines, m.CellInstrs, m.IUInstrs, el.Round(time.Millisecond),
 			p[0], p[1], p[2], paperTime[r.name])
@@ -789,11 +783,11 @@ func fastPlans(w io.Writer) error {
 // not latency.  The example is a producer emitting one word every three
 // cycles into a consumer that reads back to back.
 func varskew(w io.Writer) error {
-	prog := skew.Build(
-		skew.Rep(50, skew.In()),
-		skew.Rep(50, skew.Out(), skew.Nop(), skew.Nop()),
+	prog := paper.Build(
+		paper.Rep(50, paper.In()),
+		paper.Rep(50, paper.Out(), paper.Nop(), paper.Nop()),
 	)
-	r, err := skew.VariableSkew(prog, prog)
+	r, err := paper.VariableSkew(prog, prog)
 	if err != nil {
 		return err
 	}
@@ -804,8 +798,8 @@ func varskew(w io.Writer) error {
 	fmt.Fprintf(w, "\n(paper, §6.2.1: inserting delays before each input \"may lower the demand\n")
 	fmt.Fprintf(w, "on the size of the buffers... it does not lead to higher utilization\")\n")
 	// Also show the worked example.
-	p64 := skew.Fig64()
-	r64, err := skew.VariableSkew(p64, p64)
+	p64 := paper.Fig64()
+	r64, err := paper.VariableSkew(p64, p64)
 	if err != nil {
 		return err
 	}

@@ -11,7 +11,6 @@ import (
 
 	"warp"
 	"warp/internal/interp"
-	"warp/internal/w2"
 	"warp/internal/workloads"
 )
 
@@ -131,15 +130,7 @@ func runFabric(spec *fabricSpec, o *options) {
 	o.writeOutputs(out)
 
 	if o.check {
-		mod, err := w2.Parse(oracleSrc)
-		if err != nil {
-			fail(err)
-		}
-		info, err := w2.Analyze(mod)
-		if err != nil {
-			fail(err)
-		}
-		want, err := interp.Run(info, inputs)
+		want, err := interp.RunSource(oracleSrc, inputs)
 		if err != nil {
 			fail(fmt.Errorf("interpreter: %w", err))
 		}

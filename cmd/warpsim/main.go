@@ -81,7 +81,9 @@ import (
 	"time"
 
 	"warp"
+	"warp/internal/interp"
 	"warp/internal/sim"
+	"warp/internal/symbolic"
 	"warp/internal/workloads"
 )
 
@@ -170,14 +172,18 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	oracle := src // the concrete source compiled, which -check interprets
 	compile := concrete(src)
 	if len(o.bounds) > 0 {
 		compile = func(opts warp.Options) (*warp.Program, error) {
-			tmpl, err := warp.CompileTemplate(src, opts)
+			tmpl, err := symbolic.ParseSource(src)
 			if err != nil {
 				return nil, err
 			}
-			return tmpl.Program(o.bounds)
+			if oracle, err = tmpl.Concrete(o.bounds); err != nil {
+				return nil, err
+			}
+			return warp.Compile(oracle, opts)
 		}
 	}
 	prog := o.compile(compile, warp.Options{Pipeline: o.pipeline, Cells: o.cells})
@@ -235,7 +241,7 @@ func main() {
 	}
 
 	if o.check {
-		want, err := prog.Interpret(inputs)
+		want, err := interp.RunSource(oracle, inputs)
 		if err != nil {
 			fail(fmt.Errorf("interpreter: %w", err))
 		}

@@ -11,6 +11,8 @@ import (
 	"log"
 
 	"warp"
+	"warp/internal/interp"
+	"warp/internal/paper"
 	"warp/internal/skew"
 )
 
@@ -54,15 +56,15 @@ func main() {
 	x := prog.ChannelTiming('X')
 	fmt.Println("characteristic vectors of every I/O statement on channel X:")
 	for _, kind := range []skew.Kind{skew.Input, skew.Output} {
-		for _, v := range skew.Statements(x, kind) {
+		for _, v := range paper.Statements(x, kind) {
 			fmt.Printf("  %s\n", v)
 		}
 	}
 
 	fmt.Println("\nclosed-form timing functions (Table 6-4 style):")
 	for _, kind := range []skew.Kind{skew.Input, skew.Output} {
-		for _, v := range skew.Statements(x, kind) {
-			sym := skew.NewTimingFunc(v).Symbolic()
+		for _, v := range paper.Statements(x, kind) {
+			sym := paper.NewTimingFunc(v).Symbolic()
 			kindName := "I"
 			if kind == skew.Output {
 				kindName = "O"
@@ -71,27 +73,27 @@ func main() {
 		}
 	}
 
-	exact, err := skew.MinSkewExact(x, x)
+	exact, err := paper.MinSkewExact(x, x)
 	if err != nil {
 		log.Fatal(err)
 	}
-	bound, pairs, err := skew.MinSkewBound(x, x, skew.BoundPaper)
+	bound, pairs, err := paper.MinSkewBound(x, x, paper.BoundPaper)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nminimum skew: exact %d; pairwise bound %s over %d statement pairs\n",
 		exact, bound, len(pairs))
 
-	occ, err := skew.MaxOccupancy(x, x, prog.Skew())
+	occ, err := paper.MaxOccupancy(x, x, prog.Skew())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("proven queue occupancy at the chosen skew: %d of 128 words\n", occ)
-	if _, err := skew.MaxOccupancy(x, x, exact-1); err != nil {
+	if _, err := paper.MaxOccupancy(x, x, exact-1); err != nil {
 		fmt.Printf("skew %d (one below minimum) underflows, as it must: %v\n", exact-1, err)
 	}
 
-	vs, err := skew.VariableSkew(x, x)
+	vs, err := paper.VariableSkew(x, x)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -106,7 +108,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	want, err := prog.Interpret(inputs)
+	want, err := interp.RunSource(src, inputs)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"warp/internal/ir"
 	"warp/internal/mcode"
 	"warp/internal/opt"
+	"warp/internal/paper"
 	"warp/internal/skew"
 	"warp/internal/w2"
 )
@@ -56,7 +57,7 @@ end
 // the instruction stream shows.
 func TestTimingMatchesWalk(t *testing.T) {
 	res := compileCell(t, passSrc, Options{})
-	timing := Timing(res.Cell)
+	timing := skew.CellStreams(res.Cell).Timing()
 	x := timing[w2.ChanX]
 	if x.Count(skew.Input) != 8 || x.Count(skew.Output) != 8 {
 		t.Fatalf("X: %d inputs, %d outputs; want 8/8",
@@ -93,7 +94,7 @@ func TestTimingMatchesWalk(t *testing.T) {
 		}
 	}
 	walk(res.Cell.Items)
-	times := x.Times(skew.Input)
+	times := paper.Times(x, skew.Input)
 	if len(times) != len(manual) {
 		t.Fatalf("enumerated %d inputs, manual walk %d", len(times), len(manual))
 	}
@@ -108,7 +109,7 @@ func TestTimingMatchesWalk(t *testing.T) {
 // their skew analysis terminates.
 func TestTimingSelfSkew(t *testing.T) {
 	res := compileCell(t, passSrc, Options{})
-	x := Timing(res.Cell)[w2.ChanX]
+	x := skew.CellStreams(res.Cell).Timing()[w2.ChanX]
 	if err := x.Validate(); err != nil {
 		t.Fatal(err)
 	}

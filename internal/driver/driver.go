@@ -21,7 +21,6 @@ import (
 	"warp/internal/commgraph"
 	"warp/internal/fastexec"
 	"warp/internal/hostgen"
-	"warp/internal/interp"
 	"warp/internal/ir"
 	"warp/internal/iugen"
 	"warp/internal/mcode"
@@ -324,15 +323,16 @@ func (c *Compiled) run(seq []stage, opts Options, t0 time.Time) error {
 
 // analyzeSkew is the skew stage, the inter-cell scheduling step (§6.2):
 // the minimum skew over every channel, then each channel's queue
-// occupancy at that skew.  Channels are taken in sorted order, so the
-// introspection record in Sched.Skews and the first error reported are
-// deterministic.  A single-cell array has no inter-cell boundary to
-// synchronize.  The debug map is built here, after iugen, so that a
-// pipelined attempt the IU refuses ends before it; its time counts to
-// the skew phase.
+// occupancy at that skew, then the occupancy of the forwarded Adr and
+// Sig queues.  Channels are taken in sorted order, so the introspection
+// record in Sched.Skews and the first error reported are deterministic.
+// A single-cell array has no inter-cell boundary to synchronize.  The
+// debug map is built here, after iugen, so that a pipelined attempt the
+// IU refuses ends before it; its time counts to the skew phase.
 func analyzeSkew(c *Compiled, _ Options) (int, string, error) {
 	c.Debug = prof.BuildDebugMap(c.Module.Name, c.Src, c.Cell)
-	c.Timing = cellgen.Timing(c.Cell)
+	streams := skew.CellStreams(c.Cell)
+	c.Timing = streams.Timing()
 	c.QueueOcc = map[w2.Channel]int64{}
 	if c.Cells <= 1 {
 		return 0, "", nil
@@ -377,6 +377,17 @@ func analyzeSkew(c *Compiled, _ Options) (int, string, error) {
 			return 0, "", fmt.Errorf("driver: channel %s: %w", ch, err)
 		}
 		c.QueueOcc[ch] = occ
+	}
+	// The Adr and Sig queues between cells carry what each cell forwards
+	// the cycle it consumes it.  The verifier bounds them with the same
+	// evaluation, so a decided overflow is refused here, as the source's
+	// capacity limit it is; an undecided one is left to the verifier.
+	var evals int64
+	if _, _, err := skew.CheckForwarded(streams.Mem, c.Skew, mcode.QueueDepth, &evals); err != nil {
+		return 0, "", fmt.Errorf("driver: Adr queue: %w", err)
+	}
+	if _, _, err := skew.CheckForwarded(streams.Bnd, c.Skew, mcode.QueueDepth, &evals); err != nil {
+		return 0, "", fmt.Errorf("driver: Sig queue: %w", err)
 	}
 	note := ""
 	if len(chans) > 0 {
@@ -508,18 +519,22 @@ func RunBatch(c *Compiled, inputs []map[string][]float64, o RunOptions) ([]map[s
 	if err != nil {
 		return nil, nil, err
 	}
+	// Whichever executor runs gets the same controls, and a run the guard
+	// would abort is refused before either starts.
+	ctl := sim.Controls{Ctx: o.Ctx, MaxCycles: o.MaxCycles}
+	if err := ctl.Admit(decision.PredictedCycles); err != nil {
+		return nil, nil, err
+	}
 	n := len(inputs)
 	hostMems, stats := make([][]float64, n), make([]*sim.Stats, n)
 	for i, in := range inputs {
-		if hostMems[i], err = interp.BuildHostMem(c.Info, in); err != nil {
+		if hostMems[i], err = c.Info.HostMem(in); err != nil {
 			return nil, nil, err
 		}
 	}
-	// Whichever executor runs gets the same controls.  The executors
-	// report raw positions; wrap the caller's hook so every update
-	// carries the modeled total (the denominator of a percent display).
-	// The nil path stays allocation-free.
-	ctl := sim.Controls{Ctx: o.Ctx, MaxCycles: o.MaxCycles}
+	// The executors report raw positions; wrap the caller's hook so every
+	// update carries the modeled total (the denominator of a percent
+	// display).  The nil path stays allocation-free.
 	if inner := o.Progress; inner != nil {
 		total := decision.PredictedCycles
 		ctl.Progress = func(u obs.ProgressUpdate) {
@@ -565,7 +580,7 @@ func RunBatch(c *Compiled, inputs []map[string][]float64, o RunOptions) ([]map[s
 	}
 	outs := make([]map[string][]float64, n)
 	for i := range outs {
-		outs[i] = interp.ExtractOutputs(c.Info, hostMems[i])
+		outs[i] = c.Info.Outputs(hostMems[i])
 	}
 	return outs, stats, nil
 }

@@ -12,7 +12,7 @@ import (
 // place a compile can stop: the option check, the parser, sema, the
 // communication check, cellgen's register file, the cycle-count overflow
 // the IU code generator refuses, the skew search's work budget and the
-// verifier.  Pipelining is on where named, so every refusal after the
+// skew stage's bound on a forwarded queue.  Pipelining is on where named, so every refusal after the
 // front end is the one a failed plain retry reports.
 func TestCompileRefusalTexts(t *testing.T) {
 	for _, tc := range []struct {
@@ -28,7 +28,7 @@ func TestCompileRefusalTexts(t *testing.T) {
 		{"registers", registerHog(70), Options{Pipeline: true}, "cellgen: block b0 needs more than 64 temporary registers (no spill path to cell memory is implemented; restructure the program)"},
 		{"address-range", farExternal, Options{}, "11:34: subscript 4611686018427387904*i of x: its range overflows 64 bits"},
 		{"skew-budget", halves(1 << 17), Options{}, "driver: channel X: skew: queue not analyzed within the budget of 4194304 evaluations (the sends and receives share no loop period)"},
-		{"verify", halves(1 << 7), Options{}, "verify: [queue-overflow]: Sig queue: 256 words in one 256-cycle window (> 128)"},
+		{"forwarded-queue", halves(1 << 7), Options{}, "driver: Sig queue: skew: queue needs 256 words but the hardware provides 128 (queue overflow)"},
 	} {
 		if _, err := Compile(tc.src, tc.opts); fmt.Sprint(err) != tc.want {
 			t.Errorf("%s: err = %q\nwant %q", tc.name, fmt.Sprint(err), tc.want)
@@ -85,7 +85,7 @@ end
 // (the class whose verifier-level text verify's
 // TestQueueUnprovenDiagnostic pins); below it, from n = 2⁷, the skew
 // leaves more loop signals in one window than the forwarded Sig queue
-// holds, which only the verifier checks.
+// holds.
 func halves(n int) string {
 	return fmt.Sprintf(`module halves (x in, y out)
 float x[%d];
@@ -147,4 +147,16 @@ func registerHog(n int) string {
 	}
 	b.WriteString("    end\n    call f;\nend\n")
 	return b.String()
+}
+
+// TestForwardedQueueRefusedAtSkew pins the Sig overflow of halves to the
+// skew stage across its range: the verifier proves the same queue with
+// the same evaluation, so no such program reaches it.
+func TestForwardedQueueRefusedAtSkew(t *testing.T) {
+	for _, n := range []int{1 << 7, 1 << 10, 1 << 16} {
+		_, err := Compile(halves(n), Options{})
+		if msg := fmt.Sprint(err); !strings.HasPrefix(msg, "driver: Sig queue: skew: queue needs ") {
+			t.Errorf("halves(%d): err = %q, want the skew stage's Sig queue refusal", n, msg)
+		}
+	}
 }

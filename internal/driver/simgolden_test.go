@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"warp/internal/alloctest"
-	"warp/internal/interp"
 	"warp/internal/obs"
 	"warp/internal/sim"
 	"warp/internal/workloads"
@@ -48,7 +47,7 @@ func simGoldenCases(t *testing.T) []struct{ name, src string } {
 // never affects timing).
 func simConfigOf(t *testing.T, c *Compiled) sim.Config {
 	t.Helper()
-	mem, err := interp.BuildHostMem(c.Info, zeroIn(c))
+	mem, err := c.Info.HostMem(zeroIn(c))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 
 	"warp/internal/driver"
 	"warp/internal/fastexec"
-	"warp/internal/interp"
 	"warp/internal/mcode/mcodetest"
 	"warp/internal/sim"
 	"warp/internal/workloads"
@@ -68,7 +67,7 @@ func TestBatchMatchesSingle(t *testing.T) {
 				images := make([][]float64, width)
 				for l := range images {
 					var err error
-					if images[l], err = interp.BuildHostMem(c.Info, seededInputs(c, int64(100+l))); err != nil {
+					if images[l], err = c.Info.HostMem(seededInputs(c, int64(100+l))); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -84,7 +83,7 @@ func TestBatchMatchesSingle(t *testing.T) {
 			images := make([][]float64, width)
 			for l := range images {
 				var err error
-				if images[l], err = interp.BuildHostMem(c.Info, inputs); err != nil {
+				if images[l], err = c.Info.HostMem(inputs); err != nil {
 					t.Fatal(err)
 				}
 				for x := range images[l] { // lane 0 keeps the generator's inputs
@@ -130,7 +129,7 @@ end
 			in["ds"][6] = 0
 		}
 		var err error
-		if images[l], err = interp.BuildHostMem(c.Info, in); err != nil {
+		if images[l], err = c.Info.HostMem(in); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -209,7 +208,7 @@ func BenchmarkExecuteBatch(b *testing.B) {
 		for _, width := range []int{1, 8, 32, 128} {
 			images := make([][]float64, width)
 			for l := range images {
-				if images[l], err = interp.BuildHostMem(c.Info, seededInputs(c, int64(l))); err != nil {
+				if images[l], err = c.Info.HostMem(seededInputs(c, int64(l))); err != nil {
 					b.Fatal(err)
 				}
 			}

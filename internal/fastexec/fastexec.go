@@ -596,12 +596,10 @@ func (p *Plan) ExecuteBatch(hostMems [][]float64, ctl sim.Controls) (*sim.Stats,
 	if len(hostMems) == 0 {
 		return nil, fmt.Errorf("fastexec: an empty batch")
 	}
-	// The simulator aborts when its clock passes the guard before the
-	// last cell retires, i.e. whenever the run needs more than limit+1
-	// cycles; the modeled count makes the same decision without running.
-	if limit := ctl.Limit(); p.Cycles() > limit+1 {
-		return nil, fmt.Errorf("fastexec: modeled run needs %d cycles, exceeding %d; the machine is %w",
-			p.Cycles(), limit, sim.ErrLivelock)
+	// The modeled count makes the simulator's guard decision without
+	// running.
+	if err := ctl.Admit(p.Cycles()); err != nil {
+		return nil, fmt.Errorf("fastexec: %w", err)
 	}
 	if ctl.Ctx != nil {
 		if err := ctl.Ctx.Err(); err != nil {

@@ -19,7 +19,6 @@ import (
 
 	"warp/internal/driver"
 	"warp/internal/fastexec"
-	"warp/internal/interp"
 	"warp/internal/obs"
 	"warp/internal/sim"
 	"warp/internal/workloads"
@@ -51,7 +50,7 @@ func planFor(t *testing.T, src string, opts driver.Options) (*driver.Compiled, *
 // memory images and asserts bit-identical results.
 func runBoth(t *testing.T, c *driver.Compiled, plan *fastexec.Plan, inputs map[string][]float64) {
 	t.Helper()
-	simMem, err := interp.BuildHostMem(c.Info, inputs)
+	simMem, err := c.Info.HostMem(inputs)
 	if err != nil {
 		t.Fatalf("host mem: %v", err)
 	}
@@ -205,7 +204,7 @@ func TestModeledCyclesClosedForm(t *testing.T) {
 func TestConcurrentExecute(t *testing.T) {
 	c, plan := planFor(t, workloads.Polynomial(10, 40), driver.Options{})
 	inputs := seededInputs(c, 3)
-	baseMem, err := interp.BuildHostMem(c.Info, inputs)
+	baseMem, err := c.Info.HostMem(inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +235,7 @@ func TestConcurrentExecute(t *testing.T) {
 // at its bounded stride, before any work retires.
 func TestContextCancelled(t *testing.T) {
 	c, plan := planFor(t, workloads.Matmul(8), driver.Options{})
-	mem, err := interp.BuildHostMem(c.Info, seededInputs(c, 4))
+	mem, err := c.Info.HostMem(seededInputs(c, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +270,7 @@ func TestProgressStride(t *testing.T) {
 		for _, width := range []int{1, 3} {
 			var mems [][]float64
 			for l := 0; l < width; l++ {
-				mem, err := interp.BuildHostMem(c.Info, seededInputs(c, int64(l+1)))
+				mem, err := c.Info.HostMem(seededInputs(c, int64(l+1)))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -298,7 +297,7 @@ func TestProgressStride(t *testing.T) {
 // trip the fast backend too, with the same sentinel.
 func TestLivelockParity(t *testing.T) {
 	c, plan := planFor(t, workloads.Matmul(8), driver.Options{})
-	mem, err := interp.BuildHostMem(c.Info, seededInputs(c, 5))
+	mem, err := c.Info.HostMem(seededInputs(c, 5))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"warp/internal/driver"
 	"warp/internal/fastexec"
 	"warp/internal/hostgen"
-	"warp/internal/interp"
 	"warp/internal/mcode"
 	"warp/internal/sim"
 	"warp/internal/w2"
@@ -94,7 +93,7 @@ func TestPlanSizeIndependentOfTrips(t *testing.T) {
 // state is allocated again on the next run.
 func TestExecuteAllocs(t *testing.T) {
 	c, plan := planFor(t, workloads.Polynomial(10, 100), driver.Options{Pipeline: true})
-	mem, err := interp.BuildHostMem(c.Info, seededInputs(c, 6))
+	mem, err := c.Info.HostMem(seededInputs(c, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +130,7 @@ func TestExecuteAllocs(t *testing.T) {
 // peaks) changes neither the plan nor the next run's record.
 func TestRunRecordIsACopy(t *testing.T) {
 	c, plan := planFor(t, workloads.Polynomial(10, 40), driver.Options{Pipeline: true})
-	mem, err := interp.BuildHostMem(c.Info, seededInputs(c, 2))
+	mem, err := c.Info.HostMem(seededInputs(c, 2))
 	if err != nil {
 		t.Fatal(err)
 	}

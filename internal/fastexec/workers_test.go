@@ -16,7 +16,6 @@ import (
 
 	"warp/internal/driver"
 	"warp/internal/fastexec"
-	"warp/internal/interp"
 	"warp/internal/obs"
 	"warp/internal/sim"
 	"warp/internal/workloads"
@@ -99,7 +98,7 @@ func images(t *testing.T, c *driver.Compiled, inputs func(l int) map[string][]fl
 	imgs := make([][]float64, width)
 	for l := range imgs {
 		var err error
-		if imgs[l], err = interp.BuildHostMem(c.Info, inputs(l)); err != nil {
+		if imgs[l], err = c.Info.HostMem(inputs(l)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -316,7 +315,7 @@ func BenchmarkExecuteCells(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		mem, err := interp.BuildHostMem(c.Info, seededInputs(c, 1))
+		mem, err := c.Info.HostMem(seededInputs(c, 1))
 		if err != nil {
 			b.Fatal(err)
 		}

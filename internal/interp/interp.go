@@ -21,13 +21,27 @@ func Run(info *w2.Info, inputs map[string][]float64) (map[string][]float64, erro
 	return runContext(context.Background(), info, inputs)
 }
 
+// RunSource parses and analyses src, then interprets it like Run: the
+// oracle a compiled program of the same source is checked against.
+func RunSource(src string, inputs map[string][]float64) (map[string][]float64, error) {
+	mod, err := w2.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	info, err := w2.Analyze(mod)
+	if err != nil {
+		return nil, err
+	}
+	return Run(info, inputs)
+}
+
 // runContext interprets like Run but aborts once ctx is cancelled: the
 // statement loop polls the context every few thousand statements, so an
 // oracle run on a large problem respects the same deadlines as the
 // simulator (sim.Controls.Ctx).  The returned error wraps ctx.Err().  A
 // nil ctx behaves like Run.
 func runContext(ctx context.Context, info *w2.Info, inputs map[string][]float64) (map[string][]float64, error) {
-	host, err := BuildHostMem(info, inputs)
+	host, err := info.HostMem(inputs)
 	if err != nil {
 		return nil, err
 	}
@@ -59,43 +73,19 @@ func runContext(ctx context.Context, info *w2.Info, inputs map[string][]float64)
 		}
 		streams = c.out
 	}
-	return ExtractOutputs(info, host), nil
+	return info.Outputs(host), nil
 }
 
-// BuildHostMem lays out the host memory image with the input parameter
-// arrays loaded.
+// BuildHostMem is info.HostMem(inputs); kept for benchmark/, see
+// ROADMAP 1(c).
 func BuildHostMem(info *w2.Info, inputs map[string][]float64) ([]float64, error) {
-	host := make([]float64, info.HostSize)
-	for _, sym := range info.HostSyms {
-		if sym.Out {
-			continue
-		}
-		data, ok := inputs[sym.Name]
-		if !ok {
-			return nil, fmt.Errorf("missing input array %q", sym.Name)
-		}
-		if len(data) != sym.Type.Size() {
-			return nil, fmt.Errorf("input %q has %d elements, declared %s needs %d",
-				sym.Name, len(data), sym.Type, sym.Type.Size())
-		}
-		copy(host[sym.Base:], data)
-	}
-	return host, nil
+	return info.HostMem(inputs)
 }
 
-// ExtractOutputs copies the out-parameter arrays from a host memory
-// image.
+// ExtractOutputs is info.Outputs(host); kept for benchmark/, see
+// ROADMAP 1(c).
 func ExtractOutputs(info *w2.Info, host []float64) map[string][]float64 {
-	out := map[string][]float64{}
-	for _, sym := range info.HostSyms {
-		if !sym.Out {
-			continue
-		}
-		data := make([]float64, sym.Type.Size())
-		copy(data, host[sym.Base:sym.Base+sym.Type.Size()])
-		out[sym.Name] = data
-	}
-	return out
+	return info.Outputs(host)
 }
 
 type cellState struct {

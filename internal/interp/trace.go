@@ -28,7 +28,7 @@ func (e TraceEvent) String() string {
 // RunTrace interprets the module like Run but records up to maxPerCell
 // communication events for each of the first cells cells.
 func RunTrace(info *w2.Info, inputs map[string][]float64, cells, maxPerCell int) ([][]TraceEvent, error) {
-	host, err := BuildHostMem(info, inputs)
+	host, err := info.HostMem(inputs)
 	if err != nil {
 		return nil, err
 	}

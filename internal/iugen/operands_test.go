@@ -1,20 +1,22 @@
-package iugen
+package iugen_test
 
 import (
 	"sort"
 	"strings"
 	"testing"
+
+	"warp/internal/paper"
 )
 
 // TestTable6_5 reproduces Table 6-5 exactly: the three operand
 // allocations for a[i,j+1] and b[i+j,j] cost (3 regs, 6 adds, 2
 // updates), (4, 2, 2) and (5, 1, 3).
 func TestTable6_5(t *testing.T) {
-	rows, err := Table65()
+	rows, err := paper.Table65()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []Table65Row{
+	want := []paper.Table65Row{
 		{Registers: 3, Arithmetic: 6, Updates: 2},
 		{Registers: 4, Arithmetic: 2, Updates: 2},
 		{Registers: 5, Arithmetic: 1, Updates: 3},
@@ -32,14 +34,21 @@ func TestTable6_5(t *testing.T) {
 	}
 }
 
-// TestMinOperands exercises the operand decomposition directly.
+// operands is the fewest operands that sum to target under regs: Cost
+// counts the additions among them, one fewer.
+func operands(target paper.SymVec, regs []paper.Register) (int, error) {
+	arith, _, err := paper.Allocation{Regs: regs}.Cost([]paper.SymVec{target})
+	return arith + 1, err
+}
+
+// TestMinOperands exercises the operand decomposition.
 func TestMinOperands(t *testing.T) {
-	iN := Register{"i*N", SymVec{DimIN: 1}}
-	j := Register{"j", SymVec{DimJ: 1}}
+	iN := paper.Register{Label: "i*N", Val: paper.SymVec{paper.DimIN: 1}}
+	j := paper.Register{Label: "j", Val: paper.SymVec{paper.DimJ: 1}}
 	// base_a + iN + j + 1 from {iN, j}: 2 registers + 2 atoms = 4
 	// operands.
-	target := SymVec{DimBaseA: 1, DimIN: 1, DimJ: 1, DimOne: 1}
-	ops, err := minOperands(target, []Register{iN, j})
+	target := paper.SymVec{paper.DimBaseA: 1, paper.DimIN: 1, paper.DimJ: 1, paper.DimOne: 1}
+	ops, err := operands(target, []paper.Register{iN, j})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,13 +56,13 @@ func TestMinOperands(t *testing.T) {
 		t.Errorf("operands = %d, want 4", ops)
 	}
 	// A loop-variant residue is not formable.
-	if _, err := minOperands(SymVec{DimJN: 1}, []Register{iN}); err == nil {
+	if _, err := operands(paper.SymVec{paper.DimJN: 1}, []paper.Register{iN}); err == nil {
 		t.Error("expected failure for uncovered loop-variant residue")
 	}
 	// An address that is exactly one register needs one operand
 	// (zero additions).
-	full := Register{"a[i,j]", target}
-	ops, err = minOperands(target, []Register{full})
+	full := paper.Register{Label: "a[i,j]", Val: target}
+	ops, err = operands(target, []paper.Register{full})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,24 +74,24 @@ func TestMinOperands(t *testing.T) {
 // TestEnumerateAllocations checks that the systematic search finds an
 // allocation at least as good as every paper row.
 func TestEnumerateAllocations(t *testing.T) {
-	addrA := SymVec{DimBaseA: 1, DimIN: 1, DimJ: 1, DimOne: 1}
-	addrB := SymVec{DimBaseB: 1, DimIN: 1, DimJN: 1, DimJ: 1}
-	pool := []Register{
-		{"i*N", SymVec{DimIN: 1}},
-		{"j*N", SymVec{DimJN: 1}},
-		{"j", SymVec{DimJ: 1}},
-		{"j+1", SymVec{DimJ: 1, DimOne: 1}},
-		{"j*N+j", SymVec{DimJN: 1, DimJ: 1}},
-		{"a[i]", SymVec{DimBaseA: 1, DimIN: 1}},
-		{"b[i]", SymVec{DimBaseB: 1, DimIN: 1}},
-		{"a[i,j]+1", addrA},
-		{"b[i+j]", SymVec{DimBaseB: 1, DimIN: 1, DimJN: 1}},
+	addrA := paper.SymVec{paper.DimBaseA: 1, paper.DimIN: 1, paper.DimJ: 1, paper.DimOne: 1}
+	addrB := paper.SymVec{paper.DimBaseB: 1, paper.DimIN: 1, paper.DimJN: 1, paper.DimJ: 1}
+	pool := []paper.Register{
+		{Label: "i*N", Val: paper.SymVec{paper.DimIN: 1}},
+		{Label: "j*N", Val: paper.SymVec{paper.DimJN: 1}},
+		{Label: "j", Val: paper.SymVec{paper.DimJ: 1}},
+		{Label: "j+1", Val: paper.SymVec{paper.DimJ: 1, paper.DimOne: 1}},
+		{Label: "j*N+j", Val: paper.SymVec{paper.DimJN: 1, paper.DimJ: 1}},
+		{Label: "a[i]", Val: paper.SymVec{paper.DimBaseA: 1, paper.DimIN: 1}},
+		{Label: "b[i]", Val: paper.SymVec{paper.DimBaseB: 1, paper.DimIN: 1}},
+		{Label: "a[i,j]+1", Val: addrA},
+		{Label: "b[i+j]", Val: paper.SymVec{paper.DimBaseB: 1, paper.DimIN: 1, paper.DimJN: 1}},
 	}
-	frontier := EnumerateAllocations([]SymVec{addrA, addrB}, pool, 6)
+	frontier := EnumerateAllocations([]paper.SymVec{addrA, addrB}, pool, 6)
 	if len(frontier) == 0 {
 		t.Fatal("empty Pareto frontier")
 	}
-	paperRows, err := Table65()
+	paperRows, err := paper.Table65()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +114,11 @@ func TestEnumerateAllocations(t *testing.T) {
 // every subset of a candidate pool, reporting the Pareto frontier over
 // (registers, arithmetic, updates).  This extends the paper's
 // observation that "the options in Table 6-5 are not complete".
-func EnumerateAllocations(targets []SymVec, pool []Register, maxRegs int) []Table65Row {
-	var rows []Table65Row
+func EnumerateAllocations(targets []paper.SymVec, pool []paper.Register, maxRegs int) []paper.Table65Row {
+	var rows []paper.Table65Row
 	n := len(pool)
 	for mask := 1; mask < 1<<n; mask++ {
-		var regs []Register
+		var regs []paper.Register
 		for b := 0; b < n; b++ {
 			if mask&(1<<b) != 0 {
 				regs = append(regs, pool[b])
@@ -118,7 +127,7 @@ func EnumerateAllocations(targets []SymVec, pool []Register, maxRegs int) []Tabl
 		if len(regs) > maxRegs {
 			continue
 		}
-		al := Allocation{Regs: regs}
+		al := paper.Allocation{Regs: regs}
 		arith, updates, err := al.Cost(targets)
 		if err != nil {
 			continue
@@ -127,7 +136,7 @@ func EnumerateAllocations(targets []SymVec, pool []Register, maxRegs int) []Tabl
 		for _, r := range regs {
 			labels = append(labels, r.Label)
 		}
-		rows = append(rows, Table65Row{
+		rows = append(rows, paper.Table65Row{
 			Allocation: strings.Join(labels, ", "),
 			Registers:  len(regs),
 			Arithmetic: arith,
@@ -135,7 +144,7 @@ func EnumerateAllocations(targets []SymVec, pool []Register, maxRegs int) []Tabl
 		})
 	}
 	// Pareto filter: drop rows dominated on all three axes.
-	var frontier []Table65Row
+	var frontier []paper.Table65Row
 	for i, r := range rows {
 		dominated := false
 		for j, q := range rows {

@@ -586,29 +586,39 @@ end
 `
 
 // TestRunMaxCyclesLowersOnly: a request's max_cycles may lower the
-// server's livelock guard, never raise it.  On the fast backend the plan
-// refuses a run whose modeled cycles pass the guard before it runs a
-// cycle, so asking for 2⁴⁰ cycles gets the server's 2²⁸ refusal at once
-// (a run that started would end at the deadline instead, with a 504).
+// server's livelock guard, never raise it.  Whichever backend would run
+// it, a run whose modeled cycles pass the guard is refused before it runs
+// a cycle: asking for 2⁴⁰ cycles gets the server's 2²⁸ refusal at once,
+// profiled or on the simulator too (a run that started would step up to
+// the guard, or end at the deadline with a 504).
 func TestRunMaxCyclesLowersOnly(t *testing.T) {
 	srv := New(Config{Workers: 1})
 	defer srv.Close()
 	for _, tc := range []struct {
+		backend   string
+		profile   bool
 		maxCycles int64
 		guard     string
 	}{
-		{1 << 40, "exceeding 268435456;"},
-		{1000, "exceeding 1000;"},
+		{"fast", false, 1 << 40, "exceeding 268435456;"},
+		{"fast", false, 1000, "exceeding 1000;"},
+		{"", true, 1 << 40, "exceeding 268435456;"},
+		{"sim", false, 1 << 40, "exceeding 268435456;"},
 	} {
-		body, err := json.Marshal(RunRequest{Source: longLoop, Backend: "fast", MaxCycles: tc.maxCycles,
+		body, err := json.Marshal(RunRequest{Source: longLoop, Backend: tc.backend, Profile: tc.profile, MaxCycles: tc.maxCycles,
 			TimeoutMS: 5000, Inputs: map[string][]float64{"xs": {1}}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec := httptest.NewRecorder()
+		start := time.Now()
 		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/run", bytes.NewReader(body)))
+		if wall := time.Since(start); wall > 50*time.Millisecond {
+			t.Errorf("backend %q, profile %v, max_cycles %d: refused after %v, want within 50ms", tc.backend, tc.profile, tc.maxCycles, wall)
+		}
 		if rec.Code != http.StatusUnprocessableEntity || !strings.Contains(rec.Body.String(), "modeled run needs 17179869188 cycles, "+tc.guard) {
-			t.Errorf("max_cycles %d: status %d, body %q; want 422 and the plan's refusal %s", tc.maxCycles, rec.Code, rec.Body, tc.guard)
+			t.Errorf("backend %q, profile %v, max_cycles %d: status %d, body %q; want 422 and the refusal %s",
+				tc.backend, tc.profile, tc.maxCycles, rec.Code, rec.Body, tc.guard)
 		}
 	}
 }

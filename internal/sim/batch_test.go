@@ -15,7 +15,6 @@ import (
 
 	"warp/internal/driver"
 	"warp/internal/hostgen"
-	"warp/internal/interp"
 	"warp/internal/mcode"
 	"warp/internal/sim"
 	"warp/internal/w2"
@@ -52,7 +51,7 @@ func seededImage(t testing.TB, c *driver.Compiled, seed int64) []float64 {
 			in[sym.Name] = vals
 		}
 	}
-	img, err := interp.BuildHostMem(c.Info, in)
+	img, err := c.Info.HostMem(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +129,7 @@ func TestBatchMatchesSingle(t *testing.T) {
 			images := make([][]float64, width)
 			for l := range images {
 				var err error
-				if images[l], err = interp.BuildHostMem(c.Info, inputs); err != nil {
+				if images[l], err = c.Info.HostMem(inputs); err != nil {
 					t.Fatal(err)
 				}
 				for x := range images[l] { // lane 0 keeps the generator's inputs
@@ -176,7 +175,7 @@ end
 			in["ds"][6] = 0
 		}
 		var err error
-		if images[l], err = interp.BuildHostMem(c.Info, in); err != nil {
+		if images[l], err = c.Info.HostMem(in); err != nil {
 			t.Fatal(err)
 		}
 	}

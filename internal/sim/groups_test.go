@@ -16,7 +16,6 @@ import (
 
 	"warp/internal/alloctest"
 	"warp/internal/driver"
-	"warp/internal/interp"
 	"warp/internal/obs"
 	"warp/internal/sim"
 	"warp/internal/workloads"
@@ -128,7 +127,7 @@ func TestGroupsMatchSequential(t *testing.T) {
 			images := make([][]float64, width)
 			for l := range images {
 				var err error
-				if images[l], err = interp.BuildHostMem(c.Info, inputs); err != nil {
+				if images[l], err = c.Info.HostMem(inputs); err != nil {
 					t.Fatal(err)
 				}
 				for x := range images[l] { // lane 0 keeps the generator's inputs

@@ -45,6 +45,17 @@ type Controls struct {
 // 2^28 cycles when it is 0.
 func (c Controls) Limit() int64 { return cmp.Or(c.MaxCycles, 1<<28) }
 
+// Admit refuses, before it starts, a run of the given modeled cycles
+// that the guard would abort: the simulator aborts when its clock passes
+// the guard before the last cell retires, i.e. whenever the run needs
+// more than Limit()+1 cycles.  The error wraps ErrLivelock.
+func (c Controls) Admit(cycles int64) error {
+	if cycles-1 <= c.Limit() { // not cycles <= Limit()+1, which wraps at the largest guard
+		return nil
+	}
+	return fmt.Errorf("modeled run needs %d cycles, exceeding %d; the machine is %w", cycles, c.Limit(), ErrLivelock)
+}
+
 // Config assembles everything needed to run a compiled program on the
 // simulated machine.
 type Config struct {

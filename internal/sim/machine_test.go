@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -578,5 +580,26 @@ func TestGroupBoundaryFaults(t *testing.T) {
 				restore()
 			}
 		})
+	}
+}
+
+// TestAdmit: a run is refused up front exactly when the guard would abort
+// it, i.e. when it needs more than Limit()+1 cycles, the largest guard
+// included (where Limit()+1 wraps).
+func TestAdmit(t *testing.T) {
+	for _, tc := range []struct {
+		maxCycles, cycles int64
+		refused           bool
+	}{
+		{10, 11, false},
+		{10, 12, true},
+		{0, 1<<28 + 1, false},
+		{0, 1<<28 + 2, true},
+		{math.MaxInt64, math.MaxInt64, false},
+	} {
+		err := Controls{MaxCycles: tc.maxCycles}.Admit(tc.cycles)
+		if refused := errors.Is(err, ErrLivelock); refused != tc.refused || (err != nil) != refused {
+			t.Errorf("MaxCycles %d, %d cycles: err = %v, want refused %v", tc.maxCycles, tc.cycles, err, tc.refused)
+		}
 	}
 }

@@ -1,3 +1,22 @@
+// Package skew implements the paper's central contribution: the skewed
+// computation model and the compile-time synchronization analysis that
+// maps W2's asynchronous communication onto the synchronous Warp array
+// (§3, §6.2).
+//
+// The package answers two questions about a compiled cell program:
+//
+//  1. Minimum skew: by how many cycles must a cell's execution be
+//     delayed relative to its upstream neighbour so that no receive
+//     operation executes before the matching send (queue underflow,
+//     §6.2.1)?
+//
+//  2. Queue occupancy: given that skew, how many words can be resident
+//     in a channel queue at once (queue overflow, §6.2.2)?
+//
+// Inputs are timed I/O programs: loop trees annotated with cycle-exact
+// operation times, read off the microcode by CellStreams.  The paper's
+// closed forms, its worked examples and the enumerating oracle the
+// analysis is tested against are in internal/paper.
 package skew
 
 import "fmt"
@@ -6,8 +25,8 @@ import "fmt"
 // minimum skew, and the queue occupancy at the skew the driver then
 // picks, both read off the loop trees by the structural evaluator of
 // tree.go.  Nothing here expands a trip count, so the cost depends on
-// the loop structure alone; MinSkewExact and MaxOccupancy are the
-// enumerating oracle the tests hold it to.
+// the loop structure alone; paper.MinSkewExact and paper.MaxOccupancy
+// are the enumerating oracle the tests hold it to.
 
 // evalBudget is the work one Analysis may do, in pushes looked at over
 // all its evaluations.  Streams the evaluator cannot skip through (pops
@@ -110,7 +129,28 @@ func (a *Analysis) CheckQueue(skew, capacity int64) (int64, error) {
 		return 0, fmt.Errorf("skew: a receive executes before its matching send (queue underflow; skew %d too small)", skew)
 	}
 	if occ > capacity {
-		return occ, fmt.Errorf("skew: queue needs %d words but the hardware provides %d (queue overflow)", occ, capacity)
+		return occ, overflow(occ, capacity)
 	}
 	return occ, nil
+}
+
+// CheckForwarded bounds, at the given skew, a queue between two cells
+// whose pops replay its pushes skew cycles later: the Adr and Sig
+// queues, whose words every cell forwards the cycle it consumes them.
+// Its peak is the most events of the sealed stream body in one
+// skew-cycle window, evaluated within evalBudget pushes (which also
+// bounds each of the verifier's evaluations); decided is false when
+// that runs out.  A peak past capacity fails with
+// CheckQueue's overflow text.  The skew stage and the verifier both
+// bound these queues with it.
+func CheckForwarded(body []Node, skew, capacity int64, evals *int64) (peak int64, decided bool, err error) {
+	peak, _, decided = Evaluate(body, body, skew, evalBudget, evals)
+	if decided && peak > capacity {
+		err = overflow(peak, capacity)
+	}
+	return peak, decided, err
+}
+
+func overflow(occ, capacity int64) error {
+	return fmt.Errorf("skew: queue needs %d words but the hardware provides %d (queue overflow)", occ, capacity)
 }

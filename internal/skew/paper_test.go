@@ -1,7 +1,10 @@
-package skew
+package skew_test
 
 import (
 	"testing"
+
+	"warp/internal/paper"
+	"warp/internal/skew"
 )
 
 // Note on Figure 6-2: the paper's listing shows three "input" lines,
@@ -12,12 +15,12 @@ import (
 // TestTable6_1 reproduces Table 6-1: the input/output timing functions
 // and the minimum skew of 3 for the straight-line program of Figure 6-2.
 func TestTable6_1(t *testing.T) {
-	p := Fig62()
+	p := paper.Fig62()
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	to := p.Times(Output)
-	ti := p.Times(Input)
+	to := paper.Times(p, skew.Output)
+	ti := paper.Times(p, skew.Input)
 	wantO := []int64{0, 5}
 	wantI := []int64{1, 2}
 	if len(to) != 2 || len(ti) != 2 {
@@ -31,7 +34,7 @@ func TestTable6_1(t *testing.T) {
 			t.Errorf("τ_I(%d) = %d, want %d", n, ti[n], wantI[n])
 		}
 	}
-	skew, err := MinSkewExact(p, p)
+	skew, err := paper.MinSkewExact(p, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,15 +47,15 @@ func TestTable6_1(t *testing.T) {
 // of the second cell precedes the matching output of the first cell,
 // and the skew is tight (skew 2 underflows).
 func TestFig6_3(t *testing.T) {
-	p := Fig62()
-	if _, err := MaxOccupancy(p, p, 3); err != nil {
+	p := paper.Fig62()
+	if _, err := paper.MaxOccupancy(p, p, 3); err != nil {
 		t.Errorf("skew 3 must be safe: %v", err)
 	}
-	if _, err := MaxOccupancy(p, p, 2); err == nil {
+	if _, err := paper.MaxOccupancy(p, p, 2); err == nil {
 		t.Errorf("skew 2 must underflow, but was accepted")
 	}
 	// Figure 6-3's trace: cell 2's input_0 at cycle 4, input_1 at 5.
-	ti := p.Times(Input)
+	ti := paper.Times(p, skew.Input)
 	if got := ti[0] + 3; got != 4 {
 		t.Errorf("cell 2 input_0 at cycle %d, want 4", got)
 	}
@@ -64,14 +67,14 @@ func TestFig6_3(t *testing.T) {
 // TestTable6_2 reproduces Table 6-2: the per-ordinal input and output
 // times of the Figure 6-4 program and the minimum skew of 18.
 func TestTable6_2(t *testing.T) {
-	p := Fig64()
+	p := paper.Fig64()
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	wantO := []int64{18, 19, 20, 21, 24, 25, 26, 29, 30, 31}
 	wantI := []int64{1, 2, 4, 5, 7, 8, 10, 11, 13, 14}
-	to := p.Times(Output)
-	ti := p.Times(Input)
+	to := paper.Times(p, skew.Output)
+	ti := paper.Times(p, skew.Input)
 	if len(to) != 10 || len(ti) != 10 {
 		t.Fatalf("got %d outputs, %d inputs; want 10 and 10", len(to), len(ti))
 	}
@@ -83,7 +86,7 @@ func TestTable6_2(t *testing.T) {
 			t.Errorf("τ_I(%d) = %d, want %d", n, ti[n], wantI[n])
 		}
 	}
-	skew, err := MinSkewExact(p, p)
+	skew, err := paper.MinSkewExact(p, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,9 +103,9 @@ func TestTable6_2(t *testing.T) {
 // TestTable6_3 reproduces Table 6-3: the five characteristic vectors of
 // every I/O statement of the Figure 6-4 program.
 func TestTable6_3(t *testing.T) {
-	p := Fig64()
-	ins := Statements(p, Input)
-	outs := Statements(p, Output)
+	p := paper.Fig64()
+	ins := paper.Statements(p, skew.Input)
+	outs := paper.Statements(p, skew.Output)
 	if len(ins) != 2 || len(outs) != 5 {
 		t.Fatalf("got %d input, %d output statements; want 2 and 5", len(ins), len(outs))
 	}
@@ -116,7 +119,7 @@ func TestTable6_3(t *testing.T) {
 		"O3": {R: [2]int64{2, 1}, N: [2]int64{3, 1}, S: [2]int64{4, 1}, L: [2]int64{5, 1}, T: [2]int64{24, 1}},
 		"O4": {R: [2]int64{2, 1}, N: [2]int64{3, 1}, S: [2]int64{4, 2}, L: [2]int64{5, 1}, T: [2]int64{24, 2}},
 	}
-	check := func(name string, v *Vectors) {
+	check := func(name string, v *paper.Vectors) {
 		w := wants[name]
 		if v.Depth() != 2 {
 			t.Fatalf("%s: depth %d, want 2", name, v.Depth())
@@ -140,12 +143,12 @@ func TestTable6_3(t *testing.T) {
 // TestTable6_4 reproduces Table 6-4: the symbolic timing functions and
 // their domain constraints.
 func TestTable6_4(t *testing.T) {
-	p := Fig64()
-	ins := Statements(p, Input)
-	outs := Statements(p, Output)
+	p := paper.Fig64()
+	ins := paper.Statements(p, skew.Input)
+	outs := paper.Statements(p, skew.Output)
 
 	cases := []struct {
-		v          *Vectors
+		v          *paper.Vectors
 		wantFn     string
 		wantDomain string
 	}{
@@ -158,7 +161,7 @@ func TestTable6_4(t *testing.T) {
 		{outs[4], "52/3 + 5/3 n - 2/3 (n-4) mod 3", "6 <= n <= 9 and (n-4) mod 3 = 2"},
 	}
 	for _, c := range cases {
-		sym := NewTimingFunc(c.v).Symbolic()
+		sym := paper.NewTimingFunc(c.v).Symbolic()
 		if got := sym.String(); got != c.wantFn {
 			t.Errorf("%s(%d): τ(n) = %q, want %q", c.v.Kind, c.v.ID, got, c.wantFn)
 		}
@@ -175,18 +178,18 @@ func TestTable6_4(t *testing.T) {
 // with enumeration for every statement of both paper programs, on its
 // whole domain — and that ordinals outside the domain are rejected.
 func TestClosedFormMatchesEnumeration(t *testing.T) {
-	for _, p := range []*Prog{Fig62(), Fig64()} {
-		for _, kind := range []Kind{Input, Output} {
-			times := p.Times(kind)
+	for _, p := range []*skew.Prog{paper.Fig62(), paper.Fig64()} {
+		for _, kind := range []skew.Kind{skew.Input, skew.Output} {
+			times := paper.Times(p, kind)
 			covered := make([]bool, len(times))
-			for _, v := range Statements(p, kind) {
-				tf := NewTimingFunc(v)
+			for _, v := range paper.Statements(p, kind) {
+				tf := paper.NewTimingFunc(v)
 				sym := tf.Symbolic()
 				for n := int64(0); n < int64(len(times)); n++ {
 					got, ok := tf.Eval(n)
 					gotSym, okSym := sym.Eval(n)
 					if ok != okSym || (ok && got != gotSym) {
-						t.Fatalf("%s(%d) n=%d: Eval=(%d,%v) Symbolic=(%d,%v)",
+						t.Fatalf("%s(%d) n=%d: Eval=(%d,%v) paper.Symbolic=(%d,%v)",
 							kind, v.ID, n, got, ok, gotSym, okSym)
 					}
 					if !ok {
@@ -215,28 +218,28 @@ func TestClosedFormMatchesEnumeration(t *testing.T) {
 // with bound 17, and the partially overlapped pair I(0)/O(4) with
 // bound 17+2/3.
 func TestOverlapExamples(t *testing.T) {
-	p := Fig64()
-	ins := Statements(p, Input)
-	outs := Statements(p, Output)
+	p := paper.Fig64()
+	ins := paper.Statements(p, skew.Input)
+	outs := paper.Statements(p, skew.Output)
 	i0 := ins[0]
 
-	if pb := AnalyzePair(outs[1], i0, BoundPaper); pb.Overlap != Disjoint {
+	if pb := paper.AnalyzePair(outs[1], i0, paper.BoundPaper); pb.Overlap != paper.Disjoint {
 		t.Errorf("O(1)×I(0): overlap = %s, want disjoint", pb.Overlap)
 	}
 
-	pb := AnalyzePair(outs[0], i0, BoundPaper)
-	if pb.Overlap != Complete {
+	pb := paper.AnalyzePair(outs[0], i0, paper.BoundPaper)
+	if pb.Overlap != paper.Complete {
 		t.Errorf("O(0)×I(0): overlap = %s, want completely overlapped", pb.Overlap)
 	}
-	if pb.Bound.Cmp(RI(17)) != 0 {
+	if pb.Bound.Cmp(paper.RI(17)) != 0 {
 		t.Errorf("O(0)×I(0): bound = %s, want 17", pb.Bound)
 	}
 
-	pb = AnalyzePair(outs[4], i0, BoundPaper)
-	if pb.Overlap != Partial {
+	pb = paper.AnalyzePair(outs[4], i0, paper.BoundPaper)
+	if pb.Overlap != paper.Partial {
 		t.Errorf("O(4)×I(0): overlap = %s, want partially overlapped", pb.Overlap)
 	}
-	if want := R(53, 3); pb.Bound.Cmp(want) != 0 {
+	if want := paper.R(53, 3); pb.Bound.Cmp(want) != 0 {
 		t.Errorf("O(4)×I(0): bound = %s, want %s (= 17+2/3)", pb.Bound, want)
 	}
 }
@@ -245,23 +248,23 @@ func TestOverlapExamples(t *testing.T) {
 // 6-4 program: the bound must be ≥ the exact minimum skew of 18 and
 // its ceiling must be safe in the occupancy check.
 func TestMinSkewBoundFig64(t *testing.T) {
-	p := Fig64()
-	exact, err := MinSkewExact(p, p)
+	p := paper.Fig64()
+	exact, err := paper.MinSkewExact(p, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []BoundMode{BoundPaper, BoundTight} {
-		b, pairs, err := MinSkewBound(p, p, mode)
+	for _, mode := range []paper.BoundMode{paper.BoundPaper, paper.BoundTight} {
+		b, pairs, err := paper.MinSkewBound(p, p, mode)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b.Cmp(RI(exact)) < 0 {
+		if b.Cmp(paper.RI(exact)) < 0 {
 			t.Errorf("mode %d: bound %s < exact %d", mode, b, exact)
 		}
 		if len(pairs) == 0 {
 			t.Errorf("mode %d: no pairs analyzed", mode)
 		}
-		if _, err := MaxOccupancy(p, p, b.Ceil()); err != nil {
+		if _, err := paper.MaxOccupancy(p, p, b.Ceil()); err != nil {
 			t.Errorf("mode %d: bound %s rejected by occupancy check: %v", mode, b, err)
 		}
 	}
@@ -269,18 +272,18 @@ func TestMinSkewBoundFig64(t *testing.T) {
 	// 49/3 + 9/6 + 1/2 = 55/3 ≈ 18.33, one cycle above the exact
 	// minimum; the tight mode pins O's mod terms too and recovers 18
 	// exactly (via the O(2)×I(1) pair).
-	bPaper, _, err := MinSkewBound(p, p, BoundPaper)
+	bPaper, _, err := paper.MinSkewBound(p, p, paper.BoundPaper)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := R(55, 3); bPaper.Cmp(want) != 0 {
+	if want := paper.R(55, 3); bPaper.Cmp(want) != 0 {
 		t.Errorf("paper-mode bound = %s, want %s", bPaper, want)
 	}
-	bTight, _, err := MinSkewBound(p, p, BoundTight)
+	bTight, _, err := paper.MinSkewBound(p, p, paper.BoundTight)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bTight.Cmp(RI(18)) != 0 {
+	if bTight.Cmp(paper.RI(18)) != 0 {
 		t.Errorf("tight-mode bound = %s, want 18", bTight)
 	}
 }
@@ -289,19 +292,19 @@ func TestMinSkewBoundFig64(t *testing.T) {
 // step 4 needs the neighbour's step-4 result has per-cell latency 4
 // under SIMD but 1 under the skewed model.
 func TestFig3_1(t *testing.T) {
-	deps := []StageDep{{Producer: 3, Consumer: 3}}
-	if got := SkewedLatency(4, deps); got != 1 {
+	deps := []paper.StageDep{{Producer: 3, Consumer: 3}}
+	if got := paper.SkewedLatency(4, deps); got != 1 {
 		t.Errorf("skewed latency = %d, want 1", got)
 	}
-	if got := SIMDLatency(4, deps); got != 4 {
+	if got := paper.SIMDLatency(4, deps); got != 4 {
 		t.Errorf("SIMD latency = %d, want 4", got)
 	}
 	// Through 3 cells (as drawn): skewed 2+4=6 cycles to finish set 0 on
 	// cell 3; SIMD 12.
-	if got := PipelineLatency(3, 1, 4); got != 6 {
+	if got := paper.PipelineLatency(3, 1, 4); got != 6 {
 		t.Errorf("skewed pipeline latency = %d, want 6", got)
 	}
-	if got := PipelineLatency(3, 4, 4); got != 12 {
+	if got := paper.PipelineLatency(3, 4, 4); got != 12 {
 		t.Errorf("SIMD pipeline latency = %d, want 12", got)
 	}
 }
@@ -310,8 +313,8 @@ func TestFig3_1(t *testing.T) {
 // every word waits in the queue between its send and its receive; the
 // peak must be positive and no larger than the total transfer count.
 func TestMaxOccupancyFig64(t *testing.T) {
-	p := Fig64()
-	occ, err := MaxOccupancy(p, p, 18)
+	p := paper.Fig64()
+	occ, err := paper.MaxOccupancy(p, p, 18)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +322,7 @@ func TestMaxOccupancyFig64(t *testing.T) {
 		t.Errorf("occupancy = %d, want within [1,10]", occ)
 	}
 	// Larger skew can only increase occupancy.
-	occ2, err := MaxOccupancy(p, p, 30)
+	occ2, err := paper.MaxOccupancy(p, p, 30)
 	if err != nil {
 		t.Fatal(err)
 	}

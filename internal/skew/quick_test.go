@@ -1,18 +1,21 @@
-package skew
+package skew_test
 
 import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"warp/internal/paper"
+	"warp/internal/skew"
 )
 
 // randProg draws a random timed I/O program: a sequence of nops, I/O
 // operations and (possibly nested) loops.  balanced forces equal input
 // and output counts by appending padding pairs.
-func randProg(r *rand.Rand, balanced bool) *Prog {
-	var gen func(depth int, budget *int) []Item
-	gen = func(depth int, budget *int) []Item {
-		var items []Item
+func randProg(r *rand.Rand, balanced bool) *skew.Prog {
+	var gen func(depth int, budget *int) []paper.Item
+	gen = func(depth int, budget *int) []paper.Item {
+		var items []paper.Item
 		n := 1 + r.Intn(5)
 		for i := 0; i < n && *budget > 0; i++ {
 			*budget--
@@ -20,31 +23,31 @@ func randProg(r *rand.Rand, balanced bool) *Prog {
 			case k == 0 && depth < 3:
 				body := gen(depth+1, budget)
 				if len(body) == 0 {
-					body = []Item{Nop()}
+					body = []paper.Item{paper.Nop()}
 				}
-				items = append(items, Rep(int64(1+r.Intn(4)), body...))
+				items = append(items, paper.Rep(int64(1+r.Intn(4)), body...))
 			case k <= 2:
-				items = append(items, Nop())
+				items = append(items, paper.Nop())
 			case k <= 4:
-				items = append(items, In())
+				items = append(items, paper.In())
 			default:
-				items = append(items, Out())
+				items = append(items, paper.Out())
 			}
 		}
 		return items
 	}
 	budget := 30
 	items := gen(0, &budget)
-	p := Build(items...)
+	p := paper.Build(items...)
 	if balanced {
-		in, out := p.Count(Input), p.Count(Output)
+		in, out := p.Count(skew.Input), p.Count(skew.Output)
 		for ; in < out; in++ {
-			items = append(items, In())
+			items = append(items, paper.In())
 		}
 		for ; out < in; out++ {
-			items = append(items, Out())
+			items = append(items, paper.Out())
 		}
-		p = Build(items...)
+		p = paper.Build(items...)
 	}
 	return p
 }
@@ -61,11 +64,11 @@ func TestQuickClosedFormMatchesEnumeration(t *testing.T) {
 			t.Logf("invalid program: %v", err)
 			return false
 		}
-		for _, kind := range []Kind{Input, Output} {
-			times := p.Times(kind)
+		for _, kind := range []skew.Kind{skew.Input, skew.Output} {
+			times := paper.Times(p, kind)
 			claimed := make([]int, len(times))
-			for _, v := range Statements(p, kind) {
-				tf := NewTimingFunc(v)
+			for _, v := range paper.Statements(p, kind) {
+				tf := paper.NewTimingFunc(v)
 				sym := tf.Symbolic()
 				if tf.DomainSize() == 0 {
 					return false
@@ -106,21 +109,21 @@ func TestQuickBoundSound(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		p := randProg(r, true)
-		if p.Count(Input) == 0 {
+		if p.Count(skew.Input) == 0 {
 			return true
 		}
-		exact, err := MinSkewExact(p, p)
+		exact, err := paper.MinSkewExact(p, p)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		for _, mode := range []BoundMode{BoundPaper, BoundTight} {
-			b, _, err := MinSkewBound(p, p, mode)
+		for _, mode := range []paper.BoundMode{paper.BoundPaper, paper.BoundTight} {
+			b, _, err := paper.MinSkewBound(p, p, mode)
 			if err != nil {
 				t.Logf("seed %d: %v", seed, err)
 				return false
 			}
-			if b.Cmp(RI(exact)) < 0 {
+			if b.Cmp(paper.RI(exact)) < 0 {
 				t.Logf("seed %d mode %d: bound %s < exact %d", seed, mode, b, exact)
 				return false
 			}
@@ -138,18 +141,18 @@ func TestQuickExactSkewIsTightAndSafe(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		p := randProg(r, true)
-		if p.Count(Input) == 0 {
+		if p.Count(skew.Input) == 0 {
 			return true
 		}
-		exact, err := MinSkewExact(p, p)
+		exact, err := paper.MinSkewExact(p, p)
 		if err != nil {
 			return false
 		}
-		if _, err := MaxOccupancy(p, p, exact); err != nil {
+		if _, err := paper.MaxOccupancy(p, p, exact); err != nil {
 			t.Logf("seed %d: exact skew %d rejected: %v", seed, exact, err)
 			return false
 		}
-		if _, err := MaxOccupancy(p, p, exact-1); err == nil {
+		if _, err := paper.MaxOccupancy(p, p, exact-1); err == nil {
 			t.Logf("seed %d: skew %d (one below exact) accepted", seed, exact-1)
 			return false
 		}
@@ -166,17 +169,17 @@ func TestQuickOccupancyMonotone(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		p := randProg(r, true)
-		total := p.Count(Input)
+		total := p.Count(skew.Input)
 		if total == 0 {
 			return true
 		}
-		exact, err := MinSkewExact(p, p)
+		exact, err := paper.MinSkewExact(p, p)
 		if err != nil {
 			return false
 		}
 		prev := int64(-1)
 		for s := exact; s < exact+10; s++ {
-			occ, err := MaxOccupancy(p, p, s)
+			occ, err := paper.MaxOccupancy(p, p, s)
 			if err != nil {
 				return false
 			}
@@ -199,10 +202,10 @@ func TestQuickVectorsConsistency(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		p := randProg(r, false)
-		for _, kind := range []Kind{Input, Output} {
+		for _, kind := range []skew.Kind{skew.Input, skew.Output} {
 			var sum int64
-			for _, v := range Statements(p, kind) {
-				tf := NewTimingFunc(v)
+			for _, v := range paper.Statements(p, kind) {
+				tf := paper.NewTimingFunc(v)
 				sum += tf.DomainSize()
 				prevT := int64(-1)
 				okAll := true

@@ -1,36 +1,38 @@
-package skew
+package skew_test
 
 import (
 	"math/big"
 	"testing"
 	"testing/quick"
+
+	"warp/internal/paper"
 )
 
 func TestRatBasics(t *testing.T) {
-	if got := R(52, 3).Add(R(5, 3).MulI(4)); got.Cmp(RI(24)) != 0 {
+	if got := paper.R(52, 3).Add(paper.R(5, 3).MulI(4)); got.Cmp(paper.RI(24)) != 0 {
 		t.Errorf("52/3 + 20/3 = %s, want 24", got)
 	}
-	if got := R(6, 4); got.Num() != 3 || got.Den() != 2 {
+	if got := paper.R(6, 4); got.Num() != 3 || got.Den() != 2 {
 		t.Errorf("6/4 not normalized: %s", got)
 	}
-	if got := R(3, -6); got.Num() != -1 || got.Den() != 2 {
+	if got := paper.R(3, -6); got.Num() != -1 || got.Den() != 2 {
 		t.Errorf("3/-6 = %s, want -1/2", got)
 	}
-	if R(1, 2).String() != "1/2" || RI(-7).String() != "-7" {
+	if paper.R(1, 2).String() != "1/2" || paper.RI(-7).String() != "-7" {
 		t.Error("rendering broken")
 	}
 }
 
 func TestRatCeilFloor(t *testing.T) {
 	cases := []struct {
-		r          Rat
+		r          paper.Rat
 		ceil, flor int64
 	}{
-		{R(55, 3), 19, 18},
-		{R(-55, 3), -18, -19},
-		{RI(4), 4, 4},
-		{R(0, 5), 0, 0},
-		{R(-1, 2), 0, -1},
+		{paper.R(55, 3), 19, 18},
+		{paper.R(-55, 3), -18, -19},
+		{paper.RI(4), 4, 4},
+		{paper.R(0, 5), 0, 0},
+		{paper.R(-1, 2), 0, -1},
 	}
 	for _, c := range cases {
 		if got := c.r.Ceil(); got != c.ceil {
@@ -48,7 +50,7 @@ func TestRatZeroDenominatorPanics(t *testing.T) {
 			t.Error("R(1,0) must panic")
 		}
 	}()
-	R(1, 0)
+	paper.R(1, 0)
 }
 
 // TestRatQuickProperties cross-checks rational arithmetic against
@@ -59,10 +61,10 @@ func TestRatQuickProperties(t *testing.T) {
 		if a.D == 0 || b.D == 0 {
 			return true
 		}
-		ra, rb := R(int64(a.N), int64(a.D)), R(int64(b.N), int64(b.D))
+		ra, rb := paper.R(int64(a.N), int64(a.D)), paper.R(int64(b.N), int64(b.D))
 		ba := big.NewRat(int64(a.N), int64(a.D))
 		bb := big.NewRat(int64(b.N), int64(b.D))
-		same := func(r Rat, want *big.Rat) bool {
+		same := func(r paper.Rat, want *big.Rat) bool {
 			return big.NewRat(r.Num(), r.Den()).Cmp(want) == 0
 		}
 		if !same(ra.Add(rb), new(big.Rat).Add(ba, bb)) {
@@ -92,10 +94,10 @@ func TestRatCeilFloorQuick(t *testing.T) {
 		if d == 0 {
 			return true
 		}
-		r := R(int64(n), int64(d))
+		r := paper.R(int64(n), int64(d))
 		c, fl := r.Ceil(), r.Floor()
 		// fl ≤ r ≤ c, and they differ by at most 1.
-		if RI(fl).Cmp(r) > 0 || RI(c).Cmp(r) < 0 {
+		if paper.RI(fl).Cmp(r) > 0 || paper.RI(c).Cmp(r) < 0 {
 			return false
 		}
 		if c-fl > 1 {

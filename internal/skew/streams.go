@@ -7,8 +7,9 @@ import (
 
 // Streams are the timed event streams of one cell program, read off its
 // microcode: a leaf carries event counts at one cycle, a loop keeps its
-// trip count.  The compiler's skew search reads the data streams
-// (cellgen.Timing), and the verifier's queue proofs all four.
+// trip count.  The compiler's skew stage searches the data streams
+// (Timing) and bounds the forwarded ones (CheckForwarded); the verifier
+// proves all four.
 //
 // The program's µPC numbering is mcode.Fold's order, listing order,
 // which the fold hands every instruction; a leaf's Instr is its µPC.
@@ -78,4 +79,14 @@ func CellStreams(p *mcode.CellProgram) *Streams {
 		Seal(out[k])
 	}
 	return &Streams{Data: [2][]Node{out[w2.ChanX], out[w2.ChanY]}, Mem: out[slotMem], Bnd: out[slotBnd], Len: cycles}
+}
+
+// Timing is the data streams as the timed I/O programs the skew analysis
+// reads, one per channel.  The driver refuses leftward flow before code
+// generation, so a receive is an Input and a send an Output.
+func (s *Streams) Timing() map[w2.Channel]*Prog {
+	return map[w2.Channel]*Prog{
+		w2.ChanX: {Body: s.Data[w2.ChanX], Len: s.Len},
+		w2.ChanY: {Body: s.Data[w2.ChanY], Len: s.Len},
+	}
 }

@@ -9,9 +9,9 @@ import (
 	"sync"
 	"testing"
 
-	"warp/internal/cellgen"
 	"warp/internal/driver"
 	"warp/internal/mcode"
+	"warp/internal/paper"
 	"warp/internal/sim"
 	"warp/internal/skew"
 	"warp/internal/verify"
@@ -27,7 +27,7 @@ import (
 // and the underflow and overflow verdicts.
 func compare(t *testing.T, name string, out, in *skew.Prog) {
 	t.Helper()
-	exact, errExact := skew.MinSkewExact(out, in)
+	exact, errExact := paper.MinSkewExact(out, in)
 	a, err := skew.NewAnalysis(out, in)
 	if (err != nil) != (errExact != nil) {
 		t.Fatalf("%s: NewAnalysis error %v, MinSkewExact error %v", name, err, errExact)
@@ -46,7 +46,7 @@ func compare(t *testing.T, name string, out, in *skew.Prog) {
 		if d < 0 {
 			continue
 		}
-		want, errWant := skew.MaxOccupancy(out, in, d)
+		want, errWant := paper.MaxOccupancy(out, in, d)
 		got, errGot := a.CheckQueue(d, mcode.QueueDepth)
 		switch {
 		case errWant != nil: // underflow
@@ -100,13 +100,13 @@ func TestStructuralSkewMatchesEnumeration(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
-			for ch, p := range cellgen.Timing(c.Cell) {
+			for ch, p := range skew.CellStreams(c.Cell).Timing() {
 				compare(t, tc.name+" "+ch.String(), p, p)
 			}
 		}
 	}
-	compare(t, "Fig 6-2", skew.Fig62(), skew.Fig62())
-	compare(t, "Fig 6-4", skew.Fig64(), skew.Fig64())
+	compare(t, "Fig 6-2", paper.Fig62(), paper.Fig62())
+	compare(t, "Fig 6-4", paper.Fig64(), paper.Fig64())
 
 	// Random programs against themselves and against one another: two
 	// different programs share no loop structure, so these also cover the
@@ -114,9 +114,9 @@ func TestStructuralSkewMatchesEnumeration(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pairs := 0
 	for i := 0; i < 4000; i++ {
-		out := skew.RandProg(rng, true)
+		out := randProg(rng, true)
 		compare(t, "random program", out, out)
-		in := skew.RandProg(rng, true)
+		in := randProg(rng, true)
 		if out.Count(skew.Output) == in.Count(skew.Input) {
 			pairs++
 		}
@@ -162,8 +162,8 @@ func TestSkewCostIndependentOfTrips(t *testing.T) {
 // hangs nor guesses.
 func TestSkewBudget(t *testing.T) {
 	n := int64(skew.EvalBudget)
-	out := skew.Build(skew.Rep(2*n, skew.Out()))
-	in := skew.Build(skew.Rep(n, skew.In(), skew.In()))
+	out := paper.Build(paper.Rep(2*n, paper.Out()))
+	in := paper.Build(paper.Rep(n, paper.In(), paper.In()))
 	a, err := skew.NewAnalysis(out, in)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestSkewBudget(t *testing.T) {
 		t.Errorf("MinSkewStats = %d, %+v, %v; want a budget error after more than %d evaluations", s, st, err, n)
 	}
 	// Against itself the same stream is one stretch.
-	a, err = skew.NewAnalysis(out, skew.Build(skew.Rep(2*n, skew.In())))
+	a, err = skew.NewAnalysis(out, paper.Build(paper.Rep(2*n, paper.In())))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,13 +213,13 @@ func TestVerifyWalkFollowsTree(t *testing.T) {
 // but Seal counts its body no times, so the search refuses it rather
 // than read a wrong count.
 func TestZeroTripLoopRefused(t *testing.T) {
-	p := skew.Build(skew.In(), skew.Rep(0, skew.Out(), skew.In()), skew.Out())
+	p := paper.Build(paper.In(), paper.Rep(0, paper.Out(), paper.In()), paper.Out())
 	if _, err := skew.NewAnalysis(p, p); err == nil || !strings.Contains(err.Error(), "0 trips") {
 		t.Errorf("NewAnalysis of a zero-trip loop: %v, want a refusal", err)
 	}
 }
 
-// TestSharedProgConcurrentReads: one cellgen.Timing result of colorseg,
+// TestSharedProgConcurrentReads: one Streams.Timing result of colorseg,
 // as a cached program hands it to every request, read by eight goroutines at once
 // gives each the sequential read — skew, search statistics, occupancy,
 // times and statements.  Under -race it also shows that nothing writes to
@@ -229,7 +229,7 @@ func TestSharedProgConcurrentReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	timing := cellgen.Timing(c.Cell)
+	timing := skew.CellStreams(c.Cell).Timing()
 	for ch, p := range timing {
 		if p.Count(skew.Input) == 0 {
 			continue
@@ -251,8 +251,8 @@ func TestSharedProgConcurrentReads(t *testing.T) {
 			occ, qerr := a.CheckQueue(s, mcode.QueueDepth)
 			fmt.Fprintf(&sb, "%s: skew %d %+v %v, occupancy %d %v\n", ch, s, st, err, occ, qerr)
 			for _, k := range []skew.Kind{skew.Input, skew.Output} {
-				fmt.Fprintln(&sb, p.Times(k))
-				for _, v := range skew.Statements(p, k) {
+				fmt.Fprintln(&sb, paper.Times(p, k))
+				for _, v := range paper.Statements(p, k) {
 					fmt.Fprintln(&sb, v)
 				}
 			}

@@ -1,14 +1,16 @@
-package skew
+package skew_test
 
 import (
 	"strings"
 	"testing"
+
+	"warp/internal/paper"
 )
 
 // TestTwoCellTraceFig63 reproduces Figure 6-3 line by line: the two
 // cells of the Figure 6-2 program separated by the minimum skew of 3.
 func TestTwoCellTraceFig63(t *testing.T) {
-	got := TwoCellTrace(Fig62(), 3)
+	got := paper.TwoCellTrace(paper.Fig62(), 3)
 	want := []struct {
 		time  int64
 		cell1 string

@@ -1,16 +1,19 @@
-package skew
+package skew_test
 
 import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"warp/internal/paper"
+	"warp/internal/skew"
 )
 
 // TestVariableSkewFig64: on the Figure 6-4 program, just-in-time
 // receives reduce queue demand without changing latency.
 func TestVariableSkewFig64(t *testing.T) {
-	p := Fig64()
-	r, err := VariableSkew(p, p)
+	p := paper.Fig64()
+	r, err := paper.VariableSkew(p, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,10 +46,10 @@ func TestVariableSkewQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := randProg(rng, true)
-		if p.Count(Input) == 0 {
+		if p.Count(skew.Input) == 0 {
 			return true
 		}
-		r, err := VariableSkew(p, p)
+		r, err := paper.VariableSkew(p, p)
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
 			return false
@@ -55,8 +58,8 @@ func TestVariableSkewQuick(t *testing.T) {
 			t.Logf("seed %d: occupancy grew %d -> %d", seed, r.FixedOccupancy, r.VarOccupancy)
 			return false
 		}
-		ti := p.Times(Input)
-		to := p.Times(Output)
+		ti := paper.Times(p, skew.Input)
+		to := paper.Times(p, skew.Output)
 		for n, d := range r.Delays {
 			if d < 0 || d > r.FixedSkew {
 				t.Logf("seed %d: delay %d out of range", seed, n)

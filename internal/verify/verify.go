@@ -322,23 +322,26 @@ func checkDataQueues(p sim.Config, cs *skew.Streams, rep *Report, col *collector
 // so the downstream queue's pops replay its pushes exactly skew cycles
 // later: underflow is impossible (skew ≥ 1 and upstream steps first),
 // and peak occupancy is the largest event count in a skew-cycle window
-// (t−skew, t] — the structural evaluation of a stream against itself.
+// (t−skew, t] — the structural evaluation of a stream against itself,
+// skew.CheckForwarded, with which the skew stage refuses a decided
+// overflow before the verifier sees it.
 func checkForwardedStreams(p sim.Config, cs *skew.Streams, rep *Report, col *collector) {
 	if p.Cells < 2 {
 		return
 	}
+	lag := p.Skew
 	check := func(name string, body []skew.Node) Occ {
 		if len(body) == 0 {
 			return Occ{}
 		}
-		peak, _, ok := skew.Evaluate(body, body, p.Skew, enumEventLimit, &rep.Evals)
+		peak, ok, err := skew.CheckForwarded(body, lag, mcode.QueueDepth, &rep.Evals)
 		switch {
 		case !ok:
 			unproven(col, -1, name+" queue")
 			return Occ{}
-		case peak > mcode.QueueDepth:
+		case err != nil:
 			col.add(Diagnostic{Invariant: InvQueueOverflow, Cell: -1, Instr: -1, Loop: -1,
-				Detail: fmt.Sprintf("%s queue: %d words in one %d-cycle window (> %d)", name, peak, p.Skew, mcode.QueueDepth)})
+				Detail: fmt.Sprintf("%s queue: %d words in one %d-cycle window (> %d)", name, peak, lag, mcode.QueueDepth)})
 		default:
 			col.ok()
 		}

@@ -85,6 +85,40 @@ type Info struct {
 	CellMemSize int
 }
 
+// HostMem lays out the host memory image, HostSize words with each
+// input parameter array at its Base.
+func (info *Info) HostMem(inputs map[string][]float64) ([]float64, error) {
+	host := make([]float64, info.HostSize)
+	for _, sym := range info.HostSyms {
+		if sym.Out {
+			continue
+		}
+		data, ok := inputs[sym.Name]
+		if !ok {
+			return nil, fmt.Errorf("missing input array %q", sym.Name)
+		}
+		if n := sym.Type.Size(); len(data) != n {
+			return nil, fmt.Errorf("input %q has %d elements, declared %s needs %d", sym.Name, len(data), sym.Type, n)
+		}
+		copy(host[sym.Base:], data)
+	}
+	return host, nil
+}
+
+// Outputs copies the out-parameter arrays from a host memory image.
+func (info *Info) Outputs(host []float64) map[string][]float64 {
+	out := map[string][]float64{}
+	for _, sym := range info.HostSyms {
+		if !sym.Out {
+			continue
+		}
+		data := make([]float64, sym.Type.Size())
+		copy(data, host[sym.Base:sym.Base+sym.Type.Size()])
+		out[sym.Name] = data
+	}
+	return out
+}
+
 // SemaError is a semantic error with its source position.
 type SemaError struct {
 	Pos Pos

@@ -7,7 +7,6 @@ import (
 	"warp"
 	"warp/internal/alloctest"
 	"warp/internal/driver"
-	"warp/internal/interp"
 	"warp/internal/obs"
 	"warp/internal/sim"
 	"warp/internal/workloads"
@@ -70,7 +69,7 @@ func simConfigFor(t testing.TB) (sim.Config, []float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hostMem, err := interp.BuildHostMem(c.Info, map[string][]float64{
+	hostMem, err := c.Info.HostMem(map[string][]float64{
 		"z": make([]float64, 100), "c": make([]float64, 10),
 	})
 	if err != nil {

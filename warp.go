@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"warp/internal/driver"
-	"warp/internal/interp"
 	"warp/internal/obs"
 	"warp/internal/prof"
 	"warp/internal/sim"
@@ -283,13 +282,6 @@ func (p *Program) Sched() *SchedProfile { return p.c.Sched }
 
 // SchedReport renders the scheduler-introspection record as text.
 func (p *Program) SchedReport() string { return p.c.Sched.Report() }
-
-// Interpret executes the program under the reference interpreter (the
-// programmer's model semantics, no compilation), for validating
-// simulated results.
-func (p *Program) Interpret(inputs map[string][]float64) (map[string][]float64, error) {
-	return interp.Run(p.c.Info, inputs)
-}
 
 // Metrics are the per-program compiler metrics of the paper's
 // Table 7-1, plus the skew analysis results.

@@ -5,12 +5,14 @@ import (
 	"testing"
 
 	"warp"
+	"warp/internal/interp"
 	"warp/internal/workloads"
 )
 
 // TestPublicAPI walks the exported surface end to end.
 func TestPublicAPI(t *testing.T) {
-	prog, err := warp.Compile(workloads.Polynomial(10, 50), warp.Options{Pipeline: true})
+	src := workloads.Polynomial(10, 50)
+	prog, err := warp.Compile(src, warp.Options{Pipeline: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +55,7 @@ func TestPublicAPI(t *testing.T) {
 	if stats.Cycles <= 0 {
 		t.Error("no cycles reported")
 	}
-	ref, err := prog.Interpret(inputs)
+	ref, err := interp.RunSource(src, inputs)
 	if err != nil {
 		t.Fatal(err)
 	}
