@@ -8,8 +8,8 @@ import (
 )
 
 // This file provides structural validation of generated microprograms:
-// the machine invariants every code generator must respect.  The driver
-// test suite runs these validators over every compiled program.
+// the machine invariants every code generator must respect.  The verifier
+// runs these validators on every compile (verify.Verify's structure check).
 
 // ValidateCell checks the structural invariants of a cell microprogram:
 //
